@@ -64,28 +64,36 @@ func EncodeFrame(f *Frame) []byte {
 	return f.Packet.Body.AppendTo(b)
 }
 
-// DecodeFrame unmarshals a frame produced by EncodeFrame. Malformed
-// input — short buffers, wrong magic or version, truncated or trailing
-// packet bytes, unknown body kinds — yields an error, never a panic:
-// on a live socket every datagram is attacker- (or at least
-// misconfiguration-) controlled.
-func DecodeFrame(b []byte) (*Frame, error) {
+// ParseFrame unmarshals a frame produced by EncodeFrame and returns it
+// by value, so a receive loop that only reads the fields allocates
+// nothing for the frame itself. Malformed input — short buffers, wrong
+// magic or version, truncated or trailing packet bytes, unknown body
+// kinds — yields an error, never a panic: on a live socket every
+// datagram is attacker- (or at least misconfiguration-) controlled.
+func ParseFrame(b []byte) (Frame, error) {
 	if len(b) < frameHeaderSize {
-		return nil, fmt.Errorf("frame header: %w", ErrTruncated)
+		return Frame{}, fmt.Errorf("frame header: %w", ErrTruncated)
 	}
 	if u16(b) != frameMagic {
-		return nil, ErrBadMagic
+		return Frame{}, ErrBadMagic
 	}
 	if b[2] != FrameVersion {
-		return nil, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, b[2], FrameVersion)
+		return Frame{}, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, b[2], FrameVersion)
 	}
 	p, err := Decode(b[frameHeaderSize:])
 	if err != nil {
+		return Frame{}, err
+	}
+	return Frame{From: NodeID(u32(b[3:])), LinkDst: NodeID(u32(b[7:])), Packet: p}, nil
+}
+
+// DecodeFrame is ParseFrame for callers that want the frame behind a
+// pointer. It is small enough to inline, so the Frame stays on the
+// caller's stack unless the caller lets it escape.
+func DecodeFrame(b []byte) (*Frame, error) {
+	f, err := ParseFrame(b)
+	if err != nil {
 		return nil, err
 	}
-	return &Frame{
-		From:    NodeID(u32(b[3:])),
-		LinkDst: NodeID(u32(b[7:])),
-		Packet:  p,
-	}, nil
+	return &f, nil
 }

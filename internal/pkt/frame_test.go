@@ -110,3 +110,74 @@ func TestDecodeFrameFuzzNoPanic(t *testing.T) {
 		}
 	}
 }
+
+// TestFrameDecodersAgreeOnMalformed feeds each kind of damage, for every
+// body kind, to both decode entry points: they must reject it with the
+// same sentinel, and hand back no frame.
+func TestFrameDecodersAgreeOnMalformed(t *testing.T) {
+	damage := []struct {
+		name string
+		do   func(good []byte) []byte
+		want error
+	}{
+		{"truncated header", func(b []byte) []byte { return b[:frameHeaderSize-1] }, ErrTruncated},
+		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }, ErrBadMagic},
+		{"bad version", func(b []byte) []byte { b[2] = FrameVersion + 1; return b }, ErrBadVersion},
+		{"truncated packet header", func(b []byte) []byte { return b[:frameHeaderSize+headerSize-1] }, ErrTruncated},
+		{"truncated body", func(b []byte) []byte { return b[:len(b)-1] }, ErrTruncated},
+		{"trailing bytes", func(b []byte) []byte { return append(b, 0) }, ErrTrailingBytes},
+		{"unknown kind", func(b []byte) []byte { b[frameHeaderSize] = 0xEE; return b }, ErrUnknownKind},
+	}
+	bodies := sampleBodies()
+	if len(bodies) != len(kindNames) {
+		t.Fatalf("sampleBodies covers %d kinds, the codec has %d", len(bodies), len(kindNames))
+	}
+	for _, body := range bodies {
+		good := EncodeFrame(&Frame{From: 5, LinkDst: 9, Packet: NewPacket(3, 9, body)})
+		for _, d := range damage {
+			bad := d.do(append([]byte(nil), good...))
+			byPtr, errPtr := DecodeFrame(bad)
+			byVal, errVal := ParseFrame(bad)
+			if !errors.Is(errPtr, d.want) || !errors.Is(errVal, d.want) {
+				t.Errorf("%v, %s: DecodeFrame err = %v, ParseFrame err = %v, want both %v",
+					body.Kind(), d.name, errPtr, errVal, d.want)
+			}
+			if byPtr != nil || byVal != (Frame{}) {
+				t.Errorf("%v, %s: a rejected frame was returned: %+v / %+v", body.Kind(), d.name, byPtr, byVal)
+			}
+		}
+		// Undamaged, both entry points return the same frame.
+		byPtr, errPtr := DecodeFrame(good)
+		byVal, errVal := ParseFrame(good)
+		if errPtr != nil || errVal != nil || !reflect.DeepEqual(*byPtr, byVal) {
+			t.Errorf("%v: DecodeFrame = %+v, %v; ParseFrame = %+v, %v", body.Kind(), byPtr, errPtr, byVal, errVal)
+		}
+	}
+}
+
+// TestParseFrameAllocs pins the receive path's decode cost: a Data frame
+// is one allocation (packet and body together, the frame by value), and
+// DecodeFrame adds none when its caller does not let the frame escape.
+func TestParseFrameAllocs(t *testing.T) {
+	wire := EncodeFrame(&Frame{From: 1, LinkDst: Broadcast,
+		Packet: NewPacket(1, Broadcast, &Data{Group: 1, Origin: 1, Seq: 7, PayloadLen: 64})})
+	var seq uint32
+	if n := testing.AllocsPerRun(1000, func() {
+		f, err := ParseFrame(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq += f.Packet.Body.(*Data).Seq
+	}); n > 1 {
+		t.Errorf("ParseFrame of a Data frame: %v allocs, want at most 1", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		f, err := DecodeFrame(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq += f.Packet.Body.(*Data).Seq
+	}); n > 1 {
+		t.Errorf("DecodeFrame of a Data frame: %v allocs, want at most 1", n)
+	}
+}

@@ -460,20 +460,23 @@ func (d *Data) CloneBody() Body { cp := *d; return &cp }
 // Key returns the (origin, seq) identity of the packet.
 func (d *Data) Key() SeqKey { return SeqKey{Origin: d.Origin, Seq: d.Seq} }
 
-func decodeData(b []byte) (Body, error) {
+// decode fills d from its marshaled form. It decodes in place so that
+// callers choose where the Data lives: inside the packet's allocation
+// (Decode), or inside a gossip message's slice.
+func (d *Data) decode(b []byte) error {
 	if len(b) < dataFixedSize {
-		return nil, fmt.Errorf("data: %w", ErrTruncated)
+		return fmt.Errorf("data: %w", ErrTruncated)
 	}
-	d := &Data{
+	*d = Data{
 		Group:      GroupID(u32(b)),
 		Origin:     NodeID(u32(b[4:])),
 		Seq:        u32(b[8:]),
 		PayloadLen: u16(b[12:]),
 	}
 	if len(b) != dataFixedSize+int(d.PayloadLen) {
-		return nil, fmt.Errorf("data payload: %w", ErrTruncated)
+		return fmt.Errorf("data payload: %w", ErrTruncated)
 	}
-	return d, nil
+	return nil
 }
 
 // --- GOSSIP-REQ (paper §4.1, §4.4) ---
@@ -632,15 +635,11 @@ func decodeGossipReq(b []byte) (Body, error) {
 		if len(b) < end {
 			return nil, fmt.Errorf("gossip-req pushed payload: %w", ErrTruncated)
 		}
-		body, err := decodeData(b[off:end])
-		if err != nil {
+		var d Data
+		if err := d.decode(b[off:end]); err != nil {
 			return nil, err
 		}
-		d, okData := body.(*Data)
-		if !okData {
-			return nil, fmt.Errorf("gossip-req: unexpected body type %T", body)
-		}
-		g.Pushed = append(g.Pushed, *d)
+		g.Pushed = append(g.Pushed, d)
 		off = end
 	}
 	if off != len(b) {
@@ -719,15 +718,11 @@ func decodeGossipRep(b []byte) (Body, error) {
 		if len(b) < end {
 			return nil, fmt.Errorf("gossip-rep payload: %w", ErrTruncated)
 		}
-		body, err := decodeData(b[off:end])
-		if err != nil {
+		var d Data
+		if err := d.decode(b[off:end]); err != nil {
 			return nil, err
 		}
-		d, ok := body.(*Data)
-		if !ok {
-			return nil, fmt.Errorf("gossip-rep: unexpected body type %T", body)
-		}
-		g.Msgs = append(g.Msgs, *d)
+		g.Msgs = append(g.Msgs, d)
 		off = end
 	}
 	if off != len(b) {

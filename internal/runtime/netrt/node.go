@@ -15,6 +15,8 @@ package netrt
 
 import (
 	"fmt"
+	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -80,13 +82,25 @@ type Node struct {
 	sched *sim.Scheduler
 	conn  Conn
 
-	inbox chan []byte
-	calls chan call
+	// The inbox is a bounded slice the transport sinks append to and
+	// the event loop takes whole, one swap per wake-up. asleep is set by
+	// the loop when it finds the inbox empty and is about to block; the
+	// producer that clears it owes the loop one token on wake.
+	mu       sync.Mutex
+	inbox    [][]byte
+	inboxCap int
+	asleep   bool
+	wake     chan struct{} // 1 slot: a token means "look again": frames, a call, or quit
+
+	calls chan call // 1 slot: a posted call waits here for the loop's next poll
 	quit  chan struct{}
 	done  chan struct{}
 
-	start   time.Time
-	started bool
+	start     time.Time
+	started   bool
+	closeOnce sync.Once
+	closeErr  error
+	wakeups   uint64 // times the loop came back from blocking; loop-owned
 
 	onRecv rt.ReceiveFunc
 	onDone rt.SendDoneFunc
@@ -110,13 +124,14 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 		size = DefaultInboxSize
 	}
 	n := &Node{
-		id:    cfg.ID,
-		scale: scale,
-		sched: sim.NewScheduler(),
-		inbox: make(chan []byte, size),
-		calls: make(chan call),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
+		id:       cfg.ID,
+		scale:    scale,
+		sched:    sim.NewScheduler(),
+		inboxCap: size,
+		wake:     make(chan struct{}, 1),
+		calls:    make(chan call, 1),
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	conn, err := tr.Join(cfg.ID, n.enqueue)
 	if err != nil {
@@ -127,12 +142,29 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 }
 
 // enqueue is the transport's receive sink: non-blocking, counting
-// drops, callable from any goroutine.
+// drops, callable from any goroutine. It keeps frame, which the
+// Transport contract makes the sink's to keep.
 func (n *Node) enqueue(frame []byte) {
-	select {
-	case n.inbox <- frame:
-	default:
+	n.mu.Lock()
+	if len(n.inbox) >= n.inboxCap {
+		n.mu.Unlock()
 		n.stats.InboxDrops.Add(1)
+		return
+	}
+	n.inbox = append(n.inbox, frame)
+	wake := n.asleep
+	n.asleep = false
+	n.mu.Unlock()
+	if wake {
+		n.signal()
+	}
+}
+
+// signal leaves the loop a wake token, unless one is already waiting.
+func (n *Node) signal() {
+	select {
+	case n.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -145,7 +177,7 @@ func (n *Node) Stats() *Stats { return &n.stats }
 // InboxCap returns the effective inbox capacity (NodeConfig.InboxSize,
 // or DefaultInboxSize when that was left zero) — the bound
 // Stats.InboxDrops counts against.
-func (n *Node) InboxCap() int { return cap(n.inbox) }
+func (n *Node) InboxCap() int { return n.inboxCap }
 
 // Now implements runtime.Clock. Like every Clock method it must only
 // be called from the node's event loop (engine callbacks, Do
@@ -187,19 +219,20 @@ func (n *Node) Start() {
 }
 
 // Close stops the event loop and detaches from the transport. Pending
-// timers are abandoned; in-flight Do calls return ErrClosed.
+// timers are abandoned; in-flight Do calls return ErrClosed. Every call,
+// concurrent or repeated, returns once the loop has exited.
 func (n *Node) Close() error {
-	select {
-	case <-n.quit:
-	default:
+	n.closeOnce.Do(func() {
 		close(n.quit)
-	}
-	if n.started {
-		<-n.done
-	} else {
-		close(n.done)
-	}
-	return n.conn.Close()
+		n.signal()
+		if n.started {
+			<-n.done
+		} else {
+			close(n.done)
+		}
+		n.closeErr = n.conn.Close()
+	})
+	return n.closeErr
 }
 
 // Do runs fn on the event loop and waits for it to finish — the only
@@ -209,6 +242,7 @@ func (n *Node) Do(fn func()) error {
 	c := call{fn: fn, done: make(chan struct{})}
 	select {
 	case n.calls <- c:
+		n.signal()
 	case <-n.quit:
 		return ErrClosed
 	}
@@ -230,50 +264,79 @@ func (n *Node) simNow() sim.Time {
 	return sim.Time(float64(time.Since(n.start)) * n.scale)
 }
 
-// wallDelay converts a node-timeline delay into wall time.
+// wallDelay converts a node-timeline delay into wall time, rounded up:
+// a wake-up must not land before the deadline it was armed for, or the
+// loop would find nothing due and spin on zero delays until wall time
+// caught up.
 func (n *Node) wallDelay(d sim.Time) time.Duration {
 	if d <= 0 {
 		return 0
 	}
-	return time.Duration(float64(d) / n.scale)
+	return time.Duration(math.Ceil(float64(d) / n.scale))
 }
 
+// loopBatch bounds the frames delivered between two looks at the clock,
+// the quit signal and posted calls, so a saturated inbox starves neither
+// timers nor Do nor Close.
+const loopBatch = 64
+
 // loop is the node's event loop: advance the timer wheel to wall time,
-// sleep until the next timer or an external stimulus, repeat.
+// serve posted calls, deliver queued frames a bounded batch at a time,
+// and block only when all three have nothing left.
 func (n *Node) loop() {
 	defer close(n.done)
 	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	stopTimer := func(armed bool) {
-		if armed && !timer.Stop() {
-			<-timer.C
-		}
-	}
+	defer timer.Stop()
+	// armedAt is the deadline the wall timer last was set for, or -1 once
+	// it fired. It is armed only on the way into blocking, and left alone
+	// while the earliest deadline stands.
+	armedAt := sim.Time(-1)
+	var batch [][]byte // frames taken from the inbox; batch[next:] undelivered
+	next := 0
 	for {
 		n.sched.Run(n.simNow())
-		var wake <-chan time.Time
-		armed := false
-		if at, ok := n.sched.NextAt(); ok {
-			timer.Reset(n.wallDelay(at - n.sched.Now()))
-			wake, armed = timer.C, true
-		}
 		select {
 		case <-n.quit:
-			stopTimer(armed)
 			return
+		default:
+		}
+		select {
 		case c := <-n.calls:
-			stopTimer(armed)
-			n.sched.Run(n.simNow())
 			c.fn()
 			close(c.done)
-		case frame := <-n.inbox:
-			stopTimer(armed)
-			n.sched.Run(n.simNow())
-			n.deliver(frame)
-		case <-wake:
+			continue
+		default:
 		}
+		if next == len(batch) {
+			// Swap the queued frames for the emptied batch. Finding none
+			// marks the loop asleep, under the lock producers check it with.
+			n.mu.Lock()
+			batch, n.inbox, next = n.inbox, batch[:0], 0
+			n.asleep = len(batch) == 0
+			n.mu.Unlock()
+		}
+		if next < len(batch) {
+			for end := min(next+loopBatch, len(batch)); next < end; next++ {
+				n.deliver(batch[next])
+				batch[next] = nil
+			}
+			continue
+		}
+
+		var timeC <-chan time.Time
+		if at, ok := n.sched.NextAt(); ok {
+			if at != armedAt {
+				timer.Reset(n.wallDelay(at - n.sched.Now()))
+				armedAt = at
+			}
+			timeC = timer.C
+		}
+		select {
+		case <-n.wake:
+		case <-timeC:
+			armedAt = -1
+		}
+		n.wakeups++
 	}
 }
 
@@ -281,7 +344,7 @@ func (n *Node) loop() {
 // the stack. Malformed or misaddressed frames are counted and dropped
 // — on a live socket they are routine, never fatal.
 func (n *Node) deliver(frame []byte) {
-	f, err := pkt.DecodeFrame(frame)
+	f, err := pkt.ParseFrame(frame)
 	if err != nil {
 		n.stats.Malformed.Add(1)
 		return

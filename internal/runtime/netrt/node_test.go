@@ -2,6 +2,7 @@ package netrt
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -193,5 +194,260 @@ func TestNodeClockTimerHandles(t *testing.T) {
 	tm.Cancel()
 	if !tm.Done() {
 		t.Error("cancelled timer should be Done")
+	}
+}
+
+// TestNodeCloseIdempotent closes a node more than once — never started,
+// started, and from two goroutines at once: every call returns, none
+// panics.
+func TestNodeCloseIdempotent(t *testing.T) {
+	for _, start := range []bool{false, true} {
+		n, err := NewNode(NodeConfig{ID: 1}, NewChanTransport())
+		if err != nil {
+			t.Fatalf("NewNode: %v", err)
+		}
+		if start {
+			n.Start()
+		}
+		for i := 0; i < 2; i++ {
+			if err := n.Close(); err != nil {
+				t.Errorf("started=%v: Close #%d: %v", start, i+1, err)
+			}
+		}
+	}
+
+	n, err := NewNode(NodeConfig{ID: 1}, NewChanTransport())
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	n.Start()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := n.Close(); err != nil {
+				t.Errorf("concurrent Close: %v", err)
+			}
+			// Close returning means the loop has exited.
+			select {
+			case <-n.done:
+			default:
+				t.Error("Close returned before the loop exited")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// dataFrame encodes a Data frame from node `from` carrying seq.
+func dataFrame(from, linkDst pkt.NodeID, seq uint32) []byte {
+	return pkt.EncodeFrame(&pkt.Frame{From: from, LinkDst: linkDst,
+		Packet: pkt.NewPacket(from, linkDst, &pkt.Data{Origin: from, Seq: seq, PayloadLen: 16})})
+}
+
+// TestNodeInboxOverflow fills a 4-frame inbox with 100 frames before the
+// loop runs: the first four are delivered, the other 96 counted as drops.
+func TestNodeInboxOverflow(t *testing.T) {
+	tr := NewChanTransport()
+	n, err := NewNode(NodeConfig{ID: 1, InboxSize: 4}, tr)
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	defer n.Close()
+	if got := n.InboxCap(); got != 4 {
+		t.Fatalf("InboxCap = %d, want 4", got)
+	}
+	var seqs []uint32 // loop-owned
+	n.Bind(func(p *pkt.Packet, _ pkt.NodeID, _ bool) { seqs = append(seqs, p.Body.(*pkt.Data).Seq) }, nil)
+	peer, err := tr.Join(2, func([]byte) {})
+	if err != nil {
+		t.Fatalf("peer Join: %v", err)
+	}
+	for seq := uint32(1); seq <= 100; seq++ {
+		if err := peer.Send(dataFrame(2, 1, seq), 1); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	if drops := n.Stats().InboxDrops.Load(); drops != 96 {
+		t.Errorf("InboxDrops = %d, want 96", drops)
+	}
+	n.Start()
+	waitFor(t, 5*time.Second, func() bool { return n.Stats().FramesIn.Load() >= 4 }, "four deliveries")
+	if err := n.Do(func() {
+		if len(seqs) != 4 || seqs[0] != 1 || seqs[3] != 4 {
+			t.Errorf("delivered seqs %v, want [1 2 3 4]", seqs)
+		}
+	}); err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	if in := n.Stats().FramesIn.Load(); in != 4 {
+		t.Errorf("FramesIn = %d, want 4", in)
+	}
+}
+
+// TestNodeInboxFIFO sends more frames than several loop batches hold,
+// part before Start and part while the loop drains: one sender's frames
+// reach the network layer in send order.
+func TestNodeInboxFIFO(t *testing.T) {
+	const total = 20 * loopBatch
+	tr := NewChanTransport()
+	n, err := NewNode(NodeConfig{ID: 1, InboxSize: total}, tr)
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	defer n.Close()
+	var next uint32 = 1 // loop-owned
+	var misordered atomic.Int32
+	n.Bind(func(p *pkt.Packet, _ pkt.NodeID, _ bool) {
+		if seq := p.Body.(*pkt.Data).Seq; seq != next {
+			misordered.Add(1)
+		}
+		next++
+	}, nil)
+	peer, err := tr.Join(2, func([]byte) {})
+	if err != nil {
+		t.Fatalf("peer Join: %v", err)
+	}
+	send := func(from, to uint32) {
+		for seq := from; seq <= to; seq++ {
+			if err := peer.Send(dataFrame(2, pkt.Broadcast, seq), pkt.Broadcast); err != nil {
+				t.Fatalf("Send: %v", err)
+			}
+		}
+	}
+	send(1, total/2)
+	n.Start()
+	send(total/2+1, total)
+	waitFor(t, 10*time.Second, func() bool { return n.Stats().FramesIn.Load() == total }, "every frame")
+	if m := misordered.Load(); m != 0 {
+		t.Errorf("%d of %d frames arrived out of order", m, total)
+	}
+	if drops := n.Stats().InboxDrops.Load(); drops != 0 {
+		t.Errorf("InboxDrops = %d, want 0", drops)
+	}
+}
+
+// TestNodeLivenessUnderFlood keeps the inbox non-empty from another
+// goroutine for the whole test: posted calls, timers and Close must
+// still get their turn between batches.
+func TestNodeLivenessUnderFlood(t *testing.T) {
+	tr := NewChanTransport()
+	n, err := NewNode(NodeConfig{ID: 1, TimeScale: 100}, tr)
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	n.Bind(func(*pkt.Packet, pkt.NodeID, bool) {}, nil)
+	peer, err := tr.Join(2, func([]byte) {})
+	if err != nil {
+		t.Fatalf("peer Join: %v", err)
+	}
+	wire := dataFrame(2, 1, 1)
+	for i := 0; i < n.InboxCap(); i++ {
+		peer.Send(wire, 1)
+	}
+	stop := make(chan struct{})
+	flooded := make(chan struct{})
+	go func() {
+		defer close(flooded)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				peer.Send(wire, 1) // overflow is dropped and counted: the inbox stays full
+			}
+		}
+	}()
+	n.Start()
+
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); fn() }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s starved by a saturated inbox", what)
+		}
+	}
+	var fired atomic.Bool
+	for i := 0; i < 50; i++ {
+		within("Do", func() {
+			if err := n.Do(func() {
+				if i == 0 {
+					n.After(10*time.Millisecond, func() { fired.Store(true) })
+				}
+			}); err != nil {
+				t.Errorf("Do: %v", err)
+			}
+		})
+	}
+	waitFor(t, 10*time.Second, fired.Load, "a timer armed under flood")
+	before := n.Stats().FramesIn.Load()
+	waitFor(t, 10*time.Second, func() bool { return n.Stats().FramesIn.Load() > before }, "frames still flowing")
+	within("Close", func() {
+		if err := n.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	close(stop)
+	<-flooded
+}
+
+// TestNodeTimerWakesOncePerDeadline pins the wall-delay rounding: a
+// delay never converts to less wall time than it spans, so the wake-up
+// armed for a deadline finds it due, and a run of timers costs one loop
+// wake-up each instead of a spin of zero-delay re-arms.
+func TestNodeTimerWakesOncePerDeadline(t *testing.T) {
+	n, err := NewNode(NodeConfig{ID: 1, TimeScale: 100}, NewChanTransport())
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	defer n.Close()
+	for _, d := range []sim.Time{1, 99, 100, 101, 150, 12345, time.Second + 1} {
+		if w := n.wallDelay(d); sim.Time(float64(w)*n.scale) < d || sim.Time(float64(w-1)*n.scale) >= d {
+			t.Errorf("wallDelay(%d) = %d: not the least wall time covering the delay", d, w)
+		}
+	}
+
+	const timers = 10
+	var fired atomic.Int32
+	n.Start()
+	if err := n.Do(func() {
+		for i := 1; i <= timers; i++ {
+			// 100 ms apart on the node's clock: 1 ms of wall time.
+			n.After(sim.Time(i)*100*time.Millisecond+sim.Time(i), func() { fired.Add(1) })
+		}
+	}); err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	waitFor(t, 10*time.Second, func() bool { return fired.Load() == timers }, "every timer")
+	var wakeups uint64
+	if err := n.Do(func() { wakeups = n.wakeups }); err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	// At most one wake-up per timer and one per posted call.
+	if wakeups < 2 || wakeups > timers+2 {
+		t.Errorf("%d loop wake-ups for %d timers, want at most %d", wakeups, timers, timers+2)
+	}
+}
+
+// TestNodeDeliverAllocs pins the per-frame cost of the receive path: one
+// allocation, the decoded packet with its Data body.
+func TestNodeDeliverAllocs(t *testing.T) {
+	n, err := NewNode(NodeConfig{ID: 1}, NewChanTransport())
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	defer n.Close()
+	n.Bind(func(*pkt.Packet, pkt.NodeID, bool) {}, nil)
+	wire := dataFrame(2, pkt.Broadcast, 1)
+	// Not started: the test goroutine stands in for the loop.
+	if allocs := testing.AllocsPerRun(1000, func() { n.deliver(wire) }); allocs > 1 {
+		t.Errorf("deliver of a Data frame: %v allocs, want at most 1", allocs)
+	}
+	if in := n.Stats().FramesIn.Load(); in == 0 {
+		t.Error("deliver handed nothing up the stack")
 	}
 }

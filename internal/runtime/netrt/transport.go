@@ -1,10 +1,13 @@
 package netrt
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"anongossip/internal/pkt"
 )
@@ -20,9 +23,17 @@ var ErrDuplicateID = errors.New("netrt: node id already joined")
 var ErrClosed = errors.New("netrt: closed")
 
 // Transport admits nodes onto a shared link-level medium. Join hands
-// the transport the node's receive sink (called from a transport
-// goroutine with the raw frame bytes; the sink must not block and must
-// not retain or mutate the slice) and returns the node's send side.
+// the transport the node's receive sink and returns the node's send
+// side.
+//
+// The sink is called from a transport goroutine with the raw frame
+// bytes and must not block. It takes shared, read-only ownership of the
+// slice: it may keep it for as long as it likes (Node queues it in the
+// inbox), other sinks may hold the same slice (ChanTransport hands one
+// buffer to every peer), and nobody writes to it again. A transport
+// therefore passes only buffers it will never reuse — UDPTransport
+// copies each datagram out of its read buffer — and a Conn.Send caller
+// gives up the frame it sends.
 type Transport interface {
 	Join(id pkt.NodeID, recv func(frame []byte)) (Conn, error)
 }
@@ -32,9 +43,77 @@ type Conn interface {
 	// Send transmits one encoded frame to linkDst (pkt.Broadcast for
 	// every peer). Delivery is best-effort, like the radio it stands in
 	// for; an error means the frame certainly did not leave this node.
+	// The caller must not write to frame afterwards: receivers may keep it.
 	Send(frame []byte, linkDst pkt.NodeID) error
 	// Close detaches the node from the transport.
 	Close() error
+}
+
+// --- peer table shared by both transports ---
+
+// peer is one addressable endpoint of a transport.
+type peer[T any] struct {
+	id  pkt.NodeID
+	end T
+}
+
+// peerTable is a transport's set of endpoints, sorted by ID. A published
+// table is immutable: add and remove store an edited copy, and Send
+// reaches its targets through one atomic load, with no lock, map walk or
+// allocation.
+type peerTable[T any] struct {
+	mu   sync.Mutex // serialises add and remove
+	snap atomic.Pointer[[]peer[T]]
+}
+
+func (t *peerTable[T]) load() []peer[T] {
+	if p := t.snap.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+func findPeer[T any](peers []peer[T], id pkt.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(peers, id, func(p peer[T], id pkt.NodeID) int { return cmp.Compare(p.id, id) })
+}
+
+// add publishes a table with id registered as end, unless id is taken.
+func (t *peerTable[T]) add(id pkt.NodeID, end T) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	peers := t.load()
+	i, taken := findPeer(peers, id)
+	if !taken {
+		peers = slices.Insert(slices.Clone(peers), i, peer[T]{id, end})
+		t.snap.Store(&peers)
+	}
+	return !taken
+}
+
+// remove publishes a table without id.
+func (t *peerTable[T]) remove(id pkt.NodeID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	peers := t.load()
+	if i, ok := findPeer(peers, id); ok {
+		peers = slices.Delete(slices.Clone(peers), i, i+1)
+		t.snap.Store(&peers)
+	}
+}
+
+// targets is the addressing rule of both transports: a broadcast goes
+// to every endpoint (the sender skips its own), a unicast to the
+// addressed one only, and to nobody if that ID is unknown. The result is
+// a view of the published table.
+func (t *peerTable[T]) targets(linkDst pkt.NodeID) []peer[T] {
+	peers := t.load()
+	if linkDst == pkt.Broadcast {
+		return peers
+	}
+	if i, ok := findPeer(peers, linkDst); ok {
+		return peers[i : i+1]
+	}
+	return nil
 }
 
 // --- in-process channel transport ---
@@ -44,79 +123,50 @@ type Conn interface {
 // It exists so clusters of live nodes can run inside one test process
 // with no sockets, deterministically enough for -race CI jobs.
 type ChanTransport struct {
-	mu    sync.Mutex
-	conns map[pkt.NodeID]*chanConn
+	conns peerTable[*chanConn]
 }
 
 // NewChanTransport returns an empty in-process medium.
-func NewChanTransport() *ChanTransport {
-	return &ChanTransport{conns: make(map[pkt.NodeID]*chanConn)}
-}
+func NewChanTransport() *ChanTransport { return &ChanTransport{} }
 
 // Join implements Transport. Joining an ID that is already on the
 // medium fails with ErrDuplicateID.
 func (t *ChanTransport) Join(id pkt.NodeID, recv func(frame []byte)) (Conn, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, dup := t.conns[id]; dup {
+	c := &chanConn{t: t, id: id, recv: recv}
+	if !t.conns.add(id, c) {
 		return nil, fmt.Errorf("%w: %v", ErrDuplicateID, id)
 	}
-	c := &chanConn{t: t, id: id, recv: recv}
-	t.conns[id] = c
 	return c, nil
 }
 
 type chanConn struct {
-	t    *ChanTransport
-	id   pkt.NodeID
-	recv func(frame []byte)
-
-	mu     sync.Mutex
-	closed bool
+	t      *ChanTransport
+	id     pkt.NodeID
+	recv   func(frame []byte)
+	closed atomic.Bool
 }
 
 // Send implements Conn. The sender never hears its own broadcasts,
-// matching the radio medium's half-duplex behaviour.
+// matching the radio medium's half-duplex behaviour. Every peer's sink
+// gets the same slice; sinks only enqueue, so running them on the
+// sender's goroutine cannot block it.
 func (c *chanConn) Send(frame []byte, linkDst pkt.NodeID) error {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.closed.Load() {
 		return ErrClosed
 	}
-	c.t.mu.Lock()
-	var targets []*chanConn
-	if linkDst == pkt.Broadcast {
-		targets = make([]*chanConn, 0, len(c.t.conns)-1)
-		for id, peer := range c.t.conns {
-			if id != c.id {
-				targets = append(targets, peer)
-			}
+	for _, p := range c.t.conns.targets(linkDst) {
+		if p.id != c.id {
+			p.end.recv(frame)
 		}
-	} else if peer, ok := c.t.conns[linkDst]; ok {
-		targets = []*chanConn{peer}
-	}
-	c.t.mu.Unlock()
-	// Sinks run outside the lock: they only enqueue (never block), but
-	// a sink that re-enters the transport must not deadlock.
-	for _, peer := range targets {
-		peer.recv(frame)
 	}
 	return nil
 }
 
 // Close implements Conn.
 func (c *chanConn) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
+	if !c.closed.Swap(true) {
+		c.t.conns.remove(c.id)
 	}
-	c.closed = true
-	c.mu.Unlock()
-	c.t.mu.Lock()
-	delete(c.t.conns, c.id)
-	c.t.mu.Unlock()
 	return nil
 }
 
@@ -128,13 +178,13 @@ func (c *chanConn) Close() error {
 // portable broadcast on loopback and testbeds, and the peer table is
 // exactly the neighbour set anyway).
 type UDPTransport struct {
-	conn *net.UDPConn
+	conn  *net.UDPConn
+	peers peerTable[*net.UDPAddr]
 
-	mu     sync.Mutex
-	peers  map[pkt.NodeID]*net.UDPAddr
+	mu     sync.Mutex // guards joined and self; serialises AddPeer and Join
 	joined bool
 	self   pkt.NodeID
-	closed bool
+	closed atomic.Bool
 
 	readerDone chan struct{}
 }
@@ -150,11 +200,7 @@ func NewUDP(listen string) (*UDPTransport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netrt: listen %q: %w", listen, err)
 	}
-	return &UDPTransport{
-		conn:       conn,
-		peers:      make(map[pkt.NodeID]*net.UDPAddr),
-		readerDone: make(chan struct{}),
-	}, nil
+	return &UDPTransport{conn: conn, readerDone: make(chan struct{})}, nil
 }
 
 // Addr returns the bound socket address (useful with ":0").
@@ -171,13 +217,14 @@ func (t *UDPTransport) AddPeer(id pkt.NodeID, addr string) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if prev, dup := t.peers[id]; dup && prev.String() != ua.String() {
-		return fmt.Errorf("%w: peer %v at both %v and %v", ErrDuplicateID, id, prev, ua)
+	peers := t.peers.load()
+	if i, dup := findPeer(peers, id); dup && peers[i].end.String() != ua.String() {
+		return fmt.Errorf("%w: peer %v at both %v and %v", ErrDuplicateID, id, peers[i].end, ua)
 	}
 	if t.joined && id == t.self {
 		return fmt.Errorf("%w: peer %v is this node's own id", ErrDuplicateID, id)
 	}
-	t.peers[id] = ua
+	t.peers.add(id, ua) // a repeat of the same address changes nothing
 	return nil
 }
 
@@ -186,13 +233,13 @@ func (t *UDPTransport) AddPeer(id pkt.NodeID, addr string) error {
 func (t *UDPTransport) Join(id pkt.NodeID, recv func(frame []byte)) (Conn, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
+	if t.closed.Load() {
 		return nil, ErrClosed
 	}
 	if t.joined {
 		return nil, fmt.Errorf("%w: transport already carries %v", ErrDuplicateID, t.self)
 	}
-	if _, dup := t.peers[id]; dup {
+	if _, dup := findPeer(t.peers.load(), id); dup {
 		return nil, fmt.Errorf("%w: %v is already a registered peer", ErrDuplicateID, id)
 	}
 	t.joined, t.self = true, id
@@ -210,6 +257,7 @@ func (t *UDPTransport) readLoop(recv func(frame []byte)) {
 		if err != nil {
 			return // closed socket (or fatal error): the node is done
 		}
+		// The sink keeps what it is given; buf is about to be overwritten.
 		frame := make([]byte, n)
 		copy(frame, buf[:n])
 		recv(frame)
@@ -219,30 +267,21 @@ func (t *UDPTransport) readLoop(recv func(frame []byte)) {
 // udpConn is the send side of a joined UDPTransport.
 type udpConn UDPTransport
 
-// Send implements Conn.
+// Send implements Conn: one datagram per target of the shared
+// addressing rule. The table never holds the node's own ID (AddPeer and
+// Join refuse it), so a broadcast has no entry to skip.
 func (c *udpConn) Send(frame []byte, linkDst pkt.NodeID) error {
 	t := (*UDPTransport)(c)
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if t.closed.Load() {
 		return ErrClosed
 	}
-	var dsts []*net.UDPAddr
-	if linkDst == pkt.Broadcast {
-		dsts = make([]*net.UDPAddr, 0, len(t.peers))
-		for _, a := range t.peers {
-			dsts = append(dsts, a)
-		}
-	} else if a, ok := t.peers[linkDst]; ok {
-		dsts = []*net.UDPAddr{a}
-	} else {
-		t.mu.Unlock()
+	dsts := t.peers.targets(linkDst)
+	if len(dsts) == 0 && linkDst != pkt.Broadcast {
 		return fmt.Errorf("netrt: no peer %v in the peer table", linkDst)
 	}
-	t.mu.Unlock()
 	var firstErr error
-	for _, a := range dsts {
-		if _, err := t.conn.WriteToUDP(frame, a); err != nil && firstErr == nil {
+	for _, p := range dsts {
+		if _, err := t.conn.WriteToUDP(frame, p.end); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -253,13 +292,9 @@ func (c *udpConn) Send(frame []byte, linkDst pkt.NodeID) error {
 // to drain.
 func (c *udpConn) Close() error {
 	t := (*UDPTransport)(c)
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if t.closed.Swap(true) {
 		return nil
 	}
-	t.closed = true
-	t.mu.Unlock()
 	err := t.conn.Close()
 	<-t.readerDone
 	return err

@@ -157,3 +157,91 @@ func TestUDPTransportRoundTrip(t *testing.T) {
 		t.Error("Send to unknown peer succeeded, want error")
 	}
 }
+
+// TestChanTransportSendAllocs pins the lock-free fan-out: a broadcast to
+// seven peers reads the published peer table and allocates nothing.
+func TestChanTransportSendAllocs(t *testing.T) {
+	tr := NewChanTransport()
+	heard := 0
+	var sender Conn
+	for id := pkt.NodeID(1); id <= 8; id++ {
+		c, err := tr.Join(id, func([]byte) { heard++ })
+		if err != nil {
+			t.Fatalf("Join %v: %v", id, err)
+		}
+		if id == 4 {
+			sender = c
+		}
+	}
+	frame := []byte("frame")
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := sender.Send(frame, pkt.Broadcast); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("broadcast to 7 peers: %v allocs, want 0", allocs)
+	}
+	if heard%7 != 0 || heard == 0 {
+		t.Errorf("%d sink calls, want a multiple of 7", heard)
+	}
+}
+
+// TestSentFramesAreNeverReused pins the sender's half of the frame
+// ownership rule: every peer of a ChanTransport holds the very slice
+// Node.Send encoded, so Node.Send must encode each frame into a buffer
+// of its own — sending again, or changing the packet, cannot reach a
+// frame a receiver still holds.
+func TestSentFramesAreNeverReused(t *testing.T) {
+	tr := NewChanTransport()
+	a, err := NewNode(NodeConfig{ID: 1}, tr)
+	if err != nil {
+		t.Fatalf("NewNode a: %v", err)
+	}
+	defer a.Close()
+	var held [][]byte
+	if _, err := tr.Join(2, func(f []byte) { held = append(held, f) }); err != nil {
+		t.Fatalf("tap Join: %v", err)
+	}
+	b, err := NewNode(NodeConfig{ID: 3}, tr)
+	if err != nil {
+		t.Fatalf("NewNode b: %v", err)
+	}
+	defer b.Close()
+	var seqs []uint32 // b's loop owns it
+	b.Bind(func(p *pkt.Packet, _ pkt.NodeID, _ bool) { seqs = append(seqs, p.Body.(*pkt.Data).Seq) }, nil)
+
+	body := &pkt.Data{Origin: 1, Seq: 1, PayloadLen: 8}
+	p := pkt.NewPacket(1, pkt.Broadcast, body)
+	for seq := uint32(1); seq <= 3; seq++ {
+		body.Seq = seq // the sender recycles its packet between sends
+		if !a.Send(p, pkt.Broadcast) {
+			t.Fatalf("Send %d failed", seq)
+		}
+	}
+	body.Seq = 99
+
+	// b decodes only now, after the sender has moved on.
+	b.Start()
+	waitFor(t, 5*time.Second, func() bool { return b.Stats().FramesIn.Load() == 3 }, "three frames at b")
+	if err := b.Do(func() {
+		if len(seqs) != 3 || seqs[0] != 1 || seqs[1] != 2 || seqs[2] != 3 {
+			t.Errorf("b decoded seqs %v, want [1 2 3]", seqs)
+		}
+	}); err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	for i, raw := range held {
+		f, err := pkt.ParseFrame(raw)
+		if err != nil {
+			t.Fatalf("held frame %d: %v", i, err)
+		}
+		if got := f.Packet.Body.(*pkt.Data).Seq; got != uint32(i+1) {
+			t.Errorf("held frame %d now decodes to seq %d: its buffer was written after Send", i, got)
+		}
+		for j := 0; j < i; j++ {
+			if &held[j][0] == &raw[0] {
+				t.Errorf("frames %d and %d share one buffer", j, i)
+			}
+		}
+	}
+}
