@@ -197,33 +197,6 @@ func QueueNames() string { return sim.QueueNames() }
 // registered kinds.
 func ParseQueueKind(name string) (QueueKind, error) { return sim.ParseQueueKind(name) }
 
-// SchedulerKind selects the simulation kernel's execution engine (see
-// Config.Scheduler). The serial kernel executes events one at a time;
-// the sharded kernel partitions nodes into spatial regions and
-// executes conservative lookahead windows on worker goroutines (see
-// Config.Workers), with a barrier replay keeping the event order — and
-// therefore every result bit — identical to serial.
-type SchedulerKind = sim.SchedulerKind
-
-// Scheduler kinds.
-const (
-	// SchedulerSerial (the default) is the single-threaded kernel.
-	SchedulerSerial = sim.SchedulerSerial
-	// SchedulerSharded is the parallel conservative-lookahead kernel.
-	SchedulerSharded = sim.SchedulerSharded
-)
-
-// SchedulerNames lists the registered scheduler kinds as
-// ParseSchedulerKind spells them.
-func SchedulerNames() string { return sim.SchedulerNames() }
-
-// ParseSchedulerKind resolves a -scheduler flag value ("serial",
-// "sharded") to a SchedulerKind; the error of an unknown name
-// enumerates the registered kinds.
-func ParseSchedulerKind(name string) (SchedulerKind, error) {
-	return sim.ParseSchedulerKind(name)
-}
-
 // LargeScaleXs returns the node counts of the large-scale experiment
 // family (100..1000 nodes at constant density; see EXPERIMENTS.md §L).
 func LargeScaleXs() []float64 { return scenario.LargeScaleXs() }

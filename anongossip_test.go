@@ -45,30 +45,6 @@ func TestFacadeProtocols(t *testing.T) {
 	}
 }
 
-// TestFacadeSharded runs the same config on both exported scheduler
-// kinds: the sharded kernel must reproduce the serial result exactly
-// through the public API.
-func TestFacadeSharded(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Seed = 7
-	serial, err := anongossip.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Scheduler = anongossip.SchedulerSharded
-	cfg.Workers = 2
-	sharded, err := anongossip.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharded.Events != serial.Events || sharded.Received.Mean != serial.Received.Mean ||
-		sharded.Sent != serial.Sent {
-		t.Fatalf("sharded kernel diverged from serial: %d/%v/%d vs %d/%v/%d",
-			sharded.Events, sharded.Received.Mean, sharded.Sent,
-			serial.Events, serial.Received.Mean, serial.Sent)
-	}
-}
-
 func TestFacadeSweep(t *testing.T) {
 	rows, err := anongossip.RunComparison(quickConfig(), []float64{70},
 		func(c anongossip.Config, x float64) anongossip.Config {

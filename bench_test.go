@@ -342,36 +342,6 @@ func BenchmarkLargeScale1000GridRxRef(b *testing.B) {
 	benchLargeScale(b, 1000, radio.IndexGrid, sim.QueueQuad, radio.ModelRef, 30*time.Second)
 }
 
-// --- sharded scheduler family (see DESIGN.md §7) ---
-
-// benchSharded reruns the large-scale grid benchmark on the sharded
-// kernel. Every worker count executes the schedule bit-identically to
-// the serial kernel (asserted by the scenario scheduler tests), so the
-// ratio against the matching Grid benchmark above isolates the parallel
-// kernel's overhead (1 worker) and scaling (more workers than one only
-// pays off with more cores than one — compare GOMAXPROCS before reading
-// the multi-worker rows).
-func benchSharded(b *testing.B, nodes, workers int, duration time.Duration) {
-	b.Helper()
-	cfg := scenario.ShortenedData(scenario.LargeScaleConfig(nodes), duration)
-	cfg.Scheduler = sim.SchedulerSharded
-	cfg.Workers = workers
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		res, err := scenario.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Events), "events")
-		b.ReportMetric(100*res.DeliveryRatio(), "delivery_%")
-	}
-}
-
-func BenchmarkLargeScale1000Sharded1(b *testing.B) { benchSharded(b, 1000, 1, 30*time.Second) }
-func BenchmarkLargeScale1000Sharded2(b *testing.B) { benchSharded(b, 1000, 2, 30*time.Second) }
-func BenchmarkLargeScale1000Sharded4(b *testing.B) { benchSharded(b, 1000, 4, 30*time.Second) }
-func BenchmarkLargeScale1000Sharded8(b *testing.B) { benchSharded(b, 1000, 8, 30*time.Second) }
-
 // --- dense-traffic family (beyond the paper; see EXPERIMENTS.md §D) ---
 
 // benchDense runs one dense-traffic simulation per iteration: tens of

@@ -27,14 +27,11 @@
 // cap the sweeps with -large-max / -dense-max / -huge-max for
 // previews.
 //
-// Four flags switch simulator internals on bit-identical workloads —
+// Three flags switch simulator internals on bit-identical workloads —
 // only wall time changes: -index (radio neighbour index: spatial grid
 // vs brute-force scan), -queue (kernel event queue: pooled 4-ary heap
-// vs container/heap reference), -rxmodel (radio reception path:
-// batched per-frame receiver tables vs the per-receiver reference)
-// and -scheduler (execution engine: serial vs the sharded parallel
-// kernel running conservative lookahead windows on -workers
-// goroutines).
+// vs container/heap reference) and -rxmodel (radio reception path:
+// batched per-frame receiver tables vs the per-receiver reference).
 // -cpuprofile/-memprofile write pprof profiles for bottleneck hunts
 // (see EXPERIMENTS.md, "Profiling workflow").
 //
@@ -154,8 +151,6 @@ type jsonReport struct {
 	Index            string        `json:"index"`
 	Queue            string        `json:"queue"`
 	RxModel          string        `json:"rxmodel"`
-	Scheduler        string        `json:"scheduler"`
-	Workers          int           `json:"workers"`
 	Seeds            int           `json:"seeds"`
 	Duration         string        `json:"duration"`
 	Figures          []jsonFigure  `json:"figures,omitempty"`
@@ -226,8 +221,6 @@ func run(args []string) error {
 		index      = fs.String("index", "grid", "radio neighbour index: grid | brute")
 		queue      = fs.String("queue", "quad", "scheduler event queue: "+sim.QueueNames())
 		rxmodel    = fs.String("rxmodel", "batch", "radio reception model: batch | ref")
-		schedStr   = fs.String("scheduler", "serial", "simulation kernel: "+sim.SchedulerNames())
-		workers    = fs.Int("workers", 0, "worker goroutines for -scheduler sharded (0 = NumCPU)")
 		largeMax   = fs.Int("large-max", 1000, "largest node count of the -fig large sweep")
 		hugeMax    = fs.Int("huge-max", 100000, "largest node count of the -fig huge sweep")
 		hugeMin    = fs.Int("huge-min", 0, "smallest node count of the -fig huge sweep (profiling workflows isolate the 100k point with -huge-min 100000)")
@@ -283,18 +276,6 @@ func run(args []string) error {
 		return fmt.Errorf("invalid -rxmodel %q (want batch or ref)", *rxmodel)
 	}
 
-	schedKind, err := sim.ParseSchedulerKind(*schedStr)
-	if err != nil {
-		return fmt.Errorf("invalid -scheduler: %w", err)
-	}
-	if *workers < 0 {
-		return fmt.Errorf("invalid -workers %d", *workers)
-	}
-	effWorkers := *workers
-	if schedKind == sim.SchedulerSharded && effWorkers == 0 {
-		effWorkers = runtime.NumCPU()
-	}
-
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -347,8 +328,6 @@ func run(args []string) error {
 	base.RadioIndex = radioIndex
 	base.EventQueue = queueKind
 	base.RxModel = rxModel
-	base.Scheduler = schedKind
-	base.Workers = effWorkers
 	if *duration != base.Duration {
 		// Below ~a minute the paper's warm-up/cool-down proportions are
 		// gone and any table would be noise.
@@ -369,8 +348,6 @@ func run(args []string) error {
 		Index:     radioIndex.String(),
 		Queue:     queueKind.String(),
 		RxModel:   rxModel.String(),
-		Scheduler: schedKind.String(),
-		Workers:   effWorkers,
 		Seeds:     *seeds,
 		Duration:  base.Duration.String(),
 	}
@@ -456,7 +433,7 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	internals := fmt.Sprintf("%s index, %s rxmodel, %s kernel", *index, *rxmodel, *schedStr)
+	internals := fmt.Sprintf("%s index, %s rxmodel", *index, *rxmodel)
 
 	for _, f := range figures() {
 		if !want[f.id] {

@@ -102,11 +102,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-rxmodel", "psychic"}); err == nil {
 		t.Fatal("unknown reception model accepted")
 	}
-	if err := run([]string{"-scheduler", "quantum"}); err == nil {
-		t.Fatal("unknown scheduler kind accepted")
-	}
-	if err := run([]string{"-workers", "-3"}); err == nil {
-		t.Fatal("negative worker count accepted")
+	// The kernel-selection flags are gone: flag parsing fails, which
+	// main turns into a non-zero exit.
+	if err := run([]string{"-workers", "2"}); err == nil {
+		t.Fatal("removed -workers flag accepted")
 	}
 	if err := run([]string{"-fig", "large", "-large-max", "50"}); err == nil {
 		t.Fatal("empty large sweep accepted")
@@ -145,31 +144,6 @@ func TestRunQueueRefAndProfiles(t *testing.T) {
 		if st.Size() == 0 {
 			t.Fatalf("profile %s is empty", p)
 		}
-	}
-}
-
-// TestRunShardedJSON drives the -scheduler/-workers flags through a
-// shrunken sweep and checks the JSON record carries the new axes.
-func TestRunShardedJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	err := run([]string{"-fig", "large", "-large-max", "100", "-seeds", "1", "-duration", "75s",
-		"-scheduler", "sharded", "-workers", "2", "-json", path})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("json record not written: %v", err)
-	}
-	var rep jsonReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("json record does not parse: %v", err)
-	}
-	if rep.Scheduler != "sharded" || rep.Workers != 2 {
-		t.Fatalf("record scheduler axes wrong: %+v", rep)
 	}
 }
 

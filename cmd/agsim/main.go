@@ -14,18 +14,15 @@
 // registry ("maodv", "maodv+gossip", "flood+gossip", ...) plus the
 // legacy spellings ("gossip", "odmrp-gossip"); -help lists them.
 //
-// -scheduler picks the simulation kernel: serial (default) or sharded,
-// the parallel conservative-lookahead engine (-workers goroutines,
-// 0 = NumCPU). -queue picks the kernel's event queue (quad, cal, ref).
-// Every combination produces bit-identical results for the same seed —
-// only wall time changes.
+// -queue picks the kernel's event queue (quad, cal, ref). Every kind
+// produces bit-identical results for the same seed — only wall time
+// changes.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -55,10 +52,7 @@ func run(args []string) error {
 		pause    = fs.Duration("pause", 80*time.Second, "maximum waypoint pause")
 		duration = fs.Duration("duration", 600*time.Second, "simulated time")
 		seed     = fs.Int64("seed", 1, "random seed")
-		schedStr = fs.String("scheduler", "serial",
-			"simulation kernel: serial | sharded (bit-identical results; sharded runs lookahead windows on -workers goroutines)")
-		workers = fs.Int("workers", 0, "worker goroutines for -scheduler sharded (0 = NumCPU)")
-		queue   = fs.String("queue", "quad",
+		queue    = fs.String("queue", "quad",
 			"kernel event queue: "+anongossip.QueueNames()+" (bit-identical results; only wall time changes)")
 		interval   = fs.Duration("gossip-interval", time.Second, "gossip round period")
 		panon      = fs.Float64("panon", 0.7, "probability of anonymous vs cached gossip")
@@ -91,13 +85,6 @@ func run(args []string) error {
 		}
 	}
 	cfg.Seed = *seed
-	if cfg.Scheduler, err = anongossip.ParseSchedulerKind(*schedStr); err != nil {
-		return fmt.Errorf("invalid -scheduler: %w", err)
-	}
-	cfg.Workers = *workers
-	if cfg.Scheduler == anongossip.SchedulerSharded && cfg.Workers == 0 {
-		cfg.Workers = runtime.NumCPU()
-	}
 	if cfg.EventQueue, err = anongossip.ParseQueueKind(*queue); err != nil {
 		return fmt.Errorf("invalid -queue: %w", err)
 	}
@@ -127,12 +114,8 @@ func run(args []string) error {
 	}
 	fmt.Printf("overhead     control %d KB, payload %d KB, %d MAC collisions\n",
 		res.ControlBytes/1024, res.PayloadBytes/1024, res.MACCollisions)
-	engine := cfg.Scheduler.String() + " kernel"
-	if cfg.Scheduler == anongossip.SchedulerSharded {
-		engine = fmt.Sprintf("sharded kernel, %d workers", cfg.Workers)
-	}
-	fmt.Printf("simulator    %d events in %v (%.1fx real time, %s)\n",
-		res.Events, wall.Round(time.Millisecond), cfg.Duration.Seconds()/wall.Seconds(), engine)
+	fmt.Printf("simulator    %d events in %v (%.1fx real time)\n",
+		res.Events, wall.Round(time.Millisecond), cfg.Duration.Seconds()/wall.Seconds())
 	fmt.Printf("             processed %d, elided %d (kernel %d, radio %d, mac %d)\n",
 		res.EventsProcessed, res.ElidedKernel+res.ElidedRadio+res.ElidedMAC,
 		res.ElidedKernel, res.ElidedRadio, res.ElidedMAC)

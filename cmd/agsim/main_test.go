@@ -10,6 +10,7 @@ func TestRunShortSimulation(t *testing.T) {
 		"-duration", "60s",
 		"-seed", "2",
 		"-verbose",
+		"-trace", "5",
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -36,41 +37,12 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}); err == nil {
 		t.Fatal("bad flag accepted")
 	}
-	if err := run([]string{"-scheduler", "quantum"}); err == nil {
-		t.Fatal("unknown scheduler kind accepted")
+	// The kernel-selection flags are gone — even the old default value
+	// fails flag parsing, which main turns into a non-zero exit.
+	if err := run([]string{"-scheduler", "serial"}); err == nil {
+		t.Fatal("removed -scheduler flag accepted")
 	}
 	if err := run([]string{"-metrics-window", "-1s", "-duration", "60s"}); err == nil {
 		t.Fatal("negative metrics window accepted")
-	}
-}
-
-// TestRunShardedTrace drives trace capture under the sharded scheduler
-// — per-lane rings merged in barrier-replay order — end to end.
-func TestRunShardedTrace(t *testing.T) {
-	err := run([]string{
-		"-protocol", "gossip",
-		"-nodes", "15",
-		"-duration", "60s",
-		"-scheduler", "sharded",
-		"-workers", "2",
-		"-trace", "5",
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-}
-
-// TestRunShardedScheduler drives the -scheduler/-workers flags end to
-// end on a short run.
-func TestRunShardedScheduler(t *testing.T) {
-	err := run([]string{
-		"-protocol", "gossip",
-		"-nodes", "15",
-		"-duration", "60s",
-		"-scheduler", "sharded",
-		"-workers", "2",
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
 	}
 }

@@ -28,26 +28,21 @@
 //	benchgate -raw-baseline plain.json -candidate sampled.json \
 //	          -min-speed-ratio 0.9
 //
-// Record mode regenerates the committed baseline: it runs the
-// serial-vs-sharded scheduler matrix (every -queue kind × every
-// -workers count at every -matrix-nodes count, constant-density
-// large-scale configs) and embeds the smoke record(s) written by
-// agbench:
+// Record mode regenerates the committed baseline: it runs the queue
+// matrix (every -queue kind at every -matrix-nodes count,
+// constant-density large-scale configs) and embeds the smoke record(s)
+// written by agbench:
 //
 //	benchgate -record BENCH_PR7.json -smoke quad.json,cal.json \
-//	          -matrix-nodes 1000,10000 -queue quad,cal \
-//	          -workers 1,2,4,8 -duration 20s
+//	          -matrix-nodes 1000,10000 -queue quad,cal -duration 20s
 //
 // Matrix rows at the same node count execute bit-identical schedules
 // (asserted by the scenario differential tests), so their wall-clock
-// ratios isolate the engine under test: SpeedupVsSerial compares
-// sharded lanes against the serial kernel on the same queue, and
-// SpeedupVsQuad compares queue kinds on the same engine. Recording
-// fails if the calendar queue does not reach -min-cal-speedup of the
-// quad baseline at the largest node count, so the committed baseline
-// always witnesses the speedup it claims. The record carries the
-// host's CPU count: scaling numbers are only meaningful relative to
-// the cores that produced them.
+// ratio isolates the queue under test: SpeedupVsQuad is the quad row's
+// wall time over this row's. Recording fails if the calendar queue
+// does not reach -min-cal-speedup of the quad baseline at the largest
+// node count, so the committed baseline always witnesses the speedup
+// it claims. The record carries the host's CPU count.
 package main
 
 import (
@@ -79,8 +74,6 @@ type smokeRecord struct {
 	Index           string          `json:"index"`
 	Queue           string          `json:"queue"`
 	RxModel         string          `json:"rxmodel"`
-	Scheduler       string          `json:"scheduler"`
-	Workers         int             `json:"workers"`
 	Seeds           int             `json:"seeds"`
 	Duration        string          `json:"duration"`
 	Figures         json.RawMessage `json:"figures"`
@@ -99,33 +92,28 @@ type smokeRecord struct {
 	eventsPerSec float64
 }
 
-// matrixRow is one queue-kind × scheduler measurement.
+// matrixRow is one queue-kind measurement.
 type matrixRow struct {
 	Nodes        int     `json:"nodes"`
 	Queue        string  `json:"queue"`
-	Scheduler    string  `json:"scheduler"`
-	Workers      int     `json:"workers"`
 	Events       uint64  `json:"events"`
 	WallSeconds  float64 `json:"wall_seconds"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	// SpeedupVsSerial is same-queue serial wall time over this row's
-	// wall time at the same node count (1.0 for the serial row itself).
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
 	// SpeedupVsQuad is the quad-queue row's wall time over this row's
-	// wall time at the same node count, scheduler and worker count —
-	// the like-for-like queue comparison (1.0 for quad rows).
+	// wall time at the same node count (1.0 for quad rows).
 	SpeedupVsQuad float64 `json:"speedup_vs_quad,omitempty"`
 }
 
 // baseline is the committed BENCH_*.json schema.
 type baseline struct {
 	GoVersion string `json:"go_version"`
-	// CPUs is the core count of the recording host. Scheduler-matrix
-	// speedups cannot exceed it.
-	CPUs            int         `json:"cpus"`
-	Note            string      `json:"note,omitempty"`
-	SimDuration     string      `json:"sim_duration"`
-	SchedulerMatrix []matrixRow `json:"scheduler_matrix"`
+	// CPUs is the core count of the recording host.
+	CPUs        int    `json:"cpus"`
+	Note        string `json:"note,omitempty"`
+	SimDuration string `json:"sim_duration"`
+	// Matrix is the queue matrix; the key predates the queue
+	// axis and stays so committed records keep parsing.
+	Matrix []matrixRow `json:"scheduler_matrix"`
 	// Smoke is the agbench -json record the CI gate compares against
 	// (historical single-record schema, kept readable for old files).
 	Smoke json.RawMessage `json:"smoke_baseline,omitempty"`
@@ -145,19 +133,18 @@ func run(args []string) error {
 		maxHeap      = fs.Float64("max-heap-ratio", 1.3, "fail if candidate heap bytes/node exceeds this multiple of baseline (heap-measured records only)")
 		record       = fs.String("record", "", "write a new baseline to this file instead of gating")
 		smokePath    = fs.String("smoke", "", "comma-separated agbench -json records to embed in the -record baseline (one per queue kind)")
-		matrixNodes  = fs.String("matrix-nodes", "1000,10000", "comma-separated node counts for the -record scheduler matrix")
-		queueList    = fs.String("queue", "quad,cal", "comma-separated event-queue kinds for the -record scheduler matrix: "+sim.QueueNames())
-		workerList   = fs.String("workers", "1,2,4,8", "comma-separated worker counts for the -record scheduler matrix")
+		matrixNodes  = fs.String("matrix-nodes", "1000,10000", "comma-separated node counts for the -record queue matrix")
+		queueList    = fs.String("queue", "quad,cal", "comma-separated event-queue kinds for the -record queue matrix: "+sim.QueueNames())
 		duration     = fs.Duration("duration", 20*time.Second, "simulated time per -record matrix run")
-		minCalSpeed  = fs.Float64("min-cal-speedup", 1.2, "fail -record if the cal queue's serial events/sec at the largest node count falls below this multiple of the quad reference (the -prev baseline's quad serial row, or this run's when no -prev is given)")
-		prevPath     = fs.String("prev", "", "previous committed baseline whose quad serial row anchors the -min-cal-speedup check")
+		minCalSpeed  = fs.Float64("min-cal-speedup", 1.2, "fail -record if the cal queue's events/sec at the largest node count falls below this multiple of the quad reference (the -prev baseline's quad row, or this run's when no -prev is given)")
+		prevPath     = fs.String("prev", "", "previous committed baseline whose quad row anchors the -min-cal-speedup check")
 		note         = fs.String("note", "", "free-form host note stored in the -record baseline")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *record != "" {
-		return runRecord(*record, *smokePath, *matrixNodes, *queueList, *workerList, *duration, *minCalSpeed, *prevPath, *note)
+		return runRecord(*record, *smokePath, *matrixNodes, *queueList, *duration, *minCalSpeed, *prevPath, *note)
 	}
 	if *baselinePath != "" && *rawBaseline != "" {
 		return fmt.Errorf("-baseline and -raw-baseline are mutually exclusive")
@@ -198,28 +185,35 @@ func parseQueues(csv string) ([]sim.QueueKind, error) {
 
 // --- record mode ---
 
-// quadSerialAnchor pulls the quad serial events/sec at the given node
-// count out of a previous committed baseline. Rows recorded before the
-// queue axis existed carry an empty queue name; those were quad.
-func quadSerialAnchor(path string, nodes int) (float64, error) {
+// quadAnchor pulls the quad events/sec at the given node count out of
+// a previous committed baseline. Rows recorded before the queue axis
+// existed carry an empty queue name; those were quad. Baselines up to
+// PR 9 also carry rows of a since-removed parallel kernel, told apart
+// by a "scheduler" key that is "serial" on the rows wanted here.
+func quadAnchor(path string, nodes int) (float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	var prev baseline
+	var prev struct {
+		Matrix []struct {
+			matrixRow
+			Scheduler string `json:"scheduler"`
+		} `json:"scheduler_matrix"`
+	}
 	if err := json.Unmarshal(data, &prev); err != nil {
 		return 0, fmt.Errorf("%s does not parse as a baseline: %w", path, err)
 	}
-	for _, r := range prev.SchedulerMatrix {
-		if r.Nodes == nodes && r.Scheduler == sim.SchedulerSerial.String() &&
+	for _, r := range prev.Matrix {
+		if r.Nodes == nodes && (r.Scheduler == "serial" || r.Scheduler == "") &&
 			(r.Queue == sim.QueueQuad.String() || r.Queue == "") {
 			return r.EventsPerSec, nil
 		}
 	}
-	return 0, fmt.Errorf("%s has no quad serial row at %d nodes", path, nodes)
+	return 0, fmt.Errorf("%s has no quad row at %d nodes", path, nodes)
 }
 
-func runRecord(outPath, smokePaths, matrixNodes, queueList, workerList string, duration time.Duration, minCalSpeed float64, prevPath, note string) error {
+func runRecord(outPath, smokePaths, matrixNodes, queueList string, duration time.Duration, minCalSpeed float64, prevPath, note string) error {
 	nodes, err := parseInts(matrixNodes)
 	if err != nil {
 		return fmt.Errorf("-matrix-nodes: %w", err)
@@ -227,10 +221,6 @@ func runRecord(outPath, smokePaths, matrixNodes, queueList, workerList string, d
 	queues, err := parseQueues(queueList)
 	if err != nil {
 		return fmt.Errorf("-queue: %w", err)
-	}
-	workers, err := parseInts(workerList)
-	if err != nil {
-		return fmt.Errorf("-workers: %w", err)
 	}
 
 	b := baseline{
@@ -254,11 +244,9 @@ func runRecord(outPath, smokePaths, matrixNodes, queueList, workerList string, d
 		}
 	}
 
-	measure := func(n int, queue sim.QueueKind, kind sim.SchedulerKind, w int) (matrixRow, error) {
+	measure := func(n int, queue sim.QueueKind) (matrixRow, error) {
 		cfg := scenario.ShortenedData(scenario.LargeScaleConfig(n), duration)
 		cfg.EventQueue = queue
-		cfg.Scheduler = kind
-		cfg.Workers = w
 		cfg.Seed = 1
 		start := time.Now()
 		res, err := scenario.Run(cfg)
@@ -266,81 +254,52 @@ func runRecord(outPath, smokePaths, matrixNodes, queueList, workerList string, d
 			return matrixRow{}, err
 		}
 		wall := time.Since(start).Seconds()
-		row := matrixRow{Nodes: n, Queue: queue.String(), Scheduler: kind.String(),
-			Workers: w, Events: res.Events, WallSeconds: wall}
+		row := matrixRow{Nodes: n, Queue: queue.String(), Events: res.Events, WallSeconds: wall}
 		if wall > 0 {
 			row.EventsPerSec = float64(res.Events) / wall
 		}
 		return row, nil
 	}
 
-	// quadWall maps "nodes/scheduler/workers" to the quad row's wall
-	// time, so every other queue's rows get a like-for-like ratio.
-	quadWall := make(map[string]float64)
-	rowKey := func(r matrixRow) string {
-		return fmt.Sprintf("%d/%s/%d", r.Nodes, r.Scheduler, r.Workers)
-	}
-	// Serial events/sec per node count for the headline queue kinds;
-	// the largest node count's cal rate is the gated claim.
-	quadSerialRate := make(map[int]float64)
-	calSerialRate := make(map[int]float64)
+	// Events/sec per node count for the headline queue kinds; the
+	// largest node count's cal rate is the gated claim.
+	quadRate := make(map[int]float64)
+	calRate := make(map[int]float64)
 
 	for _, n := range nodes {
 		var events uint64
+		var quadWall float64
 		for _, queue := range queues {
-			serial, err := measure(n, queue, sim.SchedulerSerial, 1)
+			row, err := measure(n, queue)
 			if err != nil {
-				return fmt.Errorf("%d nodes %s serial: %w", n, queue, err)
+				return fmt.Errorf("%d nodes %s: %w", n, queue, err)
 			}
 			if events == 0 {
-				events = serial.Events
-			} else if serial.Events != events {
-				return fmt.Errorf("%d nodes %s serial executed %d events, first queue %d — bit-identity broken",
-					n, queue, serial.Events, events)
+				events = row.Events
+			} else if row.Events != events {
+				return fmt.Errorf("%d nodes %s executed %d events, first queue %d — bit-identity broken",
+					n, queue, row.Events, events)
 			}
-			serial.SpeedupVsSerial = 1
 			switch queue {
 			case sim.QueueQuad:
-				quadWall[rowKey(serial)] = serial.WallSeconds
-				quadSerialRate[n] = serial.EventsPerSec
+				quadWall = row.WallSeconds
+				quadRate[n] = row.EventsPerSec
 			case sim.QueueCal:
-				calSerialRate[n] = serial.EventsPerSec
+				calRate[n] = row.EventsPerSec
 			}
-			if w, ok := quadWall[rowKey(serial)]; ok && serial.WallSeconds > 0 {
-				serial.SpeedupVsQuad = w / serial.WallSeconds
+			if quadWall > 0 && row.WallSeconds > 0 {
+				row.SpeedupVsQuad = quadWall / row.WallSeconds
 			}
-			fmt.Printf("%6d nodes  %-4s serial        %10.0f events/sec  (%.2fx quad)\n",
-				n, queue, serial.EventsPerSec, serial.SpeedupVsQuad)
-			b.SchedulerMatrix = append(b.SchedulerMatrix, serial)
-			for _, w := range workers {
-				row, err := measure(n, queue, sim.SchedulerSharded, w)
-				if err != nil {
-					return fmt.Errorf("%d nodes %s sharded workers=%d: %w", n, queue, w, err)
-				}
-				if row.Events != serial.Events {
-					return fmt.Errorf("%d nodes %s sharded workers=%d executed %d events, serial %d — bit-identity broken",
-						n, queue, w, row.Events, serial.Events)
-				}
-				if row.WallSeconds > 0 {
-					row.SpeedupVsSerial = serial.WallSeconds / row.WallSeconds
-				}
-				if queue == sim.QueueQuad {
-					quadWall[rowKey(row)] = row.WallSeconds
-				}
-				if qw, ok := quadWall[rowKey(row)]; ok && row.WallSeconds > 0 {
-					row.SpeedupVsQuad = qw / row.WallSeconds
-				}
-				fmt.Printf("%6d nodes  %-4s sharded w=%-3d %10.0f events/sec  (%.2fx serial, %.2fx quad)\n",
-					n, queue, w, row.EventsPerSec, row.SpeedupVsSerial, row.SpeedupVsQuad)
-				b.SchedulerMatrix = append(b.SchedulerMatrix, row)
-			}
+			fmt.Printf("%6d nodes  %-4s %10.0f events/sec  (%.2fx quad)\n",
+				n, queue, row.EventsPerSec, row.SpeedupVsQuad)
+			b.Matrix = append(b.Matrix, row)
 		}
 	}
 
 	// The headline claim the baseline exists to witness: at the largest
-	// node count, the calendar queue's serial events/sec must reach
+	// node count, the calendar queue's events/sec must reach
 	// -min-cal-speedup of the quad reference — the previous committed
-	// baseline's quad serial row when -prev names one (the cross-PR
+	// baseline's quad row when -prev names one (the cross-PR
 	// acceptance), this run's otherwise — or the recording is refused.
 	if len(nodes) > 0 && minCalSpeed > 0 {
 		maxN := nodes[0]
@@ -349,18 +308,18 @@ func runRecord(outPath, smokePaths, matrixNodes, queueList, workerList string, d
 				maxN = n
 			}
 		}
-		if calRate, ok := calSerialRate[maxN]; ok {
-			anchor, anchorName := quadSerialRate[maxN], "this run's quad serial"
+		if cal, ok := calRate[maxN]; ok {
+			anchor, anchorName := quadRate[maxN], "this run's quad"
 			if prevPath != "" {
-				a, err := quadSerialAnchor(prevPath, maxN)
+				a, err := quadAnchor(prevPath, maxN)
 				if err != nil {
 					return fmt.Errorf("-prev: %w", err)
 				}
-				anchor, anchorName = a, prevPath+" quad serial"
+				anchor, anchorName = a, prevPath+" quad"
 			}
 			if anchor > 0 {
-				speedup := calRate / anchor
-				fmt.Printf("cal serial at %d nodes: %.2fx vs %s (floor %.2fx)\n",
+				speedup := cal / anchor
+				fmt.Printf("cal at %d nodes: %.2fx vs %s (floor %.2fx)\n",
 					maxN, speedup, anchorName, minCalSpeed)
 				if speedup < minCalSpeed {
 					return fmt.Errorf("cal queue reached only %.2fx of %s at %d nodes, below the %.2fx floor — not recording a baseline that contradicts its own claim",
@@ -430,13 +389,6 @@ func loadSmoke(path string, embedded bool, wantQueue, wantFigs string) (*smokeRe
 	var rec smokeRecord
 	if err := json.Unmarshal(data, &rec); err != nil {
 		return nil, fmt.Errorf("%s does not parse as an agbench record: %w", path, err)
-	}
-	// A record from an unknown kernel is not comparable to anything
-	// this binary can run (legacy records omit the field).
-	if rec.Scheduler != "" {
-		if _, err := sim.ParseSchedulerKind(rec.Scheduler); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
 	}
 	if err := parseFigures(&rec, path); err != nil {
 		return nil, err

@@ -16,7 +16,6 @@ func fakeAgbenchRecord(events uint64, wallSeconds, mallocsPerEvent float64) stri
 		"go_version": "go-test",
 		"protocol": "maodv+gossip",
 		"index": "grid", "queue": "quad", "rxmodel": "batch",
-		"scheduler": "serial", "workers": 0,
 		"seeds": 1, "duration": "75s",
 		"figures": [{"figure": "dense", "points": [
 			{"x": 20, "events": %d, "wall_seconds": %g}
@@ -121,9 +120,6 @@ func TestGateRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-record", "out.json", "-matrix-nodes", "zero"}); err == nil {
 		t.Fatal("bad matrix-nodes accepted")
 	}
-	if err := run([]string{"-record", "out.json", "-workers", "-2"}); err == nil {
-		t.Fatal("bad workers accepted")
-	}
 	if err := run([]string{"-record", "out.json", "-queue", "bogus"}); err == nil {
 		t.Fatal("bad queue kind accepted")
 	}
@@ -173,9 +169,9 @@ func TestGateRejectsCrossQueue(t *testing.T) {
 }
 
 // TestRecordSmallMatrix runs record mode on a tiny matrix and checks the
-// written baseline parses, carries per-queue serial + sharded rows with
-// matching event counts, and embeds the smoke record. The cal-speedup
-// floor is disabled: a 100-node matrix is far below the scale where the
+// written baseline parses, carries one row per queue kind with matching
+// event counts, and embeds the smoke record. The cal-speedup floor is
+// disabled: a 100-node matrix is far below the scale where the
 // calendar queue's claim applies.
 func TestRecordSmallMatrix(t *testing.T) {
 	if testing.Short() {
@@ -184,7 +180,7 @@ func TestRecordSmallMatrix(t *testing.T) {
 	smoke := writeFile(t, "smoke.json", fakeAgbenchRecord(1_000_000, 2.0, 40))
 	out := filepath.Join(t.TempDir(), "baseline.json")
 	err := run([]string{"-record", out, "-smoke", smoke,
-		"-matrix-nodes", "100", "-queue", "quad,cal", "-workers", "1,2",
+		"-matrix-nodes", "100", "-queue", "quad,cal",
 		"-duration", "20s", "-min-cal-speedup", "0", "-note", "test host"})
 	if err != nil {
 		t.Fatalf("record: %v", err)
@@ -200,26 +196,19 @@ func TestRecordSmallMatrix(t *testing.T) {
 	if b.CPUs < 1 || b.Note != "test host" || len(b.Smokes) != 1 {
 		t.Fatalf("baseline metadata incomplete: %+v", b)
 	}
-	if len(b.SchedulerMatrix) != 6 { // 2 queues x (serial + workers 1,2)
-		t.Fatalf("matrix rows = %d, want 6", len(b.SchedulerMatrix))
+	if len(b.Matrix) != 2 { // one row per queue kind
+		t.Fatalf("matrix rows = %d, want 2", len(b.Matrix))
 	}
-	serial := b.SchedulerMatrix[0]
-	if serial.Scheduler != "serial" || serial.Events == 0 || serial.EventsPerSec <= 0 {
-		t.Fatalf("serial row incomplete: %+v", serial)
-	}
-	for i, row := range b.SchedulerMatrix {
-		wantQueue := "quad"
-		if i >= 3 {
-			wantQueue = "cal"
-		}
+	for i, wantQueue := range []string{"quad", "cal"} {
+		row := b.Matrix[i]
 		if row.Queue != wantQueue {
 			t.Fatalf("row %d queue = %q, want %q: %+v", i, row.Queue, wantQueue, row)
 		}
-		if row.Events != serial.Events {
-			t.Fatalf("row %d events %d diverge from serial %d", i, row.Events, serial.Events)
+		if row.Events == 0 || row.EventsPerSec <= 0 {
+			t.Fatalf("row %d incomplete: %+v", i, row)
 		}
-		if i%3 != 0 && (row.Scheduler != "sharded" || row.SpeedupVsSerial <= 0) {
-			t.Fatalf("sharded row inconsistent with serial: %+v", row)
+		if row.Events != b.Matrix[0].Events {
+			t.Fatalf("row %d events %d diverge from quad %d", i, row.Events, b.Matrix[0].Events)
 		}
 		if row.SpeedupVsQuad <= 0 {
 			t.Fatalf("row %d missing like-for-like queue ratio: %+v", i, row)
@@ -232,6 +221,51 @@ func TestRecordSmallMatrix(t *testing.T) {
 	}
 }
 
+// TestCommittedBaselineStillReadable pins compatibility with the last
+// committed baseline, which predates the removal of the "scheduler" and
+// "workers" keys: the -prev anchor must pick the serial quad row (not
+// another row of the same queue), and gate mode must accept a candidate
+// without those keys against the embedded records that carry them.
+func TestCommittedBaselineStillReadable(t *testing.T) {
+	const committed = "../../BENCH_PR9.json"
+	got, err := quadAnchor(committed, 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got < 929755 || got > 929756 {
+		t.Fatalf("quad anchor at 10000 nodes = %.0f, want the serial row's 929756", got)
+	}
+	// Row order must not matter: only the "serial" row anchors.
+	reordered := writeFile(t, "prev.json", `{"scheduler_matrix": [
+		{"nodes": 100, "queue": "quad", "scheduler": "other", "events_per_sec": 1},
+		{"nodes": 100, "queue": "quad", "scheduler": "serial", "events_per_sec": 2}]}`)
+	if got, err := quadAnchor(reordered, 100); err != nil || got != 2 {
+		t.Fatalf("quad anchor = %v, %v; want the serial row's 2", got, err)
+	}
+	data, err := os.ReadFile(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b baseline
+	if err := json.Unmarshal(data, &b); err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal(b.Smokes[0], &rec); err != nil {
+		t.Fatal(err)
+	}
+	delete(rec, "scheduler")
+	delete(rec, "workers")
+	stripped, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cand := writeFile(t, "cand.json", string(stripped))
+	if err := run([]string{"-baseline", committed, "-candidate", cand}); err != nil {
+		t.Fatalf("gate against %s: %v", committed, err)
+	}
+}
+
 // TestRecordRefusesLowCalSpeedup checks the record-time enforcement: a
 // floor no real host can reach makes -record refuse to write, so a
 // committed baseline can never contradict the speedup it claims.
@@ -241,7 +275,7 @@ func TestRecordRefusesLowCalSpeedup(t *testing.T) {
 	}
 	out := filepath.Join(t.TempDir(), "baseline.json")
 	err := run([]string{"-record", out,
-		"-matrix-nodes", "100", "-queue", "quad,cal", "-workers", "1",
+		"-matrix-nodes", "100", "-queue", "quad,cal",
 		"-duration", "20s", "-min-cal-speedup", "100"})
 	if err == nil || !strings.Contains(err.Error(), "below the 100.00x floor") {
 		t.Fatalf("unreachable cal-speedup floor did not refuse recording: %v", err)

@@ -7,21 +7,6 @@ import (
 	"anongossip/internal/geom"
 )
 
-func TestMinTxDelay(t *testing.T) {
-	cfg := DefaultConfig()
-	want := cfg.SIFS
-	if cfg.DIFS < want {
-		want = cfg.DIFS
-	}
-	if got := cfg.MinTxDelay(); got != want {
-		t.Fatalf("MinTxDelay %v, want min(SIFS, DIFS) = %v", got, want)
-	}
-	cfg.SIFS, cfg.DIFS = -time.Millisecond, time.Millisecond
-	if got := cfg.MinTxDelay(); got != 0 {
-		t.Fatalf("negative SIFS: MinTxDelay %v, want the 0 floor", got)
-	}
-}
-
 // TestElideStepHorizon pins the accounting rule the golden digests
 // depend on: a cancelled step timer counts as an elided event only if
 // its deadline lies within the run horizon — the eager-timer code

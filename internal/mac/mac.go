@@ -72,23 +72,6 @@ type Config struct {
 // convention).
 const RTSThresholdOff = 1 << 16
 
-// MinTxDelay returns the minimum delay between any MAC event and the
-// earliest transmission it can start: every StartTx happens inside a
-// timer armed at least SIFS (ACK/CTS/data responses) or DIFS (backoff
-// expiry) ahead of the event that armed it. The sharded scheduler uses
-// this as its conservative lookahead bound — within a window shorter
-// than MinTxDelay, no event can change the channel.
-func (c Config) MinTxDelay() time.Duration {
-	d := c.SIFS
-	if c.DIFS < d {
-		d = c.DIFS
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
 // DefaultConfig returns 802.11 DSSS parameters at the paper's 2 Mbps.
 func DefaultConfig() Config {
 	return Config{
@@ -311,10 +294,7 @@ func New(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID
 	d.stepFn = d.onStep
 	d.ackFn = d.onAckTimeout
 	d.ctsFn = d.onCtsTimeout
-	// Attach with the node's own scheduler as the transceiver clock:
-	// under the sharded kernel this is the node's shard lane, so
-	// carrier-sense reads inside parallel windows see the shard clock.
-	tr, err := medium.AttachOn(sched, id, pos, d.onRadio)
+	tr, err := medium.Attach(id, pos, d.onRadio)
 	if err != nil {
 		return nil, err
 	}
@@ -359,12 +339,6 @@ func (d *DCF) Stats() Stats { return d.stats }
 // SetChannelMetrics points the MAC at a shared per-run channel-usage
 // accumulator; every transmission start then reports its layer,
 // airtime and bytes there. Nil (the default) disables the observation.
-//
-// Sharing one plain-field ChannelCounters across all MACs is safe even
-// under the sharded kernel because every transmission start executes
-// in solo context: data/RTS sends fire from AfterEmit-armed contention
-// steps and ACK/CTS responses from AfterEmit closures, all routed
-// through the coordinator's global queue (see metrics.ChannelCounters).
 func (d *DCF) SetChannelMetrics(c *metrics.ChannelCounters) { d.chm = c }
 
 // QueueLen returns the number of frames waiting (excluding in-flight).
@@ -478,10 +452,8 @@ func (d *DCF) armBackoff(out *outgoing, reach sim.Time, probed bool) {
 	slots := d.rng.Intn(out.cw + 1)
 	wait := d.cfg.DIFS + time.Duration(slots)*d.cfg.SlotTime
 	d.stats.BackoffWait += wait
-	// The expiry may start a transmission (AfterEmit); its DIFS floor
-	// is what makes Config.MinTxDelay a sound lookahead bound.
 	d.stepKind, d.stepOut = stepBackoff, out
-	d.step = d.sched.AfterEmit(wait, d.stepFn)
+	d.step = d.sched.After(wait, d.stepFn)
 	exp := now + wait
 	d.foldVK = 0
 	d.foldOK = d.folding && (probed || d.foldOK) && reach <= exp &&
@@ -795,7 +767,7 @@ func (d *DCF) onRadio(raw any, _ pkt.NodeID, ok bool) {
 			d.ctsTimer = sim.Timer{}
 			d.ctsOut = nil
 			d.stepKind, d.stepOut = stepCtsData, d.inflight
-			d.step = d.sched.AfterEmit(d.cfg.SIFS, d.stepFn)
+			d.step = d.sched.After(d.cfg.SIFS, d.stepFn)
 			// Response steps never fold: the data send is unconditional.
 			d.foldOK = false
 		}
@@ -814,7 +786,7 @@ func (d *DCF) onRTS(frm frame) {
 	if nav < 0 {
 		nav = 0
 	}
-	d.sched.AfterEmit(d.cfg.SIFS, func() {
+	d.sched.After(d.cfg.SIFS, func() {
 		if d.tr.Transmitting() {
 			return
 		}
@@ -842,7 +814,7 @@ func (d *DCF) onData(frm frame) {
 	}
 	// Acknowledge after SIFS unless we are mid-transmission (half-duplex;
 	// the sender will retry).
-	d.sched.AfterEmit(d.cfg.SIFS, func() {
+	d.sched.After(d.cfg.SIFS, func() {
 		if d.tr.Transmitting() {
 			return
 		}

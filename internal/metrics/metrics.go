@@ -8,12 +8,10 @@
 // state, so enabling collection never changes a simulation result —
 // the golden digests stay bit-identical with metrics on or off. Hot
 // paths pay for it with plain uint64 field increments (zero
-// allocations, no atomics): inside the simulator every writer runs in
-// a context that owns the counter exclusively (per-node counters on
-// the node's lane, shared channel counters only from solo/emit
-// events — see ChannelCounters). The live runtime (runtime/netrt)
-// instead samples its engines' counters through each node's Do
-// serializer, keeping the same engines instrumentation-free.
+// allocations, no atomics): the simulator is single-threaded, so every
+// writer owns its counter. The live runtime (runtime/netrt) instead
+// samples its engines' counters through each node's Do serializer,
+// keeping the same engines instrumentation-free.
 package metrics
 
 import (
@@ -80,12 +78,9 @@ func LayerOf(k pkt.Kind) Layer {
 // attributed to the layer whose packet (or control frame) occupied the
 // channel. One instance is shared by every MAC in the run.
 //
-// Concurrency contract: fields are plain integers, not atomics, which
-// is safe because every write site is a transmission start — and
-// transmission starts only execute in contexts that are single-threaded
-// even under the sharded kernel (AfterEmit-armed callbacks and radio
-// finish processing both run solo; see DESIGN.md §7). Reads from the
-// sampler run on the global lane, also solo.
+// Concurrency contract: fields are plain integers, not atomics; every
+// write site is a transmission start and the sampler reads from a
+// kernel event, both on the simulation's one goroutine.
 type ChannelCounters struct {
 	// AirtimeByLayer is the cumulative channel occupancy per layer.
 	AirtimeByLayer [NumLayers]time.Duration

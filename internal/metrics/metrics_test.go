@@ -37,8 +37,8 @@ func TestLayerOf(t *testing.T) {
 
 // TestObserveTxZeroAlloc pins the hot-path counter write at zero
 // allocations: ObserveTx runs on every transmission start, and an
-// allocation there would both slow the kernel and (under the sharded
-// scheduler) be a GC-visible side effect of enabling metrics.
+// allocation there would slow the kernel and be a GC-visible side
+// effect of enabling metrics.
 func TestObserveTxZeroAlloc(t *testing.T) {
 	var c ChannelCounters
 	allocs := testing.AllocsPerRun(1000, func() {

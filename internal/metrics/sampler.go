@@ -1,8 +1,7 @@
 // The windowed sampler: a time series of channel-utilization windows
 // built by differencing cumulative counter snapshots at a fixed
 // cadence. The scheduling chain lives with the caller (the scenario
-// harness arms one timer per window on the simulator's global lane, so
-// ticks run solo and may read cross-node state); the sampler itself
+// harness arms one kernel timer per window); the sampler itself
 // only diffs snapshots, which keeps this package free of kernel
 // dependencies and usable from the live runtime's wall-clock timers
 // too.

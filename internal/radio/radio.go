@@ -80,8 +80,8 @@ const CarrierPredictWindow = 25 * time.Millisecond
 // expires (the transmitter is at least maxSpeed·window inside the
 // sensing radius); onsets from the surrounding uncertainty band arrive
 // with proven == false and must invalidate any folded prediction.
-// Listeners run inside StartTx — solo context under every scheduler —
-// and may only touch their own node's state.
+// Listeners run inside StartTx and may only touch their own node's
+// state.
 type CarrierListener interface {
 	CarrierOnset(end sim.Time, proven bool)
 }
@@ -157,8 +157,7 @@ type Medium struct {
 	txFree []*transmission
 	// activeTx counts transmissions currently on the air — incremented
 	// at StartTx, decremented when the finish processing retires the
-	// record. It is the in-flight gauge the metrics sampler reads; like
-	// stats it is only touched from solo-context events.
+	// record. It is the in-flight gauge the metrics sampler reads.
 	activeTx int
 	// elided counts the per-receiver finish events the batched model
 	// folded into per-frame events; see ElidedEvents.
@@ -213,20 +212,11 @@ var ErrDuplicateNode = errors.New("radio: node already attached")
 // the end of each reception. Handlers run inside the simulation event
 // loop. Attaching the same node ID twice fails with ErrDuplicateNode.
 func (m *Medium) Attach(id pkt.NodeID, pos mobility.Model, h Handler) (*Transceiver, error) {
-	return m.AttachOn(m.sched, id, pos, h)
-}
-
-// AttachOn registers a transceiver whose clock is sched — under the
-// sharded scheduler, the node's shard lane, so carrier-sense queries
-// made inside a parallel window read the node's own clock rather than
-// the coordinator's. With sched equal to the medium's scheduler it is
-// identical to Attach.
-func (m *Medium) AttachOn(sched *sim.Scheduler, id pkt.NodeID, pos mobility.Model, h Handler) (*Transceiver, error) {
 	if _, dup := m.byID[id]; dup {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateNode, id)
 	}
 	t := &Transceiver{
-		id: id, medium: m, sched: sched, pos: pos, handler: h,
+		id: id, medium: m, pos: pos, handler: h,
 		idx: int32(len(m.nodes)),
 		// lastInterference must predate every possible transmission
 		// start; simulation time is never negative.
@@ -269,12 +259,8 @@ var ErrAlreadyTransmitting = errors.New("radio: transceiver already transmitting
 
 // Transceiver is one node's attachment to the medium.
 type Transceiver struct {
-	id     pkt.NodeID
-	medium *Medium
-	// sched is the node's clock: the medium's scheduler under the
-	// serial kernel, the node's shard lane under the sharded one (the
-	// two agree whenever cross-node state is touched).
-	sched   *sim.Scheduler
+	id      pkt.NodeID
+	medium  *Medium
 	pos     mobility.Model
 	handler Handler
 	// idx is the attach-order position in medium.nodes; receiver tables
@@ -295,8 +281,7 @@ type Transceiver struct {
 	// fields through one reusable closure instead of per-call captures
 	// — the probe runs on every folded backoff arm, and boxing the
 	// accumulators was a measurable share of run-phase allocations at
-	// 100k nodes. Only this node's own probes touch them (cross-node
-	// index walks already run serialized under the sharded kernel).
+	// 100k nodes. Only this node's own probes touch them.
 	probeBusy, probeReach sim.Time
 	probePos              geom.Point
 	probeR2               float64
@@ -329,12 +314,12 @@ func (t *Transceiver) ID() pkt.NodeID { return t.id }
 
 // Position returns the node's position at the current simulation time.
 func (t *Transceiver) Position() geom.Point {
-	return t.pos.Position(t.sched.Now())
+	return t.pos.Position(t.medium.sched.Now())
 }
 
 // Transmitting reports whether the transceiver has a frame on the air.
 func (t *Transceiver) Transmitting() bool {
-	return t.txEnd > t.sched.Now()
+	return t.txEnd > t.medium.sched.Now()
 }
 
 // Counters returns (frames sent, receptions delivered, receptions
@@ -350,7 +335,7 @@ func (t *Transceiver) Counters() (sent, delivered, collided uint64) {
 // activity), not O(all active transmissions).
 func (t *Transceiver) CarrierBusyUntil() sim.Time {
 	m := t.medium
-	now := t.sched.Now()
+	now := t.medium.sched.Now()
 	var until sim.Time
 	if t.txEnd > now {
 		until = t.txEnd
@@ -398,7 +383,7 @@ func (t *Transceiver) SetCarrierListener(l CarrierListener) {
 // so a probe costs the same as CarrierBusyUntil.
 func (t *Transceiver) CarrierProbe() (busy, reach sim.Time) {
 	m := t.medium
-	now := t.sched.Now()
+	now := t.medium.sched.Now()
 	if t.txEnd > now {
 		busy = t.txEnd
 	}

@@ -1,7 +1,6 @@
 // Package simrt implements the runtime boundary over the simulation
-// kernel: timers go straight to the node's sim.Scheduler (its shard
-// lane under the sharded kernel), and packets go through the 802.11
-// MAC onto the shared radio medium.
+// kernel: timers go straight to the sim.Scheduler, and packets go
+// through the 802.11 MAC onto the shared radio medium.
 //
 // The adapter is deliberately nothing but indirection — the event
 // sequence it produces is bit-identical to the pre-runtime wiring, and
@@ -81,7 +80,7 @@ func (r *Runtime) Bind(onReceive rt.ReceiveFunc, onSendDone rt.SendDoneFunc) {
 	r.onRecv, r.onDone = onReceive, onSendDone
 }
 
-// Scheduler exposes the node's scheduler lane (tests drive it).
+// Scheduler exposes the node's scheduler (tests drive it).
 func (r *Runtime) Scheduler() *sim.Scheduler { return r.sched }
 
 // MAC exposes the MAC entity for horizon wiring and statistics.

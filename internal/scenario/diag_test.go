@@ -7,8 +7,7 @@ package scenario
 // their sum, Result.Events, stays bit-identical. Differential tests
 // that cross the rx-model axis compare Results modulo that
 // redistribution; tests along every other axis (index, queue,
-// scheduler, metrics on/off) compare the raw structs, breakdown
-// included.
+// metrics on/off) compare the raw structs, breakdown included.
 func stripElisionBreakdown(r *Result) *Result {
 	c := *r
 	c.EventsProcessed = 0

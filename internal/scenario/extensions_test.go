@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -102,6 +103,31 @@ func TestTraceCapture(t *testing.T) {
 	}
 	if res.Trace.Len() > 500 {
 		t.Fatalf("trace retained %d > capacity", res.Trace.Len())
+	}
+
+	// The ring is the trace: record order is execution order, a second
+	// run of the seed reproduces it, and tracing only observes.
+	events := res.Trace.Events()
+	for i := 1; i < len(events); i++ {
+		if events[i].At < events[i-1].At {
+			t.Fatalf("trace[%d] at %v precedes trace[%d] at %v", i, events[i].At, i-1, events[i-1].At)
+		}
+	}
+	again, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Trace.Events(), events) {
+		t.Fatal("two runs of one seed produced different traces")
+	}
+	cfg.TraceCapacity = 0
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Events != res.Events || plain.Sent != res.Sent || plain.Received != res.Received {
+		t.Fatalf("tracing changed the run: events %d/%d, sent %d/%d, received %+v/%+v",
+			res.Events, plain.Events, res.Sent, plain.Sent, res.Received, plain.Received)
 	}
 }
 

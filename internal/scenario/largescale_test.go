@@ -167,6 +167,35 @@ func TestLargeScale250RxModelIndexMatrixBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRxModelQueueMatrixBitIdentical crosses the reception-model and
+// event-queue axes on the golden config: every combination must agree
+// bit for bit on the same run.
+func TestRxModelQueueMatrixBitIdentical(t *testing.T) {
+	cfg := goldenConfig()
+	cfg.Protocol = ProtocolGossip
+	cfg.Seed = 3
+
+	var ref *Result
+	var refName string
+	for _, model := range []radio.ReceptionModel{radio.ModelBatch, radio.ModelRef} {
+		for _, queue := range []sim.QueueKind{sim.QueueQuad, sim.QueueCal, sim.QueueRef} {
+			name := model.String() + "/" + queue.String()
+			cfg.RxModel, cfg.EventQueue = model, queue
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if ref == nil {
+				ref, refName = res, name
+				continue
+			}
+			if !reflect.DeepEqual(stripElisionBreakdown(res), stripElisionBreakdown(ref)) {
+				t.Fatalf("%s diverged from %s:\n%s: %+v\n%s: %+v", name, refName, name, res, refName, ref)
+			}
+		}
+	}
+}
+
 // TestBaselineGridBruteBitIdentical covers the paper's own operating
 // point (40 nodes, mobile, full protocol stack) across two seeds.
 func TestBaselineGridBruteBitIdentical(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
 	"anongossip/internal/sim"
 )
@@ -15,9 +14,9 @@ import (
 // telemetry layer's observe-only contract: enabling the sampler must
 // leave every result field — member outcomes, byte counters, latencies,
 // the logical event total, and its processed/elided breakdown — bit
-// identical, across the index × queue × scheduler matrix. The sampler's
-// own timer chain is subtracted out of the event accounting; everything
-// else it does is reads.
+// identical, across the index × queue matrix. The sampler's own timer
+// chain is subtracted out of the event accounting; everything else it
+// does is reads.
 func TestMetricsObserveOnlyBitIdentical(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.Protocol = ProtocolGossip
@@ -25,37 +24,32 @@ func TestMetricsObserveOnlyBitIdentical(t *testing.T) {
 
 	for _, index := range []radio.IndexKind{radio.IndexGrid, radio.IndexBrute} {
 		for _, queue := range []sim.QueueKind{sim.QueueQuad, sim.QueueCal} {
-			for _, sched := range []sim.SchedulerKind{sim.SchedulerSerial, sim.SchedulerSharded} {
-				name := fmt.Sprintf("%v/%v/%v", index, queue, sched)
-				c := cfg
-				c.RadioIndex, c.EventQueue, c.Scheduler = index, queue, sched
-				if sched == sim.SchedulerSharded {
-					c.Workers = 2
-				}
+			name := fmt.Sprintf("%v/%v", index, queue)
+			c := cfg
+			c.RadioIndex, c.EventQueue = index, queue
 
-				off, err := Run(c)
-				if err != nil {
-					t.Fatalf("%s off: %v", name, err)
-				}
-				// A cadence that does not divide the duration, so the
-				// final window is partial and the horizon flush runs.
-				c.MetricsWindow = 7 * time.Second
-				on, err := Run(c)
-				if err != nil {
-					t.Fatalf("%s on: %v", name, err)
-				}
+			off, err := Run(c)
+			if err != nil {
+				t.Fatalf("%s off: %v", name, err)
+			}
+			// A cadence that does not divide the duration, so the
+			// final window is partial and the horizon flush runs.
+			c.MetricsWindow = 7 * time.Second
+			on, err := Run(c)
+			if err != nil {
+				t.Fatalf("%s on: %v", name, err)
+			}
 
-				if on.Metrics == nil || len(on.Metrics.Windows) == 0 {
-					t.Fatalf("%s: sampling enabled but no windows collected", name)
-				}
-				if on.Channel == nil || on.Channel.TotalTx() == 0 {
-					t.Fatalf("%s: sampling enabled but no channel activity observed", name)
-				}
-				clean := *on
-				clean.Metrics, clean.Channel = nil, nil
-				if !reflect.DeepEqual(&clean, off) {
-					t.Fatalf("%s: sampling changed the result:\noff: %+v\non:  %+v", name, off, &clean)
-				}
+			if on.Metrics == nil || len(on.Metrics.Windows) == 0 {
+				t.Fatalf("%s: sampling enabled but no windows collected", name)
+			}
+			if on.Channel == nil || on.Channel.TotalTx() == 0 {
+				t.Fatalf("%s: sampling enabled but no channel activity observed", name)
+			}
+			clean := *on
+			clean.Metrics, clean.Channel = nil, nil
+			if !reflect.DeepEqual(&clean, off) {
+				t.Fatalf("%s: sampling changed the result:\noff: %+v\non:  %+v", name, off, &clean)
 			}
 		}
 	}
@@ -107,45 +101,5 @@ func TestMetricsSeriesShape(t *testing.T) {
 	}
 	if delivered != total {
 		t.Fatalf("windowed delivery deltas sum to %d, members received %d", delivered, total)
-	}
-}
-
-// TestShardedTraceMatchesSerial is the acceptance test for lifting the
-// serial-only trace restriction: the per-lane rings, merged in
-// barrier-replay order, must reproduce the serial kernel's single ring
-// exactly — same events, same order, same serial ranks, same totals.
-func TestShardedTraceMatchesSerial(t *testing.T) {
-	cfg := goldenConfig()
-	cfg.Protocol = ProtocolGossip
-	cfg.Seed = 5
-	cfg.TraceCapacity = 512
-	cfg.TraceKinds = []pkt.Kind{pkt.KindData, pkt.KindGossipReq, pkt.KindGossipRep}
-
-	cfg.Scheduler = sim.SchedulerSerial
-	serial, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Scheduler = sim.SchedulerSharded
-	cfg.Workers = 4
-	sharded, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if serial.Trace.Total() == 0 {
-		t.Fatal("degenerate run: no trace events recorded")
-	}
-	if got, want := sharded.Trace.Total(), serial.Trace.Total(); got != want {
-		t.Fatalf("sharded trace recorded %d events total, serial %d", got, want)
-	}
-	se, pe := serial.Trace.Events(), sharded.Trace.Events()
-	if len(se) != len(pe) {
-		t.Fatalf("sharded trace retains %d events, serial %d", len(pe), len(se))
-	}
-	for i := range se {
-		if !reflect.DeepEqual(se[i], pe[i]) {
-			t.Fatalf("trace[%d] diverged:\nserial:  %+v\nsharded: %+v", i, se[i], pe[i])
-		}
 	}
 }

@@ -151,19 +151,6 @@ type Config struct {
 	// the container/heap reference for differential testing. All kinds
 	// produce bit-identical results for the same seed.
 	EventQueue sim.QueueKind
-	// Scheduler selects the simulation kernel's execution engine. The
-	// default (sim.SchedulerSerial) is the single-threaded kernel;
-	// sim.SchedulerSharded partitions nodes into spatial shards and
-	// executes conservative lookahead windows on Workers goroutines.
-	// Both produce bit-identical results for the same seed.
-	Scheduler sim.SchedulerKind
-	// Workers bounds the goroutines the sharded scheduler uses (<= 0
-	// means one). Results are bit-identical for any worker count.
-	Workers int
-	// Shards is the sharded scheduler's spatial lane count (<= 0 means
-	// DefaultShards). Results are bit-identical for any shard count;
-	// shards only set the grain of available parallelism.
-	Shards int
 	// MinSpeed/MaxSpeed bound random-waypoint speeds (m/s).
 	MinSpeed, MaxSpeed float64
 	// MaxPause bounds the waypoint rest period (80 s in the paper).
@@ -279,15 +266,15 @@ func (c Config) Validate() error {
 	if _, _, err := stack.Resolve(c.Spec()); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
+	// The negated float comparisons also reject NaN (NaN > 0 is false),
+	// which a plain `<= 0` would let through.
 	switch {
 	case c.Nodes < 2:
 		return fmt.Errorf("scenario: need at least 2 nodes, have %d", c.Nodes)
-	case c.MemberFraction <= 0 || c.MemberFraction > 1:
+	case !(c.MemberFraction > 0) || c.MemberFraction > 1:
 		return fmt.Errorf("scenario: member fraction %v out of (0,1]", c.MemberFraction)
-	case c.TxRange <= 0:
-		return fmt.Errorf("scenario: non-positive transmission range %v", c.TxRange)
-	// The negated comparisons also reject NaN dimensions (NaN > 0 is
-	// false), which a plain `<= 0` would let through.
+	case !(c.TxRange > 0) || math.IsInf(c.TxRange, 1):
+		return fmt.Errorf("scenario: transmission range %v is not positive and finite", c.TxRange)
 	case !(c.Area.W > 0) || !(c.Area.H > 0) || math.IsInf(c.Area.W, 1) || math.IsInf(c.Area.H, 1):
 		return fmt.Errorf("scenario: degenerate area %+v", c.Area)
 	case c.Duration <= 0:
@@ -298,33 +285,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: unknown event queue kind %d (registered: %s)", int(c.EventQueue), sim.QueueNames())
 	case c.RxModel != radio.ModelBatch && c.RxModel != radio.ModelRef:
 		return fmt.Errorf("scenario: unknown reception model %d", int(c.RxModel))
-	case c.Scheduler != sim.SchedulerSerial && c.Scheduler != sim.SchedulerSharded:
-		return fmt.Errorf("scenario: unknown scheduler kind %d (registered: %s)", int(c.Scheduler), sim.SchedulerNames())
 	case c.MetricsWindow < 0:
 		return fmt.Errorf("scenario: negative metrics window %v", c.MetricsWindow)
 	}
 	return nil
-}
-
-// DefaultShards is the sharded scheduler's lane count when Config.
-// Shards is unset. It is fixed — independent of worker count and CPU
-// count — so a configuration names one exact run everywhere.
-const DefaultShards = 8
-
-// effShards returns the effective shard count.
-func (c Config) effShards() int {
-	if c.Shards > 0 {
-		return c.Shards
-	}
-	return DefaultShards
-}
-
-// effWorkers returns the effective worker count.
-func (c Config) effWorkers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return 1
 }
 
 // MemberResult reports one non-source member's outcome.
@@ -434,11 +398,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if w.coord != nil {
-		w.coord.Run(cfg.Duration)
-	} else {
-		w.sched.Run(cfg.Duration)
-	}
+	w.sched.Run(cfg.Duration)
 	res := w.collect()
 	if cfg.MeasureHeap {
 		runtime.GC() // settle garbage so the sample is live bytes
@@ -454,13 +414,9 @@ func Run(cfg Config) (*Result, error) {
 
 // world is one assembled simulation.
 type world struct {
-	cfg  Config
-	spec stack.Spec
-	// sched is the build-time and cross-node scheduler: the serial
-	// kernel, or the sharded coordinator's global lane.
-	sched *sim.Scheduler
-	// coord is the sharded coordinator, nil under the serial kernel.
-	coord  *sim.Sharded
+	cfg    Config
+	spec   stack.Spec
+	sched  *sim.Scheduler
 	medium *radio.Medium
 
 	// rts are the per-node simulation runtimes (the runtime/simrt side
@@ -475,14 +431,8 @@ type world struct {
 	isSource  map[int]bool
 	sent      int
 	sentAt    map[pkt.SeqKey]sim.Time
-	// tracer is the serial kernel's single trace ring. Under the sharded
-	// kernel each lane records into its own ring (window execution) plus
-	// one shared solo ring (sweep/solo execution, which is
-	// coordinator-serial by construction); collect merges them back into
-	// serial order by the ExecRank stamps.
-	tracer    *trace.Ring
-	laneRings []*trace.Ring
-	soloRing  *trace.Ring
+	// tracer is the packet trace ring, nil unless Config.TraceCapacity > 0.
+	tracer *trace.Ring
 	// chm accumulates per-layer channel occupancy across all MACs;
 	// sampler turns it (plus the other cumulative counters) into the
 	// windowed series. Both nil unless Config.MetricsWindow > 0.
@@ -500,20 +450,7 @@ func build(cfg Config) (*world, error) {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 
-	w := &world{cfg: cfg, spec: spec}
-	if cfg.Scheduler == sim.SchedulerSharded {
-		w.coord = sim.NewSharded(sim.ShardedConfig{
-			Queue:   cfg.EventQueue,
-			Shards:  cfg.effShards(),
-			Workers: cfg.effWorkers(),
-			// Lookahead: no event can start a transmission sooner than
-			// the MAC's minimum arming delay (DESIGN.md §7).
-			Lookahead: cfg.MAC.MinTxDelay(),
-		})
-		w.sched = w.coord.Global()
-	} else {
-		w.sched = sim.NewSchedulerQueue(cfg.EventQueue)
-	}
+	w := &world{cfg: cfg, spec: spec, sched: sim.NewSchedulerQueue(cfg.EventQueue)}
 	w.medium = radio.NewMedium(w.sched, radio.Params{
 		Range: cfg.TxRange, Index: cfg.RadioIndex, Model: cfg.RxModel,
 	})
@@ -527,29 +464,9 @@ func build(cfg Config) (*world, error) {
 	}
 
 	if cfg.TraceCapacity > 0 {
-		newRing := func() *trace.Ring {
-			r := trace.NewRing(cfg.TraceCapacity)
-			if len(cfg.TraceKinds) > 0 {
-				r.SetFilter(trace.KindFilter(cfg.TraceKinds...))
-			}
-			return r
-		}
-		if w.coord == nil {
-			w.tracer = newRing()
-		} else {
-			// One ring per lane plus a solo ring; each lane ring is as
-			// large as the merged capacity so no lane evicts events the
-			// merged last-capacity window would retain. Window-recorded
-			// events may carry provisional ranks until the barrier
-			// resolves them.
-			w.laneRings = make([]*trace.Ring, w.coord.NumShards())
-			for i := range w.laneRings {
-				w.laneRings[i] = newRing()
-			}
-			w.soloRing = newRing()
-			w.coord.OnBarrier(func(lane int, resolve func(uint64) uint64) {
-				w.laneRings[lane].Resolve(resolve)
-			})
+		w.tracer = trace.NewRing(cfg.TraceCapacity)
+		if len(cfg.TraceKinds) > 0 {
+			w.tracer.SetFilter(trace.KindFilter(cfg.TraceKinds...))
 		}
 	}
 	if cfg.MetricsWindow > 0 {
@@ -567,18 +484,7 @@ func build(cfg Config) (*world, error) {
 	for i := 0; i < cfg.Nodes; i++ {
 		id := pkt.NodeID(i + 1)
 		mob := mobility.NewWaypoint(mobCfg, root.Derive(fmt.Sprintf("mob/%d", i)))
-		nodeSched := w.sched
-		lane := -1
-		if w.coord != nil {
-			// Spatial stripes over the initial positions. Any static
-			// partition is bit-identical (correctness comes from shard
-			// ownership, not geometry); striping just keeps nearby nodes
-			// — whose events cluster at the same instants — on the same
-			// lane for load balance.
-			lane = stripeShard(mob.Position(0).X, cfg.Area.W, w.coord.NumShards())
-			nodeSched = w.coord.Shard(lane)
-		}
-		rt, err := simrt.New(nodeSched, root.Derive(fmt.Sprintf("stack/%d", i)), w.medium, id, mob, cfg.MAC)
+		rt, err := simrt.New(w.sched, root.Derive(fmt.Sprintf("stack/%d", i)), w.medium, id, mob, cfg.MAC)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
@@ -588,27 +494,7 @@ func build(cfg Config) (*world, error) {
 		}
 		st := node.NewOnRuntime(rt)
 		if w.tracer != nil {
-			ring, ls := w.tracer, nodeSched
-			st.SetTracer(func(e trace.Event) {
-				e.Seq = ls.ExecRank()
-				ring.Record(e)
-			})
-		} else if w.laneRings != nil {
-			// Record into the node's own lane ring during window
-			// execution (lane-exclusive) and into the shared solo ring
-			// otherwise (coordinator-serial). Records that tie on
-			// (At, Seq) — one fired event tracing several operations —
-			// always land in the same ring, which is what lets
-			// MergeRings restore the exact serial order.
-			ring, ls := w.laneRings[lane], nodeSched
-			st.SetTracer(func(e trace.Event) {
-				e.Seq = ls.ExecRank()
-				if w.coord.InWindow() {
-					ring.Record(e)
-				} else {
-					w.soloRing.Record(e)
-				}
-			})
+			st.SetTracer(w.tracer.Record)
 		}
 		w.rts = append(w.rts, rt)
 		w.stacks = append(w.stacks, st)
@@ -684,12 +570,11 @@ func build(cfg Config) (*world, error) {
 		}
 	}
 
-	// Sampler timer chain on the global lane: every tick runs solo, so
-	// the snapshot may read cross-node and medium state. The chain ends
-	// with a tick exactly at the horizon (events at the horizon still
-	// fire), closing the final — possibly partial — window; every
-	// scheduled tick fires, so Sampler.Fired equals the chain's
-	// processed-event contribution and collect can subtract it exactly.
+	// Sampler timer chain. It ends with a tick exactly at the horizon
+	// (events at the horizon still fire), closing the final — possibly
+	// partial — window; every scheduled tick fires, so Sampler.Fired
+	// equals the chain's processed-event contribution and collect can
+	// subtract it exactly.
 	if cfg.MetricsWindow > 0 {
 		w.sampler = metrics.NewSampler(cfg.MetricsWindow, w.snapshot)
 		var tick func()
@@ -714,9 +599,8 @@ func build(cfg Config) (*world, error) {
 	return w, nil
 }
 
-// snapshot reads the run's cumulative telemetry counters. It runs solo
-// on the global lane (the sampler's timer chain), so cross-node and
-// medium state are safe to read; it mutates nothing.
+// snapshot reads the run's cumulative telemetry counters from the
+// sampler's timer chain; it mutates nothing.
 func (w *world) snapshot() metrics.Snapshot {
 	var s metrics.Snapshot
 	s.AirtimeByLayer = w.chm.AirtimeByLayer
@@ -745,18 +629,6 @@ func (w *world) snapshot() metrics.Snapshot {
 		} else {
 			s.DataDelivered += w.routing[idx].Delivered()
 		}
-	}
-	return s
-}
-
-// stripeShard maps an x coordinate onto one of n vertical stripes.
-func stripeShard(x, width float64, n int) int {
-	s := int(x / width * float64(n))
-	if s < 0 {
-		s = 0
-	}
-	if s >= n {
-		s = n - 1
 	}
 	return s
 }
@@ -800,10 +672,6 @@ func (w *world) sendData(idx int) {
 func (w *world) collect() *Result {
 	processed := w.sched.Processed()
 	elided := w.sched.Elided()
-	if w.coord != nil {
-		processed = w.coord.Processed()
-		elided = w.coord.Elided()
-	}
 	// The sampler's timer chain is real scheduler events, but it is
 	// measurement, not simulation: subtracting its fired count keeps
 	// Events bit-identical with sampling on or off.
@@ -817,7 +685,7 @@ func (w *world) collect() *Result {
 	// without firing them (the folded countdown, DESIGN.md §10); adding
 	// every elided count keeps the metric — and the golden digests
 	// pinned on it — identical across reception models, indexes,
-	// queues, schedulers and fold settings.
+	// queues and fold settings.
 	radioElided := w.medium.ElidedEvents()
 	var macElided uint64
 	for _, rt := range w.rts {
@@ -836,9 +704,6 @@ func (w *world) collect() *Result {
 		ElidedMAC:       macElided,
 		MeanDegree:      w.medium.MeanDegree(),
 		Trace:           w.tracer,
-	}
-	if w.laneRings != nil {
-		res.Trace = trace.MergeRings(w.cfg.TraceCapacity, append(append([]*trace.Ring{}, w.laneRings...), w.soloRing)...)
 	}
 	if w.sampler != nil {
 		series := w.sampler.Series()

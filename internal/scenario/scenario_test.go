@@ -1,8 +1,12 @@
 package scenario
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
+
+	"anongossip/internal/sim"
 )
 
 // shortConfig is a trimmed run (120 s, 25 nodes) for fast tests.
@@ -42,7 +46,10 @@ func TestConfigValidate(t *testing.T) {
 		{"bad protocol", func(c *Config) { c.Protocol = 0 }},
 		{"one node", func(c *Config) { c.Nodes = 1 }},
 		{"zero member fraction", func(c *Config) { c.MemberFraction = 0 }},
+		{"nan member fraction", func(c *Config) { c.MemberFraction = math.NaN() }},
 		{"negative range", func(c *Config) { c.TxRange = -1 }},
+		{"nan range", func(c *Config) { c.TxRange = math.NaN() }},
+		{"inf range", func(c *Config) { c.TxRange = math.Inf(1) }},
 		{"degenerate area", func(c *Config) { c.Area.W = 0 }},
 		{"zero duration", func(c *Config) { c.Duration = 0 }},
 		{"data window past end", func(c *Config) { c.DataEnd = c.Duration + time.Second }},
@@ -58,6 +65,31 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatal("Run accepted invalid config")
 			}
 		})
+	}
+}
+
+// TestValidateQueueAxis pins the config surface of the event-queue
+// axis: unknown kinds are rejected with every registered name in the
+// message, and each registered kind validates cleanly.
+func TestValidateQueueAxis(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.EventQueue = sim.QueueKind(99)
+	err := cfg.Validate()
+	if err == nil {
+		t.Fatal("unknown queue kind accepted")
+	}
+	for _, name := range []string{"quad", "cal", "ref"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("error %q does not list registered kind %q", err, name)
+		}
+	}
+
+	for _, kind := range []sim.QueueKind{sim.QueueQuad, sim.QueueCal, sim.QueueRef} {
+		cfg = DefaultConfig()
+		cfg.EventQueue = kind
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("queue kind %v rejected: %v", kind, err)
+		}
 	}
 }
 

@@ -47,8 +47,7 @@ func (k QueueKind) String() string {
 }
 
 // QueueNames lists the registered queue kinds as ParseQueueKind spells
-// them, for flag help text and validation errors (the same convention
-// as SchedulerNames).
+// them, for flag help text and validation errors.
 func QueueNames() string {
 	return QueueQuad.String() + ", " + QueueCal.String() + ", " + QueueRef.String()
 }

@@ -64,21 +64,8 @@ type slot struct {
 	// gen is 64-bit so it cannot wrap within any feasible run: a
 	// wrapped stamp would let an ancient stale handle alias the slot's
 	// live occupant.
-	gen uint64
-	// rank is the event's position in the serial total order. Under the
-	// serial scheduler it simply mirrors the queue key's seq. Under the
-	// sharded scheduler it is the ground truth the coordinator merges
-	// lanes by: events scheduled inside a parallel window carry
-	// rankPending until the window barrier replays the serial
-	// allocation order and assigns exact ranks (see shard.go).
-	rank  uint64
+	gen   uint64
 	state slotState
-	// global marks events routed through the sharded coordinator's
-	// cross-shard queue rather than the owning lane's local heap (always
-	// false under the serial scheduler). Cancelling such an event must
-	// not trigger local-heap compaction: its queue entry is not in the
-	// local heap, so compaction could never reclaim it.
-	global bool
 }
 
 // Timer is a handle for a scheduled event: a pool index plus the
@@ -135,11 +122,6 @@ func (t Timer) Cancel() {
 	}
 	sl.state = slotCancelled
 	sl.fn = nil // release captured state promptly
-	if sl.global {
-		// The entry rides in the coordinator's cross-shard queue and is
-		// reclaimed when popped there; local compaction cannot reach it.
-		return
-	}
 	t.s.noteCancelled()
 }
 
@@ -230,19 +212,6 @@ type Scheduler struct {
 	// cancelled counts slots in the queue whose Cancel ran; Pending
 	// subtracts it and compact drops them.
 	cancelled int
-
-	// curRank is the serial rank of the event currently executing — the
-	// position it holds (or will hold) in the serial total order. The
-	// serial kernel sets it to the popped entry's seq before firing;
-	// the sharded kernel's execution paths maintain it per lane (see
-	// ExecRank for the provisional-rank case inside parallel windows).
-	curRank uint64
-
-	// shard is non-nil when this scheduler is one lane of a Sharded
-	// coordinator (a per-region lane, or the coordinator's global lane).
-	// It reroutes At/AfterEmit through the coordinator's ordering
-	// machinery; see shard.go. Nil for ordinary serial schedulers.
-	shard *shardCtx
 }
 
 // NewScheduler returns a scheduler positioned at time zero, using the
@@ -294,12 +263,6 @@ func (s *Scheduler) NextAt() (Time, bool) {
 func (s *Scheduler) noteCancelled() {
 	s.cancelled++
 	if s.cancelled >= 64 && s.cancelled > s.q.len()/2 {
-		// During a parallel window the barrier replay still references
-		// this window's slots by generation; defer compaction until the
-		// lane is back under coordinator control.
-		if s.shard != nil && s.shard.coord.inWindow {
-			return
-		}
 		s.compact()
 	}
 }
@@ -345,45 +308,14 @@ func (s *Scheduler) At(t Time, fn func()) Timer {
 	if t < s.now {
 		t = s.now
 	}
-	if s.shard != nil {
-		return s.shard.at(s, t, fn, false)
-	}
 	idx := s.alloc(fn, t)
-	s.pool[idx].rank = s.seq
 	s.q.push(event{at: t, seq: s.seq, slot: idx})
 	s.seq++
 	return Timer{s: s, slot: idx, gen: s.pool[idx].gen}
 }
 
-// AfterEmit schedules fn like After, with a contract the sharded
-// scheduler depends on: the callback may touch state shared across
-// nodes — start a radio transmission, mutate the medium — where a
-// callback scheduled with plain After/At may only touch its own node's
-// state (and schedule further events). Under the serial scheduler the
-// two are identical. Under the sharded scheduler, AfterEmit events are
-// routed through the coordinator's global queue and executed solo,
-// which is what lets every other event run inside a parallel window;
-// the delay must be at least the coordinator's lookahead bound (the
-// MAC's minimum transmit arming delay guarantees this).
-func (s *Scheduler) AfterEmit(d Time, fn func()) Timer {
-	if s.shard == nil {
-		return s.After(d, fn)
-	}
-	if fn == nil {
-		panic("sim: AfterEmit called with nil callback")
-	}
-	if d < 0 {
-		d = 0
-	}
-	t := s.now + d
-	if t < s.now { // overflow: saturate, don't wrap into the past
-		t = Time(math.MaxInt64)
-	}
-	return s.shard.at(s, t, fn, true)
-}
-
 // alloc claims a pool slot for a pending event, recycling from the free
-// list when possible. The caller fills in rank and enqueues the entry.
+// list when possible. The caller enqueues the entry.
 func (s *Scheduler) alloc(fn func(), t Time) int32 {
 	var idx int32
 	if n := len(s.free); n > 0 {
@@ -393,7 +325,6 @@ func (s *Scheduler) alloc(fn func(), t Time) int32 {
 		sl.gen++ // invalidate handles from the previous lifecycle
 		sl.fn, sl.at, sl.state = fn, t, slotPending
 		sl.next = 0
-		sl.global = false
 	} else {
 		idx = int32(len(s.pool))
 		s.pool = append(s.pool, slot{fn: fn, at: t, state: slotPending})
@@ -416,12 +347,10 @@ func (s *Scheduler) fire(e event) func() {
 
 // repost re-enqueues a popped-but-postponed timer at its lazy target,
 // allocating the insertion sequence the hop's re-arm would have
-// consumed at exactly this position in the order (serial scheduler
-// only; the sharded lanes have their own repost paths in shard.go).
+// consumed at exactly this position in the order.
 func (s *Scheduler) repost(e event) {
 	sl := &s.pool[e.slot]
 	sl.at = sl.next
-	sl.rank = s.seq
 	s.q.push(event{at: sl.next, seq: s.seq, slot: e.slot})
 	s.seq++
 	s.elided++
@@ -435,9 +364,6 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // executed event, or at `until` if the queue drained earlier events only.
 // It reports the number of events executed by this call.
 func (s *Scheduler) Run(until Time) uint64 {
-	if s.shard != nil {
-		panic("sim: Run called on a sharded lane; drive the run through Sharded.Run")
-	}
 	var n uint64
 	s.stopped = false
 	for s.q.len() > 0 && !s.stopped {
@@ -455,7 +381,6 @@ func (s *Scheduler) Run(until Time) uint64 {
 			s.repost(e)
 			continue
 		}
-		s.curRank = e.seq
 		s.fire(e)()
 		s.processed++
 		n++
@@ -470,9 +395,6 @@ func (s *Scheduler) Run(until Time) uint64 {
 // It reports the number executed and whether the queue drained completely.
 // It is intended for tests; simulations should use Run with a horizon.
 func (s *Scheduler) RunAll(maxEvents uint64) (uint64, bool) {
-	if s.shard != nil {
-		panic("sim: RunAll called on a sharded lane; drive the run through Sharded.Run")
-	}
 	var n uint64
 	s.stopped = false
 	for s.q.len() > 0 && n < maxEvents && !s.stopped {
@@ -488,34 +410,9 @@ func (s *Scheduler) RunAll(maxEvents uint64) (uint64, bool) {
 			n++ // an elided hop still counts against the event budget
 			continue
 		}
-		s.curRank = e.seq
 		s.fire(e)()
 		s.processed++
 		n++
 	}
 	return n, s.q.len() == 0
-}
-
-// ExecRank identifies the event currently executing by its serial
-// rank: the position the event holds in the total order both kernels
-// execute. Observers (the packet tracer) stamp recorded facts with it
-// so records from different sharded lanes can be merged back into
-// exact serial order.
-//
-// Inside a parallel window, an event that was also *scheduled* inside
-// the window does not know its exact rank yet — the window barrier
-// assigns it afterwards. For those, ExecRank returns a provisional
-// value with the top bit set (RankIsProvisional reports it); the
-// coordinator's barrier hook (Sharded.OnBarrier) supplies the
-// resolver that maps provisional values to the exact ranks, once per
-// window, before any merge can observe them.
-func (s *Scheduler) ExecRank() uint64 {
-	if s.shard != nil {
-		c := s.shard.coord
-		if c.inWindow {
-			return s.curRank
-		}
-		return c.curRank
-	}
-	return s.curRank
 }

@@ -8,7 +8,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"anongossip/internal/pkt"
@@ -54,13 +53,6 @@ type Event struct {
 	// previous hop for deliveries.
 	Peer pkt.NodeID
 	Size int
-	// Seq is the serial rank of the simulation event that produced this
-	// record (Scheduler.ExecRank). Under the sharded kernel each lane
-	// records into its own ring and MergeRings restores the exact serial
-	// order by (At, Seq); records written inside a parallel window may
-	// briefly hold a provisional value until the ring's Resolve runs at
-	// the window barrier.
-	Seq uint64
 }
 
 // String formats the event as one trace line.
@@ -70,21 +62,14 @@ func (e Event) String() string {
 }
 
 // Ring is a bounded in-memory trace. The zero value is unusable; create
-// with NewRing.
-//
-// A ring is single-owner: under the sharded scheduler each lane gets
-// its own ring (plus one for solo execution), with ownership handed
-// between worker and coordinator at the window barrier — the same
-// happens-before discipline as the lane schedulers themselves.
+// with NewRing. Events are kept in record order, which is the
+// simulation's execution order.
 type Ring struct {
 	events []Event
 	next   int
 	full   bool
 	total  uint64
 	filter func(Event) bool
-	// pending indexes slots holding provisional Seq values recorded
-	// during the current parallel window; Resolve patches them.
-	pending []int
 }
 
 // NewRing creates a trace holding the last capacity events.
@@ -104,30 +89,12 @@ func (r *Ring) Record(e Event) {
 	if r.filter != nil && !r.filter(e) {
 		return
 	}
-	if sim.RankIsProvisional(e.Seq) {
-		r.pending = append(r.pending, r.next)
-	}
 	r.total++
 	r.events[r.next] = e
 	r.next = (r.next + 1) % len(r.events)
 	if r.next == 0 {
 		r.full = true
 	}
-}
-
-// Resolve patches the provisional Seq values recorded since the last
-// Resolve, using the rank resolver the scheduler's window barrier
-// provides (Sharded.OnBarrier). Entries evicted by ring wrap-around in
-// the meantime are skipped via the provisional-bit guard: an index may
-// appear twice in pending, and only its latest occupant still carries
-// the bit.
-func (r *Ring) Resolve(resolve func(uint64) uint64) {
-	for _, i := range r.pending {
-		if sim.RankIsProvisional(r.events[i].Seq) {
-			r.events[i].Seq = resolve(r.events[i].Seq)
-		}
-	}
-	r.pending = r.pending[:0]
 }
 
 // Total returns the number of events recorded (including evicted ones).
@@ -159,51 +126,6 @@ func (r *Ring) Dump(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// MergeRings combines per-lane rings into the trace an equivalent
-// serial run's single ring would hold: all retained events, in serial
-// execution order, truncated to the last capacity entries.
-//
-// Ordering: records sort by (At, Seq) — the serial total order of the
-// simulation events that produced them. Records that tie on both (one
-// fired event tracing several packet operations, e.g. a radio finish
-// delivering to many nodes) always live in the *same* source ring —
-// window execution traces only into the firing lane's ring, solo
-// execution only into the solo ring — so the stable sort preserves
-// their within-ring recording order, which is the serial order.
-//
-// Completeness: each lane ring's capacity equals the merged capacity,
-// so every lane retains at least its own contribution to the global
-// last-capacity window; nothing the serial ring would hold has been
-// evicted.
-func MergeRings(capacity int, rings ...*Ring) *Ring {
-	merged := NewRing(capacity)
-	var all []Event
-	for _, r := range rings {
-		if r == nil {
-			continue
-		}
-		all = append(all, r.Events()...)
-		merged.total += r.total
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].At != all[j].At {
-			return all[i].At < all[j].At
-		}
-		return all[i].Seq < all[j].Seq
-	})
-	if len(all) > capacity {
-		all = all[len(all)-capacity:]
-	}
-	for _, e := range all {
-		merged.events[merged.next] = e
-		merged.next = (merged.next + 1) % len(merged.events)
-		if merged.next == 0 {
-			merged.full = true
-		}
-	}
-	return merged
 }
 
 // KindFilter returns a filter accepting only the listed kinds.
