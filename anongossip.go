@@ -47,9 +47,7 @@ import (
 	"io"
 	"time"
 
-	"anongossip/internal/radio"
 	"anongossip/internal/scenario"
-	"anongossip/internal/sim"
 	"anongossip/internal/stack"
 )
 
@@ -139,63 +137,6 @@ func RunComparison(base Config, xs []float64, apply func(Config, float64) Config
 
 // Seeds returns the canonical seed list {1..n}.
 func Seeds(n int) []int64 { return scenario.Seeds(n) }
-
-// IndexKind selects the radio's neighbour lookup strategy (see
-// Config.RadioIndex). The grid keeps radio events O(local degree); the
-// brute-force scan is the O(N) reference. Both produce bit-identical
-// results for the same seed.
-type IndexKind = radio.IndexKind
-
-// Neighbour index strategies.
-const (
-	// IndexGrid (the default) backs the medium with a spatial hash.
-	IndexGrid = radio.IndexGrid
-	// IndexBrute scans every transceiver, kept for differential testing.
-	IndexBrute = radio.IndexBrute
-)
-
-// ReceptionModel selects the radio's reception bookkeeping (see
-// Config.RxModel). The batched model schedules one finish event per
-// transmission over a pooled per-frame receiver table; the reference
-// model schedules one event per receiver and is kept for differential
-// testing. Both produce bit-identical results for the same seed.
-type ReceptionModel = radio.ReceptionModel
-
-// Reception models.
-const (
-	// ModelBatch (the default) batches each frame's receptions into a
-	// single finish event.
-	ModelBatch = radio.ModelBatch
-	// ModelRef is the original per-receiver reception path.
-	ModelRef = radio.ModelRef
-)
-
-// QueueKind selects the simulation kernel's event-queue implementation
-// (see Config.EventQueue). The pooled 4-ary heap is allocation-free on
-// the push/pop path; the calendar/bucket queue turns the clustered
-// timestamps of 10k+-node runs into O(1) operations; the
-// container/heap reference is kept for differential testing. All kinds
-// produce bit-identical results for the same seed.
-type QueueKind = sim.QueueKind
-
-// Event-queue implementations.
-const (
-	// QueueQuad (the default) is the pooled, indexed 4-ary min-heap.
-	QueueQuad = sim.QueueQuad
-	// QueueCal is the self-resizing calendar/bucket queue.
-	QueueCal = sim.QueueCal
-	// QueueRef is the original container/heap binary heap.
-	QueueRef = sim.QueueRef
-)
-
-// QueueNames lists the registered event-queue kinds as ParseQueueKind
-// spells them.
-func QueueNames() string { return sim.QueueNames() }
-
-// ParseQueueKind resolves a -queue flag value ("quad", "cal", "ref")
-// to a QueueKind; the error of an unknown name enumerates the
-// registered kinds.
-func ParseQueueKind(name string) (QueueKind, error) { return sim.ParseQueueKind(name) }
 
 // LargeScaleXs returns the node counts of the large-scale experiment
 // family (100..1000 nodes at constant density; see EXPERIMENTS.md §L).

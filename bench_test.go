@@ -18,9 +18,7 @@ import (
 
 	"anongossip"
 	"anongossip/internal/gossip"
-	"anongossip/internal/radio"
 	"anongossip/internal/scenario"
-	"anongossip/internal/sim"
 )
 
 func benchSeeds() []int64 {
@@ -255,20 +253,11 @@ func BenchmarkSingleRun(b *testing.B) {
 
 // --- large-scale family (beyond the paper; see EXPERIMENTS.md §L) ---
 
-// benchLargeScale runs one large-scale simulation per iteration with
-// the chosen neighbour index, event queue and reception model. The
-// grid/brute, quad/ref and batch/ref pairs at the same node count
-// execute bit-identical event schedules (asserted by the scenario
-// tests), so their ns/op differences isolate the index's, the queue's
-// and the reception path's costs: simulator performance, not a
-// protocol result.
-func benchLargeScale(b *testing.B, nodes int, kind radio.IndexKind, queue sim.QueueKind,
-	model radio.ReceptionModel, duration time.Duration) {
+// benchScenario runs cfg once per iteration, a fresh seed each time,
+// and reports the run's size next to ns/op: simulator performance, not
+// a protocol result.
+func benchScenario(b *testing.B, cfg scenario.Config) {
 	b.Helper()
-	cfg := scenario.ShortenedData(scenario.LargeScaleConfig(nodes), duration)
-	cfg.RadioIndex = kind
-	cfg.EventQueue = queue
-	cfg.RxModel = model
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
 		res, err := scenario.Run(cfg)
@@ -281,103 +270,33 @@ func benchLargeScale(b *testing.B, nodes int, kind radio.IndexKind, queue sim.Qu
 	}
 }
 
-// BenchmarkLargeScale250Grid vs BenchmarkLargeScale250Brute is the
-// headline speedup comparison at the refactor's acceptance point
-// (≥250 nodes); the 500- and 1000-node pairs show the gap widening as
-// the brute-force O(N) scans fall further behind the grid's O(degree)
-// queries.
-func BenchmarkLargeScale250Grid(b *testing.B) {
-	benchLargeScale(b, 250, radio.IndexGrid, sim.QueueQuad, radio.ModelBatch, 60*time.Second)
-}
-func BenchmarkLargeScale250Brute(b *testing.B) {
-	benchLargeScale(b, 250, radio.IndexBrute, sim.QueueQuad, radio.ModelBatch, 60*time.Second)
-}
-func BenchmarkLargeScale500Grid(b *testing.B) {
-	benchLargeScale(b, 500, radio.IndexGrid, sim.QueueQuad, radio.ModelBatch, 45*time.Second)
-}
-func BenchmarkLargeScale500Brute(b *testing.B) {
-	benchLargeScale(b, 500, radio.IndexBrute, sim.QueueQuad, radio.ModelBatch, 45*time.Second)
-}
-func BenchmarkLargeScale1000Grid(b *testing.B) {
-	benchLargeScale(b, 1000, radio.IndexGrid, sim.QueueQuad, radio.ModelBatch, 30*time.Second)
-}
-func BenchmarkLargeScale1000Brute(b *testing.B) {
-	benchLargeScale(b, 1000, radio.IndexBrute, sim.QueueQuad, radio.ModelBatch, 30*time.Second)
+func benchLargeScale(b *testing.B, nodes int, duration time.Duration) {
+	b.Helper()
+	benchScenario(b, scenario.ShortenedData(scenario.LargeScaleConfig(nodes), duration))
 }
 
-// The QueueRef variants rerun the grid benchmarks with the
-// container/heap event queue: the gap against the matching Grid
-// benchmark above isolates the event-queue refactor's end-to-end win
-// on bit-identical workloads.
-func BenchmarkLargeScale250GridQueueRef(b *testing.B) {
-	benchLargeScale(b, 250, radio.IndexGrid, sim.QueueRef, radio.ModelBatch, 60*time.Second)
-}
-func BenchmarkLargeScale500GridQueueRef(b *testing.B) {
-	benchLargeScale(b, 500, radio.IndexGrid, sim.QueueRef, radio.ModelBatch, 45*time.Second)
-}
-func BenchmarkLargeScale1000GridQueueRef(b *testing.B) {
-	benchLargeScale(b, 1000, radio.IndexGrid, sim.QueueRef, radio.ModelBatch, 30*time.Second)
-}
+func BenchmarkLargeScale250Grid(b *testing.B)  { benchLargeScale(b, 250, 60*time.Second) }
+func BenchmarkLargeScale500Grid(b *testing.B)  { benchLargeScale(b, 500, 45*time.Second) }
+func BenchmarkLargeScale1000Grid(b *testing.B) { benchLargeScale(b, 1000, 30*time.Second) }
 
-// The 10k-node pair is the PR 7 acceptance point (DESIGN.md §8,
-// EXPERIMENTS.md §Q, BENCH_PR7.json): the QueueCal variant reruns the
-// same bit-identical workload on the calendar/bucket queue. Each
-// iteration simulates ~66M events, so run these with -benchtime=1x;
-// they exist for explicit before/after profiling, not for CI timing.
-func BenchmarkLargeScale10000Grid(b *testing.B) {
-	benchLargeScale(b, 10000, radio.IndexGrid, sim.QueueQuad, radio.ModelBatch, 10*time.Second)
-}
-func BenchmarkLargeScale10000GridQueueCal(b *testing.B) {
-	benchLargeScale(b, 10000, radio.IndexGrid, sim.QueueCal, radio.ModelBatch, 10*time.Second)
-}
-
-// The RxRef variants rerun the grid benchmarks with the per-receiver
-// reference reception path: the gap against the matching Grid benchmark
-// isolates the batched reception refactor's end-to-end win on
-// bit-identical workloads.
-func BenchmarkLargeScale250GridRxRef(b *testing.B) {
-	benchLargeScale(b, 250, radio.IndexGrid, sim.QueueQuad, radio.ModelRef, 60*time.Second)
-}
-func BenchmarkLargeScale1000GridRxRef(b *testing.B) {
-	benchLargeScale(b, 1000, radio.IndexGrid, sim.QueueQuad, radio.ModelRef, 30*time.Second)
-}
+// The 10k-node point simulates ~66M events per iteration, so run it
+// with -benchtime=1x; it exists for explicit before/after profiling,
+// not for CI timing.
+func BenchmarkLargeScale10000Grid(b *testing.B) { benchLargeScale(b, 10000, 10*time.Second) }
 
 // --- dense-traffic family (beyond the paper; see EXPERIMENTS.md §D) ---
 
 // benchDense runs one dense-traffic simulation per iteration: tens of
 // neighbours per node and five concurrent senders put many frames in
 // every neighbourhood, the regime where reception bookkeeping
-// dominates. Batch/RxRef pairs execute bit-identical schedules
-// (TestDenseRxModelBitIdentical), so the ratio isolates the reception
-// path.
-func benchDense(b *testing.B, nodes int, degree float64, model radio.ReceptionModel, duration time.Duration) {
+// dominates.
+func benchDense(b *testing.B, nodes int, degree float64, duration time.Duration) {
 	b.Helper()
-	cfg := scenario.ShortenedData(scenario.DenseConfig(nodes, degree), duration)
-	cfg.RxModel = model
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		res, err := scenario.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Events), "events")
-		b.ReportMetric(100*res.DeliveryRatio(), "delivery_%")
-		b.ReportMetric(res.MeanDegree, "degree")
-	}
+	benchScenario(b, scenario.ShortenedData(scenario.DenseConfig(nodes, degree), duration))
 }
 
-func BenchmarkDense250Deg40(b *testing.B) {
-	benchDense(b, 250, 40, radio.ModelBatch, 30*time.Second)
-}
-func BenchmarkDense250Deg40RxRef(b *testing.B) {
-	benchDense(b, 250, 40, radio.ModelRef, 30*time.Second)
-}
-func BenchmarkDense500Deg60(b *testing.B) {
-	benchDense(b, 500, 60, radio.ModelBatch, 20*time.Second)
-}
-func BenchmarkDense500Deg60RxRef(b *testing.B) {
-	benchDense(b, 500, 60, radio.ModelRef, 20*time.Second)
-}
+func BenchmarkDense250Deg40(b *testing.B) { benchDense(b, 250, 40, 30*time.Second) }
+func BenchmarkDense500Deg60(b *testing.B) { benchDense(b, 500, 60, 20*time.Second) }
 
 // BenchmarkLargeScaleDelivery prints the delivery table for the family
 // (Gossip vs MAODV), the scale analogue of the paper's Fig. 6. The

@@ -27,17 +27,12 @@
 // cap the sweeps with -large-max / -dense-max / -huge-max for
 // previews.
 //
-// Three flags switch simulator internals on bit-identical workloads —
-// only wall time changes: -index (radio neighbour index: spatial grid
-// vs brute-force scan), -queue (kernel event queue: pooled 4-ary heap
-// vs container/heap reference) and -rxmodel (radio reception path:
-// batched per-frame receiver tables vs the per-receiver reference).
 // -cpuprofile/-memprofile write pprof profiles for bottleneck hunts
 // (see EXPERIMENTS.md, "Profiling workflow").
 //
 // -json writes the machine-readable run record — per-point delivery
-// stats, logical events, wall time and events/sec — used to track the
-// perf trajectory across PRs (the BENCH_*.json files at the repo root).
+// stats, logical events, wall time and events/sec — that cmd/benchgate
+// compares with the frozen smoke baseline (BENCH_PR9.json).
 //
 // The -protocol flag picks the stack under test by registry name (e.g.
 // -protocol flood+gossip); its bare routing protocol becomes the
@@ -58,9 +53,7 @@ import (
 	"time"
 
 	"anongossip/internal/metrics"
-	"anongossip/internal/radio"
 	"anongossip/internal/scenario"
-	"anongossip/internal/sim"
 	"anongossip/internal/stack"
 )
 
@@ -148,9 +141,6 @@ type jsonReport struct {
 	GoVersion        string        `json:"go_version"`
 	Protocol         string        `json:"protocol"`
 	Baseline         string        `json:"baseline"`
-	Index            string        `json:"index"`
-	Queue            string        `json:"queue"`
-	RxModel          string        `json:"rxmodel"`
 	Seeds            int           `json:"seeds"`
 	Duration         string        `json:"duration"`
 	Figures          []jsonFigure  `json:"figures,omitempty"`
@@ -218,9 +208,6 @@ func run(args []string) error {
 		seeds      = fs.Int("seeds", 3, "seeds per point (paper: 10)")
 		parallel   = fs.Int("parallel", 0, "concurrent runs (0 = NumCPU)")
 		duration   = fs.Duration("duration", 600*time.Second, "simulated time per run (shrink for quick previews)")
-		index      = fs.String("index", "grid", "radio neighbour index: grid | brute")
-		queue      = fs.String("queue", "quad", "scheduler event queue: "+sim.QueueNames())
-		rxmodel    = fs.String("rxmodel", "batch", "radio reception model: batch | ref")
 		largeMax   = fs.Int("large-max", 1000, "largest node count of the -fig large sweep")
 		hugeMax    = fs.Int("huge-max", 100000, "largest node count of the -fig huge sweep")
 		hugeMin    = fs.Int("huge-min", 0, "smallest node count of the -fig huge sweep (profiling workflows isolate the 100k point with -huge-min 100000)")
@@ -250,31 +237,6 @@ func run(args []string) error {
 	baseline := stack.Spec{Routing: treatment.Routing}
 	treatCol := fmt.Sprintf("%v mean [min,max] (std)", treatment)
 	baseCol := fmt.Sprintf("%v mean [min,max] (std)", baseline)
-
-	var radioIndex radio.IndexKind
-	switch *index {
-	case "grid":
-		radioIndex = radio.IndexGrid
-	case "brute":
-		radioIndex = radio.IndexBrute
-	default:
-		return fmt.Errorf("invalid -index %q (want grid or brute)", *index)
-	}
-
-	queueKind, err := sim.ParseQueueKind(*queue)
-	if err != nil {
-		return fmt.Errorf("invalid -queue: %w", err)
-	}
-
-	var rxModel radio.ReceptionModel
-	switch *rxmodel {
-	case "batch":
-		rxModel = radio.ModelBatch
-	case "ref":
-		rxModel = radio.ModelRef
-	default:
-		return fmt.Errorf("invalid -rxmodel %q (want batch or ref)", *rxmodel)
-	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -325,9 +287,6 @@ func run(args []string) error {
 
 	base := scenario.DefaultConfig()
 	base.Stack = treatment // Fig. 8 goodput follows the stack under test
-	base.RadioIndex = radioIndex
-	base.EventQueue = queueKind
-	base.RxModel = rxModel
 	if *duration != base.Duration {
 		// Below ~a minute the paper's warm-up/cool-down proportions are
 		// gone and any table would be noise.
@@ -345,9 +304,6 @@ func run(args []string) error {
 		GoVersion: runtime.Version(),
 		Protocol:  treatment.String(),
 		Baseline:  baseline.String(),
-		Index:     radioIndex.String(),
-		Queue:     queueKind.String(),
-		RxModel:   rxModel.String(),
 		Seeds:     *seeds,
 		Duration:  base.Duration.String(),
 	}
@@ -433,8 +389,6 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	internals := fmt.Sprintf("%s index, %s rxmodel", *index, *rxmodel)
-
 	for _, f := range figures() {
 		if !want[f.id] {
 			continue
@@ -457,7 +411,7 @@ func run(args []string) error {
 		}
 		if err := runSweep("large",
 			"Large scale: Packet Delivery vs Number of Nodes (constant density, 75 m range)",
-			"nodes", "%-10.0f", "per run, "+internals, xs, base, scenario.ApplyLargeScale); err != nil {
+			"nodes", "%-10.0f", "per run", xs, base, scenario.ApplyLargeScale); err != nil {
 			return err
 		}
 	}
@@ -479,7 +433,7 @@ func run(args []string) error {
 		report.Duration = hbase.Duration.String()
 		title := fmt.Sprintf("Huge scale: perf and memory vs Number of Nodes (constant density, 75 m range, %v window)", *hugeDur)
 		if err := runSweep("huge", title, "nodes", "%-10.0f",
-			"per run, "+internals, xs, hbase, scenario.ApplyHugeScale); err != nil {
+			"per run", xs, hbase, scenario.ApplyHugeScale); err != nil {
 			return err
 		}
 		for _, f := range report.Figures {
@@ -511,7 +465,7 @@ func run(args []string) error {
 		title := fmt.Sprintf("Dense traffic: Packet Delivery vs Mean Degree (%d nodes, %d sources, 75 m range)",
 			*denseNodes, scenario.DenseSources)
 		if err := runSweep("dense", title, "degree", "%-10.0f",
-			"per source per run, "+internals, xs, dbase, scenario.ApplyDense); err != nil {
+			"per source per run", xs, dbase, scenario.ApplyDense); err != nil {
 			return err
 		}
 	}

@@ -22,9 +22,8 @@ func TestRunQuickLargeScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	// Capped at the smallest family member so the sweep stays quick;
-	// brute index doubles as coverage of the -index flag.
-	err := run([]string{"-fig", "large", "-large-max", "100", "-seeds", "1", "-duration", "75s", "-index", "brute"})
+	// Capped at the smallest family member so the sweep stays quick.
+	err := run([]string{"-fig", "large", "-large-max", "100", "-seeds", "1", "-duration", "75s"})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -42,17 +41,16 @@ func TestRunStackProtocolFlag(t *testing.T) {
 	}
 }
 
-// TestRunDenseAndJSON drives the dense-traffic sweep with the reference
-// reception model and the -json record: the sweep must complete and the
-// record must parse with the configuration axes and per-point perf
-// numbers filled in.
+// TestRunDenseAndJSON drives the dense-traffic sweep with the -json
+// record: the sweep must complete and the record must parse with the
+// configuration axes and per-point perf numbers filled in.
 func TestRunDenseAndJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
 	err := run([]string{"-fig", "dense", "-dense-nodes", "100", "-dense-max", "20",
-		"-seeds", "1", "-duration", "75s", "-rxmodel", "ref", "-json", path})
+		"-seeds", "1", "-duration", "75s", "-json", path})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -64,7 +62,7 @@ func TestRunDenseAndJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("json record does not parse: %v", err)
 	}
-	if rep.RxModel != "ref" || rep.Index != "grid" || rep.Seeds != 1 {
+	if rep.Protocol != "maodv+gossip" || rep.Baseline != "maodv" || rep.Seeds != 1 {
 		t.Fatalf("record axes wrong: %+v", rep)
 	}
 	if len(rep.Figures) != 1 || rep.Figures[0].Figure != "dense" || len(rep.Figures[0].Points) != 1 {
@@ -93,19 +91,14 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Fatal("bad flag accepted")
 	}
-	if err := run([]string{"-index", "octree"}); err == nil {
-		t.Fatal("unknown index kind accepted")
-	}
-	if err := run([]string{"-queue", "fibonacci"}); err == nil {
-		t.Fatal("unknown queue kind accepted")
-	}
-	if err := run([]string{"-rxmodel", "psychic"}); err == nil {
-		t.Fatal("unknown reception model accepted")
-	}
-	// The kernel-selection flags are gone: flag parsing fails, which
-	// main turns into a non-zero exit.
-	if err := run([]string{"-workers", "2"}); err == nil {
-		t.Fatal("removed -workers flag accepted")
+	// The implementation-selection flags are gone — even the old default
+	// values fail flag parsing, which main turns into a non-zero exit.
+	for _, removed := range [][]string{
+		{"-workers", "2"}, {"-queue", "quad"}, {"-index", "grid"}, {"-rxmodel", "batch"},
+	} {
+		if err := run(removed); err == nil {
+			t.Fatalf("removed %s flag accepted", removed[0])
+		}
 	}
 	if err := run([]string{"-fig", "large", "-large-max", "50"}); err == nil {
 		t.Fatal("empty large sweep accepted")
@@ -121,10 +114,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestRunQueueRefAndProfiles covers the -queue selector and the
-// profiling flags on a shrunken sweep: the run must succeed with the
-// reference queue and leave non-empty profile files behind.
-func TestRunQueueRefAndProfiles(t *testing.T) {
+// TestRunProfiles covers the profiling flags on a shrunken sweep: the
+// run must succeed and leave non-empty profile files behind.
+func TestRunProfiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -132,7 +124,7 @@ func TestRunQueueRefAndProfiles(t *testing.T) {
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
 	err := run([]string{"-fig", "8", "-seeds", "1", "-duration", "90s",
-		"-queue", "ref", "-cpuprofile", cpu, "-memprofile", mem})
+		"-cpuprofile", cpu, "-memprofile", mem})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -13,10 +13,6 @@
 // The -protocol flag accepts any stack registered with the protocol
 // registry ("maodv", "maodv+gossip", "flood+gossip", ...) plus the
 // legacy spellings ("gossip", "odmrp-gossip"); -help lists them.
-//
-// -queue picks the kernel's event queue (quad, cal, ref). Every kind
-// produces bit-identical results for the same seed — only wall time
-// changes.
 package main
 
 import (
@@ -45,15 +41,13 @@ func run(args []string) error {
 		protocol = fs.String("protocol", "gossip",
 			"protocol stack by registry name: "+strings.Join(anongossip.StackNames(), " | ")+
 				" (legacy aliases: gossip = maodv+gossip, odmrp-gossip = odmrp+gossip)")
-		nodes    = fs.Int("nodes", 40, "total node count")
-		members  = fs.Float64("members", 1.0/3.0, "fraction of nodes in the group")
-		txRange  = fs.Float64("range", 75, "transmission range (m)")
-		speed    = fs.Float64("speed", 0.2, "maximum node speed (m/s)")
-		pause    = fs.Duration("pause", 80*time.Second, "maximum waypoint pause")
-		duration = fs.Duration("duration", 600*time.Second, "simulated time")
-		seed     = fs.Int64("seed", 1, "random seed")
-		queue    = fs.String("queue", "quad",
-			"kernel event queue: "+anongossip.QueueNames()+" (bit-identical results; only wall time changes)")
+		nodes      = fs.Int("nodes", 40, "total node count")
+		members    = fs.Float64("members", 1.0/3.0, "fraction of nodes in the group")
+		txRange    = fs.Float64("range", 75, "transmission range (m)")
+		speed      = fs.Float64("speed", 0.2, "maximum node speed (m/s)")
+		pause      = fs.Duration("pause", 80*time.Second, "maximum waypoint pause")
+		duration   = fs.Duration("duration", 600*time.Second, "simulated time")
+		seed       = fs.Int64("seed", 1, "random seed")
 		interval   = fs.Duration("gossip-interval", time.Second, "gossip round period")
 		panon      = fs.Float64("panon", 0.7, "probability of anonymous vs cached gossip")
 		verbose    = fs.Bool("verbose", false, "print per-member rows")
@@ -85,9 +79,6 @@ func run(args []string) error {
 		}
 	}
 	cfg.Seed = *seed
-	if cfg.EventQueue, err = anongossip.ParseQueueKind(*queue); err != nil {
-		return fmt.Errorf("invalid -queue: %w", err)
-	}
 	cfg.Gossip.Interval = *interval
 	cfg.Gossip.PAnon = *panon
 	if *traceN > 0 {

@@ -37,10 +37,20 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}); err == nil {
 		t.Fatal("bad flag accepted")
 	}
-	// The kernel-selection flags are gone — even the old default value
-	// fails flag parsing, which main turns into a non-zero exit.
-	if err := run([]string{"-scheduler", "serial"}); err == nil {
-		t.Fatal("removed -scheduler flag accepted")
+	// The implementation-selection flags are gone — even the old default
+	// values fail flag parsing, which main turns into a non-zero exit.
+	for _, removed := range [][]string{
+		{"-scheduler", "serial"}, {"-queue", "quad"}, {"-index", "grid"}, {"-rxmodel", "batch"},
+	} {
+		if err := run(removed); err == nil {
+			t.Fatalf("removed %s flag accepted", removed[0])
+		}
+	}
+	// Non-finite speeds used to run to completion with 0% delivery.
+	for _, speed := range []string{"NaN", "+Inf"} {
+		if err := run([]string{"-speed", speed, "-duration", "30s"}); err == nil {
+			t.Fatalf("-speed %s accepted", speed)
+		}
 	}
 	if err := run([]string{"-metrics-window", "-1s", "-duration", "60s"}); err == nil {
 		t.Fatal("negative metrics window accepted")

@@ -11,22 +11,6 @@ import (
 	"anongossip/internal/sim"
 )
 
-// mediumConfigs enumerates every reception model × neighbour index
-// combination. The collision semantics — hidden terminals, half-duplex
-// conflicts, exact overlaps and exact boundaries — must be identical
-// across all four.
-func mediumConfigs() []Params {
-	var out []Params
-	for _, model := range []ReceptionModel{ModelBatch, ModelRef} {
-		for _, kind := range []IndexKind{IndexGrid, IndexBrute} {
-			out = append(out, Params{Index: kind, Model: model})
-		}
-	}
-	return out
-}
-
-func configName(p Params) string { return p.Model.String() + "/" + p.Index.String() }
-
 // runMatrix executes script against every model × index combination,
 // asserts that per-node reception logs and channel statistics are
 // identical across all of them, and returns one run's outcome for
@@ -37,11 +21,13 @@ func runMatrix(t *testing.T, rangeM float64, positions []geom.Point,
 	var firstRxs [][]rxRecord
 	var firstStats Stats
 	var firstName string
-	for _, p := range mediumConfigs() {
-		p.Range = rangeM
+	for _, o := range oracles {
 		sched := sim.NewScheduler()
-		m := NewMedium(sched, p)
-		nodes := build(sched, m, positions)
+		m := newTestMedium(sched, rangeM, o)
+		nodes := build(sched, m.Medium, positions)
+		for _, n := range nodes {
+			n.tm = m
+		}
 		script(sched, nodes)
 		sched.Run(time.Hour)
 		rxs := make([][]rxRecord, len(nodes))
@@ -49,15 +35,15 @@ func runMatrix(t *testing.T, rangeM float64, positions []geom.Point,
 			rxs[i] = n.rxs
 		}
 		if firstName == "" {
-			firstRxs, firstStats, firstName = rxs, m.Stats(), configName(p)
+			firstRxs, firstStats, firstName = rxs, m.Stats(), o.String()
 			continue
 		}
 		if !reflect.DeepEqual(rxs, firstRxs) {
 			t.Fatalf("%s reception logs diverge from %s:\n%+v\nvs\n%+v",
-				configName(p), firstName, rxs, firstRxs)
+				o, firstName, rxs, firstRxs)
 		}
 		if got := m.Stats(); got != firstStats {
-			t.Fatalf("%s stats %+v diverge from %s stats %+v", configName(p), got, firstName, firstStats)
+			t.Fatalf("%s stats %+v diverge from %s stats %+v", o, got, firstName, firstStats)
 		}
 	}
 	return firstRxs, firstStats
@@ -69,8 +55,8 @@ func runMatrix(t *testing.T, rangeM float64, positions []geom.Point,
 func TestMatrixHiddenTerminal(t *testing.T) {
 	rxs, stats := runMatrix(t, 60, []geom.Point{{X: 0}, {X: 60}, {X: 120}},
 		func(sched *sim.Scheduler, nodes []*testNode) {
-			sched.After(0, func() { _ = nodes[0].tr.StartTx("a", testAirtime) })
-			sched.After(testAirtime/4, func() { _ = nodes[2].tr.StartTx("b", testAirtime) })
+			sched.After(0, func() { _ = nodes[0].startTx("a", testAirtime) })
+			sched.After(testAirtime/4, func() { _ = nodes[2].startTx("b", testAirtime) })
 		})
 	if len(rxs[1]) != 2 {
 		t.Fatalf("middle node got %d receptions, want 2", len(rxs[1]))
@@ -90,8 +76,8 @@ func TestMatrixHiddenTerminal(t *testing.T) {
 func TestMatrixHalfDuplexTxDuringRx(t *testing.T) {
 	rxs, _ := runMatrix(t, 100, []geom.Point{{X: 0}, {X: 50}},
 		func(sched *sim.Scheduler, nodes []*testNode) {
-			sched.After(0, func() { _ = nodes[0].tr.StartTx("frame", testAirtime) })
-			sched.After(testAirtime/2, func() { _ = nodes[1].tr.StartTx("own", testAirtime/4) })
+			sched.After(0, func() { _ = nodes[0].startTx("frame", testAirtime) })
+			sched.After(testAirtime/2, func() { _ = nodes[1].startTx("own", testAirtime/4) })
 		})
 	if len(rxs[1]) != 1 || rxs[1][0].ok {
 		t.Fatalf("receptions at the mid-reception transmitter: %+v, want 1 corrupted", rxs[1])
@@ -104,8 +90,8 @@ func TestMatrixHalfDuplexTxDuringRx(t *testing.T) {
 func TestMatrixHalfDuplexRxWhileTx(t *testing.T) {
 	rxs, _ := runMatrix(t, 100, []geom.Point{{X: 0}, {X: 50}},
 		func(sched *sim.Scheduler, nodes []*testNode) {
-			sched.After(0, func() { _ = nodes[1].tr.StartTx("own", testAirtime/4) })
-			sched.After(testAirtime/8, func() { _ = nodes[0].tr.StartTx("frame", testAirtime) })
+			sched.After(0, func() { _ = nodes[1].startTx("own", testAirtime/4) })
+			sched.After(testAirtime/8, func() { _ = nodes[0].startTx("frame", testAirtime) })
 		})
 	if len(rxs[1]) != 1 || rxs[1][0].ok {
 		t.Fatalf("receptions at the transmitting node: %+v, want 1 corrupted", rxs[1])
@@ -123,8 +109,8 @@ func TestMatrixHalfDuplexRxWhileTx(t *testing.T) {
 func TestMatrixHalfDuplexStillTxAtFrameEnd(t *testing.T) {
 	rxs, _ := runMatrix(t, 100, []geom.Point{{X: 0}, {X: 50}},
 		func(sched *sim.Scheduler, nodes []*testNode) {
-			sched.After(0, func() { _ = nodes[1].tr.StartTx("long", 4*testAirtime) })
-			sched.After(testAirtime, func() { _ = nodes[0].tr.StartTx("frame", testAirtime) })
+			sched.After(0, func() { _ = nodes[1].startTx("long", 4*testAirtime) })
+			sched.After(testAirtime, func() { _ = nodes[0].startTx("frame", testAirtime) })
 		})
 	if len(rxs[1]) != 1 || rxs[1][0].ok {
 		t.Fatalf("receptions under a spanning own transmission: %+v, want 1 corrupted", rxs[1])
@@ -139,8 +125,8 @@ func TestMatrixExactOverlap(t *testing.T) {
 	rxs, stats := runMatrix(t, 100, []geom.Point{{X: 0}, {X: 50}, {X: 100}},
 		func(sched *sim.Scheduler, nodes []*testNode) {
 			sched.After(0, func() {
-				_ = nodes[0].tr.StartTx("a", testAirtime)
-				_ = nodes[2].tr.StartTx("b", testAirtime)
+				_ = nodes[0].startTx("a", testAirtime)
+				_ = nodes[2].startTx("b", testAirtime)
 			})
 		})
 	if len(rxs[1]) != 2 {
@@ -167,10 +153,10 @@ func TestMatrixExactBoundarySequentialClean(t *testing.T) {
 	rxs, _ := runMatrix(t, 100, []geom.Point{{X: 0}, {X: 50}},
 		func(sched *sim.Scheduler, nodes []*testNode) {
 			sched.After(0, func() {
-				_ = nodes[0].tr.StartTx("a", testAirtime)
+				_ = nodes[0].startTx("a", testAirtime)
 				// Scheduled now (after A's StartTx), so at A's end this
 				// event runs after A's finish: a clean back-to-back pair.
-				sched.After(testAirtime, func() { _ = nodes[0].tr.StartTx("b", testAirtime) })
+				sched.After(testAirtime, func() { _ = nodes[0].startTx("b", testAirtime) })
 			})
 		})
 	if len(rxs[1]) != 2 || !rxs[1][0].ok || !rxs[1][1].ok {
@@ -189,8 +175,8 @@ func TestMatrixExactBoundaryEarlyScheduledTxCorrupts(t *testing.T) {
 		func(sched *sim.Scheduler, nodes []*testNode) {
 			// Scheduled before A starts => lower sequence number than
 			// A's finish processing at the same instant.
-			sched.After(testAirtime, func() { _ = nodes[2].tr.StartTx("b", testAirtime) })
-			sched.After(0, func() { _ = nodes[0].tr.StartTx("a", testAirtime) })
+			sched.After(testAirtime, func() { _ = nodes[2].startTx("b", testAirtime) })
+			sched.After(0, func() { _ = nodes[0].startTx("a", testAirtime) })
 		})
 	if len(rxs[1]) != 2 {
 		t.Fatalf("middle node got %d receptions, want 2", len(rxs[1]))
@@ -212,27 +198,26 @@ func TestMatrixReentrantStartTxDuringFinish(t *testing.T) {
 	var firstRxs [][]rxRecord
 	var firstName string
 	positions := []geom.Point{{X: 0}, {X: 50}, {X: 100}}
-	for _, p := range mediumConfigs() {
-		p.Range = 100
+	for _, o := range oracles {
 		sched := sim.NewScheduler()
-		m := NewMedium(sched, p)
+		m := newTestMedium(sched, 100, o)
 		nodes := make([]*testNode, len(positions))
 		for i, pos := range positions {
 			i := i
-			n := &testNode{}
+			n := &testNode{tm: m}
 			id := pkt.NodeID(i + 1)
-			n.tr = attach(t, m, id, mobility.Static{P: pos}, func(frame any, from pkt.NodeID, ok bool) {
+			n.tr = attach(t, m.Medium, id, mobility.Static{P: pos}, func(frame any, from pkt.NodeID, ok bool) {
 				n.rxs = append(n.rxs, rxRecord{frame: frame, from: from, ok: ok, at: sched.Now()})
 				// Node 2 (attach order before node 3) answers the
 				// original frame immediately, while node 3's reception
 				// of it is still unfinalised.
 				if i == 1 && frame == "query" {
-					_ = n.tr.StartTx("reply", testAirtime)
+					_ = n.startTx("reply", testAirtime)
 				}
 			})
 			nodes[i] = n
 		}
-		sched.After(0, func() { _ = nodes[0].tr.StartTx("query", testAirtime) })
+		sched.After(0, func() { _ = nodes[0].startTx("query", testAirtime) })
 		sched.Run(time.Hour)
 
 		rxs := make([][]rxRecord, len(nodes))
@@ -240,12 +225,12 @@ func TestMatrixReentrantStartTxDuringFinish(t *testing.T) {
 			rxs[i] = n.rxs
 		}
 		if firstName == "" {
-			firstRxs, firstName = rxs, configName(p)
+			firstRxs, firstName = rxs, o.String()
 			continue
 		}
 		if !reflect.DeepEqual(rxs, firstRxs) {
 			t.Fatalf("%s reception logs diverge from %s:\n%+v\nvs\n%+v",
-				configName(p), firstName, rxs, firstRxs)
+				o, firstName, rxs, firstRxs)
 		}
 	}
 	// Node 2 hears the query cleanly and replies. Node 3's copy of the

@@ -8,40 +8,11 @@ import (
 	"anongossip/internal/sim"
 )
 
-// IndexKind selects the neighbour index implementation backing a Medium.
-type IndexKind int
-
-const (
-	// IndexGrid (the default) buckets node positions into a uniform
-	// spatial hash with cell size equal to the transmission range, so
-	// StartTx and carrier sensing touch only nearby nodes: O(local
-	// degree) per query instead of O(total nodes).
-	IndexGrid IndexKind = iota
-	// IndexBrute scans every transceiver and every active transmission
-	// on each query — the original O(N) implementation, kept as the
-	// reference for differential testing. Both kinds produce
-	// bit-identical simulations for the same seed.
-	IndexBrute
-)
-
-// String names the index kind for benchmarks and logs.
-func (k IndexKind) String() string {
-	switch k {
-	case IndexGrid:
-		return "grid"
-	case IndexBrute:
-		return "brute"
-	default:
-		return "IndexKind(?)"
-	}
-}
-
 // NeighborIndex answers the medium's two spatial questions: which
 // transceivers might currently be near a point, and which in-flight
-// transmissions cover it. Implementations live in this package (see
-// IndexKind); the interface exists to keep Medium's hot paths decoupled
-// from the lookup strategy and to allow differential testing between
-// them.
+// transmissions cover it. gridIndex is the only production
+// implementation; the interface is the seam through which the package's
+// tests run the brute-force scan (ref_test.go) against it.
 //
 // ForEachCandidate visits, in attach order, a superset of the
 // transceivers whose position at time now lies within radius of center;
@@ -61,53 +32,6 @@ type NeighborIndex interface {
 	// the sensing node's position.
 	HasTx() bool
 	ForEachTxInRange(now sim.Time, center geom.Point, radius float64, fn func(*transmission))
-}
-
-// bruteIndex is the original linear scan over all transceivers and all
-// active transmissions.
-type bruteIndex struct {
-	nodes  []*Transceiver
-	active []*transmission
-}
-
-var _ NeighborIndex = (*bruteIndex)(nil)
-
-func newBruteIndex() *bruteIndex { return &bruteIndex{} }
-
-func (b *bruteIndex) Attach(t *Transceiver) { b.nodes = append(b.nodes, t) }
-
-func (b *bruteIndex) ForEachCandidate(_ sim.Time, _ geom.Point, _ float64, fn func(*Transceiver)) {
-	for _, t := range b.nodes {
-		fn(t)
-	}
-}
-
-func (b *bruteIndex) AddTx(tx *transmission) { b.active = append(b.active, tx) }
-
-func (b *bruteIndex) RemoveTx(tx *transmission) {
-	for i, a := range b.active {
-		if a == tx {
-			last := len(b.active) - 1
-			b.active[i] = b.active[last]
-			b.active[last] = nil
-			b.active = b.active[:last]
-			return
-		}
-	}
-}
-
-func (b *bruteIndex) HasTx() bool { return len(b.active) > 0 }
-
-func (b *bruteIndex) ForEachTxInRange(now sim.Time, center geom.Point, radius float64, fn func(*transmission)) {
-	r2 := radius * radius
-	for _, tx := range b.active {
-		if tx.end <= now {
-			continue
-		}
-		if center.Dist2(tx.origin) <= r2 {
-			fn(tx)
-		}
-	}
 }
 
 // gridIndex backs the medium with two spatial hashes: one over node
@@ -218,7 +142,7 @@ func (g *gridIndex) ForEachCandidate(now sim.Time, center geom.Point, radius flo
 	g.maybeRefresh(now)
 	g.scratch = g.grid.AppendCandidatesInRange(center, radius+g.slack, g.scratch[:0])
 	// Visit in attach order (= ascending id), which keeps reception
-	// scheduling bit-identical to the brute-force scan: mark candidates
+	// order bit-identical to a scan over all nodes: mark candidates
 	// in the bitset, then walk its words lowest-id first.
 	wlo, whi := len(g.seen), -1
 	for _, id := range g.scratch {

@@ -23,14 +23,26 @@ func (u unboundedModel) Position(t sim.Time) geom.Point { return u.m.Position(t)
 // fuzzWorld is one medium plus logs of everything observable.
 type fuzzWorld struct {
 	sched *sim.Scheduler
-	m     *Medium
+	m     *testMedium
 	trs   []*Transceiver
 	log   []string
 }
 
-func newFuzzWorld(kind IndexKind, model ReceptionModel, seed int64, n int, area geom.Rect, maxSpeed float64) *fuzzWorld {
+// txDoneLog records a transmission's completion hook in the world's
+// log, so the hook's schedule position is part of what the oracles
+// must agree on.
+type txDoneLog struct {
+	w    *fuzzWorld
+	node int
+}
+
+func (d txDoneLog) TxDone() {
+	d.w.log = append(d.w.log, fmt.Sprintf("done@%v node=%d", d.w.sched.Now(), d.node))
+}
+
+func newFuzzWorld(o oracle, seed int64, n int, area geom.Rect, maxSpeed float64) *fuzzWorld {
 	w := &fuzzWorld{sched: sim.NewScheduler()}
-	w.m = NewMedium(w.sched, Params{Range: 75, Index: kind, Model: model})
+	w.m = newTestMedium(w.sched, 75, o)
 	root := sim.NewRNG(seed)
 	for i := 0; i < n; i++ {
 		i := i
@@ -67,7 +79,7 @@ func (w *fuzzWorld) schedule(ops []fuzzOp) {
 		w.sched.At(op.at, func() {
 			switch op.kind {
 			case 0:
-				err := w.trs[op.node].StartTx(fmt.Sprintf("f%d", i), 2*time.Millisecond)
+				err := w.m.startTx(w.trs[op.node], fmt.Sprintf("f%d", i), 2*time.Millisecond, txDoneLog{w, op.node})
 				w.log = append(w.log, fmt.Sprintf("tx@%v node=%d err=%v", w.sched.Now(), op.node, err != nil))
 			case 1:
 				w.log = append(w.log, fmt.Sprintf("nbr@%v node=%d %v", w.sched.Now(), op.node, w.m.NeighborsOf(pkt.NodeID(op.node+1))))
@@ -100,8 +112,8 @@ func TestGridMatchesBruteUnderRandomMobility(t *testing.T) {
 			})
 		}
 
-		grid := newFuzzWorld(IndexGrid, ModelBatch, seed, nNodes, area, 10)
-		brute := newFuzzWorld(IndexBrute, ModelBatch, seed, nNodes, area, 10)
+		grid := newFuzzWorld(oracle{}, seed, nNodes, area, 10)
+		brute := newFuzzWorld(oracle{brute: true}, seed, nNodes, area, 10)
 		grid.schedule(ops)
 		brute.schedule(ops)
 		grid.sched.Run(250 * time.Second)
@@ -135,9 +147,9 @@ func TestGridMatchesBruteUnderRandomMobility(t *testing.T) {
 func TestGridNeighborsMatchBruteStatic(t *testing.T) {
 	positions := []geom.Point{{X: 0, Y: 0}, {X: 75, Y: 0}, {X: 76, Y: 0}, {X: 0, Y: 74.999}, {X: 300, Y: 300}}
 	var mediums []*Medium
-	for _, kind := range []IndexKind{IndexGrid, IndexBrute} {
+	for _, o := range []oracle{{}, {brute: true}} {
 		sched := sim.NewScheduler()
-		m := NewMedium(sched, Params{Range: 75, Index: kind})
+		m := newTestMedium(sched, 75, o).Medium
 		for i, p := range positions {
 			attach(t, m, pkt.NodeID(i+1), mobility.Static{P: p}, nil)
 		}
@@ -157,12 +169,12 @@ func TestGridNeighborsMatchBruteStatic(t *testing.T) {
 
 // benchMedium builds n uniformly placed slow waypoint nodes on a field
 // sized for constant density (the large-scale family's regime).
-func benchMedium(b *testing.B, kind IndexKind, model ReceptionModel, n int) (*sim.Scheduler, []*Transceiver) {
+func benchMedium(b *testing.B, n int) (*sim.Scheduler, []*Transceiver) {
 	b.Helper()
 	side := 200 * math.Sqrt(float64(n)/40) // density-preserving: side² ∝ n
 	area := geom.Rect{W: side, H: side}
 	sched := sim.NewScheduler()
-	m := NewMedium(sched, Params{Range: 75, Index: kind, Model: model})
+	m := NewMedium(sched, Params{Range: 75})
 	root := sim.NewRNG(7)
 	trs := make([]*Transceiver, n)
 	for i := 0; i < n; i++ {
@@ -177,8 +189,8 @@ func benchMedium(b *testing.B, kind IndexKind, model ReceptionModel, n int) (*si
 // benchStartTx measures the radio hot path in isolation: repeated
 // transmissions from rotating nodes, each scheduling receptions for its
 // in-range neighbours, plus the carrier sensing the MAC would do.
-func benchStartTx(b *testing.B, kind IndexKind, model ReceptionModel, n int) {
-	sched, trs := benchMedium(b, kind, model, n)
+func benchStartTx(b *testing.B, n int) {
+	sched, trs := benchMedium(b, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := trs[i%n]
@@ -191,18 +203,11 @@ func benchStartTx(b *testing.B, kind IndexKind, model ReceptionModel, n int) {
 	sched.Run(sched.Now() + time.Second)
 }
 
-func BenchmarkStartTx250Grid(b *testing.B)   { benchStartTx(b, IndexGrid, ModelBatch, 250) }
-func BenchmarkStartTx250Brute(b *testing.B)  { benchStartTx(b, IndexBrute, ModelBatch, 250) }
-func BenchmarkStartTx1000Grid(b *testing.B)  { benchStartTx(b, IndexGrid, ModelBatch, 1000) }
-func BenchmarkStartTx1000Brute(b *testing.B) { benchStartTx(b, IndexBrute, ModelBatch, 1000) }
+func BenchmarkStartTx250Grid(b *testing.B)  { benchStartTx(b, 250) }
+func BenchmarkStartTx1000Grid(b *testing.B) { benchStartTx(b, 1000) }
 
-// The RxRef variants isolate the reception path against the batched
-// default on the same grid index.
-func BenchmarkStartTx250GridRxRef(b *testing.B)  { benchStartTx(b, IndexGrid, ModelRef, 250) }
-func BenchmarkStartTx1000GridRxRef(b *testing.B) { benchStartTx(b, IndexGrid, ModelRef, 1000) }
-
-func benchNeighbors(b *testing.B, kind IndexKind, n int) {
-	_, trs := benchMedium(b, kind, ModelBatch, n)
+func benchNeighbors(b *testing.B, n int) {
+	_, trs := benchMedium(b, n)
 	m := trs[0].medium
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -210,7 +215,5 @@ func benchNeighbors(b *testing.B, kind IndexKind, n int) {
 	}
 }
 
-func BenchmarkNeighborsOf250Grid(b *testing.B)   { benchNeighbors(b, IndexGrid, 250) }
-func BenchmarkNeighborsOf250Brute(b *testing.B)  { benchNeighbors(b, IndexBrute, 250) }
-func BenchmarkNeighborsOf1000Grid(b *testing.B)  { benchNeighbors(b, IndexGrid, 1000) }
-func BenchmarkNeighborsOf1000Brute(b *testing.B) { benchNeighbors(b, IndexBrute, 1000) }
+func BenchmarkNeighborsOf250Grid(b *testing.B)  { benchNeighbors(b, 250) }
+func BenchmarkNeighborsOf1000Grid(b *testing.B) { benchNeighbors(b, 1000) }

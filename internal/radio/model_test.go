@@ -43,18 +43,15 @@ func runModelDifferential(t *testing.T, label string, seed int64, n int, area ge
 	t.Helper()
 	var ref *fuzzWorld
 	var refName string
-	for _, model := range []ReceptionModel{ModelBatch, ModelRef} {
-		for _, kind := range []IndexKind{IndexGrid, IndexBrute} {
-			name := model.String() + "/" + kind.String()
-			w := newFuzzWorld(kind, model, seed, n, area, maxSpeed)
-			w.schedule(ops)
-			w.sched.Run(horizon)
-			if ref == nil {
-				ref, refName = w, name
-				continue
-			}
-			compareFuzzWorlds(t, label, w, ref, name, refName)
+	for _, o := range oracles {
+		w := newFuzzWorld(o, seed, n, area, maxSpeed)
+		w.schedule(ops)
+		w.sched.Run(horizon)
+		if ref == nil {
+			ref, refName = w, o.String()
+			continue
 		}
+		compareFuzzWorlds(t, label, w, ref, o.String(), refName)
 	}
 }
 

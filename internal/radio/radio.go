@@ -13,10 +13,11 @@
 // It deliberately omits SINR/capture effects: any overlap corrupts. This
 // is the same granularity as GloMoSim's default no-capture configuration.
 //
-// Reception bookkeeping is pluggable (see ReceptionModel): the default
-// batched model schedules one finish event per transmission and walks a
-// per-frame receiver table; the reference model schedules one event per
-// receiver. Both produce bit-identical simulations.
+// Reception bookkeeping is batched: one finish event per transmission
+// walks a per-frame receiver table, and neighbour lookups go through a
+// spatial grid (index.go). The original per-receiver reception path and
+// the O(N) scan survive as oracles in this package's tests (ref_test.go),
+// which hold the production paths bit-identical to them.
 package radio
 
 import (
@@ -35,13 +36,6 @@ import (
 type Params struct {
 	// Range is the transmission (and carrier-sense) radius in metres.
 	Range float64
-	// Index selects the neighbour lookup strategy (default IndexGrid;
-	// see IndexKind). Both strategies produce bit-identical simulations.
-	Index IndexKind
-	// Model selects the reception bookkeeping implementation (default
-	// ModelBatch; see ReceptionModel). Both models produce bit-identical
-	// simulations.
-	Model ReceptionModel
 }
 
 // Stats aggregates channel-level counters for the whole medium.
@@ -88,11 +82,10 @@ type CarrierListener interface {
 
 // TxDone is the transmitter-side completion hook for StartTxNotify.
 // TxDone runs when the transmission's finish processing completes — at
-// the tail of the per-frame table walk under ModelBatch, after the
-// retire event under ModelRef — which is exactly where a timer the
-// transmitter armed for the airtime's end would run: the kernel
+// the tail of the per-frame table walk — which is exactly where a timer
+// the transmitter armed for the airtime's end would run: the kernel
 // allocates that timer's sequence number immediately after the finish
-// events', so nothing can order between them. Folding the timer into
+// event's, so nothing can order between them. Folding the timer into
 // the hook is therefore schedule-transparent; the MAC uses it to elide
 // one event per data/RTS transmission (see mac.Stats.ElidedEvents).
 // It is an interface rather than a func so callers can pass a
@@ -102,9 +95,9 @@ type TxDone interface {
 }
 
 // transmission is one frame on the air. Records are pooled by the
-// medium: a transmission is recycled once its finish processing — the
-// table walk under ModelBatch, the RemoveTx event under ModelRef — has
-// completed, at which point nothing references it any more.
+// medium: a transmission is recycled once its finish processing (the
+// table walk) has completed, at which point nothing references it any
+// more.
 type transmission struct {
 	from   *Transceiver
 	frame  any
@@ -112,14 +105,13 @@ type transmission struct {
 	end    sim.Time
 	origin geom.Point
 	// indexID and slot are gridIndex bookkeeping (its txByID key and
-	// position in its active slice); unused by the brute-force index.
+	// position in its active slice).
 	indexID int
 	slot    int
-	// recvs is the batched model's receiver table: one value entry per
-	// in-range receiver, in attach order, built at StartTx and walked
-	// by the single finish event. Unused by ModelRef, which tracks
-	// receptions on the receivers instead. The slice's capacity
-	// survives pooling, so steady-state transmissions allocate nothing.
+	// recvs is the receiver table: one value entry per in-range
+	// receiver, in attach order, built at StartTx and walked by the
+	// single finish event. The slice's capacity survives pooling, so
+	// steady-state transmissions allocate nothing.
 	recvs []recvEntry
 	// done is the transmitter's completion hook (StartTxNotify), invoked
 	// after finish processing retires the transmission. Nil for plain
@@ -134,13 +126,6 @@ type transmission struct {
 // the air is detected at finish time from the receiver's counters.
 type recvEntry struct {
 	rcv       int32
-	corrupted bool
-}
-
-// reception tracks one frame arriving at one transceiver (ModelRef
-// only; ModelBatch keeps value entries in transmission.recvs instead).
-type reception struct {
-	tx        *transmission
 	corrupted bool
 }
 
@@ -159,8 +144,8 @@ type Medium struct {
 	// at StartTx, decremented when the finish processing retires the
 	// record. It is the in-flight gauge the metrics sampler reads.
 	activeTx int
-	// elided counts the per-receiver finish events the batched model
-	// folded into per-frame events; see ElidedEvents.
+	// elided counts the per-receiver finish events folded into
+	// per-frame events; see ElidedEvents.
 	elided uint64
 	// carrierEps is the largest motion-uncertainty inflation among
 	// attached carrier listeners (maxSpeed·CarrierPredictWindow); the
@@ -169,18 +154,20 @@ type Medium struct {
 	carrierEps float64
 }
 
-// NewMedium creates a channel managed by sched. Unless Params.Index
-// says otherwise, neighbour lookups use the spatial grid; a
-// non-positive range (only seen in degenerate test setups) falls back
-// to the brute-force scan, which needs no cell size.
+// NewMedium creates a channel managed by sched. The range sizes the
+// neighbour grid's cells, so it must be positive and finite; anything
+// else is a programming error and panics.
 func NewMedium(sched *sim.Scheduler, params Params) *Medium {
-	m := &Medium{sched: sched, params: params, byID: make(map[pkt.NodeID]*Transceiver)}
-	if params.Index == IndexBrute || params.Range <= 0 {
-		m.index = newBruteIndex()
-	} else {
-		m.index = newGridIndex(sched, params.Range)
+	if !(params.Range > 0) || math.IsInf(params.Range, 1) {
+		panic(fmt.Sprintf("radio: transmission range %v is not positive and finite", params.Range))
 	}
-	return m
+	return newMedium(sched, params, newGridIndex(sched, params.Range))
+}
+
+// newMedium builds a medium over the given neighbour index; the
+// differential tests use it to run the brute-force reference.
+func newMedium(sched *sim.Scheduler, params Params, index NeighborIndex) *Medium {
+	return &Medium{sched: sched, params: params, index: index, byID: make(map[pkt.NodeID]*Transceiver)}
 }
 
 // Stats returns a copy of the channel counters.
@@ -192,15 +179,11 @@ func (m *Medium) ActiveTx() int { return m.activeTx }
 // Range returns the configured transmission radius in metres.
 func (m *Medium) Range() float64 { return m.params.Range }
 
-// Model returns the reception model backing the medium.
-func (m *Medium) Model() ReceptionModel { return m.params.Model }
-
-// ElidedEvents returns the number of per-receiver reception events the
-// batched model folded into per-frame finish events. Adding it to the
-// scheduler's processed count yields the logical event total — the
-// number of events the reference model executes for the same run —
-// which keeps event-count metrics comparable (and golden digests
-// stable) across reception models. It is zero under ModelRef.
+// ElidedEvents returns the number of per-receiver reception events
+// folded into per-frame finish events. Adding it to the scheduler's
+// processed count yields the logical event total — the number of events
+// a one-event-per-receiver model executes for the same run — which
+// keeps event-count metrics and golden digests comparable with it.
 func (m *Medium) ElidedEvents() uint64 { return m.elided }
 
 // ErrDuplicateNode reports an Attach with a node ID that is already
@@ -289,17 +272,14 @@ type Transceiver struct {
 
 	txEnd sim.Time // end of own in-flight transmission, 0 if idle
 
-	// receptions is the ModelRef live-reception list.
-	receptions []*reception
-
-	// ModelBatch collision state. rxInFlight counts receptions whose
-	// finish walk has not yet processed them. lastInterference is the
+	// Collision state. rxInFlight counts receptions whose finish walk
+	// has not yet processed them. lastInterference is the
 	// time of the most recent interference event at this node — another
 	// reception starting, or this node starting to transmit, while
 	// receptions were in flight. A reception spanning [start, end] is
 	// corrupted iff it was corrupted at start or lastInterference ≥
 	// start by the time the finish walk reaches it; both updates are
-	// O(1), replacing ModelRef's scans over the live reception list.
+	// O(1), where a per-receiver model scans a live reception list.
 	rxInFlight       int32
 	lastInterference sim.Time
 
@@ -447,13 +427,26 @@ func (t *Transceiver) StartTx(frame any, airtime sim.Time) error {
 // finish processing, in the exact schedule position of an airtime-end
 // timer armed by the caller right after StartTx — see the TxDone doc.
 func (t *Transceiver) StartTxNotify(frame any, airtime sim.Time, done TxDone) error {
+	tx, err := t.beginTx(frame, airtime, done)
+	if err != nil {
+		return err
+	}
+	t.startTxBatch(tx, tx.start)
+	return nil
+}
+
+// beginTx is the reception-independent half of a transmission start:
+// it validates the request, puts a pooled transmission record on the
+// air and raises the transmitter's own carrier. The caller registers
+// the receivers and schedules the finish.
+func (t *Transceiver) beginTx(frame any, airtime sim.Time, done TxDone) (*transmission, error) {
 	m := t.medium
 	now := m.sched.Now()
 	if t.txEnd > now {
-		return fmt.Errorf("%w: node %s", ErrAlreadyTransmitting, t.id)
+		return nil, fmt.Errorf("%w: node %s", ErrAlreadyTransmitting, t.id)
 	}
 	if airtime <= 0 {
-		return fmt.Errorf("radio: non-positive airtime %v", airtime)
+		return nil, fmt.Errorf("radio: non-positive airtime %v", airtime)
 	}
 
 	tx := m.acquireTx()
@@ -472,12 +465,7 @@ func (t *Transceiver) StartTxNotify(frame any, airtime sim.Time, done TxDone) er
 		// zero makes it proven by construction.
 		t.carrier.CarrierOnset(tx.end, true)
 	}
-	if m.params.Model == ModelRef {
-		t.startTxRef(tx, now)
-	} else {
-		t.startTxBatch(tx, now)
-	}
-	return nil
+	return tx, nil
 }
 
 // startTxBatch builds the per-frame receiver table and schedules the
@@ -526,14 +514,14 @@ func (t *Transceiver) startTxBatch(tx *transmission, now sim.Time) {
 	m.sched.At(tx.end, func() { m.finishTx(tx) })
 }
 
-// finishTx is the batched model's single finish event: it walks the
-// receiver table in attach order — the exact order the reference model
-// fires its per-receiver events in, since those are scheduled
-// back-to-back at StartTx and the kernel runs same-instant events in
-// insertion order — finalises each entry's outcome, and retires the
-// transmission. Handlers may call StartTx re-entrantly; entries not yet
-// walked still count as in flight, so a frame transmitted mid-walk
-// collides with them exactly as it would under ModelRef.
+// finishTx is a transmission's single finish event: it walks the
+// receiver table in attach order — the exact order a per-receiver model
+// fires its events in, since those are scheduled back-to-back at
+// StartTx and the kernel runs same-instant events in insertion order —
+// finalises each entry's outcome, and retires the transmission.
+// Handlers may call StartTx re-entrantly; entries not yet walked still
+// count as in flight, so a frame transmitted mid-walk collides with
+// them exactly as it would with one event per receiver.
 func (m *Medium) finishTx(tx *transmission) {
 	now := m.sched.Now()
 	m.elided += uint64(len(tx.recvs))
@@ -566,92 +554,6 @@ func (m *Medium) finishTx(tx *transmission) {
 	}
 }
 
-// startTxRef is the reference reception path: one reception record and
-// one scheduled finish event per in-range receiver, plus a trailing
-// event that retires the transmission.
-func (t *Transceiver) startTxRef(tx *transmission, now sim.Time) {
-	m := t.medium
-	// Transmitting corrupts anything this node was in the middle of
-	// receiving (half-duplex).
-	for _, rec := range t.receptions {
-		if !rec.corrupted {
-			rec.corrupted = true
-		}
-	}
-
-	// The index yields a position-superset in attach order; the exact
-	// unit-disc predicate runs here against fresh positions.
-	r := m.params.Range
-	r2 := r * r
-	m.index.ForEachCandidate(now, tx.origin, r+m.carrierEps, func(rcv *Transceiver) {
-		if rcv == t {
-			return
-		}
-		d2 := rcv.pos.Position(now).Dist2(tx.origin)
-		if d2 > r2 {
-			if rcv.carrier != nil {
-				if out := r + rcv.predEps; d2 <= out*out {
-					rcv.carrier.CarrierOnset(tx.end, false)
-				}
-			}
-			return
-		}
-		if rcv.carrier != nil {
-			notifyCarrier(rcv, d2, r, tx.end)
-		}
-		rec := &reception{tx: tx}
-		// A node mid-transmission cannot hear the frame, and any
-		// receptions already in progress at the receiver collide with
-		// the new one.
-		if rcv.txEnd > now {
-			rec.corrupted = true
-		}
-		for _, other := range rcv.receptions {
-			other.corrupted = true
-			rec.corrupted = true
-		}
-		rcv.receptions = append(rcv.receptions, rec)
-		m.sched.At(tx.end, func() { rcv.finishReception(rec) })
-	})
-
-	m.sched.At(tx.end, func() {
-		done := tx.done
-		m.index.RemoveTx(tx)
-		m.releaseTx(tx)
-		m.activeTx--
-		if done != nil {
-			done.TxDone()
-		}
-	})
-}
-
-func (t *Transceiver) finishReception(rec *reception) {
-	// Drop rec from the active set.
-	for i, r := range t.receptions {
-		if r == rec {
-			last := len(t.receptions) - 1
-			t.receptions[i] = t.receptions[last]
-			t.receptions[last] = nil
-			t.receptions = t.receptions[:last]
-			break
-		}
-	}
-	// A node still transmitting when the frame ends cannot have heard it.
-	if t.txEnd > t.medium.sched.Now() {
-		rec.corrupted = true
-	}
-	if rec.corrupted {
-		t.collided++
-		t.medium.stats.Collisions++
-	} else {
-		t.delivered++
-		t.medium.stats.Deliveries++
-	}
-	if t.handler != nil {
-		t.handler(rec.tx.frame, rec.tx.from.id, !rec.corrupted)
-	}
-}
-
 // NeighborsOf returns the IDs of all nodes currently within range of node
 // id, in attach order. It is used by diagnostics and topology metrics,
 // not by protocols (which must discover neighbours through the channel,
@@ -679,8 +581,8 @@ func (m *Medium) NeighborsOf(id pkt.NodeID) []pkt.NodeID {
 // MeanDegree returns the average neighbour count over all attached nodes
 // at the current time. The Fig. 6 experiment uses it to scale range with
 // node count. Positions are snapshotted once per call, so the cost is
-// N·degree distance checks through the grid (N² with the brute index)
-// on top of N position evaluations.
+// N·degree distance checks through the grid on top of N position
+// evaluations.
 func (m *Medium) MeanDegree() float64 {
 	if len(m.nodes) == 0 {
 		return 0

@@ -2,6 +2,8 @@ package radio
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,6 +25,13 @@ type rxRecord struct {
 type testNode struct {
 	tr  *Transceiver
 	rxs []rxRecord
+	// tm is set by the oracle-matrix tests (collision_test.go), whose
+	// scripts transmit through startTx.
+	tm *testMedium
+}
+
+func (n *testNode) startTx(frame any, airtime sim.Time) error {
+	return n.tm.startTx(n.tr, frame, airtime, nil)
 }
 
 // build attaches nodes at fixed positions and records every reception.
@@ -51,6 +60,23 @@ func attach(t testing.TB, m *Medium, id pkt.NodeID, pos mobility.Model, h Handle
 		t.Fatalf("Attach(%v): %v", id, err)
 	}
 	return tr
+}
+
+// TestNewMediumRejectsBadRange: the range sizes the neighbour grid, so
+// a non-positive or non-finite one must fail loudly at construction
+// instead of quietly degrading the index.
+func TestNewMediumRejectsBadRange(t *testing.T) {
+	for _, r := range []float64{0, -75, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "radio:") {
+					t.Errorf("Range %v: recovered %q, want a radio: panic", r, msg)
+				}
+			}()
+			NewMedium(sim.NewScheduler(), Params{Range: r})
+		}()
+	}
 }
 
 func TestAttachDuplicateNodeID(t *testing.T) {

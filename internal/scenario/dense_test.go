@@ -2,11 +2,8 @@ package scenario
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"time"
-
-	"anongossip/internal/radio"
 )
 
 // TestDenseFamilyGeometry checks the family's defining invariant: the
@@ -62,43 +59,13 @@ func TestDenseRejectsBadDegree(t *testing.T) {
 	}
 }
 
-// TestDenseRxModelBitIdentical asserts the reception-path refactor's
-// bit-identity on the workload built to stress it: a dense run — tens
-// of neighbours per node, five concurrent senders, constant frame
-// overlap — must be identical under the batched and reference models.
-func TestDenseRxModelBitIdentical(t *testing.T) {
-	duration := 24 * time.Second
-	if testing.Short() {
-		duration = 12 * time.Second
-	}
-	cfg := ShortenedData(DenseConfig(250, 30), duration)
-	cfg.Seed = 17
-
-	cfg.RxModel = radio.ModelBatch
-	batch, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.RxModel = radio.ModelRef
-	ref, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripElisionBreakdown(batch), stripElisionBreakdown(ref)) {
-		t.Fatalf("batch and ref dense runs diverged:\nbatch: %+v\nref:   %+v", batch, ref)
-	}
-	if batch.Sent == 0 {
-		t.Fatal("degenerate dense run: nothing sent")
-	}
-}
-
 // TestDenseRunsDeliver sanity-checks the family end to end: all five
 // sources emit their full streams, the measured degree lands in the
 // target's neighbourhood (below it — edge effects only subtract), and
 // the packed network still delivers.
 func TestDenseRunsDeliver(t *testing.T) {
 	if testing.Short() {
-		t.Skip("short mode: covered by the dense bit-identity test")
+		t.Skip("short mode")
 	}
 	cfg := ShortenedData(DenseConfig(250, 20), 75*time.Second)
 	res, err := Run(cfg)

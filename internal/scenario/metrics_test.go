@@ -1,57 +1,44 @@
 package scenario
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
-
-	"anongossip/internal/radio"
-	"anongossip/internal/sim"
 )
 
 // TestMetricsObserveOnlyBitIdentical is the acceptance test of the
 // telemetry layer's observe-only contract: enabling the sampler must
 // leave every result field — member outcomes, byte counters, latencies,
 // the logical event total, and its processed/elided breakdown — bit
-// identical, across the index × queue matrix. The sampler's own timer
-// chain is subtracted out of the event accounting; everything else it
-// does is reads.
+// identical. The sampler's own timer chain is subtracted out of the
+// event accounting; everything else it does is reads.
 func TestMetricsObserveOnlyBitIdentical(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.Protocol = ProtocolGossip
 	cfg.Seed = 3
 
-	for _, index := range []radio.IndexKind{radio.IndexGrid, radio.IndexBrute} {
-		for _, queue := range []sim.QueueKind{sim.QueueQuad, sim.QueueCal} {
-			name := fmt.Sprintf("%v/%v", index, queue)
-			c := cfg
-			c.RadioIndex, c.EventQueue = index, queue
+	off, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("off: %v", err)
+	}
+	// A cadence that does not divide the duration, so the final window
+	// is partial and the horizon flush runs.
+	cfg.MetricsWindow = 7 * time.Second
+	on, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("on: %v", err)
+	}
 
-			off, err := Run(c)
-			if err != nil {
-				t.Fatalf("%s off: %v", name, err)
-			}
-			// A cadence that does not divide the duration, so the
-			// final window is partial and the horizon flush runs.
-			c.MetricsWindow = 7 * time.Second
-			on, err := Run(c)
-			if err != nil {
-				t.Fatalf("%s on: %v", name, err)
-			}
-
-			if on.Metrics == nil || len(on.Metrics.Windows) == 0 {
-				t.Fatalf("%s: sampling enabled but no windows collected", name)
-			}
-			if on.Channel == nil || on.Channel.TotalTx() == 0 {
-				t.Fatalf("%s: sampling enabled but no channel activity observed", name)
-			}
-			clean := *on
-			clean.Metrics, clean.Channel = nil, nil
-			if !reflect.DeepEqual(&clean, off) {
-				t.Fatalf("%s: sampling changed the result:\noff: %+v\non:  %+v", name, off, &clean)
-			}
-		}
+	if on.Metrics == nil || len(on.Metrics.Windows) == 0 {
+		t.Fatal("sampling enabled but no windows collected")
+	}
+	if on.Channel == nil || on.Channel.TotalTx() == 0 {
+		t.Fatal("sampling enabled but no channel activity observed")
+	}
+	clean := *on
+	clean.Metrics, clean.Channel = nil, nil
+	if !reflect.DeepEqual(&clean, off) {
+		t.Fatalf("sampling changed the result:\noff: %+v\non:  %+v", off, &clean)
 	}
 }
 

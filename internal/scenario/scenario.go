@@ -133,24 +133,6 @@ type Config struct {
 	MemberFraction float64
 	// TxRange is the radio transmission range in metres.
 	TxRange float64
-	// RadioIndex selects the medium's neighbour lookup strategy. The
-	// default (radio.IndexGrid) keeps radio events O(local degree);
-	// radio.IndexBrute restores the O(N) scan for differential testing.
-	// Both produce bit-identical results for the same seed.
-	RadioIndex radio.IndexKind
-	// RxModel selects the radio's reception bookkeeping. The default
-	// (radio.ModelBatch) schedules one finish event per transmission
-	// over a pooled per-frame receiver table; radio.ModelRef restores
-	// the per-receiver reception path for differential testing. Both
-	// produce bit-identical results for the same seed.
-	RxModel radio.ReceptionModel
-	// EventQueue selects the simulation kernel's event-queue
-	// implementation. The default (sim.QueueQuad) is the pooled 4-ary
-	// heap; sim.QueueCal is the calendar/bucket queue built for the
-	// clustered timestamps of 10k+-node runs; sim.QueueRef restores
-	// the container/heap reference for differential testing. All kinds
-	// produce bit-identical results for the same seed.
-	EventQueue sim.QueueKind
 	// MinSpeed/MaxSpeed bound random-waypoint speeds (m/s).
 	MinSpeed, MaxSpeed float64
 	// MaxPause bounds the waypoint rest period (80 s in the paper).
@@ -275,21 +257,22 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: member fraction %v out of (0,1]", c.MemberFraction)
 	case !(c.TxRange > 0) || math.IsInf(c.TxRange, 1):
 		return fmt.Errorf("scenario: transmission range %v is not positive and finite", c.TxRange)
+	case !finite(c.MinSpeed) || !finite(c.MaxSpeed):
+		return fmt.Errorf("scenario: speed bounds [%v, %v] m/s are not finite", c.MinSpeed, c.MaxSpeed)
 	case !(c.Area.W > 0) || !(c.Area.H > 0) || math.IsInf(c.Area.W, 1) || math.IsInf(c.Area.H, 1):
 		return fmt.Errorf("scenario: degenerate area %+v", c.Area)
 	case c.Duration <= 0:
 		return fmt.Errorf("scenario: non-positive duration %v", c.Duration)
 	case c.DataEnd > c.Duration:
 		return fmt.Errorf("scenario: data window ends at %v after the run ends at %v", c.DataEnd, c.Duration)
-	case c.EventQueue != sim.QueueQuad && c.EventQueue != sim.QueueRef && c.EventQueue != sim.QueueCal:
-		return fmt.Errorf("scenario: unknown event queue kind %d (registered: %s)", int(c.EventQueue), sim.QueueNames())
-	case c.RxModel != radio.ModelBatch && c.RxModel != radio.ModelRef:
-		return fmt.Errorf("scenario: unknown reception model %d", int(c.RxModel))
 	case c.MetricsWindow < 0:
 		return fmt.Errorf("scenario: negative metrics window %v", c.MetricsWindow)
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor an infinity.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // MemberResult reports one non-source member's outcome.
 type MemberResult struct {
@@ -335,16 +318,15 @@ type Result struct {
 	// MACCollisions counts corrupted receptions medium-wide.
 	MACCollisions uint64
 	// Events is the number of logical simulation events executed:
-	// kernel events plus the per-receiver reception events the batched
-	// radio model folds into per-frame finish events, so the count is
-	// identical across reception models (and across the index and
-	// queue kinds) for the same configuration and seed.
+	// kernel events plus the events the stack elides (see the
+	// breakdown below), so the count stays what an elision-free stack
+	// would execute for the same configuration and seed.
 	Events uint64
 	// EventsProcessed, ElidedKernel, ElidedRadio and ElidedMAC break
 	// Events down into executed kernel events and the three elision
 	// sources: postponed contention hops the kernel re-enqueued without
-	// firing, per-receiver receptions the batched radio model folded
-	// into per-frame finishes, and MAC timers cancelled instead of
+	// firing, per-receiver receptions the radio folded into per-frame
+	// finishes, and MAC timers cancelled instead of
 	// firing as no-ops. EventsProcessed excludes the telemetry
 	// sampler's own timer chain, so the four fields sum to Events
 	// regardless of Config.MetricsWindow.
@@ -450,10 +432,8 @@ func build(cfg Config) (*world, error) {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 
-	w := &world{cfg: cfg, spec: spec, sched: sim.NewSchedulerQueue(cfg.EventQueue)}
-	w.medium = radio.NewMedium(w.sched, radio.Params{
-		Range: cfg.TxRange, Index: cfg.RadioIndex, Model: cfg.RxModel,
-	})
+	w := &world{cfg: cfg, spec: spec, sched: sim.NewScheduler()}
+	w.medium = radio.NewMedium(w.sched, radio.Params{Range: cfg.TxRange})
 	root := sim.NewRNG(cfg.Seed)
 
 	mobCfg := mobility.WaypointConfig{
@@ -678,14 +658,13 @@ func (w *world) collect() *Result {
 	if w.sampler != nil {
 		processed -= w.sampler.Fired()
 	}
-	// Logical events: the batched reception model folds per-receiver
-	// finish events into per-frame ones, the MAC cancels contention
+	// Logical events: the radio folds per-receiver finish events into
+	// per-frame ones, the MAC cancels contention
 	// timers whose frame completed early instead of letting them fire
 	// as no-ops, and the kernel re-enqueues postponed contention hops
 	// without firing them (the folded countdown, DESIGN.md §10); adding
 	// every elided count keeps the metric — and the golden digests
-	// pinned on it — identical across reception models, indexes,
-	// queues and fold settings.
+	// pinned on it — independent of which elisions are in force.
 	radioElided := w.medium.ElidedEvents()
 	var macElided uint64
 	for _, rt := range w.rts {

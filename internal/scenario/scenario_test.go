@@ -2,11 +2,8 @@ package scenario
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
-
-	"anongossip/internal/sim"
 )
 
 // shortConfig is a trimmed run (120 s, 25 nodes) for fast tests.
@@ -50,6 +47,10 @@ func TestConfigValidate(t *testing.T) {
 		{"negative range", func(c *Config) { c.TxRange = -1 }},
 		{"nan range", func(c *Config) { c.TxRange = math.NaN() }},
 		{"inf range", func(c *Config) { c.TxRange = math.Inf(1) }},
+		{"nan max speed", func(c *Config) { c.MaxSpeed = math.NaN() }},
+		{"inf max speed", func(c *Config) { c.MaxSpeed = math.Inf(1) }},
+		{"nan min speed", func(c *Config) { c.MinSpeed = math.NaN() }},
+		{"negative inf min speed", func(c *Config) { c.MinSpeed = math.Inf(-1) }},
 		{"degenerate area", func(c *Config) { c.Area.W = 0 }},
 		{"zero duration", func(c *Config) { c.Duration = 0 }},
 		{"data window past end", func(c *Config) { c.DataEnd = c.Duration + time.Second }},
@@ -65,31 +66,6 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatal("Run accepted invalid config")
 			}
 		})
-	}
-}
-
-// TestValidateQueueAxis pins the config surface of the event-queue
-// axis: unknown kinds are rejected with every registered name in the
-// message, and each registered kind validates cleanly.
-func TestValidateQueueAxis(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EventQueue = sim.QueueKind(99)
-	err := cfg.Validate()
-	if err == nil {
-		t.Fatal("unknown queue kind accepted")
-	}
-	for _, name := range []string{"quad", "cal", "ref"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Fatalf("error %q does not list registered kind %q", err, name)
-		}
-	}
-
-	for _, kind := range []sim.QueueKind{sim.QueueQuad, sim.QueueCal, sim.QueueRef} {
-		cfg = DefaultConfig()
-		cfg.EventQueue = kind
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("queue kind %v rejected: %v", kind, err)
-		}
 	}
 }
 

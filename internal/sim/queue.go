@@ -1,73 +1,5 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
-
-// QueueKind selects the Scheduler's event-queue implementation. Every
-// kind realises the same total order — (time, insertion sequence) —
-// so two runs that differ only in QueueKind execute bit-identical
-// event schedules; only wall time changes. This mirrors the radio
-// layer's grid/brute pattern: fast implementations, plus a simple
-// reference retained for differential testing.
-type QueueKind int
-
-const (
-	// QueueQuad (the default) is an implicit 4-ary min-heap over
-	// inline {at, seq, slot} values: no per-event heap object, no
-	// interface dispatch on comparisons, and a tree half as deep as a
-	// binary heap, so a sift touches fewer cache lines.
-	QueueQuad QueueKind = iota
-	// QueueRef is the original container/heap binary heap — `any`
-	// boxing on push/pop, interface-dispatched comparisons — retained
-	// as the reference implementation for differential testing and as
-	// the baseline the scheduler microbenchmarks compare against.
-	QueueRef
-	// QueueCal is a self-resizing calendar/bucket queue (see calqueue.go):
-	// O(1) enqueue/dequeue when timestamps cluster at SIFS/DIFS/slot
-	// granularity, which is exactly the MAC-dominated distribution of
-	// 10k+-node runs where the heap's O(log n) sift re-emerges in
-	// profiles.
-	QueueCal
-)
-
-// String names the queue kind as the -queue flags spell it.
-func (k QueueKind) String() string {
-	switch k {
-	case QueueQuad:
-		return "quad"
-	case QueueRef:
-		return "ref"
-	case QueueCal:
-		return "cal"
-	default:
-		return fmt.Sprintf("QueueKind(%d)", int(k))
-	}
-}
-
-// QueueNames lists the registered queue kinds as ParseQueueKind spells
-// them, for flag help text and validation errors.
-func QueueNames() string {
-	return QueueQuad.String() + ", " + QueueCal.String() + ", " + QueueRef.String()
-}
-
-// ParseQueueKind resolves a -queue flag value to a QueueKind. The
-// error enumerates the registered kinds, so a typo on the command line
-// is self-correcting rather than a trip to the source.
-func ParseQueueKind(name string) (QueueKind, error) {
-	switch name {
-	case "quad":
-		return QueueQuad, nil
-	case "ref":
-		return QueueRef, nil
-	case "cal":
-		return QueueCal, nil
-	default:
-		return 0, fmt.Errorf("unknown queue kind %q (registered kinds: %s)", name, QueueNames())
-	}
-}
-
 // event is one queue entry: the ordering key (at, seq) plus the pool
 // slot holding the callback. Entries are 24 bytes, stored inline in
 // the queue's backing array, and contain no pointers, so sifting moves
@@ -78,9 +10,9 @@ type event struct {
 	slot int32
 }
 
-// less is the one total order every queue implementation must realise.
-// seq values are unique, so the order is strict and pop order is fully
-// determined regardless of the heap's internal layout.
+// less is the total order the queue realises. seq values are unique,
+// so the order is strict and pop order is fully determined regardless
+// of the heap's internal layout.
 func (e event) less(o event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -89,6 +21,9 @@ func (e event) less(o event) bool {
 }
 
 // eventQueue is the min-queue contract the Scheduler runs against.
+// quadQueue is the only production implementation; the interface is the
+// seam through which the package's tests run the container/heap
+// reference (refqueue_test.go) against it.
 type eventQueue interface {
 	push(event)
 	// peek returns the minimum entry; undefined when len() == 0.
@@ -100,20 +35,6 @@ type eventQueue interface {
 	// surviving entries retain their (at, seq) keys, so pop order is
 	// unaffected.
 	compact(keep func(slot int32) bool)
-}
-
-// newEventQueue constructs the implementation for a kind.
-func newEventQueue(kind QueueKind) eventQueue {
-	switch kind {
-	case QueueQuad:
-		return &quadQueue{}
-	case QueueRef:
-		return &refQueue{}
-	case QueueCal:
-		return newCalQueue()
-	default:
-		panic(fmt.Sprintf("sim: unknown QueueKind %d", int(kind)))
-	}
 }
 
 // quadQueue is an implicit 4-ary min-heap in one flat slice. The wider
@@ -207,52 +128,4 @@ func (q *quadQueue) compact(keep func(int32) bool) {
 	for i := (len(live) - 2) >> 2; i >= 0; i-- {
 		q.siftDown(i)
 	}
-}
-
-// refHeap implements heap.Interface the way the original scheduler
-// did: `any`-boxed push/pop (one allocation per push) and interface-
-// dispatched comparisons. It exists to keep the old cost profile
-// measurable and to witness, in the differential tests, that the quad
-// heap changes nothing but speed.
-type refHeap []event
-
-func (h refHeap) Len() int           { return len(h) }
-func (h refHeap) Less(i, j int) bool { return h[i].less(h[j]) }
-func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-
-func (h *refHeap) Push(x any) {
-	e, ok := x.(event)
-	if !ok {
-		panic(fmt.Sprintf("sim: refHeap.Push got %T, want event", x))
-	}
-	*h = append(*h, e)
-}
-
-func (h *refHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// refQueue adapts refHeap to the eventQueue contract.
-type refQueue struct {
-	h refHeap
-}
-
-func (q *refQueue) len() int     { return len(q.h) }
-func (q *refQueue) peek() event  { return q.h[0] }
-func (q *refQueue) push(e event) { heap.Push(&q.h, e) }
-func (q *refQueue) pop() event   { return heap.Pop(&q.h).(event) }
-
-func (q *refQueue) compact(keep func(int32) bool) {
-	live := q.h[:0]
-	for _, e := range q.h {
-		if keep(e.slot) {
-			live = append(live, e)
-		}
-	}
-	q.h = live
-	heap.Init(&q.h)
 }

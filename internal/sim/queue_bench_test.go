@@ -19,8 +19,6 @@ import (
 
 var queueBenchSizes = []int{1_000, 10_000, 100_000, 1_000_000, 10_000_000}
 
-var queueBenchKinds = []QueueKind{QueueQuad, QueueCal, QueueRef}
-
 // benchDelays is a tiny splitmix-style generator so delay generation
 // costs a few arithmetic ops and no allocation.
 type benchDelays struct{ state uint64 }
@@ -40,9 +38,7 @@ func (g *benchDelays) next() Time {
 // nextClustered reproduces the simulator's signature bimodal timestamp
 // distribution: the bulk of delays are MAC contention steps quantised
 // to SIFS/DIFS/slot-time granularity (tight same-instant clusters),
-// with a sparse tail of seconds-scale mobility/route timers. Uniform
-// churn never moves a calendar queue's bucket-width calibration or its
-// overflow day; this distribution exercises both.
+// with a sparse tail of seconds-scale mobility/route timers.
 func (g *benchDelays) nextClustered(cfgSIFS, cfgDIFS, slot Time) Time {
 	z := g.bits()
 	switch {
@@ -55,8 +51,8 @@ func (g *benchDelays) nextClustered(cfgSIFS, cfgDIFS, slot Time) Time {
 	}
 }
 
-func benchQueueChurn(b *testing.B, kind QueueKind, hold int) {
-	s := NewSchedulerQueue(kind)
+func benchQueueChurn(b *testing.B, kind queueImpl, hold int) {
+	s := kind.scheduler()
 	delays := &benchDelays{state: 1}
 	var churn func()
 	churn = func() { s.After(delays.next(), churn) }
@@ -72,8 +68,8 @@ func benchQueueChurn(b *testing.B, kind QueueKind, hold int) {
 	}
 }
 
-func benchQueueChurnCancel(b *testing.B, kind QueueKind, hold int) {
-	s := NewSchedulerQueue(kind)
+func benchQueueChurnCancel(b *testing.B, kind queueImpl, hold int) {
+	s := kind.scheduler()
 	delays := &benchDelays{state: 2}
 	var churn func()
 	churn = func() {
@@ -96,16 +92,15 @@ func benchQueueChurnCancel(b *testing.B, kind QueueKind, hold int) {
 }
 
 // benchQueueChurnClustered is the hold-model churn loop under the
-// clustered (bimodal MAC-vs-mobility) delay distribution, where the
-// calendar queue's width recalibration and overflow day actually
-// engage. Delays match the default mac.Config timing constants.
-func benchQueueChurnClustered(b *testing.B, kind QueueKind, hold int) {
+// clustered (bimodal MAC-vs-mobility) delay distribution. Delays match
+// the default mac.Config timing constants.
+func benchQueueChurnClustered(b *testing.B, kind queueImpl, hold int) {
 	const (
 		sifs = 10 * time.Microsecond
 		difs = 50 * time.Microsecond
 		slot = 20 * time.Microsecond
 	)
-	s := NewSchedulerQueue(kind)
+	s := kind.scheduler()
 	delays := &benchDelays{state: 3}
 	var churn func()
 	churn = func() { s.After(delays.nextClustered(sifs, difs, slot), churn) }
@@ -122,13 +117,13 @@ func benchQueueChurnClustered(b *testing.B, kind QueueKind, hold int) {
 }
 
 // BenchmarkQueueChurn measures the pure push/pop path (fire one event,
-// schedule its replacement) at fixed queue depths for every queue
-// implementation. The quad and cal queues should be allocation-free
-// per op; the ref queue pays two boxing allocations per cycle
-// (heap.Push boxes the event into `any`, and heap.Pop's `any` return
-// boxes it again).
+// schedule its replacement) at fixed queue depths, with a reference
+// leg so the quad heap's numbers always have their baseline next to
+// them. The quad queue should be allocation-free per op; the ref queue
+// pays two boxing allocations per cycle (heap.Push boxes the event into
+// `any`, and heap.Pop's `any` return boxes it again).
 func BenchmarkQueueChurn(b *testing.B) {
-	for _, kind := range queueBenchKinds {
+	for _, kind := range queueImpls {
 		for _, hold := range queueBenchSizes {
 			b.Run(fmt.Sprintf("%v/%d", kind, hold), func(b *testing.B) {
 				benchQueueChurn(b, kind, hold)
@@ -140,7 +135,7 @@ func BenchmarkQueueChurn(b *testing.B) {
 // BenchmarkQueueChurnCancel adds a cancel per fired event, exercising
 // slot recycling and the compaction policy under churn.
 func BenchmarkQueueChurnCancel(b *testing.B) {
-	for _, kind := range queueBenchKinds {
+	for _, kind := range queueImpls {
 		for _, hold := range queueBenchSizes {
 			b.Run(fmt.Sprintf("%v/%d", kind, hold), func(b *testing.B) {
 				benchQueueChurnCancel(b, kind, hold)
@@ -149,12 +144,11 @@ func BenchmarkQueueChurnCancel(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueChurnClustered is the distribution the calendar queue
-// is built for: heavy SIFS/DIFS/slot-granularity clustering with a
-// sparse mobility tail. Uniform churn (above) is the calendar queue's
-// worst case; this is the simulator's actual steady state.
+// BenchmarkQueueChurnClustered churns under the simulator's actual
+// steady-state distribution: heavy SIFS/DIFS/slot-granularity
+// clustering with a sparse mobility tail.
 func BenchmarkQueueChurnClustered(b *testing.B) {
-	for _, kind := range queueBenchKinds {
+	for _, kind := range queueImpls {
 		for _, hold := range queueBenchSizes {
 			b.Run(fmt.Sprintf("%v/%d", kind, hold), func(b *testing.B) {
 				benchQueueChurnClustered(b, kind, hold)

@@ -1,44 +1,41 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 )
 
-// queueKindsUnderTest is every registered queue implementation; the
-// first entry is the reporting baseline the others are compared to.
-// The differential harness below drives all of them with an identical
-// operation stream — the scheduler analogue of the radio layer's
-// grid-vs-brute differential tests.
-var queueKindsUnderTest = []QueueKind{QueueQuad, QueueCal, QueueRef}
+// maxTime is the saturation point of the scheduler's clock.
+const maxTime = Time(math.MaxInt64)
 
-// queueSet drives one scheduler per queue kind with an identical
-// operation stream and checks, after every operation, that they are
-// indistinguishable: same fire order, same Pending, same clock, same
-// Processed count.
+// queueSet drives one scheduler per queue implementation (queueImpls:
+// the production quad heap and the test-only reference) with an
+// identical operation stream — the scheduler analogue of the radio
+// layer's grid-vs-brute differential tests — and checks, after every
+// operation, that they are indistinguishable: same fire order, same
+// Pending, same clock, same Processed count.
 type queueSet struct {
 	t      testing.TB
-	kinds  []QueueKind
+	kinds  []queueImpl
 	s      []*Scheduler
 	timers [][]Timer
 	fired  [][]int
 	nextID int
 }
 
-func newQueueSet(t testing.TB, kinds ...QueueKind) *queueSet {
-	if len(kinds) == 0 {
-		kinds = queueKindsUnderTest
-	}
+func newQueueSet(t testing.TB) *queueSet {
+	n := len(queueImpls)
 	set := &queueSet{
 		t:      t,
-		kinds:  kinds,
-		s:      make([]*Scheduler, len(kinds)),
-		timers: make([][]Timer, len(kinds)),
-		fired:  make([][]int, len(kinds)),
+		kinds:  queueImpls,
+		s:      make([]*Scheduler, n),
+		timers: make([][]Timer, n),
+		fired:  make([][]int, n),
 	}
-	for k, kind := range kinds {
-		set.s[k] = NewSchedulerQueue(kind)
+	for k, kind := range queueImpls {
+		set.s[k] = kind.scheduler()
 	}
 	return set
 }
@@ -56,8 +53,7 @@ func (p *queueSet) push(d Time) {
 }
 
 // pushAt schedules at an absolute time, exercising the At path and —
-// with saturating deadlines — the calendar queue's overflow day and
-// terminal window.
+// with saturating deadlines — the top of the time range.
 func (p *queueSet) pushAt(at Time) {
 	id := p.nextID
 	p.nextID++
@@ -167,9 +163,8 @@ func runQueueScript(t testing.TB, script []byte) {
 			p.runTo(Time(next()%128) * time.Millisecond)
 		case 6:
 			// Bimodal far deadline: hours-scale mobility-style timers
-			// (forcing overflow days and re-anchoring jumps in the
-			// calendar queue) and, for the top byte values, deadlines
-			// at or near the saturation boundary.
+			// and, for the top byte values, deadlines at or near the
+			// saturation boundary.
 			b := next()
 			switch {
 			case b >= 250:
@@ -230,8 +225,7 @@ func TestQueueDifferentialCompactionHeavy(t *testing.T) {
 
 // TestQueueDifferentialClustered replays the simulator's signature
 // timestamp distribution — dense same-instant/SIFS/DIFS bursts against
-// sparse long timers — at a size that forces the calendar queue
-// through several grow cycles, shrink cycles and day rollovers.
+// sparse long timers.
 func TestQueueDifferentialClustered(t *testing.T) {
 	p := newQueueSet(t)
 	rng := rand.New(rand.NewSource(42))
@@ -258,14 +252,14 @@ func TestQueueDifferentialClustered(t *testing.T) {
 }
 
 // FuzzQueueDifferential lets the fuzzer hunt for operation sequences
-// that make the 4-ary pooled queue, the calendar queue and the
-// container/heap reference disagree. `go test` runs the seed corpus;
+// that make the 4-ary pooled queue and the container/heap reference
+// disagree. `go test` runs the seed corpus;
 // `go test -fuzz FuzzQueueDifferential ./internal/sim` explores.
 func FuzzQueueDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 0, 10, 4, 2, 3, 1, 5, 50})
 	f.Add([]byte{2, 0, 2, 0, 2, 0, 4, 7, 3, 0, 3, 1, 5, 127})
-	// Overflow-day stress: far deadlines, saturation, then churn.
+	// Far deadlines, saturation, then churn.
 	f.Add([]byte{6, 255, 6, 200, 6, 100, 0, 10, 5, 127, 6, 251, 4, 7})
 	seed := make([]byte, 256)
 	rand.New(rand.NewSource(7)).Read(seed)

@@ -19,9 +19,7 @@
 // Timers live in a generation-stamped pool inside the Scheduler: After/At
 // allocate nothing per event, Timer handles are small copyable values, and
 // fired or cancelled slots are recycled through a free list. The pending
-// set is ordered by a pluggable event queue (see QueueKind) — an implicit
-// 4-ary min-heap by default, with the original container/heap binary heap
-// retained as a differential-testing reference.
+// set is ordered by an implicit 4-ary min-heap (see quadQueue).
 package sim
 
 import (
@@ -193,7 +191,7 @@ func (t Timer) Done() bool {
 }
 
 // Scheduler is the event loop. The zero value is not usable; construct with
-// NewScheduler or NewSchedulerQueue.
+// NewScheduler.
 type Scheduler struct {
 	now     Time
 	seq     uint64
@@ -214,17 +212,15 @@ type Scheduler struct {
 	cancelled int
 }
 
-// NewScheduler returns a scheduler positioned at time zero, using the
-// default event queue (QueueQuad).
+// NewScheduler returns a scheduler positioned at time zero.
 func NewScheduler() *Scheduler {
-	return NewSchedulerQueue(QueueQuad)
+	return newScheduler(&quadQueue{})
 }
 
-// NewSchedulerQueue returns a scheduler positioned at time zero, with
-// the chosen event-queue implementation. All kinds execute identical
-// schedules; see QueueKind.
-func NewSchedulerQueue(kind QueueKind) *Scheduler {
-	return &Scheduler{q: newEventQueue(kind)}
+// newScheduler builds a scheduler over q; the differential tests use it
+// to run the reference queue.
+func newScheduler(q eventQueue) *Scheduler {
+	return &Scheduler{q: q}
 }
 
 // Now returns the current simulation time.

@@ -8,51 +8,38 @@ import (
 	"time"
 )
 
-// forEachQueueKind runs a subtest against every queue implementation;
-// the ordering and compaction contracts must hold for all of them.
-func forEachQueueKind(t *testing.T, f func(t *testing.T, kind QueueKind)) {
-	for _, kind := range []QueueKind{QueueQuad, QueueRef} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) { f(t, kind) })
+func TestSchedulerRunsInTimeOrder(t *testing.T) {
+	s := NewScheduler()
+	var got []Time
+	for _, d := range []Time{5 * time.Second, time.Second, 3 * time.Second, 2 * time.Second} {
+		d := d
+		s.After(d, func() { got = append(got, s.Now()) })
+	}
+	s.Run(10 * time.Second)
+	want := []Time{time.Second, 2 * time.Second, 3 * time.Second, 5 * time.Second}
+	if len(got) != len(want) {
+		t.Fatalf("executed %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("event %d fired at %v, want %v", i, got[i], want[i])
+		}
 	}
 }
 
-func TestSchedulerRunsInTimeOrder(t *testing.T) {
-	forEachQueueKind(t, func(t *testing.T, kind QueueKind) {
-		s := NewSchedulerQueue(kind)
-		var got []Time
-		for _, d := range []Time{5 * time.Second, time.Second, 3 * time.Second, 2 * time.Second} {
-			d := d
-			s.After(d, func() { got = append(got, s.Now()) })
-		}
-		s.Run(10 * time.Second)
-		want := []Time{time.Second, 2 * time.Second, 3 * time.Second, 5 * time.Second}
-		if len(got) != len(want) {
-			t.Fatalf("executed %d events, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("event %d fired at %v, want %v", i, got[i], want[i])
-			}
-		}
-	})
-}
-
 func TestSchedulerSameInstantFIFO(t *testing.T) {
-	forEachQueueKind(t, func(t *testing.T, kind QueueKind) {
-		s := NewSchedulerQueue(kind)
-		var order []int
-		for i := 0; i < 10; i++ {
-			i := i
-			s.At(time.Second, func() { order = append(order, i) })
+	s := NewScheduler()
+	var order []int
+	for i := 0; i < 10; i++ {
+		i := i
+		s.At(time.Second, func() { order = append(order, i) })
+	}
+	s.Run(time.Second)
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("same-instant events fired out of insertion order: %v", order)
 		}
-		s.Run(time.Second)
-		for i, v := range order {
-			if v != i {
-				t.Fatalf("same-instant events fired out of insertion order: %v", order)
-			}
-		}
-	})
+	}
 }
 
 // TestSchedulerSameInstantBlockOrdering pins the ordering guarantee the
@@ -64,39 +51,37 @@ func TestSchedulerSameInstantFIFO(t *testing.T) {
 // single event standing in for such a block therefore executes at an
 // equivalent point in the total order.
 func TestSchedulerSameInstantBlockOrdering(t *testing.T) {
-	forEachQueueKind(t, func(t *testing.T, kind QueueKind) {
-		s := NewSchedulerQueue(kind)
-		const at = time.Second
-		var order []string
-		// Scheduled first: fires before the block and schedules a
-		// same-instant follow-up mid-execution.
-		s.At(at, func() {
-			order = append(order, "pre")
-			s.At(at, func() { order = append(order, "follow-up") })
-		})
-		// The contiguous block, scheduled back to back.
-		for i := 0; i < 3; i++ {
-			i := i
-			s.At(at, func() {
-				order = append(order, fmt.Sprintf("block%d", i))
-				if i == 0 {
-					// Scheduling at the current instant from inside the
-					// block lands after the block too.
-					s.At(at, func() { order = append(order, "inner") })
-				}
-			})
-		}
-		s.Run(2 * at)
-		want := []string{"pre", "block0", "block1", "block2", "follow-up", "inner"}
-		if len(order) != len(want) {
-			t.Fatalf("executed %d events, want %d: %v", len(order), len(want), order)
-		}
-		for i := range want {
-			if order[i] != want[i] {
-				t.Fatalf("same-instant block order = %v, want %v", order, want)
-			}
-		}
+	s := NewScheduler()
+	const at = time.Second
+	var order []string
+	// Scheduled first: fires before the block and schedules a
+	// same-instant follow-up mid-execution.
+	s.At(at, func() {
+		order = append(order, "pre")
+		s.At(at, func() { order = append(order, "follow-up") })
 	})
+	// The contiguous block, scheduled back to back.
+	for i := 0; i < 3; i++ {
+		i := i
+		s.At(at, func() {
+			order = append(order, fmt.Sprintf("block%d", i))
+			if i == 0 {
+				// Scheduling at the current instant from inside the
+				// block lands after the block too.
+				s.At(at, func() { order = append(order, "inner") })
+			}
+		})
+	}
+	s.Run(2 * at)
+	want := []string{"pre", "block0", "block1", "block2", "follow-up", "inner"}
+	if len(order) != len(want) {
+		t.Fatalf("executed %d events, want %d: %v", len(order), len(want), order)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("same-instant block order = %v, want %v", order, want)
+		}
+	}
 }
 
 func TestSchedulerRunHorizon(t *testing.T) {
@@ -389,28 +374,26 @@ func TestPendingExcludesCancelled(t *testing.T) {
 // of letting them ride in the heap (the pre-fix behaviour, where a long run
 // with many cancelled MAC/route timers grew the queue without bound).
 func TestCancelCompactsHeap(t *testing.T) {
-	forEachQueueKind(t, func(t *testing.T, kind QueueKind) {
-		s := NewSchedulerQueue(kind)
-		const n = 10000
-		timers := make([]Timer, n)
-		for i := range timers {
-			timers[i] = s.After(time.Hour, func() {})
-		}
-		for _, tm := range timers {
-			tm.Cancel()
-		}
-		if got := s.Pending(); got != 0 {
-			t.Fatalf("Pending after cancelling all = %d, want 0", got)
-		}
-		// The heap itself must have been compacted, not just the count.
-		if got := s.q.len(); got >= n/2 {
-			t.Fatalf("heap holds %d entries after cancelling all %d, want compaction", got, n)
-		}
-		// Compaction must have released the dead slots for reuse.
-		if live := len(s.pool) - len(s.free); live != s.q.len() {
-			t.Fatalf("%d slots outside the free list, want %d (queue residue)", live, s.q.len())
-		}
-	})
+	s := NewScheduler()
+	const n = 10000
+	timers := make([]Timer, n)
+	for i := range timers {
+		timers[i] = s.After(time.Hour, func() {})
+	}
+	for _, tm := range timers {
+		tm.Cancel()
+	}
+	if got := s.Pending(); got != 0 {
+		t.Fatalf("Pending after cancelling all = %d, want 0", got)
+	}
+	// The heap itself must have been compacted, not just the count.
+	if got := s.q.len(); got >= n/2 {
+		t.Fatalf("heap holds %d entries after cancelling all %d, want compaction", got, n)
+	}
+	// Compaction must have released the dead slots for reuse.
+	if live := len(s.pool) - len(s.free); live != s.q.len() {
+		t.Fatalf("%d slots outside the free list, want %d (queue residue)", live, s.q.len())
+	}
 }
 
 // TestCompactionPreservesOrdering drains a mixed live/cancelled schedule
@@ -419,47 +402,45 @@ func TestCancelCompactsHeap(t *testing.T) {
 // guarantees the cancelled count crosses the one-half compaction
 // threshold while survivors remain to witness the ordering.
 func TestCompactionPreservesOrdering(t *testing.T) {
-	forEachQueueKind(t, func(t *testing.T, kind QueueKind) {
-		s := NewSchedulerQueue(kind)
-		var got []int
-		var cancel []Timer
-		want := make([]int, 0, 500)
-		for i := 0; i < 500; i++ {
-			i := i
-			d := Time(i%7) * time.Second
-			tm := s.After(d, func() { got = append(got, i) })
-			if i%3 != 0 {
-				cancel = append(cancel, tm)
-			} else {
-				want = append(want, i)
-			}
+	s := NewScheduler()
+	var got []int
+	var cancel []Timer
+	want := make([]int, 0, 500)
+	for i := 0; i < 500; i++ {
+		i := i
+		d := Time(i%7) * time.Second
+		tm := s.After(d, func() { got = append(got, i) })
+		if i%3 != 0 {
+			cancel = append(cancel, tm)
+		} else {
+			want = append(want, i)
 		}
-		before := s.q.len()
-		for _, tm := range cancel {
-			tm.Cancel()
+	}
+	before := s.q.len()
+	for _, tm := range cancel {
+		tm.Cancel()
+	}
+	if s.q.len() >= before {
+		t.Fatalf("heap did not compact: %d entries before, %d after cancelling %d", before, s.q.len(), len(cancel))
+	}
+	s.Run(10 * time.Second)
+	if len(got) != len(want) {
+		t.Fatalf("executed %d events, want %d", len(got), len(want))
+	}
+	// Reconstruct the expected order: stable by (delay, insertion index).
+	byTime := map[int][]int{}
+	for _, i := range want {
+		byTime[i%7] = append(byTime[i%7], i)
+	}
+	var expect []int
+	for d := 0; d < 7; d++ {
+		expect = append(expect, byTime[d]...)
+	}
+	for k := range expect {
+		if got[k] != expect[k] {
+			t.Fatalf("event %d fired as %d, want %d (compaction broke ordering)", k, got[k], expect[k])
 		}
-		if s.q.len() >= before {
-			t.Fatalf("heap did not compact: %d entries before, %d after cancelling %d", before, s.q.len(), len(cancel))
-		}
-		s.Run(10 * time.Second)
-		if len(got) != len(want) {
-			t.Fatalf("executed %d events, want %d", len(got), len(want))
-		}
-		// Reconstruct the expected order: stable by (delay, insertion index).
-		byTime := map[int][]int{}
-		for _, i := range want {
-			byTime[i%7] = append(byTime[i%7], i)
-		}
-		var expect []int
-		for d := 0; d < 7; d++ {
-			expect = append(expect, byTime[d]...)
-		}
-		for k := range expect {
-			if got[k] != expect[k] {
-				t.Fatalf("event %d fired as %d, want %d (compaction broke ordering)", k, got[k], expect[k])
-			}
-		}
-	})
+	}
 }
 
 func TestRNGDeterminism(t *testing.T) {
