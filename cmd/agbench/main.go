@@ -31,8 +31,7 @@
 // (see EXPERIMENTS.md, "Profiling workflow").
 //
 // -json writes the machine-readable run record — per-point delivery
-// stats, logical events, wall time and events/sec — that cmd/benchgate
-// compares with the frozen smoke baseline (BENCH_PR9.json).
+// stats, logical events, wall time and events/sec.
 //
 // The -protocol flag picks the stack under test by registry name (e.g.
 // -protocol flood+gossip); its bare routing protocol becomes the
@@ -148,15 +147,15 @@ type jsonReport struct {
 	TotalWallSeconds float64       `json:"total_wall_seconds"`
 	// TotalEvents sums logical events over every figure point, and
 	// MallocsPerEvent divides the process's heap allocation count over
-	// the same span — the coarse allocation-rate metric the bench
-	// regression gate (cmd/benchgate) tracks alongside events/sec.
+	// the same span — a coarse allocation-rate metric to read
+	// alongside events/sec.
 	TotalEvents     uint64  `json:"total_events"`
 	MallocsPerEvent float64 `json:"mallocs_per_event"`
 	// PeakHeapBytes is the largest post-run live heap across the
 	// record's heap-measured runs, and HeapBytesPerNode the largest
-	// per-node footprint (live heap over node count at that point) —
-	// the numbers cmd/benchgate's memory gate tracks. Zero unless a
-	// heap-measured family (huge) ran.
+	// per-node footprint (live heap over node count at that point;
+	// TestHugeMemoryPerNode bounds it). Zero unless a heap-measured
+	// family (huge) ran.
 	PeakHeapBytes    uint64  `json:"peak_heap_bytes,omitempty"`
 	HeapBytesPerNode float64 `json:"heap_bytes_per_node,omitempty"`
 }

@@ -41,17 +41,12 @@ func TestRunStackProtocolFlag(t *testing.T) {
 	}
 }
 
-// TestRunDenseAndJSON drives the dense-traffic sweep with the -json
-// record: the sweep must complete and the record must parse with the
-// configuration axes and per-point perf numbers filled in.
-func TestRunDenseAndJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
+// runJSON runs agbench with args plus a -json path and returns the
+// parsed record.
+func runJSON(t *testing.T, args ...string) jsonReport {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "bench.json")
-	err := run([]string{"-fig", "dense", "-dense-nodes", "100", "-dense-max", "20",
-		"-seeds", "1", "-duration", "75s", "-json", path})
-	if err != nil {
+	if err := run(append(args, "-json", path)); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	data, err := os.ReadFile(path)
@@ -62,6 +57,18 @@ func TestRunDenseAndJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("json record does not parse: %v", err)
 	}
+	return rep
+}
+
+// TestRunDenseAndJSON drives the dense-traffic sweep with the -json
+// record: the sweep must complete and the record must parse with the
+// configuration axes and per-point perf numbers filled in.
+func TestRunDenseAndJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	rep := runJSON(t, "-fig", "dense", "-dense-nodes", "100", "-dense-max", "20",
+		"-seeds", "1", "-duration", "75s")
 	if rep.Protocol != "maodv+gossip" || rep.Baseline != "maodv" || rep.Seeds != 1 {
 		t.Fatalf("record axes wrong: %+v", rep)
 	}
@@ -76,6 +83,35 @@ func TestRunDenseAndJSON(t *testing.T) {
 	if rep.TotalWallSeconds <= 0 {
 		t.Fatalf("total wall time missing: %+v", rep)
 	}
+}
+
+// hugeHeapPerNode10k is heap_bytes_per_node at the parent of the PR that
+// retired the CI memory gate, measured twice (22,065.0 and 22,064.5) with
+//
+//	agbench -fig huge -huge-max 10000 -huge-duration 1s -seeds 1 -parallel 1 -json out.json
+const hugeHeapPerNode10k = 22065.0
+
+// TestHugeMemoryPerNode is the per-node memory check: the live heap
+// after a 10k-node run is deterministic to four digits, so the 10k
+// point of the huge family must stay within 10% of the recorded
+// footprint. It is also the end-to-end exercise of -fig huge.
+func TestHugeMemoryPerNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	rep := runJSON(t, "-fig", "huge", "-huge-max", "10000", "-huge-duration", "1s",
+		"-seeds", "1", "-parallel", "1")
+	if len(rep.Figures) != 1 || rep.Figures[0].Figure != "huge" || len(rep.Figures[0].Points) != 1 {
+		t.Fatalf("want one huge point, got %+v", rep.Figures)
+	}
+	if got := rep.HeapBytesPerNode; got <= 0 || got > 1.10*hugeHeapPerNode10k {
+		t.Fatalf("heap_bytes_per_node = %.1f, want in (0, %.1f]", got, 1.10*hugeHeapPerNode10k)
+	}
+	if rep.MallocsPerEvent <= 0 {
+		t.Fatalf("mallocs_per_event = %v, want > 0", rep.MallocsPerEvent)
+	}
+	t.Logf("heap_bytes_per_node %.1f (recorded %.1f), mallocs_per_event %.4f",
+		rep.HeapBytesPerNode, hugeHeapPerNode10k, rep.MallocsPerEvent)
 }
 
 func TestRunRejectsBadInput(t *testing.T) {

@@ -88,11 +88,17 @@ type daemon struct {
 	pn  *netrt.ProtocolNode
 	reg *metrics.Registry
 
-	mu       sync.Mutex
-	arrivals []time.Time // wall-clock delivery instants
+	mu sync.Mutex
+	// arrivals is a ring of wall-clock delivery instants: delivery k
+	// (0-based) sits at k % arrivalWindow until k+arrivalWindow lands.
+	arrivals [arrivalWindow]time.Time
 	count    uint64
 	subs     map[chan delivery]struct{}
 }
+
+// arrivalWindow bounds the delivery instants a daemon keeps, and so the
+// window /stats' gap_ms summarises and the work each request does.
+const arrivalWindow = 1024
 
 // newDaemon assembles the stack on tr and joins the group. The node is
 // live when newDaemon returns.
@@ -114,8 +120,8 @@ func newDaemon(cfg daemonConfig, tr netrt.Transport) (*daemon, error) {
 	pn.OnDeliver(func(g pkt.GroupID, data *pkt.Data, recovered bool) {
 		ev := delivery{Group: g, Origin: data.Origin, Seq: data.Seq, Recovered: recovered}
 		d.mu.Lock()
+		d.arrivals[d.count%arrivalWindow] = time.Now()
 		d.count++
-		d.arrivals = append(d.arrivals, time.Now())
 		for ch := range d.subs {
 			select {
 			case ch <- ev:
@@ -276,9 +282,10 @@ type statsReport struct {
 	Stack     string      `json:"stack"`
 	Group     pkt.GroupID `json:"group"`
 	Delivered uint64      `json:"delivered"`
-	// GapMS summarises wall-clock inter-arrival gaps of delivered
-	// packets in milliseconds (the live analogue of the simulator's
-	// delivery distributions, via internal/stats).
+	// GapMS summarises wall-clock inter-arrival gaps of the most recent
+	// delivered packets (at most arrivalWindow of them) in milliseconds
+	// (the live analogue of the simulator's delivery distributions, via
+	// internal/stats).
 	GapMS    stats.Summary       `json:"gap_ms"`
 	Node     node.Stats          `json:"node"`
 	Recovery stack.RecoveryStats `json:"recovery"`
@@ -312,9 +319,11 @@ func (d *daemon) report() (*statsReport, error) {
 	}
 	d.mu.Lock()
 	count := d.count
-	gaps := make([]float64, 0, len(d.arrivals))
-	for i := 1; i < len(d.arrivals); i++ {
-		gaps = append(gaps, float64(d.arrivals[i].Sub(d.arrivals[i-1]))/float64(time.Millisecond))
+	retained := min(count, arrivalWindow)
+	gaps := make([]float64, 0, retained)
+	for k := count - retained + 1; k < count; k++ {
+		gap := d.arrivals[k%arrivalWindow].Sub(d.arrivals[(k-1)%arrivalWindow])
+		gaps = append(gaps, float64(gap)/float64(time.Millisecond))
 	}
 	d.mu.Unlock()
 	ls := d.pn.Runtime().Stats()

@@ -175,6 +175,56 @@ func TestDaemonClusterEndToEnd(t *testing.T) {
 	}
 }
 
+// TestArrivalWindowBounded delivers more packets than the arrival ring
+// holds: the delivery counter keeps counting while the retained
+// timestamps, and the gap summary built from them, stay bounded and in
+// arrival order.
+func TestArrivalWindowBounded(t *testing.T) {
+	tr := netrt.NewChanTransport()
+	var ds []*daemon
+	for i := 0; i < 2; i++ {
+		d, err := newDaemon(daemonConfig{
+			ID:        pkt.NodeID(i + 1),
+			Stack:     stack.Spec{Routing: "flood"},
+			Seed:      7,
+			TimeScale: 100,
+		}, tr)
+		if err != nil {
+			t.Fatalf("newDaemon %d: %v", i+1, err)
+		}
+		t.Cleanup(func() { d.Close() })
+		ds = append(ds, d)
+	}
+	const packets = arrivalWindow + 50
+	for i := 0; i < packets; i++ {
+		if _, err := ds[0].pn.Publish(ds[0].cfg.Group); err != nil {
+			t.Fatalf("publish %d: %v", i, err)
+		}
+	}
+	var rep *statsReport
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var err error
+		if rep, err = ds[1].report(); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Delivered >= packets || time.Now().After(deadline) {
+			break
+		}
+	}
+	if rep.Delivered != packets {
+		t.Fatalf("delivered %d, want %d", rep.Delivered, packets)
+	}
+	if retained := len(ds[1].arrivals); retained != arrivalWindow {
+		t.Errorf("retained %d arrival instants, want the window of %d", retained, arrivalWindow)
+	}
+	if rep.GapMS.N != arrivalWindow-1 {
+		t.Errorf("gap summary N = %d, want %d", rep.GapMS.N, arrivalWindow-1)
+	}
+	if rep.GapMS.Min < 0 {
+		t.Errorf("gap summary min = %v ms: the ring was read out of arrival order", rep.GapMS.Min)
+	}
+}
+
 // TestMetricsAndPprofEndpoints boots a gossip-stack loopback cluster,
 // publishes through it, and scrapes the observability surface: GET
 // /metrics must expose the delivery/link/recovery families in

@@ -70,13 +70,8 @@ func run(args []string) error {
 	cfg.TxRange = *txRange
 	cfg.MaxSpeed = *speed
 	cfg.MaxPause = *pause
-	cfg.Duration = *duration
-	if cfg.DataEnd > cfg.Duration {
-		// Keep the paper's 40 s cool-down when the run is shortened.
-		cfg.DataEnd = cfg.Duration - 40*time.Second
-		if cfg.DataStart >= cfg.DataEnd {
-			cfg.DataStart = cfg.DataEnd / 4
-		}
+	if *duration != cfg.Duration {
+		cfg = anongossip.ShortenedData(cfg, *duration)
 	}
 	cfg.Seed = *seed
 	cfg.Gossip.Interval = *interval

@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"fmt"
+	"io"
+	"os"
+	"strings"
+	"testing"
+	"time"
+)
 
 func TestRunShortSimulation(t *testing.T) {
 	err := run([]string{
@@ -55,4 +62,59 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-metrics-window", "-1s", "-duration", "60s"}); err == nil {
 		t.Fatal("negative metrics window accepted")
 	}
+	// A non-positive gossip period used to re-arm the round at the same
+	// simulated instant forever; run it off the test goroutine so a
+	// regression fails instead of hanging the suite.
+	for _, interval := range []string{"0", "-1s"} {
+		done := make(chan error, 1)
+		go func() { done <- run([]string{"-gossip-interval", interval, "-duration", "100s"}) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("-gossip-interval %s accepted", interval)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("-gossip-interval %s never returned", interval)
+		}
+	}
+}
+
+// TestRunShortDurationSendsData pins the one shortening rule: a 30 s
+// run keeps a 6 s–24 s data window instead of the negative one the
+// fixed 40 s cool-down used to compute (and run silently with).
+func TestRunShortDurationSendsData(t *testing.T) {
+	out := captureStdout(t, func() {
+		if err := run([]string{"-nodes", "12", "-duration", "30s"}); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	})
+	var sent int
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "workload") {
+			fmt.Sscanf(line, "workload %d packets", &sent)
+		}
+	}
+	if sent == 0 {
+		t.Fatalf("30 s run sent no packets:\n%s", out)
+	}
+}
+
+// captureStdout returns what fn prints to os.Stdout.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	read := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- string(b)
+	}()
+	fn()
+	w.Close()
+	return <-read
 }

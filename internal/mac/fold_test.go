@@ -11,10 +11,10 @@ import (
 	"anongossip/internal/sim"
 )
 
-// newFoldHarness is newHarness with a caller-supplied MAC config, so
-// the differential tests below can cross DisableFold against the
-// default folding build on an otherwise identical world.
-func newFoldHarness(t *testing.T, cfg Config, rangeM float64, positions []geom.Point) *harness {
+// newFoldHarness is newHarness with the fold switched by the caller, so
+// the differential tests below can cross the eager reference cycle
+// against the folding production build on an otherwise identical world.
+func newFoldHarness(t *testing.T, fold bool, rangeM float64, positions []geom.Point) *harness {
 	t.Helper()
 	h := &harness{
 		sched: sim.NewScheduler(),
@@ -34,8 +34,8 @@ func newFoldHarness(t *testing.T, cfg Config, rangeM float64, positions []geom.P
 				h.dones[i] = append(h.dones[i], sendDone{p: p, to: to, ok: ok})
 			},
 		}
-		m, err := New(h.sched, rng.Derive(id.String()), h.medium, id,
-			mobility.Static{P: p}, cfg, cb)
+		m, err := newDCF(h.sched, rng.Derive(id.String()), h.medium, id,
+			mobility.Static{P: p}, DefaultConfig(), cb, fold)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,9 +62,11 @@ func stepToBackoff(t *testing.T, h *harness, d *DCF) sim.Time {
 // proven busy onset mid-countdown postpones the backoff step in place,
 // the kernel re-enqueues the hop without firing it (one elided event),
 // and the wake at the proven-idle instant proceeds straight to a fresh
-// countdown — no re-probe, no extra events, delivery unchanged.
+// countdown — no re-probe, no extra events, delivery unchanged. It
+// builds its nodes with the exported New (newHarness), pinning that
+// the production constructor folds.
 func TestFoldPostponedCountdownElidesHop(t *testing.T) {
-	h := newFoldHarness(t, DefaultConfig(), 100, []geom.Point{{X: 0}, {X: 50}})
+	h := newHarness(t, 100, []geom.Point{{X: 0}, {X: 50}})
 	d := h.macs[0]
 	if !d.Send(testPacket(1, 2), 2) {
 		t.Fatal("queue refused packet")
@@ -105,7 +107,7 @@ func TestFoldPostponedCountdownElidesHop(t *testing.T) {
 // position the eager chain's timer held — not the postpone target,
 // or horizon accounting would drift.
 func TestLateAckMidFoldedCountdown(t *testing.T) {
-	h := newFoldHarness(t, DefaultConfig(), 100, []geom.Point{{X: 0}, {X: 5000}})
+	h := newFoldHarness(t, true, 100, []geom.Point{{X: 0}, {X: 5000}})
 	d := h.macs[0]
 	if !d.Send(testPacket(1, 2), 2) {
 		t.Fatal("queue refused packet")
@@ -154,7 +156,7 @@ func TestLateAckMidFoldedCountdown(t *testing.T) {
 // the step fires at its original queue position and re-probes exactly
 // as the reference chain would — zero kernel hops elided.
 func TestUnprovenOnsetRestoresCountdown(t *testing.T) {
-	h := newFoldHarness(t, DefaultConfig(), 100, []geom.Point{{X: 0}, {X: 50}})
+	h := newFoldHarness(t, true, 100, []geom.Point{{X: 0}, {X: 50}})
 	d := h.macs[0]
 	if !d.Send(testPacket(1, 2), 2) {
 		t.Fatal("queue refused packet")
@@ -187,7 +189,7 @@ func TestUnprovenOnsetRestoresCountdown(t *testing.T) {
 // accounting.
 func TestOnsetAtExactExpiryInstant(t *testing.T) {
 	t.Run("onset-before-pop", func(t *testing.T) {
-		h := newFoldHarness(t, DefaultConfig(), 100, []geom.Point{{X: 0}, {X: 50}})
+		h := newFoldHarness(t, true, 100, []geom.Point{{X: 0}, {X: 50}})
 		d := h.macs[0]
 		if !d.Send(testPacket(1, 2), 2) {
 			t.Fatal("queue refused packet")
@@ -205,7 +207,7 @@ func TestOnsetAtExactExpiryInstant(t *testing.T) {
 		}
 	})
 	t.Run("pop-before-onset", func(t *testing.T) {
-		h := newFoldHarness(t, DefaultConfig(), 100, []geom.Point{{X: 0}, {X: 50}})
+		h := newFoldHarness(t, true, 100, []geom.Point{{X: 0}, {X: 50}})
 		d := h.macs[0]
 		if !d.Send(testPacket(1, 2), 2) {
 			t.Fatal("queue refused packet")
@@ -236,10 +238,8 @@ func TestOnsetAtExactExpiryInstant(t *testing.T) {
 // (processed + kernel hops + MAC elisions) — while the folded run
 // demonstrably elides kernel hops.
 func TestFoldDifferentialSerial(t *testing.T) {
-	run := func(disable bool) (*harness, uint64) {
-		cfg := DefaultConfig()
-		cfg.DisableFold = disable
-		h := newFoldHarness(t, cfg, 100, []geom.Point{{X: 0}, {X: 40}, {X: 80}})
+	run := func(fold bool) (*harness, uint64) {
+		h := newFoldHarness(t, fold, 100, []geom.Point{{X: 0}, {X: 40}, {X: 80}})
 		for i := 0; i < 5; i++ {
 			h.macs[0].Send(testPacket(1, 3), 3)
 			h.macs[2].Send(testPacket(3, 1), 1)
@@ -251,8 +251,8 @@ func TestFoldDifferentialSerial(t *testing.T) {
 		}
 		return h, total
 	}
-	ref, refTotal := run(true)
-	fold, foldTotal := run(false)
+	ref, refTotal := run(false)
+	fold, foldTotal := run(true)
 
 	if refTotal != foldTotal {
 		t.Fatalf("logical event totals diverged: reference %d, folded %d", refTotal, foldTotal)

@@ -60,12 +60,6 @@ type Config struct {
 	// RTSBytes and CTSBytes size the control frames.
 	RTSBytes int
 	CTSBytes int
-	// DisableFold turns off the folded contention countdown (one timer
-	// postponed in place on channel-state notifications instead of a
-	// wake per busy period; DESIGN.md §10). The fold is bit-identical
-	// to the eager cycle — the flag exists so differential tests can
-	// run the reference schedule against it.
-	DisableFold bool
 }
 
 // RTSThresholdOff disables RTS/CTS (the 802.11 "dot11RTSThreshold off"
@@ -255,13 +249,12 @@ type DCF struct {
 	// overheard RTS/CTS duration fields.
 	navUntil sim.Time
 	// Folded contention countdown (DESIGN.md §10). folding is set when
-	// the fold is enabled and the transceiver can bound neighbourhood
-	// motion; foldOK says the closure proofs covering the pending step
-	// still hold; foldVK is the largest proven busy-until learned since
-	// the step was armed; foldBase anchors the prediction window —
-	// every folded decision must stay within
-	// radio.CarrierPredictWindow of the probe that established the
-	// closure.
+	// the transceiver can bound neighbourhood motion; foldOK says the
+	// closure proofs covering the pending step still hold; foldVK is the
+	// largest proven busy-until learned since the step was armed;
+	// foldBase anchors the prediction window — every folded decision
+	// must stay within radio.CarrierPredictWindow of the probe that
+	// established the closure.
 	folding  bool
 	foldOK   bool
 	foldVK   sim.Time
@@ -280,6 +273,14 @@ type DCF struct {
 // already has a transceiver for id (radio.ErrDuplicateNode).
 func New(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID,
 	pos mobility.Model, cfg Config, cb Callbacks) (*DCF, error) {
+	return newDCF(sched, rng, medium, id, pos, cfg, cb, true)
+}
+
+// newDCF builds the MAC with the folded contention countdown (DESIGN.md
+// §10) on or off. Production always folds; fold=false is the eager
+// reference schedule the in-package differential tests compare against.
+func newDCF(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID,
+	pos mobility.Model, cfg Config, cb Callbacks, fold bool) (*DCF, error) {
 	d := &DCF{
 		id:      id,
 		cfg:     cfg,
@@ -299,7 +300,7 @@ func New(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID
 		return nil, err
 	}
 	d.tr = tr
-	if !cfg.DisableFold && tr.CarrierPredictable() {
+	if fold && tr.CarrierPredictable() {
 		// Fold the contention countdown: the radio notifies carrier
 		// onsets instead of the MAC polling with a wake per busy
 		// period.

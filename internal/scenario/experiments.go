@@ -290,8 +290,8 @@ func ShortenedData(c Config, duration time.Duration) Config {
 // engineering: does throughput stay O(events), and does per-node
 // memory stay flat as the world grows? Its runs therefore measure the
 // live heap (Config.MeasureHeap) alongside events/sec, and agbench
-// -fig huge records heap_bytes_per_node / peak_heap_bytes for
-// cmd/benchgate's memory gates. At these scales a full paper-length
+// -fig huge records heap_bytes_per_node / peak_heap_bytes in its
+// -json output. At these scales a full paper-length
 // run is hours; the family is meant to be swept with a short data
 // window (agbench's -huge-duration, default 10 s), which makes the
 // delivery columns warm-up-dominated noise — the family's results are

@@ -159,8 +159,7 @@ type Config struct {
 	// Result.HeapLiveBytes (a forced GC plus ReadMemStats, a few ms).
 	// The sample is process-wide: run points sequentially (seeds
 	// parallel=1, one run at a time) for meaningful per-run numbers.
-	// The huge-scale family sets it; the memory gates in cmd/benchgate
-	// are built on it.
+	// The huge-scale family sets it.
 	MeasureHeap bool
 
 	// TraceCapacity, when positive, records the last N packet events
@@ -245,7 +244,8 @@ func (c Config) Spec() stack.Spec {
 // Validate reports configuration errors. Stack validation is a registry
 // lookup: the error of an unknown stack lists every registered name.
 func (c Config) Validate() error {
-	if _, _, err := stack.Resolve(c.Spec()); err != nil {
+	_, recovery, err := stack.Resolve(c.Spec())
+	if err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
 	// The negated float comparisons also reject NaN (NaN > 0 is false),
@@ -265,6 +265,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: non-positive duration %v", c.Duration)
 	case c.DataEnd > c.Duration:
 		return fmt.Errorf("scenario: data window ends at %v after the run ends at %v", c.DataEnd, c.Duration)
+	case c.DataStart < 0 || c.DataEnd < 0:
+		// DataEnd < DataStart stays legal: it is the empty window of a
+		// construction-only run (ExpectedPackets reports 0).
+		return fmt.Errorf("scenario: data window [%v, %v] starts or ends before time zero", c.DataStart, c.DataEnd)
+	case recovery != nil && c.Gossip.Interval <= 0:
+		// A round re-arms itself Interval later: at zero, simulated time
+		// would never advance past the first round.
+		return fmt.Errorf("scenario: non-positive gossip interval %v", c.Gossip.Interval)
 	case c.MetricsWindow < 0:
 		return fmt.Errorf("scenario: negative metrics window %v", c.MetricsWindow)
 	}

@@ -36,6 +36,20 @@ func TestConfigValidate(t *testing.T) {
 	if err := valid.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
+	// Two shapes that look wrong but are in use: bench/'s construction
+	// probe runs an empty data window, and a stack without a recovery
+	// layer never reads the gossip period.
+	probe := shortConfig()
+	probe.DataStart, probe.DataEnd = 1, 0
+	if err := probe.Validate(); err != nil {
+		t.Fatalf("empty data window rejected: %v", err)
+	}
+	bare := shortConfig()
+	bare.Protocol = ProtocolMAODV
+	bare.Gossip.Interval = 0
+	if err := bare.Validate(); err != nil {
+		t.Fatalf("bare MAODV with an unset gossip interval rejected: %v", err)
+	}
 	tests := []struct {
 		name   string
 		mutate func(*Config)
@@ -54,6 +68,10 @@ func TestConfigValidate(t *testing.T) {
 		{"degenerate area", func(c *Config) { c.Area.W = 0 }},
 		{"zero duration", func(c *Config) { c.Duration = 0 }},
 		{"data window past end", func(c *Config) { c.DataEnd = c.Duration + time.Second }},
+		{"negative data start", func(c *Config) { c.DataStart = -time.Second }},
+		{"negative data end", func(c *Config) { c.DataEnd = -10 * time.Second }},
+		{"zero gossip interval", func(c *Config) { c.Gossip.Interval = 0 }},
+		{"negative gossip interval", func(c *Config) { c.Gossip.Interval = -time.Second }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
