@@ -196,7 +196,19 @@ func TestArrivalWindowBounded(t *testing.T) {
 		ds = append(ds, d)
 	}
 	const packets = arrivalWindow + 50
+	// flood remembers 1024 packets. A publisher that runs a thousand
+	// ahead forgets its first ones before the receiver's rebroadcasts of
+	// them come back, takes those for new and sends them round again, so
+	// keep it within a quarter of that of what the receiver has counted.
+	delivered := func() int {
+		ds[1].mu.Lock()
+		defer ds[1].mu.Unlock()
+		return int(ds[1].count)
+	}
 	for i := 0; i < packets; i++ {
+		for deadline := time.Now().Add(20 * time.Second); i-delivered() > 256 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 		if _, err := ds[0].pn.Publish(ds[0].cfg.Group); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}

@@ -15,6 +15,12 @@ import (
 //
 // The grid is unbounded: cell coordinates are derived by flooring the
 // point coordinates, so negative and arbitrarily large positions work.
+// Ids are not: items is a dense slice indexed by id, so ids must be
+// small non-negative integers (the radio layer uses attach indices and
+// pooled-transmission ids, both bounded by a live population), and a
+// removed id may be inserted again. A cell that empties keeps its entry
+// and backing array, so churn over a fixed set of cells — a frame put
+// on the air where one just ended — allocates nothing.
 // All operations are deterministic: the same sequence of
 // Insert/Move/Remove calls yields the same internal layout, and
 // ForEachInRange visits cells in a fixed row-major order. Callers that
@@ -27,7 +33,8 @@ import (
 type Grid struct {
 	cell  float64
 	cells map[cellKey][]int
-	items map[int]gridItem
+	items []gridItem
+	n     int // stored points: items entries with present set
 }
 
 type cellKey struct {
@@ -35,8 +42,9 @@ type cellKey struct {
 }
 
 type gridItem struct {
-	p    Point
-	cell cellKey
+	p       Point
+	cell    cellKey
+	present bool
 }
 
 // NewGrid creates a grid with the given cell size in metres. The radio
@@ -50,7 +58,6 @@ func NewGrid(cellSize float64) *Grid {
 	return &Grid{
 		cell:  cellSize,
 		cells: make(map[cellKey][]int),
-		items: make(map[int]gridItem),
 	}
 }
 
@@ -58,7 +65,15 @@ func NewGrid(cellSize float64) *Grid {
 func (g *Grid) CellSize() float64 { return g.cell }
 
 // Len returns the number of stored points.
-func (g *Grid) Len() int { return len(g.items) }
+func (g *Grid) Len() int { return g.n }
+
+// item returns the entry stored under id, or nil when there is none.
+func (g *Grid) item(id int) *gridItem {
+	if id < 0 || id >= len(g.items) || !g.items[id].present {
+		return nil
+	}
+	return &g.items[id]
+}
 
 func (g *Grid) keyFor(p Point) cellKey {
 	return cellKey{
@@ -67,44 +82,52 @@ func (g *Grid) keyFor(p Point) cellKey {
 	}
 }
 
-// Insert stores point p under id. Inserting an id that is already
-// present panics: the radio layer assigns ids once at attach time, so a
-// duplicate indicates a bookkeeping bug, never a runtime condition.
+// Insert stores point p under id. Inserting a negative id, or one that
+// is already present, panics: the radio layer hands out each id to one
+// live owner at a time, so either indicates a bookkeeping bug, never a
+// runtime condition.
 func (g *Grid) Insert(id int, p Point) {
-	if _, dup := g.items[id]; dup {
+	if id < 0 {
+		panic(fmt.Sprintf("geom: negative grid id %d", id))
+	}
+	if g.item(id) != nil {
 		panic(fmt.Sprintf("geom: duplicate grid insert for id %d", id))
 	}
+	for id >= len(g.items) {
+		g.items = append(g.items, gridItem{})
+	}
 	k := g.keyFor(p)
-	g.items[id] = gridItem{p: p, cell: k}
+	g.items[id] = gridItem{p: p, cell: k, present: true}
 	g.cells[k] = append(g.cells[k], id)
+	g.n++
 }
 
 // Move updates the stored point for id, re-bucketing only when the
 // point crossed a cell boundary. Moving an unknown id panics.
 func (g *Grid) Move(id int, p Point) {
-	it, ok := g.items[id]
-	if !ok {
+	it := g.item(id)
+	if it == nil {
 		panic(fmt.Sprintf("geom: move of unknown grid id %d", id))
 	}
+	it.p = p
 	k := g.keyFor(p)
 	if k == it.cell {
-		it.p = p
-		g.items[id] = it
 		return
 	}
 	g.removeFromCell(id, it.cell)
-	g.items[id] = gridItem{p: p, cell: k}
+	it.cell = k
 	g.cells[k] = append(g.cells[k], id)
 }
 
 // Remove deletes id from the grid. Removing an unknown id panics.
 func (g *Grid) Remove(id int) {
-	it, ok := g.items[id]
-	if !ok {
+	it := g.item(id)
+	if it == nil {
 		panic(fmt.Sprintf("geom: remove of unknown grid id %d", id))
 	}
 	g.removeFromCell(id, it.cell)
-	delete(g.items, id)
+	it.present = false
+	g.n--
 }
 
 func (g *Grid) removeFromCell(id int, k cellKey) {
@@ -114,9 +137,6 @@ func (g *Grid) removeFromCell(id int, k cellKey) {
 			last := len(ids) - 1
 			ids[i] = ids[last]
 			g.cells[k] = ids[:last]
-			if last == 0 {
-				delete(g.cells, k)
-			}
 			return
 		}
 	}
@@ -125,8 +145,10 @@ func (g *Grid) removeFromCell(id int, k cellKey) {
 
 // At returns the stored point for id.
 func (g *Grid) At(id int) (Point, bool) {
-	it, ok := g.items[id]
-	return it.p, ok
+	if it := g.item(id); it != nil {
+		return it.p, true
+	}
+	return Point{}, false
 }
 
 // ForEachInRange calls fn for every stored point within distance r of p
@@ -144,9 +166,8 @@ func (g *Grid) ForEachInRange(p Point, r float64, fn func(id int, q Point)) {
 	for cy := lo.cy; cy <= hi.cy; cy++ {
 		for cx := lo.cx; cx <= hi.cx; cx++ {
 			for _, id := range g.cells[cellKey{cx: cx, cy: cy}] {
-				it := g.items[id]
-				if it.p.Dist2(p) <= r2 {
-					fn(id, it.p)
+				if q := g.items[id].p; q.Dist2(p) <= r2 {
+					fn(id, q)
 				}
 			}
 		}

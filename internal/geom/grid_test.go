@@ -109,6 +109,7 @@ func TestGridMatchesNaiveUnderRandomOps(t *testing.T) {
 	g := NewGrid(cell)
 	ref := naiveStore{}
 	nextID := 0
+	var freed []int // removed ids, reinserted before any new id is made
 
 	randPoint := func() Point {
 		// Include positions outside [0, 1000] to exercise negative cells.
@@ -117,11 +118,16 @@ func TestGridMatchesNaiveUnderRandomOps(t *testing.T) {
 
 	for step := 0; step < 5000; step++ {
 		switch op := rng.Intn(10); {
-		case op < 5 || len(ref) == 0: // insert
-			g.Insert(nextID, randPoint())
-			p, _ := g.At(nextID)
-			ref[nextID] = p
-			nextID++
+		case op < 5 || len(ref) == 0: // insert, under a freed id if any
+			id := nextID
+			if n := len(freed); n > 0 {
+				id, freed = freed[n-1], freed[:n-1]
+			} else {
+				nextID++
+			}
+			g.Insert(id, randPoint())
+			p, _ := g.At(id)
+			ref[id] = p
 		case op < 8: // move a random existing id
 			id := randExisting(rng, ref)
 			p := randPoint()
@@ -136,13 +142,17 @@ func TestGridMatchesNaiveUnderRandomOps(t *testing.T) {
 			id := randExisting(rng, ref)
 			g.Remove(id)
 			delete(ref, id)
+			freed = append(freed, id)
+			if _, ok := g.At(id); ok {
+				t.Fatalf("step %d: removed id %d still present", step, id)
+			}
+		}
+		if g.Len() != len(ref) {
+			t.Fatalf("step %d: Len = %d, want %d", step, g.Len(), len(ref))
 		}
 
 		if step%50 != 0 {
 			continue
-		}
-		if g.Len() != len(ref) {
-			t.Fatalf("step %d: Len = %d, want %d", step, g.Len(), len(ref))
 		}
 		q := randPoint()
 		for _, r := range []float64{0, cell / 3, cell, 2.5 * cell} {
@@ -189,6 +199,39 @@ func TestGridMisusePanics(t *testing.T) {
 	g := NewGrid(10)
 	g.Insert(1, Point{})
 	expectPanic("duplicate Insert", func() { g.Insert(1, Point{1, 1}) })
+	expectPanic("negative Insert", func() { g.Insert(-1, Point{}) })
 	expectPanic("Move unknown", func() { g.Move(9, Point{}) })
+	expectPanic("Move negative", func() { g.Move(-1, Point{}) })
 	expectPanic("Remove unknown", func() { g.Remove(9) })
+	expectPanic("Remove of a hole below a present id", func() { g.Remove(0) })
+	g.Remove(1)
+	expectPanic("Remove twice", func() { g.Remove(1) })
+	if _, ok := g.At(-1); ok || g.Len() != 0 {
+		t.Fatalf("At(-1) present = %v, Len = %d after removing the only point", ok, g.Len())
+	}
+}
+
+// TestGridChurnAllocatesNothing: the radio inserts every transmission's
+// origin and removes it one airtime later, over the same few cells for a
+// whole run. Ids index a dense slice and an emptied cell keeps its
+// backing array, so once ids and cells have been seen that churn
+// allocates nothing.
+func TestGridChurnAllocatesNothing(t *testing.T) {
+	g := NewGrid(75)
+	pts := []Point{{10, 10}, {80, 10}, {10, 80}, {-5, -5}}
+	churn := func() {
+		for id, p := range pts {
+			g.Insert(id, p)
+		}
+		for id := range pts {
+			g.Remove(id) // every cell empties
+		}
+	}
+	churn()
+	if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
+		t.Errorf("Insert/Remove churn over a fixed cell set allocates %v times, want 0", allocs)
+	}
+	if g.Len() != 0 {
+		t.Fatalf("Len = %d after churn, want 0", g.Len())
+	}
 }

@@ -1,0 +1,123 @@
+package mac
+
+import (
+	"testing"
+	"time"
+
+	"anongossip/internal/geom"
+	"anongossip/internal/mobility"
+	"anongossip/internal/pkt"
+	"anongossip/internal/radio"
+	"anongossip/internal/sim"
+)
+
+// TestBroadcastCycleAllocatesOnlyTheOutgoing pins the MAC's share of the
+// transmission path: a broadcast Send through contention, airtime at
+// nine receivers and OnSendDone costs the one outgoing record that
+// carries the frame — the frame goes on the air by pointer and the queue
+// reuses its backing array.
+func TestBroadcastCycleAllocatesOnlyTheOutgoing(t *testing.T) {
+	sched := sim.NewScheduler()
+	medium := radio.NewMedium(sched, radio.Params{Range: 100})
+	rng := sim.NewRNG(7)
+	var received, done int
+	var sender *DCF
+	for i := 0; i < 10; i++ {
+		id := pkt.NodeID(i + 1)
+		d, err := New(sched, rng.Derive(id.String()), medium, id,
+			mobility.Static{P: geom.Point{X: 5 * float64(i)}}, DefaultConfig(), Callbacks{
+				OnReceive:  func(*pkt.Packet, pkt.NodeID, bool) { received++ },
+				OnSendDone: func(*pkt.Packet, pkt.NodeID, bool) { done++ },
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			sender = d
+		}
+	}
+	p := testPacket(1, pkt.Broadcast)
+	cycle := func() {
+		if !sender.Send(p, pkt.Broadcast) {
+			t.Fatal("Send refused on an idle MAC")
+		}
+		// DIFS + CWMin slots + airtime is under a millisecond.
+		sched.Run(sched.Now() + 2*time.Millisecond)
+	}
+	cycle()
+	received, done = 0, 0
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs > 1 {
+		t.Errorf("broadcast Send → OnSendDone cycle allocates %v times, want at most 1 (the outgoing record)", allocs)
+	}
+	// AllocsPerRun makes one warm-up call of its own.
+	if want := (runs + 1) * 9; received != want || done != runs+1 {
+		t.Fatalf("%d receptions and %d completions, want %d and %d", received, done, want, runs+1)
+	}
+}
+
+// TestForeignValueOnMediumIgnored: the MAC shares the medium with
+// whatever else transmits on it and acts only on its own *frame PDUs —
+// anything else, a frame by value included, is dropped without effect.
+func TestForeignValueOnMediumIgnored(t *testing.T) {
+	h := newHarness(t, 100, []geom.Point{{X: 0}})
+	raw, err := h.medium.Attach(99, mobility.Static{P: geom.Point{X: 10}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byValue := frame{kind: frameData, src: 99, dst: pkt.Broadcast, seq: 1, payload: testPacket(99, pkt.Broadcast)}
+	for i, v := range []any{"not a frame", byValue, nil} {
+		v := v
+		h.sched.At(sim.Time(i)*time.Millisecond, func() {
+			if err := raw.StartTx(v, 100*time.Microsecond); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	h.sched.Run(time.Second)
+	if _, delivered, _ := h.macs[0].tr.Counters(); delivered != 3 {
+		t.Fatalf("radio delivered %d foreign values to the MAC's node, want 3", delivered)
+	}
+	if len(h.rxs[0]) != 0 || h.macs[0].Stats() != (Stats{}) {
+		t.Fatalf("foreign values reached the network layer or the counters: %d deliveries, %+v", len(h.rxs[0]), h.macs[0].Stats())
+	}
+}
+
+// TestQueueReusesItsBackingArray: the transmit queue is a head-indexed
+// slice. Draining resets it in place, and a queue that never drains
+// slides its waiting frames down instead of growing past the popped
+// slots, so the array stays bounded by the backlog, not the run length.
+func TestQueueReusesItsBackingArray(t *testing.T) {
+	h := newHarness(t, 100, []geom.Point{{X: 0}, {X: 50}})
+	d := h.macs[0]
+	const backlog = 10
+	sent := 0
+	var refill func()
+	refill = func() {
+		// Top the backlog up every millisecond: the queue is never empty
+		// while frames keep completing at its head.
+		for d.QueueLen() < backlog && sent < 500 {
+			d.Send(testPacket(1, pkt.Broadcast), pkt.Broadcast)
+			sent++
+		}
+		if sent < 500 {
+			h.sched.After(time.Millisecond, refill)
+		}
+	}
+	h.sched.After(0, refill)
+	h.sched.Run(10 * time.Second)
+	if len(h.dones[0]) != 500 || len(h.rxs[1]) != 500 {
+		t.Fatalf("%d completions, %d deliveries, want 500 each", len(h.dones[0]), len(h.rxs[1]))
+	}
+	if c := cap(d.queue); c > 4*backlog {
+		t.Errorf("queue backing array grew to %d slots under a standing backlog of %d", c, backlog)
+	}
+	if d.QueueLen() != 0 || d.qhead != 0 || len(d.queue) != 0 {
+		t.Errorf("drained queue not reset: len %d, head %d", len(d.queue), d.qhead)
+	}
+	for _, out := range d.queue[:cap(d.queue)] {
+		if out != nil {
+			t.Fatal("a popped slot still pins its outgoing record")
+		}
+	}
+}

@@ -130,7 +130,7 @@ func TestLateAckMidFoldedCountdown(t *testing.T) {
 
 	attempts := uint64(d.inflight.attempt)
 	before := d.Stats().ElidedEvents
-	d.onRadio(frame{kind: frameAck, src: 2, dst: 1, seq: d.inflight.frm.seq}, 2, true)
+	d.onRadio(&frame{kind: frameAck, src: 2, dst: 1, seq: d.inflight.frm.seq}, 2, true)
 	if got := d.Stats().ElidedEvents; got != before+1 {
 		t.Fatalf("late ACK mid-fold elided %d events (had %d), want exactly one more", got, before)
 	}

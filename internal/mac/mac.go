@@ -96,7 +96,9 @@ const (
 	frameCTS
 )
 
-// frame is the MAC PDU exchanged over the radio.
+// frame is the MAC PDU exchanged over the radio. Frames go on the air
+// by pointer, so putting one there boxes nothing, and are read-only from
+// then on: receivers (and the timers they arm) keep the pointer.
 type frame struct {
 	kind    frameKind
 	src     pkt.NodeID
@@ -169,7 +171,11 @@ type Callbacks struct {
 	OnSendDone func(p *pkt.Packet, to pkt.NodeID, ok bool)
 }
 
-// outgoing is one queued network packet with its MAC bookkeeping.
+// outgoing is one queued network packet with its MAC bookkeeping. The
+// data frame transmitted for it — on every attempt — is &frm, which
+// nothing writes after Send builds it. That is also why records are not
+// recycled: a late ACK can finish the frame while its own retransmission
+// is still on the air, pointing here.
 type outgoing struct {
 	frm     frame
 	attempt int
@@ -202,7 +208,12 @@ type DCF struct {
 	tr    *radio.Transceiver
 	cb    Callbacks
 
+	// queue[qhead:] are the frames waiting behind inflight. Popping
+	// advances qhead (and nils the slot) instead of re-slicing, so the
+	// backing array is reused once the queue drains rather than regrown
+	// a frame at a time.
 	queue    []*outgoing
+	qhead    int
 	inflight *outgoing
 	// busy is true from the moment a frame reaches the head of the queue
 	// until its final success/failure, covering defer, backoff, airtime
@@ -343,7 +354,7 @@ func (d *DCF) Stats() Stats { return d.stats }
 func (d *DCF) SetChannelMetrics(c *metrics.ChannelCounters) { d.chm = c }
 
 // QueueLen returns the number of frames waiting (excluding in-flight).
-func (d *DCF) QueueLen() int { return len(d.queue) }
+func (d *DCF) QueueLen() int { return len(d.queue) - d.qhead }
 
 // airtime returns the channel occupancy of a data frame carrying
 // payloadBytes of network-layer payload.
@@ -388,13 +399,20 @@ func (d *DCF) ackTimeout() sim.Time {
 // (pkt.Broadcast for broadcast). It reports whether the frame was
 // accepted; false means the queue was full and the packet dropped.
 func (d *DCF) Send(p *pkt.Packet, dst pkt.NodeID) bool {
-	if len(d.queue) >= d.cfg.QueueCap {
+	if d.QueueLen() >= d.cfg.QueueCap {
 		d.stats.QueueDrops++
 		return false
 	}
 	d.nextSeq++
 	out := &outgoing{
 		frm: frame{kind: frameData, src: d.id, dst: dst, seq: d.nextSeq, payload: p},
+	}
+	if d.qhead > 0 && len(d.queue) == cap(d.queue) {
+		// A queue that never drains: slide the waiting frames down over
+		// the popped slots instead of growing past them.
+		n := copy(d.queue, d.queue[d.qhead:])
+		clear(d.queue[n:])
+		d.queue, d.qhead = d.queue[:n], 0
 	}
 	d.queue = append(d.queue, out)
 	if !d.busy {
@@ -405,13 +423,15 @@ func (d *DCF) Send(p *pkt.Packet, dst pkt.NodeID) bool {
 
 // startHead begins the contention cycle for the frame at the queue head.
 func (d *DCF) startHead() {
-	if len(d.queue) == 0 {
+	if d.qhead == len(d.queue) {
+		d.queue, d.qhead = d.queue[:0], 0
 		d.busy = false
 		return
 	}
 	d.busy = true
-	d.inflight = d.queue[0]
-	d.queue = d.queue[1:]
+	d.inflight = d.queue[d.qhead]
+	d.queue[d.qhead] = nil
+	d.qhead++
 	d.inflight.attempt = 0
 	d.inflight.cw = d.cfg.CWMin
 	d.defer_()
@@ -602,7 +622,7 @@ func (d *DCF) transmitRTS(out *outgoing) {
 	ctsAt := d.ctlAirtime(d.cfg.CTSBytes)
 	// Duration field: everything after the RTS ends.
 	nav := d.cfg.SIFS + ctsAt + d.cfg.SIFS + dataAt + d.cfg.SIFS + d.ackAirtime()
-	rts := frame{kind: frameRTS, src: d.id, dst: out.frm.dst, seq: out.frm.seq, nav: nav}
+	rts := &frame{kind: frameRTS, src: d.id, dst: out.frm.dst, seq: out.frm.seq, nav: nav}
 	rtsAt := d.ctlAirtime(d.cfg.RTSBytes)
 	if err := d.tr.StartTxNotify(rts, rtsAt, d); err != nil {
 		d.retry(out)
@@ -625,7 +645,7 @@ func (d *DCF) transmitRTS(out *outgoing) {
 func (d *DCF) transmitData(out *outgoing) {
 	payloadSize := out.frm.payload.WireSize()
 	at := d.airtime(payloadSize)
-	if err := d.tr.StartTxNotify(out.frm, at, d); err != nil {
+	if err := d.tr.StartTxNotify(&out.frm, at, d); err != nil {
 		// Should be unreachable: the defer cycle guarantees idleness.
 		// Treat as a collision-equivalent retry rather than crashing.
 		d.retry(out)
@@ -733,7 +753,7 @@ func (d *DCF) onRadio(raw any, _ pkt.NodeID, ok bool) {
 	if !ok {
 		return // corrupted receptions carry no usable frame
 	}
-	frm, isFrame := raw.(frame)
+	frm, isFrame := raw.(*frame)
 	if !isFrame {
 		return // foreign traffic on the medium (tests)
 	}
@@ -778,7 +798,7 @@ func (d *DCF) onRadio(raw any, _ pkt.NodeID, ok bool) {
 }
 
 // onRTS answers a request-to-send addressed to this node.
-func (d *DCF) onRTS(frm frame) {
+func (d *DCF) onRTS(frm *frame) {
 	if frm.dst != d.id {
 		return
 	}
@@ -791,7 +811,7 @@ func (d *DCF) onRTS(frm frame) {
 		if d.tr.Transmitting() {
 			return
 		}
-		cts := frame{kind: frameCTS, src: d.id, dst: frm.src, seq: frm.seq, nav: nav}
+		cts := &frame{kind: frameCTS, src: d.id, dst: frm.src, seq: frm.seq, nav: nav}
 		if err := d.tr.StartTx(cts, ctsAt); err == nil {
 			d.stats.CTSSent++
 			d.stats.BytesSent += uint64(d.cfg.CTSBytes)
@@ -802,7 +822,7 @@ func (d *DCF) onRTS(frm frame) {
 	})
 }
 
-func (d *DCF) onData(frm frame) {
+func (d *DCF) onData(frm *frame) {
 	if frm.dst == pkt.Broadcast {
 		d.stats.Delivered++
 		if d.cb.OnReceive != nil {
@@ -819,7 +839,7 @@ func (d *DCF) onData(frm frame) {
 		if d.tr.Transmitting() {
 			return
 		}
-		ack := frame{kind: frameAck, src: d.id, dst: frm.src, seq: frm.seq}
+		ack := &frame{kind: frameAck, src: d.id, dst: frm.src, seq: frm.seq}
 		if err := d.tr.StartTx(ack, d.ackAirtime()); err == nil {
 			d.stats.AcksSent++
 			d.stats.BytesSent += uint64(d.cfg.AckBytes)

@@ -74,8 +74,11 @@ type Stack struct {
 	id pkt.NodeID
 	rt rt.Runtime
 
-	router   UnicastRouter
-	handlers map[pkt.Kind]Handler
+	router UnicastRouter
+	// handlers is indexed by pkt.Kind and reaches as far as the largest
+	// registered kind; nil entries have no handler. Every delivered
+	// packet looks its handler up here, so it is a slice, not a map.
+	handlers []Handler
 
 	heardSubs []func(neighbor pkt.NodeID)
 	failSubs  []func(neighbor pkt.NodeID, p *pkt.Packet)
@@ -90,9 +93,8 @@ type Stack struct {
 // constructor both the simulated and the live paths share.
 func NewOnRuntime(runtime rt.Runtime) *Stack {
 	s := &Stack{
-		id:       runtime.ID(),
-		rt:       runtime,
-		handlers: make(map[pkt.Kind]Handler),
+		id: runtime.ID(),
+		rt: runtime,
 	}
 	runtime.Bind(s.onReceive, s.onSendDone)
 	return s
@@ -129,10 +131,21 @@ func (s *Stack) SetRouter(r UnicastRouter) { s.router = r }
 // kind twice panics: it indicates mis-wired protocols at construction
 // time, never a runtime condition.
 func (s *Stack) Handle(kind pkt.Kind, h Handler) {
-	if _, dup := s.handlers[kind]; dup {
+	if s.handler(kind) != nil {
 		panic(fmt.Sprintf("node: duplicate handler for %s", kind))
 	}
+	for int(kind) >= len(s.handlers) {
+		s.handlers = append(s.handlers, nil)
+	}
 	s.handlers[kind] = h
+}
+
+// handler returns the handler registered for kind, or nil.
+func (s *Stack) handler(kind pkt.Kind) Handler {
+	if int(kind) >= len(s.handlers) {
+		return nil
+	}
+	return s.handlers[kind]
 }
 
 // OnHeard subscribes to neighbour-activity events: fn runs for every frame
@@ -257,8 +270,8 @@ func (s *Stack) onReceive(p *pkt.Packet, from pkt.NodeID, broadcast bool) {
 }
 
 func (s *Stack) deliver(p *pkt.Packet, from pkt.NodeID) {
-	h, ok := s.handlers[p.Kind]
-	if !ok {
+	h := s.handler(p.Kind)
+	if h == nil {
 		s.stats.NoHandler++
 		return
 	}

@@ -187,11 +187,19 @@ func TestDuplicateHandlerPanics(t *testing.T) {
 }
 
 func TestNoHandlerCounted(t *testing.T) {
-	e := line(t, 2)
-	e.sched.After(0, func() { e.stacks[0].SendBroadcast(hello(1, pkt.Broadcast)) })
-	e.sched.Run(time.Second)
-	if e.stacks[1].Stats().NoHandler != 1 {
-		t.Fatalf("NoHandler = %d, want 1", e.stacks[1].Stats().NoHandler)
+	// The handler table reaches as far as the largest registered kind: a
+	// HELLO is past its end on a bare stack and in an empty slot on one
+	// that handles only DATA.
+	for _, handlesData := range []bool{false, true} {
+		e := line(t, 2)
+		if handlesData {
+			e.stacks[1].Handle(pkt.KindData, func(*pkt.Packet, pkt.NodeID) {})
+		}
+		e.sched.After(0, func() { e.stacks[0].SendBroadcast(hello(1, pkt.Broadcast)) })
+		e.sched.Run(time.Second)
+		if st := e.stacks[1].Stats(); st.NoHandler != 1 || st.Delivered != 0 {
+			t.Fatalf("handlesData=%v: NoHandler = %d, Delivered = %d, want 1 and 0", handlesData, st.NoHandler, st.Delivered)
+		}
 	}
 }
 

@@ -1,0 +1,122 @@
+package radio
+
+import (
+	"testing"
+	"time"
+
+	"anongossip/internal/geom"
+	"anongossip/internal/mobility"
+	"anongossip/internal/pkt"
+	"anongossip/internal/sim"
+)
+
+// nopListener is a carrier listener that keeps to its own state, so the
+// allocation tests run the walk's notification branch too.
+type nopListener struct{ onsets int }
+
+func (l *nopListener) CarrierOnset(sim.Time, bool) { l.onsets++ }
+
+type nopDone struct{ n int }
+
+func (d *nopDone) TxDone() { d.n++ }
+
+// row attaches n speed-bounded nodes 5 m apart on the default medium,
+// each counting its receptions into rx and listening for carrier.
+func row(t *testing.T, sched *sim.Scheduler, n int, rx *int) (*Medium, []*Transceiver) {
+	t.Helper()
+	m := NewMedium(sched, Params{Range: 75})
+	trs := make([]*Transceiver, n)
+	for i := range trs {
+		trs[i] = attach(t, m, pkt.NodeID(i+1), mobility.Static{P: geom.Point{X: 5 * float64(i)}},
+			func(any, pkt.NodeID, bool) { *rx++ })
+		trs[i].SetCarrierListener(&nopListener{})
+	}
+	return m, trs
+}
+
+// TestStartTxCycleAllocatesNothing pins the transmission path's budget:
+// once the pooled record, its receiver table and the kernel's timer pool
+// are warm, putting a frame on the air and finishing it at nine
+// receivers allocates nothing — no closure per frame, no index entry,
+// no re-made grid cell — and the pool never grows past the peak number
+// of frames on the air at once.
+func TestStartTxCycleAllocatesNothing(t *testing.T) {
+	sched := sim.NewScheduler()
+	var rx int
+	m, trs := row(t, sched, 10, &rx)
+	var frame any = "frame" // boxed once, like the MAC's *frame
+	done := &nopDone{}
+	cycle := func() {
+		if err := trs[0].StartTxNotify(frame, testAirtime, done); err != nil {
+			t.Fatal(err)
+		}
+		sched.Run(sched.Now() + testAirtime)
+	}
+	cycle()
+	rx, done.n = 0, 0
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Errorf("StartTx → finish cycle allocates %v times, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call of its own.
+	if want := (runs + 1) * 9; rx != want || done.n != runs+1 {
+		t.Fatalf("%d receptions and %d TxDone calls, want %d and %d", rx, done.n, want, runs+1)
+	}
+	if m.txMade != 1 || len(m.index.(*gridIndex).txByID) != 1 {
+		t.Errorf("%d transmission records made, index keyed up to %d, want 1 and 1: ids must stay bounded by peak concurrency",
+			m.txMade, len(m.index.(*gridIndex).txByID))
+	}
+}
+
+// TestCarrierProbeAllocatesNothing: the probe's accumulators live in
+// the transceiver and its visitor is bound at attach, for nodes with a
+// speed bound and without one, on the index's linear-scan path and —
+// with more than txScanThreshold frames on the air — its grid path.
+func TestCarrierProbeAllocatesNothing(t *testing.T) {
+	for _, onAir := range []int{1, txScanThreshold + 8} {
+		sched := sim.NewScheduler()
+		var rx int
+		m, trs := row(t, sched, onAir, &rx)
+		bounded := attach(t, m, 1000, mobility.Static{P: geom.Point{Y: 10}}, nil)
+		unbounded := attach(t, m, 1001, unboundedModel{m: mobility.Static{P: geom.Point{Y: 20}}}, nil)
+		for _, tr := range trs {
+			if err := tr.StartTx(nil, testAirtime); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, tr := range []*Transceiver{bounded, unbounded} {
+			busy, reach := tr.CarrierProbe()
+			if busy != testAirtime || (tr.speedOK && reach != testAirtime) {
+				t.Fatalf("%d on air: node %s probes busy %v, reach %v, want %v", onAir, tr.id, busy, reach, testAirtime)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { tr.CarrierProbe() }); allocs != 0 {
+				t.Errorf("%d on air: CarrierProbe on node %s (speed bound: %v) allocates %v times, want 0",
+					onAir, tr.id, tr.speedOK, allocs)
+			}
+		}
+	}
+}
+
+// txListener breaks the CarrierListener contract: it transmits from
+// inside its onset notification.
+type txListener struct{ tr *Transceiver }
+
+func (l *txListener) CarrierOnset(sim.Time, bool) { _ = l.tr.StartTx(nil, testAirtime) }
+
+// TestStartTxInsideReceiverWalkPanics: the receiver walk keeps its state
+// in the medium, which is sound only while no listener starts a
+// transmission from inside it; one that does must fail loudly, not
+// corrupt the table being built.
+func TestStartTxInsideReceiverWalkPanics(t *testing.T) {
+	sched := sim.NewScheduler()
+	m := NewMedium(sched, Params{Range: 75})
+	a := attach(t, m, 1, mobility.Static{}, nil)
+	b := attach(t, m, 2, mobility.Static{P: geom.Point{X: 10}}, nil)
+	b.SetCarrierListener(&txListener{tr: b})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a transmission started inside a receiver walk did not panic")
+		}
+	}()
+	_ = a.StartTx(nil, time.Millisecond)
+}

@@ -61,10 +61,13 @@ type gridIndex struct {
 	lastRefresh sim.Time
 	refreshed   bool // lastRefresh is meaningful (first refresh happened)
 
+	// active lists the transmissions on the air; txGrid buckets their
+	// origins under transmission.id, and txByID resolves those ids back.
+	// The ids are the pooled records' permanent ones, so both stay as
+	// small as the peak number of concurrent transmissions.
 	active []*transmission
 	txGrid *geom.Grid
-	txByID map[int]*transmission
-	nextTx int
+	txByID []*transmission
 
 	scratch []int
 	// seen is a reusable bitset over node ids: candidate ids are marked,
@@ -97,7 +100,6 @@ func newGridIndex(sched *sim.Scheduler, txRange float64) *gridIndex {
 		slack:   txRange / 4,
 		bounded: true,
 		txGrid:  geom.NewGrid(txRange),
-		txByID:  make(map[int]*transmission),
 	}
 }
 
@@ -170,21 +172,21 @@ func (g *gridIndex) ForEachCandidate(now sim.Time, center geom.Point, radius flo
 }
 
 func (g *gridIndex) AddTx(tx *transmission) {
-	id := g.nextTx
-	g.nextTx++
-	tx.indexID = id
 	tx.slot = len(g.active)
 	g.active = append(g.active, tx)
-	g.txByID[id] = tx
-	g.txGrid.Insert(id, tx.origin)
+	for tx.id >= len(g.txByID) {
+		g.txByID = append(g.txByID, nil)
+	}
+	g.txByID[tx.id] = tx
+	g.txGrid.Insert(tx.id, tx.origin)
 }
 
 func (g *gridIndex) RemoveTx(tx *transmission) {
-	if _, ok := g.txByID[tx.indexID]; !ok {
+	if tx.id >= len(g.txByID) || g.txByID[tx.id] != tx {
 		return
 	}
-	delete(g.txByID, tx.indexID)
-	g.txGrid.Remove(tx.indexID)
+	g.txByID[tx.id] = nil
+	g.txGrid.Remove(tx.id)
 	// The recorded slot makes removal O(1) even with many concurrent
 	// transmissions on the air.
 	last := len(g.active) - 1

@@ -104,10 +104,17 @@ type transmission struct {
 	start  sim.Time
 	end    sim.Time
 	origin geom.Point
-	// indexID and slot are gridIndex bookkeeping (its txByID key and
-	// position in its active slice).
-	indexID int
-	slot    int
+	// id is stamped once, when the pool first makes the record, and
+	// stays with it across reuse: the pool only grows when every record
+	// is on the air, so ids are bounded by the peak number of concurrent
+	// transmissions and gridIndex can key slices by them. slot is the
+	// record's position in gridIndex's active slice.
+	id   int
+	slot int
+	// finish is the record's finish event, m.finishTx(tx) bound once
+	// when the record is made, so putting the frame on the air schedules
+	// it without building a closure.
+	finish func()
 	// recvs is the receiver table: one value entry per in-range
 	// receiver, in attach order, built at StartTx and walked by the
 	// single finish event. The slice's capacity survives pooling, so
@@ -138,8 +145,16 @@ type Medium struct {
 	index  NeighborIndex
 	stats  Stats
 
-	// txFree pools transmission records (and their receiver tables).
+	// txFree pools transmission records (and their receiver tables);
+	// txMade counts the records ever made and stamps their ids.
 	txFree []*transmission
+	txMade int
+	// rxTx is the transmission whose receiver table StartTx is building,
+	// nil outside that walk. The index visits candidates through the one
+	// long-lived rxVisit callback (m.addReceiver), which finds its
+	// per-walk state here instead of in a closure made per frame.
+	rxTx    *transmission
+	rxVisit func(*Transceiver)
 	// activeTx counts transmissions currently on the air — incremented
 	// at StartTx, decremented when the finish processing retires the
 	// record. It is the in-flight gauge the metrics sampler reads.
@@ -167,7 +182,9 @@ func NewMedium(sched *sim.Scheduler, params Params) *Medium {
 // newMedium builds a medium over the given neighbour index; the
 // differential tests use it to run the brute-force reference.
 func newMedium(sched *sim.Scheduler, params Params, index NeighborIndex) *Medium {
-	return &Medium{sched: sched, params: params, index: index, byID: make(map[pkt.NodeID]*Transceiver)}
+	m := &Medium{sched: sched, params: params, index: index, byID: make(map[pkt.NodeID]*Transceiver)}
+	m.rxVisit = m.addReceiver
+	return m
 }
 
 // Stats returns a copy of the channel counters.
@@ -209,18 +226,23 @@ func (m *Medium) Attach(id pkt.NodeID, pos mobility.Model, h Handler) (*Transcei
 		t.maxSpeed, t.speedOK = spd, true
 		t.predEps = spd * CarrierPredictWindow.Seconds()
 	}
+	t.probeVisit = t.probeTx
 	m.nodes = append(m.nodes, t)
 	m.byID[id] = t
 	m.index.Attach(t)
 	return t, nil
 }
 
-// acquireTx pops a pooled transmission record (or allocates the pool's
-// first occupants).
+// acquireTx pops a pooled transmission record (or makes the pool's
+// first occupants, stamping each with its permanent id and finish
+// event).
 func (m *Medium) acquireTx() *transmission {
 	n := len(m.txFree)
 	if n == 0 {
-		return &transmission{}
+		tx := &transmission{id: m.txMade}
+		tx.finish = func() { m.finishTx(tx) }
+		m.txMade++
+		return tx
 	}
 	tx := m.txFree[n-1]
 	m.txFree = m.txFree[:n-1]
@@ -261,14 +283,14 @@ type Transceiver struct {
 	predEps  float64
 
 	// Probe scratch: CarrierProbe's index walk accumulates into these
-	// fields through one reusable closure instead of per-call captures
-	// — the probe runs on every folded backoff arm, and boxing the
-	// accumulators was a measurable share of run-phase allocations at
-	// 100k nodes. Only this node's own probes touch them.
+	// fields through probeVisit (t.probeTx, bound at attach) instead of
+	// per-call captures — the probe runs on every backoff arm, and
+	// boxing the accumulators was a measurable share of run-phase
+	// allocations. Only this node's own probes touch them.
 	probeBusy, probeReach sim.Time
 	probePos              geom.Point
 	probeR2               float64
-	probeFn               func(*transmission)
+	probeVisit            func(*transmission)
 
 	txEnd sim.Time // end of own in-flight transmission, 0 if idle
 
@@ -309,27 +331,14 @@ func (t *Transceiver) Counters() (sent, delivered, collided uint64) {
 }
 
 // CarrierBusyUntil returns the latest end time of any in-range
-// transmission (including the node's own). A result <= now means the
-// channel is idle at the sensing node. The index enumerates only
-// transmissions whose origin is within range, so the cost is O(local
-// activity), not O(all active transmissions).
+// transmission (including the node's own) — the exact half of
+// CarrierProbe. A result <= now means the channel is idle at the
+// sensing node. The index enumerates only transmissions whose origin is
+// near the node, so the cost is O(local activity), not O(all active
+// transmissions).
 func (t *Transceiver) CarrierBusyUntil() sim.Time {
-	m := t.medium
-	now := t.medium.sched.Now()
-	var until sim.Time
-	if t.txEnd > now {
-		until = t.txEnd
-	}
-	if !m.index.HasTx() {
-		return until
-	}
-	p := t.pos.Position(now)
-	m.index.ForEachTxInRange(now, p, m.params.Range, func(tx *transmission) {
-		if tx.from != t && tx.end > until {
-			until = tx.end
-		}
-	})
-	return until
+	busy, _ := t.CarrierProbe()
+	return busy
 }
 
 // CarrierPredictable reports whether this node's mobility model
@@ -359,51 +368,43 @@ func (t *Transceiver) SetCarrierListener(l CarrierListener) {
 // target with reach <= target <= now + CarrierPredictWindow, the
 // channel is guaranteed idle at target unless a transmission starts
 // after now — and every such start the node could sense is reported
-// through its CarrierListener. Both values come from one index walk,
-// so a probe costs the same as CarrierBusyUntil.
+// through its CarrierListener. Both values come from one index walk.
+// A node without a speed bound (see CarrierPredictable) has no sound
+// closure bound: its inflation is zero, so the walk is the exact read,
+// and reach saturates.
 func (t *Transceiver) CarrierProbe() (busy, reach sim.Time) {
 	m := t.medium
-	now := t.medium.sched.Now()
+	now := m.sched.Now()
 	if t.txEnd > now {
 		busy = t.txEnd
 	}
 	reach = busy
+	if m.index.HasTx() {
+		r := m.params.Range
+		t.probeBusy, t.probeReach = busy, reach
+		t.probePos, t.probeR2 = t.pos.Position(now), r*r
+		m.index.ForEachTxInRange(now, t.probePos, r+t.predEps, t.probeVisit)
+		busy, reach = t.probeBusy, t.probeReach
+	}
 	if !t.speedOK {
 		reach = sim.Time(math.MaxInt64)
 	}
-	if !m.index.HasTx() {
-		return busy, reach
+	return busy, reach
+}
+
+// probeTx folds one nearby transmission into the running probe: every
+// one the index yields could reach the node within the window, those
+// inside the exact radius occupy its channel now.
+func (t *Transceiver) probeTx(tx *transmission) {
+	if tx.from == t {
+		return
 	}
-	p := t.pos.Position(now)
-	r := m.params.Range
-	if !t.speedOK {
-		// No speed bound: the closure half is unsound (reach is already
-		// saturated); fall back to the exact-read walk.
-		r2 := r * r
-		m.index.ForEachTxInRange(now, p, r, func(tx *transmission) {
-			if tx.from != t && tx.end > busy && p.Dist2(tx.origin) <= r2 {
-				busy = tx.end
-			}
-		})
-		return busy, reach
+	if tx.end > t.probeReach {
+		t.probeReach = tx.end
 	}
-	t.probeBusy, t.probeReach = busy, reach
-	t.probePos, t.probeR2 = p, r*r
-	if t.probeFn == nil {
-		t.probeFn = func(tx *transmission) {
-			if tx.from == t {
-				return
-			}
-			if tx.end > t.probeReach {
-				t.probeReach = tx.end
-			}
-			if tx.end > t.probeBusy && t.probePos.Dist2(tx.origin) <= t.probeR2 {
-				t.probeBusy = tx.end
-			}
-		}
+	if tx.end > t.probeBusy && t.probePos.Dist2(tx.origin) <= t.probeR2 {
+		t.probeBusy = tx.end
 	}
-	m.index.ForEachTxInRange(now, p, r+t.predEps, t.probeFn)
-	return t.probeBusy, t.probeReach
 }
 
 // notifyCarrier classifies one onset for an in-band listener: proven
@@ -431,7 +432,7 @@ func (t *Transceiver) StartTxNotify(frame any, airtime sim.Time, done TxDone) er
 	if err != nil {
 		return err
 	}
-	t.startTxBatch(tx, tx.start)
+	t.startTxBatch(tx)
 	return nil
 }
 
@@ -470,48 +471,62 @@ func (t *Transceiver) beginTx(frame any, airtime sim.Time, done TxDone) (*transm
 
 // startTxBatch builds the per-frame receiver table and schedules the
 // single finish event that will walk it. The index yields a
-// position-superset in attach order; the exact unit-disc predicate runs
-// here against fresh positions.
-func (t *Transceiver) startTxBatch(tx *transmission, now sim.Time) {
+// position-superset in attach order; addReceiver runs the exact
+// unit-disc predicate against fresh positions.
+func (t *Transceiver) startTxBatch(tx *transmission) {
 	m := t.medium
 	// Transmitting corrupts anything this node was in the middle of
 	// receiving (half-duplex): record the interference instead of
 	// touching each in-flight reception.
 	if t.rxInFlight > 0 {
-		t.lastInterference = now
+		t.lastInterference = tx.start
 	}
-	r := m.params.Range
-	r2 := r * r
-	m.index.ForEachCandidate(now, tx.origin, r+m.carrierEps, func(rcv *Transceiver) {
-		if rcv == t {
-			return
-		}
-		d2 := rcv.pos.Position(now).Dist2(tx.origin)
-		if d2 > r2 {
-			// Out of range for reception, but possibly inside a carrier
-			// listener's uncertainty band: an unproven onset.
-			if rcv.carrier != nil {
-				if out := r + rcv.predEps; d2 <= out*out {
-					rcv.carrier.CarrierOnset(tx.end, false)
-				}
-			}
-			return
-		}
+	// The walk's state lives in the medium, not in a closure, so walks
+	// cannot nest: a carrier listener that transmitted from inside its
+	// onset notification would overwrite it (and the index's scratch).
+	// Listeners may only touch their own node's state; hold them to it.
+	if m.rxTx != nil {
+		panic(fmt.Sprintf("radio: node %s started a transmission inside node %s's receiver walk", t.id, m.rxTx.from.id))
+	}
+	m.rxTx = tx
+	m.index.ForEachCandidate(tx.start, tx.origin, m.params.Range+m.carrierEps, m.rxVisit)
+	m.rxTx = nil
+	m.sched.At(tx.end, tx.finish)
+}
+
+// addReceiver is the receiver walk's step for one candidate of the
+// transmission in m.rxTx: notify the candidate's carrier listener and,
+// if it is in range, enter it in the receiver table.
+func (m *Medium) addReceiver(rcv *Transceiver) {
+	tx := m.rxTx
+	if rcv == tx.from {
+		return
+	}
+	now, r := tx.start, m.params.Range
+	d2 := rcv.pos.Position(now).Dist2(tx.origin)
+	if d2 > r*r {
+		// Out of range for reception, but possibly inside a carrier
+		// listener's uncertainty band: an unproven onset.
 		if rcv.carrier != nil {
-			notifyCarrier(rcv, d2, r, tx.end)
+			if out := r + rcv.predEps; d2 <= out*out {
+				rcv.carrier.CarrierOnset(tx.end, false)
+			}
 		}
-		// A node mid-transmission cannot hear the frame, and any
-		// receptions already in flight at the receiver collide with the
-		// new one — the former decides this entry now, the latter is
-		// recorded as interference for the in-flight entries' walks.
-		corrupted := rcv.txEnd > now || rcv.rxInFlight > 0
-		if rcv.rxInFlight > 0 {
-			rcv.lastInterference = now
-		}
-		rcv.rxInFlight++
-		tx.recvs = append(tx.recvs, recvEntry{rcv: rcv.idx, corrupted: corrupted})
-	})
-	m.sched.At(tx.end, func() { m.finishTx(tx) })
+		return
+	}
+	if rcv.carrier != nil {
+		notifyCarrier(rcv, d2, r, tx.end)
+	}
+	// A node mid-transmission cannot hear the frame, and any receptions
+	// already in flight at the receiver collide with the new one — the
+	// former decides this entry now, the latter is recorded as
+	// interference for the in-flight entries' walks.
+	corrupted := rcv.txEnd > now || rcv.rxInFlight > 0
+	if rcv.rxInFlight > 0 {
+		rcv.lastInterference = now
+	}
+	rcv.rxInFlight++
+	tx.recvs = append(tx.recvs, recvEntry{rcv: rcv.idx, corrupted: corrupted})
 }
 
 // finishTx is a transmission's single finish event: it walks the
@@ -589,15 +604,15 @@ func (m *Medium) MeanDegree() float64 {
 	}
 	now := m.sched.Now()
 	r2 := m.params.Range * m.params.Range
-	pts := make(map[*Transceiver]geom.Point, len(m.nodes))
-	for _, t := range m.nodes {
-		pts[t] = t.pos.Position(now)
+	pts := make([]geom.Point, len(m.nodes)) // by Transceiver.idx
+	for i, t := range m.nodes {
+		pts[i] = t.pos.Position(now)
 	}
 	var links int
 	for _, self := range m.nodes {
-		p := pts[self]
+		p := pts[self.idx]
 		m.index.ForEachCandidate(now, p, m.params.Range, func(t *Transceiver) {
-			if t != self && pts[t].Dist2(p) <= r2 {
+			if t != self && pts[t.idx].Dist2(p) <= r2 {
 				links++
 			}
 		})

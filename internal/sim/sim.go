@@ -356,9 +356,10 @@ func (s *Scheduler) repost(e event) {
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // Run executes events in order until the queue is empty or the next event
-// is strictly after `until`. On return the clock is at the time of the last
-// executed event, or at `until` if the queue drained earlier events only.
-// It reports the number of events executed by this call.
+// is strictly after `until`, and then advances the clock to `until`. When a
+// callback's Stop ends the call early the clock stays at that event, so the
+// events still pending before `until` keep their place in time for the Run
+// that resumes. It reports the number of events executed by this call.
 func (s *Scheduler) Run(until Time) uint64 {
 	var n uint64
 	s.stopped = false
@@ -381,7 +382,7 @@ func (s *Scheduler) Run(until Time) uint64 {
 		s.processed++
 		n++
 	}
-	if s.now < until {
+	if !s.stopped && s.now < until {
 		s.now = until
 	}
 	return n
