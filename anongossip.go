@@ -32,15 +32,15 @@
 //
 //	cfg.Stack = anongossip.StackSpec{Routing: "flood", Recovery: "gossip"}
 //
-// or by name, including the legacy spellings:
+// or by name, including the paper's figure labels ("gossip" is
+// maodv+gossip, "odmrp-gossip" is odmrp+gossip):
 //
 //	cfg.Stack, err = anongossip.StackByName("odmrp+gossip")
 //
-// The legacy Protocol constants (ProtocolMAODV, ProtocolGossip, ...)
-// remain as thin aliases that resolve through the same registry; switch
-// cfg.Protocol to ProtocolMAODV for the bare-multicast baseline the
-// paper compares against, or ProtocolFlood for the related-work
-// flooding baseline.
+// DefaultConfig selects maodv+gossip, the paper's "Gossip" curves; set
+// cfg.Stack to StackSpec{Routing: "maodv"} for the bare-multicast
+// baseline the paper compares against, or StackSpec{Routing: "flood"}
+// for the related-work flooding baseline.
 package anongossip
 
 import (
@@ -51,13 +51,9 @@ import (
 	"anongossip/internal/stack"
 )
 
-// Protocol selects the multicast stack under test.
-type Protocol = scenario.Protocol
-
 // StackSpec composes a protocol stack from the two registry axes: a
 // routing protocol ("maodv", "odmrp", "flood") and an optional recovery
-// layer ("gossip"). Assign one to Config.Stack; it takes precedence
-// over the legacy Config.Protocol field.
+// layer ("gossip"). Assign one to Config.Stack.
 type StackSpec = stack.Spec
 
 // Stacks lists every registered protocol stack (the cross product of
@@ -67,28 +63,10 @@ func Stacks() []StackSpec { return stack.Stacks() }
 // StackNames lists the canonical name of every registered stack.
 func StackNames() []string { return stack.Names() }
 
-// StackByName resolves a stack name — canonical ("flood+gossip") or a
-// legacy alias ("gossip", "odmrp-gossip") — against the registry. The
+// StackByName resolves a stack name — canonical ("flood+gossip") or an
+// alias ("gossip", "odmrp-gossip") — against the registry. The
 // error of an unknown name lists every registered stack.
 func StackByName(name string) (StackSpec, error) { return stack.ByName(name) }
-
-// Protocols under test (the paper's two curves plus the flooding
-// baseline from its related work).
-const (
-	// ProtocolMAODV runs bare MAODV (the paper's "Maodv" curves).
-	ProtocolMAODV = scenario.ProtocolMAODV
-	// ProtocolGossip runs MAODV plus Anonymous Gossip (the paper's
-	// "Gossip" curves).
-	ProtocolGossip = scenario.ProtocolGossip
-	// ProtocolFlood runs plain flooding (related work [13]).
-	ProtocolFlood = scenario.ProtocolFlood
-	// ProtocolODMRP runs the bare mesh-based multicast protocol
-	// (paper reference [10]).
-	ProtocolODMRP = scenario.ProtocolODMRP
-	// ProtocolODMRPGossip runs ODMRP plus Anonymous Gossip — the
-	// paper's future-work claim (§5.5, §7).
-	ProtocolODMRPGossip = scenario.ProtocolODMRPGossip
-)
 
 // Config describes one simulation run; zero value is not usable — start
 // from DefaultConfig.

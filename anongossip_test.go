@@ -34,13 +34,15 @@ func TestFacadeRun(t *testing.T) {
 }
 
 func TestFacadeProtocols(t *testing.T) {
-	for _, p := range []anongossip.Protocol{
-		anongossip.ProtocolGossip, anongossip.ProtocolMAODV, anongossip.ProtocolFlood,
-	} {
+	for _, name := range []string{"maodv+gossip", "maodv", "flood"} {
+		spec, err := anongossip.StackByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cfg := quickConfig()
-		cfg.Protocol = p
+		cfg.Stack = spec
 		if _, err := anongossip.Run(cfg); err != nil {
-			t.Fatalf("%v: %v", p, err)
+			t.Fatalf("%v: %v", spec, err)
 		}
 	}
 }

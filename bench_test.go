@@ -205,9 +205,9 @@ func BenchmarkAblationHistorySize(b *testing.B) {
 func BenchmarkAblationFloodingBaseline(b *testing.B) {
 	gossipCfg := ablationConfig()
 	maodvCfg := ablationConfig()
-	maodvCfg.Protocol = scenario.ProtocolMAODV
+	maodvCfg.Stack = anongossip.StackSpec{Routing: "maodv"}
 	floodCfg := ablationConfig()
-	floodCfg.Protocol = scenario.ProtocolFlood
+	floodCfg.Stack = anongossip.StackSpec{Routing: "flood"}
 	runVariants(b, "A5: protocol baselines",
 		[]string{"MAODV+AG", "MAODV", "Flooding"},
 		[]scenario.Config{gossipCfg, maodvCfg, floodCfg})

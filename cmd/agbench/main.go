@@ -327,16 +327,8 @@ func run(args []string) error {
 			out[i] = res.Metrics.Windows
 			fmt.Printf("-- channel utilization at %s=%.0f (seed %d, %v windows) --\n",
 				xName, x, c.Seed, *metricsWin)
-			fmt.Printf("%7s %6s | %5s %5s %5s %5s | %7s %7s %7s %6s\n",
-				"t(s)", "busy", "mac", "route", "data", "gossip", "rounds", "deliv", "retry", "queue")
-			for _, w := range res.Metrics.Windows {
-				fmt.Printf("%7.0f %5.1f%% | %4.0f%% %4.0f%% %4.0f%% %4.0f%% | %7d %7d %7d %6d\n",
-					w.End.Seconds(), 100*w.BusyFraction(),
-					100*w.AirtimeShare(metrics.LayerMAC),
-					100*w.AirtimeShare(metrics.LayerRouting),
-					100*w.AirtimeShare(metrics.LayerData),
-					100*w.AirtimeShare(metrics.LayerGossip),
-					w.GossipRounds, w.DataDelivered, w.MACRetries, w.QueueDepth)
+			if err := res.Metrics.WriteTable(os.Stdout); err != nil {
+				return nil, err
 			}
 			if *metricsCSV != "" {
 				fmt.Fprintf(&metricsCSVBuf, "# figure=%s %s=%v seed=%d\n", id, xName, x, c.Seed)

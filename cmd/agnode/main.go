@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
@@ -86,7 +87,6 @@ type delivery struct {
 type daemon struct {
 	cfg daemonConfig
 	pn  *netrt.ProtocolNode
-	reg *metrics.Registry
 
 	mu sync.Mutex
 	// arrivals is a ring of wall-clock delivery instants: delivery k
@@ -135,128 +135,7 @@ func newDaemon(cfg daemonConfig, tr netrt.Transport) (*daemon, error) {
 		pn.Close()
 		return nil, err
 	}
-	d.reg = d.buildRegistry()
 	return d, nil
-}
-
-// buildRegistry wires the Prometheus /metrics families. Collection is
-// pull-based: link counters read the runtime's atomics directly, while
-// engine counters round-trip through the node's Do serializer at scrape
-// time (the same path /stats uses), so the event loop stays the only
-// goroutine touching protocol state.
-func (d *daemon) buildRegistry() *metrics.Registry {
-	reg := metrics.NewRegistry()
-	reg.Counter("agnode_delivered_total",
-		"Unique data packets delivered to the application (routing + recovery).",
-		func(emit func(metrics.Sample)) {
-			d.mu.Lock()
-			v := float64(d.count)
-			d.mu.Unlock()
-			emit(metrics.Sample{Value: v})
-		})
-	reg.Gauge("agnode_subscribers",
-		"Active /subscribe delivery streams.",
-		func(emit func(metrics.Sample)) {
-			d.mu.Lock()
-			v := float64(len(d.subs))
-			d.mu.Unlock()
-			emit(metrics.Sample{Value: v})
-		})
-	reg.Counter("agnode_link_frames_total",
-		"Link frames by direction.",
-		func(emit func(metrics.Sample)) {
-			ls := d.pn.Runtime().Stats()
-			emit(metrics.Sample{Labels: []metrics.Label{{Name: "direction", Value: "in"}}, Value: float64(ls.FramesIn.Load())})
-			emit(metrics.Sample{Labels: []metrics.Label{{Name: "direction", Value: "out"}}, Value: float64(ls.FramesOut.Load())})
-		})
-	reg.Counter("agnode_link_bytes_total",
-		"Link bytes by direction.",
-		func(emit func(metrics.Sample)) {
-			ls := d.pn.Runtime().Stats()
-			emit(metrics.Sample{Labels: []metrics.Label{{Name: "direction", Value: "in"}}, Value: float64(ls.BytesIn.Load())})
-			emit(metrics.Sample{Labels: []metrics.Label{{Name: "direction", Value: "out"}}, Value: float64(ls.BytesOut.Load())})
-		})
-	reg.Counter("agnode_link_errors_total",
-		"Dropped or failed frames by cause.",
-		func(emit func(metrics.Sample)) {
-			ls := d.pn.Runtime().Stats()
-			for _, e := range []struct {
-				kind string
-				v    uint64
-			}{
-				{"malformed", ls.Malformed.Load()},
-				{"filtered", ls.Filtered.Load()},
-				{"send", ls.SendErrors.Load()},
-				{"inbox_drop", ls.InboxDrops.Load()},
-			} {
-				emit(metrics.Sample{Labels: []metrics.Label{{Name: "kind", Value: e.kind}}, Value: float64(e.v)})
-			}
-		})
-	reg.Gauge("agnode_inbox_capacity",
-		"Configured frame-queue bound between socket and event loop.",
-		func(emit func(metrics.Sample)) {
-			emit(metrics.Sample{Value: float64(d.pn.Runtime().InboxCap())})
-		})
-	reg.Counter("agnode_node_packets_total",
-		"Network-layer packet counts by operation.",
-		func(emit func(metrics.Sample)) {
-			ns, err := d.pn.NodeStats()
-			if err != nil {
-				return
-			}
-			for _, e := range []struct {
-				op string
-				v  uint64
-			}{
-				{"sent", ns.Sent},
-				{"forwarded", ns.Forwarded},
-				{"delivered", ns.Delivered},
-				{"ttl_drop", ns.TTLDrops},
-				{"no_handler", ns.NoHandler},
-				{"mac_reject", ns.MACRejects},
-			} {
-				emit(metrics.Sample{Labels: []metrics.Label{{Name: "op", Value: e.op}}, Value: float64(e.v)})
-			}
-		})
-	reg.Counter("agnode_node_bytes_total",
-		"Network-layer transmitted bytes by class.",
-		func(emit func(metrics.Sample)) {
-			ns, err := d.pn.NodeStats()
-			if err != nil {
-				return
-			}
-			emit(metrics.Sample{Labels: []metrics.Label{{Name: "class", Value: "control"}}, Value: float64(ns.ControlBytes)})
-			emit(metrics.Sample{Labels: []metrics.Label{{Name: "class", Value: "payload"}}, Value: float64(ns.PayloadBytes)})
-		})
-	reg.Counter("agnode_recovery_packets_total",
-		"Recovery-layer outcomes (gossip stacks).",
-		func(emit func(metrics.Sample)) {
-			rs, err := d.pn.RecoveryStats()
-			if err != nil {
-				return
-			}
-			for _, e := range []struct {
-				op string
-				v  uint64
-			}{
-				{"delivered", rs.Delivered},
-				{"recovered", rs.Recovered},
-				{"reply_new", rs.ReplyNew},
-				{"reply_dup", rs.ReplyDup},
-			} {
-				emit(metrics.Sample{Labels: []metrics.Label{{Name: "op", Value: e.op}}, Value: float64(e.v)})
-			}
-		})
-	reg.Gauge("agnode_recovery_goodput_percent",
-		"Percentage of useful recovery-reply traffic (paper §5.5).",
-		func(emit func(metrics.Sample)) {
-			rs, err := d.pn.RecoveryStats()
-			if err != nil {
-				return
-			}
-			emit(metrics.Sample{Value: rs.Goodput})
-		})
-	return reg
 }
 
 // Close stops the node.
@@ -282,6 +161,8 @@ type statsReport struct {
 	Stack     string      `json:"stack"`
 	Group     pkt.GroupID `json:"group"`
 	Delivered uint64      `json:"delivered"`
+	// Subscribers counts the active /subscribe delivery streams.
+	Subscribers int `json:"subscribers"`
 	// GapMS summarises wall-clock inter-arrival gaps of the most recent
 	// delivered packets (at most arrivalWindow of them) in milliseconds
 	// (the live analogue of the simulator's delivery distributions, via
@@ -318,7 +199,7 @@ func (d *daemon) report() (*statsReport, error) {
 		return nil, err
 	}
 	d.mu.Lock()
-	count := d.count
+	count, subscribers := d.count, len(d.subs)
 	retained := min(count, arrivalWindow)
 	gaps := make([]float64, 0, retained)
 	for k := count - retained + 1; k < count; k++ {
@@ -328,13 +209,14 @@ func (d *daemon) report() (*statsReport, error) {
 	d.mu.Unlock()
 	ls := d.pn.Runtime().Stats()
 	return &statsReport{
-		ID:        d.cfg.ID,
-		Stack:     d.pn.Spec().String(),
-		Group:     d.cfg.Group,
-		Delivered: count,
-		GapMS:     stats.Summarize(gaps),
-		Node:      ns,
-		Recovery:  rs,
+		ID:          d.cfg.ID,
+		Stack:       d.pn.Spec().String(),
+		Group:       d.cfg.Group,
+		Delivered:   count,
+		Subscribers: subscribers,
+		GapMS:       stats.Summarize(gaps),
+		Node:        ns,
+		Recovery:    rs,
 		Link: linkStats{
 			FramesIn:      ls.FramesIn.Load(),
 			FramesOut:     ls.FramesOut.Load(),
@@ -349,14 +231,73 @@ func (d *daemon) report() (*statsReport, error) {
 	}, nil
 }
 
+// reading is one sample of a /metrics family: its label value and number.
+type reading struct {
+	label string
+	value float64
+}
+
+// family builds one /metrics family whose samples carry the one label
+// named, or a single unlabelled sample when label is empty.
+func family(name, help string, kind metrics.Kind, label string, readings ...reading) metrics.Family {
+	f := metrics.Family{Name: name, Help: help, Kind: kind}
+	for _, r := range readings {
+		s := metrics.Sample{Value: r.value}
+		if label != "" {
+			s.Labels = []metrics.Label{{Name: label, Value: r.label}}
+		}
+		f.Samples = append(f.Samples, s)
+	}
+	return f
+}
+
+// metricFamilies is the /metrics view of one stats report, in exposition
+// order: /stats and /metrics enumerate the same counters, and all of a
+// scrape's numbers are of the same instant.
+func metricFamilies(r *statsReport) []metrics.Family {
+	const counter, gauge = metrics.KindCounter, metrics.KindGauge
+	u := func(v uint64) float64 { return float64(v) }
+	return []metrics.Family{
+		family("agnode_delivered_total", "Unique data packets delivered to the application (routing + recovery).",
+			counter, "", reading{"", u(r.Delivered)}),
+		family("agnode_subscribers", "Active /subscribe delivery streams.",
+			gauge, "", reading{"", float64(r.Subscribers)}),
+		family("agnode_link_frames_total", "Link frames by direction.",
+			counter, "direction", reading{"in", u(r.Link.FramesIn)}, reading{"out", u(r.Link.FramesOut)}),
+		family("agnode_link_bytes_total", "Link bytes by direction.",
+			counter, "direction", reading{"in", u(r.Link.BytesIn)}, reading{"out", u(r.Link.BytesOut)}),
+		family("agnode_link_errors_total", "Dropped or failed frames by cause.",
+			counter, "kind", reading{"malformed", u(r.Link.Malformed)}, reading{"filtered", u(r.Link.Filtered)},
+			reading{"send", u(r.Link.SendErrors)}, reading{"inbox_drop", u(r.Link.InboxDrops)}),
+		family("agnode_inbox_capacity", "Configured frame-queue bound between socket and event loop.",
+			gauge, "", reading{"", float64(r.Link.InboxCapacity)}),
+		family("agnode_node_packets_total", "Network-layer packet counts by operation.",
+			counter, "op", reading{"sent", u(r.Node.Sent)}, reading{"forwarded", u(r.Node.Forwarded)},
+			reading{"delivered", u(r.Node.Delivered)}, reading{"ttl_drop", u(r.Node.TTLDrops)},
+			reading{"no_handler", u(r.Node.NoHandler)}, reading{"mac_reject", u(r.Node.MACRejects)}),
+		family("agnode_node_bytes_total", "Network-layer transmitted bytes by class.",
+			counter, "class", reading{"control", u(r.Node.ControlBytes)}, reading{"payload", u(r.Node.PayloadBytes)}),
+		family("agnode_recovery_packets_total", "Recovery-layer outcomes (gossip stacks).",
+			counter, "op", reading{"delivered", u(r.Recovery.Delivered)}, reading{"recovered", u(r.Recovery.Recovered)},
+			reading{"reply_new", u(r.Recovery.ReplyNew)}, reading{"reply_dup", u(r.Recovery.ReplyDup)}),
+		family("agnode_recovery_goodput_percent", "Percentage of useful recovery-reply traffic (paper §5.5).",
+			gauge, "", reading{"", r.Recovery.Goodput}),
+	}
+}
+
 // handler builds the client API: POST /publish, GET /subscribe (SSE),
 // GET /stats, GET /metrics (Prometheus text format), and the pprof
 // endpoints under /debug/pprof/.
 func (d *daemon) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		rep, err := d.report()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := d.reg.WritePrometheus(w); err != nil {
+		if err := metrics.WritePrometheus(w, metricFamilies(rep)); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -418,22 +359,35 @@ func parsePeer(v string) (peerFlag, error) {
 	if !ok {
 		return peerFlag{}, fmt.Errorf("want id=host:port, got %q", v)
 	}
-	id, err := strconv.ParseUint(idStr, 10, 32)
+	var id pkt.NodeID
+	n, err := strconv.ParseUint(idStr, 10, 64)
+	if err == nil {
+		id, err = nodeID(n)
+	}
 	if err != nil {
 		return peerFlag{}, fmt.Errorf("bad peer id %q: %v", idStr, err)
 	}
 	if _, _, err := net.SplitHostPort(addr); err != nil {
 		return peerFlag{}, fmt.Errorf("bad peer address %q: %v", addr, err)
 	}
-	return peerFlag{id: pkt.NodeID(id), addr: addr}, nil
+	return peerFlag{id: id, addr: addr}, nil
+}
+
+// nodeID narrows a flag value to a node address: 32 bits, not zero, not
+// the broadcast address.
+func nodeID(v uint64) (pkt.NodeID, error) {
+	if v == 0 || v >= uint64(pkt.Broadcast) {
+		return 0, fmt.Errorf("node id %d outside 1..%d", v, uint64(pkt.Broadcast)-1)
+	}
+	return pkt.NodeID(v), nil
 }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("agnode", flag.ContinueOnError)
 	var (
-		id        = fs.Uint("id", 0, "this node's id (required, unique across the cluster)")
+		id        = fs.Uint64("id", 0, "this node's id (required, unique across the cluster)")
 		stackName = fs.String("stack", "flood", "protocol stack: "+strings.Join(stack.Names(), ", "))
-		group     = fs.Uint("group", defaultGroup, "multicast group address")
+		group     = fs.Uint64("group", defaultGroup, "multicast group address")
 		listen    = fs.String("listen", "127.0.0.1:0", "UDP address for protocol frames")
 		api       = fs.String("api", "127.0.0.1:0", "HTTP address for the client API (publish/subscribe/stats)")
 		seed      = fs.Int64("seed", time.Now().UnixNano(), "rng seed for protocol choices")
@@ -452,8 +406,15 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *id == 0 {
-		return fmt.Errorf("agnode: -id is required and must be nonzero")
+	self, err := nodeID(*id)
+	if err != nil {
+		return fmt.Errorf("agnode: -id (required): %w", err)
+	}
+	if *group == 0 || *group > math.MaxUint32 {
+		return fmt.Errorf("agnode: -group %d outside 1..%d", *group, uint32(math.MaxUint32))
+	}
+	if !(*timeScale > 0) || math.IsInf(*timeScale, 1) {
+		return fmt.Errorf("agnode: -timescale %v is not positive and finite", *timeScale)
 	}
 	spec, err := stack.ByName(*stackName)
 	if err != nil {
@@ -470,7 +431,7 @@ func run(args []string) error {
 		}
 	}
 	d, err := newDaemon(daemonConfig{
-		ID:        pkt.NodeID(*id),
+		ID:        self,
 		Stack:     spec,
 		Group:     pkt.GroupID(*group),
 		Seed:      *seed,

@@ -23,7 +23,10 @@ func TestParsePeer(t *testing.T) {
 	if p.id != 3 || p.addr != "127.0.0.1:7003" {
 		t.Fatalf("parsePeer = %+v", p)
 	}
-	for _, bad := range []string{"", "3", "x=127.0.0.1:7003", "3=no-port", "3=127.0.0.1"} {
+	for _, bad := range []string{"", "3", "x=127.0.0.1:7003", "3=no-port", "3=127.0.0.1",
+		// Not a node address: zero, broadcast, and a 33-bit id that would
+		// narrow to node 1.
+		"0=127.0.0.1:1", "4294967295=127.0.0.1:1", "4294967297=127.0.0.1:1"} {
 		if _, err := parsePeer(bad); err == nil {
 			t.Errorf("parsePeer(%q) accepted", bad)
 		}
@@ -40,6 +43,55 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-id", "1", "-peer", "nonsense"}); err == nil {
 		t.Error("malformed -peer accepted")
+	}
+}
+
+// TestRunRejectsBadInput pins that identity and clock flags are checked
+// at parsing, before any socket opens, with an error naming the flag: a
+// 33-bit -id or -group must not be narrowed into someone else's
+// address, and a NaN time scale must not reach the timer arithmetic.
+func TestRunRejectsBadInput(t *testing.T) {
+	for _, tt := range []struct {
+		flag string
+		args []string
+	}{
+		{"-id", []string{"-id", "4294967297"}}, // would narrow to node 1
+		{"-id", []string{"-id", "4294967296"}}, // would narrow to node 0
+		{"-id", []string{"-id", "4294967295"}}, // pkt.Broadcast
+		{"-group", []string{"-id", "1", "-group", "4294967296"}},
+		{"-group", []string{"-id", "1", "-group", "0"}},
+		{"-peer", []string{"-id", "1", "-peer", "0=127.0.0.1:1"}},
+		{"-peer", []string{"-id", "1", "-peer", "4294967295=127.0.0.1:1"}},
+		{"-timescale", []string{"-id", "1", "-timescale", "NaN"}},
+		{"-timescale", []string{"-id", "1", "-timescale", "0"}},
+		{"-timescale", []string{"-id", "1", "-timescale", "+Inf"}},
+	} {
+		if err := run(tt.args); err == nil || !strings.Contains(err.Error(), tt.flag) {
+			t.Errorf("run(%v) err = %v, want one naming %s", tt.args, err, tt.flag)
+		}
+	}
+}
+
+// TestStackAliases pins that agnode resolves the alias spellings agsim
+// accepts and boots the stack they name: the aliases register with the
+// recovery layer they compose, not with a package only the simulator
+// links.
+func TestStackAliases(t *testing.T) {
+	for name, want := range map[string]string{"gossip": "maodv+gossip", "odmrp-gossip": "odmrp+gossip"} {
+		spec, err := stack.ByName(name)
+		if err != nil {
+			t.Errorf("-stack %s: %v", name, err)
+			continue
+		}
+		d, err := newDaemon(daemonConfig{ID: 1, Stack: spec, TimeScale: 100}, netrt.NewChanTransport())
+		if err != nil {
+			t.Errorf("-stack %s: %v", name, err)
+			continue
+		}
+		if got := d.pn.Spec().String(); got != want {
+			t.Errorf("-stack %s runs %s, want %s", name, got, want)
+		}
+		d.Close()
 	}
 }
 

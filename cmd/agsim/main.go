@@ -11,8 +11,8 @@
 //	agsim -protocol flood+gossip -range 55 -duration 600s -verbose
 //
 // The -protocol flag accepts any stack registered with the protocol
-// registry ("maodv", "maodv+gossip", "flood+gossip", ...) plus the
-// legacy spellings ("gossip", "odmrp-gossip"); -help lists them.
+// registry ("maodv", "maodv+gossip", "flood+gossip", ...) plus its
+// aliases ("gossip", "odmrp-gossip"); -help lists them.
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"anongossip"
-	"anongossip/internal/metrics"
 	"anongossip/internal/pkt"
 )
 
@@ -40,7 +39,7 @@ func run(args []string) error {
 	var (
 		protocol = fs.String("protocol", "gossip",
 			"protocol stack by registry name: "+strings.Join(anongossip.StackNames(), " | ")+
-				" (legacy aliases: gossip = maodv+gossip, odmrp-gossip = odmrp+gossip)")
+				" (aliases: gossip = maodv+gossip, odmrp-gossip = odmrp+gossip)")
 		nodes      = fs.Int("nodes", 40, "total node count")
 		members    = fs.Float64("members", 1.0/3.0, "fraction of nodes in the group")
 		txRange    = fs.Float64("range", 75, "transmission range (m)")
@@ -116,23 +115,10 @@ func run(args []string) error {
 	}
 	if res.Metrics != nil {
 		fmt.Printf("\nchannel utilization (%v windows):\n", res.Metrics.WindowLen)
-		fmt.Printf("%7s %6s | %5s %5s %5s %5s | %7s %7s %7s %6s %6s\n",
-			"t(s)", "busy", "mac", "route", "data", "gossip",
-			"rounds", "deliv", "retry", "queue", "air")
-		for _, win := range res.Metrics.Windows {
-			fmt.Printf("%7.0f %5.1f%% | %4.0f%% %4.0f%% %4.0f%% %4.0f%% | %7d %7d %7d %6d %6d\n",
-				win.End.Seconds(), 100*win.BusyFraction(),
-				100*win.AirtimeShare(metrics.LayerMAC),
-				100*win.AirtimeShare(metrics.LayerRouting),
-				100*win.AirtimeShare(metrics.LayerData),
-				100*win.AirtimeShare(metrics.LayerGossip),
-				win.GossipRounds, win.DataDelivered, win.MACRetries,
-				win.QueueDepth, win.InFlight)
+		if err := res.Metrics.WriteTable(os.Stdout); err != nil {
+			return err
 		}
-		var totalAir time.Duration
-		for _, a := range res.Channel.AirtimeByLayer {
-			totalAir += a
-		}
+		totalAir := res.Channel.TotalAirtime()
 		fmt.Printf("totals: %d transmissions, %v airtime (%.1f%% of the run)\n",
 			res.Channel.TotalTx(), totalAir.Round(time.Millisecond),
 			100*float64(totalAir)/float64(cfg.Duration))

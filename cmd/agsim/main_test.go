@@ -25,8 +25,7 @@ func TestRunShortSimulation(t *testing.T) {
 }
 
 func TestRunAllProtocols(t *testing.T) {
-	// Canonical registry names, the composed sixth stack the legacy enum
-	// could not express, and a legacy alias spelling.
+	// Canonical registry names, bare and composed, and an alias spelling.
 	for _, p := range []string{"maodv", "flood", "flood+gossip", "odmrp-gossip"} {
 		if err := run([]string{"-protocol", p, "-nodes", "12", "-duration", "60s"}); err != nil {
 			t.Fatalf("protocol %s: %v", p, err)
@@ -62,19 +61,29 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-metrics-window", "-1s", "-duration", "60s"}); err == nil {
 		t.Fatal("negative metrics window accepted")
 	}
+	// A negative speed used to run and report "-1.0 m/s max", and an
+	// out-of-range probability to run silently as 1.
+	for _, bad := range [][]string{{"-speed", "-1"}, {"-panon", "7"}, {"-panon", "NaN"}} {
+		if err := run(append(bad, "-duration", "30s")); err == nil {
+			t.Fatalf("%s %s accepted", bad[0], bad[1])
+		}
+	}
 	// A non-positive gossip period used to re-arm the round at the same
-	// simulated instant forever; run it off the test goroutine so a
+	// simulated instant forever, and a nanosecond metrics window to tick
+	// the sampler 3 × 10¹⁰ times; run them off the test goroutine so a
 	// regression fails instead of hanging the suite.
-	for _, interval := range []string{"0", "-1s"} {
+	for _, hang := range [][]string{
+		{"-gossip-interval", "0"}, {"-gossip-interval", "-1s"}, {"-metrics-window", "1ns"},
+	} {
 		done := make(chan error, 1)
-		go func() { done <- run([]string{"-gossip-interval", interval, "-duration", "100s"}) }()
+		go func() { done <- run(append(hang, "-duration", "30s")) }()
 		select {
 		case err := <-done:
 			if err == nil {
-				t.Fatalf("-gossip-interval %s accepted", interval)
+				t.Fatalf("%s %s accepted", hang[0], hang[1])
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("-gossip-interval %s never returned", interval)
+			t.Fatalf("%s %s never returned", hang[0], hang[1])
 		}
 	}
 }

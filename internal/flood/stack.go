@@ -11,8 +11,6 @@ import (
 )
 
 // The "flood" routing axis: plain flooding, the related-work baseline.
-// Composing it with a recovery layer (flood+gossip) is the combination
-// the old Protocol enum could not express.
 func init() { stack.RegisterRouting(stackBuilder{}) }
 
 type stackBuilder struct{}

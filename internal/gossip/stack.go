@@ -10,7 +10,14 @@ import (
 
 // The "gossip" recovery axis: Anonymous Gossip layered over any routing
 // protocol that exposes a walk substrate — the paper's central claim.
-func init() { stack.RegisterRecovery(recoveryBuilder{}) }
+// The aliases (paper figure labels, older CLI spellings) register beside
+// it, so every binary that links the layer resolves them alike.
+func init() {
+	stack.RegisterRecovery(recoveryBuilder{})
+	stack.RegisterAlias("gossip", stack.Spec{Routing: "maodv", Recovery: "gossip"})
+	stack.RegisterAlias("odmrp-gossip", stack.Spec{Routing: "odmrp", Recovery: "gossip"})
+	stack.RegisterAlias("odmrp+ag", stack.Spec{Routing: "odmrp", Recovery: "gossip"})
+}
 
 type recoveryBuilder struct{}
 
@@ -74,16 +81,9 @@ func (n *recoveryNode) Stats() stack.RecoveryStats {
 		ReplyNew:  s.ReplyMsgsNew,
 		ReplyDup:  s.ReplyMsgsDup,
 		Goodput:   s.Goodput(),
+		Rounds:    s.RoundsAnon + s.RoundsCached,
+		Replies:   s.RepliesReceived,
 	}
-}
-
-// RoundStats exposes the engine's cumulative round and reply counters.
-// The telemetry sampler type-asserts for this method to build its
-// gossip-activity time series without the stack API growing a
-// recovery-protocol-specific surface.
-func (n *recoveryNode) RoundStats() (rounds, replies uint64) {
-	s := n.eng.Stats()
-	return s.RoundsAnon + s.RoundsCached, s.RepliesReceived
 }
 
 func (n *recoveryNode) Start() {

@@ -1,7 +1,7 @@
 // Package metrics is the unified telemetry layer: per-layer counters
 // the protocol stack increments on its hot paths, a windowed
-// time-series sampler driven by the simulation scheduler, and a small
-// registry that renders any of it in Prometheus text format.
+// time-series sampler driven by the simulation scheduler, and a writer
+// that renders metric families in Prometheus text format.
 //
 // The package is observe-only by contract (DESIGN.md §11): nothing in
 // it schedules protocol events, draws randomness, or mutates protocol
@@ -144,65 +144,23 @@ type Sample struct {
 	Value  float64
 }
 
-// family is one registered metric: a name, help text, kind, and a
-// collect callback that emits the current samples. Collection is pull
-// based — registering is cheap and the callback only runs when a
-// scrape or summary actually wants values.
-type family struct {
-	name, help string
-	kind       Kind
-	collect    func(emit func(Sample))
+// Family is one metric family ready to render: a name, help text,
+// kind, and its current samples.
+type Family struct {
+	Name, Help string
+	Kind       Kind
+	Samples    []Sample
 }
 
-// Registry holds metric families in registration order; Gather and
-// WritePrometheus render them deterministically (families in
-// registration order, samples in emission order), so two scrapes of an
-// idle process are byte-identical.
-type Registry struct {
-	families []family
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
-
-// Counter registers a monotonically increasing family.
-func (r *Registry) Counter(name, help string, collect func(emit func(Sample))) {
-	r.families = append(r.families, family{name: name, help: help, kind: KindCounter, collect: collect})
-}
-
-// Gauge registers a point-in-time family.
-func (r *Registry) Gauge(name, help string, collect func(emit func(Sample))) {
-	r.families = append(r.families, family{name: name, help: help, kind: KindGauge, collect: collect})
-}
-
-// Gathered is one family's rendered samples.
-type Gathered struct {
-	Name    string
-	Help    string
-	Kind    Kind
-	Samples []Sample
-}
-
-// Gather runs every family's collector and returns the results in
-// registration order.
-func (r *Registry) Gather() []Gathered {
-	out := make([]Gathered, 0, len(r.families))
-	for _, f := range r.families {
-		g := Gathered{Name: f.name, Help: f.help, Kind: f.kind}
-		f.collect(func(s Sample) { g.Samples = append(g.Samples, s) })
-		out = append(out, g)
-	}
-	return out
-}
-
-// WritePrometheus renders the registry in the Prometheus text
-// exposition format (version 0.0.4). The writer is hand-rolled — the
-// repo takes no dependency on a client library — and covers the
-// subset the registry produces: HELP/TYPE headers, label escaping,
-// and shortest-round-trip float formatting.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// WritePrometheus renders families in the Prometheus text exposition
+// format (version 0.0.4), in the order given, so two scrapes of
+// unchanged state are byte-identical. The writer is hand-rolled — the
+// repo takes no dependency on a client library — and covers the subset
+// in use: HELP/TYPE headers, label escaping, and shortest-round-trip
+// float formatting.
+func WritePrometheus(w io.Writer, families []Family) error {
 	var b strings.Builder
-	for _, g := range r.Gather() {
+	for _, g := range families {
 		if g.Help != "" {
 			b.WriteString("# HELP ")
 			b.WriteString(g.Name)

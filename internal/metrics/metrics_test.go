@@ -171,20 +171,30 @@ func TestWindowJSONAndCSV(t *testing.T) {
 	if !strings.Contains(lines[1], "0.2500") {
 		t.Errorf("csv row missing busy fraction: %q", lines[1])
 	}
+
+	// The CLI table: the same window as one fixed-width row under a
+	// header, every column present.
+	buf.Reset()
+	if err := s.Series().WriteTable(&buf); err != nil {
+		t.Fatalf("table: %v", err)
+	}
+	const want = "" +
+		"   t(s)   busy |   mac route  data gossip |  rounds   deliv   retry  queue    air\n" +
+		"      1  25.0% |    0%    0%  100%    0% |       3       0       0      0      0\n"
+	if buf.String() != want {
+		t.Errorf("table =\n%s\nwant\n%s", buf.String(), want)
+	}
 }
 
 func TestRegistryPrometheus(t *testing.T) {
-	r := NewRegistry()
-	var hits uint64 = 42
-	r.Counter("ag_hits_total", "Total hits.", func(emit func(Sample)) {
-		emit(Sample{Labels: []Label{{"layer", "data"}}, Value: float64(hits)})
-	})
-	r.Gauge("ag_queue_depth", "Current backlog.", func(emit func(Sample)) {
-		emit(Sample{Value: 3})
-	})
-
+	families := []Family{
+		{Name: "ag_hits_total", Help: "Total hits.", Kind: KindCounter,
+			Samples: []Sample{{Labels: []Label{{"layer", "data"}}, Value: 42}}},
+		{Name: "ag_queue_depth", Help: "Current backlog.", Kind: KindGauge,
+			Samples: []Sample{{Value: 3}}},
+	}
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := WritePrometheus(&buf, families); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	out := buf.String()
@@ -202,7 +212,7 @@ func TestRegistryPrometheus(t *testing.T) {
 
 	// Two scrapes of unchanged state are byte-identical.
 	var buf2 bytes.Buffer
-	if err := r.WritePrometheus(&buf2); err != nil {
+	if err := WritePrometheus(&buf2, families); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	if buf.String() != buf2.String() {
@@ -211,12 +221,10 @@ func TestRegistryPrometheus(t *testing.T) {
 }
 
 func TestLabelEscaping(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("ag_esc", "", func(emit func(Sample)) {
-		emit(Sample{Labels: []Label{{"v", `a"b\c` + "\n"}}, Value: 1})
-	})
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	err := WritePrometheus(&buf, []Family{{Name: "ag_esc", Kind: KindGauge,
+		Samples: []Sample{{Labels: []Label{{"v", `a"b\c` + "\n"}}, Value: 1}}}})
+	if err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	if !strings.Contains(buf.String(), `ag_esc{v="a\"b\\c\n"} 1`) {

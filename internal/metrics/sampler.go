@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 )
 
@@ -223,43 +224,50 @@ func (w Window) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w.exportJSON())
 }
 
+// WriteTable renders the series as the fixed-width channel-utilization
+// table the CLIs print: one row per window, stamped with its end, with
+// the busy fraction, per-layer airtime shares and activity counters.
+func (s Series) WriteTable(w io.Writer) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%7s %6s | %5s %5s %5s %5s | %7s %7s %7s %6s %6s\n",
+		"t(s)", "busy", "mac", "route", "data", "gossip",
+		"rounds", "deliv", "retry", "queue", "air")
+	for _, win := range s.Windows {
+		fmt.Fprintf(&b, "%7.0f %5.1f%% | %4.0f%% %4.0f%% %4.0f%% %4.0f%% | %7d %7d %7d %6d %6d\n",
+			win.End.Seconds(), 100*win.BusyFraction(),
+			100*win.AirtimeShare(LayerMAC), 100*win.AirtimeShare(LayerRouting),
+			100*win.AirtimeShare(LayerData), 100*win.AirtimeShare(LayerGossip),
+			win.GossipRounds, win.DataDelivered, win.MACRetries,
+			win.QueueDepth, win.InFlight)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
 // WriteCSV renders the series as a flat CSV table, one row per window,
 // with a header row. The layer columns are expanded per layer so the
 // file loads straight into a plotting tool.
 func (s Series) WriteCSV(w io.Writer) error {
-	var cols []string
-	cols = append(cols, "start_s", "end_s", "busy_fraction")
+	cols := []string{"start_s", "end_s", "busy_fraction"}
 	for l := Layer(0); l < NumLayers; l++ {
 		cols = append(cols, "airtime_share_"+l.String(), "tx_"+l.String())
 	}
 	cols = append(cols, "collisions", "delivered", "data_delivered",
 		"gossip_rounds", "gossip_replies", "mac_tx_attempts", "mac_retries",
 		"mac_backoff_s", "in_flight", "queue_depth")
-	for i, c := range cols {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, c); err != nil {
-			return err
-		}
-	}
-	if _, err := io.WriteString(w, "\n"); err != nil {
-		return err
-	}
+	var b strings.Builder
+	b.WriteString(strings.Join(cols, ","))
+	b.WriteByte('\n')
 	for _, win := range s.Windows {
-		row := fmt.Sprintf("%.3f,%.3f,%.4f", win.Start.Seconds(), win.End.Seconds(), win.BusyFraction())
+		fmt.Fprintf(&b, "%.3f,%.3f,%.4f", win.Start.Seconds(), win.End.Seconds(), win.BusyFraction())
 		for l := Layer(0); l < NumLayers; l++ {
-			row += fmt.Sprintf(",%.4f,%d", win.AirtimeShare(l), win.Tx[l])
+			fmt.Fprintf(&b, ",%.4f,%d", win.AirtimeShare(l), win.Tx[l])
 		}
-		row += fmt.Sprintf(",%d,%d,%d,%d,%d,%d,%d,%.4f,%d,%d\n",
+		fmt.Fprintf(&b, ",%d,%d,%d,%d,%d,%d,%d,%.4f,%d,%d\n",
 			win.Collisions, win.Delivered, win.DataDelivered,
 			win.GossipRounds, win.GossipReplies, win.MACTxAttempts, win.MACRetries,
 			win.MACBackoff.Seconds(), win.InFlight, win.QueueDepth)
-		if _, err := io.WriteString(w, row); err != nil {
-			return err
-		}
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }

@@ -9,13 +9,6 @@ import (
 	"anongossip/internal/stack"
 )
 
-// newNodeRNG roots a live node's RNG tree: the shared seed derived by
-// the node's identity, so two nodes on one seed draw independent
-// streams while a restarted node reproduces its own.
-func newNodeRNG(seed int64, id pkt.NodeID) *sim.RNG {
-	return sim.NewRNG(seed).Derive(fmt.Sprintf("netrt/%d", id))
-}
-
 // ProtocolConfig assembles one live protocol node.
 type ProtocolConfig struct {
 	// Node configures the runtime layer (identity, time scale, inbox).
@@ -23,74 +16,52 @@ type ProtocolConfig struct {
 	// Stack names the protocol stack to run; the zero Spec means the
 	// registry default "flood".
 	Stack stack.Spec
-	// Seed seeds the node's RNG tree. Live nodes each own an
-	// independent tree (unlike a simulation, there is no shared run
-	// seed), so per-node seeds only need to differ to decorrelate
-	// gossip target choices.
+	// Seed seeds the node's RNG tree, derived by the node's identity:
+	// two nodes on one seed draw independent streams (unlike a
+	// simulation, there is no shared run seed) while a restarted node
+	// reproduces its own.
 	Seed int64
-	// Params carries per-layer configuration blocks, exactly as in a
-	// simulated scenario.
-	Params stack.Params
-	// Registry resolves the stack; nil means stack.Default.
-	Registry *stack.Registry
 }
 
 // ProtocolNode is one live node running a full protocol stack: the
-// runtime Node, the network layer, and the routing (+ optional
-// recovery) engines resolved through the stack registry — the same
-// assembly the simulated scenario performs, bound to a live transport.
+// runtime Node, the network layer, and the same stack.Node the
+// simulated scenario assembles. Protocol state is touched only on the
+// node's event loop.
 type ProtocolNode struct {
-	rt       *Node
-	stack    *node.Stack
-	routing  stack.RoutingNode
-	recovery stack.RecoveryNode
-	spec     stack.Spec
+	rt    *Node
+	stack *node.Stack
+	node  *stack.Node
 }
 
-// NewProtocolNode joins the transport, builds the stack, and wires the
-// engines. The node is not started: register OnDeliver subscribers
-// first, then call Start.
+// NewProtocolNode joins the transport and assembles the stack. The node
+// is not started: register OnDeliver subscribers, then call Start.
 func NewProtocolNode(cfg ProtocolConfig, tr Transport) (*ProtocolNode, error) {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = stack.Default
-	}
-	spec := cfg.Stack.Normalize()
+	spec := cfg.Stack
 	if spec.IsZero() {
 		spec = stack.Spec{Routing: "flood"}
-	}
-	routingB, recoveryB, err := reg.Resolve(spec)
-	if err != nil {
-		return nil, fmt.Errorf("netrt: %w", err)
 	}
 	rt, err := NewNode(cfg.Node, tr)
 	if err != nil {
 		return nil, fmt.Errorf("netrt: join as %v: %w", cfg.Node.ID, err)
 	}
 	st := node.NewOnRuntime(rt)
-	env := stack.Env{
-		Stack:  st,
-		RNG:    newNodeRNG(cfg.Seed, cfg.Node.ID),
-		Index:  int(cfg.Node.ID),
-		Params: cfg.Params,
+	n, err := stack.Assemble(spec, stack.Env{
+		Stack: st,
+		RNG:   sim.NewRNG(cfg.Seed).Derive(fmt.Sprintf("netrt/%d", cfg.Node.ID)),
+		Index: int(cfg.Node.ID),
+	})
+	if err != nil {
+		rt.Close()
+		return nil, fmt.Errorf("netrt: %w", err)
 	}
-	pn := &ProtocolNode{rt: rt, stack: st, spec: spec}
-	pn.routing = routingB.Build(env)
-	if recoveryB != nil {
-		pn.recovery, err = recoveryB.Build(env, pn.routing)
-		if err != nil {
-			rt.Close()
-			return nil, fmt.Errorf("netrt: assembling stack %v: %w", spec, err)
-		}
-	}
-	return pn, nil
+	return &ProtocolNode{rt: rt, stack: st, node: n}, nil
 }
 
 // ID returns the node's address.
 func (p *ProtocolNode) ID() pkt.NodeID { return p.rt.id }
 
 // Spec returns the resolved stack spec.
-func (p *ProtocolNode) Spec() stack.Spec { return p.spec }
+func (p *ProtocolNode) Spec() stack.Spec { return p.node.Spec() }
 
 // Runtime exposes the underlying live node (stats, Do).
 func (p *ProtocolNode) Runtime() *Node { return p.rt }
@@ -105,11 +76,7 @@ func (p *ProtocolNode) NodeStats() (s node.Stats, err error) {
 // marks packets obtained through the recovery layer (always false on
 // bare-routing stacks). Call before Start.
 func (p *ProtocolNode) OnDeliver(fn func(g pkt.GroupID, d *pkt.Data, recovered bool)) {
-	if p.recovery != nil {
-		p.recovery.OnDeliver(fn)
-		return
-	}
-	p.routing.OnDeliver(func(g pkt.GroupID, d *pkt.Data) { fn(g, d, false) })
+	p.node.OnDeliver(fn)
 }
 
 // Start activates the engines (beacons, hellos, gossip rounds) and then
@@ -117,10 +84,7 @@ func (p *ProtocolNode) OnDeliver(fn func(g pkt.GroupID, d *pkt.Data, recovered b
 // runs, on the caller's goroutine, matching the simulated assembly
 // where Start precedes Scheduler.Run.
 func (p *ProtocolNode) Start() {
-	p.routing.Start()
-	if p.recovery != nil {
-		p.recovery.Start()
-	}
+	p.node.Start()
 	p.rt.Start()
 }
 
@@ -129,12 +93,7 @@ func (p *ProtocolNode) Close() error { return p.rt.Close() }
 
 // Join registers membership in g on the event loop.
 func (p *ProtocolNode) Join(g pkt.GroupID) error {
-	return p.rt.Do(func() {
-		p.routing.Join(g)
-		if p.recovery != nil {
-			p.recovery.Attach(g)
-		}
-	})
+	return p.rt.Do(func() { p.node.Join(g) })
 }
 
 // Publish multicasts one application payload to g and returns its
@@ -142,12 +101,7 @@ func (p *ProtocolNode) Join(g pkt.GroupID) error {
 func (p *ProtocolNode) Publish(g pkt.GroupID) (pkt.SeqKey, error) {
 	var key pkt.SeqKey
 	var sendErr error
-	if err := p.rt.Do(func() {
-		key, sendErr = p.routing.SendData(g)
-		if sendErr == nil && p.recovery != nil {
-			p.recovery.OnLocalSend(g, key)
-		}
-	}); err != nil {
+	if err := p.rt.Do(func() { key, sendErr = p.node.Publish(g) }); err != nil {
 		return pkt.SeqKey{}, err
 	}
 	return key, sendErr
@@ -156,17 +110,13 @@ func (p *ProtocolNode) Publish(g pkt.GroupID) (pkt.SeqKey, error) {
 // Delivered reports the count of unique data packets delivered to the
 // member application.
 func (p *ProtocolNode) Delivered() (n uint64, err error) {
-	err = p.rt.Do(func() { n = p.routing.Delivered() })
+	err = p.rt.Do(func() { n = p.node.Delivered() })
 	return n, err
 }
 
-// RecoveryStats returns the member's recovery counters (zero for
-// bare-routing stacks).
+// RecoveryStats returns the member's outcome counters (see
+// stack.Node.RecoveryStats for what a bare-routing stack reports).
 func (p *ProtocolNode) RecoveryStats() (s stack.RecoveryStats, err error) {
-	err = p.rt.Do(func() {
-		if p.recovery != nil {
-			s = p.recovery.Stats()
-		}
-	})
+	err = p.rt.Do(func() { s = p.node.RecoveryStats() })
 	return s, err
 }

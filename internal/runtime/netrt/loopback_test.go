@@ -49,7 +49,6 @@ func bootCluster(t *testing.T, n int, spec stack.Spec, scale float64) []*netrt.P
 func simBaselineRatio(t *testing.T, spec stack.Spec) float64 {
 	t.Helper()
 	cfg := scenario.DefaultConfig()
-	cfg.Protocol = 0
 	cfg.Stack = spec
 	cfg.Nodes = 3
 	cfg.MemberFraction = 1

@@ -116,7 +116,7 @@ var _ rt.Runtime = (*Node)(nil)
 // ErrDuplicateID.
 func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 	scale := cfg.TimeScale
-	if scale <= 0 {
+	if !(scale > 0) { // also NaN, which `<= 0` would let through to wallDelay
 		scale = 1
 	}
 	size := cfg.InboxSize

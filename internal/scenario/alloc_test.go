@@ -18,7 +18,6 @@ import (
 // frame.
 func TestAllocationBudgetPerEvent(t *testing.T) {
 	cfg := ShortenedData(DefaultConfig(), 60*time.Second)
-	cfg.Protocol = 0
 	cfg.Stack = stack.Spec{Routing: "maodv", Recovery: "gossip"}
 	cfg.Seed = 1
 

@@ -398,8 +398,7 @@ type GoodputRow struct {
 // the paper's MAODV+AG.
 func RunGoodput(base Config, gc GoodputCase, seeds []int64, parallel int) (GoodputRow, error) {
 	cfg := base
-	cfg.Stack = cfg.Spec()
-	if cfg.Stack.Recovery == "" {
+	if cfg.Spec().Recovery == "" {
 		cfg.Stack = stack.Spec{Routing: "maodv", Recovery: "gossip"}
 	}
 	cfg.Nodes = 40

@@ -78,7 +78,7 @@ func TestLatencyMetrics(t *testing.T) {
 
 func TestLatencyMetricsMAODV(t *testing.T) {
 	cfg := shortConfig()
-	cfg.Protocol = ProtocolMAODV
+	cfg.Stack = bareMAODV
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -17,12 +17,12 @@ func TestPaperHeadlineFullScale(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 1
 
-	cfg.Protocol = ProtocolGossip
+	cfg.Stack = maodvAG
 	g, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Protocol = ProtocolMAODV
+	cfg.Stack = bareMAODV
 	m, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

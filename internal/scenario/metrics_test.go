@@ -14,7 +14,7 @@ import (
 // event accounting; everything else it does is reads.
 func TestMetricsObserveOnlyBitIdentical(t *testing.T) {
 	cfg := goldenConfig()
-	cfg.Protocol = ProtocolGossip
+	cfg.Stack = maodvAG
 	cfg.Seed = 3
 
 	off, err := Run(cfg)
@@ -48,7 +48,7 @@ func TestMetricsObserveOnlyBitIdentical(t *testing.T) {
 // sum to the cumulative total.
 func TestMetricsSeriesShape(t *testing.T) {
 	cfg := goldenConfig()
-	cfg.Protocol = ProtocolGossip
+	cfg.Stack = maodvAG
 	cfg.Seed = 2
 	cfg.MetricsWindow = 10 * time.Second
 

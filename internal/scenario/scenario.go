@@ -34,83 +34,6 @@ import (
 	"anongossip/internal/trace"
 )
 
-// Protocol is the legacy stack selector. The constants survive as thin
-// aliases that resolve through the stack registry (package
-// internal/stack); new code should prefer Config.Stack, which composes
-// any registered routing protocol with any registered recovery layer —
-// including combinations the enum never had, such as flood+gossip.
-type Protocol int
-
-// Protocols under test.
-const (
-	// ProtocolMAODV is the bare multicast routing protocol (the paper's
-	// "Maodv" curves).
-	ProtocolMAODV Protocol = iota + 1
-	// ProtocolGossip is MAODV plus Anonymous Gossip (the paper's
-	// "Gossip" curves).
-	ProtocolGossip
-	// ProtocolFlood is the plain-flooding baseline from related work
-	// [13], used in ablations.
-	ProtocolFlood
-	// ProtocolODMRP is the bare mesh-based multicast protocol (paper
-	// reference [10]).
-	ProtocolODMRP
-	// ProtocolODMRPGossip is ODMRP plus Anonymous Gossip — the paper's
-	// §5.5/§7 future-work claim that AG generalises beyond MAODV.
-	ProtocolODMRPGossip
-)
-
-// legacyStacks maps each Protocol constant onto the registry spec it
-// aliases.
-var legacyStacks = map[Protocol]stack.Spec{
-	ProtocolMAODV:       {Routing: "maodv"},
-	ProtocolGossip:      {Routing: "maodv", Recovery: "gossip"},
-	ProtocolFlood:       {Routing: "flood"},
-	ProtocolODMRP:       {Routing: "odmrp"},
-	ProtocolODMRPGossip: {Routing: "odmrp", Recovery: "gossip"},
-}
-
-// legacyNames labels the legacy protocols as the paper's figures do.
-var legacyNames = map[Protocol]string{
-	ProtocolMAODV:       "Maodv",
-	ProtocolGossip:      "Gossip",
-	ProtocolFlood:       "Flood",
-	ProtocolODMRP:       "Odmrp",
-	ProtocolODMRPGossip: "Odmrp+AG",
-}
-
-// init teaches the registry the legacy spellings the CLIs and the
-// paper's figure labels use.
-func init() {
-	stack.RegisterAlias("gossip", stack.Spec{Routing: "maodv", Recovery: "gossip"})
-	stack.RegisterAlias("odmrp-gossip", stack.Spec{Routing: "odmrp", Recovery: "gossip"})
-	stack.RegisterAlias("odmrp+ag", stack.Spec{Routing: "odmrp", Recovery: "gossip"})
-}
-
-// Spec resolves the legacy constant to its registry spec (the zero Spec
-// for values outside the enum).
-func (p Protocol) Spec() stack.Spec { return legacyStacks[p] }
-
-// ProtocolOf reverse-maps a stack spec onto its legacy constant; ok is
-// false for combinations the enum never expressed (e.g. flood+gossip).
-func ProtocolOf(s stack.Spec) (Protocol, bool) {
-	s = s.Normalize()
-	for p, ls := range legacyStacks {
-		if ls == s {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
-// String names the protocol as the paper's figures do.
-func (p Protocol) String() string {
-	if n, ok := legacyNames[p]; ok {
-		return n
-	}
-	return fmt.Sprintf("Protocol(%d)", int(p))
-}
-
 // Group is the single multicast group used by all experiments.
 const Group pkt.GroupID = 0xE0000001
 
@@ -118,12 +41,12 @@ const Group pkt.GroupID = 0xE0000001
 type Config struct {
 	// Stack composes the protocol stack under test by registry name: a
 	// routing protocol ("maodv", "odmrp", "flood") plus an optional
-	// recovery layer ("gossip"). When set it takes precedence over the
-	// legacy Protocol field.
+	// recovery layer ("gossip").
 	Stack stack.Spec
-	// Protocol is the legacy stack selector, kept source-compatible;
-	// its constants resolve through the same registry as Stack.
-	Protocol Protocol
+	// Protocol is retired: the enum it held is deleted and Validate
+	// rejects a non-zero value. The field survives only until
+	// bench/workloads.go stops zeroing it.
+	Protocol int
 
 	// Area is the terrain (200 m × 200 m in the paper).
 	Area geom.Rect
@@ -191,7 +114,7 @@ type Config struct {
 // nodes, 75 m range, max speed 0.2 m/s, MAODV+AG.
 func DefaultConfig() Config {
 	return Config{
-		Protocol:       ProtocolGossip,
+		Stack:          stack.Spec{Routing: "maodv", Recovery: "gossip"},
 		Area:           geom.Rect{W: 200, H: 200},
 		Nodes:          40,
 		MemberFraction: 1.0 / 3.0,
@@ -232,33 +155,35 @@ func (c Config) sources() int {
 	return c.NumSources
 }
 
-// Spec returns the effective stack spec: Config.Stack when set, else
-// the legacy Protocol alias resolved through the registry.
-func (c Config) Spec() stack.Spec {
-	if !c.Stack.IsZero() {
-		return c.Stack.Normalize()
-	}
-	return c.Protocol.Spec()
-}
+// Spec returns the normalized stack spec.
+func (c Config) Spec() stack.Spec { return c.Stack.Normalize() }
+
+// maxMetricsWindows bounds the sampler windows of one run: each is a
+// kernel event and a retained metrics.Window, so a cadence far below the
+// run length (-metrics-window 1ns) would tick for hours.
+const maxMetricsWindows = 100_000
 
 // Validate reports configuration errors. Stack validation is a registry
 // lookup: the error of an unknown stack lists every registered name.
 func (c Config) Validate() error {
-	_, recovery, err := stack.Resolve(c.Spec())
-	if err != nil {
+	spec := c.Spec()
+	if _, _, err := stack.Default.Resolve(spec); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
+	recovers := spec.Recovery != ""
 	// The negated float comparisons also reject NaN (NaN > 0 is false),
 	// which a plain `<= 0` would let through.
 	switch {
+	case c.Protocol != 0:
+		return fmt.Errorf("scenario: Protocol is retired (have %d); select the stack with Config.Stack", c.Protocol)
 	case c.Nodes < 2:
 		return fmt.Errorf("scenario: need at least 2 nodes, have %d", c.Nodes)
 	case !(c.MemberFraction > 0) || c.MemberFraction > 1:
 		return fmt.Errorf("scenario: member fraction %v out of (0,1]", c.MemberFraction)
 	case !(c.TxRange > 0) || math.IsInf(c.TxRange, 1):
 		return fmt.Errorf("scenario: transmission range %v is not positive and finite", c.TxRange)
-	case !finite(c.MinSpeed) || !finite(c.MaxSpeed):
-		return fmt.Errorf("scenario: speed bounds [%v, %v] m/s are not finite", c.MinSpeed, c.MaxSpeed)
+	case !finite(c.MinSpeed) || !finite(c.MaxSpeed) || c.MinSpeed < 0 || c.MaxSpeed < c.MinSpeed:
+		return fmt.Errorf("scenario: speed bounds [%v, %v] m/s are not finite, non-negative and ordered", c.MinSpeed, c.MaxSpeed)
 	case !(c.Area.W > 0) || !(c.Area.H > 0) || math.IsInf(c.Area.W, 1) || math.IsInf(c.Area.H, 1):
 		return fmt.Errorf("scenario: degenerate area %+v", c.Area)
 	case c.Duration <= 0:
@@ -269,15 +194,23 @@ func (c Config) Validate() error {
 		// DataEnd < DataStart stays legal: it is the empty window of a
 		// construction-only run (ExpectedPackets reports 0).
 		return fmt.Errorf("scenario: data window [%v, %v] starts or ends before time zero", c.DataStart, c.DataEnd)
-	case recovery != nil && c.Gossip.Interval <= 0:
+	case recovers && c.Gossip.Interval <= 0:
 		// A round re-arms itself Interval later: at zero, simulated time
 		// would never advance past the first round.
 		return fmt.Errorf("scenario: non-positive gossip interval %v", c.Gossip.Interval)
+	case recovers && !(probability(c.Gossip.PAnon) && probability(c.Gossip.AcceptProb)):
+		return fmt.Errorf("scenario: gossip PAnon %v or AcceptProb %v is not in [0,1]", c.Gossip.PAnon, c.Gossip.AcceptProb)
 	case c.MetricsWindow < 0:
 		return fmt.Errorf("scenario: negative metrics window %v", c.MetricsWindow)
+	case c.MetricsWindow > 0 && c.Duration/c.MetricsWindow > maxMetricsWindows:
+		return fmt.Errorf("scenario: metrics window %v splits the %v run into more than %d windows",
+			c.MetricsWindow, c.Duration, maxMetricsWindows)
 	}
 	return nil
 }
+
+// probability reports whether p lies in [0, 1]; NaN does not.
+func probability(p float64) bool { return p >= 0 && p <= 1 }
 
 // finite reports whether x is neither NaN nor an infinity.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
@@ -299,10 +232,7 @@ type MemberResult struct {
 type Result struct {
 	// Stack names the protocol stack that ran.
 	Stack stack.Spec
-	// Protocol is the legacy alias of Stack, zero for combinations the
-	// enum never expressed (e.g. flood+gossip).
-	Protocol Protocol
-	Seed     int64
+	Seed  int64
 	// Sent is the number of data packets the source generated.
 	Sent int
 	// Source is the sending member (excluded from Members).
@@ -405,17 +335,15 @@ func Run(cfg Config) (*Result, error) {
 // world is one assembled simulation.
 type world struct {
 	cfg    Config
-	spec   stack.Spec
 	sched  *sim.Scheduler
 	medium *radio.Medium
 
 	// rts are the per-node simulation runtimes (the runtime/simrt side
 	// of the engine/kernel boundary); stacks are the network layers
-	// assembled over them.
-	rts      []*simrt.Runtime
-	stacks   []*node.Stack
-	routing  []stack.RoutingNode
-	recovery []stack.RecoveryNode // nil entries when the spec has no recovery layer
+	// assembled over them and nodes the protocol stacks on top.
+	rts    []*simrt.Runtime
+	stacks []*node.Stack
+	nodes  []*stack.Node
 
 	memberIdx []int // node indices that are members; the first sources() are senders
 	isSource  map[int]bool
@@ -434,13 +362,7 @@ type world struct {
 }
 
 func build(cfg Config) (*world, error) {
-	spec := cfg.Spec()
-	routingB, recoveryB, err := stack.Resolve(spec)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-
-	w := &world{cfg: cfg, spec: spec, sched: sim.NewScheduler()}
+	w := &world{cfg: cfg, sched: sim.NewScheduler()}
 	w.medium = radio.NewMedium(w.sched, radio.Params{Range: cfg.TxRange})
 	root := sim.NewRNG(cfg.Seed)
 
@@ -469,6 +391,7 @@ func build(cfg Config) (*world, error) {
 		"gossip": cfg.Gossip,
 	}
 
+	spec, noteLatency := cfg.Spec(), w.noteLatency
 	for i := 0; i < cfg.Nodes; i++ {
 		id := pkt.NodeID(i + 1)
 		mob := mobility.NewWaypoint(mobCfg, root.Derive(fmt.Sprintf("mob/%d", i)))
@@ -487,28 +410,13 @@ func build(cfg Config) (*world, error) {
 		w.rts = append(w.rts, rt)
 		w.stacks = append(w.stacks, st)
 
-		env := stack.Env{Stack: st, RNG: root, Index: i, Params: params}
-		rn := routingB.Build(env)
-		var recn stack.RecoveryNode
-		if recoveryB != nil {
-			recn, err = recoveryB.Build(env, rn)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: assembling stack %v: %w", spec, err)
-			}
-			recn.OnDeliver(func(_ pkt.GroupID, d *pkt.Data, recovered bool) {
-				w.noteLatency(d.Key(), recovered)
-			})
-		} else {
-			rn.OnDeliver(func(_ pkt.GroupID, d *pkt.Data) {
-				w.noteLatency(d.Key(), false)
-			})
+		n, err := stack.Assemble(spec, stack.Env{Stack: st, RNG: root, Index: i, Params: params})
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
 		}
-		rn.Start()
-		if recn != nil {
-			recn.Start()
-		}
-		w.routing = append(w.routing, rn)
-		w.recovery = append(w.recovery, recn)
+		n.OnDeliver(noteLatency)
+		n.Start()
+		w.nodes = append(w.nodes, n)
 	}
 
 	// Membership: a random third of the nodes; the first drawn members
@@ -543,7 +451,7 @@ func build(cfg Config) (*world, error) {
 		} else {
 			at = leaderBootstrap + joinRNG.Duration(cfg.JoinWindow)
 		}
-		w.sched.At(at, func() { w.join(idx) })
+		w.sched.At(at, func() { w.nodes[idx].Join(Group) })
 	}
 
 	// CBR workload: each source sends exactly ExpectedPackets packets,
@@ -607,24 +515,18 @@ func (w *world) snapshot() metrics.Snapshot {
 		s.Delivered += st.Stats().Delivered
 	}
 	for _, idx := range w.memberIdx {
-		if rec := w.recovery[idx]; rec != nil {
-			s.DataDelivered += rec.Stats().Delivered
-			if gs, ok := rec.(interface{ RoundStats() (uint64, uint64) }); ok {
-				rounds, replies := gs.RoundStats()
-				s.GossipRounds += rounds
-				s.GossipReplies += replies
-			}
-		} else {
-			s.DataDelivered += w.routing[idx].Delivered()
-		}
+		rs := w.nodes[idx].RecoveryStats()
+		s.DataDelivered += rs.Delivered
+		s.GossipRounds += rs.Rounds
+		s.GossipReplies += rs.Replies
 	}
 	return s
 }
 
 // noteLatency accumulates send-to-delivery delay for one delivered
-// packet.
-func (w *world) noteLatency(key pkt.SeqKey, recovered bool) {
-	t0, ok := w.sentAt[key]
+// packet; it is every node's delivery subscriber.
+func (w *world) noteLatency(_ pkt.GroupID, d *pkt.Data, recovered bool) {
+	t0, ok := w.sentAt[d.Key()]
 	if !ok {
 		return
 	}
@@ -638,23 +540,13 @@ func (w *world) noteLatency(key pkt.SeqKey, recovered bool) {
 	}
 }
 
-func (w *world) join(idx int) {
-	w.routing[idx].Join(Group)
-	if rec := w.recovery[idx]; rec != nil {
-		rec.Attach(Group)
-	}
-}
-
 func (w *world) sendData(idx int) {
-	key, err := w.routing[idx].SendData(Group)
+	key, err := w.nodes[idx].Publish(Group)
 	if err != nil {
 		return
 	}
 	w.sent++
 	w.sentAt[key] = w.sched.Now()
-	if rec := w.recovery[idx]; rec != nil {
-		rec.OnLocalSend(Group, key)
-	}
 }
 
 func (w *world) collect() *Result {
@@ -680,7 +572,7 @@ func (w *world) collect() *Result {
 	}
 	events := processed + elided + radioElided + macElided
 	res := &Result{
-		Stack:           w.spec,
+		Stack:           w.cfg.Spec(),
 		Seed:            w.cfg.Seed,
 		Sent:            w.sent,
 		Source:          pkt.NodeID(w.memberIdx[0] + 1),
@@ -698,9 +590,6 @@ func (w *world) collect() *Result {
 		res.Channel = w.chm
 	}
 	res.MACCollisions = w.medium.Stats().Collisions
-	if p, ok := ProtocolOf(w.spec); ok {
-		res.Protocol = p
-	}
 
 	if w.treeLatCount > 0 {
 		res.TreeLatencyMean = w.treeLatSum / time.Duration(w.treeLatCount)
@@ -714,20 +603,16 @@ func (w *world) collect() *Result {
 		if w.isSource[idx] {
 			continue // sources trivially have their own packets
 		}
-		mr := MemberResult{Node: pkt.NodeID(idx + 1)}
-		if rec := w.recovery[idx]; rec != nil {
-			rs := rec.Stats()
-			mr.Received = int(rs.Delivered)
-			mr.Recovered = int(rs.Recovered)
-			mr.ReplyNew = rs.ReplyNew
-			mr.ReplyDup = rs.ReplyDup
-			mr.Goodput = rs.Goodput
-		} else {
-			mr.Received = int(w.routing[idx].Delivered())
-			mr.Goodput = 100
-		}
-		res.Members = append(res.Members, mr)
-		received = append(received, mr.Received)
+		rs := w.nodes[idx].RecoveryStats()
+		res.Members = append(res.Members, MemberResult{
+			Node:      pkt.NodeID(idx + 1),
+			Received:  int(rs.Delivered),
+			Recovered: int(rs.Recovered),
+			ReplyNew:  rs.ReplyNew,
+			ReplyDup:  rs.ReplyDup,
+			Goodput:   rs.Goodput,
+		})
+		received = append(received, int(rs.Delivered))
 	}
 	res.Received = stats.SummarizeInts(received)
 

@@ -4,6 +4,17 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"anongossip/internal/stack"
+)
+
+// The stacks the tests select.
+var (
+	bareMAODV = stack.Spec{Routing: "maodv"}
+	maodvAG   = stack.Spec{Routing: "maodv", Recovery: "gossip"}
+	bareFlood = stack.Spec{Routing: "flood"}
+	bareODMRP = stack.Spec{Routing: "odmrp"}
+	odmrpAG   = stack.Spec{Routing: "odmrp", Recovery: "gossip"}
 )
 
 // shortConfig is a trimmed run (120 s, 25 nodes) for fast tests.
@@ -45,7 +56,7 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("empty data window rejected: %v", err)
 	}
 	bare := shortConfig()
-	bare.Protocol = ProtocolMAODV
+	bare.Stack = bareMAODV
 	bare.Gossip.Interval = 0
 	if err := bare.Validate(); err != nil {
 		t.Fatalf("bare MAODV with an unset gossip interval rejected: %v", err)
@@ -54,7 +65,8 @@ func TestConfigValidate(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"bad protocol", func(c *Config) { c.Protocol = 0 }},
+		{"no stack", func(c *Config) { c.Stack = stack.Spec{} }},
+		{"bad protocol", func(c *Config) { c.Protocol = 2 }}, // the retired selector field
 		{"one node", func(c *Config) { c.Nodes = 1 }},
 		{"zero member fraction", func(c *Config) { c.MemberFraction = 0 }},
 		{"nan member fraction", func(c *Config) { c.MemberFraction = math.NaN() }},
@@ -64,6 +76,9 @@ func TestConfigValidate(t *testing.T) {
 		{"nan max speed", func(c *Config) { c.MaxSpeed = math.NaN() }},
 		{"inf max speed", func(c *Config) { c.MaxSpeed = math.Inf(1) }},
 		{"nan min speed", func(c *Config) { c.MinSpeed = math.NaN() }},
+		{"negative max speed", func(c *Config) { c.MaxSpeed = -1 }},
+		{"negative min speed", func(c *Config) { c.MinSpeed = -0.1 }},
+		{"min speed above max", func(c *Config) { c.MinSpeed, c.MaxSpeed = 2, 1 }},
 		{"negative inf min speed", func(c *Config) { c.MinSpeed = math.Inf(-1) }},
 		{"degenerate area", func(c *Config) { c.Area.W = 0 }},
 		{"zero duration", func(c *Config) { c.Duration = 0 }},
@@ -72,6 +87,10 @@ func TestConfigValidate(t *testing.T) {
 		{"negative data end", func(c *Config) { c.DataEnd = -10 * time.Second }},
 		{"zero gossip interval", func(c *Config) { c.Gossip.Interval = 0 }},
 		{"negative gossip interval", func(c *Config) { c.Gossip.Interval = -time.Second }},
+		{"panon above one", func(c *Config) { c.Gossip.PAnon = 7 }},
+		{"nan panon", func(c *Config) { c.Gossip.PAnon = math.NaN() }},
+		{"negative accept probability", func(c *Config) { c.Gossip.AcceptProb = -0.5 }},
+		{"metrics window far below the run", func(c *Config) { c.MetricsWindow = time.Nanosecond }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -158,12 +177,12 @@ func TestGossipImprovesOnMAODV(t *testing.T) {
 		cfg := shortConfig()
 		cfg.Seed = seed
 
-		cfg.Protocol = ProtocolGossip
+		cfg.Stack = maodvAG
 		g, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Protocol = ProtocolMAODV
+		cfg.Stack = bareMAODV
 		m, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -178,7 +197,7 @@ func TestGossipImprovesOnMAODV(t *testing.T) {
 
 func TestFloodProtocolRuns(t *testing.T) {
 	cfg := shortConfig()
-	cfg.Protocol = ProtocolFlood
+	cfg.Stack = bareFlood
 	cfg.Seed = 3
 	res, err := Run(cfg)
 	if err != nil {
@@ -320,22 +339,11 @@ func TestRunGoodputSmall(t *testing.T) {
 	}
 }
 
-func TestProtocolString(t *testing.T) {
-	if ProtocolGossip.String() != "Gossip" || ProtocolMAODV.String() != "Maodv" ||
-		ProtocolFlood.String() != "Flood" || ProtocolODMRP.String() != "Odmrp" ||
-		ProtocolODMRPGossip.String() != "Odmrp+AG" {
-		t.Fatal("protocol names changed; figure labels depend on them")
-	}
-	if Protocol(9).String() == "" {
-		t.Fatal("unknown protocol has empty name")
-	}
-}
-
 func TestODMRPProtocols(t *testing.T) {
 	cfg := shortConfig()
 	cfg.Seed = 2
 
-	cfg.Protocol = ProtocolODMRP
+	cfg.Stack = bareODMRP
 	bare, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +352,7 @@ func TestODMRPProtocols(t *testing.T) {
 		t.Fatal("ODMRP delivered nothing")
 	}
 
-	cfg.Protocol = ProtocolODMRPGossip
+	cfg.Stack = odmrpAG
 	withAG, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

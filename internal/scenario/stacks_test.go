@@ -9,8 +9,7 @@ import (
 )
 
 // TestRegisteredStacks pins the composable stack set: three routing
-// protocols × (bare | gossip) = six stacks, including flood+gossip,
-// the combination the legacy enum could not express.
+// protocols × (bare | gossip) = six stacks.
 func TestRegisteredStacks(t *testing.T) {
 	want := []string{
 		"maodv", "maodv+gossip",
@@ -42,31 +41,14 @@ func TestRegisteredStacks(t *testing.T) {
 	}
 }
 
-// TestLegacyProtocolAliases checks every Protocol constant and every
-// legacy CLI spelling resolves to the right registry spec.
+// TestLegacyProtocolAliases checks every legacy CLI spelling and paper
+// figure label resolves to the right registry spec.
 func TestLegacyProtocolAliases(t *testing.T) {
-	byConst := map[Protocol]stack.Spec{
-		ProtocolMAODV:       {Routing: "maodv"},
-		ProtocolGossip:      {Routing: "maodv", Recovery: "gossip"},
-		ProtocolFlood:       {Routing: "flood"},
-		ProtocolODMRP:       {Routing: "odmrp"},
-		ProtocolODMRPGossip: {Routing: "odmrp", Recovery: "gossip"},
-	}
-	for p, want := range byConst {
-		if got := p.Spec(); got != want {
-			t.Fatalf("%v.Spec() = %v, want %v", p, got, want)
-		}
-		if back, ok := ProtocolOf(want); !ok || back != p {
-			t.Fatalf("ProtocolOf(%v) = %v, %v; want %v", want, back, ok, p)
-		}
-	}
-	if _, ok := ProtocolOf(stack.Spec{Routing: "flood", Recovery: "gossip"}); ok {
-		t.Fatal("flood+gossip claims a legacy constant")
-	}
 	byName := map[string]stack.Spec{
-		"gossip":       {Routing: "maodv", Recovery: "gossip"},
-		"odmrp-gossip": {Routing: "odmrp", Recovery: "gossip"},
-		"odmrp+ag":     {Routing: "odmrp", Recovery: "gossip"},
+		"gossip":       maodvAG,
+		"Gossip":       maodvAG,
+		"odmrp-gossip": odmrpAG,
+		"odmrp+ag":     odmrpAG,
 	}
 	for name, want := range byName {
 		got, err := stack.ByName(name)
@@ -80,11 +62,9 @@ func TestLegacyProtocolAliases(t *testing.T) {
 }
 
 // TestValidateUnknownStackListsNames checks the registry-backed
-// Validate error names every registered stack instead of the old
-// opaque "unknown protocol N".
+// Validate error names every registered stack.
 func TestValidateUnknownStackListsNames(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Protocol = 0
 	cfg.Stack = stack.Spec{Routing: "carrier-pigeon"}
 	err := cfg.Validate()
 	if err == nil {
@@ -97,44 +77,8 @@ func TestValidateUnknownStackListsNames(t *testing.T) {
 	}
 }
 
-// TestStackFieldMatchesLegacyProtocol runs the same scenario selected
-// through Config.Stack and through the legacy Protocol constant and
-// requires bit-identical results — the two selectors are aliases of
-// one registry entry.
-func TestStackFieldMatchesLegacyProtocol(t *testing.T) {
-	base := shortConfig()
-	base.Seed = 5
-
-	legacy := base
-	legacy.Protocol = ProtocolGossip
-	a, err := Run(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	byStack := base
-	byStack.Protocol = 0
-	byStack.Stack = stack.Spec{Routing: "maodv", Recovery: "gossip"}
-	b, err := Run(byStack)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if a.Events != b.Events || a.Received != b.Received || a.Sent != b.Sent {
-		t.Fatalf("Stack spec diverged from legacy Protocol:\n legacy %+v events=%d\n spec   %+v events=%d",
-			a.Received, a.Events, b.Received, b.Events)
-	}
-	if a.Protocol != ProtocolGossip || b.Protocol != ProtocolGossip {
-		t.Fatalf("legacy Protocol not back-filled: %v / %v", a.Protocol, b.Protocol)
-	}
-	if a.Stack.String() != "maodv+gossip" || b.Stack.String() != "maodv+gossip" {
-		t.Fatalf("result stack = %v / %v, want maodv+gossip", a.Stack, b.Stack)
-	}
-}
-
 // TestFloodGossipStack exercises the sixth registered stack end to end:
-// Anonymous Gossip over plain flooding, a combination the Protocol enum
-// forbade. At a short 45 m range flooding drops plenty of packets;
+// Anonymous Gossip over plain flooding. At a short 45 m range flooding drops plenty of packets;
 // the gossip layer must recover some of them and never hurt the mean.
 func TestFloodGossipStack(t *testing.T) {
 	cfg := DefaultConfig()
@@ -161,9 +105,6 @@ func TestFloodGossipStack(t *testing.T) {
 			t.Fatalf("flood+gossip seed %d: %v", seed, err)
 		}
 
-		if res.Protocol != 0 {
-			t.Fatalf("flood+gossip mapped to legacy protocol %v", res.Protocol)
-		}
 		if got := res.Stack.String(); got != "flood+gossip" {
 			t.Fatalf("result stack = %q", got)
 		}

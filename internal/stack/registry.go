@@ -55,38 +55,31 @@ type Registry struct {
 // empty or duplicate name panics: it indicates mis-wired protocol
 // packages at init time, never a runtime condition.
 func (r *Registry) RegisterRouting(b Routing) {
-	name := strings.ToLower(b.Name())
-	if name == "" || name == "none" {
-		panic(fmt.Sprintf("stack: invalid routing name %q", b.Name()))
-	}
-	if r.routings == nil {
-		r.routings = make(map[string]Routing)
-	}
-	if _, dup := r.routings[name]; dup {
-		panic(fmt.Sprintf("stack: duplicate routing %q", name))
-	}
-	r.routings[name] = b
-	r.routingOrder = append(r.routingOrder, name)
+	register("routing", &r.routings, &r.routingOrder, b)
 }
 
-// RegisterRecovery adds a recovery builder under its Name; same rules
-// as RegisterRouting.
+// RegisterRecovery adds a recovery builder; same rules as RegisterRouting.
 func (r *Registry) RegisterRecovery(b Recovery) {
-	name := strings.ToLower(b.Name())
-	if name == "" || name == "none" {
-		panic(fmt.Sprintf("stack: invalid recovery name %q", b.Name()))
-	}
-	if r.recoveries == nil {
-		r.recoveries = make(map[string]Recovery)
-	}
-	if _, dup := r.recoveries[name]; dup {
-		panic(fmt.Sprintf("stack: duplicate recovery %q", name))
-	}
-	r.recoveries[name] = b
-	r.recoveryOrder = append(r.recoveryOrder, name)
+	register("recovery", &r.recoveries, &r.recoveryOrder, b)
 }
 
-// RegisterAlias maps an alternative name (legacy CLI spellings, paper
+// register files b under its lower-cased name on one axis of a registry.
+func register[B interface{ Name() string }](axis string, builders *map[string]B, order *[]string, b B) {
+	name := strings.ToLower(b.Name())
+	if name == "" || name == "none" {
+		panic(fmt.Sprintf("stack: invalid %s name %q", axis, b.Name()))
+	}
+	if *builders == nil {
+		*builders = make(map[string]B)
+	}
+	if _, dup := (*builders)[name]; dup {
+		panic(fmt.Sprintf("stack: duplicate %s %q", axis, name))
+	}
+	(*builders)[name] = b
+	*order = append(*order, name)
+}
+
+// RegisterAlias maps an alternative name (older CLI spellings, paper
 // figure labels) onto a spec. Aliases are matched case-insensitively by
 // ByName and never shadow canonical names.
 func (r *Registry) RegisterAlias(name string, s Spec) {
@@ -101,16 +94,6 @@ func (r *Registry) RegisterAlias(name string, s Spec) {
 		panic(fmt.Sprintf("stack: alias %q already maps to %v", name, prev))
 	}
 	r.aliases[key] = s.Normalize()
-}
-
-// Routings lists the registered routing names in registration order.
-func (r *Registry) Routings() []string {
-	return append([]string(nil), r.routingOrder...)
-}
-
-// Recoveries lists the registered recovery names in registration order.
-func (r *Registry) Recoveries() []string {
-	return append([]string(nil), r.recoveryOrder...)
 }
 
 // Stacks lists every composable stack — the cross product of the two
@@ -205,6 +188,3 @@ func Names() []string { return Default.Names() }
 
 // ByName resolves a name or alias against the default registry.
 func ByName(name string) (Spec, error) { return Default.ByName(name) }
-
-// Resolve validates s against the default registry.
-func Resolve(s Spec) (Routing, Recovery, error) { return Default.Resolve(s) }

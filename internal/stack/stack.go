@@ -6,11 +6,11 @@
 // routing protocol.
 //
 // Protocol packages register themselves into the name-keyed registry at
-// init time (see Registry); the scenario runner resolves a Spec such as
-// {Routing: "flood", Recovery: "gossip"} through the registry and asks
-// the builders to assemble one instance per simulated node. Adding a
-// stack therefore means registering a builder in one package — no
-// scenario edits, no enum, no switch.
+// init time (see Registry). Assemble resolves a Spec such as
+// {Routing: "flood", Recovery: "gossip"} and builds one Node, which both
+// the simulated scenario and the live runtime drive. Adding a stack
+// therefore means registering a builder in one package — no scenario
+// edits, no enum, no switch.
 package stack
 
 import (
@@ -105,6 +105,9 @@ type RecoveryStats struct {
 	ReplyNew, ReplyDup uint64
 	// Goodput is the percentage of useful recovery traffic.
 	Goodput float64
+	// Rounds counts recovery rounds this member initiated and Replies
+	// the repair replies it received (the sampler's activity series).
+	Rounds, Replies uint64
 }
 
 // RecoveryNode is one node's instance of a loss-recovery protocol
