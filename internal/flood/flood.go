@@ -83,7 +83,11 @@ type Router struct {
 }
 
 // New builds a flooding router bound to the node stack.
+// A non-positive CacheSize panics: the duplicate ring needs a slot.
 func New(st *node.Stack, rng *sim.RNG, cfg Config) *Router {
+	if cfg.CacheSize <= 0 {
+		panic("flood: CacheSize must be positive")
+	}
 	r := &Router{
 		cfg:     cfg,
 		stack:   st,

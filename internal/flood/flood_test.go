@@ -155,3 +155,27 @@ func TestFloodCacheBounded(t *testing.T) {
 		t.Fatalf("cache grew past bound: %d/%d", len(r.seen), len(r.order))
 	}
 }
+
+// TestNewRejectsNonPositiveCacheSize pins the constructor's check: a
+// duplicate ring with no slot would index out of range on the first
+// data packet, long after the misconfiguration.
+func TestNewRejectsNonPositiveCacheSize(t *testing.T) {
+	for _, size := range []int{0, -1} {
+		cfg := DefaultConfig()
+		cfg.CacheSize = size
+		sched := sim.NewScheduler()
+		st, err := node.New(sched, sim.NewRNG(1), radio.NewMedium(sched, radio.Params{Range: 60}),
+			1, mobility.Static{}, mac.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if got := recover(); got != "flood: CacheSize must be positive" {
+					t.Errorf("CacheSize %d: New panicked with %v, want the named panic", size, got)
+				}
+			}()
+			New(st, sim.NewRNG(2), cfg)
+		}()
+	}
+}

@@ -248,7 +248,7 @@ func (e *Engine) OnTreeData(group pkt.GroupID, d *pkt.Data, _ pkt.NodeID) {
 	if !ok {
 		return
 	}
-	e.ingest(gs, *d, false)
+	e.ingest(gs, d, false)
 }
 
 // OnLocalData records a packet this member originated, so its history
@@ -276,8 +276,9 @@ func (e *Engine) OnMemberEvidence(group pkt.GroupID, member pkt.NodeID, hops uin
 
 // ingest is the single entry point for new data knowledge. It maintains
 // expected sequence numbers and the lost table exactly as paper §4.4
-// describes, and reports whether the packet was new.
-func (e *Engine) ingest(gs *groupState, d pkt.Data, recovered bool) bool {
+// describes, and reports whether the packet was new. d stays the
+// caller's: the history keeps a copy, the subscribers borrow d itself.
+func (e *Engine) ingest(gs *groupState, d *pkt.Data, recovered bool) bool {
 	key := d.Key()
 	exp, seen := gs.expected[d.Origin]
 	if !seen {
@@ -296,10 +297,10 @@ func (e *Engine) ingest(gs *groupState, d pkt.Data, recovered bool) bool {
 	default:
 		return false // duplicate
 	}
-	gs.history.Add(d)
+	gs.history.Add(*d)
 	e.stats.Delivered++
 	for _, fn := range e.subs {
-		fn(gs.id, &d, recovered)
+		fn(gs.id, d, recovered)
 	}
 	return true
 }
@@ -468,7 +469,7 @@ func (e *Engine) accept(req *pkt.GossipReq) {
 	}
 	if len(req.Pushed) > 0 {
 		for i := range req.Pushed {
-			d := req.Pushed[i]
+			d := &req.Pushed[i]
 			if e.isDuplicate(gs, d.Key()) {
 				e.stats.ReplyMsgsDup++
 				continue
@@ -548,7 +549,7 @@ func (e *Engine) onReply(p *pkt.Packet, from pkt.NodeID) {
 	}
 	e.stats.RepliesReceived++
 	for i := range rep.Msgs {
-		d := rep.Msgs[i]
+		d := &rep.Msgs[i]
 		if e.isDuplicate(gs, d.Key()) {
 			e.stats.ReplyMsgsDup++
 			continue

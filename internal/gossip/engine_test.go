@@ -294,9 +294,9 @@ func TestIngestOutOfOrder(t *testing.T) {
 	e := w.engines[0]
 	gs := e.groups[testGroup]
 
-	d3 := pkt.Data{Group: testGroup, Origin: 9, Seq: 3}
-	d1 := pkt.Data{Group: testGroup, Origin: 9, Seq: 1}
-	d2 := pkt.Data{Group: testGroup, Origin: 9, Seq: 2}
+	d3 := &pkt.Data{Group: testGroup, Origin: 9, Seq: 3}
+	d1 := &pkt.Data{Group: testGroup, Origin: 9, Seq: 1}
+	d2 := &pkt.Data{Group: testGroup, Origin: 9, Seq: 2}
 
 	if !e.ingest(gs, d3, false) {
 		t.Fatal("first packet rejected")

@@ -236,7 +236,11 @@ var _ aodv.MulticastHooks = (*Router)(nil)
 
 // New builds a MAODV router on top of the node stack and its AODV
 // unicast router, registering all multicast packet handlers.
+// A non-positive DataCacheSize panics: the duplicate ring needs a slot.
 func New(st *node.Stack, uni *aodv.Router, rng *sim.RNG, cfg Config) *Router {
+	if cfg.DataCacheSize <= 0 {
+		panic("maodv: DataCacheSize must be positive")
+	}
 	r := &Router{
 		cfg:    cfg,
 		stack:  st,

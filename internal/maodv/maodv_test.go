@@ -425,3 +425,28 @@ func TestSatAdd8(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRejectsNonPositiveDataCacheSize pins the constructor's check: a
+// duplicate ring with no slot would index out of range on the first
+// data packet, long after the misconfiguration.
+func TestNewRejectsNonPositiveDataCacheSize(t *testing.T) {
+	for _, size := range []int{0, -1} {
+		cfg := fastConfig()
+		cfg.DataCacheSize = size
+		sched := sim.NewScheduler()
+		st, err := node.New(sched, sim.NewRNG(1), radio.NewMedium(sched, radio.Params{Range: 60}),
+			1, movable{}, mac.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		uni := aodv.New(st, sim.NewRNG(2), aodv.DefaultConfig())
+		func() {
+			defer func() {
+				if got := recover(); got != "maodv: DataCacheSize must be positive" {
+					t.Errorf("DataCacheSize %d: New panicked with %v, want the named panic", size, got)
+				}
+			}()
+			New(st, uni, sim.NewRNG(3), cfg)
+		}()
+	}
+}

@@ -64,13 +64,12 @@ func EncodeFrame(f *Frame) []byte {
 	return f.Packet.Body.AppendTo(b)
 }
 
-// ParseFrame unmarshals a frame produced by EncodeFrame and returns it
-// by value, so a receive loop that only reads the fields allocates
-// nothing for the frame itself. Malformed input — short buffers, wrong
-// magic or version, truncated or trailing packet bytes, unknown body
-// kinds — yields an error, never a panic: on a live socket every
-// datagram is attacker- (or at least misconfiguration-) controlled.
-func ParseFrame(b []byte) (Frame, error) {
+// parseFrame is the one frame decoder. Malformed input — short buffers,
+// wrong magic or version, truncated or trailing packet bytes, unknown
+// body kinds — yields an error, never a panic: on a live socket every
+// datagram is attacker- (or at least misconfiguration-) controlled. dp
+// is where a Data packet lands (see decode).
+func parseFrame(b []byte, dp *dataPacket) (Frame, error) {
 	if len(b) < frameHeaderSize {
 		return Frame{}, fmt.Errorf("frame header: %w", ErrTruncated)
 	}
@@ -80,20 +79,29 @@ func ParseFrame(b []byte) (Frame, error) {
 	if b[2] != FrameVersion {
 		return Frame{}, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, b[2], FrameVersion)
 	}
-	p, err := Decode(b[frameHeaderSize:])
+	p, err := decode(b[frameHeaderSize:], dp)
 	if err != nil {
 		return Frame{}, err
 	}
 	return Frame{From: NodeID(u32(b[3:])), LinkDst: NodeID(u32(b[7:])), Packet: p}, nil
 }
 
-// DecodeFrame is ParseFrame for callers that want the frame behind a
-// pointer. It is small enough to inline, so the Frame stays on the
-// caller's stack unless the caller lets it escape.
+// DecodeFrame unmarshals a frame produced by EncodeFrame into storage
+// the caller owns. It is small enough to inline, so the Frame stays on
+// the caller's stack unless the caller lets it escape.
 func DecodeFrame(b []byte) (*Frame, error) {
-	f, err := ParseFrame(b)
+	f, err := parseFrame(b, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &f, nil
 }
+
+// Scratch is the storage a receive loop decodes Data packets into, so a
+// frame the stack discards costs no allocation. The zero value is ready.
+type Scratch struct{ dp dataPacket }
+
+// DecodeFrame is the package-level DecodeFrame with the frame by value
+// and a Data packet placed in s: it is valid until the next call on s
+// (Clone it to keep it). A rejected frame leaves s as it was.
+func (s *Scratch) DecodeFrame(b []byte) (Frame, error) { return parseFrame(b, &s.dp) }

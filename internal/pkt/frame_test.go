@@ -112,8 +112,10 @@ func TestDecodeFrameFuzzNoPanic(t *testing.T) {
 }
 
 // TestFrameDecodersAgreeOnMalformed feeds each kind of damage, for every
-// body kind, to both decode entry points: they must reject it with the
-// same sentinel, and hand back no frame.
+// body kind, to both decode entry points — the owning DecodeFrame and
+// the scratch one a receive loop uses, one Scratch across the whole
+// table: they must reject it with the same sentinel, and hand back no
+// frame.
 func TestFrameDecodersAgreeOnMalformed(t *testing.T) {
 	damage := []struct {
 		name string
@@ -132,14 +134,15 @@ func TestFrameDecodersAgreeOnMalformed(t *testing.T) {
 	if len(bodies) != len(kindNames) {
 		t.Fatalf("sampleBodies covers %d kinds, the codec has %d", len(bodies), len(kindNames))
 	}
+	var scratch Scratch
 	for _, body := range bodies {
 		good := EncodeFrame(&Frame{From: 5, LinkDst: 9, Packet: NewPacket(3, 9, body)})
 		for _, d := range damage {
 			bad := d.do(append([]byte(nil), good...))
 			byPtr, errPtr := DecodeFrame(bad)
-			byVal, errVal := ParseFrame(bad)
+			byVal, errVal := scratch.DecodeFrame(bad)
 			if !errors.Is(errPtr, d.want) || !errors.Is(errVal, d.want) {
-				t.Errorf("%v, %s: DecodeFrame err = %v, ParseFrame err = %v, want both %v",
+				t.Errorf("%v, %s: DecodeFrame err = %v, Scratch.DecodeFrame err = %v, want both %v",
 					body.Kind(), d.name, errPtr, errVal, d.want)
 			}
 			if byPtr != nil || byVal != (Frame{}) {
@@ -148,28 +151,60 @@ func TestFrameDecodersAgreeOnMalformed(t *testing.T) {
 		}
 		// Undamaged, both entry points return the same frame.
 		byPtr, errPtr := DecodeFrame(good)
-		byVal, errVal := ParseFrame(good)
+		byVal, errVal := scratch.DecodeFrame(good)
 		if errPtr != nil || errVal != nil || !reflect.DeepEqual(*byPtr, byVal) {
-			t.Errorf("%v: DecodeFrame = %+v, %v; ParseFrame = %+v, %v", body.Kind(), byPtr, errPtr, byVal, errVal)
+			t.Errorf("%v: DecodeFrame = %+v, %v; Scratch.DecodeFrame = %+v, %v", body.Kind(), byPtr, errPtr, byVal, errVal)
 		}
 	}
 }
 
-// TestParseFrameAllocs pins the receive path's decode cost: a Data frame
-// is one allocation (packet and body together, the frame by value), and
-// DecodeFrame adds none when its caller does not let the frame escape.
+// TestScratchDecodeRejectKeepsPacket pins the half of the borrowed-packet
+// rule the decoder owns: a frame it rejects does not touch the scratch,
+// so the packet decoded before it still reads as it did.
+func TestScratchDecodeRejectKeepsPacket(t *testing.T) {
+	frame := func(seq uint32) []byte {
+		return EncodeFrame(&Frame{From: 1, LinkDst: Broadcast,
+			Packet: NewPacket(1, Broadcast, &Data{Group: 1, Origin: 1, Seq: seq, PayloadLen: 64})})
+	}
+	var scratch Scratch
+	f, err := scratch.DecodeFrame(frame(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := frame(8)
+	if _, err := scratch.DecodeFrame(next[:len(next)-1]); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("truncated Data frame: err = %v, want ErrTruncated", err)
+	}
+	if got := f.Packet.Body.(*Data).Seq; got != 7 {
+		t.Fatalf("a rejected frame rewrote the scratch: seq %d, want 7", got)
+	}
+	// The next accepted Data frame is what overwrites it.
+	if _, err := scratch.DecodeFrame(next); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Packet.Body.(*Data).Seq; got != 8 {
+		t.Fatalf("scratch not reused: first frame still reads seq %d", got)
+	}
+}
+
+// TestParseFrameAllocs pins the decode cost of both entry points and of
+// the copy that takes a packet out of the scratch: a Data frame decoded
+// into a Scratch allocates nothing, the owning DecodeFrame at most one
+// object (packet and body together; the frame stays on the caller's
+// stack when it does not escape), and Clone of a Data packet exactly one.
 func TestParseFrameAllocs(t *testing.T) {
 	wire := EncodeFrame(&Frame{From: 1, LinkDst: Broadcast,
 		Packet: NewPacket(1, Broadcast, &Data{Group: 1, Origin: 1, Seq: 7, PayloadLen: 64})})
 	var seq uint32
+	var scratch Scratch
 	if n := testing.AllocsPerRun(1000, func() {
-		f, err := ParseFrame(wire)
+		f, err := scratch.DecodeFrame(wire)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seq += f.Packet.Body.(*Data).Seq
-	}); n > 1 {
-		t.Errorf("ParseFrame of a Data frame: %v allocs, want at most 1", n)
+	}); n != 0 {
+		t.Errorf("Scratch.DecodeFrame of a Data frame: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		f, err := DecodeFrame(wire)
@@ -180,4 +215,56 @@ func TestParseFrameAllocs(t *testing.T) {
 	}); n > 1 {
 		t.Errorf("DecodeFrame of a Data frame: %v allocs, want at most 1", n)
 	}
+	f, err := scratch.DecodeFrame(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept *Packet
+	if n := testing.AllocsPerRun(1000, func() { kept = f.Packet.Clone() }); n != 1 {
+		t.Errorf("Clone of a Data packet: %v allocs, want 1", n)
+	}
+	if !reflect.DeepEqual(kept, f.Packet) || kept == f.Packet || kept.Body == f.Packet.Body {
+		t.Errorf("Clone = %+v (body %+v), want an independent copy of %+v", kept, kept.Body, f.Packet)
+	}
+}
+
+// FuzzDecodeScratchDifferential holds the scratch decode to the owning
+// one on arbitrary bytes: deeply equal frames, or errors of the same
+// class. One Scratch serves the whole corpus, so whatever an earlier
+// input left in it must not show through a later one.
+func FuzzDecodeScratchDifferential(f *testing.F) {
+	for _, body := range sampleBodies() {
+		good := EncodeFrame(&Frame{From: 5, LinkDst: Broadcast, Packet: NewPacket(3, 9, body)})
+		f.Add(good)
+		f.Add(good[:len(good)-1])                                                                         // truncated body
+		f.Add(good[:frameHeaderSize+headerSize-1])                                                        // truncated packet header
+		f.Add(append(append([]byte(nil), good...), 0))                                                    // trailing byte
+		f.Add(append([]byte{^good[0]}, good[1:]...))                                                      // bad magic
+		f.Add(append(append([]byte(nil), good[:2]...), append([]byte{FrameVersion + 1}, good[3:]...)...)) // bad version
+	}
+	f.Add([]byte{})
+	sentinels := []error{ErrTruncated, ErrTrailingBytes, ErrUnknownKind, ErrBadMagic, ErrBadVersion}
+	var scratch Scratch
+	f.Fuzz(func(t *testing.T, b []byte) {
+		own, errOwn := DecodeFrame(b)
+		got, errGot := scratch.DecodeFrame(b)
+		if (errOwn == nil) != (errGot == nil) {
+			t.Fatalf("DecodeFrame err = %v, Scratch.DecodeFrame err = %v", errOwn, errGot)
+		}
+		if errOwn != nil {
+			for _, s := range sentinels {
+				if errors.Is(errOwn, s) != errors.Is(errGot, s) {
+					t.Fatalf("error classes differ: DecodeFrame %v, Scratch.DecodeFrame %v", errOwn, errGot)
+				}
+			}
+			if got != (Frame{}) {
+				t.Fatalf("a rejected frame was returned: %+v", got)
+			}
+			return
+		}
+		if !reflect.DeepEqual(*own, got) {
+			t.Fatalf("DecodeFrame = %+v (packet %+v), Scratch.DecodeFrame = %+v (packet %+v)",
+				own, own.Packet, got, got.Packet)
+		}
+	})
 }

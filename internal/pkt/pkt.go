@@ -104,6 +104,10 @@ type Body interface {
 // kind(1) + src(4) + dst(4) + ttl(1) + bodyLen(2).
 const headerSize = 12
 
+// MaxBodySize is the largest body the header's 16-bit length can carry;
+// the encoders do not check it, a live link (netrt.Node.Send) does.
+const MaxBodySize = 1<<16 - 1
+
 // DefaultTTL bounds network-layer forwarding.
 const DefaultTTL = 32
 
@@ -128,8 +132,14 @@ func NewPacket(src, dst NodeID, body Body) *Packet {
 // layer uses it to compute transmission airtime.
 func (p *Packet) WireSize() int { return headerSize + p.Body.WireSize() }
 
-// Clone returns a deep copy safe for independent per-hop mutation.
+// Clone returns a deep copy safe for independent per-hop mutation. A
+// Data packet's copy is one allocation, laid out like a decoded one.
 func (p *Packet) Clone() *Packet {
+	if d, ok := p.Body.(*Data); ok {
+		dp := &dataPacket{Packet: *p, data: *d}
+		dp.Body = &dp.data
+		return &dp.Packet
+	}
 	cp := *p
 	cp.Body = p.Body.CloneBody()
 	return &cp
@@ -162,15 +172,19 @@ func Encode(p *Packet) []byte {
 }
 
 // dataPacket is a Data packet's header and body in one allocation. Data
-// is nearly every frame of a live multicast stream, so the receive path
-// pays one allocation per frame instead of two.
+// is nearly every frame of a live multicast stream, so a decode or Clone
+// pays one allocation, not two — or none, into a receive loop's Scratch.
 type dataPacket struct {
 	Packet
 	data Data
 }
 
 // Decode unmarshals a packet produced by Encode.
-func Decode(b []byte) (*Packet, error) {
+func Decode(b []byte) (*Packet, error) { return decode(b, nil) }
+
+// decode is the one packet decoder. A Data packet lands in dp (a fresh
+// one when dp is nil), which is written only after every check passed.
+func decode(b []byte, dp *dataPacket) (*Packet, error) {
 	if len(b) < headerSize {
 		return nil, ErrTruncated
 	}
@@ -189,7 +203,10 @@ func Decode(b []byte) (*Packet, error) {
 		if err := d.decode(rest); err != nil {
 			return nil, err
 		}
-		dp := &dataPacket{data: d}
+		if dp == nil {
+			dp = new(dataPacket)
+		}
+		dp.data = d
 		dp.Body, p = &dp.data, &dp.Packet
 	} else {
 		body, err := decodeBody(kind, rest)
@@ -202,7 +219,7 @@ func Decode(b []byte) (*Packet, error) {
 	return p, nil
 }
 
-// decodeBody decodes every body kind but Data, which Decode places
+// decodeBody decodes every body kind but Data, which decode places
 // inside the packet's own allocation.
 func decodeBody(k Kind, b []byte) (Body, error) {
 	switch k {

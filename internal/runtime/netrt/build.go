@@ -74,7 +74,9 @@ func (p *ProtocolNode) NodeStats() (s node.Stats, err error) {
 
 // OnDeliver subscribes to application-level data deliveries. recovered
 // marks packets obtained through the recovery layer (always false on
-// bare-routing stacks). Call before Start.
+// bare-routing stacks). d belongs to the runtime, is read-only and is
+// valid until fn returns: copy the Data value to keep it. Call before
+// Start.
 func (p *ProtocolNode) OnDeliver(fn func(g pkt.GroupID, d *pkt.Data, recovered bool)) {
 	p.node.OnDeliver(fn)
 }

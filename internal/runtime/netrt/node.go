@@ -58,7 +58,7 @@ type Stats struct {
 	// node (a broadcast-medium transport delivers everything; the
 	// runtime filters like a MAC would).
 	Filtered atomic.Uint64
-	// SendErrors counts frames the transport refused.
+	// SendErrors counts frames the transport or Send itself refused.
 	SendErrors atomic.Uint64
 	// InboxDrops counts frames dropped because the event loop's inbox
 	// was full.
@@ -104,6 +104,9 @@ type Node struct {
 
 	onRecv rt.ReceiveFunc
 	onDone rt.SendDoneFunc
+	// scratch holds the Data packet being delivered; loop-owned, lent to
+	// onRecv until it returns (see runtime.ReceiveFunc).
+	scratch pkt.Scratch
 
 	stats Stats
 }
@@ -191,8 +194,13 @@ func (n *Node) After(d sim.Time, fn func()) sim.Timer { return n.sched.After(d, 
 func (n *Node) At(t sim.Time, fn func()) sim.Timer { return n.sched.At(t, fn) }
 
 // Send implements runtime.Runtime: encode the frame and hand it to the
-// transport.
+// transport. A body past the 16-bit wire length is refused, not sent
+// with a wrapped length for every receiver to count Malformed.
 func (n *Node) Send(p *pkt.Packet, linkDst pkt.NodeID) bool {
+	if p.Body.WireSize() > pkt.MaxBodySize {
+		n.stats.SendErrors.Add(1)
+		return false
+	}
 	frame := pkt.EncodeFrame(&pkt.Frame{From: n.id, LinkDst: linkDst, Packet: p})
 	if err := n.conn.Send(frame, linkDst); err != nil {
 		n.stats.SendErrors.Add(1)
@@ -342,9 +350,10 @@ func (n *Node) loop() {
 
 // deliver decodes one inbound frame on the event loop and hands it up
 // the stack. Malformed or misaddressed frames are counted and dropped
-// — on a live socket they are routine, never fatal.
+// — on a live socket they are routine, never fatal. A Data packet lands
+// in the node's scratch: a frame the stack discards allocates nothing.
 func (n *Node) deliver(frame []byte) {
-	f, err := pkt.ParseFrame(frame)
+	f, err := n.scratch.DecodeFrame(frame)
 	if err != nil {
 		n.stats.Malformed.Add(1)
 		return

@@ -231,7 +231,7 @@ func TestSentFramesAreNeverReused(t *testing.T) {
 		t.Fatalf("Do: %v", err)
 	}
 	for i, raw := range held {
-		f, err := pkt.ParseFrame(raw)
+		f, err := pkt.DecodeFrame(raw)
 		if err != nil {
 			t.Fatalf("held frame %d: %v", i, err)
 		}

@@ -52,6 +52,11 @@ var _ Clock = (*sim.Scheduler)(nil)
 // the link-level transmitter (the previous hop); broadcast reports
 // whether the frame was link-addressed to everyone rather than to this
 // node specifically.
+//
+// The packet belongs to the runtime, is read-only, and is valid until
+// the handler returns: Clone it, or copy a body value, to keep it. The
+// simulator hands one *Packet to every receiver of a frame; netrt
+// decodes Data into loop-owned storage the next frame overwrites.
 type ReceiveFunc func(p *pkt.Packet, from pkt.NodeID, broadcast bool)
 
 // SendDoneFunc reports the fate of an accepted link transmission. ok is

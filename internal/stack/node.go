@@ -43,7 +43,9 @@ func (n *Node) Spec() Spec { return n.spec }
 
 // OnDeliver subscribes to unique application-level data deliveries.
 // recovered marks packets obtained through the recovery layer (never
-// set on a bare-routing stack). Call before Start.
+// set on a bare-routing stack). d is borrowed under the rule of
+// runtime.ReceiveFunc: read-only, valid until fn returns, copy the
+// Data value to keep it. Call before Start.
 func (n *Node) OnDeliver(fn func(g pkt.GroupID, d *pkt.Data, recovered bool)) {
 	if n.recovery != nil {
 		n.recovery.OnDeliver(fn)
