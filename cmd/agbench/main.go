@@ -224,6 +224,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *seeds < 1 {
+		return fmt.Errorf("-seeds %d: need at least one seed per point", *seeds)
+	}
 
 	treatment, err := stack.ByName(*proto)
 	if err != nil {

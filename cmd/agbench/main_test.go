@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -147,6 +148,18 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	if err := run([]string{"-protocol", "maodv"}); err == nil {
 		t.Fatal("recovery-less stack accepted as treatment")
+	}
+}
+
+// TestRunRejectsNonPositiveSeeds: a sweep needs at least one seed per
+// point. -seeds 0 used to print tables of 0.00 % and exit 0, -seeds -1
+// to panic in scenario.Seeds; both must fail naming the flag.
+func TestRunRejectsNonPositiveSeeds(t *testing.T) {
+	for _, n := range []string{"0", "-1"} {
+		err := run([]string{"-fig", "8", "-seeds", n, "-duration", "75s"})
+		if err == nil || !strings.Contains(err.Error(), "-seeds") {
+			t.Errorf("-seeds %s: got error %v, want one naming -seeds", n, err)
+		}
 	}
 }
 

@@ -29,11 +29,18 @@ type Model interface {
 // speed at any simulation time; 0 means the node never moves. The
 // radio layer's spatial grid uses the bound to decide how long a
 // bucketed position stays valid (a node cannot drift more than
-// MaxSpeed·Δt metres from where it was last bucketed), so returning a
-// value that the trajectory can exceed breaks neighbour queries.
-// Models that cannot bound their speed simply do not implement
-// Speeder; the grid then treats them as always stale (see
-// mobility.MaxSpeedOf).
+// MaxSpeed·Δt metres from where it was last bucketed) and its
+// per-transmitter neighbour tables to certify receivers without
+// re-reading their positions, so returning a value that the trajectory
+// can exceed breaks neighbour queries and receptions. The one stated
+// excess: Waypoint truncates a leg's travel time to whole nanoseconds,
+// so a leg runs up to 1/travel_ns faster than its drawn speed and is,
+// by its end, less than MaxSpeed × 1 ns (10 nm at 10 m/s) ahead of the
+// bound; the tables' absolute margin (1 µm, radio.Medium.skinOut)
+// covers a hundred such legs within one table's lifetime, the grid's
+// slack far more. Models that cannot bound their speed simply do not
+// implement Speeder; the grid then treats them as always stale and the
+// tables as never certified (see mobility.MaxSpeedOf).
 type Speeder interface {
 	MaxSpeed() float64
 }

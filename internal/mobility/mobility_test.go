@@ -218,9 +218,10 @@ type boundlessModel struct{}
 
 func (boundlessModel) Position(sim.Time) geom.Point { return geom.Point{} }
 
-// TestWaypointRespectsMaxSpeed is the contract the radio grid depends
-// on: sampled displacement between any two instants never exceeds the
-// reported bound times the elapsed time (plus float slack).
+// TestWaypointRespectsMaxSpeed is the contract the radio grid and the
+// neighbour tables depend on: sampled displacement between any two
+// instants never exceeds the reported bound times the elapsed time
+// (plus float slack and the one-nanosecond leg-truncation excess).
 func TestWaypointRespectsMaxSpeed(t *testing.T) {
 	f := func(seed int64, speedTenths uint8) bool {
 		c := testConfig()
@@ -235,6 +236,29 @@ func TestWaypointRespectsMaxSpeed(t *testing.T) {
 				return false
 			}
 			prev = p
+		}
+		// Leg boundaries are where the bound is tightest: nextLeg
+		// truncates travel to whole nanoseconds, so a leg runs up to
+		// 1/travel_ns fast and ends less than bound × 1 ns ahead (the
+		// excess the Speeder doc states and radio's tables budget for).
+		// Sample 1 ns – 1 µs steps straddling every leg's start, end of
+		// travel and end of pause.
+		for _, l := range w.legs {
+			for _, at := range []sim.Time{l.start, l.start + l.travel, l.end()} {
+				for step := time.Nanosecond; step <= time.Microsecond; step *= 10 {
+					for _, span := range [][2]sim.Time{{at - step, at}, {at, at + step}, {at - step, at + step}} {
+						if span[0] < 0 {
+							continue
+						}
+						dt := span[1] - span[0]
+						dist := w.Position(span[0]).Dist(w.Position(span[1]))
+						if dist > bound*(dt+time.Nanosecond).Seconds()*(1+1e-9)+1e-12 {
+							t.Logf("seed %d speed %v: %v m in %v around %v", seed, bound, dist, dt, at)
+							return false
+						}
+					}
+				}
+			}
 		}
 		return true
 	}

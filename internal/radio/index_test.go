@@ -40,7 +40,25 @@ func (d txDoneLog) TxDone() {
 	d.w.log = append(d.w.log, fmt.Sprintf("done@%v node=%d", d.w.sched.Now(), d.node))
 }
 
-func newFuzzWorld(o oracle, seed int64, n int, area geom.Rect, maxSpeed float64) *fuzzWorld {
+// onsetLog is the carrier listener of one fuzz-world node: it records
+// every onset and its proven / band classification in the world's log,
+// so the oracles must agree on them as they must on receptions.
+type onsetLog struct {
+	w    *fuzzWorld
+	node int
+}
+
+func (l onsetLog) CarrierOnset(end sim.Time, proven bool) {
+	l.w.log = append(l.w.log, fmt.Sprintf("onset@%v node=%d end=%v proven=%v", l.w.sched.Now(), l.node, end, proven))
+}
+
+// newFuzzWorld builds n waypoint nodes, every speed-bounded one with a
+// logging carrier listener. With unbounded set, every seventh node
+// hides its speed bound: the grid then refreshes at every timestamp and
+// no neighbour table outlives its build instant. Without it the tables
+// live skin/(2·maxSpeed) seconds and most transmissions walk a table
+// built for an earlier one.
+func newFuzzWorld(o oracle, seed int64, n int, area geom.Rect, maxSpeed float64, unbounded bool) *fuzzWorld {
 	w := &fuzzWorld{sched: sim.NewScheduler()}
 	w.m = newTestMedium(w.sched, 75, o)
 	root := sim.NewRNG(seed)
@@ -49,9 +67,7 @@ func newFuzzWorld(o oracle, seed int64, n int, area geom.Rect, maxSpeed float64)
 		var mob mobility.Model = mobility.NewWaypoint(mobility.WaypointConfig{
 			Area: area, MaxSpeed: maxSpeed, MaxPause: 5 * time.Second,
 		}, root.Derive(fmt.Sprintf("mob/%d", i)))
-		if i%7 == 3 {
-			// A few nodes without a speed bound exercise the grid's
-			// always-refresh fallback.
+		if unbounded && i%7 == 3 {
 			mob = unboundedModel{m: mob}
 		}
 		id := pkt.NodeID(i + 1)
@@ -61,6 +77,7 @@ func newFuzzWorld(o oracle, seed int64, n int, area geom.Rect, maxSpeed float64)
 		if err != nil {
 			panic(err)
 		}
+		tr.SetCarrierListener(onsetLog{w, i}) // a no-op without a speed bound
 		w.trs = append(w.trs, tr)
 	}
 	return w
@@ -94,13 +111,14 @@ func (w *fuzzWorld) schedule(ops []fuzzOp) {
 
 // TestGridMatchesBruteUnderRandomMobility is the radio-level differential
 // fuzz test: the grid and brute-force indexes must produce identical
-// neighbour sets, carrier-sense answers, degree metrics, reception logs
-// and channel statistics while nodes move randomly — including fast
-// movers that cross many grid cells and nodes with no declared speed
-// bound.
+// neighbour sets, carrier-sense answers, degree metrics, reception and
+// carrier-onset logs and channel statistics while nodes move randomly —
+// including fast movers that cross many grid cells and, in every other
+// world, nodes with no declared speed bound.
 func TestGridMatchesBruteUnderRandomMobility(t *testing.T) {
 	area := geom.Rect{W: 400, H: 400}
-	for _, seed := range []int64{1, 2, 3} {
+	for _, seed := range []int64{1, 2, 3, 4} {
+		unbounded := seed%2 == 1
 		opRNG := sim.NewRNG(seed).Derive("ops")
 		const nNodes = 50
 		var ops []fuzzOp
@@ -112,8 +130,8 @@ func TestGridMatchesBruteUnderRandomMobility(t *testing.T) {
 			})
 		}
 
-		grid := newFuzzWorld(oracle{}, seed, nNodes, area, 10)
-		brute := newFuzzWorld(oracle{brute: true}, seed, nNodes, area, 10)
+		grid := newFuzzWorld(oracle{}, seed, nNodes, area, 10, unbounded)
+		brute := newFuzzWorld(oracle{brute: true}, seed, nNodes, area, 10, unbounded)
 		grid.schedule(ops)
 		brute.schedule(ops)
 		grid.sched.Run(250 * time.Second)

@@ -37,32 +37,36 @@ func compareFuzzWorlds(t *testing.T, label string, a, b *fuzzWorld, aName, bName
 }
 
 // runModelDifferential drives all four model × index combinations
-// through the same op script and requires identical observations.
+// through the same op script and requires identical observations, once
+// with every node speed-bounded (the production walk reuses neighbour
+// tables, refRx never has one) and once with unbounded models mixed in.
 func runModelDifferential(t *testing.T, label string, seed int64, n int, area geom.Rect,
 	maxSpeed float64, ops []fuzzOp, horizon sim.Time) {
 	t.Helper()
-	var ref *fuzzWorld
-	var refName string
-	for _, o := range oracles {
-		w := newFuzzWorld(o, seed, n, area, maxSpeed)
-		w.schedule(ops)
-		w.sched.Run(horizon)
-		if ref == nil {
-			ref, refName = w, o.String()
-			continue
+	for _, unbounded := range []bool{false, true} {
+		var ref *fuzzWorld
+		var refName string
+		for _, o := range oracles {
+			w := newFuzzWorld(o, seed, n, area, maxSpeed, unbounded)
+			w.schedule(ops)
+			w.sched.Run(horizon)
+			if ref == nil {
+				ref, refName = w, o.String()
+				continue
+			}
+			compareFuzzWorlds(t, fmt.Sprintf("%s unbounded=%v", label, unbounded), w, ref, o.String(), refName)
 		}
-		compareFuzzWorlds(t, label, w, ref, o.String(), refName)
 	}
 }
 
 // TestReceptionModelsMatchUnderRandomTraffic is the reception-model
 // differential property test: the batched and reference models (under
-// both neighbour indexes) must produce identical reception logs,
-// carrier-sense answers, statistics and counters while mobile nodes
-// transmit randomly. Op times are quantised to the frame airtime's
-// divisors so exact overlaps, exact boundaries and same-instant bursts
-// — the cases where the models' bookkeeping differs most — occur
-// constantly rather than almost never.
+// both neighbour indexes) must produce identical reception and
+// carrier-onset logs, carrier-sense answers, statistics and counters
+// while mobile nodes transmit randomly. Op times are quantised to the
+// frame airtime's divisors so exact overlaps, exact boundaries and
+// same-instant bursts — the cases where the models' bookkeeping differs
+// most — occur constantly rather than almost never.
 func TestReceptionModelsMatchUnderRandomTraffic(t *testing.T) {
 	area := geom.Rect{W: 300, H: 300}
 	for _, seed := range []int64{1, 2, 3} {
@@ -73,15 +77,21 @@ func TestReceptionModelsMatchUnderRandomTraffic(t *testing.T) {
 			// Quantised to 1 ms against a 2 ms airtime: frames routinely
 			// start at another frame's exact start, midpoint or end.
 			at := opRNG.Duration(100 * time.Second).Truncate(time.Millisecond)
-			ops = append(ops, fuzzOp{
-				at:   at,
-				node: opRNG.Intn(nNodes),
-				kind: opRNG.Intn(4),
-			})
+			node := opRNG.Intn(nNodes)
+			ops = append(ops, fuzzOp{at: at, node: node, kind: opRNG.Intn(4)})
 			// Every eighth op is duplicated at the same instant from
 			// another node: same-instant transmission bursts.
 			if i%8 == 0 {
 				ops = append(ops, fuzzOp{at: at, node: opRNG.Intn(nNodes), kind: 0})
+			}
+			// Every fifth op opens a train of transmissions from its
+			// node that spans several neighbour-table lifetimes
+			// (234 ms at 5 m/s): frames that reuse a table, frames that
+			// find it expired and rebuild it.
+			if i%5 == 0 {
+				for _, ms := range []int{10, 120, 230, 240, 400, 700} {
+					ops = append(ops, fuzzOp{at: at + sim.Time(ms)*time.Millisecond, node: node, kind: 0})
+				}
 			}
 		}
 		runModelDifferential(t, fmt.Sprintf("seed %d", seed), seed, nNodes, area, 5, ops, 120*time.Second)

@@ -136,6 +136,25 @@ type recvEntry struct {
 	corrupted bool
 }
 
+// skinDiv sets the neighbour tables' skin, Range/skinDiv: how far a
+// transmitter and a neighbour may close or open, in total, before the
+// table is rebuilt. Every value from Range/8 to Range/128 runs the
+// paper's speeds equally fast (EXPERIMENTS.md §W), so it is not a knob.
+const skinDiv = 32
+
+// nbrEntry is one row of a transceiver's certified neighbour table: a
+// node, by attach index, that was within Range + predEps + skin of the
+// owner when the table was built. While the table is valid (see
+// startTxBatch) the distance between the two has changed by at most
+// skin, so a certain entry — built at most Range − predEps − skin away
+// — is in range and proven at every such instant whatever its position,
+// an uncertain one takes the exact addReceiver step, and a node left
+// out can neither receive nor sit in its listener's onset band.
+type nbrEntry struct {
+	rcv     int32
+	certain bool
+}
+
 // Medium is the shared channel all transceivers attach to.
 type Medium struct {
 	sched  *sim.Scheduler
@@ -151,10 +170,10 @@ type Medium struct {
 	txMade int
 	// rxTx is the transmission whose receiver table StartTx is building,
 	// nil outside that walk. The index visits candidates through the one
-	// long-lived rxVisit callback (m.addReceiver), which finds its
+	// long-lived nbrVisit callback (m.addNeighbour), which finds its
 	// per-walk state here instead of in a closure made per frame.
-	rxTx    *transmission
-	rxVisit func(*Transceiver)
+	rxTx     *transmission
+	nbrVisit func(*Transceiver)
 	// activeTx counts transmissions currently on the air — incremented
 	// at StartTx, decremented when the finish processing retires the
 	// record. It is the in-flight gauge the metrics sampler reads.
@@ -167,6 +186,15 @@ type Medium struct {
 	// StartTx walks widen their candidate radius by it so band onsets
 	// reach every listener they might concern.
 	carrierEps float64
+	// Neighbour tables (nbrEntry). skinOut is skin on the conservative
+	// side of the class thresholds: ×(1+1e-6) for rounding in the
+	// validity product, + 1 µm for rounding in positions and for
+	// mobility.Waypoint's whole-nanosecond legs. maxSpeed is the largest
+	// speed bound attached, +Inf once a model has none. Attach and a
+	// raised carrierEps bump nbrGen, which outdates every table.
+	skin, skinOut float64
+	maxSpeed      float64
+	nbrGen        uint32
 }
 
 // NewMedium creates a channel managed by sched. The range sizes the
@@ -183,7 +211,9 @@ func NewMedium(sched *sim.Scheduler, params Params) *Medium {
 // differential tests use it to run the brute-force reference.
 func newMedium(sched *sim.Scheduler, params Params, index NeighborIndex) *Medium {
 	m := &Medium{sched: sched, params: params, index: index, byID: make(map[pkt.NodeID]*Transceiver)}
-	m.rxVisit = m.addReceiver
+	m.skin = params.Range / skinDiv
+	m.skinOut = m.skin*(1+1e-6) + 1e-6
+	m.nbrVisit = m.addNeighbour
 	return m
 }
 
@@ -222,10 +252,13 @@ func (m *Medium) Attach(id pkt.NodeID, pos mobility.Model, h Handler) (*Transcei
 		// start; simulation time is never negative.
 		lastInterference: -1,
 	}
-	if spd, ok := mobility.MaxSpeedOf(pos); ok {
+	spd, ok := mobility.MaxSpeedOf(pos)
+	if ok {
 		t.maxSpeed, t.speedOK = spd, true
 		t.predEps = spd * CarrierPredictWindow.Seconds()
 	}
+	m.maxSpeed = math.Max(m.maxSpeed, spd)
+	m.nbrGen++
 	t.probeVisit = t.probeTx
 	m.nodes = append(m.nodes, t)
 	m.byID[id] = t
@@ -281,6 +314,14 @@ type Transceiver struct {
 	maxSpeed float64
 	speedOK  bool
 	predEps  float64
+
+	// nbrs is the node's certified neighbour table, built from exact
+	// positions at nbrAt under the medium's generation nbrGen (never 0:
+	// Attach bumps it, so a new node's empty table counts as outdated);
+	// its capacity survives rebuilds.
+	nbrs   []nbrEntry
+	nbrAt  sim.Time
+	nbrGen uint32
 
 	// Probe scratch: CarrierProbe's index walk accumulates into these
 	// fields through probeVisit (t.probeTx, bound at attach) instead of
@@ -357,6 +398,7 @@ func (t *Transceiver) SetCarrierListener(l CarrierListener) {
 	t.carrier = l
 	if l != nil && t.predEps > t.medium.carrierEps {
 		t.medium.carrierEps = t.predEps
+		t.medium.nbrGen++
 	}
 }
 
@@ -470,9 +512,10 @@ func (t *Transceiver) beginTx(frame any, airtime sim.Time, done TxDone) (*transm
 }
 
 // startTxBatch builds the per-frame receiver table and schedules the
-// single finish event that will walk it. The index yields a
-// position-superset in attach order; addReceiver runs the exact
-// unit-disc predicate against fresh positions.
+// single finish event that will walk it. The receivers come from the
+// transmitter's neighbour table, in attach order: certain entries
+// straight away, uncertain ones through addReceiver's exact unit-disc
+// predicate against fresh positions.
 func (t *Transceiver) startTxBatch(tx *transmission) {
 	m := t.medium
 	// Transmitting corrupts anything this node was in the middle of
@@ -489,19 +532,49 @@ func (t *Transceiver) startTxBatch(tx *transmission) {
 		panic(fmt.Sprintf("radio: node %s started a transmission inside node %s's receiver walk", t.id, m.rxTx.from.id))
 	}
 	m.rxTx = tx
-	m.index.ForEachCandidate(tx.start, tx.origin, m.params.Range+m.carrierEps, m.rxVisit)
+	// The table stands while owner and neighbour together cannot have
+	// moved more than skin since it was built. A model without a speed
+	// bound makes the product +Inf or, at the build instant, NaN; both
+	// fail, so such a medium rebuilds from exact positions every frame.
+	if t.nbrGen != m.nbrGen || !((t.maxSpeed+m.maxSpeed)*(tx.start-t.nbrAt).Seconds() <= m.skin) {
+		t.nbrs, t.nbrAt, t.nbrGen = t.nbrs[:0], tx.start, m.nbrGen
+		m.index.ForEachCandidate(tx.start, tx.origin, m.params.Range+m.carrierEps+m.skinOut, m.nbrVisit)
+	}
+	for _, e := range t.nbrs {
+		rcv := m.nodes[e.rcv]
+		if !e.certain {
+			m.addReceiver(rcv)
+			continue
+		}
+		if rcv.carrier != nil {
+			rcv.carrier.CarrierOnset(tx.end, true)
+		}
+		m.enterReceiver(rcv)
+	}
 	m.rxTx = nil
 	m.sched.At(tx.end, tx.finish)
 }
 
-// addReceiver is the receiver walk's step for one candidate of the
-// transmission in m.rxTx: notify the candidate's carrier listener and,
-// if it is in range, enter it in the receiver table.
-func (m *Medium) addReceiver(rcv *Transceiver) {
+// addNeighbour is the table build's step for one candidate: classify
+// it by its exact distance from m.rxTx's origin (see nbrEntry).
+func (m *Medium) addNeighbour(rcv *Transceiver) {
 	tx := m.rxTx
 	if rcv == tx.from {
 		return
 	}
+	d2 := rcv.pos.Position(tx.start).Dist2(tx.origin)
+	if out := m.params.Range + rcv.predEps + m.skinOut; d2 > out*out {
+		return
+	}
+	in := m.params.Range - rcv.predEps - m.skinOut
+	tx.from.nbrs = append(tx.from.nbrs, nbrEntry{rcv: rcv.idx, certain: in > 0 && d2 <= in*in})
+}
+
+// addReceiver is the receiver walk's exact step for one uncertain
+// neighbour of the transmission in m.rxTx: notify its carrier listener
+// and, if it is in range, enter it in the receiver table.
+func (m *Medium) addReceiver(rcv *Transceiver) {
+	tx := m.rxTx
 	now, r := tx.start, m.params.Range
 	d2 := rcv.pos.Position(now).Dist2(tx.origin)
 	if d2 > r*r {
@@ -517,6 +590,12 @@ func (m *Medium) addReceiver(rcv *Transceiver) {
 	if rcv.carrier != nil {
 		notifyCarrier(rcv, d2, r, tx.end)
 	}
+	m.enterReceiver(rcv)
+}
+
+// enterReceiver enters an in-range node in m.rxTx's receiver table.
+func (m *Medium) enterReceiver(rcv *Transceiver) {
+	tx, now := m.rxTx, m.rxTx.start
 	// A node mid-transmission cannot hear the frame, and any receptions
 	// already in flight at the receiver collide with the new one — the
 	// former decides this entry now, the latter is recorded as

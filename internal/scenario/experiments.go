@@ -158,8 +158,11 @@ func RunComparison(base Config, xs []float64, apply func(Config, float64) Config
 // --- paper figure definitions (see DESIGN.md experiment index) ---
 
 // Seeds returns the canonical seed list (the paper uses 10 random
-// seeds).
+// seeds), nil for n <= 0.
 func Seeds(n int) []int64 {
+	if n <= 0 {
+		return nil
+	}
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = int64(i + 1)

@@ -304,6 +304,9 @@ func TestFigureSweepDefinitions(t *testing.T) {
 	if s := Seeds(10); len(s) != 10 || s[0] != 1 || s[9] != 10 {
 		t.Fatalf("Seeds = %v", s)
 	}
+	if Seeds(0) != nil || Seeds(-1) != nil {
+		t.Fatalf("Seeds(0) = %v, Seeds(-1) = %v, want nil", Seeds(0), Seeds(-1))
+	}
 }
 
 func TestRunComparisonSmall(t *testing.T) {
