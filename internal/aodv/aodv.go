@@ -251,16 +251,6 @@ func (r *Router) HaveNeighbor(n pkt.NodeID) bool {
 	return ok
 }
 
-// Neighbors returns the live neighbour set in ascending ID order.
-func (r *Router) Neighbors() []pkt.NodeID {
-	out := make([]pkt.NodeID, 0, len(r.neighbors))
-	for n := range r.neighbors {
-		out = append(out, n)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // sortedRouteDsts returns route-table destinations in ascending order,
 // keeping behaviour independent of map iteration order.
 func (r *Router) sortedRouteDsts() []pkt.NodeID {
@@ -462,20 +452,10 @@ func (r *Router) onRREQ(p *pkt.Packet, from pkt.NodeID) {
 }
 
 func (r *Router) rebroadcastRREQ(p *pkt.Packet, req *pkt.RREQ) {
-	if p.TTL <= 1 {
-		return
+	if cp := r.stack.Rebroadcast(p, r.rng, r.cfg.BroadcastJitter); cp != nil {
+		cp.Body.(*pkt.RREQ).HopCount = req.HopCount + 1
+		r.stats.RREQsForwarded++
 	}
-	cp := p.Clone()
-	cp.TTL--
-	body, ok := cp.Body.(*pkt.RREQ)
-	if !ok {
-		return
-	}
-	body.HopCount = req.HopCount + 1
-	r.stats.RREQsForwarded++
-	r.sched.After(r.rng.Duration(r.cfg.BroadcastJitter), func() {
-		r.stack.SendBroadcast(cp)
-	})
 }
 
 // sendRREP emits a reply we originate (as destination or intermediate).

@@ -10,6 +10,7 @@ import (
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
+	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 )
 
@@ -37,10 +38,11 @@ func buildWorld(t *testing.T, positions []geom.Point, models ...mobility.Model) 
 			m = models[i]
 		}
 		id := pkt.NodeID(i + 1)
-		st, err := node.New(w.sched, rng.Derive(id.String()), w.medium, id, m, mac.DefaultConfig())
+		rt, err := simrt.New(w.sched, rng.Derive(id.String()), w.medium, id, m, mac.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
+		st := node.NewOnRuntime(rt)
 		r := New(st, rng.Derive("aodv/"+id.String()), DefaultConfig())
 		st.Handle(pkt.KindGossipRep, func(p *pkt.Packet, from pkt.NodeID) { w.rxs[i]++ })
 		r.Start()

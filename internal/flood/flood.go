@@ -13,6 +13,7 @@ import (
 	"errors"
 	"time"
 
+	"anongossip/internal/gossip"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/runtime"
@@ -45,9 +46,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// DeliverFunc consumes data packets delivered to a member application.
-type DeliverFunc func(group pkt.GroupID, d *pkt.Data, from pkt.NodeID)
-
 // Stats counts flooding activity at one node.
 type Stats struct {
 	DataSent        uint64
@@ -64,9 +62,7 @@ type Router struct {
 	rng   *sim.RNG
 
 	members map[pkt.GroupID]bool
-	seen    map[pkt.SeqKey]struct{}
-	order   []pkt.SeqKey
-	next    int
+	seen    node.SeqCache
 	seq     uint32
 
 	// relays maps neighbours recently heard transmitting data to the
@@ -78,7 +74,7 @@ type Router struct {
 	relays      map[pkt.NodeID]sim.Time
 	trackRelays bool
 
-	subs  []DeliverFunc
+	subs  []func(g pkt.GroupID, d *pkt.Data, from pkt.NodeID)
 	stats Stats
 }
 
@@ -94,7 +90,7 @@ func New(st *node.Stack, rng *sim.RNG, cfg Config) *Router {
 		sched:   st.Clock(),
 		rng:     rng,
 		members: make(map[pkt.GroupID]bool),
-		seen:    make(map[pkt.SeqKey]struct{}, cfg.CacheSize),
+		seen:    node.NewSeqCache(cfg.CacheSize),
 		relays:  make(map[pkt.NodeID]sim.Time),
 	}
 	st.Handle(pkt.KindData, r.onData)
@@ -102,10 +98,21 @@ func New(st *node.Stack, rng *sim.RNG, cfg Config) *Router {
 }
 
 // OnDeliver subscribes to member deliveries.
-func (r *Router) OnDeliver(fn DeliverFunc) { r.subs = append(r.subs, fn) }
+func (r *Router) OnDeliver(fn func(g pkt.GroupID, d *pkt.Data, from pkt.NodeID)) {
+	r.subs = append(r.subs, fn)
+}
 
 // Stats returns a copy of the counters.
 func (r *Router) Stats() Stats { return r.stats }
+
+// Delivered counts unique data packets delivered to the member.
+func (r *Router) Delivered() uint64 { return r.stats.DataDelivered }
+
+// PayloadLen is the synthetic application payload size.
+func (r *Router) PayloadLen() uint16 { return r.cfg.PayloadLen }
+
+// Start does nothing: flooding has no background behaviour.
+func (r *Router) Start() {}
 
 // Join registers group membership (delivery only; flooding needs no
 // routing state).
@@ -114,8 +121,23 @@ func (r *Router) Join(g pkt.GroupID) { r.members[g] = true }
 // Leave revokes membership.
 func (r *Router) Leave(g pkt.GroupID) { delete(r.members, g) }
 
-// IsMember reports membership.
+// IsMember reports membership (part of the gossip Tree interface).
 func (r *Router) IsMember(g pkt.GroupID) bool { return r.members[g] }
+
+// GossipTree exposes the relay table as an AG walk substrate, switching
+// relay tracking on for this node.
+func (r *Router) GossipTree() gossip.Tree {
+	r.trackRelays = true
+	return r
+}
+
+// NextHops returns the live relays (part of the gossip Tree interface).
+// Flooding has no tree and no nearest-member machinery, so the walk
+// degrades to uniform choice over recently heard relays, as over
+// ODMRP's mesh.
+func (r *Router) NextHops(pkt.GroupID) []gossip.NextHop {
+	return gossip.LiveHops(r.relays, r.sched.Now())
+}
 
 // ErrNotMember reports a SendData call from a non-member.
 var ErrNotMember = errors.New("flood: node is not a member of the group")
@@ -127,7 +149,7 @@ func (r *Router) SendData(g pkt.GroupID) (pkt.SeqKey, error) {
 	}
 	r.seq++
 	d := &pkt.Data{Group: g, Origin: r.stack.ID(), Seq: r.seq, PayloadLen: r.cfg.PayloadLen}
-	r.note(d.Key())
+	r.seen.Add(d.Key())
 	r.stats.DataSent++
 	r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, d))
 	return d.Key(), nil
@@ -141,36 +163,17 @@ func (r *Router) onData(p *pkt.Packet, from pkt.NodeID) {
 	if r.trackRelays && r.cfg.RelayLifetime > 0 && from != r.stack.ID() {
 		r.relays[from] = r.sched.Now() + r.cfg.RelayLifetime
 	}
-	if _, dup := r.seen[d.Key()]; dup {
+	if !r.seen.Add(d.Key()) {
 		r.stats.DataDuplicates++
 		return
 	}
-	r.note(d.Key())
-
 	if r.members[d.Group] {
 		r.stats.DataDelivered++
 		for _, fn := range r.subs {
 			fn(d.Group, d, from)
 		}
 	}
-	if p.TTL <= 1 {
-		return
+	if r.stack.Rebroadcast(p, r.rng, r.cfg.RebroadcastJitter) != nil {
+		r.stats.DataRebroadcast++
 	}
-	cp := p.Clone()
-	cp.TTL--
-	r.stats.DataRebroadcast++
-	r.sched.After(r.rng.Duration(r.cfg.RebroadcastJitter), func() {
-		r.stack.SendBroadcast(cp)
-	})
-}
-
-func (r *Router) note(k pkt.SeqKey) {
-	if len(r.order) < r.cfg.CacheSize {
-		r.order = append(r.order, k)
-	} else {
-		delete(r.seen, r.order[r.next])
-		r.order[r.next] = k
-		r.next = (r.next + 1) % r.cfg.CacheSize
-	}
-	r.seen[k] = struct{}{}
 }

@@ -10,6 +10,7 @@ import (
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
+	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 )
 
@@ -21,11 +22,18 @@ type fworld struct {
 	delivered []int
 }
 
-// nullRouter satisfies node.UnicastRouter for flooding-only stacks.
-type nullRouter struct{}
-
-func (nullRouter) NextHop(pkt.NodeID) (pkt.NodeID, bool) { return 0, false }
-func (nullRouter) QueueForRoute(*pkt.Packet)             {}
+// newStack puts a flooding-only network layer (no unicast routing) on
+// the simulated MAC and radio.
+func newStack(t *testing.T, sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID, pos mobility.Model) *node.Stack {
+	t.Helper()
+	rt, err := simrt.New(sched, rng, medium, id, pos, mac.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := node.NewOnRuntime(rt)
+	st.SetRouter(node.NullRouter{})
+	return st
+}
 
 func buildF(t *testing.T, positions []geom.Point, members []int) *fworld {
 	t.Helper()
@@ -39,12 +47,7 @@ func buildF(t *testing.T, positions []geom.Point, members []int) *fworld {
 	for i, p := range positions {
 		i := i
 		id := pkt.NodeID(i + 1)
-		st, err := node.New(w.sched, rng.Derive(id.String()), medium, id,
-			mobility.Static{P: p}, mac.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.SetRouter(nullRouter{})
+		st := newStack(t, w.sched, rng.Derive(id.String()), medium, id, mobility.Static{P: p})
 		r := New(st, rng.Derive("f/"+id.String()), DefaultConfig())
 		if isMember[i] {
 			r.Join(group)
@@ -132,27 +135,30 @@ func TestFloodLeave(t *testing.T) {
 	}
 }
 
+// TestFloodCacheBounded checks CacheSize bounds the duplicate filter:
+// of the 20 packets a node floods through a 4-key cache, a copy of the
+// newest heard back is still a duplicate and a copy of the oldest is
+// new again.
 func TestFloodCacheBounded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheSize = 4
 	sched := sim.NewScheduler()
-	medium := radio.NewMedium(sched, radio.Params{Range: 60})
 	rng := sim.NewRNG(1)
-	st, err := node.New(sched, rng, medium, 1, mobility.Static{}, mac.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.SetRouter(nullRouter{})
-	r := New(st, rng.Derive("f"), cfg)
+	r := New(newStack(t, sched, rng, radio.NewMedium(sched, radio.Params{Range: 60}), 1, mobility.Static{}), rng.Derive("f"), cfg)
 	r.Join(group)
+	echo := func(seq uint32) {
+		r.onData(pkt.NewPacket(2, pkt.Broadcast, &pkt.Data{Group: group, Origin: 1, Seq: seq, PayloadLen: 64}), 2)
+	}
 	sched.After(0, func() {
 		for i := 0; i < 20; i++ {
 			_, _ = r.SendData(group)
 		}
+		echo(20)
+		echo(1)
 	})
 	sched.Run(time.Second)
-	if len(r.seen) > 4 || len(r.order) > 4 {
-		t.Fatalf("cache grew past bound: %d/%d", len(r.seen), len(r.order))
+	if st := r.Stats(); st.DataDuplicates != 1 || st.DataDelivered != 1 {
+		t.Fatalf("echoes of seq 20 and 1: %d duplicates, %d delivered; want the newest suppressed and the oldest evicted", st.DataDuplicates, st.DataDelivered)
 	}
 }
 
@@ -164,11 +170,7 @@ func TestNewRejectsNonPositiveCacheSize(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.CacheSize = size
 		sched := sim.NewScheduler()
-		st, err := node.New(sched, sim.NewRNG(1), radio.NewMedium(sched, radio.Params{Range: 60}),
-			1, mobility.Static{}, mac.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := newStack(t, sched, sim.NewRNG(1), radio.NewMedium(sched, radio.Params{Range: 60}), 1, mobility.Static{})
 		func() {
 			defer func() {
 				if got := recover(); got != "flood: CacheSize must be positive" {

@@ -14,7 +14,7 @@ import (
 func TestRelayTreeTracksAndExpires(t *testing.T) {
 	w := buildF(t, line(3), []int{0, 2})
 	for _, r := range w.routers {
-		r.trackRelays = true // as GossipTree() would when a recovery layer binds
+		r.GossipTree() // a recovery layer binding switches tracking on
 	}
 	w.sched.After(time.Second, func() {
 		if _, err := w.routers[0].SendData(group); err != nil {
@@ -23,7 +23,7 @@ func TestRelayTreeTracksAndExpires(t *testing.T) {
 	})
 	w.sched.Run(3 * time.Second)
 
-	tree := relayTree{w.routers[1]}
+	tree := w.routers[1]
 	hops := tree.NextHops(group)
 	if len(hops) == 0 {
 		t.Fatal("middle node heard data but exposes no relay links")
@@ -39,7 +39,7 @@ func TestRelayTreeTracksAndExpires(t *testing.T) {
 	if tree.IsMember(group) {
 		t.Fatal("non-member relay claims membership")
 	}
-	if !(relayTree{w.routers[2]}).IsMember(group) {
+	if !w.routers[2].IsMember(group) {
 		t.Fatal("member denies membership")
 	}
 

@@ -61,9 +61,6 @@ func NewGrid(cellSize float64) *Grid {
 	}
 }
 
-// CellSize returns the configured cell edge length in metres.
-func (g *Grid) CellSize() float64 { return g.cell }
-
 // Len returns the number of stored points.
 func (g *Grid) Len() int { return g.n }
 

@@ -36,15 +36,39 @@ type NextHop struct {
 	Nearest uint8
 }
 
-// Tree is the multicast-protocol interface AG walks over. package maodv
-// satisfies it through a thin adapter, package odmrp directly (mesh
-// links instead of tree branches), and tests use synthetic topologies —
-// the protocol independence the paper claims in §5.5.
+// Tree is the multicast-protocol interface AG walks over. The routers
+// of package maodv (tree branches), odmrp (mesh links) and flood
+// (recently heard relays) satisfy it themselves, and tests use
+// synthetic topologies — the protocol independence the paper claims in
+// §5.5.
 type Tree interface {
 	// NextHops returns the enabled tree links at this node for a group.
 	NextHops(group pkt.GroupID) []NextHop
 	// IsMember reports whether this node is an application-level member.
 	IsMember(group pkt.GroupID) bool
+}
+
+// LiveHops is the walk substrate of a protocol whose links are soft
+// state: links maps each neighbour to the expiry of its evidence.
+// Expired entries are deleted; the rest come back sorted by ID — the
+// walk draws from the slice with the node's RNG, so the order must not
+// be the map's — with unknown nearest-member distances, so the walk
+// degrades to uniform choice.
+func LiveHops(links map[pkt.NodeID]sim.Time, now sim.Time) []NextHop {
+	ids := make([]pkt.NodeID, 0, len(links))
+	for id, expiry := range links {
+		if expiry <= now {
+			delete(links, id)
+			continue
+		}
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	out := make([]NextHop, len(ids))
+	for i, id := range ids {
+		out[i] = NextHop{ID: id, Nearest: pkt.NearestUnknown}
+	}
+	return out
 }
 
 // HopEstimator optionally supplies unicast route hop counts for member

@@ -11,6 +11,7 @@ import (
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
+	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 )
 
@@ -47,11 +48,12 @@ func buildLine(t *testing.T, n int, members []int, cfg Config) *gworld {
 	}
 	for i := 0; i < n; i++ {
 		id := pkt.NodeID(i + 1)
-		st, err := node.New(w.sched, rng.Derive("n/"+id.String()), medium, id,
+		rt, err := simrt.New(w.sched, rng.Derive("n/"+id.String()), medium, id,
 			mobility.Static{P: geom.Point{X: float64(i) * 50}}, mac.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
+		st := node.NewOnRuntime(rt)
 		uni := aodv.New(st, rng.Derive("a/"+id.String()), aodv.DefaultConfig())
 		uni.Start()
 

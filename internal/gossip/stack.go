@@ -43,7 +43,7 @@ func (recoveryBuilder) Build(env stack.Env, routing stack.RoutingNode) (stack.Re
 	eng := New(env.Stack, tp.GossipTree(), env.RNG.Derive(fmt.Sprintf("gossip/%d", env.Index)),
 		stack.Param(env.Params, "gossip", DefaultConfig))
 	eng.SetHopEstimator(uni.RouteHops)
-	routing.OnDeliver(func(g pkt.GroupID, d *pkt.Data) { eng.OnTreeData(g, d, 0) })
+	routing.OnDeliver(eng.OnTreeData)
 	if me, ok := routing.(interface {
 		OnMemberEvidence(fn func(g pkt.GroupID, member pkt.NodeID, hops uint8))
 	}); ok {

@@ -27,7 +27,7 @@ func (r *Router) SendData(gid pkt.GroupID) (pkt.SeqKey, error) {
 		PayloadLen: r.cfg.PayloadLen,
 	}
 	key := d.Key()
-	r.noteData(g, key)
+	g.data.Add(key)
 	r.stats.DataSent++
 	r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, d))
 	return key, nil
@@ -51,11 +51,10 @@ func (r *Router) onData(p *pkt.Packet, from pkt.NodeID) {
 		r.stats.DataOffTree++
 		return
 	}
-	if r.seenData(g, d.Key()) {
+	if !g.data.Add(d.Key()) {
 		r.stats.DataDuplicates++
 		return
 	}
-	r.noteData(g, d.Key())
 
 	if g.member {
 		r.stats.DataDelivered++
@@ -71,40 +70,9 @@ func (r *Router) onData(p *pkt.Packet, from pkt.NodeID) {
 		r.fireEvidence(d.Group, d.Origin, hops)
 	}
 
-	// Forward along the tree unless this node is a leaf on this branch.
-	if p.TTL <= 1 {
-		return
+	// Forward along the tree unless this node is a leaf on this branch
+	// (the only enabled link is the one the packet came from).
+	if g.enabledCount() > 1 && r.stack.Rebroadcast(p, r.rng, r.cfg.ForwardJitter) != nil {
+		r.stats.DataForwarded++
 	}
-	if g.enabledCount() <= 1 {
-		return // only the link the packet came from
-	}
-	cp := p.Clone()
-	cp.TTL--
-	r.stats.DataForwarded++
-	r.sched.After(r.rng.Duration(r.cfg.ForwardJitter), func() {
-		r.stack.SendBroadcast(cp)
-	})
-}
-
-// seenData reports whether the key is in the duplicate cache.
-func (r *Router) seenData(g *group, k pkt.SeqKey) bool {
-	_, dup := g.dataSeen[k]
-	return dup
-}
-
-// noteData inserts the key into the bounded duplicate cache (FIFO
-// eviction).
-func (r *Router) noteData(g *group, k pkt.SeqKey) {
-	if _, dup := g.dataSeen[k]; dup {
-		return
-	}
-	if len(g.dataOrder) < r.cfg.DataCacheSize {
-		g.dataOrder = append(g.dataOrder, k)
-	} else {
-		old := g.dataOrder[g.dataNext]
-		delete(g.dataSeen, old)
-		g.dataOrder[g.dataNext] = k
-		g.dataNext = (g.dataNext + 1) % r.cfg.DataCacheSize
-	}
-	g.dataSeen[k] = struct{}{}
 }

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"anongossip/internal/aodv"
+	"anongossip/internal/gossip"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/runtime"
@@ -85,27 +86,6 @@ func DefaultConfig() Config {
 		ForwardJitter:      3 * time.Millisecond,
 	}
 }
-
-// NextHopInfo describes one enabled tree link, as exposed to the gossip
-// layer (paper §4.2: the walk needs next hops and their nearest-member
-// values, nothing else).
-type NextHopInfo struct {
-	ID pkt.NodeID
-	// Nearest is the hop distance to the closest group member through
-	// this link (pkt.NearestUnknown when not yet learned).
-	Nearest uint8
-	// Upstream marks the link toward the group leader.
-	Upstream bool
-}
-
-// DeliverFunc consumes multicast data delivered to a member application.
-type DeliverFunc func(group pkt.GroupID, d *pkt.Data, from pkt.NodeID)
-
-// MemberEvidenceFunc consumes incidental knowledge that a node is a group
-// member at the given hop distance (pkt.NearestUnknown when unknown); the
-// gossip member cache is fed from this (paper §4.3: "this information
-// itself is collected at no extra cost").
-type MemberEvidenceFunc func(group pkt.GroupID, member pkt.NodeID, hops uint8)
 
 // Stats counts MAODV protocol activity at one node.
 type Stats struct {
@@ -186,10 +166,9 @@ type group struct {
 	// leader's floods during merges.
 	grphSeen map[pkt.NodeID]uint32
 
-	dataSeen  map[pkt.SeqKey]struct{}
-	dataOrder []pkt.SeqKey
-	dataNext  int
-
+	// data suppresses duplicate data packets; it stays empty, and costs
+	// nothing, on a shell that only relays GRPH floods.
+	data        node.SeqCache
 	nextDataSeq uint32
 }
 
@@ -226,8 +205,8 @@ type Router struct {
 
 	groups map[pkt.GroupID]*group
 
-	deliverSubs  []DeliverFunc
-	evidenceSubs []MemberEvidenceFunc
+	deliverSubs  []func(g pkt.GroupID, d *pkt.Data, from pkt.NodeID)
+	evidenceSubs []func(g pkt.GroupID, member pkt.NodeID, hops uint8)
 
 	stats Stats
 }
@@ -265,12 +244,33 @@ func (r *Router) ID() pkt.NodeID { return r.stack.ID() }
 func (r *Router) Stats() Stats { return r.stats }
 
 // OnDeliver subscribes to multicast data deliveries at this member.
-func (r *Router) OnDeliver(fn DeliverFunc) { r.deliverSubs = append(r.deliverSubs, fn) }
+func (r *Router) OnDeliver(fn func(g pkt.GroupID, d *pkt.Data, from pkt.NodeID)) {
+	r.deliverSubs = append(r.deliverSubs, fn)
+}
 
-// OnMemberEvidence subscribes to incidental member sightings.
-func (r *Router) OnMemberEvidence(fn MemberEvidenceFunc) {
+// OnMemberEvidence subscribes to incidental knowledge that a node is a
+// group member at the given hop distance (pkt.NearestUnknown when
+// unknown). The gossip member cache is fed from this (paper §4.3: "this
+// information itself is collected at no extra cost").
+func (r *Router) OnMemberEvidence(fn func(g pkt.GroupID, member pkt.NodeID, hops uint8)) {
 	r.evidenceSubs = append(r.evidenceSubs, fn)
 }
+
+// Delivered counts unique data packets delivered to the member.
+func (r *Router) Delivered() uint64 { return r.stats.DataDelivered }
+
+// PayloadLen is the synthetic application payload size.
+func (r *Router) PayloadLen() uint16 { return r.cfg.PayloadLen }
+
+// Start begins the AODV substrate's hello beaconing.
+func (r *Router) Start() { r.uni.Start() }
+
+// Unicast exposes the AODV substrate so recovery layers can reuse it
+// for reply routing and hop estimates instead of building their own.
+func (r *Router) Unicast() *aodv.Router { return r.uni }
+
+// GossipTree exposes the multicast tree as an AG walk substrate.
+func (r *Router) GossipTree() gossip.Tree { return r }
 
 // IsMember reports group membership of this node.
 func (r *Router) IsMember(gid pkt.GroupID) bool {
@@ -294,21 +294,20 @@ func (r *Router) Leader(gid pkt.GroupID) (pkt.NodeID, bool) {
 	return g.leader, true
 }
 
-// TreeNextHops returns the enabled tree links and their nearest-member
-// values — the interface the Anonymous Gossip walk runs on. The result
-// is sorted by node ID so downstream random choices are reproducible.
-func (r *Router) TreeNextHops(gid pkt.GroupID) []NextHopInfo {
+// NextHops returns the enabled tree links and their nearest-member
+// values (paper §4.2: the walk needs nothing else) — the gossip Tree
+// interface. The result is sorted by node ID so downstream random
+// choices are reproducible.
+func (r *Router) NextHops(gid pkt.GroupID) []gossip.NextHop {
 	g, ok := r.groups[gid]
 	if !ok {
 		return nil
 	}
-	out := make([]NextHopInfo, 0, len(g.next))
+	out := make([]gossip.NextHop, 0, len(g.next))
 	for _, id := range g.sortedNextIDs() {
-		e := g.next[id]
-		if !e.enabled {
-			continue
+		if e := g.next[id]; e.enabled {
+			out = append(out, gossip.NextHop{ID: id, Nearest: e.nearest})
 		}
-		out = append(out, NextHopInfo{ID: id, Nearest: e.nearest, Upstream: e.upstream})
 	}
 	return out
 }
@@ -324,7 +323,7 @@ func (r *Router) groupState(gid pkt.GroupID) *group {
 			next:         make(map[pkt.NodeID]*nextHop),
 			rrepPaths:    make(map[uint32]rrepPath),
 			grphSeen:     make(map[pkt.NodeID]uint32),
-			dataSeen:     make(map[pkt.SeqKey]struct{}),
+			data:         node.NewSeqCache(r.cfg.DataCacheSize),
 		}
 		r.groups[gid] = g
 	}

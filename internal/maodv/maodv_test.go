@@ -10,6 +10,7 @@ import (
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
+	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 )
 
@@ -57,11 +58,12 @@ func buildM(t *testing.T, rangeM float64, positions []geom.Point) *mworld {
 	for i := range positions {
 		i := i
 		id := pkt.NodeID(i + 1)
-		st, err := node.New(w.sched, rng.Derive("n/"+id.String()), w.medium, id,
+		rt, err := simrt.New(w.sched, rng.Derive("n/"+id.String()), w.medium, id,
 			movable{p: positions[i], moved: &w.moved[i]}, mac.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
+		st := node.NewOnRuntime(rt)
 		uni := aodv.New(st, rng.Derive("a/"+id.String()), aodv.DefaultConfig())
 		mr := New(st, uni, rng.Derive("m/"+id.String()), fastConfig())
 		w.delivered = append(w.delivered, map[pkt.SeqKey]int{})
@@ -189,7 +191,7 @@ func TestNearestMemberConvergesOnLine(t *testing.T) {
 	}
 	for i, m := range want {
 		got := map[pkt.NodeID]uint8{}
-		for _, nh := range w.routers[i].TreeNextHops(testGroup) {
+		for _, nh := range w.routers[i].NextHops(testGroup) {
 			got[nh.ID] = nh.Nearest
 		}
 		if len(got) != len(m) {
@@ -210,16 +212,12 @@ func TestUpstreamDownstreamDirections(t *testing.T) {
 	w.sched.Run(10 * time.Second)
 
 	// Node 3 joined the leader's tree: its link to 2 is upstream.
-	for _, nh := range w.routers[2].TreeNextHops(testGroup) {
-		if nh.ID == 2 && !nh.Upstream {
-			t.Fatal("joiner's selected branch not marked upstream")
-		}
+	if e := w.routers[2].groups[testGroup].next[2]; e == nil || !e.enabled || !e.upstream {
+		t.Fatal("joiner's selected branch not marked upstream")
 	}
 	// The leader's link to 2 is downstream.
-	for _, nh := range w.routers[0].TreeNextHops(testGroup) {
-		if nh.ID == 2 && nh.Upstream {
-			t.Fatal("leader's branch marked upstream")
-		}
+	if e := w.routers[0].groups[testGroup].next[2]; e == nil || !e.enabled || e.upstream {
+		t.Fatal("leader's branch marked upstream")
 	}
 }
 
@@ -383,27 +381,23 @@ func TestMemberEvidenceFromJoinReplies(t *testing.T) {
 	}
 }
 
+// TestDataCacheBounded checks each group's duplicate filter is bounded
+// by DataCacheSize: after 100 keys the last 8 are still duplicates and
+// the first is new again.
 func TestDataCacheBounded(t *testing.T) {
 	cfg := fastConfig()
 	cfg.DataCacheSize = 8
-	r := &Router{cfg: cfg}
-	g := &group{
-		next:     map[pkt.NodeID]*nextHop{},
-		dataSeen: map[pkt.SeqKey]struct{}{},
-	}
+	r := &Router{cfg: cfg, groups: map[pkt.GroupID]*group{}}
+	g := r.groupState(testGroup)
 	for i := 0; i < 100; i++ {
-		r.noteData(g, pkt.SeqKey{Origin: 1, Seq: uint32(i)})
+		g.data.Add(pkt.SeqKey{Origin: 1, Seq: uint32(i)})
 	}
-	if len(g.dataSeen) != 8 || len(g.dataOrder) != 8 {
-		t.Fatalf("cache size = %d/%d, want 8", len(g.dataSeen), len(g.dataOrder))
-	}
-	// Most recent entries survive.
-	for i := 92; i < 100; i++ {
-		if !r.seenData(g, pkt.SeqKey{Origin: 1, Seq: uint32(i)}) {
+	for i := 99; i >= 92; i-- {
+		if g.data.Add(pkt.SeqKey{Origin: 1, Seq: uint32(i)}) {
 			t.Fatalf("recent key %d evicted", i)
 		}
 	}
-	if r.seenData(g, pkt.SeqKey{Origin: 1, Seq: 0}) {
+	if !g.data.Add(pkt.SeqKey{Origin: 1, Seq: 0}) {
 		t.Fatal("oldest key still cached")
 	}
 }
@@ -434,11 +428,12 @@ func TestNewRejectsNonPositiveDataCacheSize(t *testing.T) {
 		cfg := fastConfig()
 		cfg.DataCacheSize = size
 		sched := sim.NewScheduler()
-		st, err := node.New(sched, sim.NewRNG(1), radio.NewMedium(sched, radio.Params{Range: 60}),
+		rt, err := simrt.New(sched, sim.NewRNG(1), radio.NewMedium(sched, radio.Params{Range: 60}),
 			1, movable{}, mac.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
+		st := node.NewOnRuntime(rt)
 		uni := aodv.New(st, sim.NewRNG(2), aodv.DefaultConfig())
 		func() {
 			defer func() {

@@ -13,6 +13,19 @@ import (
 // paper's baseline multicast protocol.
 func init() { stack.RegisterRouting(stackBuilder{}) }
 
+// The Router is its own stack node and answers every probe the gossip
+// builder makes, written as the builder writes them: a method taking a
+// named func type would not match, and its evidence would be dropped
+// without a build error.
+var (
+	_ stack.RoutingNode                     = (*Router)(nil)
+	_ interface{ GossipTree() gossip.Tree } = (*Router)(nil)
+	_ interface{ Unicast() *aodv.Router }   = (*Router)(nil)
+	_ interface {
+		OnMemberEvidence(fn func(g pkt.GroupID, member pkt.NodeID, hops uint8))
+	} = (*Router)(nil)
+)
+
 type stackBuilder struct{}
 
 func (stackBuilder) Name() string { return "maodv" }
@@ -20,52 +33,6 @@ func (stackBuilder) Name() string { return "maodv" }
 func (stackBuilder) Build(env stack.Env) stack.RoutingNode {
 	uni := aodv.New(env.Stack, env.RNG.Derive(fmt.Sprintf("aodv/%d", env.Index)),
 		stack.Param(env.Params, "aodv", aodv.DefaultConfig))
-	cfg := stack.Param(env.Params, "maodv", DefaultConfig)
-	mr := New(env.Stack, uni, env.RNG.Derive(fmt.Sprintf("maodv/%d", env.Index)), cfg)
-	return &stackNode{uni: uni, r: mr, payload: cfg.PayloadLen}
+	return New(env.Stack, uni, env.RNG.Derive(fmt.Sprintf("maodv/%d", env.Index)),
+		stack.Param(env.Params, "maodv", DefaultConfig))
 }
-
-// stackNode adapts a Router (plus its AODV substrate) to
-// stack.RoutingNode.
-type stackNode struct {
-	uni     *aodv.Router
-	r       *Router
-	payload uint16
-}
-
-func (n *stackNode) Join(g pkt.GroupID)                         { n.r.Join(g) }
-func (n *stackNode) SendData(g pkt.GroupID) (pkt.SeqKey, error) { return n.r.SendData(g) }
-func (n *stackNode) Delivered() uint64                          { return n.r.Stats().DataDelivered }
-func (n *stackNode) PayloadLen() uint16                         { return n.payload }
-func (n *stackNode) Start()                                     { n.uni.Start() }
-
-func (n *stackNode) OnDeliver(fn func(g pkt.GroupID, d *pkt.Data)) {
-	n.r.OnDeliver(func(g pkt.GroupID, d *pkt.Data, _ pkt.NodeID) { fn(g, d) })
-}
-
-// Unicast exposes the AODV substrate so recovery layers can reuse it
-// for reply routing and hop estimates instead of building their own.
-func (n *stackNode) Unicast() *aodv.Router { return n.uni }
-
-// GossipTree exposes the multicast tree as an AG walk substrate.
-func (n *stackNode) GossipTree() gossip.Tree { return treeAdapter{n.r} }
-
-// OnMemberEvidence forwards MAODV's incidental membership knowledge
-// (paper §4.2) to a recovery layer's member cache.
-func (n *stackNode) OnMemberEvidence(fn func(g pkt.GroupID, member pkt.NodeID, hops uint8)) {
-	n.r.OnMemberEvidence(fn)
-}
-
-// treeAdapter exposes a Router through the gossip.Tree interface.
-type treeAdapter struct{ r *Router }
-
-func (t treeAdapter) NextHops(g pkt.GroupID) []gossip.NextHop {
-	hops := t.r.TreeNextHops(g)
-	out := make([]gossip.NextHop, len(hops))
-	for i, h := range hops {
-		out[i] = gossip.NextHop{ID: h.ID, Nearest: h.Nearest}
-	}
-	return out
-}
-
-func (t treeAdapter) IsMember(g pkt.GroupID) bool { return t.r.IsMember(g) }

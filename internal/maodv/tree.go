@@ -236,17 +236,8 @@ func (r *Router) onGRPH(p *pkt.Packet, from pkt.NodeID) {
 	r.adoptGroupInfo(g, h, from)
 
 	// Reflood, jittered against hidden-terminal synchronisation.
-	if p.TTL > 1 {
-		cp := p.Clone()
-		cp.TTL--
-		body, okBody := cp.Body.(*pkt.GRPH)
-		if !okBody {
-			return
-		}
-		body.HopCount = satAdd8(h.HopCount, 1)
-		r.sched.After(r.rng.Duration(r.cfg.FloodJitter), func() {
-			r.stack.SendBroadcast(cp)
-		})
+	if cp := r.stack.Rebroadcast(p, r.rng, r.cfg.FloodJitter); cp != nil {
+		cp.Body.(*pkt.GRPH).HopCount = satAdd8(h.HopCount, 1)
 	}
 }
 

@@ -12,13 +12,8 @@ package node
 import (
 	"fmt"
 
-	"anongossip/internal/mac"
-	"anongossip/internal/mobility"
 	"anongossip/internal/pkt"
-	"anongossip/internal/radio"
 	rt "anongossip/internal/runtime"
-	"anongossip/internal/runtime/simrt"
-	"anongossip/internal/sim"
 	"anongossip/internal/trace"
 )
 
@@ -100,20 +95,6 @@ func NewOnRuntime(runtime rt.Runtime) *Stack {
 	return s
 }
 
-// New builds a node stack on the simulation kernel, attaching a MAC
-// entity on medium for node id (the runtime/simrt path). It fails when
-// the medium already has a transceiver for id — a misconfigured
-// scenario (duplicate node IDs) must fail loudly rather than silently
-// sharing a radio.
-func New(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID,
-	pos mobility.Model, macCfg mac.Config) (*Stack, error) {
-	runtime, err := simrt.New(sched, rng, medium, id, pos, macCfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewOnRuntime(runtime), nil
-}
-
 // ID returns the node's address.
 func (s *Stack) ID() pkt.NodeID { return s.id }
 
@@ -181,7 +162,7 @@ func (s *Stack) traceEvent(op trace.Op, p *pkt.Packet, peer pkt.NodeID) {
 }
 
 // SendBroadcast transmits p to all neighbours (one hop). Flooding is a
-// protocol concern: handlers rebroadcast explicitly.
+// protocol concern: handlers relay explicitly, through Rebroadcast.
 func (s *Stack) SendBroadcast(p *pkt.Packet) {
 	s.transmit(p, pkt.Broadcast, false)
 }

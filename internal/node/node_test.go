@@ -9,6 +9,7 @@ import (
 	"anongossip/internal/mobility"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
+	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 )
 
@@ -41,11 +42,12 @@ func line(t *testing.T, n int) *env {
 	rng := sim.NewRNG(99)
 	for i := 0; i < n; i++ {
 		id := pkt.NodeID(i + 1)
-		st, err := New(e.sched, rng, e.medium, id,
+		runtime, err := simrt.New(e.sched, rng, e.medium, id,
 			mobility.Static{P: geom.Point{X: float64(i) * 50}}, mac.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
+		st := NewOnRuntime(runtime)
 		r := &staticRouter{table: map[pkt.NodeID]pkt.NodeID{}}
 		st.SetRouter(r)
 		e.stacks = append(e.stacks, st)

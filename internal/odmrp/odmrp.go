@@ -21,7 +21,6 @@ package odmrp
 
 import (
 	"errors"
-	"slices"
 	"time"
 
 	"anongossip/internal/gossip"
@@ -61,9 +60,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// DeliverFunc consumes data delivered to a member application.
-type DeliverFunc func(group pkt.GroupID, d *pkt.Data, from pkt.NodeID)
-
 // Stats counts ODMRP activity at one node.
 type Stats struct {
 	QueriesSent      uint64
@@ -74,11 +70,6 @@ type Stats struct {
 	DataDelivered    uint64
 	DataForwarded    uint64
 	DataDuplicates   uint64
-}
-
-// meshLink is a soft-state mesh neighbour.
-type meshLink struct {
-	expires sim.Time
 }
 
 // sourceRoute is the reverse path toward one source.
@@ -96,12 +87,11 @@ type groupState struct {
 	forwardingUntil sim.Time
 	// routes tracks the freshest reverse path per source.
 	routes map[pkt.NodeID]*sourceRoute
-	// links are mesh neighbours usable by the gossip walk.
-	links map[pkt.NodeID]*meshLink
+	// links maps mesh neighbours usable by the gossip walk to the expiry
+	// of their soft state.
+	links map[pkt.NodeID]sim.Time
 
-	dataSeen  map[pkt.SeqKey]struct{}
-	dataOrder []pkt.SeqKey
-	dataNext  int
+	data node.SeqCache
 
 	refreshTimer sim.Timer
 	querySeq     uint32
@@ -116,7 +106,7 @@ type Router struct {
 	rng   *sim.RNG
 
 	groups map[pkt.GroupID]*groupState
-	subs   []DeliverFunc
+	subs   []func(g pkt.GroupID, d *pkt.Data, from pkt.NodeID)
 	stats  Stats
 }
 
@@ -140,18 +130,32 @@ func New(st *node.Stack, rng *sim.RNG, cfg Config) *Router {
 }
 
 // OnDeliver subscribes to member deliveries.
-func (r *Router) OnDeliver(fn DeliverFunc) { r.subs = append(r.subs, fn) }
+func (r *Router) OnDeliver(fn func(g pkt.GroupID, d *pkt.Data, from pkt.NodeID)) {
+	r.subs = append(r.subs, fn)
+}
 
 // Stats returns a copy of the counters.
 func (r *Router) Stats() Stats { return r.stats }
+
+// Delivered counts unique data packets delivered to the member.
+func (r *Router) Delivered() uint64 { return r.stats.DataDelivered }
+
+// PayloadLen is the synthetic application payload size.
+func (r *Router) PayloadLen() uint16 { return r.cfg.PayloadLen }
+
+// Start does nothing: a source's refresh starts with its first send.
+func (r *Router) Start() {}
+
+// GossipTree exposes the mesh as an AG walk substrate.
+func (r *Router) GossipTree() gossip.Tree { return r }
 
 func (r *Router) groupState(g pkt.GroupID) *groupState {
 	gs, ok := r.groups[g]
 	if !ok {
 		gs = &groupState{
-			routes:   make(map[pkt.NodeID]*sourceRoute),
-			links:    make(map[pkt.NodeID]*meshLink),
-			dataSeen: make(map[pkt.SeqKey]struct{}),
+			routes: make(map[pkt.NodeID]*sourceRoute),
+			links:  make(map[pkt.NodeID]sim.Time),
+			data:   node.NewSeqCache(r.cfg.CacheSize),
 		}
 		r.groups[g] = gs
 	}
@@ -182,22 +186,8 @@ func (r *Router) NextHops(g pkt.GroupID) []gossip.NextHop {
 	if !ok {
 		return nil
 	}
-	now := r.sched.Now()
-	ids := make([]pkt.NodeID, 0, len(gs.links))
-	for id, l := range gs.links {
-		if l.expires > now {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
-	out := make([]gossip.NextHop, len(ids))
-	for i, id := range ids {
-		out[i] = gossip.NextHop{ID: id, Nearest: pkt.NearestUnknown}
-	}
-	return out
+	return gossip.LiveHops(gs.links, r.sched.Now())
 }
-
-var _ gossip.Tree = (*Router)(nil)
 
 // ErrNotMember reports SendData from a non-member.
 var ErrNotMember = errors.New("odmrp: node is not a member of the group")
@@ -214,7 +204,7 @@ func (r *Router) SendData(g pkt.GroupID) (pkt.SeqKey, error) {
 	}
 	gs.nextDataSeq++
 	d := &pkt.Data{Group: g, Origin: r.stack.ID(), Seq: gs.nextDataSeq, PayloadLen: r.cfg.PayloadLen}
-	r.noteData(gs, d.Key())
+	gs.data.Add(d.Key())
 	r.stats.DataSent++
 	r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, d))
 	return d.Key(), nil
@@ -262,18 +252,9 @@ func (r *Router) onJoinQuery(p *pkt.Packet, from pkt.NodeID) {
 	}
 
 	// Reflood.
-	if p.TTL > 1 {
-		cp := p.Clone()
-		cp.TTL--
-		body, okBody := cp.Body.(*pkt.JoinQuery)
-		if !okBody {
-			return
-		}
-		body.HopCount = q.HopCount + 1
+	if cp := r.stack.Rebroadcast(p, r.rng, r.cfg.FloodJitter); cp != nil {
+		cp.Body.(*pkt.JoinQuery).HopCount = q.HopCount + 1
 		r.stats.QueriesForwarded++
-		r.sched.After(r.rng.Duration(r.cfg.FloodJitter), func() {
-			r.stack.SendBroadcast(cp)
-		})
 	}
 }
 
@@ -313,11 +294,10 @@ func (r *Router) onData(p *pkt.Packet, from pkt.NodeID) {
 	if !have {
 		return
 	}
-	if _, dup := gs.dataSeen[d.Key()]; dup {
+	if !gs.data.Add(d.Key()) {
 		r.stats.DataDuplicates++
 		return
 	}
-	r.noteData(gs, d.Key())
 	r.touchLink(gs, from)
 
 	if gs.member {
@@ -328,42 +308,14 @@ func (r *Router) onData(p *pkt.Packet, from pkt.NodeID) {
 	}
 	// Forwarding-group nodes (and members, which always forward in
 	// ODMRP) rebroadcast within the mesh.
-	now := r.sched.Now()
-	if !gs.member && gs.forwardingUntil <= now {
-		return
+	forwards := gs.member || gs.forwardingUntil > r.sched.Now()
+	if forwards && r.stack.Rebroadcast(p, r.rng, r.cfg.ForwardJitter) != nil {
+		r.stats.DataForwarded++
 	}
-	if p.TTL <= 1 {
-		return
-	}
-	cp := p.Clone()
-	cp.TTL--
-	r.stats.DataForwarded++
-	r.sched.After(r.rng.Duration(r.cfg.ForwardJitter), func() {
-		r.stack.SendBroadcast(cp)
-	})
 }
 
 func (r *Router) touchLink(gs *groupState, id pkt.NodeID) {
-	l, ok := gs.links[id]
-	if !ok {
-		l = &meshLink{}
-		gs.links[id] = l
-	}
-	l.expires = r.sched.Now() + r.cfg.MeshLifetime
-}
-
-func (r *Router) noteData(gs *groupState, k pkt.SeqKey) {
-	if _, dup := gs.dataSeen[k]; dup {
-		return
-	}
-	if len(gs.dataOrder) < r.cfg.CacheSize {
-		gs.dataOrder = append(gs.dataOrder, k)
-	} else {
-		delete(gs.dataSeen, gs.dataOrder[gs.dataNext])
-		gs.dataOrder[gs.dataNext] = k
-		gs.dataNext = (gs.dataNext + 1) % r.cfg.CacheSize
-	}
-	gs.dataSeen[k] = struct{}{}
+	gs.links[id] = r.sched.Now() + r.cfg.MeshLifetime
 }
 
 func newerSeq(a, b uint32) bool { return int32(a-b) > 0 }

@@ -12,6 +12,7 @@ import (
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
+	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 )
 
@@ -23,10 +24,15 @@ type oworld struct {
 	delivered []int
 }
 
-type nullRouter struct{}
-
-func (nullRouter) NextHop(pkt.NodeID) (pkt.NodeID, bool) { return 0, false }
-func (nullRouter) QueueForRoute(*pkt.Packet)             {}
+// newStack puts a network layer on the simulated MAC and radio.
+func newStack(t *testing.T, sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID, pos mobility.Model) *node.Stack {
+	t.Helper()
+	rt, err := simrt.New(sched, rng, medium, id, pos, mac.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return node.NewOnRuntime(rt)
+}
 
 func buildO(t *testing.T, positions []geom.Point, members []int) *oworld {
 	t.Helper()
@@ -40,12 +46,8 @@ func buildO(t *testing.T, positions []geom.Point, members []int) *oworld {
 	for i, p := range positions {
 		i := i
 		id := pkt.NodeID(i + 1)
-		st, err := node.New(w.sched, rng.Derive(id.String()), medium, id,
-			mobility.Static{P: p}, mac.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.SetRouter(nullRouter{})
+		st := newStack(t, w.sched, rng.Derive(id.String()), medium, id, mobility.Static{P: p})
+		st.SetRouter(node.NullRouter{})
 		r := New(st, rng.Derive("o/"+id.String()), DefaultConfig())
 		if isMember[i] {
 			r.Join(group)
@@ -146,11 +148,7 @@ func TestGossipOverODMRP(t *testing.T) {
 	members := map[int]bool{0: true, 3: true}
 	for i, p := range positions {
 		id := pkt.NodeID(i + 1)
-		st, err := node.New(sched, rng.Derive(id.String()), medium, id,
-			mobility.Static{P: p}, mac.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := newStack(t, sched, rng.Derive(id.String()), medium, id, mobility.Static{P: p})
 		// Gossip replies are unicast: AODV supplies the routes, exactly
 		// as in the MAODV deployment.
 		uni := aodv.New(st, rng.Derive("a/"+id.String()), aodv.DefaultConfig())
@@ -214,11 +212,7 @@ func TestNewRejectsNonPositiveCacheSize(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.CacheSize = size
 		sched := sim.NewScheduler()
-		st, err := node.New(sched, sim.NewRNG(1), radio.NewMedium(sched, radio.Params{Range: 60}),
-			1, mobility.Static{}, mac.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := newStack(t, sched, sim.NewRNG(1), radio.NewMedium(sched, radio.Params{Range: 60}), 1, mobility.Static{})
 		func() {
 			defer func() {
 				if got := recover(); got != "odmrp: CacheSize must be positive" {

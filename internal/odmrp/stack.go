@@ -5,7 +5,6 @@ import (
 
 	"anongossip/internal/gossip"
 	"anongossip/internal/node"
-	"anongossip/internal/pkt"
 	"anongossip/internal/stack"
 )
 
@@ -13,35 +12,22 @@ import (
 // generalisation target (§5.5, §7).
 func init() { stack.RegisterRouting(stackBuilder{}) }
 
+// The Router is its own stack node and, through GossipTree, the gossip
+// builder's walk substrate.
+var (
+	_ stack.RoutingNode                     = (*Router)(nil)
+	_ interface{ GossipTree() gossip.Tree } = (*Router)(nil)
+)
+
 type stackBuilder struct{}
 
 func (stackBuilder) Name() string { return "odmrp" }
 
 func (stackBuilder) Build(env stack.Env) stack.RoutingNode {
-	cfg := stack.Param(env.Params, "odmrp", DefaultConfig)
-	or := New(env.Stack, env.RNG.Derive(fmt.Sprintf("odmrp/%d", env.Index)), cfg)
+	or := New(env.Stack, env.RNG.Derive(fmt.Sprintf("odmrp/%d", env.Index)),
+		stack.Param(env.Params, "odmrp", DefaultConfig))
 	// ODMRP needs no unicast routing of its own; a recovery layer that
 	// does (gossip replies are unicast) installs AODV over this.
 	env.Stack.SetRouter(node.NullRouter{})
-	return &stackNode{r: or, payload: cfg.PayloadLen}
+	return or
 }
-
-// stackNode adapts a Router to stack.RoutingNode.
-type stackNode struct {
-	r       *Router
-	payload uint16
-}
-
-func (n *stackNode) Join(g pkt.GroupID)                         { n.r.Join(g) }
-func (n *stackNode) SendData(g pkt.GroupID) (pkt.SeqKey, error) { return n.r.SendData(g) }
-func (n *stackNode) Delivered() uint64                          { return n.r.Stats().DataDelivered }
-func (n *stackNode) PayloadLen() uint16                         { return n.payload }
-func (n *stackNode) Start()                                     {}
-
-func (n *stackNode) OnDeliver(fn func(g pkt.GroupID, d *pkt.Data)) {
-	n.r.OnDeliver(func(g pkt.GroupID, d *pkt.Data, _ pkt.NodeID) { fn(g, d) })
-}
-
-// GossipTree exposes the mesh as an AG walk substrate; the Router
-// already satisfies gossip.Tree directly.
-func (n *stackNode) GossipTree() gossip.Tree { return n.r }

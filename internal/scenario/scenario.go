@@ -171,6 +171,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: %w", err)
 	}
 	recovers := spec.Recovery != ""
+	// Layer blocks are checked only on the stacks that build the layer:
+	// MAODV runs over AODV, and gossip installs AODV for its replies.
+	unicast := spec.Routing == "maodv" || recovers
 	// The negated float comparisons also reject NaN (NaN > 0 is false),
 	// which a plain `<= 0` would let through.
 	switch {
@@ -200,6 +203,22 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: non-positive gossip interval %v", c.Gossip.Interval)
 	case recovers && !(probability(c.Gossip.PAnon) && probability(c.Gossip.AcceptProb)):
 		return fmt.Errorf("scenario: gossip PAnon %v or AcceptProb %v is not in [0,1]", c.Gossip.PAnon, c.Gossip.AcceptProb)
+	case recovers && (c.Gossip.MaxReplyMsgs < 0 || c.Gossip.LostBufferCap < 0 || c.Gossip.CacheCap < 0):
+		return fmt.Errorf("scenario: negative gossip bound (MaxReplyMsgs %d, LostBufferCap %d, CacheCap %d)",
+			c.Gossip.MaxReplyMsgs, c.Gossip.LostBufferCap, c.Gossip.CacheCap)
+	case c.MAC.CWMin < 0 || c.MAC.CWMax < 0:
+		return fmt.Errorf("scenario: negative MAC contention window [%d, %d]", c.MAC.CWMin, c.MAC.CWMax)
+	case unicast && c.AODV.HelloInterval <= 0:
+		// Like a gossip round, the neighbour sweep and an ODMRP source's
+		// refresh re-arm themselves one period later.
+		return fmt.Errorf("scenario: non-positive AODV hello interval %v", c.AODV.HelloInterval)
+	case spec.Routing == "maodv" && c.MAODV.DataCacheSize <= 0:
+		return fmt.Errorf("scenario: non-positive MAODV data cache size %d", c.MAODV.DataCacheSize)
+	case spec.Routing == "flood" && c.Flood.CacheSize <= 0:
+		return fmt.Errorf("scenario: non-positive flood cache size %d", c.Flood.CacheSize)
+	case spec.Routing == "odmrp" && (c.ODMRP.CacheSize <= 0 || c.ODMRP.RefreshInterval <= 0):
+		return fmt.Errorf("scenario: non-positive ODMRP cache size %d or refresh interval %v",
+			c.ODMRP.CacheSize, c.ODMRP.RefreshInterval)
 	case c.MetricsWindow < 0:
 		return fmt.Errorf("scenario: negative metrics window %v", c.MetricsWindow)
 	case c.MetricsWindow > 0 && c.Duration/c.MetricsWindow > maxMetricsWindows:

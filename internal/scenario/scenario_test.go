@@ -61,6 +61,13 @@ func TestConfigValidate(t *testing.T) {
 	if err := bare.Validate(); err != nil {
 		t.Fatalf("bare MAODV with an unset gossip interval rejected: %v", err)
 	}
+	// Likewise bare flooding builds neither AODV, MAODV, ODMRP nor gossip.
+	flood := shortConfig()
+	flood.Stack = bareFlood
+	flood.AODV.HelloInterval, flood.MAODV.DataCacheSize, flood.ODMRP.CacheSize, flood.Gossip.CacheCap = 0, 0, 0, -1
+	if err := flood.Validate(); err != nil {
+		t.Fatalf("bare flooding with unset blocks of layers it never builds rejected: %v", err)
+	}
 	tests := []struct {
 		name   string
 		mutate func(*Config)
@@ -91,6 +98,19 @@ func TestConfigValidate(t *testing.T) {
 		{"nan panon", func(c *Config) { c.Gossip.PAnon = math.NaN() }},
 		{"negative accept probability", func(c *Config) { c.Gossip.AcceptProb = -0.5 }},
 		{"metrics window far below the run", func(c *Config) { c.MetricsWindow = time.Nanosecond }},
+		// Layer bounds a router or engine indexes, slices or re-arms a
+		// timer with: each panicked or never returned before Validate
+		// checked it.
+		{"zero flood cache", func(c *Config) { c.Stack, c.Flood.CacheSize = bareFlood, 0 }},
+		{"zero odmrp cache", func(c *Config) { c.Stack, c.ODMRP.CacheSize = bareODMRP, 0 }},
+		{"zero maodv data cache", func(c *Config) { c.Stack, c.MAODV.DataCacheSize = bareMAODV, 0 }},
+		{"negative max reply msgs", func(c *Config) { c.Gossip.MaxReplyMsgs = -1 }},
+		{"negative lost buffer cap", func(c *Config) { c.Gossip.LostBufferCap = -1 }},
+		{"negative member cache cap", func(c *Config) { c.Gossip.CacheCap = -1 }},
+		{"negative cw min", func(c *Config) { c.MAC.CWMin = -1 }},
+		{"negative cw max", func(c *Config) { c.MAC.CWMax = -1 }},
+		{"zero aodv hello interval", func(c *Config) { c.AODV.HelloInterval = 0 }},
+		{"zero odmrp refresh interval", func(c *Config) { c.Stack, c.ODMRP.RefreshInterval = bareODMRP, 0 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

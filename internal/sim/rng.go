@@ -61,9 +61,6 @@ func (g *RNG) Float64() float64 { return g.src().Float64() }
 // Intn returns a uniform value in [0, n). n must be > 0.
 func (g *RNG) Intn(n int) int { return g.src().Intn(n) }
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (g *RNG) Int63() int64 { return g.src().Int63() }
-
 // Uniform returns a uniform value in [lo, hi). If hi <= lo it returns lo.
 func (g *RNG) Uniform(lo, hi float64) float64 {
 	if hi <= lo {

@@ -51,7 +51,7 @@ func (n *Node) OnDeliver(fn func(g pkt.GroupID, d *pkt.Data, recovered bool)) {
 		n.recovery.OnDeliver(fn)
 		return
 	}
-	n.routing.OnDeliver(func(g pkt.GroupID, d *pkt.Data) { fn(g, d, false) })
+	n.routing.OnDeliver(func(g pkt.GroupID, d *pkt.Data, _ pkt.NodeID) { fn(g, d, false) })
 }
 
 // Start activates background behaviour (beacons, hellos, a unicast

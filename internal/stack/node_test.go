@@ -13,7 +13,7 @@ import (
 // one shared journal, so a test can read the order Node drove them in.
 type recRouting struct {
 	log       *[]string
-	deliver   func(pkt.GroupID, *pkt.Data)
+	deliver   func(pkt.GroupID, *pkt.Data, pkt.NodeID)
 	sendErr   error
 	delivered uint64
 }
@@ -23,10 +23,10 @@ func (r *recRouting) SendData(pkt.GroupID) (pkt.SeqKey, error) {
 	*r.log = append(*r.log, "routing.SendData")
 	return pkt.SeqKey{Origin: 1, Seq: 9}, r.sendErr
 }
-func (r *recRouting) OnDeliver(fn func(pkt.GroupID, *pkt.Data)) { r.deliver = fn }
-func (r *recRouting) Delivered() uint64                         { return r.delivered }
-func (r *recRouting) PayloadLen() uint16                        { return 64 }
-func (r *recRouting) Start()                                    { *r.log = append(*r.log, "routing.Start") }
+func (r *recRouting) OnDeliver(fn func(pkt.GroupID, *pkt.Data, pkt.NodeID)) { r.deliver = fn }
+func (r *recRouting) Delivered() uint64                                     { return r.delivered }
+func (r *recRouting) PayloadLen() uint16                                    { return 64 }
+func (r *recRouting) Start()                                                { *r.log = append(*r.log, "routing.Start") }
 
 type recRecovery struct {
 	log     *[]string
@@ -95,7 +95,7 @@ func TestAssembleBareNode(t *testing.T) {
 	if rec.deliver != nil {
 		t.Fatal("bare node subscribed to a recovery layer")
 	}
-	rt.deliver(1, &pkt.Data{})
+	rt.deliver(1, &pkt.Data{}, 2)
 	if !slices.Equal(got, []bool{false}) {
 		t.Fatalf("deliveries = %v, want one routing delivery", got)
 	}

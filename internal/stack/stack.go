@@ -69,8 +69,8 @@ type RoutingNode interface {
 	// returning its sequence key.
 	SendData(g pkt.GroupID) (pkt.SeqKey, error)
 	// OnDeliver subscribes to application-level data deliveries at this
-	// member.
-	OnDeliver(fn func(g pkt.GroupID, d *pkt.Data))
+	// member; from is the neighbour the packet arrived from.
+	OnDeliver(fn func(g pkt.GroupID, d *pkt.Data, from pkt.NodeID))
 	// Delivered reports the count of unique data packets delivered to
 	// the member application.
 	Delivered() uint64
