@@ -27,8 +27,8 @@
 // # Composing stacks
 //
 // The protocol stack under test is composed from two axes — a multicast
-// routing protocol and an optional loss-recovery layer — resolved
-// through a registry (Stacks lists what is available):
+// routing protocol and an optional loss-recovery layer — out of a fixed
+// table of six stacks (Stacks lists them):
 //
 //	cfg.Stack = anongossip.StackSpec{Routing: "flood", Recovery: "gossip"}
 //
@@ -51,21 +51,21 @@ import (
 	"anongossip/internal/stack"
 )
 
-// StackSpec composes a protocol stack from the two registry axes: a
-// routing protocol ("maodv", "odmrp", "flood") and an optional recovery
-// layer ("gossip"). Assign one to Config.Stack.
+// StackSpec composes a protocol stack from the two axes: a routing
+// protocol ("maodv", "odmrp", "flood") and an optional recovery layer
+// ("gossip"). Assign one to Config.Stack.
 type StackSpec = stack.Spec
 
-// Stacks lists every registered protocol stack (the cross product of
-// the routing and recovery axes) in deterministic order.
+// Stacks lists every protocol stack (the cross product of the routing
+// and recovery axes) in deterministic order.
 func Stacks() []StackSpec { return stack.Stacks() }
 
-// StackNames lists the canonical name of every registered stack.
+// StackNames lists the canonical name of every stack.
 func StackNames() []string { return stack.Names() }
 
 // StackByName resolves a stack name — canonical ("flood+gossip") or an
-// alias ("gossip", "odmrp-gossip") — against the registry. The
-// error of an unknown name lists every registered stack.
+// alias ("gossip", "odmrp-gossip") — to its spec. The error of an
+// unknown name lists every stack.
 func StackByName(name string) (StackSpec, error) { return stack.ByName(name) }
 
 // Config describes one simulation run; zero value is not usable — start

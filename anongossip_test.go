@@ -75,7 +75,7 @@ func TestSeeds(t *testing.T) {
 func TestFacadeStackRegistry(t *testing.T) {
 	stacks := anongossip.Stacks()
 	if len(stacks) != 6 {
-		t.Fatalf("registered stacks = %v, want 6", stacks)
+		t.Fatalf("stacks = %v, want 6", stacks)
 	}
 	names := anongossip.StackNames()
 	if len(names) != len(stacks) {

@@ -33,11 +33,11 @@
 // -json writes the machine-readable run record — per-point delivery
 // stats, logical events, wall time and events/sec.
 //
-// The -protocol flag picks the stack under test by registry name (e.g.
+// The -protocol flag picks the stack under test by name (e.g.
 // -protocol flood+gossip); its bare routing protocol becomes the
 // comparison baseline, so the tables generalise the paper's
-// Gossip-vs-Maodv pairing to any registered stack. -help lists the
-// registered stacks.
+// Gossip-vs-Maodv pairing to any composed stack. -help lists the
+// stacks.
 package main
 
 import (
@@ -202,7 +202,7 @@ func run(args []string) error {
 	var (
 		fig   = fs.String("fig", "all", "figure to regenerate: 2..8, large, dense, or all")
 		proto = fs.String("protocol", "maodv+gossip",
-			"stack under test by registry name ("+strings.Join(stack.Names(), " | ")+
+			"stack under test by name ("+strings.Join(stack.Names(), " | ")+
 				"); its bare routing is the comparison baseline")
 		seeds      = fs.Int("seeds", 3, "seeds per point (paper: 10)")
 		parallel   = fs.Int("parallel", 0, "concurrent runs (0 = NumCPU)")

@@ -30,7 +30,7 @@ func TestRunQuickLargeScale(t *testing.T) {
 	}
 }
 
-// TestRunStackProtocolFlag drives the registry-name -protocol flag: a
+// TestRunStackProtocolFlag drives the stack-name -protocol flag: a
 // composed stack is measured against its bare routing baseline.
 func TestRunStackProtocolFlag(t *testing.T) {
 	if testing.Short() {

@@ -12,8 +12,8 @@
 //	curl http://127.0.0.1:8002/stats
 //	curl -N http://127.0.0.1:8003/subscribe   # SSE delivery stream
 //
-// -stack accepts any stack the protocol registry knows ("flood",
-// "maodv", "odmrp+gossip", ...). Every node of a cluster must run the
+// -stack accepts any stack name or alias ("flood", "maodv",
+// "odmrp+gossip", "gossip", ...). Every node of a cluster must run the
 // same stack. Peer tables are static: each -peer names one remote node
 // and duplicate IDs — in the peer table or joining the transport — are
 // rejected at startup, exactly as the simulated radio rejects duplicate
@@ -42,12 +42,6 @@ import (
 	"anongossip/internal/runtime/netrt"
 	"anongossip/internal/stack"
 	"anongossip/internal/stats"
-
-	// Protocol packages register their stacks at init time.
-	_ "anongossip/internal/flood"
-	_ "anongossip/internal/gossip"
-	_ "anongossip/internal/maodv"
-	_ "anongossip/internal/odmrp"
 )
 
 // defaultGroup matches the simulator's single experiment group.

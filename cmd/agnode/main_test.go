@@ -73,9 +73,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 }
 
 // TestStackAliases pins that agnode resolves the alias spellings agsim
-// accepts and boots the stack they name: the aliases register with the
-// recovery layer they compose, not with a package only the simulator
-// links.
+// accepts and boots the stack they name.
 func TestStackAliases(t *testing.T) {
 	for name, want := range map[string]string{"gossip": "maodv+gossip", "odmrp-gossip": "odmrp+gossip"} {
 		spec, err := stack.ByName(name)

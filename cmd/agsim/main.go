@@ -10,9 +10,9 @@
 //	agsim -protocol gossip -nodes 40 -range 75 -speed 0.2 -seed 1
 //	agsim -protocol flood+gossip -range 55 -duration 600s -verbose
 //
-// The -protocol flag accepts any stack registered with the protocol
-// registry ("maodv", "maodv+gossip", "flood+gossip", ...) plus its
-// aliases ("gossip", "odmrp-gossip"); -help lists them.
+// The -protocol flag accepts any stack name ("maodv", "maodv+gossip",
+// "flood+gossip", ...) plus the aliases ("gossip", "odmrp-gossip");
+// -help lists them.
 package main
 
 import (
@@ -38,7 +38,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("agsim", flag.ContinueOnError)
 	var (
 		protocol = fs.String("protocol", "gossip",
-			"protocol stack by registry name: "+strings.Join(anongossip.StackNames(), " | ")+
+			"protocol stack by name: "+strings.Join(anongossip.StackNames(), " | ")+
 				" (aliases: gossip = maodv+gossip, odmrp-gossip = odmrp+gossip)")
 		nodes      = fs.Int("nodes", 40, "total node count")
 		members    = fs.Float64("members", 1.0/3.0, "fraction of nodes in the group")

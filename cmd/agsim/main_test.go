@@ -25,7 +25,7 @@ func TestRunShortSimulation(t *testing.T) {
 }
 
 func TestRunAllProtocols(t *testing.T) {
-	// Canonical registry names, bare and composed, and an alias spelling.
+	// Canonical stack names, bare and composed, and an alias spelling.
 	for _, p := range []string{"maodv", "flood", "flood+gossip", "odmrp-gossip"} {
 		if err := run([]string{"-protocol", p, "-nodes", "12", "-duration", "60s"}); err != nil {
 			t.Fatalf("protocol %s: %v", p, err)

@@ -1,10 +1,9 @@
 // Disaster relief: the paper's motivating scenario of field operations.
 // A large rescue team (half the nodes) moves slowly through a staging
 // area and must share situation updates reliably. The example runs
-// every stack registered with the protocol registry on the same seeds —
-// the paper's headline MAODV-vs-MAODV+AG comparison plus the mesh and
-// flooding axes, including flood+gossip, a combination composed purely
-// from registry data.
+// every stack of the table (anongossip.Stacks) on the same seeds — the
+// paper's headline MAODV-vs-MAODV+AG comparison plus the mesh and
+// flooding axes, including flood+gossip.
 //
 //	go run ./examples/disasterrelief
 package main

@@ -17,8 +17,6 @@ import (
 	"anongossip/internal/pkt"
 	"anongossip/internal/runtime/netrt"
 	"anongossip/internal/stack"
-
-	_ "anongossip/internal/flood" // register the "flood" routing stack
 )
 
 const group pkt.GroupID = 0xE0000001

@@ -14,9 +14,9 @@ import (
 func main() {
 	cfg := anongossip.DefaultConfig() // the paper's §5.1 environment
 	cfg.Seed = 42
-	// The stack under test is composed from the registry's two axes; the
-	// paper's headline stack is Anonymous Gossip over MAODV. Any other
-	// registered combination works the same way — try
+	// The stack under test is composed from two axes, routing and
+	// recovery; the paper's headline stack is Anonymous Gossip over
+	// MAODV. Any other of the six stacks works the same way — try
 	// {Routing: "flood", Recovery: "gossip"} or anongossip.StackByName.
 	cfg.Stack = anongossip.StackSpec{Routing: "maodv", Recovery: "gossip"}
 

@@ -108,12 +108,6 @@ func (r *Router) Stats() Stats { return r.stats }
 // Delivered counts unique data packets delivered to the member.
 func (r *Router) Delivered() uint64 { return r.stats.DataDelivered }
 
-// PayloadLen is the synthetic application payload size.
-func (r *Router) PayloadLen() uint16 { return r.cfg.PayloadLen }
-
-// Start does nothing: flooding has no background behaviour.
-func (r *Router) Start() {}
-
 // Join registers group membership (delivery only; flooding needs no
 // routing state).
 func (r *Router) Join(g pkt.GroupID) { r.members[g] = true }

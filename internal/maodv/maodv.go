@@ -259,19 +259,6 @@ func (r *Router) OnMemberEvidence(fn func(g pkt.GroupID, member pkt.NodeID, hops
 // Delivered counts unique data packets delivered to the member.
 func (r *Router) Delivered() uint64 { return r.stats.DataDelivered }
 
-// PayloadLen is the synthetic application payload size.
-func (r *Router) PayloadLen() uint16 { return r.cfg.PayloadLen }
-
-// Start begins the AODV substrate's hello beaconing.
-func (r *Router) Start() { r.uni.Start() }
-
-// Unicast exposes the AODV substrate so recovery layers can reuse it
-// for reply routing and hop estimates instead of building their own.
-func (r *Router) Unicast() *aodv.Router { return r.uni }
-
-// GossipTree exposes the multicast tree as an AG walk substrate.
-func (r *Router) GossipTree() gossip.Tree { return r }
-
 // IsMember reports group membership of this node.
 func (r *Router) IsMember(gid pkt.GroupID) bool {
 	g, ok := r.groups[gid]
@@ -548,10 +535,16 @@ func (r *Router) HandleJoinRREQ(req *pkt.RREQ, from pkt.NodeID) bool {
 func (r *Router) ObserveMulticastRREP(rep *pkt.RREP, from pkt.NodeID, atOrigin bool) {
 	g := r.groupState(pkt.GroupID(rep.Dst))
 	if !atOrigin {
-		g.rrepPaths[rep.RREQID] = rrepPath{
-			upstream: from,
-			expires:  r.sched.Now() + r.cfg.RREPPathLifetime,
+		// A path no MACT used expires unread; prune the dead ones here so
+		// the table holds only live paths (onMACTJoin already treats an
+		// expired entry as absent).
+		now := r.sched.Now()
+		for id, path := range g.rrepPaths {
+			if path.expires <= now {
+				delete(g.rrepPaths, id)
+			}
 		}
+		g.rrepPaths[rep.RREQID] = rrepPath{upstream: from, expires: now + r.cfg.RREPPathLifetime}
 		return
 	}
 	js := g.join

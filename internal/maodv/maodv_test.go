@@ -402,6 +402,34 @@ func TestDataCacheBounded(t *testing.T) {
 	}
 }
 
+// TestRREPPathsExpire relays multicast RREPs that no MACT follows: paths
+// recorded within RREPPathLifetime of each other coexist, but one
+// recorded after the others expired leaves only itself.
+func TestRREPPathsExpire(t *testing.T) {
+	w := buildM(t, 60, []geom.Point{{X: 0}})
+	r := w.routers[0]
+	life := r.cfg.RREPPathLifetime
+	relay := func(at sim.Time, id uint32) {
+		w.sched.At(at, func() {
+			r.ObserveMulticastRREP(&pkt.RREP{Flags: pkt.RREPMulticast, Dst: uint32(testGroup), RREQID: id}, 2, false)
+		})
+	}
+	relay(time.Second, 1)
+	relay(time.Second+life/2, 2)
+	w.sched.Run(time.Second + life/2)
+	if n := len(r.groups[testGroup].rrepPaths); n != 2 {
+		t.Fatalf("%d reply paths within one lifetime, want 2", n)
+	}
+	for k := uint32(3); k <= 12; k++ {
+		relay(sim.Time(k)*(life+time.Millisecond), k)
+	}
+	w.sched.Run(13 * (life + time.Millisecond))
+	paths := r.groups[testGroup].rrepPaths
+	if _, ok := paths[12]; !ok || len(paths) > 1 {
+		t.Fatalf("reply paths after RREPs a lifetime apart = %v, want only the last", paths)
+	}
+}
+
 func TestSatAdd8(t *testing.T) {
 	tests := []struct {
 		a, b, want uint8

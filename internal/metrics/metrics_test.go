@@ -186,7 +186,7 @@ func TestWindowJSONAndCSV(t *testing.T) {
 	}
 }
 
-func TestRegistryPrometheus(t *testing.T) {
+func TestWritePrometheus(t *testing.T) {
 	families := []Family{
 		{Name: "ag_hits_total", Help: "Total hits.", Kind: KindCounter,
 			Samples: []Sample{{Labels: []Label{{"layer", "data"}}, Value: 42}}},

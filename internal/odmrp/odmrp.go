@@ -140,15 +140,6 @@ func (r *Router) Stats() Stats { return r.stats }
 // Delivered counts unique data packets delivered to the member.
 func (r *Router) Delivered() uint64 { return r.stats.DataDelivered }
 
-// PayloadLen is the synthetic application payload size.
-func (r *Router) PayloadLen() uint16 { return r.cfg.PayloadLen }
-
-// Start does nothing: a source's refresh starts with its first send.
-func (r *Router) Start() {}
-
-// GossipTree exposes the mesh as an AG walk substrate.
-func (r *Router) GossipTree() gossip.Tree { return r }
-
 func (r *Router) groupState(g pkt.GroupID) *groupState {
 	gs, ok := r.groups[g]
 	if !ok {

@@ -13,8 +13,8 @@ import (
 type ProtocolConfig struct {
 	// Node configures the runtime layer (identity, time scale, inbox).
 	Node NodeConfig
-	// Stack names the protocol stack to run; the zero Spec means the
-	// registry default "flood".
+	// Stack names the protocol stack to run; the zero Spec means
+	// "flood". Every layer runs on its package defaults.
 	Stack stack.Spec
 	// Seed seeds the node's RNG tree, derived by the node's identity:
 	// two nodes on one seed draw independent streams (unlike a
@@ -45,11 +45,8 @@ func NewProtocolNode(cfg ProtocolConfig, tr Transport) (*ProtocolNode, error) {
 		return nil, fmt.Errorf("netrt: join as %v: %w", cfg.Node.ID, err)
 	}
 	st := node.NewOnRuntime(rt)
-	n, err := stack.Assemble(spec, stack.Env{
-		Stack: st,
-		RNG:   sim.NewRNG(cfg.Seed).Derive(fmt.Sprintf("netrt/%d", cfg.Node.ID)),
-		Index: int(cfg.Node.ID),
-	})
+	rng := sim.NewRNG(cfg.Seed).Derive(fmt.Sprintf("netrt/%d", cfg.Node.ID))
+	n, err := stack.Assemble(spec, st, rng, int(cfg.Node.ID), stack.DefaultParams())
 	if err != nil {
 		rt.Close()
 		return nil, fmt.Errorf("netrt: %w", err)

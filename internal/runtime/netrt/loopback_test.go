@@ -6,7 +6,7 @@ import (
 
 	"anongossip/internal/pkt"
 	"anongossip/internal/runtime/netrt"
-	"anongossip/internal/scenario" // registers every protocol stack
+	"anongossip/internal/scenario"
 	"anongossip/internal/stack"
 )
 

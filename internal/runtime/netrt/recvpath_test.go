@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	_ "anongossip/internal/flood"  // registers the "flood" routing axis
-	_ "anongossip/internal/gossip" // registers the "gossip" recovery axis
 	"anongossip/internal/pkt"
 	"anongossip/internal/stack"
 )

@@ -12,13 +12,13 @@ import (
 	"anongossip/internal/stack"
 )
 
-// The golden digests pin the exact per-member outcome of every
-// registered stack at fixed seeds. All but the flood+gossip rows were
-// recorded from the pre-registry code (a Protocol enum dispatched by
-// switches) and have been carried, value for value, through the
-// registry redesign and every refactor since; a stack registered later
-// gets its rows the day it registers, because the cases iterate the
-// registry.
+// The golden digests pin the exact per-member outcome of every stack
+// of the table at fixed seeds. All but the flood+gossip rows were
+// recorded from the code before stacks were composed (a Protocol enum
+// dispatched by switches) and have been carried, value for value,
+// through every redesign of the assembly since; a stack added to the
+// table gets its rows the day it is added, because the cases iterate
+// stack.Stacks.
 //
 // The Large250 row pins one 250-node large-scale run, where the radio's
 // grid spans 7×7 cells instead of the 25-node rows' 4×4. It was recorded
@@ -107,7 +107,7 @@ func goldenCases() []goldenCase {
 }
 
 // TestStackGolden is the differential test behind every refactor: each
-// registered stack, assembled through whatever path the current code
+// stack, assembled through whatever path the current code
 // uses, must reproduce its recorded results exactly.
 func TestStackGolden(t *testing.T) {
 	cases := goldenCases()
@@ -143,7 +143,7 @@ func TestStackGolden(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatalf("corrupt golden file: %v", err)
 	}
-	// Walk the cases, not the file: a stack registered since the file was
+	// Walk the cases, not the file: a stack added since the file was
 	// recorded fails here by name until its rows are added.
 	for _, c := range cases {
 		w, ok := want[c.key]
@@ -159,6 +159,6 @@ func TestStackGolden(t *testing.T) {
 		}
 	}
 	for k := range want {
-		t.Errorf("%s: golden row matches no registered stack", k)
+		t.Errorf("%s: golden row matches no stack", k)
 	}
 }

@@ -39,9 +39,9 @@ const Group pkt.GroupID = 0xE0000001
 
 // Config describes one simulation run.
 type Config struct {
-	// Stack composes the protocol stack under test by registry name: a
-	// routing protocol ("maodv", "odmrp", "flood") plus an optional
-	// recovery layer ("gossip").
+	// Stack composes the protocol stack under test: a routing protocol
+	// ("maodv", "odmrp", "flood") plus an optional recovery layer
+	// ("gossip").
 	Stack stack.Spec
 	// Protocol is retired: the enum it held is deleted and Validate
 	// rejects a non-zero value. The field survives only until
@@ -163,11 +163,11 @@ func (c Config) Spec() stack.Spec { return c.Stack.Normalize() }
 // run length (-metrics-window 1ns) would tick for hours.
 const maxMetricsWindows = 100_000
 
-// Validate reports configuration errors. Stack validation is a registry
-// lookup: the error of an unknown stack lists every registered name.
+// Validate reports configuration errors. The error of an unknown stack
+// lists every stack name.
 func (c Config) Validate() error {
 	spec := c.Spec()
-	if _, _, err := stack.Default.Resolve(spec); err != nil {
+	if err := stack.Check(spec); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
 	recovers := spec.Recovery != ""
@@ -197,6 +197,8 @@ func (c Config) Validate() error {
 		// DataEnd < DataStart stays legal: it is the empty window of a
 		// construction-only run (ExpectedPackets reports 0).
 		return fmt.Errorf("scenario: data window [%v, %v] starts or ends before time zero", c.DataStart, c.DataEnd)
+	case c.DataInterval <= 0:
+		return fmt.Errorf("scenario: non-positive data interval %v", c.DataInterval)
 	case recovers && c.Gossip.Interval <= 0:
 		// A round re-arms itself Interval later: at zero, simulated time
 		// would never advance past the first round.
@@ -208,12 +210,22 @@ func (c Config) Validate() error {
 			c.Gossip.MaxReplyMsgs, c.Gossip.LostBufferCap, c.Gossip.CacheCap)
 	case c.MAC.CWMin < 0 || c.MAC.CWMax < 0:
 		return fmt.Errorf("scenario: negative MAC contention window [%d, %d]", c.MAC.CWMin, c.MAC.CWMax)
+	case !(c.MAC.BitRate > 0) || math.IsInf(c.MAC.BitRate, 1):
+		return fmt.Errorf("scenario: MAC bit rate %v is not positive and finite", c.MAC.BitRate)
+	case c.MAC.SlotTime < 0 || c.MAC.PhyOverhead < 0:
+		return fmt.Errorf("scenario: negative MAC slot time %v or PHY overhead %v", c.MAC.SlotTime, c.MAC.PhyOverhead)
+	case c.MAC.HeaderBytes < 0 || c.MAC.AckBytes < 0:
+		return fmt.Errorf("scenario: negative MAC header %d or ACK size %d", c.MAC.HeaderBytes, c.MAC.AckBytes)
 	case unicast && c.AODV.HelloInterval <= 0:
 		// Like a gossip round, the neighbour sweep and an ODMRP source's
 		// refresh re-arm themselves one period later.
 		return fmt.Errorf("scenario: non-positive AODV hello interval %v", c.AODV.HelloInterval)
 	case spec.Routing == "maodv" && c.MAODV.DataCacheSize <= 0:
 		return fmt.Errorf("scenario: non-positive MAODV data cache size %d", c.MAODV.DataCacheSize)
+	case spec.Routing == "maodv" && c.MAODV.GroupHelloInterval <= 0:
+		// The leader's GRPH tick re-arms one interval later, like the
+		// gossip round.
+		return fmt.Errorf("scenario: non-positive MAODV group hello interval %v", c.MAODV.GroupHelloInterval)
 	case spec.Routing == "flood" && c.Flood.CacheSize <= 0:
 		return fmt.Errorf("scenario: non-positive flood cache size %d", c.Flood.CacheSize)
 	case spec.Routing == "odmrp" && (c.ODMRP.CacheSize <= 0 || c.ODMRP.RefreshInterval <= 0):
@@ -402,13 +414,7 @@ func build(cfg Config) (*world, error) {
 		w.chm = &metrics.ChannelCounters{}
 	}
 
-	params := stack.Params{
-		"aodv":   cfg.AODV,
-		"maodv":  cfg.MAODV,
-		"flood":  cfg.Flood,
-		"odmrp":  cfg.ODMRP,
-		"gossip": cfg.Gossip,
-	}
+	params := stack.Params{AODV: cfg.AODV, MAODV: cfg.MAODV, Flood: cfg.Flood, ODMRP: cfg.ODMRP, Gossip: cfg.Gossip}
 
 	spec, noteLatency := cfg.Spec(), w.noteLatency
 	for i := 0; i < cfg.Nodes; i++ {
@@ -429,7 +435,7 @@ func build(cfg Config) (*world, error) {
 		w.rts = append(w.rts, rt)
 		w.stacks = append(w.stacks, st)
 
-		n, err := stack.Assemble(spec, stack.Env{Stack: st, RNG: root, Index: i, Params: params})
+		n, err := stack.Assemble(spec, st, root, i, params)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}

@@ -65,6 +65,7 @@ func TestConfigValidate(t *testing.T) {
 	flood := shortConfig()
 	flood.Stack = bareFlood
 	flood.AODV.HelloInterval, flood.MAODV.DataCacheSize, flood.ODMRP.CacheSize, flood.Gossip.CacheCap = 0, 0, 0, -1
+	flood.MAODV.GroupHelloInterval = 0
 	if err := flood.Validate(); err != nil {
 		t.Fatalf("bare flooding with unset blocks of layers it never builds rejected: %v", err)
 	}
@@ -111,6 +112,20 @@ func TestConfigValidate(t *testing.T) {
 		{"negative cw max", func(c *Config) { c.MAC.CWMax = -1 }},
 		{"zero aodv hello interval", func(c *Config) { c.AODV.HelloInterval = 0 }},
 		{"zero odmrp refresh interval", func(c *Config) { c.Stack, c.ODMRP.RefreshInterval = bareODMRP, 0 }},
+		// Each of these ran without error: the first two never returned,
+		// the rest sent their packets and delivered none or few.
+		{"negative maodv group hello interval", func(c *Config) { c.MAODV.GroupHelloInterval = -time.Second }},
+		{"zero maodv group hello interval", func(c *Config) { c.MAODV.GroupHelloInterval, c.MAODV.GroupHelloJitter = 0, 0 }},
+		{"zero bit rate", func(c *Config) { c.MAC.BitRate = 0 }},
+		{"negative bit rate", func(c *Config) { c.MAC.BitRate = -1 }},
+		{"nan bit rate", func(c *Config) { c.MAC.BitRate = math.NaN() }},
+		{"inf bit rate", func(c *Config) { c.MAC.BitRate = math.Inf(1) }},
+		{"negative phy overhead", func(c *Config) { c.MAC.PhyOverhead = -time.Second }},
+		{"negative header bytes", func(c *Config) { c.MAC.HeaderBytes = -100 }},
+		{"negative slot time", func(c *Config) { c.MAC.SlotTime = -time.Millisecond }},
+		{"negative ack bytes", func(c *Config) { c.MAC.AckBytes = -100 }},
+		{"zero data interval", func(c *Config) { c.DataInterval = 0 }},
+		{"negative data interval", func(c *Config) { c.DataInterval = -time.Second }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -8,8 +8,8 @@ import (
 	"anongossip/internal/stack"
 )
 
-// TestRegisteredStacks pins the composable stack set: three routing
-// protocols × (bare | gossip) = six stacks.
+// TestRegisteredStacks pins the stack table: three routing protocols ×
+// (bare | gossip) = six stacks.
 func TestRegisteredStacks(t *testing.T) {
 	want := []string{
 		"maodv", "maodv+gossip",
@@ -23,13 +23,13 @@ func TestRegisteredStacks(t *testing.T) {
 	}
 	for _, w := range want {
 		if !got[w] {
-			t.Fatalf("stack %q not registered (have %v)", w, names)
+			t.Fatalf("stack %q missing (have %v)", w, names)
 		}
 	}
 	if len(names) != len(want) {
-		t.Fatalf("registered %d stacks %v, want %d", len(names), names, len(want))
+		t.Fatalf("%d stacks %v, want %d", len(names), names, len(want))
 	}
-	// Every canonical name round-trips through the registry.
+	// Every canonical name round-trips through ByName.
 	for _, s := range stack.Stacks() {
 		back, err := stack.ByName(s.String())
 		if err != nil {
@@ -42,7 +42,7 @@ func TestRegisteredStacks(t *testing.T) {
 }
 
 // TestLegacyProtocolAliases checks every legacy CLI spelling and paper
-// figure label resolves to the right registry spec.
+// figure label resolves to the right spec.
 func TestLegacyProtocolAliases(t *testing.T) {
 	byName := map[string]stack.Spec{
 		"gossip":       maodvAG,
@@ -61,8 +61,8 @@ func TestLegacyProtocolAliases(t *testing.T) {
 	}
 }
 
-// TestValidateUnknownStackListsNames checks the registry-backed
-// Validate error names every registered stack.
+// TestValidateUnknownStackListsNames checks the Validate error of an
+// unknown stack names every stack.
 func TestValidateUnknownStackListsNames(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Stack = stack.Spec{Routing: "carrier-pigeon"}
@@ -77,7 +77,7 @@ func TestValidateUnknownStackListsNames(t *testing.T) {
 	}
 }
 
-// TestFloodGossipStack exercises the sixth registered stack end to end:
+// TestFloodGossipStack exercises the sixth stack end to end:
 // Anonymous Gossip over plain flooding. At a short 45 m range flooding drops plenty of packets;
 // the gossip layer must recover some of them and never hurt the mean.
 func TestFloodGossipStack(t *testing.T) {

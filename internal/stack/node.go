@@ -3,40 +3,129 @@ package stack
 import (
 	"fmt"
 
+	"anongossip/internal/aodv"
+	"anongossip/internal/flood"
+	"anongossip/internal/gossip"
+	"anongossip/internal/maodv"
+	"anongossip/internal/node"
+	"anongossip/internal/odmrp"
 	"anongossip/internal/pkt"
+	"anongossip/internal/sim"
 )
 
-// Node is one node's assembled protocol stack: a routing instance and,
-// for composed stacks, the recovery instance layered over it. It is the
-// one place that knows how the two fit together, so the simulated
-// scenario and the live runtime drive the same object and neither asks
-// whether a recovery layer is present.
-type Node struct {
-	spec     Spec
-	routing  RoutingNode
-	recovery RecoveryNode // nil for bare routing
+// Params holds the per-layer configuration blocks. A stack reads only
+// the blocks of the layers it builds.
+type Params struct {
+	AODV   aodv.Config
+	MAODV  maodv.Config
+	Flood  flood.Config
+	ODMRP  odmrp.Config
+	Gossip gossip.Config
 }
 
-// Assemble resolves s and builds one node's stack in env: routing
-// first, then the recovery layer over it. It is the only caller of the
-// registered builders. Subscribe with OnDeliver, then call Start.
-func (r *Registry) Assemble(s Spec, env Env) (*Node, error) {
+// DefaultParams returns every layer's package defaults.
+func DefaultParams() Params {
+	return Params{
+		AODV:   aodv.DefaultConfig(),
+		MAODV:  maodv.DefaultConfig(),
+		Flood:  flood.DefaultConfig(),
+		ODMRP:  odmrp.DefaultConfig(),
+		Gossip: gossip.DefaultConfig(),
+	}
+}
+
+// RecoveryStats is the per-member outcome of a stack.
+type RecoveryStats struct {
+	// Delivered counts unique data packets obtained (routing + recovery).
+	Delivered uint64
+	// Recovered counts packets obtained through the recovery layer.
+	Recovered uint64
+	// ReplyNew/ReplyDup split recovery reply traffic into useful and
+	// redundant messages (the goodput numerator components, paper §5.5).
+	ReplyNew, ReplyDup uint64
+	// Goodput is the percentage of useful recovery traffic.
+	Goodput float64
+	// Rounds counts recovery rounds this member initiated and Replies
+	// the repair replies it received (the sampler's activity series).
+	Rounds, Replies uint64
+}
+
+// routing is what Node asks of a multicast router; the flood, maodv and
+// odmrp Routers satisfy it themselves.
+type routing interface {
+	Join(g pkt.GroupID)
+	SendData(g pkt.GroupID) (pkt.SeqKey, error)
+	OnDeliver(fn func(g pkt.GroupID, d *pkt.Data, from pkt.NodeID))
+	Delivered() uint64
+}
+
+// Node is one node's assembled protocol stack: a routing instance and,
+// for composed stacks, the gossip engine layered over it. It is the one
+// place that knows how the two fit together, so the simulated scenario
+// and the live runtime drive the same object and neither asks whether a
+// recovery layer is present.
+type Node struct {
+	spec    Spec
+	routing routing
+	// uni is the AODV substrate Start starts: MAODV's own, or the one a
+	// recovery layer installs for its unicast replies; nil otherwise.
+	uni *aodv.Router
+	// eng is the recovery layer; nil for bare routing.
+	eng *gossip.Engine
+	// payload is the routing's synthetic payload size, which the engine
+	// records for the packets this member originates.
+	payload uint16
+}
+
+// Assemble builds one node's stack s on st: the routing first, then the
+// gossip engine over it. Component RNG streams derive from rng under the
+// labels "<layer>/<index>". Subscribe with OnDeliver, then call Start.
+func Assemble(s Spec, st *node.Stack, rng *sim.RNG, index int, p Params) (*Node, error) {
 	s = s.Normalize()
-	routingB, recoveryB, err := r.Resolve(s)
-	if err != nil {
+	if err := Check(s); err != nil {
 		return nil, err
 	}
-	n := &Node{spec: s, routing: routingB.Build(env)}
-	if recoveryB != nil {
-		if n.recovery, err = recoveryB.Build(env, n.routing); err != nil {
-			return nil, fmt.Errorf("stack: assembling %v: %w", s, err)
+	derive := func(layer string) *sim.RNG { return rng.Derive(fmt.Sprintf("%s/%d", layer, index)) }
+	recovers := s.Recovery != ""
+	n := &Node{spec: s}
+	var (
+		tree gossip.Tree
+		mr   *maodv.Router
+	)
+	switch s.Routing {
+	case "flood":
+		fr := flood.New(st, derive("flood"), p.Flood)
+		st.SetRouter(node.NullRouter{})
+		if recovers {
+			tree = fr.GossipTree() // switches relay tracking on
 		}
+		n.routing, n.payload = fr, p.Flood.PayloadLen
+	case "maodv":
+		n.uni = aodv.New(st, derive("aodv"), p.AODV)
+		mr = maodv.New(st, n.uni, derive("maodv"), p.MAODV)
+		n.routing, tree, n.payload = mr, mr, p.MAODV.PayloadLen
+	case "odmrp":
+		or := odmrp.New(st, derive("odmrp"), p.ODMRP)
+		st.SetRouter(node.NullRouter{})
+		n.routing, tree, n.payload = or, or, p.ODMRP.PayloadLen
+	}
+	if !recovers {
+		return n, nil
+	}
+	// Gossip requests walk the routing's substrate hop by hop, but
+	// replies are unicast: MAODV's AODV serves them, other routings get
+	// one installed here.
+	if n.uni == nil {
+		n.uni = aodv.New(st, derive("aodv"), p.AODV)
+	}
+	n.eng = gossip.New(st, tree, derive("gossip"), p.Gossip)
+	n.eng.SetHopEstimator(n.uni.RouteHops)
+	n.routing.OnDeliver(n.eng.OnTreeData)
+	if mr != nil {
+		mr.OnMemberEvidence(n.eng.OnMemberEvidence)
 	}
 	return n, nil
 }
-
-// Assemble builds one node's stack from the default registry.
-func Assemble(s Spec, env Env) (*Node, error) { return Default.Assemble(s, env) }
 
 // Spec returns the normalized spec the node was assembled from.
 func (n *Node) Spec() Spec { return n.spec }
@@ -47,37 +136,37 @@ func (n *Node) Spec() Spec { return n.spec }
 // runtime.ReceiveFunc: read-only, valid until fn returns, copy the
 // Data value to keep it. Call before Start.
 func (n *Node) OnDeliver(fn func(g pkt.GroupID, d *pkt.Data, recovered bool)) {
-	if n.recovery != nil {
-		n.recovery.OnDeliver(fn)
+	if n.eng != nil {
+		n.eng.OnDeliver(fn)
 		return
 	}
 	n.routing.OnDeliver(func(g pkt.GroupID, d *pkt.Data, _ pkt.NodeID) { fn(g, d, false) })
 }
 
-// Start activates background behaviour (beacons, hellos, a unicast
-// substrate the recovery layer owns): routing first, then recovery.
+// Start activates background behaviour — the AODV substrate's hello
+// beaconing, on stacks that have one. It runs once, after all wiring,
+// so no event is scheduled mid-assembly.
 func (n *Node) Start() {
-	n.routing.Start()
-	if n.recovery != nil {
-		n.recovery.Start()
+	if n.uni != nil {
+		n.uni.Start()
 	}
 }
 
-// Join registers membership in g and starts recovery rounds for it.
+// Join registers membership in g and starts gossip rounds for it.
 func (n *Node) Join(g pkt.GroupID) {
 	n.routing.Join(g)
-	if n.recovery != nil {
-		n.recovery.Attach(g)
+	if n.eng != nil {
+		n.eng.Attach(g)
 	}
 }
 
 // Publish multicasts one application payload to g and returns its
-// sequence key. The recovery layer learns of a packet that was sent, so
+// sequence key. The recovery layer records a packet that was sent, so
 // this member can serve repairs for what it originated.
 func (n *Node) Publish(g pkt.GroupID) (pkt.SeqKey, error) {
 	key, err := n.routing.SendData(g)
-	if err == nil && n.recovery != nil {
-		n.recovery.OnLocalSend(g, key)
+	if err == nil && n.eng != nil {
+		n.eng.OnLocalData(g, pkt.Data{Group: g, Origin: key.Origin, Seq: key.Seq, PayloadLen: n.payload})
 	}
 	return key, err
 }
@@ -87,10 +176,19 @@ func (n *Node) Delivered() uint64 { return n.RecoveryStats().Delivered }
 
 // RecoveryStats returns the member's outcome counters. A bare-routing
 // stack reports what routing delivered, no recovery traffic and 100 %
-// goodput — what a recovery layer reports before its first reply.
+// goodput — what the gossip engine reports before its first reply.
 func (n *Node) RecoveryStats() RecoveryStats {
-	if n.recovery != nil {
-		return n.recovery.Stats()
+	if n.eng == nil {
+		return RecoveryStats{Delivered: n.routing.Delivered(), Goodput: 100}
 	}
-	return RecoveryStats{Delivered: n.routing.Delivered(), Goodput: 100}
+	s := n.eng.Stats()
+	return RecoveryStats{
+		Delivered: s.Delivered,
+		Recovered: s.ReplyMsgsNew,
+		ReplyNew:  s.ReplyMsgsNew,
+		ReplyDup:  s.ReplyMsgsDup,
+		Goodput:   s.Goodput(),
+		Rounds:    s.RoundsAnon + s.RoundsCached,
+		Replies:   s.RepliesReceived,
+	}
 }

@@ -2,188 +2,170 @@ package stack
 
 import (
 	"errors"
-	"slices"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"anongossip/internal/flood"
+	"anongossip/internal/geom"
+	"anongossip/internal/mac"
+	"anongossip/internal/maodv"
+	"anongossip/internal/mobility"
+	"anongossip/internal/node"
+	"anongossip/internal/odmrp"
 	"anongossip/internal/pkt"
+	"anongossip/internal/radio"
+	"anongossip/internal/runtime/simrt"
+	"anongossip/internal/sim"
 )
 
-// recRouting and recRecovery are fake engines that log every call into
-// one shared journal, so a test can read the order Node drove them in.
-type recRouting struct {
-	log       *[]string
-	deliver   func(pkt.GroupID, *pkt.Data, pkt.NodeID)
-	sendErr   error
-	delivered uint64
+const testGroup pkt.GroupID = 0xE0000001
+
+// errNotMember is each routing's refusal of a non-member's send.
+var errNotMember = map[string]error{
+	"flood": flood.ErrNotMember,
+	"maodv": maodv.ErrNotMember,
+	"odmrp": odmrp.ErrNotMember,
 }
 
-func (r *recRouting) Join(pkt.GroupID) { *r.log = append(*r.log, "routing.Join") }
-func (r *recRouting) SendData(pkt.GroupID) (pkt.SeqKey, error) {
-	*r.log = append(*r.log, "routing.SendData")
-	return pkt.SeqKey{Origin: 1, Seq: 9}, r.sendErr
-}
-func (r *recRouting) OnDeliver(fn func(pkt.GroupID, *pkt.Data, pkt.NodeID)) { r.deliver = fn }
-func (r *recRouting) Delivered() uint64                                     { return r.delivered }
-func (r *recRouting) PayloadLen() uint16                                    { return 64 }
-func (r *recRouting) Start()                                                { *r.log = append(*r.log, "routing.Start") }
-
-type recRecovery struct {
-	log     *[]string
-	deliver func(pkt.GroupID, *pkt.Data, bool)
-	stats   RecoveryStats
+// stackRun is a line of three static nodes 50 m apart (75 m range) that
+// all run spec s: the ends are members, the middle a relay. The first
+// member publishes once per 200 ms from 20 s to 30 s.
+type stackRun struct {
+	sched     *sim.Scheduler
+	nodes     []*Node
+	recovered []int // per node: deliveries flagged recovered
+	plain     []int // per node: deliveries not flagged recovered
 }
 
-func (r *recRecovery) Attach(pkt.GroupID) { *r.log = append(*r.log, "recovery.Attach") }
-func (r *recRecovery) OnLocalSend(pkt.GroupID, pkt.SeqKey) {
-	*r.log = append(*r.log, "recovery.OnLocalSend")
-}
-func (r *recRecovery) OnDeliver(fn func(pkt.GroupID, *pkt.Data, bool)) { r.deliver = fn }
-func (r *recRecovery) Stats() RecoveryStats                            { return r.stats }
-func (r *recRecovery) Start()                                          { *r.log = append(*r.log, "recovery.Start") }
-
-// nodeBuilder registers as both axes and hands out the fakes above.
-type nodeBuilder struct {
-	name     string
-	routing  *recRouting
-	recovery *recRecovery
-	err      error
-}
-
-func (b nodeBuilder) Name() string          { return b.name }
-func (b nodeBuilder) Build(Env) RoutingNode { return b.routing }
-
-type nodeRecoveryBuilder struct{ nodeBuilder }
-
-func (b nodeRecoveryBuilder) Build(_ Env, rt RoutingNode) (RecoveryNode, error) {
-	if rt != RoutingNode(b.routing) {
-		return nil, errors.New("recovery built over a different routing node")
+func runStack(t *testing.T, s Spec) *stackRun {
+	t.Helper()
+	w := &stackRun{sched: sim.NewScheduler(), recovered: make([]int, 3), plain: make([]int, 3)}
+	medium := radio.NewMedium(w.sched, radio.Params{Range: 75})
+	root := sim.NewRNG(5)
+	for i := 0; i < 3; i++ {
+		rt, err := simrt.New(w.sched, root.Derive(fmt.Sprintf("stack/%d", i)), medium, pkt.NodeID(i+1),
+			mobility.Static{P: geom.Point{X: 50 * float64(i)}}, mac.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := Assemble(s, node.NewOnRuntime(rt), root, i, DefaultParams())
+		if err != nil {
+			t.Fatalf("Assemble(%v): %v", s, err)
+		}
+		if n.Spec() != s.Normalize() {
+			t.Fatalf("Spec() = %#v, want the normalized %#v", n.Spec(), s.Normalize())
+		}
+		n.OnDeliver(func(_ pkt.GroupID, _ *pkt.Data, recovered bool) {
+			if recovered {
+				w.recovered[i]++
+			} else {
+				w.plain[i]++
+			}
+		})
+		n.Start()
+		w.nodes = append(w.nodes, n)
 	}
-	if b.err != nil {
-		return nil, b.err
+	// A send before joining is refused by the routing, on every stack.
+	if _, err := w.nodes[0].Publish(testGroup); !errors.Is(err, errNotMember[s.Normalize().Routing]) {
+		t.Fatalf("%v: non-member Publish err = %v, want the routing's ErrNotMember", s, err)
 	}
-	return b.recovery, nil
+	w.sched.At(50*time.Millisecond, func() { w.nodes[0].Join(testGroup) })
+	w.sched.At(8*time.Second, func() { w.nodes[2].Join(testGroup) })
+	for at := 20 * time.Second; at <= 30*time.Second; at += 200 * time.Millisecond {
+		w.sched.At(at, func() {
+			if _, err := w.nodes[0].Publish(testGroup); err != nil {
+				t.Errorf("%v: member Publish: %v", s, err)
+			}
+		})
+	}
+	w.sched.Run(40 * time.Second)
+	return w
 }
 
-// nodeRegistry is a private registry of one routing and one recovery
-// protocol over the given fakes.
-func nodeRegistry(rt *recRouting, rec *recRecovery, buildErr error) *Registry {
-	r := &Registry{}
-	b := nodeBuilder{name: "tree", routing: rt, recovery: rec, err: buildErr}
-	r.RegisterRouting(b)
-	b.name = "repair"
-	r.RegisterRecovery(nodeRecoveryBuilder{b})
-	return r
-}
-
-// TestAssembleBareNode drives a routing-only node: routing alone
-// delivers (never recovered), starts, joins, publishes and counts.
+// TestAssembleBareNode assembles every bare stack of the table: routing
+// alone delivers, never flagged recovered, and RecoveryStats is the
+// routing's count at 100 % goodput. Only MAODV builds (and starts) AODV.
 func TestAssembleBareNode(t *testing.T) {
-	var log []string
-	rt := &recRouting{log: &log, delivered: 7}
-	rec := &recRecovery{log: &log}
-	n, err := nodeRegistry(rt, rec, nil).Assemble(Spec{Routing: "Tree", Recovery: "none"}, Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Spec() != (Spec{Routing: "tree"}) {
-		t.Fatalf("spec = %v, want the normalized bare spec", n.Spec())
-	}
-
-	var got []bool
-	n.OnDeliver(func(_ pkt.GroupID, _ *pkt.Data, recovered bool) { got = append(got, recovered) })
-	if rec.deliver != nil {
-		t.Fatal("bare node subscribed to a recovery layer")
-	}
-	rt.deliver(1, &pkt.Data{}, 2)
-	if !slices.Equal(got, []bool{false}) {
-		t.Fatalf("deliveries = %v, want one routing delivery", got)
-	}
-
-	n.Start()
-	n.Join(1)
-	if _, err := n.Publish(1); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"routing.Start", "routing.Join", "routing.SendData"}
-	if !slices.Equal(log, want) {
-		t.Fatalf("calls = %v, want %v", log, want)
-	}
-	if n.Delivered() != 7 {
-		t.Fatalf("Delivered = %d, want routing's 7", n.Delivered())
-	}
-	if rs := n.RecoveryStats(); rs != (RecoveryStats{Delivered: 7, Goodput: 100}) {
-		t.Fatalf("RecoveryStats = %+v, want routing's count at 100%% goodput", rs)
+	for _, s := range Stacks() {
+		if s.Recovery != "" {
+			continue
+		}
+		t.Run(s.String(), func(t *testing.T) {
+			// Spelled the way a caller may: upper case, explicit "none".
+			w := runStack(t, Spec{Routing: strings.ToUpper(s.Routing), Recovery: "None"})
+			n := w.nodes[2]
+			if n.eng != nil {
+				t.Fatal("bare stack built a recovery layer")
+			}
+			if (n.uni != nil) != (s.Routing == "maodv") {
+				t.Fatalf("AODV substrate built = %v on %v", n.uni != nil, s)
+			}
+			if w.plain[2] == 0 {
+				t.Fatal("member received nothing")
+			}
+			for i, r := range w.recovered {
+				if r != 0 {
+					t.Fatalf("node %d: %d deliveries flagged recovered on a bare stack", i+1, r)
+				}
+			}
+			want := RecoveryStats{Delivered: n.routing.Delivered(), Goodput: 100}
+			if rs := n.RecoveryStats(); rs != want || n.Delivered() != want.Delivered {
+				t.Fatalf("RecoveryStats = %+v, Delivered = %d, want %+v", rs, n.Delivered(), want)
+			}
+			if want.Delivered != uint64(w.plain[2]) {
+				t.Fatalf("routing counted %d deliveries, subscriber saw %d", want.Delivered, w.plain[2])
+			}
+		})
 	}
 }
 
-// TestAssembleComposedNode drives routing under recovery: the recovery
-// layer is the delivery source and carries the recovered flag, routing
-// starts first, joining attaches recovery, a sent packet reaches
-// OnLocalSend and a failed send does not, and the counters are the
-// recovery layer's.
+// TestAssembleComposedNode assembles every gossip stack of the table:
+// the engine is the delivery source, every member runs rounds, and the
+// counters are the engine's. Every composed stack has an AODV substrate
+// for the replies.
 func TestAssembleComposedNode(t *testing.T) {
-	var log []string
-	rt := &recRouting{log: &log, delivered: 3}
-	stats := RecoveryStats{Delivered: 5, Recovered: 2, ReplyNew: 2, ReplyDup: 1, Goodput: 66, Rounds: 4, Replies: 3}
-	rec := &recRecovery{log: &log, stats: stats}
-	n, err := nodeRegistry(rt, rec, nil).Assemble(Spec{Routing: "tree", Recovery: "repair"}, Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var got []bool
-	n.OnDeliver(func(_ pkt.GroupID, _ *pkt.Data, recovered bool) { got = append(got, recovered) })
-	if rt.deliver != nil {
-		t.Fatal("composed node subscribed to routing behind the recovery layer's back")
-	}
-	rec.deliver(1, &pkt.Data{}, false)
-	rec.deliver(1, &pkt.Data{}, true)
-	if !slices.Equal(got, []bool{false, true}) {
-		t.Fatalf("deliveries = %v, want the recovery layer's flags", got)
-	}
-
-	n.Start()
-	n.Join(1)
-	key, err := n.Publish(1)
-	if err != nil || key != (pkt.SeqKey{Origin: 1, Seq: 9}) {
-		t.Fatalf("Publish = %v, %v", key, err)
-	}
-	rt.sendErr = errors.New("not in tree")
-	if _, err := n.Publish(1); err != rt.sendErr {
-		t.Fatalf("failed Publish err = %v, want routing's", err)
-	}
-	want := []string{
-		"routing.Start", "recovery.Start",
-		"routing.Join", "recovery.Attach",
-		"routing.SendData", "recovery.OnLocalSend",
-		"routing.SendData", // the failed send never reaches recovery
-	}
-	if !slices.Equal(log, want) {
-		t.Fatalf("calls = %v, want %v", log, want)
-	}
-	if n.Delivered() != 5 {
-		t.Fatalf("Delivered = %d, want recovery's 5", n.Delivered())
-	}
-	if rs := n.RecoveryStats(); rs != stats {
-		t.Fatalf("RecoveryStats = %+v, want %+v", rs, stats)
+	for _, s := range Stacks() {
+		if s.Recovery == "" {
+			continue
+		}
+		t.Run(s.String(), func(t *testing.T) {
+			w := runStack(t, s)
+			n := w.nodes[2]
+			if n.eng == nil || n.uni == nil {
+				t.Fatalf("composed stack built engine %v, AODV %v", n.eng != nil, n.uni != nil)
+			}
+			rs := n.RecoveryStats()
+			if got := uint64(w.plain[2] + w.recovered[2]); rs.Delivered != got || rs.Delivered == 0 {
+				t.Fatalf("RecoveryStats.Delivered = %d, subscriber saw %d", rs.Delivered, got)
+			}
+			if rs.Recovered != uint64(w.recovered[2]) || rs.Recovered != rs.ReplyNew {
+				t.Fatalf("RecoveryStats = %+v, subscriber saw %d recovered", rs, w.recovered[2])
+			}
+			if rs.Rounds == 0 {
+				t.Fatal("member ran no gossip rounds")
+			}
+			if relay := w.nodes[1].RecoveryStats(); relay.Rounds != 0 || relay.Delivered != 0 {
+				t.Fatalf("non-member relay reports %+v", relay)
+			}
+		})
 	}
 }
 
-// TestAssembleErrors surfaces an unknown spec and a recovery builder
-// that refuses the routing node.
+// TestAssembleErrors rejects a zero or unknown spec, naming all six
+// stacks.
 func TestAssembleErrors(t *testing.T) {
-	var log []string
-	rt, rec := &recRouting{log: &log}, &recRecovery{log: &log}
-	if _, err := nodeRegistry(rt, rec, nil).Assemble(Spec{Routing: "bogus"}, Env{}); err == nil {
-		t.Fatal("unknown routing assembled")
-	}
-	if _, err := nodeRegistry(rt, rec, nil).Assemble(Spec{}, Env{}); err == nil {
-		t.Fatal("zero spec assembled")
-	}
-	refuse := errors.New("no walk substrate")
-	_, err := nodeRegistry(rt, rec, refuse).Assemble(Spec{Routing: "tree", Recovery: "repair"}, Env{})
-	if !errors.Is(err, refuse) || !strings.Contains(err.Error(), "tree+repair") {
-		t.Fatalf("builder error = %v, want it wrapped with the stack name", err)
+	bad := []Spec{{}, {Routing: "carrier-pigeon"}, {Routing: "flood", Recovery: "carrier"}, {Recovery: "gossip"}}
+	for _, s := range bad {
+		n, err := Assemble(s, nil, nil, 0, DefaultParams())
+		if err == nil || n != nil {
+			t.Fatalf("Assemble(%#v) = %v, %v; want an error", s, n, err)
+		}
+		for _, name := range Names() {
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("error for %#v does not name stack %q: %v", s, name, err)
+			}
+		}
 	}
 }
