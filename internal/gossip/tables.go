@@ -170,7 +170,6 @@ type cacheEntry struct {
 	addr       pkt.NodeID
 	numHops    uint8
 	lastGossip sim.Time
-	hasGossip  bool
 }
 
 // memberCache is the bounded cache of known group members used for
@@ -212,11 +211,10 @@ func (c *memberCache) Update(addr pkt.NodeID, numHops uint8, now sim.Time, gossi
 		}
 		if gossiped {
 			c.entries[i].lastGossip = now
-			c.entries[i].hasGossip = true
 		}
 		return
 	}
-	e := cacheEntry{addr: addr, numHops: numHops, lastGossip: now, hasGossip: gossiped}
+	e := cacheEntry{addr: addr, numHops: numHops, lastGossip: now}
 	if len(c.entries) < c.cap {
 		c.entries = append(c.entries, e)
 		return
@@ -250,7 +248,6 @@ func (c *memberCache) MarkGossiped(addr pkt.NodeID, now sim.Time) {
 	for i := range c.entries {
 		if c.entries[i].addr == addr {
 			c.entries[i].lastGossip = now
-			c.entries[i].hasGossip = true
 			return
 		}
 	}

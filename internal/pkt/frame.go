@@ -49,19 +49,24 @@ var (
 // WireSize returns the exact marshaled frame length in bytes.
 func (f *Frame) WireSize() int { return frameHeaderSize + f.Packet.WireSize() }
 
+// header is the frame header's field list. Encoding writes this
+// build's magic and version; decoding returns what the frame carries,
+// for parseFrame to check.
+func (f *Frame) header(c *coder) (magic uint16, version uint8) {
+	magic, version = frameMagic, FrameVersion
+	u16(c, &magic)
+	u8(c, &version)
+	u32(c, &f.From)
+	u32(c, &f.LinkDst)
+	return magic, version
+}
+
 // EncodeFrame marshals the frame.
 func EncodeFrame(f *Frame) []byte {
-	b := make([]byte, 0, f.WireSize())
-	b = appendU16(b, frameMagic)
-	b = append(b, FrameVersion)
-	b = appendU32(b, uint32(f.From))
-	b = appendU32(b, uint32(f.LinkDst))
-	b = append(b, byte(f.Packet.Kind))
-	b = appendU32(b, uint32(f.Packet.Src))
-	b = appendU32(b, uint32(f.Packet.Dst))
-	b = append(b, f.Packet.TTL)
-	b = appendU16(b, uint16(f.Packet.Body.WireSize()))
-	return f.Packet.Body.AppendTo(b)
+	c := coder{buf: make([]byte, 0, f.WireSize())}
+	f.header(&c)
+	f.Packet.encode(&c)
+	return c.buf
 }
 
 // parseFrame is the one frame decoder. Malformed input — short buffers,
@@ -70,20 +75,22 @@ func EncodeFrame(f *Frame) []byte {
 // datagram is attacker- (or at least misconfiguration-) controlled. dp
 // is where a Data packet lands (see decode).
 func parseFrame(b []byte, dp *dataPacket) (Frame, error) {
-	if len(b) < frameHeaderSize {
-		return Frame{}, fmt.Errorf("frame header: %w", ErrTruncated)
-	}
-	if u16(b) != frameMagic {
+	c := coder{buf: b, decode: true}
+	var f Frame
+	switch magic, version := f.header(&c); {
+	case c.short:
+		return Frame{}, ErrTruncated
+	case magic != frameMagic:
 		return Frame{}, ErrBadMagic
+	case version != FrameVersion:
+		return Frame{}, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, version, FrameVersion)
 	}
-	if b[2] != FrameVersion {
-		return Frame{}, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, b[2], FrameVersion)
-	}
-	p, err := decode(b[frameHeaderSize:], dp)
+	p, err := decode(&c, dp)
 	if err != nil {
 		return Frame{}, err
 	}
-	return Frame{From: NodeID(u32(b[3:])), LinkDst: NodeID(u32(b[7:])), Packet: p}, nil
+	f.Packet = p
+	return f, nil
 }
 
 // DecodeFrame unmarshals a frame produced by EncodeFrame into storage

@@ -131,8 +131,8 @@ func TestFrameDecodersAgreeOnMalformed(t *testing.T) {
 		{"unknown kind", func(b []byte) []byte { b[frameHeaderSize] = 0xEE; return b }, ErrUnknownKind},
 	}
 	bodies := sampleBodies()
-	if len(bodies) != len(kindNames) {
-		t.Fatalf("sampleBodies covers %d kinds, the codec has %d", len(bodies), len(kindNames))
+	if len(bodies) != len(Kinds()) {
+		t.Fatalf("sampleBodies covers %d kinds, the codec has %d", len(bodies), len(Kinds()))
 	}
 	var scratch Scratch
 	for _, body := range bodies {

@@ -19,17 +19,12 @@ func (*Hello) Kind() Kind { return KindHello }
 // WireSize implements Body.
 func (*Hello) WireSize() int { return 4 }
 
-// AppendTo implements Body.
-func (h *Hello) AppendTo(b []byte) []byte { return appendU32(b, h.Seq) }
-
 // CloneBody implements Body.
 func (h *Hello) CloneBody() Body { cp := *h; return &cp }
 
-func decodeHello(b []byte) (Body, error) {
-	if len(b) != 4 {
-		return nil, fmt.Errorf("hello: %w", ErrTruncated)
-	}
-	return &Hello{Seq: u32(b)}, nil
+func (h *Hello) code(c coder) coder {
+	u32(&c, &h.Seq)
+	return c
 }
 
 // --- RREQ ---
@@ -77,17 +72,6 @@ func (*RREQ) Kind() Kind { return KindRREQ }
 // WireSize implements Body.
 func (*RREQ) WireSize() int { return 23 }
 
-// AppendTo implements Body.
-func (r *RREQ) AppendTo(b []byte) []byte {
-	b = append(b, r.Flags, r.HopCount)
-	b = appendU32(b, r.ID)
-	b = appendU32(b, r.Dst)
-	b = appendU32(b, r.DstSeq)
-	b = appendU32(b, uint32(r.Orig))
-	b = appendU32(b, r.OrigSeq)
-	return append(b, r.LeaderHops)
-}
-
 // CloneBody implements Body.
 func (r *RREQ) CloneBody() Body { cp := *r; return &cp }
 
@@ -97,20 +81,16 @@ func (r *RREQ) Join() bool { return r.Flags&RREQJoin != 0 }
 // Repair reports whether the repair flag is set.
 func (r *RREQ) Repair() bool { return r.Flags&RREQRepair != 0 }
 
-func decodeRREQ(b []byte) (Body, error) {
-	if len(b) != 23 {
-		return nil, fmt.Errorf("rreq: %w", ErrTruncated)
-	}
-	return &RREQ{
-		Flags:      b[0],
-		HopCount:   b[1],
-		ID:         u32(b[2:]),
-		Dst:        u32(b[6:]),
-		DstSeq:     u32(b[10:]),
-		Orig:       NodeID(u32(b[14:])),
-		OrigSeq:    u32(b[18:]),
-		LeaderHops: b[22],
-	}, nil
+func (r *RREQ) code(c coder) coder {
+	u8(&c, &r.Flags)
+	u8(&c, &r.HopCount)
+	u32(&c, &r.ID)
+	u32(&c, &r.Dst)
+	u32(&c, &r.DstSeq)
+	u32(&c, &r.Orig)
+	u32(&c, &r.OrigSeq)
+	u8(&c, &r.LeaderHops)
+	return c
 }
 
 // --- RREP ---
@@ -161,19 +141,6 @@ func (*RREP) Kind() Kind { return KindRREP }
 // WireSize implements Body.
 func (*RREP) WireSize() int { return 31 }
 
-// AppendTo implements Body.
-func (r *RREP) AppendTo(b []byte) []byte {
-	b = append(b, r.Flags, r.HopCount)
-	b = appendU32(b, r.Dst)
-	b = appendU32(b, r.DstSeq)
-	b = appendU32(b, uint32(r.Orig))
-	b = appendU32(b, r.LifetimeMS)
-	b = appendU32(b, uint32(r.Leader))
-	b = appendU32(b, uint32(r.Replier))
-	b = append(b, r.LeaderHops)
-	return appendU32(b, r.RREQID)
-}
-
 // CloneBody implements Body.
 func (r *RREP) CloneBody() Body { cp := *r; return &cp }
 
@@ -183,22 +150,18 @@ func (r *RREP) Multicast() bool { return r.Flags&RREPMulticast != 0 }
 // Member reports whether the replying node is a group member.
 func (r *RREP) Member() bool { return r.Flags&RREPMember != 0 }
 
-func decodeRREP(b []byte) (Body, error) {
-	if len(b) != 31 {
-		return nil, fmt.Errorf("rrep: %w", ErrTruncated)
-	}
-	return &RREP{
-		Flags:      b[0],
-		HopCount:   b[1],
-		Dst:        u32(b[2:]),
-		DstSeq:     u32(b[6:]),
-		Orig:       NodeID(u32(b[10:])),
-		LifetimeMS: u32(b[14:]),
-		Leader:     NodeID(u32(b[18:])),
-		Replier:    NodeID(u32(b[22:])),
-		LeaderHops: b[26],
-		RREQID:     u32(b[27:]),
-	}, nil
+func (r *RREP) code(c coder) coder {
+	u8(&c, &r.Flags)
+	u8(&c, &r.HopCount)
+	u32(&c, &r.Dst)
+	u32(&c, &r.DstSeq)
+	u32(&c, &r.Orig)
+	u32(&c, &r.LifetimeMS)
+	u32(&c, &r.Leader)
+	u32(&c, &r.Replier)
+	u8(&c, &r.LeaderHops)
+	u32(&c, &r.RREQID)
+	return c
 }
 
 // --- RERR ---
@@ -222,16 +185,6 @@ func (*RERR) Kind() Kind { return KindRERR }
 // WireSize implements Body.
 func (r *RERR) WireSize() int { return 1 + 8*len(r.Dests) }
 
-// AppendTo implements Body.
-func (r *RERR) AppendTo(b []byte) []byte {
-	b = append(b, uint8(len(r.Dests)))
-	for _, d := range r.Dests {
-		b = appendU32(b, uint32(d.Addr))
-		b = appendU32(b, d.Seq)
-	}
-	return b
-}
-
 // CloneBody implements Body.
 func (r *RERR) CloneBody() Body {
 	cp := &RERR{Dests: make([]Unreachable, len(r.Dests))}
@@ -239,23 +192,12 @@ func (r *RERR) CloneBody() Body {
 	return cp
 }
 
-func decodeRERR(b []byte) (Body, error) {
-	if len(b) < 1 {
-		return nil, fmt.Errorf("rerr: %w", ErrTruncated)
+func (r *RERR) code(c coder) coder {
+	for i := range count(&c, &r.Dests) {
+		u32(&c, &r.Dests[i].Addr)
+		u32(&c, &r.Dests[i].Seq)
 	}
-	n := int(b[0])
-	if len(b) != 1+8*n {
-		return nil, fmt.Errorf("rerr: %w", ErrTruncated)
-	}
-	r := &RERR{Dests: make([]Unreachable, 0, n)}
-	for i := 0; i < n; i++ {
-		off := 1 + 8*i
-		r.Dests = append(r.Dests, Unreachable{
-			Addr: NodeID(u32(b[off:])),
-			Seq:  u32(b[off+4:]),
-		})
-	}
-	return r, nil
+	return c
 }
 
 // --- MACT (multicast activation, paper §3) ---
@@ -299,14 +241,6 @@ func (*MACT) Kind() Kind { return KindMACT }
 // WireSize implements Body.
 func (*MACT) WireSize() int { return 14 }
 
-// AppendTo implements Body.
-func (m *MACT) AppendTo(b []byte) []byte {
-	b = appendU32(b, uint32(m.Group))
-	b = appendU32(b, uint32(m.Src))
-	b = append(b, m.Flags, m.HopsFromOrigin)
-	return appendU32(b, m.RREQID)
-}
-
 // CloneBody implements Body.
 func (m *MACT) CloneBody() Body { cp := *m; return &cp }
 
@@ -322,17 +256,13 @@ func (m *MACT) GroupLeader() bool { return m.Flags&MACTGroupLeader != 0 }
 // MemberOrigin reports whether the activation originated at a member.
 func (m *MACT) MemberOrigin() bool { return m.Flags&MACTMemberOrigin != 0 }
 
-func decodeMACT(b []byte) (Body, error) {
-	if len(b) != 14 {
-		return nil, fmt.Errorf("mact: %w", ErrTruncated)
-	}
-	return &MACT{
-		Group:          GroupID(u32(b)),
-		Src:            NodeID(u32(b[4:])),
-		Flags:          b[8],
-		HopsFromOrigin: b[9],
-		RREQID:         u32(b[10:]),
-	}, nil
+func (m *MACT) code(c coder) coder {
+	u32(&c, &m.Group)
+	u32(&c, &m.Src)
+	u8(&c, &m.Flags)
+	u8(&c, &m.HopsFromOrigin)
+	u32(&c, &m.RREQID)
+	return c
 }
 
 // --- GRPH (group hello) ---
@@ -355,27 +285,15 @@ func (*GRPH) Kind() Kind { return KindGRPH }
 // WireSize implements Body.
 func (*GRPH) WireSize() int { return 13 }
 
-// AppendTo implements Body.
-func (g *GRPH) AppendTo(b []byte) []byte {
-	b = appendU32(b, uint32(g.Group))
-	b = appendU32(b, uint32(g.Leader))
-	b = appendU32(b, g.GroupSeq)
-	return append(b, g.HopCount)
-}
-
 // CloneBody implements Body.
 func (g *GRPH) CloneBody() Body { cp := *g; return &cp }
 
-func decodeGRPH(b []byte) (Body, error) {
-	if len(b) != 13 {
-		return nil, fmt.Errorf("grph: %w", ErrTruncated)
-	}
-	return &GRPH{
-		Group:    GroupID(u32(b)),
-		Leader:   NodeID(u32(b[4:])),
-		GroupSeq: u32(b[8:]),
-		HopCount: b[12],
-	}, nil
+func (g *GRPH) code(c coder) coder {
+	u32(&c, &g.Group)
+	u32(&c, &g.Leader)
+	u32(&c, &g.GroupSeq)
+	u8(&c, &g.HopCount)
+	return c
 }
 
 // --- NEAREST (nearest-member modify message, paper §4.2) ---
@@ -402,20 +320,13 @@ func (*Nearest) Kind() Kind { return KindNearest }
 // WireSize implements Body.
 func (*Nearest) WireSize() int { return 5 }
 
-// AppendTo implements Body.
-func (n *Nearest) AppendTo(b []byte) []byte {
-	b = appendU32(b, uint32(n.Group))
-	return append(b, n.Dist)
-}
-
 // CloneBody implements Body.
 func (n *Nearest) CloneBody() Body { cp := *n; return &cp }
 
-func decodeNearest(b []byte) (Body, error) {
-	if len(b) != 5 {
-		return nil, fmt.Errorf("nearest: %w", ErrTruncated)
-	}
-	return &Nearest{Group: GroupID(u32(b)), Dist: b[4]}, nil
+func (n *Nearest) code(c coder) coder {
+	u32(&c, &n.Group)
+	u8(&c, &n.Dist)
+	return c
 }
 
 // --- DATA (multicast application data) ---
@@ -438,21 +349,8 @@ var _ Body = (*Data)(nil)
 // Kind implements Body.
 func (*Data) Kind() Kind { return KindData }
 
-// dataFixedSize is the marshaled length of the Data fields before the
-// payload bytes.
-const dataFixedSize = 14
-
 // WireSize implements Body.
-func (d *Data) WireSize() int { return dataFixedSize + int(d.PayloadLen) }
-
-// AppendTo implements Body.
-func (d *Data) AppendTo(b []byte) []byte {
-	b = appendU32(b, uint32(d.Group))
-	b = appendU32(b, uint32(d.Origin))
-	b = appendU32(b, d.Seq)
-	b = appendU16(b, d.PayloadLen)
-	return append(b, make([]byte, d.PayloadLen)...)
-}
+func (d *Data) WireSize() int { return 14 + int(d.PayloadLen) }
 
 // CloneBody implements Body.
 func (d *Data) CloneBody() Body { cp := *d; return &cp }
@@ -460,23 +358,16 @@ func (d *Data) CloneBody() Body { cp := *d; return &cp }
 // Key returns the (origin, seq) identity of the packet.
 func (d *Data) Key() SeqKey { return SeqKey{Origin: d.Origin, Seq: d.Seq} }
 
-// decode fills d from its marshaled form. It decodes in place so that
-// callers choose where the Data lives: inside the packet's allocation
-// (Decode), or inside a gossip message's slice.
-func (d *Data) decode(b []byte) error {
-	if len(b) < dataFixedSize {
-		return fmt.Errorf("data: %w", ErrTruncated)
-	}
-	*d = Data{
-		Group:      GroupID(u32(b)),
-		Origin:     NodeID(u32(b[4:])),
-		Seq:        u32(b[8:]),
-		PayloadLen: u16(b[12:]),
-	}
-	if len(b) != dataFixedSize+int(d.PayloadLen) {
-		return fmt.Errorf("data payload: %w", ErrTruncated)
-	}
-	return nil
+// code runs on a Data in place, so its caller chooses where the Data
+// lives: inside the packet's allocation (decode), or inside a gossip
+// message's slice.
+func (d *Data) code(c coder) coder {
+	u32(&c, &d.Group)
+	u32(&c, &d.Origin)
+	u32(&c, &d.Seq)
+	u16(&c, &d.PayloadLen)
+	c.zeros(int(d.PayloadLen))
+	return c
 }
 
 // --- GOSSIP-REQ (paper §4.1, §4.4) ---
@@ -548,27 +439,6 @@ func (g *GossipReq) WireSize() int {
 	return n
 }
 
-// AppendTo implements Body.
-func (g *GossipReq) AppendTo(b []byte) []byte {
-	b = appendU32(b, uint32(g.Group))
-	b = appendU32(b, uint32(g.Initiator))
-	b = append(b, g.Flags, g.HopsTraveled, uint8(len(g.Lost)))
-	for _, k := range g.Lost {
-		b = appendU32(b, uint32(k.Origin))
-		b = appendU32(b, k.Seq)
-	}
-	b = append(b, uint8(len(g.Expected)))
-	for _, e := range g.Expected {
-		b = appendU32(b, uint32(e.Origin))
-		b = appendU32(b, e.NextSeq)
-	}
-	b = append(b, uint8(len(g.Pushed)))
-	for i := range g.Pushed {
-		b = g.Pushed[i].AppendTo(b)
-	}
-	return b
-}
-
 // CloneBody implements Body.
 func (g *GossipReq) CloneBody() Body {
 	cp := *g
@@ -587,65 +457,23 @@ func (g *GossipReq) Cached() bool { return g.Flags&GossipCached != 0 }
 // NoReply reports whether this is a push-mode request.
 func (g *GossipReq) NoReply() bool { return g.Flags&GossipNoReply != 0 }
 
-func decodeGossipReq(b []byte) (Body, error) {
-	if len(b) < 11 {
-		return nil, fmt.Errorf("gossip-req: %w", ErrTruncated)
+func (g *GossipReq) code(c coder) coder {
+	u32(&c, &g.Group)
+	u32(&c, &g.Initiator)
+	u8(&c, &g.Flags)
+	u8(&c, &g.HopsTraveled)
+	for i := range count(&c, &g.Lost) {
+		u32(&c, &g.Lost[i].Origin)
+		u32(&c, &g.Lost[i].Seq)
 	}
-	g := &GossipReq{
-		Group:        GroupID(u32(b)),
-		Initiator:    NodeID(u32(b[4:])),
-		Flags:        b[8],
-		HopsTraveled: b[9],
+	for i := range count(&c, &g.Expected) {
+		u32(&c, &g.Expected[i].Origin)
+		u32(&c, &g.Expected[i].NextSeq)
 	}
-	nLost := int(b[10])
-	off := 11
-	if len(b) < off+8*nLost+1 {
-		return nil, fmt.Errorf("gossip-req lost: %w", ErrTruncated)
+	for i := range count(&c, &g.Pushed) {
+		c = g.Pushed[i].code(c)
 	}
-	g.Lost = make([]SeqKey, 0, nLost)
-	for i := 0; i < nLost; i++ {
-		g.Lost = append(g.Lost, SeqKey{
-			Origin: NodeID(u32(b[off:])),
-			Seq:    u32(b[off+4:]),
-		})
-		off += 8
-	}
-	nExp := int(b[off])
-	off++
-	if len(b) < off+8*nExp+1 {
-		return nil, fmt.Errorf("gossip-req expected: %w", ErrTruncated)
-	}
-	g.Expected = make([]Expect, 0, nExp)
-	for i := 0; i < nExp; i++ {
-		g.Expected = append(g.Expected, Expect{
-			Origin:  NodeID(u32(b[off:])),
-			NextSeq: u32(b[off+4:]),
-		})
-		off += 8
-	}
-	nPush := int(b[off])
-	off++
-	g.Pushed = make([]Data, 0, nPush)
-	for i := 0; i < nPush; i++ {
-		if len(b) < off+dataFixedSize {
-			return nil, fmt.Errorf("gossip-req pushed: %w", ErrTruncated)
-		}
-		payloadLen := int(u16(b[off+12:]))
-		end := off + dataFixedSize + payloadLen
-		if len(b) < end {
-			return nil, fmt.Errorf("gossip-req pushed payload: %w", ErrTruncated)
-		}
-		var d Data
-		if err := d.decode(b[off:end]); err != nil {
-			return nil, err
-		}
-		g.Pushed = append(g.Pushed, d)
-		off = end
-	}
-	if off != len(b) {
-		return nil, fmt.Errorf("gossip-req: %w", ErrTrailingBytes)
-	}
-	return g, nil
+	return c
 }
 
 // --- GOSSIP-REP ---
@@ -678,17 +506,6 @@ func (g *GossipRep) WireSize() int {
 	return n
 }
 
-// AppendTo implements Body.
-func (g *GossipRep) AppendTo(b []byte) []byte {
-	b = appendU32(b, uint32(g.Group))
-	b = appendU32(b, uint32(g.Responder))
-	b = append(b, g.WalkHops, uint8(len(g.Msgs)))
-	for i := range g.Msgs {
-		b = g.Msgs[i].AppendTo(b)
-	}
-	return b
-}
-
 // CloneBody implements Body.
 func (g *GossipRep) CloneBody() Body {
 	cp := *g
@@ -697,36 +514,12 @@ func (g *GossipRep) CloneBody() Body {
 	return &cp
 }
 
-func decodeGossipRep(b []byte) (Body, error) {
-	if len(b) < 10 {
-		return nil, fmt.Errorf("gossip-rep: %w", ErrTruncated)
+func (g *GossipRep) code(c coder) coder {
+	u32(&c, &g.Group)
+	u32(&c, &g.Responder)
+	u8(&c, &g.WalkHops)
+	for i := range count(&c, &g.Msgs) {
+		c = g.Msgs[i].code(c)
 	}
-	g := &GossipRep{
-		Group:     GroupID(u32(b)),
-		Responder: NodeID(u32(b[4:])),
-		WalkHops:  b[8],
-	}
-	n := int(b[9])
-	off := 10
-	g.Msgs = make([]Data, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < off+dataFixedSize {
-			return nil, fmt.Errorf("gossip-rep msg: %w", ErrTruncated)
-		}
-		payloadLen := int(u16(b[off+12:]))
-		end := off + dataFixedSize + payloadLen
-		if len(b) < end {
-			return nil, fmt.Errorf("gossip-rep payload: %w", ErrTruncated)
-		}
-		var d Data
-		if err := d.decode(b[off:end]); err != nil {
-			return nil, err
-		}
-		g.Msgs = append(g.Msgs, d)
-		off = end
-	}
-	if off != len(b) {
-		return nil, fmt.Errorf("gossip-rep: %w", ErrTrailingBytes)
-	}
-	return g, nil
+	return c
 }

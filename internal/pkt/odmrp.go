@@ -1,7 +1,5 @@
 package pkt
 
-import "fmt"
-
 // ODMRP messages (paper §5.5 / §7 future work: "Implementing anonymous
 // gossip with other multicast protocols, such as ODMRP and AMRIS, could
 // also be done in a similar manner"). ODMRP is mesh-based: sources
@@ -34,27 +32,15 @@ func (*JoinQuery) Kind() Kind { return KindJoinQuery }
 // WireSize implements Body.
 func (*JoinQuery) WireSize() int { return 13 }
 
-// AppendTo implements Body.
-func (q *JoinQuery) AppendTo(b []byte) []byte {
-	b = appendU32(b, uint32(q.Group))
-	b = appendU32(b, uint32(q.Source))
-	b = appendU32(b, q.Seq)
-	return append(b, q.HopCount)
-}
-
 // CloneBody implements Body.
 func (q *JoinQuery) CloneBody() Body { cp := *q; return &cp }
 
-func decodeJoinQuery(b []byte) (Body, error) {
-	if len(b) != 13 {
-		return nil, fmt.Errorf("join-query: %w", ErrTruncated)
-	}
-	return &JoinQuery{
-		Group:    GroupID(u32(b)),
-		Source:   NodeID(u32(b[4:])),
-		Seq:      u32(b[8:]),
-		HopCount: b[12],
-	}, nil
+func (q *JoinQuery) code(c coder) coder {
+	u32(&c, &q.Group)
+	u32(&c, &q.Source)
+	u32(&c, &q.Seq)
+	u8(&c, &q.HopCount)
+	return c
 }
 
 // JoinReply travels hop-by-hop from a member back toward the source,
@@ -77,25 +63,13 @@ func (*JoinReply) Kind() Kind { return KindJoinReply }
 // WireSize implements Body.
 func (*JoinReply) WireSize() int { return 16 }
 
-// AppendTo implements Body.
-func (r *JoinReply) AppendTo(b []byte) []byte {
-	b = appendU32(b, uint32(r.Group))
-	b = appendU32(b, uint32(r.Source))
-	b = appendU32(b, uint32(r.Member))
-	return appendU32(b, r.Seq)
-}
-
 // CloneBody implements Body.
 func (r *JoinReply) CloneBody() Body { cp := *r; return &cp }
 
-func decodeJoinReply(b []byte) (Body, error) {
-	if len(b) != 16 {
-		return nil, fmt.Errorf("join-reply: %w", ErrTruncated)
-	}
-	return &JoinReply{
-		Group:  GroupID(u32(b)),
-		Source: NodeID(u32(b[4:])),
-		Member: NodeID(u32(b[8:])),
-		Seq:    u32(b[12:]),
-	}, nil
+func (r *JoinReply) code(c coder) coder {
+	u32(&c, &r.Group)
+	u32(&c, &r.Source)
+	u32(&c, &r.Member)
+	u32(&c, &r.Seq)
+	return c
 }

@@ -3,10 +3,11 @@
 // per protocol message (AODV control, MAODV control, multicast data, and
 // the two Anonymous Gossip messages from paper §4.1/§4.4).
 //
-// Every body has a binary wire codec (encoding/binary, big endian). The
-// simulator passes decoded structs between nodes for speed, but all MAC
-// airtime calculations use the true marshaled size, and codec round-trip
-// tests keep WireSize honest.
+// Every body states its wire layout (big endian) once, as the field list
+// of its code method; the coder in codec.go runs that list to encode and
+// to decode, and does every bounds check. The simulator passes decoded
+// structs between nodes for speed, but all MAC airtime calculations use
+// the true marshaled size, and codec tests keep WireSize honest.
 package pkt
 
 import (
@@ -52,25 +53,49 @@ const (
 	KindGossipRep
 )
 
-var kindNames = map[Kind]string{
-	KindHello:     "HELLO",
-	KindRREQ:      "RREQ",
-	KindRREP:      "RREP",
-	KindRERR:      "RERR",
-	KindMACT:      "MACT",
-	KindGRPH:      "GRPH",
-	KindNearest:   "NEAREST",
-	KindData:      "DATA",
-	KindGossipReq: "GOSSIP-REQ",
-	KindGossipRep: "GOSSIP-REP",
-	KindJoinQuery: "JOIN-QUERY",
-	KindJoinReply: "JOIN-REPLY",
+// kinds is the one list of body kinds, indexed by Kind: the name each
+// prints as and the empty body the decoder fills.
+var kinds = [...]struct {
+	name  string
+	empty func() Body
+}{
+	KindHello:     {"HELLO", func() Body { return new(Hello) }},
+	KindRREQ:      {"RREQ", func() Body { return new(RREQ) }},
+	KindRREP:      {"RREP", func() Body { return new(RREP) }},
+	KindRERR:      {"RERR", func() Body { return new(RERR) }},
+	KindMACT:      {"MACT", func() Body { return new(MACT) }},
+	KindGRPH:      {"GRPH", func() Body { return new(GRPH) }},
+	KindNearest:   {"NEAREST", func() Body { return new(Nearest) }},
+	KindData:      {"DATA", func() Body { return new(Data) }},
+	KindGossipReq: {"GOSSIP-REQ", func() Body { return new(GossipReq) }},
+	KindGossipRep: {"GOSSIP-REP", func() Body { return new(GossipRep) }},
+	KindJoinQuery: {"JOIN-QUERY", func() Body { return new(JoinQuery) }},
+	KindJoinReply: {"JOIN-REPLY", func() Body { return new(JoinReply) }},
+}
+
+// Kinds returns every body kind, in ascending order of wire value.
+func Kinds() []Kind {
+	var out []Kind
+	for k := range kinds {
+		if kinds[k].empty != nil {
+			out = append(out, Kind(k))
+		}
+	}
+	return out
+}
+
+// empty returns a new zero body of the kind, or nil for an unknown kind.
+func (k Kind) empty() Body {
+	if int(k) >= len(kinds) || kinds[k].empty == nil {
+		return nil
+	}
+	return kinds[k].empty()
 }
 
 // String returns the protocol name of the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if int(k) < len(kinds) && kinds[k].name != "" {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("KIND(%d)", uint8(k))
 }
@@ -92,12 +117,13 @@ type Body interface {
 	Kind() Kind
 	// WireSize returns the exact marshaled length in bytes.
 	WireSize() int
-	// AppendTo appends the marshaled body to b and returns the extended
-	// slice.
-	AppendTo(b []byte) []byte
 	// CloneBody returns a deep copy, for safe per-hop mutation of
 	// forwarded packets.
 	CloneBody() Body
+	// code runs the body's field list through c, in either direction.
+	// The coder goes by value: a *coder passed through this interface
+	// would escape, and cost an allocation per frame.
+	code(c coder) coder
 }
 
 // headerSize is the marshaled length of the fixed packet header:
@@ -156,19 +182,34 @@ var (
 	ErrTruncated = errors.New("pkt: truncated packet")
 	// ErrUnknownKind reports an unrecognised body discriminator.
 	ErrUnknownKind = errors.New("pkt: unknown packet kind")
-	// ErrTrailingBytes reports extra bytes after a well-formed packet.
+	// ErrTrailingBytes reports extra bytes after a well-formed packet or
+	// body.
 	ErrTrailingBytes = errors.New("pkt: trailing bytes")
 )
 
+// header is the packet header's field list; the body's length travels
+// in it, ahead of the body.
+func (p *Packet) header(c *coder, bodyLen *uint16) {
+	u8(c, &p.Kind)
+	u32(c, &p.Src)
+	u32(c, &p.Dst)
+	u8(c, &p.TTL)
+	u16(c, bodyLen)
+}
+
+// encode appends the packet, header then body, to c. It is the one
+// packet writer, behind Encode and EncodeFrame.
+func (p *Packet) encode(c *coder) {
+	n := uint16(p.Body.WireSize())
+	p.header(c, &n)
+	*c = p.Body.code(*c)
+}
+
 // Encode marshals the packet.
 func Encode(p *Packet) []byte {
-	b := make([]byte, 0, p.WireSize())
-	b = append(b, byte(p.Kind))
-	b = appendU32(b, uint32(p.Src))
-	b = appendU32(b, uint32(p.Dst))
-	b = append(b, p.TTL)
-	b = appendU16(b, uint16(p.Body.WireSize()))
-	return p.Body.AppendTo(b)
+	c := coder{buf: make([]byte, 0, p.WireSize())}
+	p.encode(&c)
+	return c.buf
 }
 
 // dataPacket is a Data packet's header and body in one allocation. Data
@@ -180,86 +221,47 @@ type dataPacket struct {
 }
 
 // Decode unmarshals a packet produced by Encode.
-func Decode(b []byte) (*Packet, error) { return decode(b, nil) }
+func Decode(b []byte) (*Packet, error) {
+	c := coder{buf: b, decode: true}
+	return decode(&c, nil)
+}
 
-// decode is the one packet decoder. A Data packet lands in dp (a fresh
-// one when dp is nil), which is written only after every check passed.
-func decode(b []byte, dp *dataPacket) (*Packet, error) {
-	if len(b) < headerSize {
+// decode is the one packet reader: it reads the rest of c's buffer as
+// one packet. A Data packet lands in dp (a fresh one when dp is nil),
+// which is written only after every check passed.
+func decode(c *coder, dp *dataPacket) (*Packet, error) {
+	var h Packet
+	var bodyLen uint16
+	h.header(c, &bodyLen)
+	switch {
+	case c.short || len(c.buf) < int(bodyLen):
 		return nil, ErrTruncated
-	}
-	kind := Kind(b[0])
-	bodyLen := int(u16(b[10:]))
-	rest := b[headerSize:]
-	if len(rest) < bodyLen {
-		return nil, ErrTruncated
-	}
-	if len(rest) > bodyLen {
+	case len(c.buf) > int(bodyLen):
 		return nil, ErrTrailingBytes
 	}
-	var p *Packet
-	if kind == KindData {
+	if h.Kind == KindData {
 		var d Data
-		if err := d.decode(rest); err != nil {
+		*c = d.code(*c)
+		if err := c.finish(); err != nil {
 			return nil, err
 		}
 		if dp == nil {
 			dp = new(dataPacket)
 		}
-		dp.data = d
-		dp.Body, p = &dp.data, &dp.Packet
-	} else {
-		body, err := decodeBody(kind, rest)
-		if err != nil {
-			return nil, err
-		}
-		p = &Packet{Body: body}
+		dp.Packet, dp.data = h, d
+		dp.Body = &dp.data
+		return &dp.Packet, nil
 	}
-	p.Kind, p.Src, p.Dst, p.TTL = kind, NodeID(u32(b[1:])), NodeID(u32(b[5:])), b[9]
+	body := h.Kind.empty()
+	if body == nil {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, uint8(h.Kind))
+	}
+	*c = body.code(*c)
+	if err := c.finish(); err != nil {
+		return nil, err
+	}
+	p := new(Packet)
+	*p = h
+	p.Body = body
 	return p, nil
-}
-
-// decodeBody decodes every body kind but Data, which decode places
-// inside the packet's own allocation.
-func decodeBody(k Kind, b []byte) (Body, error) {
-	switch k {
-	case KindHello:
-		return decodeHello(b)
-	case KindRREQ:
-		return decodeRREQ(b)
-	case KindRREP:
-		return decodeRREP(b)
-	case KindRERR:
-		return decodeRERR(b)
-	case KindMACT:
-		return decodeMACT(b)
-	case KindGRPH:
-		return decodeGRPH(b)
-	case KindNearest:
-		return decodeNearest(b)
-	case KindGossipReq:
-		return decodeGossipReq(b)
-	case KindGossipRep:
-		return decodeGossipRep(b)
-	case KindJoinQuery:
-		return decodeJoinQuery(b)
-	case KindJoinReply:
-		return decodeJoinReply(b)
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, uint8(k))
-	}
-}
-
-// --- little encode helpers (big endian) ---
-
-func appendU16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func u16(b []byte) uint16 { return uint16(b[0])<<8 | uint16(b[1]) }
-
-func u32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }

@@ -208,6 +208,10 @@ func (c Config) Validate() error {
 	case recovers && (c.Gossip.MaxReplyMsgs < 0 || c.Gossip.LostBufferCap < 0 || c.Gossip.CacheCap < 0):
 		return fmt.Errorf("scenario: negative gossip bound (MaxReplyMsgs %d, LostBufferCap %d, CacheCap %d)",
 			c.Gossip.MaxReplyMsgs, c.Gossip.LostBufferCap, c.Gossip.CacheCap)
+	case recovers && max(c.Gossip.LostBufferCap, c.Gossip.ExpectedCap, c.Gossip.MaxReplyMsgs) > math.MaxUint8:
+		// A gossip request or reply carries each list's length in one byte.
+		return fmt.Errorf("scenario: gossip list bound above %d (LostBufferCap %d, ExpectedCap %d, MaxReplyMsgs %d)",
+			math.MaxUint8, c.Gossip.LostBufferCap, c.Gossip.ExpectedCap, c.Gossip.MaxReplyMsgs)
 	case c.MAC.CWMin < 0 || c.MAC.CWMax < 0:
 		return fmt.Errorf("scenario: negative MAC contention window [%d, %d]", c.MAC.CWMin, c.MAC.CWMax)
 	case !(c.MAC.BitRate > 0) || math.IsInf(c.MAC.BitRate, 1):

@@ -108,6 +108,11 @@ func TestConfigValidate(t *testing.T) {
 		{"negative max reply msgs", func(c *Config) { c.Gossip.MaxReplyMsgs = -1 }},
 		{"negative lost buffer cap", func(c *Config) { c.Gossip.LostBufferCap = -1 }},
 		{"negative member cache cap", func(c *Config) { c.Gossip.CacheCap = -1 }},
+		// A gossip message carries each list's length in one byte: the
+		// simulator timed requests the wire cannot carry.
+		{"lost buffer cap above 255", func(c *Config) { c.Gossip.LostBufferCap = 256 }},
+		{"expected cap above 255", func(c *Config) { c.Gossip.ExpectedCap = 256 }},
+		{"max reply msgs above 255", func(c *Config) { c.Gossip.MaxReplyMsgs = 256 }},
 		{"negative cw min", func(c *Config) { c.MAC.CWMin = -1 }},
 		{"negative cw max", func(c *Config) { c.MAC.CWMax = -1 }},
 		{"zero aodv hello interval", func(c *Config) { c.AODV.HelloInterval = 0 }},

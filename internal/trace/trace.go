@@ -137,27 +137,6 @@ func KindFilter(kinds ...pkt.Kind) func(Event) bool {
 	return func(e Event) bool { return set[e.Kind] }
 }
 
-// NodeFilter returns a filter accepting only events at the listed nodes.
-func NodeFilter(nodes ...pkt.NodeID) func(Event) bool {
-	set := make(map[pkt.NodeID]bool, len(nodes))
-	for _, n := range nodes {
-		set[n] = true
-	}
-	return func(e Event) bool { return set[e.Node] }
-}
-
-// And combines filters conjunctively.
-func And(fs ...func(Event) bool) func(Event) bool {
-	return func(e Event) bool {
-		for _, f := range fs {
-			if !f(e) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // Summary renders per-kind counts of the retained events.
 func (r *Ring) Summary() string {
 	counts := map[pkt.Kind]int{}
@@ -166,7 +145,7 @@ func (r *Ring) Summary() string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d events retained (%d total):", r.Len(), r.total)
-	for k := pkt.KindHello; k <= pkt.KindGossipRep; k++ {
+	for _, k := range pkt.Kinds() {
 		if counts[k] > 0 {
 			fmt.Fprintf(&b, " %s=%d", k, counts[k])
 		}

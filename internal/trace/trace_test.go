@@ -52,12 +52,12 @@ func TestRingZeroCapacityClamped(t *testing.T) {
 
 func TestFilters(t *testing.T) {
 	r := NewRing(10)
-	r.SetFilter(And(KindFilter(pkt.KindData), NodeFilter(1)))
+	r.SetFilter(KindFilter(pkt.KindData, pkt.KindRREQ))
 	r.Record(ev(1, pkt.KindData, 0))  // kept
 	r.Record(ev(1, pkt.KindHello, 0)) // wrong kind
-	r.Record(ev(2, pkt.KindData, 0))  // wrong node
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", r.Len())
+	r.Record(ev(2, pkt.KindRREQ, 0))  // kept
+	if r.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", r.Len())
 	}
 	if got := r.Events()[0]; got.Kind != pkt.KindData || got.Node != 1 {
 		t.Fatalf("kept wrong event: %v", got)
@@ -84,6 +84,20 @@ func TestDumpAndSummary(t *testing.T) {
 	sum := r.Summary()
 	if !strings.Contains(sum, "DATA=1") || !strings.Contains(sum, "GOSSIP-REQ=1") {
 		t.Fatalf("summary = %q", sum)
+	}
+}
+
+// TestSummaryCountsODMRPKinds records ODMRP's JOIN-QUERY and JOIN-REPLY
+// (kinds 32 and 33, past the gossip kinds): the summary must count them,
+// as Len and Total do.
+func TestSummaryCountsODMRPKinds(t *testing.T) {
+	r := NewRing(10)
+	r.Record(ev(1, pkt.KindJoinQuery, 0))
+	r.Record(ev(2, pkt.KindJoinQuery, 0))
+	r.Record(ev(2, pkt.KindJoinReply, 0))
+	sum := r.Summary()
+	if !strings.Contains(sum, "JOIN-QUERY=2") || !strings.Contains(sum, "JOIN-REPLY=1") {
+		t.Fatalf("summary = %q, want JOIN-QUERY=2 and JOIN-REPLY=1", sum)
 	}
 }
 
