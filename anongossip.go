@@ -105,27 +105,31 @@ func AggregateResults(results []*Result) Aggregate {
 	return scenario.AggregateResults(results)
 }
 
-// RunComparison sweeps xs, running the Gossip and MAODV protocols at
-// each point, mirroring the paper's paired curves. apply customises the
-// base config for an x value; progress may be nil.
+// RunComparison sweeps xs, running base's stack (MAODV+AG if it has no
+// recovery layer) and its bare routing at each point, mirroring the
+// paper's paired curves. apply reshapes base for an x value.
 func RunComparison(base Config, xs []float64, apply func(Config, float64) Config,
-	seeds []int64, parallel int, progress io.Writer) ([]ComparisonRow, error) {
-	return scenario.RunComparison(base, xs, apply, seeds, parallel, progress)
+	seeds []int64, parallel int) ([]ComparisonRow, error) {
+	return scenario.RunComparison(base, xs, apply, seeds, parallel)
+}
+
+// Sweep is one x-axis experiment: a paper figure or a family beyond the
+// paper (ID, table title, axis name, points, and the config transform).
+type Sweep = scenario.Sweep
+
+// Sweeps returns every x-axis experiment: the paper's Figs. 2–7, then
+// the large-scale (EXPERIMENTS.md §L), huge-scale (§H) and
+// dense-traffic (§D) families.
+func Sweeps() []Sweep { return scenario.Sweeps() }
+
+// PrintComparison writes the rows of sweep s, run on base with the
+// given number of seeds, as agbench's comparison table.
+func PrintComparison(w io.Writer, s Sweep, base Config, seeds int, rows []ComparisonRow) {
+	scenario.PrintComparison(w, s, base, seeds, rows)
 }
 
 // Seeds returns the canonical seed list {1..n}.
 func Seeds(n int) []int64 { return scenario.Seeds(n) }
-
-// LargeScaleXs returns the node counts of the large-scale experiment
-// family (100..1000 nodes at constant density; see EXPERIMENTS.md §L).
-func LargeScaleXs() []float64 { return scenario.LargeScaleXs() }
-
-// ApplyLargeScale reshapes a config to one large-scale sweep point:
-// the terrain grows with the node count so density — and hence mean
-// degree — stays at the paper's 40-node baseline at a fixed 75 m range.
-func ApplyLargeScale(c Config, nodes float64) Config {
-	return scenario.ApplyLargeScale(c, nodes)
-}
 
 // LargeScaleConfig returns the ready-to-run large-scale configuration
 // at one node count.
@@ -136,18 +140,6 @@ func LargeScaleConfig(nodes int) Config { return scenario.LargeScaleConfig(nodes
 // to keep large-scale runs affordable.
 func ShortenedData(c Config, duration time.Duration) Config {
 	return scenario.ShortenedData(c, duration)
-}
-
-// DenseXs returns the target mean degrees of the dense-traffic
-// experiment family (20..60 neighbours with multiple concurrent
-// senders; see EXPERIMENTS.md §D).
-func DenseXs() []float64 { return scenario.DenseXs() }
-
-// ApplyDense reshapes a config to one dense-traffic sweep point: the
-// field is packed so the expected mean degree at the paper's 75 m range
-// equals degree for the config's node count.
-func ApplyDense(c Config, degree float64) Config {
-	return scenario.ApplyDense(c, degree)
 }
 
 // DenseConfig returns the ready-to-run dense-traffic configuration at

@@ -1,6 +1,7 @@
 package anongossip_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -48,11 +49,12 @@ func TestFacadeProtocols(t *testing.T) {
 }
 
 func TestFacadeSweep(t *testing.T) {
-	rows, err := anongossip.RunComparison(quickConfig(), []float64{70},
-		func(c anongossip.Config, x float64) anongossip.Config {
+	s := anongossip.Sweep{ID: "range", Title: "delivery vs range", XName: "range(m)", Xs: []float64{70},
+		Apply: func(c anongossip.Config, x float64) anongossip.Config {
 			c.TxRange = x
 			return c
-		}, anongossip.Seeds(1), 2, nil)
+		}}
+	rows, err := anongossip.RunComparison(quickConfig(), s.Xs, s.Apply, anongossip.Seeds(1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +64,24 @@ func TestFacadeSweep(t *testing.T) {
 	if rows[0].Gossip.Received.Mean < rows[0].Maodv.Received.Mean {
 		t.Logf("note: gossip below maodv at this tiny scale (%v vs %v)",
 			rows[0].Gossip.Received.Mean, rows[0].Maodv.Received.Mean)
+	}
+	var out strings.Builder
+	anongossip.PrintComparison(&out, s, quickConfig(), 1, rows)
+	if !strings.Contains(out.String(), "=== delivery vs range ===") || !strings.Contains(out.String(), "\n70  ") {
+		t.Fatalf("comparison table:\n%s", out.String())
+	}
+}
+
+// TestFacadeSweeps: the facade lists the paper figures and every family.
+func TestFacadeSweeps(t *testing.T) {
+	ids := map[string]bool{}
+	for _, s := range anongossip.Sweeps() {
+		ids[s.ID] = true
+	}
+	for _, id := range []string{"2", "7", "large", "huge", "dense"} {
+		if !ids[id] {
+			t.Fatalf("Sweeps lacks %q: %v", id, ids)
+		}
 	}
 }
 

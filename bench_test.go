@@ -1,7 +1,7 @@
-// Benchmark harness: one benchmark per paper table/figure plus the
-// ablations listed in DESIGN.md §3. Each benchmark executes the full
-// experiment sweep once per iteration and prints the same rows the
-// paper's figure plots, so
+// Benchmark harness: one benchmark per paper table/figure (the sweeps
+// of scenario.Sweeps) plus the ablations listed in DESIGN.md §3. Each
+// benchmark executes the full experiment sweep once per iteration and
+// prints the same rows the paper's figure plots, so
 //
 //	go test -bench=. -benchmem | tee bench_output.txt
 //
@@ -28,74 +28,31 @@ func benchSeeds() []int64 {
 	return scenario.Seeds(2)
 }
 
-// runFigure executes a Gossip-vs-MAODV sweep, prints its rows, and
-// reports the mid-sweep means as benchmark metrics.
-func runFigure(b *testing.B, name, xName string, xs []float64,
-	apply func(scenario.Config, float64) scenario.Config) {
-	b.Helper()
+// BenchmarkFigures reproduces the paper's Figs. 2–7, one sub-benchmark
+// per sweep of scenario.Sweeps (BenchmarkFigures/2 … /7): it prints each
+// figure's comparison table and reports the mid-sweep means.
+func BenchmarkFigures(b *testing.B) {
 	base := scenario.DefaultConfig()
 	seeds := benchSeeds()
-	for i := 0; i < b.N; i++ {
-		rows, err := scenario.RunComparison(base, xs, apply, seeds, 0, nil)
-		if err != nil {
-			b.Fatal(err)
+	for _, s := range scenario.Sweeps() {
+		if !s.Paper() {
+			continue
 		}
-		fmt.Printf("\n--- %s (%d seeds, %d pkts/run) ---\n", name, len(seeds), base.ExpectedPackets())
-		fmt.Printf("%-10s | %26s | %26s\n", xName, "Gossip mean [min,max]", "Maodv mean [min,max]")
-		for _, r := range rows {
-			fmt.Printf("%-10.1f | %8.1f [%6.0f,%6.0f] | %8.1f [%6.0f,%6.0f]\n",
-				r.X,
-				r.Gossip.Received.Mean, r.Gossip.Received.Min, r.Gossip.Received.Max,
-				r.Maodv.Received.Mean, r.Maodv.Received.Min, r.Maodv.Received.Max)
-		}
-		mid := rows[len(rows)/2]
-		b.ReportMetric(mid.Gossip.Received.Mean, "gossip_pkts")
-		b.ReportMetric(mid.Maodv.Received.Mean, "maodv_pkts")
-		b.ReportMetric(mid.Gossip.Received.Max-mid.Gossip.Received.Min, "gossip_spread")
-		b.ReportMetric(mid.Maodv.Received.Max-mid.Maodv.Received.Min, "maodv_spread")
+		b.Run(s.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rows, err := scenario.RunComparison(base, s.Xs, s.Apply, seeds, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				scenario.PrintComparison(os.Stdout, s, base, len(seeds), rows)
+				mid := rows[len(rows)/2]
+				b.ReportMetric(mid.Gossip.Received.Mean, "gossip_pkts")
+				b.ReportMetric(mid.Maodv.Received.Mean, "maodv_pkts")
+				b.ReportMetric(mid.Gossip.Received.Max-mid.Gossip.Received.Min, "gossip_spread")
+				b.ReportMetric(mid.Maodv.Received.Max-mid.Maodv.Received.Min, "maodv_spread")
+			}
+		})
 	}
-}
-
-// BenchmarkFig2RangeSweepSlowSpeed reproduces paper Fig. 2: packet
-// delivery vs transmission range at max speed 0.2 m/s.
-func BenchmarkFig2RangeSweepSlowSpeed(b *testing.B) {
-	runFigure(b, "Fig 2: delivery vs range, speed 0.2 m/s", "range(m)",
-		scenario.Fig2Xs(), scenario.ApplyFig2)
-}
-
-// BenchmarkFig3RangeSweepFastSpeed reproduces paper Fig. 3: packet
-// delivery vs transmission range at max speed 2 m/s.
-func BenchmarkFig3RangeSweepFastSpeed(b *testing.B) {
-	runFigure(b, "Fig 3: delivery vs range, speed 2 m/s", "range(m)",
-		scenario.Fig3Xs(), scenario.ApplyFig3)
-}
-
-// BenchmarkFig4SpeedSweepLow reproduces paper Fig. 4: packet delivery vs
-// maximum speed 0.1..1.0 m/s at 75 m range.
-func BenchmarkFig4SpeedSweepLow(b *testing.B) {
-	runFigure(b, "Fig 4: delivery vs speed 0.1-1.0 m/s", "speed(m/s)",
-		scenario.Fig4Xs(), scenario.ApplyFig4And5)
-}
-
-// BenchmarkFig5SpeedSweepHigh reproduces paper Fig. 5: packet delivery
-// vs maximum speed 1..10 m/s at 75 m range.
-func BenchmarkFig5SpeedSweepHigh(b *testing.B) {
-	runFigure(b, "Fig 5: delivery vs speed 1-10 m/s", "speed(m/s)",
-		scenario.Fig5Xs(), scenario.ApplyFig4And5)
-}
-
-// BenchmarkFig6NodeSweepConstantDegree reproduces paper Fig. 6: packet
-// delivery vs node count with range scaled to hold mean degree constant.
-func BenchmarkFig6NodeSweepConstantDegree(b *testing.B) {
-	runFigure(b, "Fig 6: delivery vs nodes, constant degree", "nodes",
-		scenario.Fig6Xs(), scenario.ApplyFig6)
-}
-
-// BenchmarkFig7NodeSweepFixedRange reproduces paper Fig. 7: packet
-// delivery vs node count at a fixed 55 m range.
-func BenchmarkFig7NodeSweepFixedRange(b *testing.B) {
-	runFigure(b, "Fig 7: delivery vs nodes, 55 m range", "nodes",
-		scenario.Fig7Xs(), scenario.ApplyFig7)
 }
 
 // BenchmarkFig8Goodput reproduces paper Fig. 8: per-member goodput for
@@ -104,19 +61,16 @@ func BenchmarkFig8Goodput(b *testing.B) {
 	base := scenario.DefaultConfig()
 	seeds := benchSeeds()
 	for i := 0; i < b.N; i++ {
-		fmt.Printf("\n--- Fig 8: goodput at group members (%d seeds) ---\n", len(seeds))
-		fmt.Printf("%-16s | %9s %8s %8s\n", "case", "mean", "min", "max")
-		var last scenario.GoodputRow
+		var rows []scenario.GoodputRow
 		for _, gc := range scenario.Fig8Cases() {
 			row, err := scenario.RunGoodput(base, gc, seeds, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
-			fmt.Printf("%4.0fm, %3.1f m/s   | %8.2f%% %7.2f%% %7.2f%%\n",
-				gc.TxRange, gc.MaxSpeed, row.Summary.Mean, row.Summary.Min, row.Summary.Max)
-			last = row
+			rows = append(rows, row)
 		}
-		b.ReportMetric(last.Summary.Mean, "goodput_%")
+		scenario.PrintGoodput(os.Stdout, rows)
+		b.ReportMetric(rows[len(rows)-1].Summary.Mean, "goodput_%")
 	}
 }
 
@@ -303,27 +257,24 @@ func BenchmarkDense500Deg60(b *testing.B) { benchDense(b, 500, 60, 20*time.Secon
 // default covers 100 and 250 nodes at a shortened duration;
 // AG_BENCH_FULL=1 extends to 500 and 1000.
 func BenchmarkLargeScaleDelivery(b *testing.B) {
-	xs := []float64{100, 250}
-	duration := 120 * time.Second
-	if os.Getenv("AG_BENCH_FULL") != "" {
-		xs = scenario.LargeScaleXs()
-		duration = 300 * time.Second
+	var large scenario.Sweep
+	for _, s := range scenario.Sweeps() {
+		if s.ID == "large" {
+			large = s
+		}
+	}
+	duration := 300 * time.Second
+	if os.Getenv("AG_BENCH_FULL") == "" {
+		large.Xs, duration = large.Xs[:2], 120*time.Second
 	}
 	base := scenario.ShortenedData(scenario.DefaultConfig(), duration)
 	seeds := scenario.Seeds(1)
 	for i := 0; i < b.N; i++ {
-		rows, err := scenario.RunComparison(base, xs, scenario.ApplyLargeScale, seeds, 0, nil)
+		rows, err := scenario.RunComparison(base, large.Xs, large.Apply, seeds, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fmt.Printf("\n--- Large scale: delivery vs nodes, constant density (%v per run) ---\n", duration)
-		fmt.Printf("%-10s | %26s | %26s\n", "nodes", "Gossip mean [min,max]", "Maodv mean [min,max]")
-		for _, r := range rows {
-			fmt.Printf("%-10.0f | %8.1f [%6.0f,%6.0f] | %8.1f [%6.0f,%6.0f]\n",
-				r.X,
-				r.Gossip.Received.Mean, r.Gossip.Received.Min, r.Gossip.Received.Max,
-				r.Maodv.Received.Mean, r.Maodv.Received.Min, r.Maodv.Received.Max)
-		}
+		scenario.PrintComparison(os.Stdout, large, base, len(seeds), rows)
 		last := rows[len(rows)-1]
 		b.ReportMetric(last.Gossip.Received.Mean, "gossip_pkts")
 		b.ReportMetric(last.Maodv.Received.Mean, "maodv_pkts")

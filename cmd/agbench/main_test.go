@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"anongossip/internal/scenario"
 )
 
 func TestRunQuickFigure(t *testing.T) {
@@ -24,9 +27,28 @@ func TestRunQuickLargeScale(t *testing.T) {
 		t.Skip("short mode")
 	}
 	// Capped at the smallest family member so the sweep stays quick.
-	err := run([]string{"-fig", "large", "-large-max", "100", "-seeds", "1", "-duration", "75s"})
+	err := run([]string{"-fig", "large", "-x", "100", "-seeds", "1", "-duration", "75s"})
 	if err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// TestRunXSelectsPoints: -x runs only the listed points of the sweep,
+// in the sweep's order whatever the list's.
+func TestRunXSelectsPoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	rep := runJSON(t, "-fig", "4", "-x", "0.3, 0.1", "-seeds", "1", "-duration", "61s")
+	if len(rep.Figures) != 1 || rep.Figures[0].Figure != "4" {
+		t.Fatalf("record figures wrong: %+v", rep.Figures)
+	}
+	var xs []float64
+	for _, p := range rep.Figures[0].Points {
+		xs = append(xs, p.X)
+	}
+	if !slices.Equal(xs, []float64{0.1, 0.3}) {
+		t.Fatalf("points run = %v, want [0.1 0.3]", xs)
 	}
 }
 
@@ -68,7 +90,7 @@ func TestRunDenseAndJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rep := runJSON(t, "-fig", "dense", "-dense-nodes", "100", "-dense-max", "20",
+	rep := runJSON(t, "-fig", "dense", "-dense-nodes", "100", "-x", "20",
 		"-seeds", "1", "-duration", "75s")
 	if rep.Protocol != "maodv+gossip" || rep.Baseline != "maodv" || rep.Seeds != 1 {
 		t.Fatalf("record axes wrong: %+v", rep)
@@ -89,7 +111,7 @@ func TestRunDenseAndJSON(t *testing.T) {
 // hugeHeapPerNode10k is heap_bytes_per_node at the parent of the PR that
 // retired the CI memory gate, measured twice (22,065.0 and 22,064.5) with
 //
-//	agbench -fig huge -huge-max 10000 -huge-duration 1s -seeds 1 -parallel 1 -json out.json
+//	agbench -fig huge -x 10000 -huge-duration 1s -seeds 1 -parallel 1 -json out.json
 const hugeHeapPerNode10k = 22065.0
 
 // TestHugeMemoryPerNode is the per-node memory check: the live heap
@@ -100,7 +122,7 @@ func TestHugeMemoryPerNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rep := runJSON(t, "-fig", "huge", "-huge-max", "10000", "-huge-duration", "1s",
+	rep := runJSON(t, "-fig", "huge", "-x", "10000", "-huge-duration", "1s",
 		"-seeds", "1", "-parallel", "1")
 	if len(rep.Figures) != 1 || rep.Figures[0].Figure != "huge" || len(rep.Figures[0].Points) != 1 {
 		t.Fatalf("want one huge point, got %+v", rep.Figures)
@@ -128,20 +150,35 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Fatal("bad flag accepted")
 	}
-	// The implementation-selection flags are gone — even the old default
-	// values fail flag parsing, which main turns into a non-zero exit.
+	// The implementation-selection flags and the per-family point caps
+	// are gone — even the old default values fail flag parsing, which
+	// main turns into a non-zero exit.
 	for _, removed := range [][]string{
 		{"-workers", "2"}, {"-queue", "quad"}, {"-index", "grid"}, {"-rxmodel", "batch"},
+		{"-large-max", "1000"}, {"-huge-min", "0"}, {"-huge-max", "100000"}, {"-dense-max", "60"},
 	} {
 		if err := run(removed); err == nil {
 			t.Fatalf("removed %s flag accepted", removed[0])
 		}
 	}
-	if err := run([]string{"-fig", "large", "-large-max", "50"}); err == nil {
-		t.Fatal("empty large sweep accepted")
+	// -x picks points of exactly one sweep, and only points it has.
+	for _, bad := range [][]string{
+		{"-fig", "large", "-x", "50"},
+		{"-fig", "dense", "-x", "20,25"},
+		{"-fig", "4", "-x", "fast"},
+		{"-fig", "all", "-x", "100"},
+		{"-fig", "8", "-x", "45"},
+	} {
+		if err := run(bad); err == nil || !strings.Contains(err.Error(), "-x") {
+			t.Fatalf("%v: got error %v, want one naming -x", bad, err)
+		}
 	}
-	if err := run([]string{"-fig", "dense", "-dense-max", "10"}); err == nil {
-		t.Fatal("empty dense sweep accepted")
+	// A run that never samples has no series to print: this panicked
+	// before -metrics-window was checked at flag parsing.
+	err := run([]string{"-fig", "large", "-x", "100", "-seeds", "1", "-duration", "75s",
+		"-metrics", "-metrics-window", "0"})
+	if err == nil || !strings.Contains(err.Error(), "-metrics-window") {
+		t.Fatalf("-metrics with a zero window: got error %v, want one naming -metrics-window", err)
 	}
 	if err := run([]string{"-protocol", "carrier-pigeon"}); err == nil {
 		t.Fatal("unknown stack accepted")
@@ -188,24 +225,29 @@ func TestRunProfiles(t *testing.T) {
 	}
 }
 
+// TestFigureDefinitionsComplete checks the line figures -fig all runs
+// from the sweep table: exactly Figs. 2–7 (Fig. 8 is the goodput table),
+// each once and complete.
 func TestFigureDefinitionsComplete(t *testing.T) {
-	figs := figures()
-	if len(figs) != 6 {
-		t.Fatalf("line figures = %d, want 6 (2..7; fig 8 is special-cased)", len(figs))
-	}
-	seen := map[int]bool{}
-	for _, f := range figs {
-		if f.apply == nil || len(f.xs) == 0 || f.title == "" {
-			t.Fatalf("figure %d incomplete: %+v", f.id, f)
+	seen := map[string]bool{}
+	for _, s := range scenario.Sweeps() {
+		if !s.Paper() {
+			continue
 		}
-		if seen[f.id] {
-			t.Fatalf("figure %d duplicated", f.id)
+		if s.Apply == nil || len(s.Xs) == 0 || s.Title == "" {
+			t.Fatalf("figure %s incomplete: %+v", s.ID, s)
 		}
-		seen[f.id] = true
+		if seen[s.ID] {
+			t.Fatalf("figure %s duplicated", s.ID)
+		}
+		seen[s.ID] = true
 	}
-	for id := 2; id <= 7; id++ {
+	if len(seen) != 6 {
+		t.Fatalf("line figures = %d, want 6 (2..7; fig 8 is special-cased)", len(seen))
+	}
+	for _, id := range []string{"2", "3", "4", "5", "6", "7"} {
 		if !seen[id] {
-			t.Fatalf("figure %d missing", id)
+			t.Fatalf("figure %s missing", id)
 		}
 	}
 }

@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"anongossip"
 )
@@ -17,23 +18,22 @@ func main() {
 	base := anongossip.DefaultConfig()
 	base.TxRange = 75
 
-	fmt.Println("Highway scenario: 40 vehicles, sweep of maximum speed")
-	fmt.Printf("%8s | %22s | %22s\n", "speed", "Gossip mean [min,max]", "Maodv mean [min,max]")
-
-	rows, err := anongossip.RunComparison(base, []float64{2, 6, 10},
-		func(c anongossip.Config, speed float64) anongossip.Config {
+	highway := anongossip.Sweep{
+		ID:    "highway",
+		Title: "Highway scenario: 40 vehicles, sweep of maximum speed",
+		XName: "speed(m/s)",
+		Xs:    []float64{2, 6, 10},
+		Apply: func(c anongossip.Config, speed float64) anongossip.Config {
 			c.MaxSpeed = speed
 			return c
-		}, anongossip.Seeds(2), 0, nil)
+		},
+	}
+	seeds := anongossip.Seeds(2)
+	rows, err := anongossip.RunComparison(base, highway.Xs, highway.Apply, seeds, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range rows {
-		fmt.Printf("%6.0f m/s | %8.1f [%5.0f,%5.0f] | %8.1f [%5.0f,%5.0f]\n",
-			r.X,
-			r.Gossip.Received.Mean, r.Gossip.Received.Min, r.Gossip.Received.Max,
-			r.Maodv.Received.Mean, r.Maodv.Received.Min, r.Maodv.Received.Max)
-	}
-	fmt.Println("\nBoth protocols degrade with speed (more link breaks), but the")
+	anongossip.PrintComparison(os.Stdout, highway, base, len(seeds), rows)
+	fmt.Println("Both protocols degrade with speed (more link breaks), but the")
 	fmt.Println("gossip phase keeps recovering packets while the tree is repaired.")
 }

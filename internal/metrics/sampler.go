@@ -107,8 +107,7 @@ type Series struct {
 // Sampler builds a Series by differencing snapshots. The host arms a
 // repeating timer at the window cadence and calls Tick from it.
 type Sampler struct {
-	windowLen time.Duration
-	snap      func() Snapshot
+	snap func() Snapshot
 
 	last   Snapshot
 	lastAt time.Duration
@@ -122,11 +121,8 @@ func NewSampler(window time.Duration, snap func() Snapshot) *Sampler {
 	if window <= 0 {
 		panic("metrics: sampler window must be positive")
 	}
-	return &Sampler{windowLen: window, snap: snap, series: Series{WindowLen: window}}
+	return &Sampler{snap: snap, series: Series{WindowLen: window}}
 }
-
-// WindowLen returns the configured cadence.
-func (s *Sampler) WindowLen() time.Duration { return s.windowLen }
 
 // Tick closes the current window at `now`: it takes a snapshot, emits
 // the delta window, and starts the next. The host calls it from the

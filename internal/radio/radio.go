@@ -223,9 +223,6 @@ func (m *Medium) Stats() Stats { return m.stats }
 // ActiveTx returns the number of transmissions currently on the air.
 func (m *Medium) ActiveTx() int { return m.activeTx }
 
-// Range returns the configured transmission radius in metres.
-func (m *Medium) Range() float64 { return m.params.Range }
-
 // ElidedEvents returns the number of per-receiver reception events
 // folded into per-frame finish events. Adding it to the scheduler's
 // processed count yields the logical event total — the number of events

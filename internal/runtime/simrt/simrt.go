@@ -80,8 +80,5 @@ func (r *Runtime) Bind(onReceive rt.ReceiveFunc, onSendDone rt.SendDoneFunc) {
 	r.onRecv, r.onDone = onReceive, onSendDone
 }
 
-// Scheduler exposes the node's scheduler (tests drive it).
-func (r *Runtime) Scheduler() *sim.Scheduler { return r.sched }
-
 // MAC exposes the MAC entity for horizon wiring and statistics.
 func (r *Runtime) MAC() *mac.DCF { return r.dcf }

@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -28,8 +30,7 @@ type Aggregate struct {
 	// arbitrary seed's count — is the DeliveryRatio denominator.
 	Sent int
 	// Events sums the logical simulation events over all seeds — a
-	// workload-size metric for perf tracking, identical across the
-	// index, queue and reception-model kinds.
+	// workload-size metric for perf tracking.
 	Events uint64
 	// HeapLiveBytes is the largest post-run live heap across seeds
 	// (zero unless the runs set Config.MeasureHeap; see the huge-scale
@@ -112,12 +113,23 @@ type ComparisonRow struct {
 	Elapsed time.Duration
 }
 
-// RunComparisonStacks sweeps xs, running the treatment and baseline
-// stacks at each point with the given seeds. apply customises the base
-// config for an x value. progress (optional) receives one line per
-// completed point.
-func RunComparisonStacks(base Config, xs []float64, apply func(Config, float64) Config,
-	seeds []int64, parallel int, progress io.Writer, treatment, baseline stack.Spec) ([]ComparisonRow, error) {
+// Pair returns the two stacks a comparison measures on base: the
+// treatment is base's stack, or the paper's MAODV+AG when that stack has
+// no recovery layer, and the baseline is the treatment's bare routing.
+func Pair(base Config) (treatment, baseline stack.Spec) {
+	treatment = base.Spec()
+	if treatment.Recovery == "" {
+		treatment = stack.Spec{Routing: "maodv", Recovery: "gossip"}
+	}
+	return treatment, stack.Spec{Routing: treatment.Routing}
+}
+
+// RunComparison sweeps xs, running both stacks of Pair(base) at each
+// point with the given seeds. apply customises the base config for an x
+// value.
+func RunComparison(base Config, xs []float64, apply func(Config, float64) Config,
+	seeds []int64, parallel int) ([]ComparisonRow, error) {
+	treatment, baseline := Pair(base)
 	rows := make([]ComparisonRow, 0, len(xs))
 	for _, x := range xs {
 		cfg := apply(base, x)
@@ -133,29 +145,39 @@ func RunComparisonStacks(base Config, xs []float64, apply func(Config, float64) 
 		if err != nil {
 			return nil, fmt.Errorf("%v at x=%v: %w", baseline, x, err)
 		}
-		row := ComparisonRow{
+		rows = append(rows, ComparisonRow{
 			X: x, Gossip: AggregateResults(tRes), Maodv: AggregateResults(bRes),
 			Elapsed: time.Since(start),
-		}
-		rows = append(rows, row)
-		if progress != nil {
-			fmt.Fprintf(progress, "x=%-7.2f %v %7.1f [%5.0f,%5.0f]   %v %7.1f [%5.0f,%5.0f]\n",
-				x, treatment, row.Gossip.Received.Mean, row.Gossip.Received.Min, row.Gossip.Received.Max,
-				baseline, row.Maodv.Received.Mean, row.Maodv.Received.Min, row.Maodv.Received.Max)
-		}
+		})
 	}
 	return rows, nil
 }
 
-// RunComparison sweeps xs with the paper's original pair — MAODV+AG as
-// treatment against bare MAODV — mirroring the published curves.
-func RunComparison(base Config, xs []float64, apply func(Config, float64) Config,
-	seeds []int64, parallel int, progress io.Writer) ([]ComparisonRow, error) {
-	return RunComparisonStacks(base, xs, apply, seeds, parallel, progress,
-		stack.Spec{Routing: "maodv", Recovery: "gossip"}, stack.Spec{Routing: "maodv"})
+// PrintComparison writes rows, sweep s run on base with the given number
+// of seeds, as the comparison table: the heading, the seed and packet
+// counts, then one line per point with each stack's mean [min,max]
+// (std) packets received per member.
+func PrintComparison(w io.Writer, s Sweep, base Config, seeds int, rows []ComparisonRow) {
+	first := s.Apply(base, s.Xs[0])
+	treatment, baseline := Pair(base)
+	per, xFmt := "per run", "%-10.0f"
+	if first.NumSources > 1 {
+		per = "per source per run"
+	}
+	if s.Paper() {
+		xFmt = "%-10.1f"
+	}
+	fmt.Fprintf(w, "=== %s ===\n", s.Heading(base))
+	fmt.Fprintf(w, "(%d seeds, %d packets sent %s)\n", seeds, first.ExpectedPackets(), per)
+	fmt.Fprintf(w, "%-10s | %28s | %28s\n", s.XName,
+		fmt.Sprintf("%v mean [min,max] (std)", treatment), fmt.Sprintf("%v mean [min,max] (std)", baseline))
+	for _, r := range rows {
+		t, b := r.Gossip.Received, r.Maodv.Received
+		fmt.Fprintf(w, xFmt+" | %8.1f [%5.0f,%5.0f] (%5.1f) | %8.1f [%5.0f,%5.0f] (%5.1f)\n",
+			r.X, t.Mean, t.Min, t.Max, t.Std, b.Mean, b.Min, b.Max, b.Std)
+	}
+	fmt.Fprintln(w)
 }
-
-// --- paper figure definitions (see DESIGN.md experiment index) ---
 
 // Seeds returns the canonical seed list (the paper uses 10 random
 // seeds), nil for n <= 0.
@@ -170,23 +192,79 @@ func Seeds(n int) []int64 {
 	return out
 }
 
-// Fig2Xs is the transmission-range sweep 45..85 m in 5 m steps.
-func Fig2Xs() []float64 { return rangeXs(45, 85, 5) }
+// Sweep is one x-axis experiment: a paper figure or a family beyond the
+// paper. Apply reshapes a base config to the point x.
+type Sweep struct {
+	// ID names the sweep: the paper's figure number, or the family.
+	ID string
+	// Title heads the sweep's table; Heading fills its {nodes},
+	// {sources} and {window} placeholders.
+	Title string
+	XName string
+	Xs    []float64
+	Apply func(Config, float64) Config
+}
 
-// Fig3Xs equals Fig2Xs (the figures differ in max speed only).
-func Fig3Xs() []float64 { return Fig2Xs() }
+// Sweeps returns every x-axis experiment (DESIGN.md §3): the paper's
+// Figs. 2–7, then the large-scale, huge-scale and dense-traffic families
+// beyond the paper. Fig. 8 has no x axis; see Fig8Cases.
+func Sweeps() []Sweep {
+	rangeAt := func(speed float64) func(Config, float64) Config {
+		return func(c Config, x float64) Config {
+			c.Nodes, c.MaxSpeed, c.TxRange = 40, speed, x
+			return c
+		}
+	}
+	speed := func(c Config, x float64) Config {
+		c.Nodes, c.TxRange, c.MaxSpeed = 40, 75, x
+		return c
+	}
+	nodesAt := func(txRange func(n float64) float64) func(Config, float64) Config {
+		return func(c Config, x float64) Config {
+			c.MaxSpeed, c.Nodes, c.TxRange = 0.2, int(x), txRange(x)
+			return c
+		}
+	}
+	return []Sweep{
+		{"2", "Figure 2: Packet Delivery vs Transmission Range (speed 0.2 m/s)", "range(m)",
+			rangeXs(45, 85, 5), rangeAt(0.2)},
+		{"3", "Figure 3: Packet Delivery vs Transmission Range (speed 2 m/s)", "range(m)",
+			rangeXs(45, 85, 5), rangeAt(2)},
+		{"4", "Figure 4: Packet Delivery vs Maximum Speed 0.1-1.0 m/s (range 75 m)", "speed(m/s)",
+			rangeXs(0.1, 1.0, 0.1), speed},
+		{"5", "Figure 5: Packet Delivery vs Maximum Speed 1-10 m/s (range 75 m)", "speed(m/s)",
+			rangeXs(1, 10, 1), speed},
+		// The range shrinks to keep the mean neighbour count of the
+		// 40-node/75 m baseline: the expected degree in a uniform
+		// deployment scales with n·r², so r(n) = 75·sqrt(40/n).
+		{"6", "Figure 6: Packet Delivery vs Number of Nodes (constant mean degree)", "nodes",
+			rangeXs(40, 100, 15), nodesAt(func(n float64) float64 { return 75 * math.Sqrt(40/n) })},
+		{"7", "Figure 7: Packet Delivery vs Number of Nodes (range 55 m)", "nodes",
+			rangeXs(40, 100, 15), nodesAt(func(float64) float64 { return 55 })},
+		{"large", "Large scale: Packet Delivery vs Number of Nodes (constant density, 75 m range)", "nodes",
+			[]float64{100, 250, 500, 1000}, largeScale},
+		{"huge", "Huge scale: perf and memory vs Number of Nodes (constant density, 75 m range, {window} window)", "nodes",
+			[]float64{10000, 25000, 50000, 100000}, hugeScale},
+		{"dense", "Dense traffic: Packet Delivery vs Mean Degree ({nodes} nodes, {sources} sources, 75 m range)", "degree",
+			[]float64{20, 30, 40, 60}, dense},
+	}
+}
 
-// Fig4Xs is the low-speed sweep 0.1..1.0 m/s in 0.1 steps.
-func Fig4Xs() []float64 { return rangeXs(0.1, 1.0, 0.1) }
+// Paper reports whether s is one of the paper's figures (its ID is the
+// figure number) rather than a family beyond the paper.
+func (s Sweep) Paper() bool {
+	_, err := strconv.Atoi(s.ID)
+	return err == nil
+}
 
-// Fig5Xs is the high-speed sweep 1..10 m/s in 1 m/s steps.
-func Fig5Xs() []float64 { return rangeXs(1, 10, 1) }
-
-// Fig6Xs and Fig7Xs sweep the node count 40..100.
-func Fig6Xs() []float64 { return rangeXs(40, 100, 15) }
-
-// Fig7Xs sweeps node count at a fixed 55 m range.
-func Fig7Xs() []float64 { return Fig6Xs() }
+// Heading is the sweep's table title on base: Title with {nodes},
+// {sources} and {window} replaced by the first point's node count,
+// source count and run duration.
+func (s Sweep) Heading(base Config) string {
+	c := s.Apply(base, s.Xs[0])
+	return strings.NewReplacer("{nodes}", strconv.Itoa(c.Nodes), "{sources}", strconv.Itoa(c.NumSources),
+		"{window}", c.Duration.String()).Replace(s.Title)
+}
 
 func rangeXs(lo, hi, step float64) []float64 {
 	var out []float64
@@ -194,42 +272,6 @@ func rangeXs(lo, hi, step float64) []float64 {
 		out = append(out, math.Round(x*100)/100)
 	}
 	return out
-}
-
-// ApplyFig2 sets the transmission range (40 nodes, 0.2 m/s).
-func ApplyFig2(c Config, x float64) Config {
-	c.Nodes, c.MaxSpeed, c.TxRange = 40, 0.2, x
-	return c
-}
-
-// ApplyFig3 sets the transmission range (40 nodes, 2 m/s).
-func ApplyFig3(c Config, x float64) Config {
-	c.Nodes, c.MaxSpeed, c.TxRange = 40, 2, x
-	return c
-}
-
-// ApplyFig4And5 sets the max speed (40 nodes, 75 m range).
-func ApplyFig4And5(c Config, x float64) Config {
-	c.Nodes, c.TxRange, c.MaxSpeed = 40, 75, x
-	return c
-}
-
-// ApplyFig6 sets the node count, scaling the range to keep the mean
-// neighbour count of the 40-node/75 m baseline: the expected degree in a
-// uniform deployment scales with n·r², so r(n) = 75·sqrt(40/n).
-func ApplyFig6(c Config, x float64) Config {
-	c.MaxSpeed = 0.2
-	c.Nodes = int(x)
-	c.TxRange = 75 * math.Sqrt(40/x)
-	return c
-}
-
-// ApplyFig7 sets the node count at a fixed 55 m range (0.2 m/s).
-func ApplyFig7(c Config, x float64) Config {
-	c.MaxSpeed = 0.2
-	c.TxRange = 55
-	c.Nodes = int(x)
-	return c
 }
 
 // --- large-scale family (beyond the paper) ---
@@ -247,13 +289,10 @@ func ApplyFig7(c Config, x float64) Config {
 // O(n). "Gossip-Based Ad Hoc Routing" (Haas, Halpern & Li) sweeps
 // network size the same way to expose gossip's scaling behaviour.
 
-// LargeScaleXs returns the node counts of the large-scale sweep.
-func LargeScaleXs() []float64 { return []float64{100, 250, 500, 1000} }
-
-// ApplyLargeScale sets the node count, growing the terrain so node
-// density matches the paper's 40-nodes-per-200 m² baseline at a fixed
-// 75 m range (side(n) = 200·sqrt(n/40)).
-func ApplyLargeScale(c Config, x float64) Config {
+// largeScale sets the node count, growing the terrain so node density
+// matches the paper's 40-nodes-per-200 m² baseline at a fixed 75 m
+// range (side(n) = 200·sqrt(n/40)).
+func largeScale(c Config, x float64) Config {
 	c.Nodes = int(x)
 	side := 200 * math.Sqrt(x/40)
 	c.Area = geom.Rect{W: side, H: side}
@@ -266,7 +305,7 @@ func ApplyLargeScale(c Config, x float64) Config {
 // count: the paper's baseline protocol stack and traffic on the scaled
 // terrain. Callers wanting a shorter run should use ShortenedData.
 func LargeScaleConfig(nodes int) Config {
-	return ApplyLargeScale(DefaultConfig(), float64(nodes))
+	return largeScale(DefaultConfig(), float64(nodes))
 }
 
 // ShortenedData rescales the run to a shorter duration while keeping
@@ -300,14 +339,10 @@ func ShortenedData(c Config, duration time.Duration) Config {
 // delivery columns warm-up-dominated noise — the family's results are
 // the perf and memory columns, not the delivery tables.
 
-// HugeScaleXs returns the node counts of the huge-scale sweep.
-func HugeScaleXs() []float64 { return []float64{10000, 25000, 50000, 100000} }
-
-// ApplyHugeScale sets the node count on the constant-density terrain
-// (identical law to ApplyLargeScale) and turns on per-run heap
-// measurement.
-func ApplyHugeScale(c Config, x float64) Config {
-	c = ApplyLargeScale(c, x)
+// hugeScale sets the node count on the constant-density terrain
+// (identical law to largeScale) and turns on per-run heap measurement.
+func hugeScale(c Config, x float64) Config {
+	c = largeScale(c, x)
 	c.MeasureHeap = true
 	return c
 }
@@ -315,7 +350,7 @@ func ApplyHugeScale(c Config, x float64) Config {
 // HugeScaleConfig returns the huge-scale configuration at one node
 // count. Callers almost always want ShortenedData on top.
 func HugeScaleConfig(nodes int) Config {
-	return ApplyHugeScale(DefaultConfig(), float64(nodes))
+	return hugeScale(DefaultConfig(), float64(nodes))
 }
 
 // --- dense-traffic family (beyond the paper) ---
@@ -331,9 +366,6 @@ func HugeScaleConfig(nodes int) Config {
 // questions of gossip-based routing at scale (Haas/Halpern/Li; Hu/Jehl,
 // PAPERS.md) live in exactly this regime.
 
-// DenseXs returns the target mean degrees of the dense-traffic sweep.
-func DenseXs() []float64 { return []float64{20, 30, 40, 60} }
-
 // DenseSources is the number of concurrent CBR senders in the dense
 // family (phase-shifted; AG tracks sequence numbers per origin).
 const DenseSources = 5
@@ -342,14 +374,15 @@ const DenseSources = 5
 // raises it to 500 or 1000 for the larger members.
 const DenseNodes = 250
 
-// ApplyDense reshapes c to one dense sweep point: the field is sized so
-// the expected mean degree at the paper's 75 m range equals x for the
-// config's node count — side(n, d) = sqrt(n·π·75²/d) — ignoring edge
-// effects, which only push the true degree below the target. Node count
-// and source count are taken from c (see DenseConfig). A non-positive
-// (or NaN) degree yields a degenerate area that Validate rejects,
-// rather than an infinite field that would simulate silently.
-func ApplyDense(c Config, degree float64) Config {
+// dense reshapes c to one dense sweep point: DenseSources senders on a
+// field sized so the expected mean degree at the paper's 75 m range
+// equals degree for the config's node count — side(n, d) = sqrt(n·π·75²/d) —
+// ignoring edge effects, which only push the true degree below the
+// target. A non-positive (or NaN) degree yields a degenerate area that
+// Validate rejects, rather than an infinite field that would simulate
+// silently.
+func dense(c Config, degree float64) Config {
+	c.NumSources = DenseSources
 	c.TxRange = 75
 	c.MaxSpeed = 0.2
 	if !(degree > 0) {
@@ -362,13 +395,11 @@ func ApplyDense(c Config, degree float64) Config {
 }
 
 // DenseConfig returns the dense-traffic configuration at one node count
-// and target mean degree: DenseSources concurrent senders on a field
-// packed to the requested degree.
+// and target mean degree, with DenseSources concurrent senders.
 func DenseConfig(nodes int, degree float64) Config {
 	c := DefaultConfig()
 	c.Nodes = nodes
-	c.NumSources = DenseSources
-	return ApplyDense(c, degree)
+	return dense(c, degree)
 }
 
 // GoodputCase is one of Fig. 8's four (range, speed) combinations.
@@ -396,14 +427,11 @@ type GoodputRow struct {
 	Summary   stats.Summary
 }
 
-// RunGoodput executes the Fig. 8 experiment for one case. The stack
-// under test is the base config's when it has a recovery layer, else
-// the paper's MAODV+AG.
+// RunGoodput executes the Fig. 8 experiment for one case on the
+// treatment stack of Pair(base).
 func RunGoodput(base Config, gc GoodputCase, seeds []int64, parallel int) (GoodputRow, error) {
 	cfg := base
-	if cfg.Spec().Recovery == "" {
-		cfg.Stack = stack.Spec{Routing: "maodv", Recovery: "gossip"}
-	}
+	cfg.Stack, _ = Pair(base)
 	cfg.Nodes = 40
 	cfg.TxRange = gc.TxRange
 	cfg.MaxSpeed = gc.MaxSpeed
@@ -419,4 +447,15 @@ func RunGoodput(base Config, gc GoodputCase, seeds []int64, parallel int) (Goodp
 	}
 	row.Summary = stats.Summarize(row.PerMember)
 	return row, nil
+}
+
+// PrintGoodput writes Fig. 8's goodput table, one line per case.
+func PrintGoodput(w io.Writer, rows []GoodputRow) {
+	fmt.Fprintln(w, "=== Figure 8: Goodput at group members ===")
+	fmt.Fprintf(w, "%-18s | %10s %8s %8s\n", "case", "mean", "min", "max")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%4.0fm, %3.1fm/s      | %9.2f%% %7.2f%% %7.2f%%\n",
+			r.Case.TxRange, r.Case.MaxSpeed, r.Summary.Mean, r.Summary.Min, r.Summary.Max)
+	}
+	fmt.Fprintln(w)
 }

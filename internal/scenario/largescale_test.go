@@ -13,8 +13,9 @@ import (
 func TestLargeScaleFamilyHoldsDensity(t *testing.T) {
 	base := DefaultConfig()
 	baseDensity := float64(base.Nodes) / base.Area.Area()
-	for _, x := range LargeScaleXs() {
-		cfg := ApplyLargeScale(base, x)
+	large := sweep(t, "large")
+	for _, x := range large.Xs {
+		cfg := large.Apply(base, x)
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("n=%v: invalid config: %v", x, err)
 		}

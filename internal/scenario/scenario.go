@@ -220,6 +220,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: negative MAC slot time %v or PHY overhead %v", c.MAC.SlotTime, c.MAC.PhyOverhead)
 	case c.MAC.HeaderBytes < 0 || c.MAC.AckBytes < 0:
 		return fmt.Errorf("scenario: negative MAC header %d or ACK size %d", c.MAC.HeaderBytes, c.MAC.AckBytes)
+	case c.MAC.QueueCap <= 0:
+		// An empty queue of capacity zero is full: every Send would fail.
+		return fmt.Errorf("scenario: non-positive MAC queue capacity %d", c.MAC.QueueCap)
 	case unicast && c.AODV.HelloInterval <= 0:
 		// Like a gossip round, the neighbour sweep and an ODMRP source's
 		// refresh re-arm themselves one period later.

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -129,6 +131,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative header bytes", func(c *Config) { c.MAC.HeaderBytes = -100 }},
 		{"negative slot time", func(c *Config) { c.MAC.SlotTime = -time.Millisecond }},
 		{"negative ack bytes", func(c *Config) { c.MAC.AckBytes = -100 }},
+		{"zero mac queue cap", func(c *Config) { c.MAC.QueueCap = 0 }},
 		{"zero data interval", func(c *Config) { c.DataInterval = 0 }},
 		{"negative data interval", func(c *Config) { c.DataInterval = -time.Second }},
 	}
@@ -302,42 +305,91 @@ func TestAggregateResults(t *testing.T) {
 	}
 }
 
+// TestFigureSweepDefinitions checks the one sweep table: each sweep is
+// listed once and complete, its points ascend, the paper figures reshape
+// the config along the paper's axes, and Heading fills every placeholder.
 func TestFigureSweepDefinitions(t *testing.T) {
-	if xs := Fig2Xs(); len(xs) != 9 || xs[0] != 45 || xs[8] != 85 {
-		t.Fatalf("Fig2Xs = %v", xs)
+	byID := map[string]Sweep{}
+	for _, s := range Sweeps() {
+		if _, dup := byID[s.ID]; dup {
+			t.Fatalf("sweep %q duplicated", s.ID)
+		}
+		byID[s.ID] = s
+		if s.ID == "" || s.Title == "" || s.XName == "" || len(s.Xs) == 0 || s.Apply == nil {
+			t.Fatalf("sweep %q incomplete: %+v", s.ID, s)
+		}
+		for i := 1; i < len(s.Xs); i++ {
+			if s.Xs[i] <= s.Xs[i-1] {
+				t.Fatalf("sweep %q points not ascending: %v", s.ID, s.Xs)
+			}
+		}
+		if h := s.Heading(DefaultConfig()); strings.ContainsAny(h, "{}") {
+			t.Fatalf("sweep %q heading %q keeps a placeholder", s.ID, h)
+		}
 	}
-	if xs := Fig4Xs(); len(xs) != 10 || xs[0] != 0.1 || xs[9] != 1.0 {
-		t.Fatalf("Fig4Xs = %v", xs)
+	for _, id := range []string{"2", "3", "4", "5", "6", "7", "large", "huge", "dense"} {
+		s, ok := byID[id]
+		if !ok {
+			t.Fatalf("sweep %q missing", id)
+		}
+		if paper := id[0] <= '9'; s.Paper() != paper {
+			t.Fatalf("sweep %q: Paper() = %v, want %v", id, s.Paper(), paper)
+		}
 	}
-	if xs := Fig5Xs(); len(xs) != 10 || xs[0] != 1 || xs[9] != 10 {
-		t.Fatalf("Fig5Xs = %v", xs)
+	if _, ok := byID["8"]; ok {
+		t.Fatal("Fig. 8 has no x axis, yet it is a sweep")
 	}
-	if xs := Fig6Xs(); xs[0] != 40 || xs[len(xs)-1] != 100 {
-		t.Fatalf("Fig6Xs = %v", xs)
+
+	if xs := byID["2"].Xs; len(xs) != 9 || xs[0] != 45 || xs[8] != 85 {
+		t.Fatalf("Fig. 2 points = %v", xs)
+	}
+	if xs := byID["3"].Xs; !slices.Equal(xs, byID["2"].Xs) {
+		t.Fatalf("Fig. 3 points = %v, want Fig. 2's", xs)
+	}
+	if xs := byID["4"].Xs; len(xs) != 10 || xs[0] != 0.1 || xs[9] != 1.0 {
+		t.Fatalf("Fig. 4 points = %v", xs)
+	}
+	if xs := byID["5"].Xs; len(xs) != 10 || xs[0] != 1 || xs[9] != 10 {
+		t.Fatalf("Fig. 5 points = %v", xs)
+	}
+	if xs := byID["6"].Xs; xs[0] != 40 || xs[len(xs)-1] != 100 || !slices.Equal(byID["7"].Xs, xs) {
+		t.Fatalf("Fig. 6 points = %v, Fig. 7 points = %v", xs, byID["7"].Xs)
 	}
 
 	base := DefaultConfig()
-	c := ApplyFig2(base, 60)
+	c := byID["2"].Apply(base, 60)
 	if c.TxRange != 60 || c.MaxSpeed != 0.2 || c.Nodes != 40 {
-		t.Fatalf("ApplyFig2 = %+v", c)
+		t.Fatalf("Fig. 2 at 60 m = %+v", c)
 	}
-	c = ApplyFig3(base, 60)
-	if c.MaxSpeed != 2 {
-		t.Fatalf("ApplyFig3 speed = %v", c.MaxSpeed)
+	if c = byID["3"].Apply(base, 60); c.TxRange != 60 || c.MaxSpeed != 2 {
+		t.Fatalf("Fig. 3 at 60 m: range %v, speed %v", c.TxRange, c.MaxSpeed)
 	}
-	c = ApplyFig4And5(base, 3)
-	if c.MaxSpeed != 3 || c.TxRange != 75 {
-		t.Fatalf("ApplyFig4And5 = %+v", c)
+	for _, id := range []string{"4", "5"} {
+		if c = byID[id].Apply(base, 3); c.MaxSpeed != 3 || c.TxRange != 75 || c.Nodes != 40 {
+			t.Fatalf("Fig. %s at 3 m/s = %+v", id, c)
+		}
 	}
 	// Fig 6 keeps n*r^2 constant: 40*75^2 == n*r(n)^2.
-	c = ApplyFig6(base, 90)
+	c = byID["6"].Apply(base, 90)
 	if got, want := float64(c.Nodes)*c.TxRange*c.TxRange, 40.0*75*75; got < want*0.99 || got > want*1.01 {
-		t.Fatalf("ApplyFig6 degree product = %v, want %v", got, want)
+		t.Fatalf("Fig. 6 degree product = %v, want %v", got, want)
 	}
-	c = ApplyFig7(base, 70)
-	if c.TxRange != 55 || c.Nodes != 70 {
-		t.Fatalf("ApplyFig7 = %+v", c)
+	if c = byID["7"].Apply(base, 70); c.TxRange != 55 || c.Nodes != 70 {
+		t.Fatalf("Fig. 7 at 70 nodes = %+v", c)
 	}
+	if c = byID["huge"].Apply(base, 10000); !c.MeasureHeap || c.Nodes != 10000 {
+		t.Fatalf("huge at 10000 nodes = %+v", c)
+	}
+
+	dbase := base
+	dbase.Nodes = 100
+	if h := byID["dense"].Heading(dbase); !strings.Contains(h, "(100 nodes, 5 sources,") {
+		t.Fatalf("dense heading = %q", h)
+	}
+	if h := byID["huge"].Heading(ShortenedData(base, time.Second)); !strings.Contains(h, ", 1s window)") {
+		t.Fatalf("huge heading = %q", h)
+	}
+
 	if cases := Fig8Cases(); len(cases) != 4 {
 		t.Fatalf("Fig8Cases = %v", cases)
 	}
@@ -349,12 +401,24 @@ func TestFigureSweepDefinitions(t *testing.T) {
 	}
 }
 
+// sweep returns the table's sweep id.
+func sweep(t *testing.T, id string) Sweep {
+	t.Helper()
+	for _, s := range Sweeps() {
+		if s.ID == id {
+			return s
+		}
+	}
+	t.Fatalf("no sweep %q", id)
+	return Sweep{}
+}
+
 func TestRunComparisonSmall(t *testing.T) {
 	base := shortConfig()
 	rows, err := RunComparison(base, []float64{60}, func(c Config, x float64) Config {
 		c.TxRange = x
 		return c
-	}, []int64{1}, 2, nil)
+	}, []int64{1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
