@@ -17,6 +17,7 @@
 package aodv
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -24,6 +25,7 @@ import (
 	"anongossip/internal/pkt"
 	"anongossip/internal/runtime"
 	"anongossip/internal/sim"
+	"anongossip/internal/table"
 )
 
 // Config holds the AODV parameters. The paper pins HelloInterval and
@@ -84,14 +86,14 @@ type MulticastHooks interface {
 	ObserveMulticastRREP(r *pkt.RREP, from pkt.NodeID, atOrigin bool)
 }
 
-// route is one routing table entry.
+// route is one routing table entry, stored by value under its
+// destination.
 type route struct {
-	dst      pkt.NodeID
-	seq      uint32
-	seqValid bool
-	hops     uint8
-	nextHop  pkt.NodeID
 	expires  sim.Time
+	seq      uint32
+	nextHop  pkt.NodeID
+	hops     uint8
+	seqValid bool
 	valid    bool
 }
 
@@ -101,11 +103,6 @@ type discovery struct {
 	retries int
 	timer   sim.Timer
 	queued  []*pkt.Packet
-}
-
-// neighbor tracks hello liveness.
-type neighbor struct {
-	lastHeard sim.Time
 }
 
 // Stats counts AODV protocol activity.
@@ -132,10 +129,20 @@ type Router struct {
 	seq    uint32
 	rreqID uint32
 
-	routes    map[pkt.NodeID]*route
+	// routes, seen and neighbors are read or written for every frame
+	// the node hears. routes and neighbors are keyed by NodeID.Uint64;
+	// neighbors holds when each was last heard. seen maps an RREQ's
+	// seenKey to its expiry. seenLog lists the key of every write to
+	// seen, oldest first, and seenMarks the log's length at each recent
+	// sweep: every entry expires SeenLifetime after it was written, so
+	// the writes logged before a mark made at t have all expired by
+	// t + SeenLifetime, and a sweep finds them without walking seen.
+	routes    table.Table[route]
 	pending   map[pkt.NodeID]*discovery
-	seen      map[seenKey]sim.Time
-	neighbors map[pkt.NodeID]*neighbor
+	seen      table.Table[sim.Time]
+	seenLog   []uint64
+	seenMarks []seenMark
+	neighbors table.Table[sim.Time]
 
 	mc        MulticastHooks
 	breakSubs []func(n pkt.NodeID)
@@ -144,9 +151,16 @@ type Router struct {
 	stats    Stats
 }
 
-type seenKey struct {
-	orig pkt.NodeID
-	id   uint32
+// seenKey is the (originator, RREQ ID) pair that identifies a flood,
+// packed into one table key.
+func seenKey(orig pkt.NodeID, id uint32) uint64 {
+	return pkt.SeqKey{Origin: orig, Seq: id}.Uint64()
+}
+
+// seenMark records the length of the seen log at a sweep.
+type seenMark struct {
+	at     sim.Time
+	logLen int
 }
 
 var _ node.UnicastRouter = (*Router)(nil)
@@ -155,14 +169,11 @@ var _ node.UnicastRouter = (*Router)(nil)
 // Start to begin hello beaconing.
 func New(st *node.Stack, rng *sim.RNG, cfg Config) *Router {
 	r := &Router{
-		cfg:       cfg,
-		stack:     st,
-		sched:     st.Clock(),
-		rng:       rng,
-		routes:    make(map[pkt.NodeID]*route),
-		pending:   make(map[pkt.NodeID]*discovery),
-		seen:      make(map[seenKey]sim.Time),
-		neighbors: make(map[pkt.NodeID]*neighbor),
+		cfg:     cfg,
+		stack:   st,
+		sched:   st.Clock(),
+		rng:     rng,
+		pending: make(map[pkt.NodeID]*discovery),
 	}
 	st.SetRouter(r)
 	st.Handle(pkt.KindHello, r.onHello)
@@ -200,8 +211,8 @@ func (r *Router) ID() pkt.NodeID { return r.stack.ID() }
 // NextHop implements node.UnicastRouter, refreshing the lifetime of used
 // routes.
 func (r *Router) NextHop(dst pkt.NodeID) (pkt.NodeID, bool) {
-	rt, ok := r.routes[dst]
-	if !ok || !rt.valid || rt.expires <= r.sched.Now() {
+	rt := r.routes.Ref(dst.Uint64())
+	if rt == nil || !rt.valid || rt.expires <= r.sched.Now() {
 		return 0, false
 	}
 	rt.expires = r.sched.Now() + r.cfg.ActiveRouteTimeout
@@ -241,30 +252,25 @@ func (r *Router) NextSeq() uint32 {
 // NoteOwnRREQ records a locally originated RREQ (orig, id) so the node
 // ignores echoes of its own flood.
 func (r *Router) NoteOwnRREQ(id uint32) {
-	r.seen[seenKey{orig: r.stack.ID(), id: id}] = r.sched.Now() + r.cfg.SeenLifetime
+	r.noteSeen(seenKey(r.stack.ID(), id))
+}
+
+// noteSeen records an RREQ flood until SeenLifetime from now.
+func (r *Router) noteSeen(k uint64) {
+	r.seen.Put(k, r.sched.Now()+r.cfg.SeenLifetime)
+	r.seenLog = append(r.seenLog, k)
 }
 
 // HaveNeighbor reports whether n is currently tracked as a live
 // neighbour.
 func (r *Router) HaveNeighbor(n pkt.NodeID) bool {
-	_, ok := r.neighbors[n]
+	_, ok := r.neighbors.Get(n.Uint64())
 	return ok
-}
-
-// sortedRouteDsts returns route-table destinations in ascending order,
-// keeping behaviour independent of map iteration order.
-func (r *Router) sortedRouteDsts() []pkt.NodeID {
-	out := make([]pkt.NodeID, 0, len(r.routes))
-	for dst := range r.routes {
-		out = append(out, dst)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // RouteHops returns the hop count of a valid route to dst, if known.
 func (r *Router) RouteHops(dst pkt.NodeID) (uint8, bool) {
-	rt, ok := r.routes[dst]
+	rt, ok := r.routes.Get(dst.Uint64())
 	if !ok || !rt.valid || rt.expires <= r.sched.Now() {
 		return 0, false
 	}
@@ -297,11 +303,7 @@ func (r *Router) installRoute(dst pkt.NodeID, seq uint32, seqValid bool, hops ui
 		return
 	}
 	now := r.sched.Now()
-	rt, exists := r.routes[dst]
-	if !exists {
-		rt = &route{dst: dst}
-		r.routes[dst] = rt
-	}
+	rt, _ := r.routes.Insert(dst.Uint64()) // a new entry is invalid, so stale
 	stale := !rt.valid || rt.expires <= now
 	fresher := seqValid && (!rt.seqValid || newerSeq(seq, rt.seq) ||
 		(seq == rt.seq && hops < rt.hops))
@@ -345,7 +347,7 @@ func (r *Router) sendRREQ(d *discovery) {
 
 		LeaderHops: pkt.LeaderHopsUnset,
 	}
-	if rt, ok := r.routes[d.dst]; ok && rt.seqValid {
+	if rt, ok := r.routes.Get(d.dst.Uint64()); ok && rt.seqValid {
 		req.DstSeq = rt.seq
 	} else {
 		req.Flags |= pkt.RREQUnknownSeq
@@ -380,12 +382,7 @@ func (r *Router) onHello(p *pkt.Packet, from pkt.NodeID) {
 }
 
 func (r *Router) onHeard(n pkt.NodeID) {
-	nb, ok := r.neighbors[n]
-	if !ok {
-		nb = &neighbor{}
-		r.neighbors[n] = nb
-	}
-	nb.lastHeard = r.sched.Now()
+	r.neighbors.Put(n.Uint64(), r.sched.Now())
 }
 
 func (r *Router) onRREQ(p *pkt.Packet, from pkt.NodeID) {
@@ -397,12 +394,12 @@ func (r *Router) onRREQ(p *pkt.Packet, from pkt.NodeID) {
 	if req.Orig == me {
 		return // echo of our own flood
 	}
-	key := seenKey{orig: req.Orig, id: req.ID}
+	key := seenKey(req.Orig, req.ID)
 	now := r.sched.Now()
-	if exp, dup := r.seen[key]; dup && exp > now {
+	if exp, dup := r.seen.Get(key); dup && exp > now {
 		return
 	}
-	r.seen[key] = now + r.cfg.SeenLifetime
+	r.noteSeen(key)
 
 	hops := req.HopCount + 1
 	// Reverse route toward the originator.
@@ -436,7 +433,7 @@ func (r *Router) onRREQ(p *pkt.Packet, from pkt.NodeID) {
 		return
 	}
 	// Intermediate reply when we hold a fresh-enough route.
-	if rt, have := r.routes[dst]; have && rt.valid && rt.expires > now && rt.seqValid &&
+	if rt, have := r.routes.Get(dst.Uint64()); have && rt.valid && rt.expires > now && rt.seqValid &&
 		(req.Flags&pkt.RREQUnknownSeq != 0 || !newerSeq(req.DstSeq, rt.seq)) {
 		r.sendRREP(&pkt.RREP{
 			Dst:        req.Dst,
@@ -507,8 +504,8 @@ func (r *Router) onRERR(p *pkt.Packet, from pkt.NodeID) {
 	}
 	var propagate []pkt.Unreachable
 	for _, u := range rerr.Dests {
-		rt, have := r.routes[u.Addr]
-		if !have || !rt.valid || rt.nextHop != from {
+		rt := r.routes.Ref(u.Addr.Uint64())
+		if rt == nil || !rt.valid || rt.nextHop != from {
 			continue
 		}
 		rt.valid = false
@@ -540,20 +537,19 @@ func (r *Router) onMACFailure(n pkt.NodeID, p *pkt.Packet) {
 // breakLink removes neighbour state, invalidates dependent routes,
 // propagates RERR and notifies subscribers.
 func (r *Router) breakLink(n pkt.NodeID) {
-	if _, tracked := r.neighbors[n]; tracked {
-		delete(r.neighbors, n)
-	}
+	r.neighbors.Delete(n.Uint64())
 	r.stats.LinkBreaks++
 
 	var lost []pkt.Unreachable
-	for _, dst := range r.sortedRouteDsts() {
-		rt := r.routes[dst]
+	for dst, rt := range r.routes.All() {
 		if rt.valid && rt.nextHop == n {
 			rt.valid = false
 			rt.seq++
-			lost = append(lost, pkt.Unreachable{Addr: dst, Seq: rt.seq})
+			lost = append(lost, pkt.Unreachable{Addr: pkt.NodeID(dst), Seq: rt.seq})
 		}
 	}
+	// The RERR lists destinations in ascending order, not table order.
+	slices.SortFunc(lost, func(a, b pkt.Unreachable) int { return cmp.Compare(a.Addr, b.Addr) })
 	if len(lost) > 0 {
 		r.stats.RERRsSent++
 		r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, &pkt.RERR{Dests: lost}))
@@ -577,19 +573,33 @@ func (r *Router) sweepTick() {
 	now := r.sched.Now()
 	deadline := time.Duration(r.cfg.AllowedHelloLoss) * r.cfg.HelloInterval
 	var dead []pkt.NodeID
-	for n, nb := range r.neighbors {
-		if now-nb.lastHeard > deadline {
-			dead = append(dead, n)
+	for n, lastHeard := range r.neighbors.All() {
+		if now-*lastHeard > deadline {
+			dead = append(dead, pkt.NodeID(n))
 		}
 	}
 	slices.Sort(dead)
 	for _, n := range dead {
 		r.breakLink(n)
 	}
-	for k, exp := range r.seen {
-		if exp <= now {
-			delete(r.seen, k)
+	// onRREQ already ignores an expired entry; dropping them here only
+	// bounds the table, so an entry may outlive its expiry by a sweep
+	// period. A key rewritten after a logged write has a later write
+	// still logged, so the table's own expiry decides.
+	cut, m := 0, 0
+	for ; m < len(r.seenMarks) && r.seenMarks[m].at+r.cfg.SeenLifetime <= now; m++ {
+		cut = r.seenMarks[m].logLen
+	}
+	for _, k := range r.seenLog[:cut] {
+		if exp, _ := r.seen.Get(k); exp <= now {
+			r.seen.Delete(k)
 		}
 	}
+	r.seenLog = append(r.seenLog[:0], r.seenLog[cut:]...)
+	r.seenMarks = append(r.seenMarks[:0], r.seenMarks[m:]...)
+	for i := range r.seenMarks {
+		r.seenMarks[i].logLen -= cut
+	}
+	r.seenMarks = append(r.seenMarks, seenMark{at: now, logLen: len(r.seenLog)})
 	r.sched.After(r.cfg.HelloInterval, r.sweepTick)
 }

@@ -222,7 +222,7 @@ func TestIntermediateNodeReplies(t *testing.T) {
 	// packet after invalidating locally.
 	w.sched.After(0, func() {
 		// Simulate local route loss at node 1 only.
-		delete(w.routers[0].routes, 4)
+		w.routers[0].routes.Delete(pkt.NodeID(4).Uint64())
 		w.stacks[0].SendUnicast(payload(1, 4))
 	})
 	w.sched.Run(8 * time.Second) // Run horizons are absolute simulation times
@@ -291,8 +291,49 @@ func TestSeenCacheSweep(t *testing.T) {
 	w.sched.After(time.Second, func() { w.stacks[0].SendUnicast(payload(1, 9)) })
 	w.sched.Run(30 * time.Second)
 	// After SeenLifetime + sweeps, the cache must be clean.
-	if n := len(w.routers[1].seen); n != 0 {
-		t.Fatalf("seen cache has %d stale entries", n)
+	if r := w.routers[1]; r.seen.Len() != 0 || len(r.seenLog) != 0 {
+		t.Fatalf("seen cache has %d stale entries (%d writes logged)", r.seen.Len(), len(r.seenLog))
+	}
+}
+
+// TestSeenSweepKeepsRewrittenEntry: an RREQ entry rewritten after it
+// expired, before a sweep dropped it, is logged once per write. The
+// sweep that drops the first write must keep the live entry, and a
+// sweep after the rewrite's own expiry drops it.
+func TestSeenSweepKeepsRewrittenEntry(t *testing.T) {
+	w := buildWorld(t, linePositions(1))
+	r := w.routers[0]
+	// Sweeps run every HelloInterval (600 ms) from 0: the first write
+	// expires at 6.1 s and is dropped by the 6.6 s sweep (its mark was
+	// made at 1.2 s), which the rewrite at 6.2 s precedes.
+	w.sched.At(1100*time.Millisecond, func() { r.NoteOwnRREQ(7) })
+	w.sched.At(6200*time.Millisecond, func() { r.NoteOwnRREQ(7) })
+	w.sched.Run(7 * time.Second)
+	if exp, ok := r.seen.Get(seenKey(r.ID(), 7)); !ok || exp != 11200*time.Millisecond || len(r.seenLog) != 1 {
+		t.Fatalf("after the 6.6 s sweep: entry %v (present %v), %d writes logged; want the rewrite, expiring at 11.2 s, logged alone", exp, ok, len(r.seenLog))
+	}
+	w.sched.Run(13 * time.Second)
+	if r.seen.Len() != 0 || len(r.seenLog) != 0 {
+		t.Fatalf("after its expiry: %d entries, %d writes logged", r.seen.Len(), len(r.seenLog))
+	}
+}
+
+// TestOnHeardAllocatesNothing: refreshing a known neighbour — what
+// every frame the node hears does — allocates nothing.
+func TestOnHeardAllocatesNothing(t *testing.T) {
+	r := buildWorld(t, linePositions(1)).routers[0]
+	for n := pkt.NodeID(2); n < 40; n++ {
+		r.onHeard(n)
+	}
+	n := pkt.NodeID(2)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		r.onHeard(n)
+		n = 2 + (n-1)%38
+	}); allocs != 0 {
+		t.Fatalf("onHeard of a known neighbour allocates %v times, want 0", allocs)
+	}
+	if r.neighbors.Len() != 38 || !r.HaveNeighbor(39) || r.HaveNeighbor(40) {
+		t.Fatalf("%d neighbours tracked, want 2…39", r.neighbors.Len())
 	}
 }
 

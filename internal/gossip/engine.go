@@ -19,6 +19,7 @@
 package gossip
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -26,6 +27,7 @@ import (
 	"anongossip/internal/pkt"
 	"anongossip/internal/runtime"
 	"anongossip/internal/sim"
+	"anongossip/internal/table"
 )
 
 // NextHop is one walkable tree link.
@@ -180,8 +182,10 @@ type DeliverFunc func(group pkt.GroupID, d *pkt.Data, recovered bool)
 
 // groupState is the per-group gossip machinery of one member.
 type groupState struct {
-	id       pkt.GroupID
-	expected map[pkt.NodeID]uint32
+	id pkt.GroupID
+	// expected maps an origin (NodeID.Uint64) to the next sequence
+	// number the member expects from it.
+	expected table.Table[uint32]
 	lost     *lostTable
 	history  *historyTable
 	cache    *memberCache
@@ -244,11 +248,10 @@ func (e *Engine) Attach(g pkt.GroupID) {
 		return
 	}
 	gs := &groupState{
-		id:       g,
-		expected: make(map[pkt.NodeID]uint32),
-		lost:     newLostTable(e.cfg.LostTableCap),
-		history:  newHistoryTable(e.cfg.HistoryCap),
-		cache:    newMemberCache(e.cfg.CacheCap),
+		id:      g,
+		lost:    newLostTable(e.cfg.LostTableCap),
+		history: newHistoryTable(e.cfg.HistoryCap),
+		cache:   newMemberCache(e.cfg.CacheCap),
 	}
 	e.groups[g] = gs
 	phase := e.cfg.Interval + e.rng.Duration(e.cfg.IntervalJitter)
@@ -283,8 +286,8 @@ func (e *Engine) OnLocalData(group pkt.GroupID, d pkt.Data) {
 		return
 	}
 	gs.history.Add(d)
-	if next := d.Seq + 1; next > gs.expected[d.Origin] {
-		gs.expected[d.Origin] = next
+	if exp, _ := gs.expected.Get(d.Origin.Uint64()); d.Seq+1 > exp {
+		gs.expected.Put(d.Origin.Uint64(), d.Seq+1)
 	}
 }
 
@@ -304,18 +307,25 @@ func (e *Engine) OnMemberEvidence(group pkt.GroupID, member pkt.NodeID, hops uin
 // caller's: the history keeps a copy, the subscribers borrow d itself.
 func (e *Engine) ingest(gs *groupState, d *pkt.Data, recovered bool) bool {
 	key := d.Key()
-	exp, seen := gs.expected[d.Origin]
+	exp, seen := gs.expected.Get(d.Origin.Uint64())
 	if !seen {
 		exp = 1 // sequence numbers start at 1; earlier packets were missed
 	}
 	switch {
 	case d.Seq >= exp:
 		// Everything between the expectation and this packet is now
-		// known-lost.
-		for s := exp; s < d.Seq; s++ {
+		// known-lost. The table keeps only the newest LostTableCap keys,
+		// and none at or past exp is in it yet, so adding just those
+		// leaves the table as adding the whole gap would — without a
+		// stall of 2³² additions when a frame claims Seq 2³²−1.
+		from := exp
+		if n := uint32(max(e.cfg.LostTableCap, 0)); d.Seq-exp > n {
+			from = d.Seq - n
+		}
+		for s := from; s < d.Seq; s++ {
 			gs.lost.Add(pkt.SeqKey{Origin: d.Origin, Seq: s})
 		}
-		gs.expected[d.Origin] = d.Seq + 1
+		gs.expected.Put(d.Origin.Uint64(), d.Seq+1)
 	case gs.lost.Contains(key):
 		gs.lost.Remove(key)
 	default:
@@ -331,7 +341,7 @@ func (e *Engine) ingest(gs *groupState, d *pkt.Data, recovered bool) bool {
 
 // isDuplicate reports whether the member already holds the packet.
 func (e *Engine) isDuplicate(gs *groupState, key pkt.SeqKey) bool {
-	exp, seen := gs.expected[key.Origin]
+	exp, seen := gs.expected.Get(key.Origin.Uint64())
 	if !seen {
 		return false
 	}
@@ -390,19 +400,20 @@ func (e *Engine) buildRequest(gs *groupState) *pkt.GossipReq {
 		Initiator: e.stack.ID(),
 		Lost:      gs.lost.Recent(e.cfg.LostBufferCap),
 	}
-	origins := make([]pkt.NodeID, 0, len(gs.expected))
-	for origin := range gs.expected {
-		origins = append(origins, origin)
+	origins := make([]pkt.Expect, 0, gs.expected.Len())
+	for origin, next := range gs.expected.All() {
+		origins = append(origins, pkt.Expect{Origin: pkt.NodeID(origin), NextSeq: *next})
 	}
-	slices.Sort(origins) // map order must not leak into the wire
-	for _, origin := range origins {
+	// Table order must not leak into the wire.
+	slices.SortFunc(origins, func(a, b pkt.Expect) int { return cmp.Compare(a.Origin, b.Origin) })
+	for _, ex := range origins {
 		if len(req.Expected) >= e.cfg.ExpectedCap {
 			break
 		}
-		if origin == e.stack.ID() {
+		if ex.Origin == e.stack.ID() {
 			continue // nobody repairs our own transmissions to us
 		}
-		req.Expected = append(req.Expected, pkt.Expect{Origin: origin, NextSeq: gs.expected[origin]})
+		req.Expected = append(req.Expected, ex)
 	}
 	return req
 }
@@ -521,15 +532,16 @@ func (e *Engine) accept(req *pkt.GossipReq) {
 		Responder: e.stack.ID(),
 		WalkHops:  req.HopsTraveled,
 	}
-	seen := make(map[pkt.SeqKey]struct{}, e.cfg.MaxReplyMsgs)
 	add := func(d pkt.Data) bool {
 		if len(rep.Msgs) >= e.cfg.MaxReplyMsgs {
 			return false
 		}
-		if _, dup := seen[d.Key()]; dup {
-			return true
+		// At most MaxReplyMsgs entries: a scan beats hashing.
+		for i := range rep.Msgs {
+			if rep.Msgs[i].Key() == d.Key() {
+				return true
+			}
 		}
-		seen[d.Key()] = struct{}{}
 		rep.Msgs = append(rep.Msgs, d)
 		return true
 	}

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -135,7 +136,7 @@ func TestExpectedSequenceRecoversUnknownLosses(t *testing.T) {
 	w.sched.Run(40 * time.Second)
 
 	gs := w.engines[0].groups[testGroup]
-	if exp := gs.expected[9]; exp != 21 {
+	if exp, _ := gs.expected.Get(9); exp != 21 {
 		t.Fatalf("expected seq = %d, want 21 (stats %+v)", exp, w.engines[0].Stats())
 	}
 	if got := w.engines[0].Stats().ReplyMsgsNew; got != 10 {
@@ -315,8 +316,58 @@ func TestIngestOutOfOrder(t *testing.T) {
 	if e.ingest(gs, d2, false) {
 		t.Fatal("duplicate accepted")
 	}
-	if gs.expected[9] != 4 {
-		t.Fatalf("expected = %d, want 4", gs.expected[9])
+	if exp, _ := gs.expected.Get(9); exp != 4 {
+		t.Fatalf("expected = %d, want 4", exp)
+	}
+}
+
+// TestSequenceGapIngest: a packet far past the expectation marks at
+// most LostTableCap numbers lost, and leaves the lost table as marking
+// the whole gap one number at a time would — including the eviction of
+// older entries. A fresh origin at Seq 2³¹, the shape of a hostile
+// frame, must not stall the node's loop for 2³¹ additions.
+func TestSequenceGapIngest(t *testing.T) {
+	cfg := DefaultConfig()
+	lcap := uint32(cfg.LostTableCap)
+	for _, gap := range []uint32{1, 150, lcap - 1, lcap, lcap + 1, 1000, 1 << 31} {
+		e := buildLine(t, 1, []int{0}, cfg).engines[0]
+		gs := e.groups[testGroup]
+		feed(e, 8, 1, 60, 3, 30) // two older losses from another origin
+		feed(e, 9, 1, 5)
+
+		// What marking the gap 6 … 6+gap−1 one number at a time leaves.
+		// Past 2¹⁶ only its last lcap numbers survive, older entries
+		// included, so the reference skips straight to them.
+		want := newLostTable(cfg.LostTableCap)
+		from := uint32(6)
+		if gap < 1<<16 {
+			for _, k := range gs.lost.keys {
+				want.Add(k)
+			}
+		} else {
+			from = 6 + gap - lcap
+		}
+		for s := from; s < 6+gap; s++ {
+			want.Add(pkt.SeqKey{Origin: 9, Seq: s})
+		}
+
+		start := time.Now()
+		feed(e, 9, 6+gap, 6+gap)
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("gap %d: ingest took %v", gap, el)
+		}
+		if !slices.Equal(gs.lost.keys, want.keys) {
+			t.Fatalf("gap %d: lost table starts %v, want %v (%d and %d keys)",
+				gap, gs.lost.keys[0], want.keys[0], len(gs.lost.keys), len(want.keys))
+		}
+		for _, k := range want.keys {
+			if !gs.lost.Contains(k) {
+				t.Fatalf("gap %d: %v listed but not indexed", gap, k)
+			}
+		}
+		if exp, _ := gs.expected.Get(9); exp != 7+gap {
+			t.Fatalf("gap %d: expected %d, want %d", gap, exp, 7+gap)
+		}
 	}
 }
 

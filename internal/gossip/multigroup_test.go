@@ -63,12 +63,12 @@ func TestEngineHandlesMultipleGroupsIndependently(t *testing.T) {
 	}
 	// Group 2 recovery at node 4.
 	gs2 := w.engines[3].groups[secondGroup]
-	if got := gs2.expected[8]; got != 7 {
+	if got, _ := gs2.expected.Get(8); got != 7 {
 		t.Fatalf("group 2 expected = %d, want 7", got)
 	}
 	// Streams must not leak across groups: node 1's group-2 state knows
 	// nothing about origin 9.
-	if _, crossed := w.engines[0].groups[secondGroup].expected[9]; crossed {
+	if _, crossed := w.engines[0].groups[secondGroup].expected.Get(9); crossed {
 		t.Fatal("group 1 origin leaked into group 2 state")
 	}
 }

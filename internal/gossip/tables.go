@@ -3,6 +3,7 @@ package gossip
 import (
 	"anongossip/internal/pkt"
 	"anongossip/internal/sim"
+	"anongossip/internal/table"
 )
 
 // lostTable holds the sequence numbers of messages a member believes it
@@ -12,17 +13,17 @@ import (
 type lostTable struct {
 	cap   int
 	keys  []pkt.SeqKey
-	index map[pkt.SeqKey]struct{}
+	index table.Table[struct{}] // keyed by SeqKey.Uint64
 }
 
 func newLostTable(capacity int) *lostTable {
-	return &lostTable{cap: capacity, index: make(map[pkt.SeqKey]struct{}, capacity)}
+	return &lostTable{cap: capacity}
 }
 
 func (t *lostTable) Len() int { return len(t.keys) }
 
 func (t *lostTable) Contains(k pkt.SeqKey) bool {
-	_, ok := t.index[k]
+	_, ok := t.index.Get(k.Uint64())
 	return ok
 }
 
@@ -34,20 +35,18 @@ func (t *lostTable) Add(k pkt.SeqKey) {
 		return
 	}
 	if len(t.keys) >= t.cap {
-		old := t.keys[0]
+		t.index.Delete(t.keys[0].Uint64())
 		t.keys = t.keys[1:]
-		delete(t.index, old)
 	}
 	t.keys = append(t.keys, k)
-	t.index[k] = struct{}{}
+	t.index.Put(k.Uint64(), struct{}{})
 }
 
 // Remove drops a recovered message.
 func (t *lostTable) Remove(k pkt.SeqKey) {
-	if !t.Contains(k) {
+	if !t.index.Delete(k.Uint64()) {
 		return
 	}
-	delete(t.index, k)
 	for i := range t.keys {
 		if t.keys[i] == k {
 			t.keys = append(t.keys[:i], t.keys[i+1:]...)
@@ -76,40 +75,39 @@ type historyTable struct {
 	cap   int
 	ring  []pkt.Data
 	next  int
-	index map[pkt.SeqKey]int // key -> ring position
+	index table.Table[int] // SeqKey.Uint64 -> ring position
 }
 
 func newHistoryTable(capacity int) *historyTable {
-	return &historyTable{cap: capacity, index: make(map[pkt.SeqKey]int, capacity)}
+	return &historyTable{cap: capacity}
 }
 
 func (h *historyTable) Len() int { return len(h.ring) }
 
 // Add stores a received message, evicting the oldest when full.
 func (h *historyTable) Add(d pkt.Data) {
-	k := d.Key()
+	k := d.Key().Uint64()
 	if h.cap <= 0 {
 		return
 	}
-	if pos, dup := h.index[k]; dup {
+	if pos, dup := h.index.Get(k); dup {
 		h.ring[pos] = d
 		return
 	}
 	if len(h.ring) < h.cap {
-		h.index[k] = len(h.ring)
+		h.index.Put(k, len(h.ring))
 		h.ring = append(h.ring, d)
 		return
 	}
-	old := h.ring[h.next].Key()
-	delete(h.index, old)
+	h.index.Delete(h.ring[h.next].Key().Uint64())
 	h.ring[h.next] = d
-	h.index[k] = h.next
+	h.index.Put(k, h.next)
 	h.next = (h.next + 1) % h.cap
 }
 
 // Get looks a message up by identity.
 func (h *historyTable) Get(k pkt.SeqKey) (pkt.Data, bool) {
-	pos, ok := h.index[k]
+	pos, ok := h.index.Get(k.Uint64())
 	if !ok {
 		return pkt.Data{}, false
 	}

@@ -56,6 +56,35 @@ func TestBroadcastCycleAllocatesOnlyTheOutgoing(t *testing.T) {
 	}
 }
 
+// TestDuplicateFilterAllocatesNothing: the unicast duplicate filter
+// drops a repeated (sender, seq), passes a new seq or a new sender, and
+// once it knows its senders neither answer allocates.
+func TestDuplicateFilterAllocatesNothing(t *testing.T) {
+	d := newHarness(t, 100, []geom.Point{{X: 0}}).macs[0]
+	frames := make([]*frame, 8)
+	for i := range frames {
+		frames[i] = &frame{kind: frameData, src: pkt.NodeID(i + 2), dst: d.id, seq: 1}
+	}
+	for _, f := range frames {
+		if d.duplicate(f) || !d.duplicate(f) {
+			t.Fatalf("first frame from %v filtered, or its repeat passed", f.src)
+		}
+	}
+	if f := (&frame{src: frames[0].src, seq: 2}); d.duplicate(f) {
+		t.Fatal("a new seq from a known sender filtered")
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		f := frames[i%len(frames)]
+		f.seq++
+		d.duplicate(f)
+		d.duplicate(f)
+		i++
+	}); n != 0 {
+		t.Fatalf("duplicate filtering allocates %v times per frame pair, want 0", n)
+	}
+}
+
 // TestForeignValueOnMediumIgnored: the MAC shares the medium with
 // whatever else transmits on it and acts only on its own *frame PDUs —
 // anything else, a frame by value included, is dropped without effect.

@@ -28,6 +28,7 @@ import (
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
 	"anongossip/internal/sim"
+	"anongossip/internal/table"
 )
 
 // Config holds the DCF parameters. Defaults follow 802.11 DSSS at 2 Mbps.
@@ -270,8 +271,9 @@ type DCF struct {
 	foldOK   bool
 	foldVK   sim.Time
 	foldBase sim.Time
-	// lastSeq filters duplicate unicast frames per sender.
-	lastSeq map[pkt.NodeID]uint16
+	// lastSeq filters duplicate unicast frames per sender, keyed by
+	// NodeID.Uint64.
+	lastSeq table.Table[uint16]
 
 	stats Stats
 	// chm, when non-nil, receives per-layer channel-usage observations
@@ -293,12 +295,11 @@ func New(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID
 func newDCF(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID,
 	pos mobility.Model, cfg Config, cb Callbacks, fold bool) (*DCF, error) {
 	d := &DCF{
-		id:      id,
-		cfg:     cfg,
-		sched:   sched,
-		rng:     rng,
-		cb:      cb,
-		lastSeq: make(map[pkt.NodeID]uint16),
+		id:    id,
+		cfg:   cfg,
+		sched: sched,
+		rng:   rng,
+		cb:    cb,
 	}
 	// One closure per timer role for the DCF's whole lifetime: arming a
 	// contention step or a timeout passes these instead of allocating a
@@ -848,14 +849,24 @@ func (d *DCF) onData(frm *frame) {
 			}
 		}
 	})
-	// Filter duplicates from ACK-lost retransmissions.
-	if last, seen := d.lastSeq[frm.src]; seen && last == frm.seq {
+	if d.duplicate(frm) {
 		d.stats.DupsFiltered++
 		return
 	}
-	d.lastSeq[frm.src] = frm.seq
 	d.stats.Delivered++
 	if d.cb.OnReceive != nil {
 		d.cb.OnReceive(frm.payload, frm.src, false)
 	}
+}
+
+// duplicate reports whether frm repeats the last unicast data frame
+// from its sender — a retransmission after a lost ACK — and records
+// frm as the sender's last otherwise.
+func (d *DCF) duplicate(frm *frame) bool {
+	last, added := d.lastSeq.Insert(frm.src.Uint64())
+	if !added && *last == frm.seq {
+		return true
+	}
+	*last = frm.seq
+	return false
 }

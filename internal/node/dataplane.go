@@ -5,6 +5,7 @@ import (
 
 	"anongossip/internal/pkt"
 	"anongossip/internal/sim"
+	"anongossip/internal/table"
 )
 
 // The data plane every flooded message shares: flooding, MAODV and
@@ -35,8 +36,8 @@ func (s *Stack) Rebroadcast(p *pkt.Packet, rng *sim.RNG, jitter time.Duration) *
 // never sees data (a passive group shell) costs only its struct.
 type SeqCache struct {
 	size int
-	set  map[pkt.SeqKey]struct{}
-	ring []pkt.SeqKey // insertion order; ring[next] is the oldest once full
+	set  table.Table[struct{}] // keyed by SeqKey.Uint64
+	ring []pkt.SeqKey          // insertion order; ring[next] is the oldest once full
 	next int
 }
 
@@ -52,19 +53,15 @@ func NewSeqCache(size int) SeqCache {
 // Add records k and reports whether it was new. A key already present
 // keeps its place in the eviction order.
 func (c *SeqCache) Add(k pkt.SeqKey) bool {
-	if _, dup := c.set[k]; dup {
+	if _, added := c.set.Insert(k.Uint64()); !added {
 		return false
-	}
-	if c.set == nil {
-		c.set = make(map[pkt.SeqKey]struct{})
 	}
 	if len(c.ring) < c.size {
 		c.ring = append(c.ring, k)
 	} else {
-		delete(c.set, c.ring[c.next])
+		c.set.Delete(c.ring[c.next].Uint64())
 		c.ring[c.next] = k
 		c.next = (c.next + 1) % c.size
 	}
-	c.set[k] = struct{}{}
 	return true
 }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -40,16 +41,16 @@ func TestSeqCache(t *testing.T) {
 				if got := c.Add(key(s)); got != tt.wantNew[i] {
 					t.Fatalf("add %d (seq %d) = %v, want %v", i, s, got, tt.wantNew[i])
 				}
-				if len(c.set) > tt.size || len(c.ring) > tt.size {
-					t.Fatalf("cache holds %d/%d keys, bound %d", len(c.set), len(c.ring), tt.size)
+				if c.set.Len() > tt.size || len(c.ring) > tt.size {
+					t.Fatalf("cache holds %d/%d keys, bound %d", c.set.Len(), len(c.ring), tt.size)
 				}
 			}
 			var held []uint32
 			for i := range c.ring {
 				held = append(held, c.ring[(c.next+i)%len(c.ring)].Seq)
 			}
-			if !slices.Equal(held, tt.wantHeld) || len(c.set) != len(held) {
-				t.Fatalf("held %v (set of %d), want %v", held, len(c.set), tt.wantHeld)
+			if !slices.Equal(held, tt.wantHeld) || c.set.Len() != len(held) {
+				t.Fatalf("held %v (set of %d), want %v", held, c.set.Len(), tt.wantHeld)
 			}
 		})
 	}
@@ -63,8 +64,26 @@ func TestSeqCache(t *testing.T) {
 			NewSeqCache(size)
 		}()
 	}
-	if idle := NewSeqCache(8); idle.set != nil || idle.ring != nil {
+	if idle := NewSeqCache(8); !reflect.ValueOf(idle.set).IsZero() || idle.ring != nil {
 		t.Fatal("an unused cache allocated storage")
+	}
+}
+
+// TestSeqCacheAddAllocatesNothing: once a cache is full, every Add —
+// a duplicate, or a new key that evicts the oldest — reuses the ring
+// and the table's slots.
+func TestSeqCacheAddAllocatesNothing(t *testing.T) {
+	c := NewSeqCache(64)
+	for s := uint32(0); s < 64; s++ {
+		c.Add(key(s))
+	}
+	s := uint32(64)
+	if n := testing.AllocsPerRun(1000, func() {
+		c.Add(key(s))
+		c.Add(key(s))
+		s++
+	}); n != 0 {
+		t.Fatalf("Add on a full cache allocates %v times per run, want 0", n)
 	}
 }
 

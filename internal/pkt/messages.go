@@ -382,6 +382,10 @@ type SeqKey struct {
 // String formats the key.
 func (k SeqKey) String() string { return fmt.Sprintf("%s#%d", k.Origin, k.Seq) }
 
+// Uint64 packs k into one table.Table key, origin in the high half:
+// distinct keys pack to distinct words.
+func (k SeqKey) Uint64() uint64 { return uint64(k.Origin)<<32 | uint64(k.Seq) }
+
 // Expect carries the next sequence number the initiator expects from one
 // origin, letting the responder supply packets the initiator does not yet
 // know it missed.

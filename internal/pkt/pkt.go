@@ -29,6 +29,9 @@ func (n NodeID) String() string {
 	return fmt.Sprintf("n%d", uint32(n))
 }
 
+// Uint64 is n as a table.Table key.
+func (n NodeID) Uint64() uint64 { return uint64(n) }
+
 // GroupID identifies a multicast group (an administratively scoped
 // multicast address in the paper's terms).
 type GroupID uint32

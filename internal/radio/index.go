@@ -61,13 +61,15 @@ type gridIndex struct {
 	lastRefresh sim.Time
 	refreshed   bool // lastRefresh is meaningful (first refresh happened)
 
-	// active lists the transmissions on the air; txGrid buckets their
-	// origins under transmission.id, and txByID resolves those ids back.
-	// The ids are the pooled records' permanent ones, so both stay as
-	// small as the peak number of concurrent transmissions.
-	active []*transmission
-	txGrid *geom.Grid
-	txByID []*transmission
+	// active lists the transmissions on the air. While gridded, txGrid
+	// buckets their origins under transmission.id, and txByID resolves
+	// those ids back; otherwise txGrid is empty. The ids are the pooled
+	// records' permanent ones, so both stay as small as the peak number
+	// of concurrent transmissions.
+	active  []*transmission
+	txGrid  *geom.Grid
+	txByID  []*transmission
+	gridded bool
 
 	scratch []int
 	// seen is a reusable bitset over node ids: candidate ids are marked,
@@ -76,14 +78,19 @@ type gridIndex struct {
 	seen []uint64
 }
 
-// txScanThreshold is the active-transmission count below which
-// ForEachTxInRange scans the plain slice instead of the grid. Carrier
-// sensing runs on every MAC backoff step, and with only a handful of
-// frames on the air a cache-friendly linear scan beats the grid's cell
-// hashing; the grid pays off once spatial reuse puts many concurrent
-// frames on a large field. Both paths apply the same exact predicate,
-// and CarrierBusyUntil combines results order-independently, so the
-// switch cannot change simulation results.
+// txScanThreshold is the active-transmission count above which the
+// transmission grid exists. Carrier sensing runs on every MAC backoff
+// step, and with only a handful of frames on the air a cache-friendly
+// linear scan of active beats the grid's cell hashing — and so does
+// not maintaining the grid at all, since every frame would pay an
+// insert and a remove for queries that scan anyway. The grid pays off
+// once spatial reuse puts many concurrent frames on a large field: the
+// count rising past the threshold fills it with every active
+// transmission, and falling to half the threshold empties it, so a
+// count hovering at the threshold does not rebuild it per frame. Both
+// paths apply the same exact predicate, and CarrierBusyUntil combines
+// results order-independently, so the switch cannot change simulation
+// results.
 const txScanThreshold = 32
 
 var _ NeighborIndex = (*gridIndex)(nil)
@@ -178,7 +185,15 @@ func (g *gridIndex) AddTx(tx *transmission) {
 		g.txByID = append(g.txByID, nil)
 	}
 	g.txByID[tx.id] = tx
-	g.txGrid.Insert(tx.id, tx.origin)
+	switch {
+	case g.gridded:
+		g.txGrid.Insert(tx.id, tx.origin)
+	case len(g.active) > txScanThreshold:
+		for _, a := range g.active {
+			g.txGrid.Insert(a.id, a.origin)
+		}
+		g.gridded = true
+	}
 }
 
 func (g *gridIndex) RemoveTx(tx *transmission) {
@@ -186,7 +201,9 @@ func (g *gridIndex) RemoveTx(tx *transmission) {
 		return
 	}
 	g.txByID[tx.id] = nil
-	g.txGrid.Remove(tx.id)
+	if g.gridded {
+		g.txGrid.Remove(tx.id)
+	}
 	// The recorded slot makes removal O(1) even with many concurrent
 	// transmissions on the air.
 	last := len(g.active) - 1
@@ -195,12 +212,18 @@ func (g *gridIndex) RemoveTx(tx *transmission) {
 	moved.slot = tx.slot
 	g.active[last] = nil
 	g.active = g.active[:last]
+	if g.gridded && len(g.active) <= txScanThreshold/2 {
+		for _, a := range g.active {
+			g.txGrid.Remove(a.id)
+		}
+		g.gridded = false
+	}
 }
 
 func (g *gridIndex) HasTx() bool { return len(g.active) > 0 }
 
 func (g *gridIndex) ForEachTxInRange(now sim.Time, center geom.Point, radius float64, fn func(*transmission)) {
-	if len(g.active) <= txScanThreshold {
+	if !g.gridded {
 		r2 := radius * radius
 		for _, tx := range g.active {
 			if tx.end <= now {

@@ -87,7 +87,8 @@ func newFuzzWorld(o oracle, seed int64, n int, area geom.Rect, maxSpeed float64,
 type fuzzOp struct {
 	at   sim.Time
 	node int
-	kind int // 0 = StartTx, 1 = NeighborsOf, 2 = CarrierBusyUntil, 3 = MeanDegree
+	kind int      // 0 = StartTx, 1 = NeighborsOf, 2 = CarrierBusyUntil, 3 = MeanDegree
+	air  sim.Time // StartTx airtime; zero means 2 ms
 }
 
 func (w *fuzzWorld) schedule(ops []fuzzOp) {
@@ -96,7 +97,11 @@ func (w *fuzzWorld) schedule(ops []fuzzOp) {
 		w.sched.At(op.at, func() {
 			switch op.kind {
 			case 0:
-				err := w.m.startTx(w.trs[op.node], fmt.Sprintf("f%d", i), 2*time.Millisecond, txDoneLog{w, op.node})
+				air := op.air
+				if air == 0 {
+					air = 2 * time.Millisecond
+				}
+				err := w.m.startTx(w.trs[op.node], fmt.Sprintf("f%d", i), air, txDoneLog{w, op.node})
 				w.log = append(w.log, fmt.Sprintf("tx@%v node=%d err=%v", w.sched.Now(), op.node, err != nil))
 			case 1:
 				w.log = append(w.log, fmt.Sprintf("nbr@%v node=%d %v", w.sched.Now(), op.node, w.m.NeighborsOf(pkt.NodeID(op.node+1))))
@@ -156,6 +161,67 @@ func TestGridMatchesBruteUnderRandomMobility(t *testing.T) {
 					seed, i, gs, gd, gc, bs, bd, bc)
 			}
 		}
+	}
+}
+
+// TestGridMatchesBruteAcrossTxThreshold drives the number of frames on
+// the air above txScanThreshold and back below half of it, wave after
+// wave, so the grid index fills its transmission grid, answers carrier
+// sensing from it, and empties it again mid-run. Every reception,
+// carrier onset and carrier-sense answer must match the brute-force
+// scan's.
+func TestGridMatchesBruteAcrossTxThreshold(t *testing.T) {
+	const nNodes, waves = 120, 6
+	area := geom.Rect{W: 1200, H: 1200}
+	opRNG := sim.NewRNG(5).Derive("waves")
+	var ops []fuzzOp
+	for wave := 0; wave < waves; wave++ {
+		// 300 long frames start within 40 ms, so the count on the air
+		// climbs far past the threshold, and all have ended 90 ms in;
+		// 150 carrier probes span the climb and the drain.
+		base := sim.Time(wave) * time.Second
+		for i := 0; i < 450; i++ {
+			op := fuzzOp{at: base + opRNG.Duration(100*time.Millisecond), node: opRNG.Intn(nNodes), kind: 2}
+			if i%3 != 0 {
+				op.at, op.kind, op.air = base+opRNG.Duration(40*time.Millisecond), 0, 20*time.Millisecond+opRNG.Duration(30*time.Millisecond)
+			}
+			ops = append(ops, op)
+		}
+	}
+	grid := newFuzzWorld(oracle{}, 5, nNodes, area, 10, false)
+	brute := newFuzzWorld(oracle{brute: true}, 5, nNodes, area, 10, false)
+	grid.schedule(ops)
+	brute.schedule(ops)
+	// Sample the index at each wave's peak and after it has drained.
+	gi := grid.m.index.(*gridIndex)
+	var peaks, troughs []bool
+	for wave := 0; wave < waves; wave++ {
+		base := sim.Time(wave) * time.Second
+		grid.sched.At(base+40*time.Millisecond, func() {
+			peaks = append(peaks, gi.gridded && len(gi.active) > txScanThreshold && gi.txGrid.Len() == len(gi.active))
+		})
+		grid.sched.At(base+500*time.Millisecond, func() {
+			troughs = append(troughs, !gi.gridded && gi.txGrid.Len() == 0)
+		})
+	}
+	grid.sched.Run(waves * time.Second)
+	brute.sched.Run(waves * time.Second)
+
+	for i := range peaks {
+		if !peaks[i] || !troughs[i] {
+			t.Fatalf("wave %d never crossed the threshold both ways: gridded at peak %v, emptied after %v", i, peaks[i], troughs[i])
+		}
+	}
+	if len(grid.log) != len(brute.log) {
+		t.Fatalf("log lengths differ: grid %d, brute %d", len(grid.log), len(brute.log))
+	}
+	for i := range grid.log {
+		if grid.log[i] != brute.log[i] {
+			t.Fatalf("log line %d differs:\ngrid:  %s\nbrute: %s", i, grid.log[i], brute.log[i])
+		}
+	}
+	if gs, bs := grid.m.Stats(), brute.m.Stats(); !reflect.DeepEqual(gs, bs) {
+		t.Fatalf("stats differ: grid %+v, brute %+v", gs, bs)
 	}
 }
 

@@ -205,9 +205,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: non-positive gossip interval %v", c.Gossip.Interval)
 	case recovers && !(probability(c.Gossip.PAnon) && probability(c.Gossip.AcceptProb)):
 		return fmt.Errorf("scenario: gossip PAnon %v or AcceptProb %v is not in [0,1]", c.Gossip.PAnon, c.Gossip.AcceptProb)
-	case recovers && (c.Gossip.MaxReplyMsgs < 0 || c.Gossip.LostBufferCap < 0 || c.Gossip.CacheCap < 0):
-		return fmt.Errorf("scenario: negative gossip bound (MaxReplyMsgs %d, LostBufferCap %d, CacheCap %d)",
-			c.Gossip.MaxReplyMsgs, c.Gossip.LostBufferCap, c.Gossip.CacheCap)
+	case recovers && min(c.Gossip.MaxReplyMsgs, c.Gossip.LostBufferCap, c.Gossip.CacheCap,
+		c.Gossip.HistoryCap, c.Gossip.LostTableCap, c.Gossip.ExpectedCap, c.Gossip.WalkTTL) < 0:
+		// A negative table cap would silently switch recovery off.
+		return fmt.Errorf("scenario: negative gossip bound (MaxReplyMsgs %d, LostBufferCap %d, CacheCap %d, "+
+			"HistoryCap %d, LostTableCap %d, ExpectedCap %d, WalkTTL %d)",
+			c.Gossip.MaxReplyMsgs, c.Gossip.LostBufferCap, c.Gossip.CacheCap,
+			c.Gossip.HistoryCap, c.Gossip.LostTableCap, c.Gossip.ExpectedCap, c.Gossip.WalkTTL)
 	case recovers && max(c.Gossip.LostBufferCap, c.Gossip.ExpectedCap, c.Gossip.MaxReplyMsgs) > math.MaxUint8:
 		// A gossip request or reply carries each list's length in one byte.
 		return fmt.Errorf("scenario: gossip list bound above %d (LostBufferCap %d, ExpectedCap %d, MaxReplyMsgs %d)",
@@ -227,6 +231,10 @@ func (c Config) Validate() error {
 		// Like a gossip round, the neighbour sweep and an ODMRP source's
 		// refresh re-arm themselves one period later.
 		return fmt.Errorf("scenario: non-positive AODV hello interval %v", c.AODV.HelloInterval)
+	case unicast && c.AODV.AllowedHelloLoss < 1:
+		// Below one, every sweep finds every neighbour overdue and breaks
+		// its link.
+		return fmt.Errorf("scenario: AODV allowed hello loss %d is below 1", c.AODV.AllowedHelloLoss)
 	case spec.Routing == "maodv" && c.MAODV.DataCacheSize <= 0:
 		return fmt.Errorf("scenario: non-positive MAODV data cache size %d", c.MAODV.DataCacheSize)
 	case spec.Routing == "maodv" && c.MAODV.GroupHelloInterval <= 0:
