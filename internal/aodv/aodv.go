@@ -147,6 +147,10 @@ type Router struct {
 	mc        MulticastHooks
 	breakSubs []func(n pkt.NodeID)
 
+	// helloFn and sweepFn are the periodic ticks, bound once: a method
+	// value passed to After allocates on every re-arm.
+	helloFn, sweepFn func()
+
 	helloSeq uint32
 	stats    Stats
 }
@@ -175,6 +179,7 @@ func New(st *node.Stack, rng *sim.RNG, cfg Config) *Router {
 		rng:     rng,
 		pending: make(map[pkt.NodeID]*discovery),
 	}
+	r.helloFn, r.sweepFn = r.helloTick, r.sweepTick
 	st.SetRouter(r)
 	st.Handle(pkt.KindHello, r.onHello)
 	st.Handle(pkt.KindRREQ, r.onRREQ)
@@ -187,8 +192,8 @@ func New(st *node.Stack, rng *sim.RNG, cfg Config) *Router {
 
 // Start launches periodic hello beaconing and cache sweeping.
 func (r *Router) Start() {
-	r.sched.After(r.rng.Duration(r.cfg.HelloJitter), r.helloTick)
-	r.sched.After(r.cfg.HelloInterval, r.sweepTick)
+	r.sched.After(r.rng.Duration(r.cfg.HelloJitter), r.helloFn)
+	r.sched.After(r.cfg.HelloInterval, r.sweepFn)
 }
 
 // SetMulticastHooks installs the MAODV extension.
@@ -566,7 +571,7 @@ func (r *Router) helloTick() {
 	r.stats.HellosSent++
 	r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, &pkt.Hello{Seq: r.helloSeq}))
 	jitter := r.rng.DurationRange(-r.cfg.HelloJitter/2, r.cfg.HelloJitter/2)
-	r.sched.After(r.cfg.HelloInterval+jitter, r.helloTick)
+	r.sched.After(r.cfg.HelloInterval+jitter, r.helloFn)
 }
 
 func (r *Router) sweepTick() {
@@ -601,5 +606,5 @@ func (r *Router) sweepTick() {
 		r.seenMarks[i].logLen -= cut
 	}
 	r.seenMarks = append(r.seenMarks, seenMark{at: now, logLen: len(r.seenLog)})
-	r.sched.After(r.cfg.HelloInterval, r.sweepTick)
+	r.sched.After(r.cfg.HelloInterval, r.sweepFn)
 }

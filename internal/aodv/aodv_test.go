@@ -337,6 +337,36 @@ func TestOnHeardAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestTicksAllocateOnlyTheHello: in steady state — neighbours known,
+// routes installed — a minute of hello and sweep ticks on a three-node
+// line allocates the hello packets and nothing else: two objects per
+// hello (the packet and its body), none for re-arming either tick, for
+// the sweep, or for the hellos' trip through the MAC and the radio.
+func TestTicksAllocateOnlyTheHello(t *testing.T) {
+	w := buildWorld(t, linePositions(3))
+	w.sched.Run(10 * time.Second)
+	hellos := func() (n uint64) {
+		for _, r := range w.routers {
+			n += r.Stats().HellosSent
+		}
+		return n
+	}
+	var sent uint64
+	allocs := testing.AllocsPerRun(1, func() {
+		before := hellos()
+		w.sched.Run(w.sched.Now() + time.Minute)
+		sent = hellos() - before
+	})
+	if sent < 250 || allocs != float64(2*sent) {
+		t.Fatalf("a minute of ticks allocates %v times for %d hellos, want 2 per hello", allocs, sent)
+	}
+	for _, r := range w.routers {
+		if r.Stats().LinkBreaks != 0 {
+			t.Fatal("a static line broke a link: not the steady state under test")
+		}
+	}
+}
+
 func TestQueueBounded(t *testing.T) {
 	w := buildWorld(t, []geom.Point{{X: 0}, {X: 500}})
 	w.sched.After(time.Second, func() {

@@ -73,6 +73,8 @@ type Router struct {
 	// substrate); bare flooding pays nothing on the data hot path.
 	relays      map[pkt.NodeID]sim.Time
 	trackRelays bool
+	// hops is NextHops' scratch, lent to the walk.
+	hops []gossip.NextHop
 
 	subs  []func(g pkt.GroupID, d *pkt.Data, from pkt.NodeID)
 	stats Stats
@@ -130,7 +132,8 @@ func (r *Router) GossipTree() gossip.Tree {
 // degrades to uniform choice over recently heard relays, as over
 // ODMRP's mesh.
 func (r *Router) NextHops(pkt.GroupID) []gossip.NextHop {
-	return gossip.LiveHops(r.relays, r.sched.Now())
+	r.hops = gossip.AppendLiveHops(r.hops[:0], r.relays, r.sched.Now())
+	return r.hops
 }
 
 // ErrNotMember reports a SendData call from a non-member.

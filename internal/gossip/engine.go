@@ -44,33 +44,36 @@ type NextHop struct {
 // synthetic topologies — the protocol independence the paper claims in
 // §5.5.
 type Tree interface {
-	// NextHops returns the enabled tree links at this node for a group.
+	// NextHops returns the enabled tree links at this node for a group,
+	// sorted by ID: the walk draws from the slice with the node's RNG.
+	// The slice is lent, like a received packet: it is the tree's
+	// scratch, read-only, and valid until the next NextHops call.
 	NextHops(group pkt.GroupID) []NextHop
 	// IsMember reports whether this node is an application-level member.
 	IsMember(group pkt.GroupID) bool
 }
 
-// LiveHops is the walk substrate of a protocol whose links are soft
-// state: links maps each neighbour to the expiry of its evidence.
-// Expired entries are deleted; the rest come back sorted by ID — the
-// walk draws from the slice with the node's RNG, so the order must not
-// be the map's — with unknown nearest-member distances, so the walk
-// degrades to uniform choice.
-func LiveHops(links map[pkt.NodeID]sim.Time, now sim.Time) []NextHop {
-	ids := make([]pkt.NodeID, 0, len(links))
+// AppendLiveHops appends the walk substrate of a protocol whose links
+// are soft state to dst: links maps each neighbour to the expiry of its
+// evidence. Expired entries are deleted; the rest are appended sorted
+// by ID — not in the map's order — with unknown nearest-member
+// distances, so the walk degrades to uniform choice.
+func AppendLiveHops(dst []NextHop, links map[pkt.NodeID]sim.Time, now sim.Time) []NextHop {
+	n := len(dst)
 	for id, expiry := range links {
 		if expiry <= now {
 			delete(links, id)
 			continue
 		}
-		ids = append(ids, id)
+		dst = append(dst, NextHop{ID: id, Nearest: pkt.NearestUnknown})
 	}
-	slices.Sort(ids)
-	out := make([]NextHop, len(ids))
-	for i, id := range ids {
-		out[i] = NextHop{ID: id, Nearest: pkt.NearestUnknown}
-	}
-	return out
+	SortHops(dst[n:])
+	return dst
+}
+
+// SortHops orders walk links by node ID.
+func SortHops(hops []NextHop) {
+	slices.SortFunc(hops, func(a, b NextHop) int { return cmp.Compare(a.ID, b.ID) })
 }
 
 // HopEstimator optionally supplies unicast route hop counts for member
@@ -190,6 +193,8 @@ type groupState struct {
 	history  *historyTable
 	cache    *memberCache
 	timer    sim.Timer
+	// roundFn is the round timer's callback, bound once in Attach.
+	roundFn func()
 }
 
 // Engine is one node's AG entity.
@@ -203,6 +208,14 @@ type Engine struct {
 
 	groups map[pkt.GroupID]*groupState
 	subs   []DeliverFunc
+
+	// Scratch of the walk choice (cands, weights), the request's origin
+	// list and the reply's history lookup: temporaries, reused by every
+	// round and request, none of them reaching the wire.
+	cands   []NextHop
+	weights []float64
+	origins []pkt.Expect
+	since   []pkt.Data
 
 	stats Stats
 }
@@ -253,9 +266,10 @@ func (e *Engine) Attach(g pkt.GroupID) {
 		history: newHistoryTable(e.cfg.HistoryCap),
 		cache:   newMemberCache(e.cfg.CacheCap),
 	}
+	gs.roundFn = func() { e.round(gs) }
 	e.groups[g] = gs
 	phase := e.cfg.Interval + e.rng.Duration(e.cfg.IntervalJitter)
-	gs.timer = e.sched.After(phase, func() { e.round(gs) })
+	gs.timer = e.sched.After(phase, gs.roundFn)
 }
 
 // Detach stops gossip rounds for a group.
@@ -352,7 +366,7 @@ func (e *Engine) isDuplicate(gs *groupState, key pkt.SeqKey) bool {
 
 func (e *Engine) round(gs *groupState) {
 	defer func() {
-		gs.timer = e.sched.After(e.cfg.Interval, func() { e.round(gs) })
+		gs.timer = e.sched.After(e.cfg.Interval, gs.roundFn)
 	}()
 	if !e.tree.IsMember(gs.id) {
 		e.stats.RoundsSkipped++
@@ -400,13 +414,13 @@ func (e *Engine) buildRequest(gs *groupState) *pkt.GossipReq {
 		Initiator: e.stack.ID(),
 		Lost:      gs.lost.Recent(e.cfg.LostBufferCap),
 	}
-	origins := make([]pkt.Expect, 0, gs.expected.Len())
+	e.origins = e.origins[:0]
 	for origin, next := range gs.expected.All() {
-		origins = append(origins, pkt.Expect{Origin: pkt.NodeID(origin), NextSeq: *next})
+		e.origins = append(e.origins, pkt.Expect{Origin: pkt.NodeID(origin), NextSeq: *next})
 	}
 	// Table order must not leak into the wire.
-	slices.SortFunc(origins, func(a, b pkt.Expect) int { return cmp.Compare(a.Origin, b.Origin) })
-	for _, ex := range origins {
+	slices.SortFunc(e.origins, func(a, b pkt.Expect) int { return cmp.Compare(a.Origin, b.Origin) })
+	for _, ex := range e.origins {
 		if len(req.Expected) >= e.cfg.ExpectedCap {
 			break
 		}
@@ -421,13 +435,13 @@ func (e *Engine) buildRequest(gs *groupState) *pkt.GossipReq {
 // pickNextHop chooses a tree link, excluding a node, weighted toward
 // small nearest-member distances (paper §4.2). exclude 0 means none.
 func (e *Engine) pickNextHop(g pkt.GroupID, exclude pkt.NodeID) (pkt.NodeID, bool) {
-	hops := e.tree.NextHops(g)
-	cands := hops[:0:0]
-	for _, h := range hops {
+	cands := e.cands[:0]
+	for _, h := range e.tree.NextHops(g) {
 		if h.ID != exclude {
 			cands = append(cands, h)
 		}
 	}
+	e.cands = cands
 	if len(cands) == 0 {
 		return 0, false
 	}
@@ -440,15 +454,15 @@ func (e *Engine) pickNextHop(g pkt.GroupID, exclude pkt.NodeID) (pkt.NodeID, boo
 	// Steeper weightings shorten walks further but over-concentrate
 	// recovery on members that share loss correlation with the
 	// initiator (see BenchmarkAblationLocality).
-	weights := make([]float64, len(cands))
-	for i, h := range cands {
+	e.weights = e.weights[:0]
+	for _, h := range cands {
 		d := float64(h.Nearest)
 		if h.Nearest == pkt.NearestUnknown {
 			d = 64 // effectively distant, still reachable
 		}
-		weights[i] = 1.0 / (1 + d)
+		e.weights = append(e.weights, 1.0/(1+d))
 	}
-	idx := e.rng.WeightedIndex(weights)
+	idx := e.rng.WeightedIndex(e.weights)
 	if idx < 0 {
 		return 0, false
 	}
@@ -532,36 +546,24 @@ func (e *Engine) accept(req *pkt.GossipReq) {
 		Responder: e.stack.ID(),
 		WalkHops:  req.HopsTraveled,
 	}
-	add := func(d pkt.Data) bool {
-		if len(rep.Msgs) >= e.cfg.MaxReplyMsgs {
-			return false
-		}
-		// At most MaxReplyMsgs entries: a scan beats hashing.
-		for i := range rep.Msgs {
-			if rep.Msgs[i].Key() == d.Key() {
-				return true
-			}
-		}
-		rep.Msgs = append(rep.Msgs, d)
-		return true
-	}
 	for _, k := range req.Lost {
 		if d, have := gs.history.Get(k); have {
-			if !add(d) {
+			if !e.addReply(rep, d) {
 				break
 			}
 		}
 	}
 	for _, ex := range req.Expected {
-		for _, d := range gs.history.Since(ex.Origin, ex.NextSeq, e.cfg.MaxReplyMsgs) {
-			if !add(d) {
+		e.since = gs.history.AppendSince(e.since[:0], ex.Origin, ex.NextSeq, e.cfg.MaxReplyMsgs)
+		for _, d := range e.since {
+			if !e.addReply(rep, d) {
 				break
 			}
 		}
 	}
 	if len(req.Lost) == 0 && len(req.Expected) == 0 {
 		for _, d := range gs.history.Latest(e.cfg.MaxReplyMsgs) {
-			if !add(d) {
+			if !e.addReply(rep, d) {
 				break
 			}
 		}
@@ -570,6 +572,22 @@ func (e *Engine) accept(req *pkt.GossipReq) {
 	e.stats.RepliesSent++
 	e.stats.ReplyMsgsSent += uint64(len(rep.Msgs))
 	e.stack.SendUnicast(pkt.NewPacket(e.stack.ID(), req.Initiator, rep))
+}
+
+// addReply adds d to the reply unless it is already there, and reports
+// whether the reply has room for more.
+func (e *Engine) addReply(rep *pkt.GossipRep, d pkt.Data) bool {
+	if len(rep.Msgs) >= e.cfg.MaxReplyMsgs {
+		return false
+	}
+	// At most MaxReplyMsgs entries: a scan beats hashing.
+	for i := range rep.Msgs {
+		if rep.Msgs[i].Key() == d.Key() {
+			return true
+		}
+	}
+	rep.Msgs = append(rep.Msgs, d)
+	return true
 }
 
 // --- reply handling ---

@@ -445,6 +445,30 @@ func TestPickNextHopExcludes(t *testing.T) {
 	}
 }
 
+// TestPickNextHopAllocatesNothing: choosing a walk's next hop on a warm
+// tree — what every round and every forwarded walk does — filters and
+// weighs the tree's links in engine-owned scratch.
+func TestPickNextHopAllocatesNothing(t *testing.T) {
+	for _, bias := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.LocalityBias = bias
+		w := buildLine(t, 1, []int{0}, cfg)
+		e := w.engines[0]
+		w.trees[0].hops = []NextHop{{ID: 10, Nearest: 1}, {ID: 20, Nearest: 7}, {ID: 30, Nearest: pkt.NearestUnknown}}
+		exclude := []pkt.NodeID{0, 10, 20, 30}
+		e.pickNextHop(testGroup, 0)
+		i := 0
+		if n := testing.AllocsPerRun(1000, func() {
+			if _, ok := e.pickNextHop(testGroup, exclude[i%len(exclude)]); !ok {
+				t.Fatal("pickNextHop failed")
+			}
+			i++
+		}); n != 0 {
+			t.Fatalf("LocalityBias %v: pickNextHop allocates %v times, want 0", bias, n)
+		}
+	}
+}
+
 func TestDetachStopsRounds(t *testing.T) {
 	cfg := DefaultConfig()
 	w := buildLine(t, 2, []int{0, 1}, cfg)

@@ -114,23 +114,23 @@ func (h *historyTable) Get(k pkt.SeqKey) (pkt.Data, bool) {
 	return h.ring[pos], true
 }
 
-// Since returns up to max messages from origin with sequence >= from,
-// in ascending sequence order. It serves the "expected sequence number"
-// part of a gossip request: packets the initiator does not yet know it
-// missed.
-func (h *historyTable) Since(origin pkt.NodeID, from uint32, max int) []pkt.Data {
-	var out []pkt.Data
+// AppendSince appends to dst up to max messages from origin with
+// sequence >= from, in ascending sequence order. It serves the
+// "expected sequence number" part of a gossip request: packets the
+// initiator does not yet know it missed.
+func (h *historyTable) AppendSince(dst []pkt.Data, origin pkt.NodeID, from uint32, max int) []pkt.Data {
+	n := len(dst)
 	for i := range h.ring {
 		d := h.ring[i]
 		if d.Origin == origin && d.Seq >= from {
-			out = append(out, d)
+			dst = append(dst, d)
 		}
 	}
-	sortDataBySeq(out)
-	if len(out) > max {
-		out = out[:max]
+	sortDataBySeq(dst[n:])
+	if len(dst)-n > max {
+		dst = dst[:n+max]
 	}
-	return out
+	return dst
 }
 
 // Latest returns up to max of the most recently added messages (newest

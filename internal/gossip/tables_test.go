@@ -150,7 +150,7 @@ func TestHistoryTableSince(t *testing.T) {
 	}
 	h.Add(dataMsg(2, 100)) // different origin must not appear
 
-	got := h.Since(1, 5, 10)
+	got := h.AppendSince(nil, 1, 5, 10)
 	if len(got) != 4 {
 		t.Fatalf("Since(5) returned %d messages, want 4", len(got))
 	}
@@ -159,11 +159,18 @@ func TestHistoryTableSince(t *testing.T) {
 			t.Fatalf("Since order = %v", got)
 		}
 	}
-	if got := h.Since(1, 5, 2); len(got) != 2 || got[0].Seq != 5 {
+	if got := h.AppendSince(nil, 1, 5, 2); len(got) != 2 || got[0].Seq != 5 {
 		t.Fatalf("Since with cap = %v", got)
 	}
-	if got := h.Since(3, 0, 5); len(got) != 0 {
+	if got := h.AppendSince(nil, 3, 0, 5); len(got) != 0 {
 		t.Fatalf("Since(unknown origin) = %v", got)
+	}
+	// Appending leaves what dst held alone: the cap and the order apply
+	// to the appended messages only.
+	prefix := []pkt.Data{dataMsg(9, 50), dataMsg(9, 1)}
+	got = h.AppendSince(prefix, 1, 6, 2)
+	if len(got) != 4 || got[0].Seq != 50 || got[1].Seq != 1 || got[2].Seq != 6 || got[3].Seq != 7 {
+		t.Fatalf("AppendSince onto a prefix = %v", got)
 	}
 }
 

@@ -11,12 +11,12 @@ import (
 	"anongossip/internal/sim"
 )
 
-// TestBroadcastCycleAllocatesOnlyTheOutgoing pins the MAC's share of the
+// TestBroadcastCycleAllocatesNothing pins the MAC's share of the
 // transmission path: a broadcast Send through contention, airtime at
-// nine receivers and OnSendDone costs the one outgoing record that
-// carries the frame — the frame goes on the air by pointer and the queue
-// reuses its backing array.
-func TestBroadcastCycleAllocatesOnlyTheOutgoing(t *testing.T) {
+// nine receivers and OnSendDone allocates nothing — the queue holds the
+// frame by value in its reused backing array, and the frame goes on the
+// air by pointer from one of the DCF's two head records.
+func TestBroadcastCycleAllocatesNothing(t *testing.T) {
 	sched := sim.NewScheduler()
 	medium := radio.NewMedium(sched, radio.Params{Range: 100})
 	rng := sim.NewRNG(7)
@@ -47,12 +47,59 @@ func TestBroadcastCycleAllocatesOnlyTheOutgoing(t *testing.T) {
 	cycle()
 	received, done = 0, 0
 	const runs = 200
-	if allocs := testing.AllocsPerRun(runs, cycle); allocs > 1 {
-		t.Errorf("broadcast Send → OnSendDone cycle allocates %v times, want at most 1 (the outgoing record)", allocs)
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Errorf("broadcast Send → OnSendDone cycle allocates %v times, want 0", allocs)
 	}
 	// AllocsPerRun makes one warm-up call of its own.
 	if want := (runs + 1) * 9; received != want || done != runs+1 {
 		t.Fatalf("%d receptions and %d completions, want %d and %d", received, done, want, runs+1)
+	}
+}
+
+// TestUnicastCycleAllocatesNothing: a unicast Send through contention,
+// airtime, the receiver's ACK and OnSendDone allocates nothing at either
+// end — the sender's head record is reused, the receiver queues its ACK
+// in its response FIFO and sends it from DCF-owned storage.
+func TestUnicastCycleAllocatesNothing(t *testing.T) {
+	sched := sim.NewScheduler()
+	medium := radio.NewMedium(sched, radio.Params{Range: 100})
+	rng := sim.NewRNG(7)
+	var received, acked int
+	var macs []*DCF
+	for i := 0; i < 2; i++ {
+		id := pkt.NodeID(i + 1)
+		d, err := New(sched, rng.Derive(id.String()), medium, id,
+			mobility.Static{P: geom.Point{X: 50 * float64(i)}}, DefaultConfig(), Callbacks{
+				OnReceive: func(*pkt.Packet, pkt.NodeID, bool) { received++ },
+				OnSendDone: func(_ *pkt.Packet, _ pkt.NodeID, ok bool) {
+					if ok {
+						acked++
+					}
+				},
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		macs = append(macs, d)
+	}
+	p := testPacket(1, 2)
+	cycle := func() {
+		if !macs[0].Send(p, 2) {
+			t.Fatal("Send refused on an idle MAC")
+		}
+		// DIFS + CWMin slots + airtime + SIFS + ACK is under 2 ms.
+		sched.Run(sched.Now() + 3*time.Millisecond)
+	}
+	cycle()
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Errorf("unicast Send → ACK → OnSendDone cycle allocates %v times, want 0", allocs)
+	}
+	// One cycle before AllocsPerRun, and its own warm-up call.
+	const n = runs + 2
+	if received != n || acked != n || macs[1].Stats().AcksSent != n {
+		t.Fatalf("%d receptions, %d acknowledged completions and %d ACKs, want %d each",
+			received, acked, macs[1].Stats().AcksSent, n)
 	}
 }
 
@@ -138,15 +185,20 @@ func TestQueueReusesItsBackingArray(t *testing.T) {
 	if len(h.dones[0]) != 500 || len(h.rxs[1]) != 500 {
 		t.Fatalf("%d completions, %d deliveries, want 500 each", len(h.dones[0]), len(h.rxs[1]))
 	}
-	if c := cap(d.queue); c > 4*backlog {
+	if c := cap(d.queue.buf); c > 4*backlog {
 		t.Errorf("queue backing array grew to %d slots under a standing backlog of %d", c, backlog)
 	}
-	if d.QueueLen() != 0 || d.qhead != 0 || len(d.queue) != 0 {
-		t.Errorf("drained queue not reset: len %d, head %d", len(d.queue), d.qhead)
+	if d.QueueLen() != 0 || d.queue.head != 0 || len(d.queue.buf) != 0 {
+		t.Errorf("drained queue not reset: len %d, head %d", len(d.queue.buf), d.queue.head)
 	}
-	for _, out := range d.queue[:cap(d.queue)] {
-		if out != nil {
-			t.Fatal("a popped slot still pins its outgoing record")
+	for _, q := range d.queue.buf[:cap(d.queue.buf)] {
+		if q.p != nil {
+			t.Fatal("a popped slot still pins its packet")
+		}
+	}
+	for i := range d.head {
+		if d.head[i].frm.payload != nil {
+			t.Fatal("a finished head record still pins its packet")
 		}
 	}
 }

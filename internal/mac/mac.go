@@ -98,8 +98,10 @@ const (
 )
 
 // frame is the MAC PDU exchanged over the radio. Frames go on the air
-// by pointer, so putting one there boxes nothing, and are read-only from
-// then on: receivers (and the timers they arm) keep the pointer.
+// by pointer, so putting one there boxes nothing, and are read-only
+// while they are there. Receivers copy what they need during the
+// reception and never keep the pointer: the storage behind it is the
+// sender's, and the sender reuses it (see outgoing and DCF.resp).
 type frame struct {
 	kind    frameKind
 	src     pkt.NodeID
@@ -172,15 +174,64 @@ type Callbacks struct {
 	OnSendDone func(p *pkt.Packet, to pkt.NodeID, ok bool)
 }
 
-// outgoing is one queued network packet with its MAC bookkeeping. The
-// data frame transmitted for it — on every attempt — is &frm, which
-// nothing writes after Send builds it. That is also why records are not
-// recycled: a late ACK can finish the frame while its own retransmission
-// is still on the air, pointing here.
+// queued is a frame waiting behind the head one: its packet, link
+// destination and MAC sequence number, held by value in the queue.
+type queued struct {
+	p   *pkt.Packet
+	dst pkt.NodeID
+	seq uint16
+}
+
+// outgoing is the head frame with its MAC bookkeeping, one of the DCF's
+// two head records. The data frame transmitted for it — on every
+// attempt — is &frm, which nothing writes until the record is released:
+// once its frame is finished and &frm is off the air (see finish and
+// TxDone).
 type outgoing struct {
 	frm     frame
 	attempt int
 	cw      int
+}
+
+// response is one pending ACK or CTS: what the frame will carry when
+// its SIFS wait ends.
+type response struct {
+	kind frameKind
+	dst  pkt.NodeID
+	seq  uint16
+	nav  sim.Time
+}
+
+// fifo is a queue over a reused backing array. pop advances head and
+// zeroes the slot instead of re-slicing, and a drained queue starts
+// over at the front, so the array is reused rather than regrown an
+// element at a time; a queue that never drains slides its elements down
+// over the popped slots before growing past them.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
 }
 
 // stepPhase says what a firing of the contention-step timer means; it
@@ -209,13 +260,16 @@ type DCF struct {
 	tr    *radio.Transceiver
 	cb    Callbacks
 
-	// queue[qhead:] are the frames waiting behind inflight. Popping
-	// advances qhead (and nils the slot) instead of re-slicing, so the
-	// backing array is reused once the queue drains rather than regrown
-	// a frame at a time.
-	queue    []*outgoing
-	qhead    int
+	// queue holds the frames waiting behind inflight, the head frame,
+	// which is one of the two records in head. lateOut is a record
+	// finished while its own data frame was still on the air (a late ACK
+	// during the retransmission): the next head frame takes the other
+	// record, and TxDone releases this one once the radio has walked the
+	// frame's receivers.
+	queue    fifo[queued]
+	head     [2]outgoing
 	inflight *outgoing
+	lateOut  *outgoing
 	// busy is true from the moment a frame reaches the head of the queue
 	// until its final success/failure, covering defer, backoff, airtime
 	// and ACK wait.
@@ -245,6 +299,22 @@ type DCF struct {
 	ackFn  func()
 	ctsOut *outgoing
 	ctsFn  func()
+	// resps holds the ACKs and CTSs waiting out their SIFS. Every one is
+	// armed SIFS after the reception it answers, with the one respFn
+	// closure, so the timers fire in FIFO order and each pops the head.
+	resps  fifo[response]
+	respFn func()
+	// resp is the storage responses go on the air from: two frames, used
+	// in turn. A frame is rewritten only once the response it carried can
+	// no longer be on the air. The previous response may still be: one
+	// whose SIFS wait ends the instant the previous leaves the air starts
+	// before the radio has walked that frame's receivers. The response
+	// before it left the air before the previous one started — a node
+	// transmits one frame at a time, each with positive airtime — so it
+	// is off by the time a response fires. TestResponsesWithinOneSIFS
+	// pins this.
+	resp     [2]frame
+	respNext int
 	// vtxOut/vtxAt/vtxKind describe the virtual airtime-end step: since
 	// the radio's finish processing ends at the exact schedule position
 	// of a timer armed right after StartTx, the MAC no longer schedules
@@ -307,6 +377,7 @@ func newDCF(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.Nod
 	d.stepFn = d.onStep
 	d.ackFn = d.onAckTimeout
 	d.ctsFn = d.onCtsTimeout
+	d.respFn = d.onResponse
 	tr, err := medium.Attach(id, pos, d.onRadio)
 	if err != nil {
 		return nil, err
@@ -355,7 +426,7 @@ func (d *DCF) Stats() Stats { return d.stats }
 func (d *DCF) SetChannelMetrics(c *metrics.ChannelCounters) { d.chm = c }
 
 // QueueLen returns the number of frames waiting (excluding in-flight).
-func (d *DCF) QueueLen() int { return len(d.queue) - d.qhead }
+func (d *DCF) QueueLen() int { return d.queue.len() }
 
 // airtime returns the channel occupancy of a data frame carrying
 // payloadBytes of network-layer payload.
@@ -405,36 +476,28 @@ func (d *DCF) Send(p *pkt.Packet, dst pkt.NodeID) bool {
 		return false
 	}
 	d.nextSeq++
-	out := &outgoing{
-		frm: frame{kind: frameData, src: d.id, dst: dst, seq: d.nextSeq, payload: p},
-	}
-	if d.qhead > 0 && len(d.queue) == cap(d.queue) {
-		// A queue that never drains: slide the waiting frames down over
-		// the popped slots instead of growing past them.
-		n := copy(d.queue, d.queue[d.qhead:])
-		clear(d.queue[n:])
-		d.queue, d.qhead = d.queue[:n], 0
-	}
-	d.queue = append(d.queue, out)
+	d.queue.push(queued{p: p, dst: dst, seq: d.nextSeq})
 	if !d.busy {
 		d.startHead()
 	}
 	return true
 }
 
-// startHead begins the contention cycle for the frame at the queue head.
+// startHead begins the contention cycle for the frame at the queue head,
+// in whichever head record is not lateOut.
 func (d *DCF) startHead() {
-	if d.qhead == len(d.queue) {
-		d.queue, d.qhead = d.queue[:0], 0
+	if d.queue.len() == 0 {
 		d.busy = false
 		return
 	}
 	d.busy = true
-	d.inflight = d.queue[d.qhead]
-	d.queue[d.qhead] = nil
-	d.qhead++
-	d.inflight.attempt = 0
-	d.inflight.cw = d.cfg.CWMin
+	q := d.queue.pop()
+	out := &d.head[0]
+	if d.lateOut == out {
+		out = &d.head[1]
+	}
+	*out = outgoing{frm: frame{kind: frameData, src: d.id, dst: q.dst, seq: q.seq, payload: q.p}, cw: d.cfg.CWMin}
+	d.inflight = out
 	d.defer_()
 }
 
@@ -674,8 +737,13 @@ func (d *DCF) transmitData(out *outgoing) {
 // step still armed counts one elided event to keep the logical total
 // identical. A cleared vtxOut means the frame already completed (a
 // late ACK during the retransmission's airtime); the early finish
-// accounted for the step, and there is nothing left to do.
+// accounted for the step, and what is left is to release its record,
+// now that the frame is off the air.
 func (d *DCF) TxDone() {
+	if out := d.lateOut; out != nil {
+		d.lateOut = nil
+		out.frm.payload = nil
+	}
 	out := d.vtxOut
 	if out == nil {
 		return
@@ -732,8 +800,12 @@ func (d *DCF) elideVirtualStep() {
 	d.vtxOut = nil
 }
 
-// finish completes the head frame and starts the next.
+// finish completes the head frame, releases its record — its packet
+// dropped, so a spare record pins nothing — and starts the next. Every
+// timer that names the record is cancelled here, so a record reused for
+// a later frame cannot be mistaken for its previous use.
 func (d *DCF) finish(out *outgoing, ok bool) {
+	onAir := d.vtxOut == out && d.vtxKind == frameData
 	d.elideStep()
 	d.elideVirtualStep()
 	d.ackTimer.Cancel()
@@ -743,8 +815,16 @@ func (d *DCF) finish(out *outgoing, ok bool) {
 	d.ctsTimer = sim.Timer{}
 	d.ctsOut = nil
 	d.inflight = nil
+	p, dst := out.frm.payload, out.frm.dst
+	if onAir {
+		// A late ACK finished the frame during its own retransmission:
+		// receivers still read &out.frm when the airtime ends.
+		d.lateOut = out
+	} else {
+		out.frm.payload = nil
+	}
 	if d.cb.OnSendDone != nil {
-		d.cb.OnSendDone(out.frm.payload, out.frm.dst, ok)
+		d.cb.OnSendDone(p, dst, ok)
 	}
 	d.startHead()
 }
@@ -803,24 +883,43 @@ func (d *DCF) onRTS(frm *frame) {
 	if frm.dst != d.id {
 		return
 	}
-	ctsAt := d.ctlAirtime(d.cfg.CTSBytes)
-	nav := frm.nav - d.cfg.SIFS - ctsAt
+	nav := frm.nav - d.cfg.SIFS - d.ctlAirtime(d.cfg.CTSBytes)
 	if nav < 0 {
 		nav = 0
 	}
-	d.sched.After(d.cfg.SIFS, func() {
-		if d.tr.Transmitting() {
-			return
-		}
-		cts := &frame{kind: frameCTS, src: d.id, dst: frm.src, seq: frm.seq, nav: nav}
-		if err := d.tr.StartTx(cts, ctsAt); err == nil {
-			d.stats.CTSSent++
-			d.stats.BytesSent += uint64(d.cfg.CTSBytes)
-			if d.chm != nil {
-				d.chm.ObserveTx(metrics.LayerMAC, ctsAt, d.cfg.CTSBytes)
-			}
-		}
-	})
+	d.respond(response{kind: frameCTS, dst: frm.src, seq: frm.seq, nav: nav})
+}
+
+// respond queues an ACK or CTS to go out SIFS from now.
+func (d *DCF) respond(r response) {
+	d.resps.push(r)
+	d.sched.After(d.cfg.SIFS, d.respFn)
+}
+
+// onResponse transmits the response whose SIFS wait ended — the FIFO's
+// head — unless the node is mid-transmission (half-duplex; the peer
+// will retry).
+func (d *DCF) onResponse() {
+	r := d.resps.pop()
+	if d.tr.Transmitting() {
+		return
+	}
+	bytes, stat := d.cfg.AckBytes, &d.stats.AcksSent
+	if r.kind == frameCTS {
+		bytes, stat = d.cfg.CTSBytes, &d.stats.CTSSent
+	}
+	at := d.ctlAirtime(bytes)
+	f := &d.resp[d.respNext]
+	*f = frame{kind: r.kind, src: d.id, dst: r.dst, seq: r.seq, nav: r.nav}
+	if err := d.tr.StartTx(f, at); err != nil {
+		return
+	}
+	d.respNext ^= 1
+	*stat++
+	d.stats.BytesSent += uint64(bytes)
+	if d.chm != nil {
+		d.chm.ObserveTx(metrics.LayerMAC, at, bytes)
+	}
 }
 
 func (d *DCF) onData(frm *frame) {
@@ -834,21 +933,9 @@ func (d *DCF) onData(frm *frame) {
 	if frm.dst != d.id {
 		return // unicast overheard in promiscuous range; ignore
 	}
-	// Acknowledge after SIFS unless we are mid-transmission (half-duplex;
-	// the sender will retry).
-	d.sched.After(d.cfg.SIFS, func() {
-		if d.tr.Transmitting() {
-			return
-		}
-		ack := &frame{kind: frameAck, src: d.id, dst: frm.src, seq: frm.seq}
-		if err := d.tr.StartTx(ack, d.ackAirtime()); err == nil {
-			d.stats.AcksSent++
-			d.stats.BytesSent += uint64(d.cfg.AckBytes)
-			if d.chm != nil {
-				d.chm.ObserveTx(metrics.LayerMAC, d.ackAirtime(), d.cfg.AckBytes)
-			}
-		}
-	})
+	// Acknowledge after SIFS, a retransmission too: its first ACK was
+	// lost.
+	d.respond(response{kind: frameAck, dst: frm.src, seq: frm.seq})
 	if d.duplicate(frm) {
 		d.stats.DupsFiltered++
 		return

@@ -161,6 +161,8 @@ type group struct {
 	rrepPaths map[uint32]rrepPath
 	join      *joinState
 	grphTimer sim.Timer
+	// grphFn is the group hello timer's callback, bound on first use.
+	grphFn func()
 	// grphSeen deduplicates GRPH floods per originating leader; a shared
 	// counter would let a rogue high-sequence leader suppress the real
 	// leader's floods during merges.
@@ -183,16 +185,18 @@ func (g *group) enabledCount() int {
 	return n
 }
 
-// sortedNextIDs returns the next-hop node IDs in ascending order.
+// sortedNextIDs returns g's next-hop node IDs in ascending order.
 // Protocol decisions must never depend on Go map iteration order, or
-// same-seed runs diverge.
-func (g *group) sortedNextIDs() []pkt.NodeID {
-	ids := make([]pkt.NodeID, 0, len(g.next))
+// same-seed runs diverge. The slice is the router's scratch, valid
+// until the next call: its callers only send while walking it, and a
+// send never re-enters the router.
+func (r *Router) sortedNextIDs(g *group) []pkt.NodeID {
+	r.ids = r.ids[:0]
 	for id := range g.next {
-		ids = append(ids, id)
+		r.ids = append(r.ids, id)
 	}
-	slices.Sort(ids)
-	return ids
+	slices.Sort(r.ids)
+	return r.ids
 }
 
 // Router is one node's MAODV entity.
@@ -207,6 +211,10 @@ type Router struct {
 
 	deliverSubs  []func(g pkt.GroupID, d *pkt.Data, from pkt.NodeID)
 	evidenceSubs []func(g pkt.GroupID, member pkt.NodeID, hops uint8)
+
+	// ids is sortedNextIDs' scratch, hops NextHops' (lent to the walk).
+	ids  []pkt.NodeID
+	hops []gossip.NextHop
 
 	stats Stats
 }
@@ -284,19 +292,20 @@ func (r *Router) Leader(gid pkt.GroupID) (pkt.NodeID, bool) {
 // NextHops returns the enabled tree links and their nearest-member
 // values (paper §4.2: the walk needs nothing else) — the gossip Tree
 // interface. The result is sorted by node ID so downstream random
-// choices are reproducible.
+// choices are reproducible, and lent: it is the router's scratch.
 func (r *Router) NextHops(gid pkt.GroupID) []gossip.NextHop {
 	g, ok := r.groups[gid]
 	if !ok {
 		return nil
 	}
-	out := make([]gossip.NextHop, 0, len(g.next))
-	for _, id := range g.sortedNextIDs() {
-		if e := g.next[id]; e.enabled {
-			out = append(out, gossip.NextHop{ID: id, Nearest: e.nearest})
+	r.hops = r.hops[:0]
+	for id, e := range g.next {
+		if e.enabled {
+			r.hops = append(r.hops, gossip.NextHop{ID: id, Nearest: e.nearest})
 		}
 	}
-	return out
+	gossip.SortHops(r.hops)
+	return r.hops
 }
 
 // group returns existing state or creates a passive shell (used by nodes

@@ -1,11 +1,13 @@
 package maodv
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"anongossip/internal/aodv"
 	"anongossip/internal/geom"
+	"anongossip/internal/gossip"
 	"anongossip/internal/mac"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
@@ -202,6 +204,32 @@ func TestNearestMemberConvergesOnLine(t *testing.T) {
 				t.Errorf("node %d nearest via %v = %d, want %d", i+1, got[id], got[id], v)
 			}
 		}
+	}
+}
+
+// TestTreeWalksAllocateNothing: on a converged tree the gossip walk's
+// view of it (NextHops, sorted by ID) and a nearest-member recompute
+// with nothing to advertise both run in router-owned scratch.
+func TestTreeWalksAllocateNothing(t *testing.T) {
+	w := buildM(t, 60, linePos(4, 50))
+	w.joinAt(0, 0)
+	w.joinAt(3*time.Second, 3)
+	w.sched.Run(15 * time.Second)
+	r := w.routers[1]
+	g := r.groups[testGroup]
+	want := []gossip.NextHop{{ID: 1, Nearest: 1}, {ID: 3, Nearest: 2}}
+	if got := r.NextHops(testGroup); !slices.Equal(got, want) {
+		t.Fatalf("next hops %v, want %v", got, want)
+	}
+	sent := r.Stats().NearestSent
+	if n := testing.AllocsPerRun(100, func() {
+		r.NextHops(testGroup)
+		r.nearestRecompute(g)
+	}); n != 0 {
+		t.Fatalf("NextHops and a quiet nearest recompute allocate %v times, want 0", n)
+	}
+	if r.Stats().NearestSent != sent {
+		t.Fatal("a converged tree re-advertised its nearest-member values")
 	}
 }
 

@@ -39,7 +39,7 @@ func (r *Router) nearestValueFor(g *group, x pkt.NodeID) uint8 {
 // lastSent is tracked per link in the nextHop entry to suppress
 // unchanged updates.
 func (r *Router) nearestRecompute(g *group) {
-	for _, id := range g.sortedNextIDs() {
+	for _, id := range r.sortedNextIDs(g) {
 		e := g.next[id]
 		if !e.enabled {
 			continue

@@ -133,7 +133,7 @@ func (r *Router) maybePrune(g *group) {
 		return
 	}
 	enabled := make([]pkt.NodeID, 0, len(g.next))
-	for _, id := range g.sortedNextIDs() {
+	for _, id := range r.sortedNextIDs(g) {
 		if g.next[id].enabled {
 			enabled = append(enabled, id)
 		}
@@ -190,7 +190,7 @@ func (r *Router) delegateLeadership(g *group) {
 }
 
 func (r *Router) delegateLeadershipExcept(g *group, except pkt.NodeID) {
-	for _, id := range g.sortedNextIDs() {
+	for _, id := range r.sortedNextIDs(g) {
 		if e := g.next[id]; !e.enabled || id == except {
 			continue
 		}
@@ -203,21 +203,27 @@ func (r *Router) delegateLeadershipExcept(g *group, except pkt.NodeID) {
 	r.detachFromTree(g)
 }
 
-// scheduleGRPH runs the leader's periodic group hello.
+// scheduleGRPH arms the leader's next periodic group hello.
 func (r *Router) scheduleGRPH(g *group) {
+	if g.grphFn == nil {
+		g.grphFn = func() { r.grphTick(g) }
+	}
 	jitter := r.rng.Duration(r.cfg.GroupHelloJitter)
-	g.grphTimer = r.sched.After(r.cfg.GroupHelloInterval+jitter, func() {
-		if !r.isLeader(g) {
-			g.grphTimer = sim.Timer{}
-			return
-		}
-		g.groupSeq++
-		g.grphSeen[r.stack.ID()] = g.groupSeq
-		r.stats.GRPHsSent++
-		grph := &pkt.GRPH{Group: g.id, Leader: r.stack.ID(), GroupSeq: g.groupSeq, HopCount: 0}
-		r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, grph))
-		r.scheduleGRPH(g)
-	})
+	g.grphTimer = r.sched.After(r.cfg.GroupHelloInterval+jitter, g.grphFn)
+}
+
+// grphTick floods a group hello while this node leads the group.
+func (r *Router) grphTick(g *group) {
+	if !r.isLeader(g) {
+		g.grphTimer = sim.Timer{}
+		return
+	}
+	g.groupSeq++
+	g.grphSeen[r.stack.ID()] = g.groupSeq
+	r.stats.GRPHsSent++
+	grph := &pkt.GRPH{Group: g.id, Leader: r.stack.ID(), GroupSeq: g.groupSeq, HopCount: 0}
+	r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, grph))
+	r.scheduleGRPH(g)
 }
 
 // onGRPH processes and refloods group hellos (network-wide flood with
@@ -297,7 +303,7 @@ func (r *Router) adoptGroupInfo(g *group, h *pkt.GRPH, from pkt.NodeID) {
 func (r *Router) stepDown(g *group, h *pkt.GRPH) {
 	r.stats.LeaderStepdowns++
 	r.stopLeading(g)
-	for _, id := range g.sortedNextIDs() {
+	for _, id := range r.sortedNextIDs(g) {
 		if g.next[id].enabled {
 			r.sendPrune(g, id)
 		}

@@ -26,8 +26,34 @@ func (s *Stack) Rebroadcast(p *pkt.Packet, rng *sim.RNG, jitter time.Duration) *
 	}
 	cp := p.Clone()
 	cp.TTL--
-	s.rt.After(rng.Duration(jitter), func() { s.SendBroadcast(cp) })
+	var r *relay
+	if n := len(s.relays); n > 0 {
+		r, s.relays = s.relays[n-1], s.relays[:n-1]
+	} else {
+		r = &relay{s: s}
+		r.fn = r.fire
+	}
+	r.p = cp
+	s.rt.After(rng.Duration(jitter), r.fn)
 	return cp
+}
+
+// relay is one pending Rebroadcast: the copy and the timer callback
+// that sends it, bound once when the record is made. Relays fire in
+// jitter order, not in the order they were armed, so each pending copy
+// has a record of its own; a record goes back to its Stack's free list
+// as it fires.
+type relay struct {
+	s  *Stack
+	p  *pkt.Packet
+	fn func()
+}
+
+func (r *relay) fire() {
+	s, p := r.s, r.p
+	r.p = nil
+	s.relays = append(s.relays, r)
+	s.SendBroadcast(p)
 }
 
 // SeqCache is a bounded FIFO set of packet identities: the duplicate

@@ -128,3 +128,60 @@ func TestRebroadcast(t *testing.T) {
 		t.Fatal("Rebroadcast mutated the original packet")
 	}
 }
+
+// TestRebroadcastRelaysEachPendingCopyOnce: relays fire in jitter order,
+// not in the order they were armed, so every pending copy has a record
+// of its own. Many relays pending at once with different delays each
+// send their own copy exactly once — twice over, the second batch on
+// the records the first one gave back.
+func TestRebroadcastRelaysEachPendingCopyOnce(t *testing.T) {
+	e := line(t, 2)
+	heard := map[uint32]int{}
+	e.stacks[1].Handle(pkt.KindHello, func(p *pkt.Packet, _ pkt.NodeID) { heard[p.Body.(*pkt.Hello).Seq]++ })
+	rng := sim.NewRNG(11)
+	const batch = 20
+	for b := 0; b < 2; b++ {
+		for i := 0; i < batch; i++ {
+			p := pkt.NewPacket(1, pkt.Broadcast, &pkt.Hello{Seq: uint32(b*batch + i)})
+			if e.stacks[0].Rebroadcast(p, rng, 50*time.Millisecond) == nil {
+				t.Fatal("live packet not relayed")
+			}
+		}
+		e.sched.Run(e.sched.Now() + time.Second)
+	}
+	for seq := uint32(0); seq < 2*batch; seq++ {
+		if heard[seq] != 1 {
+			t.Fatalf("copy %d heard %d times, want once (all: %v)", seq, heard[seq], heard)
+		}
+	}
+	if got := len(e.stacks[0].relays); got != batch {
+		t.Fatalf("%d spare relay records after two batches of %d, want the first batch's reused", got, batch)
+	}
+}
+
+// sink keeps a clone reachable, so the compiler cannot drop the
+// allocation being counted.
+var sink *pkt.Packet
+
+// TestRebroadcastAllocatesOnlyItsCopy: a relay, from Rebroadcast to the
+// copy leaving the MAC, costs exactly the Clone it sends; its timer
+// record comes off the Stack's free list.
+func TestRebroadcastAllocatesOnlyItsCopy(t *testing.T) {
+	e := line(t, 2)
+	p := hello(1, pkt.Broadcast)
+	rng := sim.NewRNG(5)
+	relay := func() {
+		if e.stacks[0].Rebroadcast(p, rng, time.Millisecond) == nil {
+			t.Fatal("live packet not relayed")
+		}
+		e.sched.Run(e.sched.Now() + 5*time.Millisecond)
+	}
+	relay()
+	clone := testing.AllocsPerRun(100, func() { sink = p.Clone() })
+	if got := testing.AllocsPerRun(100, relay); got != clone || clone == 0 {
+		t.Fatalf("a relay allocates %v times, want exactly its Clone's %v", got, clone)
+	}
+	if st := e.stacks[1].Stats(); st.NoHandler != 102 {
+		t.Fatalf("neighbour heard %d relays, want 102", st.NoHandler)
+	}
+}

@@ -80,6 +80,9 @@ type Stack struct {
 
 	tracer func(trace.Event)
 
+	// relays holds the spare records of Rebroadcast's pending copies.
+	relays []*relay
+
 	stats Stats
 }
 

@@ -94,8 +94,11 @@ type groupState struct {
 	data node.SeqCache
 
 	refreshTimer sim.Timer
-	querySeq     uint32
-	nextDataSeq  uint32
+	// refreshFn is the refresh timer's callback, bound on the first
+	// refresh.
+	refreshFn   func()
+	querySeq    uint32
+	nextDataSeq uint32
 }
 
 // Router is one node's ODMRP entity.
@@ -107,7 +110,9 @@ type Router struct {
 
 	groups map[pkt.GroupID]*groupState
 	subs   []func(g pkt.GroupID, d *pkt.Data, from pkt.NodeID)
-	stats  Stats
+	// hops is NextHops' scratch, lent to the walk.
+	hops  []gossip.NextHop
+	stats Stats
 }
 
 // New builds an ODMRP router bound to the node stack.
@@ -177,7 +182,8 @@ func (r *Router) NextHops(g pkt.GroupID) []gossip.NextHop {
 	if !ok {
 		return nil
 	}
-	return gossip.LiveHops(gs.links, r.sched.Now())
+	r.hops = gossip.AppendLiveHops(r.hops[:0], gs.links, r.sched.Now())
+	return r.hops
 }
 
 // ErrNotMember reports SendData from a non-member.
@@ -207,7 +213,10 @@ func (r *Router) refresh(g pkt.GroupID, gs *groupState) {
 	r.stats.QueriesSent++
 	q := &pkt.JoinQuery{Group: g, Source: r.stack.ID(), Seq: gs.querySeq, HopCount: 0}
 	r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, q))
-	gs.refreshTimer = r.sched.After(r.cfg.RefreshInterval, func() { r.refresh(g, gs) })
+	if gs.refreshFn == nil {
+		gs.refreshFn = func() { r.refresh(g, gs) }
+	}
+	gs.refreshTimer = r.sched.After(r.cfg.RefreshInterval, gs.refreshFn)
 }
 
 func (r *Router) onJoinQuery(p *pkt.Packet, from pkt.NodeID) {

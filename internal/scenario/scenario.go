@@ -222,8 +222,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: MAC bit rate %v is not positive and finite", c.MAC.BitRate)
 	case c.MAC.SlotTime < 0 || c.MAC.PhyOverhead < 0:
 		return fmt.Errorf("scenario: negative MAC slot time %v or PHY overhead %v", c.MAC.SlotTime, c.MAC.PhyOverhead)
-	case c.MAC.HeaderBytes < 0 || c.MAC.AckBytes < 0:
-		return fmt.Errorf("scenario: negative MAC header %d or ACK size %d", c.MAC.HeaderBytes, c.MAC.AckBytes)
+	case min(c.MAC.HeaderBytes, c.MAC.AckBytes, c.MAC.RTSBytes, c.MAC.CTSBytes) < 0:
+		return fmt.Errorf("scenario: negative MAC header %d, ACK %d, RTS %d or CTS %d size",
+			c.MAC.HeaderBytes, c.MAC.AckBytes, c.MAC.RTSBytes, c.MAC.CTSBytes)
 	case c.MAC.QueueCap <= 0:
 		// An empty queue of capacity zero is full: every Send would fail.
 		return fmt.Errorf("scenario: non-positive MAC queue capacity %d", c.MAC.QueueCap)
@@ -235,12 +236,20 @@ func (c Config) Validate() error {
 		// Below one, every sweep finds every neighbour overdue and breaks
 		// its link.
 		return fmt.Errorf("scenario: AODV allowed hello loss %d is below 1", c.AODV.AllowedHelloLoss)
+	case unicast && (c.AODV.ActiveRouteTimeout <= 0 || c.AODV.SeenLifetime <= 0):
+		// A route that expires as it is installed delivers nothing; an
+		// RREQ forgotten as it is seen is re-flooded by every copy.
+		return fmt.Errorf("scenario: non-positive AODV active route timeout %v or seen lifetime %v",
+			c.AODV.ActiveRouteTimeout, c.AODV.SeenLifetime)
 	case spec.Routing == "maodv" && c.MAODV.DataCacheSize <= 0:
 		return fmt.Errorf("scenario: non-positive MAODV data cache size %d", c.MAODV.DataCacheSize)
 	case spec.Routing == "maodv" && c.MAODV.GroupHelloInterval <= 0:
 		// The leader's GRPH tick re-arms one interval later, like the
 		// gossip round.
 		return fmt.Errorf("scenario: non-positive MAODV group hello interval %v", c.MAODV.GroupHelloInterval)
+	case spec.Routing == "maodv" && c.MAODV.JoinReplyWait <= 0:
+		// A joiner picks its branch before any reply can arrive.
+		return fmt.Errorf("scenario: non-positive MAODV join reply wait %v", c.MAODV.JoinReplyWait)
 	case spec.Routing == "flood" && c.Flood.CacheSize <= 0:
 		return fmt.Errorf("scenario: non-positive flood cache size %d", c.Flood.CacheSize)
 	case spec.Routing == "odmrp" && (c.ODMRP.CacheSize <= 0 || c.ODMRP.RefreshInterval <= 0):

@@ -68,6 +68,7 @@ func TestConfigValidate(t *testing.T) {
 	flood.Stack = bareFlood
 	flood.AODV.HelloInterval, flood.MAODV.DataCacheSize, flood.ODMRP.CacheSize, flood.Gossip.CacheCap = 0, 0, 0, -1
 	flood.MAODV.GroupHelloInterval, flood.AODV.AllowedHelloLoss, flood.Gossip.LostTableCap = 0, 0, -1
+	flood.AODV.ActiveRouteTimeout, flood.AODV.SeenLifetime, flood.MAODV.JoinReplyWait = 0, 0, 0
 	if err := flood.Validate(); err != nil {
 		t.Fatalf("bare flooding with unset blocks of layers it never builds rejected: %v", err)
 	}
@@ -144,6 +145,16 @@ func TestConfigValidate(t *testing.T) {
 		{"zero mac queue cap", func(c *Config) { c.MAC.QueueCap = 0 }},
 		{"zero data interval", func(c *Config) { c.DataInterval = 0 }},
 		{"negative data interval", func(c *Config) { c.DataInterval = -time.Second }},
+		// Each of these ran without error on a 10-node 30 s maodv+gossip
+		// run that delivers 1.000 at the defaults: the first three at
+		// 0.000, the seen lifetime at 48× the events (an RREQ re-flood
+		// storm), the join reply waits at 0.000.
+		{"negative rts bytes", func(c *Config) { c.MAC.RTSThreshold, c.MAC.RTSBytes = 0, -1000 }},
+		{"negative cts bytes", func(c *Config) { c.MAC.RTSThreshold, c.MAC.CTSBytes = 0, -1000 }},
+		{"zero aodv active route timeout", func(c *Config) { c.AODV.ActiveRouteTimeout = 0 }},
+		{"zero aodv seen lifetime", func(c *Config) { c.AODV.SeenLifetime = 0 }},
+		{"zero maodv join reply wait", func(c *Config) { c.MAODV.JoinReplyWait = 0 }},
+		{"negative maodv join reply wait", func(c *Config) { c.MAODV.JoinReplyWait = -time.Second }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
