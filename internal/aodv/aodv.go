@@ -282,9 +282,10 @@ func (r *Router) RouteHops(dst pkt.NodeID) (uint8, bool) {
 	return rt.hops, true
 }
 
-// RelayRREP addresses rrep to the next hop on the reverse path toward its
-// requester and transmits it. It reports false when no reverse route
-// exists. MAODV uses it to emit join replies; AODV uses it internally.
+// RelayRREP addresses a copy of rrep to the next hop on the reverse path
+// toward its requester and transmits it; rrep stays the caller's. It
+// reports false when no reverse route exists. MAODV uses it to emit join
+// replies; AODV uses it internally.
 func (r *Router) RelayRREP(rrep *pkt.RREP) bool {
 	if rrep.Orig == r.stack.ID() {
 		return false
@@ -293,8 +294,7 @@ func (r *Router) RelayRREP(rrep *pkt.RREP) bool {
 	if !ok {
 		return false
 	}
-	p := pkt.NewPacket(r.stack.ID(), next, rrep)
-	r.stack.SendDirect(next, p)
+	r.stack.SendDirect(next, r.stack.NewPacket(next, rrep))
 	return true
 }
 
@@ -344,7 +344,7 @@ func (r *Router) completeDiscovery(dst pkt.NodeID) {
 func (r *Router) sendRREQ(d *discovery) {
 	id := r.AllocRREQID()
 	r.NoteOwnRREQ(id)
-	req := &pkt.RREQ{
+	req := pkt.RREQ{
 		ID:      id,
 		Dst:     uint32(d.dst),
 		Orig:    r.stack.ID(),
@@ -358,7 +358,7 @@ func (r *Router) sendRREQ(d *discovery) {
 		req.Flags |= pkt.RREQUnknownSeq
 	}
 	r.stats.RREQsOriginated++
-	r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, req))
+	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &req))
 
 	wait := r.cfg.RREQTimeout << uint(d.retries)
 	d.timer = r.sched.After(wait, func() { r.onDiscoveryTimeout(d) })
@@ -490,14 +490,10 @@ func (r *Router) onRREP(p *pkt.Packet, from pkt.NodeID) {
 		return
 	}
 	// Relay along the reverse path toward the requester.
-	cp := rep.CloneBody()
-	fwd, ok := cp.(*pkt.RREP)
-	if !ok {
-		return
-	}
-	fwd.HopCount = rep.HopCount + 1
+	fwd := *rep
+	fwd.HopCount++
 	r.stats.RREPsForwarded++
-	if !r.RelayRREP(fwd) {
+	if !r.RelayRREP(&fwd) {
 		r.stats.PacketsDropped++
 	}
 }
@@ -519,7 +515,7 @@ func (r *Router) onRERR(p *pkt.Packet, from pkt.NodeID) {
 	}
 	if len(propagate) > 0 && p.TTL > 1 {
 		r.stats.RERRsSent++
-		out := pkt.NewPacket(r.stack.ID(), pkt.Broadcast, &pkt.RERR{Dests: propagate})
+		out := r.stack.NewPacket(pkt.Broadcast, &pkt.RERR{Dests: propagate})
 		out.TTL = p.TTL - 1
 		r.stack.SendBroadcast(out)
 	}
@@ -557,7 +553,7 @@ func (r *Router) breakLink(n pkt.NodeID) {
 	slices.SortFunc(lost, func(a, b pkt.Unreachable) int { return cmp.Compare(a.Addr, b.Addr) })
 	if len(lost) > 0 {
 		r.stats.RERRsSent++
-		r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, &pkt.RERR{Dests: lost}))
+		r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &pkt.RERR{Dests: lost}))
 	}
 	for _, fn := range r.breakSubs {
 		fn(n)
@@ -569,7 +565,7 @@ func (r *Router) breakLink(n pkt.NodeID) {
 func (r *Router) helloTick() {
 	r.helloSeq++
 	r.stats.HellosSent++
-	r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, &pkt.Hello{Seq: r.helloSeq}))
+	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &pkt.Hello{Seq: r.helloSeq}))
 	jitter := r.rng.DurationRange(-r.cfg.HelloJitter/2, r.cfg.HelloJitter/2)
 	r.sched.After(r.cfg.HelloInterval+jitter, r.helloFn)
 }

@@ -145,10 +145,10 @@ func (r *Router) SendData(g pkt.GroupID) (pkt.SeqKey, error) {
 		return pkt.SeqKey{}, ErrNotMember
 	}
 	r.seq++
-	d := &pkt.Data{Group: g, Origin: r.stack.ID(), Seq: r.seq, PayloadLen: r.cfg.PayloadLen}
+	d := pkt.Data{Group: g, Origin: r.stack.ID(), Seq: r.seq, PayloadLen: r.cfg.PayloadLen}
 	r.seen.Add(d.Key())
 	r.stats.DataSent++
-	r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, d))
+	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &d))
 	return d.Key(), nil
 }
 

@@ -211,7 +211,10 @@ type Engine struct {
 
 	// Scratch of the walk choice (cands, weights), the request's origin
 	// list and the reply's history lookup: temporaries, reused by every
-	// round and request, none of them reaching the wire.
+	// round and request, none of them reaching the wire. The request and
+	// the reply themselves are built in packets of the node's stack
+	// (node.Stack.NewPacket), whose lists keep their capacity from use
+	// to use.
 	cands   []NextHop
 	weights []float64
 	origins []pkt.Expect
@@ -372,17 +375,13 @@ func (e *Engine) round(gs *groupState) {
 		e.stats.RoundsSkipped++
 		return
 	}
-	req := e.buildRequest(gs)
-
 	// Paper §4.3: anonymous gossip with probability PAnon, cached gossip
 	// otherwise (falling back to anonymous when the cache is empty).
 	if !e.rng.Bool(e.cfg.PAnon) {
 		if m, ok := gs.cache.Pick(e.rng); ok {
-			req.Flags |= pkt.GossipCached
 			gs.cache.MarkGossiped(m.addr, e.sched.Now())
 			e.stats.RoundsCached++
-			p := pkt.NewPacket(e.stack.ID(), m.addr, req)
-			e.stack.SendUnicast(p)
+			e.stack.SendUnicast(e.request(gs, m.addr, pkt.GossipCached))
 			return
 		}
 	}
@@ -393,27 +392,21 @@ func (e *Engine) round(gs *groupState) {
 		return
 	}
 	e.stats.RoundsAnon++
-	p := pkt.NewPacket(e.stack.ID(), next, req)
-	e.stack.SendDirect(next, p)
+	e.stack.SendDirect(next, e.request(gs, next, 0))
 }
 
-// buildRequest assembles the gossip message of paper §4.1: lost buffer
-// plus expected sequence numbers (pull), or the recent history (push
-// ablation).
-func (e *Engine) buildRequest(gs *groupState) *pkt.GossipReq {
+// request builds the gossip message of paper §4.1 for dst, in a packet
+// of the node's stack: lost buffer plus expected sequence numbers
+// (pull), or the recent history (push ablation).
+func (e *Engine) request(gs *groupState, dst pkt.NodeID, flags uint8) *pkt.Packet {
+	p := e.stack.NewPacket(dst, &pkt.GossipReq{Group: gs.id, Initiator: e.stack.ID(), Flags: flags})
+	req := p.Body.(*pkt.GossipReq)
 	if e.cfg.Mode == ModePush {
-		return &pkt.GossipReq{
-			Group:     gs.id,
-			Initiator: e.stack.ID(),
-			Flags:     pkt.GossipNoReply,
-			Pushed:    gs.history.Latest(e.cfg.MaxReplyMsgs),
-		}
+		req.Flags |= pkt.GossipNoReply
+		req.Pushed = gs.history.AppendLatest(req.Pushed, e.cfg.MaxReplyMsgs)
+		return p
 	}
-	req := &pkt.GossipReq{
-		Group:     gs.id,
-		Initiator: e.stack.ID(),
-		Lost:      gs.lost.Recent(e.cfg.LostBufferCap),
-	}
+	req.Lost = gs.lost.AppendRecent(req.Lost, e.cfg.LostBufferCap)
 	e.origins = e.origins[:0]
 	for origin, next := range gs.expected.All() {
 		e.origins = append(e.origins, pkt.Expect{Origin: pkt.NodeID(origin), NextSeq: *next})
@@ -429,7 +422,7 @@ func (e *Engine) buildRequest(gs *groupState) *pkt.GossipReq {
 		}
 		req.Expected = append(req.Expected, ex)
 	}
-	return req
+	return p
 }
 
 // pickNextHop chooses a tree link, excluding a node, weighted toward
@@ -497,13 +490,10 @@ func (e *Engine) onRequest(p *pkt.Packet, from pkt.NodeID) {
 		e.stats.WalksDropped++
 		return
 	}
-	cp, okBody := req.CloneBody().(*pkt.GossipReq)
-	if !okBody {
-		return
-	}
-	cp.HopsTraveled++
+	fwd := *req
+	fwd.HopsTraveled++
 	e.stats.WalksForwarded++
-	e.stack.SendDirect(next, pkt.NewPacket(e.stack.ID(), next, cp))
+	e.stack.SendDirect(next, e.stack.NewPacket(next, &fwd))
 }
 
 // accept consumes an accepted gossip. Pull mode (the paper's §4.4)
@@ -541,11 +531,12 @@ func (e *Engine) accept(req *pkt.GossipReq) {
 	if req.NoReply() {
 		return
 	}
-	rep := &pkt.GossipRep{
+	p := e.stack.NewPacket(req.Initiator, &pkt.GossipRep{
 		Group:     req.Group,
 		Responder: e.stack.ID(),
 		WalkHops:  req.HopsTraveled,
-	}
+	})
+	rep := p.Body.(*pkt.GossipRep)
 	for _, k := range req.Lost {
 		if d, have := gs.history.Get(k); have {
 			if !e.addReply(rep, d) {
@@ -562,7 +553,8 @@ func (e *Engine) accept(req *pkt.GossipReq) {
 		}
 	}
 	if len(req.Lost) == 0 && len(req.Expected) == 0 {
-		for _, d := range gs.history.Latest(e.cfg.MaxReplyMsgs) {
+		e.since = gs.history.AppendLatest(e.since[:0], e.cfg.MaxReplyMsgs)
+		for _, d := range e.since {
 			if !e.addReply(rep, d) {
 				break
 			}
@@ -571,7 +563,7 @@ func (e *Engine) accept(req *pkt.GossipReq) {
 
 	e.stats.RepliesSent++
 	e.stats.ReplyMsgsSent += uint64(len(rep.Msgs))
-	e.stack.SendUnicast(pkt.NewPacket(e.stack.ID(), req.Initiator, rep))
+	e.stack.SendUnicast(p)
 }
 
 // addReply adds d to the reply unless it is already there, and reports

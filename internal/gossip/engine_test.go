@@ -469,6 +469,46 @@ func TestPickNextHopAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRoundAllocatesNothing: on a warm tree — routes known, tables and
+// scratch grown, and each member's earlier gossip packets back from its
+// link — gossip rounds allocate nothing: the request, the walk's forward
+// at the router, the acceptance and the reply carrying the packet the
+// initiator lacks are all built in packets their stacks have used before.
+func TestRoundAllocatesNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PAnon = 1 // anonymous walks: every request crosses the router
+	w := buildLine(t, 3, []int{0, 2}, cfg)
+	seq := uint32(150)
+	// Member 3 (index 2) keeps getting packets member 1 never sees, so
+	// every reply to member 1 carries one.
+	w.sched.After(0, func() {
+		feed(w.engines[0], 9, 1, seq)
+		feed(w.engines[2], 9, 1, seq)
+	})
+	d := &pkt.Data{Group: testGroup, Origin: 9, PayloadLen: 64}
+	var fresh func()
+	fresh = func() {
+		seq++
+		d.Seq = seq
+		w.engines[2].OnTreeData(testGroup, d, 0)
+		w.sched.After(cfg.Interval, fresh)
+	}
+	w.sched.After(cfg.Interval, fresh)
+	w.sched.Run(60 * time.Second) // long enough for the radio's records to peak
+	before, recovered := w.engines[0].Stats(), w.engines[0].Stats().ReplyMsgsNew
+	allocs := testing.AllocsPerRun(1, func() { w.sched.Run(w.sched.Now() + 20*time.Second) })
+	st := w.engines[0].Stats()
+	if rounds := st.RoundsAnon - before.RoundsAnon; rounds < 15 || st.ReplyMsgsNew-recovered < 15 {
+		t.Fatalf("%d rounds recovered %d packets at member 1: not the steady state under test", rounds, st.ReplyMsgsNew-recovered)
+	}
+	if w.engines[1].Stats().WalksForwarded == 0 {
+		t.Fatal("the router forwarded no walk")
+	}
+	if allocs != 0 {
+		t.Fatalf("20 s of gossip rounds allocate %v times, want 0", allocs)
+	}
+}
+
 func TestDetachStopsRounds(t *testing.T) {
 	cfg := DefaultConfig()
 	w := buildLine(t, 2, []int{0, 1}, cfg)

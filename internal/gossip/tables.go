@@ -55,18 +55,14 @@ func (t *lostTable) Remove(k pkt.SeqKey) {
 	}
 }
 
-// Recent returns up to n of the most recently added entries, newest
-// first (paper §4.4: "the most recent entries of the lost table are
-// placed in a lost buffer").
-func (t *lostTable) Recent(n int) []pkt.SeqKey {
-	if n > len(t.keys) {
-		n = len(t.keys)
+// AppendRecent appends to dst up to n of the most recently added
+// entries, newest first (paper §4.4: "the most recent entries of the
+// lost table are placed in a lost buffer").
+func (t *lostTable) AppendRecent(dst []pkt.SeqKey, n int) []pkt.SeqKey {
+	for i := len(t.keys) - 1; i >= 0 && i >= len(t.keys)-n; i-- {
+		dst = append(dst, t.keys[i])
 	}
-	out := make([]pkt.SeqKey, 0, n)
-	for i := len(t.keys) - 1; i >= 0 && len(out) < n; i-- {
-		out = append(out, t.keys[i])
-	}
-	return out
+	return dst
 }
 
 // historyTable is the bounded FIFO buffer of the most recent messages
@@ -133,24 +129,23 @@ func (h *historyTable) AppendSince(dst []pkt.Data, origin pkt.NodeID, from uint3
 	return dst
 }
 
-// Latest returns up to max of the most recently added messages (newest
-// last). It serves empty gossip requests from members that have not yet
-// received anything.
-func (h *historyTable) Latest(max int) []pkt.Data {
+// AppendLatest appends to dst up to max of the most recently added
+// messages (newest last). It serves empty gossip requests from members
+// that have not yet received anything, and push-mode rounds.
+func (h *historyTable) AppendLatest(dst []pkt.Data, max int) []pkt.Data {
 	n := len(h.ring)
 	if max > n {
 		max = n
 	}
-	out := make([]pkt.Data, 0, max)
 	// Ring order: h.next is the oldest slot once the ring is full.
 	start := 0
 	if n == h.cap {
 		start = h.next
 	}
 	for i := n - max; i < n; i++ {
-		out = append(out, h.ring[(start+i)%n])
+		dst = append(dst, h.ring[(start+i)%n])
 	}
-	return out
+	return dst
 }
 
 func sortDataBySeq(ds []pkt.Data) {

@@ -58,18 +58,22 @@ func TestLostTableRecentNewestFirst(t *testing.T) {
 	for s := uint32(1); s <= 6; s++ {
 		lt.Add(key(s))
 	}
-	got := lt.Recent(3)
-	want := []uint32{6, 5, 4}
-	if len(got) != 3 {
-		t.Fatalf("Recent(3) len = %d", len(got))
+	prefix := []pkt.SeqKey{key(99)}
+	got := lt.AppendRecent(prefix, 3)
+	want := []uint32{99, 6, 5, 4}
+	if len(got) != 4 {
+		t.Fatalf("AppendRecent(3) onto one key: len = %d", len(got))
 	}
 	for i, k := range got {
 		if k.Seq != want[i] {
-			t.Fatalf("Recent order = %v", got)
+			t.Fatalf("AppendRecent order = %v", got)
 		}
 	}
-	if n := len(lt.Recent(100)); n != 6 {
-		t.Fatalf("Recent(100) len = %d, want 6", n)
+	if n := len(lt.AppendRecent(nil, 100)); n != 6 {
+		t.Fatalf("AppendRecent(100) len = %d, want 6", n)
+	}
+	if got := lt.AppendRecent(nil, 0); len(got) != 0 {
+		t.Fatalf("AppendRecent(0) = %v, want nothing", got)
 	}
 }
 
@@ -179,18 +183,18 @@ func TestHistoryTableLatest(t *testing.T) {
 	for s := uint32(1); s <= 7; s++ {
 		h.Add(dataMsg(1, s))
 	}
-	got := h.Latest(3)
-	if len(got) != 3 {
-		t.Fatalf("Latest(3) len = %d", len(got))
+	got := h.AppendLatest([]pkt.Data{dataMsg(9, 50)}, 3)
+	if len(got) != 4 {
+		t.Fatalf("AppendLatest(3) onto one message: len = %d", len(got))
 	}
-	want := []uint32{5, 6, 7}
+	want := []uint32{50, 5, 6, 7}
 	for i, d := range got {
 		if d.Seq != want[i] {
-			t.Fatalf("Latest = %v, want seqs %v", got, want)
+			t.Fatalf("AppendLatest = %v, want seqs %v", got, want)
 		}
 	}
-	if got := h.Latest(100); len(got) != 5 {
-		t.Fatalf("Latest(100) len = %d, want 5", len(got))
+	if got := h.AppendLatest(nil, 100); len(got) != 5 {
+		t.Fatalf("AppendLatest(100) len = %d, want 5", len(got))
 	}
 }
 

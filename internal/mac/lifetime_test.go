@@ -24,18 +24,43 @@ func listen(t *testing.T, h *harness) *[]frame {
 	return &heard
 }
 
+// listenBodies attaches a bare transceiver next to the origin that logs
+// the hello sequence number of every data frame it is handed, read as
+// the radio walks its receivers.
+func listenBodies(t *testing.T, h *harness) *[]uint32 {
+	t.Helper()
+	var seqs []uint32
+	if _, err := h.medium.Attach(98, mobility.Static{P: geom.Point{X: 20}}, func(raw any, _ pkt.NodeID, _ bool) {
+		if f := raw.(*frame); f.payload != nil {
+			seqs = append(seqs, f.payload.Body.(*pkt.Hello).Seq)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return &seqs
+}
+
 // TestLateAckRecordOutlivesRetransmission: an ACK that arrives while the
 // frame's own retransmission is on the air finishes the frame at once,
-// but the record behind the frame is not reused until the radio has
-// walked the retransmission's receivers — every receiver reads the
-// original frame, the next frame takes the other head record, and only
-// after TxDone is the first one released.
+// but neither the record behind the frame nor its packet is let go until
+// the radio has walked the retransmission's receivers — every receiver
+// reads the original frame and body, the next frame takes the other head
+// record, and only at TxDone is the first record released and the packet
+// handed back (OnSendDone), for the sender to rebuild.
 func TestLateAckRecordOutlivesRetransmission(t *testing.T) {
 	// The addressee is out of range, so every attempt goes unacknowledged
 	// and the frame is retransmitted.
 	h := newHarness(t, 100, []geom.Point{{X: 0}, {X: 5000}})
 	d := h.macs[0]
 	heard := listen(t, h)
+	bodies := listenBodies(t, h)
+	// The sender rebuilds a packet as soon as it is handed back, as a
+	// node.Stack does.
+	done := d.cb.OnSendDone
+	d.cb.OnSendDone = func(p *pkt.Packet, to pkt.NodeID, ok bool) {
+		done(p, to, ok)
+		p.Body.(*pkt.Hello).Seq = 0
+	}
 	p := testPacket(1, 2)
 	if !d.Send(p, 2) {
 		t.Fatal("queue refused packet")
@@ -50,8 +75,11 @@ func TestLateAckRecordOutlivesRetransmission(t *testing.T) {
 
 	// The first attempt's ACK lands mid-retransmission.
 	d.onRadio(&frame{kind: frameAck, src: 2, dst: 1, seq: seq}, 2, true)
-	if d.inflight != nil || len(h.dones[0]) != 1 || !h.dones[0][0].ok || h.dones[0][0].p != p {
-		t.Fatalf("late ACK did not complete the frame: inflight %v, completions %+v", d.inflight, h.dones[0])
+	if d.inflight != nil {
+		t.Fatal("late ACK did not complete the frame")
+	}
+	if len(h.dones[0]) != 0 {
+		t.Fatalf("the packet was handed back while its retransmission is on the air: %+v", h.dones[0])
 	}
 	next := testPacket(1, pkt.Broadcast)
 	if !d.Send(next, pkt.Broadcast) {
@@ -70,9 +98,15 @@ func TestLateAckRecordOutlivesRetransmission(t *testing.T) {
 	if got := (*heard)[n]; got != want {
 		t.Fatalf("the retransmission's receivers read %+v, want the original frame %+v", got, want)
 	}
+	if got := (*bodies)[len(*bodies)-1]; got != 9 {
+		t.Fatalf("the retransmission's receivers read hello %d, want the original 9", got)
+	}
 	// The radio calls TxDone right after the walk, inside the same event.
 	if d.lateOut != nil || rec.frm.payload != nil {
 		t.Fatal("the record was not released, its packet dropped, when its frame left the air")
+	}
+	if len(h.dones[0]) != 1 || !h.dones[0][0].ok || h.dones[0][0].p != p {
+		t.Fatalf("completions %+v when the frame left the air, want the packet handed back acknowledged", h.dones[0])
 	}
 	last := testPacket(1, pkt.Broadcast)
 	if !d.Send(last, pkt.Broadcast) {

@@ -167,10 +167,13 @@ type Callbacks struct {
 	// neighbour (the previous hop, not the network-layer source).
 	// broadcast reports whether the frame was link-layer broadcast.
 	OnReceive func(p *pkt.Packet, from pkt.NodeID, broadcast bool)
-	// OnSendDone reports the fate of a queued packet: ok is true when the
-	// frame was acknowledged (or broadcast and therefore fire-and-forget),
-	// false when the retry limit was exhausted. Routing layers use
-	// failures as link-break indications.
+	// OnSendDone hands a queued packet back with its fate, once the MAC
+	// will never read it again: ok is true when the frame was
+	// acknowledged (or broadcast and therefore fire-and-forget), false
+	// when the retry limit was exhausted. Routing layers use failures as
+	// link-break indications. An acknowledged frame whose own
+	// retransmission is still on the air comes back when that leaves the
+	// air (see TxDone), not when the ACK arrives.
 	OnSendDone func(p *pkt.Packet, to pkt.NodeID, ok bool)
 }
 
@@ -737,12 +740,16 @@ func (d *DCF) transmitData(out *outgoing) {
 // step still armed counts one elided event to keep the logical total
 // identical. A cleared vtxOut means the frame already completed (a
 // late ACK during the retransmission's airtime); the early finish
-// accounted for the step, and what is left is to release its record,
-// now that the frame is off the air.
+// accounted for the step, and what is left is to release its record
+// and hand its packet back, now that the frame is off the air.
 func (d *DCF) TxDone() {
 	if out := d.lateOut; out != nil {
 		d.lateOut = nil
+		p, dst := out.frm.payload, out.frm.dst
 		out.frm.payload = nil
+		if d.cb.OnSendDone != nil {
+			d.cb.OnSendDone(p, dst, true)
+		}
 	}
 	out := d.vtxOut
 	if out == nil {
@@ -801,9 +808,12 @@ func (d *DCF) elideVirtualStep() {
 }
 
 // finish completes the head frame, releases its record — its packet
-// dropped, so a spare record pins nothing — and starts the next. Every
-// timer that names the record is cancelled here, so a record reused for
-// a later frame cannot be mistaken for its previous use.
+// handed back through OnSendDone and dropped, so a spare record pins
+// nothing — and starts the next. Every timer that names the record is
+// cancelled here, so a record reused for a later frame cannot be
+// mistaken for its previous use. Only an ACK finishes a frame while it
+// is on the air: the failures come after an ACK timeout, armed once the
+// frame left it.
 func (d *DCF) finish(out *outgoing, ok bool) {
 	onAir := d.vtxOut == out && d.vtxKind == frameData
 	d.elideStep()
@@ -818,13 +828,14 @@ func (d *DCF) finish(out *outgoing, ok bool) {
 	p, dst := out.frm.payload, out.frm.dst
 	if onAir {
 		// A late ACK finished the frame during its own retransmission:
-		// receivers still read &out.frm when the airtime ends.
+		// receivers still read &out.frm, and its packet, when the airtime
+		// ends. TxDone releases both.
 		d.lateOut = out
 	} else {
 		out.frm.payload = nil
-	}
-	if d.cb.OnSendDone != nil {
-		d.cb.OnSendDone(p, dst, ok)
+		if d.cb.OnSendDone != nil {
+			d.cb.OnSendDone(p, dst, ok)
+		}
 	}
 	d.startHead()
 }

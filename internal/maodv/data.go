@@ -20,7 +20,7 @@ func (r *Router) SendData(gid pkt.GroupID) (pkt.SeqKey, error) {
 		return pkt.SeqKey{}, ErrNotMember
 	}
 	g.nextDataSeq++
-	d := &pkt.Data{
+	d := pkt.Data{
 		Group:      gid,
 		Origin:     r.stack.ID(),
 		Seq:        g.nextDataSeq,
@@ -29,7 +29,7 @@ func (r *Router) SendData(gid pkt.GroupID) (pkt.SeqKey, error) {
 	key := d.Key()
 	g.data.Add(key)
 	r.stats.DataSent++
-	r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, d))
+	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &d))
 	return key, nil
 }
 

@@ -386,7 +386,7 @@ func (r *Router) startJoin(g *group, repair bool) {
 
 func (r *Router) sendJoinRREQ(g *group, js *joinState) {
 	r.uni.NoteOwnRREQ(js.rreqID)
-	req := &pkt.RREQ{
+	req := pkt.RREQ{
 		Flags:      pkt.RREQJoin,
 		ID:         js.rreqID,
 		Dst:        uint32(g.id),
@@ -406,7 +406,7 @@ func (r *Router) sendJoinRREQ(g *group, js *joinState) {
 			req.LeaderHops = pkt.LeaderHopsUnset - 1 // permissive when unknown
 		}
 	}
-	r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, req))
+	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &req))
 
 	wait := r.cfg.JoinReplyWait << uint(js.retries)
 	js.timer = r.sched.After(wait, func() { r.onJoinWaitOver(g, js) })
@@ -472,7 +472,7 @@ func (r *Router) activateBranch(g *group, js *joinState) {
 	if g.member {
 		flags |= pkt.MACTMemberOrigin
 	}
-	mact := &pkt.MACT{
+	mact := pkt.MACT{
 		Group:          g.id,
 		Src:            r.stack.ID(),
 		Flags:          flags,
@@ -480,7 +480,7 @@ func (r *Router) activateBranch(g *group, js *joinState) {
 		RREQID:         js.rreqID,
 	}
 	r.stats.MACTsSent++
-	r.stack.SendDirect(best.from, pkt.NewPacket(r.stack.ID(), best.from, mact))
+	r.stack.SendDirect(best.from, r.stack.NewPacket(best.from, &mact))
 	r.nearestRecompute(g)
 }
 

@@ -51,8 +51,8 @@ func (r *Router) nearestRecompute(g *group) {
 		e.lastAdvertised = v
 		e.advertised = true
 		r.stats.NearestSent++
-		msg := &pkt.Nearest{Group: g.id, Dist: v}
-		r.stack.SendDirect(id, pkt.NewPacket(r.stack.ID(), id, msg))
+		msg := pkt.Nearest{Group: g.id, Dist: v}
+		r.stack.SendDirect(id, r.stack.NewPacket(id, &msg))
 	}
 }
 

@@ -51,14 +51,10 @@ func (r *Router) onMACTJoin(g *group, m *pkt.MACT, from pkt.NodeID) {
 		up.upstream = true
 		g.inTree = true
 
-		fwd := m.CloneBody()
-		fm, okBody := fwd.(*pkt.MACT)
-		if !okBody {
-			return
-		}
-		fm.HopsFromOrigin = satAdd8(m.HopsFromOrigin, 1)
+		fwd := *m
+		fwd.HopsFromOrigin = satAdd8(m.HopsFromOrigin, 1)
 		r.stats.MACTsSent++
-		r.stack.SendDirect(path.upstream, pkt.NewPacket(r.stack.ID(), path.upstream, fm))
+		r.stack.SendDirect(path.upstream, r.stack.NewPacket(path.upstream, &fwd))
 	}
 
 	e, have := g.next[from]
@@ -122,8 +118,8 @@ func (r *Router) onMACTGroupLeader(g *group, from pkt.NodeID) {
 func (r *Router) sendPrune(g *group, to pkt.NodeID) {
 	r.stats.Prunes++
 	r.stats.MACTsSent++
-	m := &pkt.MACT{Group: g.id, Src: r.stack.ID(), Flags: pkt.MACTPrune}
-	r.stack.SendDirect(to, pkt.NewPacket(r.stack.ID(), to, m))
+	m := pkt.MACT{Group: g.id, Src: r.stack.ID(), Flags: pkt.MACTPrune}
+	r.stack.SendDirect(to, r.stack.NewPacket(to, &m))
 }
 
 // maybePrune removes this node from the tree if it is a non-member leaf
@@ -194,9 +190,9 @@ func (r *Router) delegateLeadershipExcept(g *group, except pkt.NodeID) {
 		if e := g.next[id]; !e.enabled || id == except {
 			continue
 		}
-		m := &pkt.MACT{Group: g.id, Src: r.stack.ID(), Flags: pkt.MACTGroupLeader}
+		m := pkt.MACT{Group: g.id, Src: r.stack.ID(), Flags: pkt.MACTGroupLeader}
 		r.stats.MACTsSent++
-		r.stack.SendDirect(id, pkt.NewPacket(r.stack.ID(), id, m))
+		r.stack.SendDirect(id, r.stack.NewPacket(id, &m))
 		return
 	}
 	// Nowhere to delegate: the fragment dissolves.
@@ -221,8 +217,8 @@ func (r *Router) grphTick(g *group) {
 	g.groupSeq++
 	g.grphSeen[r.stack.ID()] = g.groupSeq
 	r.stats.GRPHsSent++
-	grph := &pkt.GRPH{Group: g.id, Leader: r.stack.ID(), GroupSeq: g.groupSeq, HopCount: 0}
-	r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, grph))
+	grph := pkt.GRPH{Group: g.id, Leader: r.stack.ID(), GroupSeq: g.groupSeq, HopCount: 0}
+	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &grph))
 	r.scheduleGRPH(g)
 }
 

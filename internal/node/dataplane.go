@@ -14,17 +14,17 @@ import (
 // planes filter duplicates with a SeqCache.
 
 // Rebroadcast relays a flooded packet one more hop. When p's TTL is
-// spent (≤ 1) it returns nil and draws nothing. Otherwise it clones p,
-// decrements the copy's TTL, broadcasts the copy after a uniform delay
-// in [0, jitter) drawn from rng — the broadcast-storm mitigation — and
-// returns it, so the caller can edit the body (a hop count) before it
-// leaves. The draw advances rng: run every check that can skip the
-// relay first.
+// spent (≤ 1) it returns nil and draws nothing. Otherwise it copies p
+// into the stack's storage, decrements the copy's TTL, broadcasts the
+// copy after a uniform delay in [0, jitter) drawn from rng — the
+// broadcast-storm mitigation — and returns it, so the caller can edit
+// the body (a hop count) before it leaves. The draw advances rng: run
+// every check that can skip the relay first.
 func (s *Stack) Rebroadcast(p *pkt.Packet, rng *sim.RNG, jitter time.Duration) *pkt.Packet {
 	if p.TTL <= 1 {
 		return nil
 	}
-	cp := p.Clone()
+	cp := s.spares.Copy(p)
 	cp.TTL--
 	var r *relay
 	if n := len(s.relays); n > 0 {

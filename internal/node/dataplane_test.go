@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"anongossip/internal/mac"
 	"anongossip/internal/pkt"
 	"anongossip/internal/sim"
 	"anongossip/internal/trace"
@@ -133,21 +134,27 @@ func TestRebroadcast(t *testing.T) {
 // not in the order they were armed, so every pending copy has a record
 // of its own. Many relays pending at once with different delays each
 // send their own copy exactly once — twice over, the second batch on
-// the records the first one gave back.
+// the records and in the packets the first one gave back.
 func TestRebroadcastRelaysEachPendingCopyOnce(t *testing.T) {
 	e := line(t, 2)
 	heard := map[uint32]int{}
 	e.stacks[1].Handle(pkt.KindHello, func(p *pkt.Packet, _ pkt.NodeID) { heard[p.Body.(*pkt.Hello).Seq]++ })
 	rng := sim.NewRNG(11)
 	const batch = 20
+	copies := map[*pkt.Packet]int{}
 	for b := 0; b < 2; b++ {
 		for i := 0; i < batch; i++ {
 			p := pkt.NewPacket(1, pkt.Broadcast, &pkt.Hello{Seq: uint32(b*batch + i)})
-			if e.stacks[0].Rebroadcast(p, rng, 50*time.Millisecond) == nil {
+			cp := e.stacks[0].Rebroadcast(p, rng, 50*time.Millisecond)
+			if cp == nil {
 				t.Fatal("live packet not relayed")
 			}
+			copies[cp]++
 		}
 		e.sched.Run(e.sched.Now() + time.Second)
+	}
+	if len(copies) == 2*batch {
+		t.Fatalf("two batches of %d relays built %d distinct copies, want some of the first batch's rebuilt", batch, len(copies))
 	}
 	for seq := uint32(0); seq < 2*batch; seq++ {
 		if heard[seq] != 1 {
@@ -159,14 +166,50 @@ func TestRebroadcastRelaysEachPendingCopyOnce(t *testing.T) {
 	}
 }
 
-// sink keeps a clone reachable, so the compiler cannot drop the
-// allocation being counted.
-var sink *pkt.Packet
+// TestRefusedSendsComeBack: a packet the full MAC queue refuses is
+// straight back with the stack, which builds the next packet in it, and
+// every accepted packet still leaves intact, exactly once.
+func TestRefusedSendsComeBack(t *testing.T) {
+	cfg := mac.DefaultConfig()
+	cfg.QueueCap = 2
+	e := lineMAC(t, 2, cfg)
+	heard := map[uint32]int{}
+	e.stacks[1].Handle(pkt.KindHello, func(p *pkt.Packet, _ pkt.NodeID) { heard[p.Body.(*pkt.Hello).Seq]++ })
+	s := e.stacks[0]
+	var built []*pkt.Packet
+	e.sched.After(0, func() {
+		for seq := uint32(0); seq < 10; seq++ {
+			p := s.NewPacket(pkt.Broadcast, &pkt.Hello{Seq: seq})
+			built = append(built, p)
+			s.SendBroadcast(p)
+		}
+	})
+	e.sched.Run(time.Second)
+	// One frame at the head and two queued; the other seven are refused.
+	if st := s.Stats(); st.Sent != 3 || st.MACRejects != 7 {
+		t.Fatalf("%d sent and %d refused, want 3 and 7", st.Sent, st.MACRejects)
+	}
+	for seq := uint32(0); seq < 10; seq++ {
+		want := 0
+		if seq < 3 {
+			want = 1
+		}
+		if heard[seq] != want {
+			t.Fatalf("hello %d heard %d times, want %d (all: %v)", seq, heard[seq], want, heard)
+		}
+	}
+	for i := 4; i < len(built); i++ {
+		if built[i] != built[3] {
+			t.Fatalf("packet %d was not built in the refused packet %d handed back", i, i-1)
+		}
+	}
+}
 
-// TestRebroadcastAllocatesOnlyItsCopy: a relay, from Rebroadcast to the
-// copy leaving the MAC, costs exactly the Clone it sends; its timer
-// record comes off the Stack's free list.
-func TestRebroadcastAllocatesOnlyItsCopy(t *testing.T) {
+// TestRebroadcastAllocatesNothing: a relay, from Rebroadcast to the
+// copy leaving the MAC, allocates nothing in steady state: its timer
+// record comes off the Stack's free list, and its copy is built in the
+// packet the previous relay's link handed back.
+func TestRebroadcastAllocatesNothing(t *testing.T) {
 	e := line(t, 2)
 	p := hello(1, pkt.Broadcast)
 	rng := sim.NewRNG(5)
@@ -177,11 +220,36 @@ func TestRebroadcastAllocatesOnlyItsCopy(t *testing.T) {
 		e.sched.Run(e.sched.Now() + 5*time.Millisecond)
 	}
 	relay()
-	clone := testing.AllocsPerRun(100, func() { sink = p.Clone() })
-	if got := testing.AllocsPerRun(100, relay); got != clone || clone == 0 {
-		t.Fatalf("a relay allocates %v times, want exactly its Clone's %v", got, clone)
+	if got := testing.AllocsPerRun(100, relay); got != 0 {
+		t.Fatalf("a relay allocates %v times, want 0", got)
 	}
 	if st := e.stacks[1].Stats(); st.NoHandler != 102 {
 		t.Fatalf("neighbour heard %d relays, want 102", st.NoHandler)
+	}
+}
+
+// TestForwardAllocatesNothing: a unicast in transit — received, copied
+// by Forward, acknowledged hop by hop — allocates nothing in steady
+// state at the source, the forwarder or the destination: the source
+// builds in the packet its last send gave back, the forwarder copies
+// into the one its last forward gave back.
+func TestForwardAllocatesNothing(t *testing.T) {
+	e := line(t, 3)
+	e.routers[0].table[3] = 2
+	e.routers[1].table[3] = 3
+	got := 0
+	e.stacks[2].Handle(pkt.KindGossipRep, func(*pkt.Packet, pkt.NodeID) { got++ })
+	s := e.stacks[0]
+	rep := &pkt.GossipRep{Group: 1, Responder: 1, Msgs: []pkt.Data{{Group: 1, Origin: 1, Seq: 1, PayloadLen: 64}}}
+	hop := func() {
+		s.SendUnicast(s.NewPacket(3, rep))
+		e.sched.Run(e.sched.Now() + 50*time.Millisecond)
+	}
+	hop()
+	if n := testing.AllocsPerRun(100, hop); n != 0 {
+		t.Fatalf("a forwarded unicast allocates %v times, want 0", n)
+	}
+	if got != 102 || e.stacks[1].Stats().Forwarded != 102 {
+		t.Fatalf("%d delivered and %d forwarded, want 102 each", got, e.stacks[1].Stats().Forwarded)
 	}
 }

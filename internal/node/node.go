@@ -82,6 +82,10 @@ type Stack struct {
 
 	// relays holds the spare records of Rebroadcast's pending copies.
 	relays []*relay
+	// spares holds the packets the link has handed back (see
+	// runtime.SendDoneFunc): every packet the stack builds — NewPacket,
+	// a relay's or a forward's copy — is built in one when there is one.
+	spares pkt.Spares
 
 	stats Stats
 }
@@ -148,11 +152,8 @@ func (s *Stack) OnLinkFailure(fn func(neighbor pkt.NodeID, p *pkt.Packet)) {
 // tracer disables tracing.
 func (s *Stack) SetTracer(fn func(trace.Event)) { s.tracer = fn }
 
-func (s *Stack) traceEvent(op trace.Op, p *pkt.Packet, peer pkt.NodeID) {
-	if s.tracer == nil {
-		return
-	}
-	s.tracer(trace.Event{
+func (s *Stack) event(op trace.Op, p *pkt.Packet, peer pkt.NodeID) trace.Event {
+	return trace.Event{
 		At:   s.rt.Now(),
 		Node: s.id,
 		Op:   op,
@@ -161,8 +162,26 @@ func (s *Stack) traceEvent(op trace.Op, p *pkt.Packet, peer pkt.NodeID) {
 		Dst:  p.Dst,
 		Peer: peer,
 		Size: p.WireSize(),
-	})
+	}
 }
+
+// NewPacket returns a packet from this node to dst, with the default
+// TTL, carrying a deep copy of body. It is built in a packet the link
+// has handed back when the stack holds one of body's kind, so body stays
+// the caller's: a value on its stack, or scratch it reuses. The caller
+// may go on filling in the packet's body — lists it copied nothing into
+// are empty, with their capacity from earlier use — and then hands it
+// to one Send call (SendBroadcast, SendDirect, SendUnicast or Forward),
+// which takes it.
+func (s *Stack) NewPacket(dst pkt.NodeID, body pkt.Body) *pkt.Packet {
+	return s.spares.Copy(&pkt.Packet{Src: s.id, Dst: dst, TTL: pkt.DefaultTTL, Body: body})
+}
+
+// The Send methods and Forward take the packet they are given: once
+// the link has sent it, it comes back to the stack's spares and is
+// rebuilt for a later send, so the caller must not keep it. A packet
+// the link gives up on (runtime.SendDoneFunc with ok false) goes to the
+// OnLinkFailure subscribers instead, which may send it again.
 
 // SendBroadcast transmits p to all neighbours (one hop). Flooding is a
 // protocol concern: handlers relay explicitly, through Rebroadcast.
@@ -199,19 +218,17 @@ func (s *Stack) SendUnicast(p *pkt.Packet) {
 
 // Forward continues a transiting unicast packet toward its destination,
 // decrementing TTL. It is also invoked by the router when a queued packet
-// obtains its route.
+// obtains its route. A transiting packet is the link's, lent until the
+// receive handler returns (runtime.ReceiveFunc), so what goes on is a
+// copy in the stack's storage.
 func (s *Stack) Forward(p *pkt.Packet, forwarded bool) {
-	if p.TTL == 0 {
+	if p.TTL == 0 || forwarded && p.TTL == 1 {
 		s.stats.TTLDrops++
 		return
 	}
 	if forwarded {
-		p = p.Clone()
+		p = s.spares.Copy(p)
 		p.TTL--
-	}
-	if p.TTL == 0 {
-		s.stats.TTLDrops++
-		return
 	}
 	next, ok := s.router.NextHop(p.Dst)
 	if !ok {
@@ -222,22 +239,27 @@ func (s *Stack) Forward(p *pkt.Packet, forwarded bool) {
 }
 
 func (s *Stack) transmit(p *pkt.Packet, linkDst pkt.NodeID, forwarded bool) {
+	// Send takes p, and a link may hand it back — and the stack rebuild
+	// it — before Send returns: everything recorded about it is read
+	// first.
+	op, stat := trace.OpSend, &s.stats.Sent
+	if forwarded {
+		op, stat = trace.OpForward, &s.stats.Forwarded
+	}
+	ev := s.event(op, p, linkDst)
 	if !s.rt.Send(p, linkDst) {
 		s.stats.MACRejects++
+		s.spares.Put(p) // refused: still ours
 		return
 	}
-	if forwarded {
-		s.stats.Forwarded++
-		s.traceEvent(trace.OpForward, p, linkDst)
-	} else {
-		s.stats.Sent++
-		s.traceEvent(trace.OpSend, p, linkDst)
+	*stat++
+	if s.tracer != nil {
+		s.tracer(ev)
 	}
-	size := uint64(p.WireSize())
-	if p.Kind.IsControl() {
-		s.stats.ControlBytes += size
+	if ev.Kind.IsControl() {
+		s.stats.ControlBytes += uint64(ev.Size)
 	} else {
-		s.stats.PayloadBytes += size
+		s.stats.PayloadBytes += uint64(ev.Size)
 	}
 }
 
@@ -260,12 +282,20 @@ func (s *Stack) deliver(p *pkt.Packet, from pkt.NodeID) {
 		return
 	}
 	s.stats.Delivered++
-	s.traceEvent(trace.OpDeliver, p, from)
+	if s.tracer != nil {
+		s.tracer(s.event(trace.OpDeliver, p, from))
+	}
 	h(p, from)
 }
 
+// onSendDone takes p back from the link: a sent packet into the spares,
+// a failed one to the link-failure subscribers.
 func (s *Stack) onSendDone(p *pkt.Packet, to pkt.NodeID, ok bool) {
-	if ok || to == pkt.Broadcast {
+	if ok {
+		s.spares.Put(p)
+		return
+	}
+	if to == pkt.Broadcast {
 		return
 	}
 	for _, fn := range s.failSubs {

@@ -200,10 +200,10 @@ func (r *Router) SendData(g pkt.GroupID) (pkt.SeqKey, error) {
 		r.refresh(g, gs) // on-demand: first data activates the mesh
 	}
 	gs.nextDataSeq++
-	d := &pkt.Data{Group: g, Origin: r.stack.ID(), Seq: gs.nextDataSeq, PayloadLen: r.cfg.PayloadLen}
+	d := pkt.Data{Group: g, Origin: r.stack.ID(), Seq: gs.nextDataSeq, PayloadLen: r.cfg.PayloadLen}
 	gs.data.Add(d.Key())
 	r.stats.DataSent++
-	r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, d))
+	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &d))
 	return d.Key(), nil
 }
 
@@ -211,8 +211,8 @@ func (r *Router) SendData(g pkt.GroupID) (pkt.SeqKey, error) {
 func (r *Router) refresh(g pkt.GroupID, gs *groupState) {
 	gs.querySeq++
 	r.stats.QueriesSent++
-	q := &pkt.JoinQuery{Group: g, Source: r.stack.ID(), Seq: gs.querySeq, HopCount: 0}
-	r.stack.SendBroadcast(pkt.NewPacket(r.stack.ID(), pkt.Broadcast, q))
+	q := pkt.JoinQuery{Group: g, Source: r.stack.ID(), Seq: gs.querySeq, HopCount: 0}
+	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &q))
 	if gs.refreshFn == nil {
 		gs.refreshFn = func() { r.refresh(g, gs) }
 	}
@@ -246,8 +246,8 @@ func (r *Router) onJoinQuery(p *pkt.Packet, from pkt.NodeID) {
 	// the forwarding group.
 	if gs.member {
 		r.stats.RepliesSent++
-		rep := &pkt.JoinReply{Group: q.Group, Source: q.Source, Member: r.stack.ID(), Seq: q.Seq}
-		r.stack.SendDirect(from, pkt.NewPacket(r.stack.ID(), from, rep))
+		rep := pkt.JoinReply{Group: q.Group, Source: q.Source, Member: r.stack.ID(), Seq: q.Seq}
+		r.stack.SendDirect(from, r.stack.NewPacket(from, &rep))
 		r.touchLink(gs, from)
 	}
 
@@ -278,11 +278,7 @@ func (r *Router) onJoinReply(p *pkt.Packet, from pkt.NodeID) {
 	gs.forwardingUntil = now + r.cfg.MeshLifetime
 	r.touchLink(gs, rt.upstream)
 	r.stats.RepliesForwarded++
-	cp, okBody := rep.CloneBody().(*pkt.JoinReply)
-	if !okBody {
-		return
-	}
-	r.stack.SendDirect(rt.upstream, pkt.NewPacket(r.stack.ID(), rt.upstream, cp))
+	r.stack.SendDirect(rt.upstream, r.stack.NewPacket(rt.upstream, rep))
 }
 
 func (r *Router) onData(p *pkt.Packet, from pkt.NodeID) {

@@ -19,9 +19,6 @@ func (*Hello) Kind() Kind { return KindHello }
 // WireSize implements Body.
 func (*Hello) WireSize() int { return 4 }
 
-// CloneBody implements Body.
-func (h *Hello) CloneBody() Body { cp := *h; return &cp }
-
 func (h *Hello) code(c coder) coder {
 	u32(&c, &h.Seq)
 	return c
@@ -71,9 +68,6 @@ func (*RREQ) Kind() Kind { return KindRREQ }
 
 // WireSize implements Body.
 func (*RREQ) WireSize() int { return 23 }
-
-// CloneBody implements Body.
-func (r *RREQ) CloneBody() Body { cp := *r; return &cp }
 
 // Join reports whether the join flag is set.
 func (r *RREQ) Join() bool { return r.Flags&RREQJoin != 0 }
@@ -141,9 +135,6 @@ func (*RREP) Kind() Kind { return KindRREP }
 // WireSize implements Body.
 func (*RREP) WireSize() int { return 31 }
 
-// CloneBody implements Body.
-func (r *RREP) CloneBody() Body { cp := *r; return &cp }
-
 // Multicast reports whether this is a multicast (join/repair) reply.
 func (r *RREP) Multicast() bool { return r.Flags&RREPMulticast != 0 }
 
@@ -184,13 +175,6 @@ func (*RERR) Kind() Kind { return KindRERR }
 
 // WireSize implements Body.
 func (r *RERR) WireSize() int { return 1 + 8*len(r.Dests) }
-
-// CloneBody implements Body.
-func (r *RERR) CloneBody() Body {
-	cp := &RERR{Dests: make([]Unreachable, len(r.Dests))}
-	copy(cp.Dests, r.Dests)
-	return cp
-}
 
 func (r *RERR) code(c coder) coder {
 	for i := range count(&c, &r.Dests) {
@@ -241,9 +225,6 @@ func (*MACT) Kind() Kind { return KindMACT }
 // WireSize implements Body.
 func (*MACT) WireSize() int { return 14 }
 
-// CloneBody implements Body.
-func (m *MACT) CloneBody() Body { cp := *m; return &cp }
-
 // Join reports whether the join flag is set.
 func (m *MACT) Join() bool { return m.Flags&MACTJoin != 0 }
 
@@ -285,9 +266,6 @@ func (*GRPH) Kind() Kind { return KindGRPH }
 // WireSize implements Body.
 func (*GRPH) WireSize() int { return 13 }
 
-// CloneBody implements Body.
-func (g *GRPH) CloneBody() Body { cp := *g; return &cp }
-
 func (g *GRPH) code(c coder) coder {
 	u32(&c, &g.Group)
 	u32(&c, &g.Leader)
@@ -320,9 +298,6 @@ func (*Nearest) Kind() Kind { return KindNearest }
 // WireSize implements Body.
 func (*Nearest) WireSize() int { return 5 }
 
-// CloneBody implements Body.
-func (n *Nearest) CloneBody() Body { cp := *n; return &cp }
-
 func (n *Nearest) code(c coder) coder {
 	u32(&c, &n.Group)
 	u8(&c, &n.Dist)
@@ -351,9 +326,6 @@ func (*Data) Kind() Kind { return KindData }
 
 // WireSize implements Body.
 func (d *Data) WireSize() int { return 14 + int(d.PayloadLen) }
-
-// CloneBody implements Body.
-func (d *Data) CloneBody() Body { cp := *d; return &cp }
 
 // Key returns the (origin, seq) identity of the packet.
 func (d *Data) Key() SeqKey { return SeqKey{Origin: d.Origin, Seq: d.Seq} }
@@ -443,18 +415,6 @@ func (g *GossipReq) WireSize() int {
 	return n
 }
 
-// CloneBody implements Body.
-func (g *GossipReq) CloneBody() Body {
-	cp := *g
-	cp.Lost = make([]SeqKey, len(g.Lost))
-	copy(cp.Lost, g.Lost)
-	cp.Expected = make([]Expect, len(g.Expected))
-	copy(cp.Expected, g.Expected)
-	cp.Pushed = make([]Data, len(g.Pushed))
-	copy(cp.Pushed, g.Pushed)
-	return &cp
-}
-
 // Cached reports whether this is a cached-gossip request.
 func (g *GossipReq) Cached() bool { return g.Flags&GossipCached != 0 }
 
@@ -508,14 +468,6 @@ func (g *GossipRep) WireSize() int {
 		n += g.Msgs[i].WireSize()
 	}
 	return n
-}
-
-// CloneBody implements Body.
-func (g *GossipRep) CloneBody() Body {
-	cp := *g
-	cp.Msgs = make([]Data, len(g.Msgs))
-	copy(cp.Msgs, g.Msgs)
-	return &cp
 }
 
 func (g *GossipRep) code(c coder) coder {

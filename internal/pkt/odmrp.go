@@ -32,9 +32,6 @@ func (*JoinQuery) Kind() Kind { return KindJoinQuery }
 // WireSize implements Body.
 func (*JoinQuery) WireSize() int { return 13 }
 
-// CloneBody implements Body.
-func (q *JoinQuery) CloneBody() Body { cp := *q; return &cp }
-
 func (q *JoinQuery) code(c coder) coder {
 	u32(&c, &q.Group)
 	u32(&c, &q.Source)
@@ -62,9 +59,6 @@ func (*JoinReply) Kind() Kind { return KindJoinReply }
 
 // WireSize implements Body.
 func (*JoinReply) WireSize() int { return 16 }
-
-// CloneBody implements Body.
-func (r *JoinReply) CloneBody() Body { cp := *r; return &cp }
 
 func (r *JoinReply) code(c coder) coder {
 	u32(&c, &r.Group)

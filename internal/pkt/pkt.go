@@ -120,9 +120,6 @@ type Body interface {
 	Kind() Kind
 	// WireSize returns the exact marshaled length in bytes.
 	WireSize() int
-	// CloneBody returns a deep copy, for safe per-hop mutation of
-	// forwarded packets.
-	CloneBody() Body
 	// code runs the body's field list through c, in either direction.
 	// The coder goes by value: a *coder passed through this interface
 	// would escape, and cost an allocation per frame.
@@ -161,17 +158,144 @@ func NewPacket(src, dst NodeID, body Body) *Packet {
 // layer uses it to compute transmission airtime.
 func (p *Packet) WireSize() int { return headerSize + p.Body.WireSize() }
 
-// Clone returns a deep copy safe for independent per-hop mutation. A
-// Data packet's copy is one allocation, laid out like a decoded one.
-func (p *Packet) Clone() *Packet {
-	if d, ok := p.Body.(*Data); ok {
-		dp := &dataPacket{Packet: *p, data: *d}
-		dp.Body = &dp.data
-		return &dp.Packet
+// Clone returns a deep copy safe for independent per-hop mutation, in
+// fresh storage: Spares.Copy with no spares. A Data packet's copy is one
+// allocation, laid out like a decoded one.
+func (p *Packet) Clone() *Packet { return (*Spares)(nil).Copy(p) }
+
+// numKinds is the number of body kinds: the ten base kinds, then ODMRP's
+// two.
+const numKinds = int(KindGossipRep) + 2
+
+// slot is a known kind's dense index, for per-kind tables: the base
+// kinds count from 0 and the ODMRP kinds follow them.
+func (k Kind) slot() int {
+	if k >= KindJoinQuery {
+		return int(KindGossipRep) + int(k-KindJoinQuery)
 	}
-	cp := *p
-	cp.Body = p.Body.CloneBody()
-	return &cp
+	return int(k) - 1
+}
+
+// Spares holds the packets one sender's link has handed back, in one
+// free list per kind, for Copy to build into. It belongs to one sender
+// (node.Stack keeps one) and is not safe for concurrent use; the zero
+// value is empty and ready.
+type Spares struct {
+	free [numKinds][maxSpares]*Packet
+	n    [numKinds]uint8
+}
+
+// maxSpares bounds each free list. A steady sender has at most a packet
+// or two of a kind with its link at once; the excess of a burst — a
+// flood storm, a drained MAC backlog — goes to the collector instead of
+// staying live for the rest of the run.
+const maxSpares = 2
+
+// Put gives p back for reuse. The caller must hold the last reference
+// to p: Copy rewrites it.
+func (s *Spares) Put(p *Packet) {
+	if i := p.Body.Kind().slot(); s.n[i] < maxSpares {
+		s.free[i][s.n[i]] = p
+		s.n[i]++
+	}
+}
+
+// take pops a spare of kind k, or returns nil. A nil s has none.
+func (s *Spares) take(k Kind) *Packet {
+	if s == nil {
+		return nil
+	}
+	i := k.slot()
+	if s.n[i] == 0 {
+		return nil
+	}
+	s.n[i]--
+	p := s.free[i][s.n[i]]
+	s.free[i][s.n[i]] = nil
+	return p
+}
+
+// Copy returns a deep copy of src. It is built in one of s's spares of
+// src's kind when there is one — header, body and the capacity of the
+// body's lists (Dests, Lost, Expected, Pushed, Msgs) reused — and in
+// fresh storage otherwise. src is only read, so it may be a template on
+// the caller's stack. This is the one packet copier: Clone and every
+// packet a node.Stack builds go through it.
+func (s *Spares) Copy(src *Packet) *Packet {
+	var p *Packet
+	switch b := src.Body.(type) {
+	case *Data:
+		if p = s.take(KindData); p == nil {
+			dp := new(dataPacket)
+			dp.Body = &dp.data
+			p = &dp.Packet
+		}
+		*p.Body.(*Data) = *b
+	case *Hello:
+		p = copyValue(s, b)
+	case *RREQ:
+		p = copyValue(s, b)
+	case *RREP:
+		p = copyValue(s, b)
+	case *MACT:
+		p = copyValue(s, b)
+	case *GRPH:
+		p = copyValue(s, b)
+	case *Nearest:
+		p = copyValue(s, b)
+	case *JoinQuery:
+		p = copyValue(s, b)
+	case *JoinReply:
+		p = copyValue(s, b)
+	case *RERR:
+		var d *RERR
+		p, d = spare[RERR](s)
+		d.Dests = append(d.Dests[:0], b.Dests...)
+	case *GossipReq:
+		var d *GossipReq
+		p, d = spare[GossipReq](s)
+		lost, expected, pushed := d.Lost[:0], d.Expected[:0], d.Pushed[:0]
+		*d = *b
+		d.Lost = append(lost, b.Lost...)
+		d.Expected = append(expected, b.Expected...)
+		d.Pushed = append(pushed, b.Pushed...)
+	case *GossipRep:
+		var d *GossipRep
+		p, d = spare[GossipRep](s)
+		msgs := d.Msgs[:0]
+		*d = *b
+		d.Msgs = append(msgs, b.Msgs...)
+	default:
+		// Every body type is in this package, so this is unreachable;
+		// formatting src.Body would make every template escape.
+		panic("pkt: Copy of an unknown body type")
+	}
+	p.Kind, p.Src, p.Dst, p.TTL = p.Body.Kind(), src.Src, src.Dst, src.TTL
+	return p
+}
+
+// spare returns a packet with a *B body to build into: one of s's spares
+// of that kind, or fresh storage.
+func spare[B any, P interface {
+	*B
+	Body
+}](s *Spares) (*Packet, P) {
+	var kind P // Kind reads no field, so a nil body answers it
+	if p := s.take(kind.Kind()); p != nil {
+		return p, p.Body.(P)
+	}
+	b := P(new(B))
+	return &Packet{Body: b}, b
+}
+
+// copyValue copies a body without lists into a spare.
+func copyValue[B any, P interface {
+	*B
+	Body
+}](s *Spares, b P) *Packet {
+	p, d := spare[B, P](s)
+	*d = *b
+	return p
 }
 
 // String summarises the packet for traces.

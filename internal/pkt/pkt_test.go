@@ -135,34 +135,107 @@ func TestCodecAllocs(t *testing.T) {
 
 func TestCloneBodyIsDeep(t *testing.T) {
 	rerr := &RERR{Dests: []Unreachable{{Addr: 1, Seq: 2}}}
-	clone, ok := rerr.CloneBody().(*RERR)
+	clone, ok := NewPacket(1, 2, rerr).Clone().Body.(*RERR)
 	if !ok {
-		t.Fatal("CloneBody returned wrong type")
+		t.Fatal("Clone returned the wrong body type")
 	}
 	clone.Dests[0].Addr = 99
 	if rerr.Dests[0].Addr != 1 {
 		t.Fatal("RERR clone shares Dests backing array")
 	}
 
-	req := &GossipReq{Lost: []SeqKey{{Origin: 1, Seq: 1}}, Expected: []Expect{{Origin: 1, NextSeq: 5}}}
-	reqClone, ok := req.CloneBody().(*GossipReq)
+	req := &GossipReq{Lost: []SeqKey{{Origin: 1, Seq: 1}}, Expected: []Expect{{Origin: 1, NextSeq: 5}},
+		Pushed: []Data{{Seq: 3}}}
+	reqClone, ok := NewPacket(1, 2, req).Clone().Body.(*GossipReq)
 	if !ok {
-		t.Fatal("CloneBody returned wrong type")
+		t.Fatal("Clone returned the wrong body type")
 	}
 	reqClone.Lost[0].Seq = 42
 	reqClone.Expected[0].NextSeq = 42
-	if req.Lost[0].Seq != 1 || req.Expected[0].NextSeq != 5 {
+	reqClone.Pushed[0].Seq = 42
+	if req.Lost[0].Seq != 1 || req.Expected[0].NextSeq != 5 || req.Pushed[0].Seq != 3 {
 		t.Fatal("GossipReq clone shares slices")
 	}
 
 	rep := &GossipRep{Msgs: []Data{{Seq: 1}}}
-	repClone, ok := rep.CloneBody().(*GossipRep)
+	repClone, ok := NewPacket(1, 2, rep).Clone().Body.(*GossipRep)
 	if !ok {
-		t.Fatal("CloneBody returned wrong type")
+		t.Fatal("Clone returned the wrong body type")
 	}
 	repClone.Msgs[0].Seq = 9
 	if rep.Msgs[0].Seq != 1 {
 		t.Fatal("GossipRep clone shares Msgs")
+	}
+}
+
+// TestKindSlotsDense: the per-kind free lists are indexed densely — every
+// kind has its own slot below numKinds.
+func TestKindSlotsDense(t *testing.T) {
+	seen := make(map[int]Kind)
+	for _, k := range Kinds() {
+		s := k.slot()
+		if s < 0 || s >= numKinds {
+			t.Fatalf("%s: slot %d outside [0, %d)", k, s, numKinds)
+		}
+		if other, dup := seen[s]; dup {
+			t.Fatalf("%s and %s share slot %d", k, other, s)
+		}
+		seen[s] = k
+	}
+	if len(seen) != numKinds {
+		t.Fatalf("%d kinds, numKinds %d", len(seen), numKinds)
+	}
+}
+
+// TestSparesCopyReusesStorage: a copy of every kind is built in the spare
+// a Put gave back — the same packet, body and list capacity — equals its
+// source, and shares nothing with it; with no spare of the kind it is
+// fresh storage, and a warm copy allocates nothing.
+func TestSparesCopyReusesStorage(t *testing.T) {
+	var s Spares
+	for _, body := range sampleBodies() {
+		src := NewPacket(3, 9, body)
+		src.TTL = 7
+		first := s.Copy(src)
+		if first == src || first.Body == src.Body || !reflect.DeepEqual(first, src) {
+			t.Fatalf("%s: fresh copy %+v, want an independent equal of %+v", body.Kind(), first, src)
+		}
+		s.Put(first)
+		again := s.Copy(src)
+		if again != first || !reflect.DeepEqual(again, src) {
+			t.Fatalf("%s: copy after Put is %p (%+v), want the spare %p rebuilt as %+v",
+				body.Kind(), again, again, first, src)
+		}
+		s.Put(again)
+		if n := testing.AllocsPerRun(100, func() { s.Put(s.Copy(src)) }); n != 0 {
+			t.Errorf("%s: a copy into a warm spare allocates %v objects, want 0", body.Kind(), n)
+		}
+	}
+	// A free list keeps maxSpares packets; the rest go to the collector.
+	hello := NewPacket(1, 2, &Hello{Seq: 1})
+	kept := make([]*Packet, maxSpares+1)
+	for i := range kept {
+		kept[i] = s.Copy(hello)
+	}
+	for _, p := range kept {
+		s.Put(p)
+	}
+	for i := 0; i < maxSpares; i++ {
+		if p := s.Copy(hello); p != kept[maxSpares-1-i] {
+			t.Fatalf("copy %d of a full list: %p, want the spare %p", i, p, kept[maxSpares-1-i])
+		}
+	}
+	if p := s.Copy(hello); p == kept[maxSpares] {
+		t.Fatal("a list kept a spare past maxSpares")
+	}
+
+	// A list shrinks in place: a shorter copy into a longer spare keeps
+	// none of the spare's old entries.
+	long := NewPacket(1, 2, &GossipRep{Msgs: []Data{{Seq: 1}, {Seq: 2}, {Seq: 3}}})
+	s.Put(s.Copy(long))
+	short := s.Copy(NewPacket(1, 2, &GossipRep{Msgs: []Data{{Seq: 9}}}))
+	if msgs := short.Body.(*GossipRep).Msgs; len(msgs) != 1 || msgs[0].Seq != 9 || cap(msgs) < 3 {
+		t.Fatalf("short reply in a long spare: Msgs %v (cap %d), want [9] in the old array", msgs, cap(msgs))
 	}
 }
 

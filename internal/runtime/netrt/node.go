@@ -195,7 +195,9 @@ func (n *Node) At(t sim.Time, fn func()) sim.Timer { return n.sched.At(t, fn) }
 
 // Send implements runtime.Runtime: encode the frame and hand it to the
 // transport. A body past the 16-bit wire length is refused, not sent
-// with a wrapped length for every receiver to count Malformed.
+// with a wrapped length for every receiver to count Malformed. The
+// frame's bytes are the transport's from then on, so a sent packet is
+// handed back (SendDoneFunc, ok) before Send returns.
 func (n *Node) Send(p *pkt.Packet, linkDst pkt.NodeID) bool {
 	if p.Body.WireSize() > pkt.MaxBodySize {
 		n.stats.SendErrors.Add(1)
@@ -208,6 +210,9 @@ func (n *Node) Send(p *pkt.Packet, linkDst pkt.NodeID) bool {
 	}
 	n.stats.FramesOut.Add(1)
 	n.stats.BytesOut.Add(uint64(len(frame)))
+	if n.onDone != nil {
+		n.onDone(p, linkDst, true)
+	}
 	return true
 }
 

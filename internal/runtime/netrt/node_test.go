@@ -2,11 +2,13 @@ package netrt
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/sim"
 )
@@ -169,6 +171,47 @@ func TestNodeSendEncodesFrames(t *testing.T) {
 	}
 	if out := n.Stats().FramesOut.Load(); out != 1 {
 		t.Errorf("FramesOut = %d, want 1", out)
+	}
+}
+
+// TestSentPacketRebuiltLeavesFrameBytes: Send hands a packet back to
+// the stack as soon as its frame is encoded, and the stack builds the
+// next packet of the kind in it. The frame already with the transport —
+// which the channel medium shares with every receiver — keeps the first
+// packet's bytes.
+func TestSentPacketRebuiltLeavesFrameBytes(t *testing.T) {
+	tr := NewChanTransport()
+	n, err := NewNode(NodeConfig{ID: 7}, tr)
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	defer n.Close()
+	var frames [][]byte
+	if _, err := tr.Join(9, func(f []byte) { frames = append(frames, f) }); err != nil {
+		t.Fatalf("listener Join: %v", err)
+	}
+	st := node.NewOnRuntime(n)
+
+	first := &pkt.GossipRep{Group: 1, Responder: 7, WalkHops: 2,
+		Msgs: []pkt.Data{{Group: 1, Origin: 3, Seq: 1, PayloadLen: 8}, {Group: 1, Origin: 3, Seq: 2, PayloadLen: 8}}}
+	p := st.NewPacket(pkt.Broadcast, first)
+	st.SendBroadcast(p)
+	q := st.NewPacket(pkt.Broadcast, &pkt.GossipRep{Group: 5, Responder: 7,
+		Msgs: []pkt.Data{{Group: 5, Origin: 4, Seq: 9, PayloadLen: 1}}})
+	if q != p {
+		t.Fatal("the sent packet was not handed back for the next build")
+	}
+	st.SendBroadcast(q)
+
+	if len(frames) != 2 {
+		t.Fatalf("%d frames on the transport, want 2", len(frames))
+	}
+	f, err := pkt.DecodeFrame(frames[0])
+	if err != nil {
+		t.Fatalf("DecodeFrame: %v", err)
+	}
+	if !reflect.DeepEqual(f.Packet.Body, first) {
+		t.Fatalf("first frame now decodes to %+v, want the first packet %+v", f.Packet.Body, first)
 	}
 }
 

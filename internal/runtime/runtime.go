@@ -59,10 +59,24 @@ var _ Clock = (*sim.Scheduler)(nil)
 // decodes Data into loop-owned storage the next frame overwrites.
 type ReceiveFunc func(p *pkt.Packet, from pkt.NodeID, broadcast bool)
 
-// SendDoneFunc reports the fate of an accepted link transmission. ok is
-// false when the link gave up on the frame (MAC retry exhaustion); the
-// routing protocols turn that into link-failure handling. Runtimes
-// without delivery feedback (plain UDP) simply never report failures.
+// SendDoneFunc hands back a packet the link accepted, with its fate, at
+// the first moment the link will never read it again; it is the one
+// release point of the send side. ok is false when the link gave up on
+// the frame (MAC retry exhaustion); the routing protocols turn that into
+// link-failure handling and may send the same packet again. Runtimes
+// without delivery feedback (plain UDP) never report failures.
+//
+// The send-side contract mirrors ReceiveFunc's: Send takes the packet,
+// and from then until this callback returns it to the sender, the link
+// owns it and the sender must neither write nor keep it. A packet Send
+// refuses (false) never left the sender. After ok the sender may
+// rebuild the packet for a later send:
+//
+//   - the simulated MAC (runtime/simrt) reports when the frame is
+//     finished and off the air, after the radio has handed it to every
+//     receiver — for a late ACK, when its retransmission's airtime ends;
+//   - netrt reports before Send returns, since the frame is encoded
+//     then and the bytes are the transport's.
 type SendDoneFunc func(p *pkt.Packet, to pkt.NodeID, ok bool)
 
 // Runtime is everything one node's network layer takes from the
@@ -77,7 +91,9 @@ type Runtime interface {
 	// Send hands one packet to the link for transmission to linkDst
 	// (pkt.Broadcast for one-hop broadcast). It reports whether the
 	// link accepted the frame — a full MAC queue or a closed transport
-	// refuses, and the caller accounts the reject.
+	// refuses, and the caller accounts the reject. An accepted packet is
+	// the link's until SendDoneFunc hands it back, which may happen
+	// before Send returns.
 	Send(p *pkt.Packet, linkDst pkt.NodeID) bool
 
 	// Bind installs the network layer's receive and send-completion

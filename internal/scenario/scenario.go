@@ -216,12 +216,27 @@ func (c Config) Validate() error {
 		// A gossip request or reply carries each list's length in one byte.
 		return fmt.Errorf("scenario: gossip list bound above %d (LostBufferCap %d, ExpectedCap %d, MaxReplyMsgs %d)",
 			math.MaxUint8, c.Gossip.LostBufferCap, c.Gossip.ExpectedCap, c.Gossip.MaxReplyMsgs)
+	case recovers && c.Gossip.Mode != gossip.ModePull && c.Gossip.Mode != gossip.ModePush:
+		// Any other value ran silently as pull.
+		return fmt.Errorf("scenario: gossip mode %d is neither pull (%d) nor push (%d)",
+			c.Gossip.Mode, gossip.ModePull, gossip.ModePush)
+	case c.dataBody(spec) > pkt.MaxBodySize:
+		// A live link refuses a body its 16-bit length cannot carry
+		// (netrt.Node.Send), so such a stack delivers nothing.
+		return fmt.Errorf("scenario: %s data body of %d bytes exceeds the %d-byte wire limit",
+			spec.Routing, c.dataBody(spec), pkt.MaxBodySize)
+	case recovers && c.gossipBody(spec) > pkt.MaxBodySize:
+		// A reply, or a push-mode request, carries up to MaxReplyMsgs of
+		// them.
+		return fmt.Errorf("scenario: a gossip message of %d data bodies (%d bytes) exceeds the %d-byte wire limit",
+			c.Gossip.MaxReplyMsgs, c.gossipBody(spec), pkt.MaxBodySize)
 	case c.MAC.CWMin < 0 || c.MAC.CWMax < 0:
 		return fmt.Errorf("scenario: negative MAC contention window [%d, %d]", c.MAC.CWMin, c.MAC.CWMax)
 	case !(c.MAC.BitRate > 0) || math.IsInf(c.MAC.BitRate, 1):
 		return fmt.Errorf("scenario: MAC bit rate %v is not positive and finite", c.MAC.BitRate)
-	case c.MAC.SlotTime < 0 || c.MAC.PhyOverhead < 0:
-		return fmt.Errorf("scenario: negative MAC slot time %v or PHY overhead %v", c.MAC.SlotTime, c.MAC.PhyOverhead)
+	case c.MAC.SlotTime < 0 || c.MAC.PhyOverhead < 0 || c.MAC.SIFS < 0 || c.MAC.DIFS < 0:
+		return fmt.Errorf("scenario: negative MAC slot time %v, PHY overhead %v, SIFS %v or DIFS %v",
+			c.MAC.SlotTime, c.MAC.PhyOverhead, c.MAC.SIFS, c.MAC.DIFS)
 	case min(c.MAC.HeaderBytes, c.MAC.AckBytes, c.MAC.RTSBytes, c.MAC.CTSBytes) < 0:
 		return fmt.Errorf("scenario: negative MAC header %d, ACK %d, RTS %d or CTS %d size",
 			c.MAC.HeaderBytes, c.MAC.AckBytes, c.MAC.RTSBytes, c.MAC.CTSBytes)
@@ -252,9 +267,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: non-positive MAODV join reply wait %v", c.MAODV.JoinReplyWait)
 	case spec.Routing == "flood" && c.Flood.CacheSize <= 0:
 		return fmt.Errorf("scenario: non-positive flood cache size %d", c.Flood.CacheSize)
-	case spec.Routing == "odmrp" && (c.ODMRP.CacheSize <= 0 || c.ODMRP.RefreshInterval <= 0):
-		return fmt.Errorf("scenario: non-positive ODMRP cache size %d or refresh interval %v",
-			c.ODMRP.CacheSize, c.ODMRP.RefreshInterval)
+	case spec.Routing == "odmrp" && (c.ODMRP.CacheSize <= 0 || c.ODMRP.RefreshInterval <= 0 || c.ODMRP.MeshLifetime <= 0):
+		// Mesh state that expires as it is written halves delivery and
+		// multiplies the events ~90× (every query looks fresh).
+		return fmt.Errorf("scenario: non-positive ODMRP cache size %d, refresh interval %v or mesh lifetime %v",
+			c.ODMRP.CacheSize, c.ODMRP.RefreshInterval, c.ODMRP.MeshLifetime)
 	case c.MetricsWindow < 0:
 		return fmt.Errorf("scenario: negative metrics window %v", c.MetricsWindow)
 	case c.MetricsWindow > 0 && c.Duration/c.MetricsWindow > maxMetricsWindows:
@@ -262,6 +279,32 @@ func (c Config) Validate() error {
 			c.MetricsWindow, c.Duration, maxMetricsWindows)
 	}
 	return nil
+}
+
+// dataBody is the wire size of the stack's Data body: the routing's
+// payload behind the Data header.
+func (c Config) dataBody(spec stack.Spec) int {
+	d := pkt.Data{}
+	switch spec.Routing {
+	case "maodv":
+		d.PayloadLen = c.MAODV.PayloadLen
+	case "flood":
+		d.PayloadLen = c.Flood.PayloadLen
+	case "odmrp":
+		d.PayloadLen = c.ODMRP.PayloadLen
+	}
+	return d.WireSize()
+}
+
+// gossipBody is the wire size of the largest gossip message that
+// carries data: a reply, or in push mode a request, with MaxReplyMsgs
+// data bodies.
+func (c Config) gossipBody(spec stack.Spec) int {
+	head := (&pkt.GossipRep{}).WireSize()
+	if c.Gossip.Mode == gossip.ModePush {
+		head = (&pkt.GossipReq{}).WireSize()
+	}
+	return head + c.Gossip.MaxReplyMsgs*c.dataBody(spec)
 }
 
 // probability reports whether p lies in [0, 1]; NaN does not.

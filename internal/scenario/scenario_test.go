@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"anongossip/internal/gossip"
 	"anongossip/internal/stack"
 )
 
@@ -17,6 +18,7 @@ var (
 	bareFlood = stack.Spec{Routing: "flood"}
 	bareODMRP = stack.Spec{Routing: "odmrp"}
 	odmrpAG   = stack.Spec{Routing: "odmrp", Recovery: "gossip"}
+	floodAG   = stack.Spec{Routing: "flood", Recovery: "gossip"}
 )
 
 // shortConfig is a trimmed run (120 s, 25 nodes) for fast tests.
@@ -71,6 +73,12 @@ func TestConfigValidate(t *testing.T) {
 	flood.AODV.ActiveRouteTimeout, flood.AODV.SeenLifetime, flood.MAODV.JoinReplyWait = 0, 0, 0
 	if err := flood.Validate(); err != nil {
 		t.Fatalf("bare flooding with unset blocks of layers it never builds rejected: %v", err)
+	}
+	// A zero relay lifetime is documented: it disables relay tracking.
+	untracked := shortConfig()
+	untracked.Stack, untracked.Flood.RelayLifetime = floodAG, 0
+	if err := untracked.Validate(); err != nil {
+		t.Fatalf("flood+gossip without relay tracking rejected: %v", err)
 	}
 	tests := []struct {
 		name   string
@@ -155,6 +163,23 @@ func TestConfigValidate(t *testing.T) {
 		{"zero aodv seen lifetime", func(c *Config) { c.AODV.SeenLifetime = 0 }},
 		{"zero maodv join reply wait", func(c *Config) { c.MAODV.JoinReplyWait = 0 }},
 		{"negative maodv join reply wait", func(c *Config) { c.MAODV.JoinReplyWait = -time.Second }},
+		// Each of these ran without error on a 10-node 30 s run with
+		// gossip: the mesh lifetimes at 0.495 delivery and 92× the
+		// events, the oversized bodies at 0.000 (a live link refuses
+		// them), negative DIFS at 30 % more events, mode 7 as pull.
+		{"zero odmrp mesh lifetime", func(c *Config) { c.Stack, c.ODMRP.MeshLifetime = odmrpAG, 0 }},
+		{"negative odmrp mesh lifetime", func(c *Config) { c.Stack, c.ODMRP.MeshLifetime = odmrpAG, -time.Second }},
+		{"maodv data body past the wire limit", func(c *Config) { c.MAODV.PayloadLen = 65535 }},
+		{"flood data body past the wire limit", func(c *Config) { c.Stack, c.Flood.PayloadLen = bareFlood, 65522 }},
+		{"gossip reply past the wire limit", func(c *Config) { c.MAODV.PayloadLen = 6550 }},
+		{"gossip push past the wire limit", func(c *Config) {
+			// Fits a pull reply's header, not a push request's.
+			c.Gossip.Mode, c.Gossip.MaxReplyMsgs, c.MAODV.PayloadLen = gossip.ModePush, 2, 32748
+		}},
+		{"negative sifs", func(c *Config) { c.MAC.SIFS = -time.Millisecond }},
+		{"negative difs", func(c *Config) { c.MAC.DIFS = -time.Millisecond }},
+		{"gossip mode 7", func(c *Config) { c.Gossip.Mode = 7 }},
+		{"gossip mode unset", func(c *Config) { c.Gossip.Mode = 0 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
