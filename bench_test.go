@@ -179,18 +179,6 @@ func BenchmarkAblationPushPull(b *testing.B) {
 		[]scenario.Config{pull, push})
 }
 
-// BenchmarkAblationRTSCTS toggles the MAC's RTS/CTS handshake (A7): the
-// paper ran 802.11 without it for 64-byte payloads; this quantifies what
-// the handshake would change at the congested 55 m operating point.
-func BenchmarkAblationRTSCTS(b *testing.B) {
-	off := ablationConfig()
-	on := ablationConfig()
-	on.MAC.RTSThreshold = 0
-	runVariants(b, "A7: RTS/CTS handshake",
-		[]string{"no RTS/CTS (paper)", "RTS/CTS for all unicast"},
-		[]scenario.Config{off, on})
-}
-
 // BenchmarkSingleRun measures the cost of one paper-baseline simulation
 // (simulator performance, not a paper figure).
 func BenchmarkSingleRun(b *testing.B) {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"anongossip/internal/geom"
-	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
@@ -38,7 +37,7 @@ func buildWorld(t *testing.T, positions []geom.Point, models ...mobility.Model) 
 			m = models[i]
 		}
 		id := pkt.NodeID(i + 1)
-		rt, err := simrt.New(w.sched, rng.Derive(id.String()), w.medium, id, m, mac.DefaultConfig())
+		rt, err := simrt.New(w.sched, rng.Derive(id.String()), w.medium, id, m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"anongossip/internal/geom"
-	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
@@ -26,7 +25,7 @@ type fworld struct {
 // the simulated MAC and radio.
 func newStack(t *testing.T, sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID, pos mobility.Model) *node.Stack {
 	t.Helper()
-	rt, err := simrt.New(sched, rng, medium, id, pos, mac.DefaultConfig())
+	rt, err := simrt.New(sched, rng, medium, id, pos)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"anongossip/internal/aodv"
 	"anongossip/internal/geom"
-	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
@@ -50,7 +49,7 @@ func buildLine(t *testing.T, n int, members []int, cfg Config) *gworld {
 	for i := 0; i < n; i++ {
 		id := pkt.NodeID(i + 1)
 		rt, err := simrt.New(w.sched, rng.Derive("n/"+id.String()), medium, id,
-			mobility.Static{P: geom.Point{X: float64(i) * 50}}, mac.DefaultConfig())
+			mobility.Static{P: geom.Point{X: float64(i) * 50}})
 		if err != nil {
 			t.Fatal(err)
 		}

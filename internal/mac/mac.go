@@ -13,11 +13,10 @@
 //     is how AODV/MAODV detect broken links;
 //   - broadcast frames are sent once, unacknowledged — the fundamental
 //     unreliability that costs MAODV tree forwarding its packets;
-//   - receiver-side duplicate filtering for retransmitted unicast frames;
-//   - optional RTS/CTS with NAV (virtual carrier sense) above a
-//     configurable threshold. The paper's configuration runs without it
-//     (64-byte payloads sit far below the usual threshold); the ablation
-//     benchmarks measure what the handshake would change.
+//   - receiver-side duplicate filtering for retransmitted unicast frames.
+//
+// There is no RTS/CTS handshake and so no NAV: the paper's 64-byte
+// payloads sit far below any realistic RTS threshold.
 package mac
 
 import (
@@ -54,36 +53,23 @@ type Config struct {
 	AckBytes int
 	// QueueCap bounds the transmit queue; excess frames are dropped.
 	QueueCap int
-	// RTSThreshold enables RTS/CTS for unicast frames whose MAC-level
-	// size exceeds it. RTSThresholdOff disables the exchange (the
-	// paper's 64-byte payloads sit below any realistic threshold).
-	RTSThreshold int
-	// RTSBytes and CTSBytes size the control frames.
-	RTSBytes int
-	CTSBytes int
 }
 
-// RTSThresholdOff disables RTS/CTS (the 802.11 "dot11RTSThreshold off"
-// convention).
-const RTSThresholdOff = 1 << 16
-
 // DefaultConfig returns 802.11 DSSS parameters at the paper's 2 Mbps.
+// Every simulated node runs on it.
 func DefaultConfig() Config {
 	return Config{
-		BitRate:      2e6,
-		SlotTime:     20 * time.Microsecond,
-		SIFS:         10 * time.Microsecond,
-		DIFS:         50 * time.Microsecond,
-		CWMin:        31,
-		CWMax:        1023,
-		RetryLimit:   7,
-		PhyOverhead:  192 * time.Microsecond,
-		HeaderBytes:  28,
-		AckBytes:     14,
-		QueueCap:     100,
-		RTSThreshold: RTSThresholdOff,
-		RTSBytes:     20,
-		CTSBytes:     14,
+		BitRate:     2e6,
+		SlotTime:    20 * time.Microsecond,
+		SIFS:        10 * time.Microsecond,
+		DIFS:        50 * time.Microsecond,
+		CWMin:       31,
+		CWMax:       1023,
+		RetryLimit:  7,
+		PhyOverhead: 192 * time.Microsecond,
+		HeaderBytes: 28,
+		AckBytes:    14,
+		QueueCap:    100,
 	}
 }
 
@@ -93,8 +79,6 @@ type frameKind uint8
 const (
 	frameData frameKind = iota + 1
 	frameAck
-	frameRTS
-	frameCTS
 )
 
 // frame is the MAC PDU exchanged over the radio. Frames go on the air
@@ -107,11 +91,7 @@ type frame struct {
 	src     pkt.NodeID
 	dst     pkt.NodeID
 	seq     uint16
-	payload *pkt.Packet // nil for control frames
-	// nav is the 802.11 duration field: how long the exchange occupies
-	// the channel after this frame ends. Overhearers defer (virtual
-	// carrier sense).
-	nav sim.Time
+	payload *pkt.Packet // nil for an ACK
 }
 
 // Stats aggregates per-node MAC counters.
@@ -135,19 +115,16 @@ type Stats struct {
 	Delivered uint64
 	// BytesSent counts all transmitted bytes including MAC framing.
 	BytesSent uint64
-	// RTSSent and CTSSent count RTS/CTS control frames.
-	RTSSent uint64
-	CTSSent uint64
 	// TxAttempts counts channel-occupying transmission starts for
-	// queued frames — data frames and RTS handshake openers, retries
-	// included (ACK/CTS responses are counted by their own fields).
+	// queued data frames, retries included (ACKs are counted by
+	// AcksSent).
 	TxAttempts uint64
 	// BackoffWait accumulates the contention wait this node armed
 	// (DIFS + drawn backoff slots per cycle) — the time the MAC spent
 	// standing off the channel rather than occupying it.
 	BackoffWait time.Duration
 	// ElidedEvents counts MAC events folded out of the kernel: the
-	// airtime-end step the eager code scheduled per data/RTS
+	// airtime-end step the eager code scheduled per data
 	// transmission, now run from the radio's TxDone hook (one per
 	// completed transmission), and contention-step timers (defer
 	// wakes, backoff expiries, pending response transmissions)
@@ -196,13 +173,11 @@ type outgoing struct {
 	cw      int
 }
 
-// response is one pending ACK or CTS: what the frame will carry when
-// its SIFS wait ends.
+// response is one pending ACK: what the frame will carry when its SIFS
+// wait ends.
 type response struct {
-	kind frameKind
-	dst  pkt.NodeID
-	seq  uint16
-	nav  sim.Time
+	dst pkt.NodeID
+	seq uint16
 }
 
 // fifo is a queue over a reused backing array. pop advances head and
@@ -249,9 +224,6 @@ const (
 	// stepBackoff: DIFS + backoff expired; transmit if still idle, else
 	// start the defer cycle over.
 	stepBackoff
-	// stepCtsData: CTS received; send the protected data frame after
-	// SIFS.
-	stepCtsData
 )
 
 // DCF is one node's MAC entity.
@@ -280,7 +252,6 @@ type DCF struct {
 
 	nextSeq  uint16
 	ackTimer sim.Timer
-	ctsTimer sim.Timer
 	// step is the pending timer driving the head frame's contention
 	// cycle (defer wake, backoff expiry, or pending response). When the
 	// frame completes early — a late ACK during re-contention, say —
@@ -295,14 +266,11 @@ type DCF struct {
 	stepKind stepPhase
 	stepOut  *outgoing
 	stepFn   func()
-	// ackOut/ctsOut are the frames the ack/cts timeout timers guard;
-	// like stepOut they let the timers share one closure each instead
-	// of capturing per arm.
+	// ackOut is the frame the ACK timeout guards; like stepOut it lets
+	// the timer share one closure instead of capturing per arm.
 	ackOut *outgoing
 	ackFn  func()
-	ctsOut *outgoing
-	ctsFn  func()
-	// resps holds the ACKs and CTSs waiting out their SIFS. Every one is
+	// resps holds the ACKs waiting out their SIFS. Every one is
 	// armed SIFS after the reception it answers, with the one respFn
 	// closure, so the timers fire in FIFO order and each pops the head.
 	resps  fifo[response]
@@ -318,21 +286,17 @@ type DCF struct {
 	// pins this.
 	resp     [2]frame
 	respNext int
-	// vtxOut/vtxAt/vtxKind describe the virtual airtime-end step: since
-	// the radio's finish processing ends at the exact schedule position
-	// of a timer armed right after StartTx, the MAC no longer schedules
-	// one — it records what the timer would have done and runs it from
-	// the radio's TxDone hook, counting one elided event per
-	// transmission (see Stats.ElidedEvents). vtxOut is nil when no
-	// transmission is in the air.
-	vtxOut  *outgoing
-	vtxAt   sim.Time
-	vtxKind frameKind
+	// vtxOut/vtxAt describe the virtual airtime-end step: since the
+	// radio's finish processing ends at the exact schedule position of a
+	// timer armed right after StartTx, the MAC no longer schedules one —
+	// it records what the timer would have done and runs it from the
+	// radio's TxDone hook, counting one elided event per transmission
+	// (see Stats.ElidedEvents). vtxOut is nil when no transmission is in
+	// the air.
+	vtxOut *outgoing
+	vtxAt  sim.Time
 	// horizon bounds elision accounting; see SetHorizon.
 	horizon sim.Time
-	// navUntil is the virtual carrier-sense deadline learned from
-	// overheard RTS/CTS duration fields.
-	navUntil sim.Time
 	// Folded contention countdown (DESIGN.md §10). folding is set when
 	// the transceiver can bound neighbourhood motion; foldOK says the
 	// closure proofs covering the pending step still hold; foldVK is the
@@ -379,7 +343,6 @@ func newDCF(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.Nod
 	// fresh capture per arm (thousands per node per run).
 	d.stepFn = d.onStep
 	d.ackFn = d.onAckTimeout
-	d.ctsFn = d.onCtsTimeout
 	d.respFn = d.onResponse
 	tr, err := medium.Attach(id, pos, d.onRadio)
 	if err != nil {
@@ -438,30 +401,22 @@ func (d *DCF) airtime(payloadBytes int) sim.Time {
 	return d.cfg.PhyOverhead + time.Duration(bits/d.cfg.BitRate*float64(time.Second))
 }
 
+// ackAirtime returns the channel occupancy of an ACK.
 func (d *DCF) ackAirtime() sim.Time {
-	return d.ctlAirtime(d.cfg.AckBytes)
-}
-
-func (d *DCF) ctlAirtime(bytes int) sim.Time {
-	bits := float64(bytes * 8)
+	bits := float64(d.cfg.AckBytes * 8)
 	return d.cfg.PhyOverhead + time.Duration(bits/d.cfg.BitRate*float64(time.Second))
 }
 
-// senseProbe reads the channel exactly — physical and virtual (NAV)
-// carrier sense combined — and, when folding, the conservative reach
-// bound that seeds the countdown's closure proof (radio.CarrierProbe:
-// the latest end time any transmission currently on the air could
-// still occupy this node's channel with, motion included).
+// senseProbe reads the channel exactly and, when folding, the
+// conservative reach bound that seeds the countdown's closure proof
+// (radio.CarrierProbe: the latest end time any transmission currently
+// on the air could still occupy this node's channel with, motion
+// included).
 func (d *DCF) senseProbe() (busy, reach sim.Time) {
 	if d.folding {
-		busy, reach = d.tr.CarrierProbe()
-	} else {
-		busy = d.tr.CarrierBusyUntil()
+		return d.tr.CarrierProbe()
 	}
-	if d.navUntil > busy {
-		busy = d.navUntil
-	}
-	return busy, reach
+	return d.tr.CarrierBusyUntil(), 0
 }
 
 // ackTimeout is the wait after a unicast transmission before declaring the
@@ -504,8 +459,8 @@ func (d *DCF) startHead() {
 	d.defer_()
 }
 
-// defer_ waits for the channel (physical + NAV) to go idle, then backs
-// off and transmits.
+// defer_ waits for the channel to go idle, then backs off and
+// transmits.
 func (d *DCF) defer_() {
 	out := d.inflight
 	busy, reach := d.senseProbe()
@@ -548,18 +503,13 @@ func (d *DCF) armBackoff(out *outgoing, reach sim.Time, probed bool) {
 		exp <= d.foldBase+radio.CarrierPredictWindow
 }
 
-// foldIdle reports whether the folded countdown proves the channel
-// (and NAV) idle at the firing instant, making the exact carrier read
-// redundant: any invalidation since the arm cleared foldOK, every
-// proven busy interval has ended (a later one would have postponed
-// this firing past itself), and anything unproven never existed
-// within reach.
+// foldIdle reports whether the folded countdown proves the channel idle
+// at the firing instant, making the exact carrier read redundant: any
+// invalidation since the arm cleared foldOK, every proven busy interval
+// has ended (a later one would have postponed this firing past itself),
+// and anything unproven never existed within reach.
 func (d *DCF) foldIdle() bool {
-	if !d.foldOK {
-		return false
-	}
-	now := d.sched.Now()
-	return d.foldVK <= now && d.navUntil <= now
+	return d.foldOK && d.foldVK <= d.sched.Now()
 }
 
 // onStep is the single contention-step callback; (stepKind, stepOut)
@@ -583,7 +533,7 @@ func (d *DCF) onStep() {
 			return
 		}
 		if d.foldIdle() {
-			d.transmit()
+			d.transmitData(out)
 			return
 		}
 		// The channel may have become busy during the backoff; if so,
@@ -593,11 +543,7 @@ func (d *DCF) onStep() {
 			d.armWake(out, busy, reach)
 			return
 		}
-		d.transmit()
-	case stepCtsData:
-		if d.inflight == out {
-			d.transmitData(out)
-		}
+		d.transmitData(out)
 	}
 }
 
@@ -609,7 +555,7 @@ func (d *DCF) onStep() {
 // falls back to an exact carrier read — after restoring its original
 // deadline, which is where the eager cycle would have re-sensed.
 func (d *DCF) CarrierOnset(end sim.Time, proven bool) {
-	if d.step.IsZero() || d.step.Done() || d.stepKind == stepCtsData {
+	if d.step.IsZero() || d.step.Done() {
 		return
 	}
 	if !proven {
@@ -635,19 +581,15 @@ func (d *DCF) maybePostpone() {
 	if !d.foldOK {
 		return
 	}
-	v := d.foldVK
-	if d.navUntil > v {
-		v = d.navUntil
-	}
-	if v <= d.step.At() {
+	if d.foldVK <= d.step.At() {
 		return
 	}
-	if v > d.foldBase+radio.CarrierPredictWindow {
+	if d.foldVK > d.foldBase+radio.CarrierPredictWindow {
 		d.foldOK = false
 		d.step.Unpostpone()
 		return
 	}
-	d.step.Postpone(v)
+	d.step.Postpone(d.foldVK)
 	d.stepKind = stepDeferWake
 }
 
@@ -656,54 +598,6 @@ func (d *DCF) onAckTimeout() {
 	if out := d.ackOut; d.inflight == out && out != nil {
 		d.retry(out)
 	}
-}
-
-// onCtsTimeout declares the awaited CTS lost and retries.
-func (d *DCF) onCtsTimeout() {
-	if out := d.ctsOut; d.inflight == out && out != nil {
-		d.retry(out)
-	}
-}
-
-// needRTS reports whether the head frame must be protected by RTS/CTS.
-func (d *DCF) needRTS(out *outgoing) bool {
-	if out.frm.dst == pkt.Broadcast {
-		return false
-	}
-	return d.cfg.HeaderBytes+out.frm.payload.WireSize() > d.cfg.RTSThreshold
-}
-
-// transmit puts the head frame (or its RTS) on the air.
-func (d *DCF) transmit() {
-	out := d.inflight
-	if d.needRTS(out) {
-		d.transmitRTS(out)
-		return
-	}
-	d.transmitData(out)
-}
-
-// transmitRTS starts the RTS/CTS handshake for the head frame.
-func (d *DCF) transmitRTS(out *outgoing) {
-	dataAt := d.airtime(out.frm.payload.WireSize())
-	ctsAt := d.ctlAirtime(d.cfg.CTSBytes)
-	// Duration field: everything after the RTS ends.
-	nav := d.cfg.SIFS + ctsAt + d.cfg.SIFS + dataAt + d.cfg.SIFS + d.ackAirtime()
-	rts := &frame{kind: frameRTS, src: d.id, dst: out.frm.dst, seq: out.frm.seq, nav: nav}
-	rtsAt := d.ctlAirtime(d.cfg.RTSBytes)
-	if err := d.tr.StartTxNotify(rts, rtsAt, d); err != nil {
-		d.retry(out)
-		return
-	}
-	d.stats.RTSSent++
-	d.stats.TxAttempts++
-	d.stats.BytesSent += uint64(d.cfg.RTSBytes)
-	if d.chm != nil {
-		d.chm.ObserveTx(metrics.LayerMAC, rtsAt, d.cfg.RTSBytes)
-	}
-	// The airtime-end step is virtual: the radio's TxDone hook arms the
-	// CTS timeout when the RTS leaves the air.
-	d.vtxOut, d.vtxAt, d.vtxKind = out, d.sched.Now()+rtsAt, frameRTS
 }
 
 // transmitData puts the head data frame on the air; the radio's TxDone
@@ -730,7 +624,7 @@ func (d *DCF) transmitData(out *outgoing) {
 			d.stats.UnicastSent++
 		}
 	}
-	d.vtxOut, d.vtxAt, d.vtxKind = out, d.sched.Now()+at, frameData
+	d.vtxOut, d.vtxAt = out, d.sched.Now()+at
 }
 
 // TxDone implements radio.TxDone: it runs the virtual airtime-end step
@@ -760,21 +654,13 @@ func (d *DCF) TxDone() {
 	if d.inflight != out {
 		return
 	}
-	switch d.vtxKind {
-	case frameData:
-		if out.frm.dst == pkt.Broadcast {
-			d.finish(out, true)
-			return
-		}
-		// Await the ACK.
-		d.ackOut = out
-		d.ackTimer = d.sched.After(d.ackTimeout(), d.ackFn)
-	case frameRTS:
-		// Await the CTS.
-		ctsAt := d.ctlAirtime(d.cfg.CTSBytes)
-		d.ctsOut = out
-		d.ctsTimer = d.sched.After(d.cfg.SIFS+ctsAt+2*d.cfg.SlotTime, d.ctsFn)
+	if out.frm.dst == pkt.Broadcast {
+		d.finish(out, true)
+		return
 	}
+	// Await the ACK.
+	d.ackOut = out
+	d.ackTimer = d.sched.After(d.ackTimeout(), d.ackFn)
 }
 
 // retry reschedules a unicast frame after a lost ACK, doubling the
@@ -815,15 +701,12 @@ func (d *DCF) elideVirtualStep() {
 // is on the air: the failures come after an ACK timeout, armed once the
 // frame left it.
 func (d *DCF) finish(out *outgoing, ok bool) {
-	onAir := d.vtxOut == out && d.vtxKind == frameData
+	onAir := d.vtxOut == out
 	d.elideStep()
 	d.elideVirtualStep()
 	d.ackTimer.Cancel()
 	d.ackTimer = sim.Timer{}
 	d.ackOut = nil
-	d.ctsTimer.Cancel()
-	d.ctsTimer = sim.Timer{}
-	d.ctsOut = nil
 	d.inflight = nil
 	p, dst := out.frm.payload, out.frm.dst
 	if onAir {
@@ -849,18 +732,6 @@ func (d *DCF) onRadio(raw any, _ pkt.NodeID, ok bool) {
 	if !isFrame {
 		return // foreign traffic on the medium (tests)
 	}
-	// Virtual carrier sense: frames not for us with a duration field
-	// reserve the channel.
-	if frm.dst != d.id && frm.nav > 0 {
-		if until := d.sched.Now() + frm.nav; until > d.navUntil {
-			d.navUntil = until
-			// NAV growth is own-state and exact: it feeds the folded
-			// countdown the same way a proven carrier onset does.
-			if d.folding && !d.step.IsZero() && !d.step.Done() && d.stepKind != stepCtsData {
-				d.maybePostpone()
-			}
-		}
-	}
 	switch frm.kind {
 	case frameAck:
 		if frm.dst != d.id || d.inflight == nil {
@@ -869,67 +740,36 @@ func (d *DCF) onRadio(raw any, _ pkt.NodeID, ok bool) {
 		if frm.seq == d.inflight.frm.seq {
 			d.finish(d.inflight, true)
 		}
-	case frameRTS:
-		d.onRTS(frm)
-	case frameCTS:
-		if frm.dst != d.id || d.inflight == nil || d.ctsTimer.IsZero() {
-			return
-		}
-		if frm.seq == d.inflight.frm.seq {
-			d.ctsTimer.Cancel()
-			d.ctsTimer = sim.Timer{}
-			d.ctsOut = nil
-			d.stepKind, d.stepOut = stepCtsData, d.inflight
-			d.step = d.sched.After(d.cfg.SIFS, d.stepFn)
-			// Response steps never fold: the data send is unconditional.
-			d.foldOK = false
-		}
 	case frameData:
 		d.onData(frm)
 	}
 }
 
-// onRTS answers a request-to-send addressed to this node.
-func (d *DCF) onRTS(frm *frame) {
-	if frm.dst != d.id {
-		return
-	}
-	nav := frm.nav - d.cfg.SIFS - d.ctlAirtime(d.cfg.CTSBytes)
-	if nav < 0 {
-		nav = 0
-	}
-	d.respond(response{kind: frameCTS, dst: frm.src, seq: frm.seq, nav: nav})
-}
-
-// respond queues an ACK or CTS to go out SIFS from now.
+// respond queues an ACK to go out SIFS from now.
 func (d *DCF) respond(r response) {
 	d.resps.push(r)
 	d.sched.After(d.cfg.SIFS, d.respFn)
 }
 
-// onResponse transmits the response whose SIFS wait ended — the FIFO's
-// head — unless the node is mid-transmission (half-duplex; the peer
-// will retry).
+// onResponse transmits the ACK whose SIFS wait ended — the FIFO's head
+// — unless the node is mid-transmission (half-duplex; the peer will
+// retry).
 func (d *DCF) onResponse() {
 	r := d.resps.pop()
 	if d.tr.Transmitting() {
 		return
 	}
-	bytes, stat := d.cfg.AckBytes, &d.stats.AcksSent
-	if r.kind == frameCTS {
-		bytes, stat = d.cfg.CTSBytes, &d.stats.CTSSent
-	}
-	at := d.ctlAirtime(bytes)
+	at := d.ackAirtime()
 	f := &d.resp[d.respNext]
-	*f = frame{kind: r.kind, src: d.id, dst: r.dst, seq: r.seq, nav: r.nav}
+	*f = frame{kind: frameAck, src: d.id, dst: r.dst, seq: r.seq}
 	if err := d.tr.StartTx(f, at); err != nil {
 		return
 	}
 	d.respNext ^= 1
-	*stat++
-	d.stats.BytesSent += uint64(bytes)
+	d.stats.AcksSent++
+	d.stats.BytesSent += uint64(d.cfg.AckBytes)
 	if d.chm != nil {
-		d.chm.ObserveTx(metrics.LayerMAC, at, bytes)
+		d.chm.ObserveTx(metrics.LayerMAC, at, d.cfg.AckBytes)
 	}
 }
 
@@ -946,7 +786,7 @@ func (d *DCF) onData(frm *frame) {
 	}
 	// Acknowledge after SIFS, a retransmission too: its first ACK was
 	// lost.
-	d.respond(response{kind: frameAck, dst: frm.src, seq: frm.seq})
+	d.respond(response{dst: frm.src, seq: frm.seq})
 	if d.duplicate(frm) {
 		d.stats.DupsFiltered++
 		return

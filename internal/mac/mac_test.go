@@ -34,6 +34,12 @@ type harness struct {
 // newHarness builds MACs at fixed positions on a shared medium.
 func newHarness(t *testing.T, rangeM float64, positions []geom.Point) *harness {
 	t.Helper()
+	return newHarnessCfg(t, rangeM, positions, DefaultConfig())
+}
+
+// newHarnessCfg is newHarness with a custom MAC config.
+func newHarnessCfg(t *testing.T, rangeM float64, positions []geom.Point, cfg Config) *harness {
+	t.Helper()
 	h := &harness{
 		sched: sim.NewScheduler(),
 		rxs:   make([][]received, len(positions)),
@@ -53,7 +59,7 @@ func newHarness(t *testing.T, rangeM float64, positions []geom.Point) *harness {
 			},
 		}
 		m, err := New(h.sched, rng.Derive(id.String()), h.medium, id,
-			mobility.Static{P: p}, DefaultConfig(), cb)
+			mobility.Static{P: p}, cfg, cb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,8 +261,9 @@ func TestBytesSentAccounting(t *testing.T) {
 }
 
 func TestHiddenTerminalCausesRetries(t *testing.T) {
-	// 1 and 3 cannot hear each other; both bombard 2. Without RTS/CTS we
-	// expect collisions at 2 and therefore retries at the senders.
+	// 1 and 3 cannot hear each other; both bombard 2. With no handshake
+	// to reserve the channel we expect collisions at 2 and therefore
+	// retries at the senders.
 	h := newHarness(t, 60, []geom.Point{{X: 0}, {X: 50}, {X: 100}})
 	const n = 40
 	h.sched.After(0, func() {

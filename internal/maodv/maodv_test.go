@@ -8,7 +8,6 @@ import (
 	"anongossip/internal/aodv"
 	"anongossip/internal/geom"
 	"anongossip/internal/gossip"
-	"anongossip/internal/mac"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
@@ -61,7 +60,7 @@ func buildM(t *testing.T, rangeM float64, positions []geom.Point) *mworld {
 		i := i
 		id := pkt.NodeID(i + 1)
 		rt, err := simrt.New(w.sched, rng.Derive("n/"+id.String()), w.medium, id,
-			movable{p: positions[i], moved: &w.moved[i]}, mac.DefaultConfig())
+			movable{p: positions[i], moved: &w.moved[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,7 +484,7 @@ func TestNewRejectsNonPositiveDataCacheSize(t *testing.T) {
 		cfg.DataCacheSize = size
 		sched := sim.NewScheduler()
 		rt, err := simrt.New(sched, sim.NewRNG(1), radio.NewMedium(sched, radio.Params{Range: 60}),
-			1, movable{}, mac.DefaultConfig())
+			1, movable{})
 		if err != nil {
 			t.Fatal(err)
 		}

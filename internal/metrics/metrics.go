@@ -29,7 +29,7 @@ type Layer uint8
 
 // Layers, in rendering order.
 const (
-	// LayerMAC is link-level control: RTS/CTS/ACK frames.
+	// LayerMAC is link-level control: ACK frames.
 	LayerMAC Layer = iota
 	// LayerRouting is routing-protocol control traffic (hello, route
 	// request/reply/error, multicast tree maintenance, join floods).
@@ -60,8 +60,8 @@ func (l Layer) String() string {
 }
 
 // LayerOf classifies a network-layer packet kind. MAC-level frames
-// (RTS/CTS/ACK) never appear as packet kinds; the MAC attributes them
-// to LayerMAC directly.
+// (ACKs) never appear as packet kinds; the MAC attributes them to
+// LayerMAC directly.
 func LayerOf(k pkt.Kind) Layer {
 	switch k {
 	case pkt.KindData:

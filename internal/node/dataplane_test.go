@@ -170,36 +170,37 @@ func TestRebroadcastRelaysEachPendingCopyOnce(t *testing.T) {
 // straight back with the stack, which builds the next packet in it, and
 // every accepted packet still leaves intact, exactly once.
 func TestRefusedSendsComeBack(t *testing.T) {
-	cfg := mac.DefaultConfig()
-	cfg.QueueCap = 2
-	e := lineMAC(t, 2, cfg)
+	e := line(t, 2)
 	heard := map[uint32]int{}
 	e.stacks[1].Handle(pkt.KindHello, func(p *pkt.Packet, _ pkt.NodeID) { heard[p.Body.(*pkt.Hello).Seq]++ })
 	s := e.stacks[0]
+	// One frame at the head and a full queue behind it; the rest are
+	// refused.
+	const refused = 7
+	accepted := uint32(mac.DefaultConfig().QueueCap + 1)
 	var built []*pkt.Packet
 	e.sched.After(0, func() {
-		for seq := uint32(0); seq < 10; seq++ {
+		for seq := uint32(0); seq < accepted+refused; seq++ {
 			p := s.NewPacket(pkt.Broadcast, &pkt.Hello{Seq: seq})
 			built = append(built, p)
 			s.SendBroadcast(p)
 		}
 	})
 	e.sched.Run(time.Second)
-	// One frame at the head and two queued; the other seven are refused.
-	if st := s.Stats(); st.Sent != 3 || st.MACRejects != 7 {
-		t.Fatalf("%d sent and %d refused, want 3 and 7", st.Sent, st.MACRejects)
+	if st := s.Stats(); st.Sent != uint64(accepted) || st.MACRejects != refused {
+		t.Fatalf("%d sent and %d refused, want %d and %d", st.Sent, st.MACRejects, accepted, refused)
 	}
-	for seq := uint32(0); seq < 10; seq++ {
+	for seq := uint32(0); seq < accepted+refused; seq++ {
 		want := 0
-		if seq < 3 {
+		if seq < accepted {
 			want = 1
 		}
 		if heard[seq] != want {
 			t.Fatalf("hello %d heard %d times, want %d (all: %v)", seq, heard[seq], want, heard)
 		}
 	}
-	for i := 4; i < len(built); i++ {
-		if built[i] != built[3] {
+	for i := int(accepted) + 1; i < len(built); i++ {
+		if built[i] != built[accepted] {
 			t.Fatalf("packet %d was not built in the refused packet %d handed back", i, i-1)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"anongossip/internal/geom"
-	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
@@ -37,19 +36,13 @@ type env struct {
 // node only reaches its immediate neighbours.
 func line(t *testing.T, n int) *env {
 	t.Helper()
-	return lineMAC(t, n, mac.DefaultConfig())
-}
-
-// lineMAC is line with every MAC configured as cfg.
-func lineMAC(t *testing.T, n int, cfg mac.Config) *env {
-	t.Helper()
 	e := &env{sched: sim.NewScheduler()}
 	e.medium = radio.NewMedium(e.sched, radio.Params{Range: 60})
 	rng := sim.NewRNG(99)
 	for i := 0; i < n; i++ {
 		id := pkt.NodeID(i + 1)
 		runtime, err := simrt.New(e.sched, rng, e.medium, id,
-			mobility.Static{P: geom.Point{X: float64(i) * 50}}, cfg)
+			mobility.Static{P: geom.Point{X: float64(i) * 50}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"anongossip/internal/aodv"
 	"anongossip/internal/geom"
 	"anongossip/internal/gossip"
-	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
@@ -27,7 +26,7 @@ type oworld struct {
 // newStack puts a network layer on the simulated MAC and radio.
 func newStack(t *testing.T, sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID, pos mobility.Model) *node.Stack {
 	t.Helper()
-	rt, err := simrt.New(sched, rng, medium, id, pos, mac.DefaultConfig())
+	rt, err := simrt.New(sched, rng, medium, id, pos)
 	if err != nil {
 		t.Fatal(err)
 	}

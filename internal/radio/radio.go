@@ -87,7 +87,7 @@ type CarrierListener interface {
 // allocates that timer's sequence number immediately after the finish
 // event's, so nothing can order between them. Folding the timer into
 // the hook is therefore schedule-transparent; the MAC uses it to elide
-// one event per data/RTS transmission (see mac.Stats.ElidedEvents).
+// one event per data transmission (see mac.Stats.ElidedEvents).
 // It is an interface rather than a func so callers can pass a
 // long-lived receiver without allocating a closure per transmission.
 type TxDone interface {
@@ -500,9 +500,9 @@ func (t *Transceiver) beginTx(frame any, airtime sim.Time, done TxDone) (*transm
 	t.txEnd = tx.end
 
 	if t.carrier != nil {
-		// The node's own transmission raises its own carrier (an ACK or
-		// CTS sent while a head frame's countdown is pending); distance
-		// zero makes it proven by construction.
+		// The node's own transmission raises its own carrier (an ACK
+		// sent while a head frame's countdown is pending); distance zero
+		// makes it proven by construction.
 		t.carrier.CarrierOnset(tx.end, true)
 	}
 	return tx, nil

@@ -3,6 +3,7 @@ package netrt
 import (
 	"fmt"
 
+	"anongossip/internal/gossip"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/sim"
@@ -46,7 +47,7 @@ func NewProtocolNode(cfg ProtocolConfig, tr Transport) (*ProtocolNode, error) {
 	}
 	st := node.NewOnRuntime(rt)
 	rng := sim.NewRNG(cfg.Seed).Derive(fmt.Sprintf("netrt/%d", cfg.Node.ID))
-	n, err := stack.Assemble(spec, st, rng, int(cfg.Node.ID), stack.DefaultParams())
+	n, err := stack.Assemble(spec, st, rng, int(cfg.Node.ID), gossip.DefaultConfig())
 	if err != nil {
 		rt.Close()
 		return nil, fmt.Errorf("netrt: %w", err)

@@ -32,14 +32,15 @@ type Runtime struct {
 var _ rt.Runtime = (*Runtime)(nil)
 
 // New attaches a MAC entity for node id to the medium and wraps it,
-// together with sched, as a Runtime. The MAC draws its backoff stream
-// from rng by the same "mac/<id>" label the pre-runtime node layer
-// used, so existing seeds reproduce identical runs. It fails when the
-// medium already has a transceiver for id (radio.ErrDuplicateNode).
+// together with sched, as a Runtime. The MAC runs the paper's 802.11
+// parameters (mac.DefaultConfig) and draws its backoff stream from rng
+// by the same "mac/<id>" label the pre-runtime node layer used, so
+// existing seeds reproduce identical runs. It fails when the medium
+// already has a transceiver for id (radio.ErrDuplicateNode).
 func New(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID,
-	pos mobility.Model, cfg mac.Config) (*Runtime, error) {
+	pos mobility.Model) (*Runtime, error) {
 	r := &Runtime{id: id, sched: sched}
-	dcf, err := mac.New(sched, rng.Derive(fmt.Sprintf("mac/%d", id)), medium, id, pos, cfg, mac.Callbacks{
+	dcf, err := mac.New(sched, rng.Derive(fmt.Sprintf("mac/%d", id)), medium, id, pos, mac.DefaultConfig(), mac.Callbacks{
 		OnReceive: func(p *pkt.Packet, from pkt.NodeID, broadcast bool) {
 			if r.onRecv != nil {
 				r.onRecv(p, from, broadcast)

@@ -65,19 +65,6 @@ func TestPathologicalConfigs(t *testing.T) {
 		}
 	})
 
-	t.Run("tiny MAC queue", func(t *testing.T) {
-		cfg := shortConfig()
-		cfg.MAC.QueueCap = 2
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Heavy queue drops, but the system keeps operating.
-		if res.Received.Mean <= 0 {
-			t.Fatal("nothing delivered with a tiny MAC queue")
-		}
-	})
-
 	t.Run("zero gossip capacity", func(t *testing.T) {
 		cfg := shortConfig()
 		cfg.Gossip.HistoryCap = 0
@@ -115,18 +102,6 @@ func TestPathologicalConfigs(t *testing.T) {
 		// expected, crashes are not.
 		if res.DeliveryRatio() > 1 {
 			t.Fatalf("delivery ratio %v > 1", res.DeliveryRatio())
-		}
-	})
-
-	t.Run("rts cts full stack", func(t *testing.T) {
-		cfg := shortConfig()
-		cfg.MAC.RTSThreshold = 0
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Received.Mean <= 0 {
-			t.Fatal("nothing delivered with RTS/CTS enabled")
 		}
 	})
 

@@ -15,16 +15,11 @@ import (
 	"runtime"
 	"time"
 
-	"anongossip/internal/aodv"
-	"anongossip/internal/flood"
 	"anongossip/internal/geom"
 	"anongossip/internal/gossip"
-	"anongossip/internal/mac"
-	"anongossip/internal/maodv"
 	"anongossip/internal/metrics"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
-	"anongossip/internal/odmrp"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
 	"anongossip/internal/runtime/simrt"
@@ -101,12 +96,9 @@ type Config struct {
 	// or off.
 	MetricsWindow time.Duration
 
-	// Per-layer parameter blocks.
-	MAC    mac.Config
-	AODV   aodv.Config
-	MAODV  maodv.Config
-	Flood  flood.Config
-	ODMRP  odmrp.Config
+	// Gossip configures the recovery layer, the protocol under study.
+	// The substrate beneath it is fixed: the MAC, AODV and the three
+	// multicast routings run on their package defaults.
 	Gossip gossip.Config
 }
 
@@ -129,11 +121,6 @@ func DefaultConfig() Config {
 		NumSources:     1,
 		JoinWindow:     10 * time.Second,
 		Seed:           1,
-		MAC:            mac.DefaultConfig(),
-		AODV:           aodv.DefaultConfig(),
-		MAODV:          maodv.DefaultConfig(),
-		Flood:          flood.DefaultConfig(),
-		ODMRP:          odmrp.DefaultConfig(),
 		Gossip:         gossip.DefaultConfig(),
 	}
 }
@@ -170,10 +157,9 @@ func (c Config) Validate() error {
 	if err := stack.Check(spec); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
+	// The gossip block is checked only on the stacks that build the
+	// layer.
 	recovers := spec.Recovery != ""
-	// Layer blocks are checked only on the stacks that build the layer:
-	// MAODV runs over AODV, and gossip installs AODV for its replies.
-	unicast := spec.Routing == "maodv" || recovers
 	// The negated float comparisons also reject NaN (NaN > 0 is false),
 	// which a plain `<= 0` would let through.
 	switch {
@@ -220,58 +206,6 @@ func (c Config) Validate() error {
 		// Any other value ran silently as pull.
 		return fmt.Errorf("scenario: gossip mode %d is neither pull (%d) nor push (%d)",
 			c.Gossip.Mode, gossip.ModePull, gossip.ModePush)
-	case c.dataBody(spec) > pkt.MaxBodySize:
-		// A live link refuses a body its 16-bit length cannot carry
-		// (netrt.Node.Send), so such a stack delivers nothing.
-		return fmt.Errorf("scenario: %s data body of %d bytes exceeds the %d-byte wire limit",
-			spec.Routing, c.dataBody(spec), pkt.MaxBodySize)
-	case recovers && c.gossipBody(spec) > pkt.MaxBodySize:
-		// A reply, or a push-mode request, carries up to MaxReplyMsgs of
-		// them.
-		return fmt.Errorf("scenario: a gossip message of %d data bodies (%d bytes) exceeds the %d-byte wire limit",
-			c.Gossip.MaxReplyMsgs, c.gossipBody(spec), pkt.MaxBodySize)
-	case c.MAC.CWMin < 0 || c.MAC.CWMax < 0:
-		return fmt.Errorf("scenario: negative MAC contention window [%d, %d]", c.MAC.CWMin, c.MAC.CWMax)
-	case !(c.MAC.BitRate > 0) || math.IsInf(c.MAC.BitRate, 1):
-		return fmt.Errorf("scenario: MAC bit rate %v is not positive and finite", c.MAC.BitRate)
-	case c.MAC.SlotTime < 0 || c.MAC.PhyOverhead < 0 || c.MAC.SIFS < 0 || c.MAC.DIFS < 0:
-		return fmt.Errorf("scenario: negative MAC slot time %v, PHY overhead %v, SIFS %v or DIFS %v",
-			c.MAC.SlotTime, c.MAC.PhyOverhead, c.MAC.SIFS, c.MAC.DIFS)
-	case min(c.MAC.HeaderBytes, c.MAC.AckBytes, c.MAC.RTSBytes, c.MAC.CTSBytes) < 0:
-		return fmt.Errorf("scenario: negative MAC header %d, ACK %d, RTS %d or CTS %d size",
-			c.MAC.HeaderBytes, c.MAC.AckBytes, c.MAC.RTSBytes, c.MAC.CTSBytes)
-	case c.MAC.QueueCap <= 0:
-		// An empty queue of capacity zero is full: every Send would fail.
-		return fmt.Errorf("scenario: non-positive MAC queue capacity %d", c.MAC.QueueCap)
-	case unicast && c.AODV.HelloInterval <= 0:
-		// Like a gossip round, the neighbour sweep and an ODMRP source's
-		// refresh re-arm themselves one period later.
-		return fmt.Errorf("scenario: non-positive AODV hello interval %v", c.AODV.HelloInterval)
-	case unicast && c.AODV.AllowedHelloLoss < 1:
-		// Below one, every sweep finds every neighbour overdue and breaks
-		// its link.
-		return fmt.Errorf("scenario: AODV allowed hello loss %d is below 1", c.AODV.AllowedHelloLoss)
-	case unicast && (c.AODV.ActiveRouteTimeout <= 0 || c.AODV.SeenLifetime <= 0):
-		// A route that expires as it is installed delivers nothing; an
-		// RREQ forgotten as it is seen is re-flooded by every copy.
-		return fmt.Errorf("scenario: non-positive AODV active route timeout %v or seen lifetime %v",
-			c.AODV.ActiveRouteTimeout, c.AODV.SeenLifetime)
-	case spec.Routing == "maodv" && c.MAODV.DataCacheSize <= 0:
-		return fmt.Errorf("scenario: non-positive MAODV data cache size %d", c.MAODV.DataCacheSize)
-	case spec.Routing == "maodv" && c.MAODV.GroupHelloInterval <= 0:
-		// The leader's GRPH tick re-arms one interval later, like the
-		// gossip round.
-		return fmt.Errorf("scenario: non-positive MAODV group hello interval %v", c.MAODV.GroupHelloInterval)
-	case spec.Routing == "maodv" && c.MAODV.JoinReplyWait <= 0:
-		// A joiner picks its branch before any reply can arrive.
-		return fmt.Errorf("scenario: non-positive MAODV join reply wait %v", c.MAODV.JoinReplyWait)
-	case spec.Routing == "flood" && c.Flood.CacheSize <= 0:
-		return fmt.Errorf("scenario: non-positive flood cache size %d", c.Flood.CacheSize)
-	case spec.Routing == "odmrp" && (c.ODMRP.CacheSize <= 0 || c.ODMRP.RefreshInterval <= 0 || c.ODMRP.MeshLifetime <= 0):
-		// Mesh state that expires as it is written halves delivery and
-		// multiplies the events ~90× (every query looks fresh).
-		return fmt.Errorf("scenario: non-positive ODMRP cache size %d, refresh interval %v or mesh lifetime %v",
-			c.ODMRP.CacheSize, c.ODMRP.RefreshInterval, c.ODMRP.MeshLifetime)
 	case c.MetricsWindow < 0:
 		return fmt.Errorf("scenario: negative metrics window %v", c.MetricsWindow)
 	case c.MetricsWindow > 0 && c.Duration/c.MetricsWindow > maxMetricsWindows:
@@ -279,32 +213,6 @@ func (c Config) Validate() error {
 			c.MetricsWindow, c.Duration, maxMetricsWindows)
 	}
 	return nil
-}
-
-// dataBody is the wire size of the stack's Data body: the routing's
-// payload behind the Data header.
-func (c Config) dataBody(spec stack.Spec) int {
-	d := pkt.Data{}
-	switch spec.Routing {
-	case "maodv":
-		d.PayloadLen = c.MAODV.PayloadLen
-	case "flood":
-		d.PayloadLen = c.Flood.PayloadLen
-	case "odmrp":
-		d.PayloadLen = c.ODMRP.PayloadLen
-	}
-	return d.WireSize()
-}
-
-// gossipBody is the wire size of the largest gossip message that
-// carries data: a reply, or in push mode a request, with MaxReplyMsgs
-// data bodies.
-func (c Config) gossipBody(spec stack.Spec) int {
-	head := (&pkt.GossipRep{}).WireSize()
-	if c.Gossip.Mode == gossip.ModePush {
-		head = (&pkt.GossipReq{}).WireSize()
-	}
-	return head + c.Gossip.MaxReplyMsgs*c.dataBody(spec)
 }
 
 // probability reports whether p lies in [0, 1]; NaN does not.
@@ -481,13 +389,11 @@ func build(cfg Config) (*world, error) {
 		w.chm = &metrics.ChannelCounters{}
 	}
 
-	params := stack.Params{AODV: cfg.AODV, MAODV: cfg.MAODV, Flood: cfg.Flood, ODMRP: cfg.ODMRP, Gossip: cfg.Gossip}
-
 	spec, noteLatency := cfg.Spec(), w.noteLatency
 	for i := 0; i < cfg.Nodes; i++ {
 		id := pkt.NodeID(i + 1)
 		mob := mobility.NewWaypoint(mobCfg, root.Derive(fmt.Sprintf("mob/%d", i)))
-		rt, err := simrt.New(w.sched, root.Derive(fmt.Sprintf("stack/%d", i)), w.medium, id, mob, cfg.MAC)
+		rt, err := simrt.New(w.sched, root.Derive(fmt.Sprintf("stack/%d", i)), w.medium, id, mob)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
@@ -502,7 +408,7 @@ func build(cfg Config) (*world, error) {
 		w.rts = append(w.rts, rt)
 		w.stacks = append(w.stacks, st)
 
-		n, err := stack.Assemble(spec, st, root, i, params)
+		n, err := stack.Assemble(spec, st, root, i, cfg.Gossip)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}

@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"anongossip/internal/gossip"
+	"anongossip/internal/flood"
+	"anongossip/internal/maodv"
+	"anongossip/internal/odmrp"
+	"anongossip/internal/pkt"
 	"anongossip/internal/stack"
 )
 
@@ -18,7 +21,6 @@ var (
 	bareFlood = stack.Spec{Routing: "flood"}
 	bareODMRP = stack.Spec{Routing: "odmrp"}
 	odmrpAG   = stack.Spec{Routing: "odmrp", Recovery: "gossip"}
-	floodAG   = stack.Spec{Routing: "flood", Recovery: "gossip"}
 )
 
 // shortConfig is a trimmed run (120 s, 25 nodes) for fast tests.
@@ -65,20 +67,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := bare.Validate(); err != nil {
 		t.Fatalf("bare MAODV with an unset gossip interval rejected: %v", err)
 	}
-	// Likewise bare flooding builds neither AODV, MAODV, ODMRP nor gossip.
-	flood := shortConfig()
-	flood.Stack = bareFlood
-	flood.AODV.HelloInterval, flood.MAODV.DataCacheSize, flood.ODMRP.CacheSize, flood.Gossip.CacheCap = 0, 0, 0, -1
-	flood.MAODV.GroupHelloInterval, flood.AODV.AllowedHelloLoss, flood.Gossip.LostTableCap = 0, 0, -1
-	flood.AODV.ActiveRouteTimeout, flood.AODV.SeenLifetime, flood.MAODV.JoinReplyWait = 0, 0, 0
-	if err := flood.Validate(); err != nil {
-		t.Fatalf("bare flooding with unset blocks of layers it never builds rejected: %v", err)
-	}
-	// A zero relay lifetime is documented: it disables relay tracking.
-	untracked := shortConfig()
-	untracked.Stack, untracked.Flood.RelayLifetime = floodAG, 0
-	if err := untracked.Validate(); err != nil {
-		t.Fatalf("flood+gossip without relay tracking rejected: %v", err)
+	// Likewise bare flooding never reads the gossip bounds.
+	flooding := shortConfig()
+	flooding.Stack = bareFlood
+	flooding.Gossip.CacheCap, flooding.Gossip.LostTableCap, flooding.Gossip.Mode = -1, -1, 7
+	if err := flooding.Validate(); err != nil {
+		t.Fatalf("bare flooding with a gossip block it never builds rejected: %v", err)
 	}
 	tests := []struct {
 		name   string
@@ -110,12 +104,8 @@ func TestConfigValidate(t *testing.T) {
 		{"nan panon", func(c *Config) { c.Gossip.PAnon = math.NaN() }},
 		{"negative accept probability", func(c *Config) { c.Gossip.AcceptProb = -0.5 }},
 		{"metrics window far below the run", func(c *Config) { c.MetricsWindow = time.Nanosecond }},
-		// Layer bounds a router or engine indexes, slices or re-arms a
-		// timer with: each panicked or never returned before Validate
-		// checked it.
-		{"zero flood cache", func(c *Config) { c.Stack, c.Flood.CacheSize = bareFlood, 0 }},
-		{"zero odmrp cache", func(c *Config) { c.Stack, c.ODMRP.CacheSize = bareODMRP, 0 }},
-		{"zero maodv data cache", func(c *Config) { c.Stack, c.MAODV.DataCacheSize = bareMAODV, 0 }},
+		// Bounds the engine indexes or slices with: each panicked or
+		// never returned before Validate checked it.
 		{"negative max reply msgs", func(c *Config) { c.Gossip.MaxReplyMsgs = -1 }},
 		{"negative lost buffer cap", func(c *Config) { c.Gossip.LostBufferCap = -1 }},
 		{"negative member cache cap", func(c *Config) { c.Gossip.CacheCap = -1 }},
@@ -126,58 +116,14 @@ func TestConfigValidate(t *testing.T) {
 		{"negative lost table cap", func(c *Config) { c.Gossip.LostTableCap = -1 }},
 		{"negative expected cap", func(c *Config) { c.Gossip.ExpectedCap = -1 }},
 		{"negative walk ttl", func(c *Config) { c.Gossip.WalkTTL = -1 }},
-		// Below one, every sweep broke every link.
-		{"negative aodv allowed hello loss", func(c *Config) { c.AODV.AllowedHelloLoss = -1 }},
-		{"zero aodv allowed hello loss", func(c *Config) { c.AODV.AllowedHelloLoss = 0 }},
 		// A gossip message carries each list's length in one byte: the
 		// simulator timed requests the wire cannot carry.
 		{"lost buffer cap above 255", func(c *Config) { c.Gossip.LostBufferCap = 256 }},
 		{"expected cap above 255", func(c *Config) { c.Gossip.ExpectedCap = 256 }},
 		{"max reply msgs above 255", func(c *Config) { c.Gossip.MaxReplyMsgs = 256 }},
-		{"negative cw min", func(c *Config) { c.MAC.CWMin = -1 }},
-		{"negative cw max", func(c *Config) { c.MAC.CWMax = -1 }},
-		{"zero aodv hello interval", func(c *Config) { c.AODV.HelloInterval = 0 }},
-		{"zero odmrp refresh interval", func(c *Config) { c.Stack, c.ODMRP.RefreshInterval = bareODMRP, 0 }},
-		// Each of these ran without error: the first two never returned,
-		// the rest sent their packets and delivered none or few.
-		{"negative maodv group hello interval", func(c *Config) { c.MAODV.GroupHelloInterval = -time.Second }},
-		{"zero maodv group hello interval", func(c *Config) { c.MAODV.GroupHelloInterval, c.MAODV.GroupHelloJitter = 0, 0 }},
-		{"zero bit rate", func(c *Config) { c.MAC.BitRate = 0 }},
-		{"negative bit rate", func(c *Config) { c.MAC.BitRate = -1 }},
-		{"nan bit rate", func(c *Config) { c.MAC.BitRate = math.NaN() }},
-		{"inf bit rate", func(c *Config) { c.MAC.BitRate = math.Inf(1) }},
-		{"negative phy overhead", func(c *Config) { c.MAC.PhyOverhead = -time.Second }},
-		{"negative header bytes", func(c *Config) { c.MAC.HeaderBytes = -100 }},
-		{"negative slot time", func(c *Config) { c.MAC.SlotTime = -time.Millisecond }},
-		{"negative ack bytes", func(c *Config) { c.MAC.AckBytes = -100 }},
-		{"zero mac queue cap", func(c *Config) { c.MAC.QueueCap = 0 }},
 		{"zero data interval", func(c *Config) { c.DataInterval = 0 }},
 		{"negative data interval", func(c *Config) { c.DataInterval = -time.Second }},
-		// Each of these ran without error on a 10-node 30 s maodv+gossip
-		// run that delivers 1.000 at the defaults: the first three at
-		// 0.000, the seen lifetime at 48× the events (an RREQ re-flood
-		// storm), the join reply waits at 0.000.
-		{"negative rts bytes", func(c *Config) { c.MAC.RTSThreshold, c.MAC.RTSBytes = 0, -1000 }},
-		{"negative cts bytes", func(c *Config) { c.MAC.RTSThreshold, c.MAC.CTSBytes = 0, -1000 }},
-		{"zero aodv active route timeout", func(c *Config) { c.AODV.ActiveRouteTimeout = 0 }},
-		{"zero aodv seen lifetime", func(c *Config) { c.AODV.SeenLifetime = 0 }},
-		{"zero maodv join reply wait", func(c *Config) { c.MAODV.JoinReplyWait = 0 }},
-		{"negative maodv join reply wait", func(c *Config) { c.MAODV.JoinReplyWait = -time.Second }},
-		// Each of these ran without error on a 10-node 30 s run with
-		// gossip: the mesh lifetimes at 0.495 delivery and 92× the
-		// events, the oversized bodies at 0.000 (a live link refuses
-		// them), negative DIFS at 30 % more events, mode 7 as pull.
-		{"zero odmrp mesh lifetime", func(c *Config) { c.Stack, c.ODMRP.MeshLifetime = odmrpAG, 0 }},
-		{"negative odmrp mesh lifetime", func(c *Config) { c.Stack, c.ODMRP.MeshLifetime = odmrpAG, -time.Second }},
-		{"maodv data body past the wire limit", func(c *Config) { c.MAODV.PayloadLen = 65535 }},
-		{"flood data body past the wire limit", func(c *Config) { c.Stack, c.Flood.PayloadLen = bareFlood, 65522 }},
-		{"gossip reply past the wire limit", func(c *Config) { c.MAODV.PayloadLen = 6550 }},
-		{"gossip push past the wire limit", func(c *Config) {
-			// Fits a pull reply's header, not a push request's.
-			c.Gossip.Mode, c.Gossip.MaxReplyMsgs, c.MAODV.PayloadLen = gossip.ModePush, 2, 32748
-		}},
-		{"negative sifs", func(c *Config) { c.MAC.SIFS = -time.Millisecond }},
-		{"negative difs", func(c *Config) { c.MAC.DIFS = -time.Millisecond }},
+		// Mode 7 ran without error, as pull.
 		{"gossip mode 7", func(c *Config) { c.Gossip.Mode = 7 }},
 		{"gossip mode unset", func(c *Config) { c.Gossip.Mode = 0 }},
 	}
@@ -190,6 +136,65 @@ func TestConfigValidate(t *testing.T) {
 			}
 			if _, err := Run(cfg); err == nil {
 				t.Fatal("Run accepted invalid config")
+			}
+		})
+	}
+
+	// The substrate below gossip is fixed at its package defaults, so the
+	// rows that once set one of its knobs past a bound now check that the
+	// defaults every run is built on stay inside that bound. The gossip
+	// rows take every list at the one-byte bound Validate admits: then no
+	// configuration can build a gossip message a live link refuses.
+	payloads := []uint16{
+		flood.DefaultConfig().PayloadLen,
+		maodv.DefaultConfig().PayloadLen,
+		odmrp.DefaultConfig().PayloadLen,
+	}
+	dataBody := func(payload uint16) int { return (&pkt.Data{PayloadLen: payload}).WireSize() }
+	fullMsgs := func(payload uint16) []pkt.Data {
+		msgs := make([]pkt.Data, math.MaxUint8)
+		for i := range msgs {
+			msgs[i].PayloadLen = payload
+		}
+		return msgs
+	}
+	pushFits := func() bool {
+		for _, p := range payloads {
+			req := &pkt.GossipReq{
+				Lost:     make([]pkt.SeqKey, math.MaxUint8),
+				Expected: make([]pkt.Expect, math.MaxUint8),
+				Pushed:   fullMsgs(p),
+			}
+			if req.WireSize() > pkt.MaxBodySize {
+				return false
+			}
+		}
+		return true
+	}
+	replyFits := func() bool {
+		for _, p := range payloads {
+			if (&pkt.GossipRep{Msgs: fullMsgs(p)}).WireSize() > pkt.MaxBodySize {
+				return false
+			}
+		}
+		return true
+	}
+	substrate := []struct {
+		name   string
+		inside func() bool
+	}{
+		{"flood data body past the wire limit", func() bool { return dataBody(flood.DefaultConfig().PayloadLen) <= pkt.MaxBodySize }},
+		{"maodv data body past the wire limit", func() bool { return dataBody(maodv.DefaultConfig().PayloadLen) <= pkt.MaxBodySize }},
+		{"gossip push past the wire limit", pushFits},
+		{"gossip reply past the wire limit", replyFits},
+		{"zero flood cache", func() bool { return flood.DefaultConfig().CacheSize > 0 }},
+		{"zero maodv data cache", func() bool { return maodv.DefaultConfig().DataCacheSize > 0 }},
+		{"zero odmrp cache", func() bool { return odmrp.DefaultConfig().CacheSize > 0 }},
+	}
+	for _, tt := range substrate {
+		t.Run(tt.name, func(t *testing.T) {
+			if !tt.inside() {
+				t.Fatal("the fixed substrate breaks the bound")
 			}
 		})
 	}

@@ -13,27 +13,6 @@ import (
 	"anongossip/internal/sim"
 )
 
-// Params holds the per-layer configuration blocks. A stack reads only
-// the blocks of the layers it builds.
-type Params struct {
-	AODV   aodv.Config
-	MAODV  maodv.Config
-	Flood  flood.Config
-	ODMRP  odmrp.Config
-	Gossip gossip.Config
-}
-
-// DefaultParams returns every layer's package defaults.
-func DefaultParams() Params {
-	return Params{
-		AODV:   aodv.DefaultConfig(),
-		MAODV:  maodv.DefaultConfig(),
-		Flood:  flood.DefaultConfig(),
-		ODMRP:  odmrp.DefaultConfig(),
-		Gossip: gossip.DefaultConfig(),
-	}
-}
-
 // RecoveryStats is the per-member outcome of a stack.
 type RecoveryStats struct {
 	// Delivered counts unique data packets obtained (routing + recovery).
@@ -78,9 +57,11 @@ type Node struct {
 }
 
 // Assemble builds one node's stack s on st: the routing first, then the
-// gossip engine over it. Component RNG streams derive from rng under the
-// labels "<layer>/<index>". Subscribe with OnDeliver, then call Start.
-func Assemble(s Spec, st *node.Stack, rng *sim.RNG, index int, p Params) (*Node, error) {
+// gossip engine over it, configured by g. The routing and its AODV
+// substrate run on their package defaults, the paper's parameters.
+// Component RNG streams derive from rng under the labels
+// "<layer>/<index>". Subscribe with OnDeliver, then call Start.
+func Assemble(s Spec, st *node.Stack, rng *sim.RNG, index int, g gossip.Config) (*Node, error) {
 	s = s.Normalize()
 	if err := Check(s); err != nil {
 		return nil, err
@@ -94,20 +75,23 @@ func Assemble(s Spec, st *node.Stack, rng *sim.RNG, index int, p Params) (*Node,
 	)
 	switch s.Routing {
 	case "flood":
-		fr := flood.New(st, derive("flood"), p.Flood)
+		cfg := flood.DefaultConfig()
+		fr := flood.New(st, derive("flood"), cfg)
 		st.SetRouter(node.NullRouter{})
 		if recovers {
 			tree = fr.GossipTree() // switches relay tracking on
 		}
-		n.routing, n.payload = fr, p.Flood.PayloadLen
+		n.routing, n.payload = fr, cfg.PayloadLen
 	case "maodv":
-		n.uni = aodv.New(st, derive("aodv"), p.AODV)
-		mr = maodv.New(st, n.uni, derive("maodv"), p.MAODV)
-		n.routing, tree, n.payload = mr, mr, p.MAODV.PayloadLen
+		cfg := maodv.DefaultConfig()
+		n.uni = aodv.New(st, derive("aodv"), aodv.DefaultConfig())
+		mr = maodv.New(st, n.uni, derive("maodv"), cfg)
+		n.routing, tree, n.payload = mr, mr, cfg.PayloadLen
 	case "odmrp":
-		or := odmrp.New(st, derive("odmrp"), p.ODMRP)
+		cfg := odmrp.DefaultConfig()
+		or := odmrp.New(st, derive("odmrp"), cfg)
 		st.SetRouter(node.NullRouter{})
-		n.routing, tree, n.payload = or, or, p.ODMRP.PayloadLen
+		n.routing, tree, n.payload = or, or, cfg.PayloadLen
 	}
 	if !recovers {
 		return n, nil
@@ -116,9 +100,9 @@ func Assemble(s Spec, st *node.Stack, rng *sim.RNG, index int, p Params) (*Node,
 	// replies are unicast: MAODV's AODV serves them, other routings get
 	// one installed here.
 	if n.uni == nil {
-		n.uni = aodv.New(st, derive("aodv"), p.AODV)
+		n.uni = aodv.New(st, derive("aodv"), aodv.DefaultConfig())
 	}
-	n.eng = gossip.New(st, tree, derive("gossip"), p.Gossip)
+	n.eng = gossip.New(st, tree, derive("gossip"), g)
 	n.eng.SetHopEstimator(n.uni.RouteHops)
 	n.routing.OnDeliver(n.eng.OnTreeData)
 	if mr != nil {

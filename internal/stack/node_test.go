@@ -9,7 +9,7 @@ import (
 
 	"anongossip/internal/flood"
 	"anongossip/internal/geom"
-	"anongossip/internal/mac"
+	"anongossip/internal/gossip"
 	"anongossip/internal/maodv"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
@@ -46,11 +46,11 @@ func runStack(t *testing.T, s Spec) *stackRun {
 	root := sim.NewRNG(5)
 	for i := 0; i < 3; i++ {
 		rt, err := simrt.New(w.sched, root.Derive(fmt.Sprintf("stack/%d", i)), medium, pkt.NodeID(i+1),
-			mobility.Static{P: geom.Point{X: 50 * float64(i)}}, mac.DefaultConfig())
+			mobility.Static{P: geom.Point{X: 50 * float64(i)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := Assemble(s, node.NewOnRuntime(rt), root, i, DefaultParams())
+		n, err := Assemble(s, node.NewOnRuntime(rt), root, i, gossip.DefaultConfig())
 		if err != nil {
 			t.Fatalf("Assemble(%v): %v", s, err)
 		}
@@ -158,7 +158,7 @@ func TestAssembleComposedNode(t *testing.T) {
 func TestAssembleErrors(t *testing.T) {
 	bad := []Spec{{}, {Routing: "carrier-pigeon"}, {Routing: "flood", Recovery: "carrier"}, {Recovery: "gossip"}}
 	for _, s := range bad {
-		n, err := Assemble(s, nil, nil, 0, DefaultParams())
+		n, err := Assemble(s, nil, nil, 0, gossip.DefaultConfig())
 		if err == nil || n != nil {
 			t.Fatalf("Assemble(%#v) = %v, %v; want an error", s, n, err)
 		}
