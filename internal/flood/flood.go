@@ -18,6 +18,7 @@ import (
 	"anongossip/internal/pkt"
 	"anongossip/internal/runtime"
 	"anongossip/internal/sim"
+	"anongossip/internal/table"
 )
 
 // Config parameterises the flooding protocol.
@@ -61,7 +62,7 @@ type Router struct {
 	sched runtime.Clock
 	rng   *sim.RNG
 
-	members map[pkt.GroupID]bool
+	members table.Table[struct{}] // keyed by GroupID.Uint64
 	seen    node.SeqCache
 	seq     uint32
 
@@ -71,7 +72,7 @@ type Router struct {
 	// recovery layer biases its anonymous walks over. Recording only
 	// happens once trackRelays is set (a recovery layer took the
 	// substrate); bare flooding pays nothing on the data hot path.
-	relays      map[pkt.NodeID]sim.Time
+	relays      table.Table[sim.Time] // keyed by NodeID.Uint64
 	trackRelays bool
 	// hops is NextHops' scratch, lent to the walk.
 	hops []gossip.NextHop
@@ -87,13 +88,11 @@ func New(st *node.Stack, rng *sim.RNG, cfg Config) *Router {
 		panic("flood: CacheSize must be positive")
 	}
 	r := &Router{
-		cfg:     cfg,
-		stack:   st,
-		sched:   st.Clock(),
-		rng:     rng,
-		members: make(map[pkt.GroupID]bool),
-		seen:    node.NewSeqCache(cfg.CacheSize),
-		relays:  make(map[pkt.NodeID]sim.Time),
+		cfg:   cfg,
+		stack: st,
+		sched: st.Clock(),
+		rng:   rng,
+		seen:  node.NewSeqCache(cfg.CacheSize),
 	}
 	st.Handle(pkt.KindData, r.onData)
 	return r
@@ -112,13 +111,13 @@ func (r *Router) Delivered() uint64 { return r.stats.DataDelivered }
 
 // Join registers group membership (delivery only; flooding needs no
 // routing state).
-func (r *Router) Join(g pkt.GroupID) { r.members[g] = true }
+func (r *Router) Join(g pkt.GroupID) { r.members.Put(g.Uint64(), struct{}{}) }
 
 // Leave revokes membership.
-func (r *Router) Leave(g pkt.GroupID) { delete(r.members, g) }
+func (r *Router) Leave(g pkt.GroupID) { r.members.Delete(g.Uint64()) }
 
 // IsMember reports membership (part of the gossip Tree interface).
-func (r *Router) IsMember(g pkt.GroupID) bool { return r.members[g] }
+func (r *Router) IsMember(g pkt.GroupID) bool { return r.members.Ref(g.Uint64()) != nil }
 
 // GossipTree exposes the relay table as an AG walk substrate, switching
 // relay tracking on for this node.
@@ -132,7 +131,7 @@ func (r *Router) GossipTree() gossip.Tree {
 // degrades to uniform choice over recently heard relays, as over
 // ODMRP's mesh.
 func (r *Router) NextHops(pkt.GroupID) []gossip.NextHop {
-	r.hops = gossip.AppendLiveHops(r.hops[:0], r.relays, r.sched.Now())
+	r.hops = gossip.AppendLiveHops(r.hops[:0], &r.relays, r.sched.Now())
 	return r.hops
 }
 
@@ -141,7 +140,7 @@ var ErrNotMember = errors.New("flood: node is not a member of the group")
 
 // SendData floods one application payload to the group.
 func (r *Router) SendData(g pkt.GroupID) (pkt.SeqKey, error) {
-	if !r.members[g] {
+	if !r.IsMember(g) {
 		return pkt.SeqKey{}, ErrNotMember
 	}
 	r.seq++
@@ -158,13 +157,13 @@ func (r *Router) onData(p *pkt.Packet, from pkt.NodeID) {
 		return
 	}
 	if r.trackRelays && r.cfg.RelayLifetime > 0 && from != r.stack.ID() {
-		r.relays[from] = r.sched.Now() + r.cfg.RelayLifetime
+		r.relays.Put(from.Uint64(), r.sched.Now()+r.cfg.RelayLifetime)
 	}
 	if !r.seen.Add(d.Key()) {
 		r.stats.DataDuplicates++
 		return
 	}
-	if r.members[d.Group] {
+	if r.IsMember(d.Group) {
 		r.stats.DataDelivered++
 		for _, fn := range r.subs {
 			fn(d.Group, d, from)

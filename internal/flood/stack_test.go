@@ -48,8 +48,8 @@ func TestRelayTreeTracksAndExpires(t *testing.T) {
 	if left := tree.NextHops(group); len(left) != 0 {
 		t.Fatalf("relay links survived expiry: %v", left)
 	}
-	if len(w.routers[1].relays) != 0 {
-		t.Fatalf("expired relays not pruned: %v", w.routers[1].relays)
+	if n := w.routers[1].relays.Len(); n != 0 {
+		t.Fatalf("%d expired relays not pruned", n)
 	}
 }
 
@@ -65,8 +65,8 @@ func TestRelayTrackingDisabled(t *testing.T) {
 	})
 	w.sched.Run(3 * time.Second)
 	for i, r := range w.routers {
-		if len(r.relays) != 0 {
-			t.Fatalf("node %d tracked relays with tracking disabled: %v", i, r.relays)
+		if n := r.relays.Len(); n != 0 {
+			t.Fatalf("node %d tracked %d relays with tracking disabled", i, n)
 		}
 	}
 }

@@ -54,21 +54,26 @@ type Tree interface {
 }
 
 // AppendLiveHops appends the walk substrate of a protocol whose links
-// are soft state to dst: links maps each neighbour to the expiry of its
-// evidence. Expired entries are deleted; the rest are appended sorted
-// by ID — not in the map's order — with unknown nearest-member
-// distances, so the walk degrades to uniform choice.
-func AppendLiveHops(dst []NextHop, links map[pkt.NodeID]sim.Time, now sim.Time) []NextHop {
+// are soft state to dst: links maps each neighbour (NodeID.Uint64) to
+// the expiry of its evidence. Expired entries are deleted; the rest are
+// appended sorted by ID — not in the table's order — with unknown
+// nearest-member distances, so the walk degrades to uniform choice.
+func AppendLiveHops(dst []NextHop, links *table.Table[sim.Time], now sim.Time) []NextHop {
 	n := len(dst)
-	for id, expiry := range links {
-		if expiry <= now {
-			delete(links, id)
+	for id := range links.All() {
+		dst = append(dst, NextHop{ID: pkt.NodeID(id), Nearest: pkt.NearestUnknown})
+	}
+	// The table cannot change under All: expired links go after it.
+	live := dst[:n]
+	for _, h := range dst[n:] {
+		if expiry, _ := links.Get(h.ID.Uint64()); expiry <= now {
+			links.Delete(h.ID.Uint64())
 			continue
 		}
-		dst = append(dst, NextHop{ID: id, Nearest: pkt.NearestUnknown})
+		live = append(live, h)
 	}
-	SortHops(dst[n:])
-	return dst
+	SortHops(live[n:])
+	return live
 }
 
 // SortHops orders walk links by node ID.

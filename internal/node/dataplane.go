@@ -30,8 +30,11 @@ func (s *Stack) Rebroadcast(p *pkt.Packet, rng *sim.RNG, jitter time.Duration) *
 	if n := len(s.relays); n > 0 {
 		r, s.relays = s.relays[n-1], s.relays[:n-1]
 	} else {
+		// A new pending-relay high-water mark: the spares keep one more
+		// copy, so the next burst this deep is built in handed-back ones.
 		r = &relay{s: s}
 		r.fn = r.fire
+		s.spares.Grow()
 	}
 	r.p = cp
 	s.rt.After(rng.Duration(jitter), r.fn)

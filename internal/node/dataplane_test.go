@@ -6,8 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"anongossip/internal/geom"
 	"anongossip/internal/mac"
+	"anongossip/internal/mobility"
 	"anongossip/internal/pkt"
+	"anongossip/internal/radio"
+	rt "anongossip/internal/runtime"
+	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 	"anongossip/internal/trace"
 )
@@ -209,23 +214,105 @@ func TestRefusedSendsComeBack(t *testing.T) {
 // TestRebroadcastAllocatesNothing: a relay, from Rebroadcast to the
 // copy leaving the MAC, allocates nothing in steady state: its timer
 // record comes off the Stack's free list, and its copy is built in the
-// packet the previous relay's link handed back.
+// packet an earlier relay's link handed back — also in a burst of more
+// relays pending at once than the two spares a stack keeps at rest,
+// since each new relay record raised that bound by one.
 func TestRebroadcastAllocatesNothing(t *testing.T) {
-	e := line(t, 2)
-	p := hello(1, pkt.Broadcast)
-	rng := sim.NewRNG(5)
-	relay := func() {
-		if e.stacks[0].Rebroadcast(p, rng, time.Millisecond) == nil {
-			t.Fatal("live packet not relayed")
+	for _, depth := range []int{1, 5} {
+		e := line(t, 2)
+		p := hello(1, pkt.Broadcast)
+		rng := sim.NewRNG(5)
+		burst := func() {
+			for range depth {
+				if e.stacks[0].Rebroadcast(p, rng, time.Millisecond) == nil {
+					t.Fatal("live packet not relayed")
+				}
+			}
+			e.sched.Run(e.sched.Now() + 20*time.Millisecond)
 		}
-		e.sched.Run(e.sched.Now() + 5*time.Millisecond)
+		burst()
+		if got := testing.AllocsPerRun(100, burst); got != 0 {
+			t.Fatalf("a burst of %d relays allocates %v times, want 0", depth, got)
+		}
+		if st := e.stacks[1].Stats(); st.NoHandler != uint64(102*depth) {
+			t.Fatalf("neighbour heard %d relays, want %d", st.NoHandler, 102*depth)
+		}
 	}
-	relay()
-	if got := testing.AllocsPerRun(100, relay); got != 0 {
-		t.Fatalf("a relay allocates %v times, want 0", got)
+}
+
+// linkWatch is a runtime that tracks the packets a stack has let go of:
+// a relay copy from Rebroadcast's return until the link hands it back,
+// or refuses it.
+type linkWatch struct {
+	rt.Runtime
+	out map[*pkt.Packet]bool
+}
+
+func (w *linkWatch) Send(p *pkt.Packet, to pkt.NodeID) bool {
+	ok := w.Runtime.Send(p, to)
+	if !ok {
+		delete(w.out, p)
 	}
-	if st := e.stacks[1].Stats(); st.NoHandler != 102 {
-		t.Fatalf("neighbour heard %d relays, want 102", st.NoHandler)
+	return ok
+}
+
+func (w *linkWatch) Bind(recv rt.ReceiveFunc, done rt.SendDoneFunc) {
+	w.Runtime.Bind(recv, func(p *pkt.Packet, to pkt.NodeID, ok bool) {
+		delete(w.out, p)
+		done(p, to, ok)
+	})
+}
+
+// TestRelayCopyNeverBuiltWhileHeld: a relay copy's storage is the stack's
+// again only once the link hands it back. Bursts of relays deep enough to
+// back up the MAC queue — copies pending on their jitter, queued, on the
+// air — must each be built in storage nobody holds, and every copy is
+// heard exactly once. From the second burst on, every copy is built in a
+// packet the first burst's link handed back.
+func TestRelayCopyNeverBuiltWhileHeld(t *testing.T) {
+	sched := sim.NewScheduler()
+	medium := radio.NewMedium(sched, radio.Params{Range: 60})
+	rng := sim.NewRNG(99)
+	watch := &linkWatch{out: map[*pkt.Packet]bool{}}
+	var stacks []*Stack
+	for i := range 2 {
+		r, err := simrt.New(sched, rng, medium, pkt.NodeID(i+1), mobility.Static{P: geom.Point{X: float64(i) * 50}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runtime rt.Runtime = r
+		if i == 0 {
+			watch.Runtime = r
+			runtime = watch
+		}
+		stacks = append(stacks, NewOnRuntime(runtime))
+	}
+	heard := map[uint32]int{}
+	stacks[1].Handle(pkt.KindHello, func(p *pkt.Packet, _ pkt.NodeID) { heard[p.Body.(*pkt.Hello).Seq]++ })
+	const depth, bursts = 12, 4
+	built := map[*pkt.Packet]bool{}
+	for b := range bursts {
+		for i := range depth {
+			seq := uint32(b*depth + i)
+			cp := stacks[0].Rebroadcast(pkt.NewPacket(1, pkt.Broadcast, &pkt.Hello{Seq: seq}), rng, 20*time.Millisecond)
+			if watch.out[cp] {
+				t.Fatalf("relay %d built in a packet a pending relay or the link still holds", seq)
+			}
+			watch.out[cp] = true
+			built[cp] = true
+		}
+		sched.Run(sched.Now() + time.Second)
+		if len(watch.out) != 0 {
+			t.Fatalf("burst %d: %d copies never handed back", b, len(watch.out))
+		}
+	}
+	for seq := uint32(0); seq < depth*bursts; seq++ {
+		if heard[seq] != 1 {
+			t.Fatalf("relay %d heard %d times, want once (all: %v)", seq, heard[seq], heard)
+		}
+	}
+	if len(built) != depth {
+		t.Fatalf("%d bursts of %d relays built %d distinct copies, want every burst after the first in the first's", bursts, depth, len(built))
 	}
 }
 

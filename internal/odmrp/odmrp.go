@@ -28,6 +28,7 @@ import (
 	"anongossip/internal/pkt"
 	"anongossip/internal/runtime"
 	"anongossip/internal/sim"
+	"anongossip/internal/table"
 )
 
 // Config parameterises ODMRP.
@@ -89,7 +90,7 @@ type groupState struct {
 	routes map[pkt.NodeID]*sourceRoute
 	// links maps mesh neighbours usable by the gossip walk to the expiry
 	// of their soft state.
-	links map[pkt.NodeID]sim.Time
+	links table.Table[sim.Time] // keyed by NodeID.Uint64
 
 	data node.SeqCache
 
@@ -150,7 +151,6 @@ func (r *Router) groupState(g pkt.GroupID) *groupState {
 	if !ok {
 		gs = &groupState{
 			routes: make(map[pkt.NodeID]*sourceRoute),
-			links:  make(map[pkt.NodeID]sim.Time),
 			data:   node.NewSeqCache(r.cfg.CacheSize),
 		}
 		r.groups[g] = gs
@@ -182,7 +182,7 @@ func (r *Router) NextHops(g pkt.GroupID) []gossip.NextHop {
 	if !ok {
 		return nil
 	}
-	r.hops = gossip.AppendLiveHops(r.hops[:0], gs.links, r.sched.Now())
+	r.hops = gossip.AppendLiveHops(r.hops[:0], &gs.links, r.sched.Now())
 	return r.hops
 }
 
@@ -311,7 +311,7 @@ func (r *Router) onData(p *pkt.Packet, from pkt.NodeID) {
 }
 
 func (r *Router) touchLink(gs *groupState, id pkt.NodeID) {
-	gs.links[id] = r.sched.Now() + r.cfg.MeshLifetime
+	gs.links.Put(id.Uint64(), r.sched.Now()+r.cfg.MeshLifetime)
 }
 
 func newerSeq(a, b uint32) bool { return int32(a-b) > 0 }

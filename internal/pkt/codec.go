@@ -81,12 +81,18 @@ func (c *coder) zeros(n int) {
 }
 
 // count codes a list's one-byte length and returns it. Decoding sizes
-// *s to it: one allocation for a non-empty list, none for an empty one.
+// *s to it, in *s's own storage when it has room (a Scratch's packet
+// decoded over), else in one new allocation — none for an empty list,
+// which still decodes non-nil.
 func count[T any](c *coder, s *[]T) int {
 	n := uint8(len(*s))
 	u8(c, &n)
 	if c.decode {
-		*s = make([]T, n)
+		if *s != nil && cap(*s) >= int(n) {
+			*s = (*s)[:n]
+		} else {
+			*s = make([]T, n)
+		}
 	}
 	return int(n)
 }

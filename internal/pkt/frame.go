@@ -72,9 +72,9 @@ func EncodeFrame(f *Frame) []byte {
 // parseFrame is the one frame decoder. Malformed input — short buffers,
 // wrong magic or version, truncated or trailing packet bytes, unknown
 // body kinds — yields an error, never a panic: on a live socket every
-// datagram is attacker- (or at least misconfiguration-) controlled. dp
-// is where a Data packet lands (see decode).
-func parseFrame(b []byte, dp *dataPacket) (Frame, error) {
+// datagram is attacker- (or at least misconfiguration-) controlled. s
+// is where the packet lands (see decode).
+func parseFrame(b []byte, s *Scratch) (Frame, error) {
 	c := coder{buf: b, decode: true}
 	var f Frame
 	switch magic, version := f.header(&c); {
@@ -85,7 +85,7 @@ func parseFrame(b []byte, dp *dataPacket) (Frame, error) {
 	case version != FrameVersion:
 		return Frame{}, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, version, FrameVersion)
 	}
-	p, err := decode(&c, dp)
+	p, err := decode(&c, s)
 	if err != nil {
 		return Frame{}, err
 	}
@@ -104,11 +104,33 @@ func DecodeFrame(b []byte) (*Frame, error) {
 	return &f, nil
 }
 
-// Scratch is the storage a receive loop decodes Data packets into, so a
-// frame the stack discards costs no allocation. The zero value is ready.
-type Scratch struct{ dp dataPacket }
+// Scratch is the storage a receive loop decodes packets into, one
+// packet per body kind, so a frame costs no allocation once its kind
+// has been seen: a body and its lists (RERR.Dests, GossipReq.Lost,
+// Expected and Pushed, GossipRep.Msgs) are rebuilt in place and keep
+// their capacity, as in Spares.Copy. The zero value is ready.
+type Scratch struct {
+	dp   dataPacket
+	pkts [numKinds]*Packet // every kind but Data, by Kind.slot
+}
+
+// packet returns the storage of kind k to decode into, made on first
+// use: s's own, or fresh when s is nil. An unknown kind has none.
+func (s *Scratch) packet(k Kind) *Packet {
+	if !k.known() {
+		return nil
+	}
+	if s == nil {
+		return &Packet{Body: kinds[k].empty()}
+	}
+	if s.pkts[k.slot()] == nil {
+		s.pkts[k.slot()] = &Packet{Body: kinds[k].empty()}
+	}
+	return s.pkts[k.slot()]
+}
 
 // DecodeFrame is the package-level DecodeFrame with the frame by value
-// and a Data packet placed in s: it is valid until the next call on s
-// (Clone it to keep it). A rejected frame leaves s as it was.
-func (s *Scratch) DecodeFrame(b []byte) (Frame, error) { return parseFrame(b, &s.dp) }
+// and the packet placed in s: it is valid until the next call on s
+// (Clone it to keep it). A rejected frame leaves a Data packet in s as
+// it was, and the packet of any other kind but its own.
+func (s *Scratch) DecodeFrame(b []byte) (Frame, error) { return parseFrame(b, s) }

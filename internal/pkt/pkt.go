@@ -39,6 +39,9 @@ type GroupID uint32
 // String formats a group ID.
 func (g GroupID) String() string { return fmt.Sprintf("g%d", uint32(g)) }
 
+// Uint64 is g as a table.Table key.
+func (g GroupID) Uint64() uint64 { return uint64(g) }
+
 // Kind discriminates packet bodies.
 type Kind uint8
 
@@ -80,20 +83,15 @@ var kinds = [...]struct {
 func Kinds() []Kind {
 	var out []Kind
 	for k := range kinds {
-		if kinds[k].empty != nil {
+		if Kind(k).known() {
 			out = append(out, Kind(k))
 		}
 	}
 	return out
 }
 
-// empty returns a new zero body of the kind, or nil for an unknown kind.
-func (k Kind) empty() Body {
-	if int(k) >= len(kinds) || kinds[k].empty == nil {
-		return nil
-	}
-	return kinds[k].empty()
-}
+// known reports whether k is a body kind.
+func (k Kind) known() bool { return int(k) < len(kinds) && kinds[k].empty != nil }
 
 // String returns the protocol name of the kind.
 func (k Kind) String() string {
@@ -183,6 +181,10 @@ func (k Kind) slot() int {
 type Spares struct {
 	free [numKinds][maxSpares]*Packet
 	n    [numKinds]uint8
+	// more holds spares past a kind's maxSpares, of any kind and at most
+	// extra of them: the room Grow made.
+	more  []*Packet
+	extra int
 }
 
 // maxSpares bounds each free list. A steady sender has at most a packet
@@ -191,12 +193,21 @@ type Spares struct {
 // staying live for the rest of the run.
 const maxSpares = 2
 
+// Grow makes room for one more spare past the free lists' bound. A
+// sender that holds more packets of its own at once than a steady one —
+// node.Stack's pending relays — grows its spares with them, so the
+// packets its link hands back after such a burst are kept for the next.
+func (s *Spares) Grow() { s.extra++ }
+
 // Put gives p back for reuse. The caller must hold the last reference
 // to p: Copy rewrites it.
 func (s *Spares) Put(p *Packet) {
-	if i := p.Body.Kind().slot(); s.n[i] < maxSpares {
+	switch i := p.Body.Kind().slot(); {
+	case s.n[i] < maxSpares:
 		s.free[i][s.n[i]] = p
 		s.n[i]++
+	case len(s.more) < s.extra:
+		s.more = append(s.more, p)
 	}
 }
 
@@ -205,14 +216,21 @@ func (s *Spares) take(k Kind) *Packet {
 	if s == nil {
 		return nil
 	}
-	i := k.slot()
-	if s.n[i] == 0 {
-		return nil
+	if i := k.slot(); s.n[i] > 0 {
+		s.n[i]--
+		p := s.free[i][s.n[i]]
+		s.free[i][s.n[i]] = nil
+		return p
 	}
-	s.n[i]--
-	p := s.free[i][s.n[i]]
-	s.free[i][s.n[i]] = nil
-	return p
+	for j := len(s.more) - 1; j >= 0; j-- {
+		if p := s.more[j]; p.Body.Kind() == k {
+			last := len(s.more) - 1
+			s.more[j], s.more[last] = s.more[last], nil
+			s.more = s.more[:last]
+			return p
+		}
+	}
+	return nil
 }
 
 // Copy returns a deep copy of src. It is built in one of s's spares of
@@ -354,9 +372,10 @@ func Decode(b []byte) (*Packet, error) {
 }
 
 // decode is the one packet reader: it reads the rest of c's buffer as
-// one packet. A Data packet lands in dp (a fresh one when dp is nil),
-// which is written only after every check passed.
-func decode(c *coder, dp *dataPacket) (*Packet, error) {
+// one packet, into s (fresh storage when s is nil). A Data packet is
+// written only after every check passed; any other kind is decoded in
+// place, over the packet of its kind s holds.
+func decode(c *coder, s *Scratch) (*Packet, error) {
 	var h Packet
 	var bodyLen uint16
 	h.header(c, &bodyLen)
@@ -372,23 +391,25 @@ func decode(c *coder, dp *dataPacket) (*Packet, error) {
 		if err := c.finish(); err != nil {
 			return nil, err
 		}
-		if dp == nil {
+		var dp *dataPacket
+		if s != nil {
+			dp = &s.dp
+		} else {
 			dp = new(dataPacket)
 		}
 		dp.Packet, dp.data = h, d
 		dp.Body = &dp.data
 		return &dp.Packet, nil
 	}
-	body := h.Kind.empty()
-	if body == nil {
+	p := s.packet(h.Kind)
+	if p == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, uint8(h.Kind))
 	}
-	*c = body.code(*c)
+	*c = p.Body.code(*c)
 	if err := c.finish(); err != nil {
 		return nil, err
 	}
-	p := new(Packet)
+	h.Body = p.Body
 	*p = h
-	p.Body = body
 	return p, nil
 }

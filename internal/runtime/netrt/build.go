@@ -2,6 +2,7 @@ package netrt
 
 import (
 	"fmt"
+	"sync"
 
 	"anongossip/internal/gossip"
 	"anongossip/internal/node"
@@ -32,6 +33,16 @@ type ProtocolNode struct {
 	rt    *Node
 	stack *node.Stack
 	node  *stack.Node
+
+	// pub is Publish's call: the closure, bound once, and its argument
+	// and results. mu serialises Publish callers around them.
+	pub struct {
+		mu    sync.Mutex
+		fn    func()
+		group pkt.GroupID
+		key   pkt.SeqKey
+		err   error
+	}
 }
 
 // NewProtocolNode joins the transport and assembles the stack. The node
@@ -52,7 +63,9 @@ func NewProtocolNode(cfg ProtocolConfig, tr Transport) (*ProtocolNode, error) {
 		rt.Close()
 		return nil, fmt.Errorf("netrt: %w", err)
 	}
-	return &ProtocolNode{rt: rt, stack: st, node: n}, nil
+	p := &ProtocolNode{rt: rt, stack: st, node: n}
+	p.pub.fn = func() { p.pub.key, p.pub.err = n.Publish(p.pub.group) }
+	return p, nil
 }
 
 // ID returns the node's address.
@@ -97,14 +110,15 @@ func (p *ProtocolNode) Join(g pkt.GroupID) error {
 }
 
 // Publish multicasts one application payload to g and returns its
-// sequence key.
+// sequence key. It allocates nothing.
 func (p *ProtocolNode) Publish(g pkt.GroupID) (pkt.SeqKey, error) {
-	var key pkt.SeqKey
-	var sendErr error
-	if err := p.rt.Do(func() { key, sendErr = p.node.Publish(g) }); err != nil {
+	p.pub.mu.Lock()
+	defer p.pub.mu.Unlock()
+	p.pub.group = g
+	if err := p.rt.Do(p.pub.fn); err != nil {
 		return pkt.SeqKey{}, err
 	}
-	return key, sendErr
+	return p.pub.key, p.pub.err
 }
 
 // Delivered reports the count of unique data packets delivered to the

@@ -65,12 +65,6 @@ type Stats struct {
 	InboxDrops atomic.Uint64
 }
 
-// call is one closure posted onto the event loop.
-type call struct {
-	fn   func()
-	done chan struct{}
-}
-
 // Node is one live node: a runtime.Runtime whose clock is scaled wall
 // time and whose link is a Transport. All engine code — timer
 // callbacks, receive handlers, closures posted with Do — executes on
@@ -92,9 +86,15 @@ type Node struct {
 	asleep   bool
 	wake     chan struct{} // 1 slot: a token means "look again": frames, a call, or quit
 
-	calls chan call // 1 slot: a posted call waits here for the loop's next poll
-	quit  chan struct{}
-	done  chan struct{}
+	// Do's call record: one call at a time, so one node-owned pair of
+	// channels. callMu serialises the callers from posting fn to taking
+	// its token. Every wait under it also selects on quit or done, so
+	// Close always frees it.
+	callMu sync.Mutex
+	calls  chan func()   // 1 slot: the posted call waits here for the loop's next poll
+	called chan struct{} // 1 slot: the loop's token that the posted call returned
+	quit   chan struct{}
+	done   chan struct{}
 
 	start     time.Time
 	started   bool
@@ -104,8 +104,8 @@ type Node struct {
 
 	onRecv rt.ReceiveFunc
 	onDone rt.SendDoneFunc
-	// scratch holds the Data packet being delivered; loop-owned, lent to
-	// onRecv until it returns (see runtime.ReceiveFunc).
+	// scratch holds the packet being delivered, one per kind; loop-owned,
+	// lent to onRecv until it returns (see runtime.ReceiveFunc).
 	scratch pkt.Scratch
 
 	stats Stats
@@ -132,7 +132,8 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 		sched:    sim.NewScheduler(),
 		inboxCap: size,
 		wake:     make(chan struct{}, 1),
-		calls:    make(chan call, 1),
+		calls:    make(chan func(), 1),
+		called:   make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -250,21 +251,27 @@ func (n *Node) Close() error {
 
 // Do runs fn on the event loop and waits for it to finish — the only
 // safe way for other goroutines (client APIs, tests) to touch engine
-// state. It fails with ErrClosed once the node is closing.
+// state. It fails with ErrClosed once the node is closing. Do allocates
+// nothing, so a call with a closure bound once costs no allocation.
 func (n *Node) Do(fn func()) error {
-	c := call{fn: fn, done: make(chan struct{})}
+	n.callMu.Lock()
+	defer n.callMu.Unlock()
 	select {
-	case n.calls <- c:
+	case n.calls <- fn:
 		n.signal()
 	case <-n.quit:
 		return ErrClosed
 	}
 	select {
-	case <-c.done:
+	case <-n.called:
 		return nil
 	case <-n.done:
+		// The loop exited. It sends the token before it can exit, so a
+		// call it ran has its token waiting. A call it never took stays
+		// in calls, where every later Do finds the slot full and quit
+		// closed: no token is ever left for the next caller.
 		select {
-		case <-c.done:
+		case <-n.called:
 			return nil
 		default:
 			return ErrClosed
@@ -280,12 +287,18 @@ func (n *Node) simNow() sim.Time {
 // wallDelay converts a node-timeline delay into wall time, rounded up:
 // a wake-up must not land before the deadline it was armed for, or the
 // loop would find nothing due and spin on zero delays until wall time
-// caught up.
+// caught up. A delay past the longest Duration saturates to it; the
+// conversion would wrap it negative, and a negative wake-up fires at
+// once, every time the loop blocks.
 func (n *Node) wallDelay(d sim.Time) time.Duration {
 	if d <= 0 {
 		return 0
 	}
-	return time.Duration(math.Ceil(float64(d) / n.scale))
+	w := math.Ceil(float64(d) / n.scale)
+	if w >= math.MaxInt64 { // float64(MaxInt64) is 2⁶³, one past it
+		return math.MaxInt64
+	}
+	return time.Duration(w)
 }
 
 // loopBatch bounds the frames delivered between two looks at the clock,
@@ -314,9 +327,9 @@ func (n *Node) loop() {
 		default:
 		}
 		select {
-		case c := <-n.calls:
-			c.fn()
-			close(c.done)
+		case fn := <-n.calls:
+			fn()
+			n.called <- struct{}{} // never blocks: callMu admits one call at a time
 			continue
 		default:
 		}
@@ -355,7 +368,7 @@ func (n *Node) loop() {
 
 // deliver decodes one inbound frame on the event loop and hands it up
 // the stack. Malformed or misaddressed frames are counted and dropped
-// — on a live socket they are routine, never fatal. A Data packet lands
+// — on a live socket they are routine, never fatal. Every packet lands
 // in the node's scratch: a frame the stack discards allocates nothing.
 func (n *Node) deliver(frame []byte) {
 	f, err := n.scratch.DecodeFrame(frame)

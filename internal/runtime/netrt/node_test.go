@@ -2,7 +2,9 @@ package netrt
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -477,8 +479,10 @@ func TestNodeTimerWakesOncePerDeadline(t *testing.T) {
 }
 
 // TestNodeDeliverAllocs pins the per-frame cost of the receive path
-// below the stack: nothing, a Data packet is decoded into the node's
-// scratch. (TestDeliverAllocsFloodGossip counts what a stack adds.)
+// below the stack: nothing, every packet is decoded into the node's
+// scratch — a control frame's lists into the capacity the last frame of
+// its kind left. (TestDeliverAllocsFloodGossip counts what a stack
+// adds.)
 func TestNodeDeliverAllocs(t *testing.T) {
 	n, err := NewNode(NodeConfig{ID: 1}, NewChanTransport())
 	if err != nil {
@@ -486,12 +490,163 @@ func TestNodeDeliverAllocs(t *testing.T) {
 	}
 	defer n.Close()
 	n.Bind(func(*pkt.Packet, pkt.NodeID, bool) {}, nil)
-	wire := dataFrame(2, pkt.Broadcast, 1)
-	// Not started: the test goroutine stands in for the loop.
-	if allocs := testing.AllocsPerRun(1000, func() { n.deliver(wire) }); allocs != 0 {
-		t.Errorf("deliver of a Data frame: %v allocs, want 0", allocs)
+	d := pkt.Data{Group: 1, Origin: 3, Seq: 9, PayloadLen: 64}
+	bodies := []pkt.Body{
+		&pkt.Data{Origin: 2, Seq: 1, PayloadLen: 16},
+		&pkt.Hello{Seq: 4},
+		&pkt.GossipReq{Group: 1, Initiator: 2, Lost: []pkt.SeqKey{d.Key(), {Origin: 4, Seq: 2}},
+			Expected: []pkt.Expect{{Origin: 3, NextSeq: 10}}},
+		&pkt.GossipRep{Group: 1, Responder: 2, Msgs: []pkt.Data{d, d, d}},
 	}
-	if in := n.Stats().FramesIn.Load(); in == 0 {
-		t.Error("deliver handed nothing up the stack")
+	for _, body := range bodies {
+		wire := pkt.EncodeFrame(&pkt.Frame{From: 2, LinkDst: pkt.Broadcast, Packet: pkt.NewPacket(2, pkt.Broadcast, body)})
+		// Not started: the test goroutine stands in for the loop.
+		in := n.Stats().FramesIn.Load()
+		if allocs := testing.AllocsPerRun(1000, func() { n.deliver(wire) }); allocs != 0 {
+			t.Errorf("deliver of a %v frame: %v allocs, want 0", body.Kind(), allocs)
+		}
+		if n.Stats().FramesIn.Load() == in {
+			t.Errorf("deliver handed no %v frame up the stack", body.Kind())
+		}
+	}
+}
+
+// TestDoAndPublishAllocs pins the cost of calling into the loop: Do with
+// a closure bound once allocates nothing, and neither does Publish's
+// call path — a publish the router refuses costs nothing, and one it
+// sends costs the one frame it encodes, which the transport keeps.
+func TestDoAndPublishAllocs(t *testing.T) {
+	tr := NewChanTransport()
+	pn := newFloodGossipNode(t, 1, tr)
+	pn.Start()
+	n := pn.rt
+	calls := 0
+	fn := func() { calls++ }
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := n.Do(fn); err != nil {
+			t.Fatalf("Do: %v", err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Do of a bound closure: %v allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := pn.Publish(recvGroup + 1); err == nil {
+			t.Fatal("Publish to a group the node is not in succeeded")
+		}
+	}); allocs != 0 {
+		t.Errorf("a refused Publish: %v allocs, want 0", allocs)
+	}
+	var last pkt.SeqKey
+	out := n.Stats().FramesOut.Load()
+	allocs := testing.AllocsPerRun(1000, func() {
+		key, err := pn.Publish(recvGroup)
+		if err != nil {
+			t.Fatalf("Publish: %v", err)
+		}
+		last = key
+	})
+	if allocs != 1 {
+		t.Errorf("Publish: %v allocs, want 1 (the encoded frame)", allocs)
+	}
+	if sent := n.Stats().FramesOut.Load() - out; sent < 1000 || last.Seq < 1000 {
+		t.Errorf("%d frames sent, last key %v: the publishes did not go out", sent, last)
+	}
+	if err := n.Do(func() {
+		if calls < 1000 {
+			t.Errorf("%d calls ran, want at least 1000", calls)
+		}
+	}); err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+}
+
+// TestDoRacesClose runs Do from many goroutines while Close runs. Do
+// shares one call record per node, so this is where a token could go to
+// the wrong caller: every call must return nil having run, or ErrClosed
+// not having run, none may hang, and no token may be left behind.
+func TestDoRacesClose(t *testing.T) {
+	const callers, rounds = 8, 50
+	for round := 0; round < rounds; round++ {
+		n, err := NewNode(NodeConfig{ID: 1}, NewChanTransport())
+		if err != nil {
+			t.Fatalf("NewNode: %v", err)
+		}
+		n.Start()
+		var served atomic.Int64
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					var ran atomic.Bool
+					err := n.Do(func() { ran.Store(true) })
+					switch {
+					case err == nil && ran.Load():
+						served.Add(1)
+					case err == nil:
+						t.Error("Do returned nil before its call ran: it took another call's token")
+						return
+					case !errors.Is(err, ErrClosed):
+						t.Errorf("Do: %v, want nil or ErrClosed", err)
+						return
+					case ran.Load():
+						t.Error("Do returned ErrClosed for a call that ran")
+						return
+					default:
+						return
+					}
+				}
+			}()
+		}
+		// Close mid-stream, after every caller has had a turn or so.
+		for served.Load() < callers {
+			runtime.Gosched()
+		}
+		if err := n.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		finished := make(chan struct{})
+		go func() { wg.Wait(); close(finished) }()
+		select {
+		case <-finished:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a Do call hung across Close")
+		}
+		if len(n.called) != 0 {
+			t.Fatal("a call token was left for the next caller")
+		}
+		if t.Failed() {
+			return
+		}
+	}
+}
+
+// TestNodeSaturatedTimerSleeps arms a timer at the end of the node's
+// time. At any time scale its wall delay is past what a Duration holds;
+// the conversion must saturate, not wrap negative — a negative wake-up
+// fires at once, and the loop would spin on it. While the loop waits
+// for nothing but that timer it wakes only for the calls it is sent.
+func TestNodeSaturatedTimerSleeps(t *testing.T) {
+	for _, scale := range []float64{0.5, 1, 2} {
+		n, err := NewNode(NodeConfig{ID: 1, TimeScale: scale}, NewChanTransport())
+		if err != nil {
+			t.Fatalf("NewNode: %v", err)
+		}
+		if w := n.wallDelay(math.MaxInt64); w <= 0 || float64(w) < float64(math.MaxInt64)/scale/2 {
+			t.Errorf("scale %v: wallDelay(MaxInt64) = %v, want it saturated, not wrapped", scale, w)
+		}
+		n.After(math.MaxInt64, func() { t.Errorf("scale %v: the end-of-time timer fired", scale) })
+		n.Start()
+		time.Sleep(200 * time.Millisecond)
+		var wakeups uint64
+		if err := n.Do(func() { wakeups = n.wakeups }); err != nil {
+			t.Fatalf("Do: %v", err)
+		}
+		// The Do call is one wake-up; allow a few spurious ones.
+		if wakeups > 5 {
+			t.Errorf("scale %v: %d loop wake-ups in 200 ms with one far timer armed, want at most 5", scale, wakeups)
+		}
+		n.Close()
 	}
 }

@@ -55,8 +55,9 @@ var _ Clock = (*sim.Scheduler)(nil)
 //
 // The packet belongs to the runtime, is read-only, and is valid until
 // the handler returns: Clone it, or copy a body value, to keep it. The
-// simulator hands one *Packet to every receiver of a frame; netrt
-// decodes Data into loop-owned storage the next frame overwrites.
+// simulator hands one *Packet to every receiver of a frame, and the
+// sender rebuilds it once the frame is off the air; netrt decodes every
+// kind into loop-owned storage the next frame of that kind overwrites.
 type ReceiveFunc func(p *pkt.Packet, from pkt.NodeID, broadcast bool)
 
 // SendDoneFunc hands back a packet the link accepted, with its fate, at
