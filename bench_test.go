@@ -1,5 +1,5 @@
-// Benchmark harness: one benchmark per paper table/figure (the sweeps
-// of scenario.Sweeps) plus the ablations listed in DESIGN.md §3. Each
+// Benchmark harness: one benchmark per paper table/figure and per
+// ablation sweep (the sweeps of scenario.Sweeps, DESIGN.md §3). Each
 // benchmark executes the full experiment sweep once per iteration and
 // prints the same rows the paper's figure plots, so
 //
@@ -11,13 +11,12 @@
 package anongossip_test
 
 import (
-	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"anongossip"
-	"anongossip/internal/gossip"
 	"anongossip/internal/scenario"
 )
 
@@ -28,14 +27,15 @@ func benchSeeds() []int64 {
 	return scenario.Seeds(2)
 }
 
-// BenchmarkFigures reproduces the paper's Figs. 2–7, one sub-benchmark
-// per sweep of scenario.Sweeps (BenchmarkFigures/2 … /7): it prints each
-// figure's comparison table and reports the mid-sweep means.
+// BenchmarkFigures reproduces the paper's Figs. 2–7 and the ablations
+// A2–A4, one sub-benchmark per sweep of scenario.Sweeps
+// (BenchmarkFigures/2 … /7, /a2 … /a4): it prints each sweep's
+// comparison table and reports the mid-sweep means.
 func BenchmarkFigures(b *testing.B) {
 	base := scenario.DefaultConfig()
 	seeds := benchSeeds()
 	for _, s := range scenario.Sweeps() {
-		if !s.Paper() {
+		if !s.Paper() && !strings.HasPrefix(s.ID, "a") {
 			continue
 		}
 		b.Run(s.ID, func(b *testing.B) {
@@ -72,111 +72,6 @@ func BenchmarkFig8Goodput(b *testing.B) {
 		scenario.PrintGoodput(os.Stdout, rows)
 		b.ReportMetric(rows[len(rows)-1].Summary.Mean, "goodput_%")
 	}
-}
-
-// --- ablations (DESIGN.md A1-A5) ---
-
-// ablationConfig is a mid-loss operating point where gossip recovery
-// does real work: 55 m range, 1 m/s.
-func ablationConfig() scenario.Config {
-	cfg := scenario.DefaultConfig()
-	cfg.TxRange = 55
-	cfg.MaxSpeed = 1
-	return cfg
-}
-
-func runVariants(b *testing.B, title string, names []string, cfgs []scenario.Config) {
-	b.Helper()
-	seeds := benchSeeds()
-	for i := 0; i < b.N; i++ {
-		fmt.Printf("\n--- %s (%d seeds) ---\n", title, len(seeds))
-		fmt.Printf("%-28s | %10s %8s %8s | %8s\n", "variant", "mean", "min", "max", "goodput")
-		for k, cfg := range cfgs {
-			results, err := scenario.RunSeeds(cfg, seeds, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			agg := scenario.AggregateResults(results)
-			fmt.Printf("%-28s | %10.1f %8.0f %8.0f | %7.1f%%\n",
-				names[k], agg.Received.Mean, agg.Received.Min, agg.Received.Max, agg.Goodput)
-			b.ReportMetric(agg.Received.Mean, fmt.Sprintf("v%d_pkts", k))
-		}
-	}
-}
-
-// BenchmarkAblationLocality compares the nearest-member-weighted walk
-// (paper §4.2) against an unweighted walk (A1).
-func BenchmarkAblationLocality(b *testing.B) {
-	with := ablationConfig()
-	without := ablationConfig()
-	without.Gossip.LocalityBias = false
-	runVariants(b, "A1: locality of gossip",
-		[]string{"nearest-member weighting", "uniform next-hop walk"},
-		[]scenario.Config{with, without})
-}
-
-// BenchmarkAblationMemberCache compares the paper's mixed anonymous +
-// cached gossip against pure anonymous gossip (A2).
-func BenchmarkAblationMemberCache(b *testing.B) {
-	mixed := ablationConfig()
-	anonOnly := ablationConfig()
-	anonOnly.Gossip.PAnon = 1
-	runVariants(b, "A2: cached gossip",
-		[]string{"panon=0.7 (cached mix)", "panon=1.0 (walks only)"},
-		[]scenario.Config{mixed, anonOnly})
-}
-
-// BenchmarkAblationGossipRate sweeps the gossip interval (paper §5.5's
-// rate-tuning guidance, A3).
-func BenchmarkAblationGossipRate(b *testing.B) {
-	intervals := []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second}
-	names := make([]string, len(intervals))
-	cfgs := make([]scenario.Config, len(intervals))
-	for i, iv := range intervals {
-		cfgs[i] = ablationConfig()
-		cfgs[i].Gossip.Interval = iv
-		names[i] = fmt.Sprintf("interval %v", iv)
-	}
-	runVariants(b, "A3: gossip rate", names, cfgs)
-}
-
-// BenchmarkAblationHistorySize sweeps the history table capacity (paper
-// §5.5 names it a key parameter, A4).
-func BenchmarkAblationHistorySize(b *testing.B) {
-	sizes := []int{25, 50, 100, 200, 400}
-	names := make([]string, len(sizes))
-	cfgs := make([]scenario.Config, len(sizes))
-	for i, s := range sizes {
-		cfgs[i] = ablationConfig()
-		cfgs[i].Gossip.HistoryCap = s
-		names[i] = fmt.Sprintf("history %d msgs", s)
-	}
-	runVariants(b, "A4: history table size", names, cfgs)
-}
-
-// BenchmarkAblationFloodingBaseline compares MAODV, MAODV+AG and plain
-// flooding (related work [13], A5).
-func BenchmarkAblationFloodingBaseline(b *testing.B) {
-	gossipCfg := ablationConfig()
-	maodvCfg := ablationConfig()
-	maodvCfg.Stack = anongossip.StackSpec{Routing: "maodv"}
-	floodCfg := ablationConfig()
-	floodCfg.Stack = anongossip.StackSpec{Routing: "flood"}
-	runVariants(b, "A5: protocol baselines",
-		[]string{"MAODV+AG", "MAODV", "Flooding"},
-		[]scenario.Config{gossipCfg, maodvCfg, floodCfg})
-}
-
-// BenchmarkAblationPushPull compares the paper's pull exchange against
-// the push alternative its §4.4 rejects (A6). Pull should show higher
-// goodput: only solicited packets flow.
-func BenchmarkAblationPushPull(b *testing.B) {
-	pull := ablationConfig()
-	push := ablationConfig()
-	push.Gossip.Mode = gossip.ModePush
-	runVariants(b, "A6: push vs pull exchange",
-		[]string{"pull (paper)", "push"},
-		[]scenario.Config{pull, push})
 }
 
 // BenchmarkSingleRun measures the cost of one paper-baseline simulation

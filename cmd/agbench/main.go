@@ -7,6 +7,7 @@
 //	agbench -fig 4 -seeds 10 -parallel 4
 //	agbench -fig large -duration 120s -x 100,250,500
 //	agbench -fig dense -dense-nodes 500 -json bench.json
+//	agbench -fig a3 -seeds 10
 //
 // Each table prints one row per x-axis point with the Gossip and MAODV
 // mean delivery and [min, max] error bars across all members and seeds,
@@ -22,7 +23,8 @@
 // -huge-duration data window and records peak_heap_bytes /
 // heap_bytes_per_node in the -json record. At full duration the
 // 1000-node points take tens of minutes — shrink with -duration and
-// pick points of the one -fig sweep with -x for previews.
+// pick points of the one -fig sweep with -x for previews. -fig a2, a3
+// and a4 sweep one gossip knob each (DESIGN.md §3's ablations).
 //
 // -cpuprofile/-memprofile write pprof profiles for bottleneck hunts
 // (see EXPERIMENTS.md, "Profiling workflow").
@@ -175,7 +177,7 @@ func (r *jsonReport) addFigure(s scenario.Sweep, cfg scenario.Config, rows []sce
 func run(args []string) error {
 	fs := flag.NewFlagSet("agbench", flag.ContinueOnError)
 	var (
-		fig   = fs.String("fig", "all", "figure to regenerate: 2..8, large, huge, dense, or all (2..8)")
+		fig   = fs.String("fig", "all", "figure to regenerate: "+figNames())
 		xList = fs.String("x", "", "comma-separated points of the one -fig sweep to run (default: all of them)")
 		proto = fs.String("protocol", "maodv+gossip",
 			"stack under test by name ("+strings.Join(stack.Names(), " | ")+
@@ -212,7 +214,7 @@ func run(args []string) error {
 	}
 	goodput := *fig == "all" || *fig == "8"
 	if len(sweeps) == 0 && !goodput {
-		return fmt.Errorf("invalid -fig %q (want 2..8, large, dense, huge, or all)", *fig)
+		return fmt.Errorf("invalid -fig %q (want %s)", *fig, figNames())
 	}
 	if *xList != "" {
 		if len(sweeps) != 1 {
@@ -320,7 +322,7 @@ func run(args []string) error {
 					return fmt.Errorf("metrics run %s=%v: %w", s.XName, x, err)
 				}
 				fig.Points[i].Metrics = res.Metrics.Windows
-				fmt.Printf("-- channel utilization at %s=%.0f (seed %d, %v windows) --\n",
+				fmt.Printf("-- channel utilization at %s=%g (seed %d, %v windows) --\n",
 					s.XName, x, c.Seed, *metricsWin)
 				if err := res.Metrics.WriteTable(os.Stdout); err != nil {
 					return err
@@ -389,6 +391,20 @@ func run(args []string) error {
 		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 	return nil
+}
+
+// figNames lists the -fig values: the sweeps of scenario.Sweeps, with
+// Fig. 8's goodput table after the paper's line figures, and all.
+func figNames() string {
+	var paper, other []string
+	for _, s := range scenario.Sweeps() {
+		if s.Paper() {
+			paper = append(paper, s.ID)
+		} else {
+			other = append(other, s.ID)
+		}
+	}
+	return strings.Join(slices.Concat(paper, []string{"8"}, other), ", ") + ", or all (Figs. 2–8)"
 }
 
 // points parses the -x list of points of s into ascending order; each

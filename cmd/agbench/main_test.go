@@ -52,6 +52,21 @@ func TestRunXSelectsPoints(t *testing.T) {
 	}
 }
 
+// TestRunAblation drives one ablation of the sweep table end to end:
+// -fig a3 runs the gossip-interval point it is given.
+func TestRunAblation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	rep := runJSON(t, "-fig", "a3", "-x", "1000", "-seeds", "1", "-duration", "75s")
+	if len(rep.Figures) != 1 || rep.Figures[0].Figure != "a3" || len(rep.Figures[0].Points) != 1 {
+		t.Fatalf("record figures wrong: %+v", rep.Figures)
+	}
+	if p := rep.Figures[0].Points[0]; p.X != 1000 || p.Treatment.Sent == 0 || p.Treatment.Mean <= 0 {
+		t.Fatalf("record point incomplete: %+v", p)
+	}
+}
+
 // TestRunStackProtocolFlag drives the stack-name -protocol flag: a
 // composed stack is measured against its bare routing baseline.
 func TestRunStackProtocolFlag(t *testing.T) {

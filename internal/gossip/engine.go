@@ -85,70 +85,50 @@ func SortHops(hops []NextHop) {
 // cache bookkeeping (AODV provides this for free).
 type HopEstimator func(dst pkt.NodeID) (uint8, bool)
 
-// Mode selects the direction of information exchange (paper §4.4).
-type Mode int
-
-// Exchange modes.
+// Fixed parameters of every engine: no experiment turns them.
 const (
-	// ModePull is the paper's protocol: requests carry lost/expected
-	// sequence numbers and the acceptor unicasts the data back.
-	ModePull Mode = iota + 1
-	// ModePush is the rejected alternative, kept for ablations: rounds
-	// push the initiator's recent history into the walk; the acceptor
-	// ingests it and sends nothing back.
-	ModePush
+	// IntervalJitter randomises the first round's phase across members.
+	IntervalJitter = 200 * time.Millisecond
+	// LostBufferCap bounds lost-sequence numbers per gossip message (10
+	// in the paper).
+	LostBufferCap = 10
+	// ExpectedCap bounds per-origin expected entries in a request.
+	ExpectedCap = 4
+	// MaxReplyMsgs bounds data packets per gossip reply.
+	MaxReplyMsgs = 10
 )
 
-// Config holds the AG parameters; defaults follow paper §5.1.
+// Config holds the AG parameters a caller sets; defaults follow paper
+// §5.1.
 type Config struct {
 	// Interval is the gossip round period (1 s in the paper).
 	Interval time.Duration
-	// IntervalJitter randomises round phase across members.
-	IntervalJitter time.Duration
 	// PAnon is the probability a round uses an anonymous walk rather
 	// than cached gossip (paper §4.3; the paper leaves the value open).
 	PAnon float64
 	// AcceptProb is the probability a member receiving a walk accepts it
 	// instead of propagating (paper §4.1 "randomly decides").
 	AcceptProb float64
-	// LostBufferCap bounds lost-sequence numbers per gossip message
-	// (10 in the paper).
-	LostBufferCap int
 	// LostTableCap bounds the lost table (200 in the paper).
 	LostTableCap int
 	// HistoryCap bounds the history table (100 in the paper).
 	HistoryCap int
 	// CacheCap bounds the member cache (10 in the paper).
 	CacheCap int
-	// ExpectedCap bounds per-origin expected entries in a request.
-	ExpectedCap int
-	// MaxReplyMsgs bounds data packets per gossip reply.
-	MaxReplyMsgs int
 	// WalkTTL bounds anonymous walk length in hops.
 	WalkTTL int
-	// LocalityBias disables the nearest-member weighting when false
-	// (uniform next-hop choice); used by the ablation benchmarks.
-	LocalityBias bool
-	// Mode selects pull (the paper's choice) or push exchange.
-	Mode Mode
 }
 
 // DefaultConfig returns the paper's gossip configuration.
 func DefaultConfig() Config {
 	return Config{
-		Interval:       time.Second,
-		IntervalJitter: 200 * time.Millisecond,
-		PAnon:          0.7,
-		AcceptProb:     0.5,
-		LostBufferCap:  10,
-		LostTableCap:   200,
-		HistoryCap:     100,
-		CacheCap:       10,
-		ExpectedCap:    4,
-		MaxReplyMsgs:   10,
-		WalkTTL:        16,
-		LocalityBias:   true,
-		Mode:           ModePull,
+		Interval:     time.Second,
+		PAnon:        0.7,
+		AcceptProb:   0.5,
+		LostTableCap: 200,
+		HistoryCap:   100,
+		CacheCap:     10,
+		WalkTTL:      16,
 	}
 }
 
@@ -276,7 +256,7 @@ func (e *Engine) Attach(g pkt.GroupID) {
 	}
 	gs.roundFn = func() { e.round(gs) }
 	e.groups[g] = gs
-	phase := e.cfg.Interval + e.rng.Duration(e.cfg.IntervalJitter)
+	phase := e.cfg.Interval + e.rng.Duration(IntervalJitter)
 	gs.timer = e.sched.After(phase, gs.roundFn)
 }
 
@@ -401,17 +381,11 @@ func (e *Engine) round(gs *groupState) {
 }
 
 // request builds the gossip message of paper §4.1 for dst, in a packet
-// of the node's stack: lost buffer plus expected sequence numbers
-// (pull), or the recent history (push ablation).
+// of the node's stack: lost buffer plus expected sequence numbers.
 func (e *Engine) request(gs *groupState, dst pkt.NodeID, flags uint8) *pkt.Packet {
 	p := e.stack.NewPacket(dst, &pkt.GossipReq{Group: gs.id, Initiator: e.stack.ID(), Flags: flags})
 	req := p.Body.(*pkt.GossipReq)
-	if e.cfg.Mode == ModePush {
-		req.Flags |= pkt.GossipNoReply
-		req.Pushed = gs.history.AppendLatest(req.Pushed, e.cfg.MaxReplyMsgs)
-		return p
-	}
-	req.Lost = gs.lost.AppendRecent(req.Lost, e.cfg.LostBufferCap)
+	req.Lost = gs.lost.AppendRecent(req.Lost, LostBufferCap)
 	e.origins = e.origins[:0]
 	for origin, next := range gs.expected.All() {
 		e.origins = append(e.origins, pkt.Expect{Origin: pkt.NodeID(origin), NextSeq: *next})
@@ -419,7 +393,7 @@ func (e *Engine) request(gs *groupState, dst pkt.NodeID, flags uint8) *pkt.Packe
 	// Table order must not leak into the wire.
 	slices.SortFunc(e.origins, func(a, b pkt.Expect) int { return cmp.Compare(a.Origin, b.Origin) })
 	for _, ex := range e.origins {
-		if len(req.Expected) >= e.cfg.ExpectedCap {
+		if len(req.Expected) >= ExpectedCap {
 			break
 		}
 		if ex.Origin == e.stack.ID() {
@@ -443,15 +417,13 @@ func (e *Engine) pickNextHop(g pkt.GroupID, exclude pkt.NodeID) (pkt.NodeID, boo
 	if len(cands) == 0 {
 		return 0, false
 	}
-	if !e.cfg.LocalityBias {
-		return cands[e.rng.Intn(len(cands))].ID, true
-	}
 	// Weight 1/(1+d): branches with nearer members are preferred, but
 	// distant branches stay reachable — the paper wants gossip "locally
 	// with a very high probability and with distant nodes occasionally".
 	// Steeper weightings shorten walks further but over-concentrate
 	// recovery on members that share loss correlation with the
-	// initiator (see BenchmarkAblationLocality).
+	// initiator. A uniform walk delivers no more across Figs. 2–5
+	// (ablation A1, DESIGN.md §3).
 	e.weights = e.weights[:0]
 	for _, h := range cands {
 		d := float64(h.Nearest)
@@ -501,29 +473,14 @@ func (e *Engine) onRequest(p *pkt.Packet, from pkt.NodeID) {
 	e.stack.SendDirect(next, e.stack.NewPacket(next, &fwd))
 }
 
-// accept consumes an accepted gossip. Pull mode (the paper's §4.4)
-// builds and unicasts the reply: history lookups for the lost buffer,
-// then packets at or past the initiator's expectations, then (for empty
-// requests) the newest history as a bootstrap. Push mode just ingests
-// whatever the initiator sent along.
+// accept consumes an accepted gossip and unicasts the pull reply of
+// paper §4.4: history lookups for the lost buffer, then packets at or
+// past the initiator's expectations, then (for empty requests) the
+// newest history as a bootstrap.
 func (e *Engine) accept(req *pkt.GossipReq) {
 	gs, ok := e.groups[req.Group]
 	if !ok {
 		return // not a member (e.g. stale cached-gossip target)
-	}
-	if len(req.Pushed) > 0 {
-		for i := range req.Pushed {
-			d := &req.Pushed[i]
-			if e.isDuplicate(gs, d.Key()) {
-				e.stats.ReplyMsgsDup++
-				continue
-			}
-			if e.ingest(gs, d, true) {
-				e.stats.ReplyMsgsNew++
-			} else {
-				e.stats.ReplyMsgsDup++
-			}
-		}
 	}
 	// The initiator is a member we now know about (paper §4.3).
 	hops := req.HopsTraveled
@@ -533,9 +490,6 @@ func (e *Engine) accept(req *pkt.GossipReq) {
 		}
 	}
 	gs.cache.Update(req.Initiator, hops, e.sched.Now(), true)
-	if req.NoReply() {
-		return
-	}
 	p := e.stack.NewPacket(req.Initiator, &pkt.GossipRep{
 		Group:     req.Group,
 		Responder: e.stack.ID(),
@@ -550,7 +504,7 @@ func (e *Engine) accept(req *pkt.GossipReq) {
 		}
 	}
 	for _, ex := range req.Expected {
-		e.since = gs.history.AppendSince(e.since[:0], ex.Origin, ex.NextSeq, e.cfg.MaxReplyMsgs)
+		e.since = gs.history.AppendSince(e.since[:0], ex.Origin, ex.NextSeq, MaxReplyMsgs)
 		for _, d := range e.since {
 			if !e.addReply(rep, d) {
 				break
@@ -558,7 +512,7 @@ func (e *Engine) accept(req *pkt.GossipReq) {
 		}
 	}
 	if len(req.Lost) == 0 && len(req.Expected) == 0 {
-		e.since = gs.history.AppendLatest(e.since[:0], e.cfg.MaxReplyMsgs)
+		e.since = gs.history.AppendLatest(e.since[:0], MaxReplyMsgs)
 		for _, d := range e.since {
 			if !e.addReply(rep, d) {
 				break
@@ -574,7 +528,7 @@ func (e *Engine) accept(req *pkt.GossipReq) {
 // addReply adds d to the reply unless it is already there, and reports
 // whether the reply has room for more.
 func (e *Engine) addReply(rep *pkt.GossipRep, d pkt.Data) bool {
-	if len(rep.Msgs) >= e.cfg.MaxReplyMsgs {
+	if len(rep.Msgs) >= MaxReplyMsgs {
 		return false
 	}
 	// At most MaxReplyMsgs entries: a scan beats hashing.

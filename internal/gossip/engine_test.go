@@ -290,6 +290,27 @@ func TestGoodputDefaultsTo100(t *testing.T) {
 	}
 }
 
+// TestPullModeSuppressesRedundancy: the paper's pull exchange (§4.4)
+// sends nothing a synchronised member already holds.
+func TestPullModeSuppressesRedundancy(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PAnon = 1
+	w := buildLine(t, 4, []int{0, 3}, cfg)
+
+	w.sched.After(0, func() {
+		feed(w.engines[0], 9, 1, 10)
+		feed(w.engines[3], 9, 1, 10)
+	})
+	w.sched.Run(30 * time.Second)
+
+	// Synchronised members have empty lost buffers and matching
+	// expectations: pull replies stay empty, so no duplicates flow.
+	dups := w.engines[0].Stats().ReplyMsgsDup + w.engines[3].Stats().ReplyMsgsDup
+	if dups != 0 {
+		t.Fatalf("pull mode shipped %d redundant messages", dups)
+	}
+}
+
 func TestIngestOutOfOrder(t *testing.T) {
 	cfg := DefaultConfig()
 	w := buildLine(t, 1, []int{0}, cfg)
@@ -391,7 +412,9 @@ func TestIsDuplicate(t *testing.T) {
 	}
 }
 
-func TestPickNextHopLocalityBias(t *testing.T) {
+// TestPickNextHopPrefersNearMembers: the walk weighs each link by its
+// nearest-member distance d as 1/(1+d) (paper §4.2).
+func TestPickNextHopPrefersNearMembers(t *testing.T) {
 	cfg := DefaultConfig()
 	w := buildLine(t, 1, []int{0}, cfg)
 	e := w.engines[0]
@@ -414,26 +437,6 @@ func TestPickNextHopLocalityBias(t *testing.T) {
 	}
 }
 
-func TestPickNextHopUniformWithoutBias(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LocalityBias = false
-	w := buildLine(t, 1, []int{0}, cfg)
-	e := w.engines[0]
-	w.trees[0].hops = []NextHop{
-		{ID: 10, Nearest: 1},
-		{ID: 20, Nearest: 7},
-	}
-	counts := map[pkt.NodeID]int{}
-	for i := 0; i < 20000; i++ {
-		id, _ := e.pickNextHop(testGroup, 0)
-		counts[id]++
-	}
-	ratio := float64(counts[10]) / float64(counts[20])
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Fatalf("unbiased ratio = %.2f, want ~1", ratio)
-	}
-}
-
 func TestPickNextHopExcludes(t *testing.T) {
 	cfg := DefaultConfig()
 	w := buildLine(t, 1, []int{0}, cfg)
@@ -448,23 +451,19 @@ func TestPickNextHopExcludes(t *testing.T) {
 // tree — what every round and every forwarded walk does — filters and
 // weighs the tree's links in engine-owned scratch.
 func TestPickNextHopAllocatesNothing(t *testing.T) {
-	for _, bias := range []bool{true, false} {
-		cfg := DefaultConfig()
-		cfg.LocalityBias = bias
-		w := buildLine(t, 1, []int{0}, cfg)
-		e := w.engines[0]
-		w.trees[0].hops = []NextHop{{ID: 10, Nearest: 1}, {ID: 20, Nearest: 7}, {ID: 30, Nearest: pkt.NearestUnknown}}
-		exclude := []pkt.NodeID{0, 10, 20, 30}
-		e.pickNextHop(testGroup, 0)
-		i := 0
-		if n := testing.AllocsPerRun(1000, func() {
-			if _, ok := e.pickNextHop(testGroup, exclude[i%len(exclude)]); !ok {
-				t.Fatal("pickNextHop failed")
-			}
-			i++
-		}); n != 0 {
-			t.Fatalf("LocalityBias %v: pickNextHop allocates %v times, want 0", bias, n)
+	w := buildLine(t, 1, []int{0}, DefaultConfig())
+	e := w.engines[0]
+	w.trees[0].hops = []NextHop{{ID: 10, Nearest: 1}, {ID: 20, Nearest: 7}, {ID: 30, Nearest: pkt.NearestUnknown}}
+	exclude := []pkt.NodeID{0, 10, 20, 30}
+	e.pickNextHop(testGroup, 0)
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, ok := e.pickNextHop(testGroup, exclude[i%len(exclude)]); !ok {
+			t.Fatal("pickNextHop failed")
 		}
+		i++
+	}); n != 0 {
+		t.Fatalf("pickNextHop allocates %v times, want 0", n)
 	}
 }
 

@@ -131,7 +131,7 @@ func (h *historyTable) AppendSince(dst []pkt.Data, origin pkt.NodeID, from uint3
 
 // AppendLatest appends to dst up to max of the most recently added
 // messages (newest last). It serves empty gossip requests from members
-// that have not yet received anything, and push-mode rounds.
+// that have not yet received anything.
 func (h *historyTable) AppendLatest(dst []pkt.Data, max int) []pkt.Data {
 	n := len(h.ring)
 	if max > n {

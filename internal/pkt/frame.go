@@ -106,8 +106,8 @@ func DecodeFrame(b []byte) (*Frame, error) {
 
 // Scratch is the storage a receive loop decodes packets into, one
 // packet per body kind, so a frame costs no allocation once its kind
-// has been seen: a body and its lists (RERR.Dests, GossipReq.Lost,
-// Expected and Pushed, GossipRep.Msgs) are rebuilt in place and keep
+// has been seen: a body and its lists (RERR.Dests, GossipReq.Lost and
+// Expected, GossipRep.Msgs) are rebuilt in place and keep
 // their capacity, as in Spares.Copy. The zero value is ready.
 type Scratch struct {
 	dp   dataPacket

@@ -373,10 +373,6 @@ const (
 	// GossipCached marks a cached-gossip request sent directly to a known
 	// member (paper §4.3) rather than an anonymous walk.
 	GossipCached uint8 = 1 << iota
-	// GossipNoReply marks a push-mode gossip that expects no reply (the
-	// push alternative the paper's §4.4 rejects in favour of pull; kept
-	// for the ablation benchmarks).
-	GossipNoReply
 )
 
 // GossipReq is the gossip message of paper §4.1: Group Address, Source
@@ -396,9 +392,6 @@ type GossipReq struct {
 	Lost []SeqKey
 	// Expected lists the next expected sequence number per origin.
 	Expected []Expect
-	// Pushed carries data packets in push-mode gossip (ablation only;
-	// the paper's protocol pulls).
-	Pushed []Data
 }
 
 var _ Body = (*GossipReq)(nil)
@@ -408,18 +401,11 @@ func (*GossipReq) Kind() Kind { return KindGossipReq }
 
 // WireSize implements Body.
 func (g *GossipReq) WireSize() int {
-	n := 4 + 4 + 1 + 1 + 1 + 8*len(g.Lost) + 1 + 8*len(g.Expected) + 1
-	for i := range g.Pushed {
-		n += g.Pushed[i].WireSize()
-	}
-	return n
+	return 4 + 4 + 1 + 1 + 1 + 8*len(g.Lost) + 1 + 8*len(g.Expected) + 1
 }
 
 // Cached reports whether this is a cached-gossip request.
 func (g *GossipReq) Cached() bool { return g.Flags&GossipCached != 0 }
-
-// NoReply reports whether this is a push-mode request.
-func (g *GossipReq) NoReply() bool { return g.Flags&GossipNoReply != 0 }
 
 func (g *GossipReq) code(c coder) coder {
 	u32(&c, &g.Group)
@@ -434,9 +420,9 @@ func (g *GossipReq) code(c coder) coder {
 		u32(&c, &g.Expected[i].Origin)
 		u32(&c, &g.Expected[i].NextSeq)
 	}
-	for i := range count(&c, &g.Pushed) {
-		c = g.Pushed[i].code(c)
-	}
+	// A reserved zero byte: WireSize sets a frame's airtime, so the
+	// layout keeps the count of the pushed-data list it no longer has.
+	c.zeros(1)
 	return c
 }
 

@@ -235,7 +235,7 @@ func (s *Spares) take(k Kind) *Packet {
 
 // Copy returns a deep copy of src. It is built in one of s's spares of
 // src's kind when there is one — header, body and the capacity of the
-// body's lists (Dests, Lost, Expected, Pushed, Msgs) reused — and in
+// body's lists (Dests, Lost, Expected, Msgs) reused — and in
 // fresh storage otherwise. src is only read, so it may be a template on
 // the caller's stack. This is the one packet copier: Clone and every
 // packet a node.Stack builds go through it.
@@ -272,11 +272,10 @@ func (s *Spares) Copy(src *Packet) *Packet {
 	case *GossipReq:
 		var d *GossipReq
 		p, d = spare[GossipReq](s)
-		lost, expected, pushed := d.Lost[:0], d.Expected[:0], d.Pushed[:0]
+		lost, expected := d.Lost[:0], d.Expected[:0]
 		*d = *b
 		d.Lost = append(lost, b.Lost...)
 		d.Expected = append(expected, b.Expected...)
-		d.Pushed = append(pushed, b.Pushed...)
 	case *GossipRep:
 		var d *GossipRep
 		p, d = spare[GossipRep](s)

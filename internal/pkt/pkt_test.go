@@ -24,10 +24,9 @@ func sampleBodies() []Body {
 		&GRPH{Group: 0xE0000001, Leader: 1, GroupSeq: 42, HopCount: 7},
 		&Nearest{Group: 0xE0000001, Dist: 3},
 		&Data{Group: 0xE0000001, Origin: 2, Seq: 1001, PayloadLen: 64},
-		&GossipReq{Group: 0xE0000001, Initiator: 5, Flags: GossipCached | GossipNoReply, HopsTraveled: 2,
+		&GossipReq{Group: 0xE0000001, Initiator: 5, Flags: GossipCached, HopsTraveled: 2,
 			Lost:     []SeqKey{{Origin: 2, Seq: 17}, {Origin: 2, Seq: 19}},
-			Expected: []Expect{{Origin: 2, NextSeq: 25}},
-			Pushed:   []Data{{Group: 0xE0000001, Origin: 2, Seq: 30, PayloadLen: 64}}},
+			Expected: []Expect{{Origin: 2, NextSeq: 25}}},
 		&GossipRep{Group: 0xE0000001, Responder: 7, WalkHops: 3,
 			Msgs: []Data{
 				{Group: 0xE0000001, Origin: 2, Seq: 17, PayloadLen: 64},
@@ -84,7 +83,7 @@ func TestWireBytesPinned(t *testing.T) {
 		KindGRPH:      "06000000030000000911000de0000001000000010000002a07",
 		KindNearest:   "070000000300000009110005e000000103",
 		KindData:      "08000000030000000911004ee000000100000002000003e90040" + payload,
-		KindGossipReq: "090000000300000009110073e0000001000000050302020000000200000011000000020000001301000000020000001901e0000001000000020000001e0040" + payload,
+		KindGossipReq: "090000000300000009110025e0000001000000050102020000000200000011000000020000001301000000020000001900",
 		KindGossipRep: "0a00000003000000091100a6e0000001000000070302e000000100000002000000110040" + payload + "e000000100000002000000130040" + payload,
 		KindJoinQuery: "20000000030000000911000de0000001000000030000000c02",
 		KindJoinReply: "210000000300000009110010e000000100000003000000080000000c",
@@ -108,7 +107,7 @@ func TestWireBytesPinned(t *testing.T) {
 // allocates the packet, the body and one object per non-empty list;
 // a Data packet is one object, header and body together.
 func TestCodecAllocs(t *testing.T) {
-	lists := map[Kind]int{KindRERR: 1, KindGossipReq: 3, KindGossipRep: 1}
+	lists := map[Kind]int{KindRERR: 1, KindGossipReq: 2, KindGossipRep: 1}
 	for _, body := range sampleBodies() {
 		p := NewPacket(3, 9, body)
 		f := &Frame{From: 5, LinkDst: 9, Packet: p}
@@ -144,16 +143,14 @@ func TestCloneBodyIsDeep(t *testing.T) {
 		t.Fatal("RERR clone shares Dests backing array")
 	}
 
-	req := &GossipReq{Lost: []SeqKey{{Origin: 1, Seq: 1}}, Expected: []Expect{{Origin: 1, NextSeq: 5}},
-		Pushed: []Data{{Seq: 3}}}
+	req := &GossipReq{Lost: []SeqKey{{Origin: 1, Seq: 1}}, Expected: []Expect{{Origin: 1, NextSeq: 5}}}
 	reqClone, ok := NewPacket(1, 2, req).Clone().Body.(*GossipReq)
 	if !ok {
 		t.Fatal("Clone returned the wrong body type")
 	}
 	reqClone.Lost[0].Seq = 42
 	reqClone.Expected[0].NextSeq = 42
-	reqClone.Pushed[0].Seq = 42
-	if req.Lost[0].Seq != 1 || req.Expected[0].NextSeq != 5 || req.Pushed[0].Seq != 3 {
+	if req.Lost[0].Seq != 1 || req.Expected[0].NextSeq != 5 {
 		t.Fatal("GossipReq clone shares slices")
 	}
 
@@ -257,6 +254,12 @@ func TestPacketCloneIndependence(t *testing.T) {
 	}
 }
 
+// pushRequest is a push-mode gossip request (flags GossipCached and
+// 0x02) in the layout that carried pushed data: the reserved byte is 1
+// and one 64-byte Data follows it.
+var pushRequest = "090000000300000009110073e0000001000000050302020000000200000011000000020000001301000000020000001901e0000001000000020000001e0040" +
+	strings.Repeat("00", 64)
+
 func TestDecodeErrors(t *testing.T) {
 	valid := Encode(NewPacket(1, 2, &Hello{Seq: 1}))
 
@@ -277,6 +280,18 @@ func TestDecodeErrors(t *testing.T) {
 			}
 		})
 	}
+
+	// A push request filled the reserved byte with a count of the data
+	// it carried; the request no longer has that list, so they trail.
+	t.Run("push request", func(t *testing.T) {
+		raw, err := hex.DecodeString(pushRequest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(raw); !errors.Is(err, ErrTrailingBytes) {
+			t.Fatalf("Decode err = %v, want ErrTrailingBytes", err)
+		}
+	})
 
 	t.Run("unknown kind", func(t *testing.T) {
 		bad := append([]byte{}, valid...)
@@ -350,14 +365,6 @@ func randomGossipReq(r *rand.Rand) *GossipReq {
 	for i, n := 0, r.Intn(5); i < n; i++ {
 		g.Expected = append(g.Expected, Expect{Origin: NodeID(r.Uint32() >> 1), NextSeq: r.Uint32()})
 	}
-	for i, n := 0, r.Intn(4); i < n; i++ {
-		g.Pushed = append(g.Pushed, Data{
-			Group:      GroupID(r.Uint32()),
-			Origin:     NodeID(r.Uint32() >> 1),
-			Seq:        r.Uint32(),
-			PayloadLen: uint16(r.Intn(128)),
-		})
-	}
 	return g
 }
 
@@ -390,9 +397,6 @@ func TestGossipReqRoundTripProperty(t *testing.T) {
 		}
 		if len(gb.Expected) == 0 && len(pb.Expected) == 0 {
 			gb.Expected, pb.Expected = nil, nil
-		}
-		if len(gb.Pushed) == 0 && len(pb.Pushed) == 0 {
-			gb.Pushed, pb.Pushed = nil, nil
 		}
 		return reflect.DeepEqual(got, p)
 	}

@@ -1,10 +1,12 @@
 package netrt
 
 import (
+	"encoding/hex"
 	"errors"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -113,7 +115,17 @@ func TestNodeDeliveryFiltering(t *testing.T) {
 		return pkt.EncodeFrame(&pkt.Frame{From: from, LinkDst: linkDst, Packet: data})
 	}
 
+	// A push-mode gossip request, whose pushed data the request layout
+	// no longer has: its reserved byte is 1 and one Data trails it.
+	push, err := hex.DecodeString("41470100000002ffffffff" +
+		"090000000300000009110073e0000001000000050302020000000200000011000000020000001301000000020000001901" +
+		"e0000001000000020000001e0040" + strings.Repeat("00", 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	peer.Send([]byte{0xde, 0xad}, 1)      // malformed: dropped, counted
+	peer.Send(push, 1)                    // malformed: dropped, counted
 	peer.Send(frame(2, 3), 1)             // unicast to node 3: filtered
 	peer.Send(frame(1, pkt.Broadcast), 1) // echo of "our own" frame: dropped
 	peer.Send(frame(2, pkt.Broadcast), 1) // delivered as broadcast
@@ -127,8 +139,8 @@ func TestNodeDeliveryFiltering(t *testing.T) {
 	if rxs[1].from != 2 || rxs[1].broadcast {
 		t.Errorf("second delivery = %+v, want unicast from 2", rxs[1])
 	}
-	if m := n.Stats().Malformed.Load(); m != 1 {
-		t.Errorf("Malformed = %d, want 1", m)
+	if m := n.Stats().Malformed.Load(); m != 2 {
+		t.Errorf("Malformed = %d, want 2", m)
 	}
 	if f := n.Stats().Filtered.Load(); f != 1 {
 		t.Errorf("Filtered = %d, want 1", f)

@@ -160,7 +160,7 @@ func RunComparison(base Config, xs []float64, apply func(Config, float64) Config
 func PrintComparison(w io.Writer, s Sweep, base Config, seeds int, rows []ComparisonRow) {
 	first := s.Apply(base, s.Xs[0])
 	treatment, baseline := Pair(base)
-	per, xFmt := "per run", "%-10.0f"
+	per, xFmt := "per run", "%-10g"
 	if first.NumSources > 1 {
 		per = "per source per run"
 	}
@@ -207,7 +207,8 @@ type Sweep struct {
 
 // Sweeps returns every x-axis experiment (DESIGN.md §3): the paper's
 // Figs. 2–7, then the large-scale, huge-scale and dense-traffic families
-// beyond the paper. Fig. 8 has no x axis; see Fig8Cases.
+// beyond the paper, then the gossip ablations A2–A4. Fig. 8 has no x
+// axis; see Fig8Cases.
 func Sweeps() []Sweep {
 	rangeAt := func(speed float64) func(Config, float64) Config {
 		return func(c Config, x float64) Config {
@@ -222,6 +223,15 @@ func Sweeps() []Sweep {
 	nodesAt := func(txRange func(n float64) float64) func(Config, float64) Config {
 		return func(c Config, x float64) Config {
 			c.MaxSpeed, c.Nodes, c.TxRange = 0.2, int(x), txRange(x)
+			return c
+		}
+	}
+	// An ablation turns one gossip knob at a mid-loss point, 55 m and
+	// 1 m/s, where recovery does real work.
+	ablation := func(set func(c *Config, x float64)) func(Config, float64) Config {
+		return func(c Config, x float64) Config {
+			c.Nodes, c.TxRange, c.MaxSpeed = 40, 55, 1
+			set(&c, x)
 			return c
 		}
 	}
@@ -247,6 +257,13 @@ func Sweeps() []Sweep {
 			[]float64{10000, 25000, 50000, 100000}, hugeScale},
 		{"dense", "Dense traffic: Packet Delivery vs Mean Degree ({nodes} nodes, {sources} sources, 75 m range)", "degree",
 			[]float64{20, 30, 40, 60}, dense},
+		{"a2", "Ablation A2: Packet Delivery vs Anonymous Share PAnon (range 55 m, speed 1 m/s)", "panon",
+			[]float64{0.7, 1}, ablation(func(c *Config, x float64) { c.Gossip.PAnon = x })},
+		{"a3", "Ablation A3: Packet Delivery vs Gossip Interval (range 55 m, speed 1 m/s)", "period(ms)",
+			[]float64{500, 1000, 2000, 4000},
+			ablation(func(c *Config, x float64) { c.Gossip.Interval = time.Duration(x) * time.Millisecond })},
+		{"a4", "Ablation A4: Packet Delivery vs History Table Size (range 55 m, speed 1 m/s)", "history",
+			[]float64{25, 50, 100, 200, 400}, ablation(func(c *Config, x float64) { c.Gossip.HistoryCap = int(x) })},
 	}
 }
 

@@ -3,8 +3,6 @@ package scenario
 import (
 	"testing"
 	"time"
-
-	"anongossip/internal/gossip"
 )
 
 // TestPaperHeadlineFullScale runs the paper's exact baseline (600 s,
@@ -102,18 +100,6 @@ func TestPathologicalConfigs(t *testing.T) {
 		// expected, crashes are not.
 		if res.DeliveryRatio() > 1 {
 			t.Fatalf("delivery ratio %v > 1", res.DeliveryRatio())
-		}
-	})
-
-	t.Run("push mode full stack", func(t *testing.T) {
-		cfg := shortConfig()
-		cfg.Gossip.Mode = gossip.ModePush
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Received.Mean <= 0 {
-			t.Fatal("nothing delivered in push mode")
 		}
 	})
 }

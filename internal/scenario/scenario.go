@@ -191,21 +191,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: non-positive gossip interval %v", c.Gossip.Interval)
 	case recovers && !(probability(c.Gossip.PAnon) && probability(c.Gossip.AcceptProb)):
 		return fmt.Errorf("scenario: gossip PAnon %v or AcceptProb %v is not in [0,1]", c.Gossip.PAnon, c.Gossip.AcceptProb)
-	case recovers && min(c.Gossip.MaxReplyMsgs, c.Gossip.LostBufferCap, c.Gossip.CacheCap,
-		c.Gossip.HistoryCap, c.Gossip.LostTableCap, c.Gossip.ExpectedCap, c.Gossip.WalkTTL) < 0:
+	case recovers && min(c.Gossip.CacheCap, c.Gossip.HistoryCap, c.Gossip.LostTableCap, c.Gossip.WalkTTL) < 0:
 		// A negative table cap would silently switch recovery off.
-		return fmt.Errorf("scenario: negative gossip bound (MaxReplyMsgs %d, LostBufferCap %d, CacheCap %d, "+
-			"HistoryCap %d, LostTableCap %d, ExpectedCap %d, WalkTTL %d)",
-			c.Gossip.MaxReplyMsgs, c.Gossip.LostBufferCap, c.Gossip.CacheCap,
-			c.Gossip.HistoryCap, c.Gossip.LostTableCap, c.Gossip.ExpectedCap, c.Gossip.WalkTTL)
-	case recovers && max(c.Gossip.LostBufferCap, c.Gossip.ExpectedCap, c.Gossip.MaxReplyMsgs) > math.MaxUint8:
-		// A gossip request or reply carries each list's length in one byte.
-		return fmt.Errorf("scenario: gossip list bound above %d (LostBufferCap %d, ExpectedCap %d, MaxReplyMsgs %d)",
-			math.MaxUint8, c.Gossip.LostBufferCap, c.Gossip.ExpectedCap, c.Gossip.MaxReplyMsgs)
-	case recovers && c.Gossip.Mode != gossip.ModePull && c.Gossip.Mode != gossip.ModePush:
-		// Any other value ran silently as pull.
-		return fmt.Errorf("scenario: gossip mode %d is neither pull (%d) nor push (%d)",
-			c.Gossip.Mode, gossip.ModePull, gossip.ModePush)
+		return fmt.Errorf("scenario: negative gossip bound (CacheCap %d, HistoryCap %d, LostTableCap %d, WalkTTL %d)",
+			c.Gossip.CacheCap, c.Gossip.HistoryCap, c.Gossip.LostTableCap, c.Gossip.WalkTTL)
 	case c.MetricsWindow < 0:
 		return fmt.Errorf("scenario: negative metrics window %v", c.MetricsWindow)
 	case c.MetricsWindow > 0 && c.Duration/c.MetricsWindow > maxMetricsWindows:

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"anongossip/internal/flood"
+	"anongossip/internal/gossip"
 	"anongossip/internal/maodv"
 	"anongossip/internal/odmrp"
 	"anongossip/internal/pkt"
@@ -70,7 +71,7 @@ func TestConfigValidate(t *testing.T) {
 	// Likewise bare flooding never reads the gossip bounds.
 	flooding := shortConfig()
 	flooding.Stack = bareFlood
-	flooding.Gossip.CacheCap, flooding.Gossip.LostTableCap, flooding.Gossip.Mode = -1, -1, 7
+	flooding.Gossip.CacheCap, flooding.Gossip.LostTableCap = -1, -1
 	if err := flooding.Validate(); err != nil {
 		t.Fatalf("bare flooding with a gossip block it never builds rejected: %v", err)
 	}
@@ -106,26 +107,14 @@ func TestConfigValidate(t *testing.T) {
 		{"metrics window far below the run", func(c *Config) { c.MetricsWindow = time.Nanosecond }},
 		// Bounds the engine indexes or slices with: each panicked or
 		// never returned before Validate checked it.
-		{"negative max reply msgs", func(c *Config) { c.Gossip.MaxReplyMsgs = -1 }},
-		{"negative lost buffer cap", func(c *Config) { c.Gossip.LostBufferCap = -1 }},
 		{"negative member cache cap", func(c *Config) { c.Gossip.CacheCap = -1 }},
 		// Each of these ran a 10-node maodv+gossip run without error,
-		// at 0.555–0.989 delivery where the defaults deliver 1.000, or
-		// (ExpectedCap) sent no expectations at all.
+		// at 0.555–0.989 delivery where the defaults deliver 1.000.
 		{"negative history cap", func(c *Config) { c.Gossip.HistoryCap = -1 }},
 		{"negative lost table cap", func(c *Config) { c.Gossip.LostTableCap = -1 }},
-		{"negative expected cap", func(c *Config) { c.Gossip.ExpectedCap = -1 }},
 		{"negative walk ttl", func(c *Config) { c.Gossip.WalkTTL = -1 }},
-		// A gossip message carries each list's length in one byte: the
-		// simulator timed requests the wire cannot carry.
-		{"lost buffer cap above 255", func(c *Config) { c.Gossip.LostBufferCap = 256 }},
-		{"expected cap above 255", func(c *Config) { c.Gossip.ExpectedCap = 256 }},
-		{"max reply msgs above 255", func(c *Config) { c.Gossip.MaxReplyMsgs = 256 }},
 		{"zero data interval", func(c *Config) { c.DataInterval = 0 }},
 		{"negative data interval", func(c *Config) { c.DataInterval = -time.Second }},
-		// Mode 7 ran without error, as pull.
-		{"gossip mode 7", func(c *Config) { c.Gossip.Mode = 7 }},
-		{"gossip mode unset", func(c *Config) { c.Gossip.Mode = 0 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -142,38 +131,24 @@ func TestConfigValidate(t *testing.T) {
 
 	// The substrate below gossip is fixed at its package defaults, so the
 	// rows that once set one of its knobs past a bound now check that the
-	// defaults every run is built on stay inside that bound. The gossip
-	// rows take every list at the one-byte bound Validate admits: then no
-	// configuration can build a gossip message a live link refuses.
+	// defaults every run is built on stay inside that bound, and the gossip
+	// rows that the engine's fixed message bounds do: the largest reply,
+	// gossip.MaxReplyMsgs messages at each protocol's payload, fits a
+	// body (a request's lists are shorter still), and every list's length
+	// fits its one-byte count.
 	payloads := []uint16{
 		flood.DefaultConfig().PayloadLen,
 		maodv.DefaultConfig().PayloadLen,
 		odmrp.DefaultConfig().PayloadLen,
 	}
 	dataBody := func(payload uint16) int { return (&pkt.Data{PayloadLen: payload}).WireSize() }
-	fullMsgs := func(payload uint16) []pkt.Data {
-		msgs := make([]pkt.Data, math.MaxUint8)
-		for i := range msgs {
-			msgs[i].PayloadLen = payload
-		}
-		return msgs
-	}
-	pushFits := func() bool {
-		for _, p := range payloads {
-			req := &pkt.GossipReq{
-				Lost:     make([]pkt.SeqKey, math.MaxUint8),
-				Expected: make([]pkt.Expect, math.MaxUint8),
-				Pushed:   fullMsgs(p),
-			}
-			if req.WireSize() > pkt.MaxBodySize {
-				return false
-			}
-		}
-		return true
-	}
 	replyFits := func() bool {
 		for _, p := range payloads {
-			if (&pkt.GossipRep{Msgs: fullMsgs(p)}).WireSize() > pkt.MaxBodySize {
+			msgs := make([]pkt.Data, gossip.MaxReplyMsgs)
+			for i := range msgs {
+				msgs[i].PayloadLen = p
+			}
+			if (&pkt.GossipRep{Msgs: msgs}).WireSize() > pkt.MaxBodySize {
 				return false
 			}
 		}
@@ -185,8 +160,11 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"flood data body past the wire limit", func() bool { return dataBody(flood.DefaultConfig().PayloadLen) <= pkt.MaxBodySize }},
 		{"maodv data body past the wire limit", func() bool { return dataBody(maodv.DefaultConfig().PayloadLen) <= pkt.MaxBodySize }},
-		{"gossip push past the wire limit", pushFits},
 		{"gossip reply past the wire limit", replyFits},
+		// A gossip message carries each list's length in one byte.
+		{"lost buffer cap above 255", func() bool { return gossip.LostBufferCap <= math.MaxUint8 }},
+		{"expected cap above 255", func() bool { return gossip.ExpectedCap <= math.MaxUint8 }},
+		{"max reply msgs above 255", func() bool { return gossip.MaxReplyMsgs <= math.MaxUint8 }},
 		{"zero flood cache", func() bool { return flood.DefaultConfig().CacheSize > 0 }},
 		{"zero maodv data cache", func() bool { return maodv.DefaultConfig().DataCacheSize > 0 }},
 		{"zero odmrp cache", func() bool { return odmrp.DefaultConfig().CacheSize > 0 }},
@@ -378,7 +356,7 @@ func TestFigureSweepDefinitions(t *testing.T) {
 			t.Fatalf("sweep %q heading %q keeps a placeholder", s.ID, h)
 		}
 	}
-	for _, id := range []string{"2", "3", "4", "5", "6", "7", "large", "huge", "dense"} {
+	for _, id := range []string{"2", "3", "4", "5", "6", "7", "large", "huge", "dense", "a2", "a3", "a4"} {
 		s, ok := byID[id]
 		if !ok {
 			t.Fatalf("sweep %q missing", id)
@@ -430,6 +408,30 @@ func TestFigureSweepDefinitions(t *testing.T) {
 	}
 	if c = byID["huge"].Apply(base, 10000); !c.MeasureHeap || c.Nodes != 10000 {
 		t.Fatalf("huge at 10000 nodes = %+v", c)
+	}
+	// The ablations turn one gossip knob at 55 m and 1 m/s.
+	for id, x := range map[string]float64{"a2": 1, "a3": 2000, "a4": 25} {
+		if c = byID[id].Apply(base, x); c.TxRange != 55 || c.MaxSpeed != 1 || c.Nodes != 40 {
+			t.Fatalf("%s at %v = %+v", id, x, c)
+		}
+	}
+	if g := byID["a2"].Apply(base, 1).Gossip; g.PAnon != 1 {
+		t.Fatalf("a2 at 1: PAnon %v", g.PAnon)
+	}
+	if g := byID["a3"].Apply(base, 2000).Gossip; g.Interval != 2*time.Second {
+		t.Fatalf("a3 at 2000 ms: interval %v", g.Interval)
+	}
+	if g := byID["a4"].Apply(base, 25).Gossip; g.HistoryCap != 25 {
+		t.Fatalf("a4 at 25: HistoryCap %d", g.HistoryCap)
+	}
+
+	// A point off the paper prints as it is, fractional or not.
+	var out strings.Builder
+	PrintComparison(&out, byID["a2"], base, 1, []ComparisonRow{{X: 0.7}, {X: 250}, {X: 100000}})
+	for _, want := range []string{"\n0.7        | ", "\n250        | ", "\n100000     | "} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("table lacks the row %q:\n%s", want, out.String())
+		}
 	}
 
 	dbase := base
