@@ -10,34 +10,27 @@ import (
 	"anongossip/internal/pkt"
 )
 
-// listen attaches a bare transceiver next to the origin that logs every
-// MAC frame it is handed, corrupted or not, as the frame storage reads
-// when the radio walks its receivers: what any receiver would copy.
-func listen(t *testing.T, h *harness) *[]frame {
+// listen attaches, for each id, a bare transceiver near the origin
+// that logs every MAC frame it is handed, corrupted or not, as the
+// frame storage reads when the radio walks its receivers: what any
+// receiver would copy. The radio hands a unicast only to its addressee,
+// so the listeners take the addressees' ids. bodies logs the hello
+// sequence number of every data frame among them.
+func listen(t *testing.T, h *harness, ids ...pkt.NodeID) (heard *[]frame, bodies *[]uint32) {
 	t.Helper()
-	var heard []frame
-	if _, err := h.medium.Attach(99, mobility.Static{P: geom.Point{X: 10}}, func(raw any, _ pkt.NodeID, _ bool) {
-		heard = append(heard, *raw.(*frame))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return &heard
-}
-
-// listenBodies attaches a bare transceiver next to the origin that logs
-// the hello sequence number of every data frame it is handed, read as
-// the radio walks its receivers.
-func listenBodies(t *testing.T, h *harness) *[]uint32 {
-	t.Helper()
-	var seqs []uint32
-	if _, err := h.medium.Attach(98, mobility.Static{P: geom.Point{X: 20}}, func(raw any, _ pkt.NodeID, _ bool) {
-		if f := raw.(*frame); f.payload != nil {
-			seqs = append(seqs, f.payload.Body.(*pkt.Hello).Seq)
+	heard, bodies = new([]frame), new([]uint32)
+	for i, id := range ids {
+		if _, err := h.medium.Attach(id, mobility.Static{P: geom.Point{X: float64(10 * (i + 1))}}, func(raw any, _ pkt.NodeID, _ bool) {
+			f := raw.(*frame)
+			*heard = append(*heard, *f)
+			if f.payload != nil {
+				*bodies = append(*bodies, f.payload.Body.(*pkt.Hello).Seq)
+			}
+		}); err != nil {
+			t.Fatal(err)
 		}
-	}); err != nil {
-		t.Fatal(err)
 	}
-	return &seqs
+	return heard, bodies
 }
 
 // TestLateAckRecordOutlivesRetransmission: an ACK that arrives while the
@@ -48,12 +41,11 @@ func listenBodies(t *testing.T, h *harness) *[]uint32 {
 // record, and only at TxDone is the first record released and the packet
 // handed back (OnSendDone), for the sender to rebuild.
 func TestLateAckRecordOutlivesRetransmission(t *testing.T) {
-	// The addressee is out of range, so every attempt goes unacknowledged
-	// and the frame is retransmitted.
-	h := newHarness(t, 100, []geom.Point{{X: 0}, {X: 5000}})
+	// The addressee is a bare transceiver with no MAC, so every attempt
+	// goes unacknowledged and the frame is retransmitted.
+	h := newHarness(t, 100, []geom.Point{{X: 0}})
 	d := h.macs[0]
-	heard := listen(t, h)
-	bodies := listenBodies(t, h)
+	heard, bodies := listen(t, h, 2)
 	// The sender rebuilds a packet as soon as it is handed back, as a
 	// node.Stack does.
 	done := d.cb.OnSendDone
@@ -140,7 +132,7 @@ func TestResponsesWithinOneSIFS(t *testing.T) {
 	cfg.SIFS, cfg.PhyOverhead = 500*time.Microsecond, 100*time.Microsecond
 	h := newHarnessCfg(t, 100, []geom.Point{{X: 0}}, cfg)
 	d := h.macs[0]
-	heard := listen(t, h)
+	heard, _ := listen(t, h, 2, 3)
 	t0 := time.Millisecond
 	h.sched.At(t0, func() {
 		d.onData(&frame{kind: frameData, src: 2, dst: 1, seq: 7, payload: testPacket(2, 1)})

@@ -606,7 +606,7 @@ func (d *DCF) onAckTimeout() {
 func (d *DCF) transmitData(out *outgoing) {
 	payloadSize := out.frm.payload.WireSize()
 	at := d.airtime(payloadSize)
-	if err := d.tr.StartTxNotify(&out.frm, at, d); err != nil {
+	if err := d.tr.StartTxNotify(&out.frm, at, out.frm.dst, d); err != nil {
 		// Should be unreachable: the defer cycle guarantees idleness.
 		// Treat as a collision-equivalent retry rather than crashing.
 		d.retry(out)
@@ -723,7 +723,9 @@ func (d *DCF) finish(out *outgoing, ok bool) {
 	d.startHead()
 }
 
-// onRadio handles a reception outcome from the radio layer.
+// onRadio handles a reception outcome from the radio layer. The radio
+// calls it only for broadcasts and for frames addressed to this node
+// (radio.Handler), so every ACK and unicast data frame here is ours.
 func (d *DCF) onRadio(raw any, _ pkt.NodeID, ok bool) {
 	if !ok {
 		return // corrupted receptions carry no usable frame
@@ -734,10 +736,7 @@ func (d *DCF) onRadio(raw any, _ pkt.NodeID, ok bool) {
 	}
 	switch frm.kind {
 	case frameAck:
-		if frm.dst != d.id || d.inflight == nil {
-			return
-		}
-		if frm.seq == d.inflight.frm.seq {
+		if d.inflight != nil && frm.seq == d.inflight.frm.seq {
 			d.finish(d.inflight, true)
 		}
 	case frameData:
@@ -762,7 +761,7 @@ func (d *DCF) onResponse() {
 	at := d.ackAirtime()
 	f := &d.resp[d.respNext]
 	*f = frame{kind: frameAck, src: d.id, dst: r.dst, seq: r.seq}
-	if err := d.tr.StartTx(f, at); err != nil {
+	if err := d.tr.StartTxNotify(f, at, r.dst, nil); err != nil {
 		return
 	}
 	d.respNext ^= 1
@@ -780,9 +779,6 @@ func (d *DCF) onData(frm *frame) {
 			d.cb.OnReceive(frm.payload, frm.src, true)
 		}
 		return
-	}
-	if frm.dst != d.id {
-		return // unicast overheard in promiscuous range; ignore
 	}
 	// Acknowledge after SIFS, a retransmission too: its first ACK was
 	// lost.

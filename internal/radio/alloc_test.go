@@ -54,7 +54,7 @@ func TestStartTxCycleAllocatesNothing(t *testing.T) {
 		var start sim.Time
 		cycle := func() {
 			start = sched.Now()
-			if err := trs[0].StartTxNotify(frame, testAirtime, done); err != nil {
+			if err := trs[0].StartTxNotify(frame, testAirtime, pkt.Broadcast, done); err != nil {
 				t.Fatal(err)
 			}
 			sched.Run(start + 20*time.Millisecond)

@@ -249,3 +249,52 @@ func TestMatrixReentrantStartTxDuringFinish(t *testing.T) {
 		t.Fatalf("bystander receptions: %+v, want corrupted query then corrupted reply", firstRxs[2])
 	}
 }
+
+// TestMatrixUnicastReachesOnlyAddressee pins the addressing contract
+// under every model × index combination: a unicast's handler runs at
+// its addressee only, while every in-range bystander still receives it
+// — counted in its counters and the medium's, and a collision at the
+// addressee still corrupts the addressee's copy.
+func TestMatrixUnicastReachesOnlyAddressee(t *testing.T) {
+	// Range 60: nodes 2, 3 and 4 hear node 1; node 5 hears node 2 only.
+	positions := []geom.Point{{X: 0}, {X: 50}, {X: 40}, {X: -40}, {X: 110}}
+	var worlds [][]*testNode
+	rxs, stats := runMatrix(t, 60, positions, func(sched *sim.Scheduler, nodes []*testNode) {
+		worlds = append(worlds, nodes)
+		// A clean unicast to 2.
+		sched.After(0, func() { _ = nodes[0].startTxTo("u1", testAirtime, 2) })
+		// A unicast to 2 that node 5, hidden from node 1, collides with
+		// at 2 alone.
+		sched.After(time.Millisecond, func() { _ = nodes[0].startTxTo("u2", testAirtime, 2) })
+		sched.After(time.Millisecond+testAirtime/4, func() { _ = nodes[4].startTx("b", testAirtime) })
+		// A unicast to a node out of range: nobody's handler runs.
+		sched.After(2*time.Millisecond, func() { _ = nodes[0].startTxTo("u3", testAirtime, 5) })
+	})
+	want := []rxRecord{
+		{frame: "u1", from: 1, ok: true, at: testAirtime},
+		{frame: "u2", from: 1, ok: false, at: time.Millisecond + testAirtime},
+		{frame: "b", from: 5, ok: false, at: time.Millisecond + testAirtime/4 + testAirtime},
+	}
+	if !reflect.DeepEqual(rxs[1], want) {
+		t.Fatalf("addressee's handler got %+v, want %+v", rxs[1], want)
+	}
+	for _, i := range []int{0, 2, 3, 4} {
+		if len(rxs[i]) != 0 {
+			t.Fatalf("node %d's handler got %+v, want nothing: it is addressed by no unicast it hears", i+1, rxs[i])
+		}
+	}
+	// u1 and u3 reach 2, 3 and 4 intact, u2 reaches 3 and 4 intact; u2
+	// and b collide at 2.
+	if stats.Deliveries != 8 || stats.Collisions != 2 {
+		t.Fatalf("stats = %+v, want 8 deliveries and 2 collisions", stats)
+	}
+	wantCounters := [][3]uint64{{3, 0, 0}, {0, 2, 2}, {0, 3, 0}, {0, 3, 0}, {1, 0, 0}}
+	for _, nodes := range worlds {
+		for i, n := range nodes {
+			sent, delivered, collided := n.tr.Counters()
+			if got := [3]uint64{sent, delivered, collided}; got != wantCounters[i] {
+				t.Fatalf("node %d counters (sent, delivered, collided) = %v, want %v", i+1, got, wantCounters[i])
+			}
+		}
+	}
+}

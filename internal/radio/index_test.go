@@ -89,6 +89,7 @@ type fuzzOp struct {
 	node int
 	kind int      // 0 = StartTx, 1 = NeighborsOf, 2 = CarrierBusyUntil, 3 = MeanDegree
 	air  sim.Time // StartTx airtime; zero means 2 ms
+	to   int      // StartTx addressee, by node index + 1; zero broadcasts
 }
 
 func (w *fuzzWorld) schedule(ops []fuzzOp) {
@@ -101,7 +102,11 @@ func (w *fuzzWorld) schedule(ops []fuzzOp) {
 				if air == 0 {
 					air = 2 * time.Millisecond
 				}
-				err := w.m.startTx(w.trs[op.node], fmt.Sprintf("f%d", i), air, txDoneLog{w, op.node})
+				dst := pkt.Broadcast
+				if op.to > 0 {
+					dst = pkt.NodeID(op.to)
+				}
+				err := w.m.startTx(w.trs[op.node], fmt.Sprintf("f%d", i), air, dst, txDoneLog{w, op.node})
 				w.log = append(w.log, fmt.Sprintf("tx@%v node=%d err=%v", w.sched.Now(), op.node, err != nil))
 			case 1:
 				w.log = append(w.log, fmt.Sprintf("nbr@%v node=%d %v", w.sched.Now(), op.node, w.m.NeighborsOf(pkt.NodeID(op.node+1))))

@@ -66,7 +66,9 @@ func runModelDifferential(t *testing.T, label string, seed int64, n int, area ge
 // while mobile nodes transmit randomly. Op times are quantised to the
 // frame airtime's divisors so exact overlaps, exact boundaries and
 // same-instant bursts — the cases where the models' bookkeeping differs
-// most — occur constantly rather than almost never.
+// most — occur constantly rather than almost never. Half the
+// transmissions are addressed to one node, so the logs also hold the
+// rule that only the addressee's handler runs.
 func TestReceptionModelsMatchUnderRandomTraffic(t *testing.T) {
 	area := geom.Rect{W: 300, H: 300}
 	for _, seed := range []int64{1, 2, 3} {
@@ -78,11 +80,11 @@ func TestReceptionModelsMatchUnderRandomTraffic(t *testing.T) {
 			// start at another frame's exact start, midpoint or end.
 			at := opRNG.Duration(100 * time.Second).Truncate(time.Millisecond)
 			node := opRNG.Intn(nNodes)
-			ops = append(ops, fuzzOp{at: at, node: node, kind: opRNG.Intn(4)})
+			ops = append(ops, fuzzOp{at: at, node: node, kind: opRNG.Intn(4), to: opRNG.Intn(2 * nNodes)})
 			// Every eighth op is duplicated at the same instant from
 			// another node: same-instant transmission bursts.
 			if i%8 == 0 {
-				ops = append(ops, fuzzOp{at: at, node: opRNG.Intn(nNodes), kind: 0})
+				ops = append(ops, fuzzOp{at: at, node: opRNG.Intn(nNodes), kind: 0, to: opRNG.Intn(2 * nNodes)})
 			}
 			// Every fifth op opens a train of transmissions from its
 			// node that spans several neighbour-table lifetimes
@@ -100,11 +102,14 @@ func TestReceptionModelsMatchUnderRandomTraffic(t *testing.T) {
 
 // FuzzReceptionModelDifferential lets the fuzzer hunt for op schedules
 // that split the reception models. Each 4-byte group decodes one op:
-// time (quantised to half the airtime), node, and op kind.
+// time (quantised to half the airtime), node, and op kind with, for a
+// transmission, its addressee (none: a broadcast).
 func FuzzReceptionModelDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 2, 0, 1, 1, 4, 1, 2, 0})
 	f.Add([]byte{1, 0, 0, 0, 1, 1, 0, 0, 1, 2, 0, 0, 2, 3, 0, 0})
 	f.Add([]byte{0, 0, 3, 3, 0, 1, 2, 2, 8, 2, 1, 0, 8, 3, 0, 1})
+	// Addressed frames: a unicast, a collision at its addressee.
+	f.Add([]byte{0, 0, 0, 8, 0, 0, 2, 4, 1, 0, 1, 12, 1, 0, 2, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 || len(data) > 4*256 {
 			t.Skip()
@@ -119,6 +124,7 @@ func FuzzReceptionModelDifferential(f *testing.F) {
 				at:   at,
 				node: int(data[i+2]) % nNodes,
 				kind: int(data[i+3]) % 4,
+				to:   int(data[i+3]) / 4 % (nNodes + 1),
 			})
 		}
 		runModelDifferential(t, "fuzz", 7, nNodes, geom.Rect{W: 200, H: 200}, 3, ops, time.Hour)

@@ -50,7 +50,11 @@ type Stats struct {
 }
 
 // Handler receives the outcome of a reception. frame is the value passed
-// to StartTx; ok is false when the reception was corrupted.
+// to StartTx; ok is false when the reception was corrupted. A frame
+// addressed to one node (StartTxNotify's dst) reaches only that node's
+// handler; the other nodes in range still receive it — it occupies and
+// corrupts their receivers and counts in their counters and the
+// medium's — but their handlers are not called.
 type Handler func(frame any, from pkt.NodeID, ok bool)
 
 // CarrierPredictWindow bounds how far ahead CarrierProbe's closure
@@ -99,8 +103,11 @@ type TxDone interface {
 // table walk) has completed, at which point nothing references it any
 // more.
 type transmission struct {
-	from   *Transceiver
-	frame  any
+	from  *Transceiver
+	frame any
+	// dst is the link destination: the one node whose handler the
+	// finish walk calls, or pkt.Broadcast for all of them.
+	dst    pkt.NodeID
 	start  sim.Time
 	end    sim.Time
 	origin geom.Point
@@ -455,19 +462,23 @@ func notifyCarrier(rcv *Transceiver, d2, r float64, end sim.Time) {
 	rcv.carrier.CarrierOnset(end, in > 0 && d2 <= in*in)
 }
 
-// StartTx puts frame on the air for airtime. Receivers are the nodes
-// within range at the start of the transmission; each receives the frame
-// (or a corruption notice) when the airtime elapses.
+// StartTx puts frame on the air for airtime, addressed to every node.
+// Receivers are the nodes within range at the start of the
+// transmission; each receives the frame (or a corruption notice) when
+// the airtime elapses.
 func (t *Transceiver) StartTx(frame any, airtime sim.Time) error {
-	return t.StartTxNotify(frame, airtime, nil)
+	return t.StartTxNotify(frame, airtime, pkt.Broadcast, nil)
 }
 
-// StartTxNotify is StartTx with a transmitter-side completion hook:
-// done.TxDone() (when done is non-nil) runs after the transmission's
-// finish processing, in the exact schedule position of an airtime-end
-// timer armed by the caller right after StartTx — see the TxDone doc.
-func (t *Transceiver) StartTxNotify(frame any, airtime sim.Time, done TxDone) error {
-	tx, err := t.beginTx(frame, airtime, done)
+// StartTxNotify is StartTx with a link destination and a
+// transmitter-side completion hook. Every node in range receives the
+// frame, but only dst's handler is called — every node's when dst is
+// pkt.Broadcast (see Handler). done.TxDone() (when done is non-nil)
+// runs after the transmission's finish processing, in the exact
+// schedule position of an airtime-end timer armed by the caller right
+// after StartTx — see the TxDone doc.
+func (t *Transceiver) StartTxNotify(frame any, airtime sim.Time, dst pkt.NodeID, done TxDone) error {
+	tx, err := t.beginTx(frame, airtime, dst, done)
 	if err != nil {
 		return err
 	}
@@ -479,7 +490,7 @@ func (t *Transceiver) StartTxNotify(frame any, airtime sim.Time, done TxDone) er
 // it validates the request, puts a pooled transmission record on the
 // air and raises the transmitter's own carrier. The caller registers
 // the receivers and schedules the finish.
-func (t *Transceiver) beginTx(frame any, airtime sim.Time, done TxDone) (*transmission, error) {
+func (t *Transceiver) beginTx(frame any, airtime sim.Time, dst pkt.NodeID, done TxDone) (*transmission, error) {
 	m := t.medium
 	now := m.sched.Now()
 	if t.txEnd > now {
@@ -490,7 +501,7 @@ func (t *Transceiver) beginTx(frame any, airtime sim.Time, done TxDone) (*transm
 	}
 
 	tx := m.acquireTx()
-	tx.from, tx.frame, tx.done = t, frame, done
+	tx.from, tx.frame, tx.dst, tx.done = t, frame, dst, done
 	tx.start, tx.end = now, now+airtime
 	tx.origin = t.pos.Position(now)
 	m.index.AddTx(tx)
@@ -609,7 +620,8 @@ func (m *Medium) enterReceiver(rcv *Transceiver) {
 // receiver table in attach order — the exact order a per-receiver model
 // fires its events in, since those are scheduled back-to-back at
 // StartTx and the kernel runs same-instant events in insertion order —
-// finalises each entry's outcome, and retires the transmission.
+// finalises each entry's outcome, hands it to the addressee's handler
+// (every receiver's, for a broadcast), and retires the transmission.
 // Handlers may call StartTx re-entrantly; entries not yet walked still
 // count as in flight, so a frame transmitted mid-walk collides with
 // them exactly as it would with one event per receiver.
@@ -632,7 +644,7 @@ func (m *Medium) finishTx(tx *transmission) {
 			rcv.delivered++
 			m.stats.Deliveries++
 		}
-		if rcv.handler != nil {
+		if rcv.handler != nil && (tx.dst == pkt.Broadcast || tx.dst == rcv.id) {
 			rcv.handler(tx.frame, tx.from.id, !corrupted)
 		}
 	}

@@ -31,7 +31,12 @@ type testNode struct {
 }
 
 func (n *testNode) startTx(frame any, airtime sim.Time) error {
-	return n.tm.startTx(n.tr, frame, airtime, nil)
+	return n.startTxTo(frame, airtime, pkt.Broadcast)
+}
+
+// startTxTo is startTx addressed to dst.
+func (n *testNode) startTxTo(frame any, airtime sim.Time, dst pkt.NodeID) error {
+	return n.tm.startTx(n.tr, frame, airtime, dst, nil)
 }
 
 // build attaches nodes at fixed positions and records every reception.

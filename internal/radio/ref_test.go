@@ -2,6 +2,7 @@ package radio
 
 import (
 	"anongossip/internal/geom"
+	"anongossip/internal/pkt"
 	"anongossip/internal/sim"
 )
 
@@ -54,13 +55,13 @@ func newTestMedium(sched *sim.Scheduler, rangeM float64, o oracle) *testMedium {
 	return tm
 }
 
-// startTx transmits from t over whichever reception path the medium was
-// built for.
-func (tm *testMedium) startTx(t *Transceiver, frame any, airtime sim.Time, done TxDone) error {
+// startTx transmits from t, addressed to dst, over whichever reception
+// path the medium was built for.
+func (tm *testMedium) startTx(t *Transceiver, frame any, airtime sim.Time, dst pkt.NodeID, done TxDone) error {
 	if tm.ref != nil {
-		return tm.ref.startTx(t, frame, airtime, done)
+		return tm.ref.startTx(t, frame, airtime, dst, done)
 	}
-	return t.StartTxNotify(frame, airtime, done)
+	return t.StartTxNotify(frame, airtime, dst, done)
 }
 
 // bruteIndex is the original linear scan over all transceivers and all
@@ -117,14 +118,16 @@ type reception struct {
 // refRx is the reference reception path: one heap-allocated reception
 // and one scheduled finish event per in-range receiver per frame, plus a
 // trailing event that retires the transmission, with collision state
-// maintained by scanning each receiver's live reception list.
+// maintained by scanning each receiver's live reception list. Every
+// receiver's reception is decided and counted; only the addressee's
+// handler hears of it (every receiver's, for a broadcast).
 type refRx struct {
 	m    *Medium
 	live map[*Transceiver][]*reception
 }
 
-func (r *refRx) startTx(t *Transceiver, frame any, airtime sim.Time, done TxDone) error {
-	tx, err := t.beginTx(frame, airtime, done)
+func (r *refRx) startTx(t *Transceiver, frame any, airtime sim.Time, dst pkt.NodeID, done TxDone) error {
+	tx, err := t.beginTx(frame, airtime, dst, done)
 	if err != nil {
 		return err
 	}
@@ -205,7 +208,7 @@ func (r *refRx) finish(t *Transceiver, rec *reception) {
 		t.delivered++
 		r.m.stats.Deliveries++
 	}
-	if t.handler != nil {
+	if dst := rec.tx.dst; t.handler != nil && (dst == pkt.Broadcast || dst == t.id) {
 		t.handler(rec.tx.frame, rec.tx.from.id, !rec.corrupted)
 	}
 }

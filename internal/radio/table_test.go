@@ -86,7 +86,7 @@ func TestNeighbourTableBoundaries(t *testing.T) {
 					add(linear{p0: geom.Point{X: -d0}, v: geom.Point{X: -v}}) // opening
 				}
 				send := func(frame string) {
-					if err := w.m.startTx(tx, frame, time.Microsecond, nil); err != nil {
+					if err := w.m.startTx(tx, frame, time.Microsecond, pkt.Broadcast, nil); err != nil {
 						t.Fatal(err)
 					}
 				}

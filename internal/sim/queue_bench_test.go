@@ -6,13 +6,15 @@ import (
 	"time"
 )
 
-// The scheduler microbenchmarks use a hold model: the queue is
-// preloaded with `hold` pending events and every fired event schedules
-// its replacement, so the queue stays at a constant depth while b.N
-// pop+push cycles stream through it. That is the simulator's
-// steady-state shape — hundreds of thousands of MAC/route/gossip
-// timers pending while events churn — and it is where heap depth and
-// per-event allocation dominate.
+// The queue microbenchmarks use a hold model at the queue level, so
+// the production heap and the reference are timed on one seam: the
+// queue is preloaded with `hold` pending entries and every popped entry
+// is replaced by one later entry, so the queue stays at a constant
+// depth while b.N pop+push cycles stream through it. That is the
+// simulator's steady-state shape — hundreds of thousands of
+// MAC/route/gossip timers pending while events churn — and it is where
+// heap depth and per-event allocation dominate. The Scheduler's own
+// cost is BenchmarkSingleRun's (the root package).
 //
 // CI runs these with -benchtime=1x as a build/assert smoke test;
 // meaningful timings need the default benchtime.
@@ -51,77 +53,119 @@ func (g *benchDelays) nextClustered(cfgSIFS, cfgDIFS, slot Time) Time {
 	}
 }
 
-func benchQueueChurn(b *testing.B, kind queueImpl, hold int) {
-	s := kind.scheduler()
-	delays := &benchDelays{state: 1}
-	var churn func()
-	churn = func() { s.After(delays.next(), churn) }
+// churner is the hold model's driver: a queue, the clock, and the
+// Scheduler's slot bookkeeping for cancelled entries — a dead mark per
+// slot, a free list, and compaction once the dead outnumber the live.
+type churner struct {
+	q         eventQueue
+	now       Time
+	seq       uint64
+	dead      []bool
+	free      []int32
+	cancelled int
+	delay     func() Time
+	// cancelOne arms and cancels a second entry per fired one.
+	cancelOne bool
+}
+
+func (c *churner) push(at Time) int32 {
+	var slot int32
+	if n := len(c.free); n > 0 {
+		slot = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		slot = int32(len(c.dead))
+		c.dead = append(c.dead, false)
+	}
+	c.q.push(event{at: at, seq: c.seq, slot: slot})
+	c.seq++
+	return slot
+}
+
+// churn arms the replacement for one fired entry — and, in the cancel
+// model, a second entry that is cancelled at once, the MAC-retry
+// pattern that dominates cancellations in real runs.
+func (c *churner) churn() {
+	c.push(c.now + c.delay())
+	if !c.cancelOne {
+		return
+	}
+	c.dead[c.push(c.now+c.delay())] = true
+	c.cancelled++
+	if c.cancelled >= 64 && c.cancelled > c.q.len()/2 {
+		c.q.compact(func(slot int32) bool {
+			if c.dead[slot] {
+				c.dead[slot] = false
+				c.free = append(c.free, slot)
+				return false
+			}
+			return true
+		})
+		c.cancelled = 0
+	}
+}
+
+// fire pops entries until a live one fires, then churns.
+func (c *churner) fire() {
+	for {
+		e := c.q.pop()
+		c.free = append(c.free, e.slot)
+		if c.dead[e.slot] {
+			c.dead[e.slot] = false
+			c.cancelled--
+			continue
+		}
+		c.now = e.at
+		c.churn()
+		return
+	}
+}
+
+func benchChurn(b *testing.B, kind queueImpl, hold int, cancelOne bool, delay func() Time) {
+	c := &churner{q: kind.new(), delay: delay, cancelOne: cancelOne}
 	for i := 0; i < hold; i++ {
-		churn()
+		c.churn()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	s.RunAll(uint64(b.N))
+	for i := 0; i < b.N; i++ {
+		c.fire()
+	}
 	b.StopTimer()
-	if got := s.Pending(); got != hold {
+	if got := c.q.len() - c.cancelled; got != hold {
 		b.Fatalf("hold model broken: %d pending, want %d", got, hold)
 	}
+}
+
+func benchQueueChurn(b *testing.B, kind queueImpl, hold int) {
+	delays := &benchDelays{state: 1}
+	benchChurn(b, kind, hold, false, delays.next)
 }
 
 func benchQueueChurnCancel(b *testing.B, kind queueImpl, hold int) {
-	s := kind.scheduler()
 	delays := &benchDelays{state: 2}
-	var churn func()
-	churn = func() {
-		s.After(delays.next(), churn)
-		// A second timer is scheduled and immediately cancelled — the
-		// MAC-retry pattern that dominates cancellations in real runs.
-		// This drives the cancelled count through the compaction policy.
-		s.After(delays.next(), churn).Cancel()
-	}
-	for i := 0; i < hold; i++ {
-		churn()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	s.RunAll(uint64(b.N))
-	b.StopTimer()
-	if got := s.Pending(); got != hold {
-		b.Fatalf("hold model broken: %d pending, want %d", got, hold)
-	}
+	benchChurn(b, kind, hold, true, delays.next)
 }
 
-// benchQueueChurnClustered is the hold-model churn loop under the
-// clustered (bimodal MAC-vs-mobility) delay distribution. Delays match
-// the default mac.Config timing constants.
+// benchQueueChurnClustered is the hold model under the clustered
+// (bimodal MAC-vs-mobility) delay distribution. Delays match the
+// default mac.Config timing constants.
 func benchQueueChurnClustered(b *testing.B, kind queueImpl, hold int) {
 	const (
 		sifs = 10 * time.Microsecond
 		difs = 50 * time.Microsecond
 		slot = 20 * time.Microsecond
 	)
-	s := kind.scheduler()
 	delays := &benchDelays{state: 3}
-	var churn func()
-	churn = func() { s.After(delays.nextClustered(sifs, difs, slot), churn) }
-	for i := 0; i < hold; i++ {
-		churn()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	s.RunAll(uint64(b.N))
-	b.StopTimer()
-	if got := s.Pending(); got != hold {
-		b.Fatalf("hold model broken: %d pending, want %d", got, hold)
-	}
+	benchChurn(b, kind, hold, false, func() Time { return delays.nextClustered(sifs, difs, slot) })
 }
 
-// BenchmarkQueueChurn measures the pure push/pop path (fire one event,
-// schedule its replacement) at fixed queue depths, with a reference
-// leg so the quad heap's numbers always have their baseline next to
-// them. The quad queue should be allocation-free per op; the ref queue
-// pays two boxing allocations per cycle (heap.Push boxes the event into
-// `any`, and heap.Pop's `any` return boxes it again).
+// BenchmarkQueueChurn measures the pure pop+push path (fire one entry,
+// push its replacement) at fixed queue depths, with a reference leg so
+// the quad heap's numbers always have their baseline next to them. The
+// quad queue should be allocation-free per op; the ref queue pays two
+// boxing allocations per cycle (heap.Push boxes the event into `any`,
+// and heap.Pop's `any` return boxes it again).
 func BenchmarkQueueChurn(b *testing.B) {
 	for _, kind := range queueImpls {
 		for _, hold := range queueBenchSizes {
@@ -132,8 +176,8 @@ func BenchmarkQueueChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueChurnCancel adds a cancel per fired event, exercising
-// slot recycling and the compaction policy under churn.
+// BenchmarkQueueChurnCancel adds a cancel per fired entry, exercising
+// compaction and tombstone pops under churn.
 func BenchmarkQueueChurnCancel(b *testing.B) {
 	for _, kind := range queueImpls {
 		for _, hold := range queueBenchSizes {

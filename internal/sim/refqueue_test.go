@@ -5,9 +5,26 @@ import (
 	"fmt"
 )
 
+// eventQueue is the min-queue contract quadQueue implements. The
+// Scheduler holds its quadQueue concretely; the interface is only the
+// seam through which these tests drive the production heap and the
+// container/heap reference with one operation stream.
+type eventQueue interface {
+	push(event)
+	// peek returns the minimum entry; undefined when len() == 0.
+	peek() event
+	// pop removes and returns the minimum entry.
+	pop() event
+	len() int
+	// compact removes every entry whose keep(slot) reports false. The
+	// surviving entries retain their (at, seq) keys, so pop order is
+	// unaffected.
+	compact(keep func(slot int32) bool)
+}
+
 // queueImpl names one eventQueue implementation under test: the
 // production 4-ary heap and the container/heap reference it is checked
-// against. Only the tests can build a scheduler on the reference.
+// against.
 type queueImpl struct {
 	name string
 	new  func() eventQueue
@@ -20,8 +37,7 @@ var queueImpls = []queueImpl{
 	{"ref", func() eventQueue { return &refQueue{} }},
 }
 
-func (q queueImpl) String() string        { return q.name }
-func (q queueImpl) scheduler() *Scheduler { return newScheduler(q.new()) }
+func (q queueImpl) String() string { return q.name }
 
 // refHeap implements heap.Interface the way the original scheduler
 // did: `any`-boxed push/pop (one allocation per push) and interface-

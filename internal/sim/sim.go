@@ -195,7 +195,7 @@ func (t Timer) Done() bool {
 type Scheduler struct {
 	now     Time
 	seq     uint64
-	q       eventQueue
+	q       quadQueue
 	pool    []slot
 	free    []int32
 	stopped bool
@@ -214,13 +214,7 @@ type Scheduler struct {
 
 // NewScheduler returns a scheduler positioned at time zero.
 func NewScheduler() *Scheduler {
-	return newScheduler(&quadQueue{})
-}
-
-// newScheduler builds a scheduler over q; the differential tests use it
-// to run the reference queue.
-func newScheduler(q eventQueue) *Scheduler {
-	return &Scheduler{q: q}
+	return &Scheduler{}
 }
 
 // Now returns the current simulation time.

@@ -457,6 +457,135 @@ func TestCompactionPreservesOrdering(t *testing.T) {
 	}
 }
 
+// TestPostponeMonotone: Postpone only ever moves a timer later. A
+// target at or before the queue position, or before an earlier
+// postponement, is ignored but still reported as accepted.
+func TestPostponeMonotone(t *testing.T) {
+	s := NewScheduler()
+	var fired []Time
+	tm := s.After(10*time.Millisecond, func() { fired = append(fired, s.Now()) })
+	for _, at := range []Time{5 * time.Millisecond, 10 * time.Millisecond, 30 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond} {
+		if !tm.Postpone(at) {
+			t.Fatalf("Postpone(%v) on a pending timer reported false", at)
+		}
+	}
+	s.Run(time.Second)
+	if len(fired) != 1 || fired[0] != 30*time.Millisecond {
+		t.Fatalf("fired at %v, want once at the largest target 30ms", fired)
+	}
+	if got := s.Elided(); got != 1 {
+		t.Fatalf("Elided = %d, want one hop however many Postpone calls", got)
+	}
+}
+
+// TestPostponeAtReportsOldPosition: At keeps reporting the queue
+// position until the kernel pops the entry there and hops it.
+func TestPostponeAtReportsOldPosition(t *testing.T) {
+	s := NewScheduler()
+	tm := s.After(10*time.Millisecond, func() {})
+	tm.Postpone(20 * time.Millisecond)
+	if got := tm.At(); got != 10*time.Millisecond {
+		t.Fatalf("At before the hop = %v, want the old position 10ms", got)
+	}
+	s.Run(15 * time.Millisecond)
+	if got := tm.At(); got != 20*time.Millisecond {
+		t.Fatalf("At after the hop = %v, want 20ms", got)
+	}
+	if tm.Done() || s.Processed() != 0 || s.Elided() != 1 || s.Pending() != 1 {
+		t.Fatalf("after the hop: Done=%v Processed=%d Elided=%d Pending=%d, want false 0 1 1",
+			tm.Done(), s.Processed(), s.Elided(), s.Pending())
+	}
+	s.Run(time.Second)
+	if !tm.Fired() || s.Processed() != 1 || s.Elided() != 1 {
+		t.Fatalf("after the fire: Fired=%v Processed=%d Elided=%d, want true 1 1", tm.Fired(), s.Processed(), s.Elided())
+	}
+}
+
+// TestPostponeHopTakesSequenceAtHop: the hop allocates its insertion
+// sequence when it happens, exactly as a callback re-arming the timer
+// would. A same-instant event armed at the target before the hop fires
+// first; one armed at the hop's instant but after it fires later.
+func TestPostponeHopTakesSequenceAtHop(t *testing.T) {
+	s := NewScheduler()
+	const at, target = 10 * time.Millisecond, 20 * time.Millisecond
+	var order []string
+	log := func(name string) func() { return func() { order = append(order, name) } }
+	// Fires at 10ms before the hop and arms "before" at the target.
+	s.At(at, func() { s.At(target, log("before")) })
+	tm := s.At(at, log("postponed"))
+	// Fires at 10ms after the hop and arms "after" at the target.
+	s.At(at, func() { s.At(target, log("after")) })
+	tm.Postpone(target)
+	s.Run(time.Second)
+	want := []string{"before", "postponed", "after"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("fire order %v, want %v", order, want)
+	}
+}
+
+// TestPostponeElidedCounts: every hop counts one elided event, never a
+// processed one, and a timer postponed again after its hop hops again.
+func TestPostponeElidedCounts(t *testing.T) {
+	s := NewScheduler()
+	tm := s.After(time.Millisecond, func() {})
+	other := s.After(2*time.Millisecond, func() {})
+	tm.Postpone(3 * time.Millisecond)
+	other.Postpone(4 * time.Millisecond)
+	s.Run(2 * time.Millisecond)
+	if s.Elided() != 2 || s.Processed() != 0 {
+		t.Fatalf("Elided=%d Processed=%d after two hops, want 2 0", s.Elided(), s.Processed())
+	}
+	tm.Postpone(5 * time.Millisecond)
+	s.Run(time.Second)
+	if s.Elided() != 3 || s.Processed() != 2 {
+		t.Fatalf("Elided=%d Processed=%d after the drain, want 3 2", s.Elided(), s.Processed())
+	}
+	// RunAll counts a hop against its budget.
+	s.After(time.Millisecond, func() {}).Postpone(time.Hour)
+	if n, drained := s.RunAll(1); n != 1 || drained {
+		t.Fatalf("RunAll(1) over a hop = (%d, %v), want (1, false)", n, drained)
+	}
+}
+
+// TestUnpostponeRestoresTimer: Unpostpone before the hop makes the
+// timer fire at its queue position, as if never postponed.
+func TestUnpostponeRestoresTimer(t *testing.T) {
+	s := NewScheduler()
+	var fired Time
+	tm := s.After(10*time.Millisecond, func() { fired = s.Now() })
+	tm.Postpone(20 * time.Millisecond)
+	tm.Unpostpone()
+	s.Run(time.Second)
+	if fired != 10*time.Millisecond || s.Elided() != 0 {
+		t.Fatalf("fired at %v with %d hops, want 10ms and none", fired, s.Elided())
+	}
+}
+
+// TestPostponeAfterCompletion: Postpone reports false, and neither it
+// nor Unpostpone has any effect, once the timer fired or was
+// cancelled — also through a stale handle whose slot a pending timer
+// now occupies.
+func TestPostponeAfterCompletion(t *testing.T) {
+	s := NewScheduler()
+	fired := s.After(time.Millisecond, func() {})
+	s.Run(2 * time.Millisecond)
+	var at Time
+	live := s.After(time.Millisecond, func() { at = s.Now() }) // reuses fired's slot
+	live.Postpone(5 * time.Millisecond)
+	cancelled := s.After(time.Millisecond, func() { t.Error("cancelled timer fired") })
+	cancelled.Cancel()
+	for _, tm := range []Timer{fired, cancelled, {}} {
+		if tm.Postpone(time.Hour) {
+			t.Fatalf("Postpone on a completed timer %+v reported true", tm)
+		}
+		tm.Unpostpone()
+	}
+	s.Run(time.Second)
+	if at != 5*time.Millisecond || s.Elided() != 1 {
+		t.Fatalf("the slot's new timer fired at %v with %d hops, want its own 5ms and one", at, s.Elided())
+	}
+}
+
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42)
 	b := NewRNG(42)
