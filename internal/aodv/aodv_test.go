@@ -128,24 +128,35 @@ func TestHelloNeighborDiscovery(t *testing.T) {
 	}
 }
 
-// teleporter jumps from a to b at time jumpAt.
-type teleporter struct {
-	a, b   geom.Point
-	jumpAt sim.Time
+// departSpeed is a departing node's declared and actual speed: fast
+// enough to leave a 60 m neighbourhood within a tenth of a second.
+const departSpeed = 1000 // m/s
+
+// departing is a node that stays at a until leaveAt, then travels in a
+// straight line to b at departSpeed.
+type departing struct {
+	a, b    geom.Point
+	leaveAt sim.Time
 }
 
-func (tp teleporter) Position(t sim.Time) geom.Point {
-	if t >= tp.jumpAt {
-		return tp.b
+func (d departing) Position(t sim.Time) geom.Point {
+	if t <= d.leaveAt {
+		return d.a
 	}
-	return tp.a
+	frac := departSpeed * (t - d.leaveAt).Seconds() / d.a.Dist(d.b)
+	if frac >= 1 {
+		return d.b
+	}
+	return d.a.Lerp(d.b, frac)
 }
+
+func (departing) MaxSpeed() float64 { return departSpeed }
 
 func TestHelloLossBreaksLink(t *testing.T) {
 	pos := linePositions(2)
 	models := []mobility.Model{
 		nil,
-		teleporter{a: pos[1], b: geom.Point{X: 5000}, jumpAt: 5 * time.Second},
+		departing{a: pos[1], b: geom.Point{X: 5000}, leaveAt: 5 * time.Second},
 	}
 	w := buildWorld(t, pos, models...)
 
@@ -172,13 +183,13 @@ func TestHelloLossBreaksLink(t *testing.T) {
 }
 
 func TestMACFailureInvalidatesRouteAndSalvages(t *testing.T) {
-	// Line 1-2-3; node 2 teleports away after routes are set up. The next
+	// Line 1-2-3; node 2 leaves after routes are set up. The next
 	// packet from 1 fails at the MAC, the route must be invalidated, a
 	// rediscovery happens, and with no alternative path the packet drops.
 	pos := linePositions(3)
 	models := []mobility.Model{
 		nil,
-		teleporter{a: pos[1], b: geom.Point{X: 5000}, jumpAt: 6 * time.Second},
+		departing{a: pos[1], b: geom.Point{X: 5000}, leaveAt: 6 * time.Second},
 		nil,
 	}
 	w := buildWorld(t, pos, models...)
@@ -187,12 +198,12 @@ func TestMACFailureInvalidatesRouteAndSalvages(t *testing.T) {
 	if w.rxs[2] != 1 {
 		t.Fatal("precondition: initial delivery failed")
 	}
-	// Send the second packet after node 2 teleports away at t=6s.
+	// Send the second packet after node 2 leaves at t=6s.
 	w.sched.After(2*time.Second, func() { w.stacks[0].SendUnicast(payload(1, 3)) })
 	w.sched.Run(40 * time.Second)
 
 	if w.rxs[2] != 1 {
-		t.Fatalf("deliveries = %d, want still 1 (no path after teleport)", w.rxs[2])
+		t.Fatalf("deliveries = %d, want still 1 (no path after departure)", w.rxs[2])
 	}
 	st := w.routers[0].Stats()
 	if st.LinkBreaks == 0 {
@@ -214,7 +225,7 @@ func TestSalvagedPacketNeverSpare(t *testing.T) {
 	pos := linePositions(3)
 	models := []mobility.Model{
 		nil,
-		teleporter{a: pos[1], b: geom.Point{X: 5000}, jumpAt: 6 * time.Second},
+		departing{a: pos[1], b: geom.Point{X: 5000}, leaveAt: 6 * time.Second},
 		nil,
 	}
 	w := buildWorld(t, pos, models...)
@@ -286,7 +297,7 @@ func TestRERRPropagation(t *testing.T) {
 	pos := linePositions(4)
 	models := []mobility.Model{
 		nil, nil, nil,
-		teleporter{a: pos[3], b: geom.Point{X: 9000}, jumpAt: 6 * time.Second},
+		departing{a: pos[3], b: geom.Point{X: 9000}, leaveAt: 6 * time.Second},
 	}
 	w := buildWorld(t, pos, models...)
 	w.sched.After(time.Second, func() { w.stacks[0].SendUnicast(payload(1, 4)) })

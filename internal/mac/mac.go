@@ -349,7 +349,7 @@ func newDCF(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.Nod
 		return nil, err
 	}
 	d.tr = tr
-	if fold && tr.CarrierPredictable() {
+	if fold {
 		// Fold the contention countdown: the radio notifies carrier
 		// onsets instead of the MAC polling with a wake per busy
 		// period.

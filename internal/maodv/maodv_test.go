@@ -8,6 +8,7 @@ import (
 	"anongossip/internal/aodv"
 	"anongossip/internal/geom"
 	"anongossip/internal/gossip"
+	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
@@ -17,19 +18,39 @@ import (
 
 const testGroup pkt.GroupID = 0xE0000001
 
-// movable is a mobility model whose node jumps far away when *moved is
-// set.
-type movable struct {
-	p     geom.Point
-	moved *bool
+// moveSpeed is a movable node's declared and actual speed: a leg ends
+// within about a second.
+const moveSpeed = 1000 // m/s
+
+// awayOffset is where a movable node goes when sent away, relative to
+// its home: about 990 m off, out of range of every test layout.
+var awayOffset = geom.Point{X: 700, Y: 700}
+
+// movable is a mobility model whose node stays home until the test sends
+// it away (mworld.move), then travels in a straight line at moveSpeed to
+// its away point or, sent back, home again.
+type movable struct{ leg *moveLeg }
+
+// moveLeg is a movable node's current leg: it leaves from at time at
+// and stops at to.
+type moveLeg struct {
+	from, to geom.Point
+	at       sim.Time
 }
 
-func (m movable) Position(sim.Time) geom.Point {
-	if m.moved != nil && *m.moved {
-		return geom.Point{X: 1e6, Y: 1e6}
+func (m movable) Position(t sim.Time) geom.Point {
+	l := m.leg
+	if t <= l.at || l.from == l.to {
+		return l.from
 	}
-	return m.p
+	frac := moveSpeed * (t - l.at).Seconds() / l.from.Dist(l.to)
+	if frac >= 1 {
+		return l.to
+	}
+	return l.from.Lerp(l.to, frac)
 }
+
+func (movable) MaxSpeed() float64 { return moveSpeed }
 
 type mworld struct {
 	sched     *sim.Scheduler
@@ -38,7 +59,20 @@ type mworld struct {
 	unis      []*aodv.Router
 	routers   []*Router
 	delivered []map[pkt.SeqKey]int // per node: data key -> count
-	moved     []bool
+	homes     []geom.Point
+	legs      []moveLeg
+}
+
+// move starts node idx travelling away from its home (away) or back to
+// it, from wherever it is now.
+func (w *mworld) move(idx int, away bool) {
+	now := w.sched.Now()
+	to := w.homes[idx]
+	if away {
+		to = geom.Point{X: to.X + awayOffset.X, Y: to.Y + awayOffset.Y}
+	}
+	from := movable{&w.legs[idx]}.Position(now)
+	w.legs[idx] = moveLeg{from: from, to: to, at: now}
 }
 
 // fastConfig shortens join timers so leader bootstrap happens quickly in
@@ -53,14 +87,14 @@ func fastConfig() Config {
 
 func buildM(t *testing.T, rangeM float64, positions []geom.Point) *mworld {
 	t.Helper()
-	w := &mworld{sched: sim.NewScheduler(), moved: make([]bool, len(positions))}
+	w := &mworld{sched: sim.NewScheduler(), homes: positions, legs: make([]moveLeg, len(positions))}
 	w.medium = radio.NewMedium(w.sched, radio.Params{Range: rangeM})
 	rng := sim.NewRNG(321)
-	for i := range positions {
+	for i, p := range positions {
 		i := i
 		id := pkt.NodeID(i + 1)
-		rt, err := simrt.New(w.sched, rng.Derive("n/"+id.String()), w.medium, id,
-			movable{p: positions[i], moved: &w.moved[i]})
+		w.legs[i] = moveLeg{from: p, to: p}
+		rt, err := simrt.New(w.sched, rng.Derive("n/"+id.String()), w.medium, id, movable{&w.legs[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,9 +355,9 @@ func TestRepairAfterLinkBreak(t *testing.T) {
 	w.sched.After(0, func() {
 		switch {
 		case w.routers[1].InTree(testGroup):
-			w.moved[1] = true
+			w.move(1, true)
 		case w.routers[2].InTree(testGroup):
-			w.moved[2] = true
+			w.move(2, true)
 		default:
 			t.Error("neither router is in the tree")
 		}
@@ -356,14 +390,14 @@ func TestPartitionElectsNewLeaderAndMergesBack(t *testing.T) {
 		t.Fatal("precondition: member 3 not attached")
 	}
 
-	w.sched.After(0, func() { w.moved[1] = true })
+	w.sched.After(0, func() { w.move(1, true) })
 	w.sched.Run(40 * time.Second) // hello loss + failed repair + election
 
 	if leader, ok := w.routers[2].Leader(testGroup); !ok || leader != 3 {
 		t.Fatalf("partitioned member's leader = (%v, %v), want itself (3)", leader, ok)
 	}
 
-	w.sched.After(0, func() { w.moved[1] = false })
+	w.sched.After(0, func() { w.move(1, false) })
 	w.sched.Run(90 * time.Second) // GRPH exchange + stepdown + rejoin
 
 	if leader, ok := w.routers[2].Leader(testGroup); !ok || leader != 1 {
@@ -484,7 +518,7 @@ func TestNewRejectsNonPositiveDataCacheSize(t *testing.T) {
 		cfg.DataCacheSize = size
 		sched := sim.NewScheduler()
 		rt, err := simrt.New(sched, sim.NewRNG(1), radio.NewMedium(sched, radio.Params{Range: 60}),
-			1, movable{})
+			1, mobility.Static{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 // Package mobility implements node movement models. The paper's evaluation
 // uses the Random Waypoint model: each node repeatedly picks a uniformly
 // random destination in the terrain, travels to it in a straight line at a
-// speed drawn uniformly from [MinSpeed, MaxSpeed], then rests for a pause
+// speed drawn uniformly from [0, MaxSpeed], then rests for a pause
 // drawn uniformly from [0, MaxPause] (80 s in the paper) before repeating.
 //
 // Trajectories are generated lazily and deterministically from a sim.RNG
@@ -10,50 +10,34 @@
 package mobility
 
 import (
-	"math"
 	"time"
 
 	"anongossip/internal/geom"
 	"anongossip/internal/sim"
 )
 
-// Model yields a node's position at any simulation time. Implementations
-// must be deterministic: repeated calls with the same t return the same
-// point, and queries at earlier times after later ones are allowed.
+// Model yields a node's position at any simulation time, and bounds how
+// fast it moves. Implementations must be deterministic: repeated calls
+// with the same t return the same point, and queries at earlier times
+// after later ones are allowed.
 type Model interface {
 	Position(t sim.Time) geom.Point
-}
-
-// Speeder is implemented by models that can bound how fast they move.
-// MaxSpeed returns a conservative upper bound in m/s on the node's
-// speed at any simulation time; 0 means the node never moves. The
-// radio layer's spatial grid uses the bound to decide how long a
-// bucketed position stays valid (a node cannot drift more than
-// MaxSpeed·Δt metres from where it was last bucketed) and its
-// per-transmitter neighbour tables to certify receivers without
-// re-reading their positions, so returning a value that the trajectory
-// can exceed breaks neighbour queries and receptions. The one stated
-// excess: Waypoint truncates a leg's travel time to whole nanoseconds,
-// so a leg runs up to 1/travel_ns faster than its drawn speed and is,
-// by its end, less than MaxSpeed × 1 ns (10 nm at 10 m/s) ahead of the
-// bound; the tables' absolute margin (1 µm, radio.Medium.skinOut)
-// covers a hundred such legs within one table's lifetime, the grid's
-// slack far more. Models that cannot bound their speed simply do not
-// implement Speeder; the grid then treats them as always stale and the
-// tables as never certified (see mobility.MaxSpeedOf).
-type Speeder interface {
+	// MaxSpeed returns a conservative upper bound in m/s on the node's
+	// speed at any simulation time; 0 means the node never moves. It
+	// must be finite and non-negative (radio.Medium.Attach rejects
+	// anything else). The radio layer's spatial grid uses the bound to
+	// decide how long a bucketed position stays valid (a node cannot
+	// drift more than MaxSpeed·Δt metres from where it was last
+	// bucketed) and its per-transmitter neighbour tables to certify
+	// receivers without re-reading their positions, so returning a
+	// value that the trajectory can exceed breaks neighbour queries and
+	// receptions. The one stated excess: Waypoint truncates a leg's
+	// travel time to whole nanoseconds, so a leg runs up to 1/travel_ns
+	// faster than its drawn speed and is, by its end, less than
+	// MaxSpeed × 1 ns (10 nm at 10 m/s) ahead of the bound; the tables'
+	// absolute margin (1 µm, radio.Medium.skinOut) covers a hundred
+	// such legs within one table's lifetime, the grid's slack far more.
 	MaxSpeed() float64
-}
-
-// MaxSpeedOf returns the conservative speed bound for m, and whether
-// the model provided one. Models without a bound force the caller to
-// re-validate positions at every query epoch.
-func MaxSpeedOf(m Model) (float64, bool) {
-	s, ok := m.(Speeder)
-	if !ok {
-		return math.Inf(1), false
-	}
-	return s.MaxSpeed(), true
 }
 
 // Static is a node that never moves.
@@ -64,17 +48,17 @@ type Static struct {
 // Position implements Model.
 func (s Static) Position(sim.Time) geom.Point { return s.P }
 
-// MaxSpeed implements Speeder: a static node never moves.
+// MaxSpeed implements Model: a static node never moves.
 func (s Static) MaxSpeed() float64 { return 0 }
 
 // WaypointConfig parameterises the Random Waypoint model.
 type WaypointConfig struct {
 	// Area is the terrain; destinations are drawn uniformly inside it.
 	Area geom.Rect
-	// MinSpeed and MaxSpeed bound the per-leg speed in m/s. The paper sets
-	// MinSpeed = 0 for all runs; speeds below floorSpeed are raised to
-	// floorSpeed so that every leg terminates.
-	MinSpeed, MaxSpeed float64
+	// MaxSpeed bounds the per-leg speed in m/s: each leg's speed is drawn
+	// uniformly from [0, MaxSpeed], as in the paper, and speeds below
+	// floorSpeed are raised to floorSpeed so that every leg terminates.
+	MaxSpeed float64
 	// MaxPause bounds the uniform rest period at each destination.
 	MaxPause time.Duration
 }
@@ -123,9 +107,8 @@ type Waypoint struct {
 }
 
 var (
-	_ Model   = (*Waypoint)(nil)
-	_ Speeder = (*Waypoint)(nil)
-	_ Speeder = Static{}
+	_ Model = (*Waypoint)(nil)
+	_ Model = Static{}
 )
 
 // NewWaypoint creates a trajectory starting at a uniformly random point in
@@ -154,7 +137,7 @@ func (w *Waypoint) nextLeg(start sim.Time, from geom.Point) leg {
 		return leg{start: start, from: from, to: from, travel: 0, pause: 1 << 50}
 	}
 	to := randomPoint(w.cfg.Area, w.rng)
-	speed := w.rng.Uniform(w.cfg.MinSpeed, w.cfg.MaxSpeed)
+	speed := w.rng.Uniform(0, w.cfg.MaxSpeed)
 	if speed < floorSpeed {
 		speed = floorSpeed
 	}
@@ -213,15 +196,14 @@ func (w *Waypoint) Position(t sim.Time) geom.Point {
 // exported for tests and diagnostics.
 func (w *Waypoint) Legs() int { return len(w.legs) }
 
-// MaxSpeed implements Speeder. Per-leg speeds are drawn with
-// rng.Uniform(MinSpeed, MaxSpeed) — which returns MinSpeed when the
-// bounds are inverted — and raised to floorSpeed when below it, so the
-// conservative bound is the largest of the three. A non-positive
+// MaxSpeed implements Model. Per-leg speeds are drawn from
+// [0, MaxSpeed] and raised to floorSpeed when below it, so the
+// conservative bound is the larger of the two. A non-positive
 // configured MaxSpeed degenerates to an eternally pausing (static)
-// trajectory regardless of MinSpeed.
+// trajectory.
 func (w *Waypoint) MaxSpeed() float64 {
 	if w.cfg.MaxSpeed <= 0 {
 		return 0
 	}
-	return math.Max(math.Max(w.cfg.MinSpeed, w.cfg.MaxSpeed), floorSpeed)
+	return max(w.cfg.MaxSpeed, floorSpeed)
 }

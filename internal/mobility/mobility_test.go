@@ -13,7 +13,6 @@ import (
 func testConfig() WaypointConfig {
 	return WaypointConfig{
 		Area:     geom.Rect{W: 200, H: 200},
-		MinSpeed: 0,
 		MaxSpeed: 2,
 		MaxPause: 80 * time.Second,
 	}
@@ -195,28 +194,7 @@ func TestMaxSpeedBounds(t *testing.T) {
 	if got := NewWaypoint(still, sim.NewRNG(1)).MaxSpeed(); got != 0 {
 		t.Fatalf("degenerate MaxSpeed = %v, want 0", got)
 	}
-	// Inverted bounds: Uniform(lo, hi) returns lo when hi <= lo, so legs
-	// actually travel at MinSpeed — the bound must cover it.
-	inv := testConfig()
-	inv.MinSpeed, inv.MaxSpeed = 2, 0.5
-	if got := NewWaypoint(inv, sim.NewRNG(1)).MaxSpeed(); got != 2 {
-		t.Fatalf("inverted-bounds MaxSpeed = %v, want MinSpeed 2", got)
-	}
 }
-
-func TestMaxSpeedOf(t *testing.T) {
-	if v, ok := MaxSpeedOf(Static{}); !ok || v != 0 {
-		t.Fatalf("MaxSpeedOf(Static) = %v,%v, want 0,true", v, ok)
-	}
-	if v, ok := MaxSpeedOf(boundlessModel{}); ok || !math.IsInf(v, 1) {
-		t.Fatalf("MaxSpeedOf(no Speeder) = %v,%v, want +Inf,false", v, ok)
-	}
-}
-
-// boundlessModel implements Model but not Speeder.
-type boundlessModel struct{}
-
-func (boundlessModel) Position(sim.Time) geom.Point { return geom.Point{} }
 
 // TestWaypointRespectsMaxSpeed is the contract the radio grid and the
 // neighbour tables depend on: sampled displacement between any two
@@ -240,7 +218,7 @@ func TestWaypointRespectsMaxSpeed(t *testing.T) {
 		// Leg boundaries are where the bound is tightest: nextLeg
 		// truncates travel to whole nanoseconds, so a leg runs up to
 		// 1/travel_ns fast and ends less than bound × 1 ns ahead (the
-		// excess the Speeder doc states and radio's tables budget for).
+		// excess the MaxSpeed doc states and radio's tables budget for).
 		// Sample 1 ns – 1 µs steps straddling every leg's start, end of
 		// travel and end of pause.
 		for _, l := range w.legs {

@@ -80,30 +80,26 @@ func TestStartTxCycleAllocatesNothing(t *testing.T) {
 }
 
 // TestCarrierProbeAllocatesNothing: the probe's accumulators live in
-// the transceiver and its visitor is bound at attach, for nodes with a
-// speed bound and without one, on the index's linear-scan path and —
-// with more than txScanThreshold frames on the air — its grid path.
+// the transceiver and its visitor is bound at attach, on the index's
+// linear-scan path and — with more than txScanThreshold frames on the
+// air — its grid path.
 func TestCarrierProbeAllocatesNothing(t *testing.T) {
 	for _, onAir := range []int{1, txScanThreshold + 8} {
 		sched := sim.NewScheduler()
 		var rx int
 		m, trs := row(t, sched, onAir, 0, &rx)
-		bounded := attach(t, m, 1000, mobility.Static{P: geom.Point{Y: 10}}, nil)
-		unbounded := attach(t, m, 1001, unboundedModel{m: mobility.Static{P: geom.Point{Y: 20}}}, nil)
-		for _, tr := range trs {
-			if err := tr.StartTx(nil, testAirtime); err != nil {
+		tr := attach(t, m, 1000, mobility.Static{P: geom.Point{Y: 10}}, nil)
+		for _, tx := range trs {
+			if err := tx.StartTx(nil, testAirtime); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, tr := range []*Transceiver{bounded, unbounded} {
-			busy, reach := tr.CarrierProbe()
-			if busy != testAirtime || (tr.speedOK && reach != testAirtime) {
-				t.Fatalf("%d on air: node %s probes busy %v, reach %v, want %v", onAir, tr.id, busy, reach, testAirtime)
-			}
-			if allocs := testing.AllocsPerRun(100, func() { tr.CarrierProbe() }); allocs != 0 {
-				t.Errorf("%d on air: CarrierProbe on node %s (speed bound: %v) allocates %v times, want 0",
-					onAir, tr.id, tr.speedOK, allocs)
-			}
+		busy, reach := tr.CarrierProbe()
+		if busy != testAirtime || reach != testAirtime {
+			t.Fatalf("%d on air: node %s probes busy %v, reach %v, want %v", onAir, tr.id, busy, reach, testAirtime)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { tr.CarrierProbe() }); allocs != 0 {
+			t.Errorf("%d on air: CarrierProbe allocates %v times, want 0", onAir, allocs)
 		}
 	}
 }

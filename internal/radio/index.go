@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"anongossip/internal/geom"
-	"anongossip/internal/mobility"
 	"anongossip/internal/sim"
 )
 
@@ -39,7 +38,7 @@ type NeighborIndex interface {
 // transmission origins (exact, since origins never move).
 //
 // Node buckets go stale as nodes move. Each mobility model reports a
-// conservative max speed (mobility.Speeder), so a position bucketed at
+// conservative max speed (mobility.Model's MaxSpeed), so a position bucketed at
 // time t0 lies within maxSpeed·(now−t0) metres of the node's true
 // position. The index re-buckets all nodes only when that drift bound
 // would exceed `slack`, and every candidate query inflates its radius
@@ -52,11 +51,10 @@ type NeighborIndex interface {
 type gridIndex struct {
 	sched *sim.Scheduler
 
-	nodes   []*Transceiver
-	grid    *geom.Grid
-	slack   float64
-	maxSpd  float64 // max over attached nodes' speed bounds
-	bounded bool    // false once any model lacks a speed bound
+	nodes  []*Transceiver
+	grid   *geom.Grid
+	slack  float64
+	maxSpd float64 // max over attached nodes' speed bounds
 
 	lastRefresh sim.Time
 	refreshed   bool // lastRefresh is meaningful (first refresh happened)
@@ -102,11 +100,10 @@ var _ NeighborIndex = (*gridIndex)(nil)
 // operating point).
 func newGridIndex(sched *sim.Scheduler, txRange float64) *gridIndex {
 	return &gridIndex{
-		sched:   sched,
-		grid:    geom.NewGrid(txRange),
-		slack:   txRange / 4,
-		bounded: true,
-		txGrid:  geom.NewGrid(txRange),
+		sched:  sched,
+		grid:   geom.NewGrid(txRange),
+		slack:  txRange / 4,
+		txGrid: geom.NewGrid(txRange),
 	}
 }
 
@@ -118,12 +115,7 @@ func (g *gridIndex) Attach(t *Transceiver) {
 		g.seen = append(g.seen, 0)
 	}
 	g.grid.Insert(id, t.pos.Position(now))
-	spd, ok := mobility.MaxSpeedOf(t.pos)
-	if !ok {
-		g.bounded = false
-	} else if spd > g.maxSpd {
-		g.maxSpd = spd
-	}
+	g.maxSpd = max(g.maxSpd, t.maxSpeed)
 	if !g.refreshed {
 		g.refreshed = true
 		g.lastRefresh = now
@@ -131,14 +123,9 @@ func (g *gridIndex) Attach(t *Transceiver) {
 }
 
 // maybeRefresh re-buckets every node when the worst-case drift since
-// the last refresh would exceed the query slack. Models without a speed
-// bound force a refresh at every new timestamp (positions cannot change
-// within one).
+// the last refresh would exceed the query slack.
 func (g *gridIndex) maybeRefresh(now sim.Time) {
-	if now <= g.lastRefresh {
-		return
-	}
-	if g.bounded && g.maxSpd*(now-g.lastRefresh).Seconds() <= g.slack {
+	if now <= g.lastRefresh || g.maxSpd*(now-g.lastRefresh).Seconds() <= g.slack {
 		return
 	}
 	for id, t := range g.nodes {

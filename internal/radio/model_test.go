@@ -37,25 +37,22 @@ func compareFuzzWorlds(t *testing.T, label string, a, b *fuzzWorld, aName, bName
 }
 
 // runModelDifferential drives all four model × index combinations
-// through the same op script and requires identical observations, once
-// with every node speed-bounded (the production walk reuses neighbour
-// tables, refRx never has one) and once with unbounded models mixed in.
+// through the same op script and requires identical observations (the
+// production walk reuses neighbour tables, refRx never has one).
 func runModelDifferential(t *testing.T, label string, seed int64, n int, area geom.Rect,
 	maxSpeed float64, ops []fuzzOp, horizon sim.Time) {
 	t.Helper()
-	for _, unbounded := range []bool{false, true} {
-		var ref *fuzzWorld
-		var refName string
-		for _, o := range oracles {
-			w := newFuzzWorld(o, seed, n, area, maxSpeed, unbounded)
-			w.schedule(ops)
-			w.sched.Run(horizon)
-			if ref == nil {
-				ref, refName = w, o.String()
-				continue
-			}
-			compareFuzzWorlds(t, fmt.Sprintf("%s unbounded=%v", label, unbounded), w, ref, o.String(), refName)
+	var ref *fuzzWorld
+	var refName string
+	for _, o := range oracles {
+		w := newFuzzWorld(o, seed, n, area, maxSpeed)
+		w.schedule(ops)
+		w.sched.Run(horizon)
+		if ref == nil {
+			ref, refName = w, o.String()
+			continue
 		}
+		compareFuzzWorlds(t, label, w, ref, o.String(), refName)
 	}
 }
 

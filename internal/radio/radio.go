@@ -197,8 +197,8 @@ type Medium struct {
 	// side of the class thresholds: ×(1+1e-6) for rounding in the
 	// validity product, + 1 µm for rounding in positions and for
 	// mobility.Waypoint's whole-nanosecond legs. maxSpeed is the largest
-	// speed bound attached, +Inf once a model has none. Attach and a
-	// raised carrierEps bump nbrGen, which outdates every table.
+	// speed bound attached. Attach and a raised carrierEps bump nbrGen,
+	// which outdates every table.
 	skin, skinOut float64
 	maxSpeed      float64
 	nbrGen        uint32
@@ -244,10 +244,16 @@ var ErrDuplicateNode = errors.New("radio: node already attached")
 
 // Attach registers a transceiver for a node. The handler is invoked at
 // the end of each reception. Handlers run inside the simulation event
-// loop. Attaching the same node ID twice fails with ErrDuplicateNode.
+// loop. Attaching the same node ID twice fails with ErrDuplicateNode,
+// and a model whose MaxSpeed is NaN, negative or infinite fails too:
+// the grid and the neighbour tables need a finite bound.
 func (m *Medium) Attach(id pkt.NodeID, pos mobility.Model, h Handler) (*Transceiver, error) {
 	if _, dup := m.byID[id]; dup {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateNode, id)
+	}
+	spd := pos.MaxSpeed()
+	if !(spd >= 0) || math.IsInf(spd, 1) {
+		return nil, fmt.Errorf("radio: node %s declares speed bound %v m/s, want finite and non-negative", id, spd)
 	}
 	t := &Transceiver{
 		id: id, medium: m, pos: pos, handler: h,
@@ -255,13 +261,10 @@ func (m *Medium) Attach(id pkt.NodeID, pos mobility.Model, h Handler) (*Transcei
 		// lastInterference must predate every possible transmission
 		// start; simulation time is never negative.
 		lastInterference: -1,
+		maxSpeed:         spd,
+		predEps:          spd * CarrierPredictWindow.Seconds(),
 	}
-	spd, ok := mobility.MaxSpeedOf(pos)
-	if ok {
-		t.maxSpeed, t.speedOK = spd, true
-		t.predEps = spd * CarrierPredictWindow.Seconds()
-	}
-	m.maxSpeed = math.Max(m.maxSpeed, spd)
+	m.maxSpeed = max(m.maxSpeed, spd)
 	m.nbrGen++
 	t.probeVisit = t.probeTx
 	m.nodes = append(m.nodes, t)
@@ -310,13 +313,12 @@ type Transceiver struct {
 	idx int32
 
 	// carrier, when non-nil, receives conservative channel-onset
-	// notifications (see CarrierListener). maxSpeed/speedOK cache the
-	// mobility model's Speeder bound at attach time; predEps is the
+	// notifications (see CarrierListener). maxSpeed caches the mobility
+	// model's speed bound at attach time; predEps is the
 	// motion-uncertainty inflation maxSpeed·CarrierPredictWindow that
 	// the onset classification and CarrierProbe's closure bound use.
 	carrier  CarrierListener
 	maxSpeed float64
-	speedOK  bool
 	predEps  float64
 
 	// nbrs is the node's certified neighbour table, built from exact
@@ -386,19 +388,9 @@ func (t *Transceiver) CarrierBusyUntil() sim.Time {
 	return busy
 }
 
-// CarrierPredictable reports whether this node's mobility model
-// provides the conservative speed bound carrier prediction requires.
-// Without one, CarrierProbe's closure bound and onset classification
-// would be unsound, so callers must stick to exact reads.
-func (t *Transceiver) CarrierPredictable() bool { return t.speedOK }
-
 // SetCarrierListener registers (or clears) the channel-onset hook the
-// folded contention countdown listens on. Listeners on nodes without a
-// speed bound receive nothing (see CarrierPredictable).
+// folded contention countdown listens on.
 func (t *Transceiver) SetCarrierListener(l CarrierListener) {
-	if !t.speedOK {
-		return
-	}
 	t.carrier = l
 	if l != nil && t.predEps > t.medium.carrierEps {
 		t.medium.carrierEps = t.predEps
@@ -415,9 +407,6 @@ func (t *Transceiver) SetCarrierListener(l CarrierListener) {
 // channel is guaranteed idle at target unless a transmission starts
 // after now — and every such start the node could sense is reported
 // through its CarrierListener. Both values come from one index walk.
-// A node without a speed bound (see CarrierPredictable) has no sound
-// closure bound: its inflation is zero, so the walk is the exact read,
-// and reach saturates.
 func (t *Transceiver) CarrierProbe() (busy, reach sim.Time) {
 	m := t.medium
 	now := m.sched.Now()
@@ -431,9 +420,6 @@ func (t *Transceiver) CarrierProbe() (busy, reach sim.Time) {
 		t.probePos, t.probeR2 = t.pos.Position(now), r*r
 		m.index.ForEachTxInRange(now, t.probePos, r+t.predEps, t.probeVisit)
 		busy, reach = t.probeBusy, t.probeReach
-	}
-	if !t.speedOK {
-		reach = sim.Time(math.MaxInt64)
 	}
 	return busy, reach
 }
@@ -541,10 +527,8 @@ func (t *Transceiver) startTxBatch(tx *transmission) {
 	}
 	m.rxTx = tx
 	// The table stands while owner and neighbour together cannot have
-	// moved more than skin since it was built. A model without a speed
-	// bound makes the product +Inf or, at the build instant, NaN; both
-	// fail, so such a medium rebuilds from exact positions every frame.
-	if t.nbrGen != m.nbrGen || !((t.maxSpeed+m.maxSpeed)*(tx.start-t.nbrAt).Seconds() <= m.skin) {
+	// moved more than skin since it was built.
+	if t.nbrGen != m.nbrGen || (t.maxSpeed+m.maxSpeed)*(tx.start-t.nbrAt).Seconds() > m.skin {
 		t.nbrs, t.nbrAt, t.nbrGen = t.nbrs[:0], tx.start, m.nbrGen
 		m.index.ForEachCandidate(tx.start, tx.origin, m.params.Range+m.carrierEps+m.skinOut, m.nbrVisit)
 	}

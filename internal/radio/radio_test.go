@@ -97,6 +97,25 @@ func TestAttachDuplicateNodeID(t *testing.T) {
 	}
 }
 
+// TestAttachRejectsNonFiniteSpeedBound: the grid's refresh interval, the
+// neighbour tables' lifetime and the carrier listeners' inflation are
+// all computed from the declared speed bound, so a NaN, negative or
+// infinite one fails at attach and registers nothing.
+func TestAttachRejectsNonFiniteSpeedBound(t *testing.T) {
+	sched := sim.NewScheduler()
+	m := NewMedium(sched, Params{Range: 100})
+	for _, spd := range []float64{math.NaN(), -1, math.Inf(1)} {
+		if tr, err := m.Attach(7, declared{speed: spd}, nil); err == nil || tr != nil {
+			t.Fatalf("Attach with speed bound %v = (%v, %v), want an error", spd, tr, err)
+		}
+	}
+	if len(m.nodes) != 0 || m.maxSpeed != 0 {
+		t.Fatalf("failed attaches left %d nodes, max speed %v; want none, 0", len(m.nodes), m.maxSpeed)
+	}
+	// The ID stays free, and the boundary bound 0 is accepted.
+	attach(t, m, 7, declared{speed: 0}, nil)
+}
+
 func TestDeliveryWithinRange(t *testing.T) {
 	sched := sim.NewScheduler()
 	m := NewMedium(sched, Params{Range: 100})
@@ -292,11 +311,6 @@ func TestMobileNodeRangeEvaluatedAtTxStart(t *testing.T) {
 
 	// A node moving along X at 10 m/s starting at (90, 0): inside range of
 	// a transmitter at the origin at t=0, outside at t=5s.
-	mover := mobility.NewWaypointAt(mobility.WaypointConfig{
-		Area: geom.Rect{W: 1000, H: 1}, MinSpeed: 10, MaxSpeed: 10,
-	}, sim.NewRNG(1), geom.Point{X: 90, Y: 0})
-	_ = mover // trajectory is random; use a deterministic hand-rolled model instead
-
 	lin := linearModel{from: geom.Point{X: 90, Y: 0}, vx: 10}
 	var got []rxRecord
 	tx := attach(t, m, 1, mobility.Static{P: geom.Point{}}, nil)
@@ -322,6 +336,8 @@ type linearModel struct {
 func (l linearModel) Position(t sim.Time) geom.Point {
 	return geom.Point{X: l.from.X + l.vx*t.Seconds(), Y: l.from.Y}
 }
+
+func (l linearModel) MaxSpeed() float64 { return math.Abs(l.vx) }
 
 func TestNeighborsAndMeanDegree(t *testing.T) {
 	sched := sim.NewScheduler()

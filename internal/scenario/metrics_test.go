@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"anongossip/internal/stack"
 )
 
 // TestMetricsObserveOnlyBitIdentical is the acceptance test of the
@@ -39,6 +41,31 @@ func TestMetricsObserveOnlyBitIdentical(t *testing.T) {
 	clean.Metrics, clean.Channel = nil, nil
 	if !reflect.DeepEqual(&clean, off) {
 		t.Fatalf("sampling changed the result:\noff: %+v\non:  %+v", off, &clean)
+	}
+}
+
+// TestEventBreakdownSums: on every stack, the logical event total is
+// exactly the executed kernel events plus the three elision counts, and
+// the sampler's own timer chain never reaches EventsProcessed.
+func TestEventBreakdownSums(t *testing.T) {
+	for _, spec := range stack.Stacks() {
+		var processed []uint64
+		for _, window := range []time.Duration{0, 10 * time.Second} {
+			cfg := goldenConfig()
+			cfg.Stack, cfg.Seed, cfg.MetricsWindow = spec, 1, window
+			r, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%v window=%v: %v", spec, window, err)
+			}
+			if sum := r.EventsProcessed + r.ElidedKernel + r.ElidedRadio + r.ElidedMAC; r.Events != sum {
+				t.Errorf("%v window=%v: events %d != processed %d + elided %d+%d+%d",
+					spec, window, r.Events, r.EventsProcessed, r.ElidedKernel, r.ElidedRadio, r.ElidedMAC)
+			}
+			processed = append(processed, r.EventsProcessed)
+		}
+		if processed[0] != processed[1] {
+			t.Errorf("%v: events processed %d unsampled, %d sampled", spec, processed[0], processed[1])
+		}
 	}
 }
 

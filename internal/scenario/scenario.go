@@ -51,8 +51,9 @@ type Config struct {
 	MemberFraction float64
 	// TxRange is the radio transmission range in metres.
 	TxRange float64
-	// MinSpeed/MaxSpeed bound random-waypoint speeds (m/s).
-	MinSpeed, MaxSpeed float64
+	// MaxSpeed bounds random-waypoint speeds, drawn from [0, MaxSpeed]
+	// m/s.
+	MaxSpeed float64
 	// MaxPause bounds the waypoint rest period (80 s in the paper).
 	MaxPause time.Duration
 
@@ -111,7 +112,6 @@ func DefaultConfig() Config {
 		Nodes:          40,
 		MemberFraction: 1.0 / 3.0,
 		TxRange:        75,
-		MinSpeed:       0,
 		MaxSpeed:       0.2,
 		MaxPause:       80 * time.Second,
 		Duration:       600 * time.Second,
@@ -171,8 +171,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: member fraction %v out of (0,1]", c.MemberFraction)
 	case !(c.TxRange > 0) || math.IsInf(c.TxRange, 1):
 		return fmt.Errorf("scenario: transmission range %v is not positive and finite", c.TxRange)
-	case !finite(c.MinSpeed) || !finite(c.MaxSpeed) || c.MinSpeed < 0 || c.MaxSpeed < c.MinSpeed:
-		return fmt.Errorf("scenario: speed bounds [%v, %v] m/s are not finite, non-negative and ordered", c.MinSpeed, c.MaxSpeed)
+	case !(c.MaxSpeed >= 0) || math.IsInf(c.MaxSpeed, 1):
+		return fmt.Errorf("scenario: max speed %v m/s is not finite and non-negative", c.MaxSpeed)
 	case !(c.Area.W > 0) || !(c.Area.H > 0) || math.IsInf(c.Area.W, 1) || math.IsInf(c.Area.H, 1):
 		return fmt.Errorf("scenario: degenerate area %+v", c.Area)
 	case c.Duration <= 0:
@@ -206,9 +206,6 @@ func (c Config) Validate() error {
 
 // probability reports whether p lies in [0, 1]; NaN does not.
 func probability(p float64) bool { return p >= 0 && p <= 1 }
-
-// finite reports whether x is neither NaN nor an infinity.
-func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // MemberResult reports one non-source member's outcome.
 type MemberResult struct {
@@ -363,7 +360,6 @@ func build(cfg Config) (*world, error) {
 
 	mobCfg := mobility.WaypointConfig{
 		Area:     cfg.Area,
-		MinSpeed: cfg.MinSpeed,
 		MaxSpeed: cfg.MaxSpeed,
 		MaxPause: cfg.MaxPause,
 	}

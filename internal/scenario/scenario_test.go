@@ -89,11 +89,7 @@ func TestConfigValidate(t *testing.T) {
 		{"inf range", func(c *Config) { c.TxRange = math.Inf(1) }},
 		{"nan max speed", func(c *Config) { c.MaxSpeed = math.NaN() }},
 		{"inf max speed", func(c *Config) { c.MaxSpeed = math.Inf(1) }},
-		{"nan min speed", func(c *Config) { c.MinSpeed = math.NaN() }},
 		{"negative max speed", func(c *Config) { c.MaxSpeed = -1 }},
-		{"negative min speed", func(c *Config) { c.MinSpeed = -0.1 }},
-		{"min speed above max", func(c *Config) { c.MinSpeed, c.MaxSpeed = 2, 1 }},
-		{"negative inf min speed", func(c *Config) { c.MinSpeed = math.Inf(-1) }},
 		{"degenerate area", func(c *Config) { c.Area.W = 0 }},
 		{"zero duration", func(c *Config) { c.Duration = 0 }},
 		{"data window past end", func(c *Config) { c.DataEnd = c.Duration + time.Second }},
