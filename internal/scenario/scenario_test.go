@@ -90,6 +90,7 @@ func TestConfigValidate(t *testing.T) {
 		{"nan max speed", func(c *Config) { c.MaxSpeed = math.NaN() }},
 		{"inf max speed", func(c *Config) { c.MaxSpeed = math.Inf(1) }},
 		{"negative max speed", func(c *Config) { c.MaxSpeed = -1 }},
+		{"negative inf max speed", func(c *Config) { c.MaxSpeed = math.Inf(-1) }},
 		{"degenerate area", func(c *Config) { c.Area.W = 0 }},
 		{"zero duration", func(c *Config) { c.Duration = 0 }},
 		{"data window past end", func(c *Config) { c.DataEnd = c.Duration + time.Second }},
