@@ -1,15 +1,16 @@
 package aodv
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"anongossip/internal/geom"
+	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
-	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 )
 
@@ -37,7 +38,7 @@ func buildWorld(t *testing.T, positions []geom.Point, models ...mobility.Model) 
 			m = models[i]
 		}
 		id := pkt.NodeID(i + 1)
-		rt, err := simrt.New(w.sched, rng.Derive(id.String()), w.medium, id, m)
+		rt, err := mac.New(w.sched, rng.Derive(id.String()).Derive(fmt.Sprintf("mac/%d", id)), w.medium, id, m, mac.DefaultConfig(), mac.Callbacks{})
 		if err != nil {
 			t.Fatal(err)
 		}

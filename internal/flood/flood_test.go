@@ -1,15 +1,16 @@
 package flood
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"anongossip/internal/geom"
+	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
-	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 )
 
@@ -25,7 +26,7 @@ type fworld struct {
 // the simulated MAC and radio.
 func newStack(t *testing.T, sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID, pos mobility.Model) *node.Stack {
 	t.Helper()
-	rt, err := simrt.New(sched, rng, medium, id, pos)
+	rt, err := mac.New(sched, rng.Derive(fmt.Sprintf("mac/%d", id)), medium, id, pos, mac.DefaultConfig(), mac.Callbacks{})
 	if err != nil {
 		t.Fatal(err)
 	}

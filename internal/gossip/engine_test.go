@@ -1,17 +1,18 @@
 package gossip
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
 
 	"anongossip/internal/aodv"
 	"anongossip/internal/geom"
+	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
-	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 )
 
@@ -48,8 +49,8 @@ func buildLine(t *testing.T, n int, members []int, cfg Config) *gworld {
 	}
 	for i := 0; i < n; i++ {
 		id := pkt.NodeID(i + 1)
-		rt, err := simrt.New(w.sched, rng.Derive("n/"+id.String()), medium, id,
-			mobility.Static{P: geom.Point{X: float64(i) * 50}})
+		rt, err := mac.New(w.sched, rng.Derive("n/"+id.String()).Derive(fmt.Sprintf("mac/%d", id)), medium, id,
+			mobility.Static{P: geom.Point{X: float64(i) * 50}}, mac.DefaultConfig(), mac.Callbacks{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,6 +26,7 @@ import (
 	"anongossip/internal/mobility"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
+	"anongossip/internal/runtime"
 	"anongossip/internal/sim"
 	"anongossip/internal/table"
 )
@@ -226,7 +227,9 @@ const (
 	stepBackoff
 )
 
-// DCF is one node's MAC entity.
+// DCF is one node's MAC entity. It is also the simulated node's
+// runtime: the network layer binds its handlers here and reaches the
+// scheduler's clock and timers through it.
 type DCF struct {
 	id    pkt.NodeID
 	cfg   Config
@@ -359,8 +362,25 @@ func newDCF(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.Nod
 	return d, nil
 }
 
+var _ runtime.Runtime = (*DCF)(nil)
+
 // ID returns the node ID.
 func (d *DCF) ID() pkt.NodeID { return d.id }
+
+// Now implements runtime.Clock.
+func (d *DCF) Now() sim.Time { return d.sched.Now() }
+
+// After implements runtime.Clock.
+func (d *DCF) After(dt sim.Time, fn func()) sim.Timer { return d.sched.After(dt, fn) }
+
+// At implements runtime.Clock.
+func (d *DCF) At(t sim.Time, fn func()) sim.Timer { return d.sched.At(t, fn) }
+
+// Bind implements runtime.Runtime: the handlers replace the Callbacks
+// New was given.
+func (d *DCF) Bind(onReceive runtime.ReceiveFunc, onSendDone runtime.SendDoneFunc) {
+	d.cb = Callbacks{OnReceive: onReceive, OnSendDone: onSendDone}
+}
 
 // SetHorizon tells the MAC when the run ends, so cancelled step timers
 // scheduled past the end — events the eager-timer code would never

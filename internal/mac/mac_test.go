@@ -277,3 +277,34 @@ func TestHiddenTerminalCausesRetries(t *testing.T) {
 		t.Fatal("hidden-terminal senders never retried")
 	}
 }
+
+// TestBindReplacesCallbacks pins the DCF's runtime binding: once the
+// network layer binds its handlers, they receive every completion and
+// delivery, and the Callbacks New was given receive none.
+func TestBindReplacesCallbacks(t *testing.T) {
+	h := newHarness(t, 100, []geom.Point{{X: 0}, {X: 50}})
+	var rxs []received
+	var dones []sendDone
+	h.macs[0].Bind(func(p *pkt.Packet, from pkt.NodeID, broadcast bool) {
+		rxs = append(rxs, received{p: p, from: from, broadcast: broadcast})
+	}, func(p *pkt.Packet, to pkt.NodeID, ok bool) {
+		dones = append(dones, sendDone{p: p, to: to, ok: ok})
+	})
+
+	acked, lost, bcast := testPacket(1, 2), testPacket(1, 9), testPacket(2, pkt.Broadcast)
+	h.sched.After(0, func() { h.macs[0].Send(acked, 2) })
+	h.sched.After(time.Second, func() { h.macs[0].Send(lost, 9) })
+	h.sched.After(3*time.Second, func() { h.macs[1].Send(bcast, pkt.Broadcast) })
+	h.sched.Run(5 * time.Second)
+
+	want := []sendDone{{p: acked, to: 2, ok: true}, {p: lost, to: 9, ok: false}}
+	if len(dones) != len(want) || dones[0] != want[0] || dones[1] != want[1] {
+		t.Errorf("bound send-done got %+v, want %+v", dones, want)
+	}
+	if len(rxs) != 1 || rxs[0] != (received{p: bcast, from: 2, broadcast: true}) {
+		t.Errorf("bound receive got %+v, want the broadcast from 2", rxs)
+	}
+	if len(h.rxs[0]) != 0 || len(h.dones[0]) != 0 {
+		t.Errorf("New's callbacks still called: receive %+v, send-done %+v", h.rxs[0], h.dones[0])
+	}
+}

@@ -1,6 +1,7 @@
 package maodv
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -8,11 +9,11 @@ import (
 	"anongossip/internal/aodv"
 	"anongossip/internal/geom"
 	"anongossip/internal/gossip"
+	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
-	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 )
 
@@ -94,7 +95,8 @@ func buildM(t *testing.T, rangeM float64, positions []geom.Point) *mworld {
 		i := i
 		id := pkt.NodeID(i + 1)
 		w.legs[i] = moveLeg{from: p, to: p}
-		rt, err := simrt.New(w.sched, rng.Derive("n/"+id.String()), w.medium, id, movable{&w.legs[i]})
+		rt, err := mac.New(w.sched, rng.Derive("n/"+id.String()).Derive(fmt.Sprintf("mac/%d", id)), w.medium, id, movable{&w.legs[i]},
+			mac.DefaultConfig(), mac.Callbacks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -517,8 +519,8 @@ func TestNewRejectsNonPositiveDataCacheSize(t *testing.T) {
 		cfg := fastConfig()
 		cfg.DataCacheSize = size
 		sched := sim.NewScheduler()
-		rt, err := simrt.New(sched, sim.NewRNG(1), radio.NewMedium(sched, radio.Params{Range: 60}),
-			1, mobility.Static{})
+		rt, err := mac.New(sched, sim.NewRNG(1).Derive("mac/1"), radio.NewMedium(sched, radio.Params{Range: 60}),
+			1, mobility.Static{}, mac.DefaultConfig(), mac.Callbacks{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -12,7 +13,6 @@ import (
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
 	rt "anongossip/internal/runtime"
-	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 	"anongossip/internal/trace"
 )
@@ -276,7 +276,8 @@ func TestRelayCopyNeverBuiltWhileHeld(t *testing.T) {
 	watch := &linkWatch{out: map[*pkt.Packet]bool{}}
 	var stacks []*Stack
 	for i := range 2 {
-		r, err := simrt.New(sched, rng, medium, pkt.NodeID(i+1), mobility.Static{P: geom.Point{X: float64(i) * 50}})
+		r, err := mac.New(sched, rng.Derive(fmt.Sprintf("mac/%d", i+1)), medium, pkt.NodeID(i+1),
+			mobility.Static{P: geom.Point{X: float64(i) * 50}}, mac.DefaultConfig(), mac.Callbacks{})
 		if err != nil {
 			t.Fatal(err)
 		}

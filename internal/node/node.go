@@ -6,7 +6,7 @@
 // The layer is runtime-agnostic: it programs against runtime.Runtime
 // (clock, timers, one-hop send, identity), so the same stack — and every
 // protocol engine above it — runs over the simulated MAC/radio
-// (runtime/simrt) and over live transports (runtime/netrt) unchanged.
+// (*mac.DCF) and over live transports (runtime/netrt) unchanged.
 package node
 
 import (

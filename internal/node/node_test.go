@@ -1,14 +1,15 @@
 package node
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"anongossip/internal/geom"
+	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
-	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 )
 
@@ -41,8 +42,8 @@ func line(t *testing.T, n int) *env {
 	rng := sim.NewRNG(99)
 	for i := 0; i < n; i++ {
 		id := pkt.NodeID(i + 1)
-		runtime, err := simrt.New(e.sched, rng, e.medium, id,
-			mobility.Static{P: geom.Point{X: float64(i) * 50}})
+		runtime, err := mac.New(e.sched, rng.Derive(fmt.Sprintf("mac/%d", id)), e.medium, id,
+			mobility.Static{P: geom.Point{X: float64(i) * 50}}, mac.DefaultConfig(), mac.Callbacks{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,17 +1,18 @@
 package odmrp
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"anongossip/internal/aodv"
 	"anongossip/internal/geom"
 	"anongossip/internal/gossip"
+	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
-	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 )
 
@@ -26,7 +27,7 @@ type oworld struct {
 // newStack puts a network layer on the simulated MAC and radio.
 func newStack(t *testing.T, sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID, pos mobility.Model) *node.Stack {
 	t.Helper()
-	rt, err := simrt.New(sched, rng, medium, id, pos)
+	rt, err := mac.New(sched, rng.Derive(fmt.Sprintf("mac/%d", id)), medium, id, pos, mac.DefaultConfig(), mac.Callbacks{})
 	if err != nil {
 		t.Fatal(err)
 	}

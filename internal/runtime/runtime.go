@@ -1,15 +1,13 @@
 // Package runtime defines the boundary between the protocol engines and
-// whatever executes them. Everything an engine historically took from
-// the simulation kernel — a monotonic clock, timer arm/cancel with the
-// kernel's pooled value handles, one-hop packet transmission, and the
-// node's own identity — is captured by the Runtime interface, with two
-// implementations:
+// whatever executes them. What a node's network layer takes from below
+// it — a monotonic clock, timer arm/cancel with the kernel's pooled
+// value handles, one-hop packet transmission, and the node's own
+// identity — is the Runtime interface, with two implementations:
 //
-//   - runtime/simrt adapts the discrete-event kernel (sim.Scheduler,
-//     radio.Medium, the 802.11 MAC). It is the path every scenario and
-//     golden digest runs through, bit-identical to the pre-refactor
-//     wiring.
-//   - runtime/netrt runs a node in real time: wall-clock timers over the
+//   - *mac.DCF, the simulated node's 802.11 MAC on the shared
+//     radio.Medium, whose clock and timers are the sim.Scheduler's. It
+//     is the path every scenario and golden digest runs through.
+//   - netrt.Node runs a node in real time: wall-clock timers over the
 //     same pooled timer wheel, and frames over a live transport (UDP
 //     sockets, or an in-process channel hub for hermetic tests).
 //
@@ -73,7 +71,7 @@ type ReceiveFunc func(p *pkt.Packet, from pkt.NodeID, broadcast bool)
 // refuses (false) never left the sender. After ok the sender may
 // rebuild the packet for a later send:
 //
-//   - the simulated MAC (runtime/simrt) reports when the frame is
+//   - the simulated MAC (*mac.DCF) reports when the frame is
 //     finished and off the air, after the radio has handed it to every
 //     receiver — for a late ACK, when its retransmission's airtime ends;
 //   - netrt reports before Send returns, since the frame is encoded

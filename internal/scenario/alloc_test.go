@@ -13,11 +13,11 @@ import (
 // it repeats exactly from host to host and can gate where throughput
 // cannot. This run cost 0.48 per event while the mac → radio → geom
 // path still made a closure, a boxed frame, a map entry and a re-made
-// slice per frame, 0.21 without them (EXPERIMENTS.md §R), 0.088 once
-// timer callbacks, MAC records and walk scratch were reused
-// (EXPERIMENTS.md §Y), and 0.022 (0.0224 under the race detector) once
-// every packet a node sends was built in one its link had handed back
-// (EXPERIMENTS.md §Z). The budget is that plus 10 %.
+// slice per frame, 0.21 without them, 0.088 once timer callbacks, MAC
+// records and walk scratch were reused, and 0.022 (0.0224 under the
+// race detector) once every packet a node sends was built in one its
+// link had handed back: rows §R, §Y and §Z of EXPERIMENTS.md's
+// allocation ledger. The budget is that plus 10 %.
 func TestAllocationBudgetPerEvent(t *testing.T) {
 	cfg := ShortenedData(DefaultConfig(), 60*time.Second)
 	cfg.Stack = stack.Spec{Routing: "maodv", Recovery: "gossip"}

@@ -17,12 +17,12 @@ import (
 
 	"anongossip/internal/geom"
 	"anongossip/internal/gossip"
+	"anongossip/internal/mac"
 	"anongossip/internal/metrics"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
-	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 	"anongossip/internal/stack"
 	"anongossip/internal/stats"
@@ -330,10 +330,10 @@ type world struct {
 	sched  *sim.Scheduler
 	medium *radio.Medium
 
-	// rts are the per-node simulation runtimes (the runtime/simrt side
-	// of the engine/kernel boundary); stacks are the network layers
-	// assembled over them and nodes the protocol stacks on top.
-	rts    []*simrt.Runtime
+	// macs are the per-node MAC entities, each the runtime of its node;
+	// stacks are the network layers assembled over them and nodes the
+	// protocol stacks on top.
+	macs   []*mac.DCF
 	stacks []*node.Stack
 	nodes  []*stack.Node
 
@@ -378,19 +378,20 @@ func build(cfg Config) (*world, error) {
 	for i := 0; i < cfg.Nodes; i++ {
 		id := pkt.NodeID(i + 1)
 		mob := mobility.NewWaypoint(mobCfg, root.Derive(fmt.Sprintf("mob/%d", i)))
-		rt, err := simrt.New(w.sched, root.Derive(fmt.Sprintf("stack/%d", i)), w.medium, id, mob)
+		macRNG := root.Derive(fmt.Sprintf("stack/%d", i)).Derive(fmt.Sprintf("mac/%d", id))
+		dcf, err := mac.New(w.sched, macRNG, w.medium, id, mob, mac.DefaultConfig(), mac.Callbacks{})
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
-		rt.MAC().SetHorizon(cfg.Duration)
+		dcf.SetHorizon(cfg.Duration)
 		if w.chm != nil {
-			rt.MAC().SetChannelMetrics(w.chm)
+			dcf.SetChannelMetrics(w.chm)
 		}
-		st := node.NewOnRuntime(rt)
+		st := node.NewOnRuntime(dcf)
 		if w.tracer != nil {
 			st.SetTracer(w.tracer.Record)
 		}
-		w.rts = append(w.rts, rt)
+		w.macs = append(w.macs, dcf)
 		w.stacks = append(w.stacks, st)
 
 		n, err := stack.Assemble(spec, st, root, i, cfg.Gossip)
@@ -486,8 +487,7 @@ func (w *world) snapshot() metrics.Snapshot {
 	s.TxByLayer = w.chm.TxByLayer
 	s.Collisions = w.medium.Stats().Collisions
 	s.InFlight = w.medium.ActiveTx()
-	for _, rt := range w.rts {
-		m := rt.MAC()
+	for _, m := range w.macs {
 		st := m.Stats()
 		s.MACTxAttempts += st.TxAttempts
 		s.MACRetries += st.Retries
@@ -550,8 +550,8 @@ func (w *world) collect() *Result {
 	// pinned on it — independent of which elisions are in force.
 	radioElided := w.medium.ElidedEvents()
 	var macElided uint64
-	for _, rt := range w.rts {
-		macElided += rt.MAC().Stats().ElidedEvents
+	for _, m := range w.macs {
+		macElided += m.Stats().ElidedEvents
 	}
 	events := processed + elided + radioElided + macElided
 	res := &Result{

@@ -10,13 +10,13 @@ import (
 	"anongossip/internal/flood"
 	"anongossip/internal/geom"
 	"anongossip/internal/gossip"
+	"anongossip/internal/mac"
 	"anongossip/internal/maodv"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/odmrp"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
-	"anongossip/internal/runtime/simrt"
 	"anongossip/internal/sim"
 )
 
@@ -45,8 +45,8 @@ func runStack(t *testing.T, s Spec) *stackRun {
 	medium := radio.NewMedium(w.sched, radio.Params{Range: 75})
 	root := sim.NewRNG(5)
 	for i := 0; i < 3; i++ {
-		rt, err := simrt.New(w.sched, root.Derive(fmt.Sprintf("stack/%d", i)), medium, pkt.NodeID(i+1),
-			mobility.Static{P: geom.Point{X: 50 * float64(i)}})
+		rt, err := mac.New(w.sched, root.Derive(fmt.Sprintf("stack/%d", i)).Derive(fmt.Sprintf("mac/%d", i+1)), medium, pkt.NodeID(i+1),
+			mobility.Static{P: geom.Point{X: 50 * float64(i)}}, mac.DefaultConfig(), mac.Callbacks{})
 		if err != nil {
 			t.Fatal(err)
 		}
