@@ -242,9 +242,15 @@ func TestSalvagedPacketNeverSpare(t *testing.T) {
 		p = st.NewPacket(3, &pkt.GossipRep{Group: 1, Responder: 1, WalkHops: 7})
 		st.SendUnicast(p)
 	})
+	// Hello ticks keep the queue from draining, so a bound on simulated
+	// time is what stops a regression from spinning until go test's
+	// timeout.
 	for w.routers[0].Stats().PacketsSalvaged == 0 {
 		if _, done := w.sched.RunAll(1); done {
 			t.Fatal("run drained before the failed packet was salvaged")
+		}
+		if w.sched.Now() > 30*time.Second {
+			t.Fatalf("no packet salvaged by %v", w.sched.Now())
 		}
 	}
 	d := w.routers[0].pending[3]

@@ -285,3 +285,68 @@ func TestFoldDifferentialSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestCarrierListenerOnlyWhileCountingDown pins when the radio may call
+// the DCF: its transceiver's carrier listener is the DCF exactly while
+// the fold is on and a contention step is pending, and nil otherwise.
+// Node 4's one frame goes to node 5, out of range, and a late ACK
+// lands in one of its retry countdowns, so elideStep cancels a pending
+// step too. A stale registration only costs speed — the onset guard
+// ignores it — so no golden can catch one; this test can.
+func TestCarrierListenerOnlyWhileCountingDown(t *testing.T) {
+	h := newHarness(t, 100, []geom.Point{{X: 0}, {X: 40}, {X: 80}, {X: 40, Y: 40}, {X: 5000}})
+	var counting, idle int
+	check := func(when string) {
+		t.Helper()
+		for i, d := range h.macs {
+			want := d.folding && !d.step.IsZero() && !d.step.Done()
+			got := d.tr.CarrierListener()
+			if (got != nil) != want || (got != nil && got != radio.CarrierListener(d)) {
+				t.Fatalf("%s at %v: node %d has listener %T (own DCF %v), want it registered=%v",
+					when, h.sched.Now(), i+1, got, got == radio.CarrierListener(d), want)
+			}
+			if want {
+				counting++
+			} else {
+				idle++
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		src := pkt.NodeID(i + 1)
+		for j := 0; j < 3; j++ {
+			dst := pkt.NodeID((i+j+1)%3 + 1)
+			h.macs[i].Send(testPacket(src, dst), dst)
+			h.macs[i].Send(testPacket(src, pkt.Broadcast), pkt.Broadcast)
+		}
+	}
+	late := h.macs[3]
+	late.Send(testPacket(4, 5), 5)
+	check("after the sends")
+
+	acked := false
+	for {
+		_, done := h.sched.RunAll(1)
+		check("after an event")
+		if !acked && late.inflight != nil && late.inflight.attempt > 0 &&
+			!late.step.IsZero() && !late.step.Done() {
+			late.onRadio(&frame{kind: frameAck, src: 5, dst: 4, seq: late.inflight.frm.seq}, 5, true)
+			acked = true
+			check("after the late ACK")
+		}
+		if done {
+			break
+		}
+	}
+	if !acked {
+		t.Fatal("node 4 never re-entered contention: the late ACK was not exercised")
+	}
+	if counting == 0 || idle == 0 {
+		t.Fatalf("vacuous: %d registered and %d idle observations", counting, idle)
+	}
+	for i := 0; i < 3; i++ {
+		if len(h.dones[i]) != 6 {
+			t.Fatalf("node %d completed %d sends, want 6", i+1, len(h.dones[i]))
+		}
+	}
+}

@@ -355,8 +355,10 @@ func newDCF(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.Nod
 	if fold {
 		// Fold the contention countdown: the radio notifies carrier
 		// onsets instead of the MAC polling with a wake per busy
-		// period.
+		// period. This first registration raises the medium's carrier
+		// radius; then the DCF listens only while a step is pending.
 		tr.SetCarrierListener(d)
+		tr.SetCarrierListener(nil)
 		d.folding = true
 	}
 	return d, nil
@@ -401,6 +403,14 @@ func (d *DCF) elideStep() {
 	}
 	d.step = sim.Timer{}
 	d.foldOK = false
+	d.tr.SetCarrierListener(nil)
+}
+
+// listen registers for carrier onsets while the armed step is pending.
+func (d *DCF) listen() {
+	if d.folding {
+		d.tr.SetCarrierListener(d)
+	}
 }
 
 // Stats returns a copy of the MAC counters.
@@ -501,6 +511,7 @@ func (d *DCF) armWake(out *outgoing, target, reach sim.Time) {
 	d.foldBase = d.sched.Now()
 	d.foldVK = 0
 	d.foldOK = d.folding && reach <= target && target <= d.foldBase+radio.CarrierPredictWindow
+	d.listen()
 }
 
 // armBackoff draws the contention slots and arms the expiry. probed
@@ -521,6 +532,7 @@ func (d *DCF) armBackoff(out *outgoing, reach sim.Time, probed bool) {
 	d.foldVK = 0
 	d.foldOK = d.folding && (probed || d.foldOK) && reach <= exp &&
 		exp <= d.foldBase+radio.CarrierPredictWindow
+	d.listen()
 }
 
 // foldIdle reports whether the folded countdown proves the channel idle
@@ -535,6 +547,7 @@ func (d *DCF) foldIdle() bool {
 // onStep is the single contention-step callback; (stepKind, stepOut)
 // written at arm time say which transition fired.
 func (d *DCF) onStep() {
+	d.tr.SetCarrierListener(nil)
 	out := d.stepOut
 	switch d.stepKind {
 	case stepDeferWake:
@@ -567,13 +580,13 @@ func (d *DCF) onStep() {
 	}
 }
 
-// CarrierOnset implements radio.CarrierListener: the radio reports
-// every transmission start that could occupy this node's channel
-// within the prediction window. Proven in-range onsets advance the
-// folded countdown's busy horizon and postpone the pending step in
-// place; unproven (band) onsets invalidate the fold, so the step
-// falls back to an exact carrier read — after restoring its original
-// deadline, which is where the eager cycle would have re-sensed.
+// CarrierOnset implements radio.CarrierListener: while a step is
+// pending, the radio reports every transmission start that could occupy
+// this node's channel within the prediction window. Proven in-range
+// onsets advance the folded countdown's busy horizon and postpone the
+// pending step in place; unproven (band) onsets invalidate the fold, so
+// the step falls back to an exact carrier read — after restoring its
+// original deadline, which is where the eager cycle would have re-sensed.
 func (d *DCF) CarrierOnset(end sim.Time, proven bool) {
 	if d.step.IsZero() || d.step.Done() {
 		return

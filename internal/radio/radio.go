@@ -389,7 +389,7 @@ func (t *Transceiver) CarrierBusyUntil() sim.Time {
 }
 
 // SetCarrierListener registers (or clears) the channel-onset hook the
-// folded contention countdown listens on.
+// folded contention countdown listens on while a step is pending.
 func (t *Transceiver) SetCarrierListener(l CarrierListener) {
 	t.carrier = l
 	if l != nil && t.predEps > t.medium.carrierEps {
@@ -397,6 +397,9 @@ func (t *Transceiver) SetCarrierListener(l CarrierListener) {
 		t.medium.nbrGen++
 	}
 }
+
+// CarrierListener returns the registered channel-onset hook, or nil.
+func (t *Transceiver) CarrierListener() CarrierListener { return t.carrier }
 
 // CarrierProbe returns the exact CarrierBusyUntil value together with
 // a conservative closure bound: reach is the latest end time of any

@@ -14,7 +14,8 @@ import (
 // simulator's steady-state shape — hundreds of thousands of
 // MAC/route/gossip timers pending while events churn — and it is where
 // heap depth and per-event allocation dominate. The Scheduler's own
-// cost is BenchmarkSingleRun's (the root package).
+// cost, tiers included, is BenchmarkSchedulerPaperMix's; the whole
+// simulator's is BenchmarkSingleRun's (the root package).
 //
 // CI runs these with -benchtime=1x as a build/assert smoke test;
 // meaningful timings need the default benchtime.
@@ -199,4 +200,48 @@ func BenchmarkQueueChurnClustered(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkSchedulerPaperMix drives a real Scheduler through 440 s of
+// the paper baseline's pending set (40 nodes, EXPERIMENTS.md §AD):
+// 2,200 one-shot traffic sends spread over the run, 80 self-re-arming
+// 600 ms protocol ticks (a hello and a sweep tick per node) and 8
+// channel chains that re-arm 10 µs–20 ms ahead, the contention steps
+// and frame finishes that churn at the front of the queue. One op is
+// one pass; ns/event is the cost per fired event.
+func BenchmarkSchedulerPaperMix(b *testing.B) {
+	const (
+		horizon = 440 * time.Second
+		sends   = 2_200
+		ticks   = 80
+		chains  = 8
+		period  = 600 * time.Millisecond
+		minStep = 10 * time.Microsecond
+		maxStep = 20 * time.Millisecond
+	)
+	g := &benchDelays{state: 4}
+	var events uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := NewScheduler()
+		for j := 0; j < sends; j++ {
+			s.At(Time(g.bits()%uint64(horizon)), func() {})
+		}
+		for j := 0; j < ticks; j++ {
+			var tick func()
+			tick = func() { s.After(period, tick) }
+			s.After(Time(j)*period/ticks, tick)
+		}
+		for j := 0; j < chains; j++ {
+			var step func()
+			step = func() { s.After(minStep+Time(g.bits()%uint64(maxStep-minStep)), step) }
+			s.After(Time(j)*minStep, step)
+		}
+		b.StartTimer()
+		s.Run(horizon)
+		events += s.Processed()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }

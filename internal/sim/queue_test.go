@@ -615,7 +615,7 @@ func runSchedScript(t testing.TB, script []byte) {
 		return b
 	}
 	for i < len(script) {
-		switch next() % 10 {
+		switch next() % 12 {
 		case 0, 1:
 			p.push(Time(next()%64) * time.Millisecond)
 		case 2:
@@ -652,6 +652,15 @@ func runSchedScript(t testing.TB, script []byte) {
 			p.postpone(int(next()), Time(b%48)*time.Millisecond)
 		case 9:
 			p.unpostpone(int(next()))
+		case 10:
+			// A deadline on the tier boundary: one below, at and above
+			// nearHorizon.
+			p.push(nearHorizon + Time(int(next()%3)-1))
+		case 11:
+			// A postpone whose hop lands on either side of the tier
+			// boundary.
+			b := next()
+			p.postpone(int(next()), nearHorizon+Time(int(b%3)-1)+Time(b/3%4)*10*time.Millisecond)
 		}
 	}
 	p.step(1 << 40) // drain
@@ -691,7 +700,7 @@ func TestQueueDifferentialCompactionHeavy(t *testing.T) {
 			p.cancel(i)
 		}
 	}
-	if got := p.kernel().q.len(); got >= 1000 {
+	if got := p.kernel().queued(); got >= 1000 {
 		t.Fatalf("compaction never ran: queue still holds %d entries", got)
 	}
 	p.step(1 << 40)
@@ -763,6 +772,8 @@ func FuzzQueueDifferential(f *testing.F) {
 	f.Add(seed)
 	// Callbacks that arm, compact and postpone; drains to the hole.
 	f.Add([]byte{7, 1, 7, 2, 7, 3, 8, 5, 1, 0, 20, 7, 4, 7, 9, 1, 4, 7, 5, 60})
+	// Pushes on the tier boundary, postpones across it, runs through it.
+	f.Add([]byte{10, 0, 10, 1, 10, 2, 0, 3, 11, 0, 3, 11, 4, 0, 11, 11, 1, 5, 60, 10, 1, 4, 3, 5, 127})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 2048 {
 			script = script[:2048]

@@ -19,7 +19,8 @@
 // Timers live in a generation-stamped pool inside the Scheduler: After/At
 // allocate nothing per event, Timer handles are small copyable values, and
 // fired or cancelled slots are recycled through a free list. The pending
-// set is ordered by an implicit 4-ary min-heap (see quadQueue).
+// set is ordered by two implicit 4-ary min-heaps (see quadQueue), a near
+// and a far tier merged by (at, seq) (see nearHorizon).
 package sim
 
 import (
@@ -190,12 +191,19 @@ func (t Timer) Done() bool {
 	return !ok || sl.state != slotPending
 }
 
+// nearHorizon splits the pending set: an entry due at least this far
+// ahead of the clock (protocol ticks, route waits, gossip rounds,
+// pre-scheduled traffic) waits in the far tier, so channel events, all
+// under 21 ms ahead, sift through a near heap of a few (DESIGN.md §4).
+const nearHorizon = 50 * time.Millisecond
+
 // Scheduler is the event loop. The zero value is not usable; construct with
 // NewScheduler.
 type Scheduler struct {
 	now     Time
 	seq     uint64
-	q       quadQueue
+	near    quadQueue // entries due under nearHorizon ahead when pushed
+	far     quadQueue // the rest; seq is global, so the two tops merge
 	pool    []slot
 	free    []int32
 	stopped bool
@@ -231,7 +239,11 @@ func (s *Scheduler) Elided() uint64 { return s.elided }
 
 // Pending returns the number of live (non-cancelled) events currently
 // scheduled.
-func (s *Scheduler) Pending() int { return s.q.len() - s.cancelled }
+func (s *Scheduler) Pending() int { return s.queued() - s.cancelled }
+
+// queued returns the number of entries in both tiers, cancelled ones
+// included.
+func (s *Scheduler) queued() int { return s.near.len() + s.far.len() }
 
 // NextAt reports the timestamp of the earliest queued entry and whether
 // one exists. The entry may be a cancelled timer still riding in the
@@ -239,10 +251,33 @@ func (s *Scheduler) Pending() int { return s.q.len() - s.cancelled }
 // will actually fire — callers that sleep until it (the real-time
 // runtime does) simply wake, pop the tombstone, and sleep again.
 func (s *Scheduler) NextAt() (Time, bool) {
-	if s.q.len() == 0 {
-		return 0, false
+	if q := s.top(); q != nil {
+		return q.peek().at, true
 	}
-	return s.q.peek().at, true
+	return 0, false
+}
+
+// top returns the tier holding the earliest entry, or nil when both
+// are empty.
+func (s *Scheduler) top() *quadQueue {
+	switch {
+	case s.far.len() > 0 && (s.near.len() == 0 || s.far.peek().less(s.near.peek())):
+		return &s.far
+	case s.near.len() > 0:
+		return &s.near
+	}
+	return nil
+}
+
+// push enqueues an entry at deadline at under the next insertion
+// sequence, in the tier its distance from the clock selects.
+func (s *Scheduler) push(at Time, idx int32) {
+	q := &s.near
+	if at-s.now >= nearHorizon {
+		q = &s.far
+	}
+	q.push(event{at: at, seq: s.seq, slot: idx})
+	s.seq++
 }
 
 // noteCancelled records one cancelled-but-queued timer and compacts the
@@ -252,7 +287,7 @@ func (s *Scheduler) NextAt() (Time, bool) {
 // each cancellation O(1) heap work.
 func (s *Scheduler) noteCancelled() {
 	s.cancelled++
-	if s.cancelled >= 64 && s.cancelled > s.q.len()/2 {
+	if s.cancelled >= 64 && s.cancelled > s.queued()/2 {
 		s.compact()
 	}
 }
@@ -262,13 +297,15 @@ func (s *Scheduler) noteCancelled() {
 // entries keep their (at, seq) keys, so runs with and without
 // compaction execute identically.
 func (s *Scheduler) compact() {
-	s.q.compact(func(idx int32) bool {
+	keep := func(idx int32) bool {
 		if s.pool[idx].state == slotCancelled {
 			s.free = append(s.free, idx)
 			return false
 		}
 		return true
-	})
+	}
+	s.near.compact(keep)
+	s.far.compact(keep)
 	s.cancelled = 0
 }
 
@@ -299,8 +336,7 @@ func (s *Scheduler) At(t Time, fn func()) Timer {
 		t = s.now
 	}
 	idx := s.alloc(fn, t)
-	s.q.push(event{at: t, seq: s.seq, slot: idx})
-	s.seq++
+	s.push(t, idx)
 	return Timer{s: s, slot: idx, gen: s.pool[idx].gen}
 }
 
@@ -341,8 +377,7 @@ func (s *Scheduler) fire(e event) func() {
 func (s *Scheduler) repost(e event) {
 	sl := &s.pool[e.slot]
 	sl.at = sl.next
-	s.q.push(event{at: sl.next, seq: s.seq, slot: e.slot})
-	s.seq++
+	s.push(sl.next, e.slot)
 	s.elided++
 }
 
@@ -357,11 +392,8 @@ func (s *Scheduler) Stop() { s.stopped = true }
 func (s *Scheduler) Run(until Time) uint64 {
 	var n uint64
 	s.stopped = false
-	for s.q.len() > 0 && !s.stopped {
-		if s.q.peek().at > until {
-			break
-		}
-		e := s.q.pop()
+	for q := s.top(); q != nil && !s.stopped && q.peek().at <= until; q = s.top() {
+		e := q.pop()
 		if s.pool[e.slot].state == slotCancelled {
 			s.cancelled--
 			s.free = append(s.free, e.slot)
@@ -388,8 +420,8 @@ func (s *Scheduler) Run(until Time) uint64 {
 func (s *Scheduler) RunAll(maxEvents uint64) (uint64, bool) {
 	var n uint64
 	s.stopped = false
-	for s.q.len() > 0 && n < maxEvents && !s.stopped {
-		e := s.q.pop()
+	for q := s.top(); q != nil && n < maxEvents && !s.stopped; q = s.top() {
+		e := q.pop()
 		if s.pool[e.slot].state == slotCancelled {
 			s.cancelled--
 			s.free = append(s.free, e.slot)
@@ -405,5 +437,5 @@ func (s *Scheduler) RunAll(maxEvents uint64) (uint64, bool) {
 		s.processed++
 		n++
 	}
-	return n, s.q.len() == 0
+	return n, s.queued() == 0
 }

@@ -401,12 +401,12 @@ func TestCancelCompactsHeap(t *testing.T) {
 		t.Fatalf("Pending after cancelling all = %d, want 0", got)
 	}
 	// The heap itself must have been compacted, not just the count.
-	if got := s.q.len(); got >= n/2 {
+	if got := s.queued(); got >= n/2 {
 		t.Fatalf("heap holds %d entries after cancelling all %d, want compaction", got, n)
 	}
 	// Compaction must have released the dead slots for reuse.
-	if live := len(s.pool) - len(s.free); live != s.q.len() {
-		t.Fatalf("%d slots outside the free list, want %d (queue residue)", live, s.q.len())
+	if live := len(s.pool) - len(s.free); live != s.queued() {
+		t.Fatalf("%d slots outside the free list, want %d (queue residue)", live, s.queued())
 	}
 }
 
@@ -430,12 +430,12 @@ func TestCompactionPreservesOrdering(t *testing.T) {
 			want = append(want, i)
 		}
 	}
-	before := s.q.len()
+	before := s.queued()
 	for _, tm := range cancel {
 		tm.Cancel()
 	}
-	if s.q.len() >= before {
-		t.Fatalf("heap did not compact: %d entries before, %d after cancelling %d", before, s.q.len(), len(cancel))
+	if s.queued() >= before {
+		t.Fatalf("heap did not compact: %d entries before, %d after cancelling %d", before, s.queued(), len(cancel))
 	}
 	s.Run(10 * time.Second)
 	if len(got) != len(want) {
@@ -454,6 +454,92 @@ func TestCompactionPreservesOrdering(t *testing.T) {
 		if got[k] != expect[k] {
 			t.Fatalf("event %d fired as %d, want %d (compaction broke ordering)", k, got[k], expect[k])
 		}
+	}
+}
+
+// TestTiersMergeBySequence: entries for one instant that sit in
+// different tiers fire in insertion order, whichever tier holds the
+// earlier one. Through the API a far entry for an instant is always
+// armed before a near one (the clock only advances), so the reverse
+// case winds the clock back by hand to arm the near entry first.
+func TestTiersMergeBySequence(t *testing.T) {
+	const at = 100 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		arm  func(s *Scheduler, log func(string) func())
+	}{
+		{"far-first", func(s *Scheduler, log func(string) func()) {
+			s.At(at, log("far"))
+			s.Run(60 * time.Millisecond)
+			s.At(at, log("near"))
+		}},
+		{"near-first", func(s *Scheduler, log func(string) func()) {
+			s.now = 60 * time.Millisecond
+			s.At(at, log("near"))
+			s.now = 0
+			s.At(at, log("far"))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewScheduler()
+			var got []string
+			var armed []string
+			tc.arm(s, func(name string) func() {
+				armed = append(armed, name)
+				return func() { got = append(got, name) }
+			})
+			if s.near.len() != 1 || s.far.len() != 1 {
+				t.Fatalf("tiers hold near=%d far=%d, want one entry each", s.near.len(), s.far.len())
+			}
+			s.Run(time.Second)
+			if fmt.Sprint(got) != fmt.Sprint(armed) {
+				t.Fatalf("fired %v, want insertion order %v", got, armed)
+			}
+		})
+	}
+}
+
+// TestPostponeAcrossHorizon: a near timer postponed past nearHorizon
+// hops into the far tier at the hop and still fires where a
+// fire-and-rearm chain would: after an entry for the same instant armed
+// before the hop, before one armed after it.
+func TestPostponeAcrossHorizon(t *testing.T) {
+	s := NewScheduler()
+	const target = 200 * time.Millisecond
+	var got []string
+	log := func(name string) func() { return func() { got = append(got, name) } }
+	tm := s.After(10*time.Millisecond, log("postponed"))
+	s.At(target, log("before"))
+	if s.near.len() != 1 || s.far.len() != 1 {
+		t.Fatalf("tiers hold near=%d far=%d before the hop, want 1 and 1", s.near.len(), s.far.len())
+	}
+	tm.Postpone(target)
+	s.Run(10 * time.Millisecond)
+	if s.Elided() != 1 || s.near.len() != 0 || s.far.len() != 2 {
+		t.Fatalf("after the hop: elided=%d near=%d far=%d, want 1, 0 and 2",
+			s.Elided(), s.near.len(), s.far.len())
+	}
+	s.Run(target - 10*time.Millisecond)
+	s.At(target, log("after"))
+	s.Run(time.Second)
+	if want := "[before postponed after]"; fmt.Sprint(got) != want {
+		t.Fatalf("fired %v, want %s", got, want)
+	}
+}
+
+// TestFarTimersStayOutOfNearTier pins the split itself. A broken split
+// costs speed only — order comes from (at, seq) either way — so no
+// ordering test can catch it.
+func TestFarTimersStayOutOfNearTier(t *testing.T) {
+	s := NewScheduler()
+	for i := 0; i < 1000; i++ {
+		s.After(600*time.Millisecond, func() {})
+	}
+	for i := 0; i < 10; i++ {
+		s.After(time.Millisecond, func() {})
+	}
+	if s.far.len() != 1000 || s.near.len() != 10 {
+		t.Fatalf("tiers hold near=%d far=%d, want 10 and 1000", s.near.len(), s.far.len())
 	}
 }
 
