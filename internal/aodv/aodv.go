@@ -185,7 +185,6 @@ func New(st *node.Stack, rng *sim.RNG, cfg Config) *Router {
 	st.Handle(pkt.KindRREQ, r.onRREQ)
 	st.Handle(pkt.KindRREP, r.onRREP)
 	st.Handle(pkt.KindRERR, r.onRERR)
-	st.OnHeard(r.onHeard)
 	st.OnLinkFailure(r.onMACFailure)
 	return r
 }
@@ -222,6 +221,12 @@ func (r *Router) NextHop(dst pkt.NodeID) (pkt.NodeID, bool) {
 	}
 	rt.expires = r.sched.Now() + r.cfg.ActiveRouteTimeout
 	return rt.nextHop, true
+}
+
+// NeighborHeard implements node.UnicastRouter: every frame heard from n
+// refreshes its liveness.
+func (r *Router) NeighborHeard(n pkt.NodeID) {
+	r.neighbors.Put(n.Uint64(), r.sched.Now())
 }
 
 // QueueForRoute implements node.UnicastRouter: it parks the packet and
@@ -381,13 +386,9 @@ func (r *Router) onDiscoveryTimeout(d *discovery) {
 // --- packet handlers ---
 
 func (r *Router) onHello(p *pkt.Packet, from pkt.NodeID) {
-	// Liveness is tracked by onHeard for every frame; the hello only
-	// installs/refreshes the 1-hop route.
+	// Liveness is tracked by NeighborHeard for every frame; the hello
+	// only installs/refreshes the 1-hop route.
 	r.installRoute(from, 0, false, 1, from)
-}
-
-func (r *Router) onHeard(n pkt.NodeID) {
-	r.neighbors.Put(n.Uint64(), r.sched.Now())
 }
 
 func (r *Router) onRREQ(p *pkt.Packet, from pkt.NodeID) {

@@ -379,18 +379,20 @@ func TestSeenSweepKeepsRewrittenEntry(t *testing.T) {
 }
 
 // TestOnHeardAllocatesNothing: refreshing a known neighbour — what
-// every frame the node hears does — allocates nothing.
+// every frame the node hears does, through the stack's router hook —
+// allocates nothing.
 func TestOnHeardAllocatesNothing(t *testing.T) {
 	r := buildWorld(t, linePositions(1)).routers[0]
+	var hook node.UnicastRouter = r
 	for n := pkt.NodeID(2); n < 40; n++ {
-		r.onHeard(n)
+		hook.NeighborHeard(n)
 	}
 	n := pkt.NodeID(2)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		r.onHeard(n)
+		hook.NeighborHeard(n)
 		n = 2 + (n-1)%38
 	}); allocs != 0 {
-		t.Fatalf("onHeard of a known neighbour allocates %v times, want 0", allocs)
+		t.Fatalf("NeighborHeard of a known neighbour allocates %v times, want 0", allocs)
 	}
 	if r.neighbors.Len() != 38 || !r.HaveNeighbor(39) || r.HaveNeighbor(40) {
 		t.Fatalf("%d neighbours tracked, want 2…39", r.neighbors.Len())

@@ -92,7 +92,7 @@ func TestLateAckElidesContentionStep(t *testing.T) {
 	}
 	// The sender is mid-backoff for a retry. The original ACK finally
 	// arrives.
-	d.onRadio(&frame{kind: frameAck, src: 2, dst: 1, seq: d.inflight.frm.seq}, 2, true)
+	d.ReceiveFrame(&frame{kind: frameAck, src: 2, dst: 1, seq: d.inflight.frm.seq}, 2, true)
 	if got := d.Stats().ElidedEvents; got != attempts+1 {
 		t.Fatalf("late ACK elided %d events total, want the abandoned backoff step on top of %d",
 			got, attempts)

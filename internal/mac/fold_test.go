@@ -130,7 +130,7 @@ func TestLateAckMidFoldedCountdown(t *testing.T) {
 
 	attempts := uint64(d.inflight.attempt)
 	before := d.Stats().ElidedEvents
-	d.onRadio(&frame{kind: frameAck, src: 2, dst: 1, seq: d.inflight.frm.seq}, 2, true)
+	d.ReceiveFrame(&frame{kind: frameAck, src: 2, dst: 1, seq: d.inflight.frm.seq}, 2, true)
 	if got := d.Stats().ElidedEvents; got != before+1 {
 		t.Fatalf("late ACK mid-fold elided %d events (had %d), want exactly one more", got, before)
 	}
@@ -330,7 +330,7 @@ func TestCarrierListenerOnlyWhileCountingDown(t *testing.T) {
 		check("after an event")
 		if !acked && late.inflight != nil && late.inflight.attempt > 0 &&
 			!late.step.IsZero() && !late.step.Done() {
-			late.onRadio(&frame{kind: frameAck, src: 5, dst: 4, seq: late.inflight.frm.seq}, 5, true)
+			late.ReceiveFrame(&frame{kind: frameAck, src: 5, dst: 4, seq: late.inflight.frm.seq}, 5, true)
 			acked = true
 			check("after the late ACK")
 		}

@@ -66,7 +66,7 @@ func TestLateAckRecordOutlivesRetransmission(t *testing.T) {
 	want := frame{kind: frameData, src: 1, dst: 2, seq: seq, payload: p}
 
 	// The first attempt's ACK lands mid-retransmission.
-	d.onRadio(&frame{kind: frameAck, src: 2, dst: 1, seq: seq}, 2, true)
+	d.ReceiveFrame(&frame{kind: frameAck, src: 2, dst: 1, seq: seq}, 2, true)
 	if d.inflight != nil {
 		t.Fatal("late ACK did not complete the frame")
 	}

@@ -347,7 +347,7 @@ func newDCF(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.Nod
 	d.stepFn = d.onStep
 	d.ackFn = d.onAckTimeout
 	d.respFn = d.onResponse
-	tr, err := medium.Attach(id, pos, d.onRadio)
+	tr, err := medium.AttachReceiver(id, pos, d)
 	if err != nil {
 		return nil, err
 	}
@@ -364,7 +364,10 @@ func newDCF(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.Nod
 	return d, nil
 }
 
-var _ runtime.Runtime = (*DCF)(nil)
+var (
+	_ runtime.Runtime = (*DCF)(nil)
+	_ radio.Receiver  = (*DCF)(nil)
+)
 
 // ID returns the node ID.
 func (d *DCF) ID() pkt.NodeID { return d.id }
@@ -756,10 +759,11 @@ func (d *DCF) finish(out *outgoing, ok bool) {
 	d.startHead()
 }
 
-// onRadio handles a reception outcome from the radio layer. The radio
-// calls it only for broadcasts and for frames addressed to this node
-// (radio.Handler), so every ACK and unicast data frame here is ours.
-func (d *DCF) onRadio(raw any, _ pkt.NodeID, ok bool) {
+// ReceiveFrame implements radio.Receiver: it handles a reception
+// outcome from the radio layer. The radio calls it only for broadcasts
+// and for frames addressed to this node, so every ACK and unicast data
+// frame here is ours.
+func (d *DCF) ReceiveFrame(raw any, _ pkt.NodeID, ok bool) {
 	if !ok {
 		return // corrupted receptions carry no usable frame
 	}

@@ -15,8 +15,8 @@ var ErrNotMember = errors.New("maodv: node is not a member of the group")
 // MAODV. Delivery is unreliable by design — Anonymous Gossip recovers the
 // losses.
 func (r *Router) SendData(gid pkt.GroupID) (pkt.SeqKey, error) {
-	g, ok := r.groups[gid]
-	if !ok || !g.member {
+	g := r.group(gid)
+	if g == nil || !g.member {
 		return pkt.SeqKey{}, ErrNotMember
 	}
 	g.nextDataSeq++
@@ -40,14 +40,13 @@ func (r *Router) onData(p *pkt.Packet, from pkt.NodeID) {
 	if !ok {
 		return
 	}
-	g, have := r.groups[d.Group]
-	if !have || !g.inTree {
+	g := r.group(d.Group)
+	if g == nil || !g.inTree {
 		return
 	}
 	// Tree discipline: accept only from an enabled next hop; anything
 	// else is an off-tree copy of the broadcast.
-	e, linked := g.next[from]
-	if !linked || !e.enabled {
+	if e := g.next.get(from); e == nil || !e.enabled {
 		r.stats.DataOffTree++
 		return
 	}

@@ -118,6 +118,55 @@ type nextHop struct {
 	advertised     bool
 }
 
+// link is one tree link: a neighbour and its next-hop entry.
+type link struct {
+	id pkt.NodeID
+	nextHop
+}
+
+// links is a group's next-hop list, kept sorted by node ID, so every
+// walk runs in ID order without sorting and same-seed runs stay
+// identical. A tree node has a handful of links, so lookups scan the
+// list. Pointers returned by get and put are valid until the next put
+// or remove.
+type links []link
+
+// search returns where id's entry is, or would be inserted, and whether
+// it is there.
+func (l links) search(id pkt.NodeID) (int, bool) {
+	for i := range l {
+		if l[i].id >= id {
+			return i, l[i].id == id
+		}
+	}
+	return len(l), false
+}
+
+// get returns id's entry, or nil.
+func (l links) get(id pkt.NodeID) *nextHop {
+	if i, ok := l.search(id); ok {
+		return &l[i].nextHop
+	}
+	return nil
+}
+
+// put returns id's entry, first inserting one with an unknown
+// nearest-member distance when there is none.
+func (l *links) put(id pkt.NodeID) *nextHop {
+	i, ok := l.search(id)
+	if !ok {
+		*l = slices.Insert(*l, i, link{id: id, nextHop: nextHop{nearest: pkt.NearestUnknown}})
+	}
+	return &(*l)[i].nextHop
+}
+
+// remove deletes id's entry, if any; the others keep their order.
+func (l *links) remove(id pkt.NodeID) {
+	if i, ok := l.search(id); ok {
+		*l = slices.Delete(*l, i, i+1)
+	}
+}
+
 // rrepPath remembers where a multicast RREP came from so a following
 // MACT can climb toward the replier.
 type rrepPath struct {
@@ -157,7 +206,7 @@ type group struct {
 	seqValid     bool
 	hopsToLeader uint8
 
-	next      map[pkt.NodeID]*nextHop
+	next      links
 	rrepPaths map[uint32]rrepPath
 	join      *joinState
 	grphTimer sim.Timer
@@ -177,26 +226,12 @@ type group struct {
 // enabledCount returns the number of enabled next hops.
 func (g *group) enabledCount() int {
 	n := 0
-	for _, e := range g.next {
-		if e.enabled {
+	for i := range g.next {
+		if g.next[i].enabled {
 			n++
 		}
 	}
 	return n
-}
-
-// sortedNextIDs returns g's next-hop node IDs in ascending order.
-// Protocol decisions must never depend on Go map iteration order, or
-// same-seed runs diverge. The slice is the router's scratch, valid
-// until the next call: its callers only send while walking it, and a
-// send never re-enters the router.
-func (r *Router) sortedNextIDs(g *group) []pkt.NodeID {
-	r.ids = r.ids[:0]
-	for id := range g.next {
-		r.ids = append(r.ids, id)
-	}
-	slices.Sort(r.ids)
-	return r.ids
 }
 
 // Router is one node's MAODV entity.
@@ -207,13 +242,13 @@ type Router struct {
 	rng   *sim.RNG
 	uni   *aodv.Router
 
-	groups map[pkt.GroupID]*group
+	// groups is sorted by group ID; see group.
+	groups []*group
 
 	deliverSubs  []func(g pkt.GroupID, d *pkt.Data, from pkt.NodeID)
 	evidenceSubs []func(g pkt.GroupID, member pkt.NodeID, hops uint8)
 
-	// ids is sortedNextIDs' scratch, hops NextHops' (lent to the walk).
-	ids  []pkt.NodeID
+	// hops is NextHops' scratch (lent to the walk).
 	hops []gossip.NextHop
 
 	stats Stats
@@ -229,12 +264,11 @@ func New(st *node.Stack, uni *aodv.Router, rng *sim.RNG, cfg Config) *Router {
 		panic("maodv: DataCacheSize must be positive")
 	}
 	r := &Router{
-		cfg:    cfg,
-		stack:  st,
-		sched:  st.Clock(),
-		rng:    rng,
-		uni:    uni,
-		groups: make(map[pkt.GroupID]*group),
+		cfg:   cfg,
+		stack: st,
+		sched: st.Clock(),
+		rng:   rng,
+		uni:   uni,
 	}
 	uni.SetMulticastHooks(r)
 	uni.OnLinkBreak(r.onLinkBreak)
@@ -269,21 +303,21 @@ func (r *Router) Delivered() uint64 { return r.stats.DataDelivered }
 
 // IsMember reports group membership of this node.
 func (r *Router) IsMember(gid pkt.GroupID) bool {
-	g, ok := r.groups[gid]
-	return ok && g.member
+	g := r.group(gid)
+	return g != nil && g.member
 }
 
 // InTree reports whether this node is currently part of the group's
 // multicast tree (as member or router).
 func (r *Router) InTree(gid pkt.GroupID) bool {
-	g, ok := r.groups[gid]
-	return ok && g.inTree
+	g := r.group(gid)
+	return g != nil && g.inTree
 }
 
 // Leader returns the current group leader, if known.
 func (r *Router) Leader(gid pkt.GroupID) (pkt.NodeID, bool) {
-	g, ok := r.groups[gid]
-	if !ok || !g.leaderValid {
+	g := r.group(gid)
+	if g == nil || !g.leaderValid {
 		return 0, false
 	}
 	return g.leader, true
@@ -291,38 +325,58 @@ func (r *Router) Leader(gid pkt.GroupID) (pkt.NodeID, bool) {
 
 // NextHops returns the enabled tree links and their nearest-member
 // values (paper §4.2: the walk needs nothing else) — the gossip Tree
-// interface. The result is sorted by node ID so downstream random
-// choices are reproducible, and lent: it is the router's scratch.
+// interface. The result is sorted by node ID, as the links are, so
+// downstream random choices are reproducible, and lent: it is the
+// router's scratch.
 func (r *Router) NextHops(gid pkt.GroupID) []gossip.NextHop {
-	g, ok := r.groups[gid]
-	if !ok {
+	g := r.group(gid)
+	if g == nil {
 		return nil
 	}
 	r.hops = r.hops[:0]
-	for id, e := range g.next {
-		if e.enabled {
-			r.hops = append(r.hops, gossip.NextHop{ID: id, Nearest: e.nearest})
+	for _, l := range g.next {
+		if l.enabled {
+			r.hops = append(r.hops, gossip.NextHop{ID: l.id, Nearest: l.nearest})
 		}
 	}
-	gossip.SortHops(r.hops)
 	return r.hops
 }
 
-// group returns existing state or creates a passive shell (used by nodes
-// that merely relay GRPH floods or record RREP paths).
-func (r *Router) groupState(gid pkt.GroupID) *group {
-	g, ok := r.groups[gid]
-	if !ok {
-		g = &group{
-			id:           gid,
-			hopsToLeader: pkt.LeaderHopsUnset,
-			next:         make(map[pkt.NodeID]*nextHop),
-			rrepPaths:    make(map[uint32]rrepPath),
-			grphSeen:     make(map[pkt.NodeID]uint32),
-			data:         node.NewSeqCache(r.cfg.DataCacheSize),
-		}
-		r.groups[gid] = g
+// group returns the state of group gid, or nil when this node has none.
+func (r *Router) group(gid pkt.GroupID) *group {
+	if i, ok := r.groupIndex(gid); ok {
+		return r.groups[i]
 	}
+	return nil
+}
+
+// groupIndex returns where gid's state is in r.groups, or would be
+// inserted, and whether it is there. A node knows a handful of groups,
+// so it scans.
+func (r *Router) groupIndex(gid pkt.GroupID) (int, bool) {
+	for i, g := range r.groups {
+		if g.id >= gid {
+			return i, g.id == gid
+		}
+	}
+	return len(r.groups), false
+}
+
+// groupState returns existing state or creates a passive shell (used by
+// nodes that merely relay GRPH floods or record RREP paths).
+func (r *Router) groupState(gid pkt.GroupID) *group {
+	i, ok := r.groupIndex(gid)
+	if ok {
+		return r.groups[i]
+	}
+	g := &group{
+		id:           gid,
+		hopsToLeader: pkt.LeaderHopsUnset,
+		rrepPaths:    make(map[uint32]rrepPath),
+		grphSeen:     make(map[pkt.NodeID]uint32),
+		data:         node.NewSeqCache(r.cfg.DataCacheSize),
+	}
+	r.groups = slices.Insert(r.groups, i, g)
 	return g
 }
 
@@ -342,8 +396,8 @@ func (r *Router) Join(gid pkt.GroupID) {
 // Leave revokes membership. Leaf nodes prune themselves; interior nodes
 // remain as pure routers (paper §3).
 func (r *Router) Leave(gid pkt.GroupID) {
-	g, ok := r.groups[gid]
-	if !ok || !g.member {
+	g := r.group(gid)
+	if g == nil || !g.member {
 		return
 	}
 	g.member = false
@@ -449,11 +503,7 @@ func (r *Router) retryBudget(js *joinState) int {
 func (r *Router) activateBranch(g *group, js *joinState) {
 	best := js.best
 	g.join = nil
-	e, ok := g.next[best.from]
-	if !ok {
-		e = &nextHop{nearest: pkt.NearestUnknown}
-		g.next[best.from] = e
-	}
+	e := g.next.put(best.from)
 	e.enabled = true
 	e.upstream = true
 	g.inTree = true
@@ -503,8 +553,8 @@ func newerSeq(a, b uint32) bool { return int32(a-b) > 0 }
 // HandleJoinRREQ implements aodv.MulticastHooks: tree nodes answer join
 // and repair requests with multicast RREPs.
 func (r *Router) HandleJoinRREQ(req *pkt.RREQ, from pkt.NodeID) bool {
-	g, ok := r.groups[pkt.GroupID(req.Dst)]
-	if !ok || !g.inTree {
+	g := r.group(pkt.GroupID(req.Dst))
+	if g == nil || !g.inTree {
 		return false
 	}
 	// Never answer a requester's flood from inside its own subtree: that

@@ -2,6 +2,8 @@ package maodv
 
 import (
 	"fmt"
+	"maps"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -251,7 +253,7 @@ func TestTreeWalksAllocateNothing(t *testing.T) {
 	w.joinAt(3*time.Second, 3)
 	w.sched.Run(15 * time.Second)
 	r := w.routers[1]
-	g := r.groups[testGroup]
+	g := r.group(testGroup)
 	want := []gossip.NextHop{{ID: 1, Nearest: 1}, {ID: 3, Nearest: 2}}
 	if got := r.NextHops(testGroup); !slices.Equal(got, want) {
 		t.Fatalf("next hops %v, want %v", got, want)
@@ -275,11 +277,11 @@ func TestUpstreamDownstreamDirections(t *testing.T) {
 	w.sched.Run(10 * time.Second)
 
 	// Node 3 joined the leader's tree: its link to 2 is upstream.
-	if e := w.routers[2].groups[testGroup].next[2]; e == nil || !e.enabled || !e.upstream {
+	if e := w.routers[2].group(testGroup).next.get(2); e == nil || !e.enabled || !e.upstream {
 		t.Fatal("joiner's selected branch not marked upstream")
 	}
 	// The leader's link to 2 is downstream.
-	if e := w.routers[0].groups[testGroup].next[2]; e == nil || !e.enabled || e.upstream {
+	if e := w.routers[0].group(testGroup).next.get(2); e == nil || !e.enabled || e.upstream {
 		t.Fatal("leader's branch marked upstream")
 	}
 }
@@ -450,7 +452,7 @@ func TestMemberEvidenceFromJoinReplies(t *testing.T) {
 func TestDataCacheBounded(t *testing.T) {
 	cfg := fastConfig()
 	cfg.DataCacheSize = 8
-	r := &Router{cfg: cfg, groups: map[pkt.GroupID]*group{}}
+	r := &Router{cfg: cfg}
 	g := r.groupState(testGroup)
 	for i := 0; i < 100; i++ {
 		g.data.Add(pkt.SeqKey{Origin: 1, Seq: uint32(i)})
@@ -480,14 +482,14 @@ func TestRREPPathsExpire(t *testing.T) {
 	relay(time.Second, 1)
 	relay(time.Second+life/2, 2)
 	w.sched.Run(time.Second + life/2)
-	if n := len(r.groups[testGroup].rrepPaths); n != 2 {
+	if n := len(r.group(testGroup).rrepPaths); n != 2 {
 		t.Fatalf("%d reply paths within one lifetime, want 2", n)
 	}
 	for k := uint32(3); k <= 12; k++ {
 		relay(sim.Time(k)*(life+time.Millisecond), k)
 	}
 	w.sched.Run(13 * (life + time.Millisecond))
-	paths := r.groups[testGroup].rrepPaths
+	paths := r.group(testGroup).rrepPaths
 	if _, ok := paths[12]; !ok || len(paths) > 1 {
 		t.Fatalf("reply paths after RREPs a lifetime apart = %v, want only the last", paths)
 	}
@@ -534,5 +536,71 @@ func TestNewRejectsNonPositiveDataCacheSize(t *testing.T) {
 			}()
 			New(st, uni, sim.NewRNG(3), cfg)
 		}()
+	}
+}
+
+// TestLinksMatchSortedMap: random put/get/remove/clear sequences on a
+// group's next-hop list, and walks that remove entries as they go,
+// match a map plus slices.Sort oracle: the same entries, in ID order,
+// and a walk visits each exactly once.
+func TestLinksMatchSortedMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		var l links
+		oracle := map[pkt.NodeID]nextHop{}
+		for op := 0; op < 60; op++ {
+			id := pkt.NodeID(1 + rng.Intn(12))
+			switch rng.Intn(7) {
+			case 0, 1:
+				e := l.put(id)
+				want, ok := oracle[id]
+				if !ok {
+					want = nextHop{nearest: pkt.NearestUnknown}
+				}
+				if *e != want {
+					t.Fatalf("trial %d: put(%d) = %+v, want %+v", trial, id, *e, want)
+				}
+				e.enabled, e.upstream, e.nearest = rng.Intn(2) == 0, rng.Intn(2) == 0, uint8(rng.Intn(5))
+				oracle[id] = *e
+			case 2:
+				e := l.get(id)
+				want, ok := oracle[id]
+				if (e != nil) != ok || ok && *e != want {
+					t.Fatalf("trial %d: get(%d) = %v, want %+v (present %v)", trial, id, e, want, ok)
+				}
+			case 3:
+				l.remove(id)
+				delete(oracle, id)
+			case 4, 5: // walk in order, removing disabled links on the way
+				want := slices.Sorted(maps.Keys(oracle))
+				var visited []pkt.NodeID
+				for i := 0; i < len(l); {
+					visited = append(visited, l[i].id)
+					if !l[i].enabled {
+						l.remove(l[i].id)
+						continue
+					}
+					i++
+				}
+				if !slices.Equal(visited, want) {
+					t.Fatalf("trial %d: walk visited %v, want %v", trial, visited, want)
+				}
+				maps.DeleteFunc(oracle, func(_ pkt.NodeID, e nextHop) bool { return !e.enabled })
+			case 6:
+				if rng.Intn(8) == 0 {
+					l = l[:0]
+					clear(oracle)
+				}
+			}
+			ids := slices.Sorted(maps.Keys(oracle))
+			if len(l) != len(ids) {
+				t.Fatalf("trial %d: %d links, oracle holds %d", trial, len(l), len(ids))
+			}
+			for i, id := range ids {
+				if l[i].id != id || l[i].nextHop != oracle[id] {
+					t.Fatalf("trial %d: link %d is %d %+v, want %d %+v", trial, i, l[i].id, l[i].nextHop, id, oracle[id])
+				}
+			}
+		}
 	}
 }

@@ -24,12 +24,9 @@ func (r *Router) nearestValueFor(g *group, x pkt.NodeID) uint8 {
 	if g.member {
 		best = 0
 	}
-	for id, e := range g.next {
-		if id == x || !e.enabled {
-			continue
-		}
-		if e.nearest < best {
-			best = e.nearest
+	for i := range g.next {
+		if l := &g.next[i]; l.id != x && l.enabled && l.nearest < best {
+			best = l.nearest
 		}
 	}
 	return satAdd8(best, 1)
@@ -39,11 +36,12 @@ func (r *Router) nearestValueFor(g *group, x pkt.NodeID) uint8 {
 // lastSent is tracked per link in the nextHop entry to suppress
 // unchanged updates.
 func (r *Router) nearestRecompute(g *group) {
-	for _, id := range r.sortedNextIDs(g) {
-		e := g.next[id]
+	for i := range g.next {
+		e := &g.next[i]
 		if !e.enabled {
 			continue
 		}
+		id := e.id
 		v := r.nearestValueFor(g, id)
 		if e.lastAdvertised == v && e.advertised {
 			continue
@@ -63,12 +61,12 @@ func (r *Router) onNearest(p *pkt.Packet, from pkt.NodeID) {
 	if !ok {
 		return
 	}
-	g, have := r.groups[n.Group]
-	if !have {
+	g := r.group(n.Group)
+	if g == nil {
 		return
 	}
-	e, linked := g.next[from]
-	if !linked || !e.enabled {
+	e := g.next.get(from)
+	if e == nil || !e.enabled {
 		return
 	}
 	if e.nearest == n.Dist {

@@ -79,10 +79,9 @@ func (t synthTree) buildGroups() []*group {
 			id:     1,
 			member: t.member[i],
 			inTree: true,
-			next:   make(map[pkt.NodeID]*nextHop),
 		}
 		for _, nb := range t.adj[i] {
-			g.next[pkt.NodeID(nb+1)] = &nextHop{enabled: true, nearest: pkt.NearestUnknown}
+			g.next.put(pkt.NodeID(nb + 1)).enabled = true
 		}
 		groups[i] = g
 	}
@@ -98,7 +97,7 @@ func iterate(t synthTree, groups []*group) int {
 		for u := 0; u < t.n; u++ {
 			for _, v := range t.adj[u] {
 				val := r.nearestValueFor(groups[u], pkt.NodeID(v+1))
-				e := groups[v].next[pkt.NodeID(u+1)]
+				e := groups[v].next.get(pkt.NodeID(u + 1))
 				if e.nearest != val {
 					e.nearest = val
 					changed = true
@@ -124,7 +123,7 @@ func TestNearestMemberConvergesToBFSDistances(t *testing.T) {
 
 		for u := 0; u < n; u++ {
 			for _, v := range tree.adj[u] {
-				got := groups[u].next[pkt.NodeID(v+1)].nearest
+				got := groups[u].next.get(pkt.NodeID(v + 1)).nearest
 				want := tree.refDistance(u, v)
 				if got != want {
 					t.Fatalf("trial %d: node %d via %d nearest = %d, want %d\nmembers=%v adj=%v",
@@ -162,7 +161,7 @@ func TestNearestMemberSoundnessProperty(t *testing.T) {
 		iterate(tree, groups)
 		for u := 0; u < n; u++ {
 			for _, v := range tree.adj[u] {
-				got := groups[u].next[pkt.NodeID(v+1)].nearest
+				got := groups[u].next.get(pkt.NodeID(v + 1)).nearest
 				if got == 0 {
 					return false // distances through a link are >= 1
 				}

@@ -1,8 +1,6 @@
 package maodv
 
 import (
-	"slices"
-
 	"anongossip/internal/pkt"
 	"anongossip/internal/sim"
 )
@@ -14,8 +12,8 @@ func (r *Router) onMACT(p *pkt.Packet, from pkt.NodeID) {
 	if !ok {
 		return
 	}
-	g, have := r.groups[m.Group]
-	if !have {
+	g := r.group(m.Group)
+	if g == nil {
 		return
 	}
 	switch {
@@ -42,11 +40,7 @@ func (r *Router) onMACTJoin(g *group, m *pkt.MACT, from pkt.NodeID) {
 			return
 		}
 		delete(g.rrepPaths, m.RREQID)
-		up, have := g.next[path.upstream]
-		if !have {
-			up = &nextHop{nearest: pkt.NearestUnknown}
-			g.next[path.upstream] = up
-		}
+		up := g.next.put(path.upstream)
 		up.enabled = true
 		up.upstream = true
 		g.inTree = true
@@ -57,11 +51,7 @@ func (r *Router) onMACTJoin(g *group, m *pkt.MACT, from pkt.NodeID) {
 		r.stack.SendDirect(path.upstream, r.stack.NewPacket(path.upstream, &fwd))
 	}
 
-	e, have := g.next[from]
-	if !have {
-		e = &nextHop{nearest: pkt.NearestUnknown}
-		g.next[from] = e
-	}
+	e := g.next.put(from)
 	e.enabled = true
 	e.upstream = false
 	if m.MemberOrigin() {
@@ -77,12 +67,12 @@ func (r *Router) onMACTJoin(g *group, m *pkt.MACT, from pkt.NodeID) {
 // equivalent to an upstream link break: the node repairs toward the tree
 // (paper §3's downstream-repairs rule). A non-member leaf cascades out.
 func (r *Router) onMACTPrune(g *group, from pkt.NodeID) {
-	e, have := g.next[from]
-	if !have {
+	e := g.next.get(from)
+	if e == nil {
 		return
 	}
 	wasUpstream := e.enabled && e.upstream
-	delete(g.next, from)
+	g.next.remove(from)
 	r.nearestRecompute(g)
 
 	if wasUpstream && g.inTree {
@@ -128,18 +118,17 @@ func (r *Router) maybePrune(g *group) {
 	if g.member || !g.inTree {
 		return
 	}
-	enabled := make([]pkt.NodeID, 0, len(g.next))
-	for _, id := range r.sortedNextIDs(g) {
-		if g.next[id].enabled {
-			enabled = append(enabled, id)
+	n, only := 0, pkt.NodeID(0)
+	for _, l := range g.next {
+		if l.enabled {
+			n, only = n+1, l.id
 		}
 	}
-	switch len(enabled) {
-	case 0:
-		r.detachFromTree(g)
+	switch n {
 	case 1:
-		r.sendPrune(g, enabled[0])
-		delete(g.next, enabled[0])
+		r.sendPrune(g, only)
+		fallthrough
+	case 0:
 		r.detachFromTree(g)
 	}
 }
@@ -148,9 +137,7 @@ func (r *Router) maybePrune(g *group) {
 func (r *Router) detachFromTree(g *group) {
 	g.inTree = false
 	g.hopsToLeader = pkt.LeaderHopsUnset
-	for id := range g.next {
-		delete(g.next, id)
-	}
+	g.next = g.next[:0]
 	if r.isLeader(g) {
 		r.stopLeading(g)
 	}
@@ -186,13 +173,13 @@ func (r *Router) delegateLeadership(g *group) {
 }
 
 func (r *Router) delegateLeadershipExcept(g *group, except pkt.NodeID) {
-	for _, id := range r.sortedNextIDs(g) {
-		if e := g.next[id]; !e.enabled || id == except {
+	for _, l := range g.next {
+		if !l.enabled || l.id == except {
 			continue
 		}
 		m := pkt.MACT{Group: g.id, Src: r.stack.ID(), Flags: pkt.MACTGroupLeader}
 		r.stats.MACTsSent++
-		r.stack.SendDirect(id, r.stack.NewPacket(id, &m))
+		r.stack.SendDirect(l.id, r.stack.NewPacket(l.id, &m))
 		return
 	}
 	// Nowhere to delegate: the fragment dissolves.
@@ -282,7 +269,7 @@ func (r *Router) adoptGroupInfo(g *group, h *pkt.GRPH, from pkt.NodeID) {
 	// an optimistic bound otherwise.
 	if g.inTree {
 		d := satAdd8(h.HopCount, 1)
-		if e, okNext := g.next[from]; okNext && e.enabled && e.upstream {
+		if e := g.next.get(from); e != nil && e.enabled && e.upstream {
 			g.hopsToLeader = d
 		} else if d < g.hopsToLeader {
 			g.hopsToLeader = d
@@ -299,12 +286,12 @@ func (r *Router) adoptGroupInfo(g *group, h *pkt.GRPH, from pkt.NodeID) {
 func (r *Router) stepDown(g *group, h *pkt.GRPH) {
 	r.stats.LeaderStepdowns++
 	r.stopLeading(g)
-	for _, id := range r.sortedNextIDs(g) {
-		if g.next[id].enabled {
-			r.sendPrune(g, id)
+	for _, l := range g.next {
+		if l.enabled {
+			r.sendPrune(g, l.id)
 		}
-		delete(g.next, id)
 	}
+	g.next = g.next[:0]
 	g.inTree = false
 	g.leader = h.Leader
 	g.leaderValid = true
@@ -323,19 +310,13 @@ func (r *Router) stepDown(g *group, h *pkt.GRPH) {
 // non-member leaves). Paper §3: "only the downstream node D attempts to
 // repair this link".
 func (r *Router) onLinkBreak(n pkt.NodeID) {
-	gids := make([]pkt.GroupID, 0, len(r.groups))
-	for gid := range r.groups {
-		gids = append(gids, gid)
-	}
-	slices.Sort(gids)
-	for _, gid := range gids {
-		g := r.groups[gid]
-		e, have := g.next[n]
-		if !have || !e.enabled {
+	for _, g := range r.groups { // in group ID order
+		e := g.next.get(n)
+		if e == nil || !e.enabled {
 			continue
 		}
 		wasUpstream := e.upstream
-		delete(g.next, n)
+		g.next.remove(n)
 		r.nearestRecompute(g)
 
 		if wasUpstream {

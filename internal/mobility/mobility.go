@@ -98,11 +98,15 @@ type Waypoint struct {
 	// Position memo: queries cluster tightly around the advancing
 	// simulation clock (a carrier probe reads every candidate's
 	// position at the same instant, and consecutive events sit
-	// microseconds apart), so the last result answers repeats verbatim
-	// and the last covering leg seeds the next search.
+	// microseconds apart), so the last result answers repeats verbatim,
+	// a later query inside the last covering leg interpolates its copy
+	// memoL (ending at memoEnd) without reading legs, and any other
+	// query seeds its search with that leg's index.
 	memoT   sim.Time
 	memoP   geom.Point
 	memoLeg int
+	memoL   leg
+	memoEnd sim.Time
 	memoOK  bool
 }
 
@@ -161,8 +165,14 @@ func (w *Waypoint) Position(t sim.Time) geom.Point {
 	if t < 0 {
 		t = 0
 	}
-	if w.memoOK && t == w.memoT {
-		return w.memoP
+	if w.memoOK && t >= w.memoT {
+		if t == w.memoT {
+			return w.memoP
+		}
+		if t < w.memoEnd {
+			w.memoT, w.memoP = t, w.memoL.positionAt(t)
+			return w.memoP
+		}
 	}
 	w.extendTo(t)
 	// Binary search for the covering leg, seeded from the memoised leg:
@@ -188,7 +198,8 @@ func (w *Waypoint) Position(t sim.Time) geom.Point {
 			hi = mid
 		}
 	}
-	w.memoT, w.memoP, w.memoLeg, w.memoOK = t, w.legs[lo].positionAt(t), lo, true
+	w.memoL = w.legs[lo]
+	w.memoT, w.memoP, w.memoLeg, w.memoEnd, w.memoOK = t, w.memoL.positionAt(t), lo, w.memoL.end(), true
 	return w.memoP
 }
 

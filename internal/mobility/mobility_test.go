@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -242,5 +243,41 @@ func TestWaypointRespectsMaxSpeed(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPositionMemoMatchesFreshModel: one model answering a random query
+// sequence — rising times with repeats, queries exactly at a leg's end
+// and a nanosecond either side, and jumps backwards — returns bit for
+// bit what a fresh model with the same seed returns for each query
+// alone.
+func TestPositionMemoMatchesFreshModel(t *testing.T) {
+	cfg := WaypointConfig{Area: geom.Rect{W: 50, H: 50}, MaxSpeed: 10, MaxPause: 500 * time.Millisecond}
+	model := func(seed int64) *Waypoint { return NewWaypoint(cfg, sim.NewRNG(seed).Derive("mob")) }
+	q := rand.New(rand.NewSource(1))
+	same := func(a, b geom.Point) bool {
+		return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		m := model(seed)
+		var now sim.Time
+		for i := 0; i < 400; i++ {
+			switch k := q.Intn(10); {
+			case k < 5:
+				now += sim.Time(q.Int63n(int64(500 * time.Millisecond)))
+			case k < 6: // repeat the last query
+			case k < 8:
+				l := m.legs[q.Intn(len(m.legs))]
+				now = l.end() + sim.Time(q.Intn(3)-1)
+			default:
+				now = sim.Time(q.Int63n(int64(now) + 1))
+			}
+			if got, want := m.Position(now), model(seed).Position(now); !same(got, want) {
+				t.Fatalf("seed %d, query %d at %v: %v, a fresh model says %v", seed, i, now, got, want)
+			}
+		}
+		if m.Legs() < 5 {
+			t.Fatalf("seed %d: the queries covered %d legs; want a sequence crossing many", seed, m.Legs())
+		}
 	}
 }

@@ -22,7 +22,8 @@ import (
 type Handler func(p *pkt.Packet, from pkt.NodeID)
 
 // UnicastRouter supplies next hops for transparently forwarded unicast
-// packets and absorbs packets that need route discovery first.
+// packets, absorbs packets that need route discovery first, and hears
+// of every frame the node receives.
 type UnicastRouter interface {
 	// NextHop returns the neighbour to forward a packet for dst through.
 	NextHop(dst pkt.NodeID) (pkt.NodeID, bool)
@@ -30,10 +31,15 @@ type UnicastRouter interface {
 	// typically starting a route discovery and re-sending or dropping it
 	// later.
 	QueueForRoute(p *pkt.Packet)
+	// NeighborHeard runs for every frame received from neighbour n,
+	// before the frame is delivered or forwarded (AODV refreshes its
+	// hello tracking with it).
+	NeighborHeard(n pkt.NodeID)
 }
 
 // NullRouter is a UnicastRouter for stacks without unicast routing: it
-// never has a next hop and silently drops packets queued for discovery.
+// never has a next hop, silently drops packets queued for discovery and
+// ignores neighbour activity. Every stack starts on it.
 type NullRouter struct{}
 
 // NextHop reports no route.
@@ -41,6 +47,9 @@ func (NullRouter) NextHop(pkt.NodeID) (pkt.NodeID, bool) { return 0, false }
 
 // QueueForRoute drops the packet.
 func (NullRouter) QueueForRoute(*pkt.Packet) {}
+
+// NeighborHeard does nothing.
+func (NullRouter) NeighborHeard(pkt.NodeID) {}
 
 // Stats counts network-layer activity at one node.
 type Stats struct {
@@ -75,8 +84,7 @@ type Stack struct {
 	// packet looks its handler up here, so it is a slice, not a map.
 	handlers []Handler
 
-	heardSubs []func(neighbor pkt.NodeID)
-	failSubs  []func(neighbor pkt.NodeID, p *pkt.Packet)
+	failSubs []func(neighbor pkt.NodeID, p *pkt.Packet)
 
 	tracer func(trace.Event)
 
@@ -95,8 +103,9 @@ type Stack struct {
 // constructor both the simulated and the live paths share.
 func NewOnRuntime(runtime rt.Runtime) *Stack {
 	s := &Stack{
-		id: runtime.ID(),
-		rt: runtime,
+		id:     runtime.ID(),
+		rt:     runtime,
+		router: NullRouter{},
 	}
 	runtime.Bind(s.onReceive, s.onSendDone)
 	return s
@@ -111,8 +120,8 @@ func (s *Stack) Clock() rt.Clock { return s.rt }
 // Stats returns a copy of the network-layer counters.
 func (s *Stack) Stats() Stats { return s.stats }
 
-// SetRouter installs the unicast routing protocol. It must be called
-// before any SendUnicast.
+// SetRouter installs the unicast routing protocol; until then the stack
+// runs on NullRouter.
 func (s *Stack) SetRouter(r UnicastRouter) { s.router = r }
 
 // Handle registers the protocol handler for a packet kind. Registering a
@@ -134,12 +143,6 @@ func (s *Stack) handler(kind pkt.Kind) Handler {
 		return nil
 	}
 	return s.handlers[kind]
-}
-
-// OnHeard subscribes to neighbour-activity events: fn runs for every frame
-// received from a neighbour (AODV refreshes its hello tracking with this).
-func (s *Stack) OnHeard(fn func(neighbor pkt.NodeID)) {
-	s.heardSubs = append(s.heardSubs, fn)
 }
 
 // OnLinkFailure subscribes to MAC retry-exhaustion events. fn receives the
@@ -264,9 +267,7 @@ func (s *Stack) transmit(p *pkt.Packet, linkDst pkt.NodeID, forwarded bool) {
 }
 
 func (s *Stack) onReceive(p *pkt.Packet, from pkt.NodeID, broadcast bool) {
-	for _, fn := range s.heardSubs {
-		fn(from)
-	}
+	s.router.NeighborHeard(from)
 	if broadcast || p.Dst == s.id || p.Dst == pkt.Broadcast {
 		s.deliver(p, from)
 		return

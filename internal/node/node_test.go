@@ -2,6 +2,8 @@ package node
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,6 +19,8 @@ import (
 type staticRouter struct {
 	table  map[pkt.NodeID]pkt.NodeID
 	queued []*pkt.Packet
+	// heard, when set, is told of every NeighborHeard.
+	heard func(n pkt.NodeID)
 }
 
 func (r *staticRouter) NextHop(dst pkt.NodeID) (pkt.NodeID, bool) {
@@ -25,6 +29,12 @@ func (r *staticRouter) NextHop(dst pkt.NodeID) (pkt.NodeID, bool) {
 }
 
 func (r *staticRouter) QueueForRoute(p *pkt.Packet) { r.queued = append(r.queued, p) }
+
+func (r *staticRouter) NeighborHeard(n pkt.NodeID) {
+	if r.heard != nil {
+		r.heard(n)
+	}
+}
 
 type env struct {
 	sched   *sim.Scheduler
@@ -143,14 +153,50 @@ func TestTTLExpiry(t *testing.T) {
 	}
 }
 
-func TestHeardSubscription(t *testing.T) {
-	e := line(t, 2)
-	var heard []pkt.NodeID
-	e.stacks[1].OnHeard(func(n pkt.NodeID) { heard = append(heard, n) })
-	e.sched.After(0, func() { e.stacks[0].SendBroadcast(hello(1, pkt.Broadcast)) })
-	e.sched.Run(time.Second)
-	if len(heard) != 1 || heard[0] != 1 {
-		t.Fatalf("heard = %v, want [1]", heard)
+// TestRouterHearsEveryFrame: a broadcast, a unicast for this node and a
+// unicast in transit each reach the router's NeighborHeard before any
+// handler runs, and a stack that never called SetRouter takes frames on
+// NullRouter without panicking.
+func TestRouterHearsEveryFrame(t *testing.T) {
+	e := line(t, 3)
+	e.routers[0].table[3] = 2
+	e.routers[1].table[3] = 3
+	var log []string
+	for i := range e.stacks {
+		id := i + 1
+		e.routers[i].heard = func(n pkt.NodeID) { log = append(log, fmt.Sprintf("%d heard %d", id, n)) }
+		e.stacks[i].Handle(pkt.KindHello, func(p *pkt.Packet, from pkt.NodeID) {
+			log = append(log, fmt.Sprintf("%d delivers hello %d from %d", id, p.Body.(*pkt.Hello).Seq, from))
+		})
+	}
+	send := func(at time.Duration, f func()) { e.sched.At(at, f) }
+	send(0, func() { e.stacks[0].SendBroadcast(pkt.NewPacket(1, pkt.Broadcast, &pkt.Hello{Seq: 1})) })
+	send(time.Second, func() { e.stacks[0].SendDirect(2, pkt.NewPacket(1, 2, &pkt.Hello{Seq: 2})) })
+	send(2*time.Second, func() { e.stacks[0].SendUnicast(pkt.NewPacket(1, 3, &pkt.Hello{Seq: 3})) })
+	e.sched.Run(3 * time.Second)
+	want := []string{
+		"2 heard 1", "2 delivers hello 1 from 1", // broadcast
+		"2 heard 1", "2 delivers hello 2 from 1", // unicast for node 2
+		"2 heard 1", // in transit: forwarded, not delivered
+		"3 heard 2", "3 delivers hello 3 from 2",
+	}
+	if !slices.Equal(log, want) {
+		t.Fatalf("events:\n%s\nwant:\n%s", strings.Join(log, "\n"), strings.Join(want, "\n"))
+	}
+
+	// Node 4 hears node 3 only and never gets a router: a broadcast goes
+	// up (to no handler) and a unicast in transit finds no route.
+	rt4, err := mac.New(e.sched, sim.NewRNG(4), e.medium, 4,
+		mobility.Static{P: geom.Point{X: 150}}, mac.DefaultConfig(), mac.Callbacks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := NewOnRuntime(rt4)
+	send(4*time.Second, func() { e.stacks[2].SendBroadcast(pkt.NewPacket(3, pkt.Broadcast, &pkt.Hello{Seq: 4})) })
+	send(5*time.Second, func() { e.stacks[2].SendDirect(4, pkt.NewPacket(3, 9, &pkt.Hello{Seq: 5})) })
+	e.sched.Run(6 * time.Second)
+	if st := bare.Stats(); st.NoHandler != 1 || st.Forwarded != 0 {
+		t.Fatalf("router-less stack: %+v, want one frame without a handler and nothing forwarded", st)
 	}
 }
 

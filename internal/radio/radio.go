@@ -49,13 +49,29 @@ type Stats struct {
 	Collisions uint64
 }
 
-// Handler receives the outcome of a reception. frame is the value passed
-// to StartTx; ok is false when the reception was corrupted. A frame
-// addressed to one node (StartTxNotify's dst) reaches only that node's
-// handler; the other nodes in range still receive it — it occupies and
-// corrupts their receivers and counts in their counters and the
-// medium's — but their handlers are not called.
+// Receiver receives the outcome of a reception. frame is the value
+// passed to StartTx; ok is false when the reception was corrupted. A
+// frame addressed to one node (StartTxNotify's dst) reaches only that
+// node's receiver; the other nodes in range still receive it — it
+// occupies and corrupts their receivers and counts in their counters
+// and the medium's — but their receivers are not called. It is an
+// interface rather than a func so the finish walk calls through the
+// transceiver's own words, with no per-node closure to load first (the
+// MAC attaches itself, DESIGN.md §6).
+type Receiver interface {
+	ReceiveFrame(frame any, from pkt.NodeID, ok bool)
+}
+
+// Handler is a Receiver written as a func; a nil Handler ignores every
+// frame.
 type Handler func(frame any, from pkt.NodeID, ok bool)
+
+// ReceiveFrame implements Receiver.
+func (h Handler) ReceiveFrame(frame any, from pkt.NodeID, ok bool) {
+	if h != nil {
+		h(frame, from, ok)
+	}
+}
 
 // CarrierPredictWindow bounds how far ahead CarrierProbe's closure
 // bound and CarrierOnset's proven classification remain valid: both
@@ -105,7 +121,7 @@ type TxDone interface {
 type transmission struct {
 	from  *Transceiver
 	frame any
-	// dst is the link destination: the one node whose handler the
+	// dst is the link destination: the one node whose receiver the
 	// finish walk calls, or pkt.Broadcast for all of them.
 	dst    pkt.NodeID
 	start  sim.Time
@@ -238,16 +254,22 @@ func (m *Medium) ActiveTx() int { return m.activeTx }
 func (m *Medium) ElidedEvents() uint64 { return m.elided }
 
 // ErrDuplicateNode reports an Attach with a node ID that is already
-// attached to the medium. Node IDs key handler dispatch and per-node
+// attached to the medium. Node IDs key receiver dispatch and per-node
 // statistics, so a duplicate always indicates a misconfigured scenario.
 var ErrDuplicateNode = errors.New("radio: node already attached")
 
-// Attach registers a transceiver for a node. The handler is invoked at
-// the end of each reception. Handlers run inside the simulation event
+// Attach registers a transceiver for a node whose receptions go to h
+// (see AttachReceiver).
+func (m *Medium) Attach(id pkt.NodeID, pos mobility.Model, h Handler) (*Transceiver, error) {
+	return m.AttachReceiver(id, pos, h)
+}
+
+// AttachReceiver registers a transceiver for a node. rx, when non-nil,
+// is called at the end of each reception, inside the simulation event
 // loop. Attaching the same node ID twice fails with ErrDuplicateNode,
 // and a model whose MaxSpeed is NaN, negative or infinite fails too:
 // the grid and the neighbour tables need a finite bound.
-func (m *Medium) Attach(id pkt.NodeID, pos mobility.Model, h Handler) (*Transceiver, error) {
+func (m *Medium) AttachReceiver(id pkt.NodeID, pos mobility.Model, rx Receiver) (*Transceiver, error) {
 	if _, dup := m.byID[id]; dup {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateNode, id)
 	}
@@ -256,7 +278,7 @@ func (m *Medium) Attach(id pkt.NodeID, pos mobility.Model, h Handler) (*Transcei
 		return nil, fmt.Errorf("radio: node %s declares speed bound %v m/s, want finite and non-negative", id, spd)
 	}
 	t := &Transceiver{
-		id: id, medium: m, pos: pos, handler: h,
+		id: id, medium: m, pos: pos, rx: rx,
 		idx: int32(len(m.nodes)),
 		// lastInterference must predate every possible transmission
 		// start; simulation time is never negative.
@@ -304,10 +326,10 @@ var ErrAlreadyTransmitting = errors.New("radio: transceiver already transmitting
 
 // Transceiver is one node's attachment to the medium.
 type Transceiver struct {
-	id      pkt.NodeID
-	medium  *Medium
-	pos     mobility.Model
-	handler Handler
+	id     pkt.NodeID
+	medium *Medium
+	pos    mobility.Model
+	rx     Receiver
 	// idx is the attach-order position in medium.nodes; receiver tables
 	// reference transceivers by this index.
 	idx int32
@@ -461,8 +483,8 @@ func (t *Transceiver) StartTx(frame any, airtime sim.Time) error {
 
 // StartTxNotify is StartTx with a link destination and a
 // transmitter-side completion hook. Every node in range receives the
-// frame, but only dst's handler is called — every node's when dst is
-// pkt.Broadcast (see Handler). done.TxDone() (when done is non-nil)
+// frame, but only dst's receiver is called — every node's when dst is
+// pkt.Broadcast (see Receiver). done.TxDone() (when done is non-nil)
 // runs after the transmission's finish processing, in the exact
 // schedule position of an airtime-end timer armed by the caller right
 // after StartTx — see the TxDone doc.
@@ -607,9 +629,9 @@ func (m *Medium) enterReceiver(rcv *Transceiver) {
 // receiver table in attach order — the exact order a per-receiver model
 // fires its events in, since those are scheduled back-to-back at
 // StartTx and the kernel runs same-instant events in insertion order —
-// finalises each entry's outcome, hands it to the addressee's handler
+// finalises each entry's outcome, hands it to the addressee's receiver
 // (every receiver's, for a broadcast), and retires the transmission.
-// Handlers may call StartTx re-entrantly; entries not yet walked still
+// Receivers may call StartTx re-entrantly; entries not yet walked still
 // count as in flight, so a frame transmitted mid-walk collides with
 // them exactly as it would with one event per receiver.
 func (m *Medium) finishTx(tx *transmission) {
@@ -631,8 +653,8 @@ func (m *Medium) finishTx(tx *transmission) {
 			rcv.delivered++
 			m.stats.Deliveries++
 		}
-		if rcv.handler != nil && (tx.dst == pkt.Broadcast || tx.dst == rcv.id) {
-			rcv.handler(tx.frame, tx.from.id, !corrupted)
+		if rcv.rx != nil && (tx.dst == pkt.Broadcast || tx.dst == rcv.id) {
+			rcv.rx.ReceiveFrame(tx.frame, tx.from.id, !corrupted)
 		}
 	}
 	done := tx.done

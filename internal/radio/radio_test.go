@@ -3,6 +3,7 @@ package radio
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -373,5 +374,79 @@ func TestPerNodeCounters(t *testing.T) {
 	}
 	if _, delivered, collided := nodes[1].tr.Counters(); delivered != 1 || collided != 0 {
 		t.Fatalf("receiver counters = (%d, %d), want (1, 0)", delivered, collided)
+	}
+}
+
+// rxRecorder is a Receiver that records every call.
+type rxRecorder struct {
+	sched *sim.Scheduler
+	rxs   []rxRecord
+}
+
+func (r *rxRecorder) ReceiveFrame(frame any, from pkt.NodeID, ok bool) {
+	r.rxs = append(r.rxs, rxRecord{frame: frame, from: from, ok: ok, at: r.sched.Now()})
+}
+
+// TestAttachAndAttachReceiverAgree: a node attached with Attach and a
+// func Handler and one attached with AttachReceiver see the same
+// (frame, from, ok) sequence — hidden-terminal and overlap collisions,
+// unicasts to them and past them — and a nil Handler or Receiver takes
+// frames without a call.
+func TestAttachAndAttachReceiverAgree(t *testing.T) {
+	positions := []geom.Point{{X: 0}, {X: 50}, {X: 100}, {X: 150}, {X: 200}}
+	run := func(typed bool) [][]rxRecord {
+		sched := sim.NewScheduler()
+		m := NewMedium(sched, Params{Range: 60})
+		trs := make([]*Transceiver, len(positions))
+		recs := make([]*rxRecorder, len(positions))
+		for i, p := range positions {
+			id, pos := pkt.NodeID(i+1), mobility.Static{P: p}
+			recs[i] = &rxRecorder{sched: sched}
+			var err error
+			switch last := i == len(positions)-1; {
+			case typed && last:
+				trs[i], err = m.AttachReceiver(id, pos, nil)
+			case typed:
+				trs[i], err = m.AttachReceiver(id, pos, recs[i])
+			case last:
+				trs[i], err = m.Attach(id, pos, nil)
+			default:
+				trs[i], err = m.Attach(id, pos, recs[i].ReceiveFrame)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		tx := func(at time.Duration, from int, frame string, dst pkt.NodeID) {
+			sched.At(at, func() { _ = trs[from-1].StartTxNotify(frame, testAirtime, dst, nil) })
+		}
+		tx(0, 1, "a", pkt.Broadcast) // hidden from 3: collides at 2
+		tx(100*time.Microsecond, 3, "b", pkt.Broadcast)
+		tx(2*time.Millisecond, 2, "c", 3) // overlaps 4's broadcast at 3
+		tx(2*time.Millisecond, 4, "d", pkt.Broadcast)
+		tx(4*time.Millisecond, 2, "e", pkt.Broadcast)
+		tx(6*time.Millisecond, 2, "f", 1) // 3 hears it, only 1 is called
+		tx(8*time.Millisecond, 4, "g", 5)
+		sched.Run(time.Second)
+		out := make([][]rxRecord, len(recs))
+		for i, r := range recs {
+			out[i] = r.rxs
+		}
+		return out
+	}
+	byFunc, byReceiver := run(false), run(true)
+	var collided int
+	for i := range byFunc {
+		if !slices.Equal(byFunc[i], byReceiver[i]) {
+			t.Fatalf("node %d: Attach saw %v, AttachReceiver saw %v", i+1, byFunc[i], byReceiver[i])
+		}
+		for _, r := range byFunc[i] {
+			if !r.ok {
+				collided++
+			}
+		}
+	}
+	if collided < 2 || len(byFunc[0]) == 0 || len(byFunc[len(byFunc)-1]) != 0 {
+		t.Fatalf("script lost its point: %d corrupted receptions, records %v", collided, byFunc)
 	}
 }

@@ -208,7 +208,7 @@ func (r *refRx) finish(t *Transceiver, rec *reception) {
 		t.delivered++
 		r.m.stats.Deliveries++
 	}
-	if dst := rec.tx.dst; t.handler != nil && (dst == pkt.Broadcast || dst == t.id) {
-		t.handler(rec.tx.frame, rec.tx.from.id, !rec.corrupted)
+	if dst := rec.tx.dst; t.rx != nil && (dst == pkt.Broadcast || dst == t.id) {
+		t.rx.ReceiveFrame(rec.tx.frame, rec.tx.from.id, !rec.corrupted)
 	}
 }

@@ -439,15 +439,13 @@ func build(cfg Config) (*world, error) {
 	}
 
 	// CBR workload: each source sends exactly ExpectedPackets packets,
-	// phase-shifted to avoid synchronised transmissions.
+	// phase-shifted to avoid synchronised transmissions, as one kernel
+	// series.
 	nSrc := cfg.sources()
 	for s := 0; s < nSrc; s++ {
 		src := w.memberIdx[s]
 		offset := time.Duration(s) * cfg.DataInterval / time.Duration(nSrc)
-		for k := 0; k < cfg.ExpectedPackets(); k++ {
-			at := cfg.DataStart + offset + time.Duration(k)*cfg.DataInterval
-			w.sched.At(at, func() { w.sendData(src) })
-		}
+		w.sched.Every(cfg.DataStart+offset, cfg.DataInterval, cfg.ExpectedPackets(), func() { w.sendData(src) })
 	}
 
 	// Sampler timer chain. It ends with a tick exactly at the horizon

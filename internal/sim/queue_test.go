@@ -213,6 +213,7 @@ func runQueueScript(t testing.TB, script []byte) {
 type world interface {
 	after(d Time, fn func()) handle
 	at(t Time, fn func()) handle
+	every(first, period Time, n int, fn func())
 	Run(until Time) uint64
 	RunAll(max uint64) (uint64, bool)
 	Now() Time
@@ -236,12 +237,16 @@ type kernel struct{ *Scheduler }
 
 func (k kernel) after(d Time, fn func()) handle { return k.After(d, fn) }
 func (k kernel) at(t Time, fn func()) handle    { return k.At(t, fn) }
+func (k kernel) every(first, period Time, n int, fn func()) {
+	k.Every(first, period, n, fn)
+}
 
 // schedModel is the scheduler the kernel must be indistinguishable
 // from, written for obviousness: pending entries (cancelled ones too,
 // until popped or compacted) in a slice scanned for the minimum
 // (at, seq), with the kernel's documented clamping, postponement and
-// compaction rules.
+// compaction rules. A series is its n firings armed by back-to-back
+// at calls.
 type schedModel struct {
 	now               Time
 	seq               uint64
@@ -249,6 +254,10 @@ type schedModel struct {
 	timers            []modelTimerState
 	processed, elided uint64
 	cancelled         int
+	// queuedAhead counts, over every series, the firings queued behind
+	// its next one: the kernel's queue, and so its Pending and its
+	// compaction threshold, holds a series once.
+	queuedAhead int
 }
 
 type modelEntry struct {
@@ -285,6 +294,26 @@ func (m *schedModel) at(t Time, fn func()) handle {
 	m.q = append(m.q, modelEntry{at: t, seq: m.seq, id: id})
 	m.seq++
 	return modelTimer{m, id}
+}
+
+func (m *schedModel) every(first, period Time, n int, fn func()) {
+	if n <= 0 {
+		return
+	}
+	m.queuedAhead += n - 1
+	left := n
+	fire := func() {
+		if left--; left > 0 {
+			m.queuedAhead--
+		}
+		fn()
+	}
+	for i, t := 0, first; i < n; i++ {
+		m.at(t, fire)
+		if t += period; t < first {
+			t = maxTime // saturate, as the kernel does
+		}
+	}
 }
 
 // min returns the index of the earliest entry; q must not be empty.
@@ -349,7 +378,7 @@ func (m *schedModel) RunAll(budget uint64) (uint64, bool) {
 }
 
 func (m *schedModel) Now() Time         { return m.now }
-func (m *schedModel) Pending() int      { return len(m.q) - m.cancelled }
+func (m *schedModel) Pending() int      { return len(m.q) - m.cancelled - m.queuedAhead }
 func (m *schedModel) Processed() uint64 { return m.processed }
 func (m *schedModel) Elided() uint64    { return m.elided }
 
@@ -368,7 +397,7 @@ func (t modelTimer) Cancel() {
 	}
 	tm.pending, tm.cancelled, tm.fn = false, true, nil
 	m.cancelled++
-	if m.cancelled >= 64 && m.cancelled > len(m.q)/2 {
+	if m.cancelled >= 64 && m.cancelled > (len(m.q)-m.queuedAhead)/2 {
 		live := m.q[:0]
 		for _, e := range m.q {
 			if !m.timers[e.id].cancelled {
@@ -419,6 +448,7 @@ type queueSet struct {
 	timers  [2][]handle
 	log     [2][]int
 	checked int
+	nseries int
 }
 
 var worldNames = [2]string{"kernel", "model"}
@@ -506,6 +536,17 @@ func (p *queueSet) pushDo(t Time, abs bool, what int) {
 		p.arm(k, t, abs, what)
 	}
 	p.check("push")
+}
+
+// series arms an Every series on both worlds; each of its firings logs
+// -10 minus the series' number.
+func (p *queueSet) series(first, period Time, n int) {
+	code := -10 - p.nseries
+	p.nseries++
+	for k, w := range p.worlds {
+		w.every(first, period, n, func() { p.log[k] = append(p.log[k], code) })
+	}
+	p.check("every")
 }
 
 func (p *queueSet) cancel(i int) {
@@ -615,7 +656,7 @@ func runSchedScript(t testing.TB, script []byte) {
 		return b
 	}
 	for i < len(script) {
-		switch next() % 12 {
+		switch next() % 13 {
 		case 0, 1:
 			p.push(Time(next()%64) * time.Millisecond)
 		case 2:
@@ -661,6 +702,17 @@ func runSchedScript(t testing.TB, script []byte) {
 			// boundary.
 			b := next()
 			p.postpone(int(next()), nearHorizon+Time(int(b%3)-1)+Time(b/3%4)*10*time.Millisecond)
+		case 12:
+			// A series of up to 8 firings: the first from 16 ms in the
+			// past to 47 ms ahead, periods from 0 (one same-instant
+			// block) to past nearHorizon; the top byte values start it
+			// at the saturation boundary.
+			b, c := next(), next()
+			first := p.worlds[0].Now() + Time(int(b%64)-16)*time.Millisecond
+			if b >= 250 {
+				first = maxTime - Time(b%3)
+			}
+			p.series(first, Time(c%8)*10*time.Millisecond, int(c/8%9))
 		}
 	}
 	p.step(1 << 40) // drain
@@ -774,6 +826,9 @@ func FuzzQueueDifferential(f *testing.F) {
 	f.Add([]byte{7, 1, 7, 2, 7, 3, 8, 5, 1, 0, 20, 7, 4, 7, 9, 1, 4, 7, 5, 60})
 	// Pushes on the tier boundary, postpones across it, runs through it.
 	f.Add([]byte{10, 0, 10, 1, 10, 2, 0, 3, 11, 0, 3, 11, 4, 0, 11, 11, 1, 5, 60, 10, 1, 4, 3, 5, 127})
+	// Series beside same-instant pushes, cancels and postpones, one
+	// from the past and one at saturation; runs through them.
+	f.Add([]byte{0, 20, 12, 36, 41, 0, 20, 12, 4, 72, 3, 0, 8, 9, 1, 4, 3, 12, 251, 17, 5, 40, 4, 200})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 2048 {
 			script = script[:2048]

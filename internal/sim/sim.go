@@ -18,9 +18,11 @@
 //
 // Timers live in a generation-stamped pool inside the Scheduler: After/At
 // allocate nothing per event, Timer handles are small copyable values, and
-// fired or cancelled slots are recycled through a free list. The pending
-// set is ordered by two implicit 4-ary min-heaps (see quadQueue), a near
-// and a far tier merged by (at, seq) (see nearHorizon).
+// fired or cancelled slots are recycled through a free list. A periodic
+// series (Every) holds one slot and one queue entry for all its firings.
+// The pending set is ordered by two implicit 4-ary min-heaps (see
+// quadQueue), a near and a far tier merged by (at, seq) (see
+// nearHorizon).
 package sim
 
 import (
@@ -65,6 +67,18 @@ type slot struct {
 	// live occupant.
 	gen   uint64
 	state slotState
+	// series is 1 + the index of the slot's Every series in
+	// Scheduler.series, or 0 for a one-shot timer. It sits in the
+	// padding after state, so a slot stays 40 bytes.
+	series int32
+}
+
+// series is what an Every series keeps beside its pool slot: the
+// unclamped deadline of its queued firing, the period, and the number
+// of firings still to come after that one.
+type series struct {
+	at, period Time
+	left       int
 }
 
 // Timer is a handle for a scheduled event: a pool index plus the
@@ -207,6 +221,10 @@ type Scheduler struct {
 	pool    []slot
 	free    []int32
 	stopped bool
+	// series holds the live Every series; seriesFree lists the indices
+	// of ended ones for reuse.
+	series     []series
+	seriesFree []int32
 
 	// processed counts events executed so far (cancelled events excluded).
 	processed uint64
@@ -269,15 +287,13 @@ func (s *Scheduler) top() *quadQueue {
 	return nil
 }
 
-// push enqueues an entry at deadline at under the next insertion
-// sequence, in the tier its distance from the clock selects.
-func (s *Scheduler) push(at Time, idx int32) {
+// push enqueues e in the tier its distance from the clock selects.
+func (s *Scheduler) push(e event) {
 	q := &s.near
-	if at-s.now >= nearHorizon {
+	if e.at-s.now >= nearHorizon {
 		q = &s.far
 	}
-	q.push(event{at: at, seq: s.seq, slot: idx})
-	s.seq++
+	q.push(e)
 }
 
 // noteCancelled records one cancelled-but-queued timer and compacts the
@@ -336,8 +352,75 @@ func (s *Scheduler) At(t Time, fn func()) Timer {
 		t = s.now
 	}
 	idx := s.alloc(fn, t)
-	s.push(t, idx)
+	s.push(event{at: t, seq: s.seq, slot: idx})
+	s.seq++
 	return Timer{s: s, slot: idx, gen: s.pool[idx].gen}
+}
+
+// Every schedules fn to run n times, at first + i·period for i in
+// [0, n). The firings, and their order against every other event, are
+// those of n back-to-back At calls: Every reserves the n insertion
+// sequences those calls would take, and firing i carries the i-th.
+// Deadlines in the past clamp to the present, as At's do, and one past
+// the largest Time saturates to it. However large n is, the series
+// holds one pool slot and one queue entry, which the kernel re-queues
+// with the next firing's key after each firing (Pending counts it
+// once). It has no handle, so it can be neither cancelled nor
+// postponed. A negative period panics: its firings would not come in
+// sequence order.
+func (s *Scheduler) Every(first, period Time, n int, fn func()) {
+	if fn == nil {
+		panic("sim: Every called with nil callback")
+	}
+	if n <= 0 {
+		return
+	}
+	if period < 0 {
+		panic("sim: Every called with a negative period")
+	}
+	t := max(first, s.now)
+	idx := s.alloc(fn, t)
+	if n > 1 {
+		s.pool[idx].series = s.newSeries(series{at: first, period: period, left: n - 1})
+	}
+	s.push(event{at: t, seq: s.seq, slot: idx})
+	s.seq += uint64(n)
+}
+
+// newSeries stores sr, reusing an ended series' index when there is
+// one, and returns its slot tag (index + 1).
+func (s *Scheduler) newSeries(sr series) int32 {
+	if n := len(s.seriesFree); n > 0 {
+		i := s.seriesFree[n-1]
+		s.seriesFree = s.seriesFree[:n-1]
+		s.series[i] = sr
+		return i + 1
+	}
+	s.series = append(s.series, sr)
+	return int32(len(s.series))
+}
+
+// requeue re-queues the series slot sl, whose firing e was just popped,
+// under the key of the series' next firing, and reports whether there
+// was one. After the last firing it releases the series, and the slot
+// is freed as a one-shot timer's would be.
+func (s *Scheduler) requeue(e event, sl *slot) bool {
+	i := sl.series - 1
+	sr := &s.series[i]
+	if sr.left == 0 {
+		sl.series = 0
+		s.seriesFree = append(s.seriesFree, i)
+		return false
+	}
+	sr.left--
+	next := sr.at + sr.period
+	if next < sr.at { // overflow: saturate, as After does
+		next = Time(math.MaxInt64)
+	}
+	sr.at = next
+	sl.at = max(next, s.now)
+	s.push(event{at: sl.at, seq: e.seq + 1, slot: e.slot})
+	return true
 }
 
 // alloc claims a pool slot for a pending event, recycling from the free
@@ -361,10 +444,14 @@ func (s *Scheduler) alloc(fn func(), t Time) int32 {
 // fire pops the given entry's slot into the fired state, releases the
 // callback and the slot, and returns the callback to run. The slot is
 // recycled before the callback executes, so a callback that schedules
-// a new timer may reuse it immediately.
+// a new timer may reuse it immediately. A series with firings to come
+// keeps its slot and callback and is re-queued instead.
 func (s *Scheduler) fire(e event) func() {
 	sl := &s.pool[e.slot]
 	fn := sl.fn
+	if sl.series != 0 && s.requeue(e, sl) {
+		return fn
+	}
 	sl.fn = nil // release the closure the moment it is claimed
 	sl.state = slotFired
 	s.free = append(s.free, e.slot)
@@ -377,7 +464,8 @@ func (s *Scheduler) fire(e event) func() {
 func (s *Scheduler) repost(e event) {
 	sl := &s.pool[e.slot]
 	sl.at = sl.next
-	s.push(sl.next, e.slot)
+	s.push(event{at: sl.next, seq: s.seq, slot: e.slot})
+	s.seq++
 	s.elided++
 }
 

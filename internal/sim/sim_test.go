@@ -3,9 +3,12 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestSchedulerRunsInTimeOrder(t *testing.T) {
@@ -540,6 +543,153 @@ func TestFarTimersStayOutOfNearTier(t *testing.T) {
 	}
 	if s.far.len() != 1000 || s.near.len() != 10 {
 		t.Fatalf("tiers hold near=%d far=%d, want 10 and 1000", s.near.len(), s.far.len())
+	}
+}
+
+// TestEveryMatchesBackToBackAt: random scripts of At, Cancel, Postpone,
+// Every and partial runs fire the same callbacks at the same times, in
+// the same order, on a kernel that runs each series with Every and on
+// one that arms its n firings with back-to-back At calls. Each series
+// firing ties with an At armed before the series and another armed
+// after it.
+func TestEveryMatchesBackToBackAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	periods := []Time{0, 5 * time.Millisecond, 20 * time.Millisecond, nearHorizon, 200 * time.Millisecond}
+	for trial := 0; trial < 200; trial++ {
+		var (
+			s      = [2]*Scheduler{NewScheduler(), NewScheduler()}
+			log    [2][]string
+			timers [2][]Timer
+		)
+		note := func(k int, what string) func() {
+			return func() { log[k] = append(log[k], fmt.Sprintf("%v %s", s[k].Now(), what)) }
+		}
+		at := func(t Time) {
+			for k := range s {
+				timers[k] = append(timers[k], s[k].At(t, note(k, fmt.Sprintf("at %d", len(timers[k])))))
+			}
+		}
+		for op, series := 0, 0; op < 60; op++ {
+			now := s[0].Now()
+			switch rng.Intn(6) {
+			case 0: // on a 5 ms grid, where series firings fall too
+				at(now + Time(rng.Intn(40))*5*time.Millisecond)
+			case 1:
+				if n := len(timers[0]); n > 0 {
+					i := rng.Intn(n)
+					timers[0][i].Cancel()
+					timers[1][i].Cancel()
+				}
+			case 2:
+				if n := len(timers[0]); n > 0 {
+					i, to := rng.Intn(n), now+Time(rng.Intn(20))*5*time.Millisecond
+					if a, b := timers[0][i].Postpone(to), timers[1][i].Postpone(to); a != b {
+						t.Fatalf("trial %d: Postpone answered %v and %v", trial, a, b)
+					}
+				}
+			case 3:
+				first := now + Time(rng.Intn(40)-8)*5*time.Millisecond
+				period, n := periods[rng.Intn(len(periods))], rng.Intn(6)
+				tie := max(first+Time(rng.Intn(max(n, 1)))*period, now)
+				at(tie)
+				s[0].Every(first, period, n, note(0, fmt.Sprintf("series %d", series)))
+				for i := 0; i < n; i++ {
+					s[1].At(first+Time(i)*period, note(1, fmt.Sprintf("series %d", series)))
+				}
+				at(tie)
+				series++
+			case 4:
+				until := now + Time(rng.Intn(20))*5*time.Millisecond
+				s[0].Run(until)
+				s[1].Run(until)
+			case 5:
+				budget := uint64(rng.Intn(5))
+				s[0].RunAll(budget)
+				s[1].RunAll(budget)
+			}
+		}
+		s[0].RunAll(math.MaxUint64)
+		s[1].RunAll(math.MaxUint64)
+		if !slices.Equal(log[0], log[1]) {
+			t.Fatalf("trial %d: with Every\n%v\nwith At\n%v", trial, log[0], log[1])
+		}
+		if s[0].Processed() != s[1].Processed() || s[0].Now() != s[1].Now() {
+			t.Fatalf("trial %d: Every ran %d events to %v, At %d to %v",
+				trial, s[0].Processed(), s[0].Now(), s[1].Processed(), s[1].Now())
+		}
+	}
+}
+
+// TestEveryHoldsOneEntry: a series of 2,201 firings — one CBR source of
+// the paper's run — holds one queue entry and one pool slot from the
+// first firing to the last. A series that fell back to one entry per
+// firing would still fire in order, so only this test sees it.
+func TestEveryHoldsOneEntry(t *testing.T) {
+	if size := unsafe.Sizeof(slot{}); size != 40 {
+		t.Fatalf("a pool slot is %d bytes, want 40: the series tag must fit the padding", size)
+	}
+	s := NewScheduler()
+	var fired []Time
+	s.Every(120*time.Second, 200*time.Millisecond, 2201, func() { fired = append(fired, s.Now()) })
+	if s.queued() != 1 || len(s.pool) != 1 || s.Pending() != 1 {
+		t.Fatalf("series holds %d queue entries, %d pool slots, %d pending; want 1 each", s.queued(), len(s.pool), s.Pending())
+	}
+	s.Run(300 * time.Second)
+	if s.queued() != 1 || len(s.pool) != 1 {
+		t.Fatalf("mid-series: %d queue entries, %d pool slots; want 1 each", s.queued(), len(s.pool))
+	}
+	s.Run(time.Hour)
+	if len(fired) != 2201 || fired[0] != 120*time.Second || fired[2200] != 560*time.Second {
+		t.Fatalf("%d firings from %v to %v, want 2201 from 2m0s to 9m20s", len(fired), fired[0], fired[len(fired)-1])
+	}
+	if s.queued() != 0 || len(s.pool) != 1 || len(s.series) != 1 || len(s.seriesFree) != 1 {
+		t.Fatalf("after the last firing: %d queued, %d slots, %d series (%d free); want the slot and the series free",
+			s.queued(), len(s.pool), len(s.series), len(s.seriesFree))
+	}
+}
+
+// TestEveryEdges: n = 0 schedules nothing and takes no sequence, n = 1
+// is one At, deadlines in the past clamp to the present, the last
+// deadline saturates instead of wrapping, and a negative period or a
+// nil callback panics.
+func TestEveryEdges(t *testing.T) {
+	s := NewScheduler()
+	var order []string
+	note := func(what string) func() { return func() { order = append(order, fmt.Sprintf("%v %s", s.Now(), what)) } }
+	s.At(time.Second, note("a"))
+	s.Every(time.Second, time.Second, 0, note("never"))
+	s.Every(time.Second, time.Hour, 1, note("one"))
+	s.At(time.Second, note("b"))
+	if s.Pending() != 3 || s.seq != 3 || len(s.series) != 0 {
+		t.Fatalf("%d pending, %d sequences taken, %d series; want 3, 3 and none", s.Pending(), s.seq, len(s.series))
+	}
+	s.Run(50 * time.Second)
+	// From t = 50 s: deadlines 30, 45, 60, 75 s clamp to 50, 50, 60, 75.
+	s.Every(30*time.Second, 15*time.Second, 4, note("past"))
+	s.At(50*time.Second, note("c"))
+	// Saturation: max−1 ns, then max twice.
+	s.Every(maxTime-1, time.Second, 3, note("sat"))
+	s.RunAll(math.MaxUint64)
+	want := []string{"1s a", "1s one", "1s b", "50s past", "50s past", "50s c", "1m0s past", "1m15s past"}
+	for _, at := range []Time{maxTime - 1, maxTime, maxTime} {
+		want = append(want, fmt.Sprintf("%v sat", at))
+	}
+	if !slices.Equal(order, want) {
+		t.Fatalf("fired\n%v\nwant\n%v", order, want)
+	}
+	for _, c := range []struct {
+		name   string
+		period Time
+		fn     func()
+	}{{"negative period", -time.Second, func() {}}, {"nil callback", time.Second, nil}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Every with a %s did not panic", c.name)
+				}
+			}()
+			s.Every(0, c.period, 2, c.fn)
+		}()
 	}
 }
 
