@@ -92,8 +92,8 @@ type jsonPoint struct {
 	HeapBytesPerNode float64 `json:"heap_bytes_per_node,omitempty"`
 	// Metrics carries the point's channel-utilization time series when
 	// -metrics is set: one representative single-seed run per point with
-	// the telemetry sampler on (the sampler is observe-only, so the run
-	// is bit-identical to the sweep's same-seed run).
+	// sampling on (sampling is observe-only, so the run is bit-identical
+	// to the sweep's same-seed run).
 	Metrics []metrics.Window `json:"metrics,omitempty"`
 }
 
@@ -189,7 +189,7 @@ func run(args []string) error {
 		denseNodes = fs.Int("dense-nodes", scenario.DenseNodes, "node count of the -fig dense sweep")
 		jsonPath   = fs.String("json", "", "write a machine-readable result record to this file")
 		metricsOn  = fs.Bool("metrics", false,
-			"collect a channel-utilization time series per sweep point (one extra single-seed sampler run per point; printed, added to -json, and written to -metrics-csv). The timed sweep runs stay unsampled")
+			"collect a channel-utilization time series per sweep point (one extra single-seed sampled run per point; printed, added to -json, and written to -metrics-csv). The timed sweep runs stay unsampled")
 		metricsWin = fs.Duration("metrics-window", 10*time.Second, "sampling cadence for -metrics")
 		metricsCSV = fs.String("metrics-csv", "", "write the -metrics series as CSV to this file")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")

@@ -69,8 +69,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		}
 	}
 	// A non-positive gossip period used to re-arm the round at the same
-	// simulated instant forever, and a nanosecond metrics window to tick
-	// the sampler 3 × 10¹⁰ times; run them off the test goroutine so a
+	// simulated instant forever, and a nanosecond metrics window to slice
+	// the run 3 × 10¹⁰ times; run them off the test goroutine so a
 	// regression fails instead of hanging the suite.
 	for _, hang := range [][]string{
 		{"-gossip-interval", "0"}, {"-gossip-interval", "-1s"}, {"-metrics-window", "1ns"},

@@ -137,6 +137,9 @@ type Stats struct {
 	// deadline lies beyond the horizon set with SetHorizon are
 	// excluded: the old code never reached those events either.
 	ElidedEvents uint64
+	// Channel attributes every transmission this MAC started, ACKs
+	// included, to its layer: airtime, count and bytes.
+	Channel metrics.ChannelCounters
 }
 
 // Callbacks connects the MAC to the network layer.
@@ -316,9 +319,6 @@ type DCF struct {
 	lastSeq table.Table[uint16]
 
 	stats Stats
-	// chm, when non-nil, receives per-layer channel-usage observations
-	// for every transmission this MAC starts (see SetChannelMetrics).
-	chm *metrics.ChannelCounters
 }
 
 // New attaches a MAC entity for node id to the medium. pos supplies the
@@ -418,11 +418,6 @@ func (d *DCF) listen() {
 
 // Stats returns a copy of the MAC counters.
 func (d *DCF) Stats() Stats { return d.stats }
-
-// SetChannelMetrics points the MAC at a shared per-run channel-usage
-// accumulator; every transmission start then reports its layer,
-// airtime and bytes there. Nil (the default) disables the observation.
-func (d *DCF) SetChannelMetrics(c *metrics.ChannelCounters) { d.chm = c }
 
 // QueueLen returns the number of frames waiting (excluding in-flight).
 func (d *DCF) QueueLen() int { return d.queue.len() }
@@ -650,9 +645,7 @@ func (d *DCF) transmitData(out *outgoing) {
 	}
 	d.stats.BytesSent += uint64(d.cfg.HeaderBytes + payloadSize)
 	d.stats.TxAttempts++
-	if d.chm != nil {
-		d.chm.ObserveTx(metrics.LayerOf(out.frm.payload.Kind), at, d.cfg.HeaderBytes+payloadSize)
-	}
+	d.stats.Channel.ObserveTx(metrics.LayerOf(out.frm.payload.Kind), at, d.cfg.HeaderBytes+payloadSize)
 	if out.attempt == 0 {
 		if out.frm.dst == pkt.Broadcast {
 			d.stats.BroadcastSent++
@@ -804,9 +797,7 @@ func (d *DCF) onResponse() {
 	d.respNext ^= 1
 	d.stats.AcksSent++
 	d.stats.BytesSent += uint64(d.cfg.AckBytes)
-	if d.chm != nil {
-		d.chm.ObserveTx(metrics.LayerMAC, at, d.cfg.AckBytes)
-	}
+	d.stats.Channel.ObserveTx(metrics.LayerMAC, at, d.cfg.AckBytes)
 }
 
 func (d *DCF) onData(frm *frame) {

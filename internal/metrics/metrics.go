@@ -1,17 +1,18 @@
 // Package metrics is the unified telemetry layer: per-layer counters
-// the protocol stack increments on its hot paths, a windowed
-// time-series sampler driven by the simulation scheduler, and a writer
-// that renders metric families in Prometheus text format.
+// the protocol stack increments on its hot paths, a windowed time
+// series built from counter readings the simulation harness takes
+// between kernel slices, and a writer that renders metric families in
+// Prometheus text format.
 //
 // The package is observe-only by contract (DESIGN.md §11): nothing in
 // it schedules protocol events, draws randomness, or mutates protocol
-// state, so enabling collection never changes a simulation result —
-// the golden digests stay bit-identical with metrics on or off. Hot
-// paths pay for it with plain uint64 field increments (zero
-// allocations, no atomics): the simulator is single-threaded, so every
-// writer owns its counter. The live runtime (runtime/netrt) instead
-// samples its engines' counters through each node's Do serializer,
-// keeping the same engines instrumentation-free.
+// state, so collection never changes a simulation result — the golden
+// digests stay bit-identical with sampling on or off. Hot paths pay
+// for it with plain uint64 field increments (zero allocations, no
+// atomics): the simulator is single-threaded, so every writer owns its
+// counter. The live runtime (runtime/netrt) instead samples its
+// engines' counters through each node's Do serializer, keeping the
+// same engines instrumentation-free.
 package metrics
 
 import (
@@ -73,14 +74,14 @@ func LayerOf(k pkt.Kind) Layer {
 	}
 }
 
-// ChannelCounters accumulates per-layer channel usage for one
-// simulation run: every transmission's airtime, count and bytes,
-// attributed to the layer whose packet (or control frame) occupied the
-// channel. One instance is shared by every MAC in the run.
+// ChannelCounters accumulates per-layer channel usage: every
+// transmission's airtime, count and bytes, attributed to the layer
+// whose packet (or control frame) occupied the channel. Each MAC keeps
+// one in its stats; the harness sums them.
 //
 // Concurrency contract: fields are plain integers, not atomics; every
-// write site is a transmission start and the sampler reads from a
-// kernel event, both on the simulation's one goroutine.
+// write site is a transmission start and every read lies between
+// kernel slices, both on the simulation's one goroutine.
 type ChannelCounters struct {
 	// AirtimeByLayer is the cumulative channel occupancy per layer.
 	AirtimeByLayer [NumLayers]time.Duration
@@ -96,6 +97,15 @@ func (c *ChannelCounters) ObserveTx(l Layer, airtime time.Duration, bytes int) {
 	c.AirtimeByLayer[l] += airtime
 	c.TxByLayer[l]++
 	c.BytesByLayer[l] += uint64(bytes)
+}
+
+// Add adds o's counts to c.
+func (c *ChannelCounters) Add(o ChannelCounters) {
+	for l := range c.AirtimeByLayer {
+		c.AirtimeByLayer[l] += o.AirtimeByLayer[l]
+		c.TxByLayer[l] += o.TxByLayer[l]
+		c.BytesByLayer[l] += o.BytesByLayer[l]
+	}
 }
 
 // TotalAirtime sums channel occupancy over all layers.

@@ -74,74 +74,54 @@ func TestChannelCountersTotals(t *testing.T) {
 	}
 }
 
-func TestSamplerWindows(t *testing.T) {
-	var cum Snapshot
-	s := NewSampler(time.Second, func() Snapshot { return cum })
+// TestWindowsFromReadings builds two windows from three cumulative
+// readings the way the scenario harness does: the counters by Sub, the
+// gauges as read at the window's end.
+func TestWindowsFromReadings(t *testing.T) {
+	var r0, r1, r2 Counters
+	r1.AirtimeByLayer[LayerData] = 400 * time.Millisecond
+	r1.AirtimeByLayer[LayerGossip] = 100 * time.Millisecond
+	r1.TxByLayer[LayerData] = 4
+	r1.BytesByLayer[LayerData] = 400
+	r1.Delivered = 10
+	r1.MACBackoff = time.Millisecond
+	r2 = r1
+	r2.AirtimeByLayer[LayerData] = 500 * time.Millisecond
+	r2.Delivered = 12
 
-	cum.AirtimeByLayer[LayerData] = 400 * time.Millisecond
-	cum.AirtimeByLayer[LayerGossip] = 100 * time.Millisecond
-	cum.TxByLayer[LayerData] = 4
-	cum.Delivered = 10
-	cum.InFlight = 2
-	s.Tick(time.Second)
-
-	cum.AirtimeByLayer[LayerData] = 500 * time.Millisecond
-	cum.Delivered = 12
-	cum.InFlight = 0
-	s.Tick(2 * time.Second)
-
-	ser := s.Series()
-	if len(ser.Windows) != 2 {
-		t.Fatalf("got %d windows, want 2", len(ser.Windows))
-	}
-	w0 := ser.Windows[0]
+	w0 := Window{Start: 0, End: time.Second, Counters: r1.Sub(r0), InFlight: 2}
 	if got := w0.BusyFraction(); got != 0.5 {
 		t.Errorf("window 0 busy fraction = %v, want 0.5", got)
 	}
 	if got := w0.AirtimeShare(LayerData); got != 0.8 {
 		t.Errorf("window 0 data airtime share = %v, want 0.8", got)
 	}
-	if w0.InFlight != 2 {
-		t.Errorf("window 0 in-flight = %d, want 2", w0.InFlight)
+	if w0.Counters != r1 {
+		t.Errorf("window 0 from a zero reading = %+v, want %+v", w0.Counters, r1)
 	}
-	w1 := ser.Windows[1]
+	w1 := Window{Start: time.Second, End: 2 * time.Second, Counters: r2.Sub(r1)}
 	if got := w1.BusyFraction(); got != 0.1 {
 		t.Errorf("window 1 busy fraction = %v, want 0.1", got)
 	}
-	if w1.Delivered != 2 {
-		t.Errorf("window 1 delivered delta = %d, want 2", w1.Delivered)
+	if w1.Delivered != 2 || w1.TxByLayer[LayerData] != 0 || w1.BytesByLayer[LayerData] != 0 || w1.MACBackoff != 0 {
+		t.Errorf("window 1 deltas = %+v, want only 2 deliveries and 100ms data airtime", w1.Counters)
 	}
-	if w1.InFlight != 0 {
-		t.Errorf("window 1 in-flight = %d, want 0", w1.InFlight)
-	}
-	if got := s.Fired(); got != 2 {
-		t.Errorf("Fired = %d, want 2", got)
-	}
-}
-
-// A horizon flush at an exact window boundary must not emit an empty
-// window, but still counts as a fired tick for event parity.
-func TestSamplerBoundaryFlush(t *testing.T) {
-	s := NewSampler(time.Second, func() Snapshot { return Snapshot{} })
-	s.Tick(time.Second)
-	s.Tick(time.Second)
-	if got := len(s.Series().Windows); got != 1 {
-		t.Fatalf("got %d windows, want 1", got)
-	}
-	if got := s.Fired(); got != 2 {
-		t.Errorf("Fired = %d, want 2", got)
+	// The windows' deltas add back up to the last reading.
+	sum := w0.Counters
+	sum.Add(w1.ChannelCounters)
+	if sum.ChannelCounters != r2.ChannelCounters {
+		t.Errorf("channel deltas sum to %+v, want %+v", sum.ChannelCounters, r2.ChannelCounters)
 	}
 }
 
 func TestWindowJSONAndCSV(t *testing.T) {
-	var cum Snapshot
-	s := NewSampler(time.Second, func() Snapshot { return cum })
-	cum.AirtimeByLayer[LayerData] = 250 * time.Millisecond
-	cum.TxByLayer[LayerData] = 2
-	cum.GossipRounds = 3
-	s.Tick(time.Second)
+	win := Window{Start: 0, End: time.Second}
+	win.AirtimeByLayer[LayerData] = 250 * time.Millisecond
+	win.TxByLayer[LayerData] = 2
+	win.GossipRounds = 3
+	s := Series{WindowLen: time.Second, Windows: []Window{win}}
 
-	raw, err := json.Marshal(s.Series().Windows[0])
+	raw, err := json.Marshal(s.Windows[0])
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -158,7 +138,7 @@ func TestWindowJSONAndCSV(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := s.Series().WriteCSV(&buf); err != nil {
+	if err := s.WriteCSV(&buf); err != nil {
 		t.Fatalf("csv: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -175,7 +155,7 @@ func TestWindowJSONAndCSV(t *testing.T) {
 	// The CLI table: the same window as one fixed-width row under a
 	// header, every column present.
 	buf.Reset()
-	if err := s.Series().WriteTable(&buf); err != nil {
+	if err := s.WriteTable(&buf); err != nil {
 		t.Fatalf("table: %v", err)
 	}
 	const want = "" +

@@ -1,10 +1,7 @@
-// The windowed sampler: a time series of channel-utilization windows
-// built by differencing cumulative counter snapshots at a fixed
-// cadence. The scheduling chain lives with the caller (the scenario
-// harness arms one kernel timer per window); the sampler itself
-// only diffs snapshots, which keeps this package free of kernel
-// dependencies and usable from the live runtime's wall-clock timers
-// too.
+// The windowed series: channel-utilization windows built by
+// differencing cumulative counter readings at a fixed cadence. The
+// readings come from the host (the scenario harness reads them between
+// kernel slices), which keeps this package free of kernel dependencies.
 package metrics
 
 import (
@@ -15,15 +12,12 @@ import (
 	"time"
 )
 
-// Snapshot is one cumulative reading of the run's counters, taken by
-// the host-supplied closure at each window boundary. All counter
-// fields are cumulative since the start of the run; the gauge fields
-// (InFlight, QueueDepth) are instantaneous.
-type Snapshot struct {
-	// AirtimeByLayer / TxByLayer mirror ChannelCounters.
-	AirtimeByLayer [NumLayers]time.Duration
-	TxByLayer      [NumLayers]uint64
-	// Collisions is the medium's cumulative collision count.
+// Counters is one reading of a run's cumulative counters, or, inside a
+// Window, what accrued during it.
+type Counters struct {
+	// ChannelCounters is the MACs' per-layer channel usage.
+	ChannelCounters
+	// Collisions is the medium's collision count.
 	Collisions uint64
 	// Delivered counts packets handed to protocol handlers.
 	Delivered uint64
@@ -40,29 +34,33 @@ type Snapshot struct {
 	MACTxAttempts uint64
 	MACRetries    uint64
 	MACBackoff    time.Duration
-	// InFlight is the number of transmissions currently on the air.
-	InFlight int
-	// QueueDepth is the total MAC transmit-queue backlog.
-	QueueDepth int
 }
 
-// Window is one sampled interval [Start, End): the counter deltas
-// accrued inside it plus the gauges observed at its end.
+// Sub returns what accrued between the reading prev and c.
+func (c Counters) Sub(prev Counters) Counters {
+	for l := range c.AirtimeByLayer {
+		c.AirtimeByLayer[l] -= prev.AirtimeByLayer[l]
+		c.TxByLayer[l] -= prev.TxByLayer[l]
+		c.BytesByLayer[l] -= prev.BytesByLayer[l]
+	}
+	c.Collisions -= prev.Collisions
+	c.Delivered -= prev.Delivered
+	c.DataDelivered -= prev.DataDelivered
+	c.GossipRounds -= prev.GossipRounds
+	c.GossipReplies -= prev.GossipReplies
+	c.MACTxAttempts -= prev.MACTxAttempts
+	c.MACRetries -= prev.MACRetries
+	c.MACBackoff -= prev.MACBackoff
+	return c
+}
+
+// Window is one sampled interval [Start, End): the counts accrued
+// inside it plus the gauges observed at its end.
 type Window struct {
 	Start, End time.Duration
-
-	Airtime [NumLayers]time.Duration
-	Tx      [NumLayers]uint64
-
-	Collisions    uint64
-	Delivered     uint64
-	DataDelivered uint64
-	GossipRounds  uint64
-	GossipReplies uint64
-	MACTxAttempts uint64
-	MACRetries    uint64
-	MACBackoff    time.Duration
-
+	Counters
+	// InFlight is the number of transmissions on the air, QueueDepth
+	// the total MAC transmit-queue backlog.
 	InFlight   int
 	QueueDepth int
 }
@@ -77,96 +75,25 @@ func (w Window) BusyFraction() float64 {
 	if d <= 0 {
 		return 0
 	}
-	var air time.Duration
-	for _, a := range w.Airtime {
-		air += a
-	}
-	return float64(air) / float64(d)
+	return float64(w.TotalAirtime()) / float64(d)
 }
 
 // AirtimeShare is the layer's fraction of the window's total airtime
 // (zero when the channel was idle all window).
 func (w Window) AirtimeShare(l Layer) float64 {
-	var air time.Duration
-	for _, a := range w.Airtime {
-		air += a
-	}
+	air := w.TotalAirtime()
 	if air <= 0 {
 		return 0
 	}
-	return float64(w.Airtime[l]) / float64(air)
+	return float64(w.AirtimeByLayer[l]) / float64(air)
 }
 
-// Series is the sampler's output: consecutive windows of one run.
+// Series is one run's consecutive windows.
 type Series struct {
 	// WindowLen is the configured sampling cadence.
 	WindowLen time.Duration
 	Windows   []Window
 }
-
-// Sampler builds a Series by differencing snapshots. The host arms a
-// repeating timer at the window cadence and calls Tick from it.
-type Sampler struct {
-	snap func() Snapshot
-
-	last   Snapshot
-	lastAt time.Duration
-	series Series
-	fired  uint64
-}
-
-// NewSampler returns a sampler with the given cadence and snapshot
-// source. The first window starts at time zero.
-func NewSampler(window time.Duration, snap func() Snapshot) *Sampler {
-	if window <= 0 {
-		panic("metrics: sampler window must be positive")
-	}
-	return &Sampler{snap: snap, series: Series{WindowLen: window}}
-}
-
-// Tick closes the current window at `now`: it takes a snapshot, emits
-// the delta window, and starts the next. The host calls it from the
-// timer it armed (and once more at the horizon, if the final partial
-// window should be kept).
-func (s *Sampler) Tick(now time.Duration) {
-	s.fired++
-	cur := s.snap()
-	if now <= s.lastAt {
-		// A horizon flush landing exactly on a window boundary: nothing
-		// accrued, nothing to emit.
-		s.last = cur
-		return
-	}
-	w := Window{Start: s.lastAt, End: now}
-	for l := Layer(0); l < NumLayers; l++ {
-		w.Airtime[l] = cur.AirtimeByLayer[l] - s.last.AirtimeByLayer[l]
-		w.Tx[l] = cur.TxByLayer[l] - s.last.TxByLayer[l]
-	}
-	w.Collisions = cur.Collisions - s.last.Collisions
-	w.Delivered = cur.Delivered - s.last.Delivered
-	w.DataDelivered = cur.DataDelivered - s.last.DataDelivered
-	w.GossipRounds = cur.GossipRounds - s.last.GossipRounds
-	w.GossipReplies = cur.GossipReplies - s.last.GossipReplies
-	w.MACTxAttempts = cur.MACTxAttempts - s.last.MACTxAttempts
-	w.MACRetries = cur.MACRetries - s.last.MACRetries
-	w.MACBackoff = cur.MACBackoff - s.last.MACBackoff
-	w.InFlight = cur.InFlight
-	w.QueueDepth = cur.QueueDepth
-	s.series.Windows = append(s.series.Windows, w)
-	s.last = cur
-	s.lastAt = now
-}
-
-// Fired reports how many Tick calls have run. The scenario harness
-// subtracts it from the kernel's processed-event count so
-// Result.Events stays bit-identical with sampling on or off (the
-// sampler's timer chain is real scheduler events, but they are
-// measurement, not simulation).
-func (s *Sampler) Fired() uint64 { return s.fired }
-
-// Series returns the windows emitted so far. The slice is the
-// sampler's own; callers must not mutate it while ticks may still run.
-func (s *Sampler) Series() Series { return s.series }
 
 // windowJSON is the export shape of one window: durations in seconds,
 // derived ratios precomputed, so downstream plotting needs no unit
@@ -209,7 +136,7 @@ func (w Window) exportJSON() windowJSON {
 	}
 	for l := Layer(0); l < NumLayers; l++ {
 		j.AirtimeShare[l.String()] = w.AirtimeShare(l)
-		j.Tx[l.String()] = w.Tx[l]
+		j.Tx[l.String()] = w.TxByLayer[l]
 	}
 	return j
 }
@@ -257,7 +184,7 @@ func (s Series) WriteCSV(w io.Writer) error {
 	for _, win := range s.Windows {
 		fmt.Fprintf(&b, "%.3f,%.3f,%.4f", win.Start.Seconds(), win.End.Seconds(), win.BusyFraction())
 		for l := Layer(0); l < NumLayers; l++ {
-			fmt.Fprintf(&b, ",%.4f,%d", win.AirtimeShare(l), win.Tx[l])
+			fmt.Fprintf(&b, ",%.4f,%d", win.AirtimeShare(l), win.TxByLayer[l])
 		}
 		fmt.Fprintf(&b, ",%d,%d,%d,%d,%d,%d,%d,%.4f,%d,%d\n",
 			win.Collisions, win.Delivered, win.DataDelivered,

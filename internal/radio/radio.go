@@ -199,7 +199,7 @@ type Medium struct {
 	nbrVisit func(*Transceiver)
 	// activeTx counts transmissions currently on the air — incremented
 	// at StartTx, decremented when the finish processing retires the
-	// record. It is the in-flight gauge the metrics sampler reads.
+	// record. It is the in-flight gauge a metrics window reads at its end.
 	activeTx int
 	// elided counts the per-receiver finish events folded into
 	// per-frame events; see ElidedEvents.

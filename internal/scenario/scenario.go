@@ -66,6 +66,7 @@ type Config struct {
 	// NumSources is the number of sending members (1 in the paper; AG
 	// tracks sequence numbers per origin, so more are supported as an
 	// extension). Each source sends a full CBR stream, phase-shifted.
+	// Zero means one; Validate rejects a negative count.
 	NumSources int
 
 	// JoinWindow spreads member joins over the warm-up.
@@ -88,13 +89,10 @@ type Config struct {
 	// all kinds).
 	TraceKinds []pkt.Kind
 
-	// MetricsWindow, when positive, enables the telemetry sampler: the
-	// run's channel-utilization counters are snapshotted at this cadence
-	// and the per-window deltas collected into Result.Metrics. The
-	// sampler is observe-only — its timer chain is subtracted from
-	// Result.Events and its snapshots read protocol state without
-	// mutating it, so every result stays bit-identical with sampling on
-	// or off.
+	// MetricsWindow, when positive, samples the run's counters at this
+	// cadence into Result.Metrics: the kernel runs one window at a time
+	// and each window is read between slices, so every other result is
+	// bit-identical with sampling on or off.
 	MetricsWindow time.Duration
 
 	// Gossip configures the recovery layer, the protocol under study.
@@ -136,7 +134,7 @@ func (c Config) ExpectedPackets() int {
 
 // sources returns the effective source count.
 func (c Config) sources() int {
-	if c.NumSources <= 0 {
+	if c.NumSources == 0 {
 		return 1
 	}
 	return c.NumSources
@@ -145,9 +143,10 @@ func (c Config) sources() int {
 // Spec returns the normalized stack spec.
 func (c Config) Spec() stack.Spec { return c.Stack.Normalize() }
 
-// maxMetricsWindows bounds the sampler windows of one run: each is a
-// kernel event and a retained metrics.Window, so a cadence far below the
-// run length (-metrics-window 1ns) would tick for hours.
+// maxMetricsWindows bounds the windows of one run: each is a kernel
+// slice, a read over every node and a retained metrics.Window, so a
+// cadence far below the run length (-metrics-window 1ns) would run for
+// hours.
 const maxMetricsWindows = 100_000
 
 // Validate reports configuration errors. The error of an unknown stack
@@ -165,6 +164,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Protocol != 0:
 		return fmt.Errorf("scenario: Protocol is retired (have %d); select the stack with Config.Stack", c.Protocol)
+	case c.NumSources < 0:
+		return fmt.Errorf("scenario: negative source count %d", c.NumSources)
 	case c.Nodes < 2:
 		return fmt.Errorf("scenario: need at least 2 nodes, have %d", c.Nodes)
 	case !(c.MemberFraction > 0) || c.MemberFraction > 1:
@@ -257,9 +258,7 @@ type Result struct {
 	// sources: postponed contention hops the kernel re-enqueued without
 	// firing, per-receiver receptions the radio folded into per-frame
 	// finishes, and MAC timers cancelled instead of
-	// firing as no-ops. EventsProcessed excludes the telemetry
-	// sampler's own timer chain, so the four fields sum to Events
-	// regardless of Config.MetricsWindow.
+	// firing as no-ops. The four fields sum to Events.
 	EventsProcessed uint64
 	ElidedKernel    uint64
 	ElidedRadio     uint64
@@ -275,8 +274,8 @@ type Result struct {
 	// Metrics holds the sampled channel-utilization series when
 	// Config.MetricsWindow > 0.
 	Metrics *metrics.Series
-	// Channel holds the run's final per-layer airtime and transmission
-	// totals when Config.MetricsWindow > 0.
+	// Channel holds the run's per-layer airtime, transmission and byte
+	// totals.
 	Channel *metrics.ChannelCounters
 }
 
@@ -310,8 +309,9 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.sched.Run(cfg.Duration)
+	series := w.run()
 	res := w.collect()
+	res.Metrics = series
 	if cfg.MeasureHeap {
 		runtime.GC() // settle garbage so the sample is live bytes
 		var ms runtime.MemStats
@@ -343,11 +343,6 @@ type world struct {
 	sentAt    map[pkt.SeqKey]sim.Time
 	// tracer is the packet trace ring, nil unless Config.TraceCapacity > 0.
 	tracer *trace.Ring
-	// chm accumulates per-layer channel occupancy across all MACs;
-	// sampler turns it (plus the other cumulative counters) into the
-	// windowed series. Both nil unless Config.MetricsWindow > 0.
-	chm     *metrics.ChannelCounters
-	sampler *metrics.Sampler
 
 	treeLatSum, recLatSum     time.Duration
 	treeLatCount, recLatCount uint64
@@ -370,9 +365,6 @@ func build(cfg Config) (*world, error) {
 			w.tracer.SetFilter(trace.KindFilter(cfg.TraceKinds...))
 		}
 	}
-	if cfg.MetricsWindow > 0 {
-		w.chm = &metrics.ChannelCounters{}
-	}
 
 	spec, noteLatency := cfg.Spec(), w.noteLatency
 	for i := 0; i < cfg.Nodes; i++ {
@@ -384,9 +376,6 @@ func build(cfg Config) (*world, error) {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
 		dcf.SetHorizon(cfg.Duration)
-		if w.chm != nil {
-			dcf.SetChannelMetrics(w.chm)
-		}
 		st := node.NewOnRuntime(dcf)
 		if w.tracer != nil {
 			st.SetTracer(w.tracer.Record)
@@ -448,60 +437,61 @@ func build(cfg Config) (*world, error) {
 		w.sched.Every(cfg.DataStart+offset, cfg.DataInterval, cfg.ExpectedPackets(), func() { w.sendData(src) })
 	}
 
-	// Sampler timer chain. It ends with a tick exactly at the horizon
-	// (events at the horizon still fire), closing the final — possibly
-	// partial — window; every scheduled tick fires, so Sampler.Fired
-	// equals the chain's processed-event contribution and collect can
-	// subtract it exactly.
-	if cfg.MetricsWindow > 0 {
-		w.sampler = metrics.NewSampler(cfg.MetricsWindow, w.snapshot)
-		var tick func()
-		tick = func() {
-			now := w.sched.Now()
-			w.sampler.Tick(now)
-			if now >= cfg.Duration {
-				return
-			}
-			next := now + cfg.MetricsWindow
-			if next > cfg.Duration {
-				next = cfg.Duration
-			}
-			w.sched.At(next, tick)
-		}
-		first := cfg.MetricsWindow
-		if first > cfg.Duration {
-			first = cfg.Duration
-		}
-		w.sched.At(first, tick)
-	}
 	return w, nil
 }
 
-// snapshot reads the run's cumulative telemetry counters from the
-// sampler's timer chain; it mutates nothing.
-func (w *world) snapshot() metrics.Snapshot {
-	var s metrics.Snapshot
-	s.AirtimeByLayer = w.chm.AirtimeByLayer
-	s.TxByLayer = w.chm.TxByLayer
-	s.Collisions = w.medium.Stats().Collisions
-	s.InFlight = w.medium.ActiveTx()
+// run advances the kernel to the horizon. With a metrics window it
+// runs one window at a time and closes each by reading the counters
+// between slices: a read schedules nothing, so the events and their
+// order are those of one Run to the horizon.
+func (w *world) run() *metrics.Series {
+	dur, step := w.cfg.Duration, w.cfg.MetricsWindow
+	if step <= 0 {
+		w.sched.Run(dur)
+		return nil
+	}
+	series := &metrics.Series{WindowLen: step}
+	var last metrics.Counters
+	for start, end := time.Duration(0), time.Duration(0); start < dur; start = end {
+		end = dur
+		if step < dur-start {
+			end = start + step
+		}
+		w.sched.Run(end)
+		cur, _ := w.counters()
+		depth := 0
+		for _, m := range w.macs {
+			depth += m.QueueLen()
+		}
+		series.Windows = append(series.Windows, metrics.Window{Start: start, End: end,
+			Counters: cur.Sub(last), InFlight: w.medium.ActiveTx(), QueueDepth: depth})
+		last = cur
+	}
+	return series
+}
+
+// counters reads the run's cumulative telemetry counters, and the
+// MACs' elided-event total beside them; it mutates nothing.
+func (w *world) counters() (c metrics.Counters, macElided uint64) {
+	c.Collisions = w.medium.Stats().Collisions
 	for _, m := range w.macs {
 		st := m.Stats()
-		s.MACTxAttempts += st.TxAttempts
-		s.MACRetries += st.Retries
-		s.MACBackoff += st.BackoffWait
-		s.QueueDepth += m.QueueLen()
+		c.Add(st.Channel)
+		c.MACTxAttempts += st.TxAttempts
+		c.MACRetries += st.Retries
+		c.MACBackoff += st.BackoffWait
+		macElided += st.ElidedEvents
 	}
 	for _, st := range w.stacks {
-		s.Delivered += st.Stats().Delivered
+		c.Delivered += st.Stats().Delivered
 	}
 	for _, idx := range w.memberIdx {
 		rs := w.nodes[idx].RecoveryStats()
-		s.DataDelivered += rs.Delivered
-		s.GossipRounds += rs.Rounds
-		s.GossipReplies += rs.Replies
+		c.DataDelivered += rs.Delivered
+		c.GossipRounds += rs.Rounds
+		c.GossipReplies += rs.Replies
 	}
-	return s
+	return c, macElided
 }
 
 // noteLatency accumulates send-to-delivery delay for one delivered
@@ -533,12 +523,7 @@ func (w *world) sendData(idx int) {
 func (w *world) collect() *Result {
 	processed := w.sched.Processed()
 	elided := w.sched.Elided()
-	// The sampler's timer chain is real scheduler events, but it is
-	// measurement, not simulation: subtracting its fired count keeps
-	// Events bit-identical with sampling on or off.
-	if w.sampler != nil {
-		processed -= w.sampler.Fired()
-	}
+	c, macElided := w.counters()
 	// Logical events: the radio folds per-receiver finish events into
 	// per-frame ones, the MAC cancels contention
 	// timers whose frame completed early instead of letting them fire
@@ -547,10 +532,6 @@ func (w *world) collect() *Result {
 	// every elided count keeps the metric — and the golden digests
 	// pinned on it — independent of which elisions are in force.
 	radioElided := w.medium.ElidedEvents()
-	var macElided uint64
-	for _, m := range w.macs {
-		macElided += m.Stats().ElidedEvents
-	}
 	events := processed + elided + radioElided + macElided
 	res := &Result{
 		Stack:           w.cfg.Spec(),
@@ -563,14 +544,10 @@ func (w *world) collect() *Result {
 		ElidedRadio:     radioElided,
 		ElidedMAC:       macElided,
 		MeanDegree:      w.medium.MeanDegree(),
+		MACCollisions:   c.Collisions,
 		Trace:           w.tracer,
+		Channel:         &c.ChannelCounters,
 	}
-	if w.sampler != nil {
-		series := w.sampler.Series()
-		res.Metrics = &series
-		res.Channel = w.chm
-	}
-	res.MACCollisions = w.medium.Stats().Collisions
 
 	if w.treeLatCount > 0 {
 		res.TreeLatencyMean = w.treeLatSum / time.Duration(w.treeLatCount)

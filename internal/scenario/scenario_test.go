@@ -81,6 +81,8 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"no stack", func(c *Config) { c.Stack = stack.Spec{} }},
 		{"bad protocol", func(c *Config) { c.Protocol = 2 }}, // the retired selector field
+		// Zero sources means one (TestZeroSourcesDefaultsToOne).
+		{"negative sources", func(c *Config) { c.NumSources = -1 }},
 		{"one node", func(c *Config) { c.Nodes = 1 }},
 		{"zero member fraction", func(c *Config) { c.MemberFraction = 0 }},
 		{"nan member fraction", func(c *Config) { c.MemberFraction = math.NaN() }},

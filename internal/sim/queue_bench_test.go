@@ -203,16 +203,18 @@ func BenchmarkQueueChurnClustered(b *testing.B) {
 }
 
 // BenchmarkSchedulerPaperMix drives a real Scheduler through 440 s of
-// the paper baseline's pending set (40 nodes, EXPERIMENTS.md §AD):
-// 2,200 one-shot traffic sends spread over the run, 80 self-re-arming
-// 600 ms protocol ticks (a hello and a sweep tick per node) and 8
-// channel chains that re-arm 10 µs–20 ms ahead, the contention steps
-// and frame finishes that churn at the front of the queue. One op is
-// one pass; ns/event is the cost per fired event.
+// the paper baseline's pending set (40 nodes, EXPERIMENTS.md §AD): the
+// CBR source as one Every series of 2,200 sends 200 ms apart, as the
+// scenario schedules it, 80 self-re-arming 600 ms protocol ticks (a
+// hello and a sweep tick per node) and 8 channel chains that re-arm
+// 10 µs–20 ms ahead, the contention steps and frame finishes that churn
+// at the front of the queue. One op is one pass; ns/event is the cost
+// per fired event.
 func BenchmarkSchedulerPaperMix(b *testing.B) {
 	const (
 		horizon = 440 * time.Second
 		sends   = 2_200
+		cbr     = 200 * time.Millisecond
 		ticks   = 80
 		chains  = 8
 		period  = 600 * time.Millisecond
@@ -226,9 +228,7 @@ func BenchmarkSchedulerPaperMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := NewScheduler()
-		for j := 0; j < sends; j++ {
-			s.At(Time(g.bits()%uint64(horizon)), func() {})
-		}
+		s.Every(0, cbr, sends, func() {})
 		for j := 0; j < ticks; j++ {
 			var tick func()
 			tick = func() { s.After(period, tick) }

@@ -25,7 +25,7 @@ type RecoveryStats struct {
 	// Goodput is the percentage of useful recovery traffic.
 	Goodput float64
 	// Rounds counts recovery rounds this member initiated and Replies
-	// the repair replies it received (the sampler's activity series).
+	// the repair replies it received (the metrics windows' activity series).
 	Rounds, Replies uint64
 }
 
@@ -77,7 +77,6 @@ func Assemble(s Spec, st *node.Stack, rng *sim.RNG, index int, g gossip.Config) 
 	case "flood":
 		cfg := flood.DefaultConfig()
 		fr := flood.New(st, derive("flood"), cfg)
-		st.SetRouter(node.NullRouter{})
 		if recovers {
 			tree = fr.GossipTree() // switches relay tracking on
 		}
@@ -90,7 +89,6 @@ func Assemble(s Spec, st *node.Stack, rng *sim.RNG, index int, g gossip.Config) 
 	case "odmrp":
 		cfg := odmrp.DefaultConfig()
 		or := odmrp.New(st, derive("odmrp"), cfg)
-		st.SetRouter(node.NullRouter{})
 		n.routing, tree, n.payload = or, or, cfg.PayloadLen
 	}
 	if !recovers {
