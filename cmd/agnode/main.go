@@ -410,6 +410,9 @@ func run(args []string) error {
 	if !(*timeScale > 0) || math.IsInf(*timeScale, 1) {
 		return fmt.Errorf("agnode: -timescale %v is not positive and finite", *timeScale)
 	}
+	if *inbox < 0 {
+		return fmt.Errorf("agnode: -inbox %d is negative (0 selects the default)", *inbox)
+	}
 	spec, err := stack.ByName(*stackName)
 	if err != nil {
 		return fmt.Errorf("agnode: invalid -stack: %w", err)

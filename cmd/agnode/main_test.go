@@ -65,6 +65,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-timescale", []string{"-id", "1", "-timescale", "NaN"}},
 		{"-timescale", []string{"-id", "1", "-timescale", "0"}},
 		{"-timescale", []string{"-id", "1", "-timescale", "+Inf"}},
+		{"-inbox", []string{"-id", "1", "-inbox", "-1"}}, // ran the default
 	} {
 		if err := run(tt.args); err == nil || !strings.Contains(err.Error(), tt.flag) {
 			t.Errorf("run(%v) err = %v, want one naming %s", tt.args, err, tt.flag)

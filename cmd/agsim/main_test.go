@@ -61,9 +61,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-metrics-window", "-1s", "-duration", "60s"}); err == nil {
 		t.Fatal("negative metrics window accepted")
 	}
-	// A negative speed used to run and report "-1.0 m/s max", and an
-	// out-of-range probability to run silently as 1.
-	for _, bad := range [][]string{{"-speed", "-1"}, {"-panon", "7"}, {"-panon", "NaN"}} {
+	// A negative speed used to run and report "-1.0 m/s max", an
+	// out-of-range probability to run silently as 1, and a negative pause
+	// as a world with no pauses.
+	for _, bad := range [][]string{{"-speed", "-1"}, {"-panon", "7"}, {"-panon", "NaN"}, {"-pause", "-5s"}} {
 		if err := run(append(bad, "-duration", "30s")); err == nil {
 			t.Fatalf("%s %s accepted", bad[0], bad[1])
 		}

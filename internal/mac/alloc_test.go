@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"anongossip/internal/geom"
+	"anongossip/internal/metrics"
 	"anongossip/internal/mobility"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
@@ -97,9 +98,9 @@ func TestUnicastCycleAllocatesNothing(t *testing.T) {
 	}
 	// One cycle before AllocsPerRun, and its own warm-up call.
 	const n = runs + 2
-	if received != n || acked != n || macs[1].Stats().AcksSent != n {
+	if received != n || acked != n || macs[1].Stats().Channel.TxByLayer[metrics.LayerMAC] != n {
 		t.Fatalf("%d receptions, %d acknowledged completions and %d ACKs, want %d each",
-			received, acked, macs[1].Stats().AcksSent, n)
+			received, acked, macs[1].Stats().Channel.TxByLayer[metrics.LayerMAC], n)
 	}
 }
 

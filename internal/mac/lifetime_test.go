@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"anongossip/internal/geom"
+	"anongossip/internal/metrics"
 	"anongossip/internal/mobility"
 	"anongossip/internal/pkt"
 )
@@ -146,8 +147,8 @@ func TestResponsesWithinOneSIFS(t *testing.T) {
 	if !slices.Equal(*heard, want) {
 		t.Fatalf("ACKs heard %+v, want %+v", *heard, want)
 	}
-	if s := d.Stats(); s.AcksSent != 2 || s.Delivered != 2 {
-		t.Fatalf("%d ACKs sent and %d frames delivered, want 2 each", s.AcksSent, s.Delivered)
+	if s := d.Stats(); s.Channel.TxByLayer[metrics.LayerMAC] != 2 || s.Delivered != 2 {
+		t.Fatalf("%d ACKs sent and %d frames delivered, want 2 each", s.Channel.TxByLayer[metrics.LayerMAC], s.Delivered)
 	}
 	if d.resps.len() != 0 {
 		t.Fatalf("%d responses still pending after both fired", d.resps.len())

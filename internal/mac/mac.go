@@ -107,19 +107,11 @@ type Stats struct {
 	Failures uint64
 	// QueueDrops counts frames rejected because the queue was full.
 	QueueDrops uint64
-	// AcksSent counts acknowledgements transmitted.
-	AcksSent uint64
 	// DupsFiltered counts retransmitted unicast frames suppressed by the
 	// receiver-side duplicate filter.
 	DupsFiltered uint64
 	// Delivered counts frames handed up to the network layer.
 	Delivered uint64
-	// BytesSent counts all transmitted bytes including MAC framing.
-	BytesSent uint64
-	// TxAttempts counts channel-occupying transmission starts for
-	// queued data frames, retries included (ACKs are counted by
-	// AcksSent).
-	TxAttempts uint64
 	// BackoffWait accumulates the contention wait this node armed
 	// (DIFS + drawn backoff slots per cycle) — the time the MAC spent
 	// standing off the channel rather than occupying it.
@@ -138,7 +130,9 @@ type Stats struct {
 	// excluded: the old code never reached those events either.
 	ElidedEvents uint64
 	// Channel attributes every transmission this MAC started, ACKs
-	// included, to its layer: airtime, count and bytes.
+	// included, to its layer: airtime, count and bytes (MAC framing
+	// included). ACKs are its metrics.LayerMAC count; every other
+	// layer's count is data-frame attempts, retries included.
 	Channel metrics.ChannelCounters
 }
 
@@ -643,8 +637,6 @@ func (d *DCF) transmitData(out *outgoing) {
 		d.retry(out)
 		return
 	}
-	d.stats.BytesSent += uint64(d.cfg.HeaderBytes + payloadSize)
-	d.stats.TxAttempts++
 	d.stats.Channel.ObserveTx(metrics.LayerOf(out.frm.payload.Kind), at, d.cfg.HeaderBytes+payloadSize)
 	if out.attempt == 0 {
 		if out.frm.dst == pkt.Broadcast {
@@ -795,8 +787,6 @@ func (d *DCF) onResponse() {
 		return
 	}
 	d.respNext ^= 1
-	d.stats.AcksSent++
-	d.stats.BytesSent += uint64(d.cfg.AckBytes)
 	d.stats.Channel.ObserveTx(metrics.LayerMAC, at, d.cfg.AckBytes)
 }
 

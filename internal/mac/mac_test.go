@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"anongossip/internal/geom"
+	"anongossip/internal/metrics"
 	"anongossip/internal/mobility"
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
@@ -94,7 +95,7 @@ func TestUnicastDeliveredAndAcked(t *testing.T) {
 	if s := h.macs[0].Stats(); s.UnicastSent != 1 || s.Failures != 0 {
 		t.Fatalf("sender stats %+v", s)
 	}
-	if s := h.macs[1].Stats(); s.AcksSent != 1 || s.Delivered != 1 {
+	if s := h.macs[1].Stats(); s.Channel.TxByLayer[metrics.LayerMAC] != 1 || s.Delivered != 1 {
 		t.Fatalf("receiver stats %+v", s)
 	}
 }
@@ -118,7 +119,7 @@ func TestBroadcastDeliveredToAllInRange(t *testing.T) {
 		t.Fatalf("broadcast completion %+v", h.dones[0])
 	}
 	for i := 1; i < 4; i++ {
-		if s := h.macs[i].Stats(); s.AcksSent != 0 {
+		if s := h.macs[i].Stats(); s.Channel.TxByLayer[metrics.LayerMAC] != 0 {
 			t.Fatalf("node %d sent ACK for broadcast", i+1)
 		}
 	}
@@ -252,11 +253,17 @@ func TestBytesSentAccounting(t *testing.T) {
 	h.sched.Run(time.Second)
 
 	wantSender := uint64(DefaultConfig().HeaderBytes + p.WireSize())
-	if s := h.macs[0].Stats(); s.BytesSent != wantSender {
-		t.Fatalf("sender BytesSent = %d, want %d", s.BytesSent, wantSender)
+	bytesSent := func(d *DCF) (n uint64) {
+		for _, b := range d.Stats().Channel.BytesByLayer {
+			n += b
+		}
+		return n
 	}
-	if s := h.macs[1].Stats(); s.BytesSent != uint64(DefaultConfig().AckBytes) {
-		t.Fatalf("receiver BytesSent = %d, want %d (ACK)", s.BytesSent, DefaultConfig().AckBytes)
+	if got := bytesSent(h.macs[0]); got != wantSender {
+		t.Fatalf("sender sent %d bytes, want %d", got, wantSender)
+	}
+	if got := bytesSent(h.macs[1]); got != uint64(DefaultConfig().AckBytes) {
+		t.Fatalf("receiver sent %d bytes, want %d (ACK)", got, DefaultConfig().AckBytes)
 	}
 }
 

@@ -5,21 +5,24 @@
 // drawn uniformly from [0, MaxPause] (80 s in the paper) before repeating.
 //
 // Trajectories are generated lazily and deterministically from a sim.RNG
-// sub-stream, so a node's position is computable at any simulation time
-// without stepping the model.
+// sub-stream. Positions are read at the simulation clock, which never
+// runs backwards, so a Waypoint keeps only the leg that covers the last
+// query and draws the following legs as the clock passes them.
 package mobility
 
 import (
+	"fmt"
 	"time"
 
 	"anongossip/internal/geom"
 	"anongossip/internal/sim"
 )
 
-// Model yields a node's position at any simulation time, and bounds how
-// fast it moves. Implementations must be deterministic: repeated calls
-// with the same t return the same point, and queries at earlier times
-// after later ones are allowed.
+// Model yields a node's position at the simulation clock, and bounds how
+// fast it moves. Callers read positions at the clock, so t never
+// decreases between calls; an implementation may panic if it does
+// (Static answers any t). Implementations must be deterministic:
+// repeated calls with the same t return the same point.
 type Model interface {
 	Position(t sim.Time) geom.Point
 	// MaxSpeed returns a conservative upper bound in m/s on the node's
@@ -90,24 +93,13 @@ func (l leg) positionAt(t sim.Time) geom.Point {
 	return l.from.Lerp(l.to, frac)
 }
 
-// Waypoint is a lazily-generated Random Waypoint trajectory.
+// Waypoint is a lazily-generated Random Waypoint trajectory. It holds
+// the leg that covers the last query; a later query past that leg's end
+// draws the following legs in order.
 type Waypoint struct {
-	cfg  WaypointConfig
-	rng  *sim.RNG
-	legs []leg
-	// Position memo: queries cluster tightly around the advancing
-	// simulation clock (a carrier probe reads every candidate's
-	// position at the same instant, and consecutive events sit
-	// microseconds apart), so the last result answers repeats verbatim,
-	// a later query inside the last covering leg interpolates its copy
-	// memoL (ending at memoEnd) without reading legs, and any other
-	// query seeds its search with that leg's index.
-	memoT   sim.Time
-	memoP   geom.Point
-	memoLeg int
-	memoL   leg
-	memoEnd sim.Time
-	memoOK  bool
+	cfg WaypointConfig
+	rng *sim.RNG
+	cur leg
 }
 
 var (
@@ -126,7 +118,7 @@ func NewWaypoint(cfg WaypointConfig, rng *sim.RNG) *Waypoint {
 // NewWaypointAt creates a trajectory with a fixed starting position.
 func NewWaypointAt(cfg WaypointConfig, rng *sim.RNG, start geom.Point) *Waypoint {
 	w := &Waypoint{cfg: cfg, rng: rng}
-	w.legs = append(w.legs, w.nextLeg(0, start))
+	w.cur = w.nextLeg(0, start)
 	return w
 }
 
@@ -137,7 +129,7 @@ func randomPoint(r geom.Rect, rng *sim.RNG) geom.Point {
 func (w *Waypoint) nextLeg(start sim.Time, from geom.Point) leg {
 	if w.cfg.MaxSpeed <= 0 {
 		// Degenerate configuration: the node is effectively static. Emit a
-		// very long pause leg; more are appended if the horizon is exceeded.
+		// very long pause leg; another follows if the horizon is exceeded.
 		return leg{start: start, from: from, to: from, travel: 0, pause: 1 << 50}
 	}
 	to := randomPoint(w.cfg.Area, w.rng)
@@ -151,61 +143,18 @@ func (w *Waypoint) nextLeg(start sim.Time, from geom.Point) leg {
 	return leg{start: start, from: from, to: to, travel: travel, pause: pause}
 }
 
-// extendTo appends legs until the trajectory covers time t.
-func (w *Waypoint) extendTo(t sim.Time) {
-	last := w.legs[len(w.legs)-1]
-	for last.end() <= t {
-		last = w.nextLeg(last.end(), last.to)
-		w.legs = append(w.legs, last)
-	}
-}
-
-// Position implements Model.
+// Position implements Model. A negative t reads as 0; a t before the
+// current leg's start panics, since the leg before it is gone.
 func (w *Waypoint) Position(t sim.Time) geom.Point {
-	if t < 0 {
-		t = 0
+	t = max(t, 0)
+	if t < w.cur.start {
+		panic(fmt.Sprintf("mobility: Waypoint queried at %v, before its current leg's start %v", t, w.cur.start))
 	}
-	if w.memoOK && t >= w.memoT {
-		if t == w.memoT {
-			return w.memoP
-		}
-		if t < w.memoEnd {
-			w.memoT, w.memoP = t, w.memoL.positionAt(t)
-			return w.memoP
-		}
+	for w.cur.end() <= t {
+		w.cur = w.nextLeg(w.cur.end(), w.cur.to)
 	}
-	w.extendTo(t)
-	// Binary search for the covering leg, seeded from the memoised leg:
-	// the covering leg for a nearby query is almost always the same leg
-	// or its successor.
-	lo, hi := 0, len(w.legs)-1
-	if w.memoOK {
-		if l := w.legs[w.memoLeg]; l.start <= t {
-			if t < l.end() {
-				lo, hi = w.memoLeg, w.memoLeg
-			} else {
-				lo = w.memoLeg + 1
-			}
-		} else {
-			hi = w.memoLeg
-		}
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.legs[mid].end() <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	w.memoL = w.legs[lo]
-	w.memoT, w.memoP, w.memoLeg, w.memoEnd, w.memoOK = t, w.memoL.positionAt(t), lo, w.memoL.end(), true
-	return w.memoP
+	return w.cur.positionAt(t)
 }
-
-// Legs returns the number of trajectory segments generated so far. It is
-// exported for tests and diagnostics.
-func (w *Waypoint) Legs() int { return len(w.legs) }
 
 // MaxSpeed implements Model. Per-leg speeds are drawn from
 // [0, MaxSpeed] and raised to floorSpeed when below it, so the

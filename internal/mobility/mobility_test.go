@@ -3,6 +3,7 @@ package mobility
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -50,21 +51,16 @@ func TestWaypointDeterministic(t *testing.T) {
 	}
 }
 
-func TestWaypointRandomAccessMatchesSequential(t *testing.T) {
-	cfg := testConfig()
-	a := NewWaypoint(cfg, sim.NewRNG(9))
-	b := NewWaypoint(cfg, sim.NewRNG(9))
-
-	// a queried sequentially, b queried at the same times out of order.
-	times := []sim.Time{0, 400 * time.Second, 10 * time.Second, 599 * time.Second, 100 * time.Second}
-	seq := make(map[sim.Time]geom.Point)
-	for ts := sim.Time(0); ts <= 600*time.Second; ts += time.Second {
-		seq[ts] = a.Position(ts)
-	}
-	for _, ts := range times {
-		if got := b.Position(ts); got != seq[ts] {
-			t.Fatalf("random access Position(%v) = %v, want %v", ts, got, seq[ts])
+// legsUntil walks w forward, leg by leg, and returns every leg it held
+// up to the one covering t.
+func legsUntil(w *Waypoint, t sim.Time) []leg {
+	var legs []leg
+	for {
+		legs = append(legs, w.cur)
+		if w.cur.end() > t {
+			return legs
 		}
+		w.Position(w.cur.end())
 	}
 }
 
@@ -131,20 +127,46 @@ func TestWaypointActuallyMoves(t *testing.T) {
 	}
 }
 
+// TestWaypointLegsGrowLazily: queries inside the current leg draw
+// nothing, and one past its end draws the next leg, which starts where
+// and when the current one ends.
 func TestWaypointLegsGrowLazily(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxSpeed = 10
 	cfg.MaxPause = time.Second
 	w := NewWaypoint(cfg, sim.NewRNG(10))
-	initial := w.Legs()
+	first := w.cur
 	w.Position(0)
-	if w.Legs() != initial {
-		t.Fatal("Position(0) should not generate extra legs")
+	w.Position(first.end() - 1)
+	if w.cur != first {
+		t.Fatal("queries inside the first leg should not draw another")
+	}
+	w.Position(first.end())
+	if w.cur.start != first.end() || w.cur.from != first.to {
+		t.Fatalf("the second leg starts at %v from %v; want %v from %v", w.cur.start, w.cur.from, first.end(), first.to)
 	}
 	w.Position(600 * time.Second)
-	if w.Legs() <= initial {
-		t.Fatal("querying far future should extend the trajectory")
+	if w.cur.end() <= 600*time.Second || w.cur.start > 600*time.Second {
+		t.Fatalf("after a query at 10m0s the current leg covers [%v, %v)", w.cur.start, w.cur.end())
 	}
+}
+
+// TestWaypointBackwardQueryPanics: a query before the current leg's
+// start panics, since that leg is gone; one inside the current leg but
+// before the last query is still answered.
+func TestWaypointBackwardQueryPanics(t *testing.T) {
+	w := NewWaypoint(testConfig(), sim.NewRNG(11))
+	w.Position(600 * time.Second)
+	start := w.cur.start
+	if got, want := w.Position(start), NewWaypoint(testConfig(), sim.NewRNG(11)).Position(start); got != want {
+		t.Fatalf("Position(%v) = %v inside the current leg, want %v", start, got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Position(%v) before the current leg's start %v did not panic", start-1, start)
+		}
+	}()
+	w.Position(start - 1)
 }
 
 // Property: for random seeds and speeds, positions over a long horizon stay
@@ -221,22 +243,33 @@ func TestWaypointRespectsMaxSpeed(t *testing.T) {
 		// 1/travel_ns fast and ends less than bound × 1 ns ahead (the
 		// excess the MaxSpeed doc states and radio's tables budget for).
 		// Sample 1 ns – 1 µs steps straddling every leg's start, end of
-		// travel and end of pause.
-		for _, l := range w.legs {
+		// travel and end of pause. A model answers rising times only, so
+		// a fresh one reads every sample in order first.
+		var spans [][2]sim.Time
+		var times []sim.Time
+		for _, l := range legsUntil(NewWaypoint(c, sim.NewRNG(seed)), 120*time.Second) {
 			for _, at := range []sim.Time{l.start, l.start + l.travel, l.end()} {
 				for step := time.Nanosecond; step <= time.Microsecond; step *= 10 {
 					for _, span := range [][2]sim.Time{{at - step, at}, {at, at + step}, {at - step, at + step}} {
-						if span[0] < 0 {
-							continue
-						}
-						dt := span[1] - span[0]
-						dist := w.Position(span[0]).Dist(w.Position(span[1]))
-						if dist > bound*(dt+time.Nanosecond).Seconds()*(1+1e-9)+1e-12 {
-							t.Logf("seed %d speed %v: %v m in %v around %v", seed, bound, dist, dt, at)
-							return false
+						if span[0] >= 0 {
+							spans = append(spans, span)
+							times = append(times, span[0], span[1])
 						}
 					}
 				}
+			}
+		}
+		slices.Sort(times)
+		pos := make(map[sim.Time]geom.Point, len(times))
+		fresh := NewWaypoint(c, sim.NewRNG(seed))
+		for _, ts := range times {
+			pos[ts] = fresh.Position(ts)
+		}
+		for _, span := range spans {
+			dt := span[1] - span[0]
+			if dist := pos[span[0]].Dist(pos[span[1]]); dist > bound*(dt+time.Nanosecond).Seconds()*(1+1e-9)+1e-12 {
+				t.Logf("seed %d speed %v: %v m from %v to %v", seed, bound, dist, span[0], span[1])
+				return false
 			}
 		}
 		return true
@@ -246,11 +279,12 @@ func TestWaypointRespectsMaxSpeed(t *testing.T) {
 	}
 }
 
-// TestPositionMemoMatchesFreshModel: one model answering a random query
-// sequence — rising times with repeats, queries exactly at a leg's end
-// and a nanosecond either side, and jumps backwards — returns bit for
-// bit what a fresh model with the same seed returns for each query
-// alone.
+// TestPositionMemoMatchesFreshModel: one model answering a random
+// query sequence at non-decreasing times — rising, with repeats, and
+// exactly at its current leg's end and a nanosecond either side —
+// returns bit for bit what a fresh model with the same seed returns for
+// each query alone, so holding one leg (the model's only memo) changes
+// no answer.
 func TestPositionMemoMatchesFreshModel(t *testing.T) {
 	cfg := WaypointConfig{Area: geom.Rect{W: 50, H: 50}, MaxSpeed: 10, MaxPause: 500 * time.Millisecond}
 	model := func(seed int64) *Waypoint { return NewWaypoint(cfg, sim.NewRNG(seed).Derive("mob")) }
@@ -261,23 +295,25 @@ func TestPositionMemoMatchesFreshModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		m := model(seed)
 		var now sim.Time
+		legs := 1
 		for i := 0; i < 400; i++ {
 			switch k := q.Intn(10); {
-			case k < 5:
+			case k < 6:
 				now += sim.Time(q.Int63n(int64(500 * time.Millisecond)))
-			case k < 6: // repeat the last query
-			case k < 8:
-				l := m.legs[q.Intn(len(m.legs))]
-				now = l.end() + sim.Time(q.Intn(3)-1)
+			case k < 7: // repeat the last query
 			default:
-				now = sim.Time(q.Int63n(int64(now) + 1))
+				now = m.cur.end() + sim.Time(q.Intn(3)-1)
 			}
+			start := m.cur.start
 			if got, want := m.Position(now), model(seed).Position(now); !same(got, want) {
 				t.Fatalf("seed %d, query %d at %v: %v, a fresh model says %v", seed, i, now, got, want)
 			}
+			if m.cur.start != start {
+				legs++
+			}
 		}
-		if m.Legs() < 5 {
-			t.Fatalf("seed %d: the queries covered %d legs; want a sequence crossing many", seed, m.Legs())
+		if legs < 5 {
+			t.Fatalf("seed %d: the queries covered %d legs; want a sequence crossing many", seed, legs)
 		}
 	}
 }

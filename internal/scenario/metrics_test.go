@@ -93,8 +93,10 @@ func TestMetricsSeriesShape(t *testing.T) {
 	var delivered uint64
 	var busyAfterStart bool
 	var channel metrics.ChannelCounters
+	var attempts uint64
 	for _, w := range wins {
 		channel.Add(w.ChannelCounters)
+		attempts += w.MACTxAttempts
 		if w.Start != prev {
 			t.Fatalf("window gap: starts at %v, previous ended at %v", w.Start, prev)
 		}
@@ -123,5 +125,9 @@ func TestMetricsSeriesShape(t *testing.T) {
 	if channel.TxByLayer != res.Channel.TxByLayer || channel.AirtimeByLayer != res.Channel.AirtimeByLayer {
 		t.Fatalf("windowed channel deltas sum to Tx %v Airtime %v, Result.Channel has Tx %v Airtime %v",
 			channel.TxByLayer, channel.AirtimeByLayer, res.Channel.TxByLayer, res.Channel.AirtimeByLayer)
+	}
+	// A MAC transmit attempt is every transmission but an ACK.
+	if want := res.Channel.TotalTx() - res.Channel.TxByLayer[metrics.LayerMAC]; attempts != want || attempts == 0 {
+		t.Fatalf("windowed MAC attempts sum to %d, want the %d non-ACK transmissions", attempts, want)
 	}
 }

@@ -176,6 +176,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: max speed %v m/s is not finite and non-negative", c.MaxSpeed)
 	case !(c.Area.W > 0) || !(c.Area.H > 0) || math.IsInf(c.Area.W, 1) || math.IsInf(c.Area.H, 1):
 		return fmt.Errorf("scenario: degenerate area %+v", c.Area)
+	case c.MaxPause < 0 || c.JoinWindow < 0:
+		// sim.RNG.Duration would silently draw 0 from either.
+		return fmt.Errorf("scenario: negative max pause %v or join window %v", c.MaxPause, c.JoinWindow)
 	case c.Duration <= 0:
 		return fmt.Errorf("scenario: non-positive duration %v", c.Duration)
 	case c.DataEnd > c.Duration:
@@ -338,7 +341,6 @@ type world struct {
 	nodes  []*stack.Node
 
 	memberIdx []int // node indices that are members; the first sources() are senders
-	isSource  map[int]bool
 	sent      int
 	sentAt    map[pkt.SeqKey]sim.Time
 	// tracer is the packet trace ring, nil unless Config.TraceCapacity > 0.
@@ -403,10 +405,6 @@ func build(cfg Config) (*world, error) {
 	}
 	perm := root.Derive("membership").Perm(cfg.Nodes)
 	w.memberIdx = perm[:nMembers]
-	w.isSource = make(map[int]bool, cfg.sources())
-	for _, idx := range w.memberIdx[:cfg.sources()] {
-		w.isSource[idx] = true
-	}
 	w.sentAt = make(map[pkt.SeqKey]sim.Time, cfg.sources()*cfg.ExpectedPackets())
 
 	// The first source joins first and, finding no tree, becomes the
@@ -477,11 +475,12 @@ func (w *world) counters() (c metrics.Counters, macElided uint64) {
 	for _, m := range w.macs {
 		st := m.Stats()
 		c.Add(st.Channel)
-		c.MACTxAttempts += st.TxAttempts
 		c.MACRetries += st.Retries
 		c.MACBackoff += st.BackoffWait
 		macElided += st.ElidedEvents
 	}
+	// Every MAC transmission but an ACK is a data-frame attempt.
+	c.MACTxAttempts = c.TotalTx() - c.TxByLayer[metrics.LayerMAC]
 	for _, st := range w.stacks {
 		c.Delivered += st.Stats().Delivered
 	}
@@ -556,11 +555,10 @@ func (w *world) collect() *Result {
 		res.RecoveredLatencyMean = w.recLatSum / time.Duration(w.recLatCount)
 	}
 
-	received := make([]int, 0, len(w.memberIdx)-1)
-	for _, idx := range w.memberIdx {
-		if w.isSource[idx] {
-			continue // sources trivially have their own packets
-		}
+	// Sources trivially have their own packets.
+	receivers := w.memberIdx[w.cfg.sources():]
+	received := make([]int, 0, len(receivers))
+	for _, idx := range receivers {
 		rs := w.nodes[idx].RecoveryStats()
 		res.Members = append(res.Members, MemberResult{
 			Node:      pkt.NodeID(idx + 1),

@@ -114,6 +114,9 @@ func TestConfigValidate(t *testing.T) {
 		{"negative walk ttl", func(c *Config) { c.Gossip.WalkTTL = -1 }},
 		{"zero data interval", func(c *Config) { c.DataInterval = 0 }},
 		{"negative data interval", func(c *Config) { c.DataInterval = -time.Second }},
+		// Each ran as if it were zero: no pauses, every join at once.
+		{"negative max pause", func(c *Config) { c.MaxPause = -5 * time.Second }},
+		{"negative join window", func(c *Config) { c.JoinWindow = -time.Second }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

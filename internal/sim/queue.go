@@ -40,9 +40,9 @@ func lessBit(e, o event) int {
 // one sift for the pop and the push together, where an eager pop
 // would sift the last leaf down and the push then sift up. Every
 // postponed timer's hop is that pop→push, and in the paper's 40-node
-// world a push fills 83 % of holes (EXPERIMENTS.md §AC). Every other
-// operation fills the hole first, from the last leaf, as an eager pop
-// would have. Push and pop allocate nothing beyond
+// world a push fills 83 % of holes (EXPERIMENTS.md hot-path ledger,
+// §AC). Every other operation fills the hole first, from the last
+// leaf, as an eager pop would have. Push and pop allocate nothing beyond
 // amortised slice growth.
 type quadQueue struct {
 	a []event

@@ -203,12 +203,12 @@ func BenchmarkQueueChurnClustered(b *testing.B) {
 }
 
 // BenchmarkSchedulerPaperMix drives a real Scheduler through 440 s of
-// the paper baseline's pending set (40 nodes, EXPERIMENTS.md §AD): the
-// CBR source as one Every series of 2,200 sends 200 ms apart, as the
-// scenario schedules it, 80 self-re-arming 600 ms protocol ticks (a
-// hello and a sweep tick per node) and 8 channel chains that re-arm
-// 10 µs–20 ms ahead, the contention steps and frame finishes that churn
-// at the front of the queue. One op is one pass; ns/event is the cost
+// the paper baseline's pending set (40 nodes, EXPERIMENTS.md hot-path
+// ledger, §AD): the CBR source as one Every series of 2,200 sends
+// 200 ms apart, as the scenario schedules it, 80 self-re-arming 600 ms
+// protocol ticks (a hello and a sweep tick per node) and 8 channel
+// chains that re-arm 10 µs–20 ms ahead, the contention steps and frame
+// finishes that churn at the front of the queue. One op is one pass; ns/event is the cost
 // per fired event.
 func BenchmarkSchedulerPaperMix(b *testing.B) {
 	const (

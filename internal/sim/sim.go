@@ -19,7 +19,8 @@
 // Timers live in a generation-stamped pool inside the Scheduler: After/At
 // allocate nothing per event, Timer handles are small copyable values, and
 // fired or cancelled slots are recycled through a free list. A periodic
-// series (Every) holds one slot and one queue entry for all its firings.
+// series (Every) holds one slot and one queue entry at a time: each
+// firing arms the next.
 // The pending set is ordered by two implicit 4-ary min-heaps (see
 // quadQueue), a near and a far tier merged by (at, seq) (see
 // nearHorizon).
@@ -67,18 +68,6 @@ type slot struct {
 	// live occupant.
 	gen   uint64
 	state slotState
-	// series is 1 + the index of the slot's Every series in
-	// Scheduler.series, or 0 for a one-shot timer. It sits in the
-	// padding after state, so a slot stays 40 bytes.
-	series int32
-}
-
-// series is what an Every series keeps beside its pool slot: the
-// unclamped deadline of its queued firing, the period, and the number
-// of firings still to come after that one.
-type series struct {
-	at, period Time
-	left       int
 }
 
 // Timer is a handle for a scheduled event: a pool index plus the
@@ -221,10 +210,6 @@ type Scheduler struct {
 	pool    []slot
 	free    []int32
 	stopped bool
-	// series holds the live Every series; seriesFree lists the indices
-	// of ended ones for reuse.
-	series     []series
-	seriesFree []int32
 
 	// processed counts events executed so far (cancelled events excluded).
 	processed uint64
@@ -348,26 +333,30 @@ func (s *Scheduler) At(t Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: At called with nil callback")
 	}
-	if t < s.now {
-		t = s.now
-	}
-	idx := s.alloc(fn, t)
-	s.push(event{at: t, seq: s.seq, slot: idx})
+	idx := s.arm(t, s.seq, fn)
 	s.seq++
 	return Timer{s: s, slot: idx, gen: s.pool[idx].gen}
+}
+
+// arm queues fn at t, clamped to the present, under insertion sequence
+// seq, and returns its pool slot.
+func (s *Scheduler) arm(t Time, seq uint64, fn func()) int32 {
+	t = max(t, s.now)
+	idx := s.alloc(fn, t)
+	s.push(event{at: t, seq: seq, slot: idx})
+	return idx
 }
 
 // Every schedules fn to run n times, at first + i·period for i in
 // [0, n). The firings, and their order against every other event, are
 // those of n back-to-back At calls: Every reserves the n insertion
-// sequences those calls would take, and firing i carries the i-th.
-// Deadlines in the past clamp to the present, as At's do, and one past
-// the largest Time saturates to it. However large n is, the series
-// holds one pool slot and one queue entry, which the kernel re-queues
-// with the next firing's key after each firing (Pending counts it
-// once). It has no handle, so it can be neither cancelled nor
-// postponed. A negative period panics: its firings would not come in
-// sequence order.
+// sequences those calls would take, and firing i is armed under the
+// i-th. Deadlines in the past clamp to the present, as At's do, and one
+// past the largest Time saturates to it. However large n is, the series
+// holds one pool slot and one queue entry at a time: each firing arms
+// the next before it calls fn (Pending counts the series once). It has
+// no handle, so it can be neither cancelled nor postponed. A negative
+// period panics: its firings would not come in sequence order.
 func (s *Scheduler) Every(first, period Time, n int, fn func()) {
 	if fn == nil {
 		panic("sim: Every called with nil callback")
@@ -378,49 +367,21 @@ func (s *Scheduler) Every(first, period Time, n int, fn func()) {
 	if period < 0 {
 		panic("sim: Every called with a negative period")
 	}
-	t := max(first, s.now)
-	idx := s.alloc(fn, t)
-	if n > 1 {
-		s.pool[idx].series = s.newSeries(series{at: first, period: period, left: n - 1})
-	}
-	s.push(event{at: t, seq: s.seq, slot: idx})
+	at, seq, left := first, s.seq, n
 	s.seq += uint64(n)
-}
-
-// newSeries stores sr, reusing an ended series' index when there is
-// one, and returns its slot tag (index + 1).
-func (s *Scheduler) newSeries(sr series) int32 {
-	if n := len(s.seriesFree); n > 0 {
-		i := s.seriesFree[n-1]
-		s.seriesFree = s.seriesFree[:n-1]
-		s.series[i] = sr
-		return i + 1
+	var step func()
+	step = func() {
+		if left--; left > 0 {
+			next := at + period
+			if next < at { // overflow: saturate, as After does
+				next = Time(math.MaxInt64)
+			}
+			at, seq = next, seq+1
+			s.arm(at, seq, step)
+		}
+		fn()
 	}
-	s.series = append(s.series, sr)
-	return int32(len(s.series))
-}
-
-// requeue re-queues the series slot sl, whose firing e was just popped,
-// under the key of the series' next firing, and reports whether there
-// was one. After the last firing it releases the series, and the slot
-// is freed as a one-shot timer's would be.
-func (s *Scheduler) requeue(e event, sl *slot) bool {
-	i := sl.series - 1
-	sr := &s.series[i]
-	if sr.left == 0 {
-		sl.series = 0
-		s.seriesFree = append(s.seriesFree, i)
-		return false
-	}
-	sr.left--
-	next := sr.at + sr.period
-	if next < sr.at { // overflow: saturate, as After does
-		next = Time(math.MaxInt64)
-	}
-	sr.at = next
-	sl.at = max(next, s.now)
-	s.push(event{at: sl.at, seq: e.seq + 1, slot: e.slot})
-	return true
+	s.arm(at, seq, step)
 }
 
 // alloc claims a pool slot for a pending event, recycling from the free
@@ -444,14 +405,10 @@ func (s *Scheduler) alloc(fn func(), t Time) int32 {
 // fire pops the given entry's slot into the fired state, releases the
 // callback and the slot, and returns the callback to run. The slot is
 // recycled before the callback executes, so a callback that schedules
-// a new timer may reuse it immediately. A series with firings to come
-// keeps its slot and callback and is re-queued instead.
+// a new timer may reuse it immediately.
 func (s *Scheduler) fire(e event) func() {
 	sl := &s.pool[e.slot]
 	fn := sl.fn
-	if sl.series != 0 && s.requeue(e, sl) {
-		return fn
-	}
 	sl.fn = nil // release the closure the moment it is claimed
 	sl.state = slotFired
 	s.free = append(s.free, e.slot)

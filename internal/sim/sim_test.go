@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-	"unsafe"
 )
 
 func TestSchedulerRunsInTimeOrder(t *testing.T) {
@@ -625,9 +624,6 @@ func TestEveryMatchesBackToBackAt(t *testing.T) {
 // first firing to the last. A series that fell back to one entry per
 // firing would still fire in order, so only this test sees it.
 func TestEveryHoldsOneEntry(t *testing.T) {
-	if size := unsafe.Sizeof(slot{}); size != 40 {
-		t.Fatalf("a pool slot is %d bytes, want 40: the series tag must fit the padding", size)
-	}
 	s := NewScheduler()
 	var fired []Time
 	s.Every(120*time.Second, 200*time.Millisecond, 2201, func() { fired = append(fired, s.Now()) })
@@ -642,9 +638,9 @@ func TestEveryHoldsOneEntry(t *testing.T) {
 	if len(fired) != 2201 || fired[0] != 120*time.Second || fired[2200] != 560*time.Second {
 		t.Fatalf("%d firings from %v to %v, want 2201 from 2m0s to 9m20s", len(fired), fired[0], fired[len(fired)-1])
 	}
-	if s.queued() != 0 || len(s.pool) != 1 || len(s.series) != 1 || len(s.seriesFree) != 1 {
-		t.Fatalf("after the last firing: %d queued, %d slots, %d series (%d free); want the slot and the series free",
-			s.queued(), len(s.pool), len(s.series), len(s.seriesFree))
+	if s.queued() != 0 || len(s.pool) != 1 || len(s.free) != 1 {
+		t.Fatalf("after the last firing: %d queued, %d slots (%d free); want the slot free",
+			s.queued(), len(s.pool), len(s.free))
 	}
 }
 
@@ -660,8 +656,8 @@ func TestEveryEdges(t *testing.T) {
 	s.Every(time.Second, time.Second, 0, note("never"))
 	s.Every(time.Second, time.Hour, 1, note("one"))
 	s.At(time.Second, note("b"))
-	if s.Pending() != 3 || s.seq != 3 || len(s.series) != 0 {
-		t.Fatalf("%d pending, %d sequences taken, %d series; want 3, 3 and none", s.Pending(), s.seq, len(s.series))
+	if s.Pending() != 3 || s.seq != 3 {
+		t.Fatalf("%d pending, %d sequences taken; want 3 and 3", s.Pending(), s.seq)
 	}
 	s.Run(50 * time.Second)
 	// From t = 50 s: deadlines 30, 45, 60, 75 s clamp to 50, 50, 60, 75.
