@@ -118,8 +118,8 @@ func RunComparison(base Config, xs []float64, apply func(Config, float64) Config
 type Sweep = scenario.Sweep
 
 // Sweeps returns every x-axis experiment: the paper's Figs. 2–7, then
-// the large-scale (EXPERIMENTS.md §L), huge-scale (§H) and
-// dense-traffic (§D) families.
+// the large-scale (EXPERIMENTS.md §L) and dense-traffic (§D) families,
+// then the gossip ablations A2–A4.
 func Sweeps() []Sweep { return scenario.Sweeps() }
 
 // PrintComparison writes the rows of sweep s, run on base with the

@@ -78,7 +78,7 @@ func TestFacadeSweeps(t *testing.T) {
 	for _, s := range anongossip.Sweeps() {
 		ids[s.ID] = true
 	}
-	for _, id := range []string{"2", "7", "large", "huge", "dense", "a2", "a3", "a4"} {
+	for _, id := range []string{"2", "7", "large", "dense", "a2", "a3", "a4"} {
 		if !ids[id] {
 			t.Fatalf("Sweeps lacks %q: %v", id, ids)
 		}

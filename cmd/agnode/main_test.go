@@ -67,8 +67,18 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-timescale", []string{"-id", "1", "-timescale", "+Inf"}},
 		{"-inbox", []string{"-id", "1", "-inbox", "-1"}}, // ran the default
 	} {
-		if err := run(tt.args); err == nil || !strings.Contains(err.Error(), tt.flag) {
-			t.Errorf("run(%v) err = %v, want one naming %s", tt.args, err, tt.flag)
+		// A wrongly accepted row boots the daemon, which serves until
+		// interrupted: run it off the test goroutine so such a row fails
+		// instead of hanging the suite.
+		done := make(chan error, 1)
+		go func() { done <- run(tt.args) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tt.flag) {
+				t.Errorf("run(%v) err = %v, want one naming %s", tt.args, err, tt.flag)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("run(%v) never returned, want an error naming %s", tt.args, tt.flag)
 		}
 	}
 }

@@ -114,6 +114,8 @@ func TestWindowsFromReadings(t *testing.T) {
 	}
 }
 
+// TestWindowJSONAndCSV checks a window's -json record (agbench -metrics
+// writes the series there) and its row in the CLI table.
 func TestWindowJSONAndCSV(t *testing.T) {
 	win := Window{Start: 0, End: time.Second}
 	win.AirtimeByLayer[LayerData] = 250 * time.Millisecond
@@ -138,23 +140,8 @@ func TestWindowJSONAndCSV(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
-		t.Fatalf("csv: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("csv has %d lines, want header + 1 row", len(lines))
-	}
-	if !strings.Contains(lines[0], "busy_fraction") || !strings.Contains(lines[0], "airtime_share_gossip") {
-		t.Errorf("csv header missing expected columns: %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "0.2500") {
-		t.Errorf("csv row missing busy fraction: %q", lines[1])
-	}
-
 	// The CLI table: the same window as one fixed-width row under a
 	// header, every column present.
-	buf.Reset()
 	if err := s.WriteTable(&buf); err != nil {
 		t.Fatalf("table: %v", err)
 	}

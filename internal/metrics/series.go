@@ -166,31 +166,3 @@ func (s Series) WriteTable(w io.Writer) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// WriteCSV renders the series as a flat CSV table, one row per window,
-// with a header row. The layer columns are expanded per layer so the
-// file loads straight into a plotting tool.
-func (s Series) WriteCSV(w io.Writer) error {
-	cols := []string{"start_s", "end_s", "busy_fraction"}
-	for l := Layer(0); l < NumLayers; l++ {
-		cols = append(cols, "airtime_share_"+l.String(), "tx_"+l.String())
-	}
-	cols = append(cols, "collisions", "delivered", "data_delivered",
-		"gossip_rounds", "gossip_replies", "mac_tx_attempts", "mac_retries",
-		"mac_backoff_s", "in_flight", "queue_depth")
-	var b strings.Builder
-	b.WriteString(strings.Join(cols, ","))
-	b.WriteByte('\n')
-	for _, win := range s.Windows {
-		fmt.Fprintf(&b, "%.3f,%.3f,%.4f", win.Start.Seconds(), win.End.Seconds(), win.BusyFraction())
-		for l := Layer(0); l < NumLayers; l++ {
-			fmt.Fprintf(&b, ",%.4f,%d", win.AirtimeShare(l), win.TxByLayer[l])
-		}
-		fmt.Fprintf(&b, ",%d,%d,%d,%d,%d,%d,%d,%.4f,%d,%d\n",
-			win.Collisions, win.Delivered, win.DataDelivered,
-			win.GossipRounds, win.GossipReplies, win.MACTxAttempts, win.MACRetries,
-			win.MACBackoff.Seconds(), win.InFlight, win.QueueDepth)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}

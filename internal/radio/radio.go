@@ -162,7 +162,8 @@ type recvEntry struct {
 // skinDiv sets the neighbour tables' skin, Range/skinDiv: how far a
 // transmitter and a neighbour may close or open, in total, before the
 // table is rebuilt. Every value from Range/8 to Range/128 runs the
-// paper's speeds equally fast (EXPERIMENTS.md §W), so it is not a knob.
+// paper's speeds equally fast (EXPERIMENTS.md hot-path ledger, §W), so
+// it is not a knob.
 const skinDiv = 32
 
 // nbrEntry is one row of a transceiver's certified neighbour table: a

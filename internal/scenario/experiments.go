@@ -29,13 +29,6 @@ type Aggregate struct {
 	// source sends can fail seed-dependently, so the mean — not an
 	// arbitrary seed's count — is the DeliveryRatio denominator.
 	Sent int
-	// Events sums the logical simulation events over all seeds — a
-	// workload-size metric for perf tracking.
-	Events uint64
-	// HeapLiveBytes is the largest post-run live heap across seeds
-	// (zero unless the runs set Config.MeasureHeap; see the huge-scale
-	// family).
-	HeapLiveBytes uint64
 }
 
 // DeliveryRatio is mean delivery over packets sent, in [0, 1].
@@ -86,10 +79,6 @@ func AggregateResults(results []*Result) Aggregate {
 		agg.Received = stats.Merge(agg.Received, r.Received)
 		goodputSum += r.MeanGoodput()
 		sentSum += r.Sent
-		agg.Events += r.Events
-		if r.HeapLiveBytes > agg.HeapLiveBytes {
-			agg.HeapLiveBytes = r.HeapLiveBytes
-		}
 	}
 	if len(results) > 0 {
 		agg.Goodput = goodputSum / float64(len(results))
@@ -106,11 +95,6 @@ type ComparisonRow struct {
 	X      float64
 	Gossip Aggregate
 	Maodv  Aggregate
-	// Elapsed is the wall time this point took: both stacks, all seeds
-	// (measurement metadata, not a simulation result). Together with
-	// the aggregates' Events totals it gives the events/sec perf track
-	// agbench -json records across PRs.
-	Elapsed time.Duration
 }
 
 // Pair returns the two stacks a comparison measures on base: the
@@ -133,8 +117,6 @@ func RunComparison(base Config, xs []float64, apply func(Config, float64) Config
 	rows := make([]ComparisonRow, 0, len(xs))
 	for _, x := range xs {
 		cfg := apply(base, x)
-		start := time.Now()
-
 		cfg.Stack = treatment
 		tRes, err := RunSeeds(cfg, seeds, parallel)
 		if err != nil {
@@ -145,10 +127,7 @@ func RunComparison(base Config, xs []float64, apply func(Config, float64) Config
 		if err != nil {
 			return nil, fmt.Errorf("%v at x=%v: %w", baseline, x, err)
 		}
-		rows = append(rows, ComparisonRow{
-			X: x, Gossip: AggregateResults(tRes), Maodv: AggregateResults(bRes),
-			Elapsed: time.Since(start),
-		})
+		rows = append(rows, ComparisonRow{X: x, Gossip: AggregateResults(tRes), Maodv: AggregateResults(bRes)})
 	}
 	return rows, nil
 }
@@ -197,8 +176,8 @@ func Seeds(n int) []int64 {
 type Sweep struct {
 	// ID names the sweep: the paper's figure number, or the family.
 	ID string
-	// Title heads the sweep's table; Heading fills its {nodes},
-	// {sources} and {window} placeholders.
+	// Title heads the sweep's table; Heading fills its {nodes} and
+	// {sources} placeholders.
 	Title string
 	XName string
 	Xs    []float64
@@ -206,7 +185,7 @@ type Sweep struct {
 }
 
 // Sweeps returns every x-axis experiment (DESIGN.md §3): the paper's
-// Figs. 2–7, then the large-scale, huge-scale and dense-traffic families
+// Figs. 2–7, then the large-scale and dense-traffic families
 // beyond the paper, then the gossip ablations A2–A4. Fig. 8 has no x
 // axis; see Fig8Cases.
 func Sweeps() []Sweep {
@@ -253,8 +232,6 @@ func Sweeps() []Sweep {
 			rangeXs(40, 100, 15), nodesAt(func(float64) float64 { return 55 })},
 		{"large", "Large scale: Packet Delivery vs Number of Nodes (constant density, 75 m range)", "nodes",
 			[]float64{100, 250, 500, 1000}, largeScale},
-		{"huge", "Huge scale: perf and memory vs Number of Nodes (constant density, 75 m range, {window} window)", "nodes",
-			[]float64{10000, 25000, 50000, 100000}, hugeScale},
 		{"dense", "Dense traffic: Packet Delivery vs Mean Degree ({nodes} nodes, {sources} sources, 75 m range)", "degree",
 			[]float64{20, 30, 40, 60}, dense},
 		{"a2", "Ablation A2: Packet Delivery vs Anonymous Share PAnon (range 55 m, speed 1 m/s)", "panon",
@@ -274,13 +251,11 @@ func (s Sweep) Paper() bool {
 	return err == nil
 }
 
-// Heading is the sweep's table title on base: Title with {nodes},
-// {sources} and {window} replaced by the first point's node count,
-// source count and run duration.
+// Heading is the sweep's table title on base: Title with {nodes} and
+// {sources} replaced by the first point's node count and source count.
 func (s Sweep) Heading(base Config) string {
 	c := s.Apply(base, s.Xs[0])
-	return strings.NewReplacer("{nodes}", strconv.Itoa(c.Nodes), "{sources}", strconv.Itoa(c.NumSources),
-		"{window}", c.Duration.String()).Replace(s.Title)
+	return strings.NewReplacer("{nodes}", strconv.Itoa(c.Nodes), "{sources}", strconv.Itoa(c.NumSources)).Replace(s.Title)
 }
 
 func rangeXs(lo, hi, step float64) []float64 {
@@ -341,33 +316,14 @@ func ShortenedData(c Config, duration time.Duration) Config {
 	return c
 }
 
-// --- huge-scale family (beyond the paper) ---
-//
-// The large-scale family stops at 1000 nodes. The huge family extends
-// the same constant-density law (75 m range, side(n) = 200·sqrt(n/40))
-// to 10k–100k nodes, where the questions change from delivery shape to
-// engineering: does throughput stay O(events), and does per-node
-// memory stay flat as the world grows? Its runs therefore measure the
-// live heap (Config.MeasureHeap) alongside events/sec, and agbench
-// -fig huge records heap_bytes_per_node / peak_heap_bytes in its
-// -json output. At these scales a full paper-length
-// run is hours; the family is meant to be swept with a short data
-// window (agbench's -huge-duration, default 10 s), which makes the
-// delivery columns warm-up-dominated noise — the family's results are
-// the perf and memory columns, not the delivery tables.
-
-// hugeScale sets the node count on the constant-density terrain
-// (identical law to largeScale) and turns on per-run heap measurement.
-func hugeScale(c Config, x float64) Config {
-	c = largeScale(c, x)
+// HugeScaleConfig returns the large-scale configuration at one node
+// count with Config.MeasureHeap set: past 1000 nodes per-node memory,
+// not delivery, is the question (bench/ and TestHugeMemoryPerNode run it
+// on short data windows). Callers almost always want ShortenedData.
+func HugeScaleConfig(nodes int) Config {
+	c := LargeScaleConfig(nodes)
 	c.MeasureHeap = true
 	return c
-}
-
-// HugeScaleConfig returns the huge-scale configuration at one node
-// count. Callers almost always want ShortenedData on top.
-func HugeScaleConfig(nodes int) Config {
-	return hugeScale(DefaultConfig(), float64(nodes))
 }
 
 // --- dense-traffic family (beyond the paper) ---

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"anongossip/internal/stack"
 )
 
 // TestLargeScaleFamilyHoldsDensity checks the family's defining
@@ -68,4 +70,29 @@ func TestLargeScaleRunsDeliver(t *testing.T) {
 	if res.MeanDegree < 5 || res.MeanDegree > 40 {
 		t.Fatalf("mean degree %.1f outside the constant-density band", res.MeanDegree)
 	}
+}
+
+// hugeHeapPerNode10k is the live heap per node after the 10k-node run of
+// TestHugeMemoryPerNode, measured twice (22,065.0 and 22,064.5) when the
+// check was retired from CI's memory gate.
+const hugeHeapPerNode10k = 22065.0
+
+// TestHugeMemoryPerNode is the per-node memory check: the live heap
+// after a 10k-node run is deterministic to four digits, so it must stay
+// within 10% of the recorded footprint.
+func TestHugeMemoryPerNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := ShortenedData(HugeScaleConfig(10000), time.Second)
+	cfg.Stack = stack.Spec{Routing: "maodv", Recovery: "gossip"}
+	res, err := RunSeeds(cfg, Seeds(1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := float64(res[0].HeapLiveBytes) / float64(cfg.Nodes)
+	if got <= 0 || got > 1.10*hugeHeapPerNode10k {
+		t.Fatalf("heap bytes per node = %.1f, want in (0, %.1f]", got, 1.10*hugeHeapPerNode10k)
+	}
+	t.Logf("heap bytes per node %.1f (recorded %.1f)", got, hugeHeapPerNode10k)
 }

@@ -79,7 +79,7 @@ type Config struct {
 	// Result.HeapLiveBytes (a forced GC plus ReadMemStats, a few ms).
 	// The sample is process-wide: run points sequentially (seeds
 	// parallel=1, one run at a time) for meaningful per-run numbers.
-	// The huge-scale family sets it.
+	// HugeScaleConfig sets it.
 	MeasureHeap bool
 
 	// TraceCapacity, when positive, records the last N packet events
@@ -270,7 +270,7 @@ type Result struct {
 	MeanDegree float64
 	// HeapLiveBytes is the process's live heap after the run with the
 	// simulated world still reachable (Config.MeasureHeap only) — the
-	// per-node memory-footprint metric of the huge-scale family.
+	// per-node memory-footprint metric of HugeScaleConfig runs.
 	HeapLiveBytes uint64
 	// Trace holds the packet trace when Config.TraceCapacity > 0.
 	Trace *trace.Ring

@@ -203,13 +203,12 @@ const nearHorizon = 50 * time.Millisecond
 // Scheduler is the event loop. The zero value is not usable; construct with
 // NewScheduler.
 type Scheduler struct {
-	now     Time
-	seq     uint64
-	near    quadQueue // entries due under nearHorizon ahead when pushed
-	far     quadQueue // the rest; seq is global, so the two tops merge
-	pool    []slot
-	free    []int32
-	stopped bool
+	now  Time
+	seq  uint64
+	near quadQueue // entries due under nearHorizon ahead when pushed
+	far  quadQueue // the rest; seq is global, so the two tops merge
+	pool []slot
+	free []int32
 
 	// processed counts events executed so far (cancelled events excluded).
 	processed uint64
@@ -426,18 +425,12 @@ func (s *Scheduler) repost(e event) {
 	s.elided++
 }
 
-// Stop makes Run return after the event currently executing completes.
-func (s *Scheduler) Stop() { s.stopped = true }
-
 // Run executes events in order until the queue is empty or the next event
-// is strictly after `until`, and then advances the clock to `until`. When a
-// callback's Stop ends the call early the clock stays at that event, so the
-// events still pending before `until` keep their place in time for the Run
-// that resumes. It reports the number of events executed by this call.
+// is strictly after `until`, and then advances the clock to `until`. It
+// reports the number of events executed by this call.
 func (s *Scheduler) Run(until Time) uint64 {
 	var n uint64
-	s.stopped = false
-	for q := s.top(); q != nil && !s.stopped && q.peek().at <= until; q = s.top() {
+	for q := s.top(); q != nil && q.peek().at <= until; q = s.top() {
 		e := q.pop()
 		if s.pool[e.slot].state == slotCancelled {
 			s.cancelled--
@@ -453,7 +446,7 @@ func (s *Scheduler) Run(until Time) uint64 {
 		s.processed++
 		n++
 	}
-	if !s.stopped && s.now < until {
+	if s.now < until {
 		s.now = until
 	}
 	return n
@@ -464,8 +457,7 @@ func (s *Scheduler) Run(until Time) uint64 {
 // It is intended for tests; simulations should use Run with a horizon.
 func (s *Scheduler) RunAll(maxEvents uint64) (uint64, bool) {
 	var n uint64
-	s.stopped = false
-	for q := s.top(); q != nil && n < maxEvents && !s.stopped; q = s.top() {
+	for q := s.top(); q != nil && n < maxEvents; q = s.top() {
 		e := q.pop()
 		if s.pool[e.slot].state == slotCancelled {
 			s.cancelled--

@@ -249,42 +249,6 @@ func TestNegativeDelayClampsToNow(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	s := NewScheduler()
-	var at []Time
-	for i := 1; i <= 5; i++ {
-		s.After(Time(i)*time.Second, func() {
-			at = append(at, s.Now())
-			if len(at) == 2 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run(10 * time.Second)
-	if len(at) != 2 {
-		t.Fatalf("Stop did not halt Run: %d events executed, want 2", len(at))
-	}
-	// The stopped clock stays at the last executed event: three events
-	// are still pending before the horizon the call did not reach.
-	stoppedAt := s.Now()
-	if stoppedAt != 2*time.Second {
-		t.Fatalf("Now() after a stopped Run = %v, want 2s", stoppedAt)
-	}
-	// A subsequent Run resumes, and the clock never moves backwards.
-	s.Run(10 * time.Second)
-	if len(at) != 5 {
-		t.Fatalf("resumed Run executed %d total, want 5", len(at))
-	}
-	for _, a := range at[2:] {
-		if a < stoppedAt {
-			t.Fatalf("resumed Run fired an event at %v, before the %v the clock had reached", a, stoppedAt)
-		}
-	}
-	if s.Now() != 10*time.Second {
-		t.Fatalf("Now() after the resumed Run = %v, want 10s", s.Now())
-	}
-}
-
 func TestRunAll(t *testing.T) {
 	s := NewScheduler()
 	count := 0

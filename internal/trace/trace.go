@@ -65,19 +65,18 @@ func (e Event) String() string {
 // with NewRing. Events are kept in record order, which is the
 // simulation's execution order.
 type Ring struct {
-	events []Event
-	next   int
-	full   bool
-	total  uint64
-	filter func(Event) bool
+	events   []Event // grows as events are recorded, up to capacity
+	capacity int
+	next     int // the oldest retained event once the ring is full
+	total    uint64
+	filter   func(Event) bool
 }
 
-// NewRing creates a trace holding the last capacity events.
+// NewRing creates a trace holding the last capacity events. It
+// allocates nothing for them up front: the ring grows as events are
+// recorded, so a generous capacity costs only what a run fills.
 func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &Ring{events: make([]Event, capacity)}
+	return &Ring{capacity: max(capacity, 1)}
 }
 
 // SetFilter installs a predicate; events failing it are not recorded.
@@ -90,32 +89,25 @@ func (r *Ring) Record(e Event) {
 		return
 	}
 	r.total++
+	if len(r.events) < r.capacity {
+		r.events = append(r.events, e)
+		return
+	}
 	r.events[r.next] = e
 	r.next = (r.next + 1) % len(r.events)
-	if r.next == 0 {
-		r.full = true
-	}
 }
 
 // Total returns the number of events recorded (including evicted ones).
 func (r *Ring) Total() uint64 { return r.total }
 
 // Len returns the number of events currently retained.
-func (r *Ring) Len() int {
-	if r.full {
-		return len(r.events)
-	}
-	return r.next
-}
+func (r *Ring) Len() int { return len(r.events) }
 
 // Events returns the retained events, oldest first.
 func (r *Ring) Events() []Event {
-	out := make([]Event, 0, r.Len())
-	if r.full {
-		out = append(out, r.events[r.next:]...)
-	}
-	out = append(out, r.events[:r.next]...)
-	return out
+	out := make([]Event, 0, len(r.events))
+	out = append(out, r.events[r.next:]...)
+	return append(out, r.events[:r.next]...)
 }
 
 // Dump writes the retained events as text lines.

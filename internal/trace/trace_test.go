@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -47,6 +48,20 @@ func TestRingZeroCapacityClamped(t *testing.T) {
 	r.Record(ev(1, pkt.KindHello, 0))
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (clamped capacity)", r.Len())
+	}
+}
+
+// TestRingGrowsAsRecorded: a ring allocates as events arrive, not its
+// whole capacity up front. A capacity whose byte size overflows int made
+// NewRing's allocation panic before the first event was recorded.
+func TestRingGrowsAsRecorded(t *testing.T) {
+	r := NewRing(math.MaxInt / 8)
+	for i := 1; i <= 3; i++ {
+		r.Record(ev(pkt.NodeID(i), pkt.KindData, time.Duration(i)*time.Second))
+	}
+	events := r.Events()
+	if r.Len() != 3 || len(events) != 3 || events[0].Node != 1 || events[2].Node != 3 {
+		t.Fatalf("Len = %d, events = %v, want nodes 1..3", r.Len(), events)
 	}
 }
 
