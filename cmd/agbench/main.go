@@ -68,6 +68,9 @@ type jsonAgg struct {
 	Std     float64 `json:"std"`
 	Goodput float64 `json:"goodput"`
 	Sent    int     `json:"sent"`
+	// RouteDiscoveries is the mean count of unicast route requests
+	// originated per run.
+	RouteDiscoveries float64 `json:"route_discoveries"`
 }
 
 // jsonPoint is one x-axis point of one figure.
@@ -113,7 +116,7 @@ type jsonReport struct {
 // aggJSON is one stack's aggregate as the record stores it.
 func aggJSON(a scenario.Aggregate) jsonAgg {
 	return jsonAgg{Mean: a.Received.Mean, Min: a.Received.Min, Max: a.Received.Max, Std: a.Received.Std,
-		Goodput: a.Goodput, Sent: a.Sent}
+		Goodput: a.Goodput, Sent: a.Sent, RouteDiscoveries: a.RouteDiscoveries}
 }
 
 // addFigure converts sweep s's rows, run on cfg, into the report's

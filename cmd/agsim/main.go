@@ -97,8 +97,8 @@ func run(args []string) error {
 	if spec.Recovery != "" {
 		fmt.Printf("goodput      %.1f%%\n", res.MeanGoodput())
 	}
-	fmt.Printf("overhead     control %d KB, payload %d KB, %d MAC collisions\n",
-		res.ControlBytes/1024, res.PayloadBytes/1024, res.MACCollisions)
+	fmt.Printf("overhead     control %d KB, payload %d KB, %d MAC collisions, %d route discoveries\n",
+		res.ControlBytes/1024, res.PayloadBytes/1024, res.MACCollisions, res.RouteDiscoveries)
 	fmt.Printf("simulator    %d events in %v (%.1fx real time)\n",
 		res.Events, wall.Round(time.Millisecond), cfg.Duration.Seconds()/wall.Seconds())
 	fmt.Printf("             processed %d, elided %d (kernel %d, radio %d, mac %d)\n",

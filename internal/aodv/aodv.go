@@ -287,6 +287,16 @@ func (r *Router) RouteHops(dst pkt.NodeID) (uint8, bool) {
 	return rt.hops, true
 }
 
+// LearnRoute installs a route to dst through the neighbour via, hops
+// long, taken from a packet that dst originated and via relayed, the
+// way an RREQ leaves a reverse route (RFC 3561 §6.5). It carries no
+// sequence number, so the freshness rules let it fill only a missing
+// or expired entry, and any sequenced route replaces it. Like every
+// install, it sends what a pending discovery for dst holds.
+func (r *Router) LearnRoute(dst, via pkt.NodeID, hops uint8) {
+	r.installRoute(dst, 0, false, hops, via)
+}
+
 // RelayRREP addresses a copy of rrep to the next hop on the reverse path
 // toward its requester and transmits it; rrep stays the caller's. It
 // reports false when no reverse route exists. MAODV uses it to emit join

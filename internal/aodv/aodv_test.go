@@ -446,3 +446,96 @@ func TestQueueBounded(t *testing.T) {
 		t.Fatalf("queued = %d, want cap %d", len(d.queued), DefaultConfig().MaxQueuedPerDest)
 	}
 }
+
+// TestLearnRouteFreshness: a learned route carries no sequence number,
+// so it fills a missing or an expired entry but never replaces a fresh
+// route, sequenced or hello-learned, and a later RREP replaces it.
+func TestLearnRouteFreshness(t *testing.T) {
+	w := buildWorld(t, linePositions(2))
+	w.sched.Run(time.Second) // hellos: 1 and 2 hold 1-hop routes to each other
+	r := w.routers[0]
+	route := func(dst pkt.NodeID) (pkt.NodeID, uint8) {
+		hops, ok := r.RouteHops(dst)
+		if !ok {
+			return 0, 0
+		}
+		next, _ := r.NextHop(dst)
+		return next, hops
+	}
+
+	r.LearnRoute(9, 2, 3) // missing entry
+	if next, hops := route(9); next != 2 || hops != 3 {
+		t.Fatalf("learned route to 9: via %v, %d hops; want via 2, 3 hops", next, hops)
+	}
+	r.LearnRoute(9, 7, 1) // fresh, unsequenced: kept
+	if next, hops := route(9); next != 2 || hops != 3 {
+		t.Fatalf("a second learned route replaced a fresh one: via %v, %d hops", next, hops)
+	}
+
+	w.sched.Run(w.sched.Now() + DefaultConfig().ActiveRouteTimeout + time.Second)
+	if _, ok := r.RouteHops(9); ok {
+		t.Fatal("unused route to 9 did not expire")
+	}
+	r.LearnRoute(9, 2, 4) // expired entry
+	if next, hops := route(9); next != 2 || hops != 4 {
+		t.Fatalf("learned route into an expired entry: via %v, %d hops; want via 2, 4 hops", next, hops)
+	}
+
+	rrep := pkt.NewPacket(2, 1, &pkt.RREP{Dst: 9, DstSeq: 1, Orig: 1, HopCount: 1})
+	r.onRREP(rrep, 2)
+	if next, hops := route(9); next != 2 || hops != 2 {
+		t.Fatalf("RREP did not replace the learned route: via %v, %d hops; want via 2, 2 hops", next, hops)
+	}
+	r.LearnRoute(9, 7, 1)
+	if next, hops := route(9); next != 2 || hops != 2 {
+		t.Fatalf("learned route replaced a fresh sequenced one: via %v, %d hops", next, hops)
+	}
+
+	r.LearnRoute(2, 7, 2)
+	if next, hops := route(2); next != 2 || hops != 1 {
+		t.Fatalf("learned route replaced the hello route: via %v, %d hops", next, hops)
+	}
+}
+
+// TestLearnRouteSendsPendingDiscovery: learning a route to a
+// destination whose discovery is pending sends the queued packet at
+// once and ends the discovery, with no retry.
+func TestLearnRouteSendsPendingDiscovery(t *testing.T) {
+	w := buildWorld(t, linePositions(2))
+	r := w.routers[0]
+	w.sched.After(0, func() {
+		w.stacks[0].SendUnicast(payload(1, 2))
+		if r.pending[2] == nil {
+			t.Fatal("no discovery pending before any hello")
+		}
+		r.LearnRoute(2, 2, 1)
+		if r.pending[2] != nil {
+			t.Fatal("discovery still pending after the route was learned")
+		}
+	})
+	w.sched.Run(5 * time.Second)
+	if w.rxs[1] != 1 {
+		t.Fatalf("destination deliveries = %d, want 1", w.rxs[1])
+	}
+	if st := r.Stats(); st.RREQsOriginated != 1 || st.DiscoveryFails != 0 {
+		t.Fatalf("%d RREQs and %d failed discoveries, want the one RREQ sent before learning", st.RREQsOriginated, st.DiscoveryFails)
+	}
+}
+
+// TestLearnRouteAllocatesNothing: every gossip request its node
+// receives offers AODV a route; on an entry the table holds, learning
+// allocates nothing, whether it keeps the route or refills it.
+func TestLearnRouteAllocatesNothing(t *testing.T) {
+	r := buildWorld(t, linePositions(1)).routers[0]
+	r.LearnRoute(9, 2, 3)
+	refill := false
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if refill {
+			r.routes.Ref(9).valid = false
+		}
+		refill = !refill
+		r.LearnRoute(9, 2, 3)
+	}); allocs != 0 {
+		t.Fatalf("LearnRoute on a held entry allocates %v times, want 0", allocs)
+	}
+}

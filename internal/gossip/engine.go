@@ -81,9 +81,17 @@ func SortHops(hops []NextHop) {
 	slices.SortFunc(hops, func(a, b NextHop) int { return cmp.Compare(a.ID, b.ID) })
 }
 
-// HopEstimator optionally supplies unicast route hop counts for member
-// cache bookkeeping (AODV provides this for free).
-type HopEstimator func(dst pkt.NodeID) (uint8, bool)
+// Routes is the unicast substrate the pull replies travel on; AODV's
+// Router satisfies it.
+type Routes interface {
+	// RouteHops returns the hop count of a valid route to dst, if known
+	// (member cache bookkeeping).
+	RouteHops(dst pkt.NodeID) (uint8, bool)
+	// LearnRoute offers a route to dst through the neighbour via, hops
+	// long, that a request from dst has just crossed. The substrate
+	// keeps it only where it knows no better route.
+	LearnRoute(dst, via pkt.NodeID, hops uint8)
+}
 
 // Fixed parameters of every engine: no experiment turns them.
 const (
@@ -184,12 +192,12 @@ type groupState struct {
 
 // Engine is one node's AG entity.
 type Engine struct {
-	cfg   Config
-	stack *node.Stack
-	sched runtime.Clock
-	rng   *sim.RNG
-	tree  Tree
-	hops  HopEstimator
+	cfg    Config
+	stack  *node.Stack
+	sched  runtime.Clock
+	rng    *sim.RNG
+	tree   Tree
+	routes Routes
 
 	groups map[pkt.GroupID]*groupState
 	subs   []DeliverFunc
@@ -224,8 +232,10 @@ func New(st *node.Stack, tree Tree, rng *sim.RNG, cfg Config) *Engine {
 	return e
 }
 
-// SetHopEstimator wires an optional unicast-route hop source.
-func (e *Engine) SetHopEstimator(h HopEstimator) { e.hops = h }
+// SetRoutes wires the unicast substrate the replies travel on. Without
+// one the engine learns no routes and caches hop counts the walk
+// measured.
+func (e *Engine) SetRoutes(r Routes) { e.routes = r }
 
 // OnDeliver subscribes to unique data deliveries (tree and recovered).
 func (e *Engine) OnDeliver(fn DeliverFunc) { e.subs = append(e.subs, fn) }
@@ -446,6 +456,14 @@ func (e *Engine) onRequest(p *pkt.Packet, from pkt.NodeID) {
 	if !ok {
 		return
 	}
+	// The request crossed a path from its initiator, so the pull reply
+	// (paper §4.4) can retrace it instead of discovering a route. The
+	// hop count is the walk's; a cached request has walked none, so its
+	// route reads one hop whatever its length. The count orders the
+	// member cache; an unsequenced route never wins on it.
+	if e.routes != nil && req.Initiator != e.stack.ID() {
+		e.routes.LearnRoute(req.Initiator, from, req.HopsTraveled+1)
+	}
 	if req.Cached() {
 		// Unicast straight to us: we are the cached member; always
 		// accept (paper §4.3).
@@ -484,8 +502,8 @@ func (e *Engine) accept(req *pkt.GossipReq) {
 	}
 	// The initiator is a member we now know about (paper §4.3).
 	hops := req.HopsTraveled
-	if e.hops != nil {
-		if h, have := e.hops(req.Initiator); have {
+	if e.routes != nil {
+		if h, have := e.routes.RouteHops(req.Initiator); have {
 			hops = h
 		}
 	}
@@ -567,8 +585,8 @@ func (e *Engine) onReply(p *pkt.Packet, from pkt.NodeID) {
 	}
 	// Responder is a member: refresh the cache (paper §4.3).
 	hops := rep.WalkHops
-	if e.hops != nil {
-		if h, have := e.hops(rep.Responder); have {
+	if e.routes != nil {
+		if h, have := e.routes.RouteHops(rep.Responder); have {
 			hops = h
 		}
 	}

@@ -31,6 +31,7 @@ func (f *fakeTree) IsMember(pkt.GroupID) bool      { return f.member }
 type gworld struct {
 	sched   *sim.Scheduler
 	stacks  []*node.Stack
+	unis    []*aodv.Router
 	trees   []*fakeTree
 	engines []*Engine
 }
@@ -40,24 +41,16 @@ type gworld struct {
 // lists node indices that are group members.
 func buildLine(t *testing.T, n int, members []int, cfg Config) *gworld {
 	t.Helper()
-	w := &gworld{sched: sim.NewScheduler()}
-	medium := radio.NewMedium(w.sched, radio.Params{Range: 60})
-	rng := sim.NewRNG(2024)
 	isMember := map[int]bool{}
 	for _, m := range members {
 		isMember[m] = true
 	}
+	var (
+		positions []geom.Point
+		fakes     []*fakeTree
+		trees     []Tree
+	)
 	for i := 0; i < n; i++ {
-		id := pkt.NodeID(i + 1)
-		rt, err := mac.New(w.sched, rng.Derive("n/"+id.String()).Derive(fmt.Sprintf("mac/%d", id)), medium, id,
-			mobility.Static{P: geom.Point{X: float64(i) * 50}}, mac.DefaultConfig(), mac.Callbacks{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := node.NewOnRuntime(rt)
-		uni := aodv.New(st, rng.Derive("a/"+id.String()), aodv.DefaultConfig())
-		uni.Start()
-
 		ft := &fakeTree{member: isMember[i]}
 		if i > 0 {
 			ft.hops = append(ft.hops, NextHop{ID: pkt.NodeID(i), Nearest: pkt.NearestUnknown})
@@ -65,13 +58,41 @@ func buildLine(t *testing.T, n int, members []int, cfg Config) *gworld {
 		if i < n-1 {
 			ft.hops = append(ft.hops, NextHop{ID: pkt.NodeID(i + 2), Nearest: pkt.NearestUnknown})
 		}
-		eng := New(st, ft, rng.Derive("g/"+id.String()), cfg)
-		eng.SetHopEstimator(uni.RouteHops)
-		if isMember[i] {
+		positions = append(positions, geom.Point{X: float64(i) * 50})
+		fakes = append(fakes, ft)
+		trees = append(trees, ft)
+	}
+	w := buildWorld(t, positions, trees, members, cfg)
+	w.trees = fakes
+	return w
+}
+
+// buildWorld wires node i (ID i+1) at positions[i] (range 60) with a
+// real stack, MAC and AODV and a gossip engine walking trees[i]; the
+// nodes whose indices members lists join the test group.
+func buildWorld(t *testing.T, positions []geom.Point, trees []Tree, members []int, cfg Config) *gworld {
+	t.Helper()
+	w := &gworld{sched: sim.NewScheduler()}
+	medium := radio.NewMedium(w.sched, radio.Params{Range: 60})
+	rng := sim.NewRNG(2024)
+	for i, pos := range positions {
+		id := pkt.NodeID(i + 1)
+		rt, err := mac.New(w.sched, rng.Derive("n/"+id.String()).Derive(fmt.Sprintf("mac/%d", id)), medium, id,
+			mobility.Static{P: pos}, mac.DefaultConfig(), mac.Callbacks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := node.NewOnRuntime(rt)
+		uni := aodv.New(st, rng.Derive("a/"+id.String()), aodv.DefaultConfig())
+		uni.Start()
+
+		eng := New(st, trees[i], rng.Derive("g/"+id.String()), cfg)
+		eng.SetRoutes(uni)
+		if slices.Contains(members, i) {
 			eng.Attach(testGroup)
 		}
 		w.stacks = append(w.stacks, st)
-		w.trees = append(w.trees, ft)
+		w.unis = append(w.unis, uni)
 		w.engines = append(w.engines, eng)
 	}
 	return w

@@ -157,7 +157,7 @@ func TestGossipOverODMRP(t *testing.T) {
 		gcfg := gossip.DefaultConfig()
 		gcfg.PAnon = 1
 		eng := gossip.New(st, r, rng.Derive("g/"+id.String()), gcfg)
-		eng.SetHopEstimator(uni.RouteHops)
+		eng.SetRoutes(uni)
 		r.OnDeliver(eng.OnTreeData)
 		if members[i] {
 			r.Join(group)

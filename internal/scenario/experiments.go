@@ -29,6 +29,8 @@ type Aggregate struct {
 	// source sends can fail seed-dependently, so the mean — not an
 	// arbitrary seed's count — is the DeliveryRatio denominator.
 	Sent int
+	// RouteDiscoveries is the mean per-run Result.RouteDiscoveries.
+	RouteDiscoveries float64
 }
 
 // DeliveryRatio is mean delivery over packets sent, in [0, 1].
@@ -75,14 +77,17 @@ func AggregateResults(results []*Result) Aggregate {
 	var agg Aggregate
 	var goodputSum float64
 	var sentSum int
+	var discoveries uint64
 	for _, r := range results {
 		agg.Received = stats.Merge(agg.Received, r.Received)
 		goodputSum += r.MeanGoodput()
 		sentSum += r.Sent
+		discoveries += r.RouteDiscoveries
 	}
 	if len(results) > 0 {
 		agg.Goodput = goodputSum / float64(len(results))
 		agg.Sent = (sentSum + len(results)/2) / len(results)
+		agg.RouteDiscoveries = float64(discoveries) / float64(len(results))
 	}
 	return agg
 }

@@ -13,20 +13,22 @@ import (
 )
 
 // The golden digests pin the exact per-member outcome of every stack
-// of the table at fixed seeds. All but the flood+gossip rows were
-// recorded from the code before stacks were composed (a Protocol enum
-// dispatched by switches) and have been carried, value for value,
-// through every redesign of the assembly since; a stack added to the
-// table gets its rows the day it is added, because the cases iterate
-// stack.Stacks.
+// of the table at fixed seeds. The bare rows were recorded from the
+// code before stacks were composed (a Protocol enum dispatched by
+// switches) and have been carried, value for value, through every
+// redesign of the assembly since; a stack added to the table gets its
+// rows the day it is added, because the cases iterate stack.Stacks.
+// The +gossip rows were re-recorded once on purpose, when gossip
+// replies began to retrace the walk of their request.
 //
 // The Large250 row pins one 250-node large-scale run, where the radio's
 // grid spans 7×7 cells instead of the 25-node rows' 4×4. It was recorded
 // only after all twelve event-queue × neighbour-index × reception-model
 // combinations the simulator then offered produced this exact view; the
 // non-production implementations have since become in-package test
-// oracles of sim and radio, and this row is what holds the production
-// path to the value they all agreed on.
+// oracles of sim and radio, held to production by their own
+// differential tests. The row runs MAODV+AG, so it was re-recorded
+// with the +gossip rows.
 //
 // Regenerate (only after an intentional behaviour change) with:
 //

@@ -251,6 +251,10 @@ type Result struct {
 	ControlBytes, PayloadBytes uint64
 	// MACCollisions counts corrupted receptions medium-wide.
 	MACCollisions uint64
+	// RouteDiscoveries counts unicast route requests originated over
+	// all nodes (stack.Node.RouteDiscoveries): on the +gossip stacks,
+	// the floods gossip's unicasts start when no route is known.
+	RouteDiscoveries uint64
 	// Events is the number of logical simulation events executed:
 	// kernel events plus the events the stack elides (see the
 	// breakdown below), so the count stays what an elision-free stack
@@ -576,6 +580,9 @@ func (w *world) collect() *Result {
 		s := st.Stats()
 		res.ControlBytes += s.ControlBytes
 		res.PayloadBytes += s.PayloadBytes
+	}
+	for _, n := range w.nodes {
+		res.RouteDiscoveries += n.RouteDiscoveries()
 	}
 	return res
 }

@@ -129,3 +129,25 @@ func TestFloodGossipStack(t *testing.T) {
 			seed, base.Received.Mean, res.Received.Mean, recovered)
 	}
 }
+
+// TestRouteDiscoveriesCountUnicastRequests: Result.RouteDiscoveries sums
+// the unicast route requests nodes originate. A bare stack's gossip-free
+// traffic starts none (MAODV's join requests are not counted), and a
+// +gossip stack's unicasts start some.
+func TestRouteDiscoveriesCountUnicastRequests(t *testing.T) {
+	for _, spec := range stack.Stacks() {
+		cfg := goldenConfig()
+		cfg.Stack = spec
+		cfg.Seed = 1
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Recovery == "" && res.RouteDiscoveries != 0 {
+			t.Errorf("%v: %d route discoveries, want 0 on a bare stack", spec, res.RouteDiscoveries)
+		}
+		if spec.Recovery != "" && res.RouteDiscoveries == 0 {
+			t.Errorf("%v: no route discovery in a run whose gossip unicasts need routes", spec)
+		}
+	}
+}

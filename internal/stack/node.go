@@ -1,7 +1,7 @@
 package stack
 
 import (
-	"fmt"
+	"strconv"
 
 	"anongossip/internal/aodv"
 	"anongossip/internal/flood"
@@ -66,7 +66,11 @@ func Assemble(s Spec, st *node.Stack, rng *sim.RNG, index int, g gossip.Config) 
 	if err := Check(s); err != nil {
 		return nil, err
 	}
-	derive := func(layer string) *sim.RNG { return rng.Derive(fmt.Sprintf("%s/%d", layer, index)) }
+	var label [32]byte // built in place: fmt.Sprintf allocated per stream
+	derive := func(layer string) *sim.RNG {
+		b := strconv.AppendInt(append(append(label[:0], layer...), '/'), int64(index), 10)
+		return rng.Derive(string(b))
+	}
 	recovers := s.Recovery != ""
 	n := &Node{spec: s}
 	var (
@@ -96,12 +100,13 @@ func Assemble(s Spec, st *node.Stack, rng *sim.RNG, index int, g gossip.Config) 
 	}
 	// Gossip requests walk the routing's substrate hop by hop, but
 	// replies are unicast: MAODV's AODV serves them, other routings get
-	// one installed here.
+	// one installed here. Each request leaves its receiver a route back
+	// to the initiator there, so a reply retraces the request.
 	if n.uni == nil {
 		n.uni = aodv.New(st, derive("aodv"), aodv.DefaultConfig())
 	}
 	n.eng = gossip.New(st, tree, derive("gossip"), g)
-	n.eng.SetHopEstimator(n.uni.RouteHops)
+	n.eng.SetRoutes(n.uni)
 	n.routing.OnDeliver(n.eng.OnTreeData)
 	if mr != nil {
 		mr.OnMemberEvidence(n.eng.OnMemberEvidence)
@@ -151,6 +156,16 @@ func (n *Node) Publish(g pkt.GroupID) (pkt.SeqKey, error) {
 		n.eng.OnLocalData(g, pkt.Data{Group: g, Origin: key.Origin, Seq: key.Seq, PayloadLen: n.payload})
 	}
 	return key, err
+}
+
+// RouteDiscoveries counts the unicast route requests this node's AODV
+// substrate originated, retries included; MAODV's join requests are not
+// among them. It is 0 on a stack without one.
+func (n *Node) RouteDiscoveries() uint64 {
+	if n.uni == nil {
+		return 0
+	}
+	return n.uni.Stats().RREQsOriginated
 }
 
 // Delivered counts unique data packets delivered to the application.
