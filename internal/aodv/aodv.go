@@ -13,7 +13,9 @@
 //   - RERR propagation on broken links;
 //   - hello beacons (600 ms interval, allowed loss 4 in the paper's
 //     configuration) driving neighbour tracking, plus immediate breakage
-//     signals from MAC retry exhaustion.
+//     signals from MAC retry exhaustion. The unicast the MAC gave up on
+//     is dropped; the next packet for its destination starts any new
+//     discovery.
 package aodv
 
 import (
@@ -115,7 +117,6 @@ type Stats struct {
 	HellosSent      uint64
 	DiscoveryFails  uint64
 	LinkBreaks      uint64
-	PacketsSalvaged uint64
 	PacketsDropped  uint64
 }
 
@@ -185,7 +186,7 @@ func New(st *node.Stack, rng *sim.RNG, cfg Config) *Router {
 	st.Handle(pkt.KindRREQ, r.onRREQ)
 	st.Handle(pkt.KindRREP, r.onRREP)
 	st.Handle(pkt.KindRERR, r.onRERR)
-	st.OnLinkFailure(r.onMACFailure)
+	st.OnLinkFailure(r.breakLink)
 	return r
 }
 
@@ -534,20 +535,10 @@ func (r *Router) onRERR(p *pkt.Packet, from pkt.NodeID) {
 
 // --- link breakage ---
 
-func (r *Router) onMACFailure(n pkt.NodeID, p *pkt.Packet) {
-	// Salvage packets addressed beyond the broken hop: requeue for a
-	// fresh discovery once the stale route is removed.
-	salvage := p != nil && p.Dst != n && p.Dst != pkt.Broadcast &&
-		p.Dst != r.stack.ID() && !p.Kind.IsControl()
-	r.breakLink(n)
-	if salvage {
-		r.stats.PacketsSalvaged++
-		r.stack.Forward(p, false)
-	}
-}
-
 // breakLink removes neighbour state, invalidates dependent routes,
-// propagates RERR and notifies subscribers.
+// propagates RERR and notifies subscribers. It runs when n's hellos stop
+// and when the MAC gives up on a unicast to n; that packet is dropped,
+// not re-routed from here (a lost gossip reply costs one round).
 func (r *Router) breakLink(n pkt.NodeID) {
 	r.neighbors.Delete(n.Uint64())
 	r.stats.LinkBreaks++

@@ -183,10 +183,11 @@ func TestHelloLossBreaksLink(t *testing.T) {
 	}
 }
 
-func TestMACFailureInvalidatesRouteAndSalvages(t *testing.T) {
-	// Line 1-2-3; node 2 leaves after routes are set up. The next
-	// packet from 1 fails at the MAC, the route must be invalidated, a
-	// rediscovery happens, and with no alternative path the packet drops.
+// TestMACFailureInvalidatesRoute: line 1-2-3; node 2 leaves after
+// routes are set up. The next packet from 1 fails at the MAC before any
+// hello deadline passes: the route is invalidated and a RERR goes out,
+// and the failed packet is dropped, not re-routed into a new discovery.
+func TestMACFailureInvalidatesRoute(t *testing.T) {
 	pos := linePositions(3)
 	models := []mobility.Model{
 		nil,
@@ -199,71 +200,28 @@ func TestMACFailureInvalidatesRouteAndSalvages(t *testing.T) {
 	if w.rxs[2] != 1 {
 		t.Fatal("precondition: initial delivery failed")
 	}
-	// Send the second packet after node 2 leaves at t=6s.
+	before := w.routers[0].Stats()
+	// Send the second packet after node 2 leaves at t=6s. Node 2's last
+	// hello was heard after 5 s, so by 7.5 s only the MAC failure can
+	// have broken the link.
 	w.sched.After(2*time.Second, func() { w.stacks[0].SendUnicast(payload(1, 3)) })
-	w.sched.Run(40 * time.Second)
-
-	if w.rxs[2] != 1 {
-		t.Fatalf("deliveries = %d, want still 1 (no path after departure)", w.rxs[2])
-	}
+	w.sched.Run(7500 * time.Millisecond)
 	st := w.routers[0].Stats()
-	if st.LinkBreaks == 0 {
+	if st.LinkBreaks == before.LinkBreaks {
 		t.Fatal("MAC failure did not register a link break")
 	}
-	if st.PacketsSalvaged == 0 {
-		t.Fatal("failed packet was not salvaged into rediscovery")
+	if st.RERRsSent == before.RERRsSent {
+		t.Fatal("link break sent no RERR")
 	}
 	if _, ok := w.routers[0].NextHop(3); ok {
 		t.Fatal("stale route still valid after link break")
 	}
-}
-
-// TestSalvagedPacketNeverSpare: a unicast the MAC gives up on comes back
-// as a failure, not into the stack's spares. onMACFailure re-sends that
-// same packet, which waits for a new route in the discovery queue, and
-// no packet the node builds meanwhile is built in its storage.
-func TestSalvagedPacketNeverSpare(t *testing.T) {
-	pos := linePositions(3)
-	models := []mobility.Model{
-		nil,
-		departing{a: pos[1], b: geom.Point{X: 5000}, leaveAt: 6 * time.Second},
-		nil,
-	}
-	w := buildWorld(t, pos, models...)
-	st := w.stacks[0]
-	w.sched.After(time.Second, func() { st.SendUnicast(payload(1, 3)) })
-	w.sched.Run(5 * time.Second)
+	w.sched.Run(40 * time.Second)
 	if w.rxs[2] != 1 {
-		t.Fatal("precondition: initial delivery failed")
+		t.Fatalf("deliveries = %d, want still 1 (no path after departure)", w.rxs[2])
 	}
-	// Node 2 is gone at 6 s: this packet's unicast to it fails.
-	var p *pkt.Packet
-	w.sched.After(2*time.Second, func() {
-		p = st.NewPacket(3, &pkt.GossipRep{Group: 1, Responder: 1, WalkHops: 7})
-		st.SendUnicast(p)
-	})
-	// Hello ticks keep the queue from draining, so a bound on simulated
-	// time is what stops a regression from spinning until go test's
-	// timeout.
-	for w.routers[0].Stats().PacketsSalvaged == 0 {
-		if _, done := w.sched.RunAll(1); done {
-			t.Fatal("run drained before the failed packet was salvaged")
-		}
-		if w.sched.Now() > 30*time.Second {
-			t.Fatalf("no packet salvaged by %v", w.sched.Now())
-		}
-	}
-	d := w.routers[0].pending[3]
-	if d == nil || len(d.queued) != 1 || d.queued[0] != p {
-		t.Fatalf("salvaged packet not waiting for a route: %+v", d)
-	}
-	for i := 0; i < 4; i++ {
-		if q := st.NewPacket(3, &pkt.GossipRep{Group: 1, Responder: 1}); q == p {
-			t.Fatalf("build %d reused the salvaged packet's storage while it is queued", i)
-		}
-	}
-	if rep := p.Body.(*pkt.GossipRep); p.Dst != 3 || rep.WalkHops != 7 || rep.Group != 1 {
-		t.Fatalf("queued packet rewritten: %+v %+v", p, rep)
+	if got := w.routers[0].Stats().RREQsOriginated; got != before.RREQsOriginated {
+		t.Fatalf("RREQs originated %d → %d: the failed packet started a discovery", before.RREQsOriginated, got)
 	}
 }
 

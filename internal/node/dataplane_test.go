@@ -211,6 +211,30 @@ func TestRefusedSendsComeBack(t *testing.T) {
 	}
 }
 
+// TestFailedSendsComeBack: a routed unicast the MAC gives up on — its
+// next hop is gone — comes back into the spares like a sent one, so the
+// next packet of its kind is built in it, and the broken neighbour
+// reaches the link-failure subscribers.
+func TestFailedSendsComeBack(t *testing.T) {
+	e := line(t, 2)
+	s := e.stacks[0]
+	e.routers[0].table[5] = 9 // node 9 does not exist: every retry fails
+	var failedTo []pkt.NodeID
+	s.OnLinkFailure(func(n pkt.NodeID) { failedTo = append(failedTo, n) })
+	var p *pkt.Packet
+	e.sched.After(0, func() {
+		p = s.NewPacket(5, &pkt.GossipRep{Group: 1, Responder: 1})
+		s.SendUnicast(p)
+	})
+	e.sched.Run(10 * time.Second)
+	if !slices.Equal(failedTo, []pkt.NodeID{9}) {
+		t.Fatalf("failure notifications = %v, want [9]", failedTo)
+	}
+	if q := s.NewPacket(5, &pkt.GossipRep{Group: 1, Responder: 1}); q != p {
+		t.Fatal("the next reply was not built in the failed packet handed back")
+	}
+}
+
 // TestRebroadcastAllocatesNothing: a relay, from Rebroadcast to the
 // copy leaving the MAC, allocates nothing in steady state: its timer
 // record comes off the Stack's free list, and its copy is built in the

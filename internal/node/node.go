@@ -84,7 +84,7 @@ type Stack struct {
 	// packet looks its handler up here, so it is a slice, not a map.
 	handlers []Handler
 
-	failSubs []func(neighbor pkt.NodeID, p *pkt.Packet)
+	failSubs []func(neighbor pkt.NodeID)
 
 	tracer func(trace.Event)
 
@@ -146,8 +146,8 @@ func (s *Stack) handler(kind pkt.Kind) Handler {
 }
 
 // OnLinkFailure subscribes to MAC retry-exhaustion events. fn receives the
-// unreachable neighbour and the packet that failed.
-func (s *Stack) OnLinkFailure(fn func(neighbor pkt.NodeID, p *pkt.Packet)) {
+// unreachable neighbour; the packet that failed is already a spare.
+func (s *Stack) OnLinkFailure(fn func(neighbor pkt.NodeID)) {
 	s.failSubs = append(s.failSubs, fn)
 }
 
@@ -182,9 +182,8 @@ func (s *Stack) NewPacket(dst pkt.NodeID, body pkt.Body) *pkt.Packet {
 
 // The Send methods and Forward take the packet they are given: once
 // the link has sent it, it comes back to the stack's spares and is
-// rebuilt for a later send, so the caller must not keep it. A packet
-// the link gives up on (runtime.SendDoneFunc with ok false) goes to the
-// OnLinkFailure subscribers instead, which may send it again.
+// rebuilt for a later send, so the caller must not keep it — also when
+// the link gave up on it (runtime.SendDoneFunc with ok false).
 
 // SendBroadcast transmits p to all neighbours (one hop). Flooding is a
 // protocol concern: handlers relay explicitly, through Rebroadcast.
@@ -289,17 +288,15 @@ func (s *Stack) deliver(p *pkt.Packet, from pkt.NodeID) {
 	h(p, from)
 }
 
-// onSendDone takes p back from the link: a sent packet into the spares,
-// a failed one to the link-failure subscribers.
+// onSendDone takes p back from the link into the spares, sent or not. A
+// failed unicast also tells the link-failure subscribers which neighbour
+// broke.
 func (s *Stack) onSendDone(p *pkt.Packet, to pkt.NodeID, ok bool) {
-	if ok {
-		s.spares.Put(p)
-		return
-	}
-	if to == pkt.Broadcast {
+	s.spares.Put(p)
+	if ok || to == pkt.Broadcast {
 		return
 	}
 	for _, fn := range s.failSubs {
-		fn(to, p)
+		fn(to)
 	}
 }

@@ -203,7 +203,7 @@ func TestRouterHearsEveryFrame(t *testing.T) {
 func TestLinkFailureSubscription(t *testing.T) {
 	e := line(t, 2)
 	var failedTo []pkt.NodeID
-	e.stacks[0].OnLinkFailure(func(n pkt.NodeID, p *pkt.Packet) {
+	e.stacks[0].OnLinkFailure(func(n pkt.NodeID) {
 		failedTo = append(failedTo, n)
 	})
 	// Node 9 does not exist: MAC retries then fails.
@@ -216,7 +216,7 @@ func TestLinkFailureSubscription(t *testing.T) {
 
 func TestBroadcastSendDoneNoFailure(t *testing.T) {
 	e := line(t, 1) // no neighbours at all
-	e.stacks[0].OnLinkFailure(func(n pkt.NodeID, p *pkt.Packet) {
+	e.stacks[0].OnLinkFailure(func(n pkt.NodeID) {
 		t.Error("broadcast must not produce link failures")
 	})
 	e.sched.After(0, func() { e.stacks[0].SendBroadcast(hello(1, pkt.Broadcast)) })

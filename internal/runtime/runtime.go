@@ -62,14 +62,14 @@ type ReceiveFunc func(p *pkt.Packet, from pkt.NodeID, broadcast bool)
 // the first moment the link will never read it again; it is the one
 // release point of the send side. ok is false when the link gave up on
 // the frame (MAC retry exhaustion); the routing protocols turn that into
-// link-failure handling and may send the same packet again. Runtimes
-// without delivery feedback (plain UDP) never report failures.
+// link-failure handling. Runtimes without delivery feedback (plain UDP)
+// never report failures.
 //
 // The send-side contract mirrors ReceiveFunc's: Send takes the packet,
 // and from then until this callback returns it to the sender, the link
 // owns it and the sender must neither write nor keep it. A packet Send
-// refuses (false) never left the sender. After ok the sender may
-// rebuild the packet for a later send:
+// refuses (false) never left the sender. Once handed back, ok or not,
+// the packet is the sender's to rebuild for a later send:
 //
 //   - the simulated MAC (*mac.DCF) reports when the frame is
 //     finished and off the air, after the radio has handed it to every

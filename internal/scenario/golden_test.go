@@ -28,7 +28,9 @@ import (
 // non-production implementations have since become in-package test
 // oracles of sim and radio, held to production by their own
 // differential tests. The row runs MAODV+AG, so it was re-recorded
-// with the +gossip rows.
+// with the +gossip rows, and once more, alone, when AODV stopped
+// re-routing a unicast whose next hop failed: the twelve stack rows
+// stayed byte-identical through that change.
 //
 // Regenerate (only after an intentional behaviour change) with:
 //
