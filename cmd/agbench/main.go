@@ -68,8 +68,8 @@ type jsonAgg struct {
 	Std     float64 `json:"std"`
 	Goodput float64 `json:"goodput"`
 	Sent    int     `json:"sent"`
-	// RouteDiscoveries is the mean count of unicast route requests
-	// originated per run.
+	// RouteDiscoveries is the mean count of unicast route discoveries
+	// started per run (not the RREQs they send).
 	RouteDiscoveries float64 `json:"route_discoveries"`
 }
 

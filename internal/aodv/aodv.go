@@ -8,7 +8,10 @@
 //
 //   - route table with destination sequence numbers, hop counts and
 //     lifetimes; freshness rules on every install;
-//   - expanding RREQ retry with per-destination packet queues;
+//   - route discovery by expanding ring search (RFC 3561 §6.4): RREQs
+//     of TTL 1, 3, 5 and 7, each waiting its ring traversal time, then
+//     network-wide floods with doubling waits; packets wait in a
+//     per-destination queue, and the discovery records are reused;
 //   - intermediate-node RREP for fresh routes;
 //   - RERR propagation on broken links;
 //   - hello beacons (600 ms interval, allowed loss 4 in the paper's
@@ -99,16 +102,38 @@ type route struct {
 	valid    bool
 }
 
-// discovery tracks an outstanding route request.
+// Expanding ring search (RFC 3561 §6.4): a discovery's first RREQ
+// reaches ttlStart hops and each ring that times out widens the next by
+// ttlIncrement, up to ttlThreshold; after that ring the discovery floods
+// at pkt.DefaultTTL, once and RREQRetries times more. A ring waits its
+// RING_TRAVERSAL_TIME (RFC 3561 §10), 2·NODE_TRAVERSAL_TIME·(ttl +
+// timeoutBuffer), with RREQTimeout read as NET_TRAVERSAL_TIME,
+// 2·NODE_TRAVERSAL_TIME·netDiameter.
+const (
+	ttlStart      = 1
+	ttlIncrement  = 2
+	ttlThreshold  = 7
+	timeoutBuffer = 2
+	netDiameter   = 35
+)
+
+// discovery tracks an outstanding route request. Records are reused:
+// a finished one goes back to its Router's free list, keeping its queue
+// storage and its timeout callback, bound once when the record is made.
 type discovery struct {
-	dst     pkt.NodeID
-	retries int
-	timer   sim.Timer
-	queued  []*pkt.Packet
+	dst       pkt.NodeID
+	ttl       uint8
+	retries   int
+	timer     sim.Timer
+	queued    []*pkt.Packet
+	timeoutFn func()
 }
 
 // Stats counts AODV protocol activity.
 type Stats struct {
+	// Discoveries counts route discoveries started; each sends up to
+	// one RREQ per ring and per flood (RREQsOriginated).
+	Discoveries     uint64
 	RREQsOriginated uint64
 	RREQsForwarded  uint64
 	RREPsOriginated uint64
@@ -140,6 +165,7 @@ type Router struct {
 	// t + SeenLifetime, and a sweep finds them without walking seen.
 	routes    table.Table[route]
 	pending   map[pkt.NodeID]*discovery
+	spareDisc []*discovery
 	seen      table.Table[sim.Time]
 	seenLog   []uint64
 	seenMarks []seenMark
@@ -148,6 +174,12 @@ type Router struct {
 	mc        MulticastHooks
 	breakSubs []func(n pkt.NodeID)
 
+	// dead, lost and unreach are scratch for sweepTick, breakLink and
+	// onRERR: each is emptied at the start of every use.
+	dead    []pkt.NodeID
+	lost    []pkt.Unreachable
+	unreach []pkt.Unreachable
+
 	// helloFn and sweepFn are the periodic ticks, bound once: a method
 	// value passed to After allocates on every re-arm.
 	helloFn, sweepFn func()
@@ -155,6 +187,9 @@ type Router struct {
 	helloSeq uint32
 	stats    Stats
 }
+
+// routeReserve is the route count a table makes room for up front.
+const routeReserve = 24
 
 // seenKey is the (originator, RREQ ID) pair that identifies a flood,
 // packed into one table key.
@@ -179,7 +214,14 @@ func New(st *node.Stack, rng *sim.RNG, cfg Config) *Router {
 		sched:   st.Clock(),
 		rng:     rng,
 		pending: make(map[pkt.NodeID]*discovery),
+		// A mark is kept for each sweep within SeenLifetime, and sweeps
+		// run every HelloInterval.
+		seenMarks: make([]seenMark, 0, int(cfg.SeenLifetime/cfg.HelloInterval)+2),
 	}
+	// Every flood a node relays leaves it a reverse route to the
+	// flood's originator, so its table soon holds a route to most of
+	// the nodes around it: room for routeReserve skips the first resizes.
+	r.routes.Reserve(routeReserve)
 	r.helloFn, r.sweepFn = r.helloTick, r.sweepTick
 	st.SetRouter(r)
 	st.Handle(pkt.KindHello, r.onHello)
@@ -235,8 +277,9 @@ func (r *Router) NeighborHeard(n pkt.NodeID) {
 func (r *Router) QueueForRoute(p *pkt.Packet) {
 	d, running := r.pending[p.Dst]
 	if !running {
-		d = &discovery{dst: p.Dst}
+		d = r.newDiscovery(p.Dst)
 		r.pending[p.Dst] = d
+		r.stats.Discoveries++
 		r.sendRREQ(d)
 	}
 	if len(d.queued) >= r.cfg.MaxQueuedPerDest {
@@ -332,7 +375,7 @@ func (r *Router) installRoute(dst pkt.NodeID, seq uint32, seqValid bool, hops ui
 		return
 	}
 	rt.seq = seq
-	rt.seqValid = seqValid || rt.seqValid
+	rt.seqValid = seqValid
 	rt.hops = hops
 	rt.nextHop = nextHop
 	rt.expires = now + r.cfg.ActiveRouteTimeout
@@ -353,9 +396,32 @@ func (r *Router) completeDiscovery(dst pkt.NodeID) {
 	for _, p := range d.queued {
 		r.stack.Forward(p, false)
 	}
+	r.freeDiscovery(d)
 }
 
 // --- discovery ---
+
+// newDiscovery returns a record for a discovery of dst at its first
+// ring, reusing a finished one when there is one.
+func (r *Router) newDiscovery(dst pkt.NodeID) *discovery {
+	var d *discovery
+	if n := len(r.spareDisc); n > 0 {
+		d, r.spareDisc = r.spareDisc[n-1], r.spareDisc[:n-1]
+	} else {
+		d = &discovery{}
+		d.timeoutFn = func() { r.onDiscoveryTimeout(d) }
+	}
+	d.dst, d.ttl, d.retries = dst, ttlStart, 0
+	return d
+}
+
+// freeDiscovery returns a finished record, no longer pending, to the
+// free list.
+func (r *Router) freeDiscovery(d *discovery) {
+	clear(d.queued)
+	d.queued = d.queued[:0]
+	r.spareDisc = append(r.spareDisc, d)
+}
 
 func (r *Router) sendRREQ(d *discovery) {
 	id := r.AllocRREQID()
@@ -374,23 +440,36 @@ func (r *Router) sendRREQ(d *discovery) {
 		req.Flags |= pkt.RREQUnknownSeq
 	}
 	r.stats.RREQsOriginated++
-	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &req))
+	p := r.stack.NewPacket(pkt.Broadcast, &req)
+	p.TTL = d.ttl
+	r.stack.SendBroadcast(p)
 
 	wait := r.cfg.RREQTimeout << uint(d.retries)
-	d.timer = r.sched.After(wait, func() { r.onDiscoveryTimeout(d) })
+	if d.ttl < pkt.DefaultTTL {
+		wait = r.cfg.RREQTimeout * time.Duration(d.ttl+timeoutBuffer) / netDiameter
+	}
+	d.timer = r.sched.After(wait, d.timeoutFn)
 }
 
+// onDiscoveryTimeout widens the ring, retries the flood, or gives up.
 func (r *Router) onDiscoveryTimeout(d *discovery) {
-	if _, still := r.pending[d.dst]; !still {
+	if r.pending[d.dst] != d {
 		return
 	}
-	if d.retries >= r.cfg.RREQRetries {
+	switch {
+	case d.ttl < ttlThreshold:
+		d.ttl += ttlIncrement
+	case d.ttl < pkt.DefaultTTL:
+		d.ttl = pkt.DefaultTTL
+	case d.retries < r.cfg.RREQRetries:
+		d.retries++
+	default:
 		delete(r.pending, d.dst)
 		r.stats.DiscoveryFails++
 		r.stats.PacketsDropped += uint64(len(d.queued))
+		r.freeDiscovery(d)
 		return
 	}
-	d.retries++
 	r.sendRREQ(d)
 }
 
@@ -515,7 +594,7 @@ func (r *Router) onRERR(p *pkt.Packet, from pkt.NodeID) {
 	if !ok {
 		return
 	}
-	var propagate []pkt.Unreachable
+	r.unreach = r.unreach[:0]
 	for _, u := range rerr.Dests {
 		rt := r.routes.Ref(u.Addr.Uint64())
 		if rt == nil || !rt.valid || rt.nextHop != from {
@@ -523,11 +602,11 @@ func (r *Router) onRERR(p *pkt.Packet, from pkt.NodeID) {
 		}
 		rt.valid = false
 		rt.seq = u.Seq
-		propagate = append(propagate, u)
+		r.unreach = append(r.unreach, u)
 	}
-	if len(propagate) > 0 && p.TTL > 1 {
+	if len(r.unreach) > 0 && p.TTL > 1 {
 		r.stats.RERRsSent++
-		out := r.stack.NewPacket(pkt.Broadcast, &pkt.RERR{Dests: propagate})
+		out := r.stack.NewPacket(pkt.Broadcast, &pkt.RERR{Dests: r.unreach})
 		out.TTL = p.TTL - 1
 		r.stack.SendBroadcast(out)
 	}
@@ -543,19 +622,19 @@ func (r *Router) breakLink(n pkt.NodeID) {
 	r.neighbors.Delete(n.Uint64())
 	r.stats.LinkBreaks++
 
-	var lost []pkt.Unreachable
+	r.lost = r.lost[:0]
 	for dst, rt := range r.routes.All() {
 		if rt.valid && rt.nextHop == n {
 			rt.valid = false
 			rt.seq++
-			lost = append(lost, pkt.Unreachable{Addr: pkt.NodeID(dst), Seq: rt.seq})
+			r.lost = append(r.lost, pkt.Unreachable{Addr: pkt.NodeID(dst), Seq: rt.seq})
 		}
 	}
 	// The RERR lists destinations in ascending order, not table order.
-	slices.SortFunc(lost, func(a, b pkt.Unreachable) int { return cmp.Compare(a.Addr, b.Addr) })
-	if len(lost) > 0 {
+	slices.SortFunc(r.lost, func(a, b pkt.Unreachable) int { return cmp.Compare(a.Addr, b.Addr) })
+	if len(r.lost) > 0 {
 		r.stats.RERRsSent++
-		r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &pkt.RERR{Dests: lost}))
+		r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &pkt.RERR{Dests: r.lost}))
 	}
 	for _, fn := range r.breakSubs {
 		fn(n)
@@ -575,14 +654,14 @@ func (r *Router) helloTick() {
 func (r *Router) sweepTick() {
 	now := r.sched.Now()
 	deadline := time.Duration(r.cfg.AllowedHelloLoss) * r.cfg.HelloInterval
-	var dead []pkt.NodeID
+	r.dead = r.dead[:0]
 	for n, lastHeard := range r.neighbors.All() {
 		if now-*lastHeard > deadline {
-			dead = append(dead, pkt.NodeID(n))
+			r.dead = append(r.dead, pkt.NodeID(n))
 		}
 	}
-	slices.Sort(dead)
-	for _, n := range dead {
+	slices.Sort(r.dead)
+	for _, n := range r.dead {
 		r.breakLink(n)
 	}
 	// onRREQ already ignores an expired entry; dropping them here only

@@ -2,6 +2,7 @@ package aodv
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"anongossip/internal/pkt"
 	"anongossip/internal/radio"
 	"anongossip/internal/sim"
+	"anongossip/internal/trace"
 )
 
 type world struct {
@@ -99,21 +101,94 @@ func TestMultiplePacketsQueuedDuringDiscovery(t *testing.T) {
 	}
 }
 
+// TestDiscoveryFailsForUnreachable: a discovery for a node nobody can
+// reach runs the whole expanding ring search and then the floods. A
+// listener beside the originator (a stack with no router, so it neither
+// answers nor relays) hears every RREQ: rings of TTL 1, 3, 5 and 7, each
+// waiting its ring traversal time, RREQTimeout·(TTL+2)/35, then the
+// first flood and RREQRetries more at the full TTL, waiting RREQTimeout
+// doubled per retry. The discovery fails when the last wait ends.
 func TestDiscoveryFailsForUnreachable(t *testing.T) {
 	w := buildWorld(t, []geom.Point{{X: 0}, {X: 500}})
-	w.sched.After(time.Second, func() { w.stacks[0].SendUnicast(payload(1, 2)) })
-	w.sched.Run(20 * time.Second)
+	rt, err := mac.New(w.sched, sim.NewRNG(3), w.medium, 3, mobility.Static{P: geom.Point{X: 50}}, mac.DefaultConfig(), mac.Callbacks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ttls []uint8
+	node.NewOnRuntime(rt).Handle(pkt.KindRREQ, func(p *pkt.Packet, from pkt.NodeID) { ttls = append(ttls, p.TTL) })
+	var sentAt []time.Duration
+	w.stacks[0].SetTracer(func(e trace.Event) {
+		if e.Op == trace.OpSend && e.Kind == pkt.KindRREQ {
+			sentAt = append(sentAt, e.At)
+		}
+	})
+	start := time.Second
+	w.sched.At(start, func() { w.stacks[0].SendUnicast(payload(1, 2)) })
+
+	to := DefaultConfig().RREQTimeout // 500 ms
+	waits := []time.Duration{to * 3 / 35, to * 5 / 35, to * 7 / 35, to * 9 / 35, to, 2 * to, 4 * to}
+	wantTTLs := []uint8{1, 3, 5, 7, pkt.DefaultTTL, pkt.DefaultTTL, pkt.DefaultTTL}
+	var wantAt []time.Duration
+	end := start
+	for _, wt := range waits {
+		wantAt = append(wantAt, end)
+		end += wt
+	}
+	w.sched.Run(end - 1)
+	if st := w.routers[0].Stats(); st.DiscoveryFails != 0 {
+		t.Fatalf("discovery failed before its last wait ended at %v", end)
+	}
+	w.sched.Run(end)
 
 	st := w.routers[0].Stats()
-	if st.DiscoveryFails != 1 {
-		t.Fatalf("DiscoveryFails = %d, want 1", st.DiscoveryFails)
+	if st.DiscoveryFails != 1 || st.Discoveries != 1 {
+		t.Fatalf("%d discoveries, %d failed; want one, failed at %v", st.Discoveries, st.DiscoveryFails, end)
 	}
-	// First try + RREQRetries retries.
-	if want := uint64(1 + DefaultConfig().RREQRetries); st.RREQsOriginated != want {
-		t.Fatalf("RREQsOriginated = %d, want %d", st.RREQsOriginated, want)
+	if !slices.Equal(sentAt, wantAt) || st.RREQsOriginated != uint64(len(wantAt)) {
+		t.Fatalf("RREQs sent at %v (%d originated), want at %v", sentAt, st.RREQsOriginated, wantAt)
+	}
+	if !slices.Equal(ttls, wantTTLs) {
+		t.Fatalf("RREQ TTLs %v, want %v", ttls, wantTTLs)
 	}
 	if st.PacketsDropped == 0 {
 		t.Fatal("queued packet was not counted as dropped")
+	}
+}
+
+// TestRingStopsAtNeighbourReply: on the line 5-1-2-3-4, node 2 holds a
+// sequenced route to 4 from a discovery of its own. Node 1's discovery
+// of 4 asks its neighbours first: node 2 answers the TTL-1 ring, so the
+// discovery sends that one RREQ, no wider ring, and node 5 on the far
+// side hears it but relays nothing.
+func TestRingStopsAtNeighbourReply(t *testing.T) {
+	w := buildWorld(t, append(linePositions(4), geom.Point{X: -50}))
+	w.sched.After(time.Second, func() { w.stacks[1].SendUnicast(payload(2, 4)) })
+	w.sched.Run(3 * time.Second)
+	if w.rxs[3] != 1 {
+		t.Fatal("precondition: node 2's packet was not delivered")
+	}
+	relayed := w.routers[4].Stats().RREQsForwarded
+	before := w.routers[3].Stats().RREPsOriginated
+	w.sched.After(0, func() { w.stacks[0].SendUnicast(payload(1, 4)) })
+	w.sched.Run(8 * time.Second)
+
+	if w.rxs[3] != 2 {
+		t.Fatalf("deliveries = %d, want 2", w.rxs[3])
+	}
+	if st := w.routers[0].Stats(); st.Discoveries != 1 || st.RREQsOriginated != 1 {
+		t.Fatalf("node 1 sent %d RREQs in %d discoveries, want the TTL-1 ring's one", st.RREQsOriginated, st.Discoveries)
+	}
+	if hops, ok := w.routers[0].RouteHops(4); !ok || hops != 3 {
+		t.Fatalf("route hops = %d (ok=%v), want 3", hops, ok)
+	}
+	if w.routers[1].Stats().RREPsOriginated == 0 {
+		t.Fatal("the neighbour holding a route did not answer")
+	}
+	if got := w.routers[3].Stats().RREPsOriginated; got != before {
+		t.Fatalf("the destination answered too (%d → %d RREPs): a wider ring reached it", before, got)
+	}
+	if got := w.routers[4].Stats().RREQsForwarded; got != relayed {
+		t.Fatalf("node 5 relayed node 1's request (%d → %d relays): it went out wider than one hop", relayed, got)
 	}
 }
 
@@ -495,5 +570,59 @@ func TestLearnRouteAllocatesNothing(t *testing.T) {
 		r.LearnRoute(9, 2, 3)
 	}); allocs != 0 {
 		t.Fatalf("LearnRoute on a held entry allocates %v times, want 0", allocs)
+	}
+}
+
+// TestUnsequencedFillClearsSeqValid: a sequenced route that expires and
+// is refilled by a hello carries no sequence number any more (RFC 3561
+// §6.2), so the node must not answer a route request from it as an
+// intermediate; it relays the request instead.
+func TestUnsequencedFillClearsSeqValid(t *testing.T) {
+	w := buildWorld(t, linePositions(1))
+	r := w.routers[0]
+	r.onRREP(pkt.NewPacket(2, 1, &pkt.RREP{Dst: 9, DstSeq: 5, Orig: 1, HopCount: 1}), 2)
+	if _, ok := r.RouteHops(9); !ok {
+		t.Fatal("precondition: the RREP installed no route to 9")
+	}
+	w.sched.Run(w.sched.Now() + DefaultConfig().ActiveRouteTimeout + time.Second)
+	r.onHello(pkt.NewPacket(9, pkt.Broadcast, &pkt.Hello{Seq: 1}), 9)
+	if hops, ok := r.RouteHops(9); !ok || hops != 1 {
+		t.Fatalf("precondition: the hello did not refill the expired route (hops %d, ok %v)", hops, ok)
+	}
+
+	r.onRREQ(pkt.NewPacket(5, pkt.Broadcast, &pkt.RREQ{ID: 1, Dst: 9, Orig: 5, OrigSeq: 1, Flags: pkt.RREQUnknownSeq, HopCount: 1}), 2)
+	if st := r.Stats(); st.RREPsOriginated != 0 || st.RREQsForwarded != 1 {
+		t.Fatalf("%d RREPs answered, %d RREQs relayed; want the request relayed, not answered from an unsequenced route", st.RREPsOriginated, st.RREQsForwarded)
+	}
+}
+
+// TestDiscoveryAllocatesNothing: on the line 1-2-3, node 2 holds a route
+// to 3. Once warmed up, a cycle in which node 1 forgets its route to 3,
+// queues a packet for it, sends the TTL-1 ring, takes node 2's reply and
+// sends the queued packet allocates nothing: the discovery record, its
+// queue and its timeout callback are reused.
+func TestDiscoveryAllocatesNothing(t *testing.T) {
+	w := buildWorld(t, linePositions(3))
+	w.sched.After(time.Second, func() { w.stacks[1].SendUnicast(payload(2, 3)) })
+	w.sched.Run(3 * time.Second)
+	r := w.routers[0]
+	body := &pkt.GossipRep{Group: 1, Responder: 1}
+	cycle := func() {
+		r.routes.Delete(pkt.NodeID(3).Uint64())
+		w.stacks[0].SendUnicast(w.stacks[0].NewPacket(3, body))
+		w.sched.Run(w.sched.Now() + 200*time.Millisecond)
+	}
+	for i := 0; i < 20; i++ {
+		cycle()
+	}
+	before, rxBefore := r.Stats(), w.rxs[2]
+	allocs := testing.AllocsPerRun(100, cycle)
+	st := r.Stats()
+	rreqs, discoveries := st.RREQsOriginated-before.RREQsOriginated, st.Discoveries-before.Discoveries
+	if got := w.rxs[2] - rxBefore; got != 101 || discoveries != 101 || rreqs != 101 || len(r.pending) != 0 {
+		t.Fatalf("%d of 101 packets delivered, %d RREQs in %d discoveries, %d pending: not one TTL-1 ring per cycle", got, rreqs, discoveries, len(r.pending))
+	}
+	if allocs != 0 {
+		t.Fatalf("a discovery cycle allocates %v times, want 0", allocs)
 	}
 }

@@ -79,10 +79,10 @@ type Stack struct {
 	rt rt.Runtime
 
 	router UnicastRouter
-	// handlers is indexed by pkt.Kind and reaches as far as the largest
-	// registered kind; nil entries have no handler. Every delivered
-	// packet looks its handler up here, so it is a slice, not a map.
-	handlers []Handler
+	// handlers is indexed by pkt.Kind.Slot; nil entries have no
+	// handler. Every delivered packet looks its handler up here, so it
+	// is an array, not a map.
+	handlers [pkt.NumKinds]Handler
 
 	failSubs []func(neighbor pkt.NodeID)
 
@@ -125,24 +125,25 @@ func (s *Stack) Stats() Stats { return s.stats }
 func (s *Stack) SetRouter(r UnicastRouter) { s.router = r }
 
 // Handle registers the protocol handler for a packet kind. Registering a
-// kind twice panics: it indicates mis-wired protocols at construction
-// time, never a runtime condition.
+// kind twice, or a value that is no body kind, panics: it indicates
+// mis-wired protocols at construction time, never a runtime condition.
 func (s *Stack) Handle(kind pkt.Kind, h Handler) {
-	if s.handler(kind) != nil {
+	i := kind.Slot()
+	if i < 0 {
+		panic(fmt.Sprintf("node: handler for %s, no body kind", kind))
+	}
+	if s.handlers[i] != nil {
 		panic(fmt.Sprintf("node: duplicate handler for %s", kind))
 	}
-	for int(kind) >= len(s.handlers) {
-		s.handlers = append(s.handlers, nil)
-	}
-	s.handlers[kind] = h
+	s.handlers[i] = h
 }
 
 // handler returns the handler registered for kind, or nil.
 func (s *Stack) handler(kind pkt.Kind) Handler {
-	if int(kind) >= len(s.handlers) {
-		return nil
+	if i := kind.Slot(); i >= 0 {
+		return s.handlers[i]
 	}
-	return s.handlers[kind]
+	return nil
 }
 
 // OnLinkFailure subscribes to MAC retry-exhaustion events. fn receives the

@@ -200,20 +200,6 @@ func TestRouterHearsEveryFrame(t *testing.T) {
 	}
 }
 
-func TestLinkFailureSubscription(t *testing.T) {
-	e := line(t, 2)
-	var failedTo []pkt.NodeID
-	e.stacks[0].OnLinkFailure(func(n pkt.NodeID) {
-		failedTo = append(failedTo, n)
-	})
-	// Node 9 does not exist: MAC retries then fails.
-	e.sched.After(0, func() { e.stacks[0].SendDirect(9, hello(1, 9)) })
-	e.sched.Run(10 * time.Second)
-	if len(failedTo) != 1 || failedTo[0] != 9 {
-		t.Fatalf("failure notifications = %v, want [9]", failedTo)
-	}
-}
-
 func TestBroadcastSendDoneNoFailure(t *testing.T) {
 	e := line(t, 1) // no neighbours at all
 	e.stacks[0].OnLinkFailure(func(n pkt.NodeID) {
@@ -234,10 +220,21 @@ func TestDuplicateHandlerPanics(t *testing.T) {
 	e.stacks[0].Handle(pkt.KindHello, func(*pkt.Packet, pkt.NodeID) {})
 }
 
+// TestHandleRejectsNonKind: a handler for a value that is no body kind
+// could never run, so registering one panics.
+func TestHandleRejectsNonKind(t *testing.T) {
+	e := line(t, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Handle of kind value 20 did not panic")
+		}
+	}()
+	e.stacks[0].Handle(pkt.Kind(20), func(*pkt.Packet, pkt.NodeID) {})
+}
+
 func TestNoHandlerCounted(t *testing.T) {
-	// The handler table reaches as far as the largest registered kind: a
-	// HELLO is past its end on a bare stack and in an empty slot on one
-	// that handles only DATA.
+	// A HELLO at a stack with no HELLO handler, a bare one or one that
+	// handles only DATA, is counted, not delivered.
 	for _, handlesData := range []bool{false, true} {
 		e := line(t, 2)
 		if handlesData {

@@ -111,7 +111,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 // their capacity, as in Spares.Copy. The zero value is ready.
 type Scratch struct {
 	dp   dataPacket
-	pkts [numKinds]*Packet // every kind but Data, by Kind.slot
+	pkts [NumKinds]*Packet // every kind but Data, by Kind.slot
 }
 
 // packet returns the storage of kind k to decode into, made on first

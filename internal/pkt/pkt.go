@@ -161,9 +161,18 @@ func (p *Packet) WireSize() int { return headerSize + p.Body.WireSize() }
 // allocation, laid out like a decoded one.
 func (p *Packet) Clone() *Packet { return (*Spares)(nil).Copy(p) }
 
-// numKinds is the number of body kinds: the ten base kinds, then ODMRP's
-// two.
-const numKinds = int(KindGossipRep) + 2
+// NumKinds is the number of body kinds: the ten base kinds, then
+// ODMRP's two.
+const NumKinds = int(KindGossipRep) + 2
+
+// Slot is a body kind's dense index in [0, NumKinds), for per-kind
+// tables, and -1 for a value that is no body kind.
+func (k Kind) Slot() int {
+	if !k.known() {
+		return -1
+	}
+	return k.slot()
+}
 
 // slot is a known kind's dense index, for per-kind tables: the base
 // kinds count from 0 and the ODMRP kinds follow them.
@@ -179,8 +188,8 @@ func (k Kind) slot() int {
 // (node.Stack keeps one) and is not safe for concurrent use; the zero
 // value is empty and ready.
 type Spares struct {
-	free [numKinds][maxSpares]*Packet
-	n    [numKinds]uint8
+	free [NumKinds][maxSpares]*Packet
+	n    [NumKinds]uint8
 	// more holds spares past a kind's maxSpares, of any kind and at most
 	// extra of them: the room Grow made.
 	more  []*Packet

@@ -165,22 +165,28 @@ func TestCloneBodyIsDeep(t *testing.T) {
 	}
 }
 
-// TestKindSlotsDense: the per-kind free lists are indexed densely — every
-// kind has its own slot below numKinds.
+// TestKindSlotsDense: the per-kind tables are indexed densely — every
+// kind has its own slot below NumKinds — and a value that is no kind has
+// none.
 func TestKindSlotsDense(t *testing.T) {
 	seen := make(map[int]Kind)
 	for _, k := range Kinds() {
-		s := k.slot()
-		if s < 0 || s >= numKinds {
-			t.Fatalf("%s: slot %d outside [0, %d)", k, s, numKinds)
+		s := k.Slot()
+		if s < 0 || s >= NumKinds {
+			t.Fatalf("%s: slot %d outside [0, %d)", k, s, NumKinds)
 		}
 		if other, dup := seen[s]; dup {
 			t.Fatalf("%s and %s share slot %d", k, other, s)
 		}
 		seen[s] = k
 	}
-	if len(seen) != numKinds {
-		t.Fatalf("%d kinds, numKinds %d", len(seen), numKinds)
+	if len(seen) != NumKinds {
+		t.Fatalf("%d kinds, NumKinds %d", len(seen), NumKinds)
+	}
+	for _, k := range []Kind{0, KindGossipRep + 1, KindJoinQuery - 1, KindJoinReply + 1, 255} {
+		if s := k.Slot(); s != -1 {
+			t.Errorf("kind value %d has slot %d, want -1", uint8(k), s)
+		}
 	}
 }
 

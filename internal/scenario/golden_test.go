@@ -18,8 +18,10 @@ import (
 // switches) and have been carried, value for value, through every
 // redesign of the assembly since; a stack added to the table gets its
 // rows the day it is added, because the cases iterate stack.Stacks.
-// The +gossip rows were re-recorded once on purpose, when gossip
-// replies began to retrace the walk of their request.
+// The +gossip rows were re-recorded on purpose twice: when gossip
+// replies began to retrace the walk of their request, and when AODV's
+// route discovery began with an expanding ring search (MAODV's join
+// requests, all the bare stacks send, do not search in rings).
 //
 // The Large250 row pins one 250-node large-scale run, where the radio's
 // grid spans 7×7 cells instead of the 25-node rows' 4×4. It was recorded
@@ -30,7 +32,8 @@ import (
 // differential tests. The row runs MAODV+AG, so it was re-recorded
 // with the +gossip rows, and once more, alone, when AODV stopped
 // re-routing a unicast whose next hop failed: the twelve stack rows
-// stayed byte-identical through that change.
+// stayed byte-identical through that change. The six bare rows stayed
+// byte-identical through the ring search too.
 //
 // Regenerate (only after an intentional behaviour change) with:
 //

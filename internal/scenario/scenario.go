@@ -251,9 +251,10 @@ type Result struct {
 	ControlBytes, PayloadBytes uint64
 	// MACCollisions counts corrupted receptions medium-wide.
 	MACCollisions uint64
-	// RouteDiscoveries counts unicast route requests originated over
-	// all nodes (stack.Node.RouteDiscoveries): on the +gossip stacks,
-	// the floods gossip's unicasts start when no route is known.
+	// RouteDiscoveries counts unicast route discoveries started over
+	// all nodes (stack.Node.RouteDiscoveries), not the RREQs their rings
+	// and floods send: on the +gossip stacks, the searches gossip's
+	// unicasts start when no route is known.
 	RouteDiscoveries uint64
 	// Events is the number of logical simulation events executed:
 	// kernel events plus the events the stack elides (see the

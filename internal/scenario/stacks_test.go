@@ -131,7 +131,7 @@ func TestFloodGossipStack(t *testing.T) {
 }
 
 // TestRouteDiscoveriesCountUnicastRequests: Result.RouteDiscoveries sums
-// the unicast route requests nodes originate. A bare stack's gossip-free
+// the unicast route discoveries nodes start. A bare stack's gossip-free
 // traffic starts none (MAODV's join requests are not counted), and a
 // +gossip stack's unicasts start some.
 func TestRouteDiscoveriesCountUnicastRequests(t *testing.T) {

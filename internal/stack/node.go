@@ -158,14 +158,15 @@ func (n *Node) Publish(g pkt.GroupID) (pkt.SeqKey, error) {
 	return key, err
 }
 
-// RouteDiscoveries counts the unicast route requests this node's AODV
-// substrate originated, retries included; MAODV's join requests are not
-// among them. It is 0 on a stack without one.
+// RouteDiscoveries counts the unicast route discoveries this node's
+// AODV substrate started, each one however many rings and floods it
+// sent; MAODV's join requests are not among them. It is 0 on a stack
+// without one.
 func (n *Node) RouteDiscoveries() uint64 {
 	if n.uni == nil {
 		return 0
 	}
-	return n.uni.Stats().RREQsOriginated
+	return n.uni.Stats().Discoveries
 }
 
 // Delivered counts unique data packets delivered to the application.

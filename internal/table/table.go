@@ -108,6 +108,19 @@ func (t *Table[V]) Insert(k uint64) (v *V, added bool) {
 	return &t.vals[i], true
 }
 
+// Reserve makes room for n entries: until the table holds n, Insert
+// and Put add keys without a resize. It never shrinks the table.
+func (t *Table[V]) Reserve(n int) {
+	if n*4 <= len(t.keys)*3 {
+		return
+	}
+	slots := minSlots
+	for n*4 > slots*3 {
+		slots *= 2
+	}
+	t.resize(slots)
+}
+
 // Put sets k's value, adding k when it is absent.
 func (t *Table[V]) Put(k uint64, v V) {
 	p, _ := t.Insert(k)

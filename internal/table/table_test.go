@@ -220,6 +220,33 @@ func TestTableAllocs(t *testing.T) {
 	}
 }
 
+// TestTableReserve: a table reserved for n entries takes n keys without
+// a resize, a reservation keeps what the table holds, one the table
+// already has room for changes nothing, and a reservation of none
+// allocates no storage.
+func TestTableReserve(t *testing.T) {
+	for _, n := range []int{0, 1, 6, 7, 24, 25, 100} {
+		c := newChecker(t)
+		c.tab.Reserve(n)
+		slots := len(c.tab.keys)
+		if n == 0 && slots != 0 {
+			t.Errorf("Reserve(0) made %d slots", slots)
+		}
+		for k := uint64(0); k < uint64(n); k++ {
+			c.put(keyFor(k), k)
+		}
+		if len(c.tab.keys) != slots {
+			t.Errorf("Reserve(%d) made %d slots, and %d inserts resized them to %d", n, slots, n, len(c.tab.keys))
+		}
+		c.tab.Reserve(n / 2)
+		if len(c.tab.keys) != slots {
+			t.Errorf("Reserve(%d) on a table of %d slots resized it to %d", n/2, slots, len(c.tab.keys))
+		}
+		c.tab.Reserve(4 * n)
+		c.all()
+	}
+}
+
 // FuzzTable hunts for operation scripts on which the table and a
 // builtin map disagree. `go test` runs the seed corpus;
 // `go test -fuzz FuzzTable ./internal/table` explores.
