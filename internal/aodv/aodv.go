@@ -250,9 +250,6 @@ func (r *Router) OnLinkBreak(fn func(n pkt.NodeID)) {
 // Stats returns a copy of the protocol counters.
 func (r *Router) Stats() Stats { return r.stats }
 
-// ID returns the owning node's address.
-func (r *Router) ID() pkt.NodeID { return r.stack.ID() }
-
 // --- node.UnicastRouter ---
 
 // NextHop implements node.UnicastRouter, refreshing the lifetime of used

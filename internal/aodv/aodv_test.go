@@ -1,24 +1,21 @@
 package aodv
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 	"time"
 
 	"anongossip/internal/geom"
-	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
-	"anongossip/internal/radio"
 	"anongossip/internal/sim"
+	"anongossip/internal/testworld"
 	"anongossip/internal/trace"
 )
 
 type world struct {
-	sched   *sim.Scheduler
-	medium  *radio.Medium
+	*testworld.World
 	stacks  []*node.Stack
 	routers []*Router
 	rxs     []int // GossipRep deliveries per node
@@ -26,26 +23,20 @@ type world struct {
 
 // buildWorld wires stacks+AODV at the given positions (60 m range) and
 // registers a payload handler (GossipRep stands in for any transparently
-// routed unicast traffic).
+// routed unicast traffic). A non-nil models[i] moves node i instead.
 func buildWorld(t *testing.T, positions []geom.Point, models ...mobility.Model) *world {
 	t.Helper()
-	w := &world{sched: sim.NewScheduler()}
-	w.medium = radio.NewMedium(w.sched, radio.Params{Range: 60})
+	ms := testworld.Static(positions...)
+	for i, m := range models {
+		if m != nil {
+			ms[i] = m
+		}
+	}
 	rng := sim.NewRNG(7)
-	w.rxs = make([]int, len(positions))
-	for i := range positions {
-		i := i
-		var m mobility.Model = mobility.Static{P: positions[i]}
-		if models != nil && models[i] != nil {
-			m = models[i]
-		}
-		id := pkt.NodeID(i + 1)
-		rt, err := mac.New(w.sched, rng.Derive(id.String()).Derive(fmt.Sprintf("mac/%d", id)), w.medium, id, m, mac.DefaultConfig(), mac.Callbacks{})
-		if err != nil {
-			t.Fatal(err)
-		}
+	w := &world{World: testworld.New(t, 60, ms, testworld.Labelled(rng, "")), rxs: make([]int, len(positions))}
+	for i, rt := range w.MACs {
 		st := node.NewOnRuntime(rt)
-		r := New(st, rng.Derive("aodv/"+id.String()), DefaultConfig())
+		r := New(st, rng.Derive("aodv/"+st.ID().String()), DefaultConfig())
 		st.Handle(pkt.KindGossipRep, func(p *pkt.Packet, from pkt.NodeID) { w.rxs[i]++ })
 		r.Start()
 		w.stacks = append(w.stacks, st)
@@ -58,20 +49,10 @@ func payload(src, dst pkt.NodeID) *pkt.Packet {
 	return pkt.NewPacket(src, dst, &pkt.GossipRep{Group: 1, Responder: src})
 }
 
-// linePositions returns n points 50 m apart (range 60 m: only adjacent
-// nodes connect).
-func linePositions(n int) []geom.Point {
-	out := make([]geom.Point, n)
-	for i := range out {
-		out[i] = geom.Point{X: float64(i) * 50}
-	}
-	return out
-}
-
 func TestRouteDiscoveryAndDelivery(t *testing.T) {
-	w := buildWorld(t, linePositions(4))
-	w.sched.After(time.Second, func() { w.stacks[0].SendUnicast(payload(1, 4)) })
-	w.sched.Run(5 * time.Second)
+	w := buildWorld(t, testworld.Line(4, 50))
+	w.Sched.After(time.Second, func() { w.stacks[0].SendUnicast(payload(1, 4)) })
+	w.Sched.Run(5 * time.Second)
 
 	if w.rxs[3] != 1 {
 		t.Fatalf("destination deliveries = %d, want 1", w.rxs[3])
@@ -89,13 +70,13 @@ func TestRouteDiscoveryAndDelivery(t *testing.T) {
 }
 
 func TestMultiplePacketsQueuedDuringDiscovery(t *testing.T) {
-	w := buildWorld(t, linePositions(3))
-	w.sched.After(time.Second, func() {
+	w := buildWorld(t, testworld.Line(3, 50))
+	w.Sched.After(time.Second, func() {
 		for i := 0; i < 5; i++ {
 			w.stacks[0].SendUnicast(payload(1, 3))
 		}
 	})
-	w.sched.Run(5 * time.Second)
+	w.Sched.Run(5 * time.Second)
 	if w.rxs[2] != 5 {
 		t.Fatalf("deliveries = %d, want 5", w.rxs[2])
 	}
@@ -110,12 +91,9 @@ func TestMultiplePacketsQueuedDuringDiscovery(t *testing.T) {
 // doubled per retry. The discovery fails when the last wait ends.
 func TestDiscoveryFailsForUnreachable(t *testing.T) {
 	w := buildWorld(t, []geom.Point{{X: 0}, {X: 500}})
-	rt, err := mac.New(w.sched, sim.NewRNG(3), w.medium, 3, mobility.Static{P: geom.Point{X: 50}}, mac.DefaultConfig(), mac.Callbacks{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var ttls []uint8
-	node.NewOnRuntime(rt).Handle(pkt.KindRREQ, func(p *pkt.Packet, from pkt.NodeID) { ttls = append(ttls, p.TTL) })
+	listener := node.NewOnRuntime(w.Add(t, 3, mobility.Static{P: geom.Point{X: 50}}, sim.NewRNG(3)))
+	listener.Handle(pkt.KindRREQ, func(p *pkt.Packet, from pkt.NodeID) { ttls = append(ttls, p.TTL) })
 	var sentAt []time.Duration
 	w.stacks[0].SetTracer(func(e trace.Event) {
 		if e.Op == trace.OpSend && e.Kind == pkt.KindRREQ {
@@ -123,7 +101,7 @@ func TestDiscoveryFailsForUnreachable(t *testing.T) {
 		}
 	})
 	start := time.Second
-	w.sched.At(start, func() { w.stacks[0].SendUnicast(payload(1, 2)) })
+	w.Sched.At(start, func() { w.stacks[0].SendUnicast(payload(1, 2)) })
 
 	to := DefaultConfig().RREQTimeout // 500 ms
 	waits := []time.Duration{to * 3 / 35, to * 5 / 35, to * 7 / 35, to * 9 / 35, to, 2 * to, 4 * to}
@@ -134,11 +112,11 @@ func TestDiscoveryFailsForUnreachable(t *testing.T) {
 		wantAt = append(wantAt, end)
 		end += wt
 	}
-	w.sched.Run(end - 1)
+	w.Sched.Run(end - 1)
 	if st := w.routers[0].Stats(); st.DiscoveryFails != 0 {
 		t.Fatalf("discovery failed before its last wait ended at %v", end)
 	}
-	w.sched.Run(end)
+	w.Sched.Run(end)
 
 	st := w.routers[0].Stats()
 	if st.DiscoveryFails != 1 || st.Discoveries != 1 {
@@ -161,16 +139,16 @@ func TestDiscoveryFailsForUnreachable(t *testing.T) {
 // discovery sends that one RREQ, no wider ring, and node 5 on the far
 // side hears it but relays nothing.
 func TestRingStopsAtNeighbourReply(t *testing.T) {
-	w := buildWorld(t, append(linePositions(4), geom.Point{X: -50}))
-	w.sched.After(time.Second, func() { w.stacks[1].SendUnicast(payload(2, 4)) })
-	w.sched.Run(3 * time.Second)
+	w := buildWorld(t, append(testworld.Line(4, 50), geom.Point{X: -50}))
+	w.Sched.After(time.Second, func() { w.stacks[1].SendUnicast(payload(2, 4)) })
+	w.Sched.Run(3 * time.Second)
 	if w.rxs[3] != 1 {
 		t.Fatal("precondition: node 2's packet was not delivered")
 	}
 	relayed := w.routers[4].Stats().RREQsForwarded
 	before := w.routers[3].Stats().RREPsOriginated
-	w.sched.After(0, func() { w.stacks[0].SendUnicast(payload(1, 4)) })
-	w.sched.Run(8 * time.Second)
+	w.Sched.After(0, func() { w.stacks[0].SendUnicast(payload(1, 4)) })
+	w.Sched.Run(8 * time.Second)
 
 	if w.rxs[3] != 2 {
 		t.Fatalf("deliveries = %d, want 2", w.rxs[3])
@@ -193,8 +171,8 @@ func TestRingStopsAtNeighbourReply(t *testing.T) {
 }
 
 func TestHelloNeighborDiscovery(t *testing.T) {
-	w := buildWorld(t, linePositions(2))
-	w.sched.Run(3 * time.Second)
+	w := buildWorld(t, testworld.Line(2, 50))
+	w.Sched.Run(3 * time.Second)
 	if !w.routers[0].HaveNeighbor(2) || !w.routers[1].HaveNeighbor(1) {
 		t.Fatal("hello beacons did not establish neighbourhood")
 	}
@@ -204,46 +182,22 @@ func TestHelloNeighborDiscovery(t *testing.T) {
 	}
 }
 
-// departSpeed is a departing node's declared and actual speed: fast
-// enough to leave a 60 m neighbourhood within a tenth of a second.
-const departSpeed = 1000 // m/s
-
-// departing is a node that stays at a until leaveAt, then travels in a
-// straight line to b at departSpeed.
-type departing struct {
-	a, b    geom.Point
-	leaveAt sim.Time
-}
-
-func (d departing) Position(t sim.Time) geom.Point {
-	if t <= d.leaveAt {
-		return d.a
-	}
-	frac := departSpeed * (t - d.leaveAt).Seconds() / d.a.Dist(d.b)
-	if frac >= 1 {
-		return d.b
-	}
-	return d.a.Lerp(d.b, frac)
-}
-
-func (departing) MaxSpeed() float64 { return departSpeed }
-
 func TestHelloLossBreaksLink(t *testing.T) {
-	pos := linePositions(2)
+	pos := testworld.Line(2, 50)
 	models := []mobility.Model{
 		nil,
-		departing{a: pos[1], b: geom.Point{X: 5000}, leaveAt: 5 * time.Second},
+		&testworld.Leg{From: pos[1], To: geom.Point{X: 5000}, At: 5 * time.Second},
 	}
 	w := buildWorld(t, pos, models...)
 
 	var broken []pkt.NodeID
 	w.routers[0].OnLinkBreak(func(n pkt.NodeID) { broken = append(broken, n) })
 
-	w.sched.Run(4 * time.Second)
+	w.Sched.Run(4 * time.Second)
 	if !w.routers[0].HaveNeighbor(2) {
 		t.Fatal("precondition: neighbour not established")
 	}
-	w.sched.Run(12 * time.Second)
+	w.Sched.Run(12 * time.Second)
 	if w.routers[0].HaveNeighbor(2) {
 		t.Fatal("vanished neighbour still tracked after allowed hello loss")
 	}
@@ -263,15 +217,15 @@ func TestHelloLossBreaksLink(t *testing.T) {
 // hello deadline passes: the route is invalidated and a RERR goes out,
 // and the failed packet is dropped, not re-routed into a new discovery.
 func TestMACFailureInvalidatesRoute(t *testing.T) {
-	pos := linePositions(3)
+	pos := testworld.Line(3, 50)
 	models := []mobility.Model{
 		nil,
-		departing{a: pos[1], b: geom.Point{X: 5000}, leaveAt: 6 * time.Second},
+		&testworld.Leg{From: pos[1], To: geom.Point{X: 5000}, At: 6 * time.Second},
 		nil,
 	}
 	w := buildWorld(t, pos, models...)
-	w.sched.After(time.Second, func() { w.stacks[0].SendUnicast(payload(1, 3)) })
-	w.sched.Run(5 * time.Second)
+	w.Sched.After(time.Second, func() { w.stacks[0].SendUnicast(payload(1, 3)) })
+	w.Sched.Run(5 * time.Second)
 	if w.rxs[2] != 1 {
 		t.Fatal("precondition: initial delivery failed")
 	}
@@ -279,8 +233,8 @@ func TestMACFailureInvalidatesRoute(t *testing.T) {
 	// Send the second packet after node 2 leaves at t=6s. Node 2's last
 	// hello was heard after 5 s, so by 7.5 s only the MAC failure can
 	// have broken the link.
-	w.sched.After(2*time.Second, func() { w.stacks[0].SendUnicast(payload(1, 3)) })
-	w.sched.Run(7500 * time.Millisecond)
+	w.Sched.After(2*time.Second, func() { w.stacks[0].SendUnicast(payload(1, 3)) })
+	w.Sched.Run(7500 * time.Millisecond)
 	st := w.routers[0].Stats()
 	if st.LinkBreaks == before.LinkBreaks {
 		t.Fatal("MAC failure did not register a link break")
@@ -291,7 +245,7 @@ func TestMACFailureInvalidatesRoute(t *testing.T) {
 	if _, ok := w.routers[0].NextHop(3); ok {
 		t.Fatal("stale route still valid after link break")
 	}
-	w.sched.Run(40 * time.Second)
+	w.Sched.Run(40 * time.Second)
 	if w.rxs[2] != 1 {
 		t.Fatalf("deliveries = %d, want still 1 (no path after departure)", w.rxs[2])
 	}
@@ -301,24 +255,24 @@ func TestMACFailureInvalidatesRoute(t *testing.T) {
 }
 
 func TestIntermediateNodeReplies(t *testing.T) {
-	w := buildWorld(t, linePositions(4))
+	w := buildWorld(t, testworld.Line(4, 50))
 	// Establish 1->4; then ask from node 2, which should get an answer
 	// without a new full flood reaching node 4's neighbourhood... We
 	// simply verify node 2 answers from its fresh route: node 1
 	// rediscovers immediately after the first exchange.
-	w.sched.After(time.Second, func() { w.stacks[0].SendUnicast(payload(1, 4)) })
-	w.sched.Run(4 * time.Second)
+	w.Sched.After(time.Second, func() { w.stacks[0].SendUnicast(payload(1, 4)) })
+	w.Sched.Run(4 * time.Second)
 
 	before := w.routers[3].Stats().RREPsOriginated
 	// Expire nothing: route at node 2 toward 4 is fresh. New request
 	// from node 1 for 4 after deleting its own route: force by another
 	// packet after invalidating locally.
-	w.sched.After(0, func() {
+	w.Sched.After(0, func() {
 		// Simulate local route loss at node 1 only.
 		w.routers[0].routes.Delete(pkt.NodeID(4).Uint64())
 		w.stacks[0].SendUnicast(payload(1, 4))
 	})
-	w.sched.Run(8 * time.Second) // Run horizons are absolute simulation times
+	w.Sched.Run(8 * time.Second) // Run horizons are absolute simulation times
 
 	if w.rxs[3] != 2 {
 		t.Fatalf("deliveries = %d, want 2", w.rxs[3])
@@ -334,21 +288,21 @@ func TestIntermediateNodeReplies(t *testing.T) {
 func TestRERRPropagation(t *testing.T) {
 	// Chain 1-2-3-4. After route setup, node 4 vanishes. Node 3 detects
 	// (hello loss), broadcasts RERR; nodes 2 and 1 must invalidate.
-	pos := linePositions(4)
+	pos := testworld.Line(4, 50)
 	models := []mobility.Model{
 		nil, nil, nil,
-		departing{a: pos[3], b: geom.Point{X: 9000}, leaveAt: 6 * time.Second},
+		&testworld.Leg{From: pos[3], To: geom.Point{X: 9000}, At: 6 * time.Second},
 	}
 	w := buildWorld(t, pos, models...)
-	w.sched.After(time.Second, func() { w.stacks[0].SendUnicast(payload(1, 4)) })
-	w.sched.Run(5 * time.Second)
+	w.Sched.After(time.Second, func() { w.stacks[0].SendUnicast(payload(1, 4)) })
+	w.Sched.Run(5 * time.Second)
 	if w.rxs[3] != 1 {
 		t.Fatal("precondition: delivery failed")
 	}
 	if _, ok := w.routers[1].NextHop(4); !ok {
 		t.Fatal("precondition: node 2 lacks route to 4")
 	}
-	w.sched.Run(15 * time.Second) // hello loss at node 3 + RERR propagation
+	w.Sched.Run(15 * time.Second) // hello loss at node 3 + RERR propagation
 
 	if _, ok := w.routers[2].NextHop(4); ok {
 		t.Fatal("node 3 still has valid route to vanished node 4")
@@ -380,9 +334,9 @@ func TestNewerSeq(t *testing.T) {
 }
 
 func TestSeenCacheSweep(t *testing.T) {
-	w := buildWorld(t, linePositions(2))
-	w.sched.After(time.Second, func() { w.stacks[0].SendUnicast(payload(1, 9)) })
-	w.sched.Run(30 * time.Second)
+	w := buildWorld(t, testworld.Line(2, 50))
+	w.Sched.After(time.Second, func() { w.stacks[0].SendUnicast(payload(1, 9)) })
+	w.Sched.Run(30 * time.Second)
 	// After SeenLifetime + sweeps, the cache must be clean.
 	if r := w.routers[1]; r.seen.Len() != 0 || len(r.seenLog) != 0 {
 		t.Fatalf("seen cache has %d stale entries (%d writes logged)", r.seen.Len(), len(r.seenLog))
@@ -394,18 +348,18 @@ func TestSeenCacheSweep(t *testing.T) {
 // sweep that drops the first write must keep the live entry, and a
 // sweep after the rewrite's own expiry drops it.
 func TestSeenSweepKeepsRewrittenEntry(t *testing.T) {
-	w := buildWorld(t, linePositions(1))
+	w := buildWorld(t, testworld.Line(1, 50))
 	r := w.routers[0]
 	// Sweeps run every HelloInterval (600 ms) from 0: the first write
 	// expires at 6.1 s and is dropped by the 6.6 s sweep (its mark was
 	// made at 1.2 s), which the rewrite at 6.2 s precedes.
-	w.sched.At(1100*time.Millisecond, func() { r.NoteOwnRREQ(7) })
-	w.sched.At(6200*time.Millisecond, func() { r.NoteOwnRREQ(7) })
-	w.sched.Run(7 * time.Second)
-	if exp, ok := r.seen.Get(seenKey(r.ID(), 7)); !ok || exp != 11200*time.Millisecond || len(r.seenLog) != 1 {
+	w.Sched.At(1100*time.Millisecond, func() { r.NoteOwnRREQ(7) })
+	w.Sched.At(6200*time.Millisecond, func() { r.NoteOwnRREQ(7) })
+	w.Sched.Run(7 * time.Second)
+	if exp, ok := r.seen.Get(seenKey(r.stack.ID(), 7)); !ok || exp != 11200*time.Millisecond || len(r.seenLog) != 1 {
 		t.Fatalf("after the 6.6 s sweep: entry %v (present %v), %d writes logged; want the rewrite, expiring at 11.2 s, logged alone", exp, ok, len(r.seenLog))
 	}
-	w.sched.Run(13 * time.Second)
+	w.Sched.Run(13 * time.Second)
 	if r.seen.Len() != 0 || len(r.seenLog) != 0 {
 		t.Fatalf("after its expiry: %d entries, %d writes logged", r.seen.Len(), len(r.seenLog))
 	}
@@ -415,7 +369,7 @@ func TestSeenSweepKeepsRewrittenEntry(t *testing.T) {
 // every frame the node hears does, through the stack's router hook —
 // allocates nothing.
 func TestOnHeardAllocatesNothing(t *testing.T) {
-	r := buildWorld(t, linePositions(1)).routers[0]
+	r := buildWorld(t, testworld.Line(1, 50)).routers[0]
 	var hook node.UnicastRouter = r
 	for n := pkt.NodeID(2); n < 40; n++ {
 		hook.NeighborHeard(n)
@@ -439,8 +393,8 @@ func TestOnHeardAllocatesNothing(t *testing.T) {
 // hello packets, each built in the one the previous hello's link handed
 // back.
 func TestTicksAllocateNothing(t *testing.T) {
-	w := buildWorld(t, linePositions(3))
-	w.sched.Run(10 * time.Second)
+	w := buildWorld(t, testworld.Line(3, 50))
+	w.Sched.Run(10 * time.Second)
 	hellos := func() (n uint64) {
 		for _, r := range w.routers {
 			n += r.Stats().HellosSent
@@ -450,7 +404,7 @@ func TestTicksAllocateNothing(t *testing.T) {
 	var sent uint64
 	allocs := testing.AllocsPerRun(1, func() {
 		before := hellos()
-		w.sched.Run(w.sched.Now() + time.Minute)
+		w.Sched.Run(w.Sched.Now() + time.Minute)
 		sent = hellos() - before
 	})
 	if sent < 250 || allocs != 0 {
@@ -465,12 +419,12 @@ func TestTicksAllocateNothing(t *testing.T) {
 
 func TestQueueBounded(t *testing.T) {
 	w := buildWorld(t, []geom.Point{{X: 0}, {X: 500}})
-	w.sched.After(time.Second, func() {
+	w.Sched.After(time.Second, func() {
 		for i := 0; i < DefaultConfig().MaxQueuedPerDest+5; i++ {
 			w.stacks[0].SendUnicast(payload(1, 2))
 		}
 	})
-	w.sched.Run(2 * time.Second)
+	w.Sched.Run(2 * time.Second)
 	d := w.routers[0].pending[2]
 	if d == nil {
 		t.Fatal("no pending discovery")
@@ -484,8 +438,8 @@ func TestQueueBounded(t *testing.T) {
 // so it fills a missing or an expired entry but never replaces a fresh
 // route, sequenced or hello-learned, and a later RREP replaces it.
 func TestLearnRouteFreshness(t *testing.T) {
-	w := buildWorld(t, linePositions(2))
-	w.sched.Run(time.Second) // hellos: 1 and 2 hold 1-hop routes to each other
+	w := buildWorld(t, testworld.Line(2, 50))
+	w.Sched.Run(time.Second) // hellos: 1 and 2 hold 1-hop routes to each other
 	r := w.routers[0]
 	route := func(dst pkt.NodeID) (pkt.NodeID, uint8) {
 		hops, ok := r.RouteHops(dst)
@@ -505,7 +459,7 @@ func TestLearnRouteFreshness(t *testing.T) {
 		t.Fatalf("a second learned route replaced a fresh one: via %v, %d hops", next, hops)
 	}
 
-	w.sched.Run(w.sched.Now() + DefaultConfig().ActiveRouteTimeout + time.Second)
+	w.Sched.Run(w.Sched.Now() + DefaultConfig().ActiveRouteTimeout + time.Second)
 	if _, ok := r.RouteHops(9); ok {
 		t.Fatal("unused route to 9 did not expire")
 	}
@@ -534,9 +488,9 @@ func TestLearnRouteFreshness(t *testing.T) {
 // destination whose discovery is pending sends the queued packet at
 // once and ends the discovery, with no retry.
 func TestLearnRouteSendsPendingDiscovery(t *testing.T) {
-	w := buildWorld(t, linePositions(2))
+	w := buildWorld(t, testworld.Line(2, 50))
 	r := w.routers[0]
-	w.sched.After(0, func() {
+	w.Sched.After(0, func() {
 		w.stacks[0].SendUnicast(payload(1, 2))
 		if r.pending[2] == nil {
 			t.Fatal("no discovery pending before any hello")
@@ -546,7 +500,7 @@ func TestLearnRouteSendsPendingDiscovery(t *testing.T) {
 			t.Fatal("discovery still pending after the route was learned")
 		}
 	})
-	w.sched.Run(5 * time.Second)
+	w.Sched.Run(5 * time.Second)
 	if w.rxs[1] != 1 {
 		t.Fatalf("destination deliveries = %d, want 1", w.rxs[1])
 	}
@@ -559,7 +513,7 @@ func TestLearnRouteSendsPendingDiscovery(t *testing.T) {
 // receives offers AODV a route; on an entry the table holds, learning
 // allocates nothing, whether it keeps the route or refills it.
 func TestLearnRouteAllocatesNothing(t *testing.T) {
-	r := buildWorld(t, linePositions(1)).routers[0]
+	r := buildWorld(t, testworld.Line(1, 50)).routers[0]
 	r.LearnRoute(9, 2, 3)
 	refill := false
 	if allocs := testing.AllocsPerRun(1000, func() {
@@ -578,13 +532,13 @@ func TestLearnRouteAllocatesNothing(t *testing.T) {
 // §6.2), so the node must not answer a route request from it as an
 // intermediate; it relays the request instead.
 func TestUnsequencedFillClearsSeqValid(t *testing.T) {
-	w := buildWorld(t, linePositions(1))
+	w := buildWorld(t, testworld.Line(1, 50))
 	r := w.routers[0]
 	r.onRREP(pkt.NewPacket(2, 1, &pkt.RREP{Dst: 9, DstSeq: 5, Orig: 1, HopCount: 1}), 2)
 	if _, ok := r.RouteHops(9); !ok {
 		t.Fatal("precondition: the RREP installed no route to 9")
 	}
-	w.sched.Run(w.sched.Now() + DefaultConfig().ActiveRouteTimeout + time.Second)
+	w.Sched.Run(w.Sched.Now() + DefaultConfig().ActiveRouteTimeout + time.Second)
 	r.onHello(pkt.NewPacket(9, pkt.Broadcast, &pkt.Hello{Seq: 1}), 9)
 	if hops, ok := r.RouteHops(9); !ok || hops != 1 {
 		t.Fatalf("precondition: the hello did not refill the expired route (hops %d, ok %v)", hops, ok)
@@ -602,15 +556,15 @@ func TestUnsequencedFillClearsSeqValid(t *testing.T) {
 // sends the queued packet allocates nothing: the discovery record, its
 // queue and its timeout callback are reused.
 func TestDiscoveryAllocatesNothing(t *testing.T) {
-	w := buildWorld(t, linePositions(3))
-	w.sched.After(time.Second, func() { w.stacks[1].SendUnicast(payload(2, 3)) })
-	w.sched.Run(3 * time.Second)
+	w := buildWorld(t, testworld.Line(3, 50))
+	w.Sched.After(time.Second, func() { w.stacks[1].SendUnicast(payload(2, 3)) })
+	w.Sched.Run(3 * time.Second)
 	r := w.routers[0]
 	body := &pkt.GossipRep{Group: 1, Responder: 1}
 	cycle := func() {
 		r.routes.Delete(pkt.NodeID(3).Uint64())
 		w.stacks[0].SendUnicast(w.stacks[0].NewPacket(3, body))
-		w.sched.Run(w.sched.Now() + 200*time.Millisecond)
+		w.Sched.Run(w.Sched.Now() + 200*time.Millisecond)
 	}
 	for i := 0; i < 20; i++ {
 		cycle()

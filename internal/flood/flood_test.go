@@ -1,55 +1,36 @@
 package flood
 
 import (
-	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"anongossip/internal/geom"
-	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
-	"anongossip/internal/radio"
 	"anongossip/internal/sim"
+	"anongossip/internal/testworld"
 )
 
 const group pkt.GroupID = 0xE0000001
 
 type fworld struct {
-	sched     *sim.Scheduler
+	*testworld.World
 	routers   []*Router
 	delivered []int
 }
 
-// newStack puts a flooding-only network layer (no unicast routing) on
-// the simulated MAC and radio.
-func newStack(t *testing.T, sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID, pos mobility.Model) *node.Stack {
-	t.Helper()
-	rt, err := mac.New(sched, rng.Derive(fmt.Sprintf("mac/%d", id)), medium, id, pos, mac.DefaultConfig(), mac.Callbacks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := node.NewOnRuntime(rt)
-	st.SetRouter(node.NullRouter{})
-	return st
-}
-
+// buildF puts a flooding-only network layer (no unicast routing) on
+// the simulated MAC and radio at each position (60 m range).
 func buildF(t *testing.T, positions []geom.Point, members []int) *fworld {
 	t.Helper()
-	w := &fworld{sched: sim.NewScheduler(), delivered: make([]int, len(positions))}
-	medium := radio.NewMedium(w.sched, radio.Params{Range: 60})
 	rng := sim.NewRNG(5)
-	isMember := map[int]bool{}
-	for _, m := range members {
-		isMember[m] = true
-	}
-	for i, p := range positions {
-		i := i
-		id := pkt.NodeID(i + 1)
-		st := newStack(t, w.sched, rng.Derive(id.String()), medium, id, mobility.Static{P: p})
-		r := New(st, rng.Derive("f/"+id.String()), DefaultConfig())
-		if isMember[i] {
+	w := &fworld{World: testworld.New(t, 60, testworld.Static(positions...), testworld.Labelled(rng, "")), delivered: make([]int, len(positions))}
+	for i, rt := range w.MACs {
+		st := node.NewOnRuntime(rt)
+		r := New(st, rng.Derive("f/"+st.ID().String()), DefaultConfig())
+		if slices.Contains(members, i) {
 			r.Join(group)
 		}
 		r.OnDeliver(func(pkt.GroupID, *pkt.Data, pkt.NodeID) { w.delivered[i]++ })
@@ -58,22 +39,14 @@ func buildF(t *testing.T, positions []geom.Point, members []int) *fworld {
 	return w
 }
 
-func line(n int) []geom.Point {
-	out := make([]geom.Point, n)
-	for i := range out {
-		out[i] = geom.Point{X: float64(i) * 50}
-	}
-	return out
-}
-
 func TestFloodReachesAllMembers(t *testing.T) {
-	w := buildF(t, line(5), []int{0, 2, 4})
-	w.sched.After(time.Second, func() {
+	w := buildF(t, testworld.Line(5, 50), []int{0, 2, 4})
+	w.Sched.After(time.Second, func() {
 		if _, err := w.routers[0].SendData(group); err != nil {
 			t.Errorf("SendData: %v", err)
 		}
 	})
-	w.sched.Run(5 * time.Second)
+	w.Sched.Run(5 * time.Second)
 
 	if w.delivered[2] != 1 || w.delivered[4] != 1 {
 		t.Fatalf("deliveries = %v, want members 3 and 5 to get 1", w.delivered)
@@ -88,9 +61,9 @@ func TestFloodReachesAllMembers(t *testing.T) {
 }
 
 func TestFloodEveryNodeRebroadcastsOnce(t *testing.T) {
-	w := buildF(t, line(4), []int{0, 3})
-	w.sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
-	w.sched.Run(5 * time.Second)
+	w := buildF(t, testworld.Line(4, 50), []int{0, 3})
+	w.Sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
+	w.Sched.Run(5 * time.Second)
 
 	for i := 1; i < 4; i++ {
 		if got := w.routers[i].Stats().DataRebroadcast; got != 1 {
@@ -103,8 +76,8 @@ func TestFloodDuplicateSuppression(t *testing.T) {
 	// A triangle: every node hears every other, so each packet arrives
 	// twice at each non-source node.
 	w := buildF(t, []geom.Point{{X: 0}, {X: 40}, {X: 20, Y: 30}}, []int{0, 1, 2})
-	w.sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
-	w.sched.Run(5 * time.Second)
+	w.Sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
+	w.Sched.Run(5 * time.Second)
 
 	if w.delivered[1] != 1 || w.delivered[2] != 1 {
 		t.Fatalf("deliveries = %v, want exactly 1 each", w.delivered)
@@ -116,17 +89,17 @@ func TestFloodDuplicateSuppression(t *testing.T) {
 }
 
 func TestFloodRequiresMembership(t *testing.T) {
-	w := buildF(t, line(1), nil)
+	w := buildF(t, testworld.Line(1, 50), nil)
 	if _, err := w.routers[0].SendData(group); err == nil {
 		t.Fatal("non-member SendData succeeded")
 	}
 }
 
 func TestFloodLeave(t *testing.T) {
-	w := buildF(t, line(2), []int{0, 1})
+	w := buildF(t, testworld.Line(2, 50), []int{0, 1})
 	w.routers[1].Leave(group)
-	w.sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
-	w.sched.Run(3 * time.Second)
+	w.Sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
+	w.Sched.Run(3 * time.Second)
 	if w.delivered[1] != 0 {
 		t.Fatal("left member still delivered")
 	}
@@ -142,21 +115,21 @@ func TestFloodLeave(t *testing.T) {
 func TestFloodCacheBounded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheSize = 4
-	sched := sim.NewScheduler()
 	rng := sim.NewRNG(1)
-	r := New(newStack(t, sched, rng, radio.NewMedium(sched, radio.Params{Range: 60}), 1, mobility.Static{}), rng.Derive("f"), cfg)
+	w := testworld.New(t, 60, nil, nil)
+	r := New(node.NewOnRuntime(w.Add(t, 1, mobility.Static{}, rng.Derive("mac/1"))), rng.Derive("f"), cfg)
 	r.Join(group)
 	echo := func(seq uint32) {
 		r.onData(pkt.NewPacket(2, pkt.Broadcast, &pkt.Data{Group: group, Origin: 1, Seq: seq, PayloadLen: 64}), 2)
 	}
-	sched.After(0, func() {
+	w.Sched.After(0, func() {
 		for i := 0; i < 20; i++ {
 			_, _ = r.SendData(group)
 		}
 		echo(20)
 		echo(1)
 	})
-	sched.Run(time.Second)
+	w.Sched.Run(time.Second)
 	if st := r.Stats(); st.DataDuplicates != 1 || st.DataDelivered != 1 {
 		t.Fatalf("echoes of seq 20 and 1: %d duplicates, %d delivered; want the newest suppressed and the oldest evicted", st.DataDuplicates, st.DataDelivered)
 	}
@@ -169,8 +142,7 @@ func TestNewRejectsNonPositiveCacheSize(t *testing.T) {
 	for _, size := range []int{0, -1} {
 		cfg := DefaultConfig()
 		cfg.CacheSize = size
-		sched := sim.NewScheduler()
-		st := newStack(t, sched, sim.NewRNG(1), radio.NewMedium(sched, radio.Params{Range: 60}), 1, mobility.Static{})
+		st := node.NewOnRuntime(testworld.New(t, 60, nil, nil).Add(t, 1, mobility.Static{}, sim.NewRNG(1).Derive("mac/1")))
 		func() {
 			defer func() {
 				if got := recover(); got != "flood: CacheSize must be positive" {

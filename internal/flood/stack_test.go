@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"anongossip/internal/pkt"
+	"anongossip/internal/testworld"
 )
 
 // TestRelayTreeTracksAndExpires exercises the gossip walk substrate the
@@ -12,16 +13,16 @@ import (
 // links (deterministically ordered, unknown distance) and expire
 // RelayLifetime after the last frame.
 func TestRelayTreeTracksAndExpires(t *testing.T) {
-	w := buildF(t, line(3), []int{0, 2})
+	w := buildF(t, testworld.Line(3, 50), []int{0, 2})
 	for _, r := range w.routers {
 		r.GossipTree() // a recovery layer binding switches tracking on
 	}
-	w.sched.After(time.Second, func() {
+	w.Sched.After(time.Second, func() {
 		if _, err := w.routers[0].SendData(group); err != nil {
 			t.Errorf("SendData: %v", err)
 		}
 	})
-	w.sched.Run(3 * time.Second)
+	w.Sched.Run(3 * time.Second)
 
 	tree := w.routers[1]
 	hops := tree.NextHops(group)
@@ -44,7 +45,7 @@ func TestRelayTreeTracksAndExpires(t *testing.T) {
 	}
 
 	// Links expire RelayLifetime after the last heard frame.
-	w.sched.Run(w.sched.Now() + w.routers[1].cfg.RelayLifetime + time.Second)
+	w.Sched.Run(w.Sched.Now() + w.routers[1].cfg.RelayLifetime + time.Second)
 	if left := tree.NextHops(group); len(left) != 0 {
 		t.Fatalf("relay links survived expiry: %v", left)
 	}
@@ -57,13 +58,13 @@ func TestRelayTreeTracksAndExpires(t *testing.T) {
 // recovery layer takes it (bare flooding pays nothing on the data hot
 // path).
 func TestRelayTrackingDisabled(t *testing.T) {
-	w := buildF(t, line(3), []int{0, 2})
-	w.sched.After(time.Second, func() {
+	w := buildF(t, testworld.Line(3, 50), []int{0, 2})
+	w.Sched.After(time.Second, func() {
 		if _, err := w.routers[0].SendData(group); err != nil {
 			t.Errorf("SendData: %v", err)
 		}
 	})
-	w.sched.Run(3 * time.Second)
+	w.Sched.Run(3 * time.Second)
 	for i, r := range w.routers {
 		if n := r.relays.Len(); n != 0 {
 			t.Fatalf("node %d tracked %d relays with tracking disabled", i, n)

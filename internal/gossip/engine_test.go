@@ -1,19 +1,16 @@
 package gossip
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 	"time"
 
 	"anongossip/internal/aodv"
 	"anongossip/internal/geom"
-	"anongossip/internal/mac"
-	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
-	"anongossip/internal/radio"
 	"anongossip/internal/sim"
+	"anongossip/internal/testworld"
 )
 
 const testGroup pkt.GroupID = 0xE0000001
@@ -29,7 +26,7 @@ func (f *fakeTree) NextHops(pkt.GroupID) []NextHop { return f.hops }
 func (f *fakeTree) IsMember(pkt.GroupID) bool      { return f.member }
 
 type gworld struct {
-	sched   *sim.Scheduler
+	*testworld.World
 	stacks  []*node.Stack
 	unis    []*aodv.Router
 	trees   []*fakeTree
@@ -41,28 +38,22 @@ type gworld struct {
 // lists node indices that are group members.
 func buildLine(t *testing.T, n int, members []int, cfg Config) *gworld {
 	t.Helper()
-	isMember := map[int]bool{}
-	for _, m := range members {
-		isMember[m] = true
-	}
 	var (
-		positions []geom.Point
-		fakes     []*fakeTree
-		trees     []Tree
+		fakes []*fakeTree
+		trees []Tree
 	)
 	for i := 0; i < n; i++ {
-		ft := &fakeTree{member: isMember[i]}
+		ft := &fakeTree{member: slices.Contains(members, i)}
 		if i > 0 {
 			ft.hops = append(ft.hops, NextHop{ID: pkt.NodeID(i), Nearest: pkt.NearestUnknown})
 		}
 		if i < n-1 {
 			ft.hops = append(ft.hops, NextHop{ID: pkt.NodeID(i + 2), Nearest: pkt.NearestUnknown})
 		}
-		positions = append(positions, geom.Point{X: float64(i) * 50})
 		fakes = append(fakes, ft)
 		trees = append(trees, ft)
 	}
-	w := buildWorld(t, positions, trees, members, cfg)
+	w := buildWorld(t, testworld.Line(n, 50), trees, members, cfg)
 	w.trees = fakes
 	return w
 }
@@ -72,17 +63,11 @@ func buildLine(t *testing.T, n int, members []int, cfg Config) *gworld {
 // nodes whose indices members lists join the test group.
 func buildWorld(t *testing.T, positions []geom.Point, trees []Tree, members []int, cfg Config) *gworld {
 	t.Helper()
-	w := &gworld{sched: sim.NewScheduler()}
-	medium := radio.NewMedium(w.sched, radio.Params{Range: 60})
 	rng := sim.NewRNG(2024)
-	for i, pos := range positions {
-		id := pkt.NodeID(i + 1)
-		rt, err := mac.New(w.sched, rng.Derive("n/"+id.String()).Derive(fmt.Sprintf("mac/%d", id)), medium, id,
-			mobility.Static{P: pos}, mac.DefaultConfig(), mac.Callbacks{})
-		if err != nil {
-			t.Fatal(err)
-		}
+	w := &gworld{World: testworld.New(t, 60, testworld.Static(positions...), testworld.Labelled(rng, "n/"))}
+	for i, rt := range w.MACs {
 		st := node.NewOnRuntime(rt)
+		id := st.ID()
 		uni := aodv.New(st, rng.Derive("a/"+id.String()), aodv.DefaultConfig())
 		uni.Start()
 
@@ -120,11 +105,11 @@ func TestWalkRecoversLostPackets(t *testing.T) {
 	w := buildLine(t, 4, []int{0, 3}, cfg)
 
 	// Member 4 (index 3) has the full stream; member 1 missed 5..8.
-	w.sched.After(0, func() {
+	w.Sched.After(0, func() {
 		feed(w.engines[3], 9, 1, 20)
 		feed(w.engines[0], 9, 1, 20, 5, 6, 7, 8)
 	})
-	w.sched.Run(30 * time.Second)
+	w.Sched.Run(30 * time.Second)
 
 	st := w.engines[0].Stats()
 	if st.ReplyMsgsNew != 4 {
@@ -150,11 +135,11 @@ func TestExpectedSequenceRecoversUnknownLosses(t *testing.T) {
 	w := buildLine(t, 4, []int{0, 3}, cfg)
 
 	// Member 1 received only 1..10 and does not know 11..20 exist.
-	w.sched.After(0, func() {
+	w.Sched.After(0, func() {
 		feed(w.engines[3], 9, 1, 20)
 		feed(w.engines[0], 9, 1, 10)
 	})
-	w.sched.Run(40 * time.Second)
+	w.Sched.Run(40 * time.Second)
 
 	gs := w.engines[0].groups[testGroup]
 	if exp, _ := gs.expected.Get(9); exp != 21 {
@@ -171,8 +156,8 @@ func TestEmptyRequestBootstrapsNewMember(t *testing.T) {
 	w := buildLine(t, 4, []int{0, 3}, cfg)
 
 	// Member 1 has nothing at all; member 4 holds 11..20 in history.
-	w.sched.After(0, func() { feed(w.engines[3], 9, 11, 20) })
-	w.sched.Run(30 * time.Second)
+	w.Sched.After(0, func() { feed(w.engines[3], 9, 11, 20) })
+	w.Sched.Run(30 * time.Second)
 
 	st := w.engines[0].Stats()
 	if st.ReplyMsgsNew == 0 {
@@ -189,13 +174,13 @@ func TestCachedGossip(t *testing.T) {
 	cfg.PAnon = 0 // cached gossip whenever possible
 	w := buildLine(t, 4, []int{0, 3}, cfg)
 
-	w.sched.After(0, func() {
+	w.Sched.After(0, func() {
 		feed(w.engines[3], 9, 1, 20)
 		feed(w.engines[0], 9, 1, 20, 5, 6)
 		// Seed member 1's cache with member 4 (as join replies would).
 		w.engines[0].OnMemberEvidence(testGroup, 4, 3)
 	})
-	w.sched.Run(30 * time.Second)
+	w.Sched.Run(30 * time.Second)
 
 	st := w.engines[0].Stats()
 	if st.RoundsCached == 0 {
@@ -212,8 +197,8 @@ func TestCachedGossipFallsBackToWalk(t *testing.T) {
 	// A single member: no replies ever arrive, so the cache never fills
 	// and every round must fall back to an anonymous walk.
 	w := buildLine(t, 3, []int{0}, cfg)
-	w.sched.After(0, func() { feed(w.engines[0], 9, 1, 10, 4) })
-	w.sched.Run(20 * time.Second)
+	w.Sched.After(0, func() { feed(w.engines[0], 9, 1, 10, 4) })
+	w.Sched.Run(20 * time.Second)
 
 	st := w.engines[0].Stats()
 	if st.RoundsAnon == 0 {
@@ -228,11 +213,11 @@ func TestReplyUpdatesMemberCache(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PAnon = 1
 	w := buildLine(t, 4, []int{0, 3}, cfg)
-	w.sched.After(0, func() {
+	w.Sched.After(0, func() {
 		feed(w.engines[3], 9, 1, 10)
 		feed(w.engines[0], 9, 1, 10, 4)
 	})
-	w.sched.Run(20 * time.Second)
+	w.Sched.Run(20 * time.Second)
 
 	found := false
 	for _, m := range w.engines[0].CachedMembers(testGroup) {
@@ -262,8 +247,8 @@ func TestWalkDropsAtTTL(t *testing.T) {
 	// Only one member: walks have nowhere to be accepted and must die at
 	// the TTL, not run forever.
 	w := buildLine(t, 5, []int{0}, cfg)
-	w.sched.After(0, func() { feed(w.engines[0], 9, 1, 5, 3) })
-	w.sched.Run(10 * time.Second)
+	w.Sched.After(0, func() { feed(w.engines[0], 9, 1, 5, 3) })
+	w.Sched.Run(10 * time.Second)
 
 	dropped := uint64(0)
 	for _, e := range w.engines {
@@ -286,8 +271,8 @@ func TestGoodputAccounting(t *testing.T) {
 	cfg := DefaultConfig()
 	w := buildLine(t, 2, []int{0}, cfg)
 	e := w.engines[0]
-	w.sched.After(0, func() { feed(e, 9, 1, 10) })
-	w.sched.Run(time.Second)
+	w.Sched.After(0, func() { feed(e, 9, 1, 10) })
+	w.Sched.Run(time.Second)
 
 	// Craft a reply containing 2 new + 3 duplicate messages.
 	rep := &pkt.GossipRep{Group: testGroup, Responder: 2, WalkHops: 1}
@@ -319,11 +304,11 @@ func TestPullModeSuppressesRedundancy(t *testing.T) {
 	cfg.PAnon = 1
 	w := buildLine(t, 4, []int{0, 3}, cfg)
 
-	w.sched.After(0, func() {
+	w.Sched.After(0, func() {
 		feed(w.engines[0], 9, 1, 10)
 		feed(w.engines[3], 9, 1, 10)
 	})
-	w.sched.Run(30 * time.Second)
+	w.Sched.Run(30 * time.Second)
 
 	// Synchronised members have empty lost buffers and matching
 	// expectations: pull replies stay empty, so no duplicates flow.
@@ -501,7 +486,7 @@ func TestRoundAllocatesNothing(t *testing.T) {
 	seq := uint32(150)
 	// Member 3 (index 2) keeps getting packets member 1 never sees, so
 	// every reply to member 1 carries one.
-	w.sched.After(0, func() {
+	w.Sched.After(0, func() {
 		feed(w.engines[0], 9, 1, seq)
 		feed(w.engines[2], 9, 1, seq)
 	})
@@ -511,12 +496,12 @@ func TestRoundAllocatesNothing(t *testing.T) {
 		seq++
 		d.Seq = seq
 		w.engines[2].OnTreeData(testGroup, d, 0)
-		w.sched.After(cfg.Interval, fresh)
+		w.Sched.After(cfg.Interval, fresh)
 	}
-	w.sched.After(cfg.Interval, fresh)
-	w.sched.Run(60 * time.Second) // long enough for the radio's records to peak
+	w.Sched.After(cfg.Interval, fresh)
+	w.Sched.Run(60 * time.Second) // long enough for the radio's records to peak
 	before, recovered := w.engines[0].Stats(), w.engines[0].Stats().ReplyMsgsNew
-	allocs := testing.AllocsPerRun(1, func() { w.sched.Run(w.sched.Now() + 20*time.Second) })
+	allocs := testing.AllocsPerRun(1, func() { w.Sched.Run(w.Sched.Now() + 20*time.Second) })
 	st := w.engines[0].Stats()
 	if rounds := st.RoundsAnon - before.RoundsAnon; rounds < 15 || st.ReplyMsgsNew-recovered < 15 {
 		t.Fatalf("%d rounds recovered %d packets at member 1: not the steady state under test", rounds, st.ReplyMsgsNew-recovered)
@@ -532,10 +517,10 @@ func TestRoundAllocatesNothing(t *testing.T) {
 func TestDetachStopsRounds(t *testing.T) {
 	cfg := DefaultConfig()
 	w := buildLine(t, 2, []int{0, 1}, cfg)
-	w.sched.Run(5 * time.Second)
+	w.Sched.Run(5 * time.Second)
 	before := w.engines[0].Stats()
 	w.engines[0].Detach(testGroup)
-	w.sched.Run(15 * time.Second)
+	w.Sched.Run(15 * time.Second)
 	after := w.engines[0].Stats()
 	if after.RoundsAnon+after.RoundsCached+after.RoundsSkipped !=
 		before.RoundsAnon+before.RoundsCached+before.RoundsSkipped {
@@ -548,7 +533,7 @@ func TestRoundSkippedWhenNotMember(t *testing.T) {
 	w := buildLine(t, 2, []int{0}, cfg)
 	// Attach the engine but revoke tree membership: rounds must skip.
 	w.trees[0].member = false
-	w.sched.Run(5 * time.Second)
+	w.Sched.Run(5 * time.Second)
 	st := w.engines[0].Stats()
 	if st.RoundsSkipped == 0 || st.RoundsAnon != 0 {
 		t.Fatalf("non-member rounds = %+v, want only skips", st)
@@ -562,12 +547,12 @@ func TestOnLocalDataServesRepairs(t *testing.T) {
 
 	// Member 1 is the source: it records its own sends; member 3 missed
 	// everything and recovers from the source's history via walks.
-	w.sched.After(0, func() {
+	w.Sched.After(0, func() {
 		for s := uint32(1); s <= 5; s++ {
 			w.engines[0].OnLocalData(testGroup, pkt.Data{Group: testGroup, Origin: 1, Seq: s, PayloadLen: 64})
 		}
 	})
-	w.sched.Run(30 * time.Second)
+	w.Sched.Run(30 * time.Second)
 
 	if got := w.engines[2].Stats().ReplyMsgsNew; got != 5 {
 		t.Fatalf("member 3 recovered %d own-source packets, want 5", got)

@@ -41,7 +41,7 @@ func TestEngineHandlesMultipleGroupsIndependently(t *testing.T) {
 		w.engines[i].Attach(secondGroup)
 	}
 
-	w.sched.After(0, func() {
+	w.Sched.After(0, func() {
 		// Group 1: node 4 has data node 1 lacks.
 		feed(w.engines[3], 9, 1, 10)
 		feed(w.engines[0], 9, 1, 10, 3, 4)
@@ -54,7 +54,7 @@ func TestEngineHandlesMultipleGroupsIndependently(t *testing.T) {
 			}
 		}
 	})
-	w.sched.Run(30 * time.Second)
+	w.Sched.Run(30 * time.Second)
 
 	// Group 1 recovery at node 1.
 	gs1 := w.engines[0].groups[testGroup]
@@ -80,12 +80,12 @@ func TestWalkAcceptProbabilitySplitsAcceptAndForward(t *testing.T) {
 	// Line of 5, members at 0, 2, 4: the middle member sees walks it can
 	// either accept or pass on.
 	w := buildLine(t, 5, []int{0, 2, 4}, cfg)
-	w.sched.After(0, func() {
+	w.Sched.After(0, func() {
 		feed(w.engines[0], 9, 1, 30, 5)
 		feed(w.engines[2], 9, 1, 30)
 		feed(w.engines[4], 9, 1, 30)
 	})
-	w.sched.Run(120 * time.Second)
+	w.Sched.Run(120 * time.Second)
 
 	mid := w.engines[2].Stats()
 	if mid.WalksAccepted == 0 {
@@ -101,8 +101,8 @@ func TestWalkNeverAcceptedByInitiator(t *testing.T) {
 	cfg.PAnon = 1
 	cfg.AcceptProb = 1 // members accept at first opportunity
 	w := buildLine(t, 3, []int{0}, cfg)
-	w.sched.After(0, func() { feed(w.engines[0], 9, 1, 5, 2) })
-	w.sched.Run(15 * time.Second)
+	w.Sched.After(0, func() { feed(w.engines[0], 9, 1, 5, 2) })
+	w.Sched.Run(15 * time.Second)
 
 	if got := w.engines[0].Stats().WalksAccepted; got != 0 {
 		t.Fatalf("initiator accepted its own walk %d times", got)

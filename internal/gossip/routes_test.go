@@ -56,11 +56,11 @@ func TestReplyRetracesWalk(t *testing.T) {
 	cfg.PAnon = 1
 	cfg.AcceptProb = 1
 	w := buildLine(t, 4, []int{0, 3}, cfg)
-	w.sched.After(0, func() {
+	w.Sched.After(0, func() {
 		feed(w.engines[3], 9, 1, 20)
 		feed(w.engines[0], 9, 1, 20, 5, 6, 7, 8)
 	})
-	w.sched.Run(5 * time.Second)
+	w.Sched.Run(5 * time.Second)
 
 	if got := w.engines[3].Stats().WalksAccepted; got == 0 {
 		t.Fatal("C accepted no walk")
@@ -99,11 +99,11 @@ func TestRevisitedNodeKeepsFirstReverseRoute(t *testing.T) {
 		&fakeTree{member: true}, // no links: D accepts every walk
 	}
 	w := buildWorld(t, positions, trees, []int{nI - 1, nD - 1}, cfg)
-	w.sched.After(0, func() {
+	w.Sched.After(0, func() {
 		feed(w.engines[nD-1], 9, 1, 20)
 		feed(w.engines[nI-1], 9, 1, 20, 5, 6, 7, 8)
 	})
-	w.sched.Run(1900 * time.Millisecond) // I's first round only
+	w.Sched.Run(1900 * time.Millisecond) // I's first round only
 
 	if got := w.engines[nA-1].Stats().WalksForwarded; got != 2 {
 		t.Fatalf("A forwarded %d walks, want 2 (one walk, two visits)", got)

@@ -372,9 +372,6 @@ func (d *DCF) Now() sim.Time { return d.sched.Now() }
 // After implements runtime.Clock.
 func (d *DCF) After(dt sim.Time, fn func()) sim.Timer { return d.sched.After(dt, fn) }
 
-// At implements runtime.Clock.
-func (d *DCF) At(t sim.Time, fn func()) sim.Timer { return d.sched.At(t, fn) }
-
 // Bind implements runtime.Runtime: the handlers replace the Callbacks
 // New was given.
 func (d *DCF) Bind(onReceive runtime.ReceiveFunc, onSendDone runtime.SendDoneFunc) {

@@ -279,9 +279,6 @@ func New(st *node.Stack, uni *aodv.Router, rng *sim.RNG, cfg Config) *Router {
 	return r
 }
 
-// ID returns the owning node's address.
-func (r *Router) ID() pkt.NodeID { return r.stack.ID() }
-
 // Stats returns a copy of the protocol counters.
 func (r *Router) Stats() Stats { return r.stats }
 

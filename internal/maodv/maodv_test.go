@@ -1,7 +1,6 @@
 package maodv
 
 import (
-	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
@@ -11,71 +10,37 @@ import (
 	"anongossip/internal/aodv"
 	"anongossip/internal/geom"
 	"anongossip/internal/gossip"
-	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
-	"anongossip/internal/radio"
 	"anongossip/internal/sim"
+	"anongossip/internal/testworld"
 )
 
 const testGroup pkt.GroupID = 0xE0000001
 
-// moveSpeed is a movable node's declared and actual speed: a leg ends
-// within about a second.
-const moveSpeed = 1000 // m/s
-
-// awayOffset is where a movable node goes when sent away, relative to
+// awayOffset is where a moving node goes when sent away, relative to
 // its home: about 990 m off, out of range of every test layout.
 var awayOffset = geom.Point{X: 700, Y: 700}
 
-// movable is a mobility model whose node stays home until the test sends
-// it away (mworld.move), then travels in a straight line at moveSpeed to
-// its away point or, sent back, home again.
-type movable struct{ leg *moveLeg }
-
-// moveLeg is a movable node's current leg: it leaves from at time at
-// and stops at to.
-type moveLeg struct {
-	from, to geom.Point
-	at       sim.Time
-}
-
-func (m movable) Position(t sim.Time) geom.Point {
-	l := m.leg
-	if t <= l.at || l.from == l.to {
-		return l.from
-	}
-	frac := moveSpeed * (t - l.at).Seconds() / l.from.Dist(l.to)
-	if frac >= 1 {
-		return l.to
-	}
-	return l.from.Lerp(l.to, frac)
-}
-
-func (movable) MaxSpeed() float64 { return moveSpeed }
-
 type mworld struct {
-	sched     *sim.Scheduler
-	medium    *radio.Medium
+	*testworld.World
 	stacks    []*node.Stack
 	unis      []*aodv.Router
 	routers   []*Router
 	delivered []map[pkt.SeqKey]int // per node: data key -> count
 	homes     []geom.Point
-	legs      []moveLeg
+	legs      []*testworld.Leg
 }
 
 // move starts node idx travelling away from its home (away) or back to
 // it, from wherever it is now.
 func (w *mworld) move(idx int, away bool) {
-	now := w.sched.Now()
 	to := w.homes[idx]
 	if away {
 		to = geom.Point{X: to.X + awayOffset.X, Y: to.Y + awayOffset.Y}
 	}
-	from := movable{&w.legs[idx]}.Position(now)
-	w.legs[idx] = moveLeg{from: from, to: to, at: now}
+	w.legs[idx].MoveTo(w.Sched.Now(), to)
 }
 
 // fastConfig shortens join timers so leader bootstrap happens quickly in
@@ -88,21 +53,22 @@ func fastConfig() Config {
 	return cfg
 }
 
+// buildM puts AODV and MAODV on every node; each stays at its
+// position until the test moves it.
 func buildM(t *testing.T, rangeM float64, positions []geom.Point) *mworld {
 	t.Helper()
-	w := &mworld{sched: sim.NewScheduler(), homes: positions, legs: make([]moveLeg, len(positions))}
-	w.medium = radio.NewMedium(w.sched, radio.Params{Range: rangeM})
+	w := &mworld{homes: positions}
+	var models []mobility.Model
+	for _, p := range positions {
+		leg := &testworld.Leg{From: p, To: p}
+		w.legs = append(w.legs, leg)
+		models = append(models, leg)
+	}
 	rng := sim.NewRNG(321)
-	for i, p := range positions {
-		i := i
-		id := pkt.NodeID(i + 1)
-		w.legs[i] = moveLeg{from: p, to: p}
-		rt, err := mac.New(w.sched, rng.Derive("n/"+id.String()).Derive(fmt.Sprintf("mac/%d", id)), w.medium, id, movable{&w.legs[i]},
-			mac.DefaultConfig(), mac.Callbacks{})
-		if err != nil {
-			t.Fatal(err)
-		}
+	w.World = testworld.New(t, rangeM, models, testworld.Labelled(rng, "n/"))
+	for i, rt := range w.MACs {
 		st := node.NewOnRuntime(rt)
+		id := st.ID()
 		uni := aodv.New(st, rng.Derive("a/"+id.String()), aodv.DefaultConfig())
 		mr := New(st, uni, rng.Derive("m/"+id.String()), fastConfig())
 		w.delivered = append(w.delivered, map[pkt.SeqKey]int{})
@@ -118,29 +84,21 @@ func buildM(t *testing.T, rangeM float64, positions []geom.Point) *mworld {
 }
 
 func (w *mworld) joinAt(t sim.Time, idx int) {
-	w.sched.At(t, func() { w.routers[idx].Join(testGroup) })
+	w.Sched.At(t, func() { w.routers[idx].Join(testGroup) })
 }
 
 func (w *mworld) sendAt(t sim.Time, idx int) {
-	w.sched.At(t, func() {
+	w.Sched.At(t, func() {
 		if _, err := w.routers[idx].SendData(testGroup); err != nil {
 			panic(err)
 		}
 	})
 }
 
-func linePos(n int, spacing float64) []geom.Point {
-	out := make([]geom.Point, n)
-	for i := range out {
-		out[i] = geom.Point{X: float64(i) * spacing}
-	}
-	return out
-}
-
 func TestLoneMemberBecomesLeader(t *testing.T) {
 	w := buildM(t, 60, []geom.Point{{X: 0}})
 	w.joinAt(0, 0)
-	w.sched.Run(10 * time.Second)
+	w.Sched.Run(10 * time.Second)
 
 	if leader, ok := w.routers[0].Leader(testGroup); !ok || leader != 1 {
 		t.Fatalf("leader = (%v, %v), want (1, true)", leader, ok)
@@ -157,10 +115,10 @@ func TestLoneMemberBecomesLeader(t *testing.T) {
 }
 
 func TestTwoAdjacentMembersFormTree(t *testing.T) {
-	w := buildM(t, 60, linePos(2, 50))
+	w := buildM(t, 60, testworld.Line(2, 50))
 	w.joinAt(0, 0)
 	w.joinAt(3*time.Second, 1)
-	w.sched.Run(10 * time.Second)
+	w.Sched.Run(10 * time.Second)
 
 	for i := 0; i < 2; i++ {
 		if !w.routers[i].InTree(testGroup) {
@@ -170,7 +128,7 @@ func TestTwoAdjacentMembersFormTree(t *testing.T) {
 	// Data flows both ways.
 	w.sendAt(11*time.Second, 0)
 	w.sendAt(12*time.Second, 1)
-	w.sched.Run(15 * time.Second)
+	w.Sched.Run(15 * time.Second)
 	if len(w.delivered[1]) != 1 {
 		t.Fatalf("member 2 delivered %d packets, want 1", len(w.delivered[1]))
 	}
@@ -180,10 +138,10 @@ func TestTwoAdjacentMembersFormTree(t *testing.T) {
 }
 
 func TestLineTreeFormationAndDataDelivery(t *testing.T) {
-	w := buildM(t, 60, linePos(4, 50))
+	w := buildM(t, 60, testworld.Line(4, 50))
 	w.joinAt(0, 0)
 	w.joinAt(3*time.Second, 3)
-	w.sched.Run(10 * time.Second)
+	w.Sched.Run(10 * time.Second)
 
 	// All four nodes are tree participants (1, 4 members; 2, 3 routers).
 	for i := 0; i < 4; i++ {
@@ -198,7 +156,7 @@ func TestLineTreeFormationAndDataDelivery(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		w.sendAt(10*time.Second+sim.Time(i)*250*time.Millisecond, 0)
 	}
-	w.sched.Run(20 * time.Second)
+	w.Sched.Run(20 * time.Second)
 	if got := len(w.delivered[3]); got != 20 {
 		t.Fatalf("member 4 delivered %d packets, want 20", got)
 	}
@@ -212,10 +170,10 @@ func TestLineTreeFormationAndDataDelivery(t *testing.T) {
 }
 
 func TestNearestMemberConvergesOnLine(t *testing.T) {
-	w := buildM(t, 60, linePos(4, 50))
+	w := buildM(t, 60, testworld.Line(4, 50))
 	w.joinAt(0, 0)
 	w.joinAt(3*time.Second, 3)
-	w.sched.Run(15 * time.Second)
+	w.Sched.Run(15 * time.Second)
 
 	// Expected nearest-member values (paper §4.2 semantics):
 	// node1: via 2 -> member 4 at 3 hops
@@ -248,10 +206,10 @@ func TestNearestMemberConvergesOnLine(t *testing.T) {
 // view of it (NextHops, sorted by ID) and a nearest-member recompute
 // with nothing to advertise both run in router-owned scratch.
 func TestTreeWalksAllocateNothing(t *testing.T) {
-	w := buildM(t, 60, linePos(4, 50))
+	w := buildM(t, 60, testworld.Line(4, 50))
 	w.joinAt(0, 0)
 	w.joinAt(3*time.Second, 3)
-	w.sched.Run(15 * time.Second)
+	w.Sched.Run(15 * time.Second)
 	r := w.routers[1]
 	g := r.group(testGroup)
 	want := []gossip.NextHop{{ID: 1, Nearest: 1}, {ID: 3, Nearest: 2}}
@@ -271,10 +229,10 @@ func TestTreeWalksAllocateNothing(t *testing.T) {
 }
 
 func TestUpstreamDownstreamDirections(t *testing.T) {
-	w := buildM(t, 60, linePos(3, 50))
+	w := buildM(t, 60, testworld.Line(3, 50))
 	w.joinAt(0, 0) // leader
 	w.joinAt(3*time.Second, 2)
-	w.sched.Run(10 * time.Second)
+	w.Sched.Run(10 * time.Second)
 
 	// Node 3 joined the leader's tree: its link to 2 is upstream.
 	if e := w.routers[2].group(testGroup).next.get(2); e == nil || !e.enabled || !e.upstream {
@@ -287,11 +245,11 @@ func TestUpstreamDownstreamDirections(t *testing.T) {
 }
 
 func TestDuplicateDataSuppressed(t *testing.T) {
-	w := buildM(t, 60, linePos(2, 50))
+	w := buildM(t, 60, testworld.Line(2, 50))
 	w.joinAt(0, 0)
 	w.joinAt(3*time.Second, 1)
 	w.sendAt(10*time.Second, 0)
-	w.sched.Run(12 * time.Second)
+	w.Sched.Run(12 * time.Second)
 
 	for k, n := range w.delivered[1] {
 		if n != 1 {
@@ -302,11 +260,11 @@ func TestDuplicateDataSuppressed(t *testing.T) {
 
 func TestOffTreeDataIgnored(t *testing.T) {
 	// Node 3 is within radio range of member 2 but never joins.
-	w := buildM(t, 60, linePos(3, 50))
+	w := buildM(t, 60, testworld.Line(3, 50))
 	w.joinAt(0, 0)
 	w.joinAt(3*time.Second, 1)
 	w.sendAt(10*time.Second, 1) // member 2 transmits; node 3 overhears
-	w.sched.Run(12 * time.Second)
+	w.Sched.Run(12 * time.Second)
 
 	if len(w.delivered[2]) != 0 {
 		t.Fatal("non-member delivered data")
@@ -317,16 +275,16 @@ func TestOffTreeDataIgnored(t *testing.T) {
 }
 
 func TestLeaveCascadesPrune(t *testing.T) {
-	w := buildM(t, 60, linePos(4, 50))
+	w := buildM(t, 60, testworld.Line(4, 50))
 	w.joinAt(0, 0)
 	w.joinAt(3*time.Second, 3)
-	w.sched.Run(10 * time.Second)
+	w.Sched.Run(10 * time.Second)
 	if !w.routers[1].InTree(testGroup) || !w.routers[2].InTree(testGroup) {
 		t.Fatal("precondition: interior routers not in tree")
 	}
 
-	w.sched.After(0, func() { w.routers[3].Leave(testGroup) })
-	w.sched.Run(15 * time.Second)
+	w.Sched.After(0, func() { w.routers[3].Leave(testGroup) })
+	w.Sched.Run(15 * time.Second)
 
 	if w.routers[3].InTree(testGroup) {
 		t.Fatal("left member still in tree")
@@ -350,13 +308,13 @@ func TestRepairAfterLinkBreak(t *testing.T) {
 	// The diamond's two routers are hidden terminals to each other, so
 	// join floods can collide; allow time for retries before sending.
 	w.sendAt(15*time.Second, 0)
-	w.sched.Run(18 * time.Second)
+	w.Sched.Run(18 * time.Second)
 	if len(w.delivered[3]) != 1 {
 		t.Fatal("precondition: initial delivery failed")
 	}
 
 	// Remove whichever router carries the tree.
-	w.sched.After(0, func() {
+	w.Sched.After(0, func() {
 		switch {
 		case w.routers[1].InTree(testGroup):
 			w.move(1, true)
@@ -367,12 +325,12 @@ func TestRepairAfterLinkBreak(t *testing.T) {
 		}
 	})
 	// Wait out hello-loss detection (2.4 s) plus repair, then send again.
-	w.sched.After(15*time.Second, func() {
+	w.Sched.After(15*time.Second, func() {
 		if _, err := w.routers[0].SendData(testGroup); err != nil {
 			t.Errorf("SendData: %v", err)
 		}
 	})
-	w.sched.Run(40 * time.Second)
+	w.Sched.Run(40 * time.Second)
 
 	if got := len(w.delivered[3]); got != 2 {
 		t.Fatalf("member 4 delivered %d packets, want 2 (repair failed)", got)
@@ -386,23 +344,23 @@ func TestPartitionElectsNewLeaderAndMergesBack(t *testing.T) {
 	// Line 1-2-3: members 1 and 3, router 2. Node 2 leaves; 3 becomes a
 	// partition leader; when 2 returns, the leaders merge (lower ID
 	// wins).
-	w := buildM(t, 60, linePos(3, 50))
+	w := buildM(t, 60, testworld.Line(3, 50))
 	w.joinAt(0, 0)
 	w.joinAt(3*time.Second, 2)
-	w.sched.Run(10 * time.Second)
+	w.Sched.Run(10 * time.Second)
 	if !w.routers[2].InTree(testGroup) {
 		t.Fatal("precondition: member 3 not attached")
 	}
 
-	w.sched.After(0, func() { w.move(1, true) })
-	w.sched.Run(40 * time.Second) // hello loss + failed repair + election
+	w.Sched.After(0, func() { w.move(1, true) })
+	w.Sched.Run(40 * time.Second) // hello loss + failed repair + election
 
 	if leader, ok := w.routers[2].Leader(testGroup); !ok || leader != 3 {
 		t.Fatalf("partitioned member's leader = (%v, %v), want itself (3)", leader, ok)
 	}
 
-	w.sched.After(0, func() { w.move(1, false) })
-	w.sched.Run(90 * time.Second) // GRPH exchange + stepdown + rejoin
+	w.Sched.After(0, func() { w.move(1, false) })
+	w.Sched.Run(90 * time.Second) // GRPH exchange + stepdown + rejoin
 
 	if leader, ok := w.routers[2].Leader(testGroup); !ok || leader != 1 {
 		t.Fatalf("after merge, member 3 leader = (%v, %v), want (1, true)", leader, ok)
@@ -411,29 +369,29 @@ func TestPartitionElectsNewLeaderAndMergesBack(t *testing.T) {
 		t.Fatal("losing leader never stepped down")
 	}
 	// Data flows across the merged tree again.
-	w.sendAt(w.sched.Now()+time.Second, 0)
-	w.sched.Run(w.sched.Now() + 10*time.Second)
+	w.sendAt(w.Sched.Now()+time.Second, 0)
+	w.Sched.Run(w.Sched.Now() + 10*time.Second)
 	if len(w.delivered[2]) == 0 {
 		t.Fatal("no delivery after merge")
 	}
 }
 
 func TestSendDataRequiresMembership(t *testing.T) {
-	w := buildM(t, 60, linePos(1, 50))
+	w := buildM(t, 60, testworld.Line(1, 50))
 	if _, err := w.routers[0].SendData(testGroup); err == nil {
 		t.Fatal("SendData from non-member succeeded")
 	}
 }
 
 func TestMemberEvidenceFromJoinReplies(t *testing.T) {
-	w := buildM(t, 60, linePos(3, 50))
+	w := buildM(t, 60, testworld.Line(3, 50))
 	var evidence []pkt.NodeID
 	w.routers[2].OnMemberEvidence(func(_ pkt.GroupID, m pkt.NodeID, _ uint8) {
 		evidence = append(evidence, m)
 	})
 	w.joinAt(0, 0)
 	w.joinAt(3*time.Second, 2)
-	w.sched.Run(10 * time.Second)
+	w.Sched.Run(10 * time.Second)
 
 	found := false
 	for _, m := range evidence {
@@ -475,20 +433,20 @@ func TestRREPPathsExpire(t *testing.T) {
 	r := w.routers[0]
 	life := r.cfg.RREPPathLifetime
 	relay := func(at sim.Time, id uint32) {
-		w.sched.At(at, func() {
+		w.Sched.At(at, func() {
 			r.ObserveMulticastRREP(&pkt.RREP{Flags: pkt.RREPMulticast, Dst: uint32(testGroup), RREQID: id}, 2, false)
 		})
 	}
 	relay(time.Second, 1)
 	relay(time.Second+life/2, 2)
-	w.sched.Run(time.Second + life/2)
+	w.Sched.Run(time.Second + life/2)
 	if n := len(r.group(testGroup).rrepPaths); n != 2 {
 		t.Fatalf("%d reply paths within one lifetime, want 2", n)
 	}
 	for k := uint32(3); k <= 12; k++ {
 		relay(sim.Time(k)*(life+time.Millisecond), k)
 	}
-	w.sched.Run(13 * (life + time.Millisecond))
+	w.Sched.Run(13 * (life + time.Millisecond))
 	paths := r.group(testGroup).rrepPaths
 	if _, ok := paths[12]; !ok || len(paths) > 1 {
 		t.Fatalf("reply paths after RREPs a lifetime apart = %v, want only the last", paths)
@@ -520,13 +478,7 @@ func TestNewRejectsNonPositiveDataCacheSize(t *testing.T) {
 	for _, size := range []int{0, -1} {
 		cfg := fastConfig()
 		cfg.DataCacheSize = size
-		sched := sim.NewScheduler()
-		rt, err := mac.New(sched, sim.NewRNG(1).Derive("mac/1"), radio.NewMedium(sched, radio.Params{Range: 60}),
-			1, mobility.Static{}, mac.DefaultConfig(), mac.Callbacks{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := node.NewOnRuntime(rt)
+		st := node.NewOnRuntime(testworld.New(t, 60, nil, nil).Add(t, 1, mobility.Static{}, sim.NewRNG(1).Derive("mac/1")))
 		uni := aodv.New(st, sim.NewRNG(2), aodv.DefaultConfig())
 		func() {
 			defer func() {

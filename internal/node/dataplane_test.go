@@ -1,19 +1,16 @@
 package node
 
 import (
-	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 	"time"
 
-	"anongossip/internal/geom"
 	"anongossip/internal/mac"
-	"anongossip/internal/mobility"
 	"anongossip/internal/pkt"
-	"anongossip/internal/radio"
 	rt "anongossip/internal/runtime"
 	"anongossip/internal/sim"
+	"anongossip/internal/testworld"
 	"anongossip/internal/trace"
 )
 
@@ -122,7 +119,7 @@ func TestRebroadcast(t *testing.T) {
 		t.Fatal("live packet not relayed")
 	}
 	cp.Body.(*pkt.Hello).Seq = 6
-	e.sched.Run(time.Second)
+	e.Sched.Run(time.Second)
 
 	if want := twin.Duration(jitter); len(sentAt) != 1 || sentAt[0] != want {
 		t.Fatalf("relay sent at %v, want once at the first draw %v", sentAt, want)
@@ -156,7 +153,7 @@ func TestRebroadcastRelaysEachPendingCopyOnce(t *testing.T) {
 			}
 			copies[cp]++
 		}
-		e.sched.Run(e.sched.Now() + time.Second)
+		e.Sched.Run(e.Sched.Now() + time.Second)
 	}
 	if len(copies) == 2*batch {
 		t.Fatalf("two batches of %d relays built %d distinct copies, want some of the first batch's rebuilt", batch, len(copies))
@@ -184,14 +181,14 @@ func TestRefusedSendsComeBack(t *testing.T) {
 	const refused = 7
 	accepted := uint32(mac.DefaultConfig().QueueCap + 1)
 	var built []*pkt.Packet
-	e.sched.After(0, func() {
+	e.Sched.After(0, func() {
 		for seq := uint32(0); seq < accepted+refused; seq++ {
 			p := s.NewPacket(pkt.Broadcast, &pkt.Hello{Seq: seq})
 			built = append(built, p)
 			s.SendBroadcast(p)
 		}
 	})
-	e.sched.Run(time.Second)
+	e.Sched.Run(time.Second)
 	if st := s.Stats(); st.Sent != uint64(accepted) || st.MACRejects != refused {
 		t.Fatalf("%d sent and %d refused, want %d and %d", st.Sent, st.MACRejects, accepted, refused)
 	}
@@ -222,11 +219,11 @@ func TestFailedSendsComeBack(t *testing.T) {
 	var failedTo []pkt.NodeID
 	s.OnLinkFailure(func(n pkt.NodeID) { failedTo = append(failedTo, n) })
 	var p *pkt.Packet
-	e.sched.After(0, func() {
+	e.Sched.After(0, func() {
 		p = s.NewPacket(5, &pkt.GossipRep{Group: 1, Responder: 1})
 		s.SendUnicast(p)
 	})
-	e.sched.Run(10 * time.Second)
+	e.Sched.Run(10 * time.Second)
 	if !slices.Equal(failedTo, []pkt.NodeID{9}) {
 		t.Fatalf("failure notifications = %v, want [9]", failedTo)
 	}
@@ -252,7 +249,7 @@ func TestRebroadcastAllocatesNothing(t *testing.T) {
 					t.Fatal("live packet not relayed")
 				}
 			}
-			e.sched.Run(e.sched.Now() + 20*time.Millisecond)
+			e.Sched.Run(e.Sched.Now() + 20*time.Millisecond)
 		}
 		burst()
 		if got := testing.AllocsPerRun(100, burst); got != 0 {
@@ -294,24 +291,10 @@ func (w *linkWatch) Bind(recv rt.ReceiveFunc, done rt.SendDoneFunc) {
 // heard exactly once. From the second burst on, every copy is built in a
 // packet the first burst's link handed back.
 func TestRelayCopyNeverBuiltWhileHeld(t *testing.T) {
-	sched := sim.NewScheduler()
-	medium := radio.NewMedium(sched, radio.Params{Range: 60})
 	rng := sim.NewRNG(99)
-	watch := &linkWatch{out: map[*pkt.Packet]bool{}}
-	var stacks []*Stack
-	for i := range 2 {
-		r, err := mac.New(sched, rng.Derive(fmt.Sprintf("mac/%d", i+1)), medium, pkt.NodeID(i+1),
-			mobility.Static{P: geom.Point{X: float64(i) * 50}}, mac.DefaultConfig(), mac.Callbacks{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var runtime rt.Runtime = r
-		if i == 0 {
-			watch.Runtime = r
-			runtime = watch
-		}
-		stacks = append(stacks, NewOnRuntime(runtime))
-	}
+	w := testworld.New(t, 60, testworld.Static(testworld.Line(2, 50)...), func(pkt.NodeID) *sim.RNG { return rng })
+	watch := &linkWatch{Runtime: w.MACs[0], out: map[*pkt.Packet]bool{}}
+	stacks := []*Stack{NewOnRuntime(watch), NewOnRuntime(w.MACs[1])}
 	heard := map[uint32]int{}
 	stacks[1].Handle(pkt.KindHello, func(p *pkt.Packet, _ pkt.NodeID) { heard[p.Body.(*pkt.Hello).Seq]++ })
 	const depth, bursts = 12, 4
@@ -326,7 +309,7 @@ func TestRelayCopyNeverBuiltWhileHeld(t *testing.T) {
 			watch.out[cp] = true
 			built[cp] = true
 		}
-		sched.Run(sched.Now() + time.Second)
+		w.Sched.Run(w.Sched.Now() + time.Second)
 		if len(watch.out) != 0 {
 			t.Fatalf("burst %d: %d copies never handed back", b, len(watch.out))
 		}
@@ -356,7 +339,7 @@ func TestForwardAllocatesNothing(t *testing.T) {
 	rep := &pkt.GossipRep{Group: 1, Responder: 1, Msgs: []pkt.Data{{Group: 1, Origin: 1, Seq: 1, PayloadLen: 64}}}
 	hop := func() {
 		s.SendUnicast(s.NewPacket(3, rep))
-		e.sched.Run(e.sched.Now() + 50*time.Millisecond)
+		e.Sched.Run(e.Sched.Now() + 50*time.Millisecond)
 	}
 	hop()
 	if n := testing.AllocsPerRun(100, hop); n != 0 {

@@ -8,11 +8,10 @@ import (
 	"time"
 
 	"anongossip/internal/geom"
-	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/pkt"
-	"anongossip/internal/radio"
 	"anongossip/internal/sim"
+	"anongossip/internal/testworld"
 )
 
 // staticRouter is a fixed next-hop table for tests.
@@ -37,8 +36,7 @@ func (r *staticRouter) NeighborHeard(n pkt.NodeID) {
 }
 
 type env struct {
-	sched   *sim.Scheduler
-	medium  *radio.Medium
+	*testworld.World
 	stacks  []*Stack
 	routers []*staticRouter
 }
@@ -47,17 +45,10 @@ type env struct {
 // node only reaches its immediate neighbours.
 func line(t *testing.T, n int) *env {
 	t.Helper()
-	e := &env{sched: sim.NewScheduler()}
-	e.medium = radio.NewMedium(e.sched, radio.Params{Range: 60})
 	rng := sim.NewRNG(99)
-	for i := 0; i < n; i++ {
-		id := pkt.NodeID(i + 1)
-		runtime, err := mac.New(e.sched, rng.Derive(fmt.Sprintf("mac/%d", id)), e.medium, id,
-			mobility.Static{P: geom.Point{X: float64(i) * 50}}, mac.DefaultConfig(), mac.Callbacks{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := NewOnRuntime(runtime)
+	e := &env{World: testworld.New(t, 60, testworld.Static(testworld.Line(n, 50)...), func(pkt.NodeID) *sim.RNG { return rng })}
+	for _, rt := range e.MACs {
+		st := NewOnRuntime(rt)
 		r := &staticRouter{table: map[pkt.NodeID]pkt.NodeID{}}
 		st.SetRouter(r)
 		e.stacks = append(e.stacks, st)
@@ -74,8 +65,8 @@ func TestBroadcastDispatch(t *testing.T) {
 	e.stacks[1].Handle(pkt.KindHello, func(p *pkt.Packet, from pkt.NodeID) {
 		got = append(got, from)
 	})
-	e.sched.After(0, func() { e.stacks[0].SendBroadcast(hello(1, pkt.Broadcast)) })
-	e.sched.Run(time.Second)
+	e.Sched.After(0, func() { e.stacks[0].SendBroadcast(hello(1, pkt.Broadcast)) })
+	e.Sched.Run(time.Second)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("handler calls = %v, want [1]", got)
 	}
@@ -99,8 +90,8 @@ func TestTransparentForwarding(t *testing.T) {
 		}
 	})
 	orig := hello(1, 3)
-	e.sched.After(0, func() { e.stacks[0].SendUnicast(orig) })
-	e.sched.Run(time.Second)
+	e.Sched.After(0, func() { e.stacks[0].SendUnicast(orig) })
+	e.Sched.Run(time.Second)
 
 	if deliveredTTL == 0 {
 		t.Fatal("packet not delivered")
@@ -120,8 +111,8 @@ func TestLocalDelivery(t *testing.T) {
 	e := line(t, 1)
 	got := 0
 	e.stacks[0].Handle(pkt.KindHello, func(p *pkt.Packet, from pkt.NodeID) { got++ })
-	e.sched.After(0, func() { e.stacks[0].SendUnicast(hello(1, 1)) })
-	e.sched.Run(time.Second)
+	e.Sched.After(0, func() { e.stacks[0].SendUnicast(hello(1, 1)) })
+	e.Sched.Run(time.Second)
 	if got != 1 {
 		t.Fatalf("local delivery count = %d, want 1", got)
 	}
@@ -130,8 +121,8 @@ func TestLocalDelivery(t *testing.T) {
 func TestNoRouteQueues(t *testing.T) {
 	e := line(t, 2)
 	p := hello(1, 9)
-	e.sched.After(0, func() { e.stacks[0].SendUnicast(p) })
-	e.sched.Run(time.Second)
+	e.Sched.After(0, func() { e.stacks[0].SendUnicast(p) })
+	e.Sched.Run(time.Second)
 	if len(e.routers[0].queued) != 1 || e.routers[0].queued[0] != p {
 		t.Fatalf("queued = %v, want the unrouted packet", e.routers[0].queued)
 	}
@@ -146,8 +137,8 @@ func TestTTLExpiry(t *testing.T) {
 	})
 	p := hello(1, 3)
 	p.TTL = 1
-	e.sched.After(0, func() { e.stacks[0].SendUnicast(p) })
-	e.sched.Run(time.Second)
+	e.Sched.After(0, func() { e.stacks[0].SendUnicast(p) })
+	e.Sched.Run(time.Second)
 	if e.stacks[1].Stats().TTLDrops != 1 {
 		t.Fatalf("middle node TTLDrops = %d, want 1", e.stacks[1].Stats().TTLDrops)
 	}
@@ -169,11 +160,11 @@ func TestRouterHearsEveryFrame(t *testing.T) {
 			log = append(log, fmt.Sprintf("%d delivers hello %d from %d", id, p.Body.(*pkt.Hello).Seq, from))
 		})
 	}
-	send := func(at time.Duration, f func()) { e.sched.At(at, f) }
+	send := func(at time.Duration, f func()) { e.Sched.At(at, f) }
 	send(0, func() { e.stacks[0].SendBroadcast(pkt.NewPacket(1, pkt.Broadcast, &pkt.Hello{Seq: 1})) })
 	send(time.Second, func() { e.stacks[0].SendDirect(2, pkt.NewPacket(1, 2, &pkt.Hello{Seq: 2})) })
 	send(2*time.Second, func() { e.stacks[0].SendUnicast(pkt.NewPacket(1, 3, &pkt.Hello{Seq: 3})) })
-	e.sched.Run(3 * time.Second)
+	e.Sched.Run(3 * time.Second)
 	want := []string{
 		"2 heard 1", "2 delivers hello 1 from 1", // broadcast
 		"2 heard 1", "2 delivers hello 2 from 1", // unicast for node 2
@@ -186,15 +177,10 @@ func TestRouterHearsEveryFrame(t *testing.T) {
 
 	// Node 4 hears node 3 only and never gets a router: a broadcast goes
 	// up (to no handler) and a unicast in transit finds no route.
-	rt4, err := mac.New(e.sched, sim.NewRNG(4), e.medium, 4,
-		mobility.Static{P: geom.Point{X: 150}}, mac.DefaultConfig(), mac.Callbacks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare := NewOnRuntime(rt4)
+	bare := NewOnRuntime(e.Add(t, 4, mobility.Static{P: geom.Point{X: 150}}, sim.NewRNG(4)))
 	send(4*time.Second, func() { e.stacks[2].SendBroadcast(pkt.NewPacket(3, pkt.Broadcast, &pkt.Hello{Seq: 4})) })
 	send(5*time.Second, func() { e.stacks[2].SendDirect(4, pkt.NewPacket(3, 9, &pkt.Hello{Seq: 5})) })
-	e.sched.Run(6 * time.Second)
+	e.Sched.Run(6 * time.Second)
 	if st := bare.Stats(); st.NoHandler != 1 || st.Forwarded != 0 {
 		t.Fatalf("router-less stack: %+v, want one frame without a handler and nothing forwarded", st)
 	}
@@ -205,8 +191,8 @@ func TestBroadcastSendDoneNoFailure(t *testing.T) {
 	e.stacks[0].OnLinkFailure(func(n pkt.NodeID) {
 		t.Error("broadcast must not produce link failures")
 	})
-	e.sched.After(0, func() { e.stacks[0].SendBroadcast(hello(1, pkt.Broadcast)) })
-	e.sched.Run(time.Second)
+	e.Sched.After(0, func() { e.stacks[0].SendBroadcast(hello(1, pkt.Broadcast)) })
+	e.Sched.Run(time.Second)
 }
 
 func TestDuplicateHandlerPanics(t *testing.T) {
@@ -240,8 +226,8 @@ func TestNoHandlerCounted(t *testing.T) {
 		if handlesData {
 			e.stacks[1].Handle(pkt.KindData, func(*pkt.Packet, pkt.NodeID) {})
 		}
-		e.sched.After(0, func() { e.stacks[0].SendBroadcast(hello(1, pkt.Broadcast)) })
-		e.sched.Run(time.Second)
+		e.Sched.After(0, func() { e.stacks[0].SendBroadcast(hello(1, pkt.Broadcast)) })
+		e.Sched.Run(time.Second)
 		if st := e.stacks[1].Stats(); st.NoHandler != 1 || st.Delivered != 0 {
 			t.Fatalf("handlesData=%v: NoHandler = %d, Delivered = %d, want 1 and 0", handlesData, st.NoHandler, st.Delivered)
 		}
@@ -252,11 +238,11 @@ func TestByteAccountingSplitsControlAndPayload(t *testing.T) {
 	e := line(t, 2)
 	data := pkt.NewPacket(1, pkt.Broadcast, &pkt.Data{Group: 1, Origin: 1, Seq: 1, PayloadLen: 64})
 	ctl := hello(1, pkt.Broadcast)
-	e.sched.After(0, func() {
+	e.Sched.After(0, func() {
 		e.stacks[0].SendBroadcast(data)
 		e.stacks[0].SendBroadcast(ctl)
 	})
-	e.sched.Run(time.Second)
+	e.Sched.Run(time.Second)
 	st := e.stacks[0].Stats()
 	if st.PayloadBytes != uint64(data.WireSize()) {
 		t.Fatalf("PayloadBytes = %d, want %d", st.PayloadBytes, data.WireSize())
@@ -270,8 +256,8 @@ func TestSendUnicastBroadcastDst(t *testing.T) {
 	e := line(t, 2)
 	got := 0
 	e.stacks[1].Handle(pkt.KindHello, func(*pkt.Packet, pkt.NodeID) { got++ })
-	e.sched.After(0, func() { e.stacks[0].SendUnicast(hello(1, pkt.Broadcast)) })
-	e.sched.Run(time.Second)
+	e.Sched.After(0, func() { e.stacks[0].SendUnicast(hello(1, pkt.Broadcast)) })
+	e.Sched.Run(time.Second)
 	if got != 1 {
 		t.Fatalf("broadcast-dst unicast deliveries = %d, want 1", got)
 	}

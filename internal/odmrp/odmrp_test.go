@@ -1,55 +1,38 @@
 package odmrp
 
 import (
-	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"anongossip/internal/aodv"
 	"anongossip/internal/geom"
 	"anongossip/internal/gossip"
-	"anongossip/internal/mac"
 	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
-	"anongossip/internal/radio"
 	"anongossip/internal/sim"
+	"anongossip/internal/testworld"
 )
 
 const group pkt.GroupID = 0xE0000001
 
 type oworld struct {
-	sched     *sim.Scheduler
+	*testworld.World
 	routers   []*Router
 	delivered []int
 }
 
-// newStack puts a network layer on the simulated MAC and radio.
-func newStack(t *testing.T, sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID, pos mobility.Model) *node.Stack {
-	t.Helper()
-	rt, err := mac.New(sched, rng.Derive(fmt.Sprintf("mac/%d", id)), medium, id, pos, mac.DefaultConfig(), mac.Callbacks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return node.NewOnRuntime(rt)
-}
-
+// buildO puts ODMRP, with no unicast routing under it, on the simulated
+// MAC and radio at each position (60 m range).
 func buildO(t *testing.T, positions []geom.Point, members []int) *oworld {
 	t.Helper()
-	w := &oworld{sched: sim.NewScheduler(), delivered: make([]int, len(positions))}
-	medium := radio.NewMedium(w.sched, radio.Params{Range: 60})
 	rng := sim.NewRNG(77)
-	isMember := map[int]bool{}
-	for _, m := range members {
-		isMember[m] = true
-	}
-	for i, p := range positions {
-		i := i
-		id := pkt.NodeID(i + 1)
-		st := newStack(t, w.sched, rng.Derive(id.String()), medium, id, mobility.Static{P: p})
-		st.SetRouter(node.NullRouter{})
-		r := New(st, rng.Derive("o/"+id.String()), DefaultConfig())
-		if isMember[i] {
+	w := &oworld{World: testworld.New(t, 60, testworld.Static(positions...), testworld.Labelled(rng, "")), delivered: make([]int, len(positions))}
+	for i, rt := range w.MACs {
+		st := node.NewOnRuntime(rt)
+		r := New(st, rng.Derive("o/"+st.ID().String()), DefaultConfig())
+		if slices.Contains(members, i) {
 			r.Join(group)
 		}
 		r.OnDeliver(func(pkt.GroupID, *pkt.Data, pkt.NodeID) { w.delivered[i]++ })
@@ -58,25 +41,17 @@ func buildO(t *testing.T, positions []geom.Point, members []int) *oworld {
 	return w
 }
 
-func line(n int) []geom.Point {
-	out := make([]geom.Point, n)
-	for i := range out {
-		out[i] = geom.Point{X: float64(i) * 50}
-	}
-	return out
-}
-
 func TestMeshFormsAndDelivers(t *testing.T) {
-	w := buildO(t, line(4), []int{0, 3})
+	w := buildO(t, testworld.Line(4, 50), []int{0, 3})
 	// The first send activates the mesh; give a refresh cycle, then the
 	// stream flows.
-	w.sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
+	w.Sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
 	for i := 0; i < 10; i++ {
-		w.sched.After(5*time.Second+sim.Time(i)*200*time.Millisecond, func() {
+		w.Sched.After(5*time.Second+sim.Time(i)*200*time.Millisecond, func() {
 			_, _ = w.routers[0].SendData(group)
 		})
 	}
-	w.sched.Run(10 * time.Second)
+	w.Sched.Run(10 * time.Second)
 
 	// The first packet may precede the mesh; the 10 later ones must all
 	// arrive.
@@ -94,9 +69,9 @@ func TestMeshFormsAndDelivers(t *testing.T) {
 }
 
 func TestQueriesAndRepliesFlow(t *testing.T) {
-	w := buildO(t, line(3), []int{0, 2})
-	w.sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
-	w.sched.Run(8 * time.Second)
+	w := buildO(t, testworld.Line(3, 50), []int{0, 2})
+	w.Sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
+	w.Sched.Run(8 * time.Second)
 
 	if w.routers[0].Stats().QueriesSent == 0 {
 		t.Fatal("source sent no join queries")
@@ -113,23 +88,23 @@ func TestQueriesAndRepliesFlow(t *testing.T) {
 }
 
 func TestMeshSoftStateExpires(t *testing.T) {
-	w := buildO(t, line(3), []int{0, 2})
-	w.sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
-	w.sched.Run(8 * time.Second)
+	w := buildO(t, testworld.Line(3, 50), []int{0, 2})
+	w.Sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
+	w.Sched.Run(8 * time.Second)
 	if len(w.routers[1].NextHops(group)) == 0 {
 		t.Fatal("precondition: relay has no mesh links")
 	}
 	// Stop the source's refresh; links must decay past MeshLifetime.
 	gs := w.routers[0].groups[group]
 	gs.refreshTimer.Cancel()
-	w.sched.Run(8*time.Second + 2*DefaultConfig().MeshLifetime)
+	w.Sched.Run(8*time.Second + 2*DefaultConfig().MeshLifetime)
 	if got := w.routers[1].NextHops(group); len(got) != 0 {
 		t.Fatalf("mesh links survived expiry: %v", got)
 	}
 }
 
 func TestSendDataRequiresMembership(t *testing.T) {
-	w := buildO(t, line(1), nil)
+	w := buildO(t, testworld.Line(1, 50), nil)
 	if _, err := w.routers[0].SendData(group); err == nil {
 		t.Fatal("non-member SendData succeeded")
 	}
@@ -138,17 +113,15 @@ func TestSendDataRequiresMembership(t *testing.T) {
 func TestGossipOverODMRP(t *testing.T) {
 	// The paper's §5.5 claim: AG layers over ODMRP unchanged. Build the
 	// full combination and recover losses through the mesh.
-	sched := sim.NewScheduler()
-	medium := radio.NewMedium(sched, radio.Params{Range: 60})
 	rng := sim.NewRNG(99)
+	w := testworld.New(t, 60, testworld.Static(testworld.Line(4, 50)...), testworld.Labelled(rng, ""))
 
 	var routers []*Router
 	var engines []*gossip.Engine
-	positions := line(4)
 	members := map[int]bool{0: true, 3: true}
-	for i, p := range positions {
+	for i, rt := range w.MACs {
 		id := pkt.NodeID(i + 1)
-		st := newStack(t, sched, rng.Derive(id.String()), medium, id, mobility.Static{P: p})
+		st := node.NewOnRuntime(rt)
 		// Gossip replies are unicast: AODV supplies the routes, exactly
 		// as in the MAODV deployment.
 		uni := aodv.New(st, rng.Derive("a/"+id.String()), aodv.DefaultConfig())
@@ -169,8 +142,8 @@ func TestGossipOverODMRP(t *testing.T) {
 
 	// Activate the mesh, then inject asymmetric knowledge directly into
 	// the engines: member 4 holds packets member 1 lost.
-	sched.After(time.Second, func() { _, _ = routers[0].SendData(group) })
-	sched.After(6*time.Second, func() {
+	w.Sched.After(time.Second, func() { _, _ = routers[0].SendData(group) })
+	w.Sched.After(6*time.Second, func() {
 		for s := uint32(1); s <= 12; s++ {
 			d := pkt.Data{Group: group, Origin: 9, Seq: s, PayloadLen: 64}
 			engines[3].OnTreeData(group, &d, 0)
@@ -179,7 +152,7 @@ func TestGossipOverODMRP(t *testing.T) {
 			}
 		}
 	})
-	sched.Run(40 * time.Second)
+	w.Sched.Run(40 * time.Second)
 
 	st := engines[0].Stats()
 	if st.ReplyMsgsNew != 4 {
@@ -188,9 +161,9 @@ func TestGossipOverODMRP(t *testing.T) {
 }
 
 func TestNextHopsSorted(t *testing.T) {
-	w := buildO(t, line(3), []int{0, 2})
-	w.sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
-	w.sched.Run(8 * time.Second)
+	w := buildO(t, testworld.Line(3, 50), []int{0, 2})
+	w.Sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
+	w.Sched.Run(8 * time.Second)
 	hops := w.routers[1].NextHops(group)
 	for i := 1; i < len(hops); i++ {
 		if hops[i].ID < hops[i-1].ID {
@@ -211,8 +184,7 @@ func TestNewRejectsNonPositiveCacheSize(t *testing.T) {
 	for _, size := range []int{0, -1} {
 		cfg := DefaultConfig()
 		cfg.CacheSize = size
-		sched := sim.NewScheduler()
-		st := newStack(t, sched, sim.NewRNG(1), radio.NewMedium(sched, radio.Params{Range: 60}), 1, mobility.Static{})
+		st := node.NewOnRuntime(testworld.New(t, 60, nil, nil).Add(t, 1, mobility.Static{}, sim.NewRNG(1).Derive("mac/1")))
 		func() {
 			defer func() {
 				if got := recover(); got != "odmrp: CacheSize must be positive" {

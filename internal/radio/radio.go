@@ -381,14 +381,6 @@ type Transceiver struct {
 	collided  uint64
 }
 
-// ID returns the node ID this transceiver belongs to.
-func (t *Transceiver) ID() pkt.NodeID { return t.id }
-
-// Position returns the node's position at the current simulation time.
-func (t *Transceiver) Position() geom.Point {
-	return t.pos.Position(t.medium.sched.Now())
-}
-
 // Transmitting reports whether the transceiver has a frame on the air.
 func (t *Transceiver) Transmitting() bool {
 	return t.txEnd > t.medium.sched.Now()

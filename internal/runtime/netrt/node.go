@@ -191,9 +191,6 @@ func (n *Node) Now() sim.Time { return n.sched.Now() }
 // After implements runtime.Clock.
 func (n *Node) After(d sim.Time, fn func()) sim.Timer { return n.sched.After(d, fn) }
 
-// At implements runtime.Clock.
-func (n *Node) At(t sim.Time, fn func()) sim.Timer { return n.sched.At(t, fn) }
-
 // Send implements runtime.Runtime: encode the frame and hand it to the
 // transport. A body past the 16-bit wire length is refused, not sent
 // with a wrapped length for every receiver to count Malformed. The

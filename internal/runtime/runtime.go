@@ -37,9 +37,6 @@ type Clock interface {
 	// fires at the current time; callbacks run on the node's event
 	// loop, never concurrently with other callbacks of the same node.
 	After(d sim.Time, fn func()) sim.Timer
-	// At schedules fn at an absolute time; times in the past are
-	// clamped to the present.
-	At(t sim.Time, fn func()) sim.Timer
 }
 
 // *sim.Scheduler is the canonical Clock; both runtimes route timers

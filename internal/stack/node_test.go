@@ -8,16 +8,13 @@ import (
 	"time"
 
 	"anongossip/internal/flood"
-	"anongossip/internal/geom"
 	"anongossip/internal/gossip"
-	"anongossip/internal/mac"
 	"anongossip/internal/maodv"
-	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/odmrp"
 	"anongossip/internal/pkt"
-	"anongossip/internal/radio"
 	"anongossip/internal/sim"
+	"anongossip/internal/testworld"
 )
 
 const testGroup pkt.GroupID = 0xE0000001
@@ -33,7 +30,7 @@ var errNotMember = map[string]error{
 // all run spec s: the ends are members, the middle a relay. The first
 // member publishes once per 200 ms from 20 s to 30 s.
 type stackRun struct {
-	sched     *sim.Scheduler
+	*testworld.World
 	nodes     []*Node
 	recovered []int // per node: deliveries flagged recovered
 	plain     []int // per node: deliveries not flagged recovered
@@ -41,15 +38,11 @@ type stackRun struct {
 
 func runStack(t *testing.T, s Spec) *stackRun {
 	t.Helper()
-	w := &stackRun{sched: sim.NewScheduler(), recovered: make([]int, 3), plain: make([]int, 3)}
-	medium := radio.NewMedium(w.sched, radio.Params{Range: 75})
 	root := sim.NewRNG(5)
-	for i := 0; i < 3; i++ {
-		rt, err := mac.New(w.sched, root.Derive(fmt.Sprintf("stack/%d", i)).Derive(fmt.Sprintf("mac/%d", i+1)), medium, pkt.NodeID(i+1),
-			mobility.Static{P: geom.Point{X: 50 * float64(i)}}, mac.DefaultConfig(), mac.Callbacks{})
-		if err != nil {
-			t.Fatal(err)
-		}
+	w := &stackRun{World: testworld.New(t, 75, testworld.Static(testworld.Line(3, 50)...), func(id pkt.NodeID) *sim.RNG {
+		return root.Derive(fmt.Sprintf("stack/%d", id-1))
+	}), recovered: make([]int, 3), plain: make([]int, 3)}
+	for i, rt := range w.MACs {
 		n, err := Assemble(s, node.NewOnRuntime(rt), root, i, gossip.DefaultConfig())
 		if err != nil {
 			t.Fatalf("Assemble(%v): %v", s, err)
@@ -71,16 +64,16 @@ func runStack(t *testing.T, s Spec) *stackRun {
 	if _, err := w.nodes[0].Publish(testGroup); !errors.Is(err, errNotMember[s.Normalize().Routing]) {
 		t.Fatalf("%v: non-member Publish err = %v, want the routing's ErrNotMember", s, err)
 	}
-	w.sched.At(50*time.Millisecond, func() { w.nodes[0].Join(testGroup) })
-	w.sched.At(8*time.Second, func() { w.nodes[2].Join(testGroup) })
+	w.Sched.At(50*time.Millisecond, func() { w.nodes[0].Join(testGroup) })
+	w.Sched.At(8*time.Second, func() { w.nodes[2].Join(testGroup) })
 	for at := 20 * time.Second; at <= 30*time.Second; at += 200 * time.Millisecond {
-		w.sched.At(at, func() {
+		w.Sched.At(at, func() {
 			if _, err := w.nodes[0].Publish(testGroup); err != nil {
 				t.Errorf("%v: member Publish: %v", s, err)
 			}
 		})
 	}
-	w.sched.Run(40 * time.Second)
+	w.Sched.Run(40 * time.Second)
 	return w
 }
 
