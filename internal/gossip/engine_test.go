@@ -499,18 +499,20 @@ func TestRoundAllocatesNothing(t *testing.T) {
 		w.Sched.After(cfg.Interval, fresh)
 	}
 	w.Sched.After(cfg.Interval, fresh)
-	w.Sched.Run(60 * time.Second) // long enough for the radio's records to peak
-	before, recovered := w.engines[0].Stats(), w.engines[0].Stats().ReplyMsgsNew
-	allocs := testing.AllocsPerRun(1, func() { w.Sched.Run(w.Sched.Now() + 20*time.Second) })
+	w.Sched.Run(60 * time.Second) // routes known, tables and scratch grown
+	// The measured 20 s are the first in which no pool reached a new
+	// high-water mark (testworld.Settle).
+	var before Stats
+	testworld.Settle(t, 10, func() {
+		before = w.engines[0].Stats()
+		w.Sched.Run(w.Sched.Now() + 20*time.Second)
+	})
 	st := w.engines[0].Stats()
-	if rounds := st.RoundsAnon - before.RoundsAnon; rounds < 15 || st.ReplyMsgsNew-recovered < 15 {
-		t.Fatalf("%d rounds recovered %d packets at member 1: not the steady state under test", rounds, st.ReplyMsgsNew-recovered)
+	if rounds, recovered := st.RoundsAnon-before.RoundsAnon, st.ReplyMsgsNew-before.ReplyMsgsNew; rounds < 15 || recovered < 15 {
+		t.Fatalf("%d rounds recovered %d packets at member 1: not the steady state under test", rounds, recovered)
 	}
 	if w.engines[1].Stats().WalksForwarded == 0 {
 		t.Fatal("the router forwarded no walk")
-	}
-	if allocs != 0 {
-		t.Fatalf("20 s of gossip rounds allocate %v times, want 0", allocs)
 	}
 }
 

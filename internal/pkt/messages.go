@@ -401,7 +401,7 @@ func (*GossipReq) Kind() Kind { return KindGossipReq }
 
 // WireSize implements Body.
 func (g *GossipReq) WireSize() int {
-	return 4 + 4 + 1 + 1 + 1 + 8*len(g.Lost) + 1 + 8*len(g.Expected) + 1
+	return 4 + 4 + 1 + 1 + 1 + 8*len(g.Lost) + 1 + 8*len(g.Expected)
 }
 
 // Cached reports whether this is a cached-gossip request.
@@ -420,9 +420,6 @@ func (g *GossipReq) code(c coder) coder {
 		u32(&c, &g.Expected[i].Origin)
 		u32(&c, &g.Expected[i].NextSeq)
 	}
-	// A reserved zero byte: WireSize sets a frame's airtime, so the
-	// layout keeps the count of the pushed-data list it no longer has.
-	c.zeros(1)
 	return c
 }
 

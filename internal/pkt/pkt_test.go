@@ -83,7 +83,7 @@ func TestWireBytesPinned(t *testing.T) {
 		KindGRPH:      "06000000030000000911000de0000001000000010000002a07",
 		KindNearest:   "070000000300000009110005e000000103",
 		KindData:      "08000000030000000911004ee000000100000002000003e90040" + payload,
-		KindGossipReq: "090000000300000009110025e0000001000000050102020000000200000011000000020000001301000000020000001900",
+		KindGossipReq: "090000000300000009110024e00000010000000501020200000002000000110000000200000013010000000200000019",
 		KindGossipRep: "0a00000003000000091100a6e0000001000000070302e000000100000002000000110040" + payload + "e000000100000002000000130040" + payload,
 		KindJoinQuery: "20000000030000000911000de0000001000000030000000c02",
 		KindJoinReply: "210000000300000009110010e000000100000003000000080000000c",
@@ -261,8 +261,8 @@ func TestPacketCloneIndependence(t *testing.T) {
 }
 
 // pushRequest is a push-mode gossip request (flags GossipCached and
-// 0x02) in the layout that carried pushed data: the reserved byte is 1
-// and one 64-byte Data follows it.
+// 0x02) in the layout that carried pushed data: a count of 1 follows the
+// expectations, then one 64-byte Data.
 var pushRequest = "090000000300000009110073e0000001000000050302020000000200000011000000020000001301000000020000001901e0000001000000020000001e0040" +
 	strings.Repeat("00", 64)
 
@@ -287,8 +287,8 @@ func TestDecodeErrors(t *testing.T) {
 		})
 	}
 
-	// A push request filled the reserved byte with a count of the data
-	// it carried; the request no longer has that list, so they trail.
+	// A push request ended with a count of the data it carried and the
+	// data; the request no longer has that list, so they trail.
 	t.Run("push request", func(t *testing.T) {
 		raw, err := hex.DecodeString(pushRequest)
 		if err != nil {

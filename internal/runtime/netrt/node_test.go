@@ -116,7 +116,7 @@ func TestNodeDeliveryFiltering(t *testing.T) {
 	}
 
 	// A push-mode gossip request, whose pushed data the request layout
-	// no longer has: its reserved byte is 1 and one Data trails it.
+	// no longer has: a count of 1 and one Data trail its expectations.
 	push, err := hex.DecodeString("41470100000002ffffffff" +
 		"090000000300000009110073e0000001000000050302020000000200000011000000020000001301000000020000001901" +
 		"e0000001000000020000001e0040" + strings.Repeat("00", 64))

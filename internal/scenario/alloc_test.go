@@ -13,12 +13,15 @@ import (
 // repeat exactly from host to host and can gate where throughput
 // cannot.
 //
-// Set-up: a 60 s run allocates at most 6,761 objects, almost all of
-// them building the world and warming its pools. That is the old
-// single budget of 0.025 mallocs per logical event at the run's 270,442
-// events. Divided by events, it read 0.48 while the mac → radio → geom
-// path still made a closure, a boxed frame, a map entry and a re-made
-// slice per frame, 0.21 without them, 0.088 once timer callbacks, MAC
+// Set-up: a 60 s run allocates at most 6,553 objects, almost all of
+// them building the world and warming its pools. It reads 6,345 (6,415
+// under the race detector). The budget was 6,761, the old single budget
+// of 0.025 mallocs per logical event at the run's then 270,442 events,
+// and fell by the 208 allocations the run saved when sim.RNG's
+// math/rand source (two objects per stream drawn from) became one
+// PCG held in the stream. Divided by events, it read 0.48 while the
+// mac → radio → geom path still made a closure, a boxed frame, a map
+// entry and a re-made slice per frame, 0.21 without them, 0.088 once timer callbacks, MAC
 // records and walk scratch were reused, and 0.022 once every packet a
 // node sends was built in one its link had handed back: rows §R, §Y and
 // §Z of EXPERIMENTS.md's allocation ledger. An absolute count does not
@@ -45,7 +48,7 @@ func TestAllocationBudgetPerEvent(t *testing.T) {
 		return after.Mallocs - before.Mallocs, res.Events
 	}
 	const (
-		setupBudget  = 6761
+		setupBudget  = 6553
 		steadyBudget = 0.002
 	)
 	m60, e60 := run(60 * time.Second)

@@ -13,15 +13,17 @@ import (
 )
 
 // The golden digests pin the exact per-member outcome of every stack
-// of the table at fixed seeds. The bare rows were recorded from the
-// code before stacks were composed (a Protocol enum dispatched by
-// switches) and have been carried, value for value, through every
-// redesign of the assembly since; a stack added to the table gets its
+// of the table at fixed seeds. A stack added to the table gets its
 // rows the day it is added, because the cases iterate stack.Stacks.
-// The +gossip rows were re-recorded on purpose twice: when gossip
-// replies began to retrace the walk of their request, and when AODV's
-// route discovery began with an expanding ring search (MAODV's join
-// requests, all the bare stacks send, do not search in rings).
+// Every row was re-recorded once, on purpose, when sim.RNG's streams
+// became PCGs (every random draw changed) and the gossip request lost
+// its reserved byte. Before that the bare rows had been carried, value
+// for value, from the code before stacks were composed (a Protocol enum
+// dispatched by switches) through every redesign of the assembly, and
+// the +gossip rows were re-recorded twice: when gossip replies began to
+// retrace the walk of their request, and when AODV's route discovery
+// began with an expanding ring search (MAODV's join requests, all the
+// bare stacks send, do not search in rings).
 //
 // The Large250 row pins one 250-node large-scale run, where the radio's
 // grid spans 7×7 cells instead of the 25-node rows' 4×4. It was recorded
@@ -33,7 +35,8 @@ import (
 // with the +gossip rows, and once more, alone, when AODV stopped
 // re-routing a unicast whose next hop failed: the twelve stack rows
 // stayed byte-identical through that change. The six bare rows stayed
-// byte-identical through the ring search too.
+// byte-identical through the ring search too. The PCG streams moved it
+// with every other row.
 //
 // Regenerate (only after an intentional behaviour change) with:
 //

@@ -73,9 +73,10 @@ func TestLargeScaleRunsDeliver(t *testing.T) {
 }
 
 // hugeHeapPerNode10k is the live heap per node after the 10k-node run of
-// TestHugeMemoryPerNode, measured twice (22,065.0 and 22,064.5) when the
-// check was retired from CI's memory gate.
-const hugeHeapPerNode10k = 22065.0
+// TestHugeMemoryPerNode, measured three times (6,192.2, 6,195.8 and
+// 6,196.3) once sim.RNG streams became 16-byte PCGs; with a 4.8 KiB
+// math/rand table per stream drawn from it read 22,065.
+const hugeHeapPerNode10k = 6196.0
 
 // TestHugeMemoryPerNode is the per-node memory check: the live heap
 // after a 10k-node run is deterministic to four digits, so it must stay

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -78,8 +79,11 @@ func TestValidateUnknownStackListsNames(t *testing.T) {
 }
 
 // TestFloodGossipStack exercises the sixth stack end to end:
-// Anonymous Gossip over plain flooding. At a short 45 m range flooding drops plenty of packets;
-// the gossip layer must recover some of them and never hurt the mean.
+// Anonymous Gossip over plain flooding. At a short 45 m range flooding
+// usually drops packets: on every seed where bare flooding lost some,
+// the gossip layer must recover some of them and not lower the mean. A
+// seed where flooding reached every member leaves nothing to recover,
+// so the test also needs at least one seed with losses.
 func TestFloodGossipStack(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 25
@@ -88,6 +92,7 @@ func TestFloodGossipStack(t *testing.T) {
 	cfg.DataStart = 30 * time.Second
 	cfg.DataEnd = 100 * time.Second
 
+	lossy := 0
 	for _, seed := range []int64{1, 2} {
 		bare := cfg
 		bare.Seed = seed
@@ -118,6 +123,12 @@ func TestFloodGossipStack(t *testing.T) {
 			}
 			recovered += m.Recovered
 		}
+		t.Logf("seed %d: flood %.1f of %d -> flood+gossip %.1f (recovered %d)",
+			seed, base.Received.Mean, base.Sent, res.Received.Mean, recovered)
+		if !slices.ContainsFunc(base.Members, func(m MemberResult) bool { return m.Received < base.Sent }) {
+			continue
+		}
+		lossy++
 		if recovered == 0 {
 			t.Fatalf("seed %d: gossip over flooding recovered nothing", seed)
 		}
@@ -125,8 +136,9 @@ func TestFloodGossipStack(t *testing.T) {
 			t.Fatalf("seed %d: flood+gossip mean %.1f below bare flood %.1f",
 				seed, res.Received.Mean, base.Received.Mean)
 		}
-		t.Logf("seed %d: flood %.1f -> flood+gossip %.1f (recovered %d)",
-			seed, base.Received.Mean, res.Received.Mean, recovered)
+	}
+	if lossy == 0 {
+		t.Fatal("bare flooding lost nothing on any seed: nothing for gossip to recover")
 	}
 }
 

@@ -1,8 +1,7 @@
 package sim
 
 import (
-	"hash/fnv"
-	"math/rand"
+	"math/rand/v2"
 	"time"
 )
 
@@ -12,61 +11,83 @@ import (
 // choices): adding a random draw in one component does not perturb the
 // others, which keeps experiments comparable across code changes.
 //
-// The backing math/rand source (a ~4.8 KiB lagged-Fibonacci table) is
-// allocated on the first draw, not at construction: a scenario derives
-// a dozen streams per node but many — Derive-only intermediates,
-// protocol jitter on nodes that never forward — are never drawn from,
-// and at 100k nodes the unused tables were the largest single heap
-// consumer. Laziness is invisible to callers: the first draw seeds the
-// source exactly as eager construction did, so sequences are
-// bit-identical.
+// The backing source is a 16-byte PCG (math/rand/v2) held by value, so a
+// stream is one 24-byte object built at construction. A scenario derives
+// about a dozen streams per node, so a stream's size is a visible share
+// of a node's memory at 10k nodes and more.
 type RNG struct {
 	seed int64
-	r    *rand.Rand
+	pcg  rand.PCG
 }
 
-// NewRNG returns a generator seeded with seed.
+// NewRNG returns a generator seeded with seed. Both PCG words are
+// splitmix64 outputs of seed, so nearby seeds (and the seeds Derive
+// makes, which differ only in their name hash) start far apart in both
+// words.
 func NewRNG(seed int64) *RNG {
-	return &RNG{seed: seed}
+	g := &RNG{seed: seed}
+	s := uint64(seed)
+	hi := splitmix64(&s)
+	g.pcg.Seed(hi, splitmix64(&s))
+	return g
 }
 
-// src returns the backing generator, allocating it on first use.
-func (g *RNG) src() *rand.Rand {
-	if g.r == nil {
-		g.r = rand.New(rand.NewSource(g.seed))
-	}
-	return g.r
+// splitmix64 advances *s and returns its next output (Steele, Lea and
+// Flood, "Fast Splittable Pseudorandom Number Generators", 2014).
+func splitmix64(s *uint64) uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := *s
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // Derive returns an independent sub-stream identified by name. The mapping
-// (seed, name) -> sub-seed is stable across runs.
+// (seed, name) -> sub-seed is seed XOR the 64-bit FNV-1a hash of name,
+// stable across runs.
 func (g *RNG) Derive(name string) *RNG {
-	h := fnv.New64a()
-	// Hash writes never fail.
-	_, _ = h.Write([]byte(name))
-	sub := g.seed ^ int64(h.Sum64())
+	h := fnv64a(name)
+	sub := g.seed ^ int64(h)
 	// Avoid the degenerate all-zero seed.
 	if sub == 0 {
-		sub = int64(h.Sum64()) | 1
+		sub = int64(h) | 1
 	}
 	return NewRNG(sub)
+}
+
+// fnv64a is hash/fnv's New64a over name, without its allocations.
+func fnv64a(name string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= prime64
+	}
+	return h
 }
 
 // Seed returns the seed this generator was created with.
 func (g *RNG) Seed() int64 { return g.seed }
 
+// std wraps the stream in the standard library's draw methods. The
+// wrapper does not escape, so it lives on the caller's stack.
+func (g *RNG) std() *rand.Rand { return rand.New(&g.pcg) }
+
 // Float64 returns a uniform value in [0, 1).
-func (g *RNG) Float64() float64 { return g.src().Float64() }
+func (g *RNG) Float64() float64 { return g.std().Float64() }
 
 // Intn returns a uniform value in [0, n). n must be > 0.
-func (g *RNG) Intn(n int) int { return g.src().Intn(n) }
+func (g *RNG) Intn(n int) int { return g.std().IntN(n) }
 
 // Uniform returns a uniform value in [lo, hi). If hi <= lo it returns lo.
 func (g *RNG) Uniform(lo, hi float64) float64 {
 	if hi <= lo {
 		return lo
 	}
-	return lo + (hi-lo)*g.src().Float64()
+	return lo + (hi-lo)*g.Float64()
 }
 
 // Duration returns a uniform duration in [0, max). If max <= 0 it returns 0.
@@ -74,7 +95,7 @@ func (g *RNG) Duration(max time.Duration) time.Duration {
 	if max <= 0 {
 		return 0
 	}
-	return time.Duration(g.src().Int63n(int64(max)))
+	return time.Duration(g.std().Int64N(int64(max)))
 }
 
 // DurationRange returns a uniform duration in [lo, hi). If hi <= lo it
@@ -83,7 +104,7 @@ func (g *RNG) DurationRange(lo, hi time.Duration) time.Duration {
 	if hi <= lo {
 		return lo
 	}
-	return lo + time.Duration(g.src().Int63n(int64(hi-lo)))
+	return lo + g.Duration(hi-lo)
 }
 
 // Bool returns true with probability p (clamped to [0, 1]).
@@ -94,12 +115,12 @@ func (g *RNG) Bool(p float64) bool {
 	case p >= 1:
 		return true
 	default:
-		return g.src().Float64() < p
+		return g.Float64() < p
 	}
 }
 
 // Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.src().Perm(n) }
+func (g *RNG) Perm(n int) []int { return g.std().Perm(n) }
 
 // WeightedIndex picks an index in [0, len(weights)) with probability
 // proportional to weights[i]. Non-positive weights are treated as zero.
@@ -114,7 +135,7 @@ func (g *RNG) WeightedIndex(weights []float64) int {
 	if total <= 0 {
 		return -1
 	}
-	x := g.src().Float64() * total
+	x := g.Float64() * total
 	for i, w := range weights {
 		if w <= 0 {
 			continue

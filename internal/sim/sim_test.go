@@ -781,148 +781,3 @@ func TestPostponeAfterCompletion(t *testing.T) {
 		t.Fatalf("the slot's new timer fired at %v with %d hops, want its own 5ms and one", at, s.Elided())
 	}
 }
-
-func TestRNGDeterminism(t *testing.T) {
-	a := NewRNG(42)
-	b := NewRNG(42)
-	for i := 0; i < 100; i++ {
-		if a.Float64() != b.Float64() {
-			t.Fatal("same-seed RNGs diverged")
-		}
-	}
-}
-
-func TestRNGDeriveIndependence(t *testing.T) {
-	root := NewRNG(7)
-	a := root.Derive("mobility")
-	b := root.Derive("mac")
-	c := root.Derive("mobility")
-	if a.Seed() == b.Seed() {
-		t.Fatal("different stream names produced the same seed")
-	}
-	if a.Seed() != c.Seed() {
-		t.Fatal("same stream name produced different seeds")
-	}
-	// Derived streams replay identically.
-	for i := 0; i < 50; i++ {
-		if a.Float64() != c.Float64() {
-			t.Fatal("derived streams with same name diverged")
-		}
-	}
-}
-
-func TestRNGUniformBounds(t *testing.T) {
-	g := NewRNG(1)
-	for i := 0; i < 1000; i++ {
-		v := g.Uniform(2, 5)
-		if v < 2 || v >= 5 {
-			t.Fatalf("Uniform(2,5) = %v out of range", v)
-		}
-	}
-	if got := g.Uniform(5, 5); got != 5 {
-		t.Fatalf("Uniform(5,5) = %v, want 5", got)
-	}
-	if got := g.Uniform(5, 2); got != 5 {
-		t.Fatalf("Uniform(5,2) = %v, want lo", got)
-	}
-}
-
-func TestRNGDurationBounds(t *testing.T) {
-	g := NewRNG(2)
-	if got := g.Duration(0); got != 0 {
-		t.Fatalf("Duration(0) = %v, want 0", got)
-	}
-	if got := g.Duration(-time.Second); got != 0 {
-		t.Fatalf("Duration(<0) = %v, want 0", got)
-	}
-	for i := 0; i < 1000; i++ {
-		v := g.Duration(80 * time.Second)
-		if v < 0 || v >= 80*time.Second {
-			t.Fatalf("Duration(80s) = %v out of range", v)
-		}
-	}
-	for i := 0; i < 1000; i++ {
-		v := g.DurationRange(time.Second, 2*time.Second)
-		if v < time.Second || v >= 2*time.Second {
-			t.Fatalf("DurationRange = %v out of range", v)
-		}
-	}
-	if got := g.DurationRange(2*time.Second, time.Second); got != 2*time.Second {
-		t.Fatalf("DurationRange(hi<lo) = %v, want lo", got)
-	}
-}
-
-func TestRNGBoolEdges(t *testing.T) {
-	g := NewRNG(3)
-	for i := 0; i < 100; i++ {
-		if g.Bool(0) {
-			t.Fatal("Bool(0) returned true")
-		}
-		if !g.Bool(1) {
-			t.Fatal("Bool(1) returned false")
-		}
-	}
-	trues := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		if g.Bool(0.3) {
-			trues++
-		}
-	}
-	frac := float64(trues) / n
-	if frac < 0.27 || frac > 0.33 {
-		t.Fatalf("Bool(0.3) frequency = %v, want ~0.3", frac)
-	}
-}
-
-func TestWeightedIndex(t *testing.T) {
-	g := NewRNG(4)
-	if got := g.WeightedIndex(nil); got != -1 {
-		t.Fatalf("WeightedIndex(nil) = %d, want -1", got)
-	}
-	if got := g.WeightedIndex([]float64{0, 0}); got != -1 {
-		t.Fatalf("WeightedIndex(zeros) = %d, want -1", got)
-	}
-	if got := g.WeightedIndex([]float64{0, 3, 0}); got != 1 {
-		t.Fatalf("WeightedIndex single positive = %d, want 1", got)
-	}
-
-	// Frequencies should be roughly proportional to weights.
-	counts := [3]int{}
-	const n = 30000
-	for i := 0; i < n; i++ {
-		counts[g.WeightedIndex([]float64{1, 2, 1})]++
-	}
-	if f := float64(counts[1]) / n; f < 0.46 || f > 0.54 {
-		t.Fatalf("weight-2 index frequency = %v, want ~0.5", f)
-	}
-	// Negative weights are ignored entirely.
-	for i := 0; i < 1000; i++ {
-		if got := g.WeightedIndex([]float64{-5, 1}); got != 1 {
-			t.Fatalf("WeightedIndex with negative weight = %d, want 1", got)
-		}
-	}
-}
-
-// Property: WeightedIndex always returns an index with positive weight, for
-// any weight vector containing at least one positive entry.
-func TestWeightedIndexProperty(t *testing.T) {
-	g := NewRNG(5)
-	f := func(raw []float64) bool {
-		anyPositive := false
-		for _, w := range raw {
-			if w > 0 {
-				anyPositive = true
-				break
-			}
-		}
-		idx := g.WeightedIndex(raw)
-		if !anyPositive {
-			return idx == -1
-		}
-		return idx >= 0 && idx < len(raw) && raw[idx] > 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -52,6 +52,31 @@ func (w *World) Add(t testing.TB, id pkt.NodeID, m mobility.Model, rng *sim.RNG)
 	return d
 }
 
+// Settle runs window, a stretch of a world's steady state, until a run
+// of it allocates nothing, and fails the test if maxRuns runs all
+// allocate. Each run calls window twice and counts the second call,
+// whose results the test then checks: it is the measured window.
+//
+// A world's pools (the scheduler's slots and queue, the radio's
+// records, the MACs' queues, each stack's spares) grow at new
+// high-water marks, which rare coincidences set: on a three-node line
+// all three nodes on the air at once, or one MAC queue a frame deeper
+// than ever, as late as two hours in on some draws of the streams. So
+// no fixed warm-up, and no run of quiet windows, makes the window after
+// it allocation-free on every draw, but a window that allocates nothing
+// is one in which no pool grew. Allocation on the steady path itself,
+// once per frame or per tick, leaves no window quiet and fails here.
+func Settle(t testing.TB, maxRuns int, window func()) {
+	t.Helper()
+	var allocs float64
+	for range maxRuns {
+		if allocs = testing.AllocsPerRun(1, window); allocs == 0 {
+			return
+		}
+	}
+	t.Fatalf("%d runs of the window all allocate (the last %v times), want one that allocates nothing", maxRuns, allocs)
+}
+
 // Labelled is the node stream rng.Derive(prefix + id.String()).
 func Labelled(rng *sim.RNG, prefix string) func(id pkt.NodeID) *sim.RNG {
 	return func(id pkt.NodeID) *sim.RNG { return rng.Derive(prefix + id.String()) }
