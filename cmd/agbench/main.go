@@ -21,7 +21,7 @@
 // the dense-traffic family at -dense-nodes nodes (§D). At full duration
 // the 1000-node points take tens of minutes — shrink with -duration and
 // pick points of the one -fig sweep with -x for previews. -fig a2, a3
-// and a4 sweep one gossip knob each (DESIGN.md §3's ablations).
+// and a4 sweep one gossip knob each (DESIGN.md §9's ablations).
 //
 // -json writes the machine-readable delivery record: per-point delivery
 // stats and goodput, and with -metrics the channel-utilization series.

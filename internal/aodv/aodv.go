@@ -137,7 +137,6 @@ type Stats struct {
 	RREQsOriginated uint64
 	RREQsForwarded  uint64
 	RREPsOriginated uint64
-	RREPsForwarded  uint64
 	RERRsSent       uint64
 	HellosSent      uint64
 	DiscoveryFails  uint64
@@ -366,7 +365,7 @@ func (r *Router) installRoute(dst pkt.NodeID, seq uint32, seqValid bool, hops ui
 	now := r.sched.Now()
 	rt, _ := r.routes.Insert(dst.Uint64()) // a new entry is invalid, so stale
 	stale := !rt.valid || rt.expires <= now
-	fresher := seqValid && (!rt.seqValid || newerSeq(seq, rt.seq) ||
+	fresher := seqValid && (!rt.seqValid || pkt.NewerSeq(seq, rt.seq) ||
 		(seq == rt.seq && hops < rt.hops))
 	if !stale && !fresher {
 		return
@@ -379,9 +378,6 @@ func (r *Router) installRoute(dst pkt.NodeID, seq uint32, seqValid bool, hops ui
 	rt.valid = true
 	r.completeDiscovery(dst)
 }
-
-// newerSeq compares 32-bit sequence numbers with wraparound.
-func newerSeq(a, b uint32) bool { return int32(a-b) > 0 }
 
 func (r *Router) completeDiscovery(dst pkt.NodeID) {
 	d, ok := r.pending[dst]
@@ -511,7 +507,7 @@ func (r *Router) onRREQ(p *pkt.Packet, from pkt.NodeID) {
 	dst := pkt.NodeID(req.Dst)
 	if dst == me {
 		// We are the destination: reply with our own sequence number.
-		if req.Flags&pkt.RREQUnknownSeq == 0 && newerSeq(req.DstSeq, r.seq) {
+		if req.Flags&pkt.RREQUnknownSeq == 0 && pkt.NewerSeq(req.DstSeq, r.seq) {
 			r.seq = req.DstSeq
 		}
 		r.NextSeq()
@@ -527,7 +523,7 @@ func (r *Router) onRREQ(p *pkt.Packet, from pkt.NodeID) {
 	}
 	// Intermediate reply when we hold a fresh-enough route.
 	if rt, have := r.routes.Get(dst.Uint64()); have && rt.valid && rt.expires > now && rt.seqValid &&
-		(req.Flags&pkt.RREQUnknownSeq != 0 || !newerSeq(req.DstSeq, rt.seq)) {
+		(req.Flags&pkt.RREQUnknownSeq != 0 || !pkt.NewerSeq(req.DstSeq, rt.seq)) {
 		r.sendRREP(&pkt.RREP{
 			Dst:        req.Dst,
 			DstSeq:     rt.seq,
@@ -580,7 +576,6 @@ func (r *Router) onRREP(p *pkt.Packet, from pkt.NodeID) {
 	// Relay along the reverse path toward the requester.
 	fwd := *rep
 	fwd.HopCount++
-	r.stats.RREPsForwarded++
 	if !r.RelayRREP(&fwd) {
 		r.stats.PacketsDropped++
 	}

@@ -315,24 +315,6 @@ func TestRERRPropagation(t *testing.T) {
 	}
 }
 
-func TestNewerSeq(t *testing.T) {
-	tests := []struct {
-		a, b uint32
-		want bool
-	}{
-		{2, 1, true},
-		{1, 2, false},
-		{1, 1, false},
-		{0, 0xFFFFFFFF, true}, // wraparound
-		{0xFFFFFFFF, 0, false},
-	}
-	for _, tt := range tests {
-		if got := newerSeq(tt.a, tt.b); got != tt.want {
-			t.Errorf("newerSeq(%d, %d) = %v, want %v", tt.a, tt.b, got, tt.want)
-		}
-	}
-}
-
 func TestSeenCacheSweep(t *testing.T) {
 	w := buildWorld(t, testworld.Line(2, 50))
 	w.Sched.After(time.Second, func() { w.stacks[0].SendUnicast(payload(1, 9)) })

@@ -49,7 +49,6 @@ func DefaultConfig() Config {
 
 // Stats counts flooding activity at one node.
 type Stats struct {
-	DataSent        uint64
 	DataDelivered   uint64
 	DataRebroadcast uint64
 	DataDuplicates  uint64
@@ -146,7 +145,6 @@ func (r *Router) SendData(g pkt.GroupID) (pkt.SeqKey, error) {
 	r.seq++
 	d := pkt.Data{Group: g, Origin: r.stack.ID(), Seq: r.seq, PayloadLen: r.cfg.PayloadLen}
 	r.seen.Add(d.Key())
-	r.stats.DataSent++
 	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &d))
 	return d.Key(), nil
 }

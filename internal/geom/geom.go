@@ -32,9 +32,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns p minus q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p scaled by k.
-func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
-
 // Lerp linearly interpolates from p to q; t=0 yields p, t=1 yields q.
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
@@ -59,10 +56,6 @@ func (r Rect) Clamp(p Point) Point {
 		Y: math.Min(math.Max(p.Y, 0), r.H),
 	}
 }
-
-// Diagonal returns the length of the rectangle's diagonal, an upper bound
-// on any distance between two contained points.
-func (r Rect) Diagonal() float64 { return math.Hypot(r.W, r.H) }
 
 // Area returns the rectangle's area in square metres.
 func (r Rect) Area() float64 { return r.W * r.H }

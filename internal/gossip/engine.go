@@ -150,7 +150,6 @@ type Stats struct {
 	WalksAccepted   uint64
 	WalksDropped    uint64
 	RepliesSent     uint64
-	ReplyMsgsSent   uint64
 	RepliesReceived uint64
 	// ReplyMsgsNew counts non-duplicate messages received through gossip
 	// replies; ReplyMsgsDup counts duplicates (redundant traffic).
@@ -433,7 +432,7 @@ func (e *Engine) pickNextHop(g pkt.GroupID, exclude pkt.NodeID) (pkt.NodeID, boo
 	// Steeper weightings shorten walks further but over-concentrate
 	// recovery on members that share loss correlation with the
 	// initiator. A uniform walk delivers no more across Figs. 2–5
-	// (ablation A1, DESIGN.md §3).
+	// (ablation A1, DESIGN.md §9).
 	e.weights = e.weights[:0]
 	for _, h := range cands {
 		d := float64(h.Nearest)
@@ -539,7 +538,6 @@ func (e *Engine) accept(req *pkt.GossipReq) {
 	}
 
 	e.stats.RepliesSent++
-	e.stats.ReplyMsgsSent += uint64(len(rep.Msgs))
 	e.stack.SendUnicast(p)
 }
 

@@ -97,10 +97,9 @@ type frame struct {
 
 // Stats aggregates per-node MAC counters.
 type Stats struct {
-	// UnicastSent and BroadcastSent count first transmissions (not
-	// retries).
-	UnicastSent   uint64
-	BroadcastSent uint64
+	// UnicastSent counts first transmissions (not retries) of unicast
+	// frames.
+	UnicastSent uint64
 	// Retries counts retransmission attempts.
 	Retries uint64
 	// Failures counts unicast frames dropped after RetryLimit.
@@ -297,7 +296,7 @@ type DCF struct {
 	vtxAt  sim.Time
 	// horizon bounds elision accounting; see SetHorizon.
 	horizon sim.Time
-	// Folded contention countdown (DESIGN.md §10). folding is set when
+	// Folded contention countdown (DESIGN.md §4). folding is set when
 	// the transceiver can bound neighbourhood motion; foldOK says the
 	// closure proofs covering the pending step still hold; foldVK is the
 	// largest proven busy-until learned since the step was armed;
@@ -324,7 +323,7 @@ func New(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID
 }
 
 // newDCF builds the MAC with the folded contention countdown (DESIGN.md
-// §10) on or off. Production always folds; fold=false is the eager
+// §4) on or off. Production always folds; fold=false is the eager
 // reference schedule the in-package differential tests compare against.
 func newDCF(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID,
 	pos mobility.Model, cfg Config, cb Callbacks, fold bool) (*DCF, error) {
@@ -635,12 +634,8 @@ func (d *DCF) transmitData(out *outgoing) {
 		return
 	}
 	d.stats.Channel.ObserveTx(metrics.LayerOf(out.frm.payload.Kind), at, d.cfg.HeaderBytes+payloadSize)
-	if out.attempt == 0 {
-		if out.frm.dst == pkt.Broadcast {
-			d.stats.BroadcastSent++
-		} else {
-			d.stats.UnicastSent++
-		}
+	if out.attempt == 0 && out.frm.dst != pkt.Broadcast {
+		d.stats.UnicastSent++
 	}
 	d.vtxOut, d.vtxAt = out, d.sched.Now()+at
 }

@@ -28,7 +28,6 @@ func (r *Router) SendData(gid pkt.GroupID) (pkt.SeqKey, error) {
 	}
 	key := d.Key()
 	g.data.Add(key)
-	r.stats.DataSent++
 	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &d))
 	return key, nil
 }
@@ -47,7 +46,6 @@ func (r *Router) onData(p *pkt.Packet, from pkt.NodeID) {
 	// Tree discipline: accept only from an enabled next hop; anything
 	// else is an off-tree copy of the broadcast.
 	if e := g.next.get(from); e == nil || !e.enabled {
-		r.stats.DataOffTree++
 		return
 	}
 	if !g.data.Add(d.Key()) {

@@ -21,7 +21,7 @@
 // The nearest-member field of paper §4.2 (AG's locality optimisation) is
 // maintained in nearest.go.
 //
-// Known simplification (documented in DESIGN.md): tree merges after long
+// Known simplification (DESIGN.md §5): tree merges after long
 // partitions use a lower-ID-wins leader rule with a repair-style rejoin
 // that keeps the loser's subtree intact. Transient tree loops that can
 // arise during merges are rendered harmless by the data duplicate cache.
@@ -89,20 +89,13 @@ func DefaultConfig() Config {
 
 // Stats counts MAODV protocol activity at one node.
 type Stats struct {
-	JoinsStarted    uint64
-	JoinsActivated  uint64
 	RepairsStarted  uint64
-	RepairsFailed   uint64
 	LeaderElections uint64
 	LeaderStepdowns uint64
-	MACTsSent       uint64
 	GRPHsSent       uint64
-	DataSent        uint64
 	DataDelivered   uint64
 	DataForwarded   uint64
 	DataDuplicates  uint64
-	DataOffTree     uint64
-	Prunes          uint64
 	NearestSent     uint64
 }
 
@@ -429,8 +422,6 @@ func (r *Router) startJoin(g *group, repair bool) {
 	g.join = js
 	if repair {
 		r.stats.RepairsStarted++
-	} else {
-		r.stats.JoinsStarted++
 	}
 	r.sendJoinRREQ(g, js)
 }
@@ -506,14 +497,13 @@ func (r *Router) activateBranch(g *group, js *joinState) {
 	g.inTree = true
 	g.leader = best.leader
 	g.leaderValid = true
-	if !g.seqValid || newerSeq(best.groupSeq, g.groupSeq) {
+	if !g.seqValid || pkt.NewerSeq(best.groupSeq, g.groupSeq) {
 		g.groupSeq = best.groupSeq
 		g.seqValid = true
 	}
 	// Depth = path to the replier (HopCount counts relays, so +1) plus
 	// the replier's own distance to the leader.
 	g.hopsToLeader = satAdd8(satAdd8(best.hops, 1), best.leaderHops)
-	r.stats.JoinsActivated++
 
 	flags := pkt.MACTJoin
 	if g.member {
@@ -526,7 +516,6 @@ func (r *Router) activateBranch(g *group, js *joinState) {
 		HopsFromOrigin: 0,
 		RREQID:         js.rreqID,
 	}
-	r.stats.MACTsSent++
 	r.stack.SendDirect(best.from, r.stack.NewPacket(best.from, &mact))
 	r.nearestRecompute(g)
 }
@@ -543,8 +532,6 @@ func satAdd8(a, b uint8) uint8 {
 	return uint8(s)
 }
 
-func newerSeq(a, b uint32) bool { return int32(a-b) > 0 }
-
 // --- aodv.MulticastHooks ---
 
 // HandleJoinRREQ implements aodv.MulticastHooks: tree nodes answer join
@@ -560,7 +547,7 @@ func (r *Router) HandleJoinRREQ(req *pkt.RREQ, from pkt.NodeID) bool {
 		return false
 	}
 	// Freshness: our group sequence must be at least the requested one.
-	if req.Flags&pkt.RREQUnknownSeq == 0 && g.seqValid && newerSeq(req.DstSeq, g.groupSeq) {
+	if req.Flags&pkt.RREQUnknownSeq == 0 && g.seqValid && pkt.NewerSeq(req.DstSeq, g.groupSeq) {
 		return false
 	}
 	// Repair extension: only nodes strictly closer to the leader answer.
@@ -629,7 +616,7 @@ func betterCandidate(c, best *candidate) bool {
 		return true
 	}
 	if c.groupSeq != best.groupSeq {
-		return newerSeq(c.groupSeq, best.groupSeq)
+		return pkt.NewerSeq(c.groupSeq, best.groupSeq)
 	}
 	return c.hops < best.hops
 }

@@ -47,7 +47,6 @@ func (r *Router) onMACTJoin(g *group, m *pkt.MACT, from pkt.NodeID) {
 
 		fwd := *m
 		fwd.HopsFromOrigin = satAdd8(m.HopsFromOrigin, 1)
-		r.stats.MACTsSent++
 		r.stack.SendDirect(path.upstream, r.stack.NewPacket(path.upstream, &fwd))
 	}
 
@@ -106,8 +105,6 @@ func (r *Router) onMACTGroupLeader(g *group, from pkt.NodeID) {
 
 // sendPrune emits MACT(P) to a neighbour.
 func (r *Router) sendPrune(g *group, to pkt.NodeID) {
-	r.stats.Prunes++
-	r.stats.MACTsSent++
 	m := pkt.MACT{Group: g.id, Src: r.stack.ID(), Flags: pkt.MACTPrune}
 	r.stack.SendDirect(to, r.stack.NewPacket(to, &m))
 }
@@ -178,7 +175,6 @@ func (r *Router) delegateLeadershipExcept(g *group, except pkt.NodeID) {
 			continue
 		}
 		m := pkt.MACT{Group: g.id, Src: r.stack.ID(), Flags: pkt.MACTGroupLeader}
-		r.stats.MACTsSent++
 		r.stack.SendDirect(l.id, r.stack.NewPacket(l.id, &m))
 		return
 	}
@@ -217,7 +213,7 @@ func (r *Router) onGRPH(p *pkt.Packet, from pkt.NodeID) {
 		return
 	}
 	g := r.groupState(h.Group)
-	if last, seen := g.grphSeen[h.Leader]; seen && !newerSeq(h.GroupSeq, last) {
+	if last, seen := g.grphSeen[h.Leader]; seen && !pkt.NewerSeq(h.GroupSeq, last) {
 		return // duplicate or stale flood from this leader
 	}
 	g.grphSeen[h.Leader] = h.GroupSeq
@@ -251,7 +247,7 @@ func (r *Router) adoptGroupInfo(g *group, h *pkt.GRPH, from pkt.NodeID) {
 		g.groupSeq = h.GroupSeq
 		g.seqValid = true
 	case h.Leader == g.leader:
-		if newerSeq(h.GroupSeq, g.groupSeq) || !g.seqValid {
+		if pkt.NewerSeq(h.GroupSeq, g.groupSeq) || !g.seqValid {
 			g.groupSeq = h.GroupSeq
 			g.seqValid = true
 		}
@@ -341,7 +337,6 @@ func (r *Router) onLinkBreak(n pkt.NodeID) {
 // repairFailed handles a partition: a member becomes the new leader of
 // the downstream fragment; a router delegates leadership downstream.
 func (r *Router) repairFailed(g *group) {
-	r.stats.RepairsFailed++
 	if g.member {
 		r.becomeLeader(g)
 		return

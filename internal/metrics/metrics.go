@@ -4,7 +4,7 @@
 // between kernel slices, and a writer that renders metric families in
 // Prometheus text format.
 //
-// The package is observe-only by contract (DESIGN.md §11): nothing in
+// The package is observe-only by contract (DESIGN.md §9): nothing in
 // it schedules protocol events, draws randomness, or mutates protocol
 // state, so collection never changes a simulation result — the golden
 // digests stay bit-identical with sampling on or off. Hot paths pay

@@ -67,7 +67,6 @@ type Stats struct {
 	QueriesForwarded uint64
 	RepliesSent      uint64
 	RepliesForwarded uint64
-	DataSent         uint64
 	DataDelivered    uint64
 	DataForwarded    uint64
 	DataDuplicates   uint64
@@ -202,7 +201,6 @@ func (r *Router) SendData(g pkt.GroupID) (pkt.SeqKey, error) {
 	gs.nextDataSeq++
 	d := pkt.Data{Group: g, Origin: r.stack.ID(), Seq: gs.nextDataSeq, PayloadLen: r.cfg.PayloadLen}
 	gs.data.Add(d.Key())
-	r.stats.DataSent++
 	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &d))
 	return d.Key(), nil
 }
@@ -230,7 +228,7 @@ func (r *Router) onJoinQuery(p *pkt.Packet, from pkt.NodeID) {
 	gs := r.groupState(q.Group)
 	rt, have := gs.routes[q.Source]
 	now := r.sched.Now()
-	if have && rt.expires > now && !newerSeq(q.Seq, rt.seq) {
+	if have && rt.expires > now && !pkt.NewerSeq(q.Seq, rt.seq) {
 		return // stale or duplicate query
 	}
 	if !have {
@@ -313,5 +311,3 @@ func (r *Router) onData(p *pkt.Packet, from pkt.NodeID) {
 func (r *Router) touchLink(gs *groupState, id pkt.NodeID) {
 	gs.links.Put(id.Uint64(), r.sched.Now()+r.cfg.MeshLifetime)
 }
-
-func newerSeq(a, b uint32) bool { return int32(a-b) > 0 }

@@ -206,22 +206,23 @@ func TestParseFrameAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Scratch.DecodeFrame of a Data frame: %v allocs, want 0", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() {
+	const runs = 1000
+	if n := mallocs(runs, func() {
 		f, err := DecodeFrame(wire)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seq += f.Packet.Body.(*Data).Seq
-	}); n > 1 {
-		t.Errorf("DecodeFrame of a Data frame: %v allocs, want at most 1", n)
+	}); n > runs {
+		t.Errorf("%d DecodeFrames of a Data frame: %d allocs, want at most %d", runs, n, runs)
 	}
 	f, err := scratch.DecodeFrame(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var kept *Packet
-	if n := testing.AllocsPerRun(1000, func() { kept = f.Packet.Clone() }); n != 1 {
-		t.Errorf("Clone of a Data packet: %v allocs, want 1", n)
+	if n := mallocs(runs, func() { kept = f.Packet.Clone() }); n != runs {
+		t.Errorf("%d Clones of a Data packet: %d allocs, want %d", runs, n, runs)
 	}
 	if !reflect.DeepEqual(kept, f.Packet) || kept == f.Packet || kept.Body == f.Packet.Body {
 		t.Errorf("Clone = %+v (body %+v), want an independent copy of %+v", kept, kept.Body, f.Packet)

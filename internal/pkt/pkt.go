@@ -42,6 +42,11 @@ func (g GroupID) String() string { return fmt.Sprintf("g%d", uint32(g)) }
 // Uint64 is g as a table.Table key.
 func (g GroupID) Uint64() uint64 { return uint64(g) }
 
+// NewerSeq reports whether the 32-bit sequence number a is newer than b
+// under wraparound: a − b, read as a signed 32-bit number, is positive.
+// So b + 2³¹ − 1 is newer than b and b + 2³¹ is not.
+func NewerSeq(a, b uint32) bool { return int32(a-b) > 0 }
+
 // Kind discriminates packet bodies.
 type Kind uint8
 

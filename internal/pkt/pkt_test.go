@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -107,29 +108,46 @@ func TestWireBytesPinned(t *testing.T) {
 // allocates the packet, the body and one object per non-empty list;
 // a Data packet is one object, header and body together.
 func TestCodecAllocs(t *testing.T) {
+	const runs = 100
 	lists := map[Kind]int{KindRERR: 1, KindGossipReq: 2, KindGossipRep: 1}
 	for _, body := range sampleBodies() {
 		p := NewPacket(3, 9, body)
 		f := &Frame{From: 5, LinkDst: 9, Packet: p}
-		if n := testing.AllocsPerRun(100, func() { Encode(p) }); n != 1 {
-			t.Errorf("%s: Encode allocates %v objects, want 1", body.Kind(), n)
+		if n := mallocs(runs, func() { Encode(p) }); n != runs {
+			t.Errorf("%s: %d Encode calls allocate %d objects, want %d", body.Kind(), runs, n, runs)
 		}
-		if n := testing.AllocsPerRun(100, func() { EncodeFrame(f) }); n != 1 {
-			t.Errorf("%s: EncodeFrame allocates %v objects, want 1", body.Kind(), n)
+		if n := mallocs(runs, func() { EncodeFrame(f) }); n != runs {
+			t.Errorf("%s: %d EncodeFrame calls allocate %d objects, want %d", body.Kind(), runs, n, runs)
 		}
-		want := 2 + lists[body.Kind()]
+		want := uint64(2 + lists[body.Kind()])
 		if body.Kind() == KindData {
 			want = 1
 		}
 		raw := Encode(p)
-		if n := testing.AllocsPerRun(100, func() {
+		if n := mallocs(runs, func() {
 			if _, err := Decode(raw); err != nil {
 				t.Fatal(err)
 			}
-		}); n != float64(want) {
-			t.Errorf("%s: Decode allocates %v objects, want %d", body.Kind(), n, want)
+		}); n != runs*want {
+			t.Errorf("%s: %d Decode calls allocate %d objects, want %d", body.Kind(), runs, n, runs*want)
 		}
 	}
+}
+
+// mallocs counts the heap objects f allocates over runs calls, after one
+// warm-up call, on one P as testing.AllocsPerRun does. It returns the
+// total rather than a truncated mean, so a budget of k a call is checked
+// as exactly runs × k and one stray allocation cannot hide in it.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 func TestCloneBodyIsDeep(t *testing.T) {
@@ -447,5 +465,33 @@ func TestDecodeStructuredFuzzNoPanic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestNewerSeq(t *testing.T) {
+	tests := []struct {
+		a, b uint32
+		want bool
+	}{
+		{2, 1, true},
+		{1, 2, false},
+		{1, 1, false},
+		{0, 0xFFFFFFFF, true}, // wraparound
+		{0xFFFFFFFF, 0, false},
+	}
+	for _, tt := range tests {
+		if got := NewerSeq(tt.a, tt.b); got != tt.want {
+			t.Errorf("NewerSeq(%d, %d) = %v, want %v", tt.a, tt.b, got, tt.want)
+		}
+	}
+	// Half the number space away is the edge: b + 2³¹ − 1 is newer than
+	// b and b + 2³¹ is not, wherever b sits relative to the wrap.
+	for _, b := range []uint32{0, 1, 1<<31 - 1, 1 << 31, 0xFFFFFFF0, 0xFFFFFFFF} {
+		if a := b + (1<<31 - 1); !NewerSeq(a, b) {
+			t.Errorf("NewerSeq(%d, %d) = false, want true (b + 2³¹ − 1)", a, b)
+		}
+		if a := b + 1<<31; NewerSeq(a, b) {
+			t.Errorf("NewerSeq(%d, %d) = true, want false (b + 2³¹)", a, b)
+		}
 	}
 }

@@ -57,7 +57,7 @@ type Stats struct {
 // and the medium's — but their receivers are not called. It is an
 // interface rather than a func so the finish walk calls through the
 // transceiver's own words, with no per-node closure to load first (the
-// MAC attaches itself, DESIGN.md §6).
+// MAC attaches itself, DESIGN.md §3).
 type Receiver interface {
 	ReceiveFrame(frame any, from pkt.NodeID, ok bool)
 }
@@ -87,7 +87,7 @@ const CarrierPredictWindow = 25 * time.Millisecond
 
 // CarrierListener receives conservative channel-onset notifications —
 // the radio-side half of the MAC's folded contention countdown
-// (DESIGN.md §10). The medium invokes it during StartTx processing for
+// (DESIGN.md §3, §4). The medium invokes it during StartTx processing for
 // every listener the new transmission could possibly reach within
 // CarrierPredictWindow. proven means the listener is guaranteed to
 // sense this carrier at every instant it could query before the window
@@ -186,7 +186,6 @@ type Medium struct {
 	nodes  []*Transceiver
 	byID   map[pkt.NodeID]*Transceiver
 	index  NeighborIndex
-	stats  Stats
 
 	// txFree pools transmission records (and their receiver tables);
 	// txMade counts the records ever made and stamps their ids.
@@ -202,9 +201,6 @@ type Medium struct {
 	// at StartTx, decremented when the finish processing retires the
 	// record. It is the in-flight gauge a metrics window reads at its end.
 	activeTx int
-	// elided counts the per-receiver finish events folded into
-	// per-frame events; see ElidedEvents.
-	elided uint64
 	// carrierEps is the largest motion-uncertainty inflation among
 	// attached carrier listeners (maxSpeed·CarrierPredictWindow); the
 	// StartTx walks widen their candidate radius by it so band onsets
@@ -241,8 +237,16 @@ func newMedium(sched *sim.Scheduler, params Params, index NeighborIndex) *Medium
 	return m
 }
 
-// Stats returns a copy of the channel counters.
-func (m *Medium) Stats() Stats { return m.stats }
+// Stats sums the transceivers' counters.
+func (m *Medium) Stats() Stats {
+	var s Stats
+	for _, t := range m.nodes {
+		s.Transmissions += t.sent
+		s.Deliveries += t.delivered
+		s.Collisions += t.collided
+	}
+	return s
+}
 
 // ActiveTx returns the number of transmissions currently on the air.
 func (m *Medium) ActiveTx() int { return m.activeTx }
@@ -252,7 +256,12 @@ func (m *Medium) ActiveTx() int { return m.activeTx }
 // processed count yields the logical event total — the number of events
 // a one-event-per-receiver model executes for the same run — which
 // keeps event-count metrics and golden digests comparable with it.
-func (m *Medium) ElidedEvents() uint64 { return m.elided }
+// Every reception the finish walk finalises is one such event, so it is
+// the medium's deliveries plus its collisions.
+func (m *Medium) ElidedEvents() uint64 {
+	s := m.Stats()
+	return s.Deliveries + s.Collisions
+}
 
 // ErrDuplicateNode reports an Attach with a node ID that is already
 // attached to the medium. Node IDs key receiver dispatch and per-node
@@ -509,7 +518,6 @@ func (t *Transceiver) beginTx(frame any, airtime sim.Time, dst pkt.NodeID, done 
 	tx.start, tx.end = now, now+airtime
 	tx.origin = t.pos.Position(now)
 	m.index.AddTx(tx)
-	m.stats.Transmissions++
 	m.activeTx++
 	t.sent++
 	t.txEnd = tx.end
@@ -629,7 +637,6 @@ func (m *Medium) enterReceiver(rcv *Transceiver) {
 // them exactly as it would with one event per receiver.
 func (m *Medium) finishTx(tx *transmission) {
 	now := m.sched.Now()
-	m.elided += uint64(len(tx.recvs))
 	for i := range tx.recvs {
 		e := tx.recvs[i]
 		rcv := m.nodes[e.rcv]
@@ -641,10 +648,8 @@ func (m *Medium) finishTx(tx *transmission) {
 		corrupted := e.corrupted || rcv.lastInterference >= tx.start || rcv.txEnd > now
 		if corrupted {
 			rcv.collided++
-			m.stats.Collisions++
 		} else {
 			rcv.delivered++
-			m.stats.Deliveries++
 		}
 		if rcv.rx != nil && (tx.dst == pkt.Broadcast || tx.dst == rcv.id) {
 			rcv.rx.ReceiveFrame(tx.frame, tx.from.id, !corrupted)

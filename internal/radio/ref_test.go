@@ -203,10 +203,8 @@ func (r *refRx) finish(t *Transceiver, rec *reception) {
 	}
 	if rec.corrupted {
 		t.collided++
-		r.m.stats.Collisions++
 	} else {
 		t.delivered++
-		r.m.stats.Deliveries++
 	}
 	if dst := rec.tx.dst; t.rx != nil && (dst == pkt.Broadcast || dst == t.id) {
 		t.rx.ReceiveFrame(rec.tx.frame, rec.tx.from.id, !rec.corrupted)

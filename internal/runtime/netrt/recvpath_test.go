@@ -15,6 +15,58 @@ const recvGroup pkt.GroupID = 0xE0000001
 
 var floodGossip = stack.Spec{Routing: "flood", Recovery: "gossip"}
 
+// mallocs counts the heap objects f allocates over runs calls, after one
+// warm-up call, on one P as testing.AllocsPerRun does. It returns the
+// total rather than a truncated mean, so a budget of k a call is checked
+// as exactly runs × k and one stray allocation cannot hide in it.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// runRelaysOut runs n's scheduler until only its gossip round is left
+// pending: the relays a delivery armed (jitter at most 10 ms) fire, and
+// the clock stops at the last of them, so a measured stretch of
+// deliveries spans as little protocol time as it can.
+func runRelaysOut(n *Node) {
+	for n.sched.Pending() > 1 {
+		at, _ := n.sched.NextAt()
+		n.sched.Run(at)
+	}
+}
+
+// warmSeqs is how many distinct packets a flood+gossip node takes
+// before a new one grows none of its tables: flooding's duplicate filter
+// holds 1,024 keys (and gossip's history 100), and past that a new key
+// evicts the oldest.
+const warmSeqs = 1024
+
+// runToNextRound runs pn's scheduler through its next gossip round, so
+// the one after it is a whole Interval (1 s) away and a counted stretch
+// shorter than that holds none; it returns the rounds run so far.
+func runToNextRound(t *testing.T, pn *ProtocolNode) uint64 {
+	t.Helper()
+	n := pn.rt
+	if n.sched.Pending() != 1 {
+		t.Fatalf("%d timers pending, want the gossip round alone", n.sched.Pending())
+	}
+	before := pn.node.RecoveryStats().Rounds
+	at, _ := n.sched.NextAt()
+	n.sched.Run(at)
+	rounds := pn.node.RecoveryStats().Rounds
+	if rounds != before+1 {
+		t.Fatalf("%d gossip rounds ran, want %d", rounds, before+1)
+	}
+	return rounds
+}
+
 // groupData encodes a broadcast Data frame from node `from`, originated
 // by `origin`, for recvGroup.
 func groupData(from, origin pkt.NodeID, seq uint32, ttl uint8, payload uint16) []byte {
@@ -87,42 +139,52 @@ func newFloodGossipNode(t *testing.T, id pkt.NodeID, tr Transport) *ProtocolNode
 // re-encoded frame when the rebroadcast jitter runs out, and nothing
 // else: flooding's copy is built in the packet the last rebroadcast
 // handed back, its relay record is reused, and the gossip ingest and
-// the delivery callback add nothing.
+// the delivery callback add nothing. The new frames are counted once the
+// node's tables are full (warmSeqs) and between two gossip rounds, whose
+// requests are not relays.
 func TestDeliverAllocsFloodGossip(t *testing.T) {
 	pn := newFloodGossipNode(t, 1, NewChanTransport())
 	n := pn.rt
 	delivered := 0
 	pn.OnDeliver(func(_ pkt.GroupID, d *pkt.Data, _ bool) { delivered += int(d.Seq) })
 
-	const runs = 1000
-	frames := make([][]byte, 0, runs+1)
-	for seq := uint32(1); seq <= runs+1; seq++ {
+	const runs = 100
+	frames := make([][]byte, 0, warmSeqs+runs+1)
+	for seq := uint32(1); seq <= warmSeqs+runs+1; seq++ {
 		frames = append(frames, groupData(2, 3, seq, 8, 64))
 	}
 	next := 0
-	fresh := testing.AllocsPerRun(runs, func() {
+	deliverNew := func() {
 		n.deliver(frames[next])
 		next++
-		// Let the rebroadcast jitter (at most 10 ms) run out.
-		n.sched.Run(n.sched.Now() + 10*time.Millisecond)
-	})
-	if fresh != 1 {
-		t.Errorf("a new Data frame: %v allocs, want 1 (the re-encoded frame)", fresh)
+		runRelaysOut(n)
 	}
-	if delivered == 0 || n.Stats().FramesOut.Load() < runs {
-		t.Fatalf("the frames were not accepted: delivered sum %d, %d rebroadcasts", delivered, n.Stats().FramesOut.Load())
+	for range warmSeqs {
+		deliverNew()
+	}
+	rounds := runToNextRound(t, pn)
+	out := n.Stats().FramesOut.Load()
+	fresh := mallocs(runs, deliverNew)
+	if fresh != runs {
+		t.Errorf("%d new Data frames: %d allocs, want %d (the re-encoded frames)", runs, fresh, runs)
+	}
+	if r := pn.node.RecoveryStats().Rounds; r != rounds {
+		t.Fatalf("%d gossip rounds ran, want %d: a round fell inside the counted frames", r, rounds)
+	}
+	if sent := n.Stats().FramesOut.Load() - out; delivered == 0 || sent != runs+1 {
+		t.Fatalf("the frames were not accepted: delivered sum %d, %d rebroadcasts, want %d", delivered, sent, runs+1)
 	}
 
 	seen := frames[len(frames)-1]
 	before := delivered
-	dup := testing.AllocsPerRun(runs, func() { n.deliver(seen) })
+	dup := mallocs(runs, func() { n.deliver(seen) })
 	if dup != 0 {
-		t.Errorf("an already-seen Data frame: %v allocs, want 0", dup)
+		t.Errorf("%d already-seen Data frames: %d allocs, want 0", runs, dup)
 	}
 	if delivered != before {
 		t.Error("a duplicate frame was delivered")
 	}
-	t.Logf("allocs per frame: new %v, duplicate %v", fresh, dup)
+	t.Logf("allocs over %d frames: new %d, duplicate %d", runs, fresh, dup)
 }
 
 // TestBorrowedDataPacketSurvivesNextFrame checks the ownership rule of
@@ -316,15 +378,19 @@ func TestBorrowedControlPacketIntactUntilReturn(t *testing.T) {
 // storage another pending relay still holds would send one key twice —
 // and once the stack has seen a burst that deep, the next one's copies
 // are built in the packets the link handed back: a burst costs its
-// re-encoded frames and nothing else.
+// re-encoded frames and nothing else. The bursts are counted once the
+// node's tables are full (warmSeqs) and between two gossip rounds, whose
+// requests are not relays.
 func TestPendingRelaysSendTheirOwnCopies(t *testing.T) {
 	tr := NewChanTransport()
 	const tapID pkt.NodeID = 9
 	const depth, runs = 6, 100
-	const bursts = runs + 2 // a warm-up, and AllocsPerRun's own
-	// The tap keeps the raw frames in storage it has already: the count
-	// below is the node's alone.
-	heard := make([][]byte, 0, depth*bursts)
+	const warm = warmSeqs/depth + 1
+	const bursts = warm + runs + 1 // the warm-up, the counted bursts and mallocs' own
+	// The tap keeps the raw frames in storage it has already, with room
+	// for the gossip requests of the warm-up: the count below is the
+	// node's alone.
+	heard := make([][]byte, 0, depth*bursts+16)
 	tap, err := tr.Join(tapID, func(raw []byte) { heard = append(heard, raw) })
 	if err != nil {
 		t.Fatalf("tap Join: %v", err)
@@ -344,17 +410,24 @@ func TestPendingRelaysSendTheirOwnCopies(t *testing.T) {
 			n.deliver(raw)
 		}
 		frames = frames[depth:]
-		// Let the rebroadcast jitter (at most 10 ms) run out.
-		n.sched.Run(n.sched.Now() + 10*time.Millisecond)
+		runRelaysOut(n)
 	}
-	burst()
-	if allocs := testing.AllocsPerRun(runs, burst); allocs != depth {
-		t.Errorf("a burst of %d relays: %v allocs, want %d (the re-encoded frames)", depth, allocs, depth)
+	for range warm {
+		burst()
+	}
+	rounds := runToNextRound(t, pn)
+	counted := len(heard)
+	if allocs := mallocs(runs, burst); allocs != depth*runs {
+		t.Errorf("%d bursts of %d relays: %d allocs, want %d (the re-encoded frames)", runs, depth, allocs, depth*runs)
+	}
+	// Nothing but the relays went out while the bursts were counted.
+	if r := pn.node.RecoveryStats().Rounds; r != rounds || len(heard)-counted != depth*(runs+1) {
+		t.Fatalf("%d frames heard over %d bursts of %d, with %d gossip rounds run, want relays only and %d rounds",
+			len(heard)-counted, runs+1, depth, r, rounds)
 	}
 
-	// The bursts span a little over one protocol second, so the node's
-	// first gossip round (1 s plus up to 200 ms of jitter) may fall
-	// inside them; its request is not a relay.
+	// The node's gossip rounds ran during the warm-up and between it and
+	// the counted bursts; their requests are not relays.
 	var relays []*pkt.Packet
 	for _, raw := range heard {
 		f, err := pkt.DecodeFrame(raw)

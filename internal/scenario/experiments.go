@@ -189,7 +189,7 @@ type Sweep struct {
 	Apply func(Config, float64) Config
 }
 
-// Sweeps returns every x-axis experiment (DESIGN.md §3): the paper's
+// Sweeps returns every x-axis experiment (DESIGN.md §9): the paper's
 // Figs. 2–7, then the large-scale and dense-traffic families
 // beyond the paper, then the gossip ablations A2–A4. Fig. 8 has no x
 // axis; see Fig8Cases.

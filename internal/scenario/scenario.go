@@ -532,7 +532,7 @@ func (w *world) collect() *Result {
 	// per-frame ones, the MAC cancels contention
 	// timers whose frame completed early instead of letting them fire
 	// as no-ops, and the kernel re-enqueues postponed contention hops
-	// without firing them (the folded countdown, DESIGN.md §10); adding
+	// without firing them (the folded countdown, DESIGN.md §4); adding
 	// every elided count keeps the metric — and the golden digests
 	// pinned on it — independent of which elisions are in force.
 	radioElided := w.medium.ElidedEvents()

@@ -9,7 +9,7 @@
 // every experiment in EXPERIMENTS.md replayable.
 //
 // A corollary callers may rely on (the radio's batched reception model
-// does — see DESIGN.md §6): insertion sequences are allocated at
+// does — see DESIGN.md §3): insertion sequences are allocated at
 // scheduling time and only grow, so events scheduled back-to-back for
 // one instant execute as a contiguous block — nothing scheduled later,
 // not even from a callback already executing at that instant, can
@@ -135,7 +135,7 @@ func (t Timer) Cancel() {
 // hop as an elided event rather than a processed one. Callers use this
 // to replace fire-and-rearm chains whose intermediate callbacks would
 // compute a deadline the caller already knows exactly (the MAC's
-// folded contention countdown, DESIGN.md §10); the observable schedule
+// folded contention countdown, DESIGN.md §4); the observable schedule
 // is bit-identical to the chain it replaces.
 //
 // At() keeps reporting the current queue position until the hop
@@ -197,7 +197,7 @@ func (t Timer) Done() bool {
 // nearHorizon splits the pending set: an entry due at least this far
 // ahead of the clock (protocol ticks, route waits, gossip rounds,
 // pre-scheduled traffic) waits in the far tier, so channel events, all
-// under 21 ms ahead, sift through a near heap of a few (DESIGN.md §4).
+// under 21 ms ahead, sift through a near heap of a few (DESIGN.md §2).
 const nearHorizon = 50 * time.Millisecond
 
 // Scheduler is the event loop. The zero value is not usable; construct with
