@@ -13,8 +13,6 @@
 #   - a ledger named after "EXPERIMENTS.md" or before a label is a
 #     "## <Name> ledger" heading, and a heading quoted after either file
 #     ('EXPERIMENTS.md, "Profiling"') begins a heading of that file.
-#
-# usage: check-doc-citations.sh [file...]   (default: the scope above)
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
@@ -26,12 +24,9 @@ if [ "$lines" -gt "$max_lines" ]; then
   status=1
 fi
 
-if [ "$#" -eq 0 ]; then
-  self=.github/scripts/check-doc-citations.sh
-  mapfile -t files < <(git ls-files --cached --others --exclude-standard -- '*.go' .github ROADMAP.md .claude/skills DESIGN.md EXPERIMENTS.md |
-    grep -vxF "$self")
-  set -- "${files[@]}"
-fi
+self=.github/scripts/check-doc-citations.sh
+mapfile -t files < <(git ls-files --cached --others --exclude-standard -- '*.go' .github ROADMAP.md .claude/skills DESIGN.md EXPERIMENTS.md |
+  grep -vxF "$self")
 
 perl -CSD -Mutf8 -e '
   use strict; use warnings;
@@ -72,6 +67,6 @@ perl -CSD -Mutf8 -e '
     for (grep { !$seen{$_}++ } @miss) { print STDERR "$file: cites $_, which does not exist\n"; $bad = 1; }
   }
   exit $bad;
-' "$@" || status=1
+' "${files[@]}" || status=1
 
 exit $status

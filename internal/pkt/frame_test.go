@@ -206,23 +206,31 @@ func TestParseFrameAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Scratch.DecodeFrame of a Data frame: %v allocs, want 0", n)
 	}
+	// The budgets below count one run of a whole loop: the exact total,
+	// not AllocsPerRun's truncated mean.
 	const runs = 1000
-	if n := mallocs(runs, func() {
-		f, err := DecodeFrame(wire)
-		if err != nil {
-			t.Fatal(err)
+	if n := testing.AllocsPerRun(1, func() {
+		for range runs {
+			f, err := DecodeFrame(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq += f.Packet.Body.(*Data).Seq
 		}
-		seq += f.Packet.Body.(*Data).Seq
 	}); n > runs {
-		t.Errorf("%d DecodeFrames of a Data frame: %d allocs, want at most %d", runs, n, runs)
+		t.Errorf("%d DecodeFrames of a Data frame: %v allocs, want at most %d", runs, n, runs)
 	}
 	f, err := scratch.DecodeFrame(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var kept *Packet
-	if n := mallocs(runs, func() { kept = f.Packet.Clone() }); n != runs {
-		t.Errorf("%d Clones of a Data packet: %d allocs, want %d", runs, n, runs)
+	if n := testing.AllocsPerRun(1, func() {
+		for range runs {
+			kept = f.Packet.Clone()
+		}
+	}); n != runs {
+		t.Errorf("%d Clones of a Data packet: %v allocs, want %d", runs, n, runs)
 	}
 	if !reflect.DeepEqual(kept, f.Packet) || kept == f.Packet || kept.Body == f.Packet.Body {
 		t.Errorf("Clone = %+v (body %+v), want an independent copy of %+v", kept, kept.Body, f.Packet)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -106,48 +105,44 @@ func TestWireBytesPinned(t *testing.T) {
 // TestCodecAllocs pins what the codec allocates for every body kind.
 // Encoding allocates only its output buffer. Decoding a non-Data packet
 // allocates the packet, the body and one object per non-empty list;
-// a Data packet is one object, header and body together.
+// a Data packet is one object, header and body together. Each budget is
+// counted over one run of a whole loop, so the count is the exact total
+// and not AllocsPerRun's truncated mean.
 func TestCodecAllocs(t *testing.T) {
 	const runs = 100
 	lists := map[Kind]int{KindRERR: 1, KindGossipReq: 2, KindGossipRep: 1}
 	for _, body := range sampleBodies() {
 		p := NewPacket(3, 9, body)
 		f := &Frame{From: 5, LinkDst: 9, Packet: p}
-		if n := mallocs(runs, func() { Encode(p) }); n != runs {
-			t.Errorf("%s: %d Encode calls allocate %d objects, want %d", body.Kind(), runs, n, runs)
+		if n := testing.AllocsPerRun(1, func() {
+			for range runs {
+				Encode(p)
+			}
+		}); n != runs {
+			t.Errorf("%s: %d Encode calls allocate %v objects, want %d", body.Kind(), runs, n, runs)
 		}
-		if n := mallocs(runs, func() { EncodeFrame(f) }); n != runs {
-			t.Errorf("%s: %d EncodeFrame calls allocate %d objects, want %d", body.Kind(), runs, n, runs)
+		if n := testing.AllocsPerRun(1, func() {
+			for range runs {
+				EncodeFrame(f)
+			}
+		}); n != runs {
+			t.Errorf("%s: %d EncodeFrame calls allocate %v objects, want %d", body.Kind(), runs, n, runs)
 		}
 		want := uint64(2 + lists[body.Kind()])
 		if body.Kind() == KindData {
 			want = 1
 		}
 		raw := Encode(p)
-		if n := mallocs(runs, func() {
-			if _, err := Decode(raw); err != nil {
-				t.Fatal(err)
+		if n := testing.AllocsPerRun(1, func() {
+			for range runs {
+				if _, err := Decode(raw); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}); n != runs*want {
-			t.Errorf("%s: %d Decode calls allocate %d objects, want %d", body.Kind(), runs, n, runs*want)
+		}); n != float64(runs*want) {
+			t.Errorf("%s: %d Decode calls allocate %v objects, want %d", body.Kind(), runs, n, runs*want)
 		}
 	}
-}
-
-// mallocs counts the heap objects f allocates over runs calls, after one
-// warm-up call, on one P as testing.AllocsPerRun does. It returns the
-// total rather than a truncated mean, so a budget of k a call is checked
-// as exactly runs × k and one stray allocation cannot hide in it.
-func mallocs(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
 }
 
 func TestCloneBodyIsDeep(t *testing.T) {

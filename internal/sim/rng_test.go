@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -120,15 +119,24 @@ func TestRNGIsSmall(t *testing.T) {
 var rngSink *RNG
 
 // TestRNGAllocations: building a stream is one object, and drawing from
-// one allocates nothing.
+// one allocates nothing. Each count is one run of a whole loop, so it is
+// the exact total and not AllocsPerRun's truncated mean.
 func TestRNGAllocations(t *testing.T) {
 	const runs = 100
-	if n := mallocs(runs, func() { rngSink = NewRNG(7) }); n != runs {
-		t.Fatalf("%d NewRNG calls allocate %d objects, want %d", runs, n, runs)
+	if n := testing.AllocsPerRun(1, func() {
+		for range runs {
+			rngSink = NewRNG(7)
+		}
+	}); n != runs {
+		t.Fatalf("%d NewRNG calls allocate %v objects, want %d", runs, n, runs)
 	}
 	g := NewRNG(7)
-	if n := mallocs(runs, func() { rngSink = g.Derive("mac/12") }); n != runs {
-		t.Fatalf("%d Derive calls allocate %d objects, want %d", runs, n, runs)
+	if n := testing.AllocsPerRun(1, func() {
+		for range runs {
+			rngSink = g.Derive("mac/12")
+		}
+	}); n != runs {
+		t.Fatalf("%d Derive calls allocate %v objects, want %d", runs, n, runs)
 	}
 	weights := []float64{1, 0, 2}
 	draws := map[string]func(){
@@ -141,26 +149,14 @@ func TestRNGAllocations(t *testing.T) {
 		"WeightedIndex": func() { g.WeightedIndex(weights) },
 	}
 	for name, draw := range draws {
-		if n := mallocs(runs, draw); n != 0 {
-			t.Errorf("%d %s draws allocate %d times, want 0", runs, name, n)
+		if n := testing.AllocsPerRun(1, func() {
+			for range runs {
+				draw()
+			}
+		}); n != 0 {
+			t.Errorf("%d %s draws allocate %v times, want 0", runs, name, n)
 		}
 	}
-}
-
-// mallocs counts the heap objects f allocates over runs calls, after one
-// warm-up call, on one P as testing.AllocsPerRun does. It returns the
-// total rather than a truncated mean, so a budget of k a call is checked
-// as exactly runs × k and one stray allocation cannot hide in it.
-func mallocs(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
 }
 
 func TestRNGDeterminism(t *testing.T) {
