@@ -462,15 +462,15 @@ func TestPickNextHopAllocatesNothing(t *testing.T) {
 	e := w.engines[0]
 	w.trees[0].hops = []NextHop{{ID: 10, Nearest: 1}, {ID: 20, Nearest: 7}, {ID: 30, Nearest: pkt.NearestUnknown}}
 	exclude := []pkt.NodeID{0, 10, 20, 30}
-	e.pickNextHop(testGroup, 0)
-	i := 0
-	if n := testing.AllocsPerRun(1000, func() {
-		if _, ok := e.pickNextHop(testGroup, exclude[i%len(exclude)]); !ok {
-			t.Fatal("pickNextHop failed")
+	const runs = 1000
+	if n := testing.AllocsPerRun(1, func() {
+		for i := range runs {
+			if _, ok := e.pickNextHop(testGroup, exclude[i%len(exclude)]); !ok {
+				t.Fatal("pickNextHop failed")
+			}
 		}
-		i++
 	}); n != 0 {
-		t.Fatalf("pickNextHop allocates %v times, want 0", n)
+		t.Fatalf("%d pickNextHops allocate %v times, want 0", runs, n)
 	}
 }
 

@@ -45,15 +45,18 @@ func TestBroadcastCycleAllocatesNothing(t *testing.T) {
 		// DIFS + CWMin slots + airtime is under a millisecond.
 		sched.Run(sched.Now() + 2*time.Millisecond)
 	}
-	cycle()
-	received, done = 0, 0
+	// AllocsPerRun(1, …) runs the loop twice, counting the second run
+	// exactly: the first is the warm-up.
 	const runs = 200
-	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
-		t.Errorf("broadcast Send → OnSendDone cycle allocates %v times, want 0", allocs)
+	if allocs := testing.AllocsPerRun(1, func() {
+		for range runs {
+			cycle()
+		}
+	}); allocs != 0 {
+		t.Errorf("%d broadcast Send → OnSendDone cycles allocate %v times, want 0", runs, allocs)
 	}
-	// AllocsPerRun makes one warm-up call of its own.
-	if want := (runs + 1) * 9; received != want || done != runs+1 {
-		t.Fatalf("%d receptions and %d completions, want %d and %d", received, done, want, runs+1)
+	if want := 2 * runs * 9; received != want || done != 2*runs {
+		t.Fatalf("%d receptions and %d completions, want %d and %d", received, done, want, 2*runs)
 	}
 }
 
@@ -91,13 +94,16 @@ func TestUnicastCycleAllocatesNothing(t *testing.T) {
 		// DIFS + CWMin slots + airtime + SIFS + ACK is under 2 ms.
 		sched.Run(sched.Now() + 3*time.Millisecond)
 	}
-	cycle()
 	const runs = 200
-	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
-		t.Errorf("unicast Send → ACK → OnSendDone cycle allocates %v times, want 0", allocs)
+	if allocs := testing.AllocsPerRun(1, func() {
+		for range runs {
+			cycle()
+		}
+	}); allocs != 0 {
+		t.Errorf("%d unicast Send → ACK → OnSendDone cycles allocate %v times, want 0", runs, allocs)
 	}
-	// One cycle before AllocsPerRun, and its own warm-up call.
-	const n = runs + 2
+	// The warm-up run of the loop and the counted one.
+	const n = 2 * runs
 	if received != n || acked != n || macs[1].Stats().Channel.TxByLayer[metrics.LayerMAC] != n {
 		t.Fatalf("%d receptions, %d acknowledged completions and %d ACKs, want %d each",
 			received, acked, macs[1].Stats().Channel.TxByLayer[metrics.LayerMAC], n)
@@ -121,15 +127,16 @@ func TestDuplicateFilterAllocatesNothing(t *testing.T) {
 	if f := (&frame{src: frames[0].src, seq: 2}); d.duplicate(f) {
 		t.Fatal("a new seq from a known sender filtered")
 	}
-	i := 0
-	if n := testing.AllocsPerRun(1000, func() {
-		f := frames[i%len(frames)]
-		f.seq++
-		d.duplicate(f)
-		d.duplicate(f)
-		i++
+	const runs = 1000
+	if n := testing.AllocsPerRun(1, func() {
+		for i := range runs {
+			f := frames[i%len(frames)]
+			f.seq++
+			d.duplicate(f)
+			d.duplicate(f)
+		}
 	}); n != 0 {
-		t.Fatalf("duplicate filtering allocates %v times per frame pair, want 0", n)
+		t.Fatalf("%d frame pairs through the duplicate filter allocate %v times, want 0", runs, n)
 	}
 }
 
@@ -144,7 +151,6 @@ func TestForeignValueOnMediumIgnored(t *testing.T) {
 	}
 	byValue := frame{kind: frameData, src: 99, dst: pkt.Broadcast, seq: 1, payload: testPacket(99, pkt.Broadcast)}
 	for i, v := range []any{"not a frame", byValue, nil} {
-		v := v
 		h.sched.At(sim.Time(i)*time.Millisecond, func() {
 			if err := raw.StartTx(v, 100*time.Microsecond); err != nil {
 				t.Error(err)

@@ -49,7 +49,6 @@ func newHarnessCfg(t *testing.T, rangeM float64, positions []geom.Point, cfg Con
 	h.medium = radio.NewMedium(h.sched, radio.Params{Range: rangeM})
 	rng := sim.NewRNG(1234)
 	for i, p := range positions {
-		i := i
 		id := pkt.NodeID(i + 1)
 		cb := Callbacks{
 			OnReceive: func(p *pkt.Packet, from pkt.NodeID, broadcast bool) {

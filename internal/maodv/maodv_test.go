@@ -217,11 +217,14 @@ func TestTreeWalksAllocateNothing(t *testing.T) {
 		t.Fatalf("next hops %v, want %v", got, want)
 	}
 	sent := r.Stats().NearestSent
-	if n := testing.AllocsPerRun(100, func() {
-		r.NextHops(testGroup)
-		r.nearestRecompute(g)
+	const runs = 100
+	if n := testing.AllocsPerRun(1, func() {
+		for range runs {
+			r.NextHops(testGroup)
+			r.nearestRecompute(g)
+		}
 	}); n != 0 {
-		t.Fatalf("NextHops and a quiet nearest recompute allocate %v times, want 0", n)
+		t.Fatalf("%d NextHops and quiet nearest recomputes allocate %v times, want 0", runs, n)
 	}
 	if r.Stats().NearestSent != sent {
 		t.Fatal("a converged tree re-advertised its nearest-member values")

@@ -81,12 +81,15 @@ func TestSeqCacheAddAllocatesNothing(t *testing.T) {
 		c.Add(key(s))
 	}
 	s := uint32(64)
-	if n := testing.AllocsPerRun(1000, func() {
-		c.Add(key(s))
-		c.Add(key(s))
-		s++
+	const runs = 1000
+	if n := testing.AllocsPerRun(1, func() {
+		for range runs {
+			c.Add(key(s))
+			c.Add(key(s))
+			s++
+		}
 	}); n != 0 {
-		t.Fatalf("Add on a full cache allocates %v times per run, want 0", n)
+		t.Fatalf("%d pairs of Adds on a full cache allocate %v times, want 0", runs, n)
 	}
 }
 
@@ -237,26 +240,29 @@ func TestFailedSendsComeBack(t *testing.T) {
 // record comes off the Stack's free list, and its copy is built in the
 // packet an earlier relay's link handed back — also in a burst of more
 // relays pending at once than the two spares a stack keeps at rest,
-// since each new relay record raised that bound by one.
+// since each new relay record raised that bound by one. The measured
+// 100 bursts are the first in which no pool grew (testworld.Settle).
 func TestRebroadcastAllocatesNothing(t *testing.T) {
+	const bursts = 100
 	for _, depth := range []int{1, 5} {
 		e := line(t, 2)
 		p := hello(1, pkt.Broadcast)
 		rng := sim.NewRNG(5)
-		burst := func() {
-			for range depth {
-				if e.stacks[0].Rebroadcast(p, rng, time.Millisecond) == nil {
-					t.Fatal("live packet not relayed")
+		var heard uint64
+		testworld.Settle(t, 10, func() {
+			before := e.stacks[1].Stats().NoHandler
+			for range bursts {
+				for range depth {
+					if e.stacks[0].Rebroadcast(p, rng, time.Millisecond) == nil {
+						t.Fatal("live packet not relayed")
+					}
 				}
+				e.Sched.Run(e.Sched.Now() + 20*time.Millisecond)
 			}
-			e.Sched.Run(e.Sched.Now() + 20*time.Millisecond)
-		}
-		burst()
-		if got := testing.AllocsPerRun(100, burst); got != 0 {
-			t.Fatalf("a burst of %d relays allocates %v times, want 0", depth, got)
-		}
-		if st := e.stacks[1].Stats(); st.NoHandler != uint64(102*depth) {
-			t.Fatalf("neighbour heard %d relays, want %d", st.NoHandler, 102*depth)
+			heard = e.stacks[1].Stats().NoHandler - before
+		})
+		if heard != uint64(bursts*depth) {
+			t.Fatalf("neighbour heard %d of %d bursts of %d relays, want all", heard, bursts, depth)
 		}
 	}
 }
@@ -328,7 +334,8 @@ func TestRelayCopyNeverBuiltWhileHeld(t *testing.T) {
 // by Forward, acknowledged hop by hop — allocates nothing in steady
 // state at the source, the forwarder or the destination: the source
 // builds in the packet its last send gave back, the forwarder copies
-// into the one its last forward gave back.
+// into the one its last forward gave back. The measured 100 unicasts are
+// the first in which no pool grew (testworld.Settle).
 func TestForwardAllocatesNothing(t *testing.T) {
 	e := line(t, 3)
 	e.routers[0].table[3] = 2
@@ -337,15 +344,18 @@ func TestForwardAllocatesNothing(t *testing.T) {
 	e.stacks[2].Handle(pkt.KindGossipRep, func(*pkt.Packet, pkt.NodeID) { got++ })
 	s := e.stacks[0]
 	rep := &pkt.GossipRep{Group: 1, Responder: 1, Msgs: []pkt.Data{{Group: 1, Origin: 1, Seq: 1, PayloadLen: 64}}}
-	hop := func() {
-		s.SendUnicast(s.NewPacket(3, rep))
-		e.Sched.Run(e.Sched.Now() + 50*time.Millisecond)
-	}
-	hop()
-	if n := testing.AllocsPerRun(100, hop); n != 0 {
-		t.Fatalf("a forwarded unicast allocates %v times, want 0", n)
-	}
-	if got != 102 || e.stacks[1].Stats().Forwarded != 102 {
-		t.Fatalf("%d delivered and %d forwarded, want 102 each", got, e.stacks[1].Stats().Forwarded)
+	const hops = 100
+	var delivered int
+	var forwarded uint64
+	testworld.Settle(t, 10, func() {
+		gotBefore, fwdBefore := got, e.stacks[1].Stats().Forwarded
+		for range hops {
+			s.SendUnicast(s.NewPacket(3, rep))
+			e.Sched.Run(e.Sched.Now() + 50*time.Millisecond)
+		}
+		delivered, forwarded = got-gotBefore, e.stacks[1].Stats().Forwarded-fwdBefore
+	})
+	if delivered != hops || forwarded != hops {
+		t.Fatalf("%d delivered and %d forwarded, want %d each", delivered, forwarded, hops)
 	}
 }

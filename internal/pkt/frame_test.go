@@ -12,7 +12,6 @@ import (
 // type through the wire codec.
 func TestFrameRoundTripAllKinds(t *testing.T) {
 	for _, body := range sampleBodies() {
-		body := body
 		t.Run(body.Kind().String(), func(t *testing.T) {
 			p := NewPacket(3, 9, body)
 			p.TTL = 17
@@ -197,18 +196,20 @@ func TestParseFrameAllocs(t *testing.T) {
 		Packet: NewPacket(1, Broadcast, &Data{Group: 1, Origin: 1, Seq: 7, PayloadLen: 64})})
 	var seq uint32
 	var scratch Scratch
-	if n := testing.AllocsPerRun(1000, func() {
-		f, err := scratch.DecodeFrame(wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq += f.Packet.Body.(*Data).Seq
-	}); n != 0 {
-		t.Errorf("Scratch.DecodeFrame of a Data frame: %v allocs, want 0", n)
-	}
-	// The budgets below count one run of a whole loop: the exact total,
-	// not AllocsPerRun's truncated mean.
+	// Each budget counts one run of a whole loop: the exact total, not
+	// AllocsPerRun's truncated mean.
 	const runs = 1000
+	if n := testing.AllocsPerRun(1, func() {
+		for range runs {
+			f, err := scratch.DecodeFrame(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq += f.Packet.Body.(*Data).Seq
+		}
+	}); n != 0 {
+		t.Errorf("%d Scratch.DecodeFrames of a Data frame: %v allocs, want 0", runs, n)
+	}
 	if n := testing.AllocsPerRun(1, func() {
 		for range runs {
 			f, err := DecodeFrame(wire)

@@ -59,15 +59,18 @@ func TestStartTxCycleAllocatesNothing(t *testing.T) {
 			}
 			sched.Run(start + 20*time.Millisecond)
 		}
-		cycle()
-		rx, done.n = 0, 0
+		// AllocsPerRun(1, …) runs the loop twice, counting the second
+		// run exactly: the first is the warm-up.
 		const runs = 200
-		if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
-			t.Errorf("max speed %v: StartTx → finish cycle allocates %v times, want 0", maxSpeed, allocs)
+		if allocs := testing.AllocsPerRun(1, func() {
+			for range runs {
+				cycle()
+			}
+		}); allocs != 0 {
+			t.Errorf("max speed %v: %d StartTx → finish cycles allocate %v times, want 0", maxSpeed, runs, allocs)
 		}
-		// AllocsPerRun makes one warm-up call of its own.
-		if want := (runs + 1) * 9; rx != want || done.n != runs+1 {
-			t.Fatalf("max speed %v: %d receptions and %d TxDone calls, want %d and %d", maxSpeed, rx, done.n, want, runs+1)
+		if want := 2 * runs * 9; rx != want || done.n != 2*runs {
+			t.Fatalf("max speed %v: %d receptions and %d TxDone calls, want %d and %d", maxSpeed, rx, done.n, want, 2*runs)
 		}
 		if rebuilt := trs[0].nbrAt == start; rebuilt != (maxSpeed > 0) {
 			t.Errorf("max speed %v: last cycle rebuilt the neighbour table: %v", maxSpeed, rebuilt)
@@ -98,8 +101,13 @@ func TestCarrierProbeAllocatesNothing(t *testing.T) {
 		if busy != testAirtime || reach != testAirtime {
 			t.Fatalf("%d on air: node %s probes busy %v, reach %v, want %v", onAir, tr.id, busy, reach, testAirtime)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { tr.CarrierProbe() }); allocs != 0 {
-			t.Errorf("%d on air: CarrierProbe allocates %v times, want 0", onAir, allocs)
+		const runs = 100
+		if allocs := testing.AllocsPerRun(1, func() {
+			for range runs {
+				tr.CarrierProbe()
+			}
+		}); allocs != 0 {
+			t.Errorf("%d on air: %d CarrierProbes allocate %v times, want 0", onAir, runs, allocs)
 		}
 	}
 }

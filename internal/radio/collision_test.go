@@ -203,7 +203,6 @@ func TestMatrixReentrantStartTxDuringFinish(t *testing.T) {
 		m := newTestMedium(sched, 100, o)
 		nodes := make([]*testNode, len(positions))
 		for i, pos := range positions {
-			i := i
 			n := &testNode{tm: m}
 			id := pkt.NodeID(i + 1)
 			n.tr = attach(t, m.Medium, id, mobility.Static{P: pos}, func(frame any, from pkt.NodeID, ok bool) {

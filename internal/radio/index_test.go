@@ -53,7 +53,6 @@ func newFuzzWorld(o oracle, seed int64, n int, area geom.Rect, maxSpeed float64)
 	w.m = newTestMedium(w.sched, 75, o)
 	root := sim.NewRNG(seed)
 	for i := 0; i < n; i++ {
-		i := i
 		mob := mobility.NewWaypoint(mobility.WaypointConfig{
 			Area: area, MaxSpeed: maxSpeed, MaxPause: 5 * time.Second,
 		}, root.Derive(fmt.Sprintf("mob/%d", i)))
@@ -81,7 +80,6 @@ type fuzzOp struct {
 
 func (w *fuzzWorld) schedule(ops []fuzzOp) {
 	for i, op := range ops {
-		i, op := i, op
 		w.sched.At(op.at, func() {
 			switch op.kind {
 			case 0:

@@ -514,8 +514,9 @@ func TestNodeDeliverAllocs(t *testing.T) {
 		wire := pkt.EncodeFrame(&pkt.Frame{From: 2, LinkDst: pkt.Broadcast, Packet: pkt.NewPacket(2, pkt.Broadcast, body)})
 		// Not started: the test goroutine stands in for the loop.
 		in := n.Stats().FramesIn.Load()
-		if allocs := testing.AllocsPerRun(1000, func() { n.deliver(wire) }); allocs != 0 {
-			t.Errorf("deliver of a %v frame: %v allocs, want 0", body.Kind(), allocs)
+		const runs = 1000
+		if allocs := mallocs(runs, func() { n.deliver(wire) }); allocs != 0 {
+			t.Errorf("%d delivers of a %v frame: %d allocs, want 0", runs, body.Kind(), allocs)
 		}
 		if n.Stats().FramesIn.Load() == in {
 			t.Errorf("deliver handed no %v frame up the stack", body.Kind())
@@ -526,46 +527,52 @@ func TestNodeDeliverAllocs(t *testing.T) {
 // TestDoAndPublishAllocs pins the cost of calling into the loop: Do with
 // a closure bound once allocates nothing, and neither does Publish's
 // call path — a publish the router refuses costs nothing, and one it
-// sends costs the one frame it encodes, which the transport keeps.
+// sends costs the one frame it encodes, which the transport keeps. The
+// loop runs but the engines are not started, so no timer is armed and
+// no gossip round falls among the counted calls; the counted publishes
+// follow warmSeqs, once the node's tables are full.
 func TestDoAndPublishAllocs(t *testing.T) {
-	tr := NewChanTransport()
-	pn := newFloodGossipNode(t, 1, tr)
-	pn.Start()
+	pn := newFloodGossipNode(t, 1, NewChanTransport())
 	n := pn.rt
+	n.Start()
+	const runs = 1000
 	calls := 0
 	fn := func() { calls++ }
-	if allocs := testing.AllocsPerRun(1000, func() {
+	if allocs := mallocs(runs, func() {
 		if err := n.Do(fn); err != nil {
 			t.Fatalf("Do: %v", err)
 		}
 	}); allocs != 0 {
-		t.Errorf("Do of a bound closure: %v allocs, want 0", allocs)
+		t.Errorf("%d Dos of a bound closure: %d allocs, want 0", runs, allocs)
 	}
-	if allocs := testing.AllocsPerRun(1000, func() {
+	if allocs := mallocs(runs, func() {
 		if _, err := pn.Publish(recvGroup + 1); err == nil {
 			t.Fatal("Publish to a group the node is not in succeeded")
 		}
 	}); allocs != 0 {
-		t.Errorf("a refused Publish: %v allocs, want 0", allocs)
+		t.Errorf("%d refused Publishes: %d allocs, want 0", runs, allocs)
 	}
 	var last pkt.SeqKey
-	out := n.Stats().FramesOut.Load()
-	allocs := testing.AllocsPerRun(1000, func() {
+	publish := func() {
 		key, err := pn.Publish(recvGroup)
 		if err != nil {
 			t.Fatalf("Publish: %v", err)
 		}
 		last = key
-	})
-	if allocs != 1 {
-		t.Errorf("Publish: %v allocs, want 1 (the encoded frame)", allocs)
 	}
-	if sent := n.Stats().FramesOut.Load() - out; sent < 1000 || last.Seq < 1000 {
+	for range warmSeqs {
+		publish()
+	}
+	out := n.Stats().FramesOut.Load()
+	if allocs := mallocs(runs, publish); allocs != runs {
+		t.Errorf("%d Publishes: %d allocs, want %d (the encoded frames)", runs, allocs, runs)
+	}
+	if sent := n.Stats().FramesOut.Load() - out; sent != runs+1 || last.Seq != warmSeqs+runs+1 {
 		t.Errorf("%d frames sent, last key %v: the publishes did not go out", sent, last)
 	}
 	if err := n.Do(func() {
-		if calls < 1000 {
-			t.Errorf("%d calls ran, want at least 1000", calls)
+		if calls != runs+1 {
+			t.Errorf("%d calls ran, want %d", calls, runs+1)
 		}
 	}); err != nil {
 		t.Fatalf("Do: %v", err)

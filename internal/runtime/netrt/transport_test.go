@@ -31,7 +31,6 @@ func TestChanTransportAddressing(t *testing.T) {
 	got := make(map[pkt.NodeID][][]byte)
 	var conns [4]Conn
 	for id := pkt.NodeID(1); id <= 3; id++ {
-		id := id
 		c, err := tr.Join(id, func(frame []byte) { got[id] = append(got[id], frame) })
 		if err != nil {
 			t.Fatalf("Join %v: %v", id, err)
@@ -174,15 +173,16 @@ func TestChanTransportSendAllocs(t *testing.T) {
 		}
 	}
 	frame := []byte("frame")
-	if allocs := testing.AllocsPerRun(1000, func() {
+	const runs = 1000
+	if allocs := mallocs(runs, func() {
 		if err := sender.Send(frame, pkt.Broadcast); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("broadcast to 7 peers: %v allocs, want 0", allocs)
+		t.Errorf("%d broadcasts to 7 peers: %d allocs, want 0", runs, allocs)
 	}
-	if heard%7 != 0 || heard == 0 {
-		t.Errorf("%d sink calls, want a multiple of 7", heard)
+	if heard != 7*(runs+1) {
+		t.Errorf("%d sink calls, want %d", heard, 7*(runs+1))
 	}
 }
 

@@ -52,7 +52,6 @@ func RunSeeds(cfg Config, seeds []int64, parallel int) ([]*Result, error) {
 	sem := make(chan struct{}, parallel)
 	var wg sync.WaitGroup
 	for i, seed := range seeds {
-		i, seed := i, seed
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -420,7 +420,6 @@ func build(cfg Config) (*world, error) {
 	joinRNG := root.Derive("joins")
 	const leaderBootstrap = 8 * time.Second
 	for k, idx := range w.memberIdx {
-		idx := idx
 		var at sim.Time
 		if k == 0 {
 			at = 50 * time.Millisecond

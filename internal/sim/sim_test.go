@@ -14,7 +14,6 @@ func TestSchedulerRunsInTimeOrder(t *testing.T) {
 	s := NewScheduler()
 	var got []Time
 	for _, d := range []Time{5 * time.Second, time.Second, 3 * time.Second, 2 * time.Second} {
-		d := d
 		s.After(d, func() { got = append(got, s.Now()) })
 	}
 	s.Run(10 * time.Second)
@@ -33,7 +32,6 @@ func TestSchedulerSameInstantFIFO(t *testing.T) {
 	s := NewScheduler()
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
 		s.At(time.Second, func() { order = append(order, i) })
 	}
 	s.Run(time.Second)
@@ -64,7 +62,6 @@ func TestSchedulerSameInstantBlockOrdering(t *testing.T) {
 	})
 	// The contiguous block, scheduled back to back.
 	for i := 0; i < 3; i++ {
-		i := i
 		s.At(at, func() {
 			order = append(order, fmt.Sprintf("block%d", i))
 			if i == 0 {
@@ -387,7 +384,6 @@ func TestCompactionPreservesOrdering(t *testing.T) {
 	var cancel []Timer
 	want := make([]int, 0, 500)
 	for i := 0; i < 500; i++ {
-		i := i
 		d := Time(i%7) * time.Second
 		tm := s.After(d, func() { got = append(got, i) })
 		if i%3 != 0 {

@@ -208,15 +208,17 @@ func TestTableAllocs(t *testing.T) {
 	for k := uint64(0); k < 100; k++ {
 		tab.Put(k, k)
 	}
-	k := uint64(0)
-	if n := testing.AllocsPerRun(1000, func() {
-		k = (k + 1) % 100
-		tab.Get(k)
-		tab.Put(k, k+1)
-		tab.Delete(k)
-		tab.Put(k, k)
+	const runs = 1000
+	if n := testing.AllocsPerRun(1, func() {
+		for i := range uint64(runs) {
+			k := i % 100
+			tab.Get(k)
+			tab.Put(k, k+1)
+			tab.Delete(k)
+			tab.Put(k, k)
+		}
 	}); n != 0 {
-		t.Fatalf("steady-state Get/Put/Delete allocate %v times per run, want 0", n)
+		t.Fatalf("%d steady-state Get/Put/Delete runs allocate %v times, want 0", runs, n)
 	}
 }
 
