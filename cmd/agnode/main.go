@@ -246,8 +246,10 @@ func family(name, help string, kind metrics.Kind, label string, readings ...read
 }
 
 // metricFamilies is the /metrics view of one stats report, in exposition
-// order: /stats and /metrics enumerate the same counters, and all of a
-// scrape's numbers are of the same instant.
+// order: /stats and /metrics render the same report, so both enumerate
+// the same counters. A report is not one instant: report reads the
+// node counters, the recovery counters and the link counters one after
+// another while the node runs.
 func metricFamilies(r *statsReport) []metrics.Family {
 	const counter, gauge = metrics.KindCounter, metrics.KindGauge
 	u := func(v uint64) float64 { return float64(v) }

@@ -33,29 +33,32 @@ import (
 	"anongossip/internal/table"
 )
 
-// Config holds the AODV parameters. The paper pins HelloInterval and
-// AllowedHelloLoss; the rest follow the draft's defaults scaled to the
-// small terrain.
-type Config struct {
-	// HelloInterval is the beacon period (600 ms in the paper).
-	HelloInterval time.Duration
-	// AllowedHelloLoss consecutive missed hellos break a link (4 in the
+// The paper pins helloInterval and allowedHelloLoss; the rest follow
+// the draft's defaults scaled to the small terrain.
+const (
+	// helloInterval is the beacon period (600 ms in the paper).
+	helloInterval = 600 * time.Millisecond
+	// allowedHelloLoss consecutive missed hellos break a link (4 in the
 	// paper).
-	AllowedHelloLoss int
-	// ActiveRouteTimeout is the route lifetime, refreshed on use.
-	ActiveRouteTimeout time.Duration
-	// RREQRetries is the number of retries after the first RREQ.
-	RREQRetries int
-	// RREQTimeout is the first reply-wait; it doubles per retry.
-	RREQTimeout time.Duration
-	// MaxQueuedPerDest bounds the packets held while discovering a route.
-	MaxQueuedPerDest int
-	// SeenLifetime is how long RREQ (orig, id) pairs stay in the dedup
+	allowedHelloLoss = 4
+	// activeRouteTimeout is the route lifetime, refreshed on use.
+	activeRouteTimeout = 6 * time.Second
+	// rreqRetries is the number of retries after the first RREQ.
+	rreqRetries = 2
+	// rreqTimeout is the first reply-wait; it doubles per retry.
+	rreqTimeout = 500 * time.Millisecond
+	// maxQueuedPerDest bounds the packets held while discovering a route.
+	maxQueuedPerDest = 10
+	// seenLifetime is how long RREQ (orig, id) pairs stay in the dedup
 	// cache.
-	SeenLifetime time.Duration
-	// HelloJitter randomises beacon phase to avoid network-wide
+	seenLifetime = 5 * time.Second
+	// helloJitter randomises beacon phase to avoid network-wide
 	// synchronisation.
-	HelloJitter time.Duration
+	helloJitter = 100 * time.Millisecond
+)
+
+// Config holds the one AODV parameter the benchmark harness reads.
+type Config struct {
 	// BroadcastJitter delays flood rebroadcasts by a uniform random
 	// amount. Without it, sibling relays that cannot hear each other
 	// (hidden terminals) rebroadcast a flood at the same instant and
@@ -66,17 +69,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's AODV configuration.
 func DefaultConfig() Config {
-	return Config{
-		HelloInterval:      600 * time.Millisecond,
-		AllowedHelloLoss:   4,
-		ActiveRouteTimeout: 6 * time.Second,
-		RREQRetries:        2,
-		RREQTimeout:        500 * time.Millisecond,
-		MaxQueuedPerDest:   10,
-		SeenLifetime:       5 * time.Second,
-		HelloJitter:        100 * time.Millisecond,
-		BroadcastJitter:    10 * time.Millisecond,
-	}
+	return Config{BroadcastJitter: 10 * time.Millisecond}
 }
 
 // MulticastHooks is implemented by the MAODV layer.
@@ -105,9 +98,9 @@ type route struct {
 // Expanding ring search (RFC 3561 §6.4): a discovery's first RREQ
 // reaches ttlStart hops and each ring that times out widens the next by
 // ttlIncrement, up to ttlThreshold; after that ring the discovery floods
-// at pkt.DefaultTTL, once and RREQRetries times more. A ring waits its
+// at pkt.DefaultTTL, once and rreqRetries times more. A ring waits its
 // RING_TRAVERSAL_TIME (RFC 3561 §10), 2·NODE_TRAVERSAL_TIME·(ttl +
-// timeoutBuffer), with RREQTimeout read as NET_TRAVERSAL_TIME,
+// timeoutBuffer), with rreqTimeout read as NET_TRAVERSAL_TIME,
 // 2·NODE_TRAVERSAL_TIME·netDiameter.
 const (
 	ttlStart      = 1
@@ -159,9 +152,9 @@ type Router struct {
 	// neighbors holds when each was last heard. seen maps an RREQ's
 	// seenKey to its expiry. seenLog lists the key of every write to
 	// seen, oldest first, and seenMarks the log's length at each recent
-	// sweep: every entry expires SeenLifetime after it was written, so
+	// sweep: every entry expires seenLifetime after it was written, so
 	// the writes logged before a mark made at t have all expired by
-	// t + SeenLifetime, and a sweep finds them without walking seen.
+	// t + seenLifetime, and a sweep finds them without walking seen.
 	routes    table.Table[route]
 	pending   map[pkt.NodeID]*discovery
 	spareDisc []*discovery
@@ -213,9 +206,9 @@ func New(st *node.Stack, rng *sim.RNG, cfg Config) *Router {
 		sched:   st.Clock(),
 		rng:     rng,
 		pending: make(map[pkt.NodeID]*discovery),
-		// A mark is kept for each sweep within SeenLifetime, and sweeps
-		// run every HelloInterval.
-		seenMarks: make([]seenMark, 0, int(cfg.SeenLifetime/cfg.HelloInterval)+2),
+		// A mark is kept for each sweep within seenLifetime, and sweeps
+		// run every helloInterval.
+		seenMarks: make([]seenMark, 0, int(seenLifetime/helloInterval)+2),
 	}
 	// Every flood a node relays leaves it a reverse route to the
 	// flood's originator, so its table soon holds a route to most of
@@ -233,8 +226,8 @@ func New(st *node.Stack, rng *sim.RNG, cfg Config) *Router {
 
 // Start launches periodic hello beaconing and cache sweeping.
 func (r *Router) Start() {
-	r.sched.After(r.rng.Duration(r.cfg.HelloJitter), r.helloFn)
-	r.sched.After(r.cfg.HelloInterval, r.sweepFn)
+	r.sched.After(r.rng.Duration(helloJitter), r.helloFn)
+	r.sched.After(helloInterval, r.sweepFn)
 }
 
 // SetMulticastHooks installs the MAODV extension.
@@ -258,7 +251,7 @@ func (r *Router) NextHop(dst pkt.NodeID) (pkt.NodeID, bool) {
 	if rt == nil || !rt.valid || rt.expires <= r.sched.Now() {
 		return 0, false
 	}
-	rt.expires = r.sched.Now() + r.cfg.ActiveRouteTimeout
+	rt.expires = r.sched.Now() + activeRouteTimeout
 	return rt.nextHop, true
 }
 
@@ -278,7 +271,7 @@ func (r *Router) QueueForRoute(p *pkt.Packet) {
 		r.stats.Discoveries++
 		r.sendRREQ(d)
 	}
-	if len(d.queued) >= r.cfg.MaxQueuedPerDest {
+	if len(d.queued) >= maxQueuedPerDest {
 		r.stats.PacketsDropped++
 		return
 	}
@@ -305,17 +298,10 @@ func (r *Router) NoteOwnRREQ(id uint32) {
 	r.noteSeen(seenKey(r.stack.ID(), id))
 }
 
-// noteSeen records an RREQ flood until SeenLifetime from now.
+// noteSeen records an RREQ flood until seenLifetime from now.
 func (r *Router) noteSeen(k uint64) {
-	r.seen.Put(k, r.sched.Now()+r.cfg.SeenLifetime)
+	r.seen.Put(k, r.sched.Now()+seenLifetime)
 	r.seenLog = append(r.seenLog, k)
-}
-
-// HaveNeighbor reports whether n is currently tracked as a live
-// neighbour.
-func (r *Router) HaveNeighbor(n pkt.NodeID) bool {
-	_, ok := r.neighbors.Get(n.Uint64())
-	return ok
 }
 
 // RouteHops returns the hop count of a valid route to dst, if known.
@@ -374,7 +360,7 @@ func (r *Router) installRoute(dst pkt.NodeID, seq uint32, seqValid bool, hops ui
 	rt.seqValid = seqValid
 	rt.hops = hops
 	rt.nextHop = nextHop
-	rt.expires = now + r.cfg.ActiveRouteTimeout
+	rt.expires = now + activeRouteTimeout
 	rt.valid = true
 	r.completeDiscovery(dst)
 }
@@ -437,9 +423,9 @@ func (r *Router) sendRREQ(d *discovery) {
 	p.TTL = d.ttl
 	r.stack.SendBroadcast(p)
 
-	wait := r.cfg.RREQTimeout << uint(d.retries)
+	wait := rreqTimeout << uint(d.retries)
 	if d.ttl < pkt.DefaultTTL {
-		wait = r.cfg.RREQTimeout * time.Duration(d.ttl+timeoutBuffer) / netDiameter
+		wait = rreqTimeout * time.Duration(d.ttl+timeoutBuffer) / netDiameter
 	}
 	d.timer = r.sched.After(wait, d.timeoutFn)
 }
@@ -454,7 +440,7 @@ func (r *Router) onDiscoveryTimeout(d *discovery) {
 		d.ttl += ttlIncrement
 	case d.ttl < pkt.DefaultTTL:
 		d.ttl = pkt.DefaultTTL
-	case d.retries < r.cfg.RREQRetries:
+	case d.retries < rreqRetries:
 		d.retries++
 	default:
 		delete(r.pending, d.dst)
@@ -516,7 +502,7 @@ func (r *Router) onRREQ(p *pkt.Packet, from pkt.NodeID) {
 			DstSeq:     r.seq,
 			Orig:       req.Orig,
 			HopCount:   0,
-			LifetimeMS: uint32(r.cfg.ActiveRouteTimeout / time.Millisecond),
+			LifetimeMS: uint32(activeRouteTimeout / time.Millisecond),
 			RREQID:     req.ID,
 		})
 		return
@@ -639,13 +625,13 @@ func (r *Router) helloTick() {
 	r.helloSeq++
 	r.stats.HellosSent++
 	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &pkt.Hello{Seq: r.helloSeq}))
-	jitter := r.rng.DurationRange(-r.cfg.HelloJitter/2, r.cfg.HelloJitter/2)
-	r.sched.After(r.cfg.HelloInterval+jitter, r.helloFn)
+	jitter := r.rng.DurationRange(-helloJitter/2, helloJitter/2)
+	r.sched.After(helloInterval+jitter, r.helloFn)
 }
 
 func (r *Router) sweepTick() {
 	now := r.sched.Now()
-	deadline := time.Duration(r.cfg.AllowedHelloLoss) * r.cfg.HelloInterval
+	const deadline = allowedHelloLoss * helloInterval
 	r.dead = r.dead[:0]
 	for n, lastHeard := range r.neighbors.All() {
 		if now-*lastHeard > deadline {
@@ -661,7 +647,7 @@ func (r *Router) sweepTick() {
 	// period. A key rewritten after a logged write has a later write
 	// still logged, so the table's own expiry decides.
 	cut, m := 0, 0
-	for ; m < len(r.seenMarks) && r.seenMarks[m].at+r.cfg.SeenLifetime <= now; m++ {
+	for ; m < len(r.seenMarks) && r.seenMarks[m].at+seenLifetime <= now; m++ {
 		cut = r.seenMarks[m].logLen
 	}
 	for _, k := range r.seenLog[:cut] {
@@ -675,5 +661,5 @@ func (r *Router) sweepTick() {
 		r.seenMarks[i].logLen -= cut
 	}
 	r.seenMarks = append(r.seenMarks, seenMark{at: now, logLen: len(r.seenLog)})
-	r.sched.After(r.cfg.HelloInterval, r.sweepFn)
+	r.sched.After(helloInterval, r.sweepFn)
 }

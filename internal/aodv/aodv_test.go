@@ -86,8 +86,8 @@ func TestMultiplePacketsQueuedDuringDiscovery(t *testing.T) {
 // reach runs the whole expanding ring search and then the floods. A
 // listener beside the originator (a stack with no router, so it neither
 // answers nor relays) hears every RREQ: rings of TTL 1, 3, 5 and 7, each
-// waiting its ring traversal time, RREQTimeout·(TTL+2)/35, then the
-// first flood and RREQRetries more at the full TTL, waiting RREQTimeout
+// waiting its ring traversal time, rreqTimeout·(TTL+2)/35, then the
+// first flood and rreqRetries more at the full TTL, waiting rreqTimeout
 // doubled per retry. The discovery fails when the last wait ends.
 func TestDiscoveryFailsForUnreachable(t *testing.T) {
 	w := buildWorld(t, []geom.Point{{X: 0}, {X: 500}})
@@ -103,7 +103,7 @@ func TestDiscoveryFailsForUnreachable(t *testing.T) {
 	start := time.Second
 	w.Sched.At(start, func() { w.stacks[0].SendUnicast(payload(1, 2)) })
 
-	to := DefaultConfig().RREQTimeout // 500 ms
+	to := rreqTimeout // 500 ms
 	waits := []time.Duration{to * 3 / 35, to * 5 / 35, to * 7 / 35, to * 9 / 35, to, 2 * to, 4 * to}
 	wantTTLs := []uint8{1, 3, 5, 7, pkt.DefaultTTL, pkt.DefaultTTL, pkt.DefaultTTL}
 	var wantAt []time.Duration
@@ -170,10 +170,16 @@ func TestRingStopsAtNeighbourReply(t *testing.T) {
 	}
 }
 
+// neighbour reports whether r tracks n as a live neighbour.
+func neighbour(r *Router, n pkt.NodeID) bool {
+	_, ok := r.neighbors.Get(n.Uint64())
+	return ok
+}
+
 func TestHelloNeighborDiscovery(t *testing.T) {
 	w := buildWorld(t, testworld.Line(2, 50))
 	w.Sched.Run(3 * time.Second)
-	if !w.routers[0].HaveNeighbor(2) || !w.routers[1].HaveNeighbor(1) {
+	if !neighbour(w.routers[0], 2) || !neighbour(w.routers[1], 1) {
 		t.Fatal("hello beacons did not establish neighbourhood")
 	}
 	// Hello also installs the 1-hop route.
@@ -194,11 +200,11 @@ func TestHelloLossBreaksLink(t *testing.T) {
 	w.routers[0].OnLinkBreak(func(n pkt.NodeID) { broken = append(broken, n) })
 
 	w.Sched.Run(4 * time.Second)
-	if !w.routers[0].HaveNeighbor(2) {
+	if !neighbour(w.routers[0], 2) {
 		t.Fatal("precondition: neighbour not established")
 	}
 	w.Sched.Run(12 * time.Second)
-	if w.routers[0].HaveNeighbor(2) {
+	if neighbour(w.routers[0], 2) {
 		t.Fatal("vanished neighbour still tracked after allowed hello loss")
 	}
 	found := false
@@ -319,7 +325,7 @@ func TestSeenCacheSweep(t *testing.T) {
 	w := buildWorld(t, testworld.Line(2, 50))
 	w.Sched.After(time.Second, func() { w.stacks[0].SendUnicast(payload(1, 9)) })
 	w.Sched.Run(30 * time.Second)
-	// After SeenLifetime + sweeps, the cache must be clean.
+	// After seenLifetime + sweeps, the cache must be clean.
 	if r := w.routers[1]; r.seen.Len() != 0 || len(r.seenLog) != 0 {
 		t.Fatalf("seen cache has %d stale entries (%d writes logged)", r.seen.Len(), len(r.seenLog))
 	}
@@ -332,7 +338,7 @@ func TestSeenCacheSweep(t *testing.T) {
 func TestSeenSweepKeepsRewrittenEntry(t *testing.T) {
 	w := buildWorld(t, testworld.Line(1, 50))
 	r := w.routers[0]
-	// Sweeps run every HelloInterval (600 ms) from 0: the first write
+	// Sweeps run every helloInterval (600 ms) from 0: the first write
 	// expires at 6.1 s and is dropped by the 6.6 s sweep (its mark was
 	// made at 1.2 s), which the rewrite at 6.2 s precedes.
 	w.Sched.At(1100*time.Millisecond, func() { r.NoteOwnRREQ(7) })
@@ -364,7 +370,7 @@ func TestOnHeardAllocatesNothing(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("%d NeighborHeard calls of known neighbours allocate %v times, want 0", runs, allocs)
 	}
-	if r.neighbors.Len() != 38 || !r.HaveNeighbor(39) || r.HaveNeighbor(40) {
+	if r.neighbors.Len() != 38 || !neighbour(r, 39) || neighbour(r, 40) {
 		t.Fatalf("%d neighbours tracked, want 2…39", r.neighbors.Len())
 	}
 }
@@ -403,7 +409,7 @@ func TestTicksAllocateNothing(t *testing.T) {
 func TestQueueBounded(t *testing.T) {
 	w := buildWorld(t, []geom.Point{{X: 0}, {X: 500}})
 	w.Sched.After(time.Second, func() {
-		for i := 0; i < DefaultConfig().MaxQueuedPerDest+5; i++ {
+		for i := 0; i < maxQueuedPerDest+5; i++ {
 			w.stacks[0].SendUnicast(payload(1, 2))
 		}
 	})
@@ -412,8 +418,8 @@ func TestQueueBounded(t *testing.T) {
 	if d == nil {
 		t.Fatal("no pending discovery")
 	}
-	if len(d.queued) != DefaultConfig().MaxQueuedPerDest {
-		t.Fatalf("queued = %d, want cap %d", len(d.queued), DefaultConfig().MaxQueuedPerDest)
+	if len(d.queued) != maxQueuedPerDest {
+		t.Fatalf("queued = %d, want cap %d", len(d.queued), maxQueuedPerDest)
 	}
 }
 
@@ -442,7 +448,7 @@ func TestLearnRouteFreshness(t *testing.T) {
 		t.Fatalf("a second learned route replaced a fresh one: via %v, %d hops", next, hops)
 	}
 
-	w.Sched.Run(w.Sched.Now() + DefaultConfig().ActiveRouteTimeout + time.Second)
+	w.Sched.Run(w.Sched.Now() + activeRouteTimeout + time.Second)
 	if _, ok := r.RouteHops(9); ok {
 		t.Fatal("unused route to 9 did not expire")
 	}
@@ -522,7 +528,7 @@ func TestUnsequencedFillClearsSeqValid(t *testing.T) {
 	if _, ok := r.RouteHops(9); !ok {
 		t.Fatal("precondition: the RREP installed no route to 9")
 	}
-	w.Sched.Run(w.Sched.Now() + DefaultConfig().ActiveRouteTimeout + time.Second)
+	w.Sched.Run(w.Sched.Now() + activeRouteTimeout + time.Second)
 	r.onHello(pkt.NewPacket(9, pkt.Broadcast, &pkt.Hello{Seq: 1}), 9)
 	if hops, ok := r.RouteHops(9); !ok || hops != 1 {
 		t.Fatalf("precondition: the hello did not refill the expired route (hops %d, ok %v)", hops, ok)

@@ -21,30 +21,28 @@ import (
 	"anongossip/internal/table"
 )
 
-// Config parameterises the flooding protocol.
+const (
+	// cacheSize bounds the duplicate-suppression cache.
+	cacheSize = 1024
+	// relayLifetime is how long a neighbour heard flooding data stays a
+	// valid gossip walk link (see NextHops).
+	relayLifetime = 10 * time.Second
+)
+
+// Config holds the flooding parameters the benchmark harness reads.
 type Config struct {
 	// RebroadcastJitter spreads rebroadcasts to avoid synchronised
 	// collisions among neighbours (the classic broadcast-storm
 	// mitigation).
 	RebroadcastJitter time.Duration
-	// CacheSize bounds the duplicate-suppression cache.
-	CacheSize int
 	// PayloadLen is the synthetic application payload size.
 	PayloadLen uint16
-	// RelayLifetime is how long a neighbour heard flooding data stays a
-	// valid gossip walk link (see NextHops). Zero disables tracking.
-	RelayLifetime time.Duration
 }
 
 // DefaultConfig returns flooding defaults matched to the paper's
 // workload.
 func DefaultConfig() Config {
-	return Config{
-		RebroadcastJitter: 10 * time.Millisecond,
-		CacheSize:         1024,
-		PayloadLen:        64,
-		RelayLifetime:     10 * time.Second,
-	}
+	return Config{RebroadcastJitter: 10 * time.Millisecond, PayloadLen: 64}
 }
 
 // Stats counts flooding activity at one node.
@@ -81,17 +79,13 @@ type Router struct {
 }
 
 // New builds a flooding router bound to the node stack.
-// A non-positive CacheSize panics: the duplicate ring needs a slot.
 func New(st *node.Stack, rng *sim.RNG, cfg Config) *Router {
-	if cfg.CacheSize <= 0 {
-		panic("flood: CacheSize must be positive")
-	}
 	r := &Router{
 		cfg:   cfg,
 		stack: st,
 		sched: st.Clock(),
 		rng:   rng,
-		seen:  node.NewSeqCache(cfg.CacheSize),
+		seen:  node.NewSeqCache(cacheSize),
 	}
 	st.Handle(pkt.KindData, r.onData)
 	return r
@@ -137,16 +131,17 @@ func (r *Router) NextHops(pkt.GroupID) []gossip.NextHop {
 // ErrNotMember reports a SendData call from a non-member.
 var ErrNotMember = errors.New("flood: node is not a member of the group")
 
-// SendData floods one application payload to the group.
-func (r *Router) SendData(g pkt.GroupID) (pkt.SeqKey, error) {
+// SendData floods one application payload to the group and returns the
+// data it sent.
+func (r *Router) SendData(g pkt.GroupID) (pkt.Data, error) {
 	if !r.IsMember(g) {
-		return pkt.SeqKey{}, ErrNotMember
+		return pkt.Data{}, ErrNotMember
 	}
 	r.seq++
 	d := pkt.Data{Group: g, Origin: r.stack.ID(), Seq: r.seq, PayloadLen: r.cfg.PayloadLen}
 	r.seen.Add(d.Key())
 	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &d))
-	return d.Key(), nil
+	return d, nil
 }
 
 func (r *Router) onData(p *pkt.Packet, from pkt.NodeID) {
@@ -154,8 +149,8 @@ func (r *Router) onData(p *pkt.Packet, from pkt.NodeID) {
 	if !ok {
 		return
 	}
-	if r.trackRelays && r.cfg.RelayLifetime > 0 && from != r.stack.ID() {
-		r.relays.Put(from.Uint64(), r.sched.Now()+r.cfg.RelayLifetime)
+	if r.trackRelays && from != r.stack.ID() {
+		r.relays.Put(from.Uint64(), r.sched.Now()+relayLifetime)
 	}
 	if !r.seen.Add(d.Key()) {
 		r.stats.DataDuplicates++

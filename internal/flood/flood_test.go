@@ -108,48 +108,27 @@ func TestFloodLeave(t *testing.T) {
 	}
 }
 
-// TestFloodCacheBounded checks CacheSize bounds the duplicate filter:
-// of the 20 packets a node floods through a 4-key cache, a copy of the
-// newest heard back is still a duplicate and a copy of the oldest is
-// new again.
+// TestFloodCacheBounded checks cacheSize bounds the duplicate filter:
+// of the cacheSize+16 packets a node floods, a copy of the newest heard
+// back is still a duplicate and a copy of the oldest is new again.
 func TestFloodCacheBounded(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CacheSize = 4
+	const sent = cacheSize + 16
 	rng := sim.NewRNG(1)
 	w := testworld.New(t, 60, nil, nil)
-	r := New(node.NewOnRuntime(w.Add(t, 1, mobility.Static{}, rng.Derive("mac/1"))), rng.Derive("f"), cfg)
+	r := New(node.NewOnRuntime(w.Add(t, 1, mobility.Static{}, rng.Derive("mac/1"))), rng.Derive("f"), DefaultConfig())
 	r.Join(group)
 	echo := func(seq uint32) {
 		r.onData(pkt.NewPacket(2, pkt.Broadcast, &pkt.Data{Group: group, Origin: 1, Seq: seq, PayloadLen: 64}), 2)
 	}
 	w.Sched.After(0, func() {
-		for i := 0; i < 20; i++ {
+		for range sent {
 			_, _ = r.SendData(group)
 		}
-		echo(20)
+		echo(sent)
 		echo(1)
 	})
 	w.Sched.Run(time.Second)
 	if st := r.Stats(); st.DataDuplicates != 1 || st.DataDelivered != 1 {
-		t.Fatalf("echoes of seq 20 and 1: %d duplicates, %d delivered; want the newest suppressed and the oldest evicted", st.DataDuplicates, st.DataDelivered)
-	}
-}
-
-// TestNewRejectsNonPositiveCacheSize pins the constructor's check: a
-// duplicate ring with no slot would index out of range on the first
-// data packet, long after the misconfiguration.
-func TestNewRejectsNonPositiveCacheSize(t *testing.T) {
-	for _, size := range []int{0, -1} {
-		cfg := DefaultConfig()
-		cfg.CacheSize = size
-		st := node.NewOnRuntime(testworld.New(t, 60, nil, nil).Add(t, 1, mobility.Static{}, sim.NewRNG(1).Derive("mac/1")))
-		func() {
-			defer func() {
-				if got := recover(); got != "flood: CacheSize must be positive" {
-					t.Errorf("CacheSize %d: New panicked with %v, want the named panic", size, got)
-				}
-			}()
-			New(st, sim.NewRNG(2), cfg)
-		}()
+		t.Fatalf("echoes of seq %d and 1: %d duplicates, %d delivered; want the newest suppressed and the oldest evicted", sent, st.DataDuplicates, st.DataDelivered)
 	}
 }

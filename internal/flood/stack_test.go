@@ -11,7 +11,7 @@ import (
 // TestRelayTreeTracksAndExpires exercises the gossip walk substrate the
 // flood+gossip stack runs over: nodes heard flooding data become walk
 // links (deterministically ordered, unknown distance) and expire
-// RelayLifetime after the last frame.
+// relayLifetime after the last frame.
 func TestRelayTreeTracksAndExpires(t *testing.T) {
 	w := buildF(t, testworld.Line(3, 50), []int{0, 2})
 	for _, r := range w.routers {
@@ -44,8 +44,8 @@ func TestRelayTreeTracksAndExpires(t *testing.T) {
 		t.Fatal("member denies membership")
 	}
 
-	// Links expire RelayLifetime after the last heard frame.
-	w.Sched.Run(w.Sched.Now() + w.routers[1].cfg.RelayLifetime + time.Second)
+	// Links expire relayLifetime after the last heard frame.
+	w.Sched.Run(w.Sched.Now() + relayLifetime + time.Second)
 	if left := tree.NextHops(group); len(left) != 0 {
 		t.Fatalf("relay links survived expiry: %v", left)
 	}

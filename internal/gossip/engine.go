@@ -242,16 +242,6 @@ func (e *Engine) OnDeliver(fn DeliverFunc) { e.subs = append(e.subs, fn) }
 // Stats returns a copy of the engine counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// CachedMembers exposes the member cache contents for a group
-// (diagnostics and tests).
-func (e *Engine) CachedMembers(g pkt.GroupID) []pkt.NodeID {
-	gs, ok := e.groups[g]
-	if !ok {
-		return nil
-	}
-	return gs.cache.Members()
-}
-
 // Attach starts gossip rounds for a group this node is a member of.
 func (e *Engine) Attach(g pkt.GroupID) {
 	if _, ok := e.groups[g]; ok {

@@ -219,24 +219,12 @@ func TestReplyUpdatesMemberCache(t *testing.T) {
 	})
 	w.Sched.Run(20 * time.Second)
 
-	found := false
-	for _, m := range w.engines[0].CachedMembers(testGroup) {
-		if m == 4 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("responder not cached: %v", w.engines[0].CachedMembers(testGroup))
+	if got := w.engines[0].groups[testGroup].cache.Members(); !slices.Contains(got, 4) {
+		t.Fatalf("responder not cached: %v", got)
 	}
 	// And symmetrically, the responder learned the initiator.
-	found = false
-	for _, m := range w.engines[3].CachedMembers(testGroup) {
-		if m == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("initiator not cached by responder: %v", w.engines[3].CachedMembers(testGroup))
+	if got := w.engines[3].groups[testGroup].cache.Members(); !slices.Contains(got, 1) {
+		t.Fatalf("initiator not cached by responder: %v", got)
 	}
 }
 

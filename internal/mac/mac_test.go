@@ -183,30 +183,54 @@ func TestQueuedFramesAllDelivered(t *testing.T) {
 	}
 }
 
+// TestDuplicateFilteringOnRetransmission loses one ACK at the sender. A
+// raw transmitter in range of node 1 only goes on air as node 2 takes
+// the first data frame and stays there past the ACK, which collides at
+// node 1. Node 1 retransmits, and node 2 must acknowledge the copy
+// again without delivering it twice.
 func TestDuplicateFilteringOnRetransmission(t *testing.T) {
-	// Receiver at the edge of the range cannot happen with a static
-	// geometry, so force duplicates by making the ACK collide: a hidden
-	// terminal saturates the receiver's channel... Simpler determinism:
-	// two senders far apart, both in range of the middle receiver, cause
-	// data/ACK collisions and retransmissions; the filter must keep
-	// deliveries unique per MAC sequence number.
-	h := newHarness(t, 60, []geom.Point{{X: 0}, {X: 50}, {X: 100}})
-	const n = 30
+	h := newHarness(t, 60, []geom.Point{{X: 0}, {X: 50}})
+	jammer, err := h.medium.Attach(3, mobility.Static{P: geom.Point{X: -50}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcv := h.macs[1]
+	deliver := rcv.cb.OnReceive
+	rcv.cb.OnReceive = func(p *pkt.Packet, from pkt.NodeID, broadcast bool) {
+		if len(h.rxs[1]) == 0 {
+			if err := jammer.StartTx("jam", 2*(rcv.cfg.SIFS+rcv.ackAirtime())); err != nil {
+				t.Error(err)
+			}
+		}
+		deliver(p, from, broadcast)
+	}
+	const n = 3
 	h.sched.After(0, func() {
-		for i := 0; i < n; i++ {
-			h.macs[0].Send(testPacket(1, 2), 2)
-			h.macs[2].Send(testPacket(3, 2), 2)
+		for i := range n {
+			h.macs[0].Send(pkt.NewPacket(1, 2, &pkt.Hello{Seq: uint32(i + 1)}), 2)
 		}
 	})
-	h.sched.Run(30 * time.Second)
+	h.sched.Run(time.Second)
 
-	s := h.macs[1].Stats()
-	if s.DupsFiltered == 0 {
-		t.Skip("no retransmission-induced duplicates in this schedule; nothing to assert")
+	if s := rcv.Stats(); s.DupsFiltered < 1 {
+		t.Fatalf("receiver filtered %d duplicates (sender retried %d times), want at least 1", s.DupsFiltered, h.macs[0].Stats().Retries)
 	}
-	// Delivered must equal unique frames: n per sender at most.
-	if s.Delivered > 2*n {
-		t.Fatalf("delivered %d > unique frames %d", s.Delivered, 2*n)
+	// One delivery per MAC sequence number: each frame once, in order.
+	if len(h.rxs[1]) != n {
+		t.Fatalf("delivered %d frames, want %d", len(h.rxs[1]), n)
+	}
+	for i, r := range h.rxs[1] {
+		if seq := r.p.Body.(*pkt.Hello).Seq; seq != uint32(i+1) {
+			t.Fatalf("delivery %d carries frame %d, want %d", i, seq, i+1)
+		}
+	}
+	if len(h.dones[0]) != n {
+		t.Fatalf("%d send completions, want %d", len(h.dones[0]), n)
+	}
+	for _, d := range h.dones[0] {
+		if !d.ok {
+			t.Fatal("a send failed: the retransmission was not acknowledged")
+		}
 	}
 }
 

@@ -10,14 +10,14 @@ import (
 var ErrNotMember = errors.New("maodv: node is not a member of the group")
 
 // SendData multicasts one application payload to the group and returns
-// its sequence identity. The packet is transmitted as a link-layer
+// the data it sent. The packet is transmitted as a link-layer
 // broadcast accepted and re-forwarded only by tree neighbours, as in
 // MAODV. Delivery is unreliable by design — Anonymous Gossip recovers the
 // losses.
-func (r *Router) SendData(gid pkt.GroupID) (pkt.SeqKey, error) {
+func (r *Router) SendData(gid pkt.GroupID) (pkt.Data, error) {
 	g := r.group(gid)
 	if g == nil || !g.member {
-		return pkt.SeqKey{}, ErrNotMember
+		return pkt.Data{}, ErrNotMember
 	}
 	g.nextDataSeq++
 	d := pkt.Data{
@@ -26,10 +26,9 @@ func (r *Router) SendData(gid pkt.GroupID) (pkt.SeqKey, error) {
 		Seq:        g.nextDataSeq,
 		PayloadLen: r.cfg.PayloadLen,
 	}
-	key := d.Key()
-	g.data.Add(key)
+	g.data.Add(d.Key())
 	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &d))
-	return key, nil
+	return d, nil
 }
 
 // onData accepts multicast data arriving over a tree link, delivers it to

@@ -39,52 +39,44 @@ import (
 	"anongossip/internal/sim"
 )
 
-// Config holds the MAODV parameters.
-type Config struct {
-	// GroupHelloInterval is the leader's GRPH flood period (5 s in the
+const (
+	// groupHelloInterval is the leader's GRPH flood period (5 s in the
 	// paper).
-	GroupHelloInterval time.Duration
-	// GroupHelloJitter randomises GRPH phase.
-	GroupHelloJitter time.Duration
-	// JoinReplyWait is how long a joiner collects RREPs before selecting
+	groupHelloInterval = 5 * time.Second
+	// groupHelloJitter randomises GRPH phase.
+	groupHelloJitter = 500 * time.Millisecond
+	// joinReplyWait is how long a joiner collects RREPs before selecting
 	// a branch; it doubles per retry.
-	JoinReplyWait time.Duration
-	// JoinRetries bounds join RREQ floods before declaring no tree
+	joinReplyWait = 400 * time.Millisecond
+	// joinRetries bounds join RREQ floods before declaring no tree
 	// reachable.
-	JoinRetries int
-	// RepairRetries bounds repair RREQ floods before declaring a
+	joinRetries = 3
+	// repairRetries bounds repair RREQ floods before declaring a
 	// partition.
-	RepairRetries int
-	// RREPPathLifetime is how long recorded reply paths stay usable for
+	repairRetries = 2
+	// rrepPathLifetime is how long recorded reply paths stay usable for
 	// MACT activation.
-	RREPPathLifetime time.Duration
-	// DataCacheSize bounds the per-group duplicate-suppression cache.
-	DataCacheSize int
+	rrepPathLifetime = 3 * time.Second
+	// dataCacheSize bounds the per-group duplicate-suppression cache.
+	dataCacheSize = 1024
+	// floodJitter delays GRPH reflooding to break hidden-terminal
+	// synchronisation (see aodv.Config.BroadcastJitter).
+	floodJitter = 10 * time.Millisecond
+)
+
+// Config holds the MAODV parameters the benchmark harness reads.
+type Config struct {
 	// PayloadLen is the synthetic application payload size (64 bytes in
 	// the paper).
 	PayloadLen uint16
-	// FloodJitter delays GRPH reflooding to break hidden-terminal
-	// synchronisation (see aodv.Config.BroadcastJitter).
-	FloodJitter time.Duration
-	// ForwardJitter delays tree data re-broadcasts for the same reason;
-	// it is kept smaller to limit per-hop latency.
+	// ForwardJitter delays tree data re-broadcasts for the same reason
+	// as floodJitter; it is kept smaller to limit per-hop latency.
 	ForwardJitter time.Duration
 }
 
 // DefaultConfig returns the paper's MAODV configuration.
 func DefaultConfig() Config {
-	return Config{
-		GroupHelloInterval: 5 * time.Second,
-		GroupHelloJitter:   500 * time.Millisecond,
-		JoinReplyWait:      400 * time.Millisecond,
-		JoinRetries:        3,
-		RepairRetries:      2,
-		RREPPathLifetime:   3 * time.Second,
-		DataCacheSize:      1024,
-		PayloadLen:         64,
-		FloodJitter:        10 * time.Millisecond,
-		ForwardJitter:      3 * time.Millisecond,
-	}
+	return Config{PayloadLen: 64, ForwardJitter: 3 * time.Millisecond}
 }
 
 // Stats counts MAODV protocol activity at one node.
@@ -251,11 +243,7 @@ var _ aodv.MulticastHooks = (*Router)(nil)
 
 // New builds a MAODV router on top of the node stack and its AODV
 // unicast router, registering all multicast packet handlers.
-// A non-positive DataCacheSize panics: the duplicate ring needs a slot.
 func New(st *node.Stack, uni *aodv.Router, rng *sim.RNG, cfg Config) *Router {
-	if cfg.DataCacheSize <= 0 {
-		panic("maodv: DataCacheSize must be positive")
-	}
 	r := &Router{
 		cfg:   cfg,
 		stack: st,
@@ -364,7 +352,7 @@ func (r *Router) groupState(gid pkt.GroupID) *group {
 		hopsToLeader: pkt.LeaderHopsUnset,
 		rrepPaths:    make(map[uint32]rrepPath),
 		grphSeen:     make(map[pkt.NodeID]uint32),
-		data:         node.NewSeqCache(r.cfg.DataCacheSize),
+		data:         node.NewSeqCache(dataCacheSize),
 	}
 	r.groups = slices.Insert(r.groups, i, g)
 	return g
@@ -450,7 +438,7 @@ func (r *Router) sendJoinRREQ(g *group, js *joinState) {
 	}
 	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &req))
 
-	wait := r.cfg.JoinReplyWait << uint(js.retries)
+	wait := joinReplyWait << uint(js.retries)
 	js.timer = r.sched.After(wait, func() { r.onJoinWaitOver(g, js) })
 }
 
@@ -482,9 +470,9 @@ func (r *Router) onJoinWaitOver(g *group, js *joinState) {
 
 func (r *Router) retryBudget(js *joinState) int {
 	if js.repair {
-		return r.cfg.RepairRetries
+		return repairRetries
 	}
-	return r.cfg.JoinRetries
+	return joinRetries
 }
 
 // activateBranch sends MACT(J) along the selected reply path.
@@ -564,7 +552,7 @@ func (r *Router) HandleJoinRREQ(req *pkt.RREQ, from pkt.NodeID) bool {
 		Dst:        req.Dst,
 		DstSeq:     g.groupSeq,
 		Orig:       req.Orig,
-		LifetimeMS: uint32(r.cfg.RREPPathLifetime / time.Millisecond),
+		LifetimeMS: uint32(rrepPathLifetime / time.Millisecond),
 		Leader:     g.leader,
 		Replier:    r.stack.ID(),
 		LeaderHops: g.hopsToLeader,
@@ -587,7 +575,7 @@ func (r *Router) ObserveMulticastRREP(rep *pkt.RREP, from pkt.NodeID, atOrigin b
 				delete(g.rrepPaths, id)
 			}
 		}
-		g.rrepPaths[rep.RREQID] = rrepPath{upstream: from, expires: now + r.cfg.RREPPathLifetime}
+		g.rrepPaths[rep.RREQID] = rrepPath{upstream: from, expires: now + rrepPathLifetime}
 		return
 	}
 	js := g.join

@@ -187,8 +187,8 @@ func (r *Router) scheduleGRPH(g *group) {
 	if g.grphFn == nil {
 		g.grphFn = func() { r.grphTick(g) }
 	}
-	jitter := r.rng.Duration(r.cfg.GroupHelloJitter)
-	g.grphTimer = r.sched.After(r.cfg.GroupHelloInterval+jitter, g.grphFn)
+	jitter := r.rng.Duration(groupHelloJitter)
+	g.grphTimer = r.sched.After(groupHelloInterval+jitter, g.grphFn)
 }
 
 // grphTick floods a group hello while this node leads the group.
@@ -221,7 +221,7 @@ func (r *Router) onGRPH(p *pkt.Packet, from pkt.NodeID) {
 	r.adoptGroupInfo(g, h, from)
 
 	// Reflood, jittered against hidden-terminal synchronisation.
-	if cp := r.stack.Rebroadcast(p, r.rng, r.cfg.FloodJitter); cp != nil {
+	if cp := r.stack.Rebroadcast(p, r.rng, floodJitter); cp != nil {
 		cp.Body.(*pkt.GRPH).HopCount = satAdd8(h.HopCount, 1)
 	}
 }

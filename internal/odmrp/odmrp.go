@@ -31,35 +31,23 @@ import (
 	"anongossip/internal/table"
 )
 
-// Config parameterises ODMRP.
-type Config struct {
-	// RefreshInterval is the Join Query flood period of an active
+// Literature-standard ODMRP parameters.
+const (
+	// refreshInterval is the Join Query flood period of an active
 	// source (3 s in the ODMRP literature).
-	RefreshInterval time.Duration
-	// MeshLifetime is how long forwarding-group membership and mesh
+	refreshInterval = 3 * time.Second
+	// meshLifetime is how long forwarding-group membership and mesh
 	// links survive without refresh (typically 2–3 refresh periods).
-	MeshLifetime time.Duration
-	// FloodJitter delays query refloods (hidden-terminal mitigation).
-	FloodJitter time.Duration
-	// ForwardJitter delays mesh data rebroadcasts.
-	ForwardJitter time.Duration
-	// CacheSize bounds the duplicate caches.
-	CacheSize int
-	// PayloadLen is the synthetic application payload size.
-	PayloadLen uint16
-}
-
-// DefaultConfig returns literature-standard ODMRP parameters.
-func DefaultConfig() Config {
-	return Config{
-		RefreshInterval: 3 * time.Second,
-		MeshLifetime:    9 * time.Second,
-		FloodJitter:     10 * time.Millisecond,
-		ForwardJitter:   3 * time.Millisecond,
-		CacheSize:       1024,
-		PayloadLen:      64,
-	}
-}
+	meshLifetime = 9 * time.Second
+	// floodJitter delays query refloods (hidden-terminal mitigation).
+	floodJitter = 10 * time.Millisecond
+	// forwardJitter delays mesh data rebroadcasts.
+	forwardJitter = 3 * time.Millisecond
+	// cacheSize bounds the duplicate caches.
+	cacheSize = 1024
+	// payloadLen is the synthetic application payload size.
+	payloadLen = 64
+)
 
 // Stats counts ODMRP activity at one node.
 type Stats struct {
@@ -103,7 +91,6 @@ type groupState struct {
 
 // Router is one node's ODMRP entity.
 type Router struct {
-	cfg   Config
 	stack *node.Stack
 	sched runtime.Clock
 	rng   *sim.RNG
@@ -116,13 +103,8 @@ type Router struct {
 }
 
 // New builds an ODMRP router bound to the node stack.
-// A non-positive CacheSize panics: the duplicate ring needs a slot.
-func New(st *node.Stack, rng *sim.RNG, cfg Config) *Router {
-	if cfg.CacheSize <= 0 {
-		panic("odmrp: CacheSize must be positive")
-	}
+func New(st *node.Stack, rng *sim.RNG) *Router {
 	r := &Router{
-		cfg:    cfg,
 		stack:  st,
 		sched:  st.Clock(),
 		rng:    rng,
@@ -150,7 +132,7 @@ func (r *Router) groupState(g pkt.GroupID) *groupState {
 	if !ok {
 		gs = &groupState{
 			routes: make(map[pkt.NodeID]*sourceRoute),
-			data:   node.NewSeqCache(r.cfg.CacheSize),
+			data:   node.NewSeqCache(cacheSize),
 		}
 		r.groups[g] = gs
 	}
@@ -188,21 +170,21 @@ func (r *Router) NextHops(g pkt.GroupID) []gossip.NextHop {
 // ErrNotMember reports SendData from a non-member.
 var ErrNotMember = errors.New("odmrp: node is not a member of the group")
 
-// SendData multicasts one payload. The first send activates the
-// source's periodic Join Query refresh.
-func (r *Router) SendData(g pkt.GroupID) (pkt.SeqKey, error) {
+// SendData multicasts one payload and returns the data it sent. The
+// first send activates the source's periodic Join Query refresh.
+func (r *Router) SendData(g pkt.GroupID) (pkt.Data, error) {
 	gs := r.groupState(g)
 	if !gs.member {
-		return pkt.SeqKey{}, ErrNotMember
+		return pkt.Data{}, ErrNotMember
 	}
 	if gs.refreshTimer.IsZero() {
 		r.refresh(g, gs) // on-demand: first data activates the mesh
 	}
 	gs.nextDataSeq++
-	d := pkt.Data{Group: g, Origin: r.stack.ID(), Seq: gs.nextDataSeq, PayloadLen: r.cfg.PayloadLen}
+	d := pkt.Data{Group: g, Origin: r.stack.ID(), Seq: gs.nextDataSeq, PayloadLen: payloadLen}
 	gs.data.Add(d.Key())
 	r.stack.SendBroadcast(r.stack.NewPacket(pkt.Broadcast, &d))
-	return d.Key(), nil
+	return d, nil
 }
 
 // refresh floods a Join Query and reschedules itself.
@@ -214,7 +196,7 @@ func (r *Router) refresh(g pkt.GroupID, gs *groupState) {
 	if gs.refreshFn == nil {
 		gs.refreshFn = func() { r.refresh(g, gs) }
 	}
-	gs.refreshTimer = r.sched.After(r.cfg.RefreshInterval, gs.refreshFn)
+	gs.refreshTimer = r.sched.After(refreshInterval, gs.refreshFn)
 }
 
 func (r *Router) onJoinQuery(p *pkt.Packet, from pkt.NodeID) {
@@ -238,7 +220,7 @@ func (r *Router) onJoinQuery(p *pkt.Packet, from pkt.NodeID) {
 	rt.upstream = from
 	rt.seq = q.Seq
 	rt.hops = q.HopCount + 1
-	rt.expires = now + r.cfg.MeshLifetime
+	rt.expires = now + meshLifetime
 
 	// Members answer: the reply walks back toward the source, enlisting
 	// the forwarding group.
@@ -250,7 +232,7 @@ func (r *Router) onJoinQuery(p *pkt.Packet, from pkt.NodeID) {
 	}
 
 	// Reflood.
-	if cp := r.stack.Rebroadcast(p, r.rng, r.cfg.FloodJitter); cp != nil {
+	if cp := r.stack.Rebroadcast(p, r.rng, floodJitter); cp != nil {
 		cp.Body.(*pkt.JoinQuery).HopCount = q.HopCount + 1
 		r.stats.QueriesForwarded++
 	}
@@ -273,7 +255,7 @@ func (r *Router) onJoinReply(p *pkt.Packet, from pkt.NodeID) {
 		return // no fresh reverse path; the branch dies here
 	}
 	// Join the forwarding group and pass the reply upstream.
-	gs.forwardingUntil = now + r.cfg.MeshLifetime
+	gs.forwardingUntil = now + meshLifetime
 	r.touchLink(gs, rt.upstream)
 	r.stats.RepliesForwarded++
 	r.stack.SendDirect(rt.upstream, r.stack.NewPacket(rt.upstream, rep))
@@ -303,11 +285,11 @@ func (r *Router) onData(p *pkt.Packet, from pkt.NodeID) {
 	// Forwarding-group nodes (and members, which always forward in
 	// ODMRP) rebroadcast within the mesh.
 	forwards := gs.member || gs.forwardingUntil > r.sched.Now()
-	if forwards && r.stack.Rebroadcast(p, r.rng, r.cfg.ForwardJitter) != nil {
+	if forwards && r.stack.Rebroadcast(p, r.rng, forwardJitter) != nil {
 		r.stats.DataForwarded++
 	}
 }
 
 func (r *Router) touchLink(gs *groupState, id pkt.NodeID) {
-	gs.links.Put(id.Uint64(), r.sched.Now()+r.cfg.MeshLifetime)
+	gs.links.Put(id.Uint64(), r.sched.Now()+meshLifetime)
 }

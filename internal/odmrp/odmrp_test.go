@@ -8,7 +8,6 @@ import (
 	"anongossip/internal/aodv"
 	"anongossip/internal/geom"
 	"anongossip/internal/gossip"
-	"anongossip/internal/mobility"
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/sim"
@@ -31,7 +30,7 @@ func buildO(t *testing.T, positions []geom.Point, members []int) *oworld {
 	w := &oworld{World: testworld.New(t, 60, testworld.Static(positions...), testworld.Labelled(rng, "")), delivered: make([]int, len(positions))}
 	for i, rt := range w.MACs {
 		st := node.NewOnRuntime(rt)
-		r := New(st, rng.Derive("o/"+st.ID().String()), DefaultConfig())
+		r := New(st, rng.Derive("o/"+st.ID().String()))
 		if slices.Contains(members, i) {
 			r.Join(group)
 		}
@@ -94,10 +93,10 @@ func TestMeshSoftStateExpires(t *testing.T) {
 	if len(w.routers[1].NextHops(group)) == 0 {
 		t.Fatal("precondition: relay has no mesh links")
 	}
-	// Stop the source's refresh; links must decay past MeshLifetime.
+	// Stop the source's refresh; links must decay past meshLifetime.
 	gs := w.routers[0].groups[group]
 	gs.refreshTimer.Cancel()
-	w.Sched.Run(8*time.Second + 2*DefaultConfig().MeshLifetime)
+	w.Sched.Run(8*time.Second + 2*meshLifetime)
 	if got := w.routers[1].NextHops(group); len(got) != 0 {
 		t.Fatalf("mesh links survived expiry: %v", got)
 	}
@@ -126,7 +125,7 @@ func TestGossipOverODMRP(t *testing.T) {
 		// as in the MAODV deployment.
 		uni := aodv.New(st, rng.Derive("a/"+id.String()), aodv.DefaultConfig())
 		uni.Start()
-		r := New(st, rng.Derive("o/"+id.String()), DefaultConfig())
+		r := New(st, rng.Derive("o/"+id.String()))
 		gcfg := gossip.DefaultConfig()
 		gcfg.PAnon = 1
 		eng := gossip.New(st, r, rng.Derive("g/"+id.String()), gcfg)
@@ -177,21 +176,14 @@ func TestNextHopsSorted(t *testing.T) {
 	}
 }
 
-// TestNewRejectsNonPositiveCacheSize pins the constructor's check: a
-// duplicate ring with no slot would index out of range on the first
-// data packet, long after the misconfiguration.
-func TestNewRejectsNonPositiveCacheSize(t *testing.T) {
-	for _, size := range []int{0, -1} {
-		cfg := DefaultConfig()
-		cfg.CacheSize = size
-		st := node.NewOnRuntime(testworld.New(t, 60, nil, nil).Add(t, 1, mobility.Static{}, sim.NewRNG(1).Derive("mac/1")))
-		func() {
-			defer func() {
-				if got := recover(); got != "odmrp: CacheSize must be positive" {
-					t.Errorf("CacheSize %d: New panicked with %v, want the named panic", size, got)
-				}
-			}()
-			New(st, sim.NewRNG(2), cfg)
-		}()
+// TestGossipReplyFitsABody pins the wire bound at ODMRP's payload: the
+// largest gossip reply, gossip.MaxReplyMsgs data messages, fits a body.
+func TestGossipReplyFitsABody(t *testing.T) {
+	msgs := make([]pkt.Data, gossip.MaxReplyMsgs)
+	for i := range msgs {
+		msgs[i].PayloadLen = payloadLen
+	}
+	if n := (&pkt.GossipRep{Msgs: msgs}).WireSize(); n > pkt.MaxBodySize {
+		t.Fatalf("a full gossip reply is %d bytes, past the %d-byte body limit", n, pkt.MaxBodySize)
 	}
 }

@@ -248,8 +248,8 @@ func (m *MACT) code(c coder) coder {
 
 // --- GRPH (group hello) ---
 
-// GRPH is the group hello the leader floods every GroupHelloInterval
-// (5 s in the paper) to refresh group sequence number, leader identity
+// GRPH is the group hello the leader floods every 5 s (the paper's
+// group hello interval) to refresh group sequence number, leader identity
 // and distances.
 type GRPH struct {
 	Group    GroupID

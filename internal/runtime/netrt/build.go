@@ -16,7 +16,7 @@ type ProtocolConfig struct {
 	// Node configures the runtime layer (identity, time scale, inbox).
 	Node NodeConfig
 	// Stack names the protocol stack to run; the zero Spec means
-	// "flood". Every layer runs on its package defaults.
+	// "flood". Every layer runs on the paper's parameters.
 	Stack stack.Spec
 	// Seed seeds the node's RNG tree, derived by the node's identity:
 	// two nodes on one seed draw independent streams (unlike a

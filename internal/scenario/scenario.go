@@ -96,8 +96,9 @@ type Config struct {
 	MetricsWindow time.Duration
 
 	// Gossip configures the recovery layer, the protocol under study.
-	// The substrate beneath it is fixed: the MAC, AODV and the three
-	// multicast routings run on their package defaults.
+	// The substrate beneath it is fixed: the MAC runs on
+	// mac.DefaultConfig, and AODV and the three multicast routings on
+	// their package constants, the paper's parameters.
 	Gossip gossip.Config
 }
 

@@ -10,7 +10,6 @@ import (
 	"anongossip/internal/flood"
 	"anongossip/internal/gossip"
 	"anongossip/internal/maodv"
-	"anongossip/internal/odmrp"
 	"anongossip/internal/pkt"
 	"anongossip/internal/stack"
 )
@@ -131,17 +130,17 @@ func TestConfigValidate(t *testing.T) {
 		})
 	}
 
-	// The substrate below gossip is fixed at its package defaults, so the
-	// rows that once set one of its knobs past a bound now check that the
-	// defaults every run is built on stay inside that bound, and the gossip
-	// rows that the engine's fixed message bounds do: the largest reply,
-	// gossip.MaxReplyMsgs messages at each protocol's payload, fits a
-	// body (a request's lists are shorter still), and every list's length
-	// fits its one-byte count.
+	// The substrate below gossip is fixed at the paper's parameters, so
+	// the rows that once set one of its knobs past a bound now check that
+	// the values every run is built on stay inside that bound, and the
+	// gossip rows that the engine's fixed message bounds do: the largest
+	// reply, gossip.MaxReplyMsgs messages at each protocol's payload,
+	// fits a body (a request's lists are shorter still), and every list's
+	// length fits its one-byte count. ODMRP's payload is unexported, so
+	// odmrp's TestGossipReplyFitsABody checks its reply.
 	payloads := []uint16{
 		flood.DefaultConfig().PayloadLen,
 		maodv.DefaultConfig().PayloadLen,
-		odmrp.DefaultConfig().PayloadLen,
 	}
 	dataBody := func(payload uint16) int { return (&pkt.Data{PayloadLen: payload}).WireSize() }
 	replyFits := func() bool {
@@ -167,9 +166,6 @@ func TestConfigValidate(t *testing.T) {
 		{"lost buffer cap above 255", func() bool { return gossip.LostBufferCap <= math.MaxUint8 }},
 		{"expected cap above 255", func() bool { return gossip.ExpectedCap <= math.MaxUint8 }},
 		{"max reply msgs above 255", func() bool { return gossip.MaxReplyMsgs <= math.MaxUint8 }},
-		{"zero flood cache", func() bool { return flood.DefaultConfig().CacheSize > 0 }},
-		{"zero maodv data cache", func() bool { return maodv.DefaultConfig().DataCacheSize > 0 }},
-		{"zero odmrp cache", func() bool { return odmrp.DefaultConfig().CacheSize > 0 }},
 	}
 	for _, tt := range substrate {
 		t.Run(tt.name, func(t *testing.T) {

@@ -33,7 +33,7 @@ type RecoveryStats struct {
 // odmrp Routers satisfy it themselves.
 type routing interface {
 	Join(g pkt.GroupID)
-	SendData(g pkt.GroupID) (pkt.SeqKey, error)
+	SendData(g pkt.GroupID) (pkt.Data, error)
 	OnDeliver(fn func(g pkt.GroupID, d *pkt.Data, from pkt.NodeID))
 	Delivered() uint64
 }
@@ -51,14 +51,11 @@ type Node struct {
 	uni *aodv.Router
 	// eng is the recovery layer; nil for bare routing.
 	eng *gossip.Engine
-	// payload is the routing's synthetic payload size, which the engine
-	// records for the packets this member originates.
-	payload uint16
 }
 
 // Assemble builds one node's stack s on st: the routing first, then the
 // gossip engine over it, configured by g. The routing and its AODV
-// substrate run on their package defaults, the paper's parameters.
+// substrate run on the paper's parameters.
 // Component RNG streams derive from rng under the labels
 // "<layer>/<index>". Subscribe with OnDeliver, then call Start.
 func Assemble(s Spec, st *node.Stack, rng *sim.RNG, index int, g gossip.Config) (*Node, error) {
@@ -79,21 +76,18 @@ func Assemble(s Spec, st *node.Stack, rng *sim.RNG, index int, g gossip.Config) 
 	)
 	switch s.Routing {
 	case "flood":
-		cfg := flood.DefaultConfig()
-		fr := flood.New(st, derive("flood"), cfg)
+		fr := flood.New(st, derive("flood"), flood.DefaultConfig())
 		if recovers {
 			tree = fr.GossipTree() // switches relay tracking on
 		}
-		n.routing, n.payload = fr, cfg.PayloadLen
+		n.routing = fr
 	case "maodv":
-		cfg := maodv.DefaultConfig()
 		n.uni = aodv.New(st, derive("aodv"), aodv.DefaultConfig())
-		mr = maodv.New(st, n.uni, derive("maodv"), cfg)
-		n.routing, tree, n.payload = mr, mr, cfg.PayloadLen
+		mr = maodv.New(st, n.uni, derive("maodv"), maodv.DefaultConfig())
+		n.routing, tree = mr, mr
 	case "odmrp":
-		cfg := odmrp.DefaultConfig()
-		or := odmrp.New(st, derive("odmrp"), cfg)
-		n.routing, tree, n.payload = or, or, cfg.PayloadLen
+		or := odmrp.New(st, derive("odmrp"))
+		n.routing, tree = or, or
 	}
 	if !recovers {
 		return n, nil
@@ -151,11 +145,11 @@ func (n *Node) Join(g pkt.GroupID) {
 // sequence key. The recovery layer records a packet that was sent, so
 // this member can serve repairs for what it originated.
 func (n *Node) Publish(g pkt.GroupID) (pkt.SeqKey, error) {
-	key, err := n.routing.SendData(g)
+	d, err := n.routing.SendData(g)
 	if err == nil && n.eng != nil {
-		n.eng.OnLocalData(g, pkt.Data{Group: g, Origin: key.Origin, Seq: key.Seq, PayloadLen: n.payload})
+		n.eng.OnLocalData(g, d)
 	}
-	return key, err
+	return d.Key(), err
 }
 
 // RouteDiscoveries counts the unicast route discoveries this node's
