@@ -53,17 +53,11 @@ type peerFlag struct {
 	addr string
 }
 
-// daemonConfig is everything a daemon needs besides its transport.
+// daemonConfig is everything a daemon needs besides its transport: the
+// node it runs and the group it joins (0 = defaultGroup).
 type daemonConfig struct {
-	ID        pkt.NodeID
-	Stack     stack.Spec
-	Group     pkt.GroupID
-	Seed      int64
-	TimeScale float64
-	// InboxSize bounds the frame queue between the transport and the
-	// event loop (0 = netrt.DefaultInboxSize); /stats reports the
-	// effective capacity alongside the drop counter.
-	InboxSize int
+	netrt.ProtocolConfig
+	Group pkt.GroupID
 }
 
 // delivery is one application-level data arrival, as reported on
@@ -100,11 +94,7 @@ func newDaemon(cfg daemonConfig, tr netrt.Transport) (*daemon, error) {
 	if cfg.Group == 0 {
 		cfg.Group = defaultGroup
 	}
-	pn, err := netrt.NewProtocolNode(netrt.ProtocolConfig{
-		Node:  netrt.NodeConfig{ID: cfg.ID, TimeScale: cfg.TimeScale, InboxSize: cfg.InboxSize},
-		Stack: cfg.Stack,
-		Seed:  cfg.Seed,
-	}, tr)
+	pn, err := netrt.NewProtocolNode(cfg.ProtocolConfig, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +193,7 @@ func (d *daemon) report() (*statsReport, error) {
 	d.mu.Unlock()
 	ls := d.pn.Runtime().Stats()
 	return &statsReport{
-		ID:          d.cfg.ID,
+		ID:          d.pn.ID(),
 		Stack:       d.pn.Spec().String(),
 		Group:       d.cfg.Group,
 		Delivered:   count,
@@ -430,12 +420,12 @@ func run(args []string) error {
 		}
 	}
 	d, err := newDaemon(daemonConfig{
-		ID:        self,
-		Stack:     spec,
-		Group:     pkt.GroupID(*group),
-		Seed:      *seed,
-		TimeScale: *timeScale,
-		InboxSize: *inbox,
+		ProtocolConfig: netrt.ProtocolConfig{
+			Node:  netrt.NodeConfig{ID: self, TimeScale: *timeScale, InboxSize: *inbox},
+			Stack: spec,
+			Seed:  *seed,
+		},
+		Group: pkt.GroupID(*group),
 	}, tr)
 	if err != nil {
 		return fmt.Errorf("agnode: %w", err)

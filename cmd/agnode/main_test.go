@@ -15,6 +15,12 @@ import (
 	"anongossip/internal/stack"
 )
 
+// testConfig is a daemon running spec on a 100× clock.
+func testConfig(id pkt.NodeID, spec stack.Spec, seed int64) daemonConfig {
+	return daemonConfig{ProtocolConfig: netrt.ProtocolConfig{
+		Node: netrt.NodeConfig{ID: id, TimeScale: 100}, Stack: spec, Seed: seed}}
+}
+
 func TestParsePeer(t *testing.T) {
 	p, err := parsePeer("3=127.0.0.1:7003")
 	if err != nil {
@@ -92,7 +98,7 @@ func TestStackAliases(t *testing.T) {
 			t.Errorf("-stack %s: %v", name, err)
 			continue
 		}
-		d, err := newDaemon(daemonConfig{ID: 1, Stack: spec, TimeScale: 100}, netrt.NewChanTransport())
+		d, err := newDaemon(testConfig(1, spec, 0), netrt.NewChanTransport())
 		if err != nil {
 			t.Errorf("-stack %s: %v", name, err)
 			continue
@@ -111,12 +117,7 @@ func bootDaemons(t *testing.T, n int) []*httptest.Server {
 	tr := netrt.NewChanTransport()
 	apis := make([]*httptest.Server, 0, n)
 	for i := 0; i < n; i++ {
-		d, err := newDaemon(daemonConfig{
-			ID:        pkt.NodeID(i + 1),
-			Stack:     stack.Spec{Routing: "flood"},
-			Seed:      7,
-			TimeScale: 100,
-		}, tr)
+		d, err := newDaemon(testConfig(pkt.NodeID(i+1), stack.Spec{Routing: "flood"}, 7), tr)
 		if err != nil {
 			t.Fatalf("newDaemon %d: %v", i+1, err)
 		}
@@ -244,12 +245,7 @@ func TestArrivalWindowBounded(t *testing.T) {
 	tr := netrt.NewChanTransport()
 	var ds []*daemon
 	for i := 0; i < 2; i++ {
-		d, err := newDaemon(daemonConfig{
-			ID:        pkt.NodeID(i + 1),
-			Stack:     stack.Spec{Routing: "flood"},
-			Seed:      7,
-			TimeScale: 100,
-		}, tr)
+		d, err := newDaemon(testConfig(pkt.NodeID(i+1), stack.Spec{Routing: "flood"}, 7), tr)
 		if err != nil {
 			t.Fatalf("newDaemon %d: %v", i+1, err)
 		}
@@ -307,12 +303,7 @@ func TestMetricsAndPprofEndpoints(t *testing.T) {
 	tr := netrt.NewChanTransport()
 	apis := make([]*httptest.Server, 0, 2)
 	for i := 0; i < 2; i++ {
-		d, err := newDaemon(daemonConfig{
-			ID:        pkt.NodeID(i + 1),
-			Stack:     stack.Spec{Routing: "flood", Recovery: "gossip"},
-			Seed:      11,
-			TimeScale: 100,
-		}, tr)
+		d, err := newDaemon(testConfig(pkt.NodeID(i+1), stack.Spec{Routing: "flood", Recovery: "gossip"}, 11), tr)
 		if err != nil {
 			t.Fatalf("newDaemon %d: %v", i+1, err)
 		}
@@ -392,7 +383,7 @@ func TestMetricsAndPprofEndpoints(t *testing.T) {
 // start with a clear error.
 func TestDaemonDuplicateID(t *testing.T) {
 	tr := netrt.NewChanTransport()
-	cfg := daemonConfig{ID: 9, Stack: stack.Spec{Routing: "flood"}, TimeScale: 100}
+	cfg := testConfig(9, stack.Spec{Routing: "flood"}, 0)
 	d, err := newDaemon(cfg, tr)
 	if err != nil {
 		t.Fatalf("first daemon: %v", err)

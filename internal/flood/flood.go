@@ -106,9 +106,6 @@ func (r *Router) Delivered() uint64 { return r.stats.DataDelivered }
 // routing state).
 func (r *Router) Join(g pkt.GroupID) { r.members.Put(g.Uint64(), struct{}{}) }
 
-// Leave revokes membership.
-func (r *Router) Leave(g pkt.GroupID) { r.members.Delete(g.Uint64()) }
-
 // IsMember reports membership (part of the gossip Tree interface).
 func (r *Router) IsMember(g pkt.GroupID) bool { return r.members.Ref(g.Uint64()) != nil }
 

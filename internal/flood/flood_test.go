@@ -95,19 +95,6 @@ func TestFloodRequiresMembership(t *testing.T) {
 	}
 }
 
-func TestFloodLeave(t *testing.T) {
-	w := buildF(t, testworld.Line(2, 50), []int{0, 1})
-	w.routers[1].Leave(group)
-	w.Sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
-	w.Sched.Run(3 * time.Second)
-	if w.delivered[1] != 0 {
-		t.Fatal("left member still delivered")
-	}
-	if w.routers[1].IsMember(group) {
-		t.Fatal("IsMember true after Leave")
-	}
-}
-
 // TestFloodCacheBounded checks cacheSize bounds the duplicate filter:
 // of the cacheSize+16 packets a node floods, a copy of the newest heard
 // back is still a duplicate and a copy of the oldest is new again.

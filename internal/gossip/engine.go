@@ -104,9 +104,18 @@ const (
 	ExpectedCap = 4
 	// MaxReplyMsgs bounds data packets per gossip reply.
 	MaxReplyMsgs = 10
+	// AcceptProb is the probability a member receiving a walk accepts it
+	// instead of propagating (paper §4.1 "randomly decides").
+	AcceptProb = 0.5
+	// LostTableCap bounds the lost table (200 in the paper).
+	LostTableCap = 200
+	// CacheCap bounds the member cache (10 in the paper).
+	CacheCap = 10
+	// WalkTTL bounds anonymous walk length in hops.
+	WalkTTL = 16
 )
 
-// Config holds the AG parameters a caller sets; defaults follow paper
+// Config holds the AG parameters a sweep turns; defaults follow paper
 // §5.1.
 type Config struct {
 	// Interval is the gossip round period (1 s in the paper).
@@ -114,29 +123,16 @@ type Config struct {
 	// PAnon is the probability a round uses an anonymous walk rather
 	// than cached gossip (paper §4.3; the paper leaves the value open).
 	PAnon float64
-	// AcceptProb is the probability a member receiving a walk accepts it
-	// instead of propagating (paper §4.1 "randomly decides").
-	AcceptProb float64
-	// LostTableCap bounds the lost table (200 in the paper).
-	LostTableCap int
 	// HistoryCap bounds the history table (100 in the paper).
 	HistoryCap int
-	// CacheCap bounds the member cache (10 in the paper).
-	CacheCap int
-	// WalkTTL bounds anonymous walk length in hops.
-	WalkTTL int
 }
 
 // DefaultConfig returns the paper's gossip configuration.
 func DefaultConfig() Config {
 	return Config{
-		Interval:     time.Second,
-		PAnon:        0.7,
-		AcceptProb:   0.5,
-		LostTableCap: 200,
-		HistoryCap:   100,
-		CacheCap:     10,
-		WalkTTL:      16,
+		Interval:   time.Second,
+		PAnon:      0.7,
+		HistoryCap: 100,
 	}
 }
 
@@ -249,24 +245,14 @@ func (e *Engine) Attach(g pkt.GroupID) {
 	}
 	gs := &groupState{
 		id:      g,
-		lost:    newLostTable(e.cfg.LostTableCap),
+		lost:    newLostTable(LostTableCap),
 		history: newHistoryTable(e.cfg.HistoryCap),
-		cache:   newMemberCache(e.cfg.CacheCap),
+		cache:   newMemberCache(CacheCap),
 	}
 	gs.roundFn = func() { e.round(gs) }
 	e.groups[g] = gs
 	phase := e.cfg.Interval + e.rng.Duration(IntervalJitter)
 	gs.timer = e.sched.After(phase, gs.roundFn)
-}
-
-// Detach stops gossip rounds for a group.
-func (e *Engine) Detach(g pkt.GroupID) {
-	gs, ok := e.groups[g]
-	if !ok {
-		return
-	}
-	gs.timer.Cancel()
-	delete(e.groups, g)
 }
 
 // OnTreeData ingests a data packet delivered by the multicast protocol.
@@ -320,8 +306,8 @@ func (e *Engine) ingest(gs *groupState, d *pkt.Data, recovered bool) bool {
 		// leaves the table as adding the whole gap would — without a
 		// stall of 2³² additions when a frame claims Seq 2³²−1.
 		from := exp
-		if n := uint32(max(e.cfg.LostTableCap, 0)); d.Seq-exp > n {
-			from = d.Seq - n
+		if d.Seq-exp > LostTableCap {
+			from = d.Seq - LostTableCap
 		}
 		for s := from; s < d.Seq; s++ {
 			gs.lost.Add(pkt.SeqKey{Origin: d.Origin, Seq: s})
@@ -462,10 +448,10 @@ func (e *Engine) onRequest(p *pkt.Packet, from pkt.NodeID) {
 	// Anonymous walk (paper §4.1): members randomly accept or propagate;
 	// pure routers always propagate.
 	isMember := e.tree.IsMember(req.Group) && req.Initiator != e.stack.ID()
-	ttlExpired := int(req.HopsTraveled) >= e.cfg.WalkTTL
+	ttlExpired := req.HopsTraveled >= WalkTTL
 	next, haveNext := e.pickNextHop(req.Group, from)
 
-	if isMember && (ttlExpired || !haveNext || e.rng.Bool(e.cfg.AcceptProb)) {
+	if isMember && (ttlExpired || !haveNext || e.rng.Bool(AcceptProb)) {
 		e.stats.WalksAccepted++
 		e.accept(req)
 		return

@@ -76,7 +76,6 @@ func TestEngineHandlesMultipleGroupsIndependently(t *testing.T) {
 func TestWalkAcceptProbabilitySplitsAcceptAndForward(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PAnon = 1
-	cfg.AcceptProb = 0.5
 	// Line of 5, members at 0, 2, 4: the middle member sees walks it can
 	// either accept or pass on.
 	w := buildLine(t, 5, []int{0, 2, 4}, cfg)
@@ -99,7 +98,6 @@ func TestWalkAcceptProbabilitySplitsAcceptAndForward(t *testing.T) {
 func TestWalkNeverAcceptedByInitiator(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PAnon = 1
-	cfg.AcceptProb = 1 // members accept at first opportunity
 	w := buildLine(t, 3, []int{0}, cfg)
 	w.Sched.After(0, func() { feed(w.engines[0], 9, 1, 5, 2) })
 	w.Sched.Run(15 * time.Second)

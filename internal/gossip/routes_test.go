@@ -54,7 +54,6 @@ func (w *gworld) ttlDrops() (n uint64) {
 func TestReplyRetracesWalk(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PAnon = 1
-	cfg.AcceptProb = 1
 	w := buildLine(t, 4, []int{0, 3}, cfg)
 	w.Sched.After(0, func() {
 		feed(w.engines[3], 9, 1, 20)

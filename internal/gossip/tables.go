@@ -181,15 +181,6 @@ func newMemberCache(capacity int) *memberCache {
 
 func (c *memberCache) Len() int { return len(c.entries) }
 
-// Members returns the cached member addresses (for diagnostics/tests).
-func (c *memberCache) Members() []pkt.NodeID {
-	out := make([]pkt.NodeID, len(c.entries))
-	for i, e := range c.entries {
-		out[i] = e.addr
-	}
-	return out
-}
-
 // Update inserts or refreshes knowledge about a member. numHops may be
 // pkt.NearestUnknown when the distance is not known; known distances
 // overwrite unknown ones. gossiped marks an actual gossip exchange,

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,6 +11,11 @@ import (
 )
 
 func key(seq uint32) pkt.SeqKey { return pkt.SeqKey{Origin: 1, Seq: seq} }
+
+// cacheHolds reports whether the member cache has an entry for addr.
+func cacheHolds(c *memberCache, addr pkt.NodeID) bool {
+	return slices.ContainsFunc(c.entries, func(e cacheEntry) bool { return e.addr == addr })
+}
 
 func TestLostTableBasics(t *testing.T) {
 	lt := newLostTable(5)
@@ -232,12 +238,8 @@ func TestMemberCacheUpdateAndEviction(t *testing.T) {
 
 	// Rule 1: new member with hops 4 replaces the hops-5 entry.
 	c.Update(4, 4, now+time.Second, false)
-	members := map[pkt.NodeID]bool{}
-	for _, m := range c.Members() {
-		members[m] = true
-	}
-	if members[2] || !members[4] {
-		t.Fatalf("eviction rule 1 violated: %v", c.Members())
+	if cacheHolds(c, 2) || !cacheHolds(c, 4) {
+		t.Fatalf("eviction rule 1 violated: %v", c.entries)
 	}
 
 	// Rule 2: when no entry has greater numhops than the newcomer, the
@@ -245,15 +247,11 @@ func TestMemberCacheUpdateAndEviction(t *testing.T) {
 	c.MarkGossiped(3, now+10*time.Second)
 	c.MarkGossiped(1, now+5*time.Second)
 	c.Update(5, 9, now+11*time.Second, false) // hops 9 > all existing
-	members = map[pkt.NodeID]bool{}
-	for _, m := range c.Members() {
-		members[m] = true
+	if cacheHolds(c, 3) {
+		t.Fatalf("most recently gossiped entry (3) not evicted: %v", c.entries)
 	}
-	if members[3] {
-		t.Fatalf("most recently gossiped entry (3) not evicted: %v", c.Members())
-	}
-	if !members[5] {
-		t.Fatalf("new entry missing: %v", c.Members())
+	if !cacheHolds(c, 5) {
+		t.Fatalf("new entry missing: %v", c.entries)
 	}
 }
 
@@ -305,11 +303,11 @@ func TestMemberCacheBoundedProperty(t *testing.T) {
 		}
 		// No duplicate addresses.
 		seen := map[pkt.NodeID]bool{}
-		for _, m := range c.Members() {
-			if seen[m] {
+		for _, e := range c.entries {
+			if seen[e.addr] {
 				return false
 			}
-			seen[m] = true
+			seen[e.addr] = true
 		}
 		return true
 	}

@@ -34,7 +34,7 @@ func newFoldHarness(t *testing.T, fold bool, rangeM float64, positions []geom.Po
 			},
 		}
 		m, err := newDCF(h.sched, rng.Derive(id.String()), h.medium, id,
-			mobility.Static{P: p}, DefaultConfig(), cb, fold)
+			mobility.Static{P: p}, cb, fold)
 		if err != nil {
 			t.Fatal(err)
 		}

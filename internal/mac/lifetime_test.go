@@ -119,20 +119,18 @@ func TestLateAckRecordOutlivesRetransmission(t *testing.T) {
 	}
 }
 
-// TestResponsesWithinOneSIFS drives what the medium never produces: two
-// unicast receptions at one DCF within one SIFS. Both ACKs go out, in
-// order, each with its own (dst, seq). The second reception ends one
-// ACK airtime after the first, so the second ACK fires at the instant
-// the first leaves the air — before the radio has walked the first
-// ACK's receivers. A single response frame rewritten then would show
-// those receivers the second ACK (see DCF.resp).
-func TestResponsesWithinOneSIFS(t *testing.T) {
-	cfg := DefaultConfig()
-	// An ACK airtime (156 µs) shorter than SIFS lets the second ACK fire
-	// once the first has left the air instead of finding the node busy.
-	cfg.SIFS, cfg.PhyOverhead = 500*time.Microsecond, 100*time.Microsecond
-	h := newHarnessCfg(t, 100, []geom.Point{{X: 0}}, cfg)
+// TestBackToBackAcks sends two ACKs back to back at the paper's
+// timings: the second reception ends one ACK airtime after the first,
+// so the second ACK fires at the instant the first leaves the air. Both
+// go out, in order, each with its own (dst, seq), from the one response
+// frame: the radio walks the first ACK's receivers before the second
+// rewrites it, because an ACK outlasts SIFS (see DCF.resp).
+func TestBackToBackAcks(t *testing.T) {
+	h := newHarness(t, 100, []geom.Point{{X: 0}})
 	d := h.macs[0]
+	if d.ackAirtime() <= sifs {
+		t.Fatalf("ACK airtime %v does not outlast SIFS %v: one response frame is not enough", d.ackAirtime(), sifs)
+	}
 	heard, _ := listen(t, h, 2, 3)
 	t0 := time.Millisecond
 	h.sched.At(t0, func() {

@@ -9,7 +9,7 @@
 //   - physical carrier sense with DIFS deferral and slotted binary
 //     exponential backoff (CWmin 31 .. CWmax 1023);
 //   - unicast frames are acknowledged after SIFS and retransmitted up to
-//     RetryLimit times; exhaustion is reported to the network layer, which
+//     retryLimit times; exhaustion is reported to the network layer, which
 //     is how AODV/MAODV detect broken links;
 //   - broadcast frames are sent once, unacknowledged — the fundamental
 //     unreliability that costs MAODV tree forwarding its packets;
@@ -31,48 +31,38 @@ import (
 	"anongossip/internal/table"
 )
 
-// Config holds the DCF parameters. Defaults follow 802.11 DSSS at 2 Mbps.
-type Config struct {
-	// BitRate is the channel rate in bits/s.
-	BitRate float64
-	// SlotTime, SIFS and DIFS are the 802.11 interframe timings.
-	SlotTime time.Duration
-	SIFS     time.Duration
-	DIFS     time.Duration
-	// CWMin and CWMax bound the contention window (in slots).
-	CWMin int
-	CWMax int
-	// RetryLimit is the maximum number of retransmissions for a unicast
+// The DCF parameters: 802.11 DSSS at the paper's 2 Mbps. Every node
+// runs on them.
+const (
+	// bitRate is the channel rate in bits/s.
+	bitRate = 2e6
+	// slotTime, sifs and difs are the 802.11 interframe timings.
+	slotTime = 20 * time.Microsecond
+	sifs     = 10 * time.Microsecond
+	difs     = 50 * time.Microsecond
+	// cwMin and cwMax bound the contention window (in slots).
+	cwMin = 31
+	cwMax = 1023
+	// retryLimit is the maximum number of retransmissions for a unicast
 	// frame before the MAC reports failure.
-	RetryLimit int
-	// PhyOverhead is the preamble+PLCP header time prefixed to every
+	retryLimit = 7
+	// phyOverhead is the preamble+PLCP header time prefixed to every
 	// frame.
-	PhyOverhead time.Duration
-	// HeaderBytes is the MAC header+FCS size added to every data frame.
-	HeaderBytes int
-	// AckBytes is the size of an ACK control frame.
-	AckBytes int
+	phyOverhead = 192 * time.Microsecond
+	// headerBytes is the MAC header+FCS size added to every data frame.
+	headerBytes = 28
+	// ackBytes is the size of an ACK control frame.
+	ackBytes = 14
 	// QueueCap bounds the transmit queue; excess frames are dropped.
-	QueueCap int
-}
+	QueueCap = 100
+)
 
-// DefaultConfig returns 802.11 DSSS parameters at the paper's 2 Mbps.
-// Every simulated node runs on it.
-func DefaultConfig() Config {
-	return Config{
-		BitRate:     2e6,
-		SlotTime:    20 * time.Microsecond,
-		SIFS:        10 * time.Microsecond,
-		DIFS:        50 * time.Microsecond,
-		CWMin:       31,
-		CWMax:       1023,
-		RetryLimit:  7,
-		PhyOverhead: 192 * time.Microsecond,
-		HeaderBytes: 28,
-		AckBytes:    14,
-		QueueCap:    100,
-	}
-}
+// Config is the argument New takes and ignores: the DCF runs on the
+// package constants above. It stays while bench/ passes it.
+type Config struct{}
+
+// DefaultConfig returns the empty Config.
+func DefaultConfig() Config { return Config{} }
 
 // frameKind discriminates MAC frames.
 type frameKind uint8
@@ -102,7 +92,7 @@ type Stats struct {
 	UnicastSent uint64
 	// Retries counts retransmission attempts.
 	Retries uint64
-	// Failures counts unicast frames dropped after RetryLimit.
+	// Failures counts unicast frames dropped after the retry limit.
 	Failures uint64
 	// QueueDrops counts frames rejected because the queue was full.
 	QueueDrops uint64
@@ -228,7 +218,6 @@ const (
 // scheduler's clock and timers through it.
 type DCF struct {
 	id    pkt.NodeID
-	cfg   Config
 	sched *sim.Scheduler
 	rng   *sim.RNG
 	tr    *radio.Transceiver
@@ -274,17 +263,16 @@ type DCF struct {
 	// closure, so the timers fire in FIFO order and each pops the head.
 	resps  fifo[response]
 	respFn func()
-	// resp is the storage responses go on the air from: two frames, used
-	// in turn. A frame is rewritten only once the response it carried can
-	// no longer be on the air. The previous response may still be: one
-	// whose SIFS wait ends the instant the previous leaves the air starts
-	// before the radio has walked that frame's receivers. The response
-	// before it left the air before the previous one started — a node
-	// transmits one frame at a time, each with positive airtime — so it
-	// is off by the time a response fires. TestResponsesWithinOneSIFS
-	// pins this.
-	resp     [2]frame
-	respNext int
+	// resp is the one frame responses go on the air from, rewritten
+	// only once the previous response has left the air and the radio has
+	// walked its receivers. A response that fires while the node
+	// transmits is dropped, so the earliest one goes out is at the instant
+	// the previous one leaves the air. Its SIFS wait then began an ACK
+	// airtime less SIFS after the previous one started: after that start,
+	// since an ACK outlasts SIFS. The radio armed its finish walk at that
+	// start, and the kernel runs same-instant events in the order they
+	// were armed, so the walk has run. TestBackToBackAcks pins this.
+	resp frame
 	// vtxOut/vtxAt describe the virtual airtime-end step: since the
 	// radio's finish processing ends at the exact schedule position of a
 	// timer armed right after StartTx, the MAC no longer schedules one —
@@ -318,18 +306,17 @@ type DCF struct {
 // node's mobility model to the radio layer. It fails when the medium
 // already has a transceiver for id (radio.ErrDuplicateNode).
 func New(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID,
-	pos mobility.Model, cfg Config, cb Callbacks) (*DCF, error) {
-	return newDCF(sched, rng, medium, id, pos, cfg, cb, true)
+	pos mobility.Model, _ Config, cb Callbacks) (*DCF, error) {
+	return newDCF(sched, rng, medium, id, pos, cb, true)
 }
 
 // newDCF builds the MAC with the folded contention countdown (DESIGN.md
 // §4) on or off. Production always folds; fold=false is the eager
 // reference schedule the in-package differential tests compare against.
 func newDCF(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID,
-	pos mobility.Model, cfg Config, cb Callbacks, fold bool) (*DCF, error) {
+	pos mobility.Model, cb Callbacks, fold bool) (*DCF, error) {
 	d := &DCF{
 		id:    id,
-		cfg:   cfg,
 		sched: sched,
 		rng:   rng,
 		cb:    cb,
@@ -415,14 +402,14 @@ func (d *DCF) QueueLen() int { return d.queue.len() }
 // airtime returns the channel occupancy of a data frame carrying
 // payloadBytes of network-layer payload.
 func (d *DCF) airtime(payloadBytes int) sim.Time {
-	bits := float64((d.cfg.HeaderBytes + payloadBytes) * 8)
-	return d.cfg.PhyOverhead + time.Duration(bits/d.cfg.BitRate*float64(time.Second))
+	bits := float64((headerBytes + payloadBytes) * 8)
+	return phyOverhead + time.Duration(bits/bitRate*float64(time.Second))
 }
 
 // ackAirtime returns the channel occupancy of an ACK.
 func (d *DCF) ackAirtime() sim.Time {
-	bits := float64(d.cfg.AckBytes * 8)
-	return d.cfg.PhyOverhead + time.Duration(bits/d.cfg.BitRate*float64(time.Second))
+	bits := float64(ackBytes * 8)
+	return phyOverhead + time.Duration(bits/bitRate*float64(time.Second))
 }
 
 // senseProbe reads the channel exactly and, when folding, the
@@ -440,14 +427,14 @@ func (d *DCF) senseProbe() (busy, reach sim.Time) {
 // ackTimeout is the wait after a unicast transmission before declaring the
 // ACK lost.
 func (d *DCF) ackTimeout() sim.Time {
-	return d.cfg.SIFS + d.ackAirtime() + 2*d.cfg.SlotTime
+	return sifs + d.ackAirtime() + 2*slotTime
 }
 
 // Send queues p for transmission to the link-layer destination dst
 // (pkt.Broadcast for broadcast). It reports whether the frame was
 // accepted; false means the queue was full and the packet dropped.
 func (d *DCF) Send(p *pkt.Packet, dst pkt.NodeID) bool {
-	if d.QueueLen() >= d.cfg.QueueCap {
+	if d.QueueLen() >= QueueCap {
 		d.stats.QueueDrops++
 		return false
 	}
@@ -472,7 +459,7 @@ func (d *DCF) startHead() {
 	if d.lateOut == out {
 		out = &d.head[1]
 	}
-	*out = outgoing{frm: frame{kind: frameData, src: d.id, dst: q.dst, seq: q.seq, payload: q.p}, cw: d.cfg.CWMin}
+	*out = outgoing{frm: frame{kind: frameData, src: d.id, dst: q.dst, seq: q.seq, payload: q.p}, cw: cwMin}
 	d.inflight = out
 	d.defer_()
 }
@@ -512,7 +499,7 @@ func (d *DCF) armBackoff(out *outgoing, reach sim.Time, probed bool) {
 		d.foldBase = now
 	}
 	slots := d.rng.Intn(out.cw + 1)
-	wait := d.cfg.DIFS + time.Duration(slots)*d.cfg.SlotTime
+	wait := difs + time.Duration(slots)*slotTime
 	d.stats.BackoffWait += wait
 	d.stepKind, d.stepOut = stepBackoff, out
 	d.step = d.sched.After(wait, d.stepFn)
@@ -633,7 +620,7 @@ func (d *DCF) transmitData(out *outgoing) {
 		d.retry(out)
 		return
 	}
-	d.stats.Channel.ObserveTx(metrics.LayerOf(out.frm.payload.Kind), at, d.cfg.HeaderBytes+payloadSize)
+	d.stats.Channel.ObserveTx(metrics.LayerOf(out.frm.payload.Kind), at, headerBytes+payloadSize)
 	if out.attempt == 0 && out.frm.dst != pkt.Broadcast {
 		d.stats.UnicastSent++
 	}
@@ -680,13 +667,13 @@ func (d *DCF) TxDone() {
 // contention window, or fails the frame once the retry limit is reached.
 func (d *DCF) retry(out *outgoing) {
 	out.attempt++
-	if out.attempt > d.cfg.RetryLimit {
+	if out.attempt > retryLimit {
 		d.stats.Failures++
 		d.finish(out, false)
 		return
 	}
 	d.stats.Retries++
-	out.cw = min(2*(out.cw+1)-1, d.cfg.CWMax)
+	out.cw = min(2*(out.cw+1)-1, cwMax)
 	d.defer_()
 }
 
@@ -761,7 +748,7 @@ func (d *DCF) ReceiveFrame(raw any, _ pkt.NodeID, ok bool) {
 // respond queues an ACK to go out SIFS from now.
 func (d *DCF) respond(r response) {
 	d.resps.push(r)
-	d.sched.After(d.cfg.SIFS, d.respFn)
+	d.sched.After(sifs, d.respFn)
 }
 
 // onResponse transmits the ACK whose SIFS wait ended — the FIFO's head
@@ -773,13 +760,11 @@ func (d *DCF) onResponse() {
 		return
 	}
 	at := d.ackAirtime()
-	f := &d.resp[d.respNext]
-	*f = frame{kind: frameAck, src: d.id, dst: r.dst, seq: r.seq}
-	if err := d.tr.StartTxNotify(f, at, r.dst, nil); err != nil {
+	d.resp = frame{kind: frameAck, src: d.id, dst: r.dst, seq: r.seq}
+	if err := d.tr.StartTxNotify(&d.resp, at, r.dst, nil); err != nil {
 		return
 	}
-	d.respNext ^= 1
-	d.stats.Channel.ObserveTx(metrics.LayerMAC, at, d.cfg.AckBytes)
+	d.stats.Channel.ObserveTx(metrics.LayerMAC, at, ackBytes)
 }
 
 func (d *DCF) onData(frm *frame) {

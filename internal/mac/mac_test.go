@@ -35,12 +35,6 @@ type harness struct {
 // newHarness builds MACs at fixed positions on a shared medium.
 func newHarness(t *testing.T, rangeM float64, positions []geom.Point) *harness {
 	t.Helper()
-	return newHarnessCfg(t, rangeM, positions, DefaultConfig())
-}
-
-// newHarnessCfg is newHarness with a custom MAC config.
-func newHarnessCfg(t *testing.T, rangeM float64, positions []geom.Point, cfg Config) *harness {
-	t.Helper()
 	h := &harness{
 		sched: sim.NewScheduler(),
 		rxs:   make([][]received, len(positions)),
@@ -59,7 +53,7 @@ func newHarnessCfg(t *testing.T, rangeM float64, positions []geom.Point, cfg Con
 			},
 		}
 		m, err := New(h.sched, rng.Derive(id.String()), h.medium, id,
-			mobility.Static{P: p}, cfg, cb)
+			mobility.Static{P: p}, DefaultConfig(), cb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,8 +131,8 @@ func TestUnicastToUnreachableFailsAfterRetries(t *testing.T) {
 	if s.Failures != 1 {
 		t.Fatalf("Failures = %d, want 1", s.Failures)
 	}
-	if s.Retries != uint64(DefaultConfig().RetryLimit) {
-		t.Fatalf("Retries = %d, want %d", s.Retries, DefaultConfig().RetryLimit)
+	if s.Retries != uint64(retryLimit) {
+		t.Fatalf("Retries = %d, want %d", s.Retries, retryLimit)
 	}
 }
 
@@ -146,14 +140,14 @@ func TestQueueDropsWhenFull(t *testing.T) {
 	h := newHarness(t, 100, []geom.Point{{X: 0}, {X: 50}})
 	h.sched.After(0, func() {
 		accepted := 0
-		for i := 0; i < DefaultConfig().QueueCap+10; i++ {
+		for i := 0; i < QueueCap+10; i++ {
 			if h.macs[0].Send(testPacket(1, 2), 2) {
 				accepted++
 			}
 		}
 		// One frame goes in flight immediately; the queue holds QueueCap.
-		if accepted < DefaultConfig().QueueCap {
-			t.Errorf("accepted %d, want >= %d", accepted, DefaultConfig().QueueCap)
+		if accepted < QueueCap {
+			t.Errorf("accepted %d, want >= %d", accepted, QueueCap)
 		}
 	})
 	h.sched.Run(10 * time.Second)
@@ -198,7 +192,7 @@ func TestDuplicateFilteringOnRetransmission(t *testing.T) {
 	deliver := rcv.cb.OnReceive
 	rcv.cb.OnReceive = func(p *pkt.Packet, from pkt.NodeID, broadcast bool) {
 		if len(h.rxs[1]) == 0 {
-			if err := jammer.StartTx("jam", 2*(rcv.cfg.SIFS+rcv.ackAirtime())); err != nil {
+			if err := jammer.StartTx("jam", 2*(sifs+rcv.ackAirtime())); err != nil {
 				t.Error(err)
 			}
 		}
@@ -257,7 +251,7 @@ func TestContendingSendersBothSucceed(t *testing.T) {
 }
 
 func TestAirtimeComputation(t *testing.T) {
-	d := &DCF{cfg: DefaultConfig()}
+	d := &DCF{}
 	// 64-byte payload: 192us + (28+64)*8 bits / 2 Mbps = 192us + 368us.
 	want := 192*time.Microsecond + 368*time.Microsecond
 	if got := d.airtime(64); got != want {
@@ -275,7 +269,7 @@ func TestBytesSentAccounting(t *testing.T) {
 	h.sched.After(0, func() { h.macs[0].Send(p, 2) })
 	h.sched.Run(time.Second)
 
-	wantSender := uint64(DefaultConfig().HeaderBytes + p.WireSize())
+	wantSender := uint64(headerBytes + p.WireSize())
 	bytesSent := func(d *DCF) (n uint64) {
 		for _, b := range d.Stats().Channel.BytesByLayer {
 			n += b
@@ -285,8 +279,8 @@ func TestBytesSentAccounting(t *testing.T) {
 	if got := bytesSent(h.macs[0]); got != wantSender {
 		t.Fatalf("sender sent %d bytes, want %d", got, wantSender)
 	}
-	if got := bytesSent(h.macs[1]); got != uint64(DefaultConfig().AckBytes) {
-		t.Fatalf("receiver sent %d bytes, want %d (ACK)", got, DefaultConfig().AckBytes)
+	if got := bytesSent(h.macs[1]); got != uint64(ackBytes) {
+		t.Fatalf("receiver sent %d bytes, want %d (ACK)", got, ackBytes)
 	}
 }
 

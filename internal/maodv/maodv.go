@@ -292,15 +292,6 @@ func (r *Router) InTree(gid pkt.GroupID) bool {
 	return g != nil && g.inTree
 }
 
-// Leader returns the current group leader, if known.
-func (r *Router) Leader(gid pkt.GroupID) (pkt.NodeID, bool) {
-	g := r.group(gid)
-	if g == nil || !g.leaderValid {
-		return 0, false
-	}
-	return g.leader, true
-}
-
 // NextHops returns the enabled tree links and their nearest-member
 // values (paper §4.2: the walk needs nothing else) — the gossip Tree
 // interface. The result is sorted by node ID, as the links are, so
@@ -369,27 +360,6 @@ func (r *Router) Join(gid pkt.GroupID) {
 	if !g.inTree {
 		r.startJoin(g, false)
 	}
-}
-
-// Leave revokes membership. Leaf nodes prune themselves; interior nodes
-// remain as pure routers (paper §3).
-func (r *Router) Leave(gid pkt.GroupID) {
-	g := r.group(gid)
-	if g == nil || !g.member {
-		return
-	}
-	g.member = false
-	if g.join != nil {
-		g.join.timer.Cancel()
-		g.join = nil
-	}
-	if r.isLeader(g) {
-		// Leadership requires membership; delegate before leaving.
-		r.stopLeading(g)
-		r.delegateLeadership(g)
-	}
-	r.maybePrune(g)
-	r.nearestRecompute(g)
 }
 
 func (r *Router) isLeader(g *group) bool {

@@ -82,6 +82,15 @@ func buildM(t *testing.T, rangeM float64, positions []geom.Point) *mworld {
 	return w
 }
 
+// leaderOf returns the test group's leader as r knows it, if valid.
+func leaderOf(r *Router) (pkt.NodeID, bool) {
+	g := r.group(testGroup)
+	if g == nil || !g.leaderValid {
+		return 0, false
+	}
+	return g.leader, true
+}
+
 func (w *mworld) joinAt(t sim.Time, idx int) {
 	w.Sched.At(t, func() { w.routers[idx].Join(testGroup) })
 }
@@ -99,7 +108,7 @@ func TestLoneMemberBecomesLeader(t *testing.T) {
 	w.joinAt(0, 0)
 	w.Sched.Run(leaderAt + groupHelloInterval + groupHelloJitter)
 
-	if leader, ok := w.routers[0].Leader(testGroup); !ok || leader != 1 {
+	if leader, ok := leaderOf(w.routers[0]); !ok || leader != 1 {
 		t.Fatalf("leader = (%v, %v), want (1, true)", leader, ok)
 	}
 	if !w.routers[0].InTree(testGroup) || !w.routers[0].IsMember(testGroup) {
@@ -280,7 +289,11 @@ func TestOffTreeDataIgnored(t *testing.T) {
 	}
 }
 
-func TestLeaveCascadesPrune(t *testing.T) {
+// TestLinkBreakCascadesPrune: on the line 1–2–3–4 with members 1 (the
+// leader) and 4, member 4 moves away. Router 3 loses its only
+// downstream branch and prunes itself, and router 2, left a non-member
+// leaf, follows (paper §3). The leader stays.
+func TestLinkBreakCascadesPrune(t *testing.T) {
 	w := buildM(t, 60, testworld.Line(4, 50))
 	w.joinAt(0, 0)
 	w.joinAt(secondJoin, 3)
@@ -289,16 +302,13 @@ func TestLeaveCascadesPrune(t *testing.T) {
 		t.Fatal("precondition: interior routers not in tree")
 	}
 
-	w.Sched.After(0, func() { w.routers[3].Leave(testGroup) })
-	w.Sched.Run(secondJoin + 12*time.Second)
+	w.Sched.After(0, func() { w.move(3, true) })
+	w.Sched.Run(secondJoin + 22*time.Second) // past hello-loss detection (2.4 s)
 
-	if w.routers[3].InTree(testGroup) {
-		t.Fatal("left member still in tree")
-	}
 	if w.routers[2].InTree(testGroup) || w.routers[1].InTree(testGroup) {
 		t.Fatal("prune did not cascade through non-member leaf routers")
 	}
-	if !w.routers[0].InTree(testGroup) {
+	if leader, ok := leaderOf(w.routers[0]); !ok || leader != 1 || !w.routers[0].InTree(testGroup) {
 		t.Fatal("leader should remain in (degenerate) tree")
 	}
 }
@@ -361,14 +371,14 @@ func TestPartitionElectsNewLeaderAndMergesBack(t *testing.T) {
 	w.Sched.After(0, func() { w.move(1, true) })
 	w.Sched.Run(secondJoin + 37*time.Second) // hello loss + failed repair + election
 
-	if leader, ok := w.routers[2].Leader(testGroup); !ok || leader != 3 {
+	if leader, ok := leaderOf(w.routers[2]); !ok || leader != 3 {
 		t.Fatalf("partitioned member's leader = (%v, %v), want itself (3)", leader, ok)
 	}
 
 	w.Sched.After(0, func() { w.move(1, false) })
 	w.Sched.Run(secondJoin + 87*time.Second) // GRPH exchange + stepdown + rejoin
 
-	if leader, ok := w.routers[2].Leader(testGroup); !ok || leader != 1 {
+	if leader, ok := leaderOf(w.routers[2]); !ok || leader != 1 {
 		t.Fatalf("after merge, member 3 leader = (%v, %v), want (1, true)", leader, ok)
 	}
 	if w.routers[2].Stats().LeaderStepdowns == 0 {

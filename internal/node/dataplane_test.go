@@ -182,7 +182,7 @@ func TestRefusedSendsComeBack(t *testing.T) {
 	// One frame at the head and a full queue behind it; the rest are
 	// refused.
 	const refused = 7
-	accepted := uint32(mac.DefaultConfig().QueueCap + 1)
+	accepted := uint32(mac.QueueCap + 1)
 	var built []*pkt.Packet
 	e.Sched.After(0, func() {
 		for seq := uint32(0); seq < accepted+refused; seq++ {

@@ -142,13 +142,6 @@ func (r *Router) groupState(g pkt.GroupID) *groupState {
 // Join registers group membership; members answer queries and deliver.
 func (r *Router) Join(g pkt.GroupID) { r.groupState(g).member = true }
 
-// Leave revokes membership; soft state decays on its own.
-func (r *Router) Leave(g pkt.GroupID) {
-	if gs, ok := r.groups[g]; ok {
-		gs.member = false
-	}
-}
-
 // IsMember reports membership (part of the gossip Tree interface).
 func (r *Router) IsMember(g pkt.GroupID) bool {
 	gs, ok := r.groups[g]

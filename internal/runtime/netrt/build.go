@@ -15,8 +15,8 @@ import (
 type ProtocolConfig struct {
 	// Node configures the runtime layer (identity, time scale, inbox).
 	Node NodeConfig
-	// Stack names the protocol stack to run; the zero Spec means
-	// "flood". Every layer runs on the paper's parameters.
+	// Stack names the protocol stack to run; a zero Spec fails, naming
+	// every stack. Every layer runs on the paper's parameters.
 	Stack stack.Spec
 	// Seed seeds the node's RNG tree, derived by the node's identity:
 	// two nodes on one seed draw independent streams (unlike a
@@ -48,17 +48,13 @@ type ProtocolNode struct {
 // NewProtocolNode joins the transport and assembles the stack. The node
 // is not started: register OnDeliver subscribers, then call Start.
 func NewProtocolNode(cfg ProtocolConfig, tr Transport) (*ProtocolNode, error) {
-	spec := cfg.Stack
-	if spec.IsZero() {
-		spec = stack.Spec{Routing: "flood"}
-	}
 	rt, err := NewNode(cfg.Node, tr)
 	if err != nil {
 		return nil, fmt.Errorf("netrt: join as %v: %w", cfg.Node.ID, err)
 	}
 	st := node.NewOnRuntime(rt)
 	rng := sim.NewRNG(cfg.Seed).Derive(fmt.Sprintf("netrt/%d", cfg.Node.ID))
-	n, err := stack.Assemble(spec, st, rng, int(cfg.Node.ID), gossip.DefaultConfig())
+	n, err := stack.Assemble(cfg.Stack, st, rng, int(cfg.Node.ID), gossip.DefaultConfig())
 	if err != nil {
 		rt.Close()
 		return nil, fmt.Errorf("netrt: %w", err)

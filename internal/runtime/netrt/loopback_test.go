@@ -55,9 +55,8 @@ func simBaselineRatio(t *testing.T, spec stack.Spec) float64 {
 	cfg.Area.W, cfg.Area.H = 20, 20 // everyone inside the 75 m range
 	cfg.MaxSpeed = 0.1
 	cfg.Duration = 60 * time.Second
-	cfg.JoinWindow = 5 * time.Second
-	cfg.DataStart = 10 * time.Second
-	cfg.DataEnd = 14 * time.Second
+	cfg.DataStart = 20 * time.Second // after the last join, at most 18 s
+	cfg.DataEnd = 24 * time.Second
 	cfg.DataInterval = 200 * time.Millisecond
 	res, err := scenario.Run(cfg)
 	if err != nil {

@@ -32,11 +32,13 @@ type NodeConfig struct {
 	// TimeScale maps wall time onto the node's clock: sim-seconds per
 	// wall-second. 1 (and 0, the zero value) runs protocol timers in
 	// real time; tests compress multi-second protocol cycles (hello
-	// beacons, gossip rounds) with scales of 10–100.
+	// beacons, gossip rounds) with scales of 10–100. NewNode rejects a
+	// negative, NaN or infinite scale.
 	TimeScale float64
 	// InboxSize bounds frames queued between the transport and the
 	// event loop; excess frames are dropped and counted, like any
-	// overrun link. 0 means DefaultInboxSize.
+	// overrun link. 0 means DefaultInboxSize; NewNode rejects a
+	// negative size.
 	InboxSize int
 }
 
@@ -118,12 +120,17 @@ var _ rt.Runtime = (*Node)(nil)
 // are delivered once the loop runs. Joining a duplicate ID fails with
 // ErrDuplicateID.
 func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
-	scale := cfg.TimeScale
-	if !(scale > 0) { // also NaN, which `<= 0` would let through to wallDelay
+	scale, size := cfg.TimeScale, cfg.InboxSize
+	switch {
+	case !(scale >= 0) || math.IsInf(scale, 1): // !(>= 0) also rejects NaN
+		return nil, fmt.Errorf("netrt: time scale %v is negative or not finite", scale)
+	case size < 0:
+		return nil, fmt.Errorf("netrt: negative inbox size %d", size)
+	}
+	if scale == 0 {
 		scale = 1
 	}
-	size := cfg.InboxSize
-	if size <= 0 {
+	if size == 0 {
 		size = DefaultInboxSize
 	}
 	n := &Node{
@@ -276,9 +283,18 @@ func (n *Node) Do(fn func()) error {
 	}
 }
 
-// simNow maps the wall clock onto the node's timeline.
+// simNow maps the wall clock onto the node's timeline. It saturates one
+// short of the largest sim.Time: the conversion would wrap a later time
+// negative, and no timer would fire again. The largest sim.Time is where
+// sim.Scheduler.After puts a deadline that overflows, an instant no run
+// reaches; a periodic timer re-armed there would otherwise fire forever
+// within one Run. The loop arms no wake-up for that instant.
 func (n *Node) simNow() sim.Time {
-	return sim.Time(float64(time.Since(n.start)) * n.scale)
+	t := float64(time.Since(n.start)) * n.scale
+	if t >= math.MaxInt64-1 { // float64(MaxInt64-1) is 2⁶³
+		return math.MaxInt64 - 1
+	}
+	return sim.Time(t)
 }
 
 // wallDelay converts a node-timeline delay into wall time, rounded up:
@@ -347,7 +363,7 @@ func (n *Node) loop() {
 		}
 
 		var timeC <-chan time.Time
-		if at, ok := n.sched.NextAt(); ok {
+		if at, ok := n.sched.NextAt(); ok && at < math.MaxInt64 {
 			if at != armedAt {
 				timer.Reset(n.wallDelay(at - n.sched.Now()))
 				armedAt = at

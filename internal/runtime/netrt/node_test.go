@@ -15,6 +15,7 @@ import (
 	"anongossip/internal/node"
 	"anongossip/internal/pkt"
 	"anongossip/internal/sim"
+	"anongossip/internal/stack"
 )
 
 // waitFor polls cond until it holds or the deadline passes. Live-node
@@ -668,4 +669,109 @@ func TestNodeSaturatedTimerSleeps(t *testing.T) {
 		}
 		n.Close()
 	}
+}
+
+// TestNewNodeConfig: NewNode rejects a negative, NaN or infinite time
+// scale and a negative inbox size, and 0 selects the defaults. The
+// clock of an accepted node saturates instead of wrapping: at scale
+// 10¹² it passes the largest sim.Time 9.2 ms into the run, and an hour
+// in it must still read the last instant before it.
+func TestNewNodeConfig(t *testing.T) {
+	tests := []struct {
+		name      string
+		cfg       NodeConfig
+		ok        bool
+		scale     float64
+		inbox     int
+		hourLater sim.Time
+	}{
+		{"defaults", NodeConfig{}, true, 1, DefaultInboxSize, sim.Time(time.Hour)},
+		{"set", NodeConfig{TimeScale: 100, InboxSize: 8}, true, 100, 8, 100 * sim.Time(time.Hour)},
+		{"huge scale", NodeConfig{TimeScale: 1e12}, true, 1e12, DefaultInboxSize, math.MaxInt64 - 1},
+		{"negative scale", NodeConfig{TimeScale: -1}, false, 0, 0, 0},
+		{"nan scale", NodeConfig{TimeScale: math.NaN()}, false, 0, 0, 0},
+		{"inf scale", NodeConfig{TimeScale: math.Inf(1)}, false, 0, 0, 0},
+		{"negative inf scale", NodeConfig{TimeScale: math.Inf(-1)}, false, 0, 0, 0},
+		{"negative inbox", NodeConfig{InboxSize: -1}, false, 0, 0, 0},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			tt.cfg.ID = 1
+			n, err := NewNode(tt.cfg, NewChanTransport())
+			if !tt.ok {
+				if err == nil {
+					n.Close()
+					t.Fatalf("NewNode accepted %+v", tt.cfg)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("NewNode: %v", err)
+			}
+			defer n.Close()
+			if n.scale != tt.scale || n.InboxCap() != tt.inbox {
+				t.Fatalf("scale %v and inbox %d, want %v and %d", n.scale, n.InboxCap(), tt.scale, tt.inbox)
+			}
+			n.start = time.Now().Add(-time.Hour) // not started: no loop reads it
+			if got := n.simNow(); got < tt.hourLater || got-tt.hourLater > sim.Time(time.Minute) {
+				t.Fatalf("clock an hour in reads %d, want %d", got, tt.hourLater)
+			}
+		})
+	}
+}
+
+// TestProtocolNodeNeedsAStack: a zero stack spec fails, naming every
+// stack, and leaves the transport as it found it, so the ID joins again.
+func TestProtocolNodeNeedsAStack(t *testing.T) {
+	tr := NewChanTransport()
+	if _, err := NewProtocolNode(ProtocolConfig{Node: NodeConfig{ID: 1}}, tr); err == nil ||
+		!strings.Contains(err.Error(), stack.Names()[0]) {
+		t.Fatalf("zero spec: err %v, want one listing the stacks", err)
+	}
+	pn, err := NewProtocolNode(ProtocolConfig{Node: NodeConfig{ID: 1}, Stack: floodGossip}, tr)
+	if err != nil {
+		t.Fatalf("the ID did not join again: %v", err)
+	}
+	pn.Close()
+}
+
+// TestNodeClockStopsAtEndOfTime: at scale 10¹² the clock passes the
+// largest sim.Time 9.2 ms into the run. A periodic timer fires until
+// then, and after it the clock stops one short of the instant its
+// re-arms saturate to: it fires no more, the loop still serves calls
+// rather than firing it forever within one Run, and it arms no wake-up
+// for a timer no run reaches.
+func TestNodeClockStopsAtEndOfTime(t *testing.T) {
+	n, err := NewNode(NodeConfig{ID: 1, TimeScale: 1e12}, NewChanTransport())
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	var fired atomic.Uint64
+	var tick func()
+	tick = func() { fired.Add(1); n.After(1e15, tick) } // 11.6 simulated days
+	n.After(1e15, tick)
+	n.Start()
+	time.Sleep(50 * time.Millisecond)
+	probe := func() (ticks, wakeups uint64) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { _ = n.Do(func() { wakeups = n.wakeups }); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the loop serves no call at the end of time")
+		}
+		return fired.Load(), wakeups
+	}
+	ticks, wakeups := probe()
+	time.Sleep(20 * time.Millisecond)
+	ticksLater, wakeupsLater := probe()
+	if ticks == 0 || ticksLater != ticks {
+		t.Fatalf("the periodic timer fired %d times, then %d: want some, then none", ticks, ticksLater)
+	}
+	// The probe's Do call is one wake-up; allow a few spurious ones.
+	if wakeupsLater-wakeups > 5 {
+		t.Fatalf("%d loop wake-ups in 20 ms at the end of time, want at most 5", wakeupsLater-wakeups)
+	}
+	n.Close() // not deferred: a loop stuck in Run would never let Close return
 }

@@ -69,9 +69,6 @@ type Config struct {
 	// Zero means one; Validate rejects a negative count.
 	NumSources int
 
-	// JoinWindow spreads member joins over the warm-up.
-	JoinWindow time.Duration
-
 	// Seed drives all randomness in the run.
 	Seed int64
 
@@ -96,9 +93,9 @@ type Config struct {
 	MetricsWindow time.Duration
 
 	// Gossip configures the recovery layer, the protocol under study.
-	// The substrate beneath it is fixed: the MAC runs on
-	// mac.DefaultConfig, and AODV and the three multicast routings on
-	// their package constants, the paper's parameters.
+	// The substrate beneath it is fixed: the MAC, AODV and the three
+	// multicast routings run on their package constants, the paper's
+	// parameters.
 	Gossip gossip.Config
 }
 
@@ -118,7 +115,6 @@ func DefaultConfig() Config {
 		DataEnd:        560 * time.Second,
 		DataInterval:   200 * time.Millisecond,
 		NumSources:     1,
-		JoinWindow:     10 * time.Second,
 		Seed:           1,
 		Gossip:         gossip.DefaultConfig(),
 	}
@@ -177,9 +173,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: max speed %v m/s is not finite and non-negative", c.MaxSpeed)
 	case !(c.Area.W > 0) || !(c.Area.H > 0) || math.IsInf(c.Area.W, 1) || math.IsInf(c.Area.H, 1):
 		return fmt.Errorf("scenario: degenerate area %+v", c.Area)
-	case c.MaxPause < 0 || c.JoinWindow < 0:
-		// sim.RNG.Duration would silently draw 0 from either.
-		return fmt.Errorf("scenario: negative max pause %v or join window %v", c.MaxPause, c.JoinWindow)
+	case c.MaxPause < 0:
+		// sim.RNG.Duration would silently draw 0 from it.
+		return fmt.Errorf("scenario: negative max pause %v", c.MaxPause)
 	case c.Duration <= 0:
 		return fmt.Errorf("scenario: non-positive duration %v", c.Duration)
 	case c.DataEnd > c.Duration:
@@ -194,12 +190,11 @@ func (c Config) Validate() error {
 		// A round re-arms itself Interval later: at zero, simulated time
 		// would never advance past the first round.
 		return fmt.Errorf("scenario: non-positive gossip interval %v", c.Gossip.Interval)
-	case recovers && !(probability(c.Gossip.PAnon) && probability(c.Gossip.AcceptProb)):
-		return fmt.Errorf("scenario: gossip PAnon %v or AcceptProb %v is not in [0,1]", c.Gossip.PAnon, c.Gossip.AcceptProb)
-	case recovers && min(c.Gossip.CacheCap, c.Gossip.HistoryCap, c.Gossip.LostTableCap, c.Gossip.WalkTTL) < 0:
+	case recovers && !(c.Gossip.PAnon >= 0 && c.Gossip.PAnon <= 1):
+		return fmt.Errorf("scenario: gossip PAnon %v is not in [0,1]", c.Gossip.PAnon)
+	case recovers && c.Gossip.HistoryCap < 0:
 		// A negative table cap would silently switch recovery off.
-		return fmt.Errorf("scenario: negative gossip bound (CacheCap %d, HistoryCap %d, LostTableCap %d, WalkTTL %d)",
-			c.Gossip.CacheCap, c.Gossip.HistoryCap, c.Gossip.LostTableCap, c.Gossip.WalkTTL)
+		return fmt.Errorf("scenario: negative gossip HistoryCap %d", c.Gossip.HistoryCap)
 	case c.MetricsWindow < 0:
 		return fmt.Errorf("scenario: negative metrics window %v", c.MetricsWindow)
 	case c.MetricsWindow > 0 && c.Duration/c.MetricsWindow > maxMetricsWindows:
@@ -208,9 +203,6 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// probability reports whether p lies in [0, 1]; NaN does not.
-func probability(p float64) bool { return p >= 0 && p <= 1 }
 
 // MemberResult reports one non-source member's outcome.
 type MemberResult struct {
@@ -356,6 +348,16 @@ type world struct {
 	treeLatCount, recLatCount uint64
 }
 
+// The first source joins first and, finding no tree, becomes the group
+// leader (its join retries take ~6 s to conclude). The other members
+// join leaderBootstrap into the run, spread over joinWindow, so their
+// floods find a tree to answer them instead of racing into simultaneous
+// leader elections. The paper's 120 s warm-up comfortably covers this.
+const (
+	leaderBootstrap = 8 * time.Second
+	joinWindow      = 10 * time.Second
+)
+
 func build(cfg Config) (*world, error) {
 	w := &world{cfg: cfg, sched: sim.NewScheduler()}
 	w.medium = radio.NewMedium(w.sched, radio.Params{Range: cfg.TxRange})
@@ -413,19 +415,14 @@ func build(cfg Config) (*world, error) {
 	w.memberIdx = perm[:nMembers]
 	w.sentAt = make(map[pkt.SeqKey]sim.Time, cfg.sources()*cfg.ExpectedPackets())
 
-	// The first source joins first and, finding no tree, becomes the
-	// group leader (its join retries take ~6 s to conclude). Other
-	// members join after that window so their floods find a tree to
-	// answer them instead of racing into simultaneous leader elections.
-	// The paper's 120 s warm-up comfortably covers this.
+	// The first source joins first (see leaderBootstrap).
 	joinRNG := root.Derive("joins")
-	const leaderBootstrap = 8 * time.Second
 	for k, idx := range w.memberIdx {
 		var at sim.Time
 		if k == 0 {
 			at = 50 * time.Millisecond
 		} else {
-			at = leaderBootstrap + joinRNG.Duration(cfg.JoinWindow)
+			at = leaderBootstrap + joinRNG.Duration(joinWindow)
 		}
 		w.sched.At(at, func() { w.nodes[idx].Join(Group) })
 	}

@@ -70,7 +70,7 @@ func TestConfigValidate(t *testing.T) {
 	// Likewise bare flooding never reads the gossip bounds.
 	flooding := shortConfig()
 	flooding.Stack = bareFlood
-	flooding.Gossip.CacheCap, flooding.Gossip.LostTableCap = -1, -1
+	flooding.Gossip.PAnon, flooding.Gossip.HistoryCap = -1, -1
 	if err := flooding.Validate(); err != nil {
 		t.Fatalf("bare flooding with a gossip block it never builds rejected: %v", err)
 	}
@@ -101,21 +101,14 @@ func TestConfigValidate(t *testing.T) {
 		{"negative gossip interval", func(c *Config) { c.Gossip.Interval = -time.Second }},
 		{"panon above one", func(c *Config) { c.Gossip.PAnon = 7 }},
 		{"nan panon", func(c *Config) { c.Gossip.PAnon = math.NaN() }},
-		{"negative accept probability", func(c *Config) { c.Gossip.AcceptProb = -0.5 }},
 		{"metrics window far below the run", func(c *Config) { c.MetricsWindow = time.Nanosecond }},
-		// Bounds the engine indexes or slices with: each panicked or
-		// never returned before Validate checked it.
-		{"negative member cache cap", func(c *Config) { c.Gossip.CacheCap = -1 }},
-		// Each of these ran a 10-node maodv+gossip run without error,
-		// at 0.555–0.989 delivery where the defaults deliver 1.000.
+		// It ran a 10-node maodv+gossip run without error, at 0.555–0.989
+		// delivery where the defaults deliver 1.000.
 		{"negative history cap", func(c *Config) { c.Gossip.HistoryCap = -1 }},
-		{"negative lost table cap", func(c *Config) { c.Gossip.LostTableCap = -1 }},
-		{"negative walk ttl", func(c *Config) { c.Gossip.WalkTTL = -1 }},
 		{"zero data interval", func(c *Config) { c.DataInterval = 0 }},
 		{"negative data interval", func(c *Config) { c.DataInterval = -time.Second }},
-		// Each ran as if it were zero: no pauses, every join at once.
+		// It ran as if it were zero: no pauses.
 		{"negative max pause", func(c *Config) { c.MaxPause = -5 * time.Second }},
-		{"negative join window", func(c *Config) { c.JoinWindow = -time.Second }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -130,10 +123,11 @@ func TestConfigValidate(t *testing.T) {
 		})
 	}
 
-	// The substrate below gossip is fixed at the paper's parameters, so
-	// the rows that once set one of its knobs past a bound now check that
-	// the values every run is built on stay inside that bound, and the
-	// gossip rows that the engine's fixed message bounds do: the largest
+	// The substrate below gossip, gossip's own tables and walks, and the
+	// join schedule are fixed at the paper's parameters, so the rows that
+	// once set one of their knobs past a bound now check that the values
+	// every run is built on stay inside that bound, and the gossip rows
+	// that the engine's fixed message bounds do: the largest
 	// reply, gossip.MaxReplyMsgs messages at each protocol's payload,
 	// fits a body (a request's lists are shorter still), and every list's
 	// length fits its one-byte count. ODMRP's payload is unexported, so
@@ -166,6 +160,14 @@ func TestConfigValidate(t *testing.T) {
 		{"lost buffer cap above 255", func() bool { return gossip.LostBufferCap <= math.MaxUint8 }},
 		{"expected cap above 255", func() bool { return gossip.ExpectedCap <= math.MaxUint8 }},
 		{"max reply msgs above 255", func() bool { return gossip.MaxReplyMsgs <= math.MaxUint8 }},
+		// A member randomly decides to accept a walk (paper §4.1).
+		{"negative accept probability", func() bool { return gossip.AcceptProb > 0 && gossip.AcceptProb < 1 }},
+		{"negative member cache cap", func() bool { return gossip.CacheCap > 0 }},
+		// A request's lost buffer is filled from the lost table.
+		{"negative lost table cap", func() bool { return gossip.LostTableCap >= gossip.LostBufferCap }},
+		{"negative walk ttl", func() bool { return gossip.WalkTTL > 0 }},
+		// Every member has joined when the paper's data window opens.
+		{"negative join window", func() bool { return joinWindow >= 0 && leaderBootstrap+joinWindow < DefaultConfig().DataStart }},
 	}
 	for _, tt := range substrate {
 		t.Run(tt.name, func(t *testing.T) {

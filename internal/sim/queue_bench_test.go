@@ -149,8 +149,8 @@ func benchQueueChurnCancel(b *testing.B, kind queueImpl, hold int) {
 }
 
 // benchQueueChurnClustered is the hold model under the clustered
-// (bimodal MAC-vs-mobility) delay distribution. Delays match the
-// default mac.Config timing constants.
+// (bimodal MAC-vs-mobility) delay distribution. Delays match the MAC's
+// timing constants.
 func benchQueueChurnClustered(b *testing.B, kind queueImpl, hold int) {
 	const (
 		sifs = 10 * time.Microsecond
