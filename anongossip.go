@@ -137,7 +137,9 @@ func LargeScaleConfig(nodes int) Config { return scenario.LargeScaleConfig(nodes
 
 // ShortenedData rescales a run to a shorter duration while keeping the
 // paper's warm-up and cool-down proportions; benchmarks and CI use it
-// to keep large-scale runs affordable.
+// to keep large-scale runs affordable. Members still join at 8 s +
+// U[0, 10 s), so below 90 s data starts before the last one can have
+// joined.
 func ShortenedData(c Config, duration time.Duration) Config {
 	return scenario.ShortenedData(c, duration)
 }

@@ -132,15 +132,16 @@ func (r *jsonReport) addFigure(s scenario.Sweep, cfg scenario.Config, rows []sce
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("agbench", flag.ContinueOnError)
+	base := scenario.DefaultConfig()
 	var (
 		fig   = fs.String("fig", "all", "figure to regenerate: "+figNames())
 		xList = fs.String("x", "", "comma-separated points of the one -fig sweep to run (default: all of them)")
-		proto = fs.String("protocol", "maodv+gossip",
+		proto = fs.String("protocol", base.Stack.String(),
 			"stack under test by name ("+strings.Join(stack.Names(), " | ")+
 				"); its bare routing is the comparison baseline")
 		seeds      = fs.Int("seeds", 3, "seeds per point (paper: 10)")
 		parallel   = fs.Int("parallel", 0, "concurrent runs (0 = NumCPU)")
-		duration   = fs.Duration("duration", 600*time.Second, "simulated time per run (shrink for quick previews)")
+		duration   = fs.Duration("duration", base.Duration, "simulated time per run (shrink for quick previews)")
 		denseNodes = fs.Int("dense-nodes", scenario.DenseNodes, "node count of the -fig dense sweep")
 		jsonPath   = fs.String("json", "", "write a machine-readable result record to this file")
 		metricsOn  = fs.Bool("metrics", false,
@@ -188,7 +189,6 @@ func run(args []string) error {
 			*proto, treatment.Routing)
 	}
 
-	base := scenario.DefaultConfig()
 	base.Stack = treatment // Fig. 8 goodput follows the stack under test
 	if *duration != base.Duration {
 		// Below ~a minute the paper's warm-up/cool-down proportions are

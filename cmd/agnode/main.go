@@ -47,6 +47,10 @@ import (
 // defaultGroup matches the simulator's single experiment group.
 const defaultGroup = 0xE0000001
 
+// maxTimeScale is the largest -timescale, the bound netrt.NewNode puts
+// on a node's time scale.
+const maxTimeScale = 1000
+
 // peerFlag is one "-peer id=host:port" argument.
 type peerFlag struct {
 	id   pkt.NodeID
@@ -223,14 +227,10 @@ type reading struct {
 
 // family builds one /metrics family whose samples carry the one label
 // named, or a single unlabelled sample when label is empty.
-func family(name, help string, kind metrics.Kind, label string, readings ...reading) metrics.Family {
-	f := metrics.Family{Name: name, Help: help, Kind: kind}
+func family(name, help string, gauge bool, label string, readings ...reading) metrics.Family {
+	f := metrics.Family{Name: name, Help: help, Gauge: gauge, Label: label}
 	for _, r := range readings {
-		s := metrics.Sample{Value: r.value}
-		if label != "" {
-			s.Labels = []metrics.Label{{Name: label, Value: r.label}}
-		}
-		f.Samples = append(f.Samples, s)
+		f.Samples = append(f.Samples, metrics.Sample{LabelValue: r.label, Value: r.value})
 	}
 	return f
 }
@@ -241,7 +241,7 @@ func family(name, help string, kind metrics.Kind, label string, readings ...read
 // node counters, the recovery counters and the link counters one after
 // another while the node runs.
 func metricFamilies(r *statsReport) []metrics.Family {
-	const counter, gauge = metrics.KindCounter, metrics.KindGauge
+	const counter, gauge = false, true
 	u := func(v uint64) float64 { return float64(v) }
 	return []metrics.Family{
 		family("agnode_delivered_total", "Unique data packets delivered to the application (routing + recovery).",
@@ -399,8 +399,8 @@ func run(args []string) error {
 	if *group == 0 || *group > math.MaxUint32 {
 		return fmt.Errorf("agnode: -group %d outside 1..%d", *group, uint32(math.MaxUint32))
 	}
-	if !(*timeScale > 0) || math.IsInf(*timeScale, 1) {
-		return fmt.Errorf("agnode: -timescale %v is not positive and finite", *timeScale)
+	if !(*timeScale > 0) || *timeScale > maxTimeScale {
+		return fmt.Errorf("agnode: -timescale %v is outside (0, %d]", *timeScale, maxTimeScale)
 	}
 	if *inbox < 0 {
 		return fmt.Errorf("agnode: -inbox %d is negative (0 selects the default)", *inbox)

@@ -71,7 +71,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-timescale", []string{"-id", "1", "-timescale", "NaN"}},
 		{"-timescale", []string{"-id", "1", "-timescale", "0"}},
 		{"-timescale", []string{"-id", "1", "-timescale", "+Inf"}},
-		{"-inbox", []string{"-id", "1", "-inbox", "-1"}}, // ran the default
+		{"-timescale", []string{"-id", "1", "-timescale", "1001"}}, // starved the loop
+		{"-inbox", []string{"-id", "1", "-inbox", "-1"}},           // ran the default
 	} {
 		// A wrongly accepted row boots the daemon, which serves until
 		// interrupted: run it off the test goroutine so such a row fails

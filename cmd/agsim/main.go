@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"anongossip"
-	"anongossip/internal/pkt"
 )
 
 func main() {
@@ -36,19 +35,20 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("agsim", flag.ContinueOnError)
+	cfg := anongossip.DefaultConfig()
 	var (
 		protocol = fs.String("protocol", "gossip",
 			"protocol stack by name: "+strings.Join(anongossip.StackNames(), " | ")+
 				" (aliases: gossip = maodv+gossip, odmrp-gossip = odmrp+gossip)")
-		nodes      = fs.Int("nodes", 40, "total node count")
-		members    = fs.Float64("members", 1.0/3.0, "fraction of nodes in the group")
-		txRange    = fs.Float64("range", 75, "transmission range (m)")
-		speed      = fs.Float64("speed", 0.2, "maximum node speed (m/s)")
-		pause      = fs.Duration("pause", 80*time.Second, "maximum waypoint pause")
-		duration   = fs.Duration("duration", 600*time.Second, "simulated time")
-		seed       = fs.Int64("seed", 1, "random seed")
-		interval   = fs.Duration("gossip-interval", time.Second, "gossip round period")
-		panon      = fs.Float64("panon", 0.7, "probability of anonymous vs cached gossip")
+		nodes      = fs.Int("nodes", cfg.Nodes, "total node count")
+		members    = fs.Float64("members", cfg.MemberFraction, "fraction of nodes in the group")
+		txRange    = fs.Float64("range", cfg.TxRange, "transmission range (m)")
+		speed      = fs.Float64("speed", cfg.MaxSpeed, "maximum node speed (m/s)")
+		pause      = fs.Duration("pause", cfg.MaxPause, "maximum waypoint pause")
+		duration   = fs.Duration("duration", cfg.Duration, "simulated time")
+		seed       = fs.Int64("seed", cfg.Seed, "random seed")
+		interval   = fs.Duration("gossip-interval", cfg.Gossip.Interval, "gossip round period")
+		panon      = fs.Float64("panon", cfg.Gossip.PAnon, "probability of anonymous vs cached gossip")
 		verbose    = fs.Bool("verbose", false, "print per-member rows")
 		traceN     = fs.Int("trace", 0, "dump the last N gossip/data packet events")
 		metricsWin = fs.Duration("metrics-window", 0,
@@ -58,7 +58,6 @@ func run(args []string) error {
 		return err
 	}
 
-	cfg := anongossip.DefaultConfig()
 	spec, err := anongossip.StackByName(*protocol)
 	if err != nil {
 		return err
@@ -75,10 +74,7 @@ func run(args []string) error {
 	cfg.Seed = *seed
 	cfg.Gossip.Interval = *interval
 	cfg.Gossip.PAnon = *panon
-	if *traceN > 0 {
-		cfg.TraceCapacity = *traceN
-		cfg.TraceKinds = []pkt.Kind{pkt.KindData, pkt.KindGossipReq, pkt.KindGossipRep}
-	}
+	cfg.TraceCapacity = *traceN
 	cfg.MetricsWindow = *metricsWin
 
 	start := time.Now()

@@ -26,7 +26,6 @@ func main() {
 	cfg.Duration = 400 * time.Second
 	cfg.DataStart = 60 * time.Second
 	cfg.DataEnd = 360 * time.Second
-	cfg.DataInterval = 250 * time.Millisecond // situation updates
 
 	seeds := anongossip.Seeds(3)
 

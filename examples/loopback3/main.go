@@ -71,11 +71,11 @@ func main() {
 	for time.Now().Before(deadline) {
 		done := true
 		for _, pn := range nodes[1:] {
-			n, err := pn.Delivered()
+			rs, err := pn.RecoveryStats()
 			if err != nil {
 				log.Fatal(err)
 			}
-			if n < packets {
+			if rs.Delivered < packets {
 				done = false
 			}
 		}
@@ -86,12 +86,12 @@ func main() {
 	}
 
 	for _, pn := range nodes {
-		n, err := pn.Delivered()
+		rs, err := pn.RecoveryStats()
 		if err != nil {
 			log.Fatal(err)
 		}
 		ls := pn.Runtime().Stats()
 		fmt.Printf("node %v: delivered %d/%d, frames in %d out %d\n",
-			pn.ID(), n, packets, ls.FramesIn.Load(), ls.FramesOut.Load())
+			pn.ID(), rs.Delivered, packets, ls.FramesIn.Load(), ls.FramesOut.Load())
 	}
 }

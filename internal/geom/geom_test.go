@@ -44,17 +44,6 @@ func TestDistSymmetryProperty(t *testing.T) {
 	}
 }
 
-func TestPointArithmetic(t *testing.T) {
-	p := Point{1, 2}
-	q := Point{3, -1}
-	if got := p.Add(q); got != (Point{4, 1}) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := p.Sub(q); got != (Point{-2, 3}) {
-		t.Errorf("Sub = %v", got)
-	}
-}
-
 func TestLerp(t *testing.T) {
 	p, q := Point{0, 0}, Point{10, 20}
 	if got := p.Lerp(q, 0); got != p {

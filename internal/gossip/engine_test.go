@@ -117,8 +117,8 @@ func TestWalkRecoversLostPackets(t *testing.T) {
 	}
 	// The lost table must be clean again.
 	gs := w.engines[0].groups[testGroup]
-	if gs.lost.Len() != 0 {
-		t.Fatalf("lost table still has %d entries", gs.lost.Len())
+	if len(gs.lost.keys) != 0 {
+		t.Fatalf("lost table still has %d entries", len(gs.lost.keys))
 	}
 	if st.RoundsAnon == 0 {
 		t.Fatal("no anonymous rounds ran")
@@ -164,7 +164,7 @@ func TestEmptyRequestBootstrapsNewMember(t *testing.T) {
 		t.Fatalf("bootstrap recovered nothing: %+v", st)
 	}
 	gs := w.engines[0].groups[testGroup]
-	if gs.history.Len() == 0 {
+	if len(gs.history.ring) == 0 {
 		t.Fatal("history still empty after bootstrap")
 	}
 }
@@ -330,13 +330,13 @@ func TestIngestOutOfOrder(t *testing.T) {
 	if !e.ingest(gs, d3, false) {
 		t.Fatal("first packet rejected")
 	}
-	if gs.lost.Len() != 2 {
-		t.Fatalf("lost entries = %d, want 2", gs.lost.Len())
+	if len(gs.lost.keys) != 2 {
+		t.Fatalf("lost entries = %d, want 2", len(gs.lost.keys))
 	}
 	if !e.ingest(gs, d1, false) || !e.ingest(gs, d2, false) {
 		t.Fatal("recovery of known-lost packets rejected")
 	}
-	if gs.lost.Len() != 0 {
+	if len(gs.lost.keys) != 0 {
 		t.Fatal("lost table not drained")
 	}
 	if e.ingest(gs, d2, false) {

@@ -58,8 +58,8 @@ func TestEngineHandlesMultipleGroupsIndependently(t *testing.T) {
 
 	// Group 1 recovery at node 1.
 	gs1 := w.engines[0].groups[testGroup]
-	if gs1.lost.Len() != 0 {
-		t.Fatalf("group 1 lost table not drained: %d", gs1.lost.Len())
+	if len(gs1.lost.keys) != 0 {
+		t.Fatalf("group 1 lost table not drained: %d", len(gs1.lost.keys))
 	}
 	// Group 2 recovery at node 4.
 	gs2 := w.engines[3].groups[secondGroup]

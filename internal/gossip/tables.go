@@ -20,8 +20,6 @@ func newLostTable(capacity int) *lostTable {
 	return &lostTable{cap: capacity}
 }
 
-func (t *lostTable) Len() int { return len(t.keys) }
-
 func (t *lostTable) Contains(k pkt.SeqKey) bool {
 	_, ok := t.index.Get(k.Uint64())
 	return ok
@@ -77,8 +75,6 @@ type historyTable struct {
 func newHistoryTable(capacity int) *historyTable {
 	return &historyTable{cap: capacity}
 }
-
-func (h *historyTable) Len() int { return len(h.ring) }
 
 // Add stores a received message, evicting the oldest when full.
 func (h *historyTable) Add(d pkt.Data) {
@@ -178,8 +174,6 @@ type memberCache struct {
 func newMemberCache(capacity int) *memberCache {
 	return &memberCache{cap: capacity}
 }
-
-func (c *memberCache) Len() int { return len(c.entries) }
 
 // Update inserts or refreshes knowledge about a member. numHops may be
 // pkt.NearestUnknown when the distance is not known; known distances

@@ -22,20 +22,20 @@ func TestLostTableBasics(t *testing.T) {
 	for s := uint32(1); s <= 3; s++ {
 		lt.Add(key(s))
 	}
-	if lt.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", lt.Len())
+	if len(lt.keys) != 3 {
+		t.Fatalf("Len = %d, want 3", len(lt.keys))
 	}
 	if !lt.Contains(key(2)) {
 		t.Fatal("Contains(2) = false")
 	}
 	lt.Remove(key(2))
-	if lt.Contains(key(2)) || lt.Len() != 2 {
+	if lt.Contains(key(2)) || len(lt.keys) != 2 {
 		t.Fatal("Remove failed")
 	}
 	lt.Remove(key(99)) // absent: no-op
 	lt.Add(key(1))     // duplicate: no-op
-	if lt.Len() != 2 {
-		t.Fatalf("Len after dup add = %d, want 2", lt.Len())
+	if len(lt.keys) != 2 {
+		t.Fatalf("Len after dup add = %d, want 2", len(lt.keys))
 	}
 }
 
@@ -44,8 +44,8 @@ func TestLostTableEvictsOldest(t *testing.T) {
 	for s := uint32(1); s <= 5; s++ {
 		lt.Add(key(s))
 	}
-	if lt.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", lt.Len())
+	if len(lt.keys) != 3 {
+		t.Fatalf("Len = %d, want 3", len(lt.keys))
 	}
 	for _, s := range []uint32{1, 2} {
 		if lt.Contains(key(s)) {
@@ -101,7 +101,7 @@ func TestLostTableBoundedProperty(t *testing.T) {
 					return false
 				}
 			}
-			if lt.Len() > 20 {
+			if len(lt.keys) > 20 {
 				return false
 			}
 		}
@@ -121,8 +121,8 @@ func TestHistoryTableAddGet(t *testing.T) {
 	for s := uint32(1); s <= 4; s++ {
 		h.Add(dataMsg(1, s))
 	}
-	if h.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", h.Len())
+	if len(h.ring) != 4 {
+		t.Fatalf("Len = %d, want 4", len(h.ring))
 	}
 	d, ok := h.Get(key(2))
 	if !ok || d.Seq != 2 {
@@ -130,7 +130,7 @@ func TestHistoryTableAddGet(t *testing.T) {
 	}
 	// Re-adding an existing key must not grow the table.
 	h.Add(dataMsg(1, 2))
-	if h.Len() != 4 {
+	if len(h.ring) != 4 {
 		t.Fatal("duplicate Add grew the table")
 	}
 }
@@ -219,7 +219,7 @@ func TestHistoryTableBoundedProperty(t *testing.T) {
 				order = append(order, seq)
 			}
 		}
-		return h.Len() <= 10
+		return len(h.ring) <= 10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -232,8 +232,8 @@ func TestMemberCacheUpdateAndEviction(t *testing.T) {
 	c.Update(1, 2, now, false)
 	c.Update(2, 5, now, false)
 	c.Update(3, 3, now, false)
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", c.Len())
+	if len(c.entries) != 3 {
+		t.Fatalf("Len = %d, want 3", len(c.entries))
 	}
 
 	// Rule 1: new member with hops 4 replaces the hops-5 entry.
@@ -268,8 +268,8 @@ func TestMemberCacheUpdateExisting(t *testing.T) {
 	if c.entries[0].numHops != 2 {
 		t.Fatalf("unknown hops overwrote known: %d", c.entries[0].numHops)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Update duplicated the entry: %d", c.Len())
+	if len(c.entries) != 1 {
+		t.Fatalf("Update duplicated the entry: %d", len(c.entries))
 	}
 }
 
@@ -297,7 +297,7 @@ func TestMemberCacheBoundedProperty(t *testing.T) {
 				h = hops[i] % 16
 			}
 			c.Update(pkt.NodeID(a), h, sim.Time(i)*time.Second, i%3 == 0)
-			if c.Len() > 10 {
+			if len(c.entries) > 10 {
 				return false
 			}
 		}
@@ -319,17 +319,17 @@ func TestMemberCacheBoundedProperty(t *testing.T) {
 func TestZeroCapacityTables(t *testing.T) {
 	lt := newLostTable(0)
 	lt.Add(key(1))
-	if lt.Len() != 0 {
+	if len(lt.keys) != 0 {
 		t.Fatal("zero-cap lost table stored an entry")
 	}
 	h := newHistoryTable(0)
 	h.Add(dataMsg(1, 1))
-	if h.Len() != 0 {
+	if len(h.ring) != 0 {
 		t.Fatal("zero-cap history stored an entry")
 	}
 	c := newMemberCache(0)
 	c.Update(1, 1, 0, false)
-	if c.Len() != 0 {
+	if len(c.entries) != 0 {
 		t.Fatal("zero-cap cache stored an entry")
 	}
 }

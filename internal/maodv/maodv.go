@@ -260,9 +260,6 @@ func New(st *node.Stack, uni *aodv.Router, rng *sim.RNG, cfg Config) *Router {
 	return r
 }
 
-// Stats returns a copy of the protocol counters.
-func (r *Router) Stats() Stats { return r.stats }
-
 // OnDeliver subscribes to multicast data deliveries at this member.
 func (r *Router) OnDeliver(fn func(g pkt.GroupID, d *pkt.Data, from pkt.NodeID)) {
 	r.deliverSubs = append(r.deliverSubs, fn)

@@ -114,10 +114,10 @@ func TestLoneMemberBecomesLeader(t *testing.T) {
 	if !w.routers[0].InTree(testGroup) || !w.routers[0].IsMember(testGroup) {
 		t.Fatal("lone member not in tree or not member")
 	}
-	if w.routers[0].Stats().LeaderElections != 1 {
-		t.Fatalf("LeaderElections = %d, want 1", w.routers[0].Stats().LeaderElections)
+	if w.routers[0].stats.LeaderElections != 1 {
+		t.Fatalf("LeaderElections = %d, want 1", w.routers[0].stats.LeaderElections)
 	}
-	if w.routers[0].Stats().GRPHsSent == 0 {
+	if w.routers[0].stats.GRPHsSent == 0 {
 		t.Fatal("leader never sent a group hello")
 	}
 }
@@ -176,7 +176,7 @@ func TestLineTreeFormationAndDataDelivery(t *testing.T) {
 	if len(w.delivered[1]) != 0 || len(w.delivered[2]) != 0 {
 		t.Fatal("non-members delivered data")
 	}
-	if w.routers[1].Stats().DataForwarded == 0 {
+	if w.routers[1].stats.DataForwarded == 0 {
 		t.Fatal("interior router never forwarded data")
 	}
 }
@@ -228,7 +228,7 @@ func TestTreeWalksAllocateNothing(t *testing.T) {
 	if got := r.NextHops(testGroup); !slices.Equal(got, want) {
 		t.Fatalf("next hops %v, want %v", got, want)
 	}
-	sent := r.Stats().NearestSent
+	sent := r.stats.NearestSent
 	const runs = 100
 	if n := testing.AllocsPerRun(1, func() {
 		for range runs {
@@ -238,7 +238,7 @@ func TestTreeWalksAllocateNothing(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("%d NextHops and quiet nearest recomputes allocate %v times, want 0", runs, n)
 	}
-	if r.Stats().NearestSent != sent {
+	if r.stats.NearestSent != sent {
 		t.Fatal("a converged tree re-advertised its nearest-member values")
 	}
 }
@@ -351,7 +351,7 @@ func TestRepairAfterLinkBreak(t *testing.T) {
 	if got := len(w.delivered[3]); got != 2 {
 		t.Fatalf("member 4 delivered %d packets, want 2 (repair failed)", got)
 	}
-	if w.routers[3].Stats().RepairsStarted == 0 && w.routers[0].Stats().RepairsStarted == 0 {
+	if w.routers[3].stats.RepairsStarted == 0 && w.routers[0].stats.RepairsStarted == 0 {
 		t.Fatal("no repair was started")
 	}
 }
@@ -381,7 +381,7 @@ func TestPartitionElectsNewLeaderAndMergesBack(t *testing.T) {
 	if leader, ok := leaderOf(w.routers[2]); !ok || leader != 1 {
 		t.Fatalf("after merge, member 3 leader = (%v, %v), want (1, true)", leader, ok)
 	}
-	if w.routers[2].Stats().LeaderStepdowns == 0 {
+	if w.routers[2].stats.LeaderStepdowns == 0 {
 		t.Fatal("losing leader never stepped down")
 	}
 	// Data flows across the merged tree again.

@@ -126,39 +126,21 @@ func (c *ChannelCounters) TotalTx() uint64 {
 	return n
 }
 
-// Kind distinguishes monotonically increasing counters from
-// point-in-time gauges in the Prometheus rendering.
-type Kind uint8
-
-// Family kinds.
-const (
-	KindCounter Kind = iota
-	KindGauge
-)
-
-func (k Kind) String() string {
-	if k == KindGauge {
-		return "gauge"
-	}
-	return "counter"
-}
-
-// Label is one name="value" pair on a sample.
-type Label struct {
-	Name, Value string
-}
-
-// Sample is one exported time-series point: a label set and a value.
+// Sample is one exported time-series point: the value of its family's
+// label and a number.
 type Sample struct {
-	Labels []Label
-	Value  float64
+	LabelValue string
+	Value      float64
 }
 
 // Family is one metric family ready to render: a name, help text,
-// kind, and its current samples.
+// whether it is a point-in-time gauge rather than a monotonically
+// increasing counter, the name of the one label its samples carry ("" for
+// none), and its current samples.
 type Family struct {
 	Name, Help string
-	Kind       Kind
+	Gauge      bool
+	Label      string
 	Samples    []Sample
 }
 
@@ -180,23 +162,19 @@ func WritePrometheus(w io.Writer, families []Family) error {
 		}
 		b.WriteString("# TYPE ")
 		b.WriteString(g.Name)
-		b.WriteByte(' ')
-		b.WriteString(g.Kind.String())
-		b.WriteByte('\n')
+		if g.Gauge {
+			b.WriteString(" gauge\n")
+		} else {
+			b.WriteString(" counter\n")
+		}
 		for _, s := range g.Samples {
 			b.WriteString(g.Name)
-			if len(s.Labels) > 0 {
+			if g.Label != "" {
 				b.WriteByte('{')
-				for i, l := range s.Labels {
-					if i > 0 {
-						b.WriteByte(',')
-					}
-					b.WriteString(l.Name)
-					b.WriteString(`="`)
-					b.WriteString(escapeLabel(l.Value))
-					b.WriteByte('"')
-				}
-				b.WriteByte('}')
+				b.WriteString(g.Label)
+				b.WriteString(`="`)
+				b.WriteString(escapeLabel(s.LabelValue))
+				b.WriteString(`"}`)
 			}
 			b.WriteByte(' ')
 			b.WriteString(strconv.FormatFloat(s.Value, 'g', -1, 64))

@@ -158,9 +158,9 @@ func TestWindowJSONAndCSV(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	families := []Family{
-		{Name: "ag_hits_total", Help: "Total hits.", Kind: KindCounter,
-			Samples: []Sample{{Labels: []Label{{"layer", "data"}}, Value: 42}}},
-		{Name: "ag_queue_depth", Help: "Current backlog.", Kind: KindGauge,
+		{Name: "ag_hits_total", Help: "Total hits.", Label: "layer",
+			Samples: []Sample{{LabelValue: "data", Value: 42}}},
+		{Name: "ag_queue_depth", Help: "Current backlog.", Gauge: true,
 			Samples: []Sample{{Value: 3}}},
 	}
 	var buf bytes.Buffer
@@ -192,8 +192,8 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	var buf bytes.Buffer
-	err := WritePrometheus(&buf, []Family{{Name: "ag_esc", Kind: KindGauge,
-		Samples: []Sample{{Labels: []Label{{"v", `a"b\c` + "\n"}}, Value: 1}}}})
+	err := WritePrometheus(&buf, []Family{{Name: "ag_esc", Gauge: true, Label: "v",
+		Samples: []Sample{{LabelValue: `a"b\c` + "\n", Value: 1}}}})
 	if err != nil {
 		t.Fatalf("write: %v", err)
 	}

@@ -106,7 +106,7 @@ func TestRebroadcast(t *testing.T) {
 		}
 	})
 	var got []*pkt.Packet
-	e.stacks[1].Handle(pkt.KindHello, func(p *pkt.Packet, _ pkt.NodeID) { got = append(got, p.Clone()) })
+	e.stacks[1].Handle(pkt.KindHello, func(p *pkt.Packet, _ pkt.NodeID) { got = append(got, new(pkt.Spares).Copy(p)) })
 
 	rng, twin := sim.NewRNG(7), sim.NewRNG(7)
 	for _, ttl := range []uint8{0, 1} {

@@ -121,9 +121,6 @@ func (r *Router) OnDeliver(fn func(g pkt.GroupID, d *pkt.Data, from pkt.NodeID))
 	r.subs = append(r.subs, fn)
 }
 
-// Stats returns a copy of the counters.
-func (r *Router) Stats() Stats { return r.stats }
-
 // Delivered counts unique data packets delivered to the member.
 func (r *Router) Delivered() uint64 { return r.stats.DataDelivered }
 

@@ -58,7 +58,7 @@ func TestMeshFormsAndDelivers(t *testing.T) {
 		t.Fatalf("member 4 delivered %d, want >= 10", w.delivered[3])
 	}
 	// Interior nodes joined the forwarding group and forwarded.
-	if w.routers[1].Stats().DataForwarded == 0 || w.routers[2].Stats().DataForwarded == 0 {
+	if w.routers[1].stats.DataForwarded == 0 || w.routers[2].stats.DataForwarded == 0 {
 		t.Fatal("interior nodes did not join the forwarding group")
 	}
 	// Non-members never deliver.
@@ -72,16 +72,16 @@ func TestQueriesAndRepliesFlow(t *testing.T) {
 	w.Sched.After(time.Second, func() { _, _ = w.routers[0].SendData(group) })
 	w.Sched.Run(8 * time.Second)
 
-	if w.routers[0].Stats().QueriesSent == 0 {
+	if w.routers[0].stats.QueriesSent == 0 {
 		t.Fatal("source sent no join queries")
 	}
-	if w.routers[1].Stats().QueriesForwarded == 0 {
+	if w.routers[1].stats.QueriesForwarded == 0 {
 		t.Fatal("relay did not reflood the query")
 	}
-	if w.routers[2].Stats().RepliesSent == 0 {
+	if w.routers[2].stats.RepliesSent == 0 {
 		t.Fatal("member answered no query")
 	}
-	if w.routers[1].Stats().RepliesForwarded == 0 {
+	if w.routers[1].stats.RepliesForwarded == 0 {
 		t.Fatal("relay did not pass the join reply upstream")
 	}
 }

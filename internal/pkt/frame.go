@@ -131,6 +131,6 @@ func (s *Scratch) packet(k Kind) *Packet {
 
 // DecodeFrame is the package-level DecodeFrame with the frame by value
 // and the packet placed in s: it is valid until the next call on s
-// (Clone it to keep it). A rejected frame leaves a Data packet in s as
+// (copy it to keep it). A rejected frame leaves a Data packet in s as
 // it was, and the packet of any other kind but its own.
 func (s *Scratch) DecodeFrame(b []byte) (Frame, error) { return parseFrame(b, s) }

@@ -190,7 +190,8 @@ func TestScratchDecodeRejectKeepsPacket(t *testing.T) {
 // the copy that takes a packet out of the scratch: a Data frame decoded
 // into a Scratch allocates nothing, the owning DecodeFrame at most one
 // object (packet and body together; the frame stays on the caller's
-// stack when it does not escape), and Clone of a Data packet exactly one.
+// stack when it does not escape), and a copy of a Data packet into
+// empty Spares exactly one.
 func TestParseFrameAllocs(t *testing.T) {
 	wire := EncodeFrame(&Frame{From: 1, LinkDst: Broadcast,
 		Packet: NewPacket(1, Broadcast, &Data{Group: 1, Origin: 1, Seq: 7, PayloadLen: 64})})
@@ -226,15 +227,16 @@ func TestParseFrameAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var kept *Packet
+	var none Spares
 	if n := testing.AllocsPerRun(1, func() {
 		for range runs {
-			kept = f.Packet.Clone()
+			kept = none.Copy(f.Packet)
 		}
 	}); n != runs {
-		t.Errorf("%d Clones of a Data packet: %v allocs, want %d", runs, n, runs)
+		t.Errorf("%d copies of a Data packet: %v allocs, want %d", runs, n, runs)
 	}
 	if !reflect.DeepEqual(kept, f.Packet) || kept == f.Packet || kept.Body == f.Packet.Body {
-		t.Errorf("Clone = %+v (body %+v), want an independent copy of %+v", kept, kept.Body, f.Packet)
+		t.Errorf("copy = %+v (body %+v), want an independent copy of %+v", kept, kept.Body, f.Packet)
 	}
 }
 

@@ -161,11 +161,6 @@ func NewPacket(src, dst NodeID, body Body) *Packet {
 // layer uses it to compute transmission airtime.
 func (p *Packet) WireSize() int { return headerSize + p.Body.WireSize() }
 
-// Clone returns a deep copy safe for independent per-hop mutation, in
-// fresh storage: Spares.Copy with no spares. A Data packet's copy is one
-// allocation, laid out like a decoded one.
-func (p *Packet) Clone() *Packet { return (*Spares)(nil).Copy(p) }
-
 // NumKinds is the number of body kinds: the ten base kinds, then
 // ODMRP's two.
 const NumKinds = int(KindGossipRep) + 2
@@ -225,11 +220,8 @@ func (s *Spares) Put(p *Packet) {
 	}
 }
 
-// take pops a spare of kind k, or returns nil. A nil s has none.
+// take pops a spare of kind k, or returns nil.
 func (s *Spares) take(k Kind) *Packet {
-	if s == nil {
-		return nil
-	}
 	if i := k.slot(); s.n[i] > 0 {
 		s.n[i]--
 		p := s.free[i][s.n[i]]
@@ -250,9 +242,10 @@ func (s *Spares) take(k Kind) *Packet {
 // Copy returns a deep copy of src. It is built in one of s's spares of
 // src's kind when there is one — header, body and the capacity of the
 // body's lists (Dests, Lost, Expected, Msgs) reused — and in
-// fresh storage otherwise. src is only read, so it may be a template on
-// the caller's stack. This is the one packet copier: Clone and every
-// packet a node.Stack builds go through it.
+// fresh storage otherwise, where a Data packet's copy is one
+// allocation, laid out like a decoded one. src is only read, so it may
+// be a template on the caller's stack. This is the one packet copier:
+// every packet a node.Stack builds goes through it.
 func (s *Spares) Copy(src *Packet) *Packet {
 	var p *Packet
 	switch b := src.Body.(type) {
@@ -371,7 +364,7 @@ func Encode(p *Packet) []byte {
 }
 
 // dataPacket is a Data packet's header and body in one allocation. Data
-// is nearly every frame of a live multicast stream, so a decode or Clone
+// is nearly every frame of a live multicast stream, so a decode or a copy
 // pays one allocation, not two — or none, into a receive loop's Scratch.
 type dataPacket struct {
 	Packet

@@ -146,9 +146,9 @@ func TestCodecAllocs(t *testing.T) {
 
 func TestCloneBodyIsDeep(t *testing.T) {
 	rerr := &RERR{Dests: []Unreachable{{Addr: 1, Seq: 2}}}
-	clone, ok := NewPacket(1, 2, rerr).Clone().Body.(*RERR)
+	clone, ok := new(Spares).Copy(NewPacket(1, 2, rerr)).Body.(*RERR)
 	if !ok {
-		t.Fatal("Clone returned the wrong body type")
+		t.Fatal("the copy has the wrong body type")
 	}
 	clone.Dests[0].Addr = 99
 	if rerr.Dests[0].Addr != 1 {
@@ -156,9 +156,9 @@ func TestCloneBodyIsDeep(t *testing.T) {
 	}
 
 	req := &GossipReq{Lost: []SeqKey{{Origin: 1, Seq: 1}}, Expected: []Expect{{Origin: 1, NextSeq: 5}}}
-	reqClone, ok := NewPacket(1, 2, req).Clone().Body.(*GossipReq)
+	reqClone, ok := new(Spares).Copy(NewPacket(1, 2, req)).Body.(*GossipReq)
 	if !ok {
-		t.Fatal("Clone returned the wrong body type")
+		t.Fatal("the copy has the wrong body type")
 	}
 	reqClone.Lost[0].Seq = 42
 	reqClone.Expected[0].NextSeq = 42
@@ -167,9 +167,9 @@ func TestCloneBodyIsDeep(t *testing.T) {
 	}
 
 	rep := &GossipRep{Msgs: []Data{{Seq: 1}}}
-	repClone, ok := NewPacket(1, 2, rep).Clone().Body.(*GossipRep)
+	repClone, ok := new(Spares).Copy(NewPacket(1, 2, rep)).Body.(*GossipRep)
 	if !ok {
-		t.Fatal("Clone returned the wrong body type")
+		t.Fatal("the copy has the wrong body type")
 	}
 	repClone.Msgs[0].Seq = 9
 	if rep.Msgs[0].Seq != 1 {
@@ -261,7 +261,7 @@ func TestSparesCopyReusesStorage(t *testing.T) {
 
 func TestPacketCloneIndependence(t *testing.T) {
 	p := NewPacket(1, 2, &RREQ{HopCount: 1, ID: 5})
-	c := p.Clone()
+	c := new(Spares).Copy(p)
 	c.TTL--
 	if body, ok := c.Body.(*RREQ); ok {
 		body.HopCount++

@@ -117,13 +117,6 @@ func (p *ProtocolNode) Publish(g pkt.GroupID) (pkt.SeqKey, error) {
 	return p.pub.key, p.pub.err
 }
 
-// Delivered reports the count of unique data packets delivered to the
-// member application.
-func (p *ProtocolNode) Delivered() (n uint64, err error) {
-	err = p.rt.Do(func() { n = p.node.Delivered() })
-	return n, err
-}
-
 // RecoveryStats returns the member's outcome counters (see
 // stack.Node.RecoveryStats for what a bare-routing stack reports).
 func (p *ProtocolNode) RecoveryStats() (s stack.RecoveryStats, err error) {

@@ -57,7 +57,6 @@ func simBaselineRatio(t *testing.T, spec stack.Spec) float64 {
 	cfg.Duration = 60 * time.Second
 	cfg.DataStart = 20 * time.Second // after the last join, at most 18 s
 	cfg.DataEnd = 24 * time.Second
-	cfg.DataInterval = 200 * time.Millisecond
 	res, err := scenario.Run(cfg)
 	if err != nil {
 		t.Fatalf("sim baseline: %v", err)
@@ -88,11 +87,11 @@ func TestLoopbackCluster(t *testing.T) {
 	for {
 		done := true
 		for _, pn := range nodes[1:] {
-			n, err := pn.Delivered()
+			rs, err := pn.RecoveryStats()
 			if err != nil {
-				t.Fatalf("Delivered: %v", err)
+				t.Fatalf("RecoveryStats: %v", err)
 			}
-			if n < packets {
+			if rs.Delivered < packets {
 				done = false
 			}
 		}
@@ -104,12 +103,12 @@ func TestLoopbackCluster(t *testing.T) {
 
 	var sum float64
 	for _, pn := range nodes[1:] {
-		n, err := pn.Delivered()
+		rs, err := pn.RecoveryStats()
 		if err != nil {
-			t.Fatalf("Delivered: %v", err)
+			t.Fatalf("RecoveryStats: %v", err)
 		}
-		t.Logf("node %v delivered %d/%d", pn.ID(), n, packets)
-		sum += float64(n) / packets
+		t.Logf("node %v delivered %d/%d", pn.ID(), rs.Delivered, packets)
+		sum += float64(rs.Delivered) / packets
 	}
 	live := sum / float64(len(nodes)-1)
 	if live < baseline {
@@ -145,12 +144,12 @@ func TestLoopbackClusterGossipStack(t *testing.T) {
 	waitDelivered := func(pn *netrt.ProtocolNode, want uint64) uint64 {
 		deadline := time.Now().Add(20 * time.Second)
 		for {
-			n, err := pn.Delivered()
+			rs, err := pn.RecoveryStats()
 			if err != nil {
-				t.Fatalf("Delivered: %v", err)
+				t.Fatalf("RecoveryStats: %v", err)
 			}
-			if n >= want || time.Now().After(deadline) {
-				return n
+			if rs.Delivered >= want || time.Now().After(deadline) {
+				return rs.Delivered
 			}
 			time.Sleep(5 * time.Millisecond)
 		}

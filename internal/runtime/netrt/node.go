@@ -33,7 +33,7 @@ type NodeConfig struct {
 	// wall-second. 1 (and 0, the zero value) runs protocol timers in
 	// real time; tests compress multi-second protocol cycles (hello
 	// beacons, gossip rounds) with scales of 10–100. NewNode rejects a
-	// negative, NaN or infinite scale.
+	// negative or NaN scale and one above maxTimeScale.
 	TimeScale float64
 	// InboxSize bounds frames queued between the transport and the
 	// event loop; excess frames are dropped and counted, like any
@@ -41,6 +41,12 @@ type NodeConfig struct {
 	// negative size.
 	InboxSize int
 }
+
+// maxTimeScale bounds NodeConfig.TimeScale. Runs use scales up to 100
+// and tests up to 1,000; a far larger one keeps the loop firing timers
+// for seconds before it serves a call (at 10¹², 292 simulated years in
+// the first 9 ms).
+const maxTimeScale = 1000
 
 // DefaultInboxSize is the frame queue bound when NodeConfig leaves it 0.
 const DefaultInboxSize = 4096
@@ -122,8 +128,8 @@ var _ rt.Runtime = (*Node)(nil)
 func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 	scale, size := cfg.TimeScale, cfg.InboxSize
 	switch {
-	case !(scale >= 0) || math.IsInf(scale, 1): // !(>= 0) also rejects NaN
-		return nil, fmt.Errorf("netrt: time scale %v is negative or not finite", scale)
+	case !(scale >= 0) || scale > maxTimeScale: // !(>= 0) also rejects NaN
+		return nil, fmt.Errorf("netrt: time scale %v is outside [0, %d]", scale, maxTimeScale)
 	case size < 0:
 		return nil, fmt.Errorf("netrt: negative inbox size %d", size)
 	}

@@ -687,7 +687,8 @@ func TestNewNodeConfig(t *testing.T) {
 	}{
 		{"defaults", NodeConfig{}, true, 1, DefaultInboxSize, sim.Time(time.Hour)},
 		{"set", NodeConfig{TimeScale: 100, InboxSize: 8}, true, 100, 8, 100 * sim.Time(time.Hour)},
-		{"huge scale", NodeConfig{TimeScale: 1e12}, true, 1e12, DefaultInboxSize, math.MaxInt64 - 1},
+		{"largest scale", NodeConfig{TimeScale: maxTimeScale}, true, maxTimeScale, DefaultInboxSize, maxTimeScale * sim.Time(time.Hour)},
+		{"huge scale", NodeConfig{TimeScale: 1e12}, false, 0, 0, 0},
 		{"negative scale", NodeConfig{TimeScale: -1}, false, 0, 0, 0},
 		{"nan scale", NodeConfig{TimeScale: math.NaN()}, false, 0, 0, 0},
 		{"inf scale", NodeConfig{TimeScale: math.Inf(1)}, false, 0, 0, 0},
@@ -740,12 +741,15 @@ func TestProtocolNodeNeedsAStack(t *testing.T) {
 // then, and after it the clock stops one short of the instant its
 // re-arms saturate to: it fires no more, the loop still serves calls
 // rather than firing it forever within one Run, and it arms no wake-up
-// for a timer no run reaches.
+// for a timer no run reaches. NewNode refuses such a scale, so the test
+// sets it on the node: at the largest scale NewNode takes, the clock
+// reaches the end of time only after 106 days of uptime.
 func TestNodeClockStopsAtEndOfTime(t *testing.T) {
-	n, err := NewNode(NodeConfig{ID: 1, TimeScale: 1e12}, NewChanTransport())
+	n, err := NewNode(NodeConfig{ID: 1}, NewChanTransport())
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
+	n.scale = 1e12
 	var fired atomic.Uint64
 	var tick func()
 	tick = func() { fired.Add(1); n.After(1e15, tick) } // 11.6 simulated days

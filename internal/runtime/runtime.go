@@ -49,7 +49,7 @@ var _ Clock = (*sim.Scheduler)(nil)
 // node specifically.
 //
 // The packet belongs to the runtime, is read-only, and is valid until
-// the handler returns: Clone it, or copy a body value, to keep it. The
+// the handler returns: copy the body value to keep it. The
 // simulator hands one *Packet to every receiver of a frame, and the
 // sender rebuilds it once the frame is off the air; netrt decodes every
 // kind into loop-owned storage the next frame of that kind overwrites.

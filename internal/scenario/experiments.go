@@ -308,7 +308,10 @@ func LargeScaleConfig(nodes int) Config {
 // the paper's proportions: a 1/5 warm-up and a 40 s cool-down tail
 // around the CBR window. It is the knob benchmarks and CI use to keep
 // large-scale runs affordable. Durations of a minute or less collapse
-// the tail to duration/5.
+// the tail to duration/5. The join schedule does not scale: members
+// other than the first source join at 8 s + U[0, 10 s) whatever the
+// duration, so below 90 s data starts before the last member can have
+// joined, and a late joiner misses the window's first packets.
 func ShortenedData(c Config, duration time.Duration) Config {
 	c.Duration = duration
 	c.DataStart = duration / 5

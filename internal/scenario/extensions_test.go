@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"anongossip/internal/pkt"
 )
 
 // Tests for the extension features: multi-source workloads and latency
@@ -38,18 +40,6 @@ func TestTooManySourcesRejected(t *testing.T) {
 	cfg.NumSources = 1000
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("absurd source count accepted")
-	}
-}
-
-func TestZeroSourcesDefaultsToOne(t *testing.T) {
-	cfg := shortConfig()
-	cfg.NumSources = 0
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sent != cfg.ExpectedPackets() {
-		t.Fatalf("sent = %d, want one stream %d", res.Sent, cfg.ExpectedPackets())
 	}
 }
 
@@ -98,19 +88,25 @@ func TestTraceCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || res.Trace.Total() == 0 {
+	if res.Trace == nil || res.Trace.Len() == 0 {
 		t.Fatal("trace enabled but empty")
 	}
 	if res.Trace.Len() > 500 {
 		t.Fatalf("trace retained %d > capacity", res.Trace.Len())
 	}
 
-	// The ring is the trace: record order is execution order, a second
-	// run of the seed reproduces it, and tracing only observes.
+	// The ring is the trace: it keeps only data and gossip events, record
+	// order is execution order, a second run of the seed reproduces it,
+	// and tracing only observes.
 	events := res.Trace.Events()
-	for i := 1; i < len(events); i++ {
-		if events[i].At < events[i-1].At {
-			t.Fatalf("trace[%d] at %v precedes trace[%d] at %v", i, events[i].At, i-1, events[i-1].At)
+	for i, e := range events {
+		switch e.Kind {
+		case pkt.KindData, pkt.KindGossipReq, pkt.KindGossipRep:
+		default:
+			t.Fatalf("trace[%d] is a %v event, want only data and gossip: %v", i, e.Kind, e)
+		}
+		if i > 0 && e.At < events[i-1].At {
+			t.Fatalf("trace[%d] at %v precedes trace[%d] at %v", i, e.At, i-1, events[i-1].At)
 		}
 	}
 	again, err := Run(cfg)

@@ -89,7 +89,9 @@ func TestPathologicalConfigs(t *testing.T) {
 
 	t.Run("saturating data rate", func(t *testing.T) {
 		cfg := shortConfig()
-		cfg.DataInterval = 5 * time.Millisecond // 200 pkt/s
+		// Every member but one sends: 39 CBR streams, 195 pkt/s.
+		cfg.Nodes, cfg.MemberFraction = 40, 1
+		cfg.NumSources = cfg.Nodes - 1
 		cfg.DataStart = 30 * time.Second
 		cfg.DataEnd = 40 * time.Second
 		res, err := Run(cfg)

@@ -61,12 +61,10 @@ type Config struct {
 	Duration time.Duration
 	// DataStart/DataEnd bound the CBR transmission window (120/560 s).
 	DataStart, DataEnd time.Duration
-	// DataInterval is the CBR period (200 ms).
-	DataInterval time.Duration
 	// NumSources is the number of sending members (1 in the paper; AG
 	// tracks sequence numbers per origin, so more are supported as an
 	// extension). Each source sends a full CBR stream, phase-shifted.
-	// Zero means one; Validate rejects a negative count.
+	// Validate rejects a count below one.
 	NumSources int
 
 	// Seed drives all randomness in the run.
@@ -79,12 +77,9 @@ type Config struct {
 	// HugeScaleConfig sets it.
 	MeasureHeap bool
 
-	// TraceCapacity, when positive, records the last N packet events
-	// network-wide into Result.Trace.
+	// TraceCapacity, when positive, records the last N data and gossip
+	// packet events network-wide into Result.Trace.
 	TraceCapacity int
-	// TraceKinds restricts tracing to the listed packet kinds (empty =
-	// all kinds).
-	TraceKinds []pkt.Kind
 
 	// MetricsWindow, when positive, samples the run's counters at this
 	// cadence into Result.Metrics: the kernel runs one window at a time
@@ -113,28 +108,22 @@ func DefaultConfig() Config {
 		Duration:       600 * time.Second,
 		DataStart:      120 * time.Second,
 		DataEnd:        560 * time.Second,
-		DataInterval:   200 * time.Millisecond,
 		NumSources:     1,
 		Seed:           1,
 		Gossip:         gossip.DefaultConfig(),
 	}
 }
 
+// dataInterval is the CBR period of every source (§5.1).
+const dataInterval = 200 * time.Millisecond
+
 // ExpectedPackets returns the number of packets each source generates
 // (2201 under the paper's parameters).
 func (c Config) ExpectedPackets() int {
-	if c.DataEnd < c.DataStart || c.DataInterval <= 0 {
+	if c.DataEnd < c.DataStart {
 		return 0
 	}
-	return int((c.DataEnd-c.DataStart)/c.DataInterval) + 1
-}
-
-// sources returns the effective source count.
-func (c Config) sources() int {
-	if c.NumSources == 0 {
-		return 1
-	}
-	return c.NumSources
+	return int((c.DataEnd-c.DataStart)/dataInterval) + 1
 }
 
 // Spec returns the normalized stack spec.
@@ -161,8 +150,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Protocol != 0:
 		return fmt.Errorf("scenario: Protocol is retired (have %d); select the stack with Config.Stack", c.Protocol)
-	case c.NumSources < 0:
-		return fmt.Errorf("scenario: negative source count %d", c.NumSources)
+	case c.NumSources < 1:
+		return fmt.Errorf("scenario: need at least one source, have %d", c.NumSources)
 	case c.Nodes < 2:
 		return fmt.Errorf("scenario: need at least 2 nodes, have %d", c.Nodes)
 	case !(c.MemberFraction > 0) || c.MemberFraction > 1:
@@ -184,8 +173,6 @@ func (c Config) Validate() error {
 		// DataEnd < DataStart stays legal: it is the empty window of a
 		// construction-only run (ExpectedPackets reports 0).
 		return fmt.Errorf("scenario: data window [%v, %v] starts or ends before time zero", c.DataStart, c.DataEnd)
-	case c.DataInterval <= 0:
-		return fmt.Errorf("scenario: non-positive data interval %v", c.DataInterval)
 	case recovers && c.Gossip.Interval <= 0:
 		// A round re-arms itself Interval later: at zero, simulated time
 		// would never advance past the first round.
@@ -338,7 +325,7 @@ type world struct {
 	stacks []*node.Stack
 	nodes  []*stack.Node
 
-	memberIdx []int // node indices that are members; the first sources() are senders
+	memberIdx []int // node indices that are members; the first NumSources are senders
 	sent      int
 	sentAt    map[pkt.SeqKey]sim.Time
 	// tracer is the packet trace ring, nil unless Config.TraceCapacity > 0.
@@ -371,9 +358,6 @@ func build(cfg Config) (*world, error) {
 
 	if cfg.TraceCapacity > 0 {
 		w.tracer = trace.NewRing(cfg.TraceCapacity)
-		if len(cfg.TraceKinds) > 0 {
-			w.tracer.SetFilter(trace.KindFilter(cfg.TraceKinds...))
-		}
 	}
 
 	spec, noteLatency := cfg.Spec(), w.noteLatency
@@ -388,7 +372,7 @@ func build(cfg Config) (*world, error) {
 		dcf.SetHorizon(cfg.Duration)
 		st := node.NewOnRuntime(dcf)
 		if w.tracer != nil {
-			st.SetTracer(w.tracer.Record)
+			st.SetTracer(w.record)
 		}
 		w.macs = append(w.macs, dcf)
 		w.stacks = append(w.stacks, st)
@@ -408,12 +392,13 @@ func build(cfg Config) (*world, error) {
 	if nMembers < 2 {
 		nMembers = 2
 	}
-	if cfg.sources() >= nMembers {
-		return nil, fmt.Errorf("scenario: %d sources need more than %d members", cfg.sources(), nMembers)
+	nSrc := cfg.NumSources
+	if nSrc >= nMembers {
+		return nil, fmt.Errorf("scenario: %d sources need more than %d members", nSrc, nMembers)
 	}
 	perm := root.Derive("membership").Perm(cfg.Nodes)
 	w.memberIdx = perm[:nMembers]
-	w.sentAt = make(map[pkt.SeqKey]sim.Time, cfg.sources()*cfg.ExpectedPackets())
+	w.sentAt = make(map[pkt.SeqKey]sim.Time, nSrc*cfg.ExpectedPackets())
 
 	// The first source joins first (see leaderBootstrap).
 	joinRNG := root.Derive("joins")
@@ -430,14 +415,22 @@ func build(cfg Config) (*world, error) {
 	// CBR workload: each source sends exactly ExpectedPackets packets,
 	// phase-shifted to avoid synchronised transmissions, as one kernel
 	// series.
-	nSrc := cfg.sources()
 	for s := 0; s < nSrc; s++ {
 		src := w.memberIdx[s]
-		offset := time.Duration(s) * cfg.DataInterval / time.Duration(nSrc)
-		w.sched.Every(cfg.DataStart+offset, cfg.DataInterval, cfg.ExpectedPackets(), func() { w.sendData(src) })
+		offset := time.Duration(s) * dataInterval / time.Duration(nSrc)
+		w.sched.Every(cfg.DataStart+offset, dataInterval, cfg.ExpectedPackets(), func() { w.sendData(src) })
 	}
 
 	return w, nil
+}
+
+// record is every node's tracer: it keeps the events a trace is read
+// for, those of data packets and gossip requests and replies.
+func (w *world) record(e trace.Event) {
+	switch e.Kind {
+	case pkt.KindData, pkt.KindGossipReq, pkt.KindGossipRep:
+		w.tracer.Record(e)
+	}
 }
 
 // run advances the kernel to the horizon. With a metrics window it
@@ -558,7 +551,7 @@ func (w *world) collect() *Result {
 	}
 
 	// Sources trivially have their own packets.
-	receivers := w.memberIdx[w.cfg.sources():]
+	receivers := w.memberIdx[w.cfg.NumSources:]
 	received := make([]int, 0, len(receivers))
 	for _, idx := range receivers {
 		rs := w.nodes[idx].RecoveryStats()

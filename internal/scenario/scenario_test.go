@@ -42,10 +42,6 @@ func TestExpectedPackets(t *testing.T) {
 	if got := cfg.ExpectedPackets(); got != 351 {
 		t.Fatalf("short workload = %d, want 351", got)
 	}
-	cfg.DataInterval = 0
-	if got := cfg.ExpectedPackets(); got != 0 {
-		t.Fatalf("zero-interval workload = %d, want 0", got)
-	}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -80,7 +76,8 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"no stack", func(c *Config) { c.Stack = stack.Spec{} }},
 		{"bad protocol", func(c *Config) { c.Protocol = 2 }}, // the retired selector field
-		// Zero sources means one (TestZeroSourcesDefaultsToOne).
+		// It ran one source, as if it were one.
+		{"zero sources", func(c *Config) { c.NumSources = 0 }},
 		{"negative sources", func(c *Config) { c.NumSources = -1 }},
 		{"one node", func(c *Config) { c.Nodes = 1 }},
 		{"zero member fraction", func(c *Config) { c.MemberFraction = 0 }},
@@ -105,8 +102,6 @@ func TestConfigValidate(t *testing.T) {
 		// It ran a 10-node maodv+gossip run without error, at 0.555–0.989
 		// delivery where the defaults deliver 1.000.
 		{"negative history cap", func(c *Config) { c.Gossip.HistoryCap = -1 }},
-		{"zero data interval", func(c *Config) { c.DataInterval = 0 }},
-		{"negative data interval", func(c *Config) { c.DataInterval = -time.Second }},
 		// It ran as if it were zero: no pauses.
 		{"negative max pause", func(c *Config) { c.MaxPause = -5 * time.Second }},
 	}

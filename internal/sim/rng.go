@@ -69,9 +69,6 @@ func fnv64a(name string) uint64 {
 	return h
 }
 
-// Seed returns the seed this generator was created with.
-func (g *RNG) Seed() int64 { return g.seed }
-
 // std wraps the stream in the standard library's draw methods. The
 // wrapper does not escape, so it lives on the caller's stack.
 func (g *RNG) std() *rand.Rand { return rand.New(&g.pcg) }

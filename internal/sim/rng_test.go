@@ -24,8 +24,8 @@ func TestRNGSameNameSameSequence(t *testing.T) {
 				want = int64(h.Sum64()) | 1
 			}
 			a, b := NewRNG(seed).Derive(name), NewRNG(seed).Derive(name)
-			if a.Seed() != want || b.Seed() != want {
-				t.Fatalf("Derive(%q) of seed %d has seed %d, want %d", name, seed, a.Seed(), want)
+			if a.seed != want || b.seed != want {
+				t.Fatalf("Derive(%q) of seed %d has seed %d, want %d", name, seed, a.seed, want)
 			}
 			for i := range 200 {
 				if x, y := a.Float64(), b.Float64(); x != y {
@@ -174,10 +174,10 @@ func TestRNGDeriveIndependence(t *testing.T) {
 	a := root.Derive("mobility")
 	b := root.Derive("mac")
 	c := root.Derive("mobility")
-	if a.Seed() == b.Seed() {
+	if a.seed == b.seed {
 		t.Fatal("different stream names produced the same seed")
 	}
-	if a.Seed() != c.Seed() {
+	if a.seed != c.seed {
 		t.Fatal("same stream name produced different seeds")
 	}
 	// Derived streams replay identically.

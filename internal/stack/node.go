@@ -163,9 +163,6 @@ func (n *Node) RouteDiscoveries() uint64 {
 	return n.uni.Stats().Discoveries
 }
 
-// Delivered counts unique data packets delivered to the application.
-func (n *Node) Delivered() uint64 { return n.RecoveryStats().Delivered }
-
 // RecoveryStats returns the member's outcome counters. A bare-routing
 // stack reports what routing delivered, no recovery traffic and 100 %
 // goodput — what the gossip engine reports before its first reply.

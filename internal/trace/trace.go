@@ -69,7 +69,6 @@ type Ring struct {
 	capacity int
 	next     int // the oldest retained event once the ring is full
 	total    uint64
-	filter   func(Event) bool
 }
 
 // NewRing creates a trace holding the last capacity events. It
@@ -79,15 +78,8 @@ func NewRing(capacity int) *Ring {
 	return &Ring{capacity: max(capacity, 1)}
 }
 
-// SetFilter installs a predicate; events failing it are not recorded.
-// A nil filter records everything.
-func (r *Ring) SetFilter(f func(Event) bool) { r.filter = f }
-
 // Record appends an event, evicting the oldest when full.
 func (r *Ring) Record(e Event) {
-	if r.filter != nil && !r.filter(e) {
-		return
-	}
 	r.total++
 	if len(r.events) < r.capacity {
 		r.events = append(r.events, e)
@@ -96,9 +88,6 @@ func (r *Ring) Record(e Event) {
 	r.events[r.next] = e
 	r.next = (r.next + 1) % len(r.events)
 }
-
-// Total returns the number of events recorded (including evicted ones).
-func (r *Ring) Total() uint64 { return r.total }
 
 // Len returns the number of events currently retained.
 func (r *Ring) Len() int { return len(r.events) }
@@ -118,15 +107,6 @@ func (r *Ring) Dump(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// KindFilter returns a filter accepting only the listed kinds.
-func KindFilter(kinds ...pkt.Kind) func(Event) bool {
-	set := make(map[pkt.Kind]bool, len(kinds))
-	for _, k := range kinds {
-		set[k] = true
-	}
-	return func(e Event) bool { return set[e.Kind] }
 }
 
 // Summary renders per-kind counts of the retained events.

@@ -19,8 +19,8 @@ func TestRingRetainsMostRecent(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		r.Record(ev(pkt.NodeID(i), pkt.KindHello, time.Duration(i)*time.Second))
 	}
-	if r.Total() != 5 || r.Len() != 3 {
-		t.Fatalf("total=%d len=%d, want 5, 3", r.Total(), r.Len())
+	if r.total != 5 || r.Len() != 3 {
+		t.Fatalf("total=%d len=%d, want 5, 3", r.total, r.Len())
 	}
 	events := r.Events()
 	for i, e := range events {
@@ -65,20 +65,6 @@ func TestRingGrowsAsRecorded(t *testing.T) {
 	}
 }
 
-func TestFilters(t *testing.T) {
-	r := NewRing(10)
-	r.SetFilter(KindFilter(pkt.KindData, pkt.KindRREQ))
-	r.Record(ev(1, pkt.KindData, 0))  // kept
-	r.Record(ev(1, pkt.KindHello, 0)) // wrong kind
-	r.Record(ev(2, pkt.KindRREQ, 0))  // kept
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
-	}
-	if got := r.Events()[0]; got.Kind != pkt.KindData || got.Node != 1 {
-		t.Fatalf("kept wrong event: %v", got)
-	}
-}
-
 func TestDumpAndSummary(t *testing.T) {
 	r := NewRing(10)
 	r.Record(ev(1, pkt.KindData, 1500*time.Millisecond))
@@ -104,7 +90,7 @@ func TestDumpAndSummary(t *testing.T) {
 
 // TestSummaryCountsODMRPKinds records ODMRP's JOIN-QUERY and JOIN-REPLY
 // (kinds 32 and 33, past the gossip kinds): the summary must count them,
-// as Len and Total do.
+// as Len and the total do.
 func TestSummaryCountsODMRPKinds(t *testing.T) {
 	r := NewRing(10)
 	r.Record(ev(1, pkt.KindJoinQuery, 0))
