@@ -228,6 +228,61 @@ func TestReplyUpdatesMemberCache(t *testing.T) {
 	}
 }
 
+// TestRequestCapsExpected: a member that expects more origins than a
+// request carries sends the ExpectedCap lowest, in origin order, and
+// never its own.
+func TestRequestCapsExpected(t *testing.T) {
+	w := buildLine(t, 2, []int{0}, DefaultConfig())
+	e := w.engines[0]
+	gs := e.groups[testGroup]
+	own := e.stack.ID()
+	// Put in descending order, so the table's order is not the wire's.
+	for o := pkt.NodeID(ExpectedCap + 3); o > own; o-- {
+		gs.expected.Put(o.Uint64(), 10*uint32(o))
+	}
+	gs.expected.Put(own.Uint64(), 7)
+
+	req := e.request(gs, 2, 0).Body.(*pkt.GossipReq)
+	var want []pkt.Expect
+	for o := own + 1; len(want) < ExpectedCap; o++ {
+		want = append(want, pkt.Expect{Origin: o, NextSeq: 10 * uint32(o)})
+	}
+	if !slices.Equal(req.Expected, want) {
+		t.Fatalf("request expects %v, want %v", req.Expected, want)
+	}
+}
+
+// fixedRoutes knows a route of the same length to every destination and
+// learns none.
+type fixedRoutes uint8
+
+func (h fixedRoutes) RouteHops(pkt.NodeID) (uint8, bool) { return uint8(h), true }
+func (fixedRoutes) LearnRoute(_, _ pkt.NodeID, _ uint8)  {}
+
+// TestMemberCacheTakesRouteHops: a known route's length, not the walk's,
+// goes into the member cache, for the initiator of an accepted request
+// and for the responder of a reply.
+func TestMemberCacheTakesRouteHops(t *testing.T) {
+	const routeHops, walkHops = 5, 2
+	const initiator, responder pkt.NodeID = 7, 9
+	w := buildLine(t, 2, []int{0}, DefaultConfig())
+	e := w.engines[0]
+	e.SetRoutes(fixedRoutes(routeHops))
+	e.accept(&pkt.GossipReq{Group: testGroup, Initiator: initiator, Flags: pkt.GossipCached, HopsTraveled: walkHops})
+	e.onReply(pkt.NewPacket(responder, e.stack.ID(), &pkt.GossipRep{Group: testGroup, Responder: responder, WalkHops: walkHops}), 2)
+
+	for _, member := range []pkt.NodeID{initiator, responder} {
+		c := e.groups[testGroup].cache
+		i := slices.IndexFunc(c.entries, func(ce cacheEntry) bool { return ce.addr == member })
+		if i < 0 {
+			t.Fatalf("member %v not cached: %v", member, c.entries)
+		}
+		if got := c.entries[i].numHops; got != routeHops {
+			t.Errorf("member %v cached at %d hops, want the route's %d", member, got, routeHops)
+		}
+	}
+}
+
 // TestWalkDropsAtTTL: on a ring of three nodes with one member, a walk
 // always has a next hop and nobody to accept it, so only the TTL ends
 // it.

@@ -313,6 +313,27 @@ func TestLinkBreakCascadesPrune(t *testing.T) {
 	}
 }
 
+// TestPrunedMemberRejoins: a member that is not the leader and whose only
+// enabled branch, a downstream one, sends MACT(P) has no tree link left.
+// It leaves the tree and starts a join.
+func TestPrunedMemberRejoins(t *testing.T) {
+	w := buildM(t, 60, testworld.Line(3, 50))
+	r := w.routers[0]
+	g := r.groupState(testGroup)
+	g.member, g.inTree = true, true
+	g.leader, g.leaderValid = 3, true
+	g.next.put(2).enabled = true
+	g.next.put(3) // known but never activated
+	r.onMACT(pkt.NewPacket(2, 1, &pkt.MACT{Group: testGroup, Src: 2, Flags: pkt.MACTPrune}), 2)
+
+	if g.inTree {
+		t.Error("a member left without tree links stays in the tree")
+	}
+	if g.join == nil {
+		t.Error("a member left without tree links starts no join")
+	}
+}
+
 func TestRepairAfterLinkBreak(t *testing.T) {
 	// Diamond: members 1 (0,0) and 4 (100,0); routers 2 (50,40) and
 	// 3 (50,-40); range 70 connects only the diamond edges.

@@ -16,6 +16,7 @@ package netrt
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -327,7 +328,8 @@ const loopBatch = 64
 
 // loop is the node's event loop: advance the timer wheel to wall time,
 // serve posted calls, deliver queued frames a bounded batch at a time,
-// and block only when all three have nothing left.
+// and block only when all three have nothing left — after delivering
+// frames, only once a yield has brought nothing more (DESIGN.md §8).
 func (n *Node) loop() {
 	defer close(n.done)
 	timer := time.NewTimer(time.Hour)
@@ -338,6 +340,7 @@ func (n *Node) loop() {
 	armedAt := sim.Time(-1)
 	var batch [][]byte // frames taken from the inbox; batch[next:] undelivered
 	next := 0
+	busy := false // frames were delivered since the loop last yielded
 	for {
 		n.sched.Run(n.simNow())
 		select {
@@ -353,11 +356,12 @@ func (n *Node) loop() {
 		default:
 		}
 		if next == len(batch) {
-			// Swap the queued frames for the emptied batch. Finding none
-			// marks the loop asleep, under the lock producers check it with.
+			// Swap the queued frames for the emptied batch. Finding none,
+			// with no frame delivered since the last yield, marks the loop
+			// asleep, under the lock producers check it with.
 			n.mu.Lock()
 			batch, n.inbox, next = n.inbox, batch[:0], 0
-			n.asleep = len(batch) == 0
+			n.asleep = len(batch) == 0 && !busy
 			n.mu.Unlock()
 		}
 		if next < len(batch) {
@@ -365,6 +369,15 @@ func (n *Node) loop() {
 				n.deliver(batch[next])
 				batch[next] = nil
 			}
+			busy = true
+			continue
+		}
+		if busy {
+			// The frames just delivered usually draw replies within
+			// microseconds. Yield once and look again before sleeping, so
+			// frames that land meanwhile cost no wake token and no timer.
+			busy = false
+			runtime.Gosched()
 			continue
 		}
 

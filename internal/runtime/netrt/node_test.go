@@ -671,6 +671,53 @@ func TestNodeSaturatedTimerSleeps(t *testing.T) {
 	}
 }
 
+// TestNodeSleepsAfterBurst: a loop that has delivered frames yields once
+// before it sleeps, but only once. After a peer's burst it must block
+// again, marked asleep, and then wake for nothing while its one timer is
+// far off.
+func TestNodeSleepsAfterBurst(t *testing.T) {
+	const burst = 3 * loopBatch
+	tr := NewChanTransport()
+	n, err := NewNode(NodeConfig{ID: 1}, tr)
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	defer n.Close()
+	n.Bind(func(*pkt.Packet, pkt.NodeID, bool) {}, nil)
+	n.After(time.Hour, func() { t.Error("the far timer fired") })
+	peer, err := tr.Join(2, func([]byte) {})
+	if err != nil {
+		t.Fatalf("peer Join: %v", err)
+	}
+	n.Start()
+	for seq := uint32(1); seq <= burst; seq++ {
+		if err := peer.Send(dataFrame(2, 1, seq), 1); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	waitFor(t, 10*time.Second, func() bool { return n.Stats().FramesIn.Load() == burst }, "the burst")
+	// One yield and one empty pass: generous for a loaded host, far short
+	// of forever.
+	waitFor(t, 100*time.Millisecond, func() bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.asleep
+	}, "the loop to sleep after the burst")
+
+	var before, after uint64
+	if err := n.Do(func() { before = n.wakeups }); err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if err := n.Do(func() { after = n.wakeups }); err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	// The second Do is the only wake-up between the two reads.
+	if after-before != 1 {
+		t.Errorf("%d loop wake-ups over 100 ms and one Do with one far timer armed, want 1", after-before)
+	}
+}
+
 // TestNewNodeConfig: NewNode rejects a negative, NaN or infinite time
 // scale and a negative inbox size, and 0 selects the defaults. The
 // clock of an accepted node saturates instead of wrapping: at scale
