@@ -13,6 +13,9 @@
 #   - a ledger named after "EXPERIMENTS.md" or before a label is a
 #     "## <Name> ledger" heading, and a heading quoted after either file
 #     ('EXPERIMENTS.md, "Profiling"') begins a heading of that file.
+#
+# It also fails when DESIGN.md names a Test…, Fuzz… or Benchmark… that
+# no _test.go defines; a * in the name matches any run of characters.
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
@@ -68,5 +71,26 @@ perl -CSD -Mutf8 -e '
   }
   exit $bad;
 ' "${files[@]}" || status=1
+
+git ls-files --cached --others --exclude-standard -- '*_test.go' | xargs perl -CSD -e '
+  use strict; use warnings;
+  my %def;
+  for my $file (@ARGV) {
+    open(my $f, "<", $file) or die "$file: $!\n";
+    while (<$f>) { $def{$1} = 1 if /^func ((?:Test|Fuzz|Benchmark)\w*)\(/; }
+  }
+  open(my $f, "<:encoding(UTF-8)", "DESIGN.md") or die "DESIGN.md: $!\n";
+  my $design = do { local $/; <$f> };
+  my ($bad, %seen) = (0);
+  while ($design =~ /\b((?:Test|Fuzz|Benchmark)[A-Z0-9_*][\w*]*)/g) {
+    my $name = $1;
+    next if $seen{$name}++;
+    (my $re = quotemeta $name) =~ s/\\\*/.*/g;
+    next if grep { /^$re$/ } keys %def;
+    print STDERR "DESIGN.md: names $name, which no _test.go defines\n";
+    $bad = 1;
+  }
+  exit $bad;
+' || status=1
 
 exit $status

@@ -97,9 +97,8 @@ func run(args []string) error {
 		res.ControlBytes/1024, res.PayloadBytes/1024, res.MACCollisions, res.RouteDiscoveries)
 	fmt.Printf("simulator    %d events in %v (%.1fx real time)\n",
 		res.Events, wall.Round(time.Millisecond), cfg.Duration.Seconds()/wall.Seconds())
-	fmt.Printf("             processed %d, elided %d (kernel %d, radio %d, mac %d)\n",
-		res.EventsProcessed, res.ElidedKernel+res.ElidedRadio+res.ElidedMAC,
-		res.ElidedKernel, res.ElidedRadio, res.ElidedMAC)
+	fmt.Printf("             processed %d, elided %d (radio %d, mac %d)\n",
+		res.EventsProcessed, res.ElidedRadio+res.ElidedMAC, res.ElidedRadio, res.ElidedMAC)
 
 	if *verbose {
 		fmt.Printf("\n%8s %10s %10s %10s\n", "member", "received", "recovered", "goodput")

@@ -241,21 +241,20 @@ type DCF struct {
 	nextSeq  uint16
 	ackTimer sim.Timer
 	// step is the pending timer driving the head frame's contention
-	// cycle (defer wake, backoff expiry, or pending response). When the
-	// frame completes early — a late ACK during re-contention, say —
-	// finish cancels it instead of letting it fire as an
-	// inflight-guarded no-op; see Stats.ElidedEvents.
+	// cycle (defer wake or backoff expiry). When the frame completes
+	// early — a late ACK during re-contention, say — finish cancels it
+	// instead of letting it fire as a no-op; see Stats.ElidedEvents. So
+	// a step that fires always belongs to inflight.
 	//
 	// The timer is always armed with the reusable stepFn closure; what
-	// a firing means is carried in (stepKind, stepOut), written together
-	// with every arm. At most one step is pending at a time, so the
-	// fields cannot be clobbered under a live timer.
+	// a firing means is carried in stepKind, written together with every
+	// arm. At most one step is pending at a time, so the field cannot be
+	// clobbered under a live timer.
 	step     sim.Timer
 	stepKind stepPhase
-	stepOut  *outgoing
 	stepFn   func()
-	// ackOut is the frame the ACK timeout guards; like stepOut it lets
-	// the timer share one closure instead of capturing per arm.
+	// ackOut is the frame the ACK timeout guards; it lets the timer
+	// share one closure instead of capturing per arm.
 	ackOut *outgoing
 	ackFn  func()
 	// resps holds the ACKs waiting out their SIFS. Every one is
@@ -284,17 +283,6 @@ type DCF struct {
 	vtxAt  sim.Time
 	// horizon bounds elision accounting; see SetHorizon.
 	horizon sim.Time
-	// Folded contention countdown (DESIGN.md §4). folding is set when
-	// the transceiver can bound neighbourhood motion; foldOK says the
-	// closure proofs covering the pending step still hold; foldVK is the
-	// largest proven busy-until learned since the step was armed;
-	// foldBase anchors the prediction window — every folded decision
-	// must stay within radio.CarrierPredictWindow of the probe that
-	// established the closure.
-	folding  bool
-	foldOK   bool
-	foldVK   sim.Time
-	foldBase sim.Time
 	// lastSeq filters duplicate unicast frames per sender, keyed by
 	// NodeID.Uint64.
 	lastSeq table.Table[uint16]
@@ -307,14 +295,6 @@ type DCF struct {
 // already has a transceiver for id (radio.ErrDuplicateNode).
 func New(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID,
 	pos mobility.Model, _ Config, cb Callbacks) (*DCF, error) {
-	return newDCF(sched, rng, medium, id, pos, cb, true)
-}
-
-// newDCF builds the MAC with the folded contention countdown (DESIGN.md
-// §4) on or off. Production always folds; fold=false is the eager
-// reference schedule the in-package differential tests compare against.
-func newDCF(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.NodeID,
-	pos mobility.Model, cb Callbacks, fold bool) (*DCF, error) {
 	d := &DCF{
 		id:    id,
 		sched: sched,
@@ -332,15 +312,6 @@ func newDCF(sched *sim.Scheduler, rng *sim.RNG, medium *radio.Medium, id pkt.Nod
 		return nil, err
 	}
 	d.tr = tr
-	if fold {
-		// Fold the contention countdown: the radio notifies carrier
-		// onsets instead of the MAC polling with a wake per busy
-		// period. This first registration raises the medium's carrier
-		// radius; then the DCF listens only while a step is pending.
-		tr.SetCarrierListener(d)
-		tr.SetCarrierListener(nil)
-		d.folding = true
-	}
 	return d, nil
 }
 
@@ -382,15 +353,6 @@ func (d *DCF) elideStep() {
 		d.stats.ElidedEvents++
 	}
 	d.step = sim.Timer{}
-	d.foldOK = false
-	d.tr.SetCarrierListener(nil)
-}
-
-// listen registers for carrier onsets while the armed step is pending.
-func (d *DCF) listen() {
-	if d.folding {
-		d.tr.SetCarrierListener(d)
-	}
 }
 
 // Stats returns a copy of the MAC counters.
@@ -410,18 +372,6 @@ func (d *DCF) airtime(payloadBytes int) sim.Time {
 func (d *DCF) ackAirtime() sim.Time {
 	bits := float64(ackBytes * 8)
 	return phyOverhead + time.Duration(bits/bitRate*float64(time.Second))
-}
-
-// senseProbe reads the channel exactly and, when folding, the
-// conservative reach bound that seeds the countdown's closure proof
-// (radio.CarrierProbe: the latest end time any transmission currently
-// on the air could still occupy this node's channel with, motion
-// included).
-func (d *DCF) senseProbe() (busy, reach sim.Time) {
-	if d.folding {
-		return d.tr.CarrierProbe()
-	}
-	return d.tr.CarrierBusyUntil(), 0
 }
 
 // ackTimeout is the wait after a unicast transmission before declaring the
@@ -467,138 +417,46 @@ func (d *DCF) startHead() {
 // defer_ waits for the channel to go idle, then backs off and
 // transmits.
 func (d *DCF) defer_() {
-	out := d.inflight
-	busy, reach := d.senseProbe()
+	if d.idle() {
+		d.armBackoff()
+	}
+}
+
+// idle reads the carrier and reports whether the channel is idle now.
+// When it is busy, idle arms the defer wake at the instant the busy
+// period ends, where the head frame's countdown starts over.
+func (d *DCF) idle() bool {
+	busy := d.tr.CarrierBusyUntil()
 	if busy > d.sched.Now() {
-		d.armWake(out, busy, reach)
-		return
+		d.stepKind = stepDeferWake
+		d.step = d.sched.At(busy, d.stepFn)
+		return false
 	}
-	d.armBackoff(out, reach, true)
+	return true
 }
 
-// armWake arms the defer wake at the sensed busy-until instant and
-// establishes the fold closure: the probe just taken anchors the
-// prediction window, and the wake may skip re-sensing if every proof
-// holds until it fires.
-func (d *DCF) armWake(out *outgoing, target, reach sim.Time) {
-	d.stepKind, d.stepOut = stepDeferWake, out
-	d.step = d.sched.At(target, d.stepFn)
-	d.foldBase = d.sched.Now()
-	d.foldVK = 0
-	d.foldOK = d.folding && reach <= target && target <= d.foldBase+radio.CarrierPredictWindow
-	d.listen()
-}
-
-// armBackoff draws the contention slots and arms the expiry. probed
-// says the caller just probed the channel (reach is its closure
-// bound); a proven-idle wake skips the probe and extends the closure
-// it fired under, still anchored at the original probe's window.
-func (d *DCF) armBackoff(out *outgoing, reach sim.Time, probed bool) {
-	now := d.sched.Now()
-	if probed {
-		d.foldBase = now
-	}
-	slots := d.rng.Intn(out.cw + 1)
+// armBackoff draws the contention slots and arms their expiry, DIFS
+// plus the draw from now. A busy period during the countdown draws
+// afresh after it, where 802.11 would freeze the counter and resume.
+func (d *DCF) armBackoff() {
+	slots := d.rng.Intn(d.inflight.cw + 1)
 	wait := difs + time.Duration(slots)*slotTime
 	d.stats.BackoffWait += wait
-	d.stepKind, d.stepOut = stepBackoff, out
+	d.stepKind = stepBackoff
 	d.step = d.sched.After(wait, d.stepFn)
-	exp := now + wait
-	d.foldVK = 0
-	d.foldOK = d.folding && (probed || d.foldOK) && reach <= exp &&
-		exp <= d.foldBase+radio.CarrierPredictWindow
-	d.listen()
 }
 
-// foldIdle reports whether the folded countdown proves the channel idle
-// at the firing instant, making the exact carrier read redundant: any
-// invalidation since the arm cleared foldOK, every proven busy interval
-// has ended (a later one would have postponed this firing past itself),
-// and anything unproven never existed within reach.
-func (d *DCF) foldIdle() bool {
-	return d.foldOK && d.foldVK <= d.sched.Now()
-}
-
-// onStep is the single contention-step callback; (stepKind, stepOut)
-// written at arm time say which transition fired.
+// onStep is the single contention-step callback; stepKind, written at
+// arm time, says which transition fired.
 func (d *DCF) onStep() {
-	d.tr.SetCarrierListener(nil)
-	out := d.stepOut
 	switch d.stepKind {
 	case stepDeferWake:
-		if d.inflight != out {
-			return
-		}
-		if d.foldIdle() {
-			// Every proof held from arm to expiry: the exact read is
-			// elided and the countdown proceeds straight to backoff.
-			d.armBackoff(out, 0, false)
-			return
-		}
 		d.defer_()
 	case stepBackoff:
-		if d.inflight != out {
-			return
+		if d.idle() {
+			d.transmitData(d.inflight)
 		}
-		if d.foldIdle() {
-			d.transmitData(out)
-			return
-		}
-		// The channel may have become busy during the backoff; if so,
-		// start over (simplification of 802.11's counter freezing).
-		busy, reach := d.senseProbe()
-		if busy > d.sched.Now() {
-			d.armWake(out, busy, reach)
-			return
-		}
-		d.transmitData(out)
 	}
-}
-
-// CarrierOnset implements radio.CarrierListener: while a step is
-// pending, the radio reports every transmission start that could occupy
-// this node's channel within the prediction window. Proven in-range
-// onsets advance the folded countdown's busy horizon and postpone the
-// pending step in place; unproven (band) onsets invalidate the fold, so
-// the step falls back to an exact carrier read — after restoring its
-// original deadline, which is where the eager cycle would have re-sensed.
-func (d *DCF) CarrierOnset(end sim.Time, proven bool) {
-	if d.step.IsZero() || d.step.Done() {
-		return
-	}
-	if !proven {
-		if d.foldOK {
-			d.foldOK = false
-			d.step.Unpostpone()
-		}
-		return
-	}
-	if end > d.foldVK {
-		d.foldVK = end
-		d.maybePostpone()
-	}
-}
-
-// maybePostpone slides the pending step to the folded busy horizon
-// when the proofs allow it, flipping a backoff expiry into a defer
-// wake exactly as the eager cycle's busy re-sense would have. A
-// horizon beyond the prediction window cannot be proven; the fold is
-// abandoned and the step restored to fire (and re-sense) at its
-// original deadline.
-func (d *DCF) maybePostpone() {
-	if !d.foldOK {
-		return
-	}
-	if d.foldVK <= d.step.At() {
-		return
-	}
-	if d.foldVK > d.foldBase+radio.CarrierPredictWindow {
-		d.foldOK = false
-		d.step.Unpostpone()
-		return
-	}
-	d.step.Postpone(d.foldVK)
-	d.stepKind = stepDeferWake
 }
 
 // onAckTimeout declares the awaited ACK lost and retries.

@@ -334,6 +334,71 @@ func TestPrunedMemberRejoins(t *testing.T) {
 	}
 }
 
+// delegationLine is the line 1–2–3 with router 2 in the tree between
+// members 1 (upstream) and 3 (downstream). Node 5, out of range, leads
+// the group: nobody on the line leads it.
+func delegationLine(t *testing.T) (*mworld, *group) {
+	t.Helper()
+	w := buildM(t, 60, testworld.Line(3, 50))
+	for i, r := range w.routers {
+		g := r.groupState(testGroup)
+		g.member, g.inTree = i != 1, true
+		g.leader, g.leaderValid = 5, true
+	}
+	link := func(idx int, nb pkt.NodeID, upstream bool) {
+		e := w.routers[idx].group(testGroup).next.put(nb)
+		e.enabled, e.upstream = true, upstream
+	}
+	link(0, 2, false)
+	link(1, 1, true)
+	link(1, 3, false)
+	link(2, 2, true)
+	return w, w.routers[1].group(testGroup)
+}
+
+// leaders lists the line's nodes that lead the group.
+func leaders(w *mworld) []pkt.NodeID {
+	var out []pkt.NodeID
+	for i, r := range w.routers {
+		if r.isLeader(r.group(testGroup)) {
+			out = append(out, pkt.NodeID(i+1))
+		}
+	}
+	return out
+}
+
+// TestGroupLeaderSkipsExcludedLink: a router handed leadership by
+// MACT(GL) over one link passes it down another, never back over the
+// link it came from.
+func TestGroupLeaderSkipsExcludedLink(t *testing.T) {
+	w, g := delegationLine(t)
+	w.routers[1].onMACT(pkt.NewPacket(1, 2, &pkt.MACT{Group: testGroup, Src: 1, Flags: pkt.MACTGroupLeader}), 1)
+	w.Sched.Run(w.Sched.Now() + 100*time.Millisecond)
+
+	if got, want := leaders(w), []pkt.NodeID{3}; !slices.Equal(got, want) {
+		t.Fatalf("leaders after router 2 passed on leadership from node 1: %v, want %v", got, want)
+	}
+	if !g.inTree {
+		t.Fatal("the delegating router left the tree")
+	}
+}
+
+// TestFailedRepairRouterDelegates: a router whose upstream repair
+// failed but still serves a downstream branch hands leadership down it
+// and keeps serving it, rather than detaching.
+func TestFailedRepairRouterDelegates(t *testing.T) {
+	w, g := delegationLine(t)
+	g.next.remove(1) // the upstream link broke and its repair failed
+	w.routers[1].repairFailed(g)
+	if !g.inTree || g.enabledCount() != 1 {
+		t.Fatalf("after the failed repair: in tree %v with %d enabled links, want true and 1", g.inTree, g.enabledCount())
+	}
+	w.Sched.Run(w.Sched.Now() + 100*time.Millisecond)
+	if got, want := leaders(w), []pkt.NodeID{3}; !slices.Equal(got, want) {
+		t.Fatalf("leaders after the failed repair: %v, want the downstream member %v", got, want)
+	}
+}
+
 func TestRepairAfterLinkBreak(t *testing.T) {
 	// Diamond: members 1 (0,0) and 4 (100,0); routers 2 (50,40) and
 	// 3 (50,-40); range 70 connects only the diamond edges.

@@ -10,19 +10,13 @@ import (
 	"anongossip/internal/sim"
 )
 
-// nopListener is a carrier listener that keeps to its own state, so the
-// allocation tests run the walk's notification branch too.
-type nopListener struct{ onsets int }
-
-func (l *nopListener) CarrierOnset(sim.Time, bool) { l.onsets++ }
-
 type nopDone struct{ n int }
 
 func (d *nopDone) TxDone() { d.n++ }
 
 // row attaches n nodes 5 m apart on the default medium, each declaring
-// the speed bound maxSpeed (without moving), counting its receptions
-// into rx and listening for carrier.
+// the speed bound maxSpeed (without moving) and counting its receptions
+// into rx.
 func row(t *testing.T, sched *sim.Scheduler, n int, maxSpeed float64, rx *int) (*Medium, []*Transceiver) {
 	t.Helper()
 	m := NewMedium(sched, Params{Range: 75})
@@ -30,7 +24,6 @@ func row(t *testing.T, sched *sim.Scheduler, n int, maxSpeed float64, rx *int) (
 	for i := range trs {
 		trs[i] = attach(t, m, pkt.NodeID(i+1), declared{mobility.Static{P: geom.Point{X: 5 * float64(i)}}, maxSpeed},
 			func(any, pkt.NodeID, bool) { *rx++ })
-		trs[i].SetCarrierListener(&nopListener{})
 	}
 	return m, trs
 }
@@ -82,10 +75,11 @@ func TestStartTxCycleAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestCarrierProbeAllocatesNothing: the probe's accumulators live in
-// the transceiver and its visitor is bound at attach, on the index's
-// linear-scan path and — with more than txScanThreshold frames on the
-// air — its grid path.
+// TestCarrierProbeAllocatesNothing: CarrierBusyUntil's accumulator
+// lives in the transceiver and its visitor is bound at attach, on the
+// index's linear-scan path and — with more than txScanThreshold frames
+// on the air — its grid path. CarrierProbe answers the same instant
+// twice.
 func TestCarrierProbeAllocatesNothing(t *testing.T) {
 	for _, onAir := range []int{1, txScanThreshold + 8} {
 		sched := sim.NewScheduler()
@@ -98,40 +92,16 @@ func TestCarrierProbeAllocatesNothing(t *testing.T) {
 			}
 		}
 		busy, reach := tr.CarrierProbe()
-		if busy != testAirtime || reach != testAirtime {
-			t.Fatalf("%d on air: node %s probes busy %v, reach %v, want %v", onAir, tr.id, busy, reach, testAirtime)
+		if until := tr.CarrierBusyUntil(); until != testAirtime || busy != until || reach != until {
+			t.Fatalf("%d on air: node %s senses busy until %v and probes (%v, %v), want %v", onAir, tr.id, until, busy, reach, testAirtime)
 		}
 		const runs = 100
 		if allocs := testing.AllocsPerRun(1, func() {
 			for range runs {
-				tr.CarrierProbe()
+				tr.CarrierBusyUntil()
 			}
 		}); allocs != 0 {
-			t.Errorf("%d on air: %d CarrierProbes allocate %v times, want 0", onAir, runs, allocs)
+			t.Errorf("%d on air: %d carrier reads allocate %v times, want 0", onAir, runs, allocs)
 		}
 	}
-}
-
-// txListener breaks the CarrierListener contract: it transmits from
-// inside its onset notification.
-type txListener struct{ tr *Transceiver }
-
-func (l *txListener) CarrierOnset(sim.Time, bool) { _ = l.tr.StartTx(nil, testAirtime) }
-
-// TestStartTxInsideReceiverWalkPanics: the receiver walk keeps its state
-// in the medium, which is sound only while no listener starts a
-// transmission from inside it; one that does must fail loudly, not
-// corrupt the table being built.
-func TestStartTxInsideReceiverWalkPanics(t *testing.T) {
-	sched := sim.NewScheduler()
-	m := NewMedium(sched, Params{Range: 75})
-	a := attach(t, m, 1, mobility.Static{}, nil)
-	b := attach(t, m, 2, mobility.Static{P: geom.Point{X: 10}}, nil)
-	b.SetCarrierListener(&txListener{tr: b})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a transmission started inside a receiver walk did not panic")
-		}
-	}()
-	_ = a.StartTx(nil, time.Millisecond)
 }

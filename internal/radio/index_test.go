@@ -33,21 +33,9 @@ func (d txDoneLog) TxDone() {
 	d.w.log = append(d.w.log, fmt.Sprintf("done@%v node=%d", d.w.sched.Now(), d.node))
 }
 
-// onsetLog is the carrier listener of one fuzz-world node: it records
-// every onset and its proven / band classification in the world's log,
-// so the oracles must agree on them as they must on receptions.
-type onsetLog struct {
-	w    *fuzzWorld
-	node int
-}
-
-func (l onsetLog) CarrierOnset(end sim.Time, proven bool) {
-	l.w.log = append(l.w.log, fmt.Sprintf("onset@%v node=%d end=%v proven=%v", l.w.sched.Now(), l.node, end, proven))
-}
-
-// newFuzzWorld builds n waypoint nodes, each with a logging carrier
-// listener. The neighbour tables live skin/(2·maxSpeed) seconds, so
-// most transmissions walk a table built for an earlier one.
+// newFuzzWorld builds n waypoint nodes. The neighbour tables live
+// skin/(2·maxSpeed) seconds, so most transmissions walk a table built
+// for an earlier one.
 func newFuzzWorld(o oracle, seed int64, n int, area geom.Rect, maxSpeed float64) *fuzzWorld {
 	w := &fuzzWorld{sched: sim.NewScheduler()}
 	w.m = newTestMedium(w.sched, 75, o)
@@ -63,7 +51,6 @@ func newFuzzWorld(o oracle, seed int64, n int, area geom.Rect, maxSpeed float64)
 		if err != nil {
 			panic(err)
 		}
-		tr.SetCarrierListener(onsetLog{w, i})
 		w.trs = append(w.trs, tr)
 	}
 	return w
@@ -106,8 +93,8 @@ func (w *fuzzWorld) schedule(ops []fuzzOp) {
 
 // TestGridMatchesBruteUnderRandomMobility is the radio-level differential
 // fuzz test: the grid and brute-force indexes must produce identical
-// neighbour sets, carrier-sense answers, degree metrics, reception and
-// carrier-onset logs and channel statistics while nodes move randomly —
+// neighbour sets, carrier-sense answers, degree metrics, reception
+// logs and channel statistics while nodes move randomly —
 // including fast movers that cross many grid cells.
 func TestGridMatchesBruteUnderRandomMobility(t *testing.T) {
 	area := geom.Rect{W: 400, H: 400}
@@ -155,9 +142,8 @@ func TestGridMatchesBruteUnderRandomMobility(t *testing.T) {
 // TestGridMatchesBruteAcrossTxThreshold drives the number of frames on
 // the air above txScanThreshold and back below half of it, wave after
 // wave, so the grid index fills its transmission grid, answers carrier
-// sensing from it, and empties it again mid-run. Every reception,
-// carrier onset and carrier-sense answer must match the brute-force
-// scan's.
+// sensing from it, and empties it again mid-run. Every reception and
+// carrier-sense answer must match the brute-force scan's.
 func TestGridMatchesBruteAcrossTxThreshold(t *testing.T) {
 	const nNodes, waves = 120, 6
 	area := geom.Rect{W: 1200, H: 1200}

@@ -58,8 +58,8 @@ func runModelDifferential(t *testing.T, label string, seed int64, n int, area ge
 
 // TestReceptionModelsMatchUnderRandomTraffic is the reception-model
 // differential property test: the batched and reference models (under
-// both neighbour indexes) must produce identical reception and
-// carrier-onset logs, carrier-sense answers, statistics and counters
+// both neighbour indexes) must produce identical reception logs,
+// carrier-sense answers, statistics and counters
 // while mobile nodes transmit randomly. Op times are quantised to the
 // frame airtime's divisors so exact overlaps, exact boundaries and
 // same-instant bursts — the cases where the models' bookkeeping differs

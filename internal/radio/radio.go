@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"anongossip/internal/geom"
 	"anongossip/internal/mobility"
@@ -71,33 +70,6 @@ func (h Handler) ReceiveFrame(frame any, from pkt.NodeID, ok bool) {
 	if h != nil {
 		h(frame, from, ok)
 	}
-}
-
-// CarrierPredictWindow bounds how far ahead CarrierProbe's closure
-// bound and CarrierOnset's proven classification remain valid: both
-// account for node motion by inflating the carrier-sense radius by
-// maxSpeed·CarrierPredictWindow, so a prediction about any instant
-// within the window is conservative no matter how the node moves.
-// Predictions past the window are unsound and callers must fall back
-// to an exact read. 25 ms comfortably covers every MAC countdown (the
-// longest is DIFS + CWMax slots ≈ 20.5 ms) while keeping the inflation
-// small (25 cm at the experiments' fastest 10 m/s sweep, against a
-// 45–85 m radius), so the uncertainty band stays rare.
-const CarrierPredictWindow = 25 * time.Millisecond
-
-// CarrierListener receives conservative channel-onset notifications —
-// the radio-side half of the MAC's folded contention countdown
-// (DESIGN.md §3, §4). The medium invokes it during StartTx processing for
-// every listener the new transmission could possibly reach within
-// CarrierPredictWindow. proven means the listener is guaranteed to
-// sense this carrier at every instant it could query before the window
-// expires (the transmitter is at least maxSpeed·window inside the
-// sensing radius); onsets from the surrounding uncertainty band arrive
-// with proven == false and must invalidate any folded prediction.
-// Listeners run inside StartTx and may only touch their own node's
-// state.
-type CarrierListener interface {
-	CarrierOnset(end sim.Time, proven bool)
 }
 
 // TxDone is the transmitter-side completion hook for StartTxNotify.
@@ -167,13 +139,12 @@ type recvEntry struct {
 const skinDiv = 32
 
 // nbrEntry is one row of a transceiver's certified neighbour table: a
-// node, by attach index, that was within Range + predEps + skin of the
-// owner when the table was built. While the table is valid (see
-// startTxBatch) the distance between the two has changed by at most
-// skin, so a certain entry — built at most Range − predEps − skin away
-// — is in range and proven at every such instant whatever its position,
-// an uncertain one takes the exact addReceiver step, and a node left
-// out can neither receive nor sit in its listener's onset band.
+// node, by attach index, that was within Range + skin of the owner when
+// the table was built. While the table is valid (see startTxBatch) the
+// distance between the two has changed by at most skin, so a certain
+// entry — built at most Range − skin away — is in range at every such
+// instant whatever its position, an uncertain one takes the exact
+// unit-disc predicate, and a node left out cannot receive.
 type nbrEntry struct {
 	rcv     int32
 	certain bool
@@ -201,17 +172,12 @@ type Medium struct {
 	// at StartTx, decremented when the finish processing retires the
 	// record. It is the in-flight gauge a metrics window reads at its end.
 	activeTx int
-	// carrierEps is the largest motion-uncertainty inflation among
-	// attached carrier listeners (maxSpeed·CarrierPredictWindow); the
-	// StartTx walks widen their candidate radius by it so band onsets
-	// reach every listener they might concern.
-	carrierEps float64
 	// Neighbour tables (nbrEntry). skinOut is skin on the conservative
 	// side of the class thresholds: ×(1+1e-6) for rounding in the
 	// validity product, + 1 µm for rounding in positions and for
 	// mobility.Waypoint's whole-nanosecond legs. maxSpeed is the largest
-	// speed bound attached. Attach and a raised carrierEps bump nbrGen,
-	// which outdates every table.
+	// speed bound attached. Attach bumps nbrGen, which outdates every
+	// table.
 	skin, skinOut float64
 	maxSpeed      float64
 	nbrGen        uint32
@@ -294,7 +260,6 @@ func (m *Medium) AttachReceiver(id pkt.NodeID, pos mobility.Model, rx Receiver) 
 		// start; simulation time is never negative.
 		lastInterference: -1,
 		maxSpeed:         spd,
-		predEps:          spd * CarrierPredictWindow.Seconds(),
 	}
 	m.maxSpeed = max(m.maxSpeed, spd)
 	m.nbrGen++
@@ -344,14 +309,8 @@ type Transceiver struct {
 	// reference transceivers by this index.
 	idx int32
 
-	// carrier, when non-nil, receives conservative channel-onset
-	// notifications (see CarrierListener). maxSpeed caches the mobility
-	// model's speed bound at attach time; predEps is the
-	// motion-uncertainty inflation maxSpeed·CarrierPredictWindow that
-	// the onset classification and CarrierProbe's closure bound use.
-	carrier  CarrierListener
+	// maxSpeed caches the mobility model's speed bound at attach time.
 	maxSpeed float64
-	predEps  float64
 
 	// nbrs is the node's certified neighbour table, built from exact
 	// positions at nbrAt under the medium's generation nbrGen (never 0:
@@ -361,15 +320,13 @@ type Transceiver struct {
 	nbrAt  sim.Time
 	nbrGen uint32
 
-	// Probe scratch: CarrierProbe's index walk accumulates into these
-	// fields through probeVisit (t.probeTx, bound at attach) instead of
-	// per-call captures — the probe runs on every backoff arm, and
-	// boxing the accumulators was a measurable share of run-phase
-	// allocations. Only this node's own probes touch them.
-	probeBusy, probeReach sim.Time
-	probePos              geom.Point
-	probeR2               float64
-	probeVisit            func(*transmission)
+	// Probe scratch: CarrierBusyUntil's index walk accumulates into
+	// probeBusy through probeVisit (t.probeTx, bound at attach) instead
+	// of a per-call capture — the probe runs at every MAC wake and
+	// expiry, and boxing the accumulator was a measurable share of
+	// run-phase allocations. Only this node's own probes touch it.
+	probeBusy  sim.Time
+	probeVisit func(*transmission)
 
 	txEnd sim.Time // end of own in-flight transmission, 0 if idle
 
@@ -402,77 +359,37 @@ func (t *Transceiver) Counters() (sent, delivered, collided uint64) {
 }
 
 // CarrierBusyUntil returns the latest end time of any in-range
-// transmission (including the node's own) — the exact half of
-// CarrierProbe. A result <= now means the channel is idle at the
-// sensing node. The index enumerates only transmissions whose origin is
-// near the node, so the cost is O(local activity), not O(all active
-// transmissions).
+// transmission (including the node's own). A result <= now means the
+// channel is idle at the sensing node. The index enumerates only
+// transmissions whose origin is near the node, so the cost is O(local
+// activity), not O(all active transmissions).
 func (t *Transceiver) CarrierBusyUntil() sim.Time {
-	busy, _ := t.CarrierProbe()
-	return busy
-}
-
-// SetCarrierListener registers (or clears) the channel-onset hook the
-// folded contention countdown listens on while a step is pending.
-func (t *Transceiver) SetCarrierListener(l CarrierListener) {
-	t.carrier = l
-	if l != nil && t.predEps > t.medium.carrierEps {
-		t.medium.carrierEps = t.predEps
-		t.medium.nbrGen++
-	}
-}
-
-// CarrierListener returns the registered channel-onset hook, or nil.
-func (t *Transceiver) CarrierListener() CarrierListener { return t.carrier }
-
-// CarrierProbe returns the exact CarrierBusyUntil value together with
-// a conservative closure bound: reach is the latest end time of any
-// transmission already on the air that could contribute carrier at
-// this node at any instant within CarrierPredictWindow, accounting for
-// the node's own motion (transmission origins are fixed). For any
-// target with reach <= target <= now + CarrierPredictWindow, the
-// channel is guaranteed idle at target unless a transmission starts
-// after now — and every such start the node could sense is reported
-// through its CarrierListener. Both values come from one index walk.
-func (t *Transceiver) CarrierProbe() (busy, reach sim.Time) {
 	m := t.medium
 	now := m.sched.Now()
+	var busy sim.Time
 	if t.txEnd > now {
 		busy = t.txEnd
 	}
-	reach = busy
 	if m.index.HasTx() {
-		r := m.params.Range
-		t.probeBusy, t.probeReach = busy, reach
-		t.probePos, t.probeR2 = t.pos.Position(now), r*r
-		m.index.ForEachTxInRange(now, t.probePos, r+t.predEps, t.probeVisit)
-		busy, reach = t.probeBusy, t.probeReach
+		t.probeBusy = busy
+		m.index.ForEachTxInRange(now, t.pos.Position(now), m.params.Range, t.probeVisit)
+		busy = t.probeBusy
 	}
-	return busy, reach
+	return busy
 }
 
-// probeTx folds one nearby transmission into the running probe: every
-// one the index yields could reach the node within the window, those
-// inside the exact radius occupy its channel now.
+// CarrierProbe returns CarrierBusyUntil twice. It stays only because
+// the benchmark's radio driver calls it; nothing in the simulator does.
+func (t *Transceiver) CarrierProbe() (busy, reach sim.Time) {
+	busy = t.CarrierBusyUntil()
+	return busy, busy
+}
+
+// probeTx folds one in-range transmission into the running probe.
 func (t *Transceiver) probeTx(tx *transmission) {
-	if tx.from == t {
-		return
-	}
-	if tx.end > t.probeReach {
-		t.probeReach = tx.end
-	}
-	if tx.end > t.probeBusy && t.probePos.Dist2(tx.origin) <= t.probeR2 {
+	if tx.from != t && tx.end > t.probeBusy {
 		t.probeBusy = tx.end
 	}
-}
-
-// notifyCarrier classifies one onset for an in-band listener: proven
-// when the listener sits at least its motion inflation inside the
-// sensing radius, band otherwise. d2 is the exact squared distance
-// from the transmission origin to the listener's current position.
-func notifyCarrier(rcv *Transceiver, d2, r float64, end sim.Time) {
-	in := r - rcv.predEps
-	rcv.carrier.CarrierOnset(end, in > 0 && d2 <= in*in)
 }
 
 // StartTx puts frame on the air for airtime, addressed to every node.
@@ -521,21 +438,14 @@ func (t *Transceiver) beginTx(frame any, airtime sim.Time, dst pkt.NodeID, done 
 	m.activeTx++
 	t.sent++
 	t.txEnd = tx.end
-
-	if t.carrier != nil {
-		// The node's own transmission raises its own carrier (an ACK
-		// sent while a head frame's countdown is pending); distance zero
-		// makes it proven by construction.
-		t.carrier.CarrierOnset(tx.end, true)
-	}
 	return tx, nil
 }
 
 // startTxBatch builds the per-frame receiver table and schedules the
 // single finish event that will walk it. The receivers come from the
 // transmitter's neighbour table, in attach order: certain entries
-// straight away, uncertain ones through addReceiver's exact unit-disc
-// predicate against fresh positions.
+// straight away, uncertain ones through the exact unit-disc predicate
+// against fresh positions.
 func (t *Transceiver) startTxBatch(tx *transmission) {
 	m := t.medium
 	// Transmitting corrupts anything this node was in the middle of
@@ -544,30 +454,19 @@ func (t *Transceiver) startTxBatch(tx *transmission) {
 	if t.rxInFlight > 0 {
 		t.lastInterference = tx.start
 	}
-	// The walk's state lives in the medium, not in a closure, so walks
-	// cannot nest: a carrier listener that transmitted from inside its
-	// onset notification would overwrite it (and the index's scratch).
-	// Listeners may only touch their own node's state; hold them to it.
-	if m.rxTx != nil {
-		panic(fmt.Sprintf("radio: node %s started a transmission inside node %s's receiver walk", t.id, m.rxTx.from.id))
-	}
 	m.rxTx = tx
 	// The table stands while owner and neighbour together cannot have
 	// moved more than skin since it was built.
 	if t.nbrGen != m.nbrGen || (t.maxSpeed+m.maxSpeed)*(tx.start-t.nbrAt).Seconds() > m.skin {
 		t.nbrs, t.nbrAt, t.nbrGen = t.nbrs[:0], tx.start, m.nbrGen
-		m.index.ForEachCandidate(tx.start, tx.origin, m.params.Range+m.carrierEps+m.skinOut, m.nbrVisit)
+		m.index.ForEachCandidate(tx.start, tx.origin, m.params.Range+m.skinOut, m.nbrVisit)
 	}
+	r2 := m.params.Range * m.params.Range
 	for _, e := range t.nbrs {
 		rcv := m.nodes[e.rcv]
-		if !e.certain {
-			m.addReceiver(rcv)
-			continue
+		if e.certain || rcv.pos.Position(tx.start).Dist2(tx.origin) <= r2 {
+			m.enterReceiver(rcv)
 		}
-		if rcv.carrier != nil {
-			rcv.carrier.CarrierOnset(tx.end, true)
-		}
-		m.enterReceiver(rcv)
 	}
 	m.rxTx = nil
 	m.sched.At(tx.end, tx.finish)
@@ -581,34 +480,11 @@ func (m *Medium) addNeighbour(rcv *Transceiver) {
 		return
 	}
 	d2 := rcv.pos.Position(tx.start).Dist2(tx.origin)
-	if out := m.params.Range + rcv.predEps + m.skinOut; d2 > out*out {
+	if out := m.params.Range + m.skinOut; d2 > out*out {
 		return
 	}
-	in := m.params.Range - rcv.predEps - m.skinOut
+	in := m.params.Range - m.skinOut
 	tx.from.nbrs = append(tx.from.nbrs, nbrEntry{rcv: rcv.idx, certain: in > 0 && d2 <= in*in})
-}
-
-// addReceiver is the receiver walk's exact step for one uncertain
-// neighbour of the transmission in m.rxTx: notify its carrier listener
-// and, if it is in range, enter it in the receiver table.
-func (m *Medium) addReceiver(rcv *Transceiver) {
-	tx := m.rxTx
-	now, r := tx.start, m.params.Range
-	d2 := rcv.pos.Position(now).Dist2(tx.origin)
-	if d2 > r*r {
-		// Out of range for reception, but possibly inside a carrier
-		// listener's uncertainty band: an unproven onset.
-		if rcv.carrier != nil {
-			if out := r + rcv.predEps; d2 <= out*out {
-				rcv.carrier.CarrierOnset(tx.end, false)
-			}
-		}
-		return
-	}
-	if rcv.carrier != nil {
-		notifyCarrier(rcv, d2, r, tx.end)
-	}
-	m.enterReceiver(rcv)
 }
 
 // enterReceiver enters an in-range node in m.rxTx's receiver table.

@@ -98,10 +98,10 @@ func TestAttachDuplicateNodeID(t *testing.T) {
 	}
 }
 
-// TestAttachRejectsNonFiniteSpeedBound: the grid's refresh interval, the
-// neighbour tables' lifetime and the carrier listeners' inflation are
-// all computed from the declared speed bound, so a NaN, negative or
-// infinite one fails at attach and registers nothing.
+// TestAttachRejectsNonFiniteSpeedBound: the grid's refresh interval and
+// the neighbour tables' lifetime are computed from the declared speed
+// bound, so a NaN, negative or infinite one fails at attach and
+// registers nothing.
 func TestAttachRejectsNonFiniteSpeedBound(t *testing.T) {
 	sched := sim.NewScheduler()
 	m := NewMedium(sched, Params{Range: 100})

@@ -142,21 +142,9 @@ func (r *refRx) startTx(t *Transceiver, frame any, airtime sim.Time, dst pkt.Nod
 	// unit-disc predicate runs here against fresh positions.
 	rng := m.params.Range
 	r2 := rng * rng
-	m.index.ForEachCandidate(now, tx.origin, rng+m.carrierEps, func(rcv *Transceiver) {
-		if rcv == t {
+	m.index.ForEachCandidate(now, tx.origin, rng, func(rcv *Transceiver) {
+		if rcv == t || rcv.pos.Position(now).Dist2(tx.origin) > r2 {
 			return
-		}
-		d2 := rcv.pos.Position(now).Dist2(tx.origin)
-		if d2 > r2 {
-			if rcv.carrier != nil {
-				if out := rng + rcv.predEps; d2 <= out*out {
-					rcv.carrier.CarrierOnset(tx.end, false)
-				}
-			}
-			return
-		}
-		if rcv.carrier != nil {
-			notifyCarrier(rcv, d2, rng, tx.end)
 		}
 		rec := &reception{tx: tx}
 		// A node mid-transmission cannot hear the frame, and any

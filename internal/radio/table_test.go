@@ -45,8 +45,8 @@ func tableLife(m *Medium, tr *Transceiver) sim.Time {
 // every threshold of the classification ± 1 µm and ± 10 µm (the
 // conservative margin lies in between). The table is built by a
 // transmission at t = 0; a second one follows at expiry − 1 ns, at
-// expiry, or one nanosecond after it. Receptions and onset flags must
-// equal the per-receiver exact walk's under both indexes.
+// expiry, or one nanosecond after it. Receptions must equal the
+// per-receiver exact walk's under both indexes.
 func TestNeighbourTableBoundaries(t *testing.T) {
 	const rng, v = 75.0, 5.0
 	for _, txSpeed := range []float64{0, v} {
@@ -58,9 +58,8 @@ func TestNeighbourTableBoundaries(t *testing.T) {
 		if want := sim.Time(probe.skin / (txSpeed + v) * float64(time.Second)); life != want {
 			t.Fatalf("tx speed %v: table lives %v, want skin/(v_i+v_max) = %v", txSpeed, life, want)
 		}
-		eps := v * CarrierPredictWindow.Seconds()
 		var d0s []float64
-		for _, base := range []float64{rng - eps - probe.skin, rng - probe.skin, rng, rng + eps + probe.skin} {
+		for _, base := range []float64{rng - probe.skin, rng, rng + probe.skin} {
 			for _, off := range []float64{-10e-6, -1e-6, 0, 1e-6, 10e-6} {
 				d0s = append(d0s, base+off)
 			}
@@ -76,7 +75,6 @@ func TestNeighbourTableBoundaries(t *testing.T) {
 					tr := attach(t, w.m.Medium, pkt.NodeID(i+1), mob, func(frame any, from pkt.NodeID, ok bool) {
 						w.log = append(w.log, fmt.Sprintf("rx@%v node=%d frame=%v ok=%v", w.sched.Now(), i, frame, ok))
 					})
-					tr.SetCarrierListener(onsetLog{w, i})
 					w.trs = append(w.trs, tr)
 					return tr
 				}
@@ -134,31 +132,24 @@ type declared struct {
 
 func (d declared) MaxSpeed() float64 { return d.speed }
 
-// onsetFlags records the proven flag of every onset it is notified of.
-type onsetFlags []bool
-
-func (f *onsetFlags) CarrierOnset(_ sim.Time, proven bool) { *f = append(*f, proven) }
-
-// TestNeighbourTableInvalidation: the two events that can make a node
-// matter to a transmitter whose standing table has no row for it — an
-// Attach, and a carrier listener whose motion inflation widens the
-// medium's onset band — outdate every table, so the very next
-// transmission is heard by / notified to the newcomer.
+// TestNeighbourTableInvalidation: the one event that can make a node
+// matter to a transmitter whose standing table has no row for it, an
+// Attach, outdates every table, so the very next transmission is heard
+// by the newcomer.
 func TestNeighbourTableInvalidation(t *testing.T) {
 	sched := sim.NewScheduler()
 	m := NewMedium(sched, Params{Range: 75})
 	tx := attach(t, m, 1, mobility.Static{}, nil)
 	attach(t, m, 2, mobility.Static{P: geom.Point{X: 10}}, nil)
-	// 170 m out, but declared so fast that its onset band (100 m) reaches
-	// in to the transmitter's range. While it does not listen, nothing
-	// looks that far: the grid does not even offer it as a candidate.
-	far := attach(t, m, 3, declared{mobility.Static{P: geom.Point{X: 170}}, 4000}, nil)
+	// Out of range and still, but declared so fast that every table
+	// lives only 586 µs.
+	attach(t, m, 3, declared{mobility.Static{P: geom.Point{X: 170}}, 4000}, nil)
 	send := func() {
 		t.Helper()
 		if err := tx.StartTx(nil, 10*time.Microsecond); err != nil {
 			t.Fatal(err)
 		}
-		// 20 µs a frame: all three fit in the table's 586 µs lifetime.
+		// 20 µs a frame: both fit in the table's lifetime.
 		sched.Run(sched.Now() + 20*time.Microsecond)
 	}
 	send()
@@ -172,15 +163,8 @@ func TestNeighbourTableInvalidation(t *testing.T) {
 	if heard != 1 {
 		t.Fatalf("a node attached after the table was built heard %d of 1 frames", heard)
 	}
-
-	var onsets onsetFlags
-	far.SetCarrierListener(&onsets)
-	send()
-	if len(onsets) != 1 || onsets[0] {
-		t.Fatalf("a listener whose band reaches the transmitter got onsets %v (proven flags), want one unproven", onsets)
-	}
 	if sched.Now() > tableLife(m, tx) {
-		t.Fatalf("the three frames took %v, past the table's lifetime %v: expiry, not invalidation, rebuilt it", sched.Now(), tableLife(m, tx))
+		t.Fatalf("the two frames took %v, past the table's lifetime %v: expiry, not invalidation, rebuilt it", sched.Now(), tableLife(m, tx))
 	}
 }
 
@@ -196,7 +180,7 @@ func (c countingModel) MaxSpeed() float64              { return c.w.MaxSpeed() }
 
 // TestStartTxPositionEvaluations states the neighbour tables' saving as
 // a count. The paper's field (40 waypoint nodes on 200 × 200 m, 75 m
-// range, every node with a carrier listener), 2,000 transmissions over
+// range), 2,000 transmissions over
 // 200 s from five of the nodes in turn — a node that transmits at all
 // transmits often: the paper baseline puts nine frames a second on the
 // air per node. The exact walk evaluated every grid candidate's
@@ -225,7 +209,6 @@ func TestStartTxPositionEvaluations(t *testing.T) {
 				Area: geom.Rect{W: 200, H: 200}, MaxSpeed: tc.speed, MaxPause: 80 * time.Second,
 			}, root.Derive(fmt.Sprintf("mob/%d", i)))
 			trs[i] = attach(t, m, pkt.NodeID(i+1), countingModel{w, &evals}, nil)
-			trs[i].SetCarrierListener(&nopListener{})
 		}
 		evals = 0
 		for i := 0; i < frames; i++ {

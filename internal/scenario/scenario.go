@@ -241,16 +241,18 @@ type Result struct {
 	// breakdown below), so the count stays what an elision-free stack
 	// would execute for the same configuration and seed.
 	Events uint64
-	// EventsProcessed, ElidedKernel, ElidedRadio and ElidedMAC break
-	// Events down into executed kernel events and the three elision
-	// sources: postponed contention hops the kernel re-enqueued without
-	// firing, per-receiver receptions the radio folded into per-frame
-	// finishes, and MAC timers cancelled instead of
+	// EventsProcessed, ElidedRadio and ElidedMAC break Events down into
+	// executed kernel events and the two elision sources: per-receiver
+	// receptions the radio folded into per-frame finishes, and MAC
+	// timers folded into the radio's TxDone hook or cancelled instead of
 	// firing as no-ops. The four fields sum to Events.
 	EventsProcessed uint64
-	ElidedKernel    uint64
-	ElidedRadio     uint64
-	ElidedMAC       uint64
+	// ElidedKernel is always 0: the kernel elides nothing. It stays
+	// because the bench module's simulated pass (bench/simpass.go) sums
+	// it.
+	ElidedKernel uint64
+	ElidedRadio  uint64
+	ElidedMAC    uint64
 	// MeanDegree is the average neighbour count at the end of the run.
 	MeanDegree float64
 	// HeapLiveBytes is the process's live heap after the run with the
@@ -516,17 +518,15 @@ func (w *world) sendData(idx int) {
 
 func (w *world) collect() *Result {
 	processed := w.sched.Processed()
-	elided := w.sched.Elided()
 	c, macElided := w.counters()
 	// Logical events: the radio folds per-receiver finish events into
-	// per-frame ones, the MAC cancels contention
-	// timers whose frame completed early instead of letting them fire
-	// as no-ops, and the kernel re-enqueues postponed contention hops
-	// without firing them (the folded countdown, DESIGN.md §4); adding
+	// per-frame ones, and the MAC folds its airtime-end timers into the
+	// radio's TxDone hook and cancels contention timers whose frame
+	// completed early instead of letting them fire as no-ops; adding
 	// every elided count keeps the metric — and the golden digests
 	// pinned on it — independent of which elisions are in force.
 	radioElided := w.medium.ElidedEvents()
-	events := processed + elided + radioElided + macElided
+	events := processed + radioElided + macElided
 	res := &Result{
 		Stack:           w.cfg.Spec(),
 		Seed:            w.cfg.Seed,
@@ -534,7 +534,6 @@ func (w *world) collect() *Result {
 		Source:          pkt.NodeID(w.memberIdx[0] + 1),
 		Events:          events,
 		EventsProcessed: processed,
-		ElidedKernel:    elided,
 		ElidedRadio:     radioElided,
 		ElidedMAC:       macElided,
 		MeanDegree:      w.medium.MeanDegree(),

@@ -38,10 +38,10 @@ func lessBit(e, o event) int {
 // The root is filled lazily: pop takes a[0] and leaves a hole there,
 // and the next push drops its entry into the hole and sifts it down —
 // one sift for the pop and the push together, where an eager pop
-// would sift the last leaf down and the push then sift up. Every
-// postponed timer's hop is that pop→push, and in the paper's 40-node
-// world a push fills 83 % of holes (EXPERIMENTS.md hot-path ledger,
-// §AC). Every other operation fills the hole first, from the last
+// would sift the last leaf down and the push then sift up. A callback
+// that re-arms its own timer is that pop→push, and in the paper's
+// 40-node world a push fills 83 % of holes (EXPERIMENTS.md hot-path
+// ledger, §AC). Every other operation fills the hole first, from the last
 // leaf, as an eager pop would have. Push and pop allocate nothing beyond
 // amortised slice growth.
 type quadQueue struct {

@@ -17,7 +17,7 @@ const maxTime = Time(math.MaxInt64)
 // queueSet drives a Scheduler and schedModel — a test-side scheduler
 // that keeps its entries in a slice and scans it for the minimum
 // (at, seq) — with one operation stream, including callbacks that arm
-// children, cancel past the compaction threshold and postpone timers.
+// children and cancel past the compaction threshold.
 
 // queueScript is the queue-level differential: one queue per
 // implementation, the slots each holds, and the entries popped.
@@ -220,14 +220,11 @@ type world interface {
 	NextAt() (Time, bool)
 	Pending() int
 	Processed() uint64
-	Elided() uint64
 }
 
 // handle is the Timer surface the differential drives.
 type handle interface {
 	Cancel()
-	Postpone(Time) bool
-	Unpostpone()
 	At() Time
 	Done() bool
 }
@@ -244,16 +241,15 @@ func (k kernel) every(first, period Time, n int, fn func()) {
 // schedModel is the scheduler the kernel must be indistinguishable
 // from, written for obviousness: pending entries (cancelled ones too,
 // until popped or compacted) in a slice scanned for the minimum
-// (at, seq), with the kernel's documented clamping, postponement and
-// compaction rules. A series is its n firings armed by back-to-back
-// at calls.
+// (at, seq), with the kernel's documented clamping and compaction
+// rules. A series is its n firings armed by back-to-back at calls.
 type schedModel struct {
-	now               Time
-	seq               uint64
-	q                 []modelEntry
-	timers            []modelTimerState
-	processed, elided uint64
-	cancelled         int
+	now       Time
+	seq       uint64
+	q         []modelEntry
+	timers    []modelTimerState
+	processed uint64
+	cancelled int
 	// queuedAhead counts, over every series, the firings queued behind
 	// its next one: the kernel's queue, and so its Pending and its
 	// compaction threshold, holds a series once.
@@ -268,7 +264,7 @@ type modelEntry struct {
 
 type modelTimerState struct {
 	fn        func()
-	at, next  Time
+	at        Time
 	pending   bool
 	cancelled bool
 }
@@ -329,37 +325,29 @@ func (m *schedModel) min() int {
 }
 
 // step pops the earliest entry and handles it as the kernel does. It
-// reports whether the entry counted against RunAll's budget (a fired
-// event or a postponed hop) and whether it fired.
-func (m *schedModel) step() (counted, fired bool) {
+// reports whether the entry fired.
+func (m *schedModel) step() bool {
 	i := m.min()
 	e := m.q[i]
 	m.q = append(m.q[:i], m.q[i+1:]...)
 	tm := &m.timers[e.id]
 	if tm.cancelled {
 		m.cancelled--
-		return false, false
+		return false
 	}
 	m.now = e.at
-	if tm.next > e.at {
-		tm.at = tm.next
-		m.q = append(m.q, modelEntry{at: tm.next, seq: m.seq, id: e.id})
-		m.seq++
-		m.elided++
-		return true, false
-	}
 	tm.pending = false
 	fn := tm.fn
 	tm.fn = nil
 	fn()
 	m.processed++
-	return true, true
+	return true
 }
 
 func (m *schedModel) Run(until Time) uint64 {
 	var n uint64
 	for len(m.q) > 0 && m.q[m.min()].at <= until {
-		if _, fired := m.step(); fired {
+		if m.step() {
 			n++
 		}
 	}
@@ -370,7 +358,7 @@ func (m *schedModel) Run(until Time) uint64 {
 func (m *schedModel) RunAll(budget uint64) (uint64, bool) {
 	var n uint64
 	for len(m.q) > 0 && n < budget {
-		if counted, _ := m.step(); counted {
+		if m.step() {
 			n++
 		}
 	}
@@ -380,7 +368,6 @@ func (m *schedModel) RunAll(budget uint64) (uint64, bool) {
 func (m *schedModel) Now() Time         { return m.now }
 func (m *schedModel) Pending() int      { return len(m.q) - m.cancelled - m.queuedAhead }
 func (m *schedModel) Processed() uint64 { return m.processed }
-func (m *schedModel) Elided() uint64    { return m.elided }
 
 func (m *schedModel) NextAt() (Time, bool) {
 	if len(m.q) == 0 {
@@ -408,23 +395,6 @@ func (t modelTimer) Cancel() {
 	}
 }
 
-func (t modelTimer) Postpone(at Time) bool {
-	tm := &t.m.timers[t.id]
-	if !tm.pending {
-		return false
-	}
-	if at > tm.at && at > tm.next {
-		tm.next = at
-	}
-	return true
-}
-
-func (t modelTimer) Unpostpone() {
-	if tm := &t.m.timers[t.id]; tm.pending {
-		tm.next = 0
-	}
-}
-
 func (t modelTimer) At() Time   { return t.m.timers[t.id].at }
 func (t modelTimer) Done() bool { return !t.m.timers[t.id].pending }
 
@@ -434,14 +404,13 @@ const (
 	firePlain    = iota
 	fireChildren // arm two plain children, one at the same instant
 	fireCancel   // arm and cancel enough timers to force a compaction
-	firePostpone // postpone an earlier timer
 )
 
 // queueSet drives the kernel and the model (worlds[0] and worlds[1])
 // with an identical operation stream and checks, after every
 // operation, that they are indistinguishable: same fire order, same
-// Postpone answers, same Pending, NextAt, clock, Processed and Elided
-// counts, and the same Done and At for every timer the script armed.
+// Pending, NextAt, clock and Processed count, and the same Done and At
+// for every timer the script armed.
 type queueSet struct {
 	t       testing.TB
 	worlds  [2]world
@@ -511,18 +480,7 @@ func (p *queueSet) fire(k, id, what int, burst []handle) {
 		for _, h := range p.burst(k, w.Pending()+70) {
 			h.Cancel()
 		}
-	case firePostpone:
-		h := p.timers[k][(id*7+3)%len(p.timers[k])]
-		ok := h.Postpone(w.Now() + Time(id%11)*time.Millisecond)
-		p.log[k] = append(p.log[k], -1-boolInt(ok))
 	}
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func (p *queueSet) push(d Time) { p.pushDo(d, false, firePlain) }
@@ -560,29 +518,6 @@ func (p *queueSet) cancel(i int) {
 	p.check("cancel")
 }
 
-func (p *queueSet) postpone(i int, d Time) {
-	if len(p.timers[0]) == 0 {
-		return
-	}
-	i %= len(p.timers[0])
-	for k, w := range p.worlds {
-		ok := p.timers[k][i].Postpone(w.Now() + d)
-		p.log[k] = append(p.log[k], -1-boolInt(ok))
-	}
-	p.check("postpone")
-}
-
-func (p *queueSet) unpostpone(i int) {
-	if len(p.timers[0]) == 0 {
-		return
-	}
-	i %= len(p.timers[0])
-	for k := range p.worlds {
-		p.timers[k][i].Unpostpone()
-	}
-	p.check("unpostpone")
-}
-
 func (p *queueSet) step(max uint64) {
 	n0, d0 := p.worlds[0].RunAll(max)
 	n, d := p.worlds[1].RunAll(max)
@@ -609,9 +544,8 @@ func (p *queueSet) check(op string) {
 	if a.Now() != b.Now() {
 		p.t.Fatalf("after %s: clocks diverged: kernel %v, model %v", op, a.Now(), b.Now())
 	}
-	if a.Processed() != b.Processed() || a.Elided() != b.Elided() {
-		p.t.Fatalf("after %s: counts diverged: kernel %d processed %d elided, model %d, %d",
-			op, a.Processed(), a.Elided(), b.Processed(), b.Elided())
+	if a.Processed() != b.Processed() {
+		p.t.Fatalf("after %s: Processed diverged: kernel %d, model %d", op, a.Processed(), b.Processed())
 	}
 	at, aok := a.NextAt()
 	bt, bok := b.NextAt()
@@ -619,7 +553,7 @@ func (p *queueSet) check(op string) {
 		p.t.Fatalf("after %s: NextAt diverged: kernel (%v,%v), model (%v,%v)", op, at, aok, bt, bok)
 	}
 	if len(p.log[0]) != len(p.log[1]) {
-		p.t.Fatalf("after %s: kernel logged %d fires and postpones, model %d", op, len(p.log[0]), len(p.log[1]))
+		p.t.Fatalf("after %s: kernel logged %d fires, model %d", op, len(p.log[0]), len(p.log[1]))
 	}
 	for i := p.checked; i < len(p.log[0]); i++ {
 		if p.log[0][i] != p.log[1][i] {
@@ -641,7 +575,7 @@ func (p *queueSet) check(op string) {
 	}
 }
 
-// runSchedScript interprets a byte string as a push/cancel/postpone/run
+// runSchedScript interprets a byte string as a push/cancel/run
 // workload over the kernel and the model, then drains both and
 // re-checks.
 func runSchedScript(t testing.TB, script []byte) {
@@ -656,7 +590,7 @@ func runSchedScript(t testing.TB, script []byte) {
 		return b
 	}
 	for i < len(script) {
-		switch next() % 13 {
+		switch next() % 10 {
 		case 0, 1:
 			p.push(Time(next()%64) * time.Millisecond)
 		case 2:
@@ -687,22 +621,12 @@ func runSchedScript(t testing.TB, script []byte) {
 		case 7:
 			// A timer whose callback acts on the scheduler.
 			b := next()
-			p.pushDo(Time(b/3%32)*time.Millisecond, false, fireChildren+int(b%3))
+			p.pushDo(Time(b/2%32)*time.Millisecond, false, fireChildren+int(b%2))
 		case 8:
-			b := next()
-			p.postpone(int(next()), Time(b%48)*time.Millisecond)
-		case 9:
-			p.unpostpone(int(next()))
-		case 10:
 			// A deadline on the tier boundary: one below, at and above
 			// nearHorizon.
 			p.push(nearHorizon + Time(int(next()%3)-1))
-		case 11:
-			// A postpone whose hop lands on either side of the tier
-			// boundary.
-			b := next()
-			p.postpone(int(next()), nearHorizon+Time(int(b%3)-1)+Time(b/3%4)*10*time.Millisecond)
-		case 12:
+		case 9:
 			// A series of up to 8 firings: the first from 16 ms in the
 			// past to 47 ms ahead, periods from 0 (one same-instant
 			// block) to past nearHorizon; the top byte values start it
@@ -763,22 +687,16 @@ func TestQueueDifferentialCompactionHeavy(t *testing.T) {
 
 // TestQueueDifferentialCallbackCompaction compacts from inside fired
 // callbacks, where the quad heap's root is empty, over and over, with
-// children and postponed hops in flight.
+// children in flight.
 func TestQueueDifferentialCallbackCompaction(t *testing.T) {
 	p := newQueueSet(t)
 	for i := 0; i < 300; i++ {
-		p.pushDo(Time(i%17)*time.Millisecond, false, i%4)
-		if i%9 == 0 {
-			p.postpone(i*5, Time(i%23)*time.Millisecond)
-		}
+		p.pushDo(Time(i%17)*time.Millisecond, false, i%3)
 		if i%25 == 0 {
 			p.runTo(3 * time.Millisecond)
 		}
 	}
 	p.step(1 << 40)
-	if p.kernel().Elided() == 0 {
-		t.Fatal("no postponed hop happened")
-	}
 }
 
 // TestQueueDifferentialClustered replays the simulator's signature
@@ -822,13 +740,13 @@ func FuzzQueueDifferential(f *testing.F) {
 	seed := make([]byte, 256)
 	rand.New(rand.NewSource(7)).Read(seed)
 	f.Add(seed)
-	// Callbacks that arm, compact and postpone; drains to the hole.
-	f.Add([]byte{7, 1, 7, 2, 7, 3, 8, 5, 1, 0, 20, 7, 4, 7, 9, 1, 4, 7, 5, 60})
-	// Pushes on the tier boundary, postpones across it, runs through it.
-	f.Add([]byte{10, 0, 10, 1, 10, 2, 0, 3, 11, 0, 3, 11, 4, 0, 11, 11, 1, 5, 60, 10, 1, 4, 3, 5, 127})
-	// Series beside same-instant pushes, cancels and postpones, one
-	// from the past and one at saturation; runs through them.
-	f.Add([]byte{0, 20, 12, 36, 41, 0, 20, 12, 4, 72, 3, 0, 8, 9, 1, 4, 3, 12, 251, 17, 5, 40, 4, 200})
+	// Callbacks that arm and compact; drains to the hole.
+	f.Add([]byte{7, 1, 7, 2, 7, 3, 7, 4, 0, 20, 4, 7, 5, 60})
+	// Pushes on the tier boundary, runs through it.
+	f.Add([]byte{8, 0, 8, 1, 8, 2, 0, 3, 4, 0, 5, 60, 8, 1, 4, 3, 5, 127})
+	// Series beside same-instant pushes and cancels, one from the past
+	// and one at saturation; runs through them.
+	f.Add([]byte{0, 20, 9, 36, 41, 0, 20, 9, 4, 72, 3, 0, 4, 3, 9, 251, 17, 5, 40, 4, 200})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 2048 {
 			script = script[:2048]

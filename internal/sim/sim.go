@@ -56,13 +56,6 @@ const (
 type slot struct {
 	fn func()
 	at Time
-	// next is the lazy-retarget deadline (see Timer.Postpone). Zero, or
-	// equal to at, for ordinary timers. When a popped entry's slot
-	// carries next > at, the kernel re-enqueues it at next — consuming
-	// one insertion sequence at exactly the position the popped entry
-	// held, just as a fired callback re-arming itself would — and counts
-	// the hop in elided instead of processed.
-	next Time
 	// gen is 64-bit so it cannot wrap within any feasible run: a
 	// wrapped stamp would let an ancient stale handle alias the slot's
 	// live occupant.
@@ -127,46 +120,6 @@ func (t Timer) Cancel() {
 	t.s.noteCancelled()
 }
 
-// Postpone lazily retargets a pending timer to a later deadline. The
-// queue entry stays where it is; when the kernel pops it at the old
-// (time, seq) position it re-enqueues the timer at the postponed time —
-// allocating the insertion sequence there, exactly as if the timer had
-// fired and its callback had immediately re-armed it — and counts the
-// hop as an elided event rather than a processed one. Callers use this
-// to replace fire-and-rearm chains whose intermediate callbacks would
-// compute a deadline the caller already knows exactly (the MAC's
-// folded contention countdown, DESIGN.md §4); the observable schedule
-// is bit-identical to the chain it replaces.
-//
-// At() keeps reporting the current queue position until the hop
-// happens, matching the deadline a fire-and-rearm chain would report,
-// so cancellation accounting against the deadline is unaffected.
-// Postpone is monotone: targets at or before the current queue
-// position are ignored, and a pending postponement only ever grows.
-// It reports false if the timer already completed.
-func (t Timer) Postpone(at Time) bool {
-	sl, ok := t.lookup()
-	if !ok || sl.state != slotPending {
-		return false
-	}
-	if at > sl.at && at > sl.next {
-		sl.next = at
-	}
-	return true
-}
-
-// Unpostpone clears any pending postponement, restoring the timer to
-// fire at its current queue position. Callers use it when the
-// knowledge that justified a Postpone is invalidated before the hop
-// happens: the entry then fires exactly where the fire-and-rearm chain
-// would have run its callback. A hop that already happened is
-// unaffected (the postponed time became the queue position).
-func (t Timer) Unpostpone() {
-	if sl, ok := t.lookup(); ok && sl.state == slotPending {
-		sl.next = 0
-	}
-}
-
 // Cancelled reports whether Cancel stopped the timer before it fired.
 // Exact until the slot is recycled (see the Timer doc).
 func (t Timer) Cancelled() bool {
@@ -212,11 +165,6 @@ type Scheduler struct {
 
 	// processed counts events executed so far (cancelled events excluded).
 	processed uint64
-	// elided counts postponed-timer hops the kernel re-enqueued in place
-	// of firing (see Timer.Postpone): each stands for exactly one event
-	// a fire-and-rearm chain would have executed, so event-count parity
-	// is processed + elided.
-	elided uint64
 	// cancelled counts slots in the queue whose Cancel ran; Pending
 	// subtracts it and compact drops them.
 	cancelled int
@@ -232,12 +180,6 @@ func (s *Scheduler) Now() Time { return s.now }
 
 // Processed returns the number of events executed so far.
 func (s *Scheduler) Processed() uint64 { return s.processed }
-
-// Elided returns the number of postponed-timer hops the kernel
-// re-enqueued without firing (see Timer.Postpone). Each hop stands for
-// one event the equivalent fire-and-rearm chain would have processed,
-// so Processed() + Elided() is the schedule-parity event count.
-func (s *Scheduler) Elided() uint64 { return s.elided }
 
 // Pending returns the number of live (non-cancelled) events currently
 // scheduled.
@@ -354,8 +296,8 @@ func (s *Scheduler) arm(t Time, seq uint64, fn func()) int32 {
 // past the largest Time saturates to it. However large n is, the series
 // holds one pool slot and one queue entry at a time: each firing arms
 // the next before it calls fn (Pending counts the series once). It has
-// no handle, so it can be neither cancelled nor postponed. A negative
-// period panics: its firings would not come in sequence order.
+// no handle, so it cannot be cancelled. A negative period panics: its
+// firings would not come in sequence order.
 func (s *Scheduler) Every(first, period Time, n int, fn func()) {
 	if fn == nil {
 		panic("sim: Every called with nil callback")
@@ -393,7 +335,6 @@ func (s *Scheduler) alloc(fn func(), t Time) int32 {
 		sl := &s.pool[idx]
 		sl.gen++ // invalidate handles from the previous lifecycle
 		sl.fn, sl.at, sl.state = fn, t, slotPending
-		sl.next = 0
 	} else {
 		idx = int32(len(s.pool))
 		s.pool = append(s.pool, slot{fn: fn, at: t, state: slotPending})
@@ -414,17 +355,6 @@ func (s *Scheduler) fire(e event) func() {
 	return fn
 }
 
-// repost re-enqueues a popped-but-postponed timer at its lazy target,
-// allocating the insertion sequence the hop's re-arm would have
-// consumed at exactly this position in the order.
-func (s *Scheduler) repost(e event) {
-	sl := &s.pool[e.slot]
-	sl.at = sl.next
-	s.push(event{at: sl.next, seq: s.seq, slot: e.slot})
-	s.seq++
-	s.elided++
-}
-
 // Run executes events in order until the queue is empty or the next event
 // is strictly after `until`, and then advances the clock to `until`. It
 // reports the number of events executed by this call.
@@ -438,10 +368,6 @@ func (s *Scheduler) Run(until Time) uint64 {
 			continue
 		}
 		s.now = e.at
-		if s.pool[e.slot].next > e.at {
-			s.repost(e)
-			continue
-		}
 		s.fire(e)()
 		s.processed++
 		n++
@@ -465,11 +391,6 @@ func (s *Scheduler) RunAll(maxEvents uint64) (uint64, bool) {
 			continue
 		}
 		s.now = e.at
-		if s.pool[e.slot].next > e.at {
-			s.repost(e)
-			n++ // an elided hop still counts against the event budget
-			continue
-		}
 		s.fire(e)()
 		s.processed++
 		n++

@@ -461,34 +461,6 @@ func TestTiersMergeBySequence(t *testing.T) {
 	}
 }
 
-// TestPostponeAcrossHorizon: a near timer postponed past nearHorizon
-// hops into the far tier at the hop and still fires where a
-// fire-and-rearm chain would: after an entry for the same instant armed
-// before the hop, before one armed after it.
-func TestPostponeAcrossHorizon(t *testing.T) {
-	s := NewScheduler()
-	const target = 200 * time.Millisecond
-	var got []string
-	log := func(name string) func() { return func() { got = append(got, name) } }
-	tm := s.After(10*time.Millisecond, log("postponed"))
-	s.At(target, log("before"))
-	if s.near.len() != 1 || s.far.len() != 1 {
-		t.Fatalf("tiers hold near=%d far=%d before the hop, want 1 and 1", s.near.len(), s.far.len())
-	}
-	tm.Postpone(target)
-	s.Run(10 * time.Millisecond)
-	if s.Elided() != 1 || s.near.len() != 0 || s.far.len() != 2 {
-		t.Fatalf("after the hop: elided=%d near=%d far=%d, want 1, 0 and 2",
-			s.Elided(), s.near.len(), s.far.len())
-	}
-	s.Run(target - 10*time.Millisecond)
-	s.At(target, log("after"))
-	s.Run(time.Second)
-	if want := "[before postponed after]"; fmt.Sprint(got) != want {
-		t.Fatalf("fired %v, want %s", got, want)
-	}
-}
-
 // TestFarTimersStayOutOfNearTier pins the split itself. A broken split
 // costs speed only — order comes from (at, seq) either way — so no
 // ordering test can catch it.
@@ -505,8 +477,8 @@ func TestFarTimersStayOutOfNearTier(t *testing.T) {
 	}
 }
 
-// TestEveryMatchesBackToBackAt: random scripts of At, Cancel, Postpone,
-// Every and partial runs fire the same callbacks at the same times, in
+// TestEveryMatchesBackToBackAt: random scripts of At, Cancel, Every
+// and partial runs fire the same callbacks at the same times, in
 // the same order, on a kernel that runs each series with Every and on
 // one that arms its n firings with back-to-back At calls. Each series
 // firing ties with an At armed before the series and another armed
@@ -530,7 +502,7 @@ func TestEveryMatchesBackToBackAt(t *testing.T) {
 		}
 		for op, series := 0, 0; op < 60; op++ {
 			now := s[0].Now()
-			switch rng.Intn(6) {
+			switch rng.Intn(5) {
 			case 0: // on a 5 ms grid, where series firings fall too
 				at(now + Time(rng.Intn(40))*5*time.Millisecond)
 			case 1:
@@ -540,13 +512,6 @@ func TestEveryMatchesBackToBackAt(t *testing.T) {
 					timers[1][i].Cancel()
 				}
 			case 2:
-				if n := len(timers[0]); n > 0 {
-					i, to := rng.Intn(n), now+Time(rng.Intn(20))*5*time.Millisecond
-					if a, b := timers[0][i].Postpone(to), timers[1][i].Postpone(to); a != b {
-						t.Fatalf("trial %d: Postpone answered %v and %v", trial, a, b)
-					}
-				}
-			case 3:
 				first := now + Time(rng.Intn(40)-8)*5*time.Millisecond
 				period, n := periods[rng.Intn(len(periods))], rng.Intn(6)
 				tie := max(first+Time(rng.Intn(max(n, 1)))*period, now)
@@ -557,11 +522,11 @@ func TestEveryMatchesBackToBackAt(t *testing.T) {
 				}
 				at(tie)
 				series++
-			case 4:
+			case 3:
 				until := now + Time(rng.Intn(20))*5*time.Millisecond
 				s[0].Run(until)
 				s[1].Run(until)
-			case 5:
+			case 4:
 				budget := uint64(rng.Intn(5))
 				s[0].RunAll(budget)
 				s[1].RunAll(budget)
@@ -646,134 +611,5 @@ func TestEveryEdges(t *testing.T) {
 			}()
 			s.Every(0, c.period, 2, c.fn)
 		}()
-	}
-}
-
-// TestPostponeMonotone: Postpone only ever moves a timer later. A
-// target at or before the queue position, or before an earlier
-// postponement, is ignored but still reported as accepted.
-func TestPostponeMonotone(t *testing.T) {
-	s := NewScheduler()
-	var fired []Time
-	tm := s.After(10*time.Millisecond, func() { fired = append(fired, s.Now()) })
-	for _, at := range []Time{5 * time.Millisecond, 10 * time.Millisecond, 30 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond} {
-		if !tm.Postpone(at) {
-			t.Fatalf("Postpone(%v) on a pending timer reported false", at)
-		}
-	}
-	s.Run(time.Second)
-	if len(fired) != 1 || fired[0] != 30*time.Millisecond {
-		t.Fatalf("fired at %v, want once at the largest target 30ms", fired)
-	}
-	if got := s.Elided(); got != 1 {
-		t.Fatalf("Elided = %d, want one hop however many Postpone calls", got)
-	}
-}
-
-// TestPostponeAtReportsOldPosition: At keeps reporting the queue
-// position until the kernel pops the entry there and hops it.
-func TestPostponeAtReportsOldPosition(t *testing.T) {
-	s := NewScheduler()
-	tm := s.After(10*time.Millisecond, func() {})
-	tm.Postpone(20 * time.Millisecond)
-	if got := tm.At(); got != 10*time.Millisecond {
-		t.Fatalf("At before the hop = %v, want the old position 10ms", got)
-	}
-	s.Run(15 * time.Millisecond)
-	if got := tm.At(); got != 20*time.Millisecond {
-		t.Fatalf("At after the hop = %v, want 20ms", got)
-	}
-	if tm.Done() || s.Processed() != 0 || s.Elided() != 1 || s.Pending() != 1 {
-		t.Fatalf("after the hop: Done=%v Processed=%d Elided=%d Pending=%d, want false 0 1 1",
-			tm.Done(), s.Processed(), s.Elided(), s.Pending())
-	}
-	s.Run(time.Second)
-	if !tm.Fired() || s.Processed() != 1 || s.Elided() != 1 {
-		t.Fatalf("after the fire: Fired=%v Processed=%d Elided=%d, want true 1 1", tm.Fired(), s.Processed(), s.Elided())
-	}
-}
-
-// TestPostponeHopTakesSequenceAtHop: the hop allocates its insertion
-// sequence when it happens, exactly as a callback re-arming the timer
-// would. A same-instant event armed at the target before the hop fires
-// first; one armed at the hop's instant but after it fires later.
-func TestPostponeHopTakesSequenceAtHop(t *testing.T) {
-	s := NewScheduler()
-	const at, target = 10 * time.Millisecond, 20 * time.Millisecond
-	var order []string
-	log := func(name string) func() { return func() { order = append(order, name) } }
-	// Fires at 10ms before the hop and arms "before" at the target.
-	s.At(at, func() { s.At(target, log("before")) })
-	tm := s.At(at, log("postponed"))
-	// Fires at 10ms after the hop and arms "after" at the target.
-	s.At(at, func() { s.At(target, log("after")) })
-	tm.Postpone(target)
-	s.Run(time.Second)
-	want := []string{"before", "postponed", "after"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Fatalf("fire order %v, want %v", order, want)
-	}
-}
-
-// TestPostponeElidedCounts: every hop counts one elided event, never a
-// processed one, and a timer postponed again after its hop hops again.
-func TestPostponeElidedCounts(t *testing.T) {
-	s := NewScheduler()
-	tm := s.After(time.Millisecond, func() {})
-	other := s.After(2*time.Millisecond, func() {})
-	tm.Postpone(3 * time.Millisecond)
-	other.Postpone(4 * time.Millisecond)
-	s.Run(2 * time.Millisecond)
-	if s.Elided() != 2 || s.Processed() != 0 {
-		t.Fatalf("Elided=%d Processed=%d after two hops, want 2 0", s.Elided(), s.Processed())
-	}
-	tm.Postpone(5 * time.Millisecond)
-	s.Run(time.Second)
-	if s.Elided() != 3 || s.Processed() != 2 {
-		t.Fatalf("Elided=%d Processed=%d after the drain, want 3 2", s.Elided(), s.Processed())
-	}
-	// RunAll counts a hop against its budget.
-	s.After(time.Millisecond, func() {}).Postpone(time.Hour)
-	if n, drained := s.RunAll(1); n != 1 || drained {
-		t.Fatalf("RunAll(1) over a hop = (%d, %v), want (1, false)", n, drained)
-	}
-}
-
-// TestUnpostponeRestoresTimer: Unpostpone before the hop makes the
-// timer fire at its queue position, as if never postponed.
-func TestUnpostponeRestoresTimer(t *testing.T) {
-	s := NewScheduler()
-	var fired Time
-	tm := s.After(10*time.Millisecond, func() { fired = s.Now() })
-	tm.Postpone(20 * time.Millisecond)
-	tm.Unpostpone()
-	s.Run(time.Second)
-	if fired != 10*time.Millisecond || s.Elided() != 0 {
-		t.Fatalf("fired at %v with %d hops, want 10ms and none", fired, s.Elided())
-	}
-}
-
-// TestPostponeAfterCompletion: Postpone reports false, and neither it
-// nor Unpostpone has any effect, once the timer fired or was
-// cancelled — also through a stale handle whose slot a pending timer
-// now occupies.
-func TestPostponeAfterCompletion(t *testing.T) {
-	s := NewScheduler()
-	fired := s.After(time.Millisecond, func() {})
-	s.Run(2 * time.Millisecond)
-	var at Time
-	live := s.After(time.Millisecond, func() { at = s.Now() }) // reuses fired's slot
-	live.Postpone(5 * time.Millisecond)
-	cancelled := s.After(time.Millisecond, func() { t.Error("cancelled timer fired") })
-	cancelled.Cancel()
-	for _, tm := range []Timer{fired, cancelled, {}} {
-		if tm.Postpone(time.Hour) {
-			t.Fatalf("Postpone on a completed timer %+v reported true", tm)
-		}
-		tm.Unpostpone()
-	}
-	s.Run(time.Second)
-	if at != 5*time.Millisecond || s.Elided() != 1 {
-		t.Fatalf("the slot's new timer fired at %v with %d hops, want its own 5ms and one", at, s.Elided())
 	}
 }
